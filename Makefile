@@ -164,12 +164,14 @@ bench-pisa-full:
 # the 10k-deep chain traversal tests), then TestScaleBenchGate (opted in
 # via SCALE_BENCH_GATE=1) enforcing HEFT throughput floors at the
 # 1k/5k/10k tiers, the O(|V|+|E|+|D|·|V|) table-memory bound with
-# edge-sparse link storage, and 10k-task bit-identity of the sparse
-# tables against the dense reference. Part of `make verify`.
+# edge-sparse link storage, 10k-task bit-identity of the sparse
+# tables against the dense reference, and TestScaleTierSchedulesValid at
+# the 10k tier (every registered scheduler through schedule.Validate).
+# Part of `make verify`.
 bench-scale:
 	$(GO) test -run 'TestSparseTables|TestTablesChain10000' -count 1 ./internal/graph/
 	$(GO) test -run 'TestSolveDeepChain10000' -count 1 ./internal/exact/
-	SCALE_BENCH_GATE=1 $(GO) test -run TestScaleBenchGate -count 1 -v -timeout 300s .
+	SCALE_BENCH_GATE=1 $(GO) test -run 'TestScaleBenchGate|TestScaleTierSchedulesValid' -count 1 -v -timeout 300s .
 
 # bench-scale-full is the measurement protocol behind BENCH_scale.json:
 # count=3, 1s per tier; record the per-tier best and refresh the gate

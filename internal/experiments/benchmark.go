@@ -18,6 +18,7 @@ import (
 
 	"saga/internal/datasets"
 	"saga/internal/graph"
+	"saga/internal/schedule"
 	"saga/internal/scheduler"
 	"saga/internal/stats"
 )
@@ -54,11 +55,33 @@ func (r *BenchmarkResult) MaxGrid() [][]float64 {
 	return out
 }
 
+// rosterMakespans runs every scheduler of the roster on inst and stores
+// their makespans in dst (len(scheds)), returning the smallest. The
+// instance's tables are prepared once on scr and every scheduler goes
+// through scheduler.ScheduleInto, so the roster shares one table build,
+// one avg-comm fill, the rank memo and the builder arenas; scratch state
+// never reaches a result, so the makespans are those of s.Schedule(inst).
+func rosterMakespans(inst *graph.Instance, scheds []scheduler.Scheduler, scr *scheduler.Scratch, out *schedule.Schedule, dst []float64) (float64, error) {
+	scr.Prepare(inst)
+	best := math.Inf(1)
+	for i, s := range scheds {
+		if err := scheduler.ScheduleInto(s, inst, scr, out); err != nil {
+			return 0, fmt.Errorf("%s: %w", s.Name(), err)
+		}
+		dst[i] = out.Makespan()
+		if dst[i] < best {
+			best = dst[i]
+		}
+	}
+	return best, nil
+}
+
 // Benchmarking reproduces Fig 2: run every scheduler on n instances of
 // each named dataset and record, per instance, the scheduler's makespan
 // ratio against the minimum makespan any scheduler achieved on that
-// instance. It is the sequential reference for BenchmarkingParallel. Schedulers that fail on an instance (none of the 15
-// experimental algorithms do) are skipped for that instance.
+// instance. It is the cell function of BenchmarkingRun and owns one
+// scratch and one schedule for the whole call. A scheduler that fails on
+// an instance (none of the 15 experimental algorithms do) fails the call.
 func Benchmarking(datasetNames []string, scheds []scheduler.Scheduler, n int, seed uint64) (*BenchmarkResult, error) {
 	res := &BenchmarkResult{
 		Datasets: datasetNames,
@@ -67,41 +90,35 @@ func Benchmarking(datasetNames []string, scheds []scheduler.Scheduler, n int, se
 	for _, s := range scheds {
 		res.Schedulers = append(res.Schedulers, s.Name())
 	}
+	scr := scheduler.NewScratch()
+	var out schedule.Schedule
+	makespans := make([]float64, len(scheds))
 	for _, ds := range datasetNames {
 		instances, err := datasets.Dataset(ds, n, seed)
 		if err != nil {
 			return nil, err
 		}
-		ratios := make(map[string][]float64, len(scheds))
+		ratios := make([][]float64, len(scheds))
 		for _, inst := range instances {
-			makespans := make([]float64, len(scheds))
-			best := math.Inf(1)
-			for i, s := range scheds {
-				sch, err := s.Schedule(inst)
-				if err != nil {
-					return nil, fmt.Errorf("experiments: %s on %s: %w", s.Name(), ds, err)
-				}
-				makespans[i] = sch.Makespan()
-				if makespans[i] < best {
-					best = makespans[i]
-				}
+			best, err := rosterMakespans(inst, scheds, scr, &out, makespans)
+			if err != nil {
+				return nil, fmt.Errorf("experiments: dataset %s: %w", ds, err)
 			}
 			if best == 0 {
 				continue
 			}
-			for i, s := range scheds {
-				ratios[s.Name()] = append(ratios[s.Name()], makespans[i]/best)
+			for i, m := range makespans {
+				ratios[i] = append(ratios[i], m/best)
 			}
 		}
 		res.Cells[ds] = map[string]BenchmarkCell{}
-		for _, s := range scheds {
-			rs := ratios[s.Name()]
+		for i, s := range scheds {
 			res.Cells[ds][s.Name()] = BenchmarkCell{
 				Dataset:   ds,
 				Scheduler: s.Name(),
-				Max:       stats.Max(rs),
-				Mean:      stats.Mean(rs),
-				P75:       stats.Percentile(rs, 75),
+				Max:       stats.Max(ratios[i]),
+				Mean:      stats.Mean(ratios[i]),
+				P75:       stats.Percentile(ratios[i], 75),
 			}
 		}
 	}
@@ -112,25 +129,19 @@ func Benchmarking(datasetNames []string, scheds []scheduler.Scheduler, n int, se
 // against the best scheduler on the single instance — the per-instance
 // quantity Fig 2 aggregates.
 func MakespanRatioAgainstBest(inst *graph.Instance, scheds []scheduler.Scheduler) (map[string]float64, error) {
-	makespans := map[string]float64{}
-	best := math.Inf(1)
-	for _, s := range scheds {
-		sch, err := s.Schedule(inst)
-		if err != nil {
-			return nil, err
-		}
-		makespans[s.Name()] = sch.Makespan()
-		if m := sch.Makespan(); m < best {
-			best = m
-		}
+	var out schedule.Schedule
+	makespans := make([]float64, len(scheds))
+	best, err := rosterMakespans(inst, scheds, scheduler.NewScratch(), &out, makespans)
+	if err != nil {
+		return nil, err
 	}
-	out := map[string]float64{}
-	for n, m := range makespans {
+	ratios := make(map[string]float64, len(scheds))
+	for i, s := range scheds {
 		if best == 0 {
-			out[n] = 1
+			ratios[s.Name()] = 1
 		} else {
-			out[n] = m / best
+			ratios[s.Name()] = makespans[i] / best
 		}
 	}
-	return out, nil
+	return ratios, nil
 }

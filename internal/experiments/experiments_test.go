@@ -77,6 +77,94 @@ func TestBenchmarkingUnknownDataset(t *testing.T) {
 	}
 }
 
+// benchmarkingPerCall is Benchmarking as it ran before the roster shared
+// a scratch: every scheduler builds its own tables, ranks and builder
+// through a plain s.Schedule(inst). It is the oracle for
+// TestBenchmarkingSharedScratchMatchesPerCall.
+func benchmarkingPerCall(t *testing.T, datasetNames []string, scheds []scheduler.Scheduler, n int, seed uint64) map[string]map[string]BenchmarkCell {
+	t.Helper()
+	cells := map[string]map[string]BenchmarkCell{}
+	for _, ds := range datasetNames {
+		instances, err := datasets.Dataset(ds, n, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ratios := make([][]float64, len(scheds))
+		for _, inst := range instances {
+			makespans := make([]float64, len(scheds))
+			best := math.Inf(1)
+			for i, s := range scheds {
+				sch, err := s.Schedule(inst)
+				if err != nil {
+					t.Fatal(err)
+				}
+				makespans[i] = sch.Makespan()
+				best = math.Min(best, makespans[i])
+			}
+			if best == 0 {
+				continue
+			}
+			for i, m := range makespans {
+				ratios[i] = append(ratios[i], m/best)
+			}
+		}
+		cells[ds] = map[string]BenchmarkCell{}
+		for i, s := range scheds {
+			cells[ds][s.Name()] = BenchmarkCell{
+				Dataset: ds, Scheduler: s.Name(),
+				Max: stats.Max(ratios[i]), Mean: stats.Mean(ratios[i]), P75: stats.Percentile(ratios[i], 75),
+			}
+		}
+	}
+	return cells
+}
+
+// TestBenchmarkingSharedScratchMatchesPerCall: one scratch prepared once
+// per instance and reused by the whole roster — shared tables, shared
+// rank memo, a builder and an output schedule every scheduler overwrites
+// — must leave every cell bit-identical to a fresh Schedule call per
+// scheduler, across dataset switches and at the scale tier.
+func TestBenchmarkingSharedScratchMatchesPerCall(t *testing.T) {
+	names := []string{"chains", "in_trees", "montage", "scale_chains_1k"}
+	const n, seed = 2, 5
+	got, err := Benchmarking(names, schedulers.Experimental(), n, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := benchmarkingPerCall(t, names, schedulers.Experimental(), n, seed)
+	for _, ds := range names {
+		for _, s := range schedulers.ExperimentalNames {
+			if g, w := got.Cells[ds][s], want[ds][s]; g != w {
+				t.Errorf("%s/%s: shared scratch %+v, per-call %+v", ds, s, g, w)
+			}
+		}
+	}
+
+	inst, err := datasets.Dataset("scale_layered_1k", 1, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ratios, err := MakespanRatioAgainstBest(inst[0], schedulers.Experimental())
+	if err != nil {
+		t.Fatal(err)
+	}
+	makespans := map[string]float64{}
+	best := math.Inf(1)
+	for _, s := range schedulers.Experimental() {
+		sch, err := s.Schedule(inst[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		makespans[s.Name()] = sch.Makespan()
+		best = math.Min(best, sch.Makespan())
+	}
+	for name, m := range makespans {
+		if ratios[name] != m/best {
+			t.Errorf("MakespanRatioAgainstBest[%s] = %v, per-call %v", name, ratios[name], m/best)
+		}
+	}
+}
+
 func TestPairwisePISAShape(t *testing.T) {
 	scheds := []scheduler.Scheduler{mustSched(t, "HEFT"), mustSched(t, "CPoP"), mustSched(t, "FastestNode")}
 	res, err := PairwisePISA(scheds, PairwiseOptions{Anneal: smallAnneal(1)})

@@ -254,10 +254,16 @@ func (g *TaskGraph) Deps() [][2]int {
 }
 
 // Reaches reports whether there is a directed path from u to v (including
-// u == v).
+// u == v). A path needs an edge out of u and an edge into v, so when
+// either is missing the answer is false before the DFS allocates — the
+// case every AddDep of a forward-built graph (generators, decoders)
+// hits, since its new edge's target has no successors yet.
 func (g *TaskGraph) Reaches(u, v int) bool {
 	if u == v {
 		return true
+	}
+	if len(g.Succ[u]) == 0 || len(g.Pred[v]) == 0 {
+		return false
 	}
 	seen := make([]bool, len(g.Tasks))
 	stack := []int{u}

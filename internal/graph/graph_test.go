@@ -55,6 +55,61 @@ func TestAddDepRejectsCycle(t *testing.T) {
 	}
 }
 
+// TestAddDepForwardBuiltSkipsDFS: generators and decoders add each edge
+// into a task that has no successors yet, so AddDep's cycle check answers
+// before its DFS allocates the |V|-sized visited set. With adjacency
+// capacity reserved up front, nothing else allocates either.
+func TestAddDepForwardBuiltSkipsDFS(t *testing.T) {
+	const n = 10000
+	g := NewTaskGraph()
+	for i := 0; i < n; i++ {
+		g.AddTask("t", 1)
+	}
+	for i := range g.Succ {
+		g.Succ[i] = make([]Dep, 0, 2)
+		g.Pred[i] = make([]Dep, 0, 2)
+	}
+	next := 1
+	allocs := testing.AllocsPerRun(n-2, func() {
+		g.MustAddDep(next-1, next, 1)
+		if next >= 2 {
+			g.MustAddDep(next-2, next, 1)
+		}
+		next++
+	})
+	if allocs != 0 {
+		t.Fatalf("AddDep on a forward-built graph: %v allocs per task, want 0", allocs)
+	}
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.AddDep(n-1, 0, 1); err == nil {
+		t.Fatal("cycle through the whole forward-built graph accepted")
+	}
+}
+
+// TestAddDepBackEdgeTakesDFS: an edge whose target already has successors
+// and whose source already has predecessors gets the full search, both
+// when it is acyclic and when it closes a cycle.
+func TestAddDepBackEdgeTakesDFS(t *testing.T) {
+	g := diamond()
+	if g.Reaches(2, 1) {
+		t.Fatal("Reaches(2,1) on the diamond")
+	}
+	if testing.AllocsPerRun(10, func() { g.Reaches(2, 1) }) == 0 {
+		t.Fatal("Reaches(2,1) answered without the DFS")
+	}
+	if err := g.AddDep(1, 2, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.AddDep(2, 1, 1); err == nil {
+		t.Fatal("cycle-creating back edge accepted")
+	}
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestAddDepRejectsOutOfRange(t *testing.T) {
 	g := diamond()
 	if err := g.AddDep(0, 99, 1); err == nil {

@@ -12,6 +12,13 @@ import (
 // or without insertion into idle gaps — and data-ready times implied by
 // already-placed prerequisites.
 //
+// Each node's timeline is kept ordered by (Start, End). Schedulers place
+// non-overlapping blocks, so End is non-decreasing along a timeline as
+// well: a zero-duration task sorts before the block that starts at the
+// same instant, the last entry carries the node's maximum End (what
+// NodeAvailable reads), and EarliestStart can binary-search past every
+// block that finishes by the ready time.
+//
 // A Builder is reusable: Reset rebinds it to an instance while keeping
 // every slice it has ever grown, so a warm builder runs a full
 // scheduling pass without allocating (the per-worker Scratch in package
@@ -23,7 +30,7 @@ type Builder struct {
 	exec      []float64   // optional graph.Tables.Exec matrix (nil = divide)
 	byTask    []Assignment
 	placed    []bool
-	timelines [][]Assignment // per node, sorted by Start
+	timelines [][]Assignment // per node, sorted by (Start, End)
 	nPlaced   int
 }
 
@@ -100,7 +107,7 @@ func (b *Builder) Assignment(t int) Assignment {
 }
 
 // NodeAvailable returns the finish time of the last task on node v (0 if
-// idle).
+// idle): the timeline's last entry, which holds the maximum End.
 func (b *Builder) NodeAvailable(v int) float64 {
 	tl := b.timelines[v]
 	if len(tl) == 0 {
@@ -166,13 +173,28 @@ func (b *Builder) EnablingPredecessor(t, v int) (pred int, arrive float64, ok bo
 // the given duration fits on node v. With insertion enabled it scans idle
 // gaps between already-placed tasks (the HEFT insertion policy);
 // otherwise it returns max(ready, node available time).
+//
+// The insertion scan starts at the first block with End > ready, found
+// by binary search over the End-ordered timeline: every earlier block
+// finishes by ready, so it neither delays the start nor bounds a gap the
+// scan could use. One probe costs O(log k + blocks after ready) on a
+// k-block timeline.
 func (b *Builder) EarliestStart(v int, ready, duration float64, insertion bool) float64 {
 	tl := b.timelines[v]
 	if !insertion {
 		return math.Max(ready, b.NodeAvailable(v))
 	}
+	lo, hi := 0, len(tl)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if tl[mid].End <= ready {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
 	start := ready
-	for _, a := range tl {
+	for _, a := range tl[lo:] {
 		// Gap before a: [start, a.Start). The fit test is exact, not
 		// epsilon-tolerant: a block that only fits within Eps would
 		// overlap the next task by that epsilon, which the validator
@@ -220,12 +242,12 @@ func (b *Builder) Place(t, v int, start float64) Assignment {
 	b.placed[t] = true
 	b.nPlaced++
 	tl := b.timelines[v]
-	// Binary search for the insertion point (a hand-rolled sort.Search so
-	// the hot path carries no closure).
+	// Binary search for the (Start, End) insertion point (a hand-rolled
+	// sort.Search so the hot path carries no closure).
 	lo, hi := 0, len(tl)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if tl[mid].Start < a.Start {
+		if m := tl[mid]; m.Start < a.Start || (m.Start == a.Start && m.End < a.End) {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -264,8 +286,9 @@ func (b *Builder) BestEFTNode(t int, insertion bool) (node int, start float64) {
 	return bestNode, bestStart
 }
 
-// Unplace reverses Place(t, ·, ·): the assignment leaves node t's
-// timeline and t becomes placeable again. It panics if t is not placed.
+// Unplace reverses Place(t, ·, ·): the assignment leaves its node's
+// timeline, which stays ordered by (Start, End), and t becomes placeable
+// again. It panics if t is not placed.
 // Backtracking searches (package exact) pair every Place with an
 // Unplace in LIFO order, which keeps one shared builder per search
 // instead of a clone per branch — the clone-per-frame approach holds

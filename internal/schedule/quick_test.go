@@ -139,3 +139,102 @@ func TestQuickMakespanEqualsMaxEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// linearEarliestStart is the head-to-tail insertion scan EarliestStart
+// ran before it binary-searched the End-ordered timeline, kept as the
+// oracle for TestEarliestStartMatchesLinearScan.
+func linearEarliestStart(tl []Assignment, ready, duration float64) float64 {
+	start := ready
+	for _, a := range tl {
+		if start+duration <= a.Start {
+			return start
+		}
+		if a.End > start {
+			start = a.End
+		}
+	}
+	return start
+}
+
+// TestEarliestStartMatchesLinearScan grows random timelines — zero-cost
+// tasks, equal starts, blocks that touch, occasional Unplace — and after
+// every step checks the (Start, End) order with its non-decreasing End,
+// then compares EarliestStart bit for bit with the linear scan for ready
+// times before, at, inside and after every block and durations that
+// include zero and every exact gap width.
+func TestEarliestStartMatchesLinearScan(t *testing.T) {
+	const nTasks, nNodes = 60, 3
+	for seed := int64(1); seed <= 40; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		g := graph.NewTaskGraph()
+		for i := 0; i < nTasks; i++ {
+			cost := float64(r.Intn(4)) // a quarter of the tasks cost nothing
+			if r.Intn(3) == 0 {
+				cost = r.Float64() * 3
+			}
+			g.AddTask("t", cost)
+		}
+		in := graph.NewInstance(g, graph.NewNetwork(nNodes))
+		b := NewBuilder(in)
+
+		probe := func(v int, ready, duration float64) float64 {
+			t.Helper()
+			got := b.EarliestStart(v, ready, duration, true)
+			if want := linearEarliestStart(b.timelines[v], ready, duration); got != want {
+				t.Fatalf("seed %d node %d: EarliestStart(ready=%v, duration=%v) = %v, linear scan %v\ntimeline %v",
+					seed, v, ready, duration, got, want, b.timelines[v])
+			}
+			return got
+		}
+		check := func(v int) {
+			t.Helper()
+			tl := b.timelines[v]
+			durations := []float64{0, 0.5, 1, 2, 100}
+			for i, a := range tl {
+				if i > 0 {
+					p := tl[i-1]
+					if p.Start > a.Start || (p.Start == a.Start && p.End > a.End) || p.End > a.End {
+						t.Fatalf("seed %d node %d: timeline out of (Start, End) order at %d: %v", seed, v, i, tl)
+					}
+					durations = append(durations, a.Start-p.End)
+				}
+			}
+			if len(tl) > 0 && b.NodeAvailable(v) != tl[len(tl)-1].End {
+				t.Fatalf("seed %d node %d: NodeAvailable = %v, last End %v", seed, v, b.NodeAvailable(v), tl[len(tl)-1].End)
+			}
+			for _, a := range tl {
+				for _, ready := range []float64{a.Start - 0.25, a.Start, (a.Start + a.End) / 2, a.End, a.End + 0.25} {
+					for _, d := range durations {
+						probe(v, ready, d)
+					}
+				}
+			}
+		}
+
+		var placed []int
+		for task := 0; task < nTasks; task++ {
+			v := r.Intn(nNodes)
+			ready := float64(r.Intn(40)) // integer grid: ties with block edges
+			if r.Intn(4) == 0 {
+				ready = r.Float64() * 40
+			}
+			var start float64
+			if r.Intn(3) == 0 {
+				start = b.EarliestStart(v, ready, b.execTime(task, v), false)
+			} else {
+				start = probe(v, ready, b.execTime(task, v))
+			}
+			b.Place(task, v, start)
+			placed = append(placed, task)
+			check(v)
+			if r.Intn(8) == 0 {
+				i := r.Intn(len(placed))
+				u := placed[i]
+				placed = append(placed[:i], placed[i+1:]...)
+				v := b.Assignment(u).Node
+				b.Unplace(u)
+				check(v)
+			}
+		}
+	}
+}

@@ -278,3 +278,51 @@ func TestMakespanRatio(t *testing.T) {
 		t.Fatalf("zero/zero ratio = %v, want 1", r)
 	}
 }
+
+// TestZeroDurationTaskKeepsNodeAvailable pins the (Start, End) timeline
+// order: a block that starts at the instant of a zero-duration task sorts
+// after it whichever of the two was placed first, so the last timeline
+// entry carries the node's maximum End. Ordered by Start alone, the block
+// placed second landed before the zero-duration task and NodeAvailable
+// returned that task's stale End.
+func TestZeroDurationTaskKeepsNodeAvailable(t *testing.T) {
+	g := graph.NewTaskGraph()
+	g.AddTask("head", 5)
+	g.AddTask("zero", 0)
+	g.AddTask("block", 3)
+	g.AddTask("tail", 1)
+	in := graph.NewInstance(g, graph.NewNetwork(1))
+	const head, zero, block, tail = 0, 1, 2, 3
+	for _, order := range [][2]int{{zero, block}, {block, zero}} {
+		b := NewBuilder(in)
+		b.Place(head, 0, 0)
+		b.Place(order[0], 0, 5)
+		b.Place(order[1], 0, 5)
+		if got := b.NodeAvailable(0); got != 8 {
+			t.Fatalf("placing %v: NodeAvailable = %v, want 8", order, got)
+		}
+		tl := b.timelines[0]
+		if tl[1].Task != zero || tl[2].Task != block {
+			t.Fatalf("placing %v: timeline tasks %d, %d, want the zero-duration task first", order, tl[1].Task, tl[2].Task)
+		}
+		for _, insertion := range []bool{false, true} {
+			if s := b.EarliestStart(0, 5, 1, insertion); s != 8 {
+				t.Fatalf("placing %v, insertion=%v: EarliestStart = %v, want 8", order, insertion, s)
+			}
+		}
+		b.PlaceEFT(tail, 0, false)
+		s, err := b.Schedule()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := Validate(in, s); err != nil {
+			t.Fatalf("placing %v: %v", order, err)
+		}
+		// Unplace keeps the order: without the block the zero-duration
+		// task is followed by the tail alone.
+		b.Unplace(block)
+		if tl := b.timelines[0]; len(tl) != 3 || tl[1].Task != zero || tl[2].Task != tail {
+			t.Fatalf("placing %v: timeline after Unplace = %v", order, tl)
+		}
+	}
+}

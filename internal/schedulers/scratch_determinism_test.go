@@ -23,7 +23,7 @@ import (
 
 // refBuilder is the pre-optimization schedule.Builder: per-call
 // allocation, Instance.CommTime (successor-list scan) for data-ready
-// times, sort.Search for timeline insertion.
+// times, sort.Search for timeline insertion, head-to-tail insertion scan.
 type refBuilder struct {
 	inst      *graph.Instance
 	byTask    []schedule.Assignment
@@ -90,7 +90,11 @@ func (b *refBuilder) place(t, v int, start float64) {
 	b.byTask[t] = a
 	b.placed[t] = true
 	tl := b.timelines[v]
-	i := sort.Search(len(tl), func(i int) bool { return tl[i].Start >= a.Start })
+	// (Start, End) order, as schedule.Builder.Place keeps it: a block
+	// goes after a zero-duration task at the same start.
+	i := sort.Search(len(tl), func(i int) bool {
+		return tl[i].Start > a.Start || (tl[i].Start == a.Start && tl[i].End >= a.End)
+	})
 	tl = append(tl, schedule.Assignment{})
 	copy(tl[i+1:], tl[i:])
 	tl[i] = a

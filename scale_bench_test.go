@@ -82,9 +82,9 @@ func TestScaleBenchGate(t *testing.T) {
 	// Floors in task·node pairs per second; measurement / 4 (see
 	// BENCH_scale.json for the protocol and the measured values).
 	floors := map[string]float64{
-		"1k":  1_600_000,
-		"5k":  1_050_000,
-		"10k": 780_000,
+		"1k":  1_950_000,
+		"5k":  1_650_000,
+		"10k": 1_475_000,
 	}
 	for _, suffix := range []string{"1k", "5k", "10k"} {
 		t.Run("throughput_"+suffix, func(t *testing.T) {
@@ -185,6 +185,39 @@ func TestScaleBenchGate(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestScaleTierSchedulesValid runs every registered scheduler on the
+// layered and chain-bundle scale instances and checks each schedule with
+// schedule.Validate — the 1k tier on every `go test`, the 10k tier with
+// the gate. The scale generators draw zero-cost tasks, the input on
+// which a timeline ordered by Start alone let FCP, FLB, OLB, MCT and
+// FastestNode overlap tasks. BruteForce and SMT refuse instances this
+// large; any other error fails the test.
+func TestScaleTierSchedulesValid(t *testing.T) {
+	tiers := []string{"1k"}
+	if os.Getenv("SCALE_BENCH_GATE") != "" {
+		tiers = append(tiers, "10k")
+	}
+	scr := scheduler.NewScratch()
+	var out schedule.Schedule
+	for _, tier := range tiers {
+		for _, family := range []string{"scale_layered_", "scale_chains_"} {
+			inst := scaleInstance(t, family+tier)
+			for _, name := range scheduler.Names() {
+				err := scheduler.ScheduleInto(mustSchedT(t, name), inst, scr, &out)
+				if err != nil && (name == "BruteForce" || name == "SMT") {
+					continue
+				}
+				if err == nil {
+					err = schedule.Validate(inst, &out)
+				}
+				if err != nil {
+					t.Errorf("%s on %s%s: %v", name, family, tier, err)
+				}
+			}
+		}
+	}
 }
 
 // mustSchedT is mustSched for plain tests (the bench helper insists on
