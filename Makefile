@@ -136,12 +136,14 @@ bench:
 # properties behind rank memoization (every mutating Tables op bumps
 # Generation; stale cached ranks impossible), the 0 allocs/op gate for
 # the steady-state accept/reject cycle, the enforced ≥1.3x
-# iteration-speedup ratio check and the ≥1.5x parallel-run speedup check
+# iteration-speedup ratio check and the parallel-run speedup check
 # (TestPISAIterationMemoizationGate / TestPISAParallelSpeedupGate, opted
-# in via PISA_BENCH_GATE=1; the parallel gate self-skips on single-core
-# hosts where wall-clock scaling is physically impossible), and one
-# -benchtime=1x pass over the benchmarks so they cannot rot. Part of
-# `make verify`.
+# in via PISA_BENCH_GATE=1; the parallel gate takes the median ratio of
+# seven back-to-back sequential/parallel pairs against a floor scaled to
+# the worker count — 1.2x on 2 cores, 1.6x from 4 — and self-skips on
+# single-core hosts where wall-clock scaling is physically impossible),
+# and one -benchtime=1x pass over the benchmarks so they cannot rot.
+# Part of `make verify`.
 bench-pisa:
 	$(GO) test -run 'TestRunBitIdenticalToReference|TestRunGABitIdenticalToReference|TestPerturbUndoRoundTrip|TestPISASteadyStateZeroAlloc|TestRunTracePreallocated' -count 1 ./internal/core/
 	$(GO) test -run 'TestRunParallel|TestRunGAParallel' -count 1 ./internal/core/

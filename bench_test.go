@@ -633,7 +633,7 @@ func BenchmarkPairwiseParallelSpeedup(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				opts := experiments.PairwiseOptions{Anneal: smallAnneal(80, 1)}
 				opts.Anneal.Seed = uint64(i + 1)
-				if _, err := experiments.PairwisePISAParallel(scheds, opts, workers); err != nil {
+				if _, err := experiments.PairwisePISARun(scheds, opts, runner.Options{Workers: workers}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -430,7 +430,7 @@ func portfolioCmd(args []string) error {
 	opts.MaxIters = *iters
 	opts.Restarts = *restarts
 	opts.Seed = *seed
-	res, err := experiments.PairwisePISAParallel(scheds, experiments.PairwiseOptions{Anneal: opts}, *workers)
+	res, err := experiments.PairwisePISARun(scheds, experiments.PairwiseOptions{Anneal: opts}, runner.Options{Workers: *workers})
 	if err != nil {
 		return err
 	}
@@ -704,7 +704,7 @@ func benchmarkCmd(args []string) error {
 	for i := range dsNames {
 		dsNames[i] = strings.TrimSpace(dsNames[i])
 	}
-	res, err := experiments.BenchmarkingParallel(dsNames, scheds, *n, *seed, *workers)
+	res, err := experiments.BenchmarkingRun(dsNames, scheds, *n, *seed, runner.Options{Workers: *workers})
 	if err != nil {
 		return err
 	}
@@ -853,21 +853,27 @@ func workerCmd(args []string) error {
 	return nil
 }
 
-// coordinateCmd serves a registered sweep to dynamically leased
-// workers (internal/coord): cells are handed out in ranges, renewed by
-// heartbeat, reclaimed from workers that die or hang, retried with
-// backoff when they fail, and streamed into the one checkpoint store as
-// they complete. The store is the same format `saga worker -shard` and
-// cmd/figures -checkpoint use — when the sweep finishes, render straight
-// from it. Restarting a crashed coordinator on the same store resumes:
-// committed cells are never recomputed.
+// coordinateCmd serves a coordinator hub (internal/coord): sweeps are
+// handed out in cell ranges, renewed by heartbeat, reclaimed from
+// workers that die or hang, retried with backoff when they fail, and
+// committed as they complete. With -driver and -checkpoint the hub starts
+// with that one sweep mounted on the checkpoint file — the same format
+// `saga worker -shard` and cmd/figures -checkpoint use, so when the sweep
+// finishes the process exits and the figure renders straight from it;
+// restarting a crashed coordinator on the same store resumes, and
+// committed cells are never recomputed. With -hub it starts empty:
+// `saga serve -coordinator` daemons register portfolio/robustness sweeps
+// over HTTP and fetch the cells back (no durable state — after a restart
+// they re-register onto the same content-hash ids), `saga worker
+// -coordinator <url> -persist` fleets drain them, and SIGINT or SIGTERM
+// stops it.
 func coordinateCmd(args []string) error {
 	fs := flag.NewFlagSet("coordinate", flag.ExitOnError)
 	driver := fs.String("driver", "", "sweep to coordinate: "+strings.Join(experiments.SweepNames, ", ")+" (required unless -hub/-watch)")
 	addr := fs.String("addr", "127.0.0.1:0", "address to serve the protocol on (0 picks a free port, printed at startup)")
 	ckptPath := fs.String("checkpoint", "", "the sweep's checkpoint store (required unless -hub/-watch; resumed if it exists)")
-	hub := fs.Bool("hub", false, "host a multi-sweep hub for `saga serve -coordinator` dispatch instead of one fixed sweep")
-	watch := fs.String("watch", "", "coordinator or hub URL: render GET /status as a live progress line instead of serving")
+	hub := fs.Bool("hub", false, "start with no sweep mounted and serve the ones `saga serve -coordinator` daemons register, until signalled")
+	watch := fs.String("watch", "", "hub URL: render GET /status as a live progress line instead of serving")
 	interval := fs.Duration("interval", time.Second, "poll cadence for -watch")
 	token := tokenFlag(fs)
 	leaseSize := fs.Int("lease", 8, "cells per lease")
@@ -883,94 +889,81 @@ func coordinateCmd(args []string) error {
 	if *watch != "" {
 		return watchStatus(strings.TrimRight(*watch, "/"), *token, *interval)
 	}
-	opts := coord.Options{
-		LeaseSize:    *leaseSize,
-		LeaseTTL:     *leaseTTL,
-		MaxRetries:   *retries,
-		RetryBackoff: *retryBackoff,
-		ShuffleSeed:  *shuffleSeed,
-		Token:        *token,
+	if *hub && (*driver != "" || *ckptPath != "") {
+		return fmt.Errorf("coordinate: -hub hosts sweeps registered by daemons; it takes no -driver or -checkpoint")
 	}
-	if *verbose {
-		opts.Logf = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		}
-	}
-	if *hub {
-		if *driver != "" || *ckptPath != "" {
-			return fmt.Errorf("coordinate: -hub hosts sweeps registered by daemons; it takes no -driver or -checkpoint")
-		}
-		return hubServe(*addr, opts, *verbose)
-	}
-	if *driver == "" || *ckptPath == "" {
+	if !*hub && (*driver == "" || *ckptPath == "") {
 		return fmt.Errorf("coordinate: -driver and -checkpoint are required (or -hub / -watch)")
 	}
-	p, err := params()
-	if err != nil {
-		return err
+	hopts := coord.HubOptions{
+		Token: *token,
+		Sweep: coord.Options{
+			LeaseSize:    *leaseSize,
+			LeaseTTL:     *leaseTTL,
+			MaxRetries:   *retries,
+			RetryBackoff: *retryBackoff,
+			ShuffleSeed:  *shuffleSeed,
+		},
 	}
-	c, err := coord.New(*driver, p, serialize.NewCheckpoint(*ckptPath), opts)
-	if err != nil {
-		return err
-	}
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return err
-	}
-	st := c.Status()
-	fmt.Printf("coordinate: %s (%d cells, %d already in store) on http://%s\n",
-		*driver, st.Cells, st.Committed, ln.Addr())
-	fmt.Printf("coordinate: start workers with `saga worker -coordinator http://%s`\n", ln.Addr())
-	srv := &http.Server{Handler: c}
-	go srv.Serve(ln)
-	defer srv.Close()
-	if err := c.Wait(nil); err != nil {
-		return err
-	}
-	fmt.Printf("coordinate: sweep %s complete; %d cells in %s (render with `figures -checkpoint %s %s`, same sweep flags)\n",
-		*driver, st.Cells, *ckptPath, *ckptPath, *driver)
-	return nil
-}
-
-// hubServe runs a coordinator hub (`saga coordinate -hub`): an empty
-// multi-sweep coordinator that `saga serve -coordinator` daemons
-// register portfolio/robustness sweeps on and `saga worker -coordinator
-// <hub> -persist` fleets drain. It holds no durable state — a restarted
-// hub starts empty and daemons re-register their in-flight sweeps onto
-// the same content-hash ids — so there is no -checkpoint; results leave
-// through GET /sweeps/{id}/cells. SIGINT or SIGTERM stops it.
-func hubServe(addr string, opts coord.Options, verbose bool) error {
-	hopts := coord.HubOptions{Sweep: opts, Token: opts.Token}
-	if verbose {
+	if *verbose {
 		hopts.Logf = func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		}
 	}
 	h := coord.NewHub(hopts)
-	ln, err := net.Listen("tcp", addr)
+	what := "hub"
+	var sweep *coord.Coordinator
+	if !*hub {
+		p, err := params()
+		if err != nil {
+			return err
+		}
+		if sweep, err = h.Mount(*driver, p, serialize.NewCheckpoint(*ckptPath)); err != nil {
+			return err
+		}
+		st := sweep.Status()
+		what = fmt.Sprintf("%s (%d cells, %d already in store)", *driver, st.Cells, st.Committed)
+	}
+	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("coordinate: hub on http://%s\n", ln.Addr())
-	fmt.Printf("coordinate: daemons: `saga serve -coordinator http://%s`; fleets: `saga worker -coordinator http://%s -persist`\n",
+	fmt.Printf("coordinate: %s on http://%s\n", what, ln.Addr())
+	fmt.Printf("coordinate: workers: `saga worker -coordinator http://%s` (-persist for a fleet); daemons: `saga serve -coordinator http://%s`\n",
 		ln.Addr(), ln.Addr())
 	srv := &http.Server{Handler: h}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
+	defer srv.Close()
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+
+	// The one difference between the two modes: a pre-mounted sweep ends
+	// the process when it completes, an empty hub runs until signalled.
+	finished := make(chan error, 1)
 	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	if sweep != nil {
+		go func() { finished <- sweep.Wait(nil) }()
+	} else {
+		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	}
 	select {
-	case err := <-errc:
+	case err := <-served:
 		return err
+	case err := <-finished:
+		if err != nil {
+			return err
+		}
+		fmt.Printf("coordinate: sweep %s complete; %d cells in %s (render with `figures -checkpoint %s %s`, same sweep flags)\n",
+			*driver, sweep.Status().Cells, *ckptPath, *ckptPath, *driver)
+		return nil
 	case got := <-sig:
 		fmt.Printf("coordinate: %v: hub stopping (daemons degrade to local, workers re-poll)\n", got)
-		return srv.Close()
+		return nil
 	}
 }
 
-// watchStatus renders GET /status — a bare coordinator's ledger or a
-// hub's merged view across every mounted sweep — as one live progress
-// line, refreshed in place until the sweep (or the whole hub) is done.
+// watchStatus renders a hub's GET /status — the merged view across
+// every mounted sweep — as one live progress line, refreshed in place
+// until every sweep is done.
 func watchStatus(base, token string, interval time.Duration) error {
 	client := httpx.NewBearerClient(nil, token)
 	for {
@@ -979,13 +972,9 @@ func watchStatus(base, token string, interval time.Duration) error {
 			fmt.Println()
 			return err
 		}
-		line := fmt.Sprintf("watch: %s  %d/%d cells  %d leased  %d retrying  %d poisoned",
-			st.Name, st.Committed, st.Cells, st.Leased, st.RetryWait, st.Poisoned)
-		if st.Name == "hub" {
-			line += fmt.Sprintf("  |  %d sweeps  %d workers", st.Sweeps, st.ActiveWorkers)
-		}
 		// \r + erase-to-EOL keeps the line stable as counts shrink.
-		fmt.Printf("\r\x1b[K%s", line)
+		fmt.Printf("\r\x1b[Kwatch: %d/%d cells  %d leased  %d retrying  %d poisoned  |  %d sweeps  %d workers",
+			st.Committed, st.Cells, st.Leased, st.RetryWait, st.Poisoned, st.Sweeps, st.ActiveWorkers)
 		if st.Done {
 			fmt.Println()
 			return nil

@@ -12,6 +12,7 @@ import (
 	"saga/internal/core"
 	"saga/internal/experiments"
 	"saga/internal/render"
+	"saga/internal/runner"
 	"saga/internal/scheduler"
 	"saga/internal/schedulers"
 )
@@ -32,7 +33,7 @@ func main() {
 	opts.MaxIters = 300
 	opts.Restarts = 2
 	fmt.Println("running pairwise PISA over", len(scheds), "schedulers...")
-	grid, err := experiments.PairwisePISAParallel(scheds, experiments.PairwiseOptions{Anneal: opts}, 0)
+	grid, err := experiments.PairwisePISARun(scheds, experiments.PairwiseOptions{Anneal: opts}, runner.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,33 +1,29 @@
-// Package coord is the fault-tolerant coordinator behind `saga
-// coordinate`: it owns one registered sweep (experiments.NewSweep),
-// leases cell ranges to workers over a small HTTP JSON protocol, and
-// streams completed cells into the sweep's checkpoint store.
+// Package coord distributes a registered sweep's cells (experiments.NewSweep)
+// to workers. A Coordinator is one sweep's ledger: which cells are
+// pending, leased, backing off, committed or poisoned, over a Store that
+// receives completed cells as they arrive. The Hub (hub.go) is the
+// package's one http.Handler: it mounts ledgers — the one `saga
+// coordinate -driver` pre-mounts on its checkpoint file, and those
+// daemons register over HTTP — and is the only place that knows URLs.
+// RunWorker (worker.go) is the client side.
 //
-// The protocol leans entirely on the repo's determinism-by-construction
+// The ledger leans entirely on the repo's determinism-by-construction
 // invariants. Cell indices, and with them the position-derived seeds,
 // are global; a worker computes a leased cell exactly as a
-// single-process run would, so the coordinator is free to reassign
-// cells at will — when a worker dies, hangs, or merely misses its
-// heartbeats — without ever changing a result. Duplicate completions
-// (a reclaimed lease finishing late, a retried delivery) are committed
-// through serialize.Checkpoint.StoreDedup, which accepts byte-identical
-// duplicates and refuses disagreeing ones: the store can only ever hold
-// the one answer the sequential reference would produce.
+// single-process run would, so the ledger is free to reassign cells at
+// will — when a worker dies, hangs, or merely misses its heartbeats —
+// without ever changing a result. Duplicate completions (a reclaimed
+// lease finishing late, a retried delivery) are committed through
+// Store.StoreDedup, which accepts byte-identical duplicates and refuses
+// disagreeing ones: the store can only ever hold the one answer the
+// sequential reference would produce.
 //
 // Failures degrade gracefully. A cell whose evaluation errors is
 // retried with capped exponential backoff; after Options.MaxRetries
 // attempts it is poisoned — parked, reported, and excluded from further
 // leasing — so one bad cell cannot stall the other N-1. Completed cells
-// hit the store incrementally, so a crashed coordinator restarted on
-// the same store resumes with every committed cell intact.
-//
-// Endpoints (all JSON):
-//
-//	GET  /sweep      sweep identity: name, params, fingerprint, cells
-//	POST /lease      lease the next cell range (or Wait / Done)
-//	POST /heartbeat  renew a lease before its TTL expires
-//	POST /complete   deliver computed cells and per-cell failures
-//	GET  /status     progress counters for operators and harnesses
+// hit the store incrementally, so a crashed `saga coordinate` restarted
+// on the same checkpoint resumes with every committed cell intact.
 package coord
 
 import (
@@ -37,7 +33,6 @@ import (
 	"net/http"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"saga/internal/experiments"
@@ -45,12 +40,13 @@ import (
 	"saga/internal/rng"
 )
 
-// Store is the coordinator's commit target. serialize.Checkpoint is the
-// durable file-backed implementation behind `saga coordinate`; MemStore
-// backs the hub's per-request sweeps, whose results are fetched over
-// HTTP and never touch disk. Whatever the backing, StoreDedup carries
-// the protocol's core guarantee: identical duplicates are no-ops,
-// disagreeing ones are refused.
+// Store is a ledger's commit target. serialize.Checkpoint is the
+// durable file-backed implementation behind `saga coordinate -driver`;
+// MemStore backs the sweeps daemons register, whose results are fetched
+// over HTTP and never touch disk. Whatever the backing, StoreDedup
+// carries the protocol's core guarantee: identical duplicates are
+// no-ops, disagreeing ones are refused; and Load after Flush returns
+// every cell committed so far.
 type Store interface {
 	SetFingerprint(fp string)
 	Load() (map[int]json.RawMessage, error)
@@ -80,9 +76,6 @@ type Options struct {
 	// order instead of index order. Results are identical either way —
 	// the fault-injection suite sweeps seeds to prove it.
 	ShuffleSeed uint64
-	// Token, when non-empty, requires `Authorization: Bearer <Token>` on
-	// every endpoint; rejected requests are counted in Status.
-	Token string
 	// Now is the clock, injectable for tests (default time.Now).
 	Now func() time.Time
 	// Logf, when non-nil, receives one line per protocol event.
@@ -124,8 +117,8 @@ func (o Options) backoff(attempts int) time.Duration {
 
 // SweepInfo is the GET /sweep payload: everything a worker needs to
 // rebuild the sweep locally through experiments.NewSweep and verify it
-// agrees with the coordinator (fingerprint, cell count) before
-// computing anything.
+// agrees with the hub (fingerprint, cell count) before computing
+// anything, plus where the sweep is mounted.
 type SweepInfo struct {
 	Name           string                  `json:"name"`
 	Params         experiments.SweepParams `json:"params"`
@@ -133,11 +126,9 @@ type SweepInfo struct {
 	Cells          int                     `json:"cells"`
 	LeaseTTLMillis int64                   `json:"lease_ttl_ms"`
 
-	// Hub extensions (see Hub): a hub's GET /sweep points the worker at
-	// one mounted sweep via ID and Path (the base path of its
-	// lease/heartbeat/complete endpoints), or answers Idle when no sweep
-	// needs work right now. A bare single-sweep coordinator leaves all
-	// three zero, which is how workers tell the two modes apart.
+	// ID and Path (the base path of the sweep's lease/heartbeat/complete
+	// endpoints) name the mounted sweep that needs work; Idle, with
+	// everything else zero, says none does right now.
 	ID   string `json:"id,omitempty"`
 	Path string `json:"path,omitempty"`
 	Idle bool   `json:"idle,omitempty"`
@@ -191,9 +182,10 @@ type CompleteResponse struct {
 	Done bool `json:"done,omitempty"`
 }
 
-// Status is the GET /status payload. ActiveWorkers, Sweeps and
-// AuthRejected are filled by the hub (a bare coordinator has no worker
-// registry); Done on a hub aggregate means every mounted sweep is done.
+// Status is one ledger's counters (GET /sweeps/{id}/status, with the
+// hub's ActiveWorkers added) or, from GET /status, their sum over every
+// mounted sweep with Name "hub", Sweeps and AuthRejected filled and Done
+// meaning every mounted sweep is done.
 type Status struct {
 	Name          string `json:"name"`
 	Cells         int    `json:"cells"`
@@ -255,15 +247,13 @@ type leaseInfo struct {
 	expires time.Time
 }
 
-// Coordinator owns one sweep's cell ledger and checkpoint store. It is
-// an http.Handler; serve it wherever convenient (net/http, httptest).
+// Coordinator owns one sweep's cell ledger and store. It serves nothing
+// by itself: a Hub mounts it and routes the sweep's lease, heartbeat and
+// complete requests to it.
 type Coordinator struct {
 	info  SweepInfo
 	store Store
 	opts  Options
-	mux   *http.ServeMux
-
-	authRejected atomic.Uint64
 
 	mu        sync.Mutex
 	cells     []cellInfo
@@ -278,7 +268,7 @@ type Coordinator struct {
 	closed    bool
 }
 
-// New builds a coordinator for the named registered sweep. The store is
+// New builds the ledger of the named registered sweep. The store is
 // bound to the sweep's fingerprint and loaded immediately: cells
 // already present are committed up front, which is what makes a
 // coordinator crash resumable — restart it on the same store and only
@@ -323,26 +313,10 @@ func New(name string, params experiments.SweepParams, store Store, opts Options)
 		c.order = rng.New(opts.ShuffleSeed).Perm(sw.Cells)
 	}
 	c.logf("coordinator: sweep %s, %d cells (%d resumed from store)", sw.Name, sw.Cells, c.committed)
-	c.mux = http.NewServeMux()
-	c.mux.HandleFunc("GET /sweep", c.handleSweep)
-	c.mux.HandleFunc("POST /lease", c.handleLease)
-	c.mux.HandleFunc("POST /heartbeat", c.handleHeartbeat)
-	c.mux.HandleFunc("POST /complete", c.handleComplete)
-	c.mux.HandleFunc("GET /status", c.handleStatus)
 	c.mu.Lock()
 	c.checkDoneLocked()
 	c.mu.Unlock()
 	return c, nil
-}
-
-// ServeHTTP implements http.Handler.
-func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if !httpx.CheckBearer(r, c.opts.Token) {
-		c.authRejected.Add(1)
-		http.Error(w, "unauthorized", http.StatusUnauthorized)
-		return
-	}
-	c.mux.ServeHTTP(w, r)
 }
 
 // Abort tears the sweep down: outstanding leases are dropped, further
@@ -411,13 +385,24 @@ func (c *Coordinator) Wait(cancel <-chan struct{}) error {
 	return pe
 }
 
+// committedCells reads every committed cell back through the store.
+// Holding the ledger's lock keeps a delivery from landing between the
+// Flush and the Load, which re-reads a file-backed store from disk.
+func (c *Coordinator) committedCells() (map[int]json.RawMessage, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err := c.store.Flush(); err != nil {
+		return nil, err
+	}
+	return c.store.Load()
+}
+
 // Status returns a snapshot of the ledger.
 func (c *Coordinator) Status() Status {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.reapLocked(c.opts.Now())
-	s := Status{Name: c.info.Name, Cells: c.info.Cells, Committed: c.committed, Poisoned: c.poisoned,
-		AuthRejected: c.authRejected.Load()}
+	s := Status{Name: c.info.Name, Cells: c.info.Cells, Committed: c.committed, Poisoned: c.poisoned}
 	for k := range c.cells {
 		switch c.cells[k].state {
 		case cellPending:
@@ -462,10 +447,6 @@ func (c *Coordinator) checkDoneLocked() {
 		c.closed = true
 		close(c.done)
 	}
-}
-
-func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, c.info)
 }
 
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
@@ -548,22 +529,25 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	}
 	c.reapLocked(now)
 
+	// Refuse the whole delivery before committing any of it: a request
+	// naming a cell outside the sweep came from some other sweep.
+	keys := sortedKeys(req.Cells)
+	fkeys := sortedKeys(req.Failed)
+	for _, ks := range [][]int{keys, fkeys} {
+		for _, k := range ks {
+			if k < 0 || k >= c.info.Cells {
+				http.Error(w, fmt.Sprintf("cell %d outside the sweep's %d cells", k, c.info.Cells), http.StatusBadRequest)
+				return
+			}
+		}
+	}
+
 	// Commit successes first — even from an expired or unknown lease
 	// (the worker computed them with global seeds, so the bytes are the
 	// bytes), and even for cells some other lease currently holds (the
 	// holder's redundant completion will dedup).
-	keys := make([]int, 0, len(req.Cells))
-	for k := range req.Cells {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
 	for _, k := range keys {
-		if k < 0 || k >= c.info.Cells {
-			http.Error(w, fmt.Sprintf("cell %d outside the sweep's %d cells", k, c.info.Cells), http.StatusBadRequest)
-			return
-		}
-		stored, err := c.store.StoreDedup(k, req.Cells[k])
-		if err != nil {
+		if _, err := c.store.StoreDedup(k, req.Cells[k]); err != nil {
 			// A disagreeing duplicate is a determinism violation — the one
 			// fault no retry can mend. Park the sweep instead of racing to
 			// overwrite the committed value.
@@ -584,22 +568,12 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 			ci.lease = ""
 			c.committed++
 		}
-		_ = stored
 	}
 
 	// Then failures: retry with backoff until the attempt budget runs
 	// out, then poison. A failure report for a committed cell is moot —
 	// someone else already produced the result.
-	fkeys := make([]int, 0, len(req.Failed))
-	for k := range req.Failed {
-		fkeys = append(fkeys, k)
-	}
-	sort.Ints(fkeys)
 	for _, k := range fkeys {
-		if k < 0 || k >= c.info.Cells {
-			http.Error(w, fmt.Sprintf("cell %d outside the sweep's %d cells", k, c.info.Cells), http.StatusBadRequest)
-			return
-		}
 		ci := &c.cells[k]
 		if ci.state == cellCommitted || ci.state == cellPoisoned {
 			continue
@@ -638,8 +612,15 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, CompleteResponse{OK: true, Done: c.committed+c.poisoned == c.info.Cells})
 }
 
-func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, c.Status())
+// sortedKeys returns m's cell indices in ascending order, the order
+// deliveries are applied in.
+func sortedKeys[V any](m map[int]V) []int {
+	keys := make([]int, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Ints(keys)
+	return keys
 }
 
 // writeJSON and readJSON are the shared JSON framing helpers; the

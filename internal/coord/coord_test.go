@@ -37,37 +37,68 @@ func (c *fakeClock) Advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
-// testCoord builds a coordinator over the cheap fig7 sweep (cells = N,
-// nothing executes — these tests speak the ledger protocol directly).
-func testCoord(t *testing.T, n int, opts Options) (*Coordinator, *httptest.Server, string) {
+func testHub(t *testing.T, opts HubOptions) (*Hub, *httptest.Server) {
 	t.Helper()
-	storePath := filepath.Join(t.TempDir(), "coord.ckpt")
-	c, err := New("fig7", experiments.SweepParams{N: n, Seed: 1}, serialize.NewCheckpoint(storePath), opts)
+	h := NewHub(opts)
+	srv := httptest.NewServer(h)
+	t.Cleanup(srv.Close)
+	return h, srv
+}
+
+// mountURL is where a mounted ledger's lease/heartbeat/complete/status
+// endpoints live under the hub at root.
+func mountURL(root string, c *Coordinator) string {
+	return root + "/sweeps/" + SweepID(c.info.Fingerprint)
+}
+
+// mounted is one sweep on a test hub.
+type mounted struct {
+	root  string // the hub's URL
+	base  string // root + the sweep's mount path
+	c     *Coordinator
+	store string // checkpoint path ("" on a MemStore)
+}
+
+// mountCheckpoint pre-mounts the cheap fig7 sweep (cells = N) on a
+// checkpoint file, the way `saga coordinate -driver fig7 -checkpoint P`
+// does.
+func mountCheckpoint(t *testing.T, n int, opts HubOptions) mounted {
+	t.Helper()
+	store := filepath.Join(t.TempDir(), "coord.ckpt")
+	h, srv := testHub(t, opts)
+	c, err := h.Mount("fig7", experiments.SweepParams{N: n, Seed: 1}, serialize.NewCheckpoint(store))
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(c)
-	t.Cleanup(srv.Close)
-	return c, srv, storePath
+	return mounted{root: srv.URL, base: mountURL(srv.URL, c), c: c, store: store}
 }
 
-func post[T any](t *testing.T, srv *httptest.Server, path string, body any) T {
+// testCoord is mountCheckpoint for tests that speak the ledger protocol
+// directly (nothing executes) on one clock: it returns the ledger, the
+// base URL of its endpoints, and the store's path.
+func testCoord(t *testing.T, n int, opts Options) (*Coordinator, string, string) {
 	t.Helper()
-	out, status := postStatus[T](t, srv, path, body)
+	m := mountCheckpoint(t, n, HubOptions{Sweep: opts, Now: opts.Now})
+	return m.c, m.base, m.store
+}
+
+func post[T any](t *testing.T, base, path string, body any) T {
+	t.Helper()
+	out, status := postStatus[T](t, base, path, body)
 	if status != http.StatusOK {
 		t.Fatalf("POST %s: status %d", path, status)
 	}
 	return out
 }
 
-func postStatus[T any](t *testing.T, srv *httptest.Server, path string, body any) (T, int) {
+func postStatus[T any](t *testing.T, base, path string, body any) (T, int) {
 	t.Helper()
 	var out T
 	data, err := json.Marshal(body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(string(data)))
+	resp, err := http.Post(base+path, "application/json", strings.NewReader(string(data)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,10 +111,10 @@ func postStatus[T any](t *testing.T, srv *httptest.Server, path string, body any
 	return out, resp.StatusCode
 }
 
-func get[T any](t *testing.T, srv *httptest.Server, path string) T {
+func get[T any](t *testing.T, base, path string) T {
 	t.Helper()
 	var out T
-	resp, err := http.Get(srv.URL + path)
+	resp, err := http.Get(base + path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,14 +133,17 @@ func cellJSON(k int) json.RawMessage {
 }
 
 func TestSweepEndpointIdentifiesSweep(t *testing.T) {
-	_, srv, _ := testCoord(t, 6, Options{})
-	info := get[SweepInfo](t, srv, "/sweep")
+	m := mountCheckpoint(t, 6, HubOptions{})
+	info := get[SweepInfo](t, m.root, "/sweep")
 	sw, err := experiments.NewSweep(info.Name, info.Params)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sw.Fingerprint != info.Fingerprint || sw.Cells != info.Cells || info.Cells != 6 {
 		t.Fatalf("sweep info does not rebuild the coordinator's sweep: %+v", info)
+	}
+	if m.root+info.Path != m.base || info.ID != SweepID(sw.Fingerprint) {
+		t.Fatalf("sweep info does not point at the mount %s: %+v", m.base, info)
 	}
 	if info.LeaseTTLMillis <= 0 {
 		t.Fatalf("lease TTL not advertised: %+v", info)
@@ -367,12 +401,12 @@ func TestCoordinatorResume(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c, err := New("fig7", params, serialize.NewCheckpoint(storePath), Options{LeaseSize: 8})
+	h, hubSrv := testHub(t, HubOptions{Sweep: Options{LeaseSize: 8}})
+	c, err := h.Mount("fig7", params, serialize.NewCheckpoint(storePath))
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(c)
-	defer srv.Close()
+	srv := mountURL(hubSrv.URL, c)
 	st := get[Status](t, srv, "/status")
 	if st.Committed != 3 || st.Pending != 2 {
 		t.Fatalf("resumed status: %+v", st)
@@ -393,7 +427,7 @@ func TestCoordinatorResume(t *testing.T) {
 		t.Fatalf("final store: %d cells, %v", len(cells), err)
 	}
 	// A store from different parameters must refuse to resume.
-	if _, err := New("fig7", experiments.SweepParams{N: 5, Seed: 2}, serialize.NewCheckpoint(storePath), Options{}); err == nil {
+	if _, err := h.Mount("fig7", experiments.SweepParams{N: 5, Seed: 2}, serialize.NewCheckpoint(storePath)); err == nil {
 		t.Fatal("foreign store resumed")
 	}
 }

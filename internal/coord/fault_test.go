@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sync"
@@ -48,18 +47,18 @@ func sequentialReference(t *testing.T, dir, name string, params experiments.Swee
 	return data
 }
 
-// faultedRun drives the full coordinator protocol over HTTP with one
-// worker per plan — each wrapped in its plan's faulty transport and
-// kill hook — and returns the merged store's bytes after Wait.
+// faultedRun pre-mounts the sweep on a hub over the store at storePath
+// and drives the full protocol over HTTP with one one-shot worker per
+// plan — each wrapped in its plan's faulty transport and kill hook —
+// and returns the store's bytes after Wait.
 func faultedRun(t *testing.T, storePath, name string, params experiments.SweepParams,
 	coordOpts Options, plans []faultinject.Plan) []byte {
 	t.Helper()
-	c, err := New(name, params, serialize.NewCheckpoint(storePath), coordOpts)
+	h, srv := testHub(t, HubOptions{Sweep: coordOpts})
+	c, err := h.Mount(name, params, serialize.NewCheckpoint(storePath))
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(c)
-	defer srv.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()

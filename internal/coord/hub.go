@@ -1,10 +1,13 @@
 package coord
 
-// The hub hosts many sweeps behind one address: the coordinator side of
-// the daemon dispatch path (internal/serve). A `saga serve -coordinator`
-// daemon registers each portfolio/robustness request as a sweep; a fleet
-// of `saga worker -coordinator <hub> -persist` processes polls the hub
-// and rotates across whatever sweeps need cells.
+// The hub is what `saga coordinate` serves: any number of sweeps behind
+// one address and one protocol. `saga coordinate -driver X -checkpoint P`
+// pre-mounts one sweep on the checkpoint file (Mount) and exits when it
+// finishes; `saga coordinate -hub` starts empty, and `saga serve
+// -coordinator` daemons register each portfolio/robustness request as a
+// sweep on a MemStore (internal/serve's dispatch path). Either way `saga
+// worker -coordinator <url>` processes poll GET /sweep and rotate across
+// whatever sweeps need cells.
 //
 // Sweep identity is the content hash of the sweep's fingerprint, which
 // is what makes the dispatch path coordinator-crash recoverable: a
@@ -14,9 +17,11 @@ package coord
 // delivers into the new one and the results are the results (global
 // position-derived seeds; StoreDedup refuses disagreement). Identical
 // concurrent requests share one sweep through a refcount; DELETE
-// decrements it and the last client's release aborts and unmounts.
+// decrements it and the last client's release aborts and unmounts. A
+// pre-mounted sweep belongs to the process instead: DELETE is refused
+// and SweepTTL never unmounts it.
 //
-// Endpoints (all JSON; Options.Token guards every one):
+// Endpoints (all JSON; HubOptions.Token guards every one):
 //
 //	POST   /sweeps                register (or re-join) a sweep
 //	GET    /sweep                 worker poll: which sweep needs cells?
@@ -24,15 +29,16 @@ package coord
 //	GET    /sweeps/{id}/status    one sweep's ledger
 //	GET    /sweeps/{id}/cells     the committed cells (the result payload)
 //	DELETE /sweeps/{id}           release: last ref aborts + unmounts
-//	POST   /sweeps/{id}/lease     ┐
-//	POST   /sweeps/{id}/heartbeat │ the PR 7 lease protocol, per sweep
-//	POST   /sweeps/{id}/complete  ┘
+//	POST   /sweeps/{id}/lease     lease the next cell range (or Wait / Done)
+//	POST   /sweeps/{id}/heartbeat renew a lease before its TTL expires
+//	POST   /sweeps/{id}/complete  deliver computed cells and per-cell failures
 
 import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
@@ -42,9 +48,9 @@ import (
 
 // HubOptions tunes the hub. The zero value is usable.
 type HubOptions struct {
-	// Sweep is the per-sweep coordinator policy (lease size, TTL,
-	// retries…). Its Token and Logf fields are ignored — the hub's own
-	// Token guards everything and log lines are prefixed per sweep.
+	// Sweep is the per-sweep ledger policy (lease size, TTL, retries…).
+	// Its Logf is ignored — ledgers log through the hub's Logf, prefixed
+	// per sweep.
 	Sweep Options
 	// Token, when non-empty, requires bearer auth on every endpoint.
 	Token string
@@ -52,10 +58,10 @@ type HubOptions struct {
 	// as active (default 10s). ActiveWorkers drives the daemon's
 	// no-worker degradation window.
 	WorkerTTL time.Duration
-	// SweepTTL unmounts sweeps nobody has touched — no client status
-	// poll, no worker lease traffic — for this long (default 15m). It is
-	// the leak bound for daemons that crashed between register and
-	// release.
+	// SweepTTL unmounts registered sweeps nobody has touched — no client
+	// status poll, no worker lease traffic — for this long (default
+	// 15m). It is the leak bound for daemons that crashed between
+	// register and release.
 	SweepTTL time.Duration
 	// Now is the clock, injectable for tests (default time.Now).
 	Now func() time.Time
@@ -103,7 +109,7 @@ type hubSweep struct {
 	id      string
 	name    string
 	coord   *Coordinator
-	store   *MemStore
+	pinned  bool // pre-mounted by Mount: no refcount, no TTL
 	refs    int
 	touched time.Time
 }
@@ -183,20 +189,75 @@ func (h *Hub) activeWorkersLocked(now time.Time) int {
 	return len(h.workers)
 }
 
-// gcLocked unmounts sweeps whose last touch is older than SweepTTL.
+// gcLocked unmounts registered sweeps whose last touch is older than
+// SweepTTL.
 func (h *Hub) gcLocked(now time.Time) {
-	for i := 0; i < len(h.order); {
-		id := h.order[i]
-		hs := h.sweeps[id]
-		if now.Sub(hs.touched) > h.opts.SweepTTL {
-			hs.coord.Abort()
-			delete(h.sweeps, id)
-			h.order = append(h.order[:i], h.order[i+1:]...)
-			h.logf("hub: sweep %s (%s) expired untouched; unmounted", id, hs.name)
-			continue
+	// Backwards, so unmounting shifts only entries already visited.
+	for i := len(h.order) - 1; i >= 0; i-- {
+		if hs := h.sweeps[h.order[i]]; !hs.pinned && now.Sub(hs.touched) > h.opts.SweepTTL {
+			h.unmountLocked(hs, "expired untouched")
 		}
-		i++
 	}
+}
+
+// mountedLocked snapshots the mounted sweeps in mount order.
+func (h *Hub) mountedLocked() []*hubSweep {
+	out := make([]*hubSweep, len(h.order))
+	for i, id := range h.order {
+		out[i] = h.sweeps[id]
+	}
+	return out
+}
+
+// unmountLocked aborts the sweep's ledger and forgets it.
+func (h *Hub) unmountLocked(hs *hubSweep, why string) {
+	hs.coord.Abort()
+	delete(h.sweeps, hs.id)
+	h.order = slices.DeleteFunc(h.order, func(id string) bool { return id == hs.id })
+	h.logf("hub: sweep %s (%s) %s; unmounted", hs.id, hs.name, why)
+}
+
+// Mount pre-mounts a sweep on a caller-supplied store and returns its
+// ledger, for the caller to Wait on. Cells already in the store are
+// committed up front, so mounting the checkpoint of an interrupted run
+// resumes it.
+func (h *Hub) Mount(name string, params experiments.SweepParams, store Store) (*Coordinator, error) {
+	sw, err := experiments.NewSweep(name, params)
+	if err != nil {
+		return nil, err
+	}
+	id := SweepID(sw.Fingerprint)
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if _, ok := h.sweeps[id]; ok {
+		return nil, fmt.Errorf("coord: sweep %s (%s) is already mounted", id, name)
+	}
+	hs, err := h.mountLocked(id, name, params, store)
+	if err != nil {
+		return nil, err
+	}
+	hs.pinned = true
+	return hs.coord, nil
+}
+
+// mountLocked builds the sweep's ledger over store and appends it to the
+// pick order.
+func (h *Hub) mountLocked(id, name string, params experiments.SweepParams, store Store) (*hubSweep, error) {
+	opts := h.opts.Sweep
+	opts.Logf = nil
+	if h.opts.Logf != nil {
+		logf := h.opts.Logf
+		opts.Logf = func(format string, args ...any) { logf("["+id+"] "+format, args...) }
+	}
+	c, err := New(name, params, store, opts)
+	if err != nil {
+		return nil, err
+	}
+	hs := &hubSweep{id: id, name: name, coord: c, touched: h.opts.Now()}
+	h.sweeps[id] = hs
+	h.order = append(h.order, id)
+	h.logf("hub: mounted sweep %s (%s, %d cells)", id, name, c.info.Cells)
+	return hs, nil
 }
 
 func (h *Hub) handleRegister(w http.ResponseWriter, r *http.Request) {
@@ -216,29 +277,16 @@ func (h *Hub) handleRegister(w http.ResponseWriter, r *http.Request) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.gcLocked(now)
-	if hs, ok := h.sweeps[id]; ok {
-		hs.refs++
-		hs.touched = now
-		writeJSON(w, RegisterResponse{ID: id, Fingerprint: sw.Fingerprint, Cells: sw.Cells, Existing: true})
-		return
+	hs, existing := h.sweeps[id]
+	if !existing {
+		if hs, err = h.mountLocked(id, req.Name, req.Params, NewMemStore()); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
 	}
-	opts := h.opts.Sweep
-	opts.Token = ""
-	opts.Logf = nil
-	if h.opts.Logf != nil {
-		logf := h.opts.Logf
-		opts.Logf = func(format string, args ...any) { logf("["+id+"] "+format, args...) }
-	}
-	store := NewMemStore()
-	c, err := New(req.Name, req.Params, store, opts)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	h.sweeps[id] = &hubSweep{id: id, name: req.Name, coord: c, store: store, refs: 1, touched: now}
-	h.order = append(h.order, id)
-	h.logf("hub: mounted sweep %s (%s, %d cells)", id, req.Name, sw.Cells)
-	writeJSON(w, RegisterResponse{ID: id, Fingerprint: sw.Fingerprint, Cells: sw.Cells})
+	hs.refs++
+	hs.touched = now
+	writeJSON(w, RegisterResponse{ID: id, Fingerprint: sw.Fingerprint, Cells: sw.Cells, Existing: existing})
 }
 
 func (h *Hub) handleRelease(w http.ResponseWriter, r *http.Request) {
@@ -250,20 +298,13 @@ func (h *Hub) handleRelease(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "unknown sweep", http.StatusNotFound)
 		return
 	}
-	hs.refs--
-	if hs.refs > 0 {
-		writeJSON(w, map[string]bool{"ok": true})
+	if hs.pinned {
+		http.Error(w, "sweep is pre-mounted by the coordinator process, not released by clients", http.StatusConflict)
 		return
 	}
-	hs.coord.Abort()
-	delete(h.sweeps, id)
-	for i, oid := range h.order {
-		if oid == id {
-			h.order = append(h.order[:i], h.order[i+1:]...)
-			break
-		}
+	if hs.refs--; hs.refs <= 0 {
+		h.unmountLocked(hs, "released")
 	}
-	h.logf("hub: released sweep %s (%s); unmounted", id, hs.name)
 	writeJSON(w, map[string]bool{"ok": true})
 }
 
@@ -275,10 +316,7 @@ func (h *Hub) handlePick(w http.ResponseWriter, r *http.Request) {
 	h.mu.Lock()
 	h.touchWorkerLocked(r, now)
 	h.gcLocked(now)
-	candidates := make([]*hubSweep, 0, len(h.order))
-	for _, id := range h.order {
-		candidates = append(candidates, h.sweeps[id])
-	}
+	candidates := h.mountedLocked()
 	h.mu.Unlock()
 
 	var fallback *hubSweep
@@ -343,17 +381,16 @@ func (h *Hub) handleCells(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "unknown sweep", http.StatusNotFound)
 		return
 	}
-	writeJSON(w, CellsResponse{Cells: hs.store.Cells()})
-}
-
-// handleProtocol routes lease/heartbeat/complete to the sweep's own
-// coordinator, which speaks the unmodified PR 7 protocol.
-func (h *Hub) handleProtocol(w http.ResponseWriter, r *http.Request) {
-	op := r.PathValue("op")
-	if op != "lease" && op != "heartbeat" && op != "complete" {
-		http.Error(w, "unknown operation", http.StatusNotFound)
+	cells, err := hs.coord.committedCells()
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
+	writeJSON(w, CellsResponse{Cells: cells})
+}
+
+// handleProtocol routes lease/heartbeat/complete to the sweep's ledger.
+func (h *Hub) handleProtocol(w http.ResponseWriter, r *http.Request) {
 	hs, ok := h.lookup(r)
 	if !ok {
 		// The sweep is gone — released, aborted, or this hub restarted.
@@ -361,9 +398,16 @@ func (h *Hub) handleProtocol(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "unknown sweep", http.StatusNotFound)
 		return
 	}
-	r2 := r.Clone(r.Context())
-	r2.URL.Path = "/" + op
-	hs.coord.ServeHTTP(w, r2)
+	switch r.PathValue("op") {
+	case "lease":
+		hs.coord.handleLease(w, r)
+	case "heartbeat":
+		hs.coord.handleHeartbeat(w, r)
+	case "complete":
+		hs.coord.handleComplete(w, r)
+	default:
+		http.Error(w, "unknown operation", http.StatusNotFound)
+	}
 }
 
 // handleStatus aggregates every mounted sweep for operators (`saga
@@ -372,10 +416,7 @@ func (h *Hub) handleStatus(w http.ResponseWriter, r *http.Request) {
 	now := h.opts.Now()
 	h.mu.Lock()
 	h.gcLocked(now)
-	candidates := make([]*hubSweep, 0, len(h.order))
-	for _, id := range h.order {
-		candidates = append(candidates, h.sweeps[id])
-	}
+	candidates := h.mountedLocked()
 	agg := Status{Name: "hub", Done: true,
 		ActiveWorkers: h.activeWorkersLocked(now),
 		Sweeps:        len(h.order),
@@ -396,7 +437,7 @@ func (h *Hub) handleStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, agg)
 }
 
-// MemStore is the in-memory Store behind hub sweeps: same dedup
+// MemStore is the in-memory Store behind registered sweeps: same dedup
 // semantics as serialize.Checkpoint, no file. Results leave through
 // GET /sweeps/{id}/cells instead of a checkpoint path.
 type MemStore struct {

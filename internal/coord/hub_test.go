@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -15,14 +14,6 @@ import (
 	"saga/internal/runner"
 	"saga/internal/serialize"
 )
-
-func testHub(t *testing.T, opts HubOptions) (*Hub, *httptest.Server) {
-	t.Helper()
-	h := NewHub(opts)
-	srv := httptest.NewServer(h)
-	t.Cleanup(srv.Close)
-	return h, srv
-}
 
 func pairwiseParams() experiments.SweepParams {
 	return experiments.SweepParams{Iters: 2, Restarts: 1, Seed: 3, Schedulers: []string{"HEFT", "CPoP", "MinMin"}}
@@ -72,7 +63,7 @@ func TestHubRegisterIsIdempotentByContentHash(t *testing.T) {
 	_, srv := testHub(t, HubOptions{})
 	req := RegisterRequest{Name: "pairwise", Params: pairwiseParams()}
 
-	r1 := post[RegisterResponse](t, srv, "/sweeps", req)
+	r1 := post[RegisterResponse](t, srv.URL, "/sweeps", req)
 	if r1.ID == "" || r1.Existing || r1.Cells != 6 {
 		t.Fatalf("first register: %+v", r1)
 	}
@@ -81,18 +72,18 @@ func TestHubRegisterIsIdempotentByContentHash(t *testing.T) {
 	}
 	// The identical request — a concurrent twin daemon, or this daemon
 	// re-registering after a hub restart — joins the same sweep.
-	r2 := post[RegisterResponse](t, srv, "/sweeps", req)
+	r2 := post[RegisterResponse](t, srv.URL, "/sweeps", req)
 	if r2.ID != r1.ID || !r2.Existing {
 		t.Fatalf("re-register: %+v, want existing id %s", r2, r1.ID)
 	}
 	// Different parameters mount a different sweep.
 	other := req
 	other.Params.Seed = 99
-	if r3 := post[RegisterResponse](t, srv, "/sweeps", other); r3.ID == r1.ID {
+	if r3 := post[RegisterResponse](t, srv.URL, "/sweeps", other); r3.ID == r1.ID {
 		t.Fatal("distinct parameters landed on the same sweep id")
 	}
 	// Invalid parameters are refused before anything mounts.
-	if _, status := postStatus[RegisterResponse](t, srv, "/sweeps",
+	if _, status := postStatus[RegisterResponse](t, srv.URL, "/sweeps",
 		RegisterRequest{Name: "pairwise", Params: experiments.SweepParams{Schedulers: []string{"HEFT"}}}); status != http.StatusBadRequest {
 		t.Fatalf("invalid sweep registered: status %d", status)
 	}
@@ -101,8 +92,8 @@ func TestHubRegisterIsIdempotentByContentHash(t *testing.T) {
 func TestHubRefcountedRelease(t *testing.T) {
 	_, srv := testHub(t, HubOptions{})
 	req := RegisterRequest{Name: "pairwise", Params: pairwiseParams()}
-	id := post[RegisterResponse](t, srv, "/sweeps", req).ID
-	post[RegisterResponse](t, srv, "/sweeps", req) // second ref
+	id := post[RegisterResponse](t, srv.URL, "/sweeps", req).ID
+	post[RegisterResponse](t, srv.URL, "/sweeps", req) // second ref
 
 	del := func() int {
 		r, err := http.NewRequest(http.MethodDelete, srv.URL+"/sweeps/"+id, nil)
@@ -120,18 +111,18 @@ func TestHubRefcountedRelease(t *testing.T) {
 		t.Fatalf("first release: status %d", status)
 	}
 	// One ref left: the sweep is still mounted and leasable.
-	if l := post[LeaseResponse](t, srv, "/sweeps/"+id+"/lease", LeaseRequest{Worker: "w"}); len(l.Cells) == 0 {
+	if l := post[LeaseResponse](t, srv.URL, "/sweeps/"+id+"/lease", LeaseRequest{Worker: "w"}); len(l.Cells) == 0 {
 		t.Fatalf("sweep unmounted while a client still holds it: %+v", l)
 	}
 	if status := del(); status != http.StatusOK {
 		t.Fatalf("last release: status %d", status)
 	}
 	// Gone: protocol calls answer 404, telling workers to drop the cells.
-	if _, status := postStatus[HeartbeatResponse](t, srv, "/sweeps/"+id+"/heartbeat",
+	if _, status := postStatus[HeartbeatResponse](t, srv.URL, "/sweeps/"+id+"/heartbeat",
 		HeartbeatRequest{Worker: "w", Lease: "whatever"}); status != http.StatusNotFound {
 		t.Fatalf("heartbeat on a released sweep: status %d, want 404", status)
 	}
-	if _, status := postStatus[CompleteResponse](t, srv, "/sweeps/"+id+"/complete",
+	if _, status := postStatus[CompleteResponse](t, srv.URL, "/sweeps/"+id+"/complete",
 		CompleteRequest{Worker: "w", Lease: "whatever"}); status != http.StatusNotFound {
 		t.Fatalf("complete on a released sweep: status %d, want 404", status)
 	}
@@ -174,10 +165,10 @@ func TestHubPersistWorkersDrainMultipleSweeps(t *testing.T) {
 	for _, sw := range sweeps {
 		t.Run(sw.name, func(t *testing.T) {
 			want := referenceCells(t, sw.name, sw.params)
-			reg := post[RegisterResponse](t, srv, "/sweeps", RegisterRequest{Name: sw.name, Params: sw.params})
+			reg := post[RegisterResponse](t, srv.URL, "/sweeps", RegisterRequest{Name: sw.name, Params: sw.params})
 			deadline := time.Now().Add(2 * time.Minute)
 			for {
-				st := get[Status](t, srv, "/sweeps/"+reg.ID+"/status")
+				st := get[Status](t, srv.URL, "/sweeps/"+reg.ID+"/status")
 				if st.Done {
 					if st.Poisoned != 0 {
 						t.Fatalf("poisoned cells in a healthy fleet: %+v", st)
@@ -189,11 +180,11 @@ func TestHubPersistWorkersDrainMultipleSweeps(t *testing.T) {
 				}
 				time.Sleep(10 * time.Millisecond)
 			}
-			got := get[CellsResponse](t, srv, "/sweeps/"+reg.ID+"/cells")
+			got := get[CellsResponse](t, srv.URL, "/sweeps/"+reg.ID+"/cells")
 			assertSameCells(t, want, got.Cells)
 			// The fleet heartbeats through ?worker=, so the status a
 			// dispatching daemon watches must see live workers.
-			if st := get[Status](t, srv, "/sweeps/"+reg.ID+"/status"); st.ActiveWorkers < 2 {
+			if st := get[Status](t, srv.URL, "/sweeps/"+reg.ID+"/status"); st.ActiveWorkers < 2 {
 				t.Fatalf("ActiveWorkers = %d, want the whole fleet", st.ActiveWorkers)
 			}
 		})
@@ -203,72 +194,35 @@ func TestHubPersistWorkersDrainMultipleSweeps(t *testing.T) {
 	wg.Wait()
 }
 
-func TestHubBearerAuth(t *testing.T) {
-	_, srv := testHub(t, HubOptions{Token: "s3cret"})
-
-	resp, err := http.Get(srv.URL + "/status")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusUnauthorized {
-		t.Fatalf("tokenless status: %d, want 401", resp.StatusCode)
-	}
-
-	authed := func(path string) *http.Request {
-		r, err := http.NewRequest(http.MethodGet, srv.URL+path, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.Header.Set("Authorization", "Bearer s3cret")
-		return r
-	}
-	resp, err = http.DefaultClient.Do(authed("/status"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("authed status: %d", resp.StatusCode)
-	}
-	var st Status
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	if st.AuthRejected != 1 {
-		t.Fatalf("AuthRejected = %d, want 1", st.AuthRejected)
-	}
-}
-
 func TestHubWorkerLivenessAndSweepGC(t *testing.T) {
 	clock := newFakeClock()
 	_, srv := testHub(t, HubOptions{WorkerTTL: 10 * time.Second, SweepTTL: time.Minute, Now: clock.Now})
-	id := post[RegisterResponse](t, srv, "/sweeps", RegisterRequest{Name: "pairwise", Params: pairwiseParams()}).ID
+	id := post[RegisterResponse](t, srv.URL, "/sweeps", RegisterRequest{Name: "pairwise", Params: pairwiseParams()}).ID
 
 	// A worker's GET /sweep marks it alive until WorkerTTL passes.
-	if info := get[SweepInfo](t, srv, "/sweep?worker=w1"); info.ID != id || info.Path != "/sweeps/"+id {
+	if info := get[SweepInfo](t, srv.URL, "/sweep?worker=w1"); info.ID != id || info.Path != "/sweeps/"+id {
 		t.Fatalf("pick: %+v, want sweep %s", info, id)
 	}
-	if st := get[Status](t, srv, "/status"); st.ActiveWorkers != 1 || st.Sweeps != 1 {
+	if st := get[Status](t, srv.URL, "/status"); st.ActiveWorkers != 1 || st.Sweeps != 1 {
 		t.Fatalf("status after worker contact: %+v", st)
 	}
 	clock.Advance(11 * time.Second)
-	if st := get[Status](t, srv, "/status"); st.ActiveWorkers != 0 {
+	if st := get[Status](t, srv.URL, "/status"); st.ActiveWorkers != 0 {
 		t.Fatalf("worker still counted after TTL: %+v", st)
 	}
 
 	// Touching the sweep (status polls count) defers the GC…
 	clock.Advance(50 * time.Second)
-	if st := get[Status](t, srv, "/sweeps/"+id+"/status"); st.Done {
+	if st := get[Status](t, srv.URL, "/sweeps/"+id+"/status"); st.Done {
 		t.Fatalf("untouched sweep: %+v", st)
 	}
 	// …but a full SweepTTL of silence unmounts it: the leak bound for
 	// daemons that crashed between register and release.
 	clock.Advance(61 * time.Second)
-	if st := get[Status](t, srv, "/status"); st.Sweeps != 0 {
+	if st := get[Status](t, srv.URL, "/status"); st.Sweeps != 0 {
 		t.Fatalf("leaked sweep survived its TTL: %+v", st)
 	}
-	if info := get[SweepInfo](t, srv, "/sweep"); !info.Idle {
+	if info := get[SweepInfo](t, srv.URL, "/sweep"); !info.Idle {
 		t.Fatalf("pick after GC: %+v, want idle", info)
 	}
 }
@@ -283,11 +237,11 @@ func TestHubRestartSameIDAbsorbsReplayedCompletion(t *testing.T) {
 	ref := referenceCells(t, "pairwise", params)
 
 	_, srv1 := testHub(t, HubOptions{})
-	id1 := post[RegisterResponse](t, srv1, "/sweeps", RegisterRequest{Name: "pairwise", Params: params}).ID
+	id1 := post[RegisterResponse](t, srv1.URL, "/sweeps", RegisterRequest{Name: "pairwise", Params: params}).ID
 
 	// "Restart": a brand-new hub, same registration.
 	_, srv2 := testHub(t, HubOptions{})
-	id2 := post[RegisterResponse](t, srv2, "/sweeps", RegisterRequest{Name: "pairwise", Params: params}).ID
+	id2 := post[RegisterResponse](t, srv2.URL, "/sweeps", RegisterRequest{Name: "pairwise", Params: params}).ID
 	if id1 != id2 {
 		t.Fatalf("restarted hub minted a different sweep id: %s vs %s", id1, id2)
 	}
@@ -295,19 +249,19 @@ func TestHubRestartSameIDAbsorbsReplayedCompletion(t *testing.T) {
 	// A lease from the *old* incarnation delivers into the new one: the
 	// lease is unknown there, but completions are accepted from unknown
 	// leases (the cells are position-determined, so they are right).
-	lease := post[LeaseResponse](t, srv1, "/sweeps/"+id1+"/lease", LeaseRequest{Worker: "w"})
+	lease := post[LeaseResponse](t, srv1.URL, "/sweeps/"+id1+"/lease", LeaseRequest{Worker: "w"})
 	cells := map[int]json.RawMessage{}
 	for _, k := range lease.Cells {
 		cells[k] = ref[k]
 	}
 	for i := 0; i < 2; i++ { // delivered twice: StoreDedup absorbs the replay
-		ack := post[CompleteResponse](t, srv2, "/sweeps/"+id2+"/complete",
+		ack := post[CompleteResponse](t, srv2.URL, "/sweeps/"+id2+"/complete",
 			CompleteRequest{Worker: "w", Lease: lease.Lease, Cells: cells})
 		if !ack.OK {
 			t.Fatalf("delivery %d refused: %+v", i, ack)
 		}
 	}
-	st := get[Status](t, srv2, "/sweeps/"+id2+"/status")
+	st := get[Status](t, srv2.URL, "/sweeps/"+id2+"/status")
 	if st.Committed != len(cells) {
 		t.Fatalf("replayed completion committed %d cells, want %d", st.Committed, len(cells))
 	}

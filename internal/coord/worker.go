@@ -17,14 +17,14 @@ import (
 	"saga/internal/runner"
 )
 
-// ErrCoordinatorGone marks a worker giving up because the coordinator
-// stopped answering. A worker holds no durable state — every committed
-// cell already lives in the coordinator's store — so when the
-// coordinator vanishes (finished and exited, or crashed awaiting a
-// restart on its store) the right move is to stop cleanly, not to spin
-// or to fail the operator's pipeline. Callers distinguish this from
-// real worker failures with errors.Is. WorkerOptions.Persist trades
-// this exit for patience: the fleet outlives coordinator restarts.
+// ErrCoordinatorGone marks a worker giving up because a hub it had
+// been working for stopped answering. A worker holds no durable state —
+// every committed cell already lives in the hub's store — so when the
+// hub vanishes (its sweep finished and it exited, or it crashed
+// awaiting a restart on its store) the right move is to stop cleanly,
+// not to spin or to fail the operator's pipeline. Callers distinguish
+// this from real worker failures with errors.Is. WorkerOptions.Persist
+// trades this exit for patience: the fleet outlives hub restarts.
 var ErrCoordinatorGone = errors.New("coordinator unreachable")
 
 // errSweepGone is the internal signal that the current sweep vanished
@@ -46,14 +46,13 @@ type WorkerOptions struct {
 	Client *http.Client
 	// Workers bounds the runner pool within each lease (0 = GOMAXPROCS).
 	Workers int
-	// PollInterval is how long to sleep when the coordinator answers
-	// Wait or Idle (default 200ms).
+	// PollInterval is how long to sleep when the hub answers Wait or
+	// Idle (default 200ms).
 	PollInterval time.Duration
-	// Persist keeps the worker alive across sweeps and coordinator
-	// outages: an idle hub means "poll again", not "done", and an
-	// unreachable coordinator is waited out instead of returned as
-	// ErrCoordinatorGone. This is the fleet mode behind
-	// `saga worker -coordinator <hub> -persist`.
+	// Persist keeps the worker alive across idle spells and outages: an
+	// idle hub means "poll again", not "done", and an unreachable one is
+	// waited out instead of returned as ErrCoordinatorGone. This is the
+	// fleet mode behind `saga worker -coordinator <hub> -persist`.
 	Persist bool
 	// Progress, when non-nil, receives the worker's cumulative progress
 	// pinned to the sweep-wide cell total (runner.LeaseProgress
@@ -66,21 +65,19 @@ type WorkerOptions struct {
 	OnCellStored func(index int) error
 }
 
-// RunWorker joins the coordinator (or hub) at baseURL and computes
-// leases until the sweep is done — or, with Persist, forever. It
-// fetches the sweep identity, rebuilds the sweep locally through
-// experiments.NewSweep, and refuses to compute anything if the local
-// fingerprint or cell count disagrees with the coordinator's — the same
-// stale-parameters guard every checkpoint resume applies.
-//
-// Against a hub, GET /sweep names the mounted sweep that needs work
-// (SweepInfo.Path); the worker runs its leases, then polls again,
-// rotating across sweeps as requests come and go. A sweep that vanishes
-// mid-lease (released by its client, or the hub restarted) answers 404
-// to the worker's next heartbeat or delivery: the worker cancels the
-// lease's cell loop via context, drops the undelivered cells, and moves
-// on — the cells belong to nobody now, and recomputing them elsewhere
-// yields identical bytes anyway.
+// RunWorker joins the hub at baseURL and computes leases until the hub
+// has nothing left to hand out — or, with Persist, forever. GET /sweep
+// names the mounted sweep that needs work (SweepInfo.Path); the worker
+// rebuilds it locally through experiments.NewSweep, refuses to compute
+// anything if the local fingerprint or cell count disagrees with the
+// hub's — the same stale-parameters guard every checkpoint resume
+// applies — runs its leases, then polls again, rotating across sweeps
+// as requests come and go. A sweep that vanishes mid-lease (released by
+// its client, or the hub restarted) answers 404 to the worker's next
+// heartbeat or delivery: the worker cancels the lease's cell loop via
+// context, drops the undelivered cells, and moves on — the cells belong
+// to nobody now, and recomputing them elsewhere yields identical bytes
+// anyway.
 //
 // Each lease runs the sweep restricted to the leased cells
 // (runner.Options.Include), with a heartbeat goroutine renewing the
@@ -88,7 +85,7 @@ type WorkerOptions struct {
 // persists across the sweep's leases, so multi-phase drivers
 // (appspecific) compute their unleased benchmark window once per worker
 // and reload it from then on. Per-cell failures are reported, not
-// fatal: the coordinator retries them elsewhere or poisons them.
+// fatal: the ledger retries them elsewhere or poisons them.
 // Run-level failures are reported as failures of every unfinished
 // leased cell, so a deterministic driver error poisons its cells
 // instead of livelocking the sweep.
@@ -105,23 +102,32 @@ func RunWorker(ctx context.Context, baseURL string, opts WorkerOptions) error {
 	baseURL = strings.TrimRight(baseURL, "/")
 	workerQ := "?worker=" + url.QueryEscape(opts.Name)
 
+	// reached: some earlier poll was answered, so an unreachable hub now
+	// is one that went away, not one that was never there.
+	reached := false
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		var info SweepInfo
 		if err := getJSON(ctx, opts.Client, baseURL+"/sweep"+workerQ, &info); err != nil {
-			if opts.Persist && httpx.IsConnErr(err) && ctx.Err() == nil {
-				if err := sleepCtx(ctx, opts.PollInterval); err != nil {
-					return err
+			if httpx.IsConnErr(err) && ctx.Err() == nil {
+				if opts.Persist {
+					if err := sleepCtx(ctx, opts.PollInterval); err != nil {
+						return err
+					}
+					continue
 				}
-				continue
+				if reached {
+					err = fmt.Errorf("%w: %v", ErrCoordinatorGone, err)
+				}
 			}
 			return fmt.Errorf("coord: worker %s: fetch sweep: %w", opts.Name, err)
 		}
+		reached = true
 		if info.Idle {
-			// A hub with nothing to hand out. Fleets wait for the next
-			// request; one-shot workers are done.
+			// Nothing to hand out. Fleets wait for the next request;
+			// one-shot workers are done.
 			if !opts.Persist {
 				return nil
 			}
@@ -132,15 +138,10 @@ func RunWorker(ctx context.Context, baseURL string, opts WorkerOptions) error {
 		}
 
 		err := runSweep(ctx, baseURL, workerQ, info, opts)
-		hub := info.Path != ""
 		switch {
-		case err == nil:
-			if !hub {
-				return nil // the one sweep is done
-			}
-		case errors.Is(err, errSweepGone), errors.Is(err, errSweepRotate):
-			// Drop and re-poll; the next GET /sweep says what (if
-			// anything) to work on now.
+		case err == nil, errors.Is(err, errSweepGone), errors.Is(err, errSweepRotate):
+			// Done, dropped or rotated away; the next GET /sweep says what
+			// (if anything) to work on now.
 		case errors.Is(err, ErrCoordinatorGone):
 			if !opts.Persist {
 				return err
@@ -158,15 +159,7 @@ func RunWorker(ctx context.Context, baseURL string, opts WorkerOptions) error {
 // when the sweep is done, errSweepGone/errSweepRotate to send the
 // worker back to the hub poll, or a terminal error.
 func runSweep(ctx context.Context, baseURL, workerQ string, info SweepInfo, opts WorkerOptions) error {
-	base := baseURL + info.Path
-	hub := info.Path != ""
-	ep := func(op string) string {
-		u := base + "/" + op
-		if hub {
-			u += workerQ
-		}
-		return u
-	}
+	ep := func(op string) string { return baseURL + info.Path + "/" + op + workerQ }
 
 	sw, err := experiments.NewSweep(info.Name, info.Params)
 	if err != nil {
@@ -206,14 +199,12 @@ func runSweep(ctx context.Context, baseURL, workerQ string, info SweepInfo, opts
 			return nil
 		}
 		if lease.Wait {
-			if hub {
-				// Nothing leasable here right now; ask the hub whether some
-				// other sweep needs us before going back to sleep.
-				var pick SweepInfo
-				if err := getJSON(ctx, opts.Client, baseURL+"/sweep"+workerQ, &pick); err == nil &&
-					!pick.Idle && pick.ID != info.ID {
-					return errSweepRotate
-				}
+			// Nothing leasable here right now; ask the hub whether some
+			// other sweep needs us before going back to sleep.
+			var pick SweepInfo
+			if err := getJSON(ctx, opts.Client, baseURL+"/sweep"+workerQ, &pick); err == nil &&
+				!pick.Idle && pick.ID != info.ID {
+				return errSweepRotate
 			}
 			if err := sleepCtx(ctx, opts.PollInterval); err != nil {
 				return err
@@ -318,8 +309,8 @@ func runSweep(ctx context.Context, baseURL, workerQ string, info SweepInfo, opts
 			return fmt.Errorf("coord: worker %s: complete: %w", opts.Name, err)
 		}
 		if ack.Done {
-			// This delivery finished the sweep; exit without another /lease
-			// round trip that would race the coordinator's shutdown.
+			// This delivery finished the sweep; skip the /lease round trip
+			// that would only say so again.
 			return nil
 		}
 	}
@@ -406,7 +397,7 @@ func getJSON(ctx context.Context, client *http.Client, url string, out any) erro
 
 // workerRetry paces the worker's lease/complete calls: per-hop timeouts
 // and capped exponential backoff with jitter, so a fleet re-dialing a
-// restarting coordinator spreads out instead of stampeding.
+// restarting hub spreads out instead of stampeding.
 var workerRetry = httpx.RetryPolicy{Attempts: 3, Base: 150 * time.Millisecond, Cap: 2 * time.Second, PerTry: 10 * time.Second}
 
 // postJSONRetry is httpx.PostJSON under the worker retry policy,

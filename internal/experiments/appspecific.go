@@ -67,7 +67,7 @@ func appInstance(workflow string, ccr float64, r *rng.RNG) *graph.Instance {
 // benchmarking dataset (standing in for the paper's execution-trace
 // ranges) and removes the structural and link perturbations, so every
 // explored instance keeps the application's topology and CCR. It is the
-// sequential reference for AppSpecificParallel.
+// sequential reference for AppSpecificRun.
 func AppSpecific(scheds []scheduler.Scheduler, opts AppSpecificOptions) (*AppSpecificResult, error) {
 	n := len(scheds)
 	res := &AppSpecificResult{

@@ -5,6 +5,7 @@ import (
 
 	"saga/internal/datasets"
 	"saga/internal/rng"
+	"saga/internal/runner"
 	"saga/internal/scheduler"
 	"saga/internal/serialize"
 )
@@ -33,7 +34,7 @@ func TestBenchmarkingDeterminism(t *testing.T) {
 	}
 	for _, w := range workerCounts {
 		t.Run("workers="+workerLabel(w), func(t *testing.T) {
-			par, err := BenchmarkingParallel(names, scheds, 4, 11, w)
+			par, err := BenchmarkingRun(names, scheds, 4, 11, runner.Options{Workers: w})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -60,7 +61,7 @@ func TestPairwisePISADeterminism(t *testing.T) {
 	}
 	for _, w := range workerCounts {
 		t.Run("workers="+workerLabel(w), func(t *testing.T) {
-			par, err := PairwisePISAParallel(scheds, opts, w)
+			par, err := PairwisePISARun(scheds, opts, runner.Options{Workers: w})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -106,7 +107,7 @@ func TestFamilyDeterminism(t *testing.T) {
 	}
 	for _, w := range workerCounts {
 		t.Run("workers="+workerLabel(w), func(t *testing.T) {
-			par, err := FamilyParallel(datasets.Fig7Instance, scheds, 40, 9, w)
+			par, err := FamilyRun(datasets.Fig7Instance, scheds, 40, 9, runner.Options{Workers: w})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -138,7 +139,7 @@ func TestRobustnessDeterminism(t *testing.T) {
 	}
 	for _, w := range workerCounts {
 		t.Run("workers="+workerLabel(w), func(t *testing.T) {
-			par, err := RobustnessParallel(inst, s, 0.2, 30, 5, w)
+			par, err := RobustnessRun(inst, s, 0.2, 30, 5, runner.Options{Workers: w})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -166,7 +167,7 @@ func TestAppSpecificDeterminism(t *testing.T) {
 	}
 	for _, w := range workerCounts {
 		t.Run("workers="+workerLabel(w), func(t *testing.T) {
-			par, err := AppSpecificParallel(scheds, opts, w)
+			par, err := AppSpecificRun(scheds, opts, runner.Options{Workers: w})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -243,10 +244,10 @@ func TestSelectPortfolioParallelValidation(t *testing.T) {
 
 func TestParallelDriversRequireRegistrySchedulers(t *testing.T) {
 	custom := scheduler.Func{SchedName: "not-registered", Fn: nil}
-	if _, err := FamilyParallel(datasets.Fig7Instance, []scheduler.Scheduler{custom}, 2, 1, 2); err == nil {
-		t.Fatal("unregistered scheduler accepted by FamilyParallel")
+	if _, err := FamilyRun(datasets.Fig7Instance, []scheduler.Scheduler{custom}, 2, 1, runner.Options{Workers: 2}); err == nil {
+		t.Fatal("unregistered scheduler accepted by FamilyRun")
 	}
-	if _, err := BenchmarkingParallel([]string{"chains"}, []scheduler.Scheduler{custom}, 1, 1, 2); err == nil {
-		t.Fatal("unregistered scheduler accepted by BenchmarkingParallel")
+	if _, err := BenchmarkingRun([]string{"chains"}, []scheduler.Scheduler{custom}, 1, 1, runner.Options{Workers: 2}); err == nil {
+		t.Fatal("unregistered scheduler accepted by BenchmarkingRun")
 	}
 }

@@ -56,15 +56,16 @@ func TestCoordinatedSweepRandomLeaseOrderBitIdentity(t *testing.T) {
 	for _, shuffleSeed := range []uint64{0, 3, 17} {
 		t.Run(fmt.Sprintf("shuffle=%d", shuffleSeed), func(t *testing.T) {
 			storePath := filepath.Join(dir, fmt.Sprintf("coord-%d.ckpt", shuffleSeed))
-			c, err := coord.New("fig7", params, serialize.NewCheckpoint(storePath), coord.Options{
+			hub := coord.NewHub(coord.HubOptions{Sweep: coord.Options{
 				LeaseSize:   3,
 				LeaseTTL:    300 * time.Millisecond,
 				ShuffleSeed: shuffleSeed,
-			})
+			}})
+			c, err := hub.Mount("fig7", params, serialize.NewCheckpoint(storePath))
 			if err != nil {
 				t.Fatal(err)
 			}
-			srv := httptest.NewServer(c)
+			srv := httptest.NewServer(hub)
 			defer srv.Close()
 
 			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)

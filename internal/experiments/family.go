@@ -19,7 +19,7 @@ type FamilyResult struct {
 // Family reproduces the Section VI-B family studies (Figs 7 and 8):
 // sample n instances from the generator and record each scheduler's
 // makespan on every instance. It is the sequential reference for
-// FamilyParallel.
+// FamilyRun.
 func Family(gen func(*rng.RNG) *graph.Instance, scheds []scheduler.Scheduler, n int, seed uint64) (*FamilyResult, error) {
 	res := &FamilyResult{
 		Makespans: map[string][]float64{},

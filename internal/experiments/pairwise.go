@@ -35,7 +35,7 @@ type PairwiseOptions struct {
 // perturbation space is restricted to the homogeneity requirements of
 // the pair: if either scheduler was designed for homogeneous node
 // speeds (or links), those weights are pinned to 1. It is the
-// sequential reference for PairwisePISAParallel.
+// sequential reference for PairwisePISARun.
 func PairwisePISA(scheds []scheduler.Scheduler, opts PairwiseOptions) (*PairwiseResult, error) {
 	n := len(scheds)
 	res := &PairwiseResult{

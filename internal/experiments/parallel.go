@@ -75,16 +75,10 @@ type pisaCell struct {
 	Instance json.RawMessage `json:"instance"`
 }
 
-// BenchmarkingParallel computes the same grid as Benchmarking using up
-// to workers goroutines (0 = GOMAXPROCS), one cell per dataset. Every
-// dataset draws its instances from the same root seed in both drivers,
-// so results are bit-identical to the sequential reference.
-func BenchmarkingParallel(datasetNames []string, scheds []scheduler.Scheduler, n int, seed uint64, workers int) (*BenchmarkResult, error) {
-	return BenchmarkingRun(datasetNames, scheds, n, seed, runner.Options{Workers: workers})
-}
-
-// BenchmarkingRun is BenchmarkingParallel with full runner control
-// (progress callbacks, checkpointing).
+// BenchmarkingRun computes the same grid as Benchmarking under ro
+// (workers, progress callbacks, checkpointing), one cell per dataset.
+// Every dataset draws its instances from the same root seed in both
+// drivers, so results are bit-identical to the sequential reference.
 func BenchmarkingRun(datasetNames []string, scheds []scheduler.Scheduler, n int, seed uint64, ro runner.Options) (*BenchmarkResult, error) {
 	res := &BenchmarkResult{
 		Datasets: datasetNames,
@@ -114,18 +108,13 @@ func BenchmarkingRun(datasetNames []string, scheds []scheduler.Scheduler, n int,
 	return res, nil
 }
 
-// PairwisePISAParallel computes the same grid as PairwisePISA using up
-// to workers goroutines (0 = GOMAXPROCS). Each off-diagonal cell gets
-// the seed its sequential position implies, so results are deterministic
-// and identical to the sequential driver for the same options.
-func PairwisePISAParallel(scheds []scheduler.Scheduler, opts PairwiseOptions, workers int) (*PairwiseResult, error) {
-	return PairwisePISARun(scheds, opts, runner.Options{Workers: workers})
-}
-
-// PairwisePISARun is PairwisePISAParallel with full runner control:
-// progress callbacks and — because each cell of the full 15×15 grid is
-// an expensive annealing run — a checkpoint store for resumable sweeps
-// (pass serialize.NewCheckpoint).
+// PairwisePISARun computes the same grid as PairwisePISA under ro. Each
+// off-diagonal cell gets the seed its sequential position implies, so
+// results are deterministic and identical to the sequential driver for
+// the same options at every worker count. Because each cell of the full
+// 15×15 grid is an expensive annealing run, ro also carries progress
+// callbacks and a checkpoint store for resumable sweeps (pass
+// serialize.NewCheckpoint).
 func PairwisePISARun(scheds []scheduler.Scheduler, opts PairwiseOptions, ro runner.Options) (*PairwiseResult, error) {
 	n := len(scheds)
 	res := &PairwiseResult{
@@ -200,17 +189,12 @@ func PairwisePISARun(scheds []scheduler.Scheduler, opts PairwiseOptions, ro runn
 	return res, nil
 }
 
-// FamilyParallel computes the same result as Family using up to workers
-// goroutines (0 = GOMAXPROCS), one cell per sampled instance. The
-// schedulers must be registry-instantiable (every Table I algorithm is),
-// so each worker runs fresh copies.
-func FamilyParallel(gen func(*rng.RNG) *graph.Instance, scheds []scheduler.Scheduler, n int, seed uint64, workers int) (*FamilyResult, error) {
-	return FamilyRun(gen, scheds, n, seed, runner.Options{Workers: workers})
-}
-
-// FamilyRun is FamilyParallel with full runner control: progress
-// callbacks and a checkpoint store for resumable sampling sweeps (each
-// cell's per-scheduler makespan vector round-trips through JSON).
+// FamilyRun computes the same result as Family under ro, one cell per
+// sampled instance. The schedulers must be registry-instantiable (every
+// Table I algorithm is), so each worker runs fresh copies. ro also
+// carries progress callbacks and a checkpoint store for resumable
+// sampling sweeps (each cell's per-scheduler makespan vector round-trips
+// through JSON).
 func FamilyRun(gen func(*rng.RNG) *graph.Instance, scheds []scheduler.Scheduler, n int, seed uint64, ro runner.Options) (*FamilyResult, error) {
 	res := &FamilyResult{
 		Makespans: map[string][]float64{},
@@ -261,15 +245,9 @@ type robustCell struct {
 	Adaptive float64 `json:"adaptive"`
 }
 
-// RobustnessParallel computes the same result as Robustness using up to
-// workers goroutines (0 = GOMAXPROCS), one cell per jitter sample. The
-// scheduler must be registry-instantiable so each worker re-plans with
-// its own copy.
-func RobustnessParallel(inst *graph.Instance, s scheduler.Scheduler, sigma float64, n int, seed uint64, workers int) (*RobustnessResult, error) {
-	return RobustnessRun(inst, s, sigma, n, seed, runner.Options{Workers: workers})
-}
-
-// RobustnessRun is RobustnessParallel with full runner control: progress
+// RobustnessRun computes the same result as Robustness under ro, one
+// cell per jitter sample. The scheduler must be registry-instantiable so
+// each worker re-plans with its own copy. ro also carries progress
 // callbacks and a checkpoint store for resumable jitter sweeps (each
 // cell is a (static, adaptive) makespan pair).
 func RobustnessRun(inst *graph.Instance, s scheduler.Scheduler, sigma float64, n int, seed uint64, ro runner.Options) (*RobustnessResult, error) {
@@ -335,17 +313,11 @@ type appBenchCell struct {
 	SpeedLo, SpeedHi             float64
 }
 
-// AppSpecificParallel computes the same result as AppSpecific using up
-// to workers goroutines (0 = GOMAXPROCS): the benchmarking instances and
-// the PISA pairs are both fanned out. Range merging uses min/max only,
-// so the assembled perturbation space — and with it every PISA cell — is
-// bit-identical to the sequential driver.
-func AppSpecificParallel(scheds []scheduler.Scheduler, opts AppSpecificOptions, workers int) (*AppSpecificResult, error) {
-	return AppSpecificRun(scheds, opts, runner.Options{Workers: workers})
-}
-
-// AppSpecificRun is AppSpecificParallel with full runner control. The
-// driver runs two sweeps — benchmarking, then PISA — against one
+// AppSpecificRun computes the same result as AppSpecific under ro: the
+// benchmarking instances and the PISA pairs are both fanned out. Range
+// merging uses min/max only, so the assembled perturbation space — and
+// with it every PISA cell — is bit-identical to the sequential driver.
+// The driver runs two sweeps — benchmarking, then PISA — against one
 // checkpoint store by giving the PISA sweep a disjoint index window
 // (runner.OffsetCheckpoint), so both phases of an interrupted block
 // resume.

@@ -3,6 +3,7 @@ package experiments
 import (
 	"testing"
 
+	"saga/internal/runner"
 	"saga/internal/scheduler"
 )
 
@@ -15,7 +16,7 @@ func TestPairwisePISAParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := PairwisePISAParallel(scheds, opts, 4)
+	par, err := PairwisePISARun(scheds, opts, runner.Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,11 +38,11 @@ func TestPairwisePISAParallelMatchesSequential(t *testing.T) {
 func TestPairwisePISAParallelWorkerCounts(t *testing.T) {
 	scheds := []scheduler.Scheduler{mustSched(t, "HEFT"), mustSched(t, "FastestNode")}
 	opts := PairwiseOptions{Anneal: smallAnneal(40)}
-	a, err := PairwisePISAParallel(scheds, opts, 1)
+	a, err := PairwisePISARun(scheds, opts, runner.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := PairwisePISAParallel(scheds, opts, 0) // GOMAXPROCS
+	b, err := PairwisePISARun(scheds, opts, runner.Options{Workers: 0}) // GOMAXPROCS
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestBenchmarkingParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := BenchmarkingParallel(names, scheds, 3, 7, 3)
+	par, err := BenchmarkingRun(names, scheds, 3, 7, runner.Options{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func TestBenchmarkingParallelMatchesSequential(t *testing.T) {
 
 func TestBenchmarkingParallelPropagatesErrors(t *testing.T) {
 	scheds := []scheduler.Scheduler{mustSched(t, "HEFT")}
-	if _, err := BenchmarkingParallel([]string{"chains", "bogus"}, scheds, 1, 1, 2); err == nil {
+	if _, err := BenchmarkingRun([]string{"chains", "bogus"}, scheds, 1, 1, runner.Options{Workers: 2}); err == nil {
 		t.Fatal("unknown dataset accepted")
 	}
 }
@@ -87,7 +88,7 @@ func TestPairwisePISAParallelRace(t *testing.T) {
 		mustSched(t, "HEFT"), mustSched(t, "CPoP"),
 		mustSched(t, "MaxMin"), mustSched(t, "OLB"),
 	}
-	res, err := PairwisePISAParallel(scheds, PairwiseOptions{Anneal: smallAnneal(25)}, 8)
+	res, err := PairwisePISARun(scheds, PairwiseOptions{Anneal: smallAnneal(25)}, runner.Options{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

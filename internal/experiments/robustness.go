@@ -134,7 +134,7 @@ type RobustnessResult struct {
 // Robustness samples n jittered variants of the instance and reports how
 // the scheduler's committed schedule degrades (Static) versus full
 // re-planning (Adaptive). It is the sequential reference for
-// RobustnessParallel.
+// RobustnessRun.
 func Robustness(inst *graph.Instance, s scheduler.Scheduler, sigma float64, n int, seed uint64) (*RobustnessResult, error) {
 	nominal, err := s.Schedule(inst)
 	if err != nil {
