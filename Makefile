@@ -77,18 +77,27 @@ chaos-smoke:
 
 # bench-serve is the daemon load gate: 8 concurrent clients against a
 # live server, every response byte-verified, client-observed p50/p99
-# reported and sanity-bounded. The committed measurement lives in
-# BENCH_serve.json; re-measure with SERVE_BENCH_OUT=BENCH_serve.json
-# prepended (see EXPERIMENTS.md).
+# reported and sanity-bounded; plus the wire path's allocation gate
+# (TestScheduleHitAllocs: testing.AllocsPerRun of a cache-hit POST
+# /v1/schedule, bounded at the measured value + 2). The committed
+# measurement lives in BENCH_serve.json; re-measure with
+# SERVE_BENCH_OUT=BENCH_serve.json prepended (see EXPERIMENTS.md).
 bench-serve:
-	SERVE_BENCH_GATE=1 $(GO) test -run TestServeLoadGate -count 1 -v -timeout 300s ./internal/serve/
+	SERVE_BENCH_GATE=1 $(GO) test -run 'TestServeLoadGate|TestScheduleHitAllocs' -count 1 -v -timeout 300s ./internal/serve/
 
-# fuzz-short runs the wfformat ingestion fuzzer (Parse → ToTaskGraph →
-# ToNetwork → Validate → Marshal round trip must never panic) for a
-# bounded slice of CI time, seeded from the committed fixtures in
-# internal/wfc/testdata/.
+# fuzz-short runs the daemon's ingestion fuzzers for a bounded slice of
+# CI time, 10 s each. FuzzScanner holds internal/jsonscan to json.Valid,
+# json.Compact and the stdlib's string decoding; the other three are
+# differential against the reflective encoding/json decoders the
+# hand-written codecs replaced (kept in _test.go files as oracles): same
+# accept/reject, reflect.DeepEqual values. FuzzParse additionally drives
+# Parse → ToTaskGraph → ToNetwork → Validate → Marshal round trip (must
+# never panic), seeded from the fixtures in internal/wfc/testdata/.
 fuzz-short:
+	$(GO) test -fuzz FuzzScanner -fuzztime 10s -run '^$$' ./internal/jsonscan/
+	$(GO) test -fuzz FuzzUnmarshalInstance -fuzztime 10s -run '^$$' ./internal/serialize/
 	$(GO) test -fuzz FuzzParse -fuzztime 10s -run '^$$' ./internal/wfc/
+	$(GO) test -fuzz FuzzScheduleEnvelope -fuzztime 10s -run '^$$' ./internal/serve/
 
 # cover enforces the per-package statement-coverage floors in
 # COVER_BASELINE: `go test -cover` over the whole module, then every

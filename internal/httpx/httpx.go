@@ -39,15 +39,42 @@ func WriteJSON(w http.ResponseWriter, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// ReadJSON decodes the request body into v, answering 400 with the
-// decode error and returning false on malformed input. The body is
-// capped at MaxBodyBytes.
-func ReadJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
-	if err == nil {
-		err = json.Unmarshal(body, v)
+// ReadBody reads the whole request body, capped at MaxBodyBytes. A
+// declared Content-Length above the cap is refused with 413 before a
+// byte is read; any other failure answers 400. The buffer is sized from
+// Content-Length so a body arrives in one allocation, but by at most
+// maxPrealloc up front: a header is a claim, and a lying one must not
+// make the daemon allocate what it has not received.
+func ReadBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	if r.ContentLength > MaxBodyBytes {
+		http.Error(w, fmt.Sprintf("request body of %d bytes exceeds the %d-byte limit", r.ContentLength, MaxBodyBytes),
+			http.StatusRequestEntityTooLarge)
+		return nil, false
 	}
-	if err != nil {
+	// bytes.MinRead of spare room lets the read that finds EOF fit
+	// without growing.
+	var buf bytes.Buffer
+	buf.Grow(int(min(max(r.ContentLength, 0), maxPrealloc)) + bytes.MinRead)
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, MaxBodyBytes)); err != nil {
+		http.Error(w, fmt.Sprintf("bad request body: %v", err), http.StatusBadRequest)
+		return nil, false
+	}
+	return buf.Bytes(), true
+}
+
+// maxPrealloc bounds what ReadBody allocates on the word of a
+// Content-Length header.
+const maxPrealloc = 1 << 20
+
+// ReadJSON decodes the request body into v, answering 400 with the
+// decode error and returning false on malformed input. The body is read
+// by ReadBody.
+func ReadJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+	body, ok := ReadBody(w, r)
+	if !ok {
+		return false
+	}
+	if err := json.Unmarshal(body, v); err != nil {
 		http.Error(w, fmt.Sprintf("bad request body: %v", err), http.StatusBadRequest)
 		return false
 	}

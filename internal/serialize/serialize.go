@@ -17,12 +17,15 @@
 package serialize
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
 	"os"
+	"strconv"
 
 	"saga/internal/graph"
+	"saga/internal/jsonscan"
 	"saga/internal/schedule"
 )
 
@@ -35,20 +38,6 @@ func (w jsonWeight) MarshalJSON() ([]byte, error) {
 		return []byte(`"inf"`), nil
 	}
 	return json.Marshal(float64(w))
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (w *jsonWeight) UnmarshalJSON(b []byte) error {
-	if string(b) == `"inf"` {
-		*w = jsonWeight(math.Inf(1))
-		return nil
-	}
-	var f float64
-	if err := json.Unmarshal(b, &f); err != nil {
-		return err
-	}
-	*w = jsonWeight(f)
-	return nil
 }
 
 type jsonTask struct {
@@ -97,26 +86,35 @@ func MarshalInstance(inst *graph.Instance) ([]byte, error) {
 	return json.MarshalIndent(ji, "", "  ")
 }
 
-// UnmarshalInstance decodes an instance from JSON and validates it.
+// The field names of the instance document, in the order the decoder's
+// switches number them.
+var (
+	instanceFields = []string{"tasks", "deps", "speeds", "links"}
+	taskFields     = []string{"name", "cost"}
+	depFields      = []string{"from", "to", "cost"}
+	linkFields     = []string{"u", "v", "strength"}
+)
+
+// UnmarshalInstance decodes an instance from JSON and validates it. It
+// reads the document in one pass (internal/jsonscan) with the field
+// semantics of encoding/json — keys matched exactly, then case-folded;
+// null leaves a field at its zero value; unknown keys skipped — except
+// that a key repeated inside one object is refused.
 func UnmarshalInstance(data []byte) (*graph.Instance, error) {
-	var ji jsonInstance
-	if err := json.Unmarshal(data, &ji); err != nil {
+	g := graph.NewTaskGraph()
+	s := jsonscan.New(data)
+	deps, speeds, links := scanInstance(&s, g)
+	if err := s.End(); err != nil {
 		return nil, fmt.Errorf("serialize: %w", err)
 	}
-	g := graph.NewTaskGraph()
-	for _, t := range ji.Tasks {
-		g.AddTask(t.Name, t.Cost)
-	}
-	for _, d := range ji.Deps {
+	for _, d := range deps {
 		if err := g.AddDep(d.From, d.To, d.Cost); err != nil {
 			return nil, fmt.Errorf("serialize: %w", err)
 		}
 	}
-	net := graph.NewNetwork(len(ji.Speeds))
-	for v, s := range ji.Speeds {
-		net.Speeds[v] = float64(s)
-	}
-	for _, l := range ji.Links {
+	net := graph.NewNetwork(len(speeds))
+	copy(net.Speeds, speeds)
+	for _, l := range links {
 		if l.U < 0 || l.U >= net.NumNodes() || l.V < 0 || l.V >= net.NumNodes() {
 			return nil, fmt.Errorf("serialize: link (%d, %d) out of range", l.U, l.V)
 		}
@@ -127,6 +125,124 @@ func UnmarshalInstance(data []byte) (*graph.Instance, error) {
 		return nil, fmt.Errorf("serialize: %w", err)
 	}
 	return inst, nil
+}
+
+// scanInstance reads the document root. Tasks go straight into g;
+// dependencies and links are returned, because they are checked against
+// the task and node counts and "tasks" or "speeds" may stand behind
+// them in the document.
+func scanInstance(s *jsonscan.Scanner, g *graph.TaskGraph) (deps []jsonDep, speeds []float64, links []jsonLink) {
+	if !s.Object() {
+		return
+	}
+	var seen uint32
+	for {
+		field, ok := s.Field(instanceFields, &seen)
+		switch {
+		case !ok:
+			return
+		case field < 0:
+			s.Skip()
+			continue
+		case !s.Array(): // null, or a mismatch the scanner has recorded
+			continue
+		}
+		for s.More() {
+			switch field {
+			case 0:
+				t := scanTask(s)
+				g.AddTask(t.Name, t.Cost)
+			case 1:
+				deps = append(deps, scanDep(s))
+			case 2:
+				speeds = append(speeds, scanWeight(s))
+			case 3:
+				links = append(links, scanLink(s))
+			}
+		}
+	}
+}
+
+func scanTask(s *jsonscan.Scanner) (t jsonTask) {
+	if !s.Object() {
+		return t
+	}
+	var seen uint32
+	for {
+		field, ok := s.Field(taskFields, &seen)
+		switch {
+		case !ok:
+			return t
+		case field < 0:
+			s.Skip()
+		case s.Null(): // consumed; the field keeps its zero value
+		case field == 0:
+			t.Name = string(s.String())
+		case field == 1:
+			t.Cost = s.Float()
+		}
+	}
+}
+
+func scanDep(s *jsonscan.Scanner) (d jsonDep) {
+	if !s.Object() {
+		return d
+	}
+	var seen uint32
+	for {
+		field, ok := s.Field(depFields, &seen)
+		switch {
+		case !ok:
+			return d
+		case field < 0:
+			s.Skip()
+		case s.Null():
+		case field == 0:
+			d.From = s.Int()
+		case field == 1:
+			d.To = s.Int()
+		case field == 2:
+			d.Cost = s.Float()
+		}
+	}
+}
+
+func scanLink(s *jsonscan.Scanner) (l jsonLink) {
+	if !s.Object() {
+		return l
+	}
+	var seen uint32
+	for {
+		field, ok := s.Field(linkFields, &seen)
+		switch {
+		case !ok:
+			return l
+		case field < 0:
+			s.Skip()
+		case s.Null():
+		case field == 0:
+			l.U = s.Int()
+		case field == 1:
+			l.V = s.Int()
+		case field == 2:
+			l.Strength = jsonWeight(scanWeight(s))
+		}
+	}
+}
+
+// scanWeight reads a jsonWeight: a number, null (zero), or the string
+// "inf" spelled exactly so.
+func scanWeight(s *jsonscan.Scanner) float64 {
+	switch {
+	case s.Null():
+		return 0
+	case s.Peek() == '"':
+		if raw := s.Skip(); string(raw) != `"inf"` {
+			s.Errorf("weight %s is neither a number nor \"inf\"", raw)
+		}
+		return math.Inf(1)
+	}
+	return s.Float()
 }
 
 // SaveInstance writes an instance to path as JSON.
@@ -159,13 +275,52 @@ type jsonSchedule struct {
 	Assignments []jsonAssignment `json:"assignments"`
 }
 
-// MarshalSchedule encodes a schedule as JSON.
-func MarshalSchedule(s *schedule.Schedule) ([]byte, error) {
-	js := jsonSchedule{NumNodes: s.NumNodes}
-	for _, a := range s.ByTask {
-		js.Assignments = append(js.Assignments, jsonAssignment(a))
+// AppendSchedule appends the compact JSON form of a schedule to dst:
+// the bytes json.Marshal would produce, written without reflection. A
+// NaN or infinite time has no JSON form and is an error.
+func AppendSchedule(dst []byte, s *schedule.Schedule) ([]byte, error) {
+	dst = append(dst, `{"num_nodes":`...)
+	dst = strconv.AppendInt(dst, int64(s.NumNodes), 10)
+	dst = append(dst, `,"assignments":`...)
+	if len(s.ByTask) == 0 {
+		return append(dst, "null}"...), nil
 	}
-	return json.MarshalIndent(js, "", "  ")
+	var err error
+	for i, a := range s.ByTask {
+		if i == 0 {
+			dst = append(dst, `[{"task":`...)
+		} else {
+			dst = append(dst, `,{"task":`...)
+		}
+		dst = strconv.AppendInt(dst, int64(a.Task), 10)
+		dst = append(dst, `,"node":`...)
+		dst = strconv.AppendInt(dst, int64(a.Node), 10)
+		dst = append(dst, `,"start":`...)
+		if dst, err = jsonscan.AppendFloat(dst, a.Start); err != nil {
+			return dst, fmt.Errorf("serialize: assignment %d start: %w", i, err)
+		}
+		dst = append(dst, `,"end":`...)
+		if dst, err = jsonscan.AppendFloat(dst, a.End); err != nil {
+			return dst, fmt.Errorf("serialize: assignment %d end: %w", i, err)
+		}
+		dst = append(dst, '}')
+	}
+	return append(dst, "]}"...), nil
+}
+
+// MarshalSchedule encodes a schedule as indented JSON.
+func MarshalSchedule(s *schedule.Schedule) ([]byte, error) {
+	// An assignment is about 80 bytes compact and twice that indented.
+	compact, err := AppendSchedule(make([]byte, 0, 64+96*len(s.ByTask)), s)
+	if err != nil {
+		return nil, err
+	}
+	var buf bytes.Buffer
+	buf.Grow(2 * len(compact))
+	if err := json.Indent(&buf, compact, "", "  "); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
 // UnmarshalSchedule decodes a schedule from JSON.

@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"sync"
 
 	"saga/internal/graph"
@@ -19,24 +17,25 @@ import (
 // instance pointer, so Scratch.Tables recognizes it and serves the
 // prebuilt tables (and with them every memoized rank vector).
 type cacheEntry struct {
-	key       string
+	key       cacheKey
 	inst      *graph.Instance
 	scratches []*scheduler.Scratch
 	lastUsed  uint64
 }
 
 // instanceCache maps the content hash of a submitted instance to its
-// parsed, validated form. Keys hash the compacted request bytes (plus
-// the import knobs for WfCommons submissions), so repeated submissions
-// of the same payload — the "millions of users resubmitting the same
-// workflow" case the daemon exists for — parse and build tables once.
+// parsed, validated form. Keys hash the whitespace-stripped payload
+// (plus the import knobs for WfCommons submissions; see cacheKey), so
+// repeated submissions of the same payload — the "millions of users
+// resubmitting the same workflow" case the daemon exists for — parse
+// and build tables once.
 // Eviction is least-recently-used over a fixed entry budget.
 type instanceCache struct {
 	mu      sync.Mutex
 	cap     int
 	maxPark int // scratches parked per entry
 	clock   uint64
-	entries map[string]*cacheEntry
+	entries map[cacheKey]*cacheEntry
 
 	hits, misses, evictions, tableReuses uint64
 }
@@ -48,23 +47,13 @@ func newInstanceCache(capEntries, maxPark int) *instanceCache {
 	if maxPark < 1 {
 		maxPark = 1
 	}
-	return &instanceCache{cap: capEntries, maxPark: maxPark, entries: map[string]*cacheEntry{}}
-}
-
-// hashKey derives the cache key for a request payload.
-func hashKey(parts ...[]byte) string {
-	h := sha256.New()
-	for _, p := range parts {
-		h.Write(p)
-		h.Write([]byte{0})
-	}
-	return hex.EncodeToString(h.Sum(nil))
+	return &instanceCache{cap: capEntries, maxPark: maxPark, entries: map[cacheKey]*cacheEntry{}}
 }
 
 // lookup returns the cached entry for key, or nil. On a hit it also
 // leases a parked scratch when one is available; scr is non-nil only on
 // a hit, and its tables are already built for entry.inst.
-func (c *instanceCache) lookup(key string) (entry *cacheEntry, scr *scheduler.Scratch) {
+func (c *instanceCache) lookup(key cacheKey) (entry *cacheEntry, scr *scheduler.Scratch) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[key]
@@ -87,7 +76,7 @@ func (c *instanceCache) lookup(key string) (entry *cacheEntry, scr *scheduler.Sc
 // when the cache is full. If another request raced the parse and
 // inserted first, the winner's entry is returned so both requests share
 // one instance pointer.
-func (c *instanceCache) insert(key string, inst *graph.Instance) *cacheEntry {
+func (c *instanceCache) insert(key cacheKey, inst *graph.Instance) *cacheEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.entries[key]; ok {

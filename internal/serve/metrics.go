@@ -19,6 +19,7 @@ type endpointMetrics struct {
 	errors  uint64
 	buckets [latencyBuckets]uint64
 	totalUS uint64
+	phases  PhaseStats
 }
 
 func (m *endpointMetrics) record(d time.Duration, failed bool) {
@@ -77,15 +78,33 @@ func newMetrics() *Metrics {
 	return &Metrics{start: time.Now(), endpoints: map[string]*endpointMetrics{}, degraded: map[string]uint64{}}
 }
 
+// endpoint returns the named endpoint's counters; the caller holds mu.
+func (m *Metrics) endpoint(name string) *endpointMetrics {
+	em := m.endpoints[name]
+	if em == nil {
+		em = &endpointMetrics{}
+		m.endpoints[name] = em
+	}
+	return em
+}
+
 func (m *Metrics) record(endpoint string, d time.Duration, failed bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	em := m.endpoints[endpoint]
-	if em == nil {
-		em = &endpointMetrics{}
-		m.endpoints[endpoint] = em
-	}
-	em.record(d, failed)
+	m.endpoint(endpoint).record(d, failed)
+}
+
+// recordPhases adds one answered /v1/schedule request's phase times.
+func (m *Metrics) recordPhases(read, scanKey, decode, schedule, encode time.Duration) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	p := &m.endpoint("schedule").phases
+	p.Count++
+	p.ReadNS += uint64(read)
+	p.ScanKeyNS += uint64(scanKey)
+	p.DecodeNS += uint64(decode)
+	p.ScheduleNS += uint64(schedule)
+	p.EncodeNS += uint64(encode)
 }
 
 func (m *Metrics) reject() {
@@ -147,14 +166,33 @@ func (m *Metrics) dispatchSnapshot() (DispatchStats, uint64) {
 	return d, m.authRejected
 }
 
-// EndpointStats is one endpoint's snapshot.
+// EndpointStats is one endpoint's snapshot. Phases is present for the
+// schedule endpoint once it has answered a request.
 type EndpointStats struct {
-	Count  uint64  `json:"count"`
-	Errors uint64  `json:"errors"`
-	MeanMS float64 `json:"mean_ms"`
-	P50MS  float64 `json:"p50_ms"`
-	P90MS  float64 `json:"p90_ms"`
-	P99MS  float64 `json:"p99_ms"`
+	Count  uint64      `json:"count"`
+	Errors uint64      `json:"errors"`
+	MeanMS float64     `json:"mean_ms"`
+	P50MS  float64     `json:"p50_ms"`
+	P90MS  float64     `json:"p90_ms"`
+	P99MS  float64     `json:"p99_ms"`
+	Phases *PhaseStats `json:"phases,omitempty"`
+}
+
+// PhaseStats says where the time of the Count answered /v1/schedule
+// requests went, in cumulative nanoseconds per step: reading the body,
+// scanning the envelope and hashing the payload into the cache key,
+// decoding and validating the instance (cache misses only — divide by
+// cache.misses, not Count), scheduling (cache lookup and scratch lease
+// included), and encoding plus writing the response. What a request
+// spends outside these — admission wait, net/http — is the difference
+// to the endpoint's mean_ms.
+type PhaseStats struct {
+	Count      uint64 `json:"count"`
+	ReadNS     uint64 `json:"read_ns"`
+	ScanKeyNS  uint64 `json:"scan_key_ns"`
+	DecodeNS   uint64 `json:"decode_ns"`
+	ScheduleNS uint64 `json:"schedule_ns"`
+	EncodeNS   uint64 `json:"encode_ns"`
 }
 
 // CacheStats is the instance cache's snapshot.
@@ -217,6 +255,10 @@ func (m *Metrics) snapshot() (out map[string]EndpointStats, rejected uint64, inf
 		}
 		if em.count > 0 {
 			es.MeanMS = float64(em.totalUS) / float64(em.count) / 1000.0
+		}
+		if em.phases.Count > 0 {
+			phases := em.phases
+			es.Phases = &phases
 		}
 		out[name] = es
 	}

@@ -15,17 +15,19 @@
 //     written. Cross-request bleed is impossible by construction: every
 //     memoized value in a Scratch is keyed on (instance pointer, table
 //     generation).
-//   - Content-hash instance caching. Submissions are keyed by the hash
-//     of their compacted payload bytes; a hit shares the parsed
-//     instance pointer (read-only from then on) and skips parse,
-//     validation, and table builds.
+//   - Content-hash instance caching. Submissions are keyed by the
+//     SHA-256 of their whitespace-stripped payload bytes, computed
+//     inside the one scan that reads the request envelope (wire.go); a
+//     hit shares the parsed instance pointer (read-only from then on)
+//     and skips parse, validation, and table builds.
 //   - Bounded admission. At most MaxConcurrent requests compute at
 //     once; excess requests wait up to QueueTimeout, then are refused
 //     with 503 — load sheds at the door instead of thrashing the
 //     scheduler.
 //   - Observability. GET /metrics reports request counts, latency
 //     quantiles, cache hit rates, scratch-pool stats, and admission
-//     counters as JSON.
+//     counters as JSON, and for /v1/schedule where the time went:
+//     body read, envelope scan + key, decode, schedule, encode.
 //
 // Responses are byte-identical to direct in-process library calls on
 // the same input for all three request kinds — the identity suite and
@@ -33,13 +35,11 @@
 package serve
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"hash"
 	"net/http"
 	"runtime"
-	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -262,57 +262,34 @@ func (s *Server) dispatch(r *http.Request, endpoint, sweep string, params experi
 	}
 }
 
-// instanceFor resolves a request's instance: cache hit, or parse +
-// validate + insert. The returned scratch is non-nil only on a cache
-// hit that also had a parked scratch (tables prebuilt); the caller
-// still owns releasing whatever scratch it ends up using.
-func (s *Server) instanceFor(w http.ResponseWriter, instRaw, wfcRaw json.RawMessage, link, ccr float64, nodes int) (*cacheEntry, *scheduler.Scratch, bool) {
-	var key string
-	switch {
-	case len(instRaw) > 0 && len(wfcRaw) > 0:
-		http.Error(w, "instance and wfc are mutually exclusive", http.StatusBadRequest)
-		return nil, nil, false
-	case len(instRaw) > 0:
-		key = hashKey(compactBytes(instRaw))
-	case len(wfcRaw) > 0:
-		key = hashKey(compactBytes(wfcRaw),
-			[]byte(strconv.FormatFloat(link, 'g', -1, 64)),
-			[]byte(strconv.FormatFloat(ccr, 'g', -1, 64)),
-			[]byte(strconv.Itoa(nodes)))
-	default:
-		http.Error(w, "one of instance or wfc is required", http.StatusBadRequest)
-		return nil, nil, false
-	}
+// instanceFor resolves a request's instance: cache hit, or decode +
+// validate + insert, in which case decode is how long that took. The
+// returned scratch is non-nil only on a cache hit that also had a
+// parked scratch (tables prebuilt); the caller still owns releasing
+// whatever scratch it ends up using.
+func (s *Server) instanceFor(w http.ResponseWriter, env *envelope, key cacheKey) (entry *cacheEntry, scr *scheduler.Scratch, decode time.Duration, ok bool) {
 	if entry, scr := s.cache.lookup(key); entry != nil {
-		return entry, scr, true
+		return entry, scr, 0, true
 	}
+	start := time.Now()
 	var inst *graph.Instance
 	var err error
-	if len(instRaw) > 0 {
-		inst, err = serialize.UnmarshalInstance(instRaw)
+	if len(env.Instance) > 0 {
+		inst, err = serialize.UnmarshalInstance(env.Instance)
 	} else {
-		inst, err = instanceFromWfC(wfcRaw, link, ccr, nodes)
+		inst, err = instanceFromWfC(env.WfC, env.Link, env.CCR, env.Nodes)
 	}
 	if err != nil {
 		http.Error(w, fmt.Sprintf("bad instance: %v", err), http.StatusBadRequest)
-		return nil, nil, false
+		return nil, nil, 0, false
 	}
-	return s.cache.insert(key, inst), nil, true
-}
-
-// compactBytes canonicalizes JSON payload whitespace so the cache key
-// survives re-indentation of the same document.
-func compactBytes(raw json.RawMessage) []byte {
-	var buf bytes.Buffer
-	if err := json.Compact(&buf, raw); err != nil {
-		return raw
-	}
-	return buf.Bytes()
+	return s.cache.insert(key, inst), nil, time.Since(start), true
 }
 
 // instanceFromWfC imports a wfformat document exactly as `saga convert
 // -from-wfc` does: uniform link strength, machines from the trace or a
 // unit network of the given size, optional homogeneous-CCR override.
+// The knobs arrive with their defaults applied (envelope.finish).
 func instanceFromWfC(raw []byte, link, ccr float64, nodes int) (*graph.Instance, error) {
 	doc, err := wfc.Parse(raw)
 	if err != nil {
@@ -321,12 +298,6 @@ func instanceFromWfC(raw []byte, link, ccr float64, nodes int) (*graph.Instance,
 	g, err := doc.ToTaskGraph()
 	if err != nil {
 		return nil, err
-	}
-	if link <= 0 {
-		link = 1
-	}
-	if nodes <= 0 {
-		nodes = 4
 	}
 	net := doc.ToNetwork(link)
 	if net == nil {
@@ -357,22 +328,49 @@ func (s *Server) releaseScratch(entry *cacheEntry, scr *scheduler.Scratch) {
 	s.pool.Put(scr)
 }
 
+// readEnvelope reads, scans and keys the body of a schedule or
+// robustness request, answering 400 (413 for an oversized body) when it
+// cannot. arrived is when the body had been read.
+func readEnvelope(w http.ResponseWriter, r *http.Request, robustness bool, h hash.Hash) (env envelope, key cacheKey, arrived time.Time, ok bool) {
+	body, ok := httpx.ReadBody(w, r)
+	if !ok {
+		return env, key, arrived, false
+	}
+	arrived = time.Now()
+	env, err := scanEnvelope(body, robustness, h)
+	if err == nil {
+		key, err = env.finish(h)
+	}
+	if err != nil {
+		http.Error(w, fmt.Sprintf("bad request body: %v", err), http.StatusBadRequest)
+		return env, key, arrived, false
+	}
+	return env, key, arrived, true
+}
+
 func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	release, ok := s.acquire(w, r)
 	if !ok {
 		return
 	}
 	defer release()
-	var req ScheduleRequest
-	if !httpx.ReadJSON(w, r, &req) {
+	ws := wirePool.Get().(*wireState)
+	defer wirePool.Put(ws)
+
+	// Five clock readings split the request into the phases /metrics
+	// reports; a miss takes two more around its decode.
+	t0 := time.Now()
+	env, key, t1, ok := readEnvelope(w, r, false, ws.h)
+	if !ok {
 		return
 	}
-	sched, err := scheduler.New(req.Scheduler)
+	sched, err := scheduler.New(env.Scheduler)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	entry, scr, ok := s.instanceFor(w, req.Instance, req.WfC, req.Link, req.CCR, req.Nodes)
+	t2 := time.Now()
+	entry, scr, decode, ok := s.instanceFor(w, &env, key)
 	if !ok {
 		return
 	}
@@ -387,16 +385,16 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("schedule: %v", err), http.StatusBadRequest)
 		return
 	}
-	raw, err := serialize.MarshalSchedule(out)
+	t3 := time.Now()
+	ws.out, err = appendScheduleResponse(ws.out[:0], sched.Name(), out)
 	if err != nil {
 		http.Error(w, fmt.Sprintf("encode schedule: %v", err), http.StatusInternalServerError)
 		return
 	}
-	httpx.WriteJSON(w, ScheduleResponse{
-		Scheduler: sched.Name(),
-		Makespan:  out.Makespan(),
-		Schedule:  raw,
-	})
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(ws.out)
+	t4 := time.Now()
+	s.metrics.recordPhases(t1.Sub(t0), t2.Sub(t1), decode, t3.Sub(t2)-decode, t4.Sub(t3))
 }
 
 func (s *Server) handlePortfolio(w http.ResponseWriter, r *http.Request) {
@@ -482,8 +480,10 @@ func (s *Server) handlePortfolio(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleRobustness(w http.ResponseWriter, r *http.Request) {
-	var req RobustnessRequest
-	if !httpx.ReadJSON(w, r, &req) {
+	ws := wirePool.Get().(*wireState)
+	req, key, _, ok := readEnvelope(w, r, true, ws.h)
+	wirePool.Put(ws)
+	if !ok {
 		return
 	}
 	sched, err := scheduler.New(req.Scheduler)
@@ -508,7 +508,7 @@ func (s *Server) handleRobustness(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("n %d outside [1, %d]", req.N, s.opts.MaxRobustnessN), http.StatusBadRequest)
 		return
 	}
-	entry, scr, ok := s.instanceFor(w, req.Instance, req.WfC, req.Link, req.CCR, req.Nodes)
+	entry, scr, _, ok := s.instanceFor(w, &req, key)
 	if !ok {
 		return
 	}
@@ -521,7 +521,7 @@ func (s *Server) handleRobustness(w http.ResponseWriter, r *http.Request) {
 	// bytes. Raw submissions use the client's bytes verbatim; WfC
 	// imports re-marshal the parsed instance (float64 JSON round-trips
 	// exactly, so the worker's parse is bit-equal to entry.inst).
-	instRaw := []byte(req.Instance)
+	instRaw := req.Instance
 	if len(instRaw) == 0 && s.disp != nil {
 		var merr error
 		if instRaw, merr = serialize.MarshalInstance(entry.inst); merr != nil {

@@ -280,6 +280,20 @@ func TestMetricsSnapshotShape(t *testing.T) {
 	if snap.UptimeSeconds <= 0 {
 		t.Fatalf("uptime %v", snap.UptimeSeconds)
 	}
+	// The phase split covers the three answered requests; only the miss
+	// decoded, so decode is the one phase that may be small but not zero.
+	ph := es.Phases
+	if ph == nil || ph.Count != 3 {
+		t.Fatalf("schedule phases: %+v, want a count of 3", ph)
+	}
+	for name, ns := range map[string]uint64{"read": ph.ReadNS, "scan_key": ph.ScanKeyNS, "decode": ph.DecodeNS, "schedule": ph.ScheduleNS, "encode": ph.EncodeNS} {
+		if ns == 0 || ns > uint64(time.Minute) {
+			t.Fatalf("phase %s accumulated %d ns: %+v", name, ns, ph)
+		}
+	}
+	if total := float64(ph.ReadNS+ph.ScanKeyNS+ph.DecodeNS+ph.ScheduleNS+ph.EncodeNS) / 1e6; total > es.MeanMS*float64(es.Count) {
+		t.Fatalf("phases sum to %.3f ms, more than the %.3f ms the endpoint spent in all", total, es.MeanMS*float64(es.Count))
+	}
 }
 
 func TestHealthz(t *testing.T) {

@@ -9,14 +9,59 @@ package wfc
 // mutation engine for a bounded slice of CI time, and the corpus under
 // testdata/fuzz/ (when the engine finds anything) is committed like any
 // other regression.
+//
+// The fuzzer is also differential: parseReflective is Parse as it stood
+// on encoding/json, and every input must get the same verdict and a
+// reflect.DeepEqual document from both. The one licensed divergence —
+// a key repeated inside one object, which the stdlib merges and the
+// scanner refuses — is recognised by asking the new decoder first.
 
 import (
+	"encoding/json"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"saga/internal/graph"
+	"saga/internal/jsonscan"
 )
+
+// parseReflective is the oracle: the reflective decoder Parse replaced.
+func parseReflective(data []byte) (*Instance, error) {
+	data, err := gunzip(data)
+	if err != nil {
+		return nil, err
+	}
+	var inst Instance
+	if err := json.Unmarshal(data, &inst); err != nil {
+		return nil, fmt.Errorf("wfc: %w", err)
+	}
+	if len(inst.Workflow.Tasks) == 0 {
+		return nil, fmt.Errorf("wfc: workflow %q has no tasks", inst.Name)
+	}
+	return &inst, nil
+}
+
+// parseChecked is Parse held to the oracle.
+func parseChecked(t *testing.T, data []byte) (*Instance, error) {
+	t.Helper()
+	doc, err := Parse(data)
+	if errors.Is(err, jsonscan.ErrDuplicateKey) {
+		return nil, err
+	}
+	want, wantErr := parseReflective(data)
+	if (err == nil) != (wantErr == nil) {
+		t.Fatalf("%.200q:\nscanner error: %v\noracle error:  %v", data, err, wantErr)
+	}
+	if err == nil && !reflect.DeepEqual(doc, want) {
+		t.Fatalf("%.200q:\nscanner decoded %+v\noracle decoded  %+v", data, doc, want)
+	}
+	return doc, err
+}
 
 func FuzzParse(f *testing.F) {
 	// Every committed fixture is a seed.
@@ -51,12 +96,35 @@ func FuzzParse(f *testing.F) {
 		`{"workflow": {"tasks": [{"name": "a", "files": [{"name": "f", "link": "input", "sizeInBytes": -5}]}]}}`,
 		"\x1f\x8b",             // bare gzip magic — sniffed, then rejected
 		"\x1f\x8b\x08\x00junk", // gzip header with a torn body
+		// Where a hand-written decoder could part from encoding/json.
+		`{"NAME": "n", "SchemaVersion": "1", "WORKFLOW": {"Tasks": [{"NAME": "a", "Id": "x", "runtimeinseconds": 1, "PARENTS": [], "Files": []}], "MACHINES": [{"nodename": "m", "SPEED": 2}]}}`,
+		`{"workflow": {"taſks": [{"name": "a", "fileſ": [{"ſizeInBytes": 1}]}]}}`, // U+017F folds to s
+		`{"name": null, "schemaVersion": null, "workflow": null}`,
+		`{"workflow": {"tasks": null, "machines": null}}`,
+		`{"workflow": {"tasks": [null, {"name": null, "id": null, "runtimeInSeconds": null, "parents": null, "files": null}], "machines": [null]}}`,
+		`{"workflow": {"tasks": [{"name": "a", "parents": [null], "files": [null, {"name": null, "link": null, "sizeInBytes": null}]}]}}`,
+		`{"workflow": {"tasks": [{"name": "a", "parents": [], "files": []}], "machines": []}}`, // empty, not nil
+		`{"n\u0061me": "\u00e9\ud83d\ude00", "workflow": {"tasks": [{"name": "lone \ud800 and \udc00\ud800 x", "id": "\"\\\/\b\f\n\r\t"}]}}`,
+		"{\"workflow\": {\"tasks\": [{\"name\": \"\xff\xc3(\"}]}}", // invalid UTF-8 becomes U+FFFD
+		"{\"workflow\": {\"tasks\": [{\"name\": \"a\tb\"}]}}",      // raw control character
+		`{"workflow": {"tasks": [{"name": "a", "runtimeInSeconds": 1.0}, {"name": "b", "runtimeInSeconds": 1e2}, {"name": "c", "runtimeInSeconds": -0}]}}`,
+		`{"workflow": {"tasks": [{"name": "a", "runtimeInSeconds": 1e999}]}}`,
+		`{"workflow": {"tasks": [{"name": "a", "runtimeInSeconds": 01}]}}`,
+		`{"workflow": {"tasks": [{"name": "a", "runtimeInSeconds": "1"}]}}`,
+		`{"workflow": {"tasks": [{"name": 1}]}}`,
+		`{"workflow": {"tasks": [{"name": "a", "parents": "b"}]}}`,
+		`{"workflow": {"tasks": {"name": "a"}}}`,
+		`{"workflow": [{"tasks": []}]}`,
+		`{"workflow": {"tasks": [{"name": "a"}]}} trailing`,
+		`{"workflow": {"tasks": [{"name": "a"}]}, "extra": ` + strings.Repeat("[", jsonscan.MaxDepth-1) + strings.Repeat("]", jsonscan.MaxDepth-1) + `}`,
+		`{"workflow": {"tasks": [{"name": "a"}]}, "extra": ` + strings.Repeat("[", jsonscan.MaxDepth) + strings.Repeat("]", jsonscan.MaxDepth) + `}`,
+		`{"workflow": {"tasks": [{"name": "a"}], "tasks": [{"name": "b"}]}}`, // repeated key: refused
 	} {
 		f.Add([]byte(seed))
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		doc, err := Parse(data)
+		doc, err := parseChecked(t, data)
 		if err != nil {
 			return // rejected cleanly
 		}
@@ -80,7 +148,7 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			t.Fatalf("Marshal of converted graph failed: %v", err)
 		}
-		doc2, err := Parse(raw)
+		doc2, err := parseChecked(t, raw)
 		if err != nil {
 			t.Fatalf("round-tripped document does not re-parse: %v\n%s", err, raw)
 		}

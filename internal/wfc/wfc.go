@@ -20,6 +20,7 @@ import (
 	"io"
 
 	"saga/internal/graph"
+	"saga/internal/jsonscan"
 )
 
 // File is one input or output file of a task.
@@ -67,28 +68,192 @@ type Instance struct {
 // 0x1f 0x8b magic bytes) are decompressed transparently, so every
 // caller of this single reader path accepts .json and .json.gz alike.
 func Parse(data []byte) (*Instance, error) {
-	if len(data) >= 2 && data[0] == 0x1f && data[1] == 0x8b {
-		zr, err := gzip.NewReader(bytes.NewReader(data))
-		if err != nil {
-			return nil, fmt.Errorf("wfc: bad gzip document: %w", err)
-		}
-		raw, err := io.ReadAll(zr)
-		if cerr := zr.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return nil, fmt.Errorf("wfc: bad gzip document: %w", err)
-		}
-		data = raw
+	data, err := gunzip(data)
+	if err != nil {
+		return nil, err
 	}
 	var inst Instance
-	if err := json.Unmarshal(data, &inst); err != nil {
+	s := jsonscan.New(data)
+	scanInstance(&s, &inst)
+	if err := s.End(); err != nil {
 		return nil, fmt.Errorf("wfc: %w", err)
 	}
 	if len(inst.Workflow.Tasks) == 0 {
 		return nil, fmt.Errorf("wfc: workflow %q has no tasks", inst.Name)
 	}
 	return &inst, nil
+}
+
+// gunzip returns data decompressed when it starts with the gzip magic
+// bytes, and as it is otherwise.
+func gunzip(data []byte) ([]byte, error) {
+	if len(data) < 2 || data[0] != 0x1f || data[1] != 0x8b {
+		return data, nil
+	}
+	zr, err := gzip.NewReader(bytes.NewReader(data))
+	if err != nil {
+		return nil, fmt.Errorf("wfc: bad gzip document: %w", err)
+	}
+	raw, err := io.ReadAll(zr)
+	if cerr := zr.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return nil, fmt.Errorf("wfc: bad gzip document: %w", err)
+	}
+	return raw, nil
+}
+
+// The field names of each wfformat object, in the order the scan
+// functions' switches number them. The scan functions give a document
+// the field semantics of encoding/json — keys matched exactly, then
+// case-folded; null leaves a field as it is; [] is an empty, non-nil
+// slice; unknown keys skipped — except that a key repeated inside one
+// object is refused (see internal/jsonscan).
+var (
+	instanceFields = []string{"name", "schemaVersion", "workflow"}
+	workflowFields = []string{"tasks", "machines"}
+	taskFields     = []string{"name", "id", "runtimeInSeconds", "parents", "files"}
+	fileFields     = []string{"name", "link", "sizeInBytes"}
+	machineFields  = []string{"nodeName", "speed"}
+)
+
+func scanInstance(s *jsonscan.Scanner, in *Instance) {
+	if !s.Object() {
+		return
+	}
+	var seen uint32
+	for {
+		field, ok := s.Field(instanceFields, &seen)
+		switch {
+		case !ok:
+			return
+		case field < 0:
+			s.Skip()
+		case field == 2:
+			scanWorkflow(s, &in.Workflow)
+		case s.Null(): // consumed; the field keeps its zero value
+		case field == 0:
+			in.Name = string(s.String())
+		case field == 1:
+			in.SchemaVersion = string(s.String())
+		}
+	}
+}
+
+func scanWorkflow(s *jsonscan.Scanner, wf *Workflow) {
+	if !s.Object() {
+		return
+	}
+	var seen uint32
+	for {
+		field, ok := s.Field(workflowFields, &seen)
+		switch {
+		case !ok:
+			return
+		case field < 0:
+			s.Skip()
+		case field == 0:
+			if s.Array() {
+				wf.Tasks = []Task{}
+				for s.More() {
+					wf.Tasks = append(wf.Tasks, scanTask(s))
+				}
+			}
+		case field == 1:
+			if s.Array() {
+				wf.Machines = []Machine{}
+				for s.More() {
+					wf.Machines = append(wf.Machines, scanMachine(s))
+				}
+			}
+		}
+	}
+}
+
+func scanTask(s *jsonscan.Scanner) (t Task) {
+	if !s.Object() {
+		return t
+	}
+	var seen uint32
+	for {
+		field, ok := s.Field(taskFields, &seen)
+		switch {
+		case !ok:
+			return t
+		case field < 0:
+			s.Skip()
+		case field == 3:
+			if s.Array() {
+				t.Parents = []string{}
+				for s.More() {
+					var parent string
+					if !s.Null() {
+						parent = string(s.String())
+					}
+					t.Parents = append(t.Parents, parent)
+				}
+			}
+		case field == 4:
+			if s.Array() {
+				t.Files = []File{}
+				for s.More() {
+					t.Files = append(t.Files, scanFile(s))
+				}
+			}
+		case s.Null():
+		case field == 0:
+			t.Name = string(s.String())
+		case field == 1:
+			t.ID = string(s.String())
+		case field == 2:
+			t.RuntimeInSeconds = s.Float()
+		}
+	}
+}
+
+func scanFile(s *jsonscan.Scanner) (f File) {
+	if !s.Object() {
+		return f
+	}
+	var seen uint32
+	for {
+		field, ok := s.Field(fileFields, &seen)
+		switch {
+		case !ok:
+			return f
+		case field < 0:
+			s.Skip()
+		case s.Null():
+		case field == 0:
+			f.Name = string(s.String())
+		case field == 1:
+			f.Link = string(s.String())
+		case field == 2:
+			f.SizeInBytes = s.Float()
+		}
+	}
+}
+
+func scanMachine(s *jsonscan.Scanner) (m Machine) {
+	if !s.Object() {
+		return m
+	}
+	var seen uint32
+	for {
+		field, ok := s.Field(machineFields, &seen)
+		switch {
+		case !ok:
+			return m
+		case field < 0:
+			s.Skip()
+		case s.Null():
+		case field == 0:
+			m.NodeName = string(s.String())
+		case field == 1:
+			m.Speed = s.Float()
+		}
+	}
 }
 
 // ToTaskGraph converts the workflow into the scheduling model's task
