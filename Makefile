@@ -19,13 +19,15 @@ test:
 # test-race runs the race detector over every package that spawns
 # goroutines: the worker pool, the parallel PISA/GA chains, the shared
 # scheduler scratch/cache machinery they reuse, the sweep drivers that
-# compose them, and the coordinator/worker protocol (heartbeat
-# goroutines, concurrent leases, the in-memory collector). The parallel
+# compose them, the checkpoint store every runner worker and every
+# coordinator delivery commits into concurrently, and the
+# coordinator/worker protocol (heartbeat goroutines, concurrent leases,
+# the in-memory collector). The parallel
 # paths are deterministic by construction (pre-split RNG streams,
 # per-chain scratches, canonical merge), and this is the gate that keeps
 # the construction honest.
 test-race:
-	$(GO) test -race ./internal/runner ./internal/core ./internal/scheduler ./internal/experiments ./internal/coord/... ./internal/serve ./internal/httpx
+	$(GO) test -race ./internal/runner ./internal/core ./internal/scheduler ./internal/experiments ./internal/serialize ./internal/coord/... ./internal/serve ./internal/httpx
 
 # verify is the tier-1 check: everything builds, every test passes
 # (including under the race detector for the concurrent packages), the
@@ -44,8 +46,9 @@ verify: build test test-race docs-lint bench-smoke bench-pisa bench-scale coord-
 # coord-smoke is the process-level fault drill for the sweep
 # coordinator: it builds the saga binary, starts `saga coordinate` plus
 # three `saga worker -coordinator` processes on a real Fig 4 sweep,
-# SIGKILLs one worker mid-lease, and asserts the finished checkpoint
-# store is byte-identical to the sequential single-process reference.
+# SIGKILLs one worker mid-lease, and asserts the checkpoint store the
+# coordinator sealed on exit is byte-identical to the sealed store of
+# the sequential single-process reference.
 # The in-process fault-injection suites in internal/coord run on every
 # plain `make test`; this target exercises the same invariant across
 # real process and socket boundaries.
@@ -87,17 +90,21 @@ bench-serve:
 
 # fuzz-short runs the daemon's ingestion fuzzers for a bounded slice of
 # CI time, 10 s each. FuzzScanner holds internal/jsonscan to json.Valid,
-# json.Compact and the stdlib's string decoding; the other three are
+# json.Compact and the stdlib's string decoding; the next three are
 # differential against the reflective encoding/json decoders the
 # hand-written codecs replaced (kept in _test.go files as oracles): same
 # accept/reject, reflect.DeepEqual values. FuzzParse additionally drives
 # Parse → ToTaskGraph → ToNetwork → Validate → Marshal round trip (must
 # never panic), seeded from the fixtures in internal/wfc/testdata/.
+# FuzzIter feeds the checkpoint store reader legacy, sealed, live,
+# concatenated and torn stores: it never panics, and Checkpoint.Load
+# returns exactly what Iter yields.
 fuzz-short:
 	$(GO) test -fuzz FuzzScanner -fuzztime 10s -run '^$$' ./internal/jsonscan/
 	$(GO) test -fuzz FuzzUnmarshalInstance -fuzztime 10s -run '^$$' ./internal/serialize/
 	$(GO) test -fuzz FuzzParse -fuzztime 10s -run '^$$' ./internal/wfc/
 	$(GO) test -fuzz FuzzScheduleEnvelope -fuzztime 10s -run '^$$' ./internal/serve/
+	$(GO) test -fuzz FuzzIter -fuzztime 10s -run '^$$' ./internal/serialize/
 
 # cover enforces the per-package statement-coverage floors in
 # COVER_BASELINE: `go test -cover` over the whole module, then every

@@ -14,12 +14,10 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync/atomic"
 
 	"saga/internal/core"
 	"saga/internal/datasets"
@@ -81,69 +79,44 @@ func shardSpec() (runner.ShardSpec, error) {
 	return runner.ParseShard(*flagShard)
 }
 
-// shardDone reports a finished shard instead of rendering: a sharded
-// result is partial by construction, and its real output is the store.
-// Touch guarantees the store file exists even for a shard owning zero
-// cells, so the merge never misses an expected file.
-func shardDone(label string, shard runner.ShardSpec, st *sweepStore) error {
-	if err := st.ckpt.Touch(); err != nil {
-		return err
-	}
-	fmt.Printf("%s: shard %s complete; cells stored in %s — combine with `saga merge -driver %s`, then re-run with `-checkpoint <merged>` (flags before the figure name) to render\n",
-		label, shard, *flagCkpt, label)
-	return nil
-}
-
-// sweepStore wraps the -checkpoint store and counts the cells this
-// process contributed. Rendering from a store that already covered the
-// whole sweep — a `saga merge` artifact, typically expensive to rebuild
-// — must not consume it, so removeCheckpoint only deletes stores this
-// run actually wrote into.
-type sweepStore struct {
-	ckpt   *serialize.Checkpoint
-	stored atomic.Int64
-}
-
-func (s *sweepStore) Load() (map[int]json.RawMessage, error) { return s.ckpt.Load() }
-
-func (s *sweepStore) Store(index int, cell json.RawMessage) error {
-	s.stored.Add(1)
-	return s.ckpt.Store(index, cell)
-}
-
-func (s *sweepStore) Flush() error { return s.ckpt.Flush() }
-
 // checkpoint binds the -checkpoint store (nil when the flag is unset) to
 // the given sweep fingerprint and wires it into ro. The fingerprint must
 // cover every input that shapes cell indices and contents, so resuming a
 // different sweep fails loudly instead of mixing stale cells in.
-func checkpoint(ro *runner.Options, fingerprint string) *sweepStore {
+func checkpoint(ro *runner.Options, fingerprint string) *serialize.Checkpoint {
 	if *flagCkpt == "" {
 		return nil
 	}
 	ckpt := serialize.NewCheckpoint(*flagCkpt)
 	ckpt.SetFingerprint(fingerprint)
-	st := &sweepStore{ckpt: ckpt}
-	ro.Checkpoint = st
-	return st
+	ro.Checkpoint = ckpt
+	return ckpt
 }
 
-// removeCheckpoint deletes a completed sweep's store so it is not
-// mistaken for a resumable one — unless this run computed nothing (the
-// store was already complete, i.e. a merged artifact), in which case it
-// is kept for further renders. A failed cleanup is only worth a warning
-// — the computed result must still be rendered.
-func removeCheckpoint(label string, st *sweepStore) {
-	if st == nil {
-		return
+// finishStore ends a sweep's use of the -checkpoint store
+// (serialize.Checkpoint.Finish) and reports whether the run was a shard:
+// a sharded result is partial by construction, its real output is the
+// store, and the caller skips the rendering. A failed cleanup after a
+// complete run is only worth a warning — the computed result must still
+// be rendered.
+func finishStore(label string, shard runner.ShardSpec, ckpt *serialize.Checkpoint) (sharded bool, err error) {
+	if ckpt == nil {
+		return false, nil
 	}
-	if st.stored.Load() == 0 {
-		fmt.Fprintf(os.Stderr, "figures: %s: store %s already held every cell; keeping it\n", label, *flagCkpt)
-		return
-	}
-	if err := st.ckpt.Remove(); err != nil {
+	kept, err := ckpt.Finish(shard.Enabled())
+	switch {
+	case shard.Enabled():
+		if err == nil {
+			fmt.Printf("%s: shard %s complete; cells stored in %s — combine with `saga merge -driver %s`, then re-run with `-checkpoint <merged>` (flags before the figure name) to render\n",
+				label, shard, *flagCkpt, label)
+		}
+		return true, err
+	case err != nil:
 		fmt.Fprintf(os.Stderr, "figures: %s: checkpoint cleanup: %v\n", label, err)
+	case kept:
+		fmt.Fprintf(os.Stderr, "figures: %s: store %s already held every cell; keeping it\n", label, *flagCkpt)
 	}
+	return false, nil
 }
 
 // runnerOptions assembles the worker pool configuration shared by every
@@ -312,10 +285,9 @@ func fig4() error {
 	if err != nil {
 		return err
 	}
-	if ro.Shard.Enabled() {
-		return shardDone("fig4", ro.Shard, ckpt)
+	if sharded, err := finishStore("fig4", ro.Shard, ckpt); sharded || err != nil {
+		return err
 	}
-	removeCheckpoint("fig4", ckpt)
 	rows := append([][]float64{res.Worst}, res.Ratios...)
 	rowLabels := append([]string{"Worst"}, res.Schedulers...)
 	fmt.Print(render.Grid(
@@ -367,10 +339,9 @@ func family(label, title string, gen func(*rng.RNG) *graph.Instance) error {
 	if err != nil {
 		return err
 	}
-	if ro.Shard.Enabled() {
-		return shardDone(label, ro.Shard, ckpt)
+	if sharded, err := finishStore(label, ro.Shard, ckpt); sharded || err != nil {
+		return err
 	}
-	removeCheckpoint(label, ckpt)
 	for _, name := range res.Schedulers {
 		fmt.Print(render.Histogram(name, res.Makespans[name], 10))
 	}
@@ -442,13 +413,11 @@ func appSpecific(workflow string) error {
 		if err != nil {
 			return err
 		}
-		if ro.Shard.Enabled() {
-			if err := shardDone("appspecific", ro.Shard, ckpt); err != nil {
-				return err
-			}
+		if sharded, err := finishStore("appspecific", ro.Shard, ckpt); err != nil {
+			return err
+		} else if sharded {
 			continue
 		}
-		removeCheckpoint("appspecific", ckpt)
 		rows := append([][]float64{}, res.Ratios...)
 		rows = append(rows, res.Benchmark)
 		rowLabels := append([]string{}, res.Schedulers...)

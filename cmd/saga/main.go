@@ -10,9 +10,9 @@
 //	saga generate -dataset chains -out i.json  # draw an instance
 //	saga schedule -scheduler HEFT -in i.json   # schedule it
 //	saga pisa -target HEFT -base CPoP          # adversarial search
-//	saga worker -driver fig4 -shard 2/8 -checkpoint s2.json   # one shard
-//	saga merge  -driver fig4 -out merged.json s0.json s1.json # combine
-//	saga coordinate -driver fig4 -checkpoint store.json       # lease cells out
+//	saga worker -driver fig4 -shard 2/8 -checkpoint s2.ckpt   # one shard
+//	saga merge  -driver fig4 -out merged.ckpt s0.ckpt s1.ckpt # combine
+//	saga coordinate -driver fig4 -checkpoint store.ckpt       # lease cells out
 //	saga worker -coordinator http://host:port                 # compute leases
 package main
 
@@ -116,11 +116,11 @@ commands:
              [-iters N] [-restarts N] [-workflow w] [-ccr F] [-scheduler s] [-sigma F] [-in file.json]
              [-workers N] [-chain-workers N] [-progress]
              or: -coordinator http://host:port [-name id] [-workers N] [-persist] [-token T] [-progress]
-  coordinate -driver <name> -checkpoint store.json [-addr host:port] [-lease N] [-lease-ttl D]
+  coordinate -driver <name> -checkpoint store.ckpt [-addr host:port] [-lease N] [-lease-ttl D]
              [-retries N] [-retry-backoff D] [-shuffle-seed N] [-token T] [-verbose] [sweep flags as for worker]
              or: -hub [-addr host:port] [-lease N] [-lease-ttl D] [-token T] [-verbose]   (serve many sweeps for dispatch)
              or: -watch http://host:port [-interval D] [-token T]                         (live progress line)
-  merge      -driver <name> -out merged.json [sweep flags as for worker] shard1.json shard2.json ...`)
+  merge      -driver <name> -out merged.ckpt [sweep flags as for worker] shard1.ckpt shard2.ckpt ...`)
 }
 
 // tokenFlag registers the -token flag every networked subcommand
@@ -453,7 +453,7 @@ func robustnessCmd(args []string) error {
 	n := fs.Int("n", 100, "jitter samples")
 	seed := fs.Uint64("seed", 1, "random seed")
 	workers := fs.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
-	ckptPath := fs.String("checkpoint", "", "checkpoint file (resume an interrupted jitter sweep)")
+	ckptPath := fs.String("checkpoint", "", "checkpoint file (resume an interrupted jitter sweep, or summarize a store written by `saga merge`, which is kept)")
 	shardStr := fs.String("shard", "", "compute only shard I/C of the jitter samples (requires -checkpoint; combine with `saga merge -driver robustness`)")
 	server := fs.String("server", "", "daemon URL; run the jitter sweep on `saga serve` instead of in-process")
 	token := tokenFlag(fs)
@@ -526,20 +526,24 @@ func robustnessCmd(args []string) error {
 	if err != nil {
 		return err
 	}
-	if sharded {
-		// A shard's output is its store, not the partial in-memory
-		// summaries (they cover owned cells only). Leave a fingerprinted
-		// store even when this shard owns zero cells.
-		if err := ckpt.Touch(); err != nil {
-			return err
-		}
-		fmt.Printf("robustness: shard %s complete; cells stored in %s (combine with `saga merge -driver robustness`)\n",
-			ro.Shard, *ckptPath)
-		return nil
-	}
 	if ckpt != nil {
-		if err := ckpt.Remove(); err != nil {
+		// One finish policy for every store (serialize.Checkpoint.Finish):
+		// a shard's output is its sealed store, not the partial in-memory
+		// summaries (they cover owned cells only); a complete run removes
+		// the store unless it stored nothing — `saga merge` points here to
+		// summarize a merged store, which must survive being read.
+		kept, err := ckpt.Finish(sharded)
+		switch {
+		case sharded:
+			if err == nil {
+				fmt.Printf("robustness: shard %s complete; cells stored in %s (combine with `saga merge -driver robustness`)\n",
+					ro.Shard, *ckptPath)
+			}
+			return err
+		case err != nil:
 			fmt.Fprintf(os.Stderr, "saga: robustness: checkpoint cleanup: %v\n", err)
+		case kept:
+			fmt.Fprintf(os.Stderr, "saga: robustness: store %s already held every cell; keeping it\n", *ckptPath)
 		}
 	}
 	fmt.Printf("%s nominal makespan: %.4f\n", res.Scheduler, res.Nominal)
@@ -842,10 +846,10 @@ func workerCmd(args []string) error {
 	if err := sw.Run(ro); err != nil {
 		return err
 	}
-	// A shard owning zero cells (more shards than cells) stores nothing;
-	// still leave a fingerprinted empty store so the merge sees every
+	// A shard's output is its sealed store — written even when the shard
+	// owns zero cells (more shards than cells), so the merge sees every
 	// shard it expects.
-	if err := ckpt.Touch(); err != nil {
+	if err := ckpt.Seal(); err != nil {
 		return err
 	}
 	fmt.Printf("worker: %s shard %s complete; cells stored in %s (combine with `saga merge -driver %s`)\n",
@@ -913,12 +917,14 @@ func coordinateCmd(args []string) error {
 	h := coord.NewHub(hopts)
 	what := "hub"
 	var sweep *coord.Coordinator
+	var ckpt *serialize.Checkpoint
 	if !*hub {
 		p, err := params()
 		if err != nil {
 			return err
 		}
-		if sweep, err = h.Mount(*driver, p, serialize.NewCheckpoint(*ckptPath)); err != nil {
+		ckpt = serialize.NewCheckpoint(*ckptPath)
+		if sweep, err = h.Mount(*driver, p, ckpt); err != nil {
 			return err
 		}
 		st := sweep.Status()
@@ -950,6 +956,11 @@ func coordinateCmd(args []string) error {
 		return err
 	case err := <-finished:
 		if err != nil {
+			return err
+		}
+		// Cells were committed in completion order; sealing leaves the
+		// canonical store any other finished run of the sweep seals to.
+		if err := ckpt.Seal(); err != nil {
 			return err
 		}
 		fmt.Printf("coordinate: sweep %s complete; %d cells in %s (render with `figures -checkpoint %s %s`, same sweep flags)\n",

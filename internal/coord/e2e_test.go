@@ -41,7 +41,7 @@ func TestCoordSmokeE2E(t *testing.T) {
 	params := experiments.SweepParams{Iters: 150, Restarts: 1, Seed: 4}
 	ref := sequentialReference(t, dir, "fig4", params)
 
-	storePath := filepath.Join(dir, "store.json")
+	storePath := filepath.Join(dir, "store.ckpt")
 	coordProc := exec.Command(bin, "coordinate",
 		"-driver", "fig4", "-checkpoint", storePath, "-addr", "127.0.0.1:0",
 		"-lease", "4", "-lease-ttl", "1s", "-retry-backoff", "100ms",

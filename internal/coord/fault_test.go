@@ -20,7 +20,7 @@ import (
 
 // sequentialReference runs the sweep in one process, one worker — the
 // ground truth every faulted coordinator run must reproduce byte for
-// byte — and returns the store's bytes.
+// byte — and returns the sealed store's bytes.
 func sequentialReference(t *testing.T, dir, name string, params experiments.SweepParams) []byte {
 	t.Helper()
 	sw, err := experiments.NewSweep(name, params)
@@ -33,11 +33,10 @@ func sequentialReference(t *testing.T, dir, name string, params experiments.Swee
 	if _, err := ck.Load(); err != nil {
 		t.Fatal(err)
 	}
-	ck.SetFlushEvery(sw.Cells + 1)
 	if err := sw.Run(runner.Options{Workers: 1, Checkpoint: ck}); err != nil {
 		t.Fatal(err)
 	}
-	if err := ck.Flush(); err != nil {
+	if err := ck.Seal(); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -50,12 +49,15 @@ func sequentialReference(t *testing.T, dir, name string, params experiments.Swee
 // faultedRun pre-mounts the sweep on a hub over the store at storePath
 // and drives the full protocol over HTTP with one one-shot worker per
 // plan — each wrapped in its plan's faulty transport and kill hook —
-// and returns the store's bytes after Wait.
+// and returns the store's bytes after Wait, sealed as `saga coordinate`
+// seals it: cells were committed in whatever order the faults let them
+// complete, and the sealed form must not show it.
 func faultedRun(t *testing.T, storePath, name string, params experiments.SweepParams,
 	coordOpts Options, plans []faultinject.Plan) []byte {
 	t.Helper()
 	h, srv := testHub(t, HubOptions{Sweep: coordOpts})
-	c, err := h.Mount(name, params, serialize.NewCheckpoint(storePath))
+	store := serialize.NewCheckpoint(storePath)
+	c, err := h.Mount(name, params, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,6 +87,9 @@ func faultedRun(t *testing.T, storePath, name string, params experiments.SweepPa
 		t.Fatalf("coordinator: %v", err)
 	}
 	wg.Wait()
+	if err := store.Seal(); err != nil {
+		t.Fatal(err)
+	}
 	data, err := os.ReadFile(storePath)
 	if err != nil {
 		t.Fatal(err)

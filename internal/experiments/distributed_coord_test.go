@@ -41,11 +41,10 @@ func TestCoordinatedSweepRandomLeaseOrderBitIdentity(t *testing.T) {
 	if _, err := refCk.Load(); err != nil {
 		t.Fatal(err)
 	}
-	refCk.SetFlushEvery(sw.Cells + 1)
 	if err := sw.Run(runner.Options{Workers: 1, Checkpoint: refCk}); err != nil {
 		t.Fatal(err)
 	}
-	if err := refCk.Flush(); err != nil {
+	if err := refCk.Seal(); err != nil {
 		t.Fatal(err)
 	}
 	ref, err := os.ReadFile(refPath)
@@ -61,7 +60,8 @@ func TestCoordinatedSweepRandomLeaseOrderBitIdentity(t *testing.T) {
 				LeaseTTL:    300 * time.Millisecond,
 				ShuffleSeed: shuffleSeed,
 			}})
-			c, err := hub.Mount("fig7", params, serialize.NewCheckpoint(storePath))
+			store := serialize.NewCheckpoint(storePath)
+			c, err := hub.Mount("fig7", params, store)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -96,6 +96,11 @@ func TestCoordinatedSweepRandomLeaseOrderBitIdentity(t *testing.T) {
 				t.Fatalf("coordinator: %v", err)
 			}
 			wg.Wait()
+			// Commits landed in completion order; sealed, as `saga
+			// coordinate` seals a finished sweep, the order must not show.
+			if err := store.Seal(); err != nil {
+				t.Fatal(err)
+			}
 			got, err := os.ReadFile(storePath)
 			if err != nil {
 				t.Fatal(err)

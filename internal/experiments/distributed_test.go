@@ -20,7 +20,7 @@ func shardStores(t *testing.T, dir, fingerprint string, count int, run func(ro r
 	t.Helper()
 	paths := make([]string, count)
 	for i := 0; i < count; i++ {
-		paths[i] = filepath.Join(dir, fmt.Sprintf("shard-%d.json", i))
+		paths[i] = filepath.Join(dir, fmt.Sprintf("shard-%d.ckpt", i))
 		ck := serialize.NewCheckpoint(paths[i])
 		ck.SetFingerprint(fingerprint)
 		ro := runner.Options{
@@ -40,7 +40,7 @@ func shardStores(t *testing.T, dir, fingerprint string, count int, run func(ro r
 // progress trace capturing how much was loaded versus recomputed.
 func mergedResume(t *testing.T, dir, fingerprint string, total int, paths []string) (runner.Options, *[][2]int) {
 	t.Helper()
-	merged := filepath.Join(dir, "merged.json")
+	merged := filepath.Join(dir, "merged.ckpt")
 	n, err := serialize.MergeCheckpoints(merged, fingerprint, total, paths)
 	if err != nil {
 		t.Fatal(err)

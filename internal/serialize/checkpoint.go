@@ -5,10 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
-	"path/filepath"
-	"strconv"
-	"strings"
+	"slices"
 	"sync"
 )
 
@@ -16,30 +15,30 @@ import (
 var errStopIter = errors.New("serialize: stop iteration")
 
 // Checkpoint is a file-backed store of per-cell sweep results — the
-// persistence side of runner's checkpoint/resume hook. Completed cells
-// are kept as raw JSON keyed by cell index; the file is rewritten
-// atomically (write-to-temp, rename) so a killed sweep never leaves a
-// truncated store behind.
+// persistence side of runner's checkpoint/resume hook. It is a map of
+// the completed cells (raw JSON keyed by cell index) over one
+// StoreWriter: the first write of a process replaces the file with
+// everything the map holds (temp file, rename), every later Store
+// appends one record and closes its gzip member. A cell is therefore on
+// disk, readable by a fresh Load, when Store returns, and a killed sweep
+// leaves at worst a torn final member, which Load refuses by name.
 //
-// The zero value is not usable; construct with NewCheckpoint.
+// The zero value is not usable; construct with NewCheckpoint. There is
+// nothing to close: Seal and Remove release the file, and a Checkpoint
+// dropped without either holds no unwritten data.
 type Checkpoint struct {
 	path string
 
 	mu          sync.Mutex
 	fingerprint string
 	cells       map[int]json.RawMessage
-	// pending counts cells stored since the last write; Store rewrites
-	// the file every flushEvery cells, and Flush always rewrites when
-	// anything is pending.
-	pending    int
-	flushEvery int
+	w           *StoreWriter // nil until this process first writes
+	stored      int          // cells stored through this Checkpoint
 }
 
-// NewCheckpoint returns a checkpoint store persisted at path. Cells are
-// written through on every Store; see SetFlushEvery to batch writes for
-// sweeps with many cheap cells.
+// NewCheckpoint returns a checkpoint store persisted at path.
 func NewCheckpoint(path string) *Checkpoint {
-	return &Checkpoint{path: path, flushEvery: 1}
+	return &Checkpoint{path: path}
 }
 
 // SetFingerprint binds the store to one specific sweep. The fingerprint
@@ -54,91 +53,56 @@ func (c *Checkpoint) SetFingerprint(fp string) {
 	c.mu.Unlock()
 }
 
-// SetFlushEvery makes Store rewrite the file only every n-th stored cell
-// (Flush still always persists). n < 1 is treated as 1.
-func (c *Checkpoint) SetFlushEvery(n int) {
-	if n < 1 {
-		n = 1
-	}
-	c.mu.Lock()
-	c.flushEvery = n
-	c.mu.Unlock()
-}
-
-// checkpointFile is the on-disk format: cell indices as JSON object keys.
-type checkpointFile struct {
-	Fingerprint string                     `json:"fingerprint,omitempty"`
-	Cells       map[string]json.RawMessage `json:"cells"`
-}
-
 // Load implements runner.Checkpoint: it reads the store from disk (an
 // absent file is an empty store) and returns the cells by index.
 func (c *Checkpoint) Load() (map[int]json.RawMessage, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	data, err := os.ReadFile(c.path)
-	if os.IsNotExist(err) {
-		c.cells = map[int]json.RawMessage{}
-		return map[int]json.RawMessage{}, nil
-	}
-	if err != nil {
+	if err := c.loadLocked(); err != nil {
 		return nil, err
 	}
-	if isGzip(data) {
-		// Stream-format store (see stream.go): decode record by record,
-		// then serve the same map shape the JSON path produces.
-		cells, err := loadStream(c.path, c.fingerprint)
-		if err != nil {
-			return nil, err
-		}
-		c.cells = cells
-		out := make(map[int]json.RawMessage, len(cells))
-		for k, raw := range cells {
-			out[k] = raw
-		}
-		return out, nil
-	}
-	var cf checkpointFile
-	if err := json.Unmarshal(data, &cf); err != nil {
-		// Atomic rename makes a torn write unlikely, but stores can still
-		// arrive truncated or corrupt (a crash mid-copy between machines,
-		// a full disk, a worker killed while streaming its store over the
-		// network). Name the file and say what to do — never let a bad
-		// store surface as a bare decode failure three layers up.
-		return nil, fmt.Errorf("serialize: checkpoint %s is corrupt or truncated (%d bytes): %w — a crash mid-write? delete it (or restore it from the worker that wrote it) and re-run",
-			c.path, len(data), err)
-	}
-	if cf.Fingerprint != c.fingerprint {
-		return nil, fmt.Errorf("serialize: checkpoint %s was written by a different sweep (%q, want %q) — delete it or pass a fresh path",
-			c.path, cf.Fingerprint, c.fingerprint)
-	}
-	c.cells = make(map[int]json.RawMessage, len(cf.Cells))
-	out := make(map[int]json.RawMessage, len(cf.Cells))
-	for key, raw := range cf.Cells {
-		k, err := strconv.Atoi(key)
-		if err != nil {
-			return nil, fmt.Errorf("serialize: checkpoint %s: bad cell key %q", c.path, key)
-		}
-		c.cells[k] = raw
-		out[k] = raw
-	}
-	return out, nil
+	return maps.Clone(c.cells), nil
 }
 
-// Store implements runner.Checkpoint: it records one completed cell and
-// persists the store according to the flush policy.
+func (c *Checkpoint) loadLocked() error {
+	cells := map[int]json.RawMessage{}
+	fp, err := Iter(c.path, func(index int, cell json.RawMessage) error {
+		cells[index] = bytes.Clone(cell)
+		return nil
+	})
+	switch {
+	case os.IsNotExist(err):
+	case err != nil:
+		return err
+	case fp != c.fingerprint:
+		return differentSweepErr(c.path, fp, c.fingerprint)
+	}
+	c.cells = cells
+	return nil
+}
+
+// Store implements runner.Checkpoint: it records one completed cell,
+// which is on disk when Store returns. Store without a prior Load
+// replaces whatever the file held.
 func (c *Checkpoint) Store(index int, cell json.RawMessage) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.storeLocked(index, cell)
+}
+
+func (c *Checkpoint) storeLocked(index int, cell json.RawMessage) error {
 	if c.cells == nil {
 		c.cells = map[int]json.RawMessage{}
 	}
 	c.cells[index] = cell
-	c.pending++
-	if c.pending >= c.flushEvery {
-		return c.writeLocked()
+	c.stored++
+	if c.w == nil {
+		return c.rewriteLocked()
 	}
-	return nil
+	if err := c.w.Append(index, cell); err != nil {
+		return err
+	}
+	return c.w.Flush()
 }
 
 // StoreDedup records one completed cell, tolerating duplicate
@@ -149,19 +113,19 @@ func (c *Checkpoint) Store(index int, cell json.RawMessage) error {
 // and must never silently overwrite the committed value. This is the
 // commit primitive of the coordinator protocol (internal/coord), where
 // reclaimed leases and duplicated deliveries make redundant completions
-// routine.
+// routine — and concurrent, so the check and the commit are one
+// critical section.
 func (c *Checkpoint) StoreDedup(index int, cell json.RawMessage) (stored bool, err error) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if prev, ok := c.cells[index]; ok {
-		c.mu.Unlock()
 		if !bytes.Equal(prev, cell) {
 			return false, fmt.Errorf("serialize: checkpoint %s: duplicate completion of cell %d disagrees with the committed value (%d vs %d bytes) — results from a different sweep?",
 				c.path, index, len(cell), len(prev))
 		}
 		return false, nil
 	}
-	c.mu.Unlock()
-	return true, c.Store(index, cell)
+	return true, c.storeLocked(index, cell)
 }
 
 // PeekFingerprint reads only the fingerprint of the store at path,
@@ -170,59 +134,66 @@ func (c *Checkpoint) StoreDedup(index int, cell json.RawMessage) (stored bool, e
 // hand; an unreadable or corrupt store fails with the same per-file
 // diagnostics Load gives.
 func PeekFingerprint(path string) (string, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
+	fp, err := Iter(path, func(int, json.RawMessage) error { return errStopIter })
+	if err != nil && err != errStopIter {
 		return "", err
 	}
-	if isGzip(data) {
-		// Stream-format store: the fingerprint is the header record, so
-		// only the first member's first value is decoded.
-		fp, err := Iter(path, func(int, json.RawMessage) error { return errStopIter })
-		if err != nil && err != errStopIter {
-			return "", err
+	return fp, nil
+}
+
+// Flush implements runner.Checkpoint. Every Store is written through,
+// so there is never anything left to persist.
+func (c *Checkpoint) Flush() error { return nil }
+
+// Seal rewrites the store in its canonical form — one gzip member, the
+// header, then every cell ascending by index — and releases the file. A
+// live store's members follow completion order; a sealed one depends
+// only on the fingerprint and the cells, so two finished stores of one
+// sweep compare equal as file bytes however their cells arrived. A
+// store that was never loaded or stored into is loaded first, and a
+// store holding no cells is still written: a shard owning zero cells
+// must leave a fingerprinted file behind, or the merge would refuse the
+// "missing" shard despite the others covering every cell.
+func (c *Checkpoint) Seal() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.cells == nil {
+		if err := c.loadLocked(); err != nil {
+			return err
 		}
-		return fp, nil
 	}
-	var cf checkpointFile
-	if err := json.Unmarshal(data, &cf); err != nil {
-		return "", fmt.Errorf("serialize: checkpoint %s is corrupt or truncated (%d bytes): %w — a crash mid-write? delete it (or restore it from the worker that wrote it) and re-run",
-			path, len(data), err)
+	if err := c.rewriteLocked(); err != nil {
+		return err
 	}
-	return cf.Fingerprint, nil
+	return c.closeLocked()
 }
 
-// Flush implements runner.Checkpoint: it persists any cells not yet on
-// disk.
-func (c *Checkpoint) Flush() error {
+// Finish ends a sweep's use of the store, the one policy every CLI
+// shares. A shard's output is its store, so a shard seals it. A complete
+// run has its result in memory and removes the store, so a finished
+// checkpoint is not mistaken for a resumable one — unless this process
+// stored nothing: the store already held every cell (a `saga merge` or
+// `saga coordinate` artifact, typically expensive to rebuild) and is
+// kept for further renders.
+func (c *Checkpoint) Finish(shard bool) (kept bool, err error) {
+	if shard {
+		return true, c.Seal()
+	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.pending == 0 {
-		return nil
+	stored := c.stored
+	c.mu.Unlock()
+	if stored == 0 {
+		return true, nil
 	}
-	return c.writeLocked()
+	return false, c.Remove()
 }
 
-// Touch persists the store even when it holds no cells (Store/Flush
-// only write when something is pending). A shard of a distributed sweep
-// that owns zero cells still must leave a fingerprinted empty store
-// behind, or the merge would refuse the "missing" file despite the
-// other shards covering every cell.
-func (c *Checkpoint) Touch() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, err := os.Stat(c.path); err == nil {
-		return nil
-	}
-	return c.writeLocked()
-}
-
-// Remove deletes the store from disk — call it after a sweep completes
-// so a finished checkpoint is not mistaken for a resumable one.
+// Remove deletes the store from disk.
 func (c *Checkpoint) Remove() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.cells = nil
-	c.pending = 0
+	c.closeLocked()
 	err := os.Remove(c.path)
 	if os.IsNotExist(err) {
 		return nil
@@ -230,45 +201,33 @@ func (c *Checkpoint) Remove() error {
 	return err
 }
 
-// writeLocked rewrites the store atomically. Callers hold c.mu. Paths
-// ending in ".gz" opt into the stream format (stream.go); everything
-// else writes the legacy JSON object, byte-identical to prior releases.
-func (c *Checkpoint) writeLocked() error {
-	if strings.HasSuffix(c.path, streamSuffix) {
-		if err := writeStreamLocked(c.path, c.fingerprint, c.cells); err != nil {
-			return err
+// rewriteLocked replaces the file with every held cell in canonical
+// form — the only whole-store write — and leaves c.w appending to it.
+// Callers hold c.mu.
+func (c *Checkpoint) rewriteLocked() error {
+	w, err := replaceStore(c.path, c.fingerprint, func(w *StoreWriter) error {
+		for _, k := range slices.Sorted(maps.Keys(c.cells)) {
+			if err := w.Append(k, c.cells[k]); err != nil {
+				return err
+			}
 		}
-		c.pending = 0
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	c.closeLocked()
+	c.w = w
+	return nil
+}
+
+// closeLocked releases the append writer, if any. Its members are
+// closed after every Store, so only the descriptor is left to close.
+func (c *Checkpoint) closeLocked() error {
+	if c.w == nil {
 		return nil
 	}
-	cf := checkpointFile{
-		Fingerprint: c.fingerprint,
-		Cells:       make(map[string]json.RawMessage, len(c.cells)),
-	}
-	for k, raw := range c.cells {
-		cf.Cells[strconv.Itoa(k)] = raw
-	}
-	data, err := json.Marshal(cf)
-	if err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(c.path), filepath.Base(c.path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), c.path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	c.pending = 0
-	return nil
+	err := c.w.Close()
+	c.w = nil
+	return err
 }

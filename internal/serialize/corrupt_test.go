@@ -9,69 +9,93 @@ import (
 	"testing"
 )
 
-// TestCheckpointLoadTruncationTorture truncates a real multi-cell
-// fingerprinted store at every byte boundary and demands that Load
-// either succeeds on the full file or fails with the per-file
-// corruption diagnostic — never a panic, never a silently short store.
-// This is the failure a coordinator sees when a worker dies while its
-// store is being copied off the machine.
+// TestCheckpointLoadTruncationTorture truncates real multi-cell
+// fingerprinted stores at every byte boundary and demands that Load
+// either returns exactly the cells of the members closed before the cut
+// — which only a cut landing on a member boundary may do — or fails
+// with the per-file corruption diagnostic: never a panic, never a cell
+// from a torn member. This is the failure a coordinator sees when a
+// worker dies while its store is being copied off the machine, and the
+// one a killed sweep's own store shows on resume. The sealed store has
+// one member, so no strict prefix of it loads; the live store has one
+// per Store.
 func TestCheckpointLoadTruncationTorture(t *testing.T) {
-	dir := t.TempDir()
-	full := filepath.Join(dir, "full.ckpt")
 	const fp = "fig4 seed=1 iters=100"
-	ck := NewCheckpoint(full)
-	ck.SetFingerprint(fp)
-	if _, err := ck.Load(); err != nil {
-		t.Fatal(err)
-	}
-	ck.SetFlushEvery(10)
-	for k := 0; k < 8; k++ {
-		cell := fmt.Sprintf(`{"makespan":%d.5,"sched":"heft-%d"}`, 100+k, k)
-		if err := ck.Store(k, json.RawMessage(cell)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := ck.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(data) < 100 {
-		t.Fatalf("store implausibly small (%d bytes); torture would prove nothing", len(data))
-	}
-
-	trunc := filepath.Join(dir, "trunc.ckpt")
-	for n := 0; n <= len(data); n++ {
-		if err := os.WriteFile(trunc, data[:n], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		c := NewCheckpoint(trunc)
-		c.SetFingerprint(fp)
-		cells, err := c.Load()
-		if n == len(data) {
-			if err != nil || len(cells) != 8 {
-				t.Fatalf("full file failed to load: %d cells, %v", len(cells), err)
+	for _, seal := range []bool{true, false} {
+		t.Run(fmt.Sprintf("sealed=%v", seal), func(t *testing.T) {
+			dir := t.TempDir()
+			full := filepath.Join(dir, "full.ckpt")
+			ck := NewCheckpoint(full)
+			ck.SetFingerprint(fp)
+			if _, err := ck.Load(); err != nil {
+				t.Fatal(err)
 			}
-			continue
-		}
-		if err == nil {
-			// A strict prefix of a JSON object is never valid JSON, so any
-			// clean load of truncated bytes means Load silently accepted a
-			// short store.
-			t.Fatalf("truncation to %d of %d bytes loaded cleanly (%d cells)", n, len(data), len(cells))
-		}
-		msg := err.Error()
-		if !strings.Contains(msg, trunc) {
-			t.Fatalf("truncation to %d bytes: error does not name the file: %v", n, err)
-		}
-		if !strings.Contains(msg, "corrupt or truncated") {
-			t.Fatalf("truncation to %d bytes: error lacks the corruption diagnostic: %v", n, err)
-		}
-		if !strings.Contains(msg, fmt.Sprintf("(%d bytes)", n)) {
-			t.Fatalf("truncation to %d bytes: error does not report the observed size: %v", n, err)
-		}
+			// closedAt maps a file size at which a member ended to the
+			// number of cells committed by then.
+			closedAt := map[int]int{}
+			for k := 0; k < 8; k++ {
+				cell := fmt.Sprintf(`{"makespan":%d.5,"sched":"heft-%d"}`, 100+k, k)
+				if err := ck.Store(k, json.RawMessage(cell)); err != nil {
+					t.Fatal(err)
+				}
+				fi, err := os.Stat(full)
+				if err != nil {
+					t.Fatal(err)
+				}
+				closedAt[int(fi.Size())] = k + 1
+			}
+			if seal {
+				if err := ck.Seal(); err != nil {
+					t.Fatal(err)
+				}
+				closedAt = map[int]int{}
+			}
+			data, err := os.ReadFile(full)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(data) < 100 {
+				t.Fatalf("store implausibly small (%d bytes); torture would prove nothing", len(data))
+			}
+			closedAt[len(data)] = 8
+			if !seal && len(closedAt) != 8 {
+				t.Fatalf("live store closed %d members over 8 stores", len(closedAt))
+			}
+
+			trunc := filepath.Join(dir, "trunc.ckpt")
+			for n := 0; n <= len(data); n++ {
+				if err := os.WriteFile(trunc, data[:n], 0o644); err != nil {
+					t.Fatal(err)
+				}
+				c := NewCheckpoint(trunc)
+				c.SetFingerprint(fp)
+				cells, err := c.Load()
+				if want, boundary := closedAt[n]; boundary {
+					if err != nil || len(cells) != want {
+						t.Fatalf("cut on the member boundary at %d bytes: %d cells, want %d: %v", n, len(cells), want, err)
+					}
+					for k := 0; k < want; k++ {
+						if _, ok := cells[k]; !ok {
+							t.Fatalf("cut at %d bytes lost committed cell %d", n, k)
+						}
+					}
+					continue
+				}
+				if err == nil {
+					t.Fatalf("truncation to %d of %d bytes, inside a member, loaded cleanly (%d cells)", n, len(data), len(cells))
+				}
+				msg := err.Error()
+				if !strings.Contains(msg, trunc) {
+					t.Fatalf("truncation to %d bytes: error does not name the file: %v", n, err)
+				}
+				if !strings.Contains(msg, "corrupt or truncated") {
+					t.Fatalf("truncation to %d bytes: error lacks the corruption diagnostic: %v", n, err)
+				}
+				if !strings.Contains(msg, fmt.Sprintf("(%d bytes)", n)) {
+					t.Fatalf("truncation to %d bytes: error does not report the observed size: %v", n, err)
+				}
+			}
+		})
 	}
 }
 

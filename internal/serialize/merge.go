@@ -6,8 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"sort"
-	"strings"
 )
 
 // mergeCell is the merge's per-index bookkeeping: a content hash for
@@ -24,9 +22,8 @@ type mergeCell struct {
 // distributed sweep (runner.ShardSpec) into one complete store at
 // outPath, which any single-process run of the same sweep can then
 // resume from — loading every cell and recomputing nothing. Shards may
-// be legacy JSON stores or stream-format (.gz) stores in any mix; the
-// output format follows outPath's suffix (".gz" streams, anything else
-// writes the legacy JSON object byte-identically to prior releases).
+// be stream stores or legacy JSON stores in any mix; the output is
+// always a stream store, whatever outPath is called.
 //
 // Every shard store must carry the given fingerprint (the one the
 // unsharded sweep would use — shard identity lives in the file path, not
@@ -41,9 +38,10 @@ type mergeCell struct {
 //
 // The merge streams shards twice: a first pass verifies fingerprints,
 // ranges, and duplicate agreement against content hashes; the second
-// pass writes each index's first-seen cell to the output. Cell payloads
-// are only ever held one at a time (plus the whole map for a JSON
-// output, which that format requires).
+// pass re-streams them in order and appends each index's first-seen
+// cell (its recorded owner) to the output through a temp file renamed
+// into place. Cell payloads are only ever held one at a time, and the
+// output bytes are deterministic for a fixed shard list.
 //
 // It returns the number of cells written to the merged store.
 func MergeCheckpoints(outPath, fingerprint string, total int, shardPaths []string) (int, error) {
@@ -116,76 +114,24 @@ func MergeCheckpoints(outPath, fingerprint string, total int, shardPaths []strin
 			count, total, formatIndices(missing, count))
 	}
 
-	if strings.HasSuffix(outPath, streamSuffix) {
-		return len(seen), mergeStreamOut(outPath, fingerprint, seen, shardPaths)
-	}
-	return len(seen), mergeJSONOut(outPath, fingerprint, seen, shardPaths)
-}
-
-// mergeStreamOut writes the merged store in stream format: shards are
-// re-streamed in order and each index's first-seen cell (its recorded
-// owner) is appended, so no more than one cell payload is resident at
-// a time. Output bytes are deterministic for a fixed shard list.
-func mergeStreamOut(outPath, fingerprint string, seen map[int]mergeCell, shardPaths []string) error {
-	// Write to a temp path and rename, matching the atomicity of every
-	// other store write.
-	tmp := outPath + ".merge.tmp"
-	os.Remove(tmp)
-	w, err := NewStoreWriter(tmp, fingerprint)
+	w, err := replaceStore(outPath, fingerprint, func(w *StoreWriter) error {
+		for _, path := range shardPaths {
+			_, err := Iter(path, func(k int, raw json.RawMessage) error {
+				if seen[k].owner != path {
+					return nil // a later duplicate; the owner already wrote it
+				}
+				return w.Append(k, raw)
+			})
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 	if err != nil {
-		return err
+		return 0, err
 	}
-	for _, path := range shardPaths {
-		_, err := Iter(path, func(k int, raw json.RawMessage) error {
-			if seen[k].owner != path {
-				return nil // a later duplicate; the owner already wrote it
-			}
-			return w.Append(k, raw)
-		})
-		if err != nil {
-			w.Close()
-			os.Remove(tmp)
-			return err
-		}
-	}
-	if err := w.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, outPath)
-}
-
-// mergeJSONOut writes the merged store as the legacy JSON object —
-// byte-identical to the pre-streaming merge, which the coordinator's
-// byte-equality harnesses compare against. The format stores one object,
-// so this path necessarily materializes the merged cells.
-func mergeJSONOut(outPath, fingerprint string, seen map[int]mergeCell, shardPaths []string) error {
-	merged := make(map[int]json.RawMessage, len(seen))
-	for _, path := range shardPaths {
-		_, err := Iter(path, func(k int, raw json.RawMessage) error {
-			if seen[k].owner == path {
-				merged[k] = append(json.RawMessage(nil), raw...)
-			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-	}
-	out := NewCheckpoint(outPath)
-	out.SetFingerprint(fingerprint)
-	out.SetFlushEvery(len(merged) + 1) // one atomic write below, not one per cell
-	keys := make([]int, 0, len(merged))
-	for k := range merged {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	for _, k := range keys {
-		if err := out.Store(k, merged[k]); err != nil {
-			return err
-		}
-	}
-	return out.Flush()
+	return len(seen), w.Close()
 }
 
 // formatIndices renders the listed indices, noting how many of the

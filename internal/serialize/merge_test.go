@@ -3,7 +3,9 @@ package serialize
 import (
 	"encoding/json"
 	"fmt"
+	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -20,13 +22,34 @@ func writeShard(t *testing.T, dir, name, fingerprint string, cells map[int]strin
 	if _, err := ck.Load(); err != nil {
 		t.Fatal(err)
 	}
-	ck.SetFlushEvery(len(cells) + 1)
 	for k, v := range cells {
 		if err := ck.Store(k, json.RawMessage(v)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := ck.Flush(); err != nil {
+	if err := ck.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// writeLegacyShard builds the one-object JSON store earlier releases
+// wrote — nothing outside the tests writes that layout any more.
+func writeLegacyShard(t *testing.T, dir, name, fingerprint string, cells map[int]string) string {
+	t.Helper()
+	legacy := struct {
+		Fingerprint string                     `json:"fingerprint,omitempty"`
+		Cells       map[string]json.RawMessage `json:"cells"`
+	}{fingerprint, map[string]json.RawMessage{}}
+	for k, v := range cells {
+		legacy.Cells[strconv.Itoa(k)] = json.RawMessage(v)
+	}
+	data, err := json.Marshal(legacy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, name)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -153,7 +176,7 @@ func TestMergeCheckpointsRejectsForeignStores(t *testing.T) {
 
 // TestMergeCheckpointsAcceptsEmptyShardStore covers a shard that owns
 // zero cells (more shards than cells): `saga worker` leaves behind a
-// fingerprinted empty store via Touch, and the merge must accept it as
+// sealed, fingerprinted empty store, and the merge must accept it as
 // long as the other shards cover the sweep.
 func TestMergeCheckpointsAcceptsEmptyShardStore(t *testing.T) {
 	dir := t.TempDir()
@@ -162,11 +185,7 @@ func TestMergeCheckpointsAcceptsEmptyShardStore(t *testing.T) {
 	empty := filepath.Join(dir, "empty.json")
 	ck := NewCheckpoint(empty)
 	ck.SetFingerprint(fp)
-	if err := ck.Touch(); err != nil {
-		t.Fatal(err)
-	}
-	// Touch is idempotent and never truncates an existing store.
-	if err := ck.Touch(); err != nil {
+	if err := ck.Seal(); err != nil {
 		t.Fatal(err)
 	}
 	n, err := MergeCheckpoints(filepath.Join(dir, "m.json"), fp, 2, []string{full, empty})

@@ -7,13 +7,16 @@
 // literal.
 //
 // The package also owns sweep persistence: Checkpoint is the
-// fingerprinted, atomically-rewritten per-cell store behind
-// runner.Options.Checkpoint, and MergeCheckpoints combines the per-shard
-// stores of a distributed sweep into one. The invariants: a store is
-// bound to one sweep's exact parameters by its fingerprint and refuses
-// any other; writes are atomic (write-to-temp, rename), so a killed
-// sweep never leaves a truncated store; and a merged store is
-// indistinguishable from one a single process wrote.
+// fingerprinted per-cell store behind runner.Options.Checkpoint, and
+// MergeCheckpoints combines the per-shard stores of a distributed sweep
+// into one. The invariants: a store is bound to one sweep's exact
+// parameters by its fingerprint and refuses any other; there is one
+// on-disk format, a gzip stream written only by StoreWriter and read
+// only by Iter (stream.go), whatever the path is called; a cell is on
+// disk when Store returns, a torn final member is refused by name rather
+// than read short, and whole-store writes go through a temp file and a
+// rename; a sealed store is canonical, so finished stores of one sweep
+// compare equal as file bytes.
 package serialize
 
 import (
