@@ -36,11 +36,11 @@ test-race:
 # coordinator smoke test survives a worker SIGKILL byte-identically, the
 # scheduling daemon answers byte-identically to the library and drains
 # gracefully (serve-smoke + bench-serve), the distributed-dispatch chaos
-# drill survives a hub restart and worker SIGKILL mid-request
-# (chaos-smoke), the wfformat ingestion path survives a bounded fuzz
-# run, the scale-tier data plane keeps its throughput, memory, and
-# bit-identity floors (bench-scale), per-package coverage stays above
-# the COVER_BASELINE floors, and every package stays documented.
+# drill survives a worker SIGKILL mid-request (chaos-smoke), the
+# wfformat ingestion path survives a bounded fuzz run, the scale-tier
+# data plane keeps its throughput, memory, and bit-identity floors
+# (bench-scale), per-package coverage stays above the COVER_BASELINE
+# floors, and every package stays documented.
 verify: build test test-race docs-lint bench-smoke bench-pisa bench-scale coord-smoke serve-smoke chaos-smoke bench-serve fuzz-short cover
 
 # coord-smoke is the process-level fault drill for the sweep
@@ -66,15 +66,14 @@ serve-smoke:
 	SERVE_SMOKE=1 $(GO) test -run TestServeSmokeE2E -count 1 -v -timeout 300s ./internal/serve/
 
 # chaos-smoke is the process-level drill for the distributed dispatch
-# path: a real `saga serve -coordinator` daemon farming concurrent
-# portfolio/robustness requests through a real `saga coordinate -hub`
-# to three `saga worker -persist` processes, with bearer tokens on
-# every coordinator hop. Mid-request the hub is SIGKILLed and restarted
-# on the same port (state gone — the daemon must re-register by content
-# hash) and one worker is SIGKILLed mid-sweep (its leases expire and
-# survivors reclaim the cells). Every response must be byte-identical
-# to in-process local execution with zero degradations, and SIGTERM
-# must drain daemon, workers, and hub to clean exit 0.
+# path, two process kinds: a real `saga serve -token T` daemon farming
+# concurrent portfolio/robustness requests to three `saga worker
+# -coordinator <daemon>/hub -token T -persist` processes attached
+# beforehand. Mid-request one worker is SIGKILLed (its leases expire
+# and survivors reclaim the cells). Every response must be
+# byte-identical to in-process local execution with zero degradations,
+# and SIGTERM must drain the daemon and the surviving workers to clean
+# exit 0.
 chaos-smoke:
 	CHAOS_SMOKE=1 $(GO) test -run TestChaosSmokeE2E -count 1 -v -timeout 600s ./internal/serve/
 

@@ -14,6 +14,8 @@
 //	saga merge  -driver fig4 -out merged.ckpt s0.ckpt s1.ckpt # combine
 //	saga coordinate -driver fig4 -checkpoint store.ckpt       # lease cells out
 //	saga worker -coordinator http://host:port                 # compute leases
+//	saga serve                                                # scheduling daemon
+//	saga worker -coordinator http://daemon/hub -persist       # its fleet
 package main
 
 import (
@@ -33,7 +35,6 @@ import (
 	"saga/internal/core"
 	"saga/internal/datasets"
 	"saga/internal/experiments"
-	"saga/internal/graph"
 	"saga/internal/httpx"
 	"saga/internal/render"
 	"saga/internal/rng"
@@ -103,7 +104,7 @@ commands:
   generate   -dataset <name> [-seed N] [-out file.json]
   schedule   -scheduler <name> -in file.json [-gantt] [-server URL]
   serve      [-addr host:port] [-max-concurrent N] [-queue-timeout D] [-cache N] [-workers N] [-drain-timeout D]
-             [-coordinator URL] [-degrade-window D] [-token T] [-coordinator-token T] [-verbose]
+             [-degrade-window D] [-token T] [-verbose]   (fleet: saga worker -coordinator http://host:port/hub -persist)
   pisa       -target <name> -base <name> [-method sa|ga] [-iters N] [-restarts N] [-seed N] [-workers N] [-out file.json]
   portfolio  -k N [-schedulers a,b,c] [-iters N] [-restarts N] [-seed N] [-workers N] [-server URL]
   robustness -scheduler <name> -in file.json [-sigma F] [-n N] [-seed N] [-workers N] [-checkpoint file] [-shard I/C] [-server URL]
@@ -118,8 +119,7 @@ commands:
              or: -coordinator http://host:port [-name id] [-workers N] [-persist] [-token T] [-progress]
   coordinate -driver <name> -checkpoint store.ckpt [-addr host:port] [-lease N] [-lease-ttl D]
              [-retries N] [-retry-backoff D] [-shuffle-seed N] [-token T] [-verbose] [sweep flags as for worker]
-             or: -hub [-addr host:port] [-lease N] [-lease-ttl D] [-token T] [-verbose]   (serve many sweeps for dispatch)
-             or: -watch http://host:port [-interval D] [-token T]                         (live progress line)
+             or: -watch http://host:port [-interval D] [-token T]   (live progress line; a daemon's hub is http://host:port/hub)
   merge      -driver <name> -out merged.ckpt [sweep flags as for worker] shard1.ckpt shard2.ckpt ...`)
 }
 
@@ -247,9 +247,12 @@ func scheduleCmd(args []string) error {
 
 // serveCmd runs the scheduling daemon (internal/serve): schedule,
 // portfolio and robustness requests over HTTP with per-request scratch
-// leasing, instance caching, bounded admission and /metrics. SIGINT or
-// SIGTERM drains in-flight requests (new ones are refused immediately)
-// and exits cleanly.
+// leasing, instance caching, bounded admission and /metrics. The daemon
+// is also the coordinator hub of its own fleet: `saga worker
+// -coordinator <daemon>/hub -persist` processes attach under /hub/ and
+// compute portfolio and robustness sweeps while they are there. SIGINT
+// or SIGTERM drains in-flight requests (new ones are refused
+// immediately) and exits cleanly.
 func serveCmd(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:8080", "address to serve on (port 0 picks a free port, printed at startup)")
@@ -258,26 +261,19 @@ func serveCmd(args []string) error {
 	cacheEntries := fs.Int("cache", 64, "instance cache entries (content-hash keyed, LRU)")
 	workers := fs.Int("workers", 1, "runner workers inside one portfolio/robustness request (results identical at any count)")
 	drain := fs.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget for in-flight requests")
-	coordinator := fs.String("coordinator", "", "coordinator hub URL (`saga coordinate -hub`); farm portfolio/robustness sweeps to a worker fleet, falling back to local compute when none responds")
-	degradeWindow := fs.Duration("degrade-window", 3*time.Second, "how long a dispatched sweep may go without worker progress before degrading to local execution")
+	degradeWindow := fs.Duration("degrade-window", 3*time.Second, "how long the fleet under /hub may stay silent before portfolio/robustness sweeps run locally (also its lease lifetime)")
 	token := tokenFlag(fs)
-	coordToken := fs.String("coordinator-token", "", "bearer token for the coordinator hub (default: same as -token)")
 	verbose := fs.Bool("verbose", false, "log every request on stderr")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	opts := serve.Options{
-		MaxConcurrent:    *maxConc,
-		QueueTimeout:     *queueTimeout,
-		CacheEntries:     *cacheEntries,
-		Workers:          *workers,
-		Coordinator:      strings.TrimRight(*coordinator, "/"),
-		DegradeWindow:    *degradeWindow,
-		Token:            *token,
-		CoordinatorToken: *coordToken,
-	}
-	if opts.CoordinatorToken == "" {
-		opts.CoordinatorToken = *token
+		MaxConcurrent: *maxConc,
+		QueueTimeout:  *queueTimeout,
+		CacheEntries:  *cacheEntries,
+		Workers:       *workers,
+		DegradeWindow: *degradeWindow,
+		Token:         *token,
 	}
 	if *verbose {
 		opts.Logf = func(format string, args ...any) {
@@ -291,10 +287,8 @@ func serveCmd(args []string) error {
 	}
 	fmt.Printf("serve: listening on http://%s\n", ln.Addr())
 	fmt.Printf("serve: POST /v1/schedule /v1/portfolio /v1/robustness; GET /metrics /healthz\n")
-	if opts.Coordinator != "" {
-		fmt.Printf("serve: dispatching portfolio/robustness sweeps via %s (local fallback after %s without worker progress)\n",
-			opts.Coordinator, *degradeWindow)
-	}
+	fmt.Printf("serve: fleet: `saga worker -coordinator http://%s/hub -persist` (sweeps run locally after %s of fleet silence)\n",
+		ln.Addr(), *degradeWindow)
 	hs := &http.Server{Handler: srv}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
@@ -404,44 +398,45 @@ func portfolioCmd(args []string) error {
 	for i := range nameList {
 		nameList[i] = strings.TrimSpace(nameList[i])
 	}
+	// Either branch fills the daemon's response shape; the report below
+	// prints once from it.
+	var resp serve.PortfolioResponse
 	if *server != "" {
 		c := &serve.Client{BaseURL: strings.TrimRight(*server, "/"), Token: *token}
-		resp, err := c.Portfolio(context.Background(), serve.PortfolioRequest{
+		r, err := c.Portfolio(context.Background(), serve.PortfolioRequest{
 			Schedulers: nameList, K: *k, Iters: *iters, Restarts: *restarts, Seed: *seed,
 		})
 		if err != nil {
 			return err
 		}
-		fmt.Println("pairwise PISA grid (row = base, column = analyzed):")
-		fmt.Print(render.Grid("", resp.Schedulers, resp.Schedulers, resp.Ratios))
-		fmt.Printf("\nbest %d-scheduler portfolio: %s (combined worst-case ratio %s)\n",
-			*k, strings.Join(resp.Members, " + "), render.Cell(resp.WorstRatio))
-		return nil
-	}
-	var scheds []scheduler.Scheduler
-	for _, n := range nameList {
-		s, err := scheduler.New(n)
+		resp = *r
+	} else {
+		var scheds []scheduler.Scheduler
+		for _, n := range nameList {
+			s, err := scheduler.New(n)
+			if err != nil {
+				return err
+			}
+			scheds = append(scheds, s)
+		}
+		opts := core.DefaultOptions()
+		opts.MaxIters = *iters
+		opts.Restarts = *restarts
+		opts.Seed = *seed
+		res, err := experiments.PairwisePISARun(scheds, experiments.PairwiseOptions{Anneal: opts}, runner.Options{Workers: *workers})
 		if err != nil {
 			return err
 		}
-		scheds = append(scheds, s)
-	}
-	opts := core.DefaultOptions()
-	opts.MaxIters = *iters
-	opts.Restarts = *restarts
-	opts.Seed = *seed
-	res, err := experiments.PairwisePISARun(scheds, experiments.PairwiseOptions{Anneal: opts}, runner.Options{Workers: *workers})
-	if err != nil {
-		return err
+		p, err := experiments.SelectPortfolioParallel(res.Schedulers, res.Ratios, *k, *workers)
+		if err != nil {
+			return err
+		}
+		resp = serve.PortfolioResponse{Schedulers: res.Schedulers, Ratios: res.Ratios, Members: p.Members, WorstRatio: p.WorstRatio}
 	}
 	fmt.Println("pairwise PISA grid (row = base, column = analyzed):")
-	fmt.Print(render.Grid("", res.Schedulers, res.Schedulers, res.Ratios))
-	p, err := experiments.SelectPortfolioParallel(res.Schedulers, res.Ratios, *k, *workers)
-	if err != nil {
-		return err
-	}
+	fmt.Print(render.Grid("", resp.Schedulers, resp.Schedulers, resp.Ratios))
 	fmt.Printf("\nbest %d-scheduler portfolio: %s (combined worst-case ratio %s)\n",
-		*k, strings.Join(p.Members, " + "), render.Cell(p.WorstRatio))
+		*k, strings.Join(resp.Members, " + "), render.Cell(resp.WorstRatio))
 	return nil
 }
 
@@ -467,90 +462,90 @@ func robustnessCmd(args []string) error {
 	if err != nil {
 		return err
 	}
+	// Either branch fills the daemon's response shape; the report at the
+	// end prints once from it.
+	var resp serve.RobustnessResponse
 	if *server != "" {
 		if *ckptPath != "" || *shardStr != "" {
 			return fmt.Errorf("robustness: -server is incompatible with -checkpoint/-shard (the daemon owns the computation)")
 		}
 		c := &serve.Client{BaseURL: strings.TrimRight(*server, "/"), Token: *token}
-		resp, err := c.Robustness(context.Background(), serve.RobustnessRequest{
+		r, err := c.Robustness(context.Background(), serve.RobustnessRequest{
 			Scheduler: *name, Instance: raw, Sigma: *sigma, N: *n, Seed: *seed,
 		})
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%s nominal makespan: %.4f\n", resp.Scheduler, resp.Nominal)
-		fmt.Printf("static replay under +/-%.0f%% cost jitter (n=%d): mean %.4f  p50 %.4f  max %.4f\n",
-			*sigma*100, resp.Static.N, resp.Static.Mean, resp.Static.Median, resp.Static.Max)
-		fmt.Printf("adaptive re-planning:                              mean %.4f  p50 %.4f  max %.4f\n",
-			resp.Adaptive.Mean, resp.Adaptive.Median, resp.Adaptive.Max)
-		return nil
-	}
-	ro := runner.Options{Workers: *workers}
-	sharded := *shardStr != ""
-	if sharded {
-		if *ckptPath == "" {
-			return fmt.Errorf("robustness: -shard requires -checkpoint (the store is the shard's output)")
-		}
-		if ro.Shard, err = runner.ParseShard(*shardStr); err != nil {
-			return err
-		}
-	}
-	// NewSweep carries the shared fingerprint: it hashes the exact bytes
-	// the instance was parsed from, not the file path, so resuming after
-	// the file was regenerated in place fails loudly instead of mixing
-	// cells from two different instances. Going through the sweep registry
-	// (rather than formatting the fingerprint here) is what makes a
-	// robustness store interchangeable between this command, `saga
-	// worker -driver robustness`, and `saga merge`.
-	sw, err := experiments.NewSweep("robustness", experiments.SweepParams{
-		N: *n, Seed: *seed, Scheduler: *name, Sigma: *sigma, InstanceRaw: raw,
-	})
-	if err != nil {
-		return err
-	}
-	inst, err := serialize.UnmarshalInstance(raw)
-	if err != nil {
-		return err
-	}
-	s, err := scheduler.New(*name)
-	if err != nil {
-		return err
-	}
-	var ckpt *serialize.Checkpoint
-	if *ckptPath != "" {
-		ckpt = serialize.NewCheckpoint(*ckptPath)
-		ckpt.SetFingerprint(sw.Fingerprint)
-		ro.Checkpoint = ckpt
-	}
-	res, err := experiments.RobustnessRun(inst, s, *sigma, *n, *seed, ro)
-	if err != nil {
-		return err
-	}
-	if ckpt != nil {
-		// One finish policy for every store (serialize.Checkpoint.Finish):
-		// a shard's output is its sealed store, not the partial in-memory
-		// summaries (they cover owned cells only); a complete run removes
-		// the store unless it stored nothing — `saga merge` points here to
-		// summarize a merged store, which must survive being read.
-		kept, err := ckpt.Finish(sharded)
-		switch {
-		case sharded:
-			if err == nil {
-				fmt.Printf("robustness: shard %s complete; cells stored in %s (combine with `saga merge -driver robustness`)\n",
-					ro.Shard, *ckptPath)
+		resp = *r
+	} else {
+		ro := runner.Options{Workers: *workers}
+		sharded := *shardStr != ""
+		if sharded {
+			if *ckptPath == "" {
+				return fmt.Errorf("robustness: -shard requires -checkpoint (the store is the shard's output)")
 			}
-			return err
-		case err != nil:
-			fmt.Fprintf(os.Stderr, "saga: robustness: checkpoint cleanup: %v\n", err)
-		case kept:
-			fmt.Fprintf(os.Stderr, "saga: robustness: store %s already held every cell; keeping it\n", *ckptPath)
+			if ro.Shard, err = runner.ParseShard(*shardStr); err != nil {
+				return err
+			}
 		}
+		// NewSweep carries the shared fingerprint: it hashes the exact bytes
+		// the instance was parsed from, not the file path, so resuming after
+		// the file was regenerated in place fails loudly instead of mixing
+		// cells from two different instances. Going through the sweep registry
+		// (rather than formatting the fingerprint here) is what makes a
+		// robustness store interchangeable between this command, `saga
+		// worker -driver robustness`, and `saga merge`.
+		sw, err := experiments.NewSweep("robustness", experiments.SweepParams{
+			N: *n, Seed: *seed, Scheduler: *name, Sigma: *sigma, InstanceRaw: raw,
+		})
+		if err != nil {
+			return err
+		}
+		inst, err := serialize.UnmarshalInstance(raw)
+		if err != nil {
+			return err
+		}
+		s, err := scheduler.New(*name)
+		if err != nil {
+			return err
+		}
+		var ckpt *serialize.Checkpoint
+		if *ckptPath != "" {
+			ckpt = serialize.NewCheckpoint(*ckptPath)
+			ckpt.SetFingerprint(sw.Fingerprint)
+			ro.Checkpoint = ckpt
+		}
+		res, err := experiments.RobustnessRun(inst, s, *sigma, *n, *seed, ro)
+		if err != nil {
+			return err
+		}
+		if ckpt != nil {
+			// One finish policy for every store (serialize.Checkpoint.Finish):
+			// a shard's output is its sealed store, not the partial in-memory
+			// summaries (they cover owned cells only); a complete run removes
+			// the store unless it stored nothing — `saga merge` points here to
+			// summarize a merged store, which must survive being read.
+			kept, err := ckpt.Finish(sharded)
+			switch {
+			case sharded:
+				if err == nil {
+					fmt.Printf("robustness: shard %s complete; cells stored in %s (combine with `saga merge -driver robustness`)\n",
+						ro.Shard, *ckptPath)
+				}
+				return err
+			case err != nil:
+				fmt.Fprintf(os.Stderr, "saga: robustness: checkpoint cleanup: %v\n", err)
+			case kept:
+				fmt.Fprintf(os.Stderr, "saga: robustness: store %s already held every cell; keeping it\n", *ckptPath)
+			}
+		}
+		resp = serve.RobustnessResponse{Scheduler: res.Scheduler, Nominal: res.Nominal, Static: res.Static, Adaptive: res.Adaptive}
 	}
-	fmt.Printf("%s nominal makespan: %.4f\n", res.Scheduler, res.Nominal)
+	fmt.Printf("%s nominal makespan: %.4f\n", resp.Scheduler, resp.Nominal)
 	fmt.Printf("static replay under +/-%.0f%% cost jitter (n=%d): mean %.4f  p50 %.4f  max %.4f\n",
-		*sigma*100, res.Static.N, res.Static.Mean, res.Static.Median, res.Static.Max)
+		*sigma*100, resp.Static.N, resp.Static.Mean, resp.Static.Median, resp.Static.Max)
 	fmt.Printf("adaptive re-planning:                              mean %.4f  p50 %.4f  max %.4f\n",
-		res.Adaptive.Mean, res.Adaptive.Median, res.Adaptive.Max)
+		resp.Adaptive.Mean, resp.Adaptive.Median, resp.Adaptive.Max)
 	return nil
 }
 
@@ -578,23 +573,8 @@ func convertCmd(args []string) error {
 		if err != nil {
 			return err
 		}
-		doc, err := wfc.Parse(raw)
+		inst, err := datasets.InstanceFromWfC(raw, *link, *ccr, *nodes)
 		if err != nil {
-			return err
-		}
-		g, err := doc.ToTaskGraph()
-		if err != nil {
-			return err
-		}
-		net := doc.ToNetwork(*link)
-		if net == nil {
-			net = graphNewUnitNetwork(*nodes, *link)
-		}
-		inst := graphNewInstance(g, net)
-		if *ccr > 0 {
-			datasets.SetHomogeneousCCR(inst, *ccr)
-		}
-		if err := inst.Validate(); err != nil {
 			return err
 		}
 		data, err = serialize.MarshalInstance(inst)
@@ -619,23 +599,6 @@ func convertCmd(args []string) error {
 		return nil
 	}
 	return os.WriteFile(*out, data, 0o644)
-}
-
-// graphNewUnitNetwork builds an n-node unit-speed network with the given
-// uniform link strength, for imported workflows without machine data.
-func graphNewUnitNetwork(n int, link float64) *graph.Network {
-	net := graph.NewNetwork(n)
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			net.SetLink(u, v, link)
-		}
-	}
-	return net
-}
-
-// graphNewInstance is a local alias keeping convertCmd readable.
-func graphNewInstance(g *graph.TaskGraph, net *graph.Network) *graph.Instance {
-	return graph.NewInstance(g, net)
 }
 
 // simulateCmd schedules an instance and replays the result on the
@@ -857,26 +820,21 @@ func workerCmd(args []string) error {
 	return nil
 }
 
-// coordinateCmd serves a coordinator hub (internal/coord): sweeps are
-// handed out in cell ranges, renewed by heartbeat, reclaimed from
-// workers that die or hang, retried with backoff when they fail, and
-// committed as they complete. With -driver and -checkpoint the hub starts
-// with that one sweep mounted on the checkpoint file — the same format
-// `saga worker -shard` and cmd/figures -checkpoint use, so when the sweep
-// finishes the process exits and the figure renders straight from it;
-// restarting a crashed coordinator on the same store resumes, and
-// committed cells are never recomputed. With -hub it starts empty:
-// `saga serve -coordinator` daemons register portfolio/robustness sweeps
-// over HTTP and fetch the cells back (no durable state — after a restart
-// they re-register onto the same content-hash ids), `saga worker
-// -coordinator <url> -persist` fleets drain them, and SIGINT or SIGTERM
-// stops it.
+// coordinateCmd serves a coordinator hub (internal/coord) with one sweep
+// mounted on a checkpoint file: its cells are handed out in ranges,
+// renewed by heartbeat, reclaimed from workers that die or hang, retried
+// with backoff when they fail, and committed as they complete. The file
+// is the format `saga worker -shard` and cmd/figures -checkpoint use, so
+// when the sweep finishes the process exits and the figure renders
+// straight from it; restarting a crashed coordinator on the same store
+// resumes, and committed cells are never recomputed. With -watch it
+// serves nothing and renders another hub's progress — this command's or
+// a `saga serve` daemon's (<daemon>/hub).
 func coordinateCmd(args []string) error {
 	fs := flag.NewFlagSet("coordinate", flag.ExitOnError)
-	driver := fs.String("driver", "", "sweep to coordinate: "+strings.Join(experiments.SweepNames, ", ")+" (required unless -hub/-watch)")
+	driver := fs.String("driver", "", "sweep to coordinate: "+strings.Join(experiments.SweepNames, ", ")+" (required unless -watch)")
 	addr := fs.String("addr", "127.0.0.1:0", "address to serve the protocol on (0 picks a free port, printed at startup)")
-	ckptPath := fs.String("checkpoint", "", "the sweep's checkpoint store (required unless -hub/-watch; resumed if it exists)")
-	hub := fs.Bool("hub", false, "start with no sweep mounted and serve the ones `saga serve -coordinator` daemons register, until signalled")
+	ckptPath := fs.String("checkpoint", "", "the sweep's checkpoint store (required unless -watch; resumed if it exists)")
 	watch := fs.String("watch", "", "hub URL: render GET /status as a live progress line instead of serving")
 	interval := fs.Duration("interval", time.Second, "poll cadence for -watch")
 	token := tokenFlag(fs)
@@ -893,11 +851,8 @@ func coordinateCmd(args []string) error {
 	if *watch != "" {
 		return watchStatus(strings.TrimRight(*watch, "/"), *token, *interval)
 	}
-	if *hub && (*driver != "" || *ckptPath != "") {
-		return fmt.Errorf("coordinate: -hub hosts sweeps registered by daemons; it takes no -driver or -checkpoint")
-	}
-	if !*hub && (*driver == "" || *ckptPath == "") {
-		return fmt.Errorf("coordinate: -driver and -checkpoint are required (or -hub / -watch)")
+	if *driver == "" || *ckptPath == "" {
+		return fmt.Errorf("coordinate: -driver and -checkpoint are required (or -watch)")
 	}
 	hopts := coord.HubOptions{
 		Token: *token,
@@ -915,42 +870,28 @@ func coordinateCmd(args []string) error {
 		}
 	}
 	h := coord.NewHub(hopts)
-	what := "hub"
-	var sweep *coord.Coordinator
-	var ckpt *serialize.Checkpoint
-	if !*hub {
-		p, err := params()
-		if err != nil {
-			return err
-		}
-		ckpt = serialize.NewCheckpoint(*ckptPath)
-		if sweep, err = h.Mount(*driver, p, ckpt); err != nil {
-			return err
-		}
-		st := sweep.Status()
-		what = fmt.Sprintf("%s (%d cells, %d already in store)", *driver, st.Cells, st.Committed)
+	p, err := params()
+	if err != nil {
+		return err
+	}
+	ckpt := serialize.NewCheckpoint(*ckptPath)
+	sweep, err := h.Mount(*driver, p, ckpt)
+	if err != nil {
+		return err
 	}
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("coordinate: %s on http://%s\n", what, ln.Addr())
-	fmt.Printf("coordinate: workers: `saga worker -coordinator http://%s` (-persist for a fleet); daemons: `saga serve -coordinator http://%s`\n",
-		ln.Addr(), ln.Addr())
+	st := sweep.Status()
+	fmt.Printf("coordinate: %s (%d cells, %d already in store) on http://%s\n", *driver, st.Cells, st.Committed, ln.Addr())
+	fmt.Printf("coordinate: workers: `saga worker -coordinator http://%s`\n", ln.Addr())
 	srv := &http.Server{Handler: h}
 	defer srv.Close()
 	served := make(chan error, 1)
 	go func() { served <- srv.Serve(ln) }()
-
-	// The one difference between the two modes: a pre-mounted sweep ends
-	// the process when it completes, an empty hub runs until signalled.
 	finished := make(chan error, 1)
-	sig := make(chan os.Signal, 1)
-	if sweep != nil {
-		go func() { finished <- sweep.Wait(nil) }()
-	} else {
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	}
+	go func() { finished <- sweep.Wait(nil) }()
 	select {
 	case err := <-served:
 		return err
@@ -964,10 +905,7 @@ func coordinateCmd(args []string) error {
 			return err
 		}
 		fmt.Printf("coordinate: sweep %s complete; %d cells in %s (render with `figures -checkpoint %s %s`, same sweep flags)\n",
-			*driver, sweep.Status().Cells, *ckptPath, *ckptPath, *driver)
-		return nil
-	case got := <-sig:
-		fmt.Printf("coordinate: %v: hub stopping (daemons degrade to local, workers re-poll)\n", got)
+			*driver, st.Cells, *ckptPath, *ckptPath, *driver)
 		return nil
 	}
 }

@@ -3,9 +3,9 @@
 // pending, leased, backing off, committed or poisoned, over a Store that
 // receives completed cells as they arrive. The Hub (hub.go) is the
 // package's one http.Handler: it mounts ledgers — the one `saga
-// coordinate -driver` pre-mounts on its checkpoint file, and those
-// daemons register over HTTP — and is the only place that knows URLs.
-// RunWorker (worker.go) is the client side.
+// coordinate -driver` pre-mounts on its checkpoint file, and those a
+// `saga serve` daemon acquires for its dispatched requests — and is the
+// only place that knows URLs. RunWorker (worker.go) is the client side.
 //
 // The ledger leans entirely on the repo's determinism-by-construction
 // invariants. Cell indices, and with them the position-derived seeds,
@@ -42,8 +42,8 @@ import (
 
 // Store is a ledger's commit target. serialize.Checkpoint is the
 // durable file-backed implementation behind `saga coordinate -driver`;
-// MemStore backs the sweeps daemons register, whose results are fetched
-// over HTTP and never touch disk. Whatever the backing, StoreDedup
+// MemStore backs the sweeps a daemon dispatches, whose results never
+// touch disk. Whatever the backing, StoreDedup
 // carries the protocol's core guarantee: identical duplicates are
 // no-ops, disagreeing ones are refused; and Load after Flush returns
 // every cell committed so far.
@@ -54,8 +54,8 @@ type Store interface {
 	Flush() error
 }
 
-// ErrAborted is the Wait result of a sweep torn down by Abort — the
-// client that registered it went away, not a cell or store failure.
+// ErrAborted is the Wait result of a sweep torn down by Abort — its
+// last client released it, not a cell or store failure.
 var ErrAborted = errors.New("coord: sweep aborted")
 
 // Options tunes the coordinator's leasing and retry policy. The zero
@@ -182,10 +182,10 @@ type CompleteResponse struct {
 	Done bool `json:"done,omitempty"`
 }
 
-// Status is one ledger's counters (GET /sweeps/{id}/status, with the
-// hub's ActiveWorkers added) or, from GET /status, their sum over every
-// mounted sweep with Name "hub", Sweeps and AuthRejected filled and Done
-// meaning every mounted sweep is done.
+// Status is one ledger's counters (Coordinator.Status) or, from GET
+// /status, their sum over every mounted sweep with Name "hub",
+// ActiveWorkers, Sweeps and AuthRejected filled and Done meaning every
+// mounted sweep is done.
 type Status struct {
 	Name          string `json:"name"`
 	Cells         int    `json:"cells"`
@@ -321,9 +321,8 @@ func New(name string, params experiments.SweepParams, store Store, opts Options)
 
 // Abort tears the sweep down: outstanding leases are dropped, further
 // leases answer Done, completions are acknowledged but not committed,
-// and Wait returns ErrAborted. Committed cells stay in the store — an
-// aborted sweep re-registered later resumes from them. Safe to call
-// more than once and after completion (then a no-op).
+// and Wait returns ErrAborted. Safe to call more than once and after
+// completion (then a no-op).
 func (c *Coordinator) Abort() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -383,18 +382,6 @@ func (c *Coordinator) Wait(cancel <-chan struct{}) error {
 	}
 	sort.Ints(pe.Cells)
 	return pe
-}
-
-// committedCells reads every committed cell back through the store.
-// Holding the ledger's lock keeps a delivery from landing between the
-// Flush and the Load, which re-reads a file-backed store from disk.
-func (c *Coordinator) committedCells() (map[int]json.RawMessage, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.store.Flush(); err != nil {
-		return nil, err
-	}
-	return c.store.Load()
 }
 
 // Status returns a snapshot of the ledger.

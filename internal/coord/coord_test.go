@@ -45,18 +45,33 @@ func testHub(t *testing.T, opts HubOptions) (*Hub, *httptest.Server) {
 	return h, srv
 }
 
-// mountURL is where a mounted ledger's lease/heartbeat/complete/status
+// mountURL is where a mounted ledger's lease/heartbeat/complete
 // endpoints live under the hub at root.
 func mountURL(root string, c *Coordinator) string {
 	return root + "/sweeps/" + SweepID(c.info.Fingerprint)
 }
 
-// mounted is one sweep on a test hub.
+// mounted is one sweep on a test hub, over one of the two stores.
 type mounted struct {
 	root  string // the hub's URL
 	base  string // root + the sweep's mount path
 	c     *Coordinator
-	store string // checkpoint path ("" on a MemStore)
+	store string    // checkpoint path
+	mem   *MemStore // or the store Acquire returned
+}
+
+// stored reads the committed cells back from whichever store backs m.
+func (m mounted) stored(t *testing.T) map[int]json.RawMessage {
+	t.Helper()
+	if m.mem != nil {
+		cells, _ := m.mem.Load()
+		return cells
+	}
+	cells, err := serializeLoad(m.store, m.c.info.Fingerprint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cells
 }
 
 // mountCheckpoint pre-mounts the cheap fig7 sweep (cells = N) on a
@@ -153,7 +168,7 @@ func TestSweepEndpointIdentifiesSweep(t *testing.T) {
 func TestLeaseLifecycleAndReclaim(t *testing.T) {
 	clock := newFakeClock()
 	ttl := 10 * time.Second
-	_, srv, _ := testCoord(t, 6, Options{LeaseSize: 2, LeaseTTL: ttl, Now: clock.Now})
+	c, srv, _ := testCoord(t, 6, Options{LeaseSize: 2, LeaseTTL: ttl, Now: clock.Now})
 
 	l1 := post[LeaseResponse](t, srv, "/lease", LeaseRequest{Worker: "w1"})
 	if l1.Lease == "" || len(l1.Cells) != 2 {
@@ -196,7 +211,7 @@ func TestLeaseLifecycleAndReclaim(t *testing.T) {
 		t.Fatalf("reaped lease heartbeat: %+v", hb)
 	}
 	// w1's renewed lease was never touched.
-	st := get[Status](t, srv, "/status")
+	st := c.Status()
 	if st.Leased != 4 || st.Pending != 2 || st.Committed != 0 {
 		t.Fatalf("status after reclaim: %+v", st)
 	}
@@ -292,7 +307,7 @@ func TestRetryBackoffAndPoisoning(t *testing.T) {
 	if l := post[LeaseResponse](t, srv, "/lease", LeaseRequest{Worker: "w1"}); !l.Done {
 		t.Fatalf("poisoned sweep still leasing: %+v", l)
 	}
-	st := get[Status](t, srv, "/status")
+	st := c.Status()
 	if !st.Done || st.Poisoned != 1 || st.Committed != 1 {
 		t.Fatalf("status: %+v", st)
 	}
@@ -345,7 +360,7 @@ func TestLateCompletionOfReclaimedLease(t *testing.T) {
 		Worker: "slow", Lease: l1.Lease,
 		Cells: map[int]json.RawMessage{0: cellJSON(0), 1: cellJSON(1)},
 	})
-	st := get[Status](t, srv, "/status")
+	st := c.Status()
 	if st.Committed != 2 || !st.Done {
 		t.Fatalf("late completion not committed: %+v", st)
 	}
@@ -407,7 +422,7 @@ func TestCoordinatorResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := mountURL(hubSrv.URL, c)
-	st := get[Status](t, srv, "/status")
+	st := c.Status()
 	if st.Committed != 3 || st.Pending != 2 {
 		t.Fatalf("resumed status: %+v", st)
 	}

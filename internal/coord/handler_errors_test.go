@@ -24,27 +24,22 @@ import (
 	"saga/internal/serialize"
 )
 
-// mountRegistered registers mountCheckpoint's sweep over HTTP, the way a
-// `saga serve -coordinator` daemon does; it lands on a MemStore.
-func mountRegistered(t *testing.T, n int, opts HubOptions) mounted {
+// mountAcquired acquires mountCheckpoint's sweep the way a `saga serve`
+// daemon does for a dispatched request; it lands on a MemStore.
+func mountAcquired(t *testing.T, n int, opts HubOptions) mounted {
 	t.Helper()
 	h, srv := testHub(t, opts)
-	status, body := do(t, http.MethodPost, srv.URL+"/sweeps", opts.Token,
-		RegisterRequest{Name: "fig7", Params: experiments.SweepParams{N: n, Seed: 1}})
-	var reg RegisterResponse
-	if err := json.Unmarshal(body, &reg); status != http.StatusOK || err != nil {
-		t.Fatalf("register: status %d, %v", status, err)
+	c, mem, err := h.Acquire("fig7", experiments.SweepParams{N: n, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	h.mu.Lock()
-	c := h.sweeps[reg.ID].coord
-	h.mu.Unlock()
-	return mounted{root: srv.URL, base: srv.URL + "/sweeps/" + reg.ID, c: c}
+	return mounted{root: srv.URL, base: mountURL(srv.URL, c), c: c, mem: mem}
 }
 
 // eachBacking runs fn against the sweep mounted both ways.
 func eachBacking(t *testing.T, n int, opts HubOptions, fn func(t *testing.T, m mounted)) {
 	t.Run("checkpoint", func(t *testing.T) { fn(t, mountCheckpoint(t, n, opts)) })
-	t.Run("memstore", func(t *testing.T) { fn(t, mountRegistered(t, n, opts)) })
+	t.Run("memstore", func(t *testing.T) { fn(t, mountAcquired(t, n, opts)) })
 }
 
 // do sends one request — body marshalled as JSON unless it is already a
@@ -131,7 +126,7 @@ func TestCompleteRejectsOutOfRangeCells(t *testing.T) {
 				if st.Committed != 0 || st.Poisoned != 0 || st.Done || st.Leased != 4 {
 					t.Fatalf("refused delivery moved the ledger: %+v", st)
 				}
-				if cells := get[CellsResponse](t, m.base, "/cells").Cells; len(cells) != 0 {
+				if cells := m.stored(t); len(cells) != 0 {
 					t.Fatalf("refused delivery reached the store: %v", cells)
 				}
 			})
@@ -217,9 +212,6 @@ func TestUnknownSweepAndOperationAnswer404(t *testing.T) {
 			{http.MethodPost, gone + "/lease"},
 			{http.MethodPost, gone + "/heartbeat"},
 			{http.MethodPost, gone + "/complete"},
-			{http.MethodGet, gone + "/status"},
-			{http.MethodGet, gone + "/cells"},
-			{http.MethodDelete, gone},
 			{http.MethodPost, m.base + "/release"},
 			{http.MethodPost, m.root + "/lease"}, // the bare path a sweep used to answer on
 		} {
@@ -245,8 +237,6 @@ func TestHubBearerAuth(t *testing.T) {
 				{http.MethodGet, m.root + "/sweep"},
 				{http.MethodPost, m.base + "/lease"},
 				{http.MethodPost, m.base + "/complete"},
-				{http.MethodGet, m.base + "/cells"},
-				{http.MethodDelete, m.base},
 			} {
 				if status, _ := do(t, rq.method, rq.url, bearer, `{"worker":"w"}`); status != http.StatusUnauthorized {
 					t.Errorf("%s %s with bearer %q: status %d, want 401", rq.method, rq.url, bearer, status)
@@ -269,62 +259,38 @@ func TestHubBearerAuth(t *testing.T) {
 }
 
 // TestPreMountedSweepOutlivesReleaseAndTTL: the sweep `saga coordinate
-// -driver` mounts belongs to the process. No client's DELETE and no
-// stretch of silence may unmount it or drop its leases.
+// -driver` mounts belongs to the process. No Release and no stretch of
+// silence may unmount it or drop its leases.
 func TestPreMountedSweepOutlivesReleaseAndTTL(t *testing.T) {
 	clock := newFakeClock()
-	m := mountCheckpoint(t, 4, HubOptions{
-		SweepTTL: time.Minute, Now: clock.Now,
-		Sweep: Options{LeaseSize: 2, LeaseTTL: time.Hour, Now: clock.Now},
-	})
-	lease := post[LeaseResponse](t, m.base, "/lease", LeaseRequest{Worker: "w"})
-	before := m.c.Status()
+	store := filepath.Join(t.TempDir(), "coord.ckpt")
+	h, srv := testHub(t, HubOptions{Now: clock.Now, Sweep: Options{LeaseSize: 2, LeaseTTL: time.Hour, Now: clock.Now}})
+	c, err := h.Mount("fig7", experiments.SweepParams{N: 4, Seed: 1}, serialize.NewCheckpoint(store))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := mountURL(srv.URL, c)
+	lease := post[LeaseResponse](t, base, "/lease", LeaseRequest{Worker: "w"})
+	before := c.Status()
 
-	if status, _ := do(t, http.MethodDelete, m.base, "", nil); status != http.StatusConflict {
-		t.Fatalf("DELETE of the pre-mounted sweep: status %d, want 409", status)
+	h.Release(c)
+	if _, _, err := h.Acquire("fig7", experiments.SweepParams{N: 4, Seed: 1}); err == nil {
+		t.Fatal("a dispatched request joined the pre-mounted sweep")
 	}
-	clock.Advance(2 * time.Minute)
-	if st := get[Status](t, m.root, "/status"); st.Sweeps != 1 {
-		t.Fatalf("pre-mounted sweep unmounted after SweepTTL: %+v", st)
+	clock.Advance(24 * time.Minute)
+	if st := get[Status](t, srv.URL, "/status"); st.Sweeps != 1 {
+		t.Fatalf("pre-mounted sweep unmounted: %+v", st)
 	}
-	if info := get[SweepInfo](t, m.root, "/sweep"); m.root+info.Path != m.base {
-		t.Fatalf("pick after SweepTTL: %+v, want the pre-mounted sweep", info)
+	if info := get[SweepInfo](t, srv.URL, "/sweep"); srv.URL+info.Path != base {
+		t.Fatalf("pick: %+v, want the pre-mounted sweep", info)
 	}
-	if after := m.c.Status(); after != before {
+	if after := c.Status(); after != before {
 		t.Fatalf("ledger moved: %+v, was %+v", after, before)
 	}
-	hb := post[HeartbeatResponse](t, m.base, "/heartbeat", HeartbeatRequest{Worker: "w", Lease: lease.Lease})
+	hb := post[HeartbeatResponse](t, base, "/heartbeat", HeartbeatRequest{Worker: "w", Lease: lease.Lease})
 	if !hb.OK {
 		t.Fatalf("lease lost: %+v", hb)
 	}
-}
-
-// TestCellsReadThroughEitherStore: GET /sweeps/{id}/cells is the store's
-// content, whether that is a MemStore or the checkpoint file.
-func TestCellsReadThroughEitherStore(t *testing.T) {
-	eachBacking(t, 4, HubOptions{}, func(t *testing.T, m mounted) {
-		lease := post[LeaseResponse](t, m.base, "/lease", LeaseRequest{Worker: "w"})
-		want := map[int]json.RawMessage{1: cellJSON(1), 3: cellJSON(3)}
-		post[CompleteResponse](t, m.base, "/complete", CompleteRequest{Worker: "w", Lease: lease.Lease, Cells: want})
-		assertSameCells(t, want, get[CellsResponse](t, m.base, "/cells").Cells)
-		if m.store != "" {
-			onDisk, err := serializeLoad(m.store, m.c.info.Fingerprint)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertSameCells(t, want, onDisk)
-		}
-		// Reading must not disturb the store: the rest still commits.
-		l2 := post[LeaseResponse](t, m.base, "/lease", LeaseRequest{Worker: "w"})
-		rest := map[int]json.RawMessage{0: cellJSON(0), 2: cellJSON(2)}
-		post[CompleteResponse](t, m.base, "/complete", CompleteRequest{Worker: "w", Lease: l2.Lease, Cells: rest})
-		if err := m.c.Wait(nil); err != nil {
-			t.Fatal(err)
-		}
-		if got := get[CellsResponse](t, m.base, "/cells").Cells; len(got) != 4 {
-			t.Fatalf("finished sweep serves %d cells, want 4", len(got))
-		}
-	})
 }
 
 // TestOneShotWorkerSurvivesHubExit: `saga coordinate -driver` exits the

@@ -1,34 +1,25 @@
 package coord
 
-// The hub is what `saga coordinate` serves: any number of sweeps behind
-// one address and one protocol. `saga coordinate -driver X -checkpoint P`
-// pre-mounts one sweep on the checkpoint file (Mount) and exits when it
-// finishes; `saga coordinate -hub` starts empty, and `saga serve
-// -coordinator` daemons register each portfolio/robustness request as a
-// sweep on a MemStore (internal/serve's dispatch path). Either way `saga
+// The hub is the package's one http.Handler: any number of sweeps behind
+// one address and one protocol. It has two mounters. `saga coordinate
+// -driver X -checkpoint P` pre-mounts one sweep on the checkpoint file
+// (Mount) and exits when it finishes. `saga serve` builds a hub in its
+// own address space, serves it under /hub/, and mounts each dispatched
+// portfolio/robustness request on a MemStore (Acquire), releasing it
+// when the request is answered or abandoned (Release). Either way `saga
 // worker -coordinator <url>` processes poll GET /sweep and rotate across
 // whatever sweeps need cells.
 //
-// Sweep identity is the content hash of the sweep's fingerprint, which
-// is what makes the dispatch path coordinator-crash recoverable: a
-// restarted hub starts empty, the daemon's next status poll answers 404,
-// the daemon re-registers, and the hash maps the request to the *same*
-// sweep id — so a worker that computed cells against the old incarnation
-// delivers into the new one and the results are the results (global
-// position-derived seeds; StoreDedup refuses disagreement). Identical
-// concurrent requests share one sweep through a refcount; DELETE
-// decrements it and the last client's release aborts and unmounts. A
-// pre-mounted sweep belongs to the process instead: DELETE is refused
-// and SweepTTL never unmounts it.
+// Sweep identity is the content hash of the sweep's fingerprint, so
+// identical concurrent requests land on one sweep and share it through
+// a refcount: the last Release aborts and unmounts, and the workers'
+// next heartbeat or delivery answers 404. A pre-mounted sweep belongs
+// to the process instead: Release leaves it alone.
 //
 // Endpoints (all JSON; HubOptions.Token guards every one):
 //
-//	POST   /sweeps                register (or re-join) a sweep
 //	GET    /sweep                 worker poll: which sweep needs cells?
 //	GET    /status                aggregate progress for operators
-//	GET    /sweeps/{id}/status    one sweep's ledger
-//	GET    /sweeps/{id}/cells     the committed cells (the result payload)
-//	DELETE /sweeps/{id}           release: last ref aborts + unmounts
 //	POST   /sweeps/{id}/lease     lease the next cell range (or Wait / Done)
 //	POST   /sweeps/{id}/heartbeat renew a lease before its TTL expires
 //	POST   /sweeps/{id}/complete  deliver computed cells and per-cell failures
@@ -55,14 +46,9 @@ type HubOptions struct {
 	// Token, when non-empty, requires bearer auth on every endpoint.
 	Token string
 	// WorkerTTL is how long after its last contact a worker still counts
-	// as active (default 10s). ActiveWorkers drives the daemon's
-	// no-worker degradation window.
+	// as active (default 10s). ActiveWorkers is how the daemon decides
+	// whether to dispatch a request and when to give up on the fleet.
 	WorkerTTL time.Duration
-	// SweepTTL unmounts registered sweeps nobody has touched — no client
-	// status poll, no worker lease traffic — for this long (default
-	// 15m). It is the leak bound for daemons that crashed between
-	// register and release.
-	SweepTTL time.Duration
 	// Now is the clock, injectable for tests (default time.Now).
 	Now func() time.Time
 	// Logf, when non-nil, receives one line per hub event.
@@ -73,45 +59,18 @@ func (o HubOptions) withDefaults() HubOptions {
 	if o.WorkerTTL <= 0 {
 		o.WorkerTTL = 10 * time.Second
 	}
-	if o.SweepTTL <= 0 {
-		o.SweepTTL = 15 * time.Minute
-	}
 	if o.Now == nil {
 		o.Now = time.Now
 	}
 	return o
 }
 
-// RegisterRequest mounts (or re-joins) a sweep on the hub.
-type RegisterRequest struct {
-	Name   string                  `json:"name"`
-	Params experiments.SweepParams `json:"params"`
-}
-
-// RegisterResponse identifies the mounted sweep. Existing reports that
-// the sweep was already mounted (an identical concurrent request, or a
-// re-registration after the client lost track of it): the caller joined
-// it rather than starting fresh.
-type RegisterResponse struct {
-	ID          string `json:"id"`
-	Fingerprint string `json:"fingerprint"`
-	Cells       int    `json:"cells"`
-	Existing    bool   `json:"existing,omitempty"`
-}
-
-// CellsResponse is the GET /sweeps/{id}/cells payload: every committed
-// cell, keyed by global cell index.
-type CellsResponse struct {
-	Cells map[int]json.RawMessage `json:"cells"`
-}
-
 type hubSweep struct {
-	id      string
-	name    string
-	coord   *Coordinator
-	pinned  bool // pre-mounted by Mount: no refcount, no TTL
-	refs    int
-	touched time.Time
+	id    string
+	name  string
+	coord *Coordinator
+	mem   *MemStore // nil for a sweep pre-mounted by Mount: no refcount
+	refs  int
 }
 
 // Hub is an http.Handler hosting any number of coordinated sweeps.
@@ -134,12 +93,8 @@ func NewHub(opts HubOptions) *Hub {
 		workers: map[string]time.Time{},
 	}
 	h.mux = http.NewServeMux()
-	h.mux.HandleFunc("POST /sweeps", h.handleRegister)
 	h.mux.HandleFunc("GET /sweep", h.handlePick)
 	h.mux.HandleFunc("GET /status", h.handleStatus)
-	h.mux.HandleFunc("DELETE /sweeps/{id}", h.handleRelease)
-	h.mux.HandleFunc("GET /sweeps/{id}/status", h.handleSweepStatus)
-	h.mux.HandleFunc("GET /sweeps/{id}/cells", h.handleCells)
 	h.mux.HandleFunc("POST /sweeps/{id}/{op}", h.handleProtocol)
 	return h
 }
@@ -163,8 +118,7 @@ func (h *Hub) logf(format string, args ...any) {
 }
 
 // SweepID derives the hub's sweep id from a fingerprint: a short content
-// hash, so identical requests — including one replayed after a hub
-// restart — always land on the same id.
+// hash, so identical requests always land on the same id.
 func SweepID(fingerprint string) string {
 	sum := sha256.Sum256([]byte(fingerprint))
 	return fmt.Sprintf("s%x", sum[:8])
@@ -189,15 +143,11 @@ func (h *Hub) activeWorkersLocked(now time.Time) int {
 	return len(h.workers)
 }
 
-// gcLocked unmounts registered sweeps whose last touch is older than
-// SweepTTL.
-func (h *Hub) gcLocked(now time.Time) {
-	// Backwards, so unmounting shifts only entries already visited.
-	for i := len(h.order) - 1; i >= 0; i-- {
-		if hs := h.sweeps[h.order[i]]; !hs.pinned && now.Sub(hs.touched) > h.opts.SweepTTL {
-			h.unmountLocked(hs, "expired untouched")
-		}
-	}
+// ActiveWorkers counts the workers heard from within WorkerTTL.
+func (h *Hub) ActiveWorkers() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.activeWorkersLocked(h.opts.Now())
 }
 
 // mountedLocked snapshots the mounted sweeps in mount order.
@@ -236,8 +186,53 @@ func (h *Hub) Mount(name string, params experiments.SweepParams, store Store) (*
 	if err != nil {
 		return nil, err
 	}
-	hs.pinned = true
 	return hs.coord, nil
+}
+
+// Acquire mounts the named sweep on a fresh MemStore — or joins it, when
+// an identical request already did — and takes one reference. The caller
+// Waits on the ledger, reads the finished cells from the store, and
+// calls Release exactly once.
+func (h *Hub) Acquire(name string, params experiments.SweepParams) (*Coordinator, *MemStore, error) {
+	// Resolve outside the lock: NewSweep validates and fingerprints.
+	sw, err := experiments.NewSweep(name, params)
+	if err != nil {
+		return nil, nil, err
+	}
+	id := SweepID(sw.Fingerprint)
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	hs, joined := h.sweeps[id]
+	if !joined {
+		mem := NewMemStore()
+		if hs, err = h.mountLocked(id, name, params, mem); err != nil {
+			return nil, nil, err
+		}
+		hs.mem = mem
+	} else if hs.mem == nil {
+		return nil, nil, fmt.Errorf("coord: sweep %s (%s) is pre-mounted on a checkpoint", id, name)
+	}
+	hs.refs++
+	if joined {
+		h.logf("hub: sweep %s (%s) joined; %d clients share it", id, name, hs.refs)
+	}
+	return hs.coord, hs.mem, nil
+}
+
+// Release drops one Acquire reference. The last one aborts the ledger
+// and unmounts the sweep, so the workers' next heartbeat or delivery
+// answers 404 and they drop its cells. A pre-mounted sweep belongs to
+// the process and is left alone.
+func (h *Hub) Release(c *Coordinator) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	hs, ok := h.sweeps[SweepID(c.info.Fingerprint)]
+	if !ok || hs.mem == nil {
+		return
+	}
+	if hs.refs--; hs.refs <= 0 {
+		h.unmountLocked(hs, "released")
+	}
 }
 
 // mountLocked builds the sweep's ledger over store and appends it to the
@@ -253,59 +248,11 @@ func (h *Hub) mountLocked(id, name string, params experiments.SweepParams, store
 	if err != nil {
 		return nil, err
 	}
-	hs := &hubSweep{id: id, name: name, coord: c, touched: h.opts.Now()}
+	hs := &hubSweep{id: id, name: name, coord: c}
 	h.sweeps[id] = hs
 	h.order = append(h.order, id)
 	h.logf("hub: mounted sweep %s (%s, %d cells)", id, name, c.info.Cells)
 	return hs, nil
-}
-
-func (h *Hub) handleRegister(w http.ResponseWriter, r *http.Request) {
-	var req RegisterRequest
-	if !readJSON(w, r, &req) {
-		return
-	}
-	// Resolve outside the lock: NewSweep validates and fingerprints.
-	sw, err := experiments.NewSweep(req.Name, req.Params)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	id := SweepID(sw.Fingerprint)
-	now := h.opts.Now()
-
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.gcLocked(now)
-	hs, existing := h.sweeps[id]
-	if !existing {
-		if hs, err = h.mountLocked(id, req.Name, req.Params, NewMemStore()); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-	}
-	hs.refs++
-	hs.touched = now
-	writeJSON(w, RegisterResponse{ID: id, Fingerprint: sw.Fingerprint, Cells: sw.Cells, Existing: existing})
-}
-
-func (h *Hub) handleRelease(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	hs, ok := h.sweeps[id]
-	if !ok {
-		http.Error(w, "unknown sweep", http.StatusNotFound)
-		return
-	}
-	if hs.pinned {
-		http.Error(w, "sweep is pre-mounted by the coordinator process, not released by clients", http.StatusConflict)
-		return
-	}
-	if hs.refs--; hs.refs <= 0 {
-		h.unmountLocked(hs, "released")
-	}
-	writeJSON(w, map[string]bool{"ok": true})
 }
 
 // handlePick answers a worker's GET /sweep: the first mounted sweep with
@@ -315,7 +262,6 @@ func (h *Hub) handlePick(w http.ResponseWriter, r *http.Request) {
 	now := h.opts.Now()
 	h.mu.Lock()
 	h.touchWorkerLocked(r, now)
-	h.gcLocked(now)
 	candidates := h.mountedLocked()
 	h.mu.Unlock()
 
@@ -347,54 +293,23 @@ func (h *Hub) sweepInfo(hs *hubSweep) SweepInfo {
 	return info
 }
 
-// lookup fetches a mounted sweep and bumps its touch time.
+// lookup fetches a mounted sweep and records the calling worker's
+// contact.
 func (h *Hub) lookup(r *http.Request) (*hubSweep, bool) {
-	id := r.PathValue("id")
-	now := h.opts.Now()
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.touchWorkerLocked(r, now)
-	hs, ok := h.sweeps[id]
-	if ok {
-		hs.touched = now
-	}
+	h.touchWorkerLocked(r, h.opts.Now())
+	hs, ok := h.sweeps[r.PathValue("id")]
 	return hs, ok
-}
-
-func (h *Hub) handleSweepStatus(w http.ResponseWriter, r *http.Request) {
-	hs, ok := h.lookup(r)
-	if !ok {
-		http.Error(w, "unknown sweep", http.StatusNotFound)
-		return
-	}
-	st := hs.coord.Status()
-	now := h.opts.Now()
-	h.mu.Lock()
-	st.ActiveWorkers = h.activeWorkersLocked(now)
-	h.mu.Unlock()
-	writeJSON(w, st)
-}
-
-func (h *Hub) handleCells(w http.ResponseWriter, r *http.Request) {
-	hs, ok := h.lookup(r)
-	if !ok {
-		http.Error(w, "unknown sweep", http.StatusNotFound)
-		return
-	}
-	cells, err := hs.coord.committedCells()
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	writeJSON(w, CellsResponse{Cells: cells})
 }
 
 // handleProtocol routes lease/heartbeat/complete to the sweep's ledger.
 func (h *Hub) handleProtocol(w http.ResponseWriter, r *http.Request) {
 	hs, ok := h.lookup(r)
 	if !ok {
-		// The sweep is gone — released, aborted, or this hub restarted.
-		// 404 tells the worker to drop the cells and re-poll GET /sweep.
+		// The sweep is gone — released by its last client, or this hub
+		// restarted. 404 tells the worker to drop the cells and re-poll
+		// GET /sweep.
 		http.Error(w, "unknown sweep", http.StatusNotFound)
 		return
 	}
@@ -415,7 +330,6 @@ func (h *Hub) handleProtocol(w http.ResponseWriter, r *http.Request) {
 func (h *Hub) handleStatus(w http.ResponseWriter, r *http.Request) {
 	now := h.opts.Now()
 	h.mu.Lock()
-	h.gcLocked(now)
 	candidates := h.mountedLocked()
 	agg := Status{Name: "hub", Done: true,
 		ActiveWorkers: h.activeWorkersLocked(now),
@@ -437,9 +351,11 @@ func (h *Hub) handleStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, agg)
 }
 
-// MemStore is the in-memory Store behind registered sweeps: same dedup
-// semantics as serialize.Checkpoint, no file. Results leave through
-// GET /sweeps/{id}/cells instead of a checkpoint path.
+// MemStore is the in-memory Store behind the sweeps Acquire mounts: same
+// dedup semantics as serialize.Checkpoint, no file. Like it, a MemStore
+// is also a runner.Checkpoint, which is how the daemon reads a finished
+// sweep: it replays the local driver over the store, every cell loads
+// and nothing is computed.
 type MemStore struct {
 	mu    sync.Mutex
 	cells map[int]json.RawMessage
@@ -454,20 +370,21 @@ func NewMemStore() *MemStore {
 // identity to verify; the hub's content-hash id plays that role).
 func (m *MemStore) SetFingerprint(fp string) {}
 
-// Load implements Store.
+// Load implements Store: a snapshot of the committed cells.
 func (m *MemStore) Load() (map[int]json.RawMessage, error) {
-	return m.Cells(), nil
-}
-
-// Cells returns a snapshot of the committed cells.
-func (m *MemStore) Cells() map[int]json.RawMessage {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	out := make(map[int]json.RawMessage, len(m.cells))
 	for k, v := range m.cells {
 		out[k] = v
 	}
-	return out
+	return out, nil
+}
+
+// Store implements runner.Checkpoint over StoreDedup.
+func (m *MemStore) Store(index int, cell json.RawMessage) error {
+	_, err := m.StoreDedup(index, cell)
+	return err
 }
 
 // StoreDedup implements Store with serialize.Checkpoint's contract: an

@@ -3,6 +3,7 @@ package coord
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -60,74 +61,70 @@ func assertSameCells(t *testing.T, want, got map[int]json.RawMessage) {
 }
 
 func TestHubRegisterIsIdempotentByContentHash(t *testing.T) {
-	_, srv := testHub(t, HubOptions{})
-	req := RegisterRequest{Name: "pairwise", Params: pairwiseParams()}
+	h, srv := testHub(t, HubOptions{})
+	params := pairwiseParams()
 
-	r1 := post[RegisterResponse](t, srv.URL, "/sweeps", req)
-	if r1.ID == "" || r1.Existing || r1.Cells != 6 {
-		t.Fatalf("first register: %+v", r1)
+	c1, mem1, err := h.Acquire("pairwise", params)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if r1.ID != SweepID(r1.Fingerprint) {
-		t.Fatalf("sweep id %q is not the fingerprint's content hash %q", r1.ID, SweepID(r1.Fingerprint))
+	info := get[SweepInfo](t, srv.URL, "/sweep")
+	if info.ID != SweepID(c1.info.Fingerprint) || info.Cells != 6 {
+		t.Fatalf("mounted sweep %+v is not under its fingerprint's content hash %q", info, SweepID(c1.info.Fingerprint))
 	}
-	// The identical request — a concurrent twin daemon, or this daemon
-	// re-registering after a hub restart — joins the same sweep.
-	r2 := post[RegisterResponse](t, srv.URL, "/sweeps", req)
-	if r2.ID != r1.ID || !r2.Existing {
-		t.Fatalf("re-register: %+v, want existing id %s", r2, r1.ID)
+	// The identical request — a concurrent twin client — joins the same
+	// sweep: one ledger, one store.
+	c2, mem2, err := h.Acquire("pairwise", params)
+	if err != nil || c2 != c1 || mem2 != mem1 {
+		t.Fatalf("identical request did not join: ledger %p vs %p, store %p vs %p, %v", c2, c1, mem2, mem1, err)
 	}
 	// Different parameters mount a different sweep.
-	other := req
-	other.Params.Seed = 99
-	if r3 := post[RegisterResponse](t, srv.URL, "/sweeps", other); r3.ID == r1.ID {
-		t.Fatal("distinct parameters landed on the same sweep id")
+	other := params
+	other.Seed = 99
+	if c3, _, err := h.Acquire("pairwise", other); err != nil || c3 == c1 {
+		t.Fatalf("distinct parameters landed on the same sweep (%v)", err)
+	}
+	if st := get[Status](t, srv.URL, "/status"); st.Sweeps != 2 {
+		t.Fatalf("status: %+v, want 2 sweeps", st)
 	}
 	// Invalid parameters are refused before anything mounts.
-	if _, status := postStatus[RegisterResponse](t, srv.URL, "/sweeps",
-		RegisterRequest{Name: "pairwise", Params: experiments.SweepParams{Schedulers: []string{"HEFT"}}}); status != http.StatusBadRequest {
-		t.Fatalf("invalid sweep registered: status %d", status)
+	if _, _, err := h.Acquire("pairwise", experiments.SweepParams{Schedulers: []string{"HEFT"}}); err == nil {
+		t.Fatal("invalid sweep mounted")
 	}
 }
 
 func TestHubRefcountedRelease(t *testing.T) {
-	_, srv := testHub(t, HubOptions{})
-	req := RegisterRequest{Name: "pairwise", Params: pairwiseParams()}
-	id := post[RegisterResponse](t, srv.URL, "/sweeps", req).ID
-	post[RegisterResponse](t, srv.URL, "/sweeps", req) // second ref
+	h, srv := testHub(t, HubOptions{})
+	c, _, err := h.Acquire("pairwise", pairwiseParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := h.Acquire("pairwise", pairwiseParams()); err != nil { // second ref
+		t.Fatal(err)
+	}
+	base := mountURL(srv.URL, c)
 
-	del := func() int {
-		r, err := http.NewRequest(http.MethodDelete, srv.URL+"/sweeps/"+id, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.DefaultClient.Do(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		return resp.StatusCode
-	}
-	if status := del(); status != http.StatusOK {
-		t.Fatalf("first release: status %d", status)
-	}
+	h.Release(c)
 	// One ref left: the sweep is still mounted and leasable.
-	if l := post[LeaseResponse](t, srv.URL, "/sweeps/"+id+"/lease", LeaseRequest{Worker: "w"}); len(l.Cells) == 0 {
+	if l := post[LeaseResponse](t, base, "/lease", LeaseRequest{Worker: "w"}); len(l.Cells) == 0 {
 		t.Fatalf("sweep unmounted while a client still holds it: %+v", l)
 	}
-	if status := del(); status != http.StatusOK {
-		t.Fatalf("last release: status %d", status)
-	}
-	// Gone: protocol calls answer 404, telling workers to drop the cells.
-	if _, status := postStatus[HeartbeatResponse](t, srv.URL, "/sweeps/"+id+"/heartbeat",
+	h.Release(c)
+	// Gone: protocol calls answer 404, telling workers to drop the cells,
+	// and whoever still waited on the ledger learns it was aborted.
+	if _, status := postStatus[HeartbeatResponse](t, base, "/heartbeat",
 		HeartbeatRequest{Worker: "w", Lease: "whatever"}); status != http.StatusNotFound {
 		t.Fatalf("heartbeat on a released sweep: status %d, want 404", status)
 	}
-	if _, status := postStatus[CompleteResponse](t, srv.URL, "/sweeps/"+id+"/complete",
+	if _, status := postStatus[CompleteResponse](t, base, "/complete",
 		CompleteRequest{Worker: "w", Lease: "whatever"}); status != http.StatusNotFound {
 		t.Fatalf("complete on a released sweep: status %d, want 404", status)
 	}
-	if status := del(); status != http.StatusNotFound {
-		t.Fatalf("release of an unmounted sweep: status %d, want 404", status)
+	if err := c.Wait(nil); !errors.Is(err, ErrAborted) {
+		t.Fatalf("Wait on a released sweep = %v, want ErrAborted", err)
+	}
+	if st := get[Status](t, srv.URL, "/status"); st.Sweeps != 0 {
+		t.Fatalf("released sweep still mounted: %+v", st)
 	}
 }
 
@@ -136,7 +133,7 @@ func TestHubRefcountedRelease(t *testing.T) {
 // rotating across both, and each sweep's committed cells byte-identical
 // to its sequential in-process reference.
 func TestHubPersistWorkersDrainMultipleSweeps(t *testing.T) {
-	_, srv := testHub(t, HubOptions{Sweep: Options{LeaseSize: 2, LeaseTTL: 2 * time.Second}})
+	h, srv := testHub(t, HubOptions{Sweep: Options{LeaseSize: 2, LeaseTTL: 2 * time.Second}})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -165,27 +162,23 @@ func TestHubPersistWorkersDrainMultipleSweeps(t *testing.T) {
 	for _, sw := range sweeps {
 		t.Run(sw.name, func(t *testing.T) {
 			want := referenceCells(t, sw.name, sw.params)
-			reg := post[RegisterResponse](t, srv.URL, "/sweeps", RegisterRequest{Name: sw.name, Params: sw.params})
-			deadline := time.Now().Add(2 * time.Minute)
-			for {
-				st := get[Status](t, srv.URL, "/sweeps/"+reg.ID+"/status")
-				if st.Done {
-					if st.Poisoned != 0 {
-						t.Fatalf("poisoned cells in a healthy fleet: %+v", st)
-					}
-					break
-				}
-				if time.Now().After(deadline) {
-					t.Fatalf("sweep never finished: %+v", st)
-				}
-				time.Sleep(10 * time.Millisecond)
+			c, mem, err := h.Acquire(sw.name, sw.params)
+			if err != nil {
+				t.Fatal(err)
 			}
-			got := get[CellsResponse](t, srv.URL, "/sweeps/"+reg.ID+"/cells")
-			assertSameCells(t, want, got.Cells)
-			// The fleet heartbeats through ?worker=, so the status a
-			// dispatching daemon watches must see live workers.
-			if st := get[Status](t, srv.URL, "/sweeps/"+reg.ID+"/status"); st.ActiveWorkers < 2 {
-				t.Fatalf("ActiveWorkers = %d, want the whole fleet", st.ActiveWorkers)
+			defer h.Release(c)
+			timeout := make(chan struct{})
+			timer := time.AfterFunc(2*time.Minute, func() { close(timeout) })
+			defer timer.Stop()
+			if err := c.Wait(timeout); err != nil {
+				t.Fatalf("sweep in a healthy fleet: %v (%+v)", err, c.Status())
+			}
+			got, _ := mem.Load()
+			assertSameCells(t, want, got)
+			// The fleet calls in through ?worker=, which is what a
+			// dispatching daemon watches.
+			if n := h.ActiveWorkers(); n < 2 {
+				t.Fatalf("ActiveWorkers = %d, want the whole fleet", n)
 			}
 		})
 	}
@@ -194,75 +187,78 @@ func TestHubPersistWorkersDrainMultipleSweeps(t *testing.T) {
 	wg.Wait()
 }
 
-func TestHubWorkerLivenessAndSweepGC(t *testing.T) {
+// TestHubWorkerLiveness: a worker counts as active from any call that
+// names it until WorkerTTL passes without another.
+func TestHubWorkerLiveness(t *testing.T) {
 	clock := newFakeClock()
-	_, srv := testHub(t, HubOptions{WorkerTTL: 10 * time.Second, SweepTTL: time.Minute, Now: clock.Now})
-	id := post[RegisterResponse](t, srv.URL, "/sweeps", RegisterRequest{Name: "pairwise", Params: pairwiseParams()}).ID
-
-	// A worker's GET /sweep marks it alive until WorkerTTL passes.
-	if info := get[SweepInfo](t, srv.URL, "/sweep?worker=w1"); info.ID != id || info.Path != "/sweeps/"+id {
-		t.Fatalf("pick: %+v, want sweep %s", info, id)
+	h, srv := testHub(t, HubOptions{WorkerTTL: 10 * time.Second, Now: clock.Now})
+	if n := h.ActiveWorkers(); n != 0 {
+		t.Fatalf("ActiveWorkers on a fresh hub = %d", n)
 	}
-	if st := get[Status](t, srv.URL, "/status"); st.ActiveWorkers != 1 || st.Sweeps != 1 {
+	c, _, err := h.Acquire("pairwise", pairwiseParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if info := get[SweepInfo](t, srv.URL, "/sweep?worker=w1"); srv.URL+info.Path != mountURL(srv.URL, c) {
+		t.Fatalf("pick: %+v, want the acquired sweep", info)
+	}
+	if st := get[Status](t, srv.URL, "/status"); st.ActiveWorkers != 1 || st.Sweeps != 1 || h.ActiveWorkers() != 1 {
 		t.Fatalf("status after worker contact: %+v", st)
 	}
-	clock.Advance(11 * time.Second)
-	if st := get[Status](t, srv.URL, "/status"); st.ActiveWorkers != 0 {
-		t.Fatalf("worker still counted after TTL: %+v", st)
+	clock.Advance(9 * time.Second)
+	post[LeaseResponse](t, mountURL(srv.URL, c), "/lease?worker=w2", LeaseRequest{Worker: "w2"})
+	clock.Advance(2 * time.Second)
+	if n := h.ActiveWorkers(); n != 1 {
+		t.Fatalf("ActiveWorkers = %d, want only the worker that leased 2s ago", n)
 	}
-
-	// Touching the sweep (status polls count) defers the GC…
-	clock.Advance(50 * time.Second)
-	if st := get[Status](t, srv.URL, "/sweeps/"+id+"/status"); st.Done {
-		t.Fatalf("untouched sweep: %+v", st)
-	}
-	// …but a full SweepTTL of silence unmounts it: the leak bound for
-	// daemons that crashed between register and release.
-	clock.Advance(61 * time.Second)
-	if st := get[Status](t, srv.URL, "/status"); st.Sweeps != 0 {
-		t.Fatalf("leaked sweep survived its TTL: %+v", st)
-	}
-	if info := get[SweepInfo](t, srv.URL, "/sweep"); !info.Idle {
-		t.Fatalf("pick after GC: %+v, want idle", info)
+	clock.Advance(9 * time.Second)
+	if st := get[Status](t, srv.URL, "/status"); st.ActiveWorkers != 0 || h.ActiveWorkers() != 0 {
+		t.Fatalf("workers still counted after TTL: %+v", st)
 	}
 }
 
-// TestHubRestartSameIDAbsorbsReplayedCompletion models the coordinator
-// crash the dispatch layer survives: a fresh hub (restart = empty
-// state) mounts the re-registered sweep on the same content-hash id,
-// and a worker's completion computed against the old incarnation —
-// delivered twice, even — commits into the new one without complaint.
+// TestHubRestartSameIDAbsorbsReplayedCompletion: a daemon that restarts
+// loses its sweeps, but the client's retried request mounts the same
+// content-hash id on the fresh hub, and a worker's completion computed
+// against the old incarnation — delivered twice, even — commits into
+// the new one without complaint.
 func TestHubRestartSameIDAbsorbsReplayedCompletion(t *testing.T) {
 	params := pairwiseParams()
 	ref := referenceCells(t, "pairwise", params)
 
-	_, srv1 := testHub(t, HubOptions{})
-	id1 := post[RegisterResponse](t, srv1.URL, "/sweeps", RegisterRequest{Name: "pairwise", Params: params}).ID
-
-	// "Restart": a brand-new hub, same registration.
-	_, srv2 := testHub(t, HubOptions{})
-	id2 := post[RegisterResponse](t, srv2.URL, "/sweeps", RegisterRequest{Name: "pairwise", Params: params}).ID
-	if id1 != id2 {
-		t.Fatalf("restarted hub minted a different sweep id: %s vs %s", id1, id2)
+	h1, srv1 := testHub(t, HubOptions{})
+	c1, _, err := h1.Acquire("pairwise", params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// "Restart": a brand-new hub, same request.
+	h2, srv2 := testHub(t, HubOptions{})
+	c2, _, err := h2.Acquire("pairwise", params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := SweepID(c1.info.Fingerprint)
+	if mountURL(srv2.URL, c2) != srv2.URL+"/sweeps/"+id {
+		t.Fatalf("restarted hub minted a different sweep id than %s", id)
 	}
 
 	// A lease from the *old* incarnation delivers into the new one: the
 	// lease is unknown there, but completions are accepted from unknown
 	// leases (the cells are position-determined, so they are right).
-	lease := post[LeaseResponse](t, srv1.URL, "/sweeps/"+id1+"/lease", LeaseRequest{Worker: "w"})
+	lease := post[LeaseResponse](t, mountURL(srv1.URL, c1), "/lease", LeaseRequest{Worker: "w"})
 	cells := map[int]json.RawMessage{}
 	for _, k := range lease.Cells {
 		cells[k] = ref[k]
 	}
 	for i := 0; i < 2; i++ { // delivered twice: StoreDedup absorbs the replay
-		ack := post[CompleteResponse](t, srv2.URL, "/sweeps/"+id2+"/complete",
+		ack := post[CompleteResponse](t, mountURL(srv2.URL, c2), "/complete",
 			CompleteRequest{Worker: "w", Lease: lease.Lease, Cells: cells})
 		if !ack.OK {
 			t.Fatalf("delivery %d refused: %+v", i, ack)
 		}
 	}
-	st := get[Status](t, srv2.URL, "/sweeps/"+id2+"/status")
-	if st.Committed != len(cells) {
+	if st := c2.Status(); st.Committed != len(cells) {
 		t.Fatalf("replayed completion committed %d cells, want %d", st.Committed, len(cells))
 	}
 }

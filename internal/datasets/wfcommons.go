@@ -23,6 +23,39 @@ import (
 // finite-bandwidth network normalized to CCR 1 via SetHomogeneousCCR —
 // the Section VII-A configuration.
 
+// InstanceFromWfC imports a wfformat document as a scheduling instance —
+// the one import `saga convert -from-wfc`, the daemon's wfc submissions
+// and the wfc_* datasets share: links of uniform strength link, machines
+// from the trace or, when it lists none, a unit network of nodes nodes,
+// links rescaled to an average CCR of ccr when ccr > 0, validated.
+func InstanceFromWfC(raw []byte, link, ccr float64, nodes int) (*graph.Instance, error) {
+	doc, err := wfc.Parse(raw)
+	if err != nil {
+		return nil, err
+	}
+	g, err := doc.ToTaskGraph()
+	if err != nil {
+		return nil, err
+	}
+	net := doc.ToNetwork(link)
+	if net == nil {
+		net = graph.NewNetwork(nodes)
+		for u := 0; u < nodes; u++ {
+			for v := u + 1; v < nodes; v++ {
+				net.SetLink(u, v, link)
+			}
+		}
+	}
+	inst := graph.NewInstance(g, net)
+	if ccr > 0 {
+		SetHomogeneousCCR(inst, ccr)
+	}
+	if err := inst.Validate(); err != nil {
+		return nil, err
+	}
+	return inst, nil
+}
+
 // wfcInstance generates one wfc_* instance by round-tripping the named
 // recipe through the wfformat interchange.
 func wfcInstance(name string, r *rng.RNG) *graph.Instance {
@@ -42,16 +75,10 @@ func wfcInstance(name string, r *rng.RNG) *graph.Instance {
 	if err != nil {
 		panic(err)
 	}
-	parsed, err := wfc.Parse(data)
+	inst, err := InstanceFromWfC(data, 1, 1, 0)
 	if err != nil {
 		panic(err)
 	}
-	g2, err := parsed.ToTaskGraph()
-	if err != nil {
-		panic(err)
-	}
-	inst := graph.NewInstance(g2, parsed.ToNetwork(1))
-	SetHomogeneousCCR(inst, 1)
 	return inst
 }
 

@@ -189,7 +189,16 @@ func (in *Instance) CopyFrom(src *Instance) {
 	in.Net.CopyFrom(src.Net)
 }
 
-// Validate checks both halves of the instance.
+// Validate checks both halves of the instance, and that its times stay
+// representable: the serial upper bound
+//
+//	Σ_t c(t)/min_v s(v) + Σ_(u,t) c(u,t)/min_(v≠w) s(v,w)
+//
+// (every task on the slowest node, every dependency over the weakest
+// link; a network with no link of finite strength moves finite data for
+// free) must be finite. No start or finish time a list scheduler
+// computes exceeds it, so past this check "no node finishes the task
+// before +Inf" cannot happen to a placement loop.
 func (in *Instance) Validate() error {
 	if in.Graph == nil || in.Net == nil {
 		return fmt.Errorf("graph: instance missing graph or network")
@@ -197,7 +206,29 @@ func (in *Instance) Validate() error {
 	if err := in.Graph.Validate(); err != nil {
 		return err
 	}
-	return in.Net.Validate()
+	if err := in.Net.Validate(); err != nil {
+		return err
+	}
+	minSpeed, minLink := math.Inf(1), math.Inf(1)
+	for v, s := range in.Net.Speeds {
+		minSpeed = math.Min(minSpeed, s)
+		for _, w := range in.Net.Links[v] {
+			minLink = math.Min(minLink, w)
+		}
+	}
+	bound := 0.0
+	for _, task := range in.Graph.Tasks {
+		bound += task.Cost / minSpeed
+	}
+	for _, succ := range in.Graph.Succ {
+		for _, d := range succ {
+			bound += d.Cost / minLink
+		}
+	}
+	if math.IsInf(bound, 0) || math.IsNaN(bound) {
+		return fmt.Errorf("graph: serial schedule length bound is %v: costs overflow on the slowest node and weakest link", bound)
+	}
+	return nil
 }
 
 // ExecTime returns the execution time of task t on node v: c(t)/s(v).

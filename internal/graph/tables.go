@@ -17,7 +17,7 @@ import "math"
 // schedulers reading the tables produce bit-identical schedules to ones
 // calling the Instance methods directly.
 //
-// Storage discipline (ARCHITECTURE.md invariant 10): Tables holds no
+// Storage discipline (ARCHITECTURE.md invariant 9): Tables holds no
 // |V|²-sized array. The link matrix is stored as one modal default
 // strength plus a CSR-indexed exception list, sized O(|V|+|E|) where
 // |E| counts the node pairs whose strength differs from the mode; the

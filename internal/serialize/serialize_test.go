@@ -3,6 +3,7 @@ package serialize
 import (
 	"math"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"saga/internal/datasets"
@@ -100,6 +101,13 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 		"speeds":[1,1],"links":[{"u":0,"v":9,"strength":1}]}`
 	if _, err := UnmarshalInstance([]byte(bad2)); err == nil {
 		t.Fatal("out-of-range link accepted")
+	}
+	// Every field finite, but the second task's finish time is +Inf: the
+	// instance whose schedule used to take an insertion scheduler down.
+	overflow := `{"tasks":[{"name":"a","cost":1e308},{"name":"b","cost":1e308}],
+		"deps":[{"from":0,"to":1,"cost":1}],"speeds":[1]}`
+	if _, err := UnmarshalInstance([]byte(overflow)); err == nil || !strings.Contains(err.Error(), "bound") {
+		t.Fatalf("overflowing instance: %v, want the serial bound refusal", err)
 	}
 }
 

@@ -3,7 +3,7 @@ package serve
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -11,25 +11,23 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
-	"strings"
 	"syscall"
 	"testing"
 	"time"
 
 	"saga/internal/coord"
+	"saga/internal/httpx"
 )
 
 // TestChaosSmokeE2E is the process-level chaos drill for the dispatch
-// layer: a real `saga serve -coordinator` daemon farming requests
-// through a real `saga coordinate -hub` to three real `saga worker
-// -persist` processes — with the hub SIGKILLed and restarted on the
-// same port mid-request, one worker SIGKILLed mid-sweep, and bearer
-// tokens on every coordinator hop. Every response must be
-// byte-identical to in-process local execution, nothing may degrade,
-// and a SIGTERM must drain each process to a clean exit 0. It builds
-// the saga binary and forks processes, so it only runs when
-// CHAOS_SMOKE=1 (wired up as `make chaos-smoke`, part of
-// `make verify`).
+// layer, two process kinds: a real `saga serve` daemon and the three
+// real `saga worker -coordinator <daemon>/hub -persist` processes it
+// farms requests to — one of them SIGKILLed mid-sweep, one bearer token
+// on every hop. Every response must be byte-identical to in-process
+// local execution, nothing may degrade, and a SIGTERM must drain each
+// process to a clean exit 0. It builds the saga binary and forks
+// processes, so it only runs when CHAOS_SMOKE=1 (wired up as `make
+// chaos-smoke`, part of `make verify`).
 func TestChaosSmokeE2E(t *testing.T) {
 	if os.Getenv("CHAOS_SMOKE") != "1" {
 		t.Skip("set CHAOS_SMOKE=1 to run the process-level dispatch chaos drill")
@@ -75,14 +73,11 @@ func TestChaosSmokeE2E(t *testing.T) {
 		return cmd, url
 	}
 
-	hubArgs := []string{"coordinate", "-hub", "-token", token, "-lease", "4", "-lease-ttl", "1s"}
-	hub1, hubURL := start(append(hubArgs, "-addr", "127.0.0.1:0")...)
-	defer hub1.Process.Kill()
-	hubAddr := strings.TrimPrefix(hubURL, "http://")
-
-	daemon, daemonURL := start("serve", "-addr", "127.0.0.1:0",
-		"-coordinator", hubURL, "-coordinator-token", token, "-degrade-window", "60s")
+	// The window is also the lease lifetime: the killed worker's cells
+	// come back to the survivors after one of it.
+	daemon, daemonURL := start("serve", "-addr", "127.0.0.1:0", "-token", token, "-degrade-window", "1s")
 	defer daemon.Process.Kill()
+	authed := &Client{BaseURL: daemonURL, Token: token}
 
 	// In-process local twin: the byte-identity reference.
 	local := httptest.NewServer(New(Options{}))
@@ -110,78 +105,18 @@ func TestChaosSmokeE2E(t *testing.T) {
 		want[i] = body
 	}
 
-	// Fire every request before any worker exists: the sweeps mount on
-	// the hub and sit pending, so the restart below is guaranteed to
-	// land mid-request.
-	results := make([]<-chan postResult, len(reqs))
-	for i, rq := range reqs {
-		results[i] = postAsync(daemonURL, rq.path, rq.body)
-	}
 	hubStatusAuthed := func() coord.Status {
 		var st coord.Status
-		req, err := http.NewRequest(http.MethodGet, "http://"+hubAddr+"/status", nil)
-		if err != nil {
-			return st
+		if err := httpx.GetJSON(context.Background(), authed.client(), daemonURL+"/hub/status", &st); err != nil {
+			t.Fatalf("hub status: %v", err)
 		}
-		req.Header.Set("Authorization", "Bearer "+token)
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			return st
-		}
-		defer resp.Body.Close()
-		json.NewDecoder(resp.Body).Decode(&st)
 		return st
 	}
-	deadline := time.Now().Add(time.Minute)
-	for hubStatusAuthed().Sweeps < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("daemon never registered its sweeps on the hub")
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
 
-	// Coordinator crash: SIGKILL the hub and restart it on the same
-	// port, state gone. The daemon's status polls answer 404 and it
-	// re-registers onto the same content-hash sweep ids.
-	hub1.Process.Kill()
-	hub1.Wait()
-	t.Log("SIGKILLed the hub mid-request; restarting on", hubAddr)
-	var hub2 *exec.Cmd
-	restart := time.Now().Add(30 * time.Second)
-	for {
-		cmd := exec.Command(bin, append(hubArgs, "-addr", hubAddr)...)
-		cmd.Stdout = os.Stderr
-		cmd.Stderr = os.Stderr
-		if err := cmd.Start(); err != nil {
-			t.Fatal(err)
-		}
-		time.Sleep(100 * time.Millisecond)
-		if cmd.ProcessState == nil && hubStatusAuthed().Name == "hub" {
-			hub2 = cmd
-			break
-		}
-		cmd.Process.Kill()
-		cmd.Wait()
-		if time.Now().After(restart) {
-			t.Fatalf("could not restart the hub on %s", hubAddr)
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
-	defer hub2.Process.Kill()
-	deadline = time.Now().Add(time.Minute)
-	for hubStatusAuthed().Sweeps < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("daemon never re-registered after the hub restart")
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-
-	// Now attach the fleet and let it chew; once the grid is moving,
-	// SIGKILL one worker outright — its leases expire and the survivors
-	// reclaim the cells.
+	// Attach the fleet first — a daemon nobody called computes locally.
 	workers := make([]*exec.Cmd, 3)
 	for i := range workers {
-		workers[i] = exec.Command(bin, "worker", "-coordinator", "http://"+hubAddr,
+		workers[i] = exec.Command(bin, "worker", "-coordinator", daemonURL+"/hub",
 			"-token", token, "-persist", "-name", fmt.Sprintf("chaos-w%d", i))
 		workers[i].Stdout = os.Stderr
 		workers[i].Stderr = os.Stderr
@@ -190,16 +125,31 @@ func TestChaosSmokeE2E(t *testing.T) {
 		}
 		defer workers[i].Process.Kill()
 	}
+	deadline := time.Now().Add(time.Minute)
+	for hubStatusAuthed().ActiveWorkers < len(workers) {
+		if time.Now().After(deadline) {
+			t.Fatalf("fleet never attached: %+v", hubStatusAuthed())
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+
+	// Fire every request and let the fleet chew; once the grid is moving,
+	// SIGKILL one worker outright — its leases expire and the survivors
+	// reclaim the cells.
+	results := make([]<-chan postResult, len(reqs))
+	for i, rq := range reqs {
+		results[i] = postAsyncWith(authed.client(), daemonURL, rq.path, rq.body)
+	}
 	deadline = time.Now().Add(2 * time.Minute)
 	for {
 		st := hubStatusAuthed()
-		if st.Committed >= 8 || st.Sweeps == 0 {
+		if st.Committed >= 8 {
 			break
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("fleet never made progress: %+v", st)
 		}
-		time.Sleep(20 * time.Millisecond)
+		time.Sleep(5 * time.Millisecond)
 	}
 	workers[0].Process.Kill()
 	workers[0].Wait()
@@ -217,12 +167,12 @@ func TestChaosSmokeE2E(t *testing.T) {
 			t.Fatalf("%s diverged from local under chaos (%d vs %d bytes)", rq.name, len(res.body), len(want[i]))
 		}
 	}
-	snap := metricsSnapshot(t, daemonURL)
+	snap, err := authed.Metrics(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if snap.Dispatch.Dispatched != uint64(len(reqs)) || len(snap.Dispatch.Degraded) != 0 {
 		t.Fatalf("chaos broke the dispatch path: %+v", snap.Dispatch)
-	}
-	if snap.Dispatch.Reregistered < 1 {
-		t.Fatal("hub restart went unnoticed: no re-registrations")
 	}
 
 	// Graceful drains: SIGTERM must walk every process out with exit 0.
@@ -246,5 +196,4 @@ func TestChaosSmokeE2E(t *testing.T) {
 	for i, w := range workers[1:] {
 		drain(fmt.Sprintf("worker-%d", i+1), w)
 	}
-	drain("hub", hub2)
 }

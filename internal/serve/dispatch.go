@@ -1,243 +1,89 @@
 package serve
 
-// The dispatch path: with Options.Coordinator set, portfolio and
-// robustness requests are registered as sweeps on a coordinator hub
-// (internal/coord.Hub) and computed by whatever `saga worker
-// -coordinator <hub> -persist` fleet is attached, instead of pinning a
-// local admission slot for the whole run. The daemon then replays the
-// fetched cells through the NORMAL local code path (the sweep drivers
-// load every cell from a pre-populated checkpoint and compute nothing),
-// so a dispatched response is byte-for-byte the local response — the
-// dispatch layer can only ever change where cells are computed, never
-// what the client reads.
+// The dispatch path. The daemon is its own coordinator hub
+// (internal/coord.Hub, served under /hub/): while a `saga worker
+// -coordinator <daemon>/hub -persist` fleet is attached, portfolio and
+// robustness requests are mounted on it as sweeps and computed by the
+// fleet, instead of pinning a local admission slot for the whole run.
+// The daemon then replays the finished store through the NORMAL local
+// code path (the sweep drivers load every cell from it and compute
+// nothing), so a dispatched response is byte-for-byte the local
+// response — the dispatch layer can only ever change where cells are
+// computed, never what the client reads.
 //
-// Robustness is graceful degradation: every failure of the dispatch
-// side — hub unreachable, no workers heartbeating within the window, a
-// poisoned cell, a short fetch — falls back to local in-process
-// execution. Degradation is logged and counted in /metrics, and is
-// never an error to the client. The one non-local failure that
-// propagates is the client's own disappearance: cancellation flows from
-// the request context to the hub (sweep released → workers' heartbeats
-// answer 404 → leases dropped) and the handler unwinds.
-//
-// Coordinator crashes are survived by identity, not state: the sweep id
-// is the content hash of its fingerprint, so when a status poll answers
-// 404 (hub restarted, empty) the daemon re-registers and lands on the
-// same id; workers re-deliver into the fresh incarnation and StoreDedup
-// makes any replayed completion a no-op.
+// Whether to dispatch is something the hub already measures: a request
+// is dispatched iff a worker was heard from within DegradeWindow, so a
+// daemon without a fleet computes locally at once. Robustness is
+// graceful degradation: a fleet that goes silent mid-sweep, or a sweep
+// the fleet cannot finish, falls back to local in-process execution.
+// Degradation is logged and counted in /metrics, and is never an error
+// to the client. The one failure that propagates is the client's own
+// disappearance: cancellation flows from the request context to the hub
+// (sweep released → workers' heartbeats answer 404 → leases dropped)
+// and the handler unwinds.
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
-	"fmt"
 	"net/http"
 	"time"
 
-	"saga/internal/coord"
 	"saga/internal/experiments"
-	"saga/internal/httpx"
+	"saga/internal/runner"
 )
 
-// degradeError explains why a dispatched request fell back to local
-// execution. It is consumed by the handlers (logged + counted), never
-// surfaced to the client.
-type degradeError struct {
-	reason string // metrics key: "no-workers", "unreachable", "poisoned", "short", "refused"
-	err    error
-}
-
-func (e *degradeError) Error() string {
-	if e.err != nil {
-		return fmt.Sprintf("dispatch degraded (%s): %v", e.reason, e.err)
+// dispatch runs the named sweep on the attached fleet and returns the
+// store holding every cell, or nil when the handler should compute
+// locally (no fleet, or the dispatch side degraded — logged and counted,
+// never a client error). The error is non-nil only when the client
+// itself is gone.
+func (s *Server) dispatch(r *http.Request, endpoint, sweep string, params experiments.SweepParams) (runner.Checkpoint, error) {
+	if s.hub.ActiveWorkers() == 0 {
+		return nil, nil
 	}
-	return fmt.Sprintf("dispatch degraded (%s)", e.reason)
-}
-
-func (e *degradeError) Unwrap() error { return e.err }
-
-// dispatcher talks to one coordinator hub on behalf of the daemon.
-type dispatcher struct {
-	base    string
-	client  *http.Client
-	retry   httpx.RetryPolicy
-	window  time.Duration // no-worker / unreachable degradation budget
-	poll    time.Duration // status poll cadence
-	metrics *Metrics
-	logf    func(format string, args ...any)
-}
-
-func newDispatcher(opts Options, metrics *Metrics, logf func(string, ...any)) *dispatcher {
-	return &dispatcher{
-		base:    opts.Coordinator,
-		client:  httpx.NewBearerClient(nil, opts.CoordinatorToken),
-		retry:   httpx.RetryPolicy{Attempts: 3, PerTry: 2 * time.Second, Base: 100 * time.Millisecond, Cap: time.Second},
-		window:  opts.DegradeWindow,
-		poll:    opts.DispatchPoll,
-		metrics: metrics,
-		logf:    logf,
-	}
-}
-
-// run registers the sweep and shepherds it to completion, returning the
-// committed cells. Errors are either a *degradeError (fall back to
-// local — the caller must still answer the client correctly) or the
-// request context's error (the client is gone; stop).
-func (d *dispatcher) run(ctx context.Context, name string, params experiments.SweepParams) (map[int]json.RawMessage, error) {
-	reg, err := d.register(ctx, name, params)
+	ledger, store, err := s.hub.Acquire(sweep, params)
 	if err != nil {
-		return nil, err
+		s.logf("serve: %s: not dispatched: %v; running locally", endpoint, err)
+		return nil, nil
 	}
-	d.logf("serve: dispatch: sweep %s (%s, %d cells) registered on %s", reg.ID, name, reg.Cells, d.base)
+	defer s.hub.Release(ledger)
+	ctx, cancel := context.WithCancel(r.Context())
+	defer cancel()
+	finished := make(chan error, 1)
+	go func() { finished <- ledger.Wait(ctx.Done()) }()
 
-	start := time.Now()
-	lastActivity := start // last sign of worker life or progress
-	lastContact := start  // last successful hub answer
-	lastCommitted := -1
+	alive := time.NewTicker(max(s.opts.DegradeWindow/4, time.Millisecond))
+	defer alive.Stop()
 	for {
 		select {
 		case <-ctx.Done():
-			// The client disconnected (or its deadline passed): release the
-			// sweep so the hub reaps the leases and workers drop the cells.
-			d.release(reg.ID)
-			d.metrics.dispatchCanceled()
-			d.logf("serve: dispatch: sweep %s canceled by client; released", reg.ID)
+			// The client disconnected (or its deadline passed); the deferred
+			// Release lets the hub reap the leases and workers drop the cells.
+			s.metrics.dispatchCanceled()
+			s.logf("serve: %s: dispatched sweep canceled by client; released", endpoint)
 			return nil, ctx.Err()
-		case <-time.After(d.poll):
-		}
-
-		var st coord.Status
-		err := d.getJSON(ctx, d.base+"/sweeps/"+reg.ID+"/status", &st)
-		now := time.Now()
-		switch {
-		case err == nil:
-			lastContact = now
-		case isStatusCode(err, http.StatusNotFound):
-			// The hub restarted and lost the sweep. Same params → same
-			// content-hash id: re-register and keep going. Workers
-			// re-deliver; StoreDedup absorbs any replay.
-			if _, rerr := d.register(ctx, name, params); rerr != nil {
-				return nil, rerr
+		case err := <-finished:
+			if err == nil {
+				s.metrics.dispatchDone()
+				return store, nil
 			}
-			d.metrics.dispatchReregistered()
-			d.logf("serve: dispatch: sweep %s vanished (coordinator restart?); re-registered", reg.ID)
-			lastContact = now
-			lastActivity = now
-			lastCommitted = -1
-			continue
-		default:
 			if ctx.Err() != nil {
-				continue // let the ctx.Done branch clean up
+				continue // let the ctx.Done branch account for it
 			}
-			if now.Sub(lastContact) > d.window {
-				d.release(reg.ID)
-				return nil, &degradeError{reason: "unreachable", err: err}
+			// Some cell fails deterministically (or a worker disagreed with
+			// another). Local execution reproduces a failure faithfully — the
+			// client gets the same answer a local-only daemon would give.
+			s.metrics.dispatchDegraded("poisoned")
+			s.logf("serve: %s: dispatch degraded (poisoned): %v; running locally", endpoint, err)
+			return nil, nil
+		case <-alive.C:
+			if s.hub.ActiveWorkers() > 0 {
+				continue
 			}
-			continue
-		}
-
-		if st.Done {
-			if st.Poisoned > 0 {
-				// Some cell fails deterministically. Local execution
-				// reproduces that failure faithfully — the client gets the
-				// same answer a local-only daemon would give.
-				d.release(reg.ID)
-				return nil, &degradeError{reason: "poisoned", err: fmt.Errorf("%d poisoned cells", st.Poisoned)}
-			}
-			var cells CellsResponse
-			if err := d.retry.Do(ctx, func(ctx context.Context) error {
-				return httpx.GetJSON(ctx, d.client, d.base+"/sweeps/"+reg.ID+"/cells", &cells)
-			}); err != nil {
-				if isStatusCode(err, http.StatusNotFound) {
-					continue // re-registration path will pick it up next poll
-				}
-				d.release(reg.ID)
-				return nil, &degradeError{reason: "unreachable", err: err}
-			}
-			d.release(reg.ID)
-			if len(cells.Cells) != reg.Cells {
-				return nil, &degradeError{reason: "short",
-					err: fmt.Errorf("fetched %d of %d cells", len(cells.Cells), reg.Cells)}
-			}
-			return cells.Cells, nil
-		}
-
-		if st.Committed != lastCommitted {
-			lastCommitted = st.Committed
-			lastActivity = now
-		} else if st.ActiveWorkers > 0 {
-			lastActivity = now
-		}
-		if now.Sub(lastActivity) > d.window {
-			// Nobody is working this sweep. Give the cells back and run
-			// locally — capacity drought must never become a client error.
-			d.release(reg.ID)
-			return nil, &degradeError{reason: "no-workers"}
+			// Nobody has called in for a whole window. Give the cells back and
+			// run locally — capacity drought must never become a client error.
+			s.metrics.dispatchDegraded("no-workers")
+			s.logf("serve: %s: dispatch degraded (no-workers); running locally", endpoint)
+			return nil, nil
 		}
 	}
 }
-
-// register mounts (or re-joins) the sweep on the hub.
-func (d *dispatcher) register(ctx context.Context, name string, params experiments.SweepParams) (coord.RegisterResponse, error) {
-	var reg coord.RegisterResponse
-	err := d.retry.Do(ctx, func(ctx context.Context) error {
-		return httpx.PostJSON(ctx, d.client, d.base+"/sweeps",
-			coord.RegisterRequest{Name: name, Params: params}, &reg)
-	})
-	switch {
-	case err == nil:
-		return reg, nil
-	case ctx.Err() != nil:
-		return reg, ctx.Err()
-	case httpx.IsConnErr(err):
-		return reg, &degradeError{reason: "unreachable", err: err}
-	default:
-		// The hub answered and said no (auth, validation skew…). Local
-		// execution still owes the client its answer.
-		return reg, &degradeError{reason: "refused", err: err}
-	}
-}
-
-// release drops the daemon's reference to the sweep, best-effort: the
-// client context may already be dead, and an unreachable hub GCs the
-// sweep by TTL anyway.
-func (d *dispatcher) release(id string) {
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, d.base+"/sweeps/"+id, nil)
-	if err != nil {
-		return
-	}
-	var out map[string]bool
-	_ = httpx.DoJSON(d.client, req, &out)
-}
-
-// getJSON is a single status-poll attempt with a per-hop timeout (the
-// poll loop is its own retry).
-func (d *dispatcher) getJSON(ctx context.Context, url string, out any) error {
-	perTry, cancel := context.WithTimeout(ctx, 2*time.Second)
-	defer cancel()
-	return httpx.GetJSON(perTry, d.client, url, out)
-}
-
-// isStatusCode reports whether err is an HTTP answer with the given
-// status code.
-func isStatusCode(err error, code int) bool {
-	var se *httpx.StatusError
-	return errors.As(err, &se) && se.Code == code
-}
-
-// CellsResponse aliases the hub's cell-fetch payload.
-type CellsResponse = coord.CellsResponse
-
-// premadeStore adapts fetched cells to runner.Checkpoint: the sweep
-// drivers load every cell and compute nothing, which is exactly how a
-// resumed-from-complete-store run works — the assembly of the response
-// is the local code path, so the bytes are the local bytes.
-type premadeStore struct {
-	cells map[int]json.RawMessage
-}
-
-func (p *premadeStore) Load() (map[int]json.RawMessage, error) { return p.cells, nil }
-func (p *premadeStore) Store(int, json.RawMessage) error       { return nil }
-func (p *premadeStore) Flush() error                           { return nil }

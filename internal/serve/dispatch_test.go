@@ -4,24 +4,27 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"saga/internal/coord"
 	"saga/internal/coord/faultinject"
+	"saga/internal/httpx"
 )
 
 // --- dispatch harness --------------------------------------------------
 
-func startHub(t *testing.T, opts coord.HubOptions) *httptest.Server {
+// startDaemon serves a daemon; its fleet attaches at hubURL.
+func startDaemon(t *testing.T, opts Options) (s *Server, url, hubURL string) {
 	t.Helper()
-	srv := httptest.NewServer(coord.NewHub(opts))
-	t.Cleanup(srv.Close)
-	return srv
+	s = New(opts)
+	ts := httptest.NewServer(s)
+	t.Cleanup(ts.Close)
+	return s, ts.URL, ts.URL + "/hub"
 }
 
 // startWorker runs one persistent fleet member until ctx is cancelled
@@ -39,6 +42,24 @@ func startWorker(ctx context.Context, wg *sync.WaitGroup, hubURL, name string, p
 			OnCellStored: plan.Hook(),
 		})
 	}()
+}
+
+// pollAs is one worker poll under the given name: it marks the name
+// alive on the hub for DegradeWindow and returns what the hub would hand
+// it. A "worker" that only ever polls is a live fleet that computes
+// nothing.
+func pollAs(t *testing.T, hubURL, name string) coord.SweepInfo {
+	t.Helper()
+	resp, err := http.Get(hubURL + "/sweep?worker=" + name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var info coord.SweepInfo
+	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
+		t.Fatal(err)
+	}
+	return info
 }
 
 func hubStatus(t *testing.T, hubURL string) coord.Status {
@@ -69,6 +90,43 @@ func waitHub(t *testing.T, hubURL string, ok func(coord.Status) bool, what strin
 	}
 }
 
+func waitMetrics(t *testing.T, url string, ok func(*MetricsSnapshot) bool, what string) *MetricsSnapshot {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		snap := metricsSnapshot(t, url)
+		if ok(snap) {
+			return snap
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("daemon never reached %s: %+v", what, snap)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// postCancelable fires a request the test can abandon mid-flight; done
+// receives the client-side outcome.
+func postCancelable(t *testing.T, url, path string, body []byte) (cancel context.CancelFunc, done <-chan error) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url+path, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	ch := make(chan error, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(req)
+		if err == nil {
+			resp.Body.Close()
+		}
+		ch <- err
+	}()
+	return cancel, ch
+}
+
 // postResult is a goroutine-safe postRaw: no t.Fatal off the test
 // goroutine.
 type postResult struct {
@@ -78,9 +136,13 @@ type postResult struct {
 }
 
 func postAsync(url, path string, body []byte) <-chan postResult {
+	return postAsyncWith(http.DefaultClient, url, path, body)
+}
+
+func postAsyncWith(client *http.Client, url, path string, body []byte) <-chan postResult {
 	ch := make(chan postResult, 1)
 	go func() {
-		resp, err := http.Post(url+path, "application/json", bytes.NewReader(body))
+		resp, err := client.Post(url+path, "application/json", bytes.NewReader(body))
 		if err != nil {
 			ch <- postResult{err: err}
 			return
@@ -112,29 +174,23 @@ var wfcFixture = json.RawMessage(`{
 
 // --- the suite ---------------------------------------------------------
 
-// TestDispatchByteIdentity is the tentpole contract: a daemon wired to
-// a coordinator hub with a live fleet answers portfolio and robustness
-// requests (raw-instance and WfCommons alike) byte-for-byte identically
-// to a local-only daemon — while holding zero admission slots, since
-// the cells are computed by the fleet.
+// TestDispatchByteIdentity is the tentpole contract: a daemon with a
+// live fleet under /hub answers portfolio and robustness requests
+// (raw-instance and WfCommons alike) byte-for-byte identically to a
+// fleetless daemon — while holding zero admission slots, since the
+// cells are computed by the fleet.
 func TestDispatchByteIdentity(t *testing.T) {
-	hub := startHub(t, coord.HubOptions{})
+	disp, dispURL, hubURL := startDaemon(t, Options{MaxConcurrent: 1, DegradeWindow: 30 * time.Second})
+	_, localURL, _ := startDaemon(t, Options{})
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
 	defer func() { cancel(); wg.Wait() }()
-	startWorker(ctx, &wg, hub.URL, "w0", faultinject.Plan{})
-	startWorker(ctx, &wg, hub.URL, "w1", faultinject.Plan{})
+	startWorker(ctx, &wg, hubURL, "w0", faultinject.Plan{})
+	startWorker(ctx, &wg, hubURL, "w1", faultinject.Plan{})
+	waitHub(t, hubURL, func(st coord.Status) bool { return st.ActiveWorkers == 2 }, "2 attached workers")
 
-	disp := New(Options{MaxConcurrent: 1, Coordinator: hub.URL,
-		DispatchPoll: 10 * time.Millisecond, DegradeWindow: 30 * time.Second})
-	dispTS := httptest.NewServer(disp)
-	defer dispTS.Close()
-	local := New(Options{})
-	localTS := httptest.NewServer(local)
-	defer localTS.Close()
-
-	// Occupy the dispatch daemon's only compute slot for the whole test:
-	// dispatched requests must not need it.
+	// Occupy the dispatching daemon's only compute slot for the whole
+	// test: dispatched requests must not need it.
 	disp.sem <- struct{}{}
 	defer func() { <-disp.sem }()
 
@@ -151,11 +207,11 @@ func TestDispatchByteIdentity(t *testing.T) {
 	}
 	for _, rq := range reqs {
 		t.Run(rq.name, func(t *testing.T) {
-			wantResp, want := postRaw(t, localTS.URL, rq.path, rq.body)
+			wantResp, want := postRaw(t, localURL, rq.path, rq.body)
 			if wantResp.StatusCode != http.StatusOK {
 				t.Fatalf("local twin: status %d: %s", wantResp.StatusCode, want)
 			}
-			gotResp, got := postRaw(t, dispTS.URL, rq.path, rq.body)
+			gotResp, got := postRaw(t, dispURL, rq.path, rq.body)
 			if gotResp.StatusCode != http.StatusOK {
 				t.Fatalf("dispatched: status %d: %s", gotResp.StatusCode, got)
 			}
@@ -165,42 +221,27 @@ func TestDispatchByteIdentity(t *testing.T) {
 		})
 	}
 
-	snap := metricsSnapshot(t, dispTS.URL)
+	snap := metricsSnapshot(t, dispURL)
 	if snap.Dispatch.Dispatched != uint64(len(reqs)) {
 		t.Fatalf("dispatched = %d, want %d", snap.Dispatch.Dispatched, len(reqs))
 	}
 	if len(snap.Dispatch.Degraded) != 0 {
 		t.Fatalf("healthy fleet degraded: %v", snap.Dispatch.Degraded)
 	}
-	// Every sweep reference was released once its cells were fetched.
-	waitHub(t, hub.URL, func(st coord.Status) bool { return st.Sweeps == 0 }, "0 sweeps")
+	// Every sweep was released once its request was answered.
+	waitHub(t, hubURL, func(st coord.Status) bool { return st.Sweeps == 0 }, "0 sweeps")
 }
 
-// TestDispatchChaosSurvivesFleetAndCoordinatorFailure drives concurrent
-// requests through every failure mode the dispatch layer claims to
-// survive: the coordinator restarts (losing all state) mid-request, one
+// TestDispatchChaosSurvivesFleetFailure drives concurrent requests
+// through every fleet failure the dispatch layer claims to survive: one
 // worker is killed mid-lease, one drops every heartbeat, one delivers
 // every completion twice — and each response must still be
 // byte-identical to local execution, with zero degradations.
-func TestDispatchChaosSurvivesFleetAndCoordinatorFailure(t *testing.T) {
-	hubOpts := coord.HubOptions{Sweep: coord.Options{LeaseSize: 2, LeaseTTL: 500 * time.Millisecond}}
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	hubURL := "http://" + addr
-	srv1 := &http.Server{Handler: coord.NewHub(hubOpts)}
-	go srv1.Serve(ln)
-
-	disp := New(Options{Coordinator: hubURL,
-		DispatchPoll: 10 * time.Millisecond, DegradeWindow: 30 * time.Second})
-	dispTS := httptest.NewServer(disp)
-	defer dispTS.Close()
-	local := New(Options{})
-	localTS := httptest.NewServer(local)
-	defer localTS.Close()
+func TestDispatchChaosSurvivesFleetFailure(t *testing.T) {
+	// The window is also the lease lifetime: the killed worker's cells
+	// come back to the survivors after one of it.
+	_, dispURL, hubURL := startDaemon(t, Options{DegradeWindow: time.Second})
+	_, localURL, _ := startDaemon(t, Options{})
 
 	reqs := []struct {
 		name, path string
@@ -218,46 +259,17 @@ func TestDispatchChaosSurvivesFleetAndCoordinatorFailure(t *testing.T) {
 	// Reference answers first, from the untouched local twin.
 	want := make([][]byte, len(reqs))
 	for i, rq := range reqs {
-		resp, body := postRaw(t, localTS.URL, rq.path, rq.body)
+		resp, body := postRaw(t, localURL, rq.path, rq.body)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("local twin %s: status %d: %s", rq.name, resp.StatusCode, body)
 		}
 		want[i] = body
 	}
 
-	// Fire all requests concurrently with no fleet attached: the sweeps
-	// mount and sit pending, guaranteeing the restart below happens
-	// mid-request.
-	results := make([]<-chan postResult, len(reqs))
-	for i, rq := range reqs {
-		results[i] = postAsync(dispTS.URL, rq.path, rq.body)
-	}
-	waitHub(t, hubURL, func(st coord.Status) bool { return st.Sweeps >= 1 }, "mounted sweeps")
-
-	// Coordinator crash: close the hub, rebind the same address with a
-	// brand-new (empty) one. The daemons' status polls answer 404 and
-	// they must re-register onto the same content-hash ids.
-	srv1.Close()
-	var ln2 net.Listener
-	rebind := time.Now().Add(10 * time.Second)
-	for {
-		ln2, err = net.Listen("tcp", addr)
-		if err == nil {
-			break
-		}
-		if time.Now().After(rebind) {
-			t.Fatalf("could not rebind %s: %v", addr, err)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	srv2 := &http.Server{Handler: coord.NewHub(hubOpts)}
-	go srv2.Serve(ln2)
-	defer srv2.Close()
-	waitHub(t, hubURL, func(st coord.Status) bool { return st.Sweeps >= 1 }, "re-registered sweeps")
-
-	// Now attach the misbehaving fleet: one worker dies after two cells,
-	// one never heartbeats (its leases expire and reassign), one delivers
-	// everything twice, one is healthy. Delays shuffle deliveries.
+	// The misbehaving fleet: one worker dies after two cells, one never
+	// heartbeats (a lease it held too long would expire and reassign),
+	// one delivers everything twice, one is healthy. Delays shuffle
+	// deliveries.
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
 	defer func() { cancel(); wg.Wait() }()
@@ -265,7 +277,12 @@ func TestDispatchChaosSurvivesFleetAndCoordinatorFailure(t *testing.T) {
 	startWorker(ctx, &wg, hubURL, "w-mute", faultinject.Plan{Seed: 2, MaxDelay: 2 * time.Millisecond, DropHeartbeats: true})
 	startWorker(ctx, &wg, hubURL, "w-dup", faultinject.Plan{Seed: 3, MaxDelay: 2 * time.Millisecond, DuplicateCompletions: true})
 	startWorker(ctx, &wg, hubURL, "w-ok", faultinject.Plan{})
+	waitHub(t, hubURL, func(st coord.Status) bool { return st.ActiveWorkers == 4 }, "4 attached workers")
 
+	results := make([]<-chan postResult, len(reqs))
+	for i, rq := range reqs {
+		results[i] = postAsync(dispURL, rq.path, rq.body)
+	}
 	for i, rq := range reqs {
 		res := <-results[i]
 		if res.err != nil {
@@ -279,15 +296,12 @@ func TestDispatchChaosSurvivesFleetAndCoordinatorFailure(t *testing.T) {
 		}
 	}
 
-	snap := metricsSnapshot(t, dispTS.URL)
+	snap := metricsSnapshot(t, dispURL)
 	if snap.Dispatch.Dispatched != uint64(len(reqs)) {
 		t.Fatalf("dispatched = %d, want %d (degraded: %v)", snap.Dispatch.Dispatched, len(reqs), snap.Dispatch.Degraded)
 	}
 	if len(snap.Dispatch.Degraded) != 0 {
 		t.Fatalf("chaos forced degradation: %v", snap.Dispatch.Degraded)
-	}
-	if snap.Dispatch.Reregistered < 1 {
-		t.Fatal("coordinator restart went unnoticed: no re-registrations")
 	}
 	waitHub(t, hubURL, func(st coord.Status) bool { return st.Sweeps == 0 }, "0 sweeps after drain")
 }
@@ -297,117 +311,158 @@ func TestDispatchChaosSurvivesFleetAndCoordinatorFailure(t *testing.T) {
 // workers' heartbeats answer 404 and the cells are dropped, and the
 // daemon's gauges return to idle.
 func TestDispatchClientDisconnectReleasesSweep(t *testing.T) {
-	hub := startHub(t, coord.HubOptions{})
-	disp := New(Options{Coordinator: hub.URL,
-		DispatchPoll: 10 * time.Millisecond, DegradeWindow: 30 * time.Second})
-	dispTS := httptest.NewServer(disp)
-	defer dispTS.Close()
+	_, dispURL, hubURL := startDaemon(t, Options{DegradeWindow: 30 * time.Second})
+	// A fleet that is alive but computes nothing: the sweep mounts and
+	// sits until the client walks away mid-request.
+	pollAs(t, hubURL, "idler")
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	body := mustMarshal(t, PortfolioRequest{
-		Schedulers: []string{"HEFT", "CPoP", "MinMin"}, K: 2, Iters: 50, Restarts: 1, Seed: 21})
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, dispTS.URL+"/v1/portfolio", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	done := make(chan error, 1)
-	go func() {
-		resp, err := http.DefaultClient.Do(req)
-		if err == nil {
-			resp.Body.Close()
-		}
-		done <- err
-	}()
-
-	// No workers exist, so the sweep sits mounted until the client walks
-	// away mid-request.
-	waitHub(t, hub.URL, func(st coord.Status) bool { return st.Sweeps == 1 }, "1 mounted sweep")
+	cancel, done := postCancelable(t, dispURL, "/v1/portfolio", mustMarshal(t, PortfolioRequest{
+		Schedulers: []string{"HEFT", "CPoP", "MinMin"}, K: 2, Iters: 50, Restarts: 1, Seed: 21}))
+	waitHub(t, hubURL, func(st coord.Status) bool { return st.Sweeps == 1 }, "1 mounted sweep")
+	sweep := pollAs(t, hubURL, "idler")
 	cancel()
 	if err := <-done; err == nil {
 		t.Fatal("cancelled request reported success")
 	}
 
-	waitHub(t, hub.URL, func(st coord.Status) bool { return st.Sweeps == 0 }, "sweep released after disconnect")
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		snap := metricsSnapshot(t, dispTS.URL)
-		if snap.Dispatch.Canceled == 1 && snap.Admission.Inflight == 0 {
-			if snap.Dispatch.Dispatched != 0 || len(snap.Dispatch.Degraded) != 0 {
-				t.Fatalf("cancellation misclassified: %+v", snap.Dispatch)
+	waitHub(t, hubURL, func(st coord.Status) bool { return st.Sweeps == 0 }, "sweep released after disconnect")
+	hb, err := http.Post(hubURL+sweep.Path+"/heartbeat", "application/json", strings.NewReader(`{"worker":"idler","lease":"L1"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hb.Body.Close()
+	if hb.StatusCode != http.StatusNotFound {
+		t.Fatalf("heartbeat on the released sweep: status %d, want 404", hb.StatusCode)
+	}
+	snap := waitMetrics(t, dispURL, func(m *MetricsSnapshot) bool {
+		return m.Dispatch.Canceled == 1 && m.Admission.Inflight == 0
+	}, "idle after the disconnect")
+	if snap.Dispatch.Dispatched != 0 || len(snap.Dispatch.Degraded) != 0 {
+		t.Fatalf("cancellation misclassified: %+v", snap.Dispatch)
+	}
+}
+
+// TestDispatchIdenticalRequestsShareOneSweep: two clients asking the
+// same question are one sweep on the hub, and the first one hanging up
+// takes only its own reference — the second still gets its answer from
+// the fleet.
+func TestDispatchIdenticalRequestsShareOneSweep(t *testing.T) {
+	joined := make(chan struct{}, 1)
+	_, dispURL, hubURL := startDaemon(t, Options{DegradeWindow: 30 * time.Second,
+		Logf: func(format string, args ...any) {
+			if strings.Contains(format, "joined") {
+				select {
+				case joined <- struct{}{}:
+				default:
+				}
 			}
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("daemon never settled after disconnect: %+v", snap)
-		}
-		time.Sleep(10 * time.Millisecond)
+		}})
+	_, localURL, _ := startDaemon(t, Options{})
+	body := mustMarshal(t, PortfolioRequest{
+		Schedulers: []string{"HEFT", "CPoP", "MinMin"}, K: 2, Iters: 40, Restarts: 1, Seed: 33})
+	_, want := postRaw(t, localURL, "/v1/portfolio", body)
+
+	pollAs(t, hubURL, "idler")
+	cancelFirst, firstDone := postCancelable(t, dispURL, "/v1/portfolio", body)
+	waitHub(t, hubURL, func(st coord.Status) bool { return st.Sweeps == 1 }, "the first request's sweep")
+	second := postAsync(dispURL, "/v1/portfolio", body)
+	select {
+	case <-joined:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the identical request never joined the mounted sweep")
+	}
+	cancelFirst()
+	if err := <-firstDone; err == nil {
+		t.Fatal("cancelled request reported success")
+	}
+	waitMetrics(t, dispURL, func(m *MetricsSnapshot) bool { return m.Dispatch.Canceled == 1 }, "the first client's cancel")
+	if st := hubStatus(t, hubURL); st.Sweeps != 1 {
+		t.Fatalf("the first client's cancel unmounted the shared sweep: %+v", st)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	defer func() { cancel(); wg.Wait() }()
+	startWorker(ctx, &wg, hubURL, "w0", faultinject.Plan{})
+	res := <-second
+	if res.err != nil || res.status != http.StatusOK {
+		t.Fatalf("surviving request: status %d, %v: %s", res.status, res.err, res.body)
+	}
+	if !bytes.Equal(res.body, want) {
+		t.Fatalf("shared sweep diverged from local:\nlocal  %s\nshared %s", want, res.body)
+	}
+	if snap := metricsSnapshot(t, dispURL); snap.Dispatch.Dispatched != 1 || len(snap.Dispatch.Degraded) != 0 {
+		t.Fatalf("dispatch accounting: %+v", snap.Dispatch)
+	}
+}
+
+// TestWorkerlessDaemonAnswersLocally: dispatch is not a mode. A daemon
+// no worker ever called computes at once — no sweep mounted, no wait,
+// nothing counted as degraded.
+func TestWorkerlessDaemonAnswersLocally(t *testing.T) {
+	const window = 5 * time.Second
+	_, dispURL, hubURL := startDaemon(t, Options{DegradeWindow: window})
+	_, localURL, _ := startDaemon(t, Options{})
+
+	body := mustMarshal(t, PortfolioRequest{
+		Schedulers: []string{"HEFT", "CPoP"}, K: 1, Iters: 30, Restarts: 1, Seed: 2})
+	_, want := postRaw(t, localURL, "/v1/portfolio", body)
+	start := time.Now()
+	resp, got := postRaw(t, dispURL, "/v1/portfolio", body)
+	if took := time.Since(start); took >= window {
+		t.Fatalf("a worker-less daemon sat out %s before answering", took)
+	}
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(want, got) {
+		t.Fatalf("status %d:\nlocal %s\ngot   %s", resp.StatusCode, want, got)
+	}
+	snap := metricsSnapshot(t, dispURL)
+	if snap.Dispatch.Dispatched != 0 || len(snap.Dispatch.Degraded) != 0 {
+		t.Fatalf("a worker-less daemon dispatched: %+v", snap.Dispatch)
+	}
+	if st := hubStatus(t, hubURL); st.Sweeps != 0 || st.ActiveWorkers != 0 {
+		t.Fatalf("hub of a worker-less daemon: %+v", st)
 	}
 }
 
 // TestDispatchDegradesToLocalWhenNoWorkers: a capacity drought is never
-// a client error — after DegradeWindow with no worker contact the
+// a client error — once the fleet has been silent for DegradeWindow the
 // daemon computes locally, answers identically, counts the fallback,
 // and gives the sweep back.
 func TestDispatchDegradesToLocalWhenNoWorkers(t *testing.T) {
-	hub := startHub(t, coord.HubOptions{})
-	disp := New(Options{Coordinator: hub.URL,
-		DispatchPoll: 20 * time.Millisecond, DegradeWindow: 150 * time.Millisecond})
-	dispTS := httptest.NewServer(disp)
-	defer dispTS.Close()
-	local := New(Options{})
-	localTS := httptest.NewServer(local)
-	defer localTS.Close()
+	_, dispURL, hubURL := startDaemon(t, Options{DegradeWindow: 150 * time.Millisecond})
+	_, localURL, _ := startDaemon(t, Options{})
 
 	body := mustMarshal(t, PortfolioRequest{
 		Schedulers: []string{"HEFT", "CPoP"}, K: 1, Iters: 30, Restarts: 1, Seed: 2})
-	_, want := postRaw(t, localTS.URL, "/v1/portfolio", body)
-	resp, got := postRaw(t, dispTS.URL, "/v1/portfolio", body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("degraded request failed the client: status %d: %s", resp.StatusCode, got)
+	_, want := postRaw(t, localURL, "/v1/portfolio", body)
+
+	// The fleet calls in until the sweep is mounted, then goes silent.
+	pollAs(t, hubURL, "fader")
+	res := postAsync(dispURL, "/v1/portfolio", body)
+	for deadline := time.Now().Add(30 * time.Second); pollAs(t, hubURL, "fader").Idle; {
+		if time.Now().After(deadline) {
+			t.Fatal("the request was never dispatched to the polling fleet")
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
-	if !bytes.Equal(want, got) {
-		t.Fatalf("degraded response diverged from local:\nlocal    %s\ndegraded %s", want, got)
+	got := <-res
+	if got.err != nil || got.status != http.StatusOK {
+		t.Fatalf("degraded request failed the client: status %d, %v: %s", got.status, got.err, got.body)
+	}
+	if !bytes.Equal(want, got.body) {
+		t.Fatalf("degraded response diverged from local:\nlocal    %s\ndegraded %s", want, got.body)
 	}
 
-	snap := metricsSnapshot(t, dispTS.URL)
+	snap := metricsSnapshot(t, dispURL)
 	if snap.Dispatch.Degraded["no-workers"] != 1 || snap.Dispatch.Dispatched != 0 {
 		t.Fatalf("degradation not accounted: %+v", snap.Dispatch)
 	}
-	waitHub(t, hub.URL, func(st coord.Status) bool { return st.Sweeps == 0 }, "sweep released after degrade")
-}
-
-// TestDispatchDegradesToLocalWhenHubUnreachable: same contract when the
-// coordinator address answers to nobody at all.
-func TestDispatchDegradesToLocalWhenHubUnreachable(t *testing.T) {
-	disp := New(Options{Coordinator: "http://127.0.0.1:1",
-		DispatchPoll: 10 * time.Millisecond, DegradeWindow: 100 * time.Millisecond})
-	dispTS := httptest.NewServer(disp)
-	defer dispTS.Close()
-	local := New(Options{})
-	localTS := httptest.NewServer(local)
-	defer localTS.Close()
-
-	body := mustMarshal(t, RobustnessRequest{
-		Scheduler: "HEFT", Instance: testInstance(t, 31), Sigma: 0.2, N: 12, Seed: 6})
-	_, want := postRaw(t, localTS.URL, "/v1/robustness", body)
-	resp, got := postRaw(t, dispTS.URL, "/v1/robustness", body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("unreachable hub failed the client: status %d: %s", resp.StatusCode, got)
-	}
-	if !bytes.Equal(want, got) {
-		t.Fatalf("response diverged:\nlocal %s\ngot   %s", want, got)
-	}
-	snap := metricsSnapshot(t, dispTS.URL)
-	if snap.Dispatch.Degraded["unreachable"] != 1 {
-		t.Fatalf("unreachable fallback not accounted: %+v", snap.Dispatch)
-	}
+	waitHub(t, hubURL, func(st coord.Status) bool { return st.Sweeps == 0 }, "sweep released after degrade")
 }
 
 // TestDaemonBearerAuth: with -token set, every endpoint except /healthz
-// refuses tokenless callers, rejections are counted, and the thin
-// client's Token field opens the door.
+// — the fleet's /hub/ included — refuses tokenless callers, rejections
+// are counted, and the thin client's Token field opens the door.
 func TestDaemonBearerAuth(t *testing.T) {
 	s := New(Options{Token: "hunter2"})
 	ts := httptest.NewServer(s)
@@ -425,6 +480,16 @@ func TestDaemonBearerAuth(t *testing.T) {
 	mresp.Body.Close()
 	if mresp.StatusCode != http.StatusUnauthorized {
 		t.Fatalf("tokenless metrics: status %d", mresp.StatusCode)
+	}
+	// A tokenless worker is turned away by the daemon's one check, before
+	// the hub could count it as fleet.
+	wresp, err := http.Get(ts.URL + "/hub/sweep?worker=stranger")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wresp.Body.Close()
+	if wresp.StatusCode != http.StatusUnauthorized || s.hub.ActiveWorkers() != 0 {
+		t.Fatalf("tokenless worker poll: status %d, %d workers counted", wresp.StatusCode, s.hub.ActiveWorkers())
 	}
 	hresp, err := http.Get(ts.URL + "/healthz")
 	if err != nil {
@@ -444,8 +509,14 @@ func TestDaemonBearerAuth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.AuthRejected != 2 {
-		t.Fatalf("auth_rejected = %d, want 2", snap.AuthRejected)
+	if snap.AuthRejected != 3 {
+		t.Fatalf("auth_rejected = %d, want 3", snap.AuthRejected)
+	}
+	// With the token a worker gets in: an idle hub, and it counts.
+	werr := coord.RunWorker(context.Background(), ts.URL+"/hub",
+		coord.WorkerOptions{Name: "member", Client: httpx.NewBearerClient(nil, "hunter2")})
+	if werr != nil || s.hub.ActiveWorkers() != 1 {
+		t.Fatalf("authed worker: %v, %d workers counted", werr, s.hub.ActiveWorkers())
 	}
 }
 

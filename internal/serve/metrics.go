@@ -69,7 +69,6 @@ type Metrics struct {
 
 	authRejected uint64
 	dispatched   uint64
-	reregistered uint64
 	dispCanceled uint64
 	degraded     map[string]uint64
 }
@@ -137,12 +136,6 @@ func (m *Metrics) dispatchDegraded(reason string) {
 	m.mu.Unlock()
 }
 
-func (m *Metrics) dispatchReregistered() {
-	m.mu.Lock()
-	m.reregistered++
-	m.mu.Unlock()
-}
-
 func (m *Metrics) dispatchCanceled() {
 	m.mu.Lock()
 	m.dispCanceled++
@@ -152,11 +145,7 @@ func (m *Metrics) dispatchCanceled() {
 func (m *Metrics) dispatchSnapshot() (DispatchStats, uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	d := DispatchStats{
-		Dispatched:   m.dispatched,
-		Reregistered: m.reregistered,
-		Canceled:     m.dispCanceled,
-	}
+	d := DispatchStats{Dispatched: m.dispatched, Canceled: m.dispCanceled}
 	if len(m.degraded) > 0 {
 		d.Degraded = make(map[string]uint64, len(m.degraded))
 		for k, v := range m.degraded {
@@ -217,17 +206,14 @@ type AdmissionStats struct {
 	Rejected      uint64 `json:"rejected"`
 }
 
-// DispatchStats is the coordinator-dispatch snapshot: how many requests
-// were answered from coordinator-computed cells, how many fell back to
-// local execution (keyed by reason — "no-workers", "unreachable",
-// "poisoned", "short"), how often a coordinator restart forced a sweep
-// re-registration, and how many dispatched requests the client
-// abandoned.
+// DispatchStats is the dispatch snapshot: how many requests were
+// answered from fleet-computed cells, how many fell back to local
+// execution after being dispatched (keyed by reason — "no-workers",
+// "poisoned"), and how many dispatched requests the client abandoned.
 type DispatchStats struct {
-	Dispatched   uint64            `json:"dispatched"`
-	Degraded     map[string]uint64 `json:"degraded,omitempty"`
-	Reregistered uint64            `json:"reregistered"`
-	Canceled     uint64            `json:"canceled"`
+	Dispatched uint64            `json:"dispatched"`
+	Degraded   map[string]uint64 `json:"degraded,omitempty"`
+	Canceled   uint64            `json:"canceled"`
 }
 
 // MetricsSnapshot is the GET /metrics payload.

@@ -28,6 +28,12 @@
 //     quantiles, cache hit rates, scratch-pool stats, and admission
 //     counters as JSON, and for /v1/schedule where the time went:
 //     body read, envelope scan + key, decode, schedule, encode.
+//   - The daemon is its fleet's hub. A coord.Hub is served under /hub/
+//     (behind the same bearer check, outside admission and the
+//     per-endpoint records): `saga worker -coordinator <daemon>/hub
+//     -persist` processes attach there, and while any is calling in,
+//     portfolio and robustness sweeps are computed by them instead of
+//     under an admission slot (dispatch.go, ARCHITECTURE invariant 7).
 //
 // Responses are byte-identical to direct in-process library calls on
 // the same input for all three request kinds — the identity suite and
@@ -35,7 +41,6 @@
 package serve
 
 import (
-	"errors"
 	"fmt"
 	"hash"
 	"net/http"
@@ -43,6 +48,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"saga/internal/coord"
 	"saga/internal/core"
 	"saga/internal/datasets"
 	"saga/internal/experiments"
@@ -51,7 +57,6 @@ import (
 	"saga/internal/runner"
 	"saga/internal/scheduler"
 	"saga/internal/serialize"
-	"saga/internal/wfc"
 )
 
 // Options tunes the daemon. The zero value is usable: every field has a
@@ -74,26 +79,17 @@ type Options struct {
 	MaxRobustnessN int
 	// MaxPISAIters caps PortfolioRequest.Iters (default 100000).
 	MaxPISAIters int
-	// Coordinator, when non-empty, is the base URL of a coordinator hub
-	// (`saga coordinate -hub`): portfolio and robustness requests are
-	// dispatched to the attached worker fleet as coordinator sweeps
-	// instead of computing locally, with graceful degradation back to
-	// local execution when the dispatch side fails (see dispatch.go).
-	Coordinator string
-	// DegradeWindow bounds how long a dispatched sweep may sit with no
-	// worker contact and no progress — or the hub stay unreachable —
-	// before the daemon falls back to local execution (default 3s).
+	// DegradeWindow is the dispatch path's one silence budget (default
+	// 3s): portfolio and robustness requests are dispatched to the fleet
+	// attached under /hub/ iff a worker called in within it, a dispatched
+	// sweep falls back to local execution once no worker has for that
+	// long, and a lease without a heartbeat is reclaimed after it (see
+	// dispatch.go).
 	DegradeWindow time.Duration
-	// DispatchPoll is the dispatched-sweep status poll cadence (default
-	// 100ms).
-	DispatchPoll time.Duration
 	// Token, when non-empty, requires `Authorization: Bearer <Token>` on
-	// every endpoint except /healthz; rejected requests are counted in
-	// /metrics.
+	// every endpoint except /healthz — the workers' /hub/ calls included;
+	// rejected requests are counted in /metrics.
 	Token string
-	// CoordinatorToken authenticates the daemon's own calls to the hub
-	// (the hub's -token). Defaults to Token in cmd/saga, not here.
-	CoordinatorToken string
 	// Logf, when non-nil, receives one line per request.
 	Logf func(format string, args ...any)
 }
@@ -120,9 +116,6 @@ func (o Options) withDefaults() Options {
 	if o.DegradeWindow <= 0 {
 		o.DegradeWindow = 3 * time.Second
 	}
-	if o.DispatchPoll <= 0 {
-		o.DispatchPoll = 100 * time.Millisecond
-	}
 	return o
 }
 
@@ -133,7 +126,7 @@ type Server struct {
 	pool    scheduler.ScratchPool
 	cache   *instanceCache
 	metrics *Metrics
-	disp    *dispatcher
+	hub     *coord.Hub
 	sem     chan struct{}
 	leases  atomic.Uint64
 	mux     *http.ServeMux
@@ -149,12 +142,15 @@ func New(opts Options) *Server {
 		sem:     make(chan struct{}, opts.MaxConcurrent),
 		mux:     http.NewServeMux(),
 	}
-	if opts.Coordinator != "" {
-		s.disp = newDispatcher(opts, s.metrics, s.logf)
-	}
+	s.hub = coord.NewHub(coord.HubOptions{
+		Sweep:     coord.Options{LeaseTTL: opts.DegradeWindow},
+		WorkerTTL: opts.DegradeWindow,
+		Logf:      opts.Logf,
+	})
 	s.mux.HandleFunc("POST /v1/schedule", s.track("schedule", s.handleSchedule))
 	s.mux.HandleFunc("POST /v1/portfolio", s.track("portfolio", s.handlePortfolio))
 	s.mux.HandleFunc("POST /v1/robustness", s.track("robustness", s.handleRobustness))
+	s.mux.Handle("/hub/", http.StripPrefix("/hub", s.hub))
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		httpx.WriteJSON(w, map[string]bool{"ok": true})
@@ -192,10 +188,10 @@ func (r *statusRecorder) WriteHeader(code int) {
 
 // track wraps a handler with observability: the inflight gauge, the
 // per-endpoint count/error/latency record, and the request log line.
-// Admission slots are no longer taken here — handlers call acquire
-// around local compute only, so a dispatched request that spends its
-// life waiting on the coordinator never pins one of the MaxConcurrent
-// compute slots.
+// Admission slots are not taken here — handlers call acquire around
+// local compute only, so a dispatched request that spends its life
+// waiting on the fleet never pins one of the MaxConcurrent compute
+// slots.
 func (s *Server) track(name string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		s.metrics.addInflight(1)
@@ -234,34 +230,6 @@ func (s *Server) acquire(w http.ResponseWriter, r *http.Request) (release func()
 	return func() { <-s.sem }, true
 }
 
-// dispatch runs the named sweep through the coordinator hub and returns
-// a checkpoint pre-populated with every cell, or nil when the handler
-// should compute locally (no coordinator configured, or the dispatch
-// side degraded — logged and counted, never a client error). The error
-// return is non-nil only when the client itself is gone.
-func (s *Server) dispatch(r *http.Request, endpoint, sweep string, params experiments.SweepParams) (runner.Checkpoint, error) {
-	if s.disp == nil {
-		return nil, nil
-	}
-	cells, err := s.disp.run(r.Context(), sweep, params)
-	switch {
-	case err == nil:
-		s.metrics.dispatchDone()
-		return &premadeStore{cells: cells}, nil
-	case r.Context().Err() != nil:
-		return nil, r.Context().Err()
-	default:
-		reason := "error"
-		var de *degradeError
-		if errors.As(err, &de) {
-			reason = de.reason
-		}
-		s.metrics.dispatchDegraded(reason)
-		s.logf("serve: %s: %v; running locally", endpoint, err)
-		return nil, nil
-	}
-}
-
 // instanceFor resolves a request's instance: cache hit, or decode +
 // validate + insert, in which case decode is how long that took. The
 // returned scratch is non-nil only on a cache hit that also had a
@@ -277,45 +245,14 @@ func (s *Server) instanceFor(w http.ResponseWriter, env *envelope, key cacheKey)
 	if len(env.Instance) > 0 {
 		inst, err = serialize.UnmarshalInstance(env.Instance)
 	} else {
-		inst, err = instanceFromWfC(env.WfC, env.Link, env.CCR, env.Nodes)
+		// The knobs arrive with their defaults applied (envelope.finish).
+		inst, err = datasets.InstanceFromWfC(env.WfC, env.Link, env.CCR, env.Nodes)
 	}
 	if err != nil {
 		http.Error(w, fmt.Sprintf("bad instance: %v", err), http.StatusBadRequest)
 		return nil, nil, 0, false
 	}
 	return s.cache.insert(key, inst), nil, time.Since(start), true
-}
-
-// instanceFromWfC imports a wfformat document exactly as `saga convert
-// -from-wfc` does: uniform link strength, machines from the trace or a
-// unit network of the given size, optional homogeneous-CCR override.
-// The knobs arrive with their defaults applied (envelope.finish).
-func instanceFromWfC(raw []byte, link, ccr float64, nodes int) (*graph.Instance, error) {
-	doc, err := wfc.Parse(raw)
-	if err != nil {
-		return nil, err
-	}
-	g, err := doc.ToTaskGraph()
-	if err != nil {
-		return nil, err
-	}
-	net := doc.ToNetwork(link)
-	if net == nil {
-		net = graph.NewNetwork(nodes)
-		for u := 0; u < nodes; u++ {
-			for v := u + 1; v < nodes; v++ {
-				net.SetLink(u, v, link)
-			}
-		}
-	}
-	inst := graph.NewInstance(g, net)
-	if ccr > 0 {
-		datasets.SetHomogeneousCCR(inst, ccr)
-	}
-	if err := inst.Validate(); err != nil {
-		return nil, err
-	}
-	return inst, nil
 }
 
 // releaseScratch parks the request's scratch with its instance's cache
@@ -522,7 +459,7 @@ func (s *Server) handleRobustness(w http.ResponseWriter, r *http.Request) {
 	// imports re-marshal the parsed instance (float64 JSON round-trips
 	// exactly, so the worker's parse is bit-equal to entry.inst).
 	instRaw := req.Instance
-	if len(instRaw) == 0 && s.disp != nil {
+	if len(instRaw) == 0 && s.hub.ActiveWorkers() > 0 {
 		var merr error
 		if instRaw, merr = serialize.MarshalInstance(entry.inst); merr != nil {
 			instRaw = nil // dispatch impossible; compute locally

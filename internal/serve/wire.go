@@ -107,10 +107,10 @@ func scanEnvelope(body []byte, robustness bool, h hash.Hash) (env envelope, err 
 
 // finish completes what scanEnvelope began: it refuses an envelope
 // without exactly one payload, replaces the import knobs of a wfformat
-// payload by what instanceFromWfC will use — link ≤ 0 means 1, nodes ≤ 0
-// means 4, ccr ≤ 0 means no override — and only then closes the cache
-// key in h over them, so that two spellings of one import share one
-// cache entry.
+// payload by what datasets.InstanceFromWfC will use — link ≤ 0 means 1,
+// nodes ≤ 0 means 4, ccr ≤ 0 means no override — and only then closes
+// the cache key in h over them, so that two spellings of one import
+// share one cache entry.
 func (env *envelope) finish(h hash.Hash) (key cacheKey, err error) {
 	switch {
 	case len(env.Instance) > 0 && len(env.WfC) > 0:

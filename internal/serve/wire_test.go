@@ -184,18 +184,24 @@ func TestScheduleResponseGolden(t *testing.T) {
 	}
 }
 
-// TestUnencodableMakespanIs500 drives a schedule whose times overflow
-// to +Inf through the handler: the instance is valid, the schedule has
-// no JSON form, and the answer stays the 500 it was. (FastestNode,
-// because the insertion-based schedulers do not survive infinite
-// finish times to reach the encoder.)
-func TestUnencodableMakespanIs500(t *testing.T) {
+// TestOverflowingInstanceIs400 submits two chained tasks whose finish
+// times overflow to +Inf: no node finishes the second "before +Inf", so
+// an insertion-based scheduler that met it would index node -1. The
+// instance is refused where it enters (graph.Instance.Validate's serial
+// bound), under every scheduler, as a 400 — never a dropped connection
+// or a 500. The encoder keeps its own refusal of a non-finite time.
+func TestOverflowingInstanceIs400(t *testing.T) {
 	ts := httptest.NewServer(New(Options{}))
 	defer ts.Close()
-	body := `{"scheduler": "FastestNode", "instance": {"tasks": [{"name": "a", "cost": 1e308}, {"name": "b", "cost": 1e308}],
-		"deps": [{"from": 0, "to": 1, "cost": 1}], "speeds": [1]}}`
-	if resp, msg := postRaw(t, ts.URL, "/v1/schedule", []byte(body)); resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("status %d: %s", resp.StatusCode, msg)
+	for _, name := range scheduler.Names() {
+		t.Run(name, func(t *testing.T) {
+			body := `{"scheduler": "` + name + `", "instance": {"tasks": [{"name": "a", "cost": 1e308}, {"name": "b", "cost": 1e308}],
+				"deps": [{"from": 0, "to": 1, "cost": 1}], "speeds": [1]}}`
+			resp, msg := postRaw(t, ts.URL, "/v1/schedule", []byte(body))
+			if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(msg, []byte("bound")) {
+				t.Fatalf("status %d: %s", resp.StatusCode, msg)
+			}
+		})
 	}
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		s := &schedule.Schedule{NumNodes: 1, ByTask: []schedule.Assignment{{End: bad}}}
