@@ -14,145 +14,72 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 
-	"saga/internal/core"
+	"saga/internal/cli"
 	"saga/internal/datasets"
 	"saga/internal/experiments"
 	"saga/internal/graph"
 	"saga/internal/render"
 	"saga/internal/rng"
-	"saga/internal/runner"
 	"saga/internal/scheduler"
 	"saga/internal/schedulers"
-	"saga/internal/serialize"
 )
 
-// sweepDefaults supplies the flag defaults shared with cmd/saga
-// worker/merge (experiments.DefaultSweepParams), so bare-flag runs of
-// either CLI address the same sweep fingerprint.
-var sweepDefaults = experiments.DefaultSweepParams()
-
-var (
-	flagN        = flag.Int("n", sweepDefaults.N, "instances per dataset / family samples")
-	flagSeed     = flag.Uint64("seed", sweepDefaults.Seed, "root random seed")
-	flagIters    = flag.Int("iters", sweepDefaults.Iters, "PISA iterations per restart (paper: 1000)")
-	flagRestarts = flag.Int("restarts", sweepDefaults.Restarts, "PISA restarts per pair (paper: 5)")
-	flagWorkflow = flag.String("workflow", sweepDefaults.Workflow, "workflow for the appspecific command")
-	flagCCR      = flag.Float64("ccr", sweepDefaults.CCR, "single CCR for appspecific (0 = all five levels)")
-	flagWorkers  = flag.Int("workers", 0, "parallel workers for the experiment sweeps (0 = GOMAXPROCS, 1 = sequential)")
-	flagSVGDir   = flag.String("svgdir", "", "also write SVG renderings of grids and Gantt charts here")
-	flagProgress = flag.Bool("progress", false, "report sweep progress on stderr")
-	flagCkpt     = flag.String("checkpoint", "", "checkpoint file for fig4, fig7, fig8 and appspecific (resume an interrupted sweep, or render a store written by `saga merge` or `saga coordinate`; for appspecific pin one block with -ccr)")
-	flagShard    = flag.String("shard", "", "run only shard I/C (e.g. 2/8) of a checkpointed sweep; cells stay in the -checkpoint store for `saga merge`")
-	flagChainW   = flag.Int("chain-workers", 0, "parallel workers inside each annealing cell (0 or 1 = sequential; results and fingerprints identical at any count)")
-)
-
-// sweepParams mirrors the flag values into the sweep identity shared
-// with `saga worker` and `saga merge` (internal/experiments.NewSweep):
-// a worker shard and a local run of the same flags address one store.
-func sweepParams(workflow string, ccr float64) experiments.SweepParams {
-	return experiments.SweepParams{
-		N:            *flagN,
-		Iters:        *flagIters,
-		Restarts:     *flagRestarts,
-		Seed:         *flagSeed,
-		Workflow:     workflow,
-		CCR:          ccr,
-		ChainWorkers: *flagChainW,
-	}
+// figures is one invocation: the sweep and run flags shared with `saga`
+// (internal/cli) plus -svgdir.
+type figures struct {
+	*cli.Flags
+	fs     *flag.FlagSet
+	svgDir string
 }
 
-// shardSpec parses -shard; the zero value runs the whole sweep. A shard
-// without a store would compute cells and drop them, so -checkpoint is
-// required.
-func shardSpec() (runner.ShardSpec, error) {
-	if *flagShard == "" {
-		return runner.ShardSpec{}, nil
-	}
-	if *flagCkpt == "" {
-		return runner.ShardSpec{}, fmt.Errorf("-shard requires -checkpoint: the store is the shard's output")
-	}
-	return runner.ParseShard(*flagShard)
-}
+var errUsage = errors.New("usage: figures [flags] <fig1|fig2|fig3|fig4|fig5|fig6|fig7|fig8|fig9|fig10...fig19|appspecific|all>")
 
-// checkpoint binds the -checkpoint store (nil when the flag is unset) to
-// the given sweep fingerprint and wires it into ro. The fingerprint must
-// cover every input that shapes cell indices and contents, so resuming a
-// different sweep fails loudly instead of mixing stale cells in.
-func checkpoint(ro *runner.Options, fingerprint string) *serialize.Checkpoint {
-	if *flagCkpt == "" {
-		return nil
-	}
-	ckpt := serialize.NewCheckpoint(*flagCkpt)
-	ckpt.SetFingerprint(fingerprint)
-	ro.Checkpoint = ckpt
-	return ckpt
-}
-
-// finishStore ends a sweep's use of the -checkpoint store
-// (serialize.Checkpoint.Finish) and reports whether the run was a shard:
-// a sharded result is partial by construction, its real output is the
-// store, and the caller skips the rendering. A failed cleanup after a
-// complete run is only worth a warning — the computed result must still
-// be rendered.
-func finishStore(label string, shard runner.ShardSpec, ckpt *serialize.Checkpoint) (sharded bool, err error) {
-	if ckpt == nil {
-		return false, nil
-	}
-	kept, err := ckpt.Finish(shard.Enabled())
-	switch {
-	case shard.Enabled():
-		if err == nil {
-			fmt.Printf("%s: shard %s complete; cells stored in %s — combine with `saga merge -driver %s`, then re-run with `-checkpoint <merged>` (flags before the figure name) to render\n",
-				label, shard, *flagCkpt, label)
-		}
-		return true, err
+func main() {
+	switch err := run(os.Args[1:]); {
+	case errors.Is(err, errUsage):
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	case err != nil:
-		fmt.Fprintf(os.Stderr, "figures: %s: checkpoint cleanup: %v\n", label, err)
-	case kept:
-		fmt.Fprintf(os.Stderr, "figures: %s: store %s already held every cell; keeping it\n", label, *flagCkpt)
+		fmt.Fprintf(os.Stderr, "figures: %v\n", err)
+		os.Exit(1)
 	}
-	return false, nil
 }
 
-// runnerOptions assembles the worker pool configuration shared by every
-// parallel sweep: the -workers bound and, with -progress, the shared
-// stderr reporter (completion, cells/sec throughput, wall-clock ETA).
-func runnerOptions(label string) runner.Options {
-	opts := runner.Options{Workers: *flagWorkers}
-	if *flagProgress {
-		opts.Progress = runner.ProgressPrinter(os.Stderr, label)
+// run parses the flags and renders every named figure in order.
+func run(args []string) error {
+	g := &figures{Flags: cli.Defaults(), fs: flag.NewFlagSet("figures", flag.ExitOnError)}
+	g.Register(g.fs, "n", "seed", "iters", "restarts", "workflow", "ccr", "chain-workers",
+		"workers", "progress", "checkpoint", "shard")
+	g.fs.StringVar(&g.svgDir, "svgdir", "", "also write SVG renderings of grids and Gantt charts here")
+	if err := g.fs.Parse(args); err != nil {
+		return err
 	}
-	return opts
+	if g.fs.NArg() < 1 {
+		return errUsage
+	}
+	for _, cmd := range g.fs.Args() {
+		if err := g.figure(cmd); err != nil {
+			return fmt.Errorf("%s: %w", cmd, err)
+		}
+	}
+	return nil
 }
 
 // writeSVG writes an SVG artifact when -svgdir is set.
-func writeSVG(name, content string) error {
-	if *flagSVGDir == "" {
+func (g *figures) writeSVG(name, content string) error {
+	if g.svgDir == "" {
 		return nil
 	}
-	if err := os.MkdirAll(*flagSVGDir, 0o755); err != nil {
+	if err := os.MkdirAll(g.svgDir, 0o755); err != nil {
 		return err
 	}
-	return os.WriteFile(filepath.Join(*flagSVGDir, name), []byte(content), 0o644)
-}
-
-func main() {
-	flag.Parse()
-	if flag.NArg() < 1 {
-		fmt.Fprintln(os.Stderr, "usage: figures [flags] <fig1|fig2|fig3|fig4|fig5|fig6|fig7|fig8|fig9|fig10...fig19|appspecific|all>")
-		os.Exit(2)
-	}
-	for _, cmd := range flag.Args() {
-		if err := run(cmd); err != nil {
-			fmt.Fprintf(os.Stderr, "figures: %s: %v\n", cmd, err)
-			os.Exit(1)
-		}
-	}
+	return os.WriteFile(filepath.Join(g.svgDir, name), []byte(content), 0o644)
 }
 
 // appendixWorkflows maps figure ids to Section VII / Appendix A
@@ -170,46 +97,44 @@ var appendixWorkflows = map[string]string{
 	"fig19": "soykb",
 }
 
-// shardable marks the sweeps that support -shard: exactly the
-// checkpointable ones, since shards hand their cells over through the
-// store.
-var shardable = map[string]bool{"fig4": true, "fig7": true, "fig8": true, "appspecific": true}
-
-func run(cmd string) error {
-	if *flagShard != "" && !shardable[cmd] {
-		if _, ok := appendixWorkflows[cmd]; !ok {
-			return fmt.Errorf("-shard applies to checkpointable sweeps only (fig4, fig7, fig8, appspecific)")
-		}
-	}
+// figure renders one figure. The sweeps come first: they go through
+// cli.Run, which owns -shard and -checkpoint. The rest are fixed
+// computations that take neither.
+func (g *figures) figure(cmd string) error {
 	switch cmd {
-	case "fig1":
-		return fig1()
-	case "fig2":
-		return fig2()
-	case "fig3":
-		return fig3()
 	case "fig4":
-		return fig4()
-	case "fig5", "fig6":
-		return caseStudy(cmd)
+		return g.fig4()
 	case "fig7":
-		return family("fig7", "fig7 (fork-join family: HEFT loses to CPoP)", datasets.Fig7Instance)
+		return g.family("fig7", "fig7 (fork-join family: HEFT loses to CPoP)")
 	case "fig8":
-		return family("fig8", "fig8 (wide-fork family: CPoP loses to HEFT)", datasets.Fig8Instance)
-	case "fig9":
-		return fig9()
+		return g.family("fig8", "fig8 (wide-fork family: CPoP loses to HEFT)")
 	case "appspecific":
-		return appSpecific(*flagWorkflow)
+		return g.appSpecific(g.Workflow)
 	case "all":
 		for _, c := range []string{"fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11"} {
-			if err := run(c); err != nil {
+			if err := g.figure(c); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
 	if wf, ok := appendixWorkflows[cmd]; ok {
-		return appSpecific(wf)
+		return g.appSpecific(wf)
+	}
+	if err := cli.Refuse(g.fs, "by "+cmd+": only the sweeps fig4, fig7, fig8 and appspecific shard", "shard"); err != nil {
+		return err
+	}
+	switch cmd {
+	case "fig1":
+		return g.fig1()
+	case "fig2":
+		return g.fig2()
+	case "fig3":
+		return fig3()
+	case "fig5", "fig6":
+		return caseStudy(cmd)
+	case "fig9":
+		return g.fig9()
 	}
 	return fmt.Errorf("unknown figure %q", cmd)
 }
@@ -222,7 +147,7 @@ func mustSched(name string) scheduler.Scheduler {
 	return s
 }
 
-func fig1() error {
+func (g *figures) fig1() error {
 	inst := datasets.Fig1Instance()
 	sch, err := mustSched("HEFT").Schedule(inst)
 	if err != nil {
@@ -231,20 +156,20 @@ func fig1() error {
 	fmt.Println("== Fig 1: example problem instance and schedule (HEFT) ==")
 	fmt.Print(render.Gantt(inst, sch, 60))
 	fmt.Println()
-	return writeSVG("fig1.svg", render.GanttSVG(inst, sch, render.SVGOptions{Title: "Fig 1: HEFT schedule"}))
+	return g.writeSVG("fig1.svg", render.GanttSVG(inst, sch, render.SVGOptions{Title: "Fig 1: HEFT schedule"}))
 }
 
-func fig2() error {
+func (g *figures) fig2() error {
 	fmt.Println("== Fig 2: makespan ratios of 15 algorithms on 16 datasets ==")
-	res, err := experiments.BenchmarkingRun(datasets.TableII, schedulers.Experimental(), *flagN, *flagSeed, runnerOptions("fig2"))
+	res, err := experiments.BenchmarkingRun(datasets.TableII, schedulers.Experimental(), g.N, g.Seed, g.Options("fig2"))
 	if err != nil {
 		return err
 	}
 	fmt.Print(render.Grid(
-		fmt.Sprintf("max makespan ratio over %d instances/dataset (color-scale cap: > 5.0)", *flagN),
+		fmt.Sprintf("max makespan ratio over %d instances/dataset (color-scale cap: > 5.0)", g.N),
 		res.Datasets, res.Schedulers, res.MaxGrid()))
 	fmt.Println()
-	return writeSVG("fig2.svg", render.HeatmapSVG("Fig 2: benchmarking",
+	return g.writeSVG("fig2.svg", render.HeatmapSVG("Fig 2: benchmarking",
 		res.Datasets, res.Schedulers, res.MaxGrid()))
 }
 
@@ -269,33 +194,20 @@ func fig3() error {
 	return nil
 }
 
-func fig4() error {
+func (g *figures) fig4() error {
 	fmt.Println("== Fig 4: pairwise PISA heatmap (15 x 15) ==")
-	sw, err := experiments.NewSweep("fig4", sweepParams("", 0))
-	if err != nil {
-		return err
-	}
-	opts := experiments.PairwiseOptions{Anneal: anneal()}
-	ro := runnerOptions("fig4")
-	if ro.Shard, err = shardSpec(); err != nil {
-		return err
-	}
-	ckpt := checkpoint(&ro, sw.Fingerprint)
-	res, err := experiments.PairwisePISARun(schedulers.Experimental(), opts, ro)
-	if err != nil {
-		return err
-	}
-	if sharded, err := finishStore("fig4", ro.Shard, ckpt); sharded || err != nil {
+	res, err := cli.Run[*experiments.PairwiseResult](g.Flags, "fig4", g.SweepParams)
+	if res == nil {
 		return err
 	}
 	rows := append([][]float64{res.Worst}, res.Ratios...)
 	rowLabels := append([]string{"Worst"}, res.Schedulers...)
 	fmt.Print(render.Grid(
 		fmt.Sprintf("cell (row i, col j) = worst-case ratio of scheduler j vs base i (%d restarts x %d iters)",
-			*flagRestarts, *flagIters),
+			g.Restarts, g.Iters),
 		rowLabels, res.Schedulers, rows))
 	fmt.Println()
-	return writeSVG("fig4.svg", render.HeatmapSVG("Fig 4: pairwise PISA",
+	return g.writeSVG("fig4.svg", render.HeatmapSVG("Fig 4: pairwise PISA",
 		rowLabels, res.Schedulers, rows))
 }
 
@@ -323,35 +235,23 @@ func caseStudy(cmd string) error {
 	return nil
 }
 
-func family(label, title string, gen func(*rng.RNG) *graph.Instance) error {
+// family renders the Fig 7/8 makespan histograms of the named sweep.
+func (g *figures) family(name, title string) error {
 	fmt.Println("== " + title + " ==")
-	sw, err := experiments.NewSweep(label, sweepParams("", 0))
-	if err != nil {
+	res, err := cli.Run[*experiments.FamilyResult](g.Flags, name, g.SweepParams)
+	if res == nil {
 		return err
 	}
-	scheds := []scheduler.Scheduler{mustSched("CPoP"), mustSched("HEFT")}
-	ro := runnerOptions("family")
-	if ro.Shard, err = shardSpec(); err != nil {
-		return err
-	}
-	ckpt := checkpoint(&ro, sw.Fingerprint)
-	res, err := experiments.FamilyRun(gen, scheds, *flagN, *flagSeed, ro)
-	if err != nil {
-		return err
-	}
-	if sharded, err := finishStore(label, ro.Shard, ckpt); sharded || err != nil {
-		return err
-	}
-	for _, name := range res.Schedulers {
-		fmt.Print(render.Histogram(name, res.Makespans[name], 10))
+	for _, s := range res.Schedulers {
+		fmt.Print(render.Histogram(s, res.Makespans[s], 10))
 	}
 	fmt.Println()
 	return nil
 }
 
-func fig9() error {
+func (g *figures) fig9() error {
 	fmt.Println("== Fig 9: srasearch and blast workflow structures ==")
-	r := rng.New(*flagSeed)
+	r := rng.New(g.Seed)
 	for _, wf := range []string{"srasearch", "blast"} {
 		g, err := datasets.WorkflowRecipe(wf, r.Split())
 		if err != nil {
@@ -378,45 +278,30 @@ func fig9() error {
 	return nil
 }
 
-func appSpecific(workflow string) error {
+func (g *figures) appSpecific(workflow string) error {
 	ccrs := experiments.CCRLevels
-	if *flagCCR > 0 {
-		ccrs = []float64{*flagCCR}
+	if g.CCR > 0 {
+		ccrs = []float64{g.CCR}
 	}
-	if *flagCkpt != "" && len(ccrs) > 1 {
+	if g.Checkpoint != "" && len(ccrs) > 1 {
 		// A multi-CCR run reuses one store path across blocks: a naive
 		// re-run after an interruption would start at the first CCR level
 		// and trip over the interrupted block's fingerprint. Require the
 		// block to be pinned so resume always works on the first try.
 		return fmt.Errorf("appspecific -checkpoint needs a single block: pin one CCR level with -ccr")
 	}
-	scheds := schedulers.AppSpecific()
 	for _, ccr := range ccrs {
 		// One store per (workflow, CCR) block: the fingerprint pins the
 		// block, and the store is removed once the block completes so the
 		// next CCR level starts fresh at the same path.
-		sw, err := experiments.NewSweep("appspecific", sweepParams(workflow, ccr))
+		p := g.SweepParams
+		p.Workflow, p.CCR = workflow, ccr
+		res, err := cli.Run[*experiments.AppSpecificResult](g.Flags, "appspecific", p)
 		if err != nil {
 			return err
 		}
-		ro := runnerOptions("appspecific")
-		if ro.Shard, err = shardSpec(); err != nil {
-			return err
-		}
-		ckpt := checkpoint(&ro, sw.Fingerprint)
-		res, err := experiments.AppSpecificRun(scheds, experiments.AppSpecificOptions{
-			Workflow:           workflow,
-			CCR:                ccr,
-			BenchmarkInstances: *flagN,
-			Anneal:             anneal(),
-		}, ro)
-		if err != nil {
-			return err
-		}
-		if sharded, err := finishStore("appspecific", ro.Shard, ckpt); err != nil {
-			return err
-		} else if sharded {
-			continue
+		if res == nil {
+			continue // a shard: its store is the output
 		}
 		rows := append([][]float64{}, res.Ratios...)
 		rows = append(rows, res.Benchmark)
@@ -427,10 +312,4 @@ func appSpecific(workflow string) error {
 		fmt.Println()
 	}
 	return nil
-}
-
-// anneal delegates to the shared sweep identity so the annealing budget
-// can never drift between a local run and a `saga worker` shard.
-func anneal() core.Options {
-	return sweepParams("", 0).Anneal()
 }

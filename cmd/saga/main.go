@@ -27,10 +27,12 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
 
+	"saga/internal/cli"
 	"saga/internal/coord"
 	"saga/internal/core"
 	"saga/internal/datasets"
@@ -38,59 +40,40 @@ import (
 	"saga/internal/httpx"
 	"saga/internal/render"
 	"saga/internal/rng"
-	"saga/internal/runner"
 	"saga/internal/scheduler"
-	"saga/internal/schedulers"
 	"saga/internal/serialize"
 	"saga/internal/serve"
 	"saga/internal/sim"
 	"saga/internal/wfc"
 )
 
+// commands maps each subcommand to its implementation.
+var commands = map[string]func(args []string) error{
+	"list":       list,
+	"datasets":   listDatasets,
+	"generate":   generate,
+	"schedule":   scheduleCmd,
+	"pisa":       pisaCmd,
+	"portfolio":  portfolioCmd,
+	"robustness": robustnessCmd,
+	"convert":    convertCmd,
+	"simulate":   simulateCmd,
+	"benchmark":  benchmarkCmd,
+	"describe":   describeCmd,
+	"serve":      serveCmd,
+	"worker":     workerCmd,
+	"coordinate": coordinateCmd,
+	"merge":      cli.Merge,
+}
+
 func main() {
-	if len(os.Args) < 2 {
+	if len(os.Args) < 2 || commands[os.Args[1]] == nil {
 		usage()
 		os.Exit(2)
 	}
-	cmd, args := os.Args[1], os.Args[2:]
-	var err error
-	switch cmd {
-	case "list":
-		err = list()
-	case "datasets":
-		err = listDatasets()
-	case "generate":
-		err = generate(args)
-	case "schedule":
-		err = scheduleCmd(args)
-	case "pisa":
-		err = pisaCmd(args)
-	case "portfolio":
-		err = portfolioCmd(args)
-	case "robustness":
-		err = robustnessCmd(args)
-	case "convert":
-		err = convertCmd(args)
-	case "simulate":
-		err = simulateCmd(args)
-	case "benchmark":
-		err = benchmarkCmd(args)
-	case "describe":
-		err = describeCmd(args)
-	case "serve":
-		err = serveCmd(args)
-	case "worker":
-		err = workerCmd(args)
-	case "coordinate":
-		err = coordinateCmd(args)
-	case "merge":
-		err = mergeCmd(args)
-	default:
-		usage()
-		os.Exit(2)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "saga: %v\n", err)
+	cmd := os.Args[1]
+	if err := commands[cmd](os.Args[2:]); err != nil {
+		fmt.Fprintf(os.Stderr, "saga: %s: %v\n", cmd, err)
 		os.Exit(1)
 	}
 }
@@ -123,17 +106,7 @@ commands:
   merge      -driver <name> -out merged.ckpt [sweep flags as for worker] shard1.ckpt shard2.ckpt ...`)
 }
 
-// tokenFlag registers the -token flag every networked subcommand
-// shares: a bearer token presented to (or required by) the daemon and
-// coordinator endpoints. The default comes from $SAGA_TOKEN so a fleet
-// can be secured without editing every launch line; an empty token
-// leaves the endpoint open.
-func tokenFlag(fs *flag.FlagSet) *string {
-	return fs.String("token", os.Getenv("SAGA_TOKEN"),
-		"shared-secret bearer token for daemon/coordinator endpoints (default $SAGA_TOKEN; empty = no auth)")
-}
-
-func list() error {
+func list([]string) error {
 	fmt.Println("schedulers (Table I):")
 	for _, n := range scheduler.Names() {
 		s, err := scheduler.New(n)
@@ -154,7 +127,7 @@ func list() error {
 	return nil
 }
 
-func listDatasets() error {
+func listDatasets([]string) error {
 	fmt.Println("datasets (Table II):")
 	for _, n := range datasets.Names() {
 		fmt.Printf("  %s\n", n)
@@ -165,8 +138,9 @@ func listDatasets() error {
 func generate(args []string) error {
 	fs := flag.NewFlagSet("generate", flag.ExitOnError)
 	name := fs.String("dataset", "chains", "dataset generator name")
-	seed := fs.Uint64("seed", 1, "random seed")
 	out := fs.String("out", "", "output file (default: stdout)")
+	f := cli.Defaults()
+	f.Register(fs, "seed")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -174,7 +148,7 @@ func generate(args []string) error {
 	if err != nil {
 		return err
 	}
-	inst := g.Generate(rng.New(*seed))
+	inst := g.Generate(rng.New(f.Seed))
 	data, err := serialize.MarshalInstance(inst)
 	if err != nil {
 		return err
@@ -186,59 +160,21 @@ func generate(args []string) error {
 	return os.WriteFile(*out, data, 0o644)
 }
 
+// scheduleCmd schedules an instance, in process or — with -server — on
+// a daemon, whose answer is byte-identical; the output is the same.
 func scheduleCmd(args []string) error {
 	fs := flag.NewFlagSet("schedule", flag.ExitOnError)
-	name := fs.String("scheduler", "HEFT", "scheduler name")
-	in := fs.String("in", "", "instance JSON file (required)")
 	gantt := fs.Bool("gantt", true, "render an ASCII Gantt chart")
-	server := fs.String("server", "", "daemon URL (e.g. http://host:port); schedule via `saga serve` instead of in-process")
-	token := tokenFlag(fs)
+	f := cli.Defaults()
+	f.Register(fs, "scheduler", "in", "server", "token")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *in == "" {
-		return fmt.Errorf("schedule: -in is required")
-	}
-	if *server != "" {
-		// Thin-client mode: the daemon computes, this process renders. The
-		// daemon's response is byte-identical to the in-process path below
-		// (internal/serve identity suite), so the printed output matches.
-		raw, err := os.ReadFile(*in)
-		if err != nil {
-			return err
-		}
-		inst, err := serialize.UnmarshalInstance(raw)
-		if err != nil {
-			return err
-		}
-		c := &serve.Client{BaseURL: strings.TrimRight(*server, "/"), Token: *token}
-		resp, err := c.Schedule(context.Background(), serve.ScheduleRequest{Scheduler: *name, Instance: raw})
-		if err != nil {
-			return err
-		}
-		sch, err := serialize.UnmarshalSchedule(resp.Schedule)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%s makespan: %.6f\n", resp.Scheduler, resp.Makespan)
-		if *gantt {
-			fmt.Print(render.Gantt(inst, sch, 72))
-		}
-		return nil
-	}
-	inst, err := serialize.LoadInstance(*in)
+	name, inst, sch, err := f.Schedule(context.Background())
 	if err != nil {
 		return err
 	}
-	s, err := scheduler.New(*name)
-	if err != nil {
-		return err
-	}
-	sch, err := s.Schedule(inst)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%s makespan: %.6f\n", s.Name(), sch.Makespan())
+	fmt.Printf("%s makespan: %.6f\n", name, sch.Makespan())
 	if *gantt {
 		fmt.Print(render.Gantt(inst, sch, 72))
 	}
@@ -262,8 +198,9 @@ func serveCmd(args []string) error {
 	workers := fs.Int("workers", 1, "runner workers inside one portfolio/robustness request (results identical at any count)")
 	drain := fs.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget for in-flight requests")
 	degradeWindow := fs.Duration("degrade-window", 3*time.Second, "how long the fleet under /hub may stay silent before portfolio/robustness sweeps run locally (also its lease lifetime)")
-	token := tokenFlag(fs)
 	verbose := fs.Bool("verbose", false, "log every request on stderr")
+	f := cli.Defaults()
+	f.Register(fs, "token")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -273,7 +210,7 @@ func serveCmd(args []string) error {
 		CacheEntries:  *cacheEntries,
 		Workers:       *workers,
 		DegradeWindow: *degradeWindow,
-		Token:         *token,
+		Token:         f.Token,
 	}
 	if *verbose {
 		opts.Logf = func(format string, args ...any) {
@@ -302,7 +239,7 @@ func serveCmd(args []string) error {
 		ctx, cancel := context.WithTimeout(context.Background(), *drain)
 		defer cancel()
 		if err := hs.Shutdown(ctx); err != nil {
-			return fmt.Errorf("serve: drain: %w", err)
+			return fmt.Errorf("drain: %w", err)
 		}
 		fmt.Println("serve: drained, exiting")
 		return nil
@@ -313,13 +250,14 @@ func pisaCmd(args []string) error {
 	fs := flag.NewFlagSet("pisa", flag.ExitOnError)
 	targetName := fs.String("target", "HEFT", "scheduler to find bad instances for")
 	baseName := fs.String("base", "CPoP", "baseline scheduler")
-	iters := fs.Int("iters", 1000, "iterations per restart")
-	restarts := fs.Int("restarts", 5, "independent restarts")
-	seed := fs.Uint64("seed", 1, "random seed")
 	method := fs.String("method", "sa", "search meta-heuristic: sa (simulated annealing) or ga (genetic)")
+	// Parallelism inside one search, not a sweep's runner pool.
 	workers := fs.Int("workers", 0, "parallel workers inside the search (restart chains / offspring evaluation; 0 or 1 = sequential, results identical at any count)")
 	out := fs.String("out", "", "write the worst-case instance JSON here")
 	trace := fs.String("trace", "", "write the annealing trace CSV here (sa only)")
+	f := cli.Defaults()
+	f.Iters, f.Restarts = 1000, 5
+	f.Register(fs, "iters", "restarts", "seed")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -334,25 +272,22 @@ func pisaCmd(args []string) error {
 	var res *core.Result
 	switch *method {
 	case "sa":
-		opts := core.DefaultOptions()
-		opts.MaxIters = *iters
-		opts.Restarts = *restarts
-		opts.Seed = *seed
+		opts := f.Anneal()
 		opts.Workers = *workers
 		opts.RecordTrace = *trace != ""
 		res, err = experiments.SinglePISA(target, base, opts)
 	case "ga":
-		opts := core.DefaultGAOptions()
-		opts.Generations = *iters / 10
-		if opts.Generations < 1 {
-			opts.Generations = 1
+		if err := cli.Refuse(fs, "with -method ga: it evolves one population of -iters/10 generations", "restarts", "trace"); err != nil {
+			return err
 		}
-		opts.Seed = *seed
+		opts := core.DefaultGAOptions()
+		opts.Generations = max(f.Iters/10, 1)
+		opts.Seed = f.Seed
 		opts.Workers = *workers
 		opts.InitialInstance = experiments.RandomChainInstance
 		res, err = core.RunGA(target, base, opts)
 	default:
-		return fmt.Errorf("pisa: unknown method %q (want sa or ga)", *method)
+		return fmt.Errorf("unknown method %q (want sa or ga)", *method)
 	}
 	if err != nil {
 		return err
@@ -380,58 +315,20 @@ func pisaCmd(args []string) error {
 	return nil
 }
 
+// portfolioCmd prints the pairwise PISA grid over a roster and its best
+// k-scheduler portfolio, computed in process or on a -server daemon.
 func portfolioCmd(args []string) error {
 	fs := flag.NewFlagSet("portfolio", flag.ExitOnError)
 	k := fs.Int("k", 3, "portfolio size")
-	names := fs.String("schedulers", strings.Join(schedulers.AppSpecificNames, ","),
-		"comma-separated scheduler names")
-	iters := fs.Int("iters", 250, "PISA iterations per restart")
-	restarts := fs.Int("restarts", 2, "PISA restarts per pair")
-	seed := fs.Uint64("seed", 1, "random seed")
-	workers := fs.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
-	server := fs.String("server", "", "daemon URL; run the grid on `saga serve` instead of in-process")
-	token := tokenFlag(fs)
+	f := cli.Defaults()
+	f.Restarts = 2
+	f.Register(fs, "schedulers", "iters", "restarts", "seed", "workers", "server", "token")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	nameList := strings.Split(*names, ",")
-	for i := range nameList {
-		nameList[i] = strings.TrimSpace(nameList[i])
-	}
-	// Either branch fills the daemon's response shape; the report below
-	// prints once from it.
-	var resp serve.PortfolioResponse
-	if *server != "" {
-		c := &serve.Client{BaseURL: strings.TrimRight(*server, "/"), Token: *token}
-		r, err := c.Portfolio(context.Background(), serve.PortfolioRequest{
-			Schedulers: nameList, K: *k, Iters: *iters, Restarts: *restarts, Seed: *seed,
-		})
-		if err != nil {
-			return err
-		}
-		resp = *r
-	} else {
-		var scheds []scheduler.Scheduler
-		for _, n := range nameList {
-			s, err := scheduler.New(n)
-			if err != nil {
-				return err
-			}
-			scheds = append(scheds, s)
-		}
-		opts := core.DefaultOptions()
-		opts.MaxIters = *iters
-		opts.Restarts = *restarts
-		opts.Seed = *seed
-		res, err := experiments.PairwisePISARun(scheds, experiments.PairwiseOptions{Anneal: opts}, runner.Options{Workers: *workers})
-		if err != nil {
-			return err
-		}
-		p, err := experiments.SelectPortfolioParallel(res.Schedulers, res.Ratios, *k, *workers)
-		if err != nil {
-			return err
-		}
-		resp = serve.PortfolioResponse{Schedulers: res.Schedulers, Ratios: res.Ratios, Members: p.Members, WorstRatio: p.WorstRatio}
+	resp, err := f.Portfolio(context.Background(), *k)
+	if err != nil {
+		return err
 	}
 	fmt.Println("pairwise PISA grid (row = base, column = analyzed):")
 	fmt.Print(render.Grid("", resp.Schedulers, resp.Schedulers, resp.Ratios))
@@ -440,110 +337,24 @@ func portfolioCmd(args []string) error {
 	return nil
 }
 
+// robustnessCmd prints a scheduler's makespan under cost jitter, static
+// replay against re-planning. In process it is the "robustness" sweep,
+// so -checkpoint resumes it and -shard splits it for `saga merge`.
 func robustnessCmd(args []string) error {
 	fs := flag.NewFlagSet("robustness", flag.ExitOnError)
-	name := fs.String("scheduler", "HEFT", "scheduler name")
-	in := fs.String("in", "", "instance JSON file (required)")
-	sigma := fs.Float64("sigma", 0.2, "relative cost jitter (clipped gaussian sd)")
-	n := fs.Int("n", 100, "jitter samples")
-	seed := fs.Uint64("seed", 1, "random seed")
-	workers := fs.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
-	ckptPath := fs.String("checkpoint", "", "checkpoint file (resume an interrupted jitter sweep, or summarize a store written by `saga merge`, which is kept)")
-	shardStr := fs.String("shard", "", "compute only shard I/C of the jitter samples (requires -checkpoint; combine with `saga merge -driver robustness`)")
-	server := fs.String("server", "", "daemon URL; run the jitter sweep on `saga serve` instead of in-process")
-	token := tokenFlag(fs)
+	f := cli.Defaults()
+	f.N = 100
+	f.Register(fs, "scheduler", "in", "sigma", "n", "seed", "workers", "checkpoint", "shard", "server", "token")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *in == "" {
-		return fmt.Errorf("robustness: -in is required")
-	}
-	raw, err := os.ReadFile(*in)
-	if err != nil {
+	resp, err := f.Robustness(context.Background())
+	if resp == nil {
 		return err
-	}
-	// Either branch fills the daemon's response shape; the report at the
-	// end prints once from it.
-	var resp serve.RobustnessResponse
-	if *server != "" {
-		if *ckptPath != "" || *shardStr != "" {
-			return fmt.Errorf("robustness: -server is incompatible with -checkpoint/-shard (the daemon owns the computation)")
-		}
-		c := &serve.Client{BaseURL: strings.TrimRight(*server, "/"), Token: *token}
-		r, err := c.Robustness(context.Background(), serve.RobustnessRequest{
-			Scheduler: *name, Instance: raw, Sigma: *sigma, N: *n, Seed: *seed,
-		})
-		if err != nil {
-			return err
-		}
-		resp = *r
-	} else {
-		ro := runner.Options{Workers: *workers}
-		sharded := *shardStr != ""
-		if sharded {
-			if *ckptPath == "" {
-				return fmt.Errorf("robustness: -shard requires -checkpoint (the store is the shard's output)")
-			}
-			if ro.Shard, err = runner.ParseShard(*shardStr); err != nil {
-				return err
-			}
-		}
-		// NewSweep carries the shared fingerprint: it hashes the exact bytes
-		// the instance was parsed from, not the file path, so resuming after
-		// the file was regenerated in place fails loudly instead of mixing
-		// cells from two different instances. Going through the sweep registry
-		// (rather than formatting the fingerprint here) is what makes a
-		// robustness store interchangeable between this command, `saga
-		// worker -driver robustness`, and `saga merge`.
-		sw, err := experiments.NewSweep("robustness", experiments.SweepParams{
-			N: *n, Seed: *seed, Scheduler: *name, Sigma: *sigma, InstanceRaw: raw,
-		})
-		if err != nil {
-			return err
-		}
-		inst, err := serialize.UnmarshalInstance(raw)
-		if err != nil {
-			return err
-		}
-		s, err := scheduler.New(*name)
-		if err != nil {
-			return err
-		}
-		var ckpt *serialize.Checkpoint
-		if *ckptPath != "" {
-			ckpt = serialize.NewCheckpoint(*ckptPath)
-			ckpt.SetFingerprint(sw.Fingerprint)
-			ro.Checkpoint = ckpt
-		}
-		res, err := experiments.RobustnessRun(inst, s, *sigma, *n, *seed, ro)
-		if err != nil {
-			return err
-		}
-		if ckpt != nil {
-			// One finish policy for every store (serialize.Checkpoint.Finish):
-			// a shard's output is its sealed store, not the partial in-memory
-			// summaries (they cover owned cells only); a complete run removes
-			// the store unless it stored nothing — `saga merge` points here to
-			// summarize a merged store, which must survive being read.
-			kept, err := ckpt.Finish(sharded)
-			switch {
-			case sharded:
-				if err == nil {
-					fmt.Printf("robustness: shard %s complete; cells stored in %s (combine with `saga merge -driver robustness`)\n",
-						ro.Shard, *ckptPath)
-				}
-				return err
-			case err != nil:
-				fmt.Fprintf(os.Stderr, "saga: robustness: checkpoint cleanup: %v\n", err)
-			case kept:
-				fmt.Fprintf(os.Stderr, "saga: robustness: store %s already held every cell; keeping it\n", *ckptPath)
-			}
-		}
-		resp = serve.RobustnessResponse{Scheduler: res.Scheduler, Nominal: res.Nominal, Static: res.Static, Adaptive: res.Adaptive}
 	}
 	fmt.Printf("%s nominal makespan: %.4f\n", resp.Scheduler, resp.Nominal)
 	fmt.Printf("static replay under +/-%.0f%% cost jitter (n=%d): mean %.4f  p50 %.4f  max %.4f\n",
-		*sigma*100, resp.Static.N, resp.Static.Mean, resp.Static.Median, resp.Static.Max)
+		f.Sigma*100, resp.Static.N, resp.Static.Mean, resp.Static.Median, resp.Static.Max)
 	fmt.Printf("adaptive re-planning:                              mean %.4f  p50 %.4f  max %.4f\n",
 		resp.Adaptive.Mean, resp.Adaptive.Median, resp.Adaptive.Max)
 	return nil
@@ -567,7 +378,7 @@ func convertCmd(args []string) error {
 	var data []byte
 	switch {
 	case *fromWfc != "" && *fromInst != "":
-		return fmt.Errorf("convert: -from-wfc and -from-instance are mutually exclusive")
+		return errors.New("-from-wfc and -from-instance are mutually exclusive")
 	case *fromWfc != "":
 		raw, err := os.ReadFile(*fromWfc)
 		if err != nil {
@@ -592,7 +403,7 @@ func convertCmd(args []string) error {
 			return err
 		}
 	default:
-		return fmt.Errorf("convert: one of -from-wfc or -from-instance is required")
+		return errors.New("one of -from-wfc or -from-instance is required")
 	}
 	if *out == "" {
 		fmt.Println(string(data))
@@ -607,32 +418,21 @@ func convertCmd(args []string) error {
 // the makespan beyond the contention-free model every scheduler assumes.
 func simulateCmd(args []string) error {
 	fs := flag.NewFlagSet("simulate", flag.ExitOnError)
-	name := fs.String("scheduler", "HEFT", "scheduler name")
-	in := fs.String("in", "", "instance JSON file (required)")
 	contention := fs.Bool("contention", false, "serialize concurrent transfers per link")
+	f := cli.Defaults()
+	f.Register(fs, "scheduler", "in")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *in == "" {
-		return fmt.Errorf("simulate: -in is required")
-	}
-	inst, err := serialize.LoadInstance(*in)
-	if err != nil {
-		return err
-	}
-	s, err := scheduler.New(*name)
-	if err != nil {
-		return err
-	}
-	sch, err := s.Schedule(inst)
+	name, inst, sch, err := f.Schedule(context.Background())
 	if err != nil {
 		return err
 	}
 	strict, err := sim.Execute(inst, sch)
 	if err != nil {
-		return fmt.Errorf("simulate: schedule not executable: %w", err)
+		return fmt.Errorf("schedule not executable: %w", err)
 	}
-	fmt.Printf("%s planned makespan:   %.6f\n", s.Name(), sch.Makespan())
+	fmt.Printf("%s planned makespan:   %.6f\n", name, sch.Makespan())
 	fmt.Printf("simulated makespan:     %.6f (%d remote transfers, utilization %.1f%%)\n",
 		strict.Makespan, strict.Messages, 100*strict.Utilization())
 	if *contention {
@@ -651,17 +451,14 @@ func simulateCmd(args []string) error {
 func benchmarkCmd(args []string) error {
 	fs := flag.NewFlagSet("benchmark", flag.ExitOnError)
 	ds := fs.String("datasets", "chains,in_trees,out_trees", "comma-separated dataset names")
-	names := fs.String("schedulers", strings.Join(schedulers.AppSpecificNames, ","),
-		"comma-separated scheduler names")
-	n := fs.Int("n", 20, "instances per dataset")
-	seed := fs.Uint64("seed", 1, "random seed")
-	workers := fs.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
+	f := cli.Defaults()
+	f.Register(fs, "schedulers", "n", "seed", "workers")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	var scheds []scheduler.Scheduler
-	for _, nm := range strings.Split(*names, ",") {
-		s, err := scheduler.New(strings.TrimSpace(nm))
+	for _, nm := range f.Schedulers {
+		s, err := scheduler.New(nm)
 		if err != nil {
 			return err
 		}
@@ -671,48 +468,14 @@ func benchmarkCmd(args []string) error {
 	for i := range dsNames {
 		dsNames[i] = strings.TrimSpace(dsNames[i])
 	}
-	res, err := experiments.BenchmarkingRun(dsNames, scheds, *n, *seed, runner.Options{Workers: *workers})
+	res, err := experiments.BenchmarkingRun(dsNames, scheds, f.N, f.Seed, f.Options("benchmark"))
 	if err != nil {
 		return err
 	}
 	fmt.Print(render.Grid(
-		fmt.Sprintf("max makespan ratio against the best scheduler (%d instances/dataset)", *n),
+		fmt.Sprintf("max makespan ratio against the best scheduler (%d instances/dataset)", f.N),
 		res.Datasets, res.Schedulers, res.MaxGrid()))
 	return nil
-}
-
-// sweepFlags registers the sweep-parameter flags shared by worker and
-// merge. The defaults come from experiments.DefaultSweepParams — the
-// same source cmd/figures draws its flag defaults from — so a worker
-// launched with the same flags as a `figures` run writes cells the
-// figures process can resume from (and vice versa).
-func sweepFlags(fs *flag.FlagSet) func() (experiments.SweepParams, error) {
-	d := experiments.DefaultSweepParams()
-	n := fs.Int("n", d.N, "instances per dataset / family samples / jitter samples (as figures -n)")
-	seed := fs.Uint64("seed", d.Seed, "root random seed")
-	iters := fs.Int("iters", d.Iters, "PISA iterations per restart")
-	restarts := fs.Int("restarts", d.Restarts, "PISA restarts per pair")
-	workflow := fs.String("workflow", d.Workflow, "workflow for the appspecific driver")
-	ccr := fs.Float64("ccr", d.CCR, "CCR block for the appspecific driver (required > 0 there)")
-	sched := fs.String("scheduler", "HEFT", "scheduler for the robustness driver")
-	sigma := fs.Float64("sigma", 0.2, "relative cost jitter for the robustness driver")
-	in := fs.String("in", "", "instance JSON file for the robustness driver (required there)")
-	chainWorkers := fs.Int("chain-workers", 0, "parallel workers inside each annealing cell (0 or 1 = sequential; results identical at any count)")
-	return func() (experiments.SweepParams, error) {
-		p := experiments.SweepParams{
-			N: *n, Seed: *seed, Iters: *iters, Restarts: *restarts,
-			Workflow: *workflow, CCR: *ccr,
-			Scheduler: *sched, Sigma: *sigma, ChainWorkers: *chainWorkers,
-		}
-		if *in != "" {
-			raw, err := os.ReadFile(*in)
-			if err != nil {
-				return p, err
-			}
-			p.InstanceRaw = raw
-		}
-		return p, nil
-	}
 }
 
 // workerCmd computes cells of a distributed sweep, in either of two
@@ -720,29 +483,27 @@ func sweepFlags(fs *flag.FlagSet) func() (experiments.SweepParams, error) {
 // (mod C) are computed — with their global position-derived seeds — and
 // persisted to this shard's checkpoint store; the store is the shard's
 // output, to be combined by `saga merge`. Dynamic leasing
-// (-coordinator URL): the worker fetches the sweep identity from a
-// `saga coordinate` process, leases cell ranges, and delivers results
-// over HTTP — the coordinator owns the one store, reassigns the cells
-// of dead workers, and no merge step is needed. Either way, killing
-// and restarting a worker loses nothing.
+// (-coordinator URL): the worker fetches the sweep identity from a hub
+// (`saga coordinate`, or a daemon's /hub), leases cell ranges, and
+// delivers results over HTTP — the hub owns the one store, reassigns
+// the cells of dead workers, and no merge step is needed. Either way,
+// killing and restarting a worker loses nothing.
 func workerCmd(args []string) error {
 	fs := flag.NewFlagSet("worker", flag.ExitOnError)
 	driver := fs.String("driver", "", "sweep to shard: "+strings.Join(experiments.SweepNames, ", ")+" (required unless -coordinator)")
-	shardStr := fs.String("shard", "", "this worker's shard I/C, e.g. 2/8 (required unless -coordinator)")
-	ckptPath := fs.String("checkpoint", "", "this shard's checkpoint store (required unless -coordinator; one file per shard)")
 	coordURL := fs.String("coordinator", "", "coordinator URL (e.g. http://host:port); lease cells dynamically instead of -driver/-shard/-checkpoint")
 	name := fs.String("name", "", "worker name in coordinator logs (default host-pid)")
-	workers := fs.Int("workers", 0, "parallel workers within this shard or lease (0 = GOMAXPROCS)")
 	persist := fs.Bool("persist", false, "fleet mode: stay alive across sweeps and coordinator restarts (requires -coordinator; stop with SIGINT/SIGTERM)")
-	token := tokenFlag(fs)
-	progress := fs.Bool("progress", false, "report progress on stderr")
-	params := sweepFlags(fs)
+	f := cli.Defaults()
+	f.Register(fs, cli.SweepFlags...)
+	f.Register(fs, "workers", "progress", "checkpoint", "shard", "token")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *coordURL != "" {
-		if *driver != "" || *shardStr != "" || *ckptPath != "" {
-			return fmt.Errorf("worker: -coordinator replaces -driver, -shard and -checkpoint (the coordinator serves the sweep and owns the store)")
+		if err := cli.Refuse(fs, "with -coordinator: the hub serves the sweep and owns the store",
+			slices.Concat(cli.SweepFlags, []string{"driver", "shard", "checkpoint"})...); err != nil {
+			return err
 		}
 		nm := *name
 		if nm == "" {
@@ -753,13 +514,11 @@ func workerCmd(args []string) error {
 			nm = fmt.Sprintf("%s-%d", host, os.Getpid())
 		}
 		wo := coord.WorkerOptions{
-			Name:    nm,
-			Workers: *workers,
-			Persist: *persist,
-			Client:  httpx.NewBearerClient(nil, *token),
-		}
-		if *progress {
-			wo.Progress = runner.ProgressPrinter(os.Stderr, "worker "+nm)
+			Name:     nm,
+			Workers:  f.Workers,
+			Persist:  *persist,
+			Client:   httpx.NewBearerClient(nil, f.Token),
+			Progress: f.Options("worker " + nm).Progress,
 		}
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 		defer stop()
@@ -783,41 +542,20 @@ func workerCmd(args []string) error {
 		return nil
 	}
 	if *persist {
-		return fmt.Errorf("worker: -persist requires -coordinator (static shards end with their shard)")
+		return errors.New("-persist requires -coordinator (static shards end with their shard)")
 	}
-	if *driver == "" || *shardStr == "" || *ckptPath == "" {
-		return fmt.Errorf("worker: -driver, -shard and -checkpoint are required (or -coordinator for dynamic leasing)")
+	if *driver == "" || f.Shard == "" || f.Checkpoint == "" {
+		return errors.New("-driver, -shard and -checkpoint are required (or -coordinator for dynamic leasing)")
 	}
-	shard, err := runner.ParseShard(*shardStr)
+	p, err := f.Params()
 	if err != nil {
-		return err
-	}
-	p, err := params()
-	if err != nil {
-		return err
-	}
-	sw, err := experiments.NewSweep(*driver, p)
-	if err != nil {
-		return err
-	}
-	ckpt := serialize.NewCheckpoint(*ckptPath)
-	ckpt.SetFingerprint(sw.Fingerprint)
-	ro := runner.Options{Workers: *workers, Shard: shard, Checkpoint: ckpt}
-	if *progress {
-		ro.Progress = runner.ProgressPrinter(os.Stderr, fmt.Sprintf("worker %s %s", sw.Name, shard))
-	}
-	if err := sw.Run(ro); err != nil {
 		return err
 	}
 	// A shard's output is its sealed store — written even when the shard
 	// owns zero cells (more shards than cells), so the merge sees every
 	// shard it expects.
-	if err := ckpt.Seal(); err != nil {
-		return err
-	}
-	fmt.Printf("worker: %s shard %s complete; cells stored in %s (combine with `saga merge -driver %s`)\n",
-		sw.Name, shard, *ckptPath, sw.Name)
-	return nil
+	_, err = cli.Run[any](f, *driver, p)
+	return err
 }
 
 // coordinateCmd serves a coordinator hub (internal/coord) with one sweep
@@ -834,28 +572,33 @@ func coordinateCmd(args []string) error {
 	fs := flag.NewFlagSet("coordinate", flag.ExitOnError)
 	driver := fs.String("driver", "", "sweep to coordinate: "+strings.Join(experiments.SweepNames, ", ")+" (required unless -watch)")
 	addr := fs.String("addr", "127.0.0.1:0", "address to serve the protocol on (0 picks a free port, printed at startup)")
-	ckptPath := fs.String("checkpoint", "", "the sweep's checkpoint store (required unless -watch; resumed if it exists)")
 	watch := fs.String("watch", "", "hub URL: render GET /status as a live progress line instead of serving")
 	interval := fs.Duration("interval", time.Second, "poll cadence for -watch")
-	token := tokenFlag(fs)
 	leaseSize := fs.Int("lease", 8, "cells per lease")
 	leaseTTL := fs.Duration("lease-ttl", 30*time.Second, "lease lifetime without a heartbeat before its cells are reclaimed")
 	retries := fs.Int("retries", 3, "attempts per cell before it is poisoned (reported, excluded, sweep continues)")
 	retryBackoff := fs.Duration("retry-backoff", time.Second, "delay before retrying a failed cell (doubles per attempt)")
 	shuffleSeed := fs.Uint64("shuffle-seed", 0, "lease cells in seed-derived random order (0 = index order; results identical either way)")
 	verbose := fs.Bool("verbose", false, "log every protocol event on stderr")
-	params := sweepFlags(fs)
+	f := cli.Defaults()
+	f.Register(fs, cli.SweepFlags...)
+	f.Register(fs, "checkpoint", "token")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *watch != "" {
-		return watchStatus(strings.TrimRight(*watch, "/"), *token, *interval)
+		if err := cli.Refuse(fs, "with -watch: it serves nothing and only reads another hub's status",
+			slices.Concat(cli.SweepFlags, []string{"driver", "checkpoint", "addr", "lease", "lease-ttl",
+				"retries", "retry-backoff", "shuffle-seed", "verbose"})...); err != nil {
+			return err
+		}
+		return watchStatus(strings.TrimRight(*watch, "/"), f.Token, *interval)
 	}
-	if *driver == "" || *ckptPath == "" {
-		return fmt.Errorf("coordinate: -driver and -checkpoint are required (or -watch)")
+	if *driver == "" || f.Checkpoint == "" {
+		return errors.New("-driver and -checkpoint are required (or -watch)")
 	}
 	hopts := coord.HubOptions{
-		Token: *token,
+		Token: f.Token,
 		Sweep: coord.Options{
 			LeaseSize:    *leaseSize,
 			LeaseTTL:     *leaseTTL,
@@ -870,11 +613,11 @@ func coordinateCmd(args []string) error {
 		}
 	}
 	h := coord.NewHub(hopts)
-	p, err := params()
+	p, err := f.Params()
 	if err != nil {
 		return err
 	}
-	ckpt := serialize.NewCheckpoint(*ckptPath)
+	ckpt := serialize.NewCheckpoint(f.Checkpoint)
 	sweep, err := h.Mount(*driver, p, ckpt)
 	if err != nil {
 		return err
@@ -905,7 +648,7 @@ func coordinateCmd(args []string) error {
 			return err
 		}
 		fmt.Printf("coordinate: sweep %s complete; %d cells in %s (render with `figures -checkpoint %s %s`, same sweep flags)\n",
-			*driver, st.Cells, *ckptPath, *ckptPath, *driver)
+			*driver, st.Cells, f.Checkpoint, f.Checkpoint, *driver)
 		return nil
 	}
 }
@@ -932,61 +675,17 @@ func watchStatus(base, token string, interval time.Duration) error {
 	}
 }
 
-// mergeCmd combines per-shard checkpoint stores into one complete store
-// that a single-process run of the same sweep (same flags, -checkpoint
-// pointing at the merged file) loads in full — rendering the figure
-// without recomputing a single cell. The sweep flags must match the ones
-// the workers ran with: they determine the fingerprint every store is
-// verified against and the cell count the merge must cover.
-func mergeCmd(args []string) error {
-	fs := flag.NewFlagSet("merge", flag.ExitOnError)
-	driver := fs.String("driver", "", "sweep the shards belong to: "+strings.Join(experiments.SweepNames, ", ")+" (required)")
-	out := fs.String("out", "", "merged checkpoint store to write (required)")
-	params := sweepFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *driver == "" || *out == "" {
-		return fmt.Errorf("merge: -driver and -out are required")
-	}
-	shards := fs.Args()
-	if len(shards) == 0 {
-		return fmt.Errorf("merge: no shard stores given (pass them as positional arguments)")
-	}
-	p, err := params()
-	if err != nil {
-		return err
-	}
-	sw, err := experiments.NewSweep(*driver, p)
-	if err != nil {
-		return err
-	}
-	n, err := serialize.MergeCheckpoints(*out, sw.Fingerprint, sw.Cells, shards)
-	if err != nil {
-		return err
-	}
-	if sw.Name == "robustness" {
-		fmt.Printf("merge: %s complete — %d cells from %d shards in %s; summarize with `saga robustness -checkpoint %s` (same flags)\n",
-			sw.Name, n, len(shards), *out, *out)
-		return nil
-	}
-	// Flags must precede the figure name: cmd/figures uses the global
-	// flag.Parse, which stops at the first positional argument.
-	fmt.Printf("merge: %s complete — %d cells from %d shards in %s; render with `figures -checkpoint %s %s` (same sweep flags)\n",
-		sw.Name, n, len(shards), *out, *out, sw.Name)
-	return nil
-}
-
 // describeCmd prints structural statistics of a dataset sample.
 func describeCmd(args []string) error {
 	fs := flag.NewFlagSet("describe", flag.ExitOnError)
 	name := fs.String("dataset", "chains", "dataset generator name")
-	n := fs.Int("n", 50, "sample size")
-	seed := fs.Uint64("seed", 1, "random seed")
+	f := cli.Defaults()
+	f.N = 50
+	f.Register(fs, "n", "seed")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	instances, err := datasets.Dataset(*name, *n, *seed)
+	instances, err := datasets.Dataset(*name, f.N, f.Seed)
 	if err != nil {
 		return err
 	}

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"saga/internal/cli"
 	"saga/internal/datasets"
 	"saga/internal/serialize"
 )
@@ -37,7 +38,7 @@ func TestRobustnessKeepsAMergedStore(t *testing.T) {
 		}
 	}
 	merged := filepath.Join(dir, "merged.ckpt")
-	if err := mergeCmd(append(append([]string{"-driver", "robustness", "-out", merged}, sweep...), shards...)); err != nil {
+	if err := cli.Merge(append(append([]string{"-driver", "robustness", "-out", merged}, sweep...), shards...)); err != nil {
 		t.Fatal(err)
 	}
 	before, err := os.ReadFile(merged)

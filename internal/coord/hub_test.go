@@ -151,6 +151,14 @@ func TestHubPersistWorkersDrainMultipleSweeps(t *testing.T) {
 			}
 		}(i)
 	}
+	// Wait for the whole fleet to call in before mounting anything: a
+	// sweep this small can otherwise be finished by the first worker
+	// before the second has polled once.
+	for deadline := time.Now().Add(10 * time.Second); h.ActiveWorkers() < 2; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("ActiveWorkers = %d after 10s, want the whole fleet", h.ActiveWorkers())
+		}
+	}
 
 	sweeps := []struct {
 		name   string

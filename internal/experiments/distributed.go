@@ -16,12 +16,11 @@ import (
 // This file is the registry behind the distributed sweep protocol: the
 // named checkpointable sweeps a `saga worker` process can run one shard
 // of, and that `saga merge` and `cmd/figures -checkpoint` address by the
-// same fingerprint. Both CLIs build their sweep identity through NewSweep
-// so a store written by one is always resumable by the other.
+// same fingerprint.
 
 // SweepParams are the CLI-level inputs that identify a distributed
-// sweep. They mirror the cmd/figures flags: N is -n (instances or
-// samples), Iters/Restarts/Seed the annealing budget and root seed,
+// sweep. They mirror the sweep flags of internal/cli: N is -n (instances
+// or samples), Iters/Restarts/Seed the annealing budget and root seed,
 // Workflow and CCR the appspecific block. Fields a sweep does not use
 // are ignored by it (and excluded from its fingerprint).
 type SweepParams struct {
@@ -57,18 +56,9 @@ type SweepParams struct {
 	ChainWorkers int
 }
 
-// DefaultSweepParams holds the CLI flag defaults both cmd/figures and
-// cmd/saga draw from. Centralizing them here keeps the two CLIs'
-// fingerprints aligned: if a default drifted, a worker and a figures
-// run launched with bare flags would silently address different sweeps.
-// (CCR stays 0 — the appspecific block must be chosen explicitly.)
-func DefaultSweepParams() SweepParams {
-	return SweepParams{N: 20, Iters: 250, Restarts: 3, Seed: 1, Workflow: "srasearch"}
-}
-
-// Anneal assembles the annealing options exactly as the single-process
-// CLIs do, so a worker shard and a local `figures` run of the same
-// parameters compute byte-identical cells.
+// Anneal assembles the annealing options of every PISA sweep, so a
+// worker shard and a local `figures` run of the same parameters compute
+// byte-identical cells.
 func (p SweepParams) Anneal() core.Options {
 	o := core.DefaultOptions()
 	o.MaxIters = p.Iters
@@ -93,9 +83,11 @@ func (p SweepParams) benchInstances() int {
 // serialize.MergeCheckpoints verify the stores belong together and the
 // merged store resume an unsharded run). Cells is the total number of
 // checkpoint cells a complete store holds, the coverage bound for the
-// merge. Run executes the sweep under the given runner options,
-// discarding the partial in-memory result — a shard's output is its
-// checkpoint store. Run honors ro.Include and ro.OnCellError in
+// merge. Result runs the sweep under the given runner options and
+// returns the driver's result (*PairwiseResult for fig4 and pairwise,
+// *FamilyResult for fig7/fig8, *AppSpecificResult, *RobustnessResult),
+// partial under a shard or lease, whose output is the checkpoint store;
+// Run discards it. Both honor ro.Include and ro.OnCellError in
 // store-index space (the same global indices ShardSpec and the
 // checkpoint key on), which is what lets the internal/coord lease
 // protocol restrict a run to leased cells and report per-cell failures
@@ -104,6 +96,7 @@ type Sweep struct {
 	Name        string
 	Fingerprint string
 	Cells       int
+	Result      func(ro runner.Options) (any, error)
 	Run         func(ro runner.Options) error
 }
 
@@ -112,41 +105,36 @@ var SweepNames = []string{"fig4", "fig7", "fig8", "appspecific", "robustness", "
 
 // NewSweep resolves a sweep name (a checkpointable cmd/figures driver)
 // and its parameters into the fingerprint, cell count, and runnable
-// closure shared by `figures -shard`, `saga worker`, and `saga merge`.
+// closures shared by `figures`, `saga robustness`, `saga worker`, `saga
+// merge`, the coordinator hub and the daemon. Each sweep's roster,
+// annealing options and seeds are wired here and nowhere else.
 func NewSweep(name string, p SweepParams) (*Sweep, error) {
+	sw := &Sweep{Name: name}
 	switch name {
 	case "fig4":
 		roster := schedulers.ExperimentalNames
-		return &Sweep{
-			Name: name,
-			// The fingerprint covers flags AND roster, since cell indices
-			// map to (target, base) pairs through the roster order.
-			Fingerprint: fmt.Sprintf("fig4 seed=%d iters=%d restarts=%d schedulers=%s",
-				p.Seed, p.Iters, p.Restarts, strings.Join(roster, ",")),
-			Cells: len(roster) * (len(roster) - 1),
-			Run: func(ro runner.Options) error {
-				_, err := PairwisePISARun(schedulers.Experimental(), PairwiseOptions{Anneal: p.Anneal()}, ro)
-				return err
-			},
-		}, nil
+		// The fingerprint covers flags AND roster, since cell indices map
+		// to (target, base) pairs through the roster order.
+		sw.Fingerprint = fmt.Sprintf("fig4 seed=%d iters=%d restarts=%d schedulers=%s",
+			p.Seed, p.Iters, p.Restarts, strings.Join(roster, ","))
+		sw.Cells = len(roster) * (len(roster) - 1)
+		sw.Result = func(ro runner.Options) (any, error) {
+			return PairwisePISARun(schedulers.Experimental(), PairwiseOptions{Anneal: p.Anneal()}, ro)
+		}
 	case "fig7", "fig8":
 		gen := datasets.Fig7Instance
 		if name == "fig8" {
 			gen = datasets.Fig8Instance
 		}
-		scheds, err := familySchedulers()
+		scheds, err := freshSchedulers([]string{"CPoP", "HEFT"})
 		if err != nil {
 			return nil, err
 		}
-		return &Sweep{
-			Name:        name,
-			Fingerprint: fmt.Sprintf("%s seed=%d n=%d schedulers=CPoP,HEFT", name, p.Seed, p.N),
-			Cells:       p.N,
-			Run: func(ro runner.Options) error {
-				_, err := FamilyRun(gen, scheds, p.N, p.Seed, ro)
-				return err
-			},
-		}, nil
+		sw.Fingerprint = fmt.Sprintf("%s seed=%d n=%d schedulers=CPoP,HEFT", name, p.Seed, p.N)
+		sw.Cells = p.N
+		sw.Result = func(ro runner.Options) (any, error) {
+			return FamilyRun(gen, scheds, p.N, p.Seed, ro)
+		}
 	case "appspecific":
 		if p.Workflow == "" {
 			return nil, fmt.Errorf("experiments: appspecific sweep needs a workflow")
@@ -156,23 +144,19 @@ func NewSweep(name string, p SweepParams) (*Sweep, error) {
 		}
 		roster := schedulers.AppSpecificNames
 		nApp := len(roster)
-		return &Sweep{
-			Name: name,
-			Fingerprint: fmt.Sprintf("appspecific workflow=%s ccr=%g seed=%d n=%d iters=%d restarts=%d schedulers=%s",
-				p.Workflow, p.CCR, p.Seed, p.N, p.Iters, p.Restarts, strings.Join(roster, ",")),
-			// Benchmarking cells first, then the PISA grid in its
-			// disjoint OffsetCheckpoint window.
-			Cells: p.benchInstances() + nApp*(nApp-1),
-			Run: func(ro runner.Options) error {
-				_, err := AppSpecificRun(schedulers.AppSpecific(), AppSpecificOptions{
-					Workflow:           p.Workflow,
-					CCR:                p.CCR,
-					BenchmarkInstances: p.N,
-					Anneal:             p.Anneal(),
-				}, ro)
-				return err
-			},
-		}, nil
+		sw.Fingerprint = fmt.Sprintf("appspecific workflow=%s ccr=%g seed=%d n=%d iters=%d restarts=%d schedulers=%s",
+			p.Workflow, p.CCR, p.Seed, p.N, p.Iters, p.Restarts, strings.Join(roster, ","))
+		// Benchmarking cells first, then the PISA grid in its disjoint
+		// OffsetCheckpoint window.
+		sw.Cells = p.benchInstances() + nApp*(nApp-1)
+		sw.Result = func(ro runner.Options) (any, error) {
+			return AppSpecificRun(schedulers.AppSpecific(), AppSpecificOptions{
+				Workflow:           p.Workflow,
+				CCR:                p.CCR,
+				BenchmarkInstances: p.N,
+				Anneal:             p.Anneal(),
+			}, ro)
+		}
 	case "robustness":
 		if p.Scheduler == "" {
 			return nil, fmt.Errorf("experiments: robustness sweep needs a scheduler")
@@ -188,61 +172,41 @@ func NewSweep(name string, p SweepParams) (*Sweep, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Sweep{
-			Name: name,
-			// The exact format `saga robustness -checkpoint` has always
-			// written: a sharded worker's store is resumable by the
-			// single-process command and vice versa. The hash covers the
-			// instance bytes, not the file path (see SweepParams).
-			Fingerprint: fmt.Sprintf("robustness scheduler=%s in=%x sigma=%g n=%d seed=%d",
-				p.Scheduler, sha256.Sum256(p.InstanceRaw), p.Sigma, p.N, p.Seed),
-			Cells: p.N,
-			Run: func(ro runner.Options) error {
-				_, err := RobustnessRun(inst, s, p.Sigma, p.N, p.Seed, ro)
-				return err
-			},
-		}, nil
+		// The exact format `saga robustness -checkpoint` has always
+		// written: a sharded worker's store is resumable by the
+		// single-process command and vice versa. The hash covers the
+		// instance bytes, not the file path (see SweepParams).
+		sw.Fingerprint = fmt.Sprintf("robustness scheduler=%s in=%x sigma=%g n=%d seed=%d",
+			p.Scheduler, sha256.Sum256(p.InstanceRaw), p.Sigma, p.N, p.Seed)
+		sw.Cells = p.N
+		sw.Result = func(ro runner.Options) (any, error) {
+			return RobustnessRun(inst, s, p.Sigma, p.N, p.Seed, ro)
+		}
 	case "pairwise":
-		// fig4 with a caller-chosen roster: the sweep behind dispatched
-		// /v1/portfolio requests (internal/serve), where the client names
-		// the schedulers. The fingerprint covers the roster verbatim, so
-		// two requests share a sweep exactly when they would compute the
+		// fig4 with a caller-chosen roster: the sweep behind /v1/portfolio
+		// and `saga portfolio` (internal/serve.Portfolio), where the client
+		// names the schedulers. The fingerprint covers the roster verbatim,
+		// so two requests share a sweep exactly when they would compute the
 		// same grid.
 		if len(p.Schedulers) < 2 {
 			return nil, fmt.Errorf("experiments: pairwise sweep needs at least 2 schedulers")
 		}
-		scheds := make([]scheduler.Scheduler, len(p.Schedulers))
-		for i, n := range p.Schedulers {
-			s, err := scheduler.New(n)
-			if err != nil {
-				return nil, err
-			}
-			scheds[i] = s
-		}
-		return &Sweep{
-			Name: name,
-			Fingerprint: fmt.Sprintf("pairwise seed=%d iters=%d restarts=%d schedulers=%s",
-				p.Seed, p.Iters, p.Restarts, strings.Join(p.Schedulers, ",")),
-			Cells: len(scheds) * (len(scheds) - 1),
-			Run: func(ro runner.Options) error {
-				_, err := PairwisePISARun(scheds, PairwiseOptions{Anneal: p.Anneal()}, ro)
-				return err
-			},
-		}, nil
-	}
-	return nil, fmt.Errorf("experiments: unknown sweep %q (want one of %s)", name, strings.Join(SweepNames, ", "))
-}
-
-// familySchedulers instantiates the fixed CPoP/HEFT pair of the Fig 7/8
-// family studies.
-func familySchedulers() ([]scheduler.Scheduler, error) {
-	out := make([]scheduler.Scheduler, 2)
-	for i, n := range []string{"CPoP", "HEFT"} {
-		s, err := scheduler.New(n)
+		scheds, err := freshSchedulers(p.Schedulers)
 		if err != nil {
 			return nil, err
 		}
-		out[i] = s
+		sw.Fingerprint = fmt.Sprintf("pairwise seed=%d iters=%d restarts=%d schedulers=%s",
+			p.Seed, p.Iters, p.Restarts, strings.Join(p.Schedulers, ","))
+		sw.Cells = len(scheds) * (len(scheds) - 1)
+		sw.Result = func(ro runner.Options) (any, error) {
+			return PairwisePISARun(scheds, PairwiseOptions{Anneal: p.Anneal()}, ro)
+		}
+	default:
+		return nil, fmt.Errorf("experiments: unknown sweep %q (want one of %s)", name, strings.Join(SweepNames, ", "))
 	}
-	return out, nil
+	sw.Run = func(ro runner.Options) error {
+		_, err := sw.Result(ro)
+		return err
+	}
+	return sw, nil
 }

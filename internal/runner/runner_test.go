@@ -96,14 +96,26 @@ func TestMapSequentialErrorIsFirst(t *testing.T) {
 
 func TestMapStopsDispatchAfterError(t *testing.T) {
 	// After a failure no NEW cells may start, regardless of worker count.
+	// Cells are dispatched in index order, so cell 5 starts before any
+	// cell above 7; those wait until cell 5 has failed and then take 1 ms
+	// each. Starting all 1000 would need the other seven workers to run
+	// for over 100 ms while the failing one has still not recorded its
+	// error: a margin, not a race the failing worker can lose by being
+	// descheduled.
 	var mu sync.Mutex
 	started := map[int]bool{}
+	failing := make(chan struct{})
 	_, err := Map(1000, Options{Workers: 8}, func(k int) (int, error) {
 		mu.Lock()
 		started[k] = true
 		mu.Unlock()
 		if k == 5 {
+			close(failing)
 			return 0, errors.New("early failure")
+		}
+		if k > 7 {
+			<-failing
+			time.Sleep(time.Millisecond)
 		}
 		return k, nil
 	})

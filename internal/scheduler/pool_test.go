@@ -5,22 +5,36 @@ import (
 	"testing"
 )
 
+// TestScratchPoolReuseAndFreshCount asserts what holds however
+// sync.Pool behaves: under -race it drops one Put in four by design, and
+// a GC may empty it. Fresh counts exactly the Gets that did not return a
+// scratch handed out before, and over 32 Put/Get rounds at least one
+// scratch comes back.
 func TestScratchPoolReuseAndFreshCount(t *testing.T) {
 	var p ScratchPool
-	s1 := p.Get()
-	if s1 == nil {
-		t.Fatal("Get returned nil")
+	seen := map[*Scratch]bool{} // keeps every scratch alive, so addresses never repeat
+	var fresh uint64
+	reused := 0
+	var s *Scratch
+	for round := 0; round <= 32; round++ {
+		if s != nil {
+			p.Put(s)
+		}
+		if s = p.Get(); s == nil {
+			t.Fatal("Get returned nil")
+		}
+		if seen[s] {
+			reused++
+		} else {
+			seen[s] = true
+			fresh++
+		}
+		if got := p.Fresh(); got != fresh {
+			t.Fatalf("round %d: Fresh() = %d, but %d Gets returned a new scratch", round, got, fresh)
+		}
 	}
-	if got := p.Fresh(); got != 1 {
-		t.Fatalf("fresh after first Get = %d, want 1", got)
-	}
-	p.Put(s1)
-	s2 := p.Get()
-	if s2 != s1 {
-		t.Error("pool did not hand back the released scratch")
-	}
-	if got := p.Fresh(); got != 1 {
-		t.Fatalf("fresh after reuse = %d, want 1", got)
+	if reused == 0 {
+		t.Fatal("32 Put/Get rounds never handed back a released scratch")
 	}
 	p.Put(nil) // tolerated no-op
 }

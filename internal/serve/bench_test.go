@@ -194,7 +194,7 @@ func TestServeLoadGate(t *testing.T) {
 			Benchmark: "TestServeLoadGate (internal/serve)",
 			Workload:  fmt.Sprintf("%d concurrent clients x %d requests each against a live daemon (httptest over localhost TCP, MaxConcurrent=4): POST /v1/schedule with HEFT over 4 distinct chains instances round-robin, every response byte-verified against the direct library call; cache-hot after the first 4 requests", clients, perClient),
 			Method:    "SERVE_BENCH_GATE=1 SERVE_BENCH_OUT=BENCH_serve.json go test -run TestServeLoadGate -count 1 -v ./internal/serve/ (make bench-serve runs the same gate without writing)",
-			Host:      fmt.Sprintf("GOMAXPROCS=%d NumCPU=%d; single-core shared VM this session — client-observed latency includes queueing behind the %d-slot admission pool on one core, so quantiles measure the admission path honestly but throughput does not scale", runtime.GOMAXPROCS(0), runtime.NumCPU(), 4),
+			Host:      hostLine(clients, 4),
 			Results:   res,
 			Server:    snap,
 		}
@@ -207,4 +207,16 @@ func TestServeLoadGate(t *testing.T) {
 		}
 		t.Logf("wrote %s", out)
 	}
+}
+
+// hostLine describes the measuring host from what the process can see,
+// so the artifact never claims a core count the run did not have.
+func hostLine(clients, slots int) string {
+	procs := runtime.GOMAXPROCS(0)
+	cores := "one core"
+	if procs > 1 {
+		cores = fmt.Sprintf("%d cores", procs)
+	}
+	return fmt.Sprintf("GOMAXPROCS=%d NumCPU=%d; client-observed latency includes %d clients queueing behind the %d-slot admission pool on %s, so quantiles measure the admission path honestly but throughput is bounded by %s",
+		procs, runtime.NumCPU(), clients, slots, cores, cores)
 }

@@ -49,7 +49,6 @@ import (
 	"time"
 
 	"saga/internal/coord"
-	"saga/internal/core"
 	"saga/internal/datasets"
 	"saga/internal/experiments"
 	"saga/internal/graph"
@@ -361,25 +360,12 @@ func (s *Server) handlePortfolio(w http.ResponseWriter, r *http.Request) {
 			req.Iters, req.Restarts, s.opts.MaxPISAIters), http.StatusBadRequest)
 		return
 	}
-	var scheds []scheduler.Scheduler
-	for _, n := range req.Schedulers {
-		sc, err := scheduler.New(n)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		scheds = append(scheds, sc)
+	// An unknown scheduler is the client's mistake; NewSweep names it.
+	if _, err := experiments.NewSweep("pairwise", req.sweepParams()); err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
 	}
-	opts := core.DefaultOptions()
-	opts.MaxIters = req.Iters
-	opts.Restarts = req.Restarts
-	opts.Seed = req.Seed
-	// SweepParams.Anneal() builds exactly these options, which is what
-	// keeps a dispatched grid's fingerprint honest: workers compute the
-	// cells this handler would.
-	store, cerr := s.dispatch(r, "portfolio", "pairwise", experiments.SweepParams{
-		Iters: req.Iters, Restarts: req.Restarts, Seed: req.Seed, Schedulers: req.Schedulers,
-	})
+	store, cerr := s.dispatch(r, "portfolio", "pairwise", req.sweepParams())
 	if cerr != nil {
 		http.Error(w, "client canceled", http.StatusServiceUnavailable)
 		return
@@ -394,26 +380,45 @@ func (s *Server) handlePortfolio(w http.ResponseWriter, r *http.Request) {
 		}
 		defer release()
 	}
-	res, err := experiments.PairwisePISARun(scheds, experiments.PairwiseOptions{Anneal: opts}, ro)
+	resp, err := Portfolio(req, ro)
 	if err != nil {
 		if r.Context().Err() != nil {
 			http.Error(w, "client canceled", http.StatusServiceUnavailable)
 			return
 		}
-		http.Error(w, fmt.Sprintf("portfolio grid: %v", err), http.StatusInternalServerError)
+		http.Error(w, fmt.Sprintf("portfolio: %v", err), http.StatusInternalServerError)
 		return
 	}
-	p, err := experiments.SelectPortfolioParallel(res.Schedulers, res.Ratios, req.K, s.opts.Workers)
+	httpx.WriteJSON(w, resp)
+}
+
+// sweepParams is the identity of the "pairwise" sweep behind a
+// portfolio request: the annealing budget and the roster, in order.
+func (req PortfolioRequest) sweepParams() experiments.SweepParams {
+	return experiments.SweepParams{Iters: req.Iters, Restarts: req.Restarts, Seed: req.Seed, Schedulers: req.Schedulers}
+}
+
+// Portfolio computes a portfolio response in process: the "pairwise"
+// sweep over req's schedulers under ro (a store the fleet filled
+// replays instead of computing), then the best req.K-subset, selected
+// with ro.Workers goroutines. It is what /v1/portfolio answers and what
+// `saga portfolio` prints without -server, so the two cannot differ.
+// req is taken as given; the daemon fills its defaults before calling.
+func Portfolio(req PortfolioRequest, ro runner.Options) (*PortfolioResponse, error) {
+	sw, err := experiments.NewSweep("pairwise", req.sweepParams())
 	if err != nil {
-		http.Error(w, fmt.Sprintf("portfolio selection: %v", err), http.StatusInternalServerError)
-		return
+		return nil, err
 	}
-	httpx.WriteJSON(w, PortfolioResponse{
-		Schedulers: res.Schedulers,
-		Ratios:     res.Ratios,
-		Members:    p.Members,
-		WorstRatio: p.WorstRatio,
-	})
+	res, err := sw.Result(ro)
+	if err != nil {
+		return nil, err
+	}
+	grid := res.(*experiments.PairwiseResult)
+	p, err := experiments.SelectPortfolioParallel(grid.Schedulers, grid.Ratios, req.K, ro.Workers)
+	if err != nil {
+		return nil, err
+	}
+	return &PortfolioResponse{Schedulers: grid.Schedulers, Ratios: grid.Ratios, Members: p.Members, WorstRatio: p.WorstRatio}, nil
 }
 
 func (s *Server) handleRobustness(w http.ResponseWriter, r *http.Request) {
