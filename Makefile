@@ -6,12 +6,15 @@
 
 GO ?= go
 
-.PHONY: all build test test-race verify bench-smoke bench bench-pisa bench-pisa-full bench-scale bench-scale-full docs-lint coord-smoke serve-smoke chaos-smoke bench-serve fuzz-short cover
+.PHONY: all build vet test test-race verify bench-smoke bench bench-pisa bench-pisa-full bench-scale bench-scale-full docs-lint coord-smoke serve-smoke chaos-smoke bench-serve fuzz-short cover
 
 all: verify
 
 build:
 	$(GO) build ./...
+
+vet:
+	$(GO) vet ./...
 
 test:
 	$(GO) test ./...
@@ -29,8 +32,9 @@ test:
 test-race:
 	$(GO) test -race ./internal/runner ./internal/core ./internal/scheduler ./internal/experiments ./internal/serialize ./internal/coord/... ./internal/serve ./internal/httpx
 
-# verify is the tier-1 check: everything builds, every test passes
-# (including under the race detector for the concurrent packages), the
+# verify is the tier-1 check: everything builds and passes go vet,
+# every test passes (including under the race detector for the
+# concurrent packages), the
 # hot path still schedules without allocating, the PISA inner loop stays
 # incremental (bit-identical and allocation-free), the process-level
 # coordinator smoke test survives a worker SIGKILL byte-identically, the
@@ -41,7 +45,7 @@ test-race:
 # data plane keeps its throughput, memory, and bit-identity floors
 # (bench-scale), per-package coverage stays above the COVER_BASELINE
 # floors, and every package stays documented.
-verify: build test test-race docs-lint bench-smoke bench-pisa bench-scale coord-smoke serve-smoke chaos-smoke bench-serve fuzz-short cover
+verify: build vet test test-race docs-lint bench-smoke bench-pisa bench-scale coord-smoke serve-smoke chaos-smoke bench-serve fuzz-short cover
 
 # coord-smoke is the process-level fault drill for the sweep
 # coordinator: it builds the saga binary, starts `saga coordinate` plus
@@ -165,28 +169,26 @@ bench-pisa:
 	$(GO) test -run 'TestTablesGenerationBumps|TestTablesTopoIncrementalRepair|TestUpdateNodeSpeedPrefixResume' -count 1 ./internal/graph/
 	$(GO) test -run 'TestEvalCache|TestTopoOrderMemo' -count 1 ./internal/scheduler/
 	PISA_BENCH_GATE=1 $(GO) test -run 'TestPISAIterationMemoizationGate|TestPISAParallelSpeedupGate' -count 1 -v ./internal/core/
-	$(GO) test -run '^$$' -bench 'BenchmarkPISAIteration|BenchmarkPISACandidateGen' -benchmem -benchtime 1x ./internal/core/
-	$(GO) test -run '^$$' -bench 'BenchmarkPISARun' -benchmem -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkPISAIteration|BenchmarkPISACandidateGen|BenchmarkPISARun|BenchmarkGAAdversarial' -benchmem -benchtime 1x ./internal/core/
 
 # bench-pisa-full is the measurement protocol behind BENCH_pisa.json:
 # count=3, 300ms per iteration/candidate-gen sub-benchmark and 1s for
 # the end-to-end run; record the per-case minimum.
 bench-pisa-full:
 	$(GO) test -run '^$$' -bench 'BenchmarkPISAIteration|BenchmarkPISACandidateGen' -benchmem -benchtime 300ms -count 3 ./internal/core/
-	$(GO) test -run '^$$' -bench 'BenchmarkPISARun' -benchmem -benchtime 1s -count 3 .
+	$(GO) test -run '^$$' -bench 'BenchmarkPISARun' -benchmem -benchtime 1s -count 3 ./internal/core/
 
 # bench-scale is the scale-tier regression gate behind BENCH_scale.json:
 # the edge-sparse Tables property suites (byte-identical to the dense
-# reference under random builds and incremental-update sequences, plus
-# the 10k-deep chain traversal tests), then TestScaleBenchGate (opted in
-# via SCALE_BENCH_GATE=1) enforcing HEFT throughput floors at the
-# 1k/5k/10k tiers, the O(|V|+|E|+|D|·|V|) table-memory bound with
-# edge-sparse link storage, 10k-task bit-identity of the sparse
-# tables against the dense reference, and TestScaleTierSchedulesValid at
-# the 10k tier (every registered scheduler through schedule.Validate).
-# Part of `make verify`.
+# test reference under random builds and incremental-update sequences,
+# the 10k-deep chain traversal tests, and — opted in via
+# SCALE_BENCH_GATE=1 — 10k-task scale_layered bit-identity), then
+# TestScaleBenchGate enforcing HEFT throughput floors at the 1k/5k/10k
+# tiers and the O(|V|+|E|+|D|·|V|) table-memory bound with edge-sparse
+# link storage, and TestScaleTierSchedulesValid at the 10k tier (every
+# registered scheduler through schedule.Validate). Part of `make verify`.
 bench-scale:
-	$(GO) test -run 'TestSparseTables|TestTablesChain10000' -count 1 ./internal/graph/
+	SCALE_BENCH_GATE=1 $(GO) test -run 'TestSparseTables|TestTablesChain10000' -count 1 ./internal/graph/
 	$(GO) test -run 'TestSolveDeepChain10000' -count 1 ./internal/exact/
 	SCALE_BENCH_GATE=1 $(GO) test -run 'TestScaleBenchGate|TestScaleTierSchedulesValid' -count 1 -v -timeout 300s .
 

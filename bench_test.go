@@ -8,7 +8,6 @@ package saga
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
 	"saga/internal/core"
@@ -87,7 +86,7 @@ func BenchmarkFig2Benchmarking(b *testing.B) {
 	scheds := schedulers.Experimental()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Benchmarking(datasets.TableII, scheds, 2, uint64(i+1)); err != nil {
+		if _, err := experiments.BenchmarkingRun(datasets.TableII, scheds, 2, uint64(i+1), runner.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -121,7 +120,7 @@ func BenchmarkFig4PISAPairwise(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		opts := experiments.PairwiseOptions{Anneal: smallAnneal(50, 1)}
 		opts.Anneal.Seed = uint64(i + 1)
-		if _, err := experiments.PairwisePISA(scheds, opts); err != nil {
+		if _, err := experiments.PairwisePISARun(scheds, opts, runner.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -179,7 +178,7 @@ func BenchmarkFig8WideForkFamily(b *testing.B) {
 func benchFamily(b *testing.B, gen func(*rng.RNG) *graph.Instance) {
 	scheds := []scheduler.Scheduler{mustSched(b, "CPoP"), mustSched(b, "HEFT")}
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Family(gen, scheds, 100, uint64(i+1)); err != nil {
+		if _, err := experiments.FamilyRun(gen, scheds, 100, uint64(i+1), runner.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -206,12 +205,12 @@ func BenchmarkFig10AppSpecificPISA(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ao := smallAnneal(30, 1)
 		ao.Seed = uint64(i + 1)
-		_, err := experiments.AppSpecific(scheds, experiments.AppSpecificOptions{
+		_, err := experiments.AppSpecificRun(scheds, experiments.AppSpecificOptions{
 			Workflow:           "srasearch",
 			CCR:                0.2,
 			BenchmarkInstances: 2,
 			Anneal:             ao,
-		})
+		}, runner.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -400,49 +399,6 @@ func BenchmarkExactSolver(b *testing.B) {
 	}
 }
 
-// BenchmarkPISARun measures one full PISA run end to end — the
-// incremental inner loop (mutate in place, undo log, delta Tables
-// updates, rank memoization across the scheduler pair) against the
-// retained copy-and-rebuild, cache-disabled reference
-// (core.RunReference) on identical options, seeds, and scheduler pair.
-// The two produce byte-identical Results (proven in
-// internal/core/incremental_test.go), so the ratio of their ns/op is
-// the pure speedup of the candidate-generation rewrite plus the shared
-// evaluation cache. Per-iteration numbers and the allocation gate live
-// in internal/core.BenchmarkPISAIteration; the committed record is
-// BENCH_pisa.json (`make bench-pisa` protocol).
-func BenchmarkPISARun(b *testing.B) {
-	variants := []struct {
-		name string
-		run  func(target, baseline scheduler.Scheduler, opts core.Options) (*core.Result, error)
-	}{
-		{"incremental", core.Run},
-		{"reference", core.RunReference},
-		// parallel is core.Run with Workers=NumCPU — bit-identical results
-		// (internal/core/parallel_test.go), so its ns/op against the
-		// incremental variant is the pure intra-cell scaling. On a
-		// single-core host it measures the parallel path's overhead instead.
-		{"parallel", func(target, baseline scheduler.Scheduler, opts core.Options) (*core.Result, error) {
-			opts.Workers = runtime.NumCPU()
-			return core.Run(target, baseline, opts)
-		}},
-	}
-	for _, v := range variants {
-		b.Run(v.name, func(b *testing.B) {
-			heft, cpop := mustSched(b, "HEFT"), mustSched(b, "CPoP")
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				opts := smallAnneal(500, 2)
-				opts.Seed = uint64(i + 1)
-				opts.InitialInstance = datasets.InitialPISAInstance
-				if _, err := v.run(heft, cpop, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkPISAPerturbation measures the perturbation+evaluation inner
 // loop in isolation.
 func BenchmarkPISAPerturbation(b *testing.B) {
@@ -533,39 +489,6 @@ func BenchmarkSimulatorElasticContention(b *testing.B) {
 		if _, err := sim.ExecuteElastic(inst, sch, sim.ElasticOptions{LinkContention: true}); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkGAAdversarial measures the genetic adversarial finder at a
-// budget comparable to one annealing restart — the incremental loop
-// (recycled instance banks, in-place crossover, delta-patched tables,
-// memoized ranks) against the retained clone-and-full-Prepare reference
-// (core.RunGAReference). The two produce byte-identical Results
-// (internal/core/genetic_incremental_test.go), so the ns/op ratio is
-// the pure cost of the machinery the rewrite removed.
-func BenchmarkGAAdversarial(b *testing.B) {
-	variants := []struct {
-		name string
-		run  func(target, baseline scheduler.Scheduler, opts core.GAOptions) (*core.Result, error)
-	}{
-		{"incremental", core.RunGA},
-		{"reference", core.RunGAReference},
-	}
-	for _, v := range variants {
-		b.Run(v.name, func(b *testing.B) {
-			heft, cpop := mustSched(b, "HEFT"), mustSched(b, "CPoP")
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				opts := core.DefaultGAOptions()
-				opts.PopulationSize = 10
-				opts.Generations = 20
-				opts.Seed = uint64(i + 1)
-				opts.InitialInstance = experiments.RandomChainInstance
-				if _, err := v.run(heft, cpop, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 
@@ -697,7 +620,7 @@ func BenchmarkRobustnessReplay(b *testing.B) {
 	inst := datasets.Fig1Instance()
 	heft := mustSched(b, "HEFT")
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Robustness(inst, heft, 0.2, 20, uint64(i+1)); err != nil {
+		if _, err := experiments.RobustnessRun(inst, heft, 0.2, 20, uint64(i+1), runner.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -284,7 +284,7 @@ func pisaCmd(args []string) error {
 		opts.Generations = max(f.Iters/10, 1)
 		opts.Seed = f.Seed
 		opts.Workers = *workers
-		opts.InitialInstance = experiments.RandomChainInstance
+		opts.InitialInstance = datasets.InitialPISAInstance
 		res, err = core.RunGA(target, base, opts)
 	default:
 		return fmt.Errorf("unknown method %q (want sa or ga)", *method)

@@ -2,14 +2,21 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"saga/internal/cli"
 	"saga/internal/datasets"
+	"saga/internal/httpx"
+	"saga/internal/scheduler"
 	"saga/internal/serialize"
+	"saga/internal/serve"
 )
 
 // TestRobustnessKeepsAMergedStore pins the finish policy on the command
@@ -66,5 +73,29 @@ func TestRobustnessKeepsAMergedStore(t *testing.T) {
 	}
 	if _, err := os.Stat(own); !os.IsNotExist(err) {
 		t.Fatalf("a completed run left its checkpoint behind: %v", err)
+	}
+}
+
+// TestPortfolioRefusesUnboundedEnumeration: `saga portfolio` over 32
+// schedulers with -k 16 asks for C(32,16) candidate portfolios. Locally
+// and against a daemon it fails with the same words; the daemon's are
+// its 400 body.
+func TestPortfolioRefusesUnboundedEnumeration(t *testing.T) {
+	daemon := httptest.NewServer(serve.New(serve.Options{}))
+	defer daemon.Close()
+	all := scheduler.Names()
+	names := make([]string, 32)
+	for i := range names {
+		names[i] = all[i%len(all)]
+	}
+	args := []string{"-k", "16", "-schedulers", strings.Join(names, ","), "-iters", "5", "-restarts", "1"}
+	local := portfolioCmd(args)
+	remote := portfolioCmd(append([]string{"-server", daemon.URL}, args...))
+	var se *httpx.StatusError
+	if !errors.As(remote, &se) || se.Code != http.StatusBadRequest {
+		t.Fatalf("-server: %v, want a 400", remote)
+	}
+	if local == nil || local.Error() != se.Body {
+		t.Fatalf("local run: %v, daemon: %q", local, se.Body)
 	}
 }

@@ -69,8 +69,8 @@ func DefaultGAOptions() GAOptions {
 }
 
 // normalized validates the configuration and applies the historical
-// clamps (TournamentK, Elite); RunGA and RunGAReference share it so
-// both loops reject identical inputs with identical errors.
+// clamps (TournamentK, Elite); RunGA and the test-only RunGAReference
+// share it so both loops reject identical inputs with identical errors.
 func (o GAOptions) normalized() (GAOptions, error) {
 	if o.InitialInstance == nil {
 		return o, errors.New("core: GAOptions.InitialInstance is required")
@@ -112,10 +112,11 @@ type individual struct {
 // tables patched through the graph.Tables delta methods
 // (applyTables) rather than rebuilt; and each candidate's
 // target/baseline evaluation pair shares one rank computation through
-// the scratch's EvalCache. Results are bit-identical to the retained
-// clone-and-full-Prepare implementation (RunGAReference, the analogue
-// of RunReference); genetic_incremental_test.go proves it across
-// perturbation modes and scheduler pairs.
+// the scratch's EvalCache. Results are bit-identical to the
+// clone-and-full-Prepare implementation it replaced, kept as the oracle
+// RunGAReference in genetic_reference_test.go;
+// genetic_incremental_test.go proves it across perturbation modes and
+// scheduler pairs.
 func RunGA(target, baseline scheduler.Scheduler, opts GAOptions) (*Result, error) {
 	opts, err := opts.normalized()
 	if err != nil {

@@ -8,8 +8,8 @@ import (
 	"saga/internal/scheduler"
 )
 
-// This file retains the clone-and-full-Prepare GA loop verbatim as the
-// bit-identity oracle for the incremental RunGA in genetic.go,
+// This test file retains the clone-and-full-Prepare GA loop verbatim as
+// the bit-identity oracle for the incremental RunGA in genetic.go,
 // mirroring the RunReference/Run split of the annealer: every offspring
 // is a fresh Clone (of the fitter parent, weight-mixed by crossover),
 // mutation is the one-shot allocating perturb, and every fitness
@@ -17,9 +17,10 @@ import (
 // disabled. RunGAReference must consume the identical RNG stream and
 // produce byte-identical Results to RunGA —
 // genetic_incremental_test.go asserts it per perturbation mode and
-// scheduler pair, and BenchmarkGAAdversarial measures the speedup
-// against it. Do not "improve" this code; its value is that it shares
-// none of the buffer-recycling machinery it checks.
+// scheduler pair, and BenchmarkGAAdversarial (pisa_bench_test.go)
+// measures the speedup against it. Do not "improve" this code; its
+// value is that it shares none of the buffer-recycling machinery it
+// checks.
 
 // RunGAReference executes the genetic search with the pre-incremental
 // evaluation strategy: one Clone per offspring and one full Tables

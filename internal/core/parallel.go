@@ -16,8 +16,9 @@ import (
 // inner loop is incremental and cached, but a single Run or RunGA was
 // still strictly sequential. This file closes that gap without giving
 // up determinism-by-construction: results are bit-identical for every
-// Workers value, proven against the sequential loops and the retained
-// reference implementations by parallel_test.go.
+// Workers value, proven against the sequential loops and the test-only
+// reference implementations (reference_test.go,
+// genetic_reference_test.go) by parallel_test.go.
 //
 // Ownership rule (the PR 2 scratch rule, extended): every chain/worker
 // owns its scheduling state outright — a scheduler.Scratch from the

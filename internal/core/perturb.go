@@ -69,28 +69,20 @@ type perturbState struct {
 
 func (ps *perturbState) push(u undoRec) { ps.log = append(ps.log, u) }
 
-// perturb applies one randomly chosen perturbation to the instance in
-// place, per Section VI: weight changes move a uniformly chosen weight
-// by a uniform amount in ±Step (clamped to the configured range;
-// network weights additionally floored at MinNetWeight), Add Dependency
-// inserts a random acyclic edge, Remove Dependency deletes a random
-// edge. Operators that cannot apply (no edges to remove, graph already
-// transitively closed) fall through to a weight perturbation so every
-// call changes something.
+// perturbInPlace applies one randomly chosen perturbation to the
+// instance in place, per Section VI: weight changes move a uniformly
+// chosen weight by a uniform amount in ±Step (clamped to the configured
+// range; network weights additionally floored at MinNetWeight), Add
+// Dependency inserts a random acyclic edge, Remove Dependency deletes a
+// random edge. Operators that cannot apply (no edges to remove, graph
+// already transitively closed) fall through to a weight perturbation so
+// every call changes something.
 //
-// The one-shot form for callers outside the annealing loop (the GA's
-// mutation step, the property tests); the undo log is discarded.
-func perturb(inst *graph.Instance, r *rng.RNG, p PerturbOptions) {
-	ps := &perturbState{ops: enabledOps(p)}
-	perturbInPlace(inst, r, p, ps)
-}
-
-// perturbInPlace is perturb against caller-owned state: the applied
-// operator lands on ps.log (reset first) so revert can roll it back,
-// and ps's buffers make the call allocation-free once warm. The RNG
-// draw sequence is identical to refPerturb's for every graph state —
-// that equivalence is what makes the in-place loop bit-identical to
-// the copy-and-rebuild reference.
+// The applied operator lands on ps.log (reset first) so revert can roll
+// it back, and ps's buffers make the call allocation-free once warm.
+// The RNG draw sequence is identical to refPerturb's (reference_test.go)
+// for every graph state — that equivalence is what makes the in-place
+// loop bit-identical to the copy-and-rebuild reference.
 func perturbInPlace(inst *graph.Instance, r *rng.RNG, p PerturbOptions, ps *perturbState) {
 	ps.log = ps.log[:0]
 	op := ps.ops[r.Intn(len(ps.ops))]

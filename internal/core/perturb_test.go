@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"saga/internal/datasets"
+	"saga/internal/graph"
 	"saga/internal/rng"
 )
 
@@ -160,4 +161,11 @@ func TestWithDefaultsFillsZeroValues(t *testing.T) {
 	if q.Step != 0.3 || q.TaskCost != [2]float64{1, 2} {
 		t.Fatalf("withDefaults overwrote explicit values: %+v", q)
 	}
+}
+
+// perturb is the one-shot form of perturbInPlace for the property tests
+// and the GA reference's mutation step; the undo log is discarded.
+func perturb(inst *graph.Instance, r *rng.RNG, p PerturbOptions) {
+	ps := &perturbState{ops: enabledOps(p)}
+	perturbInPlace(inst, r, p, ps)
 }

@@ -211,9 +211,9 @@ func tracePrealloc(restarts, maxIters int) int {
 	return restarts * maxIters
 }
 
-// checkOptions validates an annealing configuration; Run and
-// RunReference share it so the two loops reject identical inputs with
-// identical errors.
+// checkOptions validates an annealing configuration; Run and the
+// test-only RunReference share it so the two loops reject identical
+// inputs with identical errors.
 func checkOptions(opts Options) error {
 	if opts.InitialInstance == nil {
 		return errors.New("core: Options.InitialInstance is required")
@@ -264,9 +264,10 @@ func checkPerturb(p PerturbOptions) error {
 // scratch's precomputed cost tables incrementally (graph.Tables
 // Update*/AddDep/RemoveDep — never a full rebuild), evaluates, and on
 // rejection rolls the mutation back through the undo log. Results are
-// bit-identical to the retained copy-and-rebuild implementation
-// (RunReference); incremental_test.go proves it across perturbation
-// modes and scheduler pairs. Once warm, the steady-state accept/reject
+// bit-identical to the copy-and-rebuild implementation it replaced,
+// kept as the oracle RunReference in reference_test.go;
+// incremental_test.go proves it across perturbation modes and scheduler
+// pairs. Once warm, the steady-state accept/reject
 // cycle performs zero heap allocations.
 func Run(target, baseline scheduler.Scheduler, opts Options) (*Result, error) {
 	if err := checkOptions(opts); err != nil {
@@ -462,12 +463,6 @@ func (e *evaluator) ratioPrepared(inst *graph.Instance) (float64, error) {
 		return math.Inf(1), nil
 	}
 	return mt / mb, nil
-}
-
-// evaluate is the one-shot form of evaluator.ratio, kept for callers
-// outside the annealing loop (the GA seeds one evaluator instead).
-func evaluate(target, baseline scheduler.Scheduler, inst *graph.Instance) (float64, error) {
-	return newEvaluator(target, baseline, nil).ratio(inst)
 }
 
 // prepare enforces the homogeneity constraints on a fresh initial

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"saga/internal/datasets"
@@ -217,6 +218,83 @@ func BenchmarkPISACandidateGen(b *testing.B) {
 				refPerturb(cand, r, p)
 				tab.Build(cand)
 				tab.EnsureAvgComm()
+			}
+		})
+	}
+}
+
+// BenchmarkPISARun measures one full PISA run end to end — the
+// incremental inner loop (mutate in place, undo log, delta Tables
+// updates, rank memoization across the scheduler pair) against the
+// copy-and-rebuild, cache-disabled reference (RunReference) on identical
+// options, seeds, and scheduler pair. The two produce byte-identical
+// Results (proven in incremental_test.go), so the ratio of their ns/op
+// is the pure speedup of the candidate-generation rewrite plus the
+// shared evaluation cache. Per-iteration numbers and the allocation
+// gate live in BenchmarkPISAIteration; the committed record is
+// BENCH_pisa.json (`make bench-pisa` protocol).
+func BenchmarkPISARun(b *testing.B) {
+	variants := []struct {
+		name string
+		run  func(target, baseline scheduler.Scheduler, opts Options) (*Result, error)
+	}{
+		{"incremental", Run},
+		{"reference", RunReference},
+		// parallel is Run with Workers=NumCPU — bit-identical results
+		// (parallel_test.go), so its ns/op against the incremental variant
+		// is the pure intra-cell scaling. On a single-core host it measures
+		// the parallel path's overhead instead.
+		{"parallel", func(target, baseline scheduler.Scheduler, opts Options) (*Result, error) {
+			opts.Workers = runtime.NumCPU()
+			return Run(target, baseline, opts)
+		}},
+	}
+	for _, v := range variants {
+		b.Run(v.name, func(b *testing.B) {
+			heft, cpop := benchSched(b, "HEFT"), benchSched(b, "CPoP")
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				opts := DefaultOptions()
+				opts.MaxIters = 500
+				opts.Restarts = 2
+				opts.Seed = uint64(i + 1)
+				opts.InitialInstance = datasets.InitialPISAInstance
+				if _, err := v.run(heft, cpop, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkGAAdversarial measures the genetic adversarial finder at a
+// budget comparable to one annealing restart — the incremental loop
+// (recycled instance banks, in-place crossover, delta-patched tables,
+// memoized ranks) against the clone-and-full-Prepare reference
+// (RunGAReference). The two produce byte-identical Results
+// (genetic_incremental_test.go), so the ns/op ratio is the pure cost of
+// the machinery the rewrite removed.
+func BenchmarkGAAdversarial(b *testing.B) {
+	variants := []struct {
+		name string
+		run  func(target, baseline scheduler.Scheduler, opts GAOptions) (*Result, error)
+	}{
+		{"incremental", RunGA},
+		{"reference", RunGAReference},
+	}
+	for _, v := range variants {
+		b.Run(v.name, func(b *testing.B) {
+			heft, cpop := benchSched(b, "HEFT"), benchSched(b, "CPoP")
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				opts := DefaultGAOptions()
+				opts.PopulationSize = 10
+				opts.Generations = 20
+				opts.Seed = uint64(i + 1)
+				opts.InitialInstance = datasets.InitialPISAInstance
+				if _, err := v.run(heft, cpop, opts); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

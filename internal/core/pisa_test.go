@@ -308,3 +308,9 @@ func TestRunTraceOffByDefault(t *testing.T) {
 		t.Fatal("trace recorded without RecordTrace")
 	}
 }
+
+// evaluate is the one-shot form of evaluator.ratio, for tests that
+// score a single instance.
+func evaluate(target, baseline scheduler.Scheduler, inst *graph.Instance) (float64, error) {
+	return newEvaluator(target, baseline, nil).ratio(inst)
+}

@@ -8,16 +8,17 @@ import (
 	"saga/internal/scheduler"
 )
 
-// This file retains the copy-and-rebuild annealing loop verbatim as the
-// bit-identity oracle for the incremental inner loop in pisa.go: every
+// This test file retains the copy-and-rebuild annealing loop verbatim as
+// the bit-identity oracle for the incremental inner loop in pisa.go: every
 // iteration copies the current instance into a candidate buffer,
 // perturbs the copy, and rebuilds the full cost tables before
 // evaluating. RunReference must consume the identical RNG stream and
 // produce byte-identical Results to Run — incremental_test.go asserts
 // it per perturbation mode and scheduler pair, and BenchmarkPISARun
-// measures the speedup against it (BENCH_pisa.json). Do not "improve"
-// this code; its value is that it does not share the mutate-in-place
-// machinery it checks.
+// (pisa_bench_test.go) measures the speedup against it
+// (BENCH_pisa.json). Do not "improve" this code; its value is that it
+// does not share the mutate-in-place machinery it checks. The exported
+// name keeps it usable from external test packages in this directory.
 
 // RunReference executes PISA with the pre-incremental evaluation
 // strategy: one full Instance copy and one full Tables rebuild per

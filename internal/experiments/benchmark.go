@@ -1,15 +1,17 @@
 // Package experiments implements the paper's evaluation drivers: the
 // Fig 2 benchmarking grid, the Fig 4 pairwise PISA heatmap, the Fig 7/8
-// family studies, and the Section VII application-specific
-// benchmarking+PISA grids (Figs 10-19). Each driver returns plain data
-// plus labels; package render turns them into the text figures.
+// family studies, robustness under cost jitter, and the Section VII
+// application-specific benchmarking+PISA grids (Figs 10-19). Each driver
+// returns plain data plus labels; package render turns them into the
+// text figures.
 //
-// Every driver has a parallel counterpart built on runner.Map (see
-// parallel.go) whose results are bit-identical to the sequential
-// reference for any worker count, and the checkpointable sweeps are
+// Each driver has one entry point, XRun(…, runner.Options), built on
+// runner.Map (see parallel.go): its results are bit-identical for any
+// worker count, which determinism_test.go proves against sequential
+// oracles kept only in that test file. The checkpointable sweeps are
 // registered as distributed, shardable jobs in NewSweep (see
-// distributed.go) — the shared identity behind `figures -shard`,
-// `saga worker`, and `saga merge`.
+// distributed.go) — the shared identity behind `figures -shard`, `saga
+// worker`, and `saga merge`.
 package experiments
 
 import (
@@ -35,7 +37,7 @@ type BenchmarkCell struct {
 	Max, Mean, P75 float64
 }
 
-// BenchmarkResult is the Fig 2 grid.
+// BenchmarkResult is the Fig 2 grid BenchmarkingRun computes.
 type BenchmarkResult struct {
 	Datasets   []string
 	Schedulers []string
@@ -76,53 +78,43 @@ func rosterMakespans(inst *graph.Instance, scheds []scheduler.Scheduler, scr *sc
 	return best, nil
 }
 
-// Benchmarking reproduces Fig 2: run every scheduler on n instances of
-// each named dataset and record, per instance, the scheduler's makespan
-// ratio against the minimum makespan any scheduler achieved on that
-// instance. It is the cell function of BenchmarkingRun and owns one
-// scratch and one schedule for the whole call. A scheduler that fails on
-// an instance (none of the 15 experimental algorithms do) fails the call.
-func Benchmarking(datasetNames []string, scheds []scheduler.Scheduler, n int, seed uint64) (*BenchmarkResult, error) {
-	res := &BenchmarkResult{
-		Datasets: datasetNames,
-		Cells:    map[string]map[string]BenchmarkCell{},
-	}
-	for _, s := range scheds {
-		res.Schedulers = append(res.Schedulers, s.Name())
+// benchmarkDataset is one cell of BenchmarkingRun: every scheduler on
+// the n instances of dataset ds, summarized per scheduler over the
+// instances' makespan ratios against the best scheduler. It owns one
+// scratch and one schedule for the whole cell. A scheduler that fails on
+// an instance (none of the 15 experimental algorithms do) fails the cell.
+func benchmarkDataset(ds string, scheds []scheduler.Scheduler, n int, seed uint64) (map[string]BenchmarkCell, error) {
+	instances, err := datasets.Dataset(ds, n, seed)
+	if err != nil {
+		return nil, err
 	}
 	scr := scheduler.NewScratch()
 	var out schedule.Schedule
 	makespans := make([]float64, len(scheds))
-	for _, ds := range datasetNames {
-		instances, err := datasets.Dataset(ds, n, seed)
+	ratios := make([][]float64, len(scheds))
+	for _, inst := range instances {
+		best, err := rosterMakespans(inst, scheds, scr, &out, makespans)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("experiments: dataset %s: %w", ds, err)
 		}
-		ratios := make([][]float64, len(scheds))
-		for _, inst := range instances {
-			best, err := rosterMakespans(inst, scheds, scr, &out, makespans)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: dataset %s: %w", ds, err)
-			}
-			if best == 0 {
-				continue
-			}
-			for i, m := range makespans {
-				ratios[i] = append(ratios[i], m/best)
-			}
+		if best == 0 {
+			continue
 		}
-		res.Cells[ds] = map[string]BenchmarkCell{}
-		for i, s := range scheds {
-			res.Cells[ds][s.Name()] = BenchmarkCell{
-				Dataset:   ds,
-				Scheduler: s.Name(),
-				Max:       stats.Max(ratios[i]),
-				Mean:      stats.Mean(ratios[i]),
-				P75:       stats.Percentile(ratios[i], 75),
-			}
+		for i, m := range makespans {
+			ratios[i] = append(ratios[i], m/best)
 		}
 	}
-	return res, nil
+	cells := make(map[string]BenchmarkCell, len(scheds))
+	for i, s := range scheds {
+		cells[s.Name()] = BenchmarkCell{
+			Dataset:   ds,
+			Scheduler: s.Name(),
+			Max:       stats.Max(ratios[i]),
+			Mean:      stats.Mean(ratios[i]),
+			P75:       stats.Percentile(ratios[i], 75),
+		}
+	}
+	return cells, nil
 }
 
 // MakespanRatioAgainstBest returns the makespan ratio of each scheduler

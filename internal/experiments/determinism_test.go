@@ -1,19 +1,26 @@
 package experiments
 
 import (
+	"fmt"
+	"math"
+	"sort"
 	"testing"
 
+	"saga/internal/core"
 	"saga/internal/datasets"
+	"saga/internal/graph"
 	"saga/internal/rng"
 	"saga/internal/runner"
+	"saga/internal/schedule"
 	"saga/internal/scheduler"
 	"saga/internal/serialize"
+	"saga/internal/stats"
 )
 
 // workerCounts is the grid every determinism test sweeps: strictly
 // sequential, a fixed small pool, and whatever the host offers. Each
-// parallel result must be bit-identical (float ==, no tolerance) to the
-// sequential reference driver.
+// driver's result must be bit-identical (float ==, no tolerance) to its
+// sequential oracle at every count.
 var workerCounts = []int{1, 4, 0 /* GOMAXPROCS */}
 
 func workerLabel(w int) string {
@@ -28,7 +35,7 @@ func TestBenchmarkingDeterminism(t *testing.T) {
 		mustSched(t, "HEFT"), mustSched(t, "CPoP"), mustSched(t, "WBA"), mustSched(t, "FastestNode"),
 	}
 	names := []string{"chains", "in_trees", "out_trees", "etl", "cycles"}
-	seq, err := Benchmarking(names, scheds, 4, 11)
+	seq, err := benchmarking(names, scheds, 4, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +62,7 @@ func TestPairwisePISADeterminism(t *testing.T) {
 		mustSched(t, "HEFT"), mustSched(t, "CPoP"), mustSched(t, "MinMin"),
 	}
 	opts := PairwiseOptions{Anneal: smallAnneal(60)}
-	seq, err := PairwisePISA(scheds, opts)
+	seq, err := pairwisePISA(scheds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +108,7 @@ func TestPairwisePISADeterminism(t *testing.T) {
 
 func TestFamilyDeterminism(t *testing.T) {
 	scheds := []scheduler.Scheduler{mustSched(t, "CPoP"), mustSched(t, "HEFT"), mustSched(t, "WBA")}
-	seq, err := Family(datasets.Fig7Instance, scheds, 40, 9)
+	seq, err := family(datasets.Fig7Instance, scheds, 40, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +140,7 @@ func TestFamilyDeterminism(t *testing.T) {
 func TestRobustnessDeterminism(t *testing.T) {
 	inst := datasets.Fig1Instance()
 	s := mustSched(t, "HEFT")
-	seq, err := Robustness(inst, s, 0.2, 30, 5)
+	seq, err := robustness(inst, s, 0.2, 30, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +168,7 @@ func TestAppSpecificDeterminism(t *testing.T) {
 		Anneal:             smallAnneal(3),
 	}
 	opts.Anneal.MaxIters = 40
-	seq, err := AppSpecific(scheds, opts)
+	seq, err := appSpecific(scheds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,8 +197,9 @@ func TestAppSpecificDeterminism(t *testing.T) {
 }
 
 func TestSelectPortfolioDeterminism(t *testing.T) {
-	// A synthetic 15×15 grid with deliberate near-ties exercises the
-	// merge order of the parallel subset enumeration.
+	// A synthetic 15×15 grid with deliberate near-ties exercises the tie
+	// order: SelectPortfolio's lexicographic enumeration must agree with
+	// the first-member merge of the oracle at every worker count.
 	n := 15
 	names := make([]string, n)
 	ratios := make([][]float64, n)
@@ -214,7 +222,7 @@ func TestSelectPortfolioDeterminism(t *testing.T) {
 	}
 	for _, w := range workerCounts {
 		t.Run("workers="+workerLabel(w), func(t *testing.T) {
-			par, err := SelectPortfolioParallel(names, ratios, 3, w)
+			par, err := selectPortfolioParallel(names, ratios, 3, w)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -233,11 +241,13 @@ func TestSelectPortfolioDeterminism(t *testing.T) {
 	}
 }
 
+// TestSelectPortfolioParallelValidation holds the parallel oracle to the
+// same input checks TestSelectPortfolioErrors makes of SelectPortfolio.
 func TestSelectPortfolioParallelValidation(t *testing.T) {
-	if _, err := SelectPortfolioParallel([]string{"a"}, [][]float64{{-1}}, 2, 0); err == nil {
+	if _, err := selectPortfolioParallel([]string{"a"}, [][]float64{{-1}}, 2, 0); err == nil {
 		t.Fatal("oversized portfolio accepted")
 	}
-	if _, err := SelectPortfolioParallel([]string{"a", "b"}, [][]float64{{-1, 1}}, 1, 0); err == nil {
+	if _, err := selectPortfolioParallel([]string{"a", "b"}, [][]float64{{-1, 1}}, 1, 0); err == nil {
 		t.Fatal("ragged ratio grid accepted")
 	}
 }
@@ -250,4 +260,304 @@ func TestParallelDriversRequireRegistrySchedulers(t *testing.T) {
 	if _, err := BenchmarkingRun([]string{"chains"}, []scheduler.Scheduler{custom}, 1, 1, runner.Options{Workers: 2}); err == nil {
 		t.Fatal("unregistered scheduler accepted by BenchmarkingRun")
 	}
+}
+
+// --- sequential oracles ------------------------------------------------
+//
+// Each loop below is the sequential driver its XRun replaced, kept
+// verbatim so the suites above compare the production entry points with
+// an implementation that shares none of their runner wiring. The last,
+// selectPortfolioParallel, is the other way round: the parallel selector
+// SelectPortfolio's sequential enumeration replaced.
+
+// benchmarking is the sequential Fig 2 loop BenchmarkingRun replaced:
+// every dataset in turn through one shared scratch and one schedule.
+func benchmarking(datasetNames []string, scheds []scheduler.Scheduler, n int, seed uint64) (*BenchmarkResult, error) {
+	res := &BenchmarkResult{
+		Datasets: datasetNames,
+		Cells:    map[string]map[string]BenchmarkCell{},
+	}
+	for _, s := range scheds {
+		res.Schedulers = append(res.Schedulers, s.Name())
+	}
+	scr := scheduler.NewScratch()
+	var out schedule.Schedule
+	makespans := make([]float64, len(scheds))
+	for _, ds := range datasetNames {
+		instances, err := datasets.Dataset(ds, n, seed)
+		if err != nil {
+			return nil, err
+		}
+		ratios := make([][]float64, len(scheds))
+		for _, inst := range instances {
+			best, err := rosterMakespans(inst, scheds, scr, &out, makespans)
+			if err != nil {
+				return nil, fmt.Errorf("experiments: dataset %s: %w", ds, err)
+			}
+			if best == 0 {
+				continue
+			}
+			for i, m := range makespans {
+				ratios[i] = append(ratios[i], m/best)
+			}
+		}
+		res.Cells[ds] = map[string]BenchmarkCell{}
+		for i, s := range scheds {
+			res.Cells[ds][s.Name()] = BenchmarkCell{
+				Dataset:   ds,
+				Scheduler: s.Name(),
+				Max:       stats.Max(ratios[i]),
+				Mean:      stats.Mean(ratios[i]),
+				P75:       stats.Percentile(ratios[i], 75),
+			}
+		}
+	}
+	return res, nil
+}
+
+// pairwisePISA is the sequential Fig 4 loop: seeds count up from
+// Anneal.Seed in row-major off-diagonal order, the sequence
+// runner.CellSeed reproduces per cell.
+func pairwisePISA(scheds []scheduler.Scheduler, opts PairwiseOptions) (*PairwiseResult, error) {
+	n := len(scheds)
+	res := &PairwiseResult{
+		Ratios:    make([][]float64, n),
+		Worst:     make([]float64, n),
+		Instances: make([][]*graph.Instance, n),
+	}
+	for _, s := range scheds {
+		res.Schedulers = append(res.Schedulers, s.Name())
+	}
+	for i := range res.Ratios {
+		res.Ratios[i] = make([]float64, n)
+		res.Instances[i] = make([]*graph.Instance, n)
+		for j := range res.Ratios[i] {
+			res.Ratios[i][j] = -1
+		}
+	}
+
+	pairSeed := opts.Anneal.Seed
+	for i, base := range scheds { // row: base scheduler
+		for j, target := range scheds { // column: analyzed scheduler
+			if i == j {
+				continue
+			}
+			pairSeed++
+			ao := opts.Anneal
+			ao.Seed = pairSeed
+			ao.InitialInstance = datasets.InitialPISAInstance
+			ao.Perturb = pairPerturb(target, base)
+			r, err := core.Run(target, base, ao)
+			if err != nil {
+				return nil, err
+			}
+			res.Ratios[i][j] = r.BestRatio
+			res.Instances[i][j] = r.Best
+			if r.BestRatio > res.Worst[j] {
+				res.Worst[j] = r.BestRatio
+			}
+		}
+	}
+	return res, nil
+}
+
+// family is the sequential Figs 7/8 sampling loop, drawing each
+// instance's sub-stream lazily and scheduling through s.Schedule.
+func family(gen func(*rng.RNG) *graph.Instance, scheds []scheduler.Scheduler, n int, seed uint64) (*FamilyResult, error) {
+	res := &FamilyResult{
+		Makespans: map[string][]float64{},
+		Summaries: map[string]stats.Summary{},
+	}
+	for _, s := range scheds {
+		res.Schedulers = append(res.Schedulers, s.Name())
+	}
+	r := rng.New(seed)
+	for i := 0; i < n; i++ {
+		inst := gen(r.Split())
+		for _, s := range scheds {
+			sch, err := s.Schedule(inst)
+			if err != nil {
+				return nil, err
+			}
+			res.Makespans[s.Name()] = append(res.Makespans[s.Name()], sch.Makespan())
+		}
+	}
+	for _, s := range scheds {
+		res.Summaries[s.Name()] = stats.Summarize(res.Makespans[s.Name()])
+	}
+	return res, nil
+}
+
+// robustness is the sequential jitter loop, re-planning through
+// s.Schedule.
+func robustness(inst *graph.Instance, s scheduler.Scheduler, sigma float64, n int, seed uint64) (*RobustnessResult, error) {
+	nominal, err := s.Schedule(inst)
+	if err != nil {
+		return nil, err
+	}
+	res := &RobustnessResult{Scheduler: s.Name(), Nominal: nominal.Makespan()}
+	r := rng.New(seed)
+	var static, adaptive []float64
+	for i := 0; i < n; i++ {
+		j := Jitter(inst, sigma, r.Split())
+		m, err := Replay(j, nominal)
+		if err != nil {
+			return nil, err
+		}
+		static = append(static, m)
+		re, err := s.Schedule(j)
+		if err != nil {
+			return nil, err
+		}
+		adaptive = append(adaptive, re.Makespan())
+	}
+	res.Static = stats.Summarize(static)
+	res.Adaptive = stats.Summarize(adaptive)
+	return res, nil
+}
+
+// appSpecific is the sequential Section VII block: benchmarking row and
+// observed weight ranges first, then the structure-preserving PISA grid.
+func appSpecific(scheds []scheduler.Scheduler, opts AppSpecificOptions) (*AppSpecificResult, error) {
+	n := len(scheds)
+	res := &AppSpecificResult{
+		Workflow:  opts.Workflow,
+		CCR:       opts.CCR,
+		Benchmark: make([]float64, n),
+		Ratios:    make([][]float64, n),
+		Instances: make([][]*graph.Instance, n),
+	}
+	for _, s := range scheds {
+		res.Schedulers = append(res.Schedulers, s.Name())
+	}
+	for i := range res.Ratios {
+		res.Ratios[i] = make([]float64, n)
+		res.Instances[i] = make([]*graph.Instance, n)
+		for j := range res.Ratios[i] {
+			res.Ratios[i][j] = -1
+		}
+	}
+
+	// Benchmarking row + observed weight ranges for the perturb space.
+	taskRange := [2]float64{math.Inf(1), math.Inf(-1)}
+	depRange := [2]float64{math.Inf(1), math.Inf(-1)}
+	speedRange := [2]float64{math.Inf(1), math.Inf(-1)}
+	r := rng.New(opts.Anneal.Seed ^ 0xA99)
+	nBench := opts.BenchmarkInstances
+	if nBench <= 0 {
+		nBench = 20
+	}
+	for i := 0; i < nBench; i++ {
+		inst := appInstance(opts.Workflow, opts.CCR, r.Split())
+		for _, t := range inst.Graph.Tasks {
+			taskRange[0] = math.Min(taskRange[0], t.Cost)
+			taskRange[1] = math.Max(taskRange[1], t.Cost)
+		}
+		for _, succ := range inst.Graph.Succ {
+			for _, d := range succ {
+				depRange[0] = math.Min(depRange[0], d.Cost)
+				depRange[1] = math.Max(depRange[1], d.Cost)
+			}
+		}
+		for _, s := range inst.Net.Speeds {
+			speedRange[0] = math.Min(speedRange[0], s)
+			speedRange[1] = math.Max(speedRange[1], s)
+		}
+		ratios, err := MakespanRatioAgainstBest(inst, scheds)
+		if err != nil {
+			return nil, err
+		}
+		for j, s := range scheds {
+			if v := ratios[s.Name()]; v > res.Benchmark[j] {
+				res.Benchmark[j] = v
+			}
+		}
+	}
+
+	// PISA grid with the application-specific PERTURB implementation.
+	pairSeed := opts.Anneal.Seed
+	for i, base := range scheds {
+		for j, target := range scheds {
+			if i == j {
+				continue
+			}
+			pairSeed++
+			ao := opts.Anneal
+			ao.Seed = pairSeed
+			ao.InitialInstance = func(rr *rng.RNG) *graph.Instance {
+				return appInstance(opts.Workflow, opts.CCR, rr)
+			}
+			ao.Perturb = core.PerturbOptions{
+				Step:              0.1,
+				TaskCost:          taskRange,
+				DepCost:           depRange,
+				Speed:             speedRange,
+				FixLinks:          true,
+				FixStructure:      true,
+				KeepPinnedWeights: true,
+			}
+			pr, err := core.Run(target, base, ao)
+			if err != nil {
+				return nil, err
+			}
+			res.Ratios[i][j] = pr.BestRatio
+			res.Instances[i][j] = pr.Best
+		}
+	}
+	return res, nil
+}
+
+// selectPortfolioParallel enumerates subsets with up to workers
+// goroutines (0 = GOMAXPROCS), one cell per smallest portfolio member,
+// merged in first-member order with the strict-improvement rule — an
+// independent statement of SelectPortfolio's lexicographic tie order.
+func selectPortfolioParallel(schedulers []string, ratios [][]float64, k, workers int) (*PortfolioResult, error) {
+	n := len(schedulers)
+	if k <= 0 || k > n {
+		return nil, fmt.Errorf("experiments: portfolio size %d outside [1, %d]", k, n)
+	}
+	if len(ratios) != n {
+		return nil, fmt.Errorf("experiments: ratio grid has %d rows for %d schedulers", len(ratios), n)
+	}
+	type candidate struct {
+		Members []int
+		Worst   float64
+	}
+	cells, err := runner.Map(n-k+1, runner.Options{Workers: workers}, func(j0 int) (candidate, error) {
+		best := candidate{Worst: math.Inf(1)}
+		subset := make([]int, k)
+		subset[0] = j0
+		var recurse func(start, depth int)
+		recurse = func(start, depth int) {
+			if depth == k {
+				if worst := subsetWorstRatio(ratios, subset); worst < best.Worst {
+					best.Members = append([]int(nil), subset...)
+					best.Worst = worst
+				}
+				return
+			}
+			for j := start; j <= n-(k-depth); j++ {
+				subset[depth] = j
+				recurse(j+1, depth+1)
+			}
+		}
+		recurse(j0+1, 1)
+		return best, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	best := candidate{Worst: math.Inf(1)}
+	for _, c := range cells {
+		if c.Worst < best.Worst {
+			best = c
+		}
+	}
+	res := &PortfolioResult{WorstRatio: best.Worst}
+	res.Members = make([]string, k)
+	for i, j := range best.Members {
+		res.Members[i] = schedulers[j]
+	}
+	sort.Strings(res.Members)
+	return res, nil
 }

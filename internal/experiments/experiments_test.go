@@ -7,6 +7,7 @@ import (
 	"saga/internal/core"
 	"saga/internal/datasets"
 	"saga/internal/graph"
+	"saga/internal/runner"
 	"saga/internal/scheduler"
 	"saga/internal/schedulers"
 	"saga/internal/stats"
@@ -31,7 +32,7 @@ func smallAnneal(seed uint64) core.Options {
 
 func TestBenchmarkingSmall(t *testing.T) {
 	scheds := []scheduler.Scheduler{mustSched(t, "HEFT"), mustSched(t, "CPoP"), mustSched(t, "FastestNode")}
-	res, err := Benchmarking([]string{"chains", "in_trees"}, scheds, 5, 1)
+	res, err := BenchmarkingRun([]string{"chains", "in_trees"}, scheds, 5, 1, runner.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,12 +73,12 @@ func TestBenchmarkingBestSchedulerHasRatioOne(t *testing.T) {
 }
 
 func TestBenchmarkingUnknownDataset(t *testing.T) {
-	if _, err := Benchmarking([]string{"nope"}, schedulers.Experimental(), 1, 1); err == nil {
+	if _, err := BenchmarkingRun([]string{"nope"}, schedulers.Experimental(), 1, 1, runner.Options{}); err == nil {
 		t.Fatal("unknown dataset accepted")
 	}
 }
 
-// benchmarkingPerCall is Benchmarking as it ran before the roster shared
+// benchmarkingPerCall is the benchmarking grid as it ran before the roster shared
 // a scratch: every scheduler builds its own tables, ranks and builder
 // through a plain s.Schedule(inst). It is the oracle for
 // TestBenchmarkingSharedScratchMatchesPerCall.
@@ -123,11 +124,11 @@ func benchmarkingPerCall(t *testing.T, datasetNames []string, scheds []scheduler
 // per instance and reused by the whole roster — shared tables, shared
 // rank memo, a builder and an output schedule every scheduler overwrites
 // — must leave every cell bit-identical to a fresh Schedule call per
-// scheduler, across dataset switches and at the scale tier.
+// scheduler, from one instance to the next and at the scale tier.
 func TestBenchmarkingSharedScratchMatchesPerCall(t *testing.T) {
 	names := []string{"chains", "in_trees", "montage", "scale_chains_1k"}
 	const n, seed = 2, 5
-	got, err := Benchmarking(names, schedulers.Experimental(), n, seed)
+	got, err := BenchmarkingRun(names, schedulers.Experimental(), n, seed, runner.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +168,7 @@ func TestBenchmarkingSharedScratchMatchesPerCall(t *testing.T) {
 
 func TestPairwisePISAShape(t *testing.T) {
 	scheds := []scheduler.Scheduler{mustSched(t, "HEFT"), mustSched(t, "CPoP"), mustSched(t, "FastestNode")}
-	res, err := PairwisePISA(scheds, PairwiseOptions{Anneal: smallAnneal(1)})
+	res, err := PairwisePISARun(scheds, PairwiseOptions{Anneal: smallAnneal(1)}, runner.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +212,7 @@ func TestPairwisePISAShape(t *testing.T) {
 func TestPairwisePISARespectsConstraints(t *testing.T) {
 	// Any pair involving FCP pins both speeds and links.
 	scheds := []scheduler.Scheduler{mustSched(t, "FCP"), mustSched(t, "HEFT")}
-	res, err := PairwisePISA(scheds, PairwiseOptions{Anneal: smallAnneal(5)})
+	res, err := PairwisePISARun(scheds, PairwiseOptions{Anneal: smallAnneal(5)}, runner.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +243,7 @@ func TestSinglePISADefaults(t *testing.T) {
 
 func TestFamilyFig7Direction(t *testing.T) {
 	scheds := []scheduler.Scheduler{mustSched(t, "CPoP"), mustSched(t, "HEFT")}
-	res, err := Family(datasets.Fig7Instance, scheds, 200, 1)
+	res, err := FamilyRun(datasets.Fig7Instance, scheds, 200, 1, runner.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +256,7 @@ func TestFamilyFig7Direction(t *testing.T) {
 
 func TestFamilyFig8Direction(t *testing.T) {
 	scheds := []scheduler.Scheduler{mustSched(t, "CPoP"), mustSched(t, "HEFT")}
-	res, err := Family(datasets.Fig8Instance, scheds, 200, 1)
+	res, err := FamilyRun(datasets.Fig8Instance, scheds, 200, 1, runner.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +269,7 @@ func TestFamilyFig8Direction(t *testing.T) {
 
 func TestFamilySummaries(t *testing.T) {
 	scheds := []scheduler.Scheduler{mustSched(t, "HEFT")}
-	res, err := Family(datasets.Fig7Instance, scheds, 50, 3)
+	res, err := FamilyRun(datasets.Fig7Instance, scheds, 50, 3, runner.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,12 +342,12 @@ func TestAppSpecificSmall(t *testing.T) {
 	scheds := []scheduler.Scheduler{mustSched(t, "HEFT"), mustSched(t, "CPoP"), mustSched(t, "FastestNode")}
 	ao := smallAnneal(3)
 	ao.MaxIters = 40
-	res, err := AppSpecific(scheds, AppSpecificOptions{
+	res, err := AppSpecificRun(scheds, AppSpecificOptions{
 		Workflow:           "blast",
 		CCR:                1.0,
 		BenchmarkInstances: 3,
 		Anneal:             ao,
-	})
+	}, runner.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,9 +397,10 @@ func TestAppSpecificSmall(t *testing.T) {
 }
 
 func TestAppSpecificUnknownWorkflow(t *testing.T) {
-	defer func() { recover() }() // appInstance panics on bad recipes
-	_, err := AppSpecific([]scheduler.Scheduler{mustSched(t, "HEFT"), mustSched(t, "CPoP")},
-		AppSpecificOptions{Workflow: "bogus", CCR: 1, BenchmarkInstances: 1, Anneal: smallAnneal(1)})
+	// appInstance panics on bad recipes; the runner reports the panic as
+	// the cell's error.
+	_, err := AppSpecificRun([]scheduler.Scheduler{mustSched(t, "HEFT"), mustSched(t, "CPoP")},
+		AppSpecificOptions{Workflow: "bogus", CCR: 1, BenchmarkInstances: 1, Anneal: smallAnneal(1)}, runner.Options{})
 	if err == nil {
 		t.Fatal("unknown workflow accepted")
 	}
@@ -413,32 +415,5 @@ func TestCCRLevelsMatchPaper(t *testing.T) {
 		if CCRLevels[i] != v {
 			t.Fatalf("CCRLevels[%d] = %v, want %v", i, CCRLevels[i], v)
 		}
-	}
-}
-
-func TestCompareSearchMethods(t *testing.T) {
-	cmp, err := CompareSearchMethods(mustSched(t, "HEFT"), mustSched(t, "CPoP"), 200, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cmp.SARatio <= 0 || cmp.GARatio <= 0 {
-		t.Fatalf("ratios: %+v", cmp)
-	}
-	if cmp.SAEvaluations == 0 || cmp.GAEvaluations == 0 {
-		t.Fatalf("evaluation counts missing: %+v", cmp)
-	}
-	if cmp.Target != "HEFT" || cmp.Base != "CPoP" {
-		t.Fatalf("labels: %+v", cmp)
-	}
-	// Both meta-heuristics must find an instance where HEFT loses (this
-	// pair is known to have them, Section VI-B).
-	if cmp.SARatio <= 1 && cmp.GARatio <= 1 {
-		t.Fatalf("neither search found an adversarial instance: %+v", cmp)
-	}
-}
-
-func TestCompareSearchMethodsTinyBudget(t *testing.T) {
-	if _, err := CompareSearchMethods(mustSched(t, "MCT"), mustSched(t, "HEFT"), 1, 1); err != nil {
-		t.Fatal(err)
 	}
 }

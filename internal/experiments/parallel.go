@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"sort"
 
 	"saga/internal/core"
 	"saga/internal/datasets"
@@ -17,7 +16,7 @@ import (
 )
 
 // Every experiment driver in this package is a grid or sampling loop of
-// independent cells, so each has a parallel counterpart built on
+// independent cells with one entry point, XRun(runner.Options), built on
 // runner.Map: seeds derive from cell position (runner.CellSeed or
 // pre-split rng sub-streams), results land by cell index, and schedulers
 // are re-instantiated from the registry per cell so no state is shared
@@ -25,9 +24,10 @@ import (
 // runner.MapState carries everything PISA's incremental inner loop
 // reuses — the patched cost tables, the undo log, the reachability
 // buffers — so a worker's whole annealing chain runs allocation-free
-// after warm-up without sharing a byte with its siblings. The parallel results are bit-identical to the
-// sequential drivers for every worker count — the determinism suite in
-// determinism_test.go asserts it for all six.
+// after warm-up without sharing a byte with its siblings. Results are
+// bit-identical for every worker count: determinism_test.go compares
+// each driver at 1, 4 and GOMAXPROCS workers against a sequential
+// oracle that lives only in that test file.
 //
 // The Run variants also accept runner.Options.Shard, splitting a sweep
 // across processes: a sharded run computes only its own cells (the rest
@@ -55,9 +55,9 @@ func freshSchedulers(names []string) ([]scheduler.Scheduler, error) {
 	return out, nil
 }
 
-// splitStreams pre-derives the n per-cell sub-streams the sequential
-// drivers draw lazily (one r.Split() per loop iteration), so parallel
-// cells consume exactly the stream their sequential position would.
+// splitStreams pre-derives the n per-cell sub-streams a sequential loop
+// would draw lazily (one r.Split() per iteration), so every cell
+// consumes the stream of its position whatever the worker count.
 func splitStreams(seed uint64, n int) []*rng.RNG {
 	r := rng.New(seed)
 	subs := make([]*rng.RNG, n)
@@ -75,10 +75,13 @@ type pisaCell struct {
 	Instance json.RawMessage `json:"instance"`
 }
 
-// BenchmarkingRun computes the same grid as Benchmarking under ro
-// (workers, progress callbacks, checkpointing), one cell per dataset.
-// Every dataset draws its instances from the same root seed in both
-// drivers, so results are bit-identical to the sequential reference.
+// BenchmarkingRun reproduces Fig 2 under ro (workers, progress
+// callbacks, checkpointing): run every scheduler on n instances of each
+// named dataset and record, per instance, the scheduler's makespan ratio
+// against the minimum makespan any scheduler achieved on that instance.
+// One cell per dataset (benchmarkDataset); every dataset draws its
+// instances from the same root seed, so a cell does not depend on which
+// other datasets the sweep names.
 func BenchmarkingRun(datasetNames []string, scheds []scheduler.Scheduler, n int, seed uint64, ro runner.Options) (*BenchmarkResult, error) {
 	res := &BenchmarkResult{
 		Datasets: datasetNames,
@@ -93,11 +96,7 @@ func BenchmarkingRun(datasetNames []string, scheds []scheduler.Scheduler, n int,
 			if err != nil {
 				return nil, err
 			}
-			sub, err := Benchmarking([]string{datasetNames[k]}, local, n, seed)
-			if err != nil {
-				return nil, err
-			}
-			return sub.Cells[datasetNames[k]], nil
+			return benchmarkDataset(datasetNames[k], local, n, seed)
 		})
 	if err != nil {
 		return nil, err
@@ -108,50 +107,46 @@ func BenchmarkingRun(datasetNames []string, scheds []scheduler.Scheduler, n int,
 	return res, nil
 }
 
-// PairwisePISARun computes the same grid as PairwisePISA under ro. Each
-// off-diagonal cell gets the seed its sequential position implies, so
-// results are deterministic and identical to the sequential driver for
-// the same options at every worker count. Because each cell of the full
-// 15×15 grid is an expensive annealing run, ro also carries progress
-// callbacks and a checkpoint store for resumable sweeps (pass
-// serialize.NewCheckpoint).
-func PairwisePISARun(scheds []scheduler.Scheduler, opts PairwiseOptions, ro runner.Options) (*PairwiseResult, error) {
-	n := len(scheds)
-	res := &PairwiseResult{
-		Ratios:    make([][]float64, n),
-		Worst:     make([]float64, n),
-		Instances: make([][]*graph.Instance, n),
-	}
-	for _, s := range scheds {
-		res.Schedulers = append(res.Schedulers, s.Name())
-	}
-	for i := range res.Ratios {
-		res.Ratios[i] = make([]float64, n)
-		res.Instances[i] = make([]*graph.Instance, n)
-		for j := range res.Ratios[i] {
-			res.Ratios[i][j] = -1
+// pisaGrid runs PISA for every ordered off-diagonal pair of the named
+// schedulers under ro — the loop behind PairwisePISARun and
+// AppSpecificRun's PISA phase. Cell k is the pair runner.OffDiagonal(k)
+// = (i, j): scheduler j is the target, scheduler i the base, and the
+// annealer starts from initial with perturb(target, base) and the seed
+// runner.CellSeed(anneal.Seed, k). The returned grids are indexed
+// [base][target] with a -1 diagonal; cells this run does not own (another
+// shard's or lease's, or a failure routed through ro.OnCellError) stay
+// -1 with a nil instance. Each cell's instance round-trips through
+// package serialize, so infinite link strengths survive the checkpoint.
+func pisaGrid(names []string, anneal core.Options, initial func(*rng.RNG) *graph.Instance,
+	perturb func(target, base scheduler.Scheduler) core.PerturbOptions, ro runner.Options) ([][]float64, [][]*graph.Instance, error) {
+	n := len(names)
+	ratios := make([][]float64, n)
+	instances := make([][]*graph.Instance, n)
+	for i := range ratios {
+		ratios[i] = make([]float64, n)
+		instances[i] = make([]*graph.Instance, n)
+		for j := range ratios[i] {
+			ratios[i][j] = -1
 		}
 	}
 	if n < 2 {
-		return res, nil
+		return ratios, instances, nil
 	}
-
-	baseSeed := opts.Anneal.Seed
 	cells, err := runner.MapState(n*(n-1), ro, scheduler.NewScratch,
 		func(k int, scr *scheduler.Scratch) (pisaCell, error) {
 			i, j := runner.OffDiagonal(k, n)
-			target, err := scheduler.New(res.Schedulers[j])
+			target, err := scheduler.New(names[j])
 			if err != nil {
 				return pisaCell{}, err
 			}
-			base, err := scheduler.New(res.Schedulers[i])
+			base, err := scheduler.New(names[i])
 			if err != nil {
 				return pisaCell{}, err
 			}
-			ao := opts.Anneal
-			ao.Seed = runner.CellSeed(baseSeed, k)
-			ao.InitialInstance = datasets.InitialPISAInstance
-			ao.Perturb = pairPerturb(target, base)
+			ao := anneal
+			ao.Seed = runner.CellSeed(anneal.Seed, k)
+			ao.InitialInstance = initial
+			ao.Perturb = perturb(target, base)
 			ao.Scratch = scr // per-worker buffers; results are scratch-independent
 			r, err := core.Run(target, base, ao)
 			if err != nil {
@@ -164,37 +159,66 @@ func PairwisePISARun(scheds []scheduler.Scheduler, opts PairwiseOptions, ro runn
 			return pisaCell{Ratio: r.BestRatio, Instance: raw}, nil
 		})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	for k, c := range cells {
 		if len(c.Instance) == 0 {
 			// Legitimately absent: another shard's (or lease's) cell, or a
 			// failure already routed through OnCellError.
 			if ro.Owns(k) && ro.OnCellError == nil {
-				return nil, fmt.Errorf("experiments: cell %d has no instance", k)
+				return nil, nil, fmt.Errorf("experiments: cell %d has no instance", k)
 			}
 			continue
 		}
 		i, j := runner.OffDiagonal(k, n)
 		inst, err := serialize.UnmarshalInstance(c.Instance)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: cell (%d,%d): %w", i, j, err)
+			return nil, nil, fmt.Errorf("experiments: cell (%d,%d): %w", i, j, err)
 		}
-		res.Ratios[i][j] = c.Ratio
-		res.Instances[i][j] = inst
-		if c.Ratio > res.Worst[j] {
-			res.Worst[j] = c.Ratio
+		ratios[i][j] = c.Ratio
+		instances[i][j] = inst
+	}
+	return ratios, instances, nil
+}
+
+// PairwisePISARun reproduces Fig 4 under ro: for every ordered pair
+// (target A, base B) of schedulers, run PISA to find an instance
+// maximizing M_A/M_B (pisaGrid). Per Section VI, each run restarts from
+// random chain instances, and the perturbation space is restricted to
+// the homogeneity requirements of the pair: if either scheduler was
+// designed for homogeneous node speeds (or links), those weights are
+// pinned to 1. Because each cell of the full 15×15 grid is an expensive
+// annealing run, ro also carries progress callbacks and a checkpoint
+// store for resumable sweeps (pass serialize.NewCheckpoint).
+func PairwisePISARun(scheds []scheduler.Scheduler, opts PairwiseOptions, ro runner.Options) (*PairwiseResult, error) {
+	res := &PairwiseResult{Worst: make([]float64, len(scheds))}
+	for _, s := range scheds {
+		res.Schedulers = append(res.Schedulers, s.Name())
+	}
+	var err error
+	res.Ratios, res.Instances, err = pisaGrid(res.Schedulers, opts.Anneal, datasets.InitialPISAInstance, pairPerturb, ro)
+	if err != nil {
+		return nil, err
+	}
+	// The diagonal and absent cells are -1, so they never raise a column
+	// maximum above its zero start.
+	for _, row := range res.Ratios {
+		for j, r := range row {
+			if r > res.Worst[j] {
+				res.Worst[j] = r
+			}
 		}
 	}
 	return res, nil
 }
 
-// FamilyRun computes the same result as Family under ro, one cell per
-// sampled instance. The schedulers must be registry-instantiable (every
-// Table I algorithm is), so each worker runs fresh copies. ro also
-// carries progress callbacks and a checkpoint store for resumable
-// sampling sweeps (each cell's per-scheduler makespan vector round-trips
-// through JSON).
+// FamilyRun reproduces the Section VI-B family studies (Figs 7 and 8)
+// under ro: sample n instances from the generator and record each
+// scheduler's makespan on every instance, one cell per sampled instance.
+// The schedulers must be registry-instantiable (every Table I algorithm
+// is), so each worker runs fresh copies. ro also carries progress
+// callbacks and a checkpoint store for resumable sampling sweeps (each
+// cell's per-scheduler makespan vector round-trips through JSON).
 func FamilyRun(gen func(*rng.RNG) *graph.Instance, scheds []scheduler.Scheduler, n int, seed uint64, ro runner.Options) (*FamilyResult, error) {
 	res := &FamilyResult{
 		Makespans: map[string][]float64{},
@@ -245,11 +269,13 @@ type robustCell struct {
 	Adaptive float64 `json:"adaptive"`
 }
 
-// RobustnessRun computes the same result as Robustness under ro, one
-// cell per jitter sample. The scheduler must be registry-instantiable so
-// each worker re-plans with its own copy. ro also carries progress
-// callbacks and a checkpoint store for resumable jitter sweeps (each
-// cell is a (static, adaptive) makespan pair).
+// RobustnessRun samples n jittered variants of the instance under ro and
+// reports how the scheduler's committed schedule degrades (Static)
+// versus full re-planning (Adaptive), one cell per jitter sample. The
+// scheduler must be registry-instantiable so each worker re-plans with
+// its own copy. ro also carries progress callbacks and a checkpoint
+// store for resumable jitter sweeps (each cell is a (static, adaptive)
+// makespan pair).
 func RobustnessRun(inst *graph.Instance, s scheduler.Scheduler, sigma float64, n int, seed uint64, ro runner.Options) (*RobustnessResult, error) {
 	nominal, err := s.Schedule(inst)
 	if err != nil {
@@ -313,11 +339,16 @@ type appBenchCell struct {
 	SpeedLo, SpeedHi             float64
 }
 
-// AppSpecificRun computes the same result as AppSpecific under ro: the
-// benchmarking instances and the PISA pairs are both fanned out. Range
+// AppSpecificRun reproduces one Section VII block under ro: benchmark
+// the schedulers on BenchmarkInstances in-family instances, then run the
+// structure-preserving PISA variant for every scheduler pair (pisaGrid).
+// The perturbation space scales weights to the ranges observed in the
+// benchmarking dataset (standing in for the paper's execution-trace
+// ranges) and removes the structural and link perturbations, so every
+// explored instance keeps the application's topology and CCR. Range
 // merging uses min/max only, so the assembled perturbation space — and
-// with it every PISA cell — is bit-identical to the sequential driver.
-// The driver runs two sweeps — benchmarking, then PISA — against one
+// with it every PISA cell — is independent of the worker count. The
+// driver runs two sweeps — benchmarking, then PISA — against one
 // checkpoint store by giving the PISA sweep a disjoint index window
 // (runner.OffsetCheckpoint), so both phases of an interrupted block
 // resume.
@@ -327,30 +358,21 @@ func AppSpecificRun(scheds []scheduler.Scheduler, opts AppSpecificOptions, ro ru
 		Workflow:  opts.Workflow,
 		CCR:       opts.CCR,
 		Benchmark: make([]float64, n),
-		Ratios:    make([][]float64, n),
-		Instances: make([][]*graph.Instance, n),
 	}
 	for _, s := range scheds {
 		res.Schedulers = append(res.Schedulers, s.Name())
-	}
-	for i := range res.Ratios {
-		res.Ratios[i] = make([]float64, n)
-		res.Instances[i] = make([]*graph.Instance, n)
-		for j := range res.Ratios[i] {
-			res.Ratios[i][j] = -1
-		}
 	}
 
 	// Benchmarking row + observed weight ranges, one cell per instance.
 	// This phase always runs unsharded and unleased: the merged min/max
 	// ranges below parameterize every PISA cell's perturbation space, so
 	// each shard (or coordinator worker) needs all of them to stay
-	// bit-identical to the sequential reference. The cells are
-	// deterministic, so the identical copies the shards store are
-	// deduplicated by serialize.MergeCheckpoints (and by the
-	// coordinator's commit dedup). A bench-cell failure is never routed
-	// through OnCellError either — a missing range sample would silently
-	// reshape every PISA cell, so it must abort this run instead.
+	// bit-identical to an unsharded run. The cells are deterministic, so
+	// the identical copies the shards store are deduplicated by
+	// serialize.MergeCheckpoints (and by the coordinator's commit
+	// dedup). A bench-cell failure is never routed through OnCellError
+	// either — a missing range sample would silently reshape every PISA
+	// cell, so it must abort this run instead.
 	benchRO := ro
 	benchRO.Shard = runner.ShardSpec{}
 	benchRO.Include = nil
@@ -413,9 +435,6 @@ func AppSpecificRun(scheds []scheduler.Scheduler, opts AppSpecificOptions, ro ru
 	// PISA grid with the application-specific PERTURB implementation.
 	// Its checkpoint window starts past the benchmarking sweep's cells so
 	// one store serves both phases.
-	if n < 2 {
-		return res, nil
-	}
 	pisaRO := ro
 	if pisaRO.Checkpoint != nil {
 		pisaRO.Checkpoint = runner.OffsetCheckpoint(ro.Checkpoint, nBench)
@@ -430,116 +449,21 @@ func AppSpecificRun(scheds []scheduler.Scheduler, opts AppSpecificOptions, ro ru
 	if ro.OnCellError != nil {
 		pisaRO.OnCellError = func(k int, err error) { ro.OnCellError(k+nBench, err) }
 	}
-	baseSeed := opts.Anneal.Seed
-	pisaCells, err := runner.MapState(n*(n-1), pisaRO, scheduler.NewScratch,
-		func(k int, scr *scheduler.Scratch) (pisaCell, error) {
-			i, j := runner.OffDiagonal(k, n)
-			base, err := scheduler.New(res.Schedulers[i])
-			if err != nil {
-				return pisaCell{}, err
-			}
-			target, err := scheduler.New(res.Schedulers[j])
-			if err != nil {
-				return pisaCell{}, err
-			}
-			ao := opts.Anneal
-			ao.Seed = runner.CellSeed(baseSeed, k)
-			ao.InitialInstance = func(rr *rng.RNG) *graph.Instance {
-				return appInstance(opts.Workflow, opts.CCR, rr)
-			}
-			ao.Perturb = core.PerturbOptions{
-				Step:              0.1,
-				TaskCost:          taskRange,
-				DepCost:           depRange,
-				Speed:             speedRange,
-				FixLinks:          true,
-				FixStructure:      true,
-				KeepPinnedWeights: true,
-			}
-			ao.Scratch = scr
-			pr, err := core.Run(target, base, ao)
-			if err != nil {
-				return pisaCell{}, err
-			}
-			raw, err := serialize.MarshalInstance(pr.Best)
-			if err != nil {
-				return pisaCell{}, err
-			}
-			return pisaCell{Ratio: pr.BestRatio, Instance: raw}, nil
-		})
+	perturb := core.PerturbOptions{
+		Step:              0.1,
+		TaskCost:          taskRange,
+		DepCost:           depRange,
+		Speed:             speedRange,
+		FixLinks:          true,
+		FixStructure:      true,
+		KeepPinnedWeights: true,
+	}
+	res.Ratios, res.Instances, err = pisaGrid(res.Schedulers, opts.Anneal,
+		func(r *rng.RNG) *graph.Instance { return appInstance(opts.Workflow, opts.CCR, r) },
+		func(_, _ scheduler.Scheduler) core.PerturbOptions { return perturb },
+		pisaRO)
 	if err != nil {
 		return nil, err
 	}
-	for k, c := range pisaCells {
-		if len(c.Instance) == 0 {
-			if pisaRO.Owns(k) && ro.OnCellError == nil {
-				return nil, fmt.Errorf("experiments: cell %d has no instance", k)
-			}
-			continue // another shard's/lease's cell, or a reported failure
-		}
-		i, j := runner.OffDiagonal(k, n)
-		inst, err := serialize.UnmarshalInstance(c.Instance)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: cell (%d,%d): %w", i, j, err)
-		}
-		res.Ratios[i][j] = c.Ratio
-		res.Instances[i][j] = inst
-	}
-	return res, nil
-}
-
-// SelectPortfolioParallel computes the same result as SelectPortfolio
-// using up to workers goroutines (0 = GOMAXPROCS), one cell per smallest
-// portfolio member. Cells are merged in first-member order with the same
-// strict-improvement rule the sequential enumeration applies, so ties
-// resolve identically.
-func SelectPortfolioParallel(schedulers []string, ratios [][]float64, k, workers int) (*PortfolioResult, error) {
-	n := len(schedulers)
-	if k <= 0 || k > n {
-		return nil, fmt.Errorf("experiments: portfolio size %d outside [1, %d]", k, n)
-	}
-	if len(ratios) != n {
-		return nil, fmt.Errorf("experiments: ratio grid has %d rows for %d schedulers", len(ratios), n)
-	}
-	type candidate struct {
-		Members []int
-		Worst   float64
-	}
-	cells, err := runner.Map(n-k+1, runner.Options{Workers: workers}, func(j0 int) (candidate, error) {
-		best := candidate{Worst: math.Inf(1)}
-		subset := make([]int, k)
-		subset[0] = j0
-		var recurse func(start, depth int)
-		recurse = func(start, depth int) {
-			if depth == k {
-				if worst := subsetWorstRatio(ratios, subset); worst < best.Worst {
-					best.Members = append([]int(nil), subset...)
-					best.Worst = worst
-				}
-				return
-			}
-			for j := start; j <= n-(k-depth); j++ {
-				subset[depth] = j
-				recurse(j+1, depth+1)
-			}
-		}
-		recurse(j0+1, 1)
-		return best, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	best := candidate{Worst: math.Inf(1)}
-	for _, c := range cells {
-		if c.Worst < best.Worst {
-			best = c
-		}
-	}
-	res := &PortfolioResult{WorstRatio: best.Worst}
-	res.Members = make([]string, k)
-	for i, j := range best.Members {
-		res.Members[i] = schedulers[j]
-	}
-	sort.Strings(res.Members)
 	return res, nil
 }

@@ -12,7 +12,7 @@ func TestPairwisePISAParallelMatchesSequential(t *testing.T) {
 		mustSched(t, "HEFT"), mustSched(t, "CPoP"), mustSched(t, "MinMin"),
 	}
 	opts := PairwiseOptions{Anneal: smallAnneal(60)}
-	seq, err := PairwisePISA(scheds, opts)
+	seq, err := pairwisePISA(scheds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestBenchmarkingParallelMatchesSequential(t *testing.T) {
 		mustSched(t, "HEFT"), mustSched(t, "CPoP"), mustSched(t, "FastestNode"),
 	}
 	names := []string{"chains", "in_trees", "out_trees", "etl"}
-	seq, err := Benchmarking(names, scheds, 3, 7)
+	seq, err := benchmarking(names, scheds, 3, 7)
 	if err != nil {
 		t.Fatal(err)
 	}

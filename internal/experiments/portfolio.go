@@ -20,19 +20,47 @@ type PortfolioResult struct {
 	WorstRatio float64
 }
 
+// maxPortfolioSubsets bounds the exhaustive enumeration SelectPortfolio
+// performs: C(n, k) candidate subsets, each scored over n rows. The
+// paper's C(15, 3) = 455 is far below it; C(32, 16) = 601 080 390 would
+// pin a core for minutes.
+const maxPortfolioSubsets = 1 << 20
+
+// CheckPortfolioSize reports whether a size-k portfolio over n
+// schedulers is selectable: k in [1, n] and at most maxPortfolioSubsets
+// candidate subsets. SelectPortfolio enforces it, and callers that run a
+// PISA sweep before selecting (serve.Portfolio, the /v1/portfolio
+// handler) check it first so an unselectable request costs no cell.
+func CheckPortfolioSize(n, k int) error {
+	if k <= 0 || k > n {
+		return fmt.Errorf("experiments: portfolio size %d outside [1, %d]", k, n)
+	}
+	// C(n, i+1) = C(n, i)·(n-i)/(i+1) is exact at every step; stopping
+	// at the bound keeps the product far from overflow.
+	subsets := 1
+	for i := 0; i < min(k, n-k); i++ {
+		subsets = subsets * (n - i) / (i + 1)
+		if subsets > maxPortfolioSubsets {
+			return fmt.Errorf("experiments: choosing %d of %d schedulers enumerates more than %d subsets", k, n, maxPortfolioSubsets)
+		}
+	}
+	return nil
+}
+
 // SelectPortfolio chooses the size-k subset of schedulers minimizing the
 // combined maximum makespan ratio against every base scheduler, given a
 // PISA grid (ratios[i][j] = worst-case ratio of scheduler j against base
 // i; diagonal and unknown cells < 0 are treated as ratio 1, since a
-// scheduler never loses to itself).
+// scheduler never loses to itself). Ties go to the first subset in
+// lexicographic index order.
 //
 // The scheduler count is small (15 in the paper), so exhaustive subset
-// enumeration is exact and cheap: C(15,3) = 455 candidates. It is the
-// sequential reference for SelectPortfolioParallel.
+// enumeration is exact and cheap: C(15,3) = 455 candidates.
+// CheckPortfolioSize bounds it.
 func SelectPortfolio(schedulers []string, ratios [][]float64, k int) (*PortfolioResult, error) {
 	n := len(schedulers)
-	if k <= 0 || k > n {
-		return nil, fmt.Errorf("experiments: portfolio size %d outside [1, %d]", k, n)
+	if err := CheckPortfolioSize(n, k); err != nil {
+		return nil, err
 	}
 	if len(ratios) != n {
 		return nil, fmt.Errorf("experiments: ratio grid has %d rows for %d schedulers", len(ratios), n)

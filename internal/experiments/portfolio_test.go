@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"fmt"
 	"testing"
 
 	"saga/internal/graph"
+	"saga/internal/runner"
 	"saga/internal/scheduler"
 )
 
@@ -50,7 +52,7 @@ func TestSelectPortfolioMonotonicInK(t *testing.T) {
 		mustSched(t, "HEFT"), mustSched(t, "CPoP"),
 		mustSched(t, "MinMin"), mustSched(t, "FastestNode"),
 	}
-	res, err := PairwisePISA(scheds, PairwiseOptions{Anneal: smallAnneal(60)})
+	res, err := PairwisePISARun(scheds, PairwiseOptions{Anneal: smallAnneal(60)}, runner.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,5 +81,43 @@ func TestSelectPortfolioErrors(t *testing.T) {
 	}
 	if _, err := SelectPortfolio([]string{"A", "B"}, [][]float64{{-1, 1}}, 1); err == nil {
 		t.Fatal("ragged grid accepted")
+	}
+	// C(32, 16) subsets: refused before a single one is scored.
+	names := make([]string, 32)
+	ratios := make([][]float64, 32)
+	for i := range names {
+		names[i] = fmt.Sprint(i)
+		ratios[i] = make([]float64, 32)
+	}
+	if _, err := SelectPortfolio(names, ratios, 16); err == nil {
+		t.Fatal("C(32,16) enumeration accepted")
+	}
+}
+
+// TestCheckPortfolioSizeBound pins the subset bound at its edges:
+// C(n, k) ≤ 1<<20 = 1 048 576 passes, one step past it does not, and the
+// count is symmetric in k and n-k.
+func TestCheckPortfolioSizeBound(t *testing.T) {
+	for _, c := range []struct {
+		n, k int
+		ok   bool
+	}{
+		{15, 3, true},      // the paper's 455
+		{22, 11, true},     // 705 432
+		{23, 9, true},      // 817 190
+		{23, 14, true},     // C(23, 9)
+		{23, 10, false},    // 1 144 066
+		{23, 13, false},    // C(23, 10)
+		{32, 16, false},    // 601 080 390
+		{32, 32, true},     // one subset
+		{100000, 1, true},  // n subsets
+		{100000, 2, false}, // ~5·10⁹, and no overflow on the way
+		{100000, 99999, true},
+		{3, 0, false},
+		{3, 4, false},
+	} {
+		if err := CheckPortfolioSize(c.n, c.k); (err == nil) != c.ok {
+			t.Errorf("CheckPortfolioSize(%d, %d) = %v, want ok=%v", c.n, c.k, err, c.ok)
+		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"saga/internal/graph"
 	"saga/internal/rng"
 	"saga/internal/schedule"
-	"saga/internal/scheduler"
 	"saga/internal/stats"
 )
 
@@ -118,7 +117,8 @@ func Replay(jittered *graph.Instance, nominal *schedule.Schedule) (float64, erro
 	return m, nil
 }
 
-// RobustnessResult summarizes a scheduler's behaviour under cost jitter.
+// RobustnessResult summarizes a scheduler's behaviour under cost jitter,
+// as RobustnessRun samples it.
 type RobustnessResult struct {
 	Scheduler string
 	// Nominal is the makespan on the unjittered instance.
@@ -129,34 +129,4 @@ type RobustnessResult struct {
 	// Adaptive summarizes makespans when the scheduler re-plans on each
 	// jittered instance (a clairvoyant re-scheduling upper baseline).
 	Adaptive stats.Summary
-}
-
-// Robustness samples n jittered variants of the instance and reports how
-// the scheduler's committed schedule degrades (Static) versus full
-// re-planning (Adaptive). It is the sequential reference for
-// RobustnessRun.
-func Robustness(inst *graph.Instance, s scheduler.Scheduler, sigma float64, n int, seed uint64) (*RobustnessResult, error) {
-	nominal, err := s.Schedule(inst)
-	if err != nil {
-		return nil, err
-	}
-	res := &RobustnessResult{Scheduler: s.Name(), Nominal: nominal.Makespan()}
-	r := rng.New(seed)
-	var static, adaptive []float64
-	for i := 0; i < n; i++ {
-		j := Jitter(inst, sigma, r.Split())
-		m, err := Replay(j, nominal)
-		if err != nil {
-			return nil, err
-		}
-		static = append(static, m)
-		re, err := s.Schedule(j)
-		if err != nil {
-			return nil, err
-		}
-		adaptive = append(adaptive, re.Makespan())
-	}
-	res.Static = stats.Summarize(static)
-	res.Adaptive = stats.Summarize(adaptive)
-	return res, nil
 }

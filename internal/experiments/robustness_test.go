@@ -6,6 +6,7 @@ import (
 	"saga/internal/datasets"
 	"saga/internal/graph"
 	"saga/internal/rng"
+	"saga/internal/runner"
 	"saga/internal/schedule"
 )
 
@@ -104,7 +105,7 @@ func TestReplayRejectsMismatchedSchedule(t *testing.T) {
 
 func TestRobustnessSummary(t *testing.T) {
 	inst := datasets.Fig1Instance()
-	res, err := Robustness(inst, mustSched(t, "HEFT"), 0.2, 40, 5)
+	res, err := RobustnessRun(inst, mustSched(t, "HEFT"), 0.2, 40, 5, runner.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

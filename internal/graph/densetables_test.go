@@ -3,8 +3,8 @@ package graph
 import "math"
 
 // DenseTables is the original node-squared Tables implementation, kept
-// verbatim as the bit-identity reference for the edge-sparse Tables that
-// replaced it. It stores the full |V|×|V| link-strength matrix and its
+// verbatim in this test file as the bit-identity reference for the
+// edge-sparse Tables that replaced it. It stores the full |V|×|V| link-strength matrix and its
 // inverse, so its memory is O(|V|²) — exactly the layout the scale tier
 // cannot afford — but every derived quantity is computed with the same
 // floating-point operations in the same order as Instance.AvgExecTime /
@@ -13,9 +13,10 @@ import "math"
 // Build, every incremental op, and the undo paths, comparing the whole
 // accessor surface bit for bit).
 //
-// Production code uses Tables; DenseTables exists for tests and for the
-// scale-tier benchmark gate, which schedules one instance through each
-// and requires byte-identical schedules.
+// Production code uses Tables. DenseTables stays exported for the
+// external test package in this directory (scale_test.go), which
+// compares the two on a generated 10k-task instance from package
+// datasets — an import package graph's own tests cannot make.
 type DenseTables struct {
 	NTasks, NNodes int
 
@@ -294,7 +295,7 @@ func (tb *DenseTables) RemoveDep(u, v int) {
 	}
 }
 
-// avgCommTimeFlat is avgCommTime against the dense flattened tables —
+// avgCommTimeFlat is Instance.AvgCommTime against the dense flattened tables —
 // the canonical pair loop the sparse implementation must reproduce bit
 // for bit.
 func (tb *DenseTables) avgCommTimeFlat(cost float64) float64 {

@@ -484,19 +484,6 @@ func (g *TaskGraph) Clone() *TaskGraph {
 	return c
 }
 
-// MeanTaskCost returns the average task compute cost, or 0 for an empty
-// graph.
-func (g *TaskGraph) MeanTaskCost() float64 {
-	if len(g.Tasks) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, t := range g.Tasks {
-		sum += t.Cost
-	}
-	return sum / float64(len(g.Tasks))
-}
-
 // MeanDepCost returns the average dependency data size, or 0 if there are
 // no dependencies.
 func (g *TaskGraph) MeanDepCost() float64 {

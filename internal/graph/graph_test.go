@@ -244,15 +244,12 @@ func TestCloneIndependence(t *testing.T) {
 
 func TestMeanCosts(t *testing.T) {
 	g := diamond()
-	if m := g.MeanTaskCost(); !ApproxEq(m, 2.5) {
-		t.Fatalf("MeanTaskCost = %v, want 2.5", m)
-	}
 	if m := g.MeanDepCost(); !ApproxEq(m, 2.5) {
 		t.Fatalf("MeanDepCost = %v, want 2.5", m)
 	}
 	empty := NewTaskGraph()
-	if empty.MeanTaskCost() != 0 || empty.MeanDepCost() != 0 {
-		t.Fatal("means of empty graph should be 0")
+	if empty.MeanDepCost() != 0 {
+		t.Fatal("mean dep cost of an empty graph should be 0")
 	}
 }
 
@@ -294,21 +291,6 @@ func TestNetworkValidateErrors(t *testing.T) {
 	}
 	if err := (&Network{}).Validate(); err == nil {
 		t.Fatal("empty network accepted")
-	}
-}
-
-func TestMeanLinkStrength(t *testing.T) {
-	n := NewNetwork(3)
-	n.SetLink(0, 1, 2)
-	n.SetLink(0, 2, 4)
-	n.SetLink(1, 2, 6)
-	if m := n.MeanLinkStrength(); !ApproxEq(m, 4) {
-		t.Fatalf("MeanLinkStrength = %v, want 4", m)
-	}
-	inf := NewNetwork(2)
-	inf.SetLink(0, 1, math.Inf(1))
-	if !math.IsInf(inf.MeanLinkStrength(), 1) {
-		t.Fatal("all-infinite network should report +Inf strength")
 	}
 }
 

@@ -67,13 +67,3 @@ func (g *TaskGraph) Width() int {
 	}
 	return max
 }
-
-// Parallelism returns |T| divided by the depth: the average number of
-// tasks available per sequential step, 0 for empty graphs.
-func (g *TaskGraph) Parallelism() float64 {
-	d := g.Depth()
-	if d == 0 {
-		return 0
-	}
-	return float64(g.NumTasks()) / float64(d)
-}

@@ -20,14 +20,11 @@ func TestDepthAndWidth(t *testing.T) {
 			t.Fatalf("LevelSizes = %v, want %v", sizes, want)
 		}
 	}
-	if p := g.Parallelism(); !ApproxEq(p, 4.0/3) {
-		t.Fatalf("Parallelism = %v, want 4/3", p)
-	}
 }
 
 func TestMetricsDegenerateCases(t *testing.T) {
 	empty := NewTaskGraph()
-	if empty.Depth() != 0 || empty.Width() != 0 || empty.Parallelism() != 0 {
+	if empty.Depth() != 0 || empty.Width() != 0 {
 		t.Fatal("empty graph metrics should be 0")
 	}
 	if empty.LevelSizes() != nil {
@@ -43,7 +40,7 @@ func TestMetricsDegenerateCases(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		ind.AddTask("t", 1)
 	}
-	if ind.Depth() != 1 || ind.Width() != 5 || !ApproxEq(ind.Parallelism(), 5) {
+	if ind.Depth() != 1 || ind.Width() != 5 {
 		t.Fatalf("independent metrics: depth %d, width %d", ind.Depth(), ind.Width())
 	}
 	// Chain: depth n, width 1.
@@ -56,7 +53,7 @@ func TestMetricsDegenerateCases(t *testing.T) {
 		}
 		prev = tk
 	}
-	if chain.Depth() != 4 || chain.Width() != 1 || !ApproxEq(chain.Parallelism(), 1) {
+	if chain.Depth() != 4 || chain.Width() != 1 {
 		t.Fatalf("chain metrics: depth %d, width %d", chain.Depth(), chain.Width())
 	}
 }

@@ -60,41 +60,6 @@ func (n *Network) FastestNode() int {
 	return best
 }
 
-// MeanSpeed returns the average node speed.
-func (n *Network) MeanSpeed() float64 {
-	if len(n.Speeds) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, s := range n.Speeds {
-		sum += s
-	}
-	return sum / float64(len(n.Speeds))
-}
-
-// MeanLinkStrength returns the average strength over distinct node pairs
-// (self-links excluded). Infinite links are excluded from the average; if
-// every link is infinite the result is +Inf. For a single-node network it
-// returns +Inf (all communication is local).
-func (n *Network) MeanLinkStrength() float64 {
-	count, sum := 0, 0.0
-	anyPair := false
-	for u := 0; u < len(n.Speeds); u++ {
-		for v := u + 1; v < len(n.Speeds); v++ {
-			anyPair = true
-			if math.IsInf(n.Links[u][v], 1) {
-				continue
-			}
-			sum += n.Links[u][v]
-			count++
-		}
-	}
-	if !anyPair || count == 0 {
-		return math.Inf(1)
-	}
-	return sum / float64(count)
-}
-
 // Validate checks that speeds are positive and finite, links are positive
 // (possibly infinite) and symmetric, and self-links are infinite.
 func (n *Network) Validate() error {

@@ -7,8 +7,8 @@ import (
 	"saga/internal/rng"
 )
 
-// This file proves the edge-sparse Tables against DenseTables, the
-// retained dense reference: Build, every incremental maintenance op,
+// This file proves the edge-sparse Tables against DenseTables, the dense
+// reference in densetables_test.go: Build, every incremental maintenance op,
 // and the undo paths must agree bit for bit through the whole accessor
 // surface, across randomized instances up to 1k tasks with link
 // patterns from fully homogeneous to fully heterogeneous.

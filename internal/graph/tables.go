@@ -22,8 +22,9 @@ import "math"
 // strength plus a CSR-indexed exception list, sized O(|V|+|E|) where
 // |E| counts the node pairs whose strength differs from the mode; the
 // remaining tables are O(|T|·|V|) (exec) and O(|D|) (edge averages).
-// The previous dense implementation survives verbatim as DenseTables,
-// the bit-identity reference sparse_test.go proves this one against.
+// The previous dense implementation survives verbatim as DenseTables in
+// densetables_test.go, the test-only bit-identity reference
+// sparse_test.go proves this one against.
 //
 // Tables is a snapshot: it does not observe later mutations of the
 // instance. Callers that perturb weights or structure must either call
@@ -195,12 +196,6 @@ func (tb *Tables) CommFree(u, v int) bool {
 		return tb.linkInv[k] == 0
 	}
 	return tb.invDefault == 0
-}
-
-// ExecRow returns task t's row of the execution-time matrix,
-// Exec[t*NNodes : (t+1)*NNodes], as a shared (not copied) slice.
-func (tb *Tables) ExecRow(t int) []float64 {
-	return tb.Exec[t*tb.NNodes : (t+1)*tb.NNodes]
 }
 
 // LinkExceptions returns the number of stored link-exception entries
@@ -652,9 +647,10 @@ func (tb *Tables) RemoveDep(u, v int) {
 	}
 }
 
-// avgCommTimeFlat is avgCommTime against the sparse link storage: the
-// identical divisions in the identical (a, b) pair order as the dense
-// reference (DenseTables.avgCommTimeFlat), so results are bit-identical.
+// avgCommTimeFlat is Instance.AvgCommTime for a known edge cost against
+// the sparse link storage: the identical divisions in the identical
+// (a, b) pair order as the dense test reference
+// (DenseTables.avgCommTimeFlat), so results are bit-identical.
 // Default pairs contribute cost/linkDefault, computed once — dividing
 // the same two bit patterns always yields the same bits, so one shared
 // quotient added per default pair reproduces the dense per-pair
@@ -700,28 +696,6 @@ func (tb *Tables) avgCommTimeFlat(cost float64) float64 {
 			} else {
 				sum += qd
 			}
-		}
-	}
-	return sum / float64(count)
-}
-
-// avgCommTime mirrors Instance.AvgCommTime for a known edge cost.
-func avgCommTime(net *Network, cost float64) float64 {
-	if cost == 0 {
-		return 0
-	}
-	nodes := net.NumNodes()
-	if nodes < 2 {
-		return 0
-	}
-	sum := 0.0
-	count := 0
-	for a := 0; a < nodes; a++ {
-		for b := a + 1; b < nodes; b++ {
-			if !math.IsInf(net.Links[a][b], 1) {
-				sum += cost / net.Links[a][b]
-			}
-			count++
 		}
 	}
 	return sum / float64(count)

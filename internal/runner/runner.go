@@ -13,7 +13,7 @@
 //
 // Consequently Map and Grid return bit-identical results for any worker
 // count, including 1, which the determinism suite in package experiments
-// asserts against the hand-written sequential drivers.
+// asserts against hand-written sequential loops kept in its test file.
 //
 // Long sweeps can persist completed cells through the Checkpoint hook
 // (implemented by serialize.Checkpoint): each finished cell is stored as
@@ -217,9 +217,9 @@ func (e *CellError) Error() string { return fmt.Sprintf("runner: cell %d: %v", e
 func (e *CellError) Unwrap() error { return e.Err }
 
 // CellSeed derives a cell's random seed from the sweep's base seed and
-// the cell's sequential position. It matches the seed sequence of the
-// sequential drivers (base+1 for the first cell, base+2 for the second,
-// ...), which is what makes parallel grids bit-identical to them.
+// the cell's sequential position. It matches the seed sequence of a
+// sequential loop (base+1 for the first cell, base+2 for the second,
+// ...), which is what makes parallel grids bit-identical to one.
 func CellSeed(base uint64, index int) uint64 {
 	return base + uint64(index) + 1
 }

@@ -161,17 +161,3 @@ func Validate(inst *graph.Instance, s *Schedule) error {
 	}
 	return nil
 }
-
-// MakespanRatio returns m(a)/m(b), the paper's makespan-ratio metric for
-// schedule a against baseline b. Degenerate zero-makespan baselines yield
-// 1 when a is also zero, +Inf otherwise.
-func MakespanRatio(a, b *Schedule) float64 {
-	ma, mb := a.Makespan(), b.Makespan()
-	if mb == 0 {
-		if ma == 0 {
-			return 1
-		}
-		return math.Inf(1)
-	}
-	return ma / mb
-}

@@ -1,7 +1,6 @@
 package schedule
 
 import (
-	"math"
 	"testing"
 
 	"saga/internal/graph"
@@ -261,21 +260,6 @@ func TestAssignmentsSorted(t *testing.T) {
 		if as[i-1].Node == as[i].Node && as[i-1].Start > as[i].Start {
 			t.Fatal("assignments not sorted by start within node")
 		}
-	}
-}
-
-func TestMakespanRatio(t *testing.T) {
-	in := chainInstance()
-	s := validSchedule(in)
-	if r := MakespanRatio(s, s); !graph.ApproxEq(r, 1) {
-		t.Fatalf("self ratio = %v, want 1", r)
-	}
-	empty := &Schedule{NumNodes: 2}
-	if r := MakespanRatio(s, empty); !math.IsInf(r, 1) {
-		t.Fatalf("ratio against zero baseline = %v, want +Inf", r)
-	}
-	if r := MakespanRatio(empty, empty); r != 1 {
-		t.Fatalf("zero/zero ratio = %v, want 1", r)
 	}
 }
 

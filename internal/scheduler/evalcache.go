@@ -20,7 +20,8 @@ import "saga/internal/graph"
 // the memoized vectors are bit-for-bit the ones recomputation would
 // produce, caching never changes results (Scratch invariant 3); the
 // PISA bit-identity suite proves it by running the memoized loop
-// against the cache-disabled reference (core.RunReference).
+// against the cache-disabled reference (RunReference, kept in
+// internal/core/reference_test.go).
 //
 // An EvalCache lives inside a Scratch and follows its one-per-worker
 // ownership rule. Hits and Misses count lookups for gates and tests;
@@ -79,10 +80,10 @@ func (s *Scratch) EvalCache() *EvalCache { return &s.cache }
 
 // SetEvalCache enables or disables rank memoization on the scratch and
 // returns the previous setting. Memoization is on by default and never
-// affects results; the reference implementations (core.RunReference,
-// core.RunGAReference) disable it so they stay faithful uncached
-// baselines — which also makes the bit-identity suites a genuine proof
-// that the memoized path changes nothing. Disabling only bypasses
+// affects results; the test-only reference implementations in
+// internal/core (RunReference, RunGAReference) disable it so they stay
+// faithful uncached baselines — which also makes the bit-identity
+// suites a genuine proof that the memoized path changes nothing. Disabling only bypasses
 // reuse: generation tracking keeps running, so re-enabling is always
 // safe.
 func (s *Scratch) SetEvalCache(enabled bool) bool {

@@ -17,7 +17,6 @@ package scheduler
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"saga/internal/graph"
@@ -240,29 +239,6 @@ func growFloats(dst []float64, n int) []float64 {
 		return make([]float64, n)
 	}
 	return dst[:n]
-}
-
-// OrderByPriority returns task indices sorted by decreasing priority,
-// breaking ties toward the lower task index. The result is always a valid
-// topological order when the priorities are strictly decreasing along
-// edges (true for UpwardRank on graphs with positive task costs). The
-// (priority desc, index asc) comparison is a total order over distinct
-// indices, so the typed unstable sort is deterministic.
-func OrderByPriority(priority []float64) []int {
-	order := make([]int, len(priority))
-	for i := range order {
-		order[i] = i
-	}
-	slices.SortFunc(order, func(a, b int) int {
-		switch {
-		case priority[a] > priority[b]:
-			return -1
-		case priority[a] < priority[b]:
-			return 1
-		}
-		return a - b
-	})
-	return order
 }
 
 // TopoOrderByPriority returns a topological order of g that always picks,

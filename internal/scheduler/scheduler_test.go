@@ -69,17 +69,6 @@ func TestStaticLevel(t *testing.T) {
 	}
 }
 
-func TestOrderByPriority(t *testing.T) {
-	order := OrderByPriority([]float64{1, 3, 2, 3})
-	// Descending, ties by index: 1, 3, 2, 0.
-	want := []int{1, 3, 2, 0}
-	for i, w := range want {
-		if order[i] != w {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
-	}
-}
-
 func TestTopoOrderByPriorityRespectsEdges(t *testing.T) {
 	g := graph.NewTaskGraph()
 	a := g.AddTask("a", 0) // zero-cost: priority ties with successor

@@ -70,14 +70,9 @@ func (s *Scratch) Prepare(inst *graph.Instance) {
 	s.inst = inst
 }
 
-// MarkDirty forgets which instance the tables were built for, forcing
-// the next Tables call to rebuild. Use it when an instance was mutated
-// and Prepare is inconvenient to call at the mutation site.
-func (s *Scratch) MarkDirty() { s.inst = nil }
-
 // Tables returns the precomputed tables for inst, rebuilding them only
 // if the scratch last prepared a different instance pointer. Callers
-// that mutate an instance between calls must Prepare or MarkDirty first.
+// that mutate an instance between calls must Prepare first.
 func (s *Scratch) Tables(inst *graph.Instance) *graph.Tables {
 	if s.inst != inst {
 		s.Prepare(inst)

@@ -14,6 +14,8 @@ import (
 	"saga/internal/coord"
 	"saga/internal/coord/faultinject"
 	"saga/internal/httpx"
+	"saga/internal/runner"
+	"saga/internal/scheduler"
 )
 
 // --- dispatch harness --------------------------------------------------
@@ -421,6 +423,47 @@ func TestWorkerlessDaemonAnswersLocally(t *testing.T) {
 	}
 	if st := hubStatus(t, hubURL); st.Sweeps != 0 || st.ActiveWorkers != 0 {
 		t.Fatalf("hub of a worker-less daemon: %+v", st)
+	}
+}
+
+// TestPortfolioRefusesUnboundedEnumeration: 32 schedulers with k = 16
+// is C(32,16) = 601 080 390 candidate portfolios. The daemon answers 400
+// at once — no sweep mounted for its live fleet, nothing dispatched — and
+// the in-process Portfolio refuses in the same words before its sweep
+// reports a single cell.
+func TestPortfolioRefusesUnboundedEnumeration(t *testing.T) {
+	_, url, hubURL := startDaemon(t, Options{DegradeWindow: 30 * time.Second})
+	pollAs(t, hubURL, "idler") // a request past the check would be dispatched
+	all := scheduler.Names()
+	req := PortfolioRequest{Schedulers: make([]string, 32), K: 16, Iters: 5, Restarts: 1, Seed: 1}
+	for i := range req.Schedulers {
+		req.Schedulers[i] = all[i%len(all)]
+	}
+
+	var body string
+	select {
+	case r := <-postAsync(url, "/v1/portfolio", mustMarshal(t, req)):
+		if r.err != nil || r.status != http.StatusBadRequest {
+			t.Fatalf("status %d (%v): %s", r.status, r.err, r.body)
+		}
+		body = strings.TrimSpace(string(r.body))
+	case <-time.After(10 * time.Second):
+		t.Fatal("no answer within 10s: the request got past the subset bound")
+	}
+	if st := hubStatus(t, hubURL); st.Sweeps != 0 {
+		t.Fatalf("refused request mounted a sweep: %+v", st)
+	}
+	if snap := metricsSnapshot(t, url); snap.Dispatch.Dispatched != 0 {
+		t.Fatalf("refused request was dispatched: %+v", snap.Dispatch)
+	}
+
+	progressed := false
+	_, err := Portfolio(req, runner.Options{Progress: func(int, int) { progressed = true }})
+	if err == nil || err.Error() != body {
+		t.Fatalf("in-process error %v, daemon answered %q", err, body)
+	}
+	if progressed {
+		t.Fatal("in-process Portfolio started its sweep before refusing")
 	}
 }
 

@@ -162,7 +162,7 @@ func TestServeSmokeE2E(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := experiments.SelectPortfolioParallel(res.Schedulers, res.Ratios, 2, 1)
+		p, err := experiments.SelectPortfolio(res.Schedulers, res.Ratios, 2)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -110,7 +110,7 @@ func TestPortfolioByteIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := experiments.SelectPortfolioParallel(res.Schedulers, res.Ratios, req.K, 2)
+	p, err := experiments.SelectPortfolio(res.Schedulers, res.Ratios, req.K)
 	if err != nil {
 		t.Fatal(err)
 	}

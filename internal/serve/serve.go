@@ -342,8 +342,8 @@ func (s *Server) handlePortfolio(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("portfolio needs 2..32 schedulers, got %d", len(req.Schedulers)), http.StatusBadRequest)
 		return
 	}
-	if req.K <= 0 || req.K > len(req.Schedulers) {
-		http.Error(w, fmt.Sprintf("k %d outside [1, %d]", req.K, len(req.Schedulers)), http.StatusBadRequest)
+	if err := experiments.CheckPortfolioSize(len(req.Schedulers), req.K); err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	if req.Iters == 0 {
@@ -400,11 +400,15 @@ func (req PortfolioRequest) sweepParams() experiments.SweepParams {
 
 // Portfolio computes a portfolio response in process: the "pairwise"
 // sweep over req's schedulers under ro (a store the fleet filled
-// replays instead of computing), then the best req.K-subset, selected
-// with ro.Workers goroutines. It is what /v1/portfolio answers and what
-// `saga portfolio` prints without -server, so the two cannot differ.
-// req is taken as given; the daemon fills its defaults before calling.
+// replays instead of computing), then the best req.K-subset. A K the
+// selector would refuse is refused before any cell runs. It is what
+// /v1/portfolio answers and what `saga portfolio` prints without
+// -server, so the two cannot differ. req is taken as given; the daemon
+// fills its defaults before calling.
 func Portfolio(req PortfolioRequest, ro runner.Options) (*PortfolioResponse, error) {
+	if err := experiments.CheckPortfolioSize(len(req.Schedulers), req.K); err != nil {
+		return nil, err
+	}
 	sw, err := experiments.NewSweep("pairwise", req.sweepParams())
 	if err != nil {
 		return nil, err
@@ -414,7 +418,7 @@ func Portfolio(req PortfolioRequest, ro runner.Options) (*PortfolioResponse, err
 		return nil, err
 	}
 	grid := res.(*experiments.PairwiseResult)
-	p, err := experiments.SelectPortfolioParallel(grid.Schedulers, grid.Ratios, req.K, ro.Workers)
+	p, err := experiments.SelectPortfolio(grid.Schedulers, grid.Ratios, req.K)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,6 @@
 // Package stats provides the small set of summary statistics the
-// experiment drivers report: means, standard deviations, percentiles and
-// five-number summaries for the makespan distributions of Figs 7 and 8.
+// experiment drivers report: means, maxima, percentiles and five-number
+// summaries for the makespan distributions of Figs 7 and 8.
 //
 // Every function is a pure fold over its input in index order — no
 // sorting side effects on the caller's slice, no randomness — so
@@ -23,21 +23,6 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs, or 0 when
-// fewer than two values are present.
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	sum := 0.0
-	for _, x := range xs {
-		d := x - m
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(xs)))
 }
 
 // Percentile returns the p-th percentile (0-100) of xs using linear

@@ -16,17 +16,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestStdDev(t *testing.T) {
-	// Population stddev of {2,4,4,4,5,5,7,9} is 2.
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if s := StdDev(xs); math.Abs(s-2) > 1e-12 {
-		t.Fatalf("StdDev = %v, want 2", s)
-	}
-	if s := StdDev([]float64{5}); s != 0 {
-		t.Fatalf("StdDev single = %v", s)
-	}
-}
-
 func TestPercentile(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	cases := []struct{ p, want float64 }{
