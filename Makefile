@@ -185,11 +185,14 @@ bench-pisa-full:
 # SCALE_BENCH_GATE=1 — 10k-task scale_layered bit-identity), then
 # TestScaleBenchGate enforcing HEFT throughput floors at the 1k/5k/10k
 # tiers and the O(|V|+|E|+|D|·|V|) table-memory bound with edge-sparse
-# link storage, and TestScaleTierSchedulesValid at the 10k tier (every
-# registered scheduler through schedule.Validate). Part of `make verify`.
+# link storage, TestScaleTierSchedulesValid at the 10k tier (every
+# registered scheduler through schedule.Validate), and FLB at 10k held
+# bit for bit to its per-node reference (ready rows vs one predecessor
+# walk per task, node and step). Part of `make verify`.
 bench-scale:
 	SCALE_BENCH_GATE=1 $(GO) test -run 'TestSparseTables|TestTablesChain10000' -count 1 ./internal/graph/
 	$(GO) test -run 'TestSolveDeepChain10000' -count 1 ./internal/exact/
+	SCALE_BENCH_GATE=1 $(GO) test -run 'TestFLBMatchesPerNodeReference10k' -count 1 ./internal/schedulers/
 	SCALE_BENCH_GATE=1 $(GO) test -run 'TestScaleBenchGate|TestScaleTierSchedulesValid' -count 1 -v -timeout 300s .
 
 # bench-scale-full is the measurement protocol behind BENCH_scale.json:

@@ -32,6 +32,10 @@ type Builder struct {
 	placed    []bool
 	timelines [][]Assignment // per node, sorted by (Start, End)
 	nPlaced   int
+
+	// row/rowEnab is the one ready row ReadyRow fills (BestEFTNode's).
+	row     []float64
+	rowEnab []int32
 }
 
 // NewBuilder returns an empty builder for the instance.
@@ -85,6 +89,11 @@ func (b *Builder) ResetTables(inst *graph.Instance, tab *graph.Tables) {
 	for v := range b.timelines {
 		b.timelines[v] = b.timelines[v][:0]
 	}
+	if cap(b.row) < nv {
+		b.row = make([]float64, nv)
+		b.rowEnab = make([]int32, nv)
+	}
+	b.row, b.rowEnab = b.row[:nv], b.rowEnab[:nv]
 	b.nPlaced = 0
 }
 
@@ -147,26 +156,57 @@ func (b *Builder) ReadyTime(t, v int) (ready float64, ok bool) {
 	return ready, true
 }
 
-// EnablingPredecessor returns the placed predecessor whose data arrives
-// last at node v (the "enabling" task in FCP/FLB terminology) and its
-// arrival time. ok is false if t has no predecessors or one is unplaced.
-func (b *Builder) EnablingPredecessor(t, v int) (pred int, arrive float64, ok bool) {
-	pred = -1
-	for _, d := range b.inst.Graph.Pred[t] {
+// FillReadyRow is ReadyTime for every node at once: one pass over t's
+// predecessors sets ready[v] = ReadyTime(t, v) and enab[v] to the node of
+// t's enabling predecessor at v — the placed predecessor whose data
+// arrives last at v (FCP/FLB terminology), the first such on ties — or -1
+// for an entry task. Both slices must be NumNodes long. ok is false, the
+// row unspecified, if some predecessor of t is not yet placed.
+//
+// The row is bit-identical to the per-node walk: every arrival is the
+// same End + comm sum, and a later predecessor replaces the running
+// maximum only when it arrives strictly later. A row stays valid while
+// t's predecessors keep their assignments, i.e. until one is Unplaced.
+func (b *Builder) FillReadyRow(t int, ready []float64, enab []int32) (ok bool) {
+	preds := b.inst.Graph.Pred[t]
+	enab = enab[:len(ready)]
+	if len(preds) == 0 {
+		for v := range ready {
+			ready[v], enab[v] = 0, -1
+		}
+		return true
+	}
+	for i, d := range preds {
 		u := d.To
 		if !b.placed[u] {
-			return -1, 0, false
+			return false
 		}
 		au := b.byTask[u]
-		at := au.End + b.commTime(d.Cost, au.Node, v)
-		if at > arrive || pred == -1 {
-			arrive, pred = at, u
+		n, end := au.Node, au.End
+		lk := b.links[n][:len(ready)]
+		for v := range ready {
+			// end + commTime(d.Cost, n, v): a free transfer adds +0,
+			// which leaves end's bits unchanged.
+			arrive := end
+			if v != n && d.Cost != 0 {
+				arrive += d.Cost / lk[v]
+			}
+			if i == 0 || arrive > ready[v] {
+				ready[v], enab[v] = arrive, int32(n)
+			}
 		}
 	}
-	if pred == -1 {
-		return -1, 0, false
+	return true
+}
+
+// ReadyRow fills the builder's own row buffer with FillReadyRow(t) and
+// returns it; the slices are valid until the next ReadyRow or BestEFTNode
+// call. It panics if a predecessor of t is unplaced.
+func (b *Builder) ReadyRow(t int) (ready []float64, enab []int32) {
+	if !b.FillReadyRow(t, b.row, b.rowEnab) {
+		panic(fmt.Sprintf("schedule: task %d has unplaced predecessors", t))
 	}
-	return pred, arrive, true
+	return b.row, b.rowEnab
 }
 
 // EarliestStart returns the earliest time >= ready at which a block of
@@ -179,10 +219,19 @@ func (b *Builder) EnablingPredecessor(t, v int) (pred int, arrive float64, ok bo
 // finishes by ready, so it neither delays the start nor bounds a gap the
 // scan could use. One probe costs O(log k + blocks after ready) on a
 // k-block timeline.
+//
+// Without insertion the start is max(ready, NodeAvailable(v)) by plain
+// comparison rather than math.Max (an assembly call on amd64). The two
+// differ only on NaN and on a ±0 pair; Instance.Validate admits only
+// finite times, and no builder time is ever -0 (every start is +0 or a
+// sum of non-negative terms), so the result is bit-identical.
 func (b *Builder) EarliestStart(v int, ready, duration float64, insertion bool) float64 {
 	tl := b.timelines[v]
 	if !insertion {
-		return math.Max(ready, b.NodeAvailable(v))
+		if avail := b.NodeAvailable(v); avail > ready {
+			return avail
+		}
+		return ready
 	}
 	lo, hi := 0, len(tl)
 	for lo < hi {
@@ -225,9 +274,16 @@ func (b *Builder) EFT(t, v int, insertion bool) (start, finish float64, ok bool)
 	if !ok {
 		return 0, 0, false
 	}
+	start, finish = b.EFTFrom(t, v, ready, insertion)
+	return start, finish, true
+}
+
+// EFTFrom is EFT with t's ready time on v already known, e.g. read from a
+// FillReadyRow row.
+func (b *Builder) EFTFrom(t, v int, ready float64, insertion bool) (start, finish float64) {
 	dur := b.execTime(t, v)
 	start = b.EarliestStart(v, ready, dur, insertion)
-	return start, start + dur, true
+	return start, start + dur
 }
 
 // Place records task t on node v at the given start time. It panics if t
@@ -271,14 +327,14 @@ func (b *Builder) PlaceEFT(t, v int, insertion bool) Assignment {
 }
 
 // BestEFTNode returns the node minimizing t's earliest finish time and
-// the corresponding start. Ties break toward the lower node index.
+// the corresponding start. Ties break toward the lower node index. It
+// reads t's ready times from ReadyRow, overwriting that buffer, and
+// panics if a predecessor of t is unplaced.
 func (b *Builder) BestEFTNode(t int, insertion bool) (node int, start float64) {
+	ready, _ := b.ReadyRow(t)
 	bestNode, bestStart, bestFinish := -1, 0.0, math.Inf(1)
-	for v := 0; v < len(b.speeds); v++ {
-		s, f, ok := b.EFT(t, v, insertion)
-		if !ok {
-			panic(fmt.Sprintf("schedule: task %d has unplaced predecessors", t))
-		}
+	for v, r := range ready {
+		s, f := b.EFTFrom(t, v, r, insertion)
 		if f < bestFinish-graph.Eps {
 			bestNode, bestStart, bestFinish = v, s, f
 		}
@@ -324,6 +380,8 @@ func (b *Builder) Clone() *Builder {
 		placed:    append([]bool(nil), b.placed...),
 		timelines: make([][]Assignment, len(b.timelines)),
 		nPlaced:   b.nPlaced,
+		row:       make([]float64, len(b.row)),
+		rowEnab:   make([]int32, len(b.rowEnab)),
 	}
 	for i, tl := range b.timelines {
 		c.timelines[i] = append([]Assignment(nil), tl...)

@@ -1,6 +1,7 @@
 package schedule
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -235,6 +236,170 @@ func TestEarliestStartMatchesLinearScan(t *testing.T) {
 				b.Unplace(u)
 				check(v)
 			}
+		}
+	}
+}
+
+// enablingPredecessor is the per-node enabling-predecessor walk
+// FillReadyRow replaced, kept as the oracle for
+// TestFillReadyRowMatchesPerNode: the placed predecessor whose data
+// arrives last at node v (the first on ties) and its arrival time; ok is
+// false if t has no predecessors or one is unplaced.
+func (b *Builder) enablingPredecessor(t, v int) (pred int, arrive float64, ok bool) {
+	pred = -1
+	for _, d := range b.inst.Graph.Pred[t] {
+		u := d.To
+		if !b.placed[u] {
+			return -1, 0, false
+		}
+		au := b.byTask[u]
+		at := au.End + b.commTime(d.Cost, au.Node, v)
+		if at > arrive || pred == -1 {
+			arrive, pred = at, u
+		}
+	}
+	if pred == -1 {
+		return -1, 0, false
+	}
+	return pred, arrive, true
+}
+
+// TestFillReadyRowMatchesPerNode holds the one-pass ready row to
+// ReadyTime and the enabling-predecessor walk on every node, bit for bit,
+// over seeded random partial placements: entry tasks, predecessors
+// sharing a node, zero-cost edges, one-node networks, and an integer grid
+// of times and link strengths on which arrivals tie.
+func TestFillReadyRowMatchesPerNode(t *testing.T) {
+	for seed := int64(1); seed <= 80; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		nTasks, nNodes := 10+r.Intn(30), 1+r.Intn(5)
+		grid := r.Intn(2) == 0 // integer times and strengths: many ties
+		weight := func() float64 {
+			if grid || r.Intn(4) == 0 {
+				return float64(r.Intn(4)) // zero a quarter of the time
+			}
+			return r.Float64() * 4
+		}
+		g := graph.NewTaskGraph()
+		for i := 0; i < nTasks; i++ {
+			g.AddTask("t", weight())
+		}
+		for j := 1; j < nTasks; j++ {
+			for k := r.Intn(4); k > 0; k-- {
+				if i := r.Intn(j); !g.HasDep(i, j) {
+					g.MustAddDep(i, j, weight())
+				}
+			}
+		}
+		net := graph.NewNetwork(nNodes)
+		for v := 0; v < nNodes; v++ {
+			if !grid {
+				net.Speeds[v] = 0.25 + r.Float64()*2
+			}
+			for u := v + 1; u < nNodes; u++ {
+				s := float64(1 + r.Intn(2))
+				if !grid {
+					s = 0.25 + r.Float64()*2
+				}
+				net.SetLink(v, u, s)
+			}
+		}
+		b := NewBuilder(graph.NewInstance(g, net))
+		ready, enab := make([]float64, nNodes), make([]int32, nNodes)
+		check := func() {
+			t.Helper()
+			for task := 0; task < nTasks; task++ {
+				ok := b.FillReadyRow(task, ready, enab)
+				for v := 0; v < nNodes; v++ {
+					want, wantOK := b.ReadyTime(task, v)
+					if ok != wantOK {
+						t.Fatalf("seed %d task %d: FillReadyRow ok=%v, ReadyTime ok=%v", seed, task, ok, wantOK)
+					}
+					if !ok {
+						break
+					}
+					if math.Float64bits(ready[v]) != math.Float64bits(want) {
+						t.Fatalf("seed %d task %d node %d: row %v, ReadyTime %v", seed, task, v, ready[v], want)
+					}
+					pred, arrive, hasPred := b.enablingPredecessor(task, v)
+					wantEnab := int32(-1)
+					if hasPred {
+						wantEnab = int32(b.Assignment(pred).Node)
+						if math.Float64bits(arrive) != math.Float64bits(ready[v]) {
+							t.Fatalf("seed %d task %d node %d: enabling arrival %v, row %v", seed, task, v, arrive, ready[v])
+						}
+					}
+					if enab[v] != wantEnab {
+						t.Fatalf("seed %d task %d node %d: enabling node %d, per-node walk %d", seed, task, v, enab[v], wantEnab)
+					}
+				}
+			}
+		}
+		// Place a random subset in index (= topological) order, checking
+		// every task's row after each step, with the odd Unplace.
+		for task := 0; task < nTasks; task++ {
+			if _, ok := b.ReadyTime(task, 0); !ok || r.Intn(4) == 0 {
+				continue
+			}
+			v := r.Intn(nNodes)
+			start := float64(r.Intn(6))
+			if !grid {
+				start = r.Float64() * 6
+			}
+			b.Place(task, v, start)
+			if r.Intn(10) == 0 {
+				b.Unplace(task)
+			}
+			check()
+		}
+	}
+}
+
+// TestEarliestStartPlainMaxIsMathMax pins the plain comparison that
+// replaced math.Max in the append (no-insertion) start: on every value a
+// builder produces the two agree bit for bit. They could differ only on
+// NaN (Instance.Validate refuses non-finite weights) or on a -0 operand,
+// and even -0 weights never yield a -0 time: a start is +0 or a sum with
+// a positive term, and a free transfer adds +0.
+func TestEarliestStartPlainMaxIsMathMax(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	g := graph.NewTaskGraph()
+	for i := 0; i < 6; i++ {
+		cost := 0.0
+		switch i % 3 {
+		case 1:
+			cost = negZero
+		case 2:
+			cost = float64(i)
+		}
+		g.AddTask("t", cost)
+	}
+	g.MustAddDep(0, 1, negZero)
+	g.MustAddDep(1, 2, 0)
+	g.MustAddDep(1, 3, 1)
+	g.MustAddDep(2, 4, negZero)
+	g.MustAddDep(3, 5, 2)
+	net := graph.NewNetwork(2)
+	net.SetLink(0, 1, 1)
+	b := NewBuilder(graph.NewInstance(g, net))
+	order, err := g.TopoOrder()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, task := range order {
+		for v := 0; v < 2; v++ {
+			r, _ := b.ReadyTime(task, v)
+			avail := b.NodeAvailable(v)
+			for _, ready := range []float64{r, 0, avail, avail + 1, avail / 2} {
+				got := b.EarliestStart(v, ready, 0, false)
+				if want := math.Max(ready, avail); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("task %d node %d ready %v: plain max %v, math.Max %v", task, v, ready, got, want)
+				}
+			}
+		}
+		a := b.PlaceEFT(task, i%2, false)
+		if math.Signbit(a.Start) || math.Signbit(a.End) {
+			t.Fatalf("task %d placed at %v..%v: a builder time is -0", task, a.Start, a.End)
 		}
 	}
 }

@@ -147,16 +147,28 @@ func TestEnablingPredecessor(t *testing.T) {
 	in := graph.NewInstance(g, n)
 	bld := NewBuilder(in)
 	bld.Place(0, 0, 0)
-	bld.Place(1, 0, 1)
-	pred, arrive, ok := bld.EnablingPredecessor(2, 1)
-	if !ok || pred != 0 {
-		t.Fatalf("enabling pred = %d (%v), want 0", pred, ok)
+	bld.Place(1, 1, 0)
+	// At node 1, a's data (end 1 + 10/1) arrives after b's local output.
+	ready, enab := bld.ReadyRow(2)
+	if enab[1] != 0 {
+		t.Fatalf("enabling node at 1 = %d, want 0 (task a's)", enab[1])
 	}
-	if !graph.ApproxEq(arrive, 11) { // end 1 + 10/1
-		t.Fatalf("arrival = %v, want 11", arrive)
+	if !graph.ApproxEq(ready[1], 11) {
+		t.Fatalf("arrival = %v, want 11", ready[1])
 	}
-	if _, _, ok := bld.EnablingPredecessor(0, 0); ok {
-		t.Fatal("entry task reported an enabling predecessor")
+	// At node 0, a's data is local (1) and b's arrives at 1 + 1/1 = 2.
+	if enab[0] != 1 || ready[0] != 2 {
+		t.Fatalf("node 0: enabling node %d ready %v, want 1 and 2", enab[0], ready[0])
+	}
+	if _, enab := bld.ReadyRow(0); enab[0] != -1 || enab[1] != -1 {
+		t.Fatalf("entry task reported an enabling predecessor: %v", enab)
+	}
+	// Ties go to the first predecessor: with free edges both inputs are
+	// available at 1 on every node, and a (node 0) is listed first.
+	g.SetDepCost(a, c, 0)
+	g.SetDepCost(b2, c, 0)
+	if ready, enab := bld.ReadyRow(2); enab[0] != 0 || enab[1] != 0 || ready[0] != 1 || ready[1] != 1 {
+		t.Fatalf("tie: enabling nodes %v ready %v, want [0 0] and [1 1]", enab, ready)
 	}
 }
 

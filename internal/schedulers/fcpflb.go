@@ -13,46 +13,32 @@ func init() {
 	scheduler.Register("FLB", func() scheduler.Scheduler { return FLB{} })
 }
 
-// candidateNodes returns the FCP/FLB restricted processor set for ready
-// task t: the node that becomes idle earliest and the enabling processor
-// (the node running the predecessor whose message would arrive last —
-// placing t there makes that transfer free). The two may coincide;
-// second is -1 when only the earliest-idle node applies (entry tasks),
-// so the pair needs no per-call slice.
-func candidateNodes(b *schedule.Builder, t int) (first, second int) {
+// earliestIdle returns the node that becomes idle first (the lowest index
+// among nodes within Eps of the minimum). It does not depend on the task,
+// so FLB computes it once per step rather than once per ready task.
+func earliestIdle(b *schedule.Builder) int {
 	idle, idleAt := 0, math.Inf(1)
 	for v := 0; v < b.Instance().Net.NumNodes(); v++ {
 		if a := b.NodeAvailable(v); a < idleAt-graph.Eps {
 			idle, idleAt = v, a
 		}
 	}
-	second = -1
-	// The enabling processor is defined relative to receiving the data on
-	// the earliest-idle node.
-	if pred, _, ok := b.EnablingPredecessor(t, idle); ok {
-		ep := b.Assignment(pred).Node
-		if ep != idle {
-			second = ep
-		}
-	}
-	return idle, second
+	return idle
 }
 
-// bestCandidateEFT returns, among t's candidate nodes, the one with the
-// earliest finish time.
-func bestCandidateEFT(b *schedule.Builder, t int) (node int, start, finish float64) {
-	node, start, finish = -1, 0, math.Inf(1)
-	c1, c2 := candidateNodes(b, t)
-	for _, v := range [2]int{c1, c2} {
-		if v < 0 {
-			continue
-		}
-		s, f, ok := b.EFT(t, v, false)
-		if !ok {
-			panic("schedulers: FCP/FLB ready task with unplaced predecessor")
-		}
-		if f < finish-graph.Eps {
-			node, start, finish = v, s, f
+// bestCandidate returns, of the FCP/FLB restricted processor set for
+// ready task t, the node that finishes t earliest with t's start and
+// finish there. The set is the earliest-idle node idle and the enabling
+// processor enab[idle] — the node of the predecessor whose message would
+// arrive last at idle, where placing t makes that transfer free; an entry
+// task has only idle. ready and enab are t's ready row (FillReadyRow);
+// ties keep idle.
+func bestCandidate(b *schedule.Builder, t, idle int, ready []float64, enab []int32) (node int, start, finish float64) {
+	node = idle
+	start, finish = b.EFTFrom(t, idle, ready[idle], false)
+	if ep := int(enab[idle]); ep >= 0 && ep != idle {
+		if s, f := b.EFTFrom(t, ep, ready[ep], false); f < finish-graph.Eps {
+			node, start, finish = ep, s, f
 		}
 	}
 	return node, start, finish
@@ -63,8 +49,10 @@ func bestCandidateEFT(b *schedule.Builder, t int) (node int, start, finish float
 // than scanning every processor, considers only two candidates per task:
 // the processor that becomes idle first and the enabling processor (the
 // source of the task's last-arriving message). The task is placed on
-// whichever candidate finishes it earlier. This restriction is what gives
-// FCP its O(|T| log |V| + |D|) schedule-generation time.
+// whichever candidate finishes it earlier. The paper keeps processors
+// and tasks in priority queues for O(|T| log |V| + |D|) schedule
+// generation; this implementation scans instead, for O(|V| + ready
+// width) per step plus one O(in-degree · |V|) ready row per task.
 //
 // FCP was designed for heterogeneous task graphs but homogeneous
 // processors and links; PISA pins both node speeds and link strengths to
@@ -99,7 +87,8 @@ func (FCP) ScheduleScratch(inst *graph.Instance, scr *scheduler.Scratch, out *sc
 				t = x
 			}
 		}
-		v, start, _ := bestCandidateEFT(b, t)
+		row, enab := b.ReadyRow(t)
+		v, start, _ := bestCandidate(b, t, earliestIdle(b), row, enab)
 		b.Place(t, v, start)
 		rs.Complete(t)
 	}
@@ -110,8 +99,11 @@ func (FCP) ScheduleScratch(inst *graph.Instance, scr *scheduler.Scratch, out *sc
 // algorithm from the same paper. It uses the same two-candidate processor
 // restriction but selects, at each step, the ready task whose restricted
 // earliest finish time is smallest — balancing load instead of following
-// the critical path. Its schedule-generation time is likewise
-// O(|T| log |V| + |D|).
+// the critical path. The paper's bound is likewise O(|T| log |V| + |D|)
+// with priority queues; this implementation costs O(|V| + ready width)
+// per step plus one O(in-degree · |V|) ready row per task, filled the
+// first time the task is examined and kept for the rest of the
+// construction (rowCache).
 //
 // Like FCP it targets homogeneous processors and links, and PISA pins
 // both to 1 when analyzing it (Section VI).
@@ -135,11 +127,14 @@ func (f FLB) Schedule(inst *graph.Instance) (*schedule.Schedule, error) {
 func (FLB) ScheduleScratch(inst *graph.Instance, scr *scheduler.Scratch, out *schedule.Schedule) error {
 	b := scr.Builder(inst)
 	rs := scr.ReadySet(inst.Graph)
+	rows := readyRows(scr, inst)
 	for !rs.Empty() {
+		idle := earliestIdle(b)
 		bestTask, bestNode := -1, -1
 		bestStart, bestFinish := 0.0, math.Inf(1)
 		for _, t := range rs.Ready() {
-			v, s, f := bestCandidateEFT(b, t)
+			ready, enab := rows.row(b, t)
+			v, s, f := bestCandidate(b, t, idle, ready, enab)
 			if f < bestFinish-graph.Eps {
 				bestTask, bestNode, bestStart, bestFinish = t, v, s, f
 			}

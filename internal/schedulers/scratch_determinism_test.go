@@ -3,6 +3,7 @@ package schedulers
 import (
 	"fmt"
 	"math"
+	"os"
 	"sort"
 	"testing"
 
@@ -99,6 +100,34 @@ func (b *refBuilder) place(t, v int, start float64) {
 	copy(tl[i+1:], tl[i:])
 	tl[i] = a
 	b.timelines[v] = tl
+}
+
+// enablingPredecessor is the pre-row schedule.Builder.EnablingPredecessor:
+// the placed predecessor whose data arrives last at v, first on ties.
+func (b *refBuilder) enablingPredecessor(t, v int) (pred int, arrive float64, ok bool) {
+	pred = -1
+	for _, d := range b.inst.Graph.Pred[t] {
+		u := d.To
+		au := b.byTask[u]
+		at := au.End + b.inst.CommTime(u, t, au.Node, v)
+		if at > arrive || pred == -1 {
+			arrive, pred = at, u
+		}
+	}
+	if pred == -1 {
+		return -1, 0, false
+	}
+	return pred, arrive, true
+}
+
+func (b *refBuilder) makespan() float64 {
+	m := 0.0
+	for v := range b.timelines {
+		if a := b.nodeAvailable(v); a > m {
+			m = a
+		}
+	}
+	return m
 }
 
 func (b *refBuilder) bestEFTNode(t int, insertion bool) (node int, start float64) {
@@ -248,6 +277,133 @@ func refCPoP(inst *graph.Instance) []schedule.Assignment {
 	return b.byTask
 }
 
+// refCandidateNodes is the pre-row candidateNodes of FCP/FLB: the
+// earliest-idle node, rescanned per task, and the enabling processor
+// from a per-node predecessor walk.
+func refCandidateNodes(b *refBuilder, t int) (first, second int) {
+	idle, idleAt := 0, math.Inf(1)
+	for v := 0; v < b.inst.Net.NumNodes(); v++ {
+		if a := b.nodeAvailable(v); a < idleAt-graph.Eps {
+			idle, idleAt = v, a
+		}
+	}
+	second = -1
+	if pred, _, ok := b.enablingPredecessor(t, idle); ok {
+		ep := b.byTask[pred].Node
+		if ep != idle {
+			second = ep
+		}
+	}
+	return idle, second
+}
+
+// refBestCandidateEFT is the pre-row bestCandidateEFT: one per-node EFT
+// per candidate.
+func refBestCandidateEFT(b *refBuilder, t int) (node int, start, finish float64) {
+	node, start, finish = -1, 0, math.Inf(1)
+	c1, c2 := refCandidateNodes(b, t)
+	for _, v := range [2]int{c1, c2} {
+		if v < 0 {
+			continue
+		}
+		s, f := b.eft(t, v, false)
+		if f < finish-graph.Eps {
+			node, start, finish = v, s, f
+		}
+	}
+	return node, start, finish
+}
+
+// refFCP is the pre-row FCP.ScheduleScratch.
+func refFCP(inst *graph.Instance) []schedule.Assignment {
+	rank := refUpwardRank(inst)
+	b := newRefBuilder(inst)
+	rs := scheduler.NewReadySet(inst.Graph)
+	for !rs.Empty() {
+		ready := rs.Ready()
+		t := ready[0]
+		for _, x := range ready[1:] {
+			if rank[x] > rank[t]+graph.Eps {
+				t = x
+			}
+		}
+		v, start, _ := refBestCandidateEFT(b, t)
+		b.place(t, v, start)
+		rs.Complete(t)
+	}
+	return b.byTask
+}
+
+// refFLB is the pre-row FLB.ScheduleScratch.
+func refFLB(inst *graph.Instance) []schedule.Assignment {
+	b := newRefBuilder(inst)
+	rs := scheduler.NewReadySet(inst.Graph)
+	for !rs.Empty() {
+		bestTask, bestNode := -1, -1
+		bestStart, bestFinish := 0.0, math.Inf(1)
+		for _, t := range rs.Ready() {
+			v, s, f := refBestCandidateEFT(b, t)
+			if f < bestFinish-graph.Eps {
+				bestTask, bestNode, bestStart, bestFinish = t, v, s, f
+			}
+		}
+		b.place(bestTask, bestNode, bestStart)
+		rs.Complete(bestTask)
+	}
+	return b.byTask
+}
+
+// refWBA is the pre-row WBA.ScheduleScratch: the same rounds and random
+// streams, with a per-node EFT and math.Max for every option.
+func refWBA(w WBA, inst *graph.Instance) []schedule.Assignment {
+	rounds := w.Rounds
+	if rounds <= 0 {
+		rounds = 10
+	}
+	root := rng.New(w.Seed)
+	var best []schedule.Assignment
+	bestMakespan := 0.0
+	for i := 0; i < rounds; i++ {
+		r := root.Split()
+		b := newRefBuilder(inst)
+		rs := scheduler.NewReadySet(inst.Graph)
+		var options []wbaOption
+		for !rs.Empty() {
+			options = options[:0]
+			current := b.makespan()
+			minInc, maxInc := math.Inf(1), math.Inf(-1)
+			for _, t := range rs.Ready() {
+				for v := 0; v < inst.Net.NumNodes(); v++ {
+					s, f := b.eft(t, v, false)
+					inc := math.Max(f-current, 0)
+					options = append(options, wbaOption{task: t, node: v, start: s, increase: inc})
+					if inc < minInc {
+						minInc = inc
+					}
+					if inc > maxInc {
+						maxInc = inc
+					}
+				}
+			}
+			cut := minInc + w.Alpha*(maxInc-minInc) + graph.Eps
+			n := 0
+			for _, o := range options {
+				if o.increase <= cut {
+					options[n] = o
+					n++
+				}
+			}
+			pick := options[r.Intn(n)]
+			b.place(pick.task, pick.node, pick.start)
+			rs.Complete(pick.task)
+		}
+		if m := b.makespan(); best == nil || m < bestMakespan {
+			best, bestMakespan = b.byTask, m
+		}
+	}
+	return best
+}
+
 // determinismCorpus builds a varied instance set: the paper's worked
 // examples, random trees/chains over heterogeneous networks, and
 // perturbation-style variants with zero-cost tasks and zero-size
@@ -371,4 +527,109 @@ func TestScratchMatchesPlainForAllSchedulers(t *testing.T) {
 			assertSameAssignments(t, fmt.Sprintf("%s/scratch-vs-plain", name), i, want.ByTask, &out)
 		}
 	}
+}
+
+// zeroWeightInstance is the first 200 tasks of scale_layered_1k with
+// every task cost zero and every dependency cost rounded to 0, 1 or 2, on
+// an 8-node network of unit speeds and link strengths 1 or 2: every task
+// finishes at its start, node-available times tie with ready times, and
+// data from different predecessors often arrives at the same instant.
+func zeroWeightInstance(t *testing.T) *graph.Instance {
+	t.Helper()
+	src := scaleTierInstance(t, "scale_layered_1k").Graph
+	const n = 200
+	g := graph.NewTaskGraph()
+	for range src.Tasks[:n] {
+		g.AddTask("z", 0)
+	}
+	for _, d := range src.Deps() {
+		if d[1] < n {
+			cost, _ := src.DepCost(d[0], d[1])
+			g.MustAddDep(d[0], d[1], math.Round(cost))
+		}
+	}
+	net := graph.NewNetwork(8)
+	r := rng.New(0xD39)
+	for v := 0; v < 8; v++ {
+		for u := v + 1; u < 8; u++ {
+			net.SetLink(v, u, float64(1+r.Intn(2)))
+		}
+	}
+	return graph.NewInstance(g, net)
+}
+
+// enablingTieInstance is built so that FCP and FLB place the sink by
+// the first-on-ties rule: the sources end on nodes 0 and 1 at 1 and 2,
+// their data reaches the idle node 2 at the same instant 4, and the two
+// candidate enabling nodes then finish the sink at different times.
+func enablingTieInstance() *graph.Instance {
+	g := graph.NewTaskGraph()
+	u1 := g.AddTask("u1", 1)
+	u2 := g.AddTask("u2", 2)
+	sink := g.AddTask("sink", 1)
+	g.MustAddDep(u1, sink, 3)
+	g.MustAddDep(u2, sink, 2)
+	net := graph.NewNetwork(3)
+	net.SetLink(0, 1, 2)
+	return graph.NewInstance(g, net)
+}
+
+// scaleTierInstance is the first instance of a scale-tier dataset at
+// seed 1.
+func scaleTierInstance(tb testing.TB, name string) *graph.Instance {
+	tb.Helper()
+	insts, err := datasets.Dataset(name, 1, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return insts[0]
+}
+
+// TestRowSchedulersMatchPerNodeReference holds FCP, FLB and WBA — the
+// schedulers that read ready rows and the hoisted earliest-idle node —
+// bit for bit to their pre-row versions above, which walk a task's
+// predecessors once per (task, node, step) and take math.Max. The corpus
+// is determinismCorpus plus enablingTieInstance, the 1k scale tier, and a
+// zero-weight instance; WBA runs two rounds on the last three. One
+// scratch serves every call, so a row left over from a previous instance
+// or round would show up here.
+func TestRowSchedulersMatchPerNodeReference(t *testing.T) {
+	scr := scheduler.NewScratch()
+	var out schedule.Schedule
+	check := func(label string, i int, s scheduler.ScratchScheduler, want []schedule.Assignment, inst *graph.Instance) {
+		t.Helper()
+		want = append([]schedule.Assignment(nil), want...)
+		if err := s.ScheduleScratch(inst, scr, &out); err != nil {
+			t.Fatal(err)
+		}
+		assertSameAssignments(t, label, i, want, &out)
+	}
+	corpus := determinismCorpus(t)
+	corpus = append(corpus, enablingTieInstance())
+	big := []*graph.Instance{scaleTierInstance(t, "scale_layered_1k"), scaleTierInstance(t, "scale_chains_1k"), zeroWeightInstance(t)}
+	wba := NewWBA(0x57BA, 10)
+	for i, inst := range append(corpus, big...) {
+		check("FCP", i, FCP{}, refFCP(inst), inst)
+		check("FLB", i, FLB{}, refFLB(inst), inst)
+		if i >= len(corpus) {
+			wba.Rounds = 2
+		}
+		check("WBA", i, wba, refWBA(wba, inst), inst)
+	}
+}
+
+// TestFLBMatchesPerNodeReference10k is the FLB reference comparison at
+// the 10k tier, where FLB's per-step candidate search used to dominate.
+// Opt in via SCALE_BENCH_GATE=1 (`make bench-scale`).
+func TestFLBMatchesPerNodeReference10k(t *testing.T) {
+	if os.Getenv("SCALE_BENCH_GATE") == "" {
+		t.Skip("10k reference run; run via `make bench-scale` (SCALE_BENCH_GATE=1)")
+	}
+	inst := scaleTierInstance(t, "scale_layered_10k")
+	want := refFLB(inst)
+	sch, err := FLB{}.Schedule(inst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameAssignments(t, "FLB/10k", 0, want, sch)
 }

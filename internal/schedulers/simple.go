@@ -68,13 +68,7 @@ func (OLB) ScheduleScratch(inst *graph.Instance, scr *scheduler.Scratch, out *sc
 	}
 	b := scr.Builder(inst)
 	for _, t := range tab.Topo {
-		best, bestAvail := 0, math.Inf(1)
-		for v := 0; v < inst.Net.NumNodes(); v++ {
-			if a := b.NodeAvailable(v); a < bestAvail-graph.Eps {
-				best, bestAvail = v, a
-			}
-		}
-		b.PlaceEFT(t, best, false)
+		b.PlaceEFT(t, earliestIdle(b), false)
 	}
 	return b.ScheduleInto(out)
 }

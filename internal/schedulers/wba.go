@@ -94,18 +94,22 @@ type wbaOption struct {
 func (w WBA) construct(inst *graph.Instance, r *rng.RNG, scr *scheduler.Scratch, ws *wbaScratch) (*schedule.Builder, error) {
 	b := scr.Builder(inst)
 	rs := scr.ReadySet(inst.Graph)
+	rows := readyRows(scr, inst)
 	options := ws.options[:0]
 	for !rs.Empty() {
 		options = options[:0]
 		current := b.Makespan()
 		minInc, maxInc := math.Inf(1), math.Inf(-1)
 		for _, t := range rs.Ready() {
-			for v := 0; v < inst.Net.NumNodes(); v++ {
-				s, f, ok := b.EFT(t, v, false)
-				if !ok {
-					panic("schedulers: WBA ready task with unplaced predecessor")
+			ready, _ := rows.row(b, t)
+			for v, at := range ready {
+				s, f := b.EFTFrom(t, v, at, false)
+				// max(f-current, 0) by comparison: f-current is never -0
+				// (f is not -0), so this matches math.Max bit for bit.
+				inc := f - current
+				if inc < 0 {
+					inc = 0
 				}
-				inc := math.Max(f-current, 0)
 				options = append(options, wbaOption{task: t, node: v, start: s, increase: inc})
 				if inc < minInc {
 					minInc = inc
