@@ -182,15 +182,20 @@ bench-pisa-full:
 # the edge-sparse Tables property suites (byte-identical to the dense
 # test reference under random builds and incremental-update sequences,
 # the 10k-deep chain traversal tests, and — opted in via
-# SCALE_BENCH_GATE=1 — 10k-task scale_layered bit-identity), then
-# TestScaleBenchGate enforcing HEFT throughput floors at the 1k/5k/10k
-# tiers and the O(|V|+|E|+|D|·|V|) table-memory bound with edge-sparse
-# link storage, TestScaleTierSchedulesValid at the 10k tier (every
-# registered scheduler through schedule.Validate), and FLB at 10k held
-# bit for bit to its per-node reference (ready rows vs one predecessor
-# walk per task, node and step). Part of `make verify`.
+# SCALE_BENCH_GATE=1 — 10k-task scale_layered bit-identity, four-lane
+# avg-comm fill included), the 10k rows of the placement-kernel oracles
+# (the bound-skipping EFT scan vs probing every node, the heap priority
+# order vs the frontier scan, on scale_layered_10k and scale_chains_10k),
+# then TestScaleBenchGate enforcing HEFT throughput floors at the
+# 1k/5k/10k tiers and the O(|V|+|E|+|D|·|V|) table-memory bound with
+# edge-sparse link storage, TestScaleTierSchedulesValid at the 10k tier
+# (every registered scheduler through schedule.Validate), and FLB at 10k
+# held bit for bit to its per-node reference (ready rows vs one
+# predecessor walk per task, node and step). Part of `make verify`.
 bench-scale:
 	SCALE_BENCH_GATE=1 $(GO) test -run 'TestSparseTables|TestTablesChain10000' -count 1 ./internal/graph/
+	SCALE_BENCH_GATE=1 $(GO) test -run 'TestBestEFTNodeMatchesUnskipped' -count 1 ./internal/schedule/
+	SCALE_BENCH_GATE=1 $(GO) test -run 'TestTopoOrderByPriorityMatchesScan' -count 1 ./internal/scheduler/
 	$(GO) test -run 'TestSolveDeepChain10000' -count 1 ./internal/exact/
 	SCALE_BENCH_GATE=1 $(GO) test -run 'TestFLBMatchesPerNodeReference10k' -count 1 ./internal/schedulers/
 	SCALE_BENCH_GATE=1 $(GO) test -run 'TestScaleBenchGate|TestScaleTierSchedulesValid' -count 1 -v -timeout 300s .

@@ -150,15 +150,23 @@ func (tb *Tables) EnsureAvgComm() {
 	tb.avgComm = growF64(tb.avgComm, 2*nD)
 	tb.succOff = growInt(tb.succOff, nT+1)
 	tb.predOff = growInt(tb.predOff, nT+1)
+	// The successor half first holds the edge costs, then is overwritten
+	// in place four edges per pair walk.
 	off := 0
 	for t := 0; t < nT; t++ {
 		tb.succOff[t] = off
 		for i, d := range g.Succ[t] {
-			tb.avgComm[off+i] = tb.avgCommTimeFlat(d.Cost)
+			tb.avgComm[off+i] = d.Cost
 		}
 		off += len(g.Succ[t])
 	}
 	tb.succOff[nT] = off
+	for e := 0; e < nD; e += 4 {
+		var c [4]float64
+		n := copy(c[:], tb.avgComm[e:nD])
+		a := tb.avgCommTime4(c)
+		copy(tb.avgComm[e:e+n], a[:n])
+	}
 	for t := 0; t < nT; t++ {
 		tb.predOff[t] = off
 		for i, d := range g.Pred[t] {
@@ -533,7 +541,7 @@ func (tb *Tables) UpdateDepWeight(u, v int) {
 	}
 	g := tb.src.Graph
 	cost, _ := g.DepCost(u, v)
-	a := tb.avgCommTimeFlat(cost)
+	a := tb.avgCommTime4([4]float64{cost})[0]
 	tb.avgComm[tb.succOff[u]+succIndex(g, u, v)] = a
 	tb.avgComm[tb.predOff[v]+predIndex(g, v, u)] = a
 }
@@ -647,27 +655,28 @@ func (tb *Tables) RemoveDep(u, v int) {
 	}
 }
 
-// avgCommTimeFlat is Instance.AvgCommTime for a known edge cost against
-// the sparse link storage: the identical divisions in the identical
-// (a, b) pair order as the dense test reference
-// (DenseTables.avgCommTimeFlat), so results are bit-identical.
-// Default pairs contribute cost/linkDefault, computed once — dividing
-// the same two bit patterns always yields the same bits, so one shared
-// quotient added per default pair reproduces the dense per-pair
+// avgCommTime4 is Instance.AvgCommTime for four known edge costs at once
+// against the sparse link storage: for each lane, the identical divisions
+// in the identical (a, b) pair order as the dense test reference
+// (DenseTables.avgCommTimeFlat), so every result is bit-identical. The
+// four sums are independent accumulators over one walk of the pairs: a
+// single edge's sum is a serial chain of |V|(|V|−1)/2 dependent adds,
+// bound by add latency, and four chains fill the slots one leaves idle.
+// Default pairs contribute cost/linkDefault, computed once per lane —
+// dividing the same two bit patterns always yields the same bits, so one
+// shared quotient added per default pair reproduces the dense per-pair
 // division stream exactly. When the default strength is +Inf (free
 // communication, e.g. the Chameleon networks) default pairs contribute
 // nothing and the loop degenerates to a walk over the exception list
-// with a closed-form pair count — O(|E|) instead of O(|V|²).
-func (tb *Tables) avgCommTimeFlat(cost float64) float64 {
-	if cost == 0 {
-		return 0
-	}
+// with a closed-form pair count — O(|E|) instead of O(|V|²). A zero-cost
+// lane yields 0 whatever the links, as does every lane when |V| < 2;
+// callers with fewer than four edges pad with zero costs.
+func (tb *Tables) avgCommTime4(c [4]float64) (out [4]float64) {
 	nV := tb.NNodes
-	if nV < 2 {
-		return 0
+	if nV < 2 || c == [4]float64{} {
+		return out
 	}
-	sum := 0.0
-	count := nV * (nV - 1) / 2
+	var s0, s1, s2, s3 float64
 	if tb.invDefault == 0 {
 		// Only exceptions can contribute; walk upper-triangle entries in
 		// (row, col) order — exactly the order the dense pair loop visits
@@ -675,30 +684,48 @@ func (tb *Tables) avgCommTimeFlat(cost float64) float64 {
 		for a := 0; a < nV; a++ {
 			for k := tb.linkOff[a]; k < tb.linkOff[a+1]; k++ {
 				if tb.linkCol[k] > a && tb.linkInv[k] != 0 {
-					sum += cost / tb.linkVal[k]
+					w := tb.linkVal[k]
+					s0 += c[0] / w
+					s1 += c[1] / w
+					s2 += c[2] / w
+					s3 += c[3] / w
 				}
 			}
 		}
-		return sum / float64(count)
-	}
-	qd := cost / tb.linkDefault
-	for a := 0; a < nV; a++ {
-		k, end := tb.linkOff[a], tb.linkOff[a+1]
-		for k < end && tb.linkCol[k] <= a {
-			k++
-		}
-		for b := a + 1; b < nV; b++ {
-			if k < end && tb.linkCol[k] == b {
-				if tb.linkInv[k] != 0 {
-					sum += cost / tb.linkVal[k]
-				}
+	} else {
+		q0, q1, q2, q3 := c[0]/tb.linkDefault, c[1]/tb.linkDefault, c[2]/tb.linkDefault, c[3]/tb.linkDefault
+		for a := 0; a < nV; a++ {
+			k, end := tb.linkOff[a], tb.linkOff[a+1]
+			for k < end && tb.linkCol[k] <= a {
 				k++
-			} else {
-				sum += qd
+			}
+			for b := a + 1; b < nV; b++ {
+				if k < end && tb.linkCol[k] == b {
+					if tb.linkInv[k] != 0 {
+						w := tb.linkVal[k]
+						s0 += c[0] / w
+						s1 += c[1] / w
+						s2 += c[2] / w
+						s3 += c[3] / w
+					}
+					k++
+				} else {
+					s0 += q0
+					s1 += q1
+					s2 += q2
+					s3 += q3
+				}
 			}
 		}
 	}
-	return sum / float64(count)
+	count := float64(nV * (nV - 1) / 2)
+	out = [4]float64{s0 / count, s1 / count, s2 / count, s3 / count}
+	for i, ci := range c {
+		if ci == 0 {
+			out[i] = 0
+		}
+	}
+	return out
 }
 
 // buildTopo mirrors TaskGraph.TopoOrder (Kahn, lowest index first) with

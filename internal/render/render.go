@@ -116,29 +116,6 @@ func Grid(title string, rowLabels, colLabels []string, values [][]float64) strin
 	return b.String()
 }
 
-// CSV renders the same matrix as comma-separated rows (machine-readable
-// companion to Grid). Negative values render as empty cells.
-func CSV(rowLabels, colLabels []string, values [][]float64) string {
-	var b strings.Builder
-	b.WriteString("row")
-	for _, l := range colLabels {
-		b.WriteByte(',')
-		b.WriteString(l)
-	}
-	b.WriteByte('\n')
-	for i, rl := range rowLabels {
-		b.WriteString(rl)
-		for j := range colLabels {
-			b.WriteByte(',')
-			if values[i][j] >= 0 {
-				fmt.Fprintf(&b, "%.4f", values[i][j])
-			}
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
 // Histogram renders a vertical-bar text histogram of the values with the
 // given number of bins — the stand-in for the paper's Fig 7b/8b box
 // plots. It also prints min/median/max.

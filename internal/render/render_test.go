@@ -77,14 +77,6 @@ func TestGridRendersLabelsAndBlanks(t *testing.T) {
 	}
 }
 
-func TestCSV(t *testing.T) {
-	out := CSV([]string{"r1"}, []string{"a", "b"}, [][]float64{{1.2345, -1}})
-	want := "row,a,b\nr1,1.2345,\n"
-	if out != want {
-		t.Fatalf("CSV = %q, want %q", out, want)
-	}
-}
-
 func TestHistogram(t *testing.T) {
 	out := Histogram("lbl", []float64{1, 2, 2, 3, 10}, 3)
 	if !strings.Contains(out, "lbl") || !strings.Contains(out, "n=5") {

@@ -330,13 +330,23 @@ func (b *Builder) PlaceEFT(t, v int, insertion bool) Assignment {
 // the corresponding start. Ties break toward the lower node index. It
 // reads t's ready times from ReadyRow, overwriting that buffer, and
 // panics if a predecessor of t is unplaced.
+//
+// A node whose ready time plus t's duration already reaches the bound
+// bestFinish − Eps is skipped without probing its timeline. The skip is
+// exact: EarliestStart never returns less than ready, and rounded float
+// addition is monotone, so the probe's finish start + dur is at least
+// ready + dur and could not have passed the strict test either.
 func (b *Builder) BestEFTNode(t int, insertion bool) (node int, start float64) {
 	ready, _ := b.ReadyRow(t)
-	bestNode, bestStart, bestFinish := -1, 0.0, math.Inf(1)
+	bestNode, bestStart, bound := -1, 0.0, math.Inf(1)
 	for v, r := range ready {
-		s, f := b.EFTFrom(t, v, r, insertion)
-		if f < bestFinish-graph.Eps {
-			bestNode, bestStart, bestFinish = v, s, f
+		dur := b.execTime(t, v)
+		if r+dur >= bound {
+			continue
+		}
+		s := b.EarliestStart(v, r, dur, insertion)
+		if f := s + dur; f < bound {
+			bestNode, bestStart, bound = v, s, f-graph.Eps
 		}
 	}
 	return bestNode, bestStart

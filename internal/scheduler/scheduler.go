@@ -249,29 +249,99 @@ func growFloats(dst []float64, n int) []float64 {
 // remains a valid topological order when zero-cost tasks produce rank
 // ties (which PISA's weight perturbations readily create).
 func TopoOrderByPriority(g *graph.TaskGraph, priority []float64) []int {
-	rs := NewReadySet(g)
-	return topoOrderByPriority(rs, g, priority, make([]int, 0, g.NumTasks()))
+	return topoOrderByPriority(&ReadySet{}, g, priority, make([]int, 0, g.NumTasks()))
 }
 
-// topoOrderByPriority appends the priority topological order to dst
-// using the caller's ready set (the buffer-reuse core shared with
-// Scratch.TopoOrderByPriority).
+// topoOrderByPriority appends the priority topological order to dst,
+// resetting the caller's ready set for g and leaving it empty (the
+// buffer-reuse core shared with Scratch.TopoOrderByPriority).
+//
+// The frontier is a binary heap in the ready set's own storage, ordered
+// by (priority descending, task index ascending). On finite priorities
+// that is a strict total order whose first element is exactly the task
+// a left-to-right scan of the index-sorted frontier keeps (the first
+// maximum; +0 and −0 compare equal in both), so every step pops the
+// task the scan would pick, at O(log width) instead of O(width).
 func topoOrderByPriority(rs *ReadySet, g *graph.TaskGraph, priority []float64, dst []int) []int {
-	for !rs.Empty() {
-		ready := rs.Ready()
-		best := ready[0]
-		for _, t := range ready[1:] {
-			if priority[t] > priority[best] {
-				best = t
+	rs.Reset(g)
+	h := prioHeap{items: rs.ready, prio: priority}
+	for i := len(h.items)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+	for len(h.items) > 0 {
+		t := h.pop()
+		dst = append(dst, t)
+		for _, d := range g.Succ[t] {
+			rs.pending[d.To]--
+			if rs.pending[d.To] == 0 {
+				h.push(d.To)
 			}
 		}
-		dst = append(dst, best)
-		rs.Complete(best)
 	}
+	rs.ready = h.items
 	if len(dst) != g.NumTasks() {
 		panic("scheduler: TopoOrderByPriority on cyclic graph")
 	}
 	return dst
+}
+
+// prioHeap is topoOrderByPriority's frontier: a binary heap of task
+// indices whose root is the highest-priority task, lowest index on ties.
+type prioHeap struct {
+	items []int
+	prio  []float64
+}
+
+// before reports whether task a pops before task b.
+func (h *prioHeap) before(a, b int) bool {
+	pa, pb := h.prio[a], h.prio[b]
+	return pa > pb || (pa == pb && a < b)
+}
+
+func (h *prioHeap) push(t int) {
+	h.items = append(h.items, t)
+	i := len(h.items) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !h.before(t, h.items[p]) {
+			break
+		}
+		h.items[i] = h.items[p]
+		i = p
+	}
+	h.items[i] = t
+}
+
+func (h *prioHeap) pop() int {
+	top := h.items[0]
+	n := len(h.items) - 1
+	h.items[0] = h.items[n]
+	h.items = h.items[:n]
+	if n > 0 {
+		h.down(0)
+	}
+	return top
+}
+
+// down sifts the item at i toward the leaves until the heap order holds.
+func (h *prioHeap) down(i int) {
+	items := h.items
+	t := items[i]
+	for {
+		c := 2*i + 1
+		if c >= len(items) {
+			break
+		}
+		if r := c + 1; r < len(items) && h.before(items[r], items[c]) {
+			c = r
+		}
+		if !h.before(items[c], t) {
+			break
+		}
+		items[i] = items[c]
+		i = c
+	}
+	items[i] = t
 }
 
 // ReadySet maintains the frontier of schedulable tasks (all prerequisites
@@ -279,7 +349,7 @@ func topoOrderByPriority(rs *ReadySet, g *graph.TaskGraph, priority []float64, d
 type ReadySet struct {
 	g       *graph.TaskGraph
 	pending []int // remaining unplaced predecessor count per task
-	ready   []int // current frontier, kept sorted by task index
+	ready   []int // current frontier, kept sorted by task index (topoOrderByPriority's heap while it runs)
 }
 
 // NewReadySet builds the frontier for the graph: initially its source

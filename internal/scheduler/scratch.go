@@ -16,8 +16,9 @@ import (
 // Buffer ownership: a value returned by a Scratch accessor (ranks,
 // orders, the builder, the ready set) is valid until the next call to
 // the same accessor — with one sharing caveat: ReadySet and
-// TopoOrderByPriority use the same underlying frontier, so calling
-// either invalidates a ready set borrowed from the other. Schedulers
+// TopoOrderByPriority use the same underlying frontier (the latter keeps
+// its priority heap there and leaves it empty), so calling either
+// invalidates a ready set borrowed from the other. Schedulers
 // therefore consume what they borrow within one ScheduleScratch call
 // and never retain scratch-owned memory in their results —
 // ScheduleInto copies assignments into the caller-owned Schedule.
@@ -185,12 +186,10 @@ func (s *Scratch) TopoOrderByPriority(g *graph.TaskGraph, priority []float64) []
 		}
 	}
 	if buf == nil {
-		s.rs.Reset(g)
 		s.order = topoOrderByPriority(&s.rs, g, priority, s.order[:0])
 		return s.order
 	}
 	if !s.cache.lookup(s.inst, s.tab.Generation, ok) {
-		s.rs.Reset(g)
 		*buf = topoOrderByPriority(&s.rs, g, priority, (*buf)[:0])
 	}
 	return *buf

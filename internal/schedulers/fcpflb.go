@@ -54,6 +54,12 @@ func bestCandidate(b *schedule.Builder, t, idle int, ready []float64, enab []int
 // generation; this implementation scans instead, for O(|V| + ready
 // width) per step plus one O(in-degree · |V|) ready row per task.
 //
+// The task scan cannot become a priority queue without changing
+// schedules. It replaces its pick only when rank[x] > rank[t]+Eps, and
+// that tolerance is not a total order: with ranks [1, 1+Eps/2] the scan
+// keeps task 0 where a max-heap pops task 1. The pick depends on the
+// index-ordered walk, which no heap reproduces.
+//
 // FCP was designed for heterogeneous task graphs but homogeneous
 // processors and links; PISA pins both node speeds and link strengths to
 // 1 when analyzing it (Section VI).
