@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-race verify bench-smoke bench bench-pisa bench-pisa-full bench-scale bench-scale-full docs-lint coord-smoke serve-smoke chaos-smoke bench-serve fuzz-short cover
+.PHONY: all build vet test test-race verify bench-smoke bench bench-pisa bench-pisa-full bench-scale bench-scale-full docs-lint coord-smoke serve-smoke chaos-smoke bench-serve fuzz-short cover examples-smoke
 
 all: verify
 
@@ -44,8 +44,9 @@ test-race:
 # wfformat ingestion path survives a bounded fuzz run, the scale-tier
 # data plane keeps its throughput, memory, and bit-identity floors
 # (bench-scale), per-package coverage stays above the COVER_BASELINE
-# floors, and every package stays documented.
-verify: build vet test test-race docs-lint bench-smoke bench-pisa bench-scale coord-smoke serve-smoke chaos-smoke bench-serve fuzz-short cover
+# floors, every example program runs to a zero exit, and every package
+# stays documented.
+verify: build vet test test-race docs-lint examples-smoke bench-smoke bench-pisa bench-scale coord-smoke serve-smoke chaos-smoke bench-serve fuzz-short cover
 
 # coord-smoke is the process-level fault drill for the sweep
 # coordinator: it builds the saga binary, starts `saga coordinate` plus
@@ -123,6 +124,15 @@ cover:
 		END { for (p in floor) if (!(p in seen)) { printf "cover: no coverage line for %s\n", p; bad=1 }; exit bad }' \
 		COVER_BASELINE .cover.tmp; status=$$?; rm -f .cover.tmp; exit $$status
 
+# examples-smoke runs every program under examples/ and fails on the
+# first non-zero exit. `go build ./...` compiles them; this keeps them
+# working. About a second once the build cache is warm.
+examples-smoke:
+	@for d in examples/*/; do \
+		echo "examples-smoke: $$d"; \
+		$(GO) run ./$$d > /dev/null || exit 1; \
+	done
+
 # docs-lint fails if any internal/* package lacks a package comment
 # ("// Package <name> ..."). Every package must state its role and key
 # invariant at the top — see ARCHITECTURE.md for the layer map.
@@ -150,8 +160,8 @@ bench:
 
 # bench-pisa is the PISA inner-loop smoke gate: the bit-identity suites
 # (incremental annealer == copy-and-rebuild reference, incremental GA ==
-# clone-and-rebuild reference, parallel == sequential at every worker
-# count), the apply→undo round-trip property, the cache-invalidation
+# clone-and-rebuild reference, both searches == their reference at every
+# worker count), the apply→undo round-trip property, the cache-invalidation
 # properties behind rank memoization (every mutating Tables op bumps
 # Generation; stale cached ranks impossible), the 0 allocs/op gate for
 # the steady-state accept/reject cycle, the enforced ≥1.3x

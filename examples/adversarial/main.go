@@ -29,14 +29,19 @@ func main() {
 	// Imax=1000, 5 restarts from random chain instances.
 	opts := core.DefaultOptions()
 	opts.Seed = 7
-	opts.OnImprove = func(iter int, ratio float64) {
-		fmt.Printf("  improved at iteration %d: ratio %.3f\n", iter, ratio)
-	}
+	opts.RecordTrace = true
 
 	fmt.Println("searching for an instance where HEFT under-performs CPoP...")
 	res, err := experiments.SinglePISA(heft, cpop, opts)
 	if err != nil {
 		log.Fatal(err)
+	}
+	// The trace holds one point per candidate; show where each restart's
+	// incumbent best rose.
+	for i, p := range res.Trace {
+		if i > 0 && res.Trace[i-1].Restart == p.Restart && p.Best > res.Trace[i-1].Best {
+			fmt.Printf("  restart %d improved at iteration %d: ratio %.3f\n", p.Restart, p.Iteration, p.Best)
+		}
 	}
 	fmt.Printf("\nbest makespan ratio m(HEFT)/m(CPoP): %.3f (restarts: %v)\n\n",
 		res.BestRatio, res.RestartRatios)

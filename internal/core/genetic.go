@@ -42,15 +42,15 @@ type GAOptions struct {
 	// Options.Scratch in the annealer. Nil allocates a private one per
 	// run; the scratch never affects results.
 	Scratch *scheduler.Scratch
-	// Workers bounds how many offspring fitness evaluations run
-	// concurrently. 0 or 1 keeps the classic sequential loop (the right
-	// choice inside an already-parallel sweep); values above
-	// PopulationSize are clamped. Results are bit-identical for every
-	// value: all randomness — selection, crossover, the mutation
-	// decision and the mutation itself — stays on the calling goroutine
-	// in the sequential order, and only the deterministic fitness
-	// evaluations fan out (see runGAParallel). With Workers > 1,
-	// InitialInstance must be safe for concurrent calls.
+	// Workers bounds how many fitness evaluations run concurrently; it is
+	// clamped to [1, PopulationSize]. The calling goroutine is worker 0,
+	// so 0 or 1 spawns no goroutine (the right choice inside an
+	// already-parallel sweep). Results are bit-identical for every value:
+	// all randomness — selection, crossover, the mutation decision and
+	// the mutation itself — is drawn on the calling goroutine in one
+	// fixed order, and only the deterministic fitness evaluations fan out
+	// (see RunGA). With Workers > 1, InitialInstance must be safe for
+	// concurrent calls.
 	Workers int
 }
 
@@ -107,16 +107,20 @@ type individual struct {
 // The loop runs on the incremental machinery the annealer introduced:
 // two instance banks ping-pong between generations, so every offspring
 // is a CopyFrom into a recycled buffer (crossoverInto) instead of a
-// Clone; mutation is perturbInPlace against the per-worker
-// perturbState in scratch extension state, with the already-built cost
-// tables patched through the graph.Tables delta methods
-// (applyTables) rather than rebuilt; and each candidate's
-// target/baseline evaluation pair shares one rank computation through
-// the scratch's EvalCache. Results are bit-identical to the
-// clone-and-full-Prepare implementation it replaced, kept as the oracle
-// RunGAReference in genetic_reference_test.go;
-// genetic_incremental_test.go proves it across perturbation modes and
-// scheduler pairs.
+// Clone; mutation is perturbInPlace against the caller's perturbState
+// in scratch extension state; and each candidate's target/baseline
+// evaluation pair shares one rank computation through the scratch's
+// EvalCache. Results are bit-identical to the clone-and-full-Prepare
+// implementation it replaced, kept as the oracle RunGAReference in
+// genetic_reference_test.go; genetic_incremental_test.go proves it
+// across perturbation modes and scheduler pairs.
+//
+// Each generation runs in two phases at every Workers value: every RNG
+// draw — tournaments, crossover mixing, the mutation decision, the
+// mutation operator itself — happens on the calling goroutine in
+// offspring order; then fitness fans out (fanOut, the caller being
+// worker 0), each worker building its child's tables once. See
+// parallel.go for the ownership and determinism rules.
 func RunGA(target, baseline scheduler.Scheduler, opts GAOptions) (*Result, error) {
 	opts, err := opts.normalized()
 	if err != nil {
@@ -124,24 +128,37 @@ func RunGA(target, baseline scheduler.Scheduler, opts GAOptions) (*Result, error
 	}
 	p := opts.Perturb.withDefaults()
 	r := rng.New(opts.Seed)
-	if w := gaWorkers(opts); w > 1 {
-		return runGAParallel(target, baseline, opts, p, r, w)
+	n := opts.PopulationSize
+	workers := clampWorkers(opts.Workers, n)
+	scratches := workerScratches(opts.Scratch, workers)
+	evs := make([]*evaluator, workers)
+	for w, scr := range scratches {
+		evs[w] = newEvaluator(target, baseline, scr)
 	}
-	ev := newEvaluator(target, baseline, opts.Scratch)
-	ps := ev.scr.Ext(pisaExtKey, func() any { return new(perturbState) }).(*perturbState)
+	ps := scratches[0].Ext(pisaExtKey, func() any { return new(perturbState) }).(*perturbState)
 	ps.ops = append(ps.ops[:0], enabledOps(p)...)
 	res := &Result{}
+	ratios := make([]float64, n)
+	errs := make([]error, n)
 
-	pop := make([]individual, opts.PopulationSize)
-	for i := range pop {
-		inst := prepare(opts.InitialInstance(r.Split()), p)
-		ratio, err := ev.ratio(inst)
-		if err != nil {
-			return nil, err
-		}
-		res.Evaluations++
-		pop[i] = individual{inst: inst, ratio: ratio}
+	// Initial population: the per-individual sub-streams split here in
+	// population order; generation and evaluation fan out.
+	subs := make([]*rng.RNG, n)
+	for i := range subs {
+		subs[i] = r.Split()
 	}
+	pop := make([]individual, n)
+	fanOut(workers, 0, n, func(w, k int) {
+		pop[k].inst = prepare(opts.InitialInstance(subs[k]), p)
+		ratios[k], errs[k] = evs[w].ratio(pop[k].inst)
+	})
+	if err := firstErr(errs, 0, n); err != nil {
+		return nil, err
+	}
+	for i := range pop {
+		pop[i].ratio = ratios[i]
+	}
+	res.Evaluations += n
 
 	byFitness := func() { sortByFitness(pop) }
 	byFitness()
@@ -160,37 +177,36 @@ func RunGA(target, baseline scheduler.Scheduler, opts GAOptions) (*Result, error
 	// Two instance banks ping-pong across generations: the current
 	// population lives in one, elites and offspring are copied/built into
 	// the spare, and after the swap the outgoing generation's buffers
-	// become the next spare bank. Steady state clones nothing.
-	next := make([]individual, opts.PopulationSize)
-	spare := make([]*graph.Instance, opts.PopulationSize)
+	// become the next spare bank. Steady state clones nothing. The spare
+	// bank doubles as the per-offspring slots the workers read (disjoint
+	// indices, joined before the swap).
+	next := make([]individual, n)
+	spare := make([]*graph.Instance, n)
+	evalChild := func(w, k int) { ratios[k], errs[k] = evs[w].ratio(spare[k]) }
 
 	for gen := 0; gen < opts.Generations; gen++ {
-		n := 0
-		for ; n < opts.Elite; n++ {
-			spare[n] = copyInto(spare[n], pop[n].inst)
-			next[n] = individual{inst: spare[n], ratio: pop[n].ratio}
+		m := 0
+		for ; m < opts.Elite; m++ {
+			spare[m] = copyInto(spare[m], pop[m].inst)
+			next[m] = individual{inst: spare[m], ratio: pop[m].ratio}
 		}
-		for ; n < opts.PopulationSize; n++ {
+		// Phase 1: all randomness, in offspring order.
+		for ; m < n; m++ {
 			a, b := tournament(), tournament()
-			spare[n] = crossoverInto(spare[n], a, b, r)
-			child := spare[n]
-			mutate := r.Float64() < opts.MutationRate
-			// Crossover rewrites weights wholesale, so the child needs one
-			// full table build; the mutation on top is a single operator
-			// and rides the delta-patch path, leaving the tables current
-			// for ratioPrepared without a second build.
-			tab := ev.prepare(child)
-			if mutate {
-				perturbInPlace(child, r, p, ps)
-				applyTables(tab, ps)
+			spare[m] = crossoverInto(spare[m], a, b, r)
+			if r.Float64() < opts.MutationRate {
+				perturbInPlace(spare[m], r, p, ps)
 			}
-			ratio, err := ev.ratioPrepared(child)
-			if err != nil {
-				return nil, err
-			}
-			res.Evaluations++
-			next[n] = individual{inst: child, ratio: ratio}
 		}
+		// Phase 2: fitness, one table build per child.
+		fanOut(workers, opts.Elite, n, evalChild)
+		if err := firstErr(errs, opts.Elite, n); err != nil {
+			return nil, err
+		}
+		for k := opts.Elite; k < n; k++ {
+			next[k] = individual{inst: spare[k], ratio: ratios[k]}
+		}
+		res.Evaluations += n - opts.Elite
 		for i := range pop {
 			spare[i] = pop[i].inst
 		}
@@ -206,20 +222,8 @@ func RunGA(target, baseline scheduler.Scheduler, opts GAOptions) (*Result, error
 	return res, nil
 }
 
-// gaWorkers resolves GAOptions.Workers to an effective worker count:
-// 0 and 1 mean sequential, anything larger is clamped to the population
-// size (the widest fitness fan-out a generation offers).
-func gaWorkers(opts GAOptions) int {
-	w := opts.Workers
-	if w > opts.PopulationSize {
-		w = opts.PopulationSize
-	}
-	return w
-}
-
-// sortByFitness is the shared generation ordering: stable descending by
-// ratio, so equal-fitness individuals keep their construction order and
-// the sequential and parallel loops sort identically.
+// sortByFitness is the generation ordering: stable descending by ratio,
+// so equal-fitness individuals keep their construction order.
 func sortByFitness(pop []individual) {
 	sort.SliceStable(pop, func(a, b int) bool { return pop[a].ratio > pop[b].ratio })
 }

@@ -13,7 +13,7 @@ import (
 // TestRunGABitIdenticalToReference is the GA analogue of
 // TestRunBitIdenticalToReference: for a panel of scheduler pairs and
 // every perturbation mode, the incremental GA (recycled instance banks,
-// in-place crossover, delta-patched tables, memoized ranks) must
+// in-place crossover and mutation, memoized ranks) must
 // produce byte-identical Results — best-instance serialization, exact
 // ratios, evaluation counts — to the retained clone-and-full-Prepare
 // reference implementation running with rank memoization disabled.

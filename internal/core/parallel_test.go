@@ -10,39 +10,17 @@ import (
 	_ "saga/internal/schedulers"
 )
 
-// workerCounts is the satellite-mandated panel: sequential, two
-// workers, and NumCPU (plus an over-provisioned count to exercise the
-// clamp). Byte-identity must hold for every entry.
+// workerCounts is the width panel: 0 and −1 (both clamp to one worker),
+// one worker, two, NumCPU, and an over-provisioned count that exercises
+// the clamp to the work size. Byte-identity must hold for every entry.
 func workerCounts() []int {
-	return []int{1, 2, runtime.NumCPU(), 64}
+	return []int{-1, 0, 1, 2, runtime.NumCPU(), 64}
 }
 
-// improveLog captures the OnImprove call sequence for comparison: the
-// parallel path buffers per chain and replays in restart order, so the
-// observed sequence must equal the sequential one's exactly.
-type improveLog []improvePoint
-
-func (l *improveLog) hook() func(int, float64) {
-	return func(iter int, ratio float64) { *l = append(*l, improvePoint{iter, ratio}) }
-}
-
-func assertSameImproves(t *testing.T, got, want improveLog) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("OnImprove call count diverged: %d vs %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("OnImprove[%d] diverged: %+v vs %+v", i, got[i], want[i])
-		}
-	}
-}
-
-// TestRunParallelByteIdentical is the tentpole gate: for several
-// scheduler pairs, Run with every worker count produces byte-identical
-// Results — fingerprint, trace, restart ratios, evaluation counts, and
-// the OnImprove sequence — to sequential Run and to the cache-disabled
-// copy-and-rebuild reference.
+// TestRunParallelByteIdentical is the width gate: for several scheduler
+// pairs, Run at every worker count produces byte-identical Results —
+// fingerprint, trace, restart ratios, evaluation counts — to the
+// cache-disabled copy-and-rebuild reference.
 func TestRunParallelByteIdentical(t *testing.T) {
 	pairs := [][2]string{{"HEFT", "CPoP"}, {"MinMin", "MaxMin"}}
 	for _, pair := range pairs {
@@ -50,97 +28,86 @@ func TestRunParallelByteIdentical(t *testing.T) {
 			opts := testOptions(uint64(41 + len(pair[0])))
 			opts.Restarts = 4
 			opts.RecordTrace = true
-			var seqImp improveLog
-			opts.OnImprove = seqImp.hook()
-			seq, err := Run(mustSched(t, pair[0]), mustSched(t, pair[1]), opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			opts.OnImprove = nil
 			ref, err := RunReference(mustSched(t, pair[0]), mustSched(t, pair[1]), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertResultsIdentical(t, seq, ref)
 			for _, w := range workerCounts() {
 				opts.Workers = w
-				var parImp improveLog
-				opts.OnImprove = parImp.hook()
-				par, err := Run(mustSched(t, pair[0]), mustSched(t, pair[1]), opts)
+				got, err := Run(mustSched(t, pair[0]), mustSched(t, pair[1]), opts)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", w, err)
 				}
-				assertResultsIdentical(t, par, seq)
-				assertSameImproves(t, parImp, seqImp)
+				assertResultsIdentical(t, got, ref)
 			}
 		})
 	}
 }
 
-// TestRunParallelSharedScratchReuse re-runs the parallel path twice
+// TestRunParallelSharedScratchReuse re-runs a wide Run three times
 // through one caller scratch (the sweep-worker calling convention): the
-// pooled per-worker scratches are reused, and reuse must not perturb
-// results.
+// caller's scratch and the pooled per-worker scratches are reused, and
+// reuse must not perturb results.
 func TestRunParallelSharedScratchReuse(t *testing.T) {
 	opts := testOptions(97)
 	opts.Restarts = 3
 	opts.RecordTrace = true
-	seq, err := Run(mustSched(t, "HEFT"), mustSched(t, "CPoP"), opts)
+	ref, err := RunReference(mustSched(t, "HEFT"), mustSched(t, "CPoP"), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.Scratch = scheduler.NewScratch()
 	opts.Workers = 3
 	for i := 0; i < 3; i++ {
-		par, err := Run(mustSched(t, "HEFT"), mustSched(t, "CPoP"), opts)
+		got, err := Run(mustSched(t, "HEFT"), mustSched(t, "CPoP"), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertResultsIdentical(t, par, seq)
+		assertResultsIdentical(t, got, ref)
 	}
 }
 
 // TestRunParallelSingleProc pins determinism under GOMAXPROCS=1: with
 // only one OS thread the chains interleave cooperatively in whatever
 // order the runtime schedules them, and the canonical merge must still
-// reproduce the sequential result bit for bit.
+// reproduce the reference bit for bit.
 func TestRunParallelSingleProc(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	opts := testOptions(7)
 	opts.Restarts = 4
 	opts.RecordTrace = true
-	seq, err := Run(mustSched(t, "HEFT"), mustSched(t, "CPoP"), opts)
+	ref, err := RunReference(mustSched(t, "HEFT"), mustSched(t, "CPoP"), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.Workers = 4
-	par, err := Run(mustSched(t, "HEFT"), mustSched(t, "CPoP"), opts)
+	got, err := Run(mustSched(t, "HEFT"), mustSched(t, "CPoP"), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertResultsIdentical(t, par, seq)
+	assertResultsIdentical(t, got, ref)
 }
 
 // TestRunParallelTieBreaksToLowestRestart forces every chain to the
 // same best ratio — an identical scheduler as its own baseline pins
 // every candidate to ratio 1 — so the merged winner is decided purely
-// by the tie rule. The sequential fold's strict improvement keeps
-// restart 0's instance; the parallel merge must return the identical
-// fingerprint for every worker count (a last-wins or racy merge would
-// surface some other restart's initial instance).
+// by the tie rule. Strict improvement in restart order keeps restart
+// 0's instance; the merge must return that fingerprint for every worker
+// count (a last-wins or racy merge would surface some other restart's
+// initial instance).
 func TestRunParallelTieBreaksToLowestRestart(t *testing.T) {
 	opts := testOptions(13)
 	opts.Restarts = 4
-	seq, err := Run(mustSched(t, "HEFT"), mustSched(t, "HEFT"), opts)
+	ref, err := RunReference(mustSched(t, "HEFT"), mustSched(t, "HEFT"), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seq.BestRatio != 1 {
-		t.Fatalf("self-pair best ratio = %v, want exactly 1", seq.BestRatio)
+	if ref.BestRatio != 1 {
+		t.Fatalf("self-pair best ratio = %v, want exactly 1", ref.BestRatio)
 	}
-	for _, ratio := range seq.RestartRatios {
+	for _, ratio := range ref.RestartRatios {
 		if ratio != 1 {
-			t.Fatalf("restart ratios %v not all tied at 1", seq.RestartRatios)
+			t.Fatalf("restart ratios %v not all tied at 1", ref.RestartRatios)
 		}
 	}
 	// The tie must be decided in favor of restart 0: its chain's best is
@@ -151,43 +118,37 @@ func TestRunParallelTieBreaksToLowestRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(fingerprint(t, seq.Best), fingerprint(t, r0.Best)) {
-		t.Fatal("sequential tie-break did not keep restart 0's instance")
+	if !bytes.Equal(fingerprint(t, ref.Best), fingerprint(t, r0.Best)) {
+		t.Fatal("reference tie-break did not keep restart 0's instance")
 	}
 	for _, w := range workerCounts() {
 		opts.Workers = w
-		par, err := Run(mustSched(t, "HEFT"), mustSched(t, "HEFT"), opts)
+		got, err := Run(mustSched(t, "HEFT"), mustSched(t, "HEFT"), opts)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
-		assertResultsIdentical(t, par, seq)
+		assertResultsIdentical(t, got, ref)
 	}
 }
 
-// TestRunGAParallelByteIdentical is the GA half of the tentpole gate:
-// RunGA with every worker count must match sequential RunGA and the
-// clone-and-full-Prepare reference bit for bit. This is also the proof
-// that the parallel path's full table rebuild equals the sequential
-// build-then-delta-patch (the graph.Tables incremental contract applied
-// in reverse).
+// TestRunGAParallelByteIdentical is the GA half of the width gate: RunGA
+// at every worker count must match the clone-and-full-Prepare reference
+// bit for bit. It is also the proof that building each child's tables
+// once after mutation equals the reference's full rebuild per
+// evaluation.
 func TestRunGAParallelByteIdentical(t *testing.T) {
 	opts := gaTestOptions(59)
-	seq, err := RunGA(mustSched(t, "HEFT"), mustSched(t, "CPoP"), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ref, err := RunGAReference(mustSched(t, "HEFT"), mustSched(t, "CPoP"), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertResultsIdentical(t, seq, ref)
 	for _, w := range workerCounts() {
 		opts.Workers = w
-		par, err := RunGA(mustSched(t, "HEFT"), mustSched(t, "CPoP"), opts)
+		got, err := RunGA(mustSched(t, "HEFT"), mustSched(t, "CPoP"), opts)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
-		assertResultsIdentical(t, par, seq)
+		assertResultsIdentical(t, got, ref)
 	}
 }
 
@@ -196,41 +157,41 @@ func TestRunGAParallelByteIdentical(t *testing.T) {
 func TestRunGAParallelSingleProc(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	opts := gaTestOptions(61)
-	seq, err := RunGA(mustSched(t, "ETF"), mustSched(t, "HEFT"), opts)
+	ref, err := RunGAReference(mustSched(t, "ETF"), mustSched(t, "HEFT"), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.Workers = runtime.NumCPU() + 2
-	par, err := RunGA(mustSched(t, "ETF"), mustSched(t, "HEFT"), opts)
+	got, err := RunGA(mustSched(t, "ETF"), mustSched(t, "HEFT"), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertResultsIdentical(t, par, seq)
+	assertResultsIdentical(t, got, ref)
 }
 
 // TestRunGAParallelSharedScratchReuse mirrors the annealer's pooled
-// scratch reuse test for the GA path.
+// scratch reuse test for the GA.
 func TestRunGAParallelSharedScratchReuse(t *testing.T) {
 	opts := gaTestOptions(67)
-	seq, err := RunGA(mustSched(t, "GDL"), mustSched(t, "BIL"), opts)
+	ref, err := RunGAReference(mustSched(t, "GDL"), mustSched(t, "BIL"), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.Scratch = scheduler.NewScratch()
 	opts.Workers = 4
 	for i := 0; i < 3; i++ {
-		par, err := RunGA(mustSched(t, "GDL"), mustSched(t, "BIL"), opts)
+		got, err := RunGA(mustSched(t, "GDL"), mustSched(t, "BIL"), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertResultsIdentical(t, par, seq)
+		assertResultsIdentical(t, got, ref)
 	}
 }
 
 // TestRunParallelModesAndPairs sweeps the full perturbation-mode ×
-// scheduler-pair panel of the incremental suite through the parallel
-// path at one representative worker count, anchoring parallel ==
-// reference across every operator family.
+// scheduler-pair panel of the incremental suite at two workers,
+// anchoring the wide path to the reference across every operator
+// family.
 func TestRunParallelModesAndPairs(t *testing.T) {
 	pairs := [][2]string{{"ETF", "HEFT"}, {"GDL", "BIL"}, {"HEFT", "FastestNode"}}
 	for mode, p := range incrementalModes() {
@@ -245,11 +206,11 @@ func TestRunParallelModesAndPairs(t *testing.T) {
 					t.Fatal(err)
 				}
 				opts.Workers = 2
-				par, err := Run(mustSched(t, pair[0]), mustSched(t, pair[1]), opts)
+				got, err := Run(mustSched(t, pair[0]), mustSched(t, pair[1]), opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				assertResultsIdentical(t, par, ref)
+				assertResultsIdentical(t, got, ref)
 			})
 		}
 	}

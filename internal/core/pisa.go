@@ -57,26 +57,20 @@ type Options struct {
 	// Perturb configures the perturbation operators. Zero value =
 	// Section VI defaults via DefaultPerturb.
 	Perturb PerturbOptions
-	// OnImprove, if non-nil, is called whenever the best ratio improves
-	// (useful for tracing).
-	OnImprove func(iteration int, ratio float64)
 	// RecordTrace, when set, captures one TracePoint per candidate
 	// evaluation into Result.Trace — the data behind annealing-curve
 	// plots and convergence analysis.
 	RecordTrace bool
-	// Workers bounds how many restart chains anneal concurrently. 0 or 1
-	// runs the classic sequential loop — the right choice inside an
+	// Workers bounds how many restart chains anneal concurrently; it is
+	// clamped to [1, Restarts]. The calling goroutine is worker 0, so 0
+	// or 1 spawns no goroutine — the right choice inside an
 	// already-parallel sweep (runner.Map gives each cell one goroutine;
-	// nesting more would oversubscribe). Values above Restarts are
-	// clamped. Results are bit-identical for every value: each chain
-	// consumes the per-restart RNG stream the sequential loop's k-th
-	// root.Split() would yield, owns private scheduling state, and the
-	// chains merge canonically in restart order (argmax ratio, ties to
-	// the lowest restart index — exactly the sequential fold). With
-	// Workers > 1, InitialInstance must be safe for concurrent calls
-	// (the stock dataset generators are pure); OnImprove is never called
-	// concurrently — improvements are buffered per chain and replayed in
-	// restart order on the calling goroutine.
+	// nesting more would oversubscribe). Results are bit-identical for
+	// every value: chain k consumes the root stream's k-th Split, owns
+	// private scheduling state, and the chains merge canonically in
+	// restart order (argmax ratio, ties to the lowest restart index).
+	// With Workers > 1, InitialInstance must be safe for concurrent calls
+	// (the stock dataset generators are pure).
 	Workers int
 	// Scratch, when non-nil, is the reusable per-worker scheduling state
 	// (builder, precomputed tables, rank buffers) threaded through every
@@ -193,12 +187,12 @@ func (r *Result) TraceCSV() string {
 // in the worker's Scratch, never in shared or global storage.
 const pisaExtKey = "core.pisa"
 
-// maxTracePrealloc caps the up-front Result.Trace capacity at 2^20
-// trace points (~56 MB of TracePoints). Preallocating Restarts×MaxIters
-// keeps the hot loop's appends growth-free for every sane budget, but
-// the product is caller-controlled: absurd flag values must not turn
-// into a multi-gigabyte allocation (or an int overflow) before the
-// first iteration runs. Beyond the cap, append grows the slice the
+// maxTracePrealloc caps the up-front capacity of a chain's trace and of
+// Result.Trace at 2^20 trace points (48 MiB of TracePoints).
+// Preallocating keeps the hot loop's appends growth-free for every sane
+// budget, but the budget is caller-controlled: absurd flag values must
+// not turn into a multi-gigabyte allocation (or an int overflow) before
+// the first iteration runs. Beyond the cap, append grows the slice the
 // ordinary way — correct, just not allocation-free.
 const maxTracePrealloc = 1 << 20
 
@@ -209,6 +203,20 @@ func tracePrealloc(restarts, maxIters int) int {
 		return maxTracePrealloc
 	}
 	return restarts * maxIters
+}
+
+// chainTracePrealloc is one chain's up-front Trace capacity: the points
+// it records, capped at maxTracePrealloc. A chain stops at MaxIters or
+// once cooling reaches TMin, whichever comes first, so this replays
+// runChain's temperature schedule instead of trusting a MaxIters the
+// schedule may never reach. Valid options make it at least 1.
+func chainTracePrealloc(opts Options) int {
+	limit := min(opts.MaxIters, maxTracePrealloc)
+	n := 0
+	for temp := opts.TMax; temp > opts.TMin && n < limit; temp *= opts.Alpha {
+		n++
+	}
+	return n
 }
 
 // checkOptions validates an annealing configuration; Run and the
@@ -269,83 +277,121 @@ func checkPerturb(p PerturbOptions) error {
 // incremental_test.go proves it across perturbation modes and scheduler
 // pairs. Once warm, the steady-state accept/reject
 // cycle performs zero heap allocations.
+//
+// Restart chains run through fanOut on Options.Workers workers, the
+// caller being worker 0; see parallel.go for the ownership and
+// determinism rules that make every width bit-identical.
 func Run(target, baseline scheduler.Scheduler, opts Options) (*Result, error) {
 	if err := checkOptions(opts); err != nil {
 		return nil, err
 	}
 	p := opts.Perturb.withDefaults()
+	workers := clampWorkers(opts.Workers, opts.Restarts)
+	// Split every restart's stream off the root in restart order on this
+	// goroutine: chain k consumes the k-th sub-stream whichever worker
+	// runs it, and whenever.
 	root := rng.New(opts.Seed)
-	if w := chainWorkers(opts); w > 1 {
-		return runParallel(target, baseline, opts, p, root, w)
+	streams := make([]*rng.RNG, opts.Restarts)
+	for k := range streams {
+		streams[k] = root.Split()
 	}
-	cs := newChainState(newEvaluator(target, baseline, opts.Scratch), p)
+	chains := make([]*chainState, workers)
+	for w, scr := range workerScratches(opts.Scratch, workers) {
+		chains[w] = newChainState(newEvaluator(target, baseline, scr), p)
+	}
+	var traceCap int
+	if opts.RecordTrace {
+		traceCap = chainTracePrealloc(opts)
+	}
 
+	outcomes := make([]chainOutcome, opts.Restarts)
+	fanOut(workers, 0, opts.Restarts, func(w, k int) {
+		cs, out := chains[w], &outcomes[k]
+		if opts.RecordTrace {
+			// The chain's full capacity up front: its appends never
+			// trigger growth (each would copy the whole trace so far).
+			out.trace = make([]TracePoint, 0, traceCap)
+		}
+		out.ratio, out.evals, out.trace, out.err = cs.runChain(opts, p, k, streams[k], out.trace)
+		// A worker sees its chains in increasing k, so folding with strict
+		// improvement leaves it the lowest-indexed maximum it ran. The
+		// best buffer is swapped, not copied.
+		if out.err == nil && out.ratio > cs.winRatio {
+			cs.winRatio, cs.winRestart = out.ratio, k
+			cs.win, cs.best = cs.best, cs.win
+		}
+	})
+
+	// Canonical merge on the calling goroutine: fold outcomes in restart
+	// order, surfacing the lowest-indexed chain error, then pick the
+	// workers' winner with ties to the lowest restart.
 	res := &Result{
 		BestRatio:     math.Inf(-1),
 		RestartRatios: make([]float64, 0, opts.Restarts),
 	}
 	if opts.RecordTrace {
-		// The full capacity up front (capped — see maxTracePrealloc): for
-		// every sane budget the hot loop's appends never trigger growth
-		// (each would copy the whole trace so far).
-		res.Trace = make([]TracePoint, 0, tracePrealloc(opts.Restarts, opts.MaxIters))
+		res.Trace = make([]TracePoint, 0, tracePrealloc(opts.Restarts, traceCap))
 	}
-	for restart := 0; restart < opts.Restarts; restart++ {
-		bestRatio, evals, trace, err := cs.runChain(opts, p, restart, root.Split(), res.Trace, opts.OnImprove)
-		res.Evaluations += evals
-		if err != nil {
-			return nil, err
+	for k := range outcomes {
+		out := &outcomes[k]
+		res.Evaluations += out.evals
+		if out.err != nil {
+			return nil, out.err
 		}
-		res.Trace = trace
-		res.RestartRatios = append(res.RestartRatios, bestRatio)
-		if bestRatio > res.BestRatio {
-			res.Best, res.BestRatio = cs.best.Clone(), bestRatio
+		res.Trace = append(res.Trace, out.trace...)
+		res.RestartRatios = append(res.RestartRatios, out.ratio)
+	}
+	var win *chainState
+	for _, cs := range chains {
+		if cs.winRestart >= 0 && (win == nil || cs.winRatio > win.winRatio ||
+			cs.winRatio == win.winRatio && cs.winRestart < win.winRestart) {
+			win = cs
 		}
 	}
-	_ = res.Best.Validate() // best-effort sanity; instances stay valid by construction
+	if win != nil {
+		res.Best, res.BestRatio = win.win.Clone(), win.winRatio
+	}
 	return res, nil
 }
 
-// chainWorkers resolves Options.Workers to an effective chain count:
-// 0 and 1 mean sequential, anything larger is clamped to Restarts
-// (chains beyond the restart budget would sit idle).
-func chainWorkers(opts Options) int {
-	w := opts.Workers
-	if w > opts.Restarts {
-		w = opts.Restarts
-	}
-	return w
+// chainOutcome is one restart's result slot, written only by the worker
+// that ran the chain and read only after the join.
+type chainOutcome struct {
+	ratio float64
+	evals int
+	trace []TracePoint
+	err   error
 }
 
 // chainState is the per-worker annealing machinery one goroutine owns:
 // the evaluator (scratch, tables, schedule buffers), the perturbation
-// undo state parked in that scratch, and the incumbent-best buffer every
-// chain it runs reuses. One chainState serves the whole sequential Run;
-// the parallel path builds one per worker.
+// undo state parked in that scratch, the incumbent-best buffer every
+// chain it runs reuses, and the best chain it has run so far (win, at
+// winRatio from restart winRestart; −1 before any).
 type chainState struct {
 	ev   *evaluator
 	ps   *perturbState
 	best *graph.Instance
+
+	win        *graph.Instance
+	winRatio   float64
+	winRestart int
 }
 
 func newChainState(ev *evaluator, p PerturbOptions) *chainState {
 	ps := ev.scr.Ext(pisaExtKey, func() any { return new(perturbState) }).(*perturbState)
 	ps.ops = append(ps.ops[:0], enabledOps(p)...)
-	return &chainState{ev: ev, ps: ps}
+	return &chainState{ev: ev, ps: ps, winRatio: math.Inf(-1), winRestart: -1}
 }
 
 // runChain anneals one restart — the body of Algorithm 1 for a single
 // chain: generate the initial instance from the chain's own sub-stream,
 // then the in-place perturb/patch/evaluate/accept-or-revert loop. The
 // chain's best lands in cs.best; the returned trace is the input slice
-// with this chain's points appended (the sequential loop threads one
-// shared slice through every restart, parallel chains pass private
-// ones). onImprove, when non-nil, sees every incumbent improvement
-// exactly as the sequential loop reports it. The returned count covers
-// successful evaluations only (a failed candidate is not counted),
-// matching the sequential loop's bookkeeping.
+// with this chain's points appended. The returned count covers
+// successful evaluations only (a failed candidate is not counted).
 func (cs *chainState) runChain(opts Options, p PerturbOptions, restart int, r *rng.RNG,
-	trace []TracePoint, onImprove func(iteration int, ratio float64)) (float64, int, []TracePoint, error) {
+	trace []TracePoint) (float64, int, []TracePoint, error) {
 	ev, ps := cs.ev, cs.ps
 	cur := prepare(opts.InitialInstance(r), p)
 	tab := ev.prepare(cur)
@@ -380,9 +426,6 @@ func (cs *chainState) runChain(opts Options, p PerturbOptions, restart int, r *r
 			cs.best.CopyFrom(cur)
 			bestRatio = candRatio
 			accepted = true
-			if onImprove != nil {
-				onImprove(iter, bestRatio)
-			}
 		} else if r.Float64() < math.Exp(-(candRatio/bestRatio)/temp) {
 			// Algorithm 1 line 9: accept a non-improving candidate
 			// with probability exp(−(M'/M_best)/T).

@@ -243,7 +243,7 @@ func BenchmarkPISARun(b *testing.B) {
 		// parallel is Run with Workers=NumCPU — bit-identical results
 		// (parallel_test.go), so its ns/op against the incremental variant
 		// is the pure intra-cell scaling. On a single-core host it measures
-		// the parallel path's overhead instead.
+		// the fan-out's overhead instead.
 		{"parallel", func(target, baseline scheduler.Scheduler, opts Options) (*Result, error) {
 			opts.Workers = runtime.NumCPU()
 			return Run(target, baseline, opts)
@@ -269,8 +269,8 @@ func BenchmarkPISARun(b *testing.B) {
 
 // BenchmarkGAAdversarial measures the genetic adversarial finder at a
 // budget comparable to one annealing restart — the incremental loop
-// (recycled instance banks, in-place crossover, delta-patched tables,
-// memoized ranks) against the clone-and-full-Prepare reference
+// (recycled instance banks, in-place crossover and mutation, memoized
+// ranks) against the clone-and-full-Prepare reference
 // (RunGAReference). The two produce byte-identical Results
 // (genetic_incremental_test.go), so the ns/op ratio is the pure cost of
 // the machinery the rewrite removed.

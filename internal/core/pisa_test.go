@@ -138,25 +138,6 @@ func TestRunStructureFixedKeepsTopology(t *testing.T) {
 	}
 }
 
-func TestRunOnImproveMonotonic(t *testing.T) {
-	opts := testOptions(15)
-	last, lastIter := 0.0, -1
-	opts.OnImprove = func(iter int, ratio float64) {
-		if iter <= lastIter {
-			// New restart: the incumbent best resets.
-			last = 0
-		}
-		lastIter = iter
-		if ratio < last {
-			t.Fatalf("OnImprove ratio decreased within a restart: %v after %v", ratio, last)
-		}
-		last = ratio
-	}
-	if _, err := Run(mustSched(t, "MCT"), mustSched(t, "HEFT"), opts); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRunRejectsBadOptions(t *testing.T) {
 	good := testOptions(1)
 	nan := math.NaN()
@@ -210,6 +191,31 @@ func TestTracePreallocCapped(t *testing.T) {
 	for _, c := range cases {
 		if got := tracePrealloc(c.restarts, c.maxIters); got != c.want {
 			t.Errorf("tracePrealloc(%d, %d) = %d, want %d", c.restarts, c.maxIters, got, c.want)
+		}
+	}
+}
+
+// TestRunTraceHugeMaxIters is the regression test for a tracing crash at
+// Workers > 1: each chain's trace was preallocated at MaxIters points,
+// so a budget of 2^40 iterations died out of memory before the first
+// one. Cooling ends every chain long before MaxIters; at every width the
+// run must record one point per candidate into a trace sized exactly.
+func TestRunTraceHugeMaxIters(t *testing.T) {
+	for _, w := range []int{1, 2} {
+		opts := testOptions(29)
+		opts.MaxIters = 1 << 40
+		opts.RecordTrace = true
+		opts.Workers = w
+		res, err := Run(mustSched(t, "HEFT"), mustSched(t, "CPoP"), opts)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", w, err)
+		}
+		if len(res.Trace) != res.Evaluations-opts.Restarts {
+			t.Fatalf("workers=%d: trace length %d, evaluations %d, restarts %d",
+				w, len(res.Trace), res.Evaluations, opts.Restarts)
+		}
+		if cap(res.Trace) != len(res.Trace) {
+			t.Fatalf("workers=%d: trace capacity %d for %d points", w, cap(res.Trace), len(res.Trace))
 		}
 	}
 }

@@ -78,9 +78,6 @@ func RunReference(target, baseline scheduler.Scheduler, opts Options) (*Result, 
 				cur, cand = cand, cur
 				curRatio = candRatio
 				accepted = true
-				if opts.OnImprove != nil {
-					opts.OnImprove(iter, bestRatio)
-				}
 			} else {
 				// Algorithm 1 line 9: accept a non-improving candidate
 				// with probability exp(−(M'/M_best)/T).
