@@ -13,8 +13,12 @@ all: verify
 build:
 	$(GO) build ./...
 
+# vet also covers the nested benchmark module (bench/go.mod): `go build
+# ./...` never compiles it, so an exported-API change that breaks
+# bench/ fails here instead of at benchmark time.
 vet:
 	$(GO) vet ./...
+	$(GO) vet -C bench ./...
 
 test:
 	$(GO) test ./...

@@ -514,11 +514,13 @@ func workerCmd(args []string) error {
 			nm = fmt.Sprintf("%s-%d", host, os.Getpid())
 		}
 		wo := coord.WorkerOptions{
-			Name:     nm,
-			Workers:  f.Workers,
-			Persist:  *persist,
-			Client:   httpx.NewBearerClient(nil, f.Token),
-			Progress: f.Options("worker " + nm).Progress,
+			Name:    nm,
+			Workers: f.Workers,
+			Persist: *persist,
+			Client:  httpx.NewBearerClient(nil, f.Token),
+		}
+		if f.Progress {
+			wo.Progress = os.Stderr
 		}
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 		defer stop()

@@ -8,11 +8,13 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"saga/internal/cli"
 	"saga/internal/datasets"
+	"saga/internal/experiments"
 	"saga/internal/httpx"
 	"saga/internal/scheduler"
 	"saga/internal/serialize"
@@ -97,5 +99,53 @@ func TestPortfolioRefusesUnboundedEnumeration(t *testing.T) {
 	}
 	if local == nil || local.Error() != se.Body {
 		t.Fatalf("local run: %v, daemon: %q", local, se.Body)
+	}
+}
+
+// TestPairwiseShardsMerge runs the pairwise sweep the way `saga worker`
+// and `saga merge` advertise it: two -schedulers shards, then the merge,
+// whose store must hold exactly the cells of a one-shard run.
+func TestPairwiseShardsMerge(t *testing.T) {
+	dir := t.TempDir()
+	sweep := []string{"-driver", "pairwise", "-schedulers", "HEFT,CPoP,MinMin", "-iters", "5", "-restarts", "1"}
+	shard := func(spec, path string) {
+		t.Helper()
+		if err := workerCmd(append([]string{"-shard", spec, "-checkpoint", path}, sweep...)); err != nil {
+			t.Fatalf("worker -shard %s: %v", spec, err)
+		}
+	}
+	shards := []string{filepath.Join(dir, "p-0.ckpt"), filepath.Join(dir, "p-1.ckpt")}
+	shard("0/2", shards[0])
+	shard("1/2", shards[1])
+	merged := filepath.Join(dir, "p.ckpt")
+	if err := cli.Merge(append(append(sweep, "-out", merged), shards...)); err != nil {
+		t.Fatal(err)
+	}
+	whole := filepath.Join(dir, "whole.ckpt")
+	shard("0/1", whole)
+
+	sw, err := experiments.NewSweep("pairwise", experiments.SweepParams{
+		Schedulers: []string{"HEFT", "CPoP", "MinMin"}, Iters: 5, Restarts: 1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	load := func(path string) map[int]string {
+		t.Helper()
+		ck := serialize.NewCheckpoint(path)
+		ck.SetFingerprint(sw.Fingerprint)
+		cells, err := ck.Load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[int]string{}
+		for k, raw := range cells {
+			out[k] = string(raw)
+		}
+		return out
+	}
+	got, want := load(merged), load(whole)
+	if len(want) != sw.Cells || !reflect.DeepEqual(got, want) {
+		t.Fatalf("merged store holds %d cells, the one-shard store %d of %d; equal: %v",
+			len(got), len(want), sw.Cells, reflect.DeepEqual(got, want))
 	}
 }

@@ -41,7 +41,7 @@ type Flags struct {
 
 // SweepFlags names the flags that make up a sweep's identity, as `saga
 // worker`, `saga coordinate` and `saga merge` take them.
-var SweepFlags = []string{"n", "seed", "iters", "restarts", "workflow", "ccr", "scheduler", "sigma", "in", "chain-workers"}
+var SweepFlags = []string{"n", "seed", "iters", "restarts", "workflow", "ccr", "scheduler", "sigma", "in", "chain-workers", "schedulers"}
 
 // Defaults returns the flag defaults every command starts from. A
 // command that needs another default (robustness draws 100 jitter

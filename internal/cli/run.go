@@ -34,6 +34,7 @@ func Run[T any](f *Flags, name string, p experiments.SweepParams) (T, error) {
 	if err != nil {
 		return zero, err
 	}
+	label := sw.Name
 	var shard runner.ShardSpec
 	if f.Shard != "" {
 		if f.Checkpoint == "" {
@@ -42,13 +43,12 @@ func Run[T any](f *Flags, name string, p experiments.SweepParams) (T, error) {
 		if shard, err = runner.ParseShard(f.Shard); err != nil {
 			return zero, err
 		}
-	}
-	label := sw.Name
-	if shard.Enabled() {
 		label += " " + shard.String()
 	}
 	ro := f.Options(label)
-	ro.Shard = shard
+	if shard.Enabled() {
+		ro.Include = shard.Owns
+	}
 	var ckpt *serialize.Checkpoint
 	if f.Checkpoint != "" {
 		ckpt = serialize.NewCheckpoint(f.Checkpoint)

@@ -45,13 +45,12 @@ import (
 // MemStore backs the sweeps a daemon dispatches, whose results never
 // touch disk. Whatever the backing, StoreDedup
 // carries the protocol's core guarantee: identical duplicates are
-// no-ops, disagreeing ones are refused; and Load after Flush returns
-// every cell committed so far.
+// no-ops, disagreeing ones are refused; a committed cell is durable
+// when StoreDedup returns, and Load returns every cell committed so far.
 type Store interface {
 	SetFingerprint(fp string)
 	Load() (map[int]json.RawMessage, error)
 	StoreDedup(index int, cell json.RawMessage) (stored bool, err error)
-	Flush() error
 }
 
 // ErrAborted is the Wait result of a sweep torn down by Abort — its
@@ -163,9 +162,9 @@ type HeartbeatResponse struct {
 }
 
 // CompleteRequest delivers a lease's results: the computed cells and
-// the per-cell failures. Cells outside the lease are accepted too (the
-// appspecific driver computes its benchmark window on every worker and
-// delivers it with the first lease).
+// the per-cell failures. The ledger commits every named cell of the
+// sweep, whether or not the lease still holds it (a reclaimed lease
+// finishing late).
 type CompleteRequest struct {
 	Worker string                  `json:"worker"`
 	Lease  string                  `json:"lease"`
@@ -353,9 +352,9 @@ func (c *Coordinator) logf(format string, args ...any) {
 }
 
 // Wait blocks until the sweep finishes — every cell committed or
-// poisoned — or cancel is closed. It flushes the store and returns nil
-// on a clean sweep, a *PoisonedError when cells were poisoned (the
-// store still holds every committed cell), or the fatal store error.
+// poisoned — or cancel is closed. It returns nil on a clean sweep, a
+// *PoisonedError when cells were poisoned (the store still holds every
+// committed cell), or the fatal store error.
 func (c *Coordinator) Wait(cancel <-chan struct{}) error {
 	select {
 	case <-c.done:
@@ -366,9 +365,6 @@ func (c *Coordinator) Wait(cancel <-chan struct{}) error {
 	defer c.mu.Unlock()
 	if c.fatal != nil {
 		return c.fatal
-	}
-	if err := c.store.Flush(); err != nil {
-		return fmt.Errorf("coord: flush: %w", err)
 	}
 	if c.poisoned == 0 {
 		return nil

@@ -175,6 +175,24 @@ func TestFaultInjectedRobustnessBitIdentity(t *testing.T) {
 	}
 }
 
+// TestFaultInjectedAppSpecificBitIdentity covers the one sweep with an
+// unstored phase: every lease recomputes the benchmarking phase in
+// process before its PISA cells, and the hub's store, which holds the
+// PISA cells alone, still seals byte-identical to the reference.
+func TestFaultInjectedAppSpecificBitIdentity(t *testing.T) {
+	params := experiments.SweepParams{N: 4, Iters: 2, Restarts: 1, Seed: 3, Workflow: "blast", CCR: 1}
+	dir := t.TempDir()
+	ref := sequentialReference(t, dir, "appspecific", params)
+	for i, sc := range faultScenarios() {
+		t.Run(sc.label, func(t *testing.T) {
+			got := faultedRun(t, filepath.Join(dir, fmt.Sprintf("run-%d.ckpt", i)), "appspecific", params, sc.opts, sc.plans)
+			if !bytes.Equal(ref, got) {
+				t.Fatalf("store diverged from the sequential reference (%d vs %d bytes)", len(got), len(ref))
+			}
+		})
+	}
+}
+
 // TestCoordinatorCrashResumeBitIdentity crashes the coordinator
 // mid-sweep — modeled exactly: a second coordinator starts on a store
 // holding roughly half the cells, the state a killed coordinator's

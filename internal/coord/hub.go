@@ -401,7 +401,3 @@ func (m *MemStore) StoreDedup(index int, cell json.RawMessage) (bool, error) {
 	m.cells[index] = append(json.RawMessage(nil), cell...)
 	return true, nil
 }
-
-// Flush implements Store (memory is always "durable enough" — the hub's
-// recovery story is re-registration + recompute, not disk).
-func (m *MemStore) Flush() error { return nil }

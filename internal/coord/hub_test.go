@@ -41,11 +41,7 @@ func referenceCells(t *testing.T, name string, params experiments.SweepParams) m
 	if err := sw.Run(runner.Options{Workers: 1, Checkpoint: collector}); err != nil {
 		t.Fatal(err)
 	}
-	cells, err := collector.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cells
+	return collector.cells
 }
 
 func assertSameCells(t *testing.T, want, got map[int]json.RawMessage) {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/url"
 	"strings"
@@ -54,10 +55,11 @@ type WorkerOptions struct {
 	// waited out instead of returned as ErrCoordinatorGone. This is the
 	// fleet mode behind `saga worker -coordinator <hub> -persist`.
 	Persist bool
-	// Progress, when non-nil, receives the worker's cumulative progress
-	// pinned to the sweep-wide cell total (runner.LeaseProgress
-	// semantics): reassigned or re-leased cells never double-count.
-	Progress func(done, total int)
+	// Progress, when non-nil, receives one runner.ProgressPrinter report
+	// per sweep the worker joins, labelled "worker <Name>": the worker's
+	// cumulative count pinned to the sweep-wide cell total
+	// (runner.LeaseProgress semantics).
+	Progress io.Writer
 	// OnCellStored, when non-nil, runs after each cell lands in the
 	// worker's local collector. An error simulates sudden worker death:
 	// RunWorker returns immediately without delivering the lease — the
@@ -81,11 +83,10 @@ type WorkerOptions struct {
 //
 // Each lease runs the sweep restricted to the leased cells
 // (runner.Options.Include), with a heartbeat goroutine renewing the
-// lease. Computed cells accumulate in an in-memory collector that
-// persists across the sweep's leases, so multi-phase drivers
-// (appspecific) compute their unleased benchmark window once per worker
-// and reload it from then on. Per-cell failures are reported, not
-// fatal: the ledger retries them elsewhere or poisons them.
+// lease, and delivers exactly the cells it computed: the in-memory
+// collector starts empty on every lease. Per-cell failures are
+// reported, not fatal: the ledger retries them elsewhere or poisons
+// them.
 // Run-level failures are reported as failures of every unfinished
 // leased cell, so a deterministic driver error poisons its cells
 // instead of livelocking the sweep.
@@ -178,10 +179,9 @@ func runSweep(ctx context.Context, baseURL, workerQ string, info SweepInfo, opts
 		heartbeatEvery = time.Second
 	}
 
-	collector := &collectStore{hook: opts.OnCellStored}
 	var lp *runner.LeaseProgress
 	if opts.Progress != nil {
-		lp = runner.NewLeaseProgress(sw.Cells, opts.Progress)
+		lp = runner.NewLeaseProgress(sw.Cells, runner.ProgressPrinter(opts.Progress, "worker "+opts.Name))
 	}
 
 	for {
@@ -252,6 +252,7 @@ func runSweep(ctx context.Context, baseURL, workerQ string, info SweepInfo, opts
 			}
 		}()
 
+		collector := &collectStore{hook: opts.OnCellStored}
 		ro := runner.Options{
 			Workers:    opts.Workers,
 			Checkpoint: collector,
@@ -271,7 +272,7 @@ func runSweep(ctx context.Context, baseURL, workerQ string, info SweepInfo, opts
 		hbWG.Wait()
 		cancelLease()
 
-		fresh := collector.drain()
+		fresh := collector.cells
 		var ke *killedError
 		if errors.As(runErr, &ke) {
 			// Simulated sudden death: no completion, no farewell — exactly
@@ -285,10 +286,10 @@ func runSweep(ctx context.Context, baseURL, workerQ string, info SweepInfo, opts
 			return err
 		}
 		if runErr != nil && !errors.Is(runErr, context.Canceled) {
-			// A run-level failure (driver setup, an unleased phase) felled
-			// every cell this lease still owed. Report them failed so a
-			// deterministic error converges to poisoned cells instead of
-			// cycling through expiring leases forever.
+			// A run-level failure (driver setup, appspecific's benchmarking
+			// phase) felled every cell this lease still owed. Report them
+			// failed so a deterministic error converges to poisoned cells
+			// instead of cycling through expiring leases forever.
 			for _, k := range lease.Cells {
 				if _, ok := fresh[k]; ok {
 					continue
@@ -332,55 +333,30 @@ func isStatus(err error, code int) bool {
 	return errors.As(err, &se) && se.Code == code
 }
 
-// collectStore is the worker's in-memory runner.Checkpoint: it keeps
-// every cell computed so far (so later leases — and unleased driver
-// phases like the appspecific benchmark — reload instead of recompute)
-// and tracks which cells are new since the last drain, i.e. what the
-// current lease must deliver.
+// collectStore is the worker's in-memory runner.Checkpoint for one
+// lease: it loads nothing, so the lease computes every leased cell, and
+// keeps what the lease computed — exactly what the lease must deliver.
 type collectStore struct {
 	mu    sync.Mutex
 	cells map[int]json.RawMessage
-	fresh map[int]json.RawMessage
 	hook  func(index int) error
 }
 
-func (s *collectStore) Load() (map[int]json.RawMessage, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[int]json.RawMessage, len(s.cells))
-	for k, v := range s.cells {
-		out[k] = v
-	}
-	return out, nil
-}
+func (s *collectStore) Load() (map[int]json.RawMessage, error) { return nil, nil }
 
 func (s *collectStore) Store(index int, cell json.RawMessage) error {
 	s.mu.Lock()
 	if s.cells == nil {
 		s.cells = map[int]json.RawMessage{}
-		s.fresh = map[int]json.RawMessage{}
 	}
 	s.cells[index] = cell
-	s.fresh[index] = cell
-	hook := s.hook
 	s.mu.Unlock()
-	if hook != nil {
-		if err := hook(index); err != nil {
+	if s.hook != nil {
+		if err := s.hook(index); err != nil {
 			return &killedError{err: err}
 		}
 	}
 	return nil
-}
-
-func (s *collectStore) Flush() error { return nil }
-
-// drain returns the cells stored since the previous drain.
-func (s *collectStore) drain() map[int]json.RawMessage {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := s.fresh
-	s.fresh = map[int]json.RawMessage{}
-	return out
 }
 
 // killedError marks a checkpoint-store failure injected by the

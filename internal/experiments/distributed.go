@@ -68,30 +68,21 @@ func (p SweepParams) Anneal() core.Options {
 	return o
 }
 
-// benchInstances resolves N the way AppSpecificRun does (<= 0 means 20),
-// so fingerprints and cell counts agree with the driver.
-func (p SweepParams) benchInstances() int {
-	if p.N <= 0 {
-		return 20
-	}
-	return p.N
-}
-
 // Sweep is one named checkpointable sweep. Fingerprint identifies the
 // sweep's exact parameters (it deliberately excludes shard identity —
 // every shard of one sweep shares it, which is what lets
 // serialize.MergeCheckpoints verify the stores belong together and the
 // merged store resume an unsharded run). Cells is the total number of
 // checkpoint cells a complete store holds, the coverage bound for the
-// merge. Result runs the sweep under the given runner options and
-// returns the driver's result (*PairwiseResult for fig4 and pairwise,
-// *FamilyResult for fig7/fig8, *AppSpecificResult, *RobustnessResult),
-// partial under a shard or lease, whose output is the checkpoint store;
-// Run discards it. Both honor ro.Include and ro.OnCellError in
-// store-index space (the same global indices ShardSpec and the
-// checkpoint key on), which is what lets the internal/coord lease
-// protocol restrict a run to leased cells and report per-cell failures
-// without any driver cooperation.
+// merge; a cell's store index is its cell index. Result runs the sweep
+// under the given runner options and returns the driver's result
+// (*PairwiseResult for fig4 and pairwise, *FamilyResult for fig7/fig8,
+// *AppSpecificResult, *RobustnessResult), partial under a shard or
+// lease, whose output is the checkpoint store; Run discards it. Both
+// honor ro.Include and ro.OnCellError over those cell indices, which is
+// what lets a static shard and the internal/coord lease protocol
+// restrict a run to their cells and report per-cell failures without
+// any driver cooperation.
 type Sweep struct {
 	Name        string
 	Fingerprint string
@@ -144,11 +135,13 @@ func NewSweep(name string, p SweepParams) (*Sweep, error) {
 		}
 		roster := schedulers.AppSpecificNames
 		nApp := len(roster)
-		sw.Fingerprint = fmt.Sprintf("appspecific workflow=%s ccr=%g seed=%d n=%d iters=%d restarts=%d schedulers=%s",
+		// The store holds the PISA grid only; -n sizes the benchmarking
+		// phase, which every run recomputes. "bench=" rather than the
+		// "n=" of stores that also held the benchmarking cells, so such a
+		// store is refused as a different sweep instead of misread.
+		sw.Fingerprint = fmt.Sprintf("appspecific workflow=%s ccr=%g seed=%d bench=%d iters=%d restarts=%d schedulers=%s",
 			p.Workflow, p.CCR, p.Seed, p.N, p.Iters, p.Restarts, strings.Join(roster, ","))
-		// Benchmarking cells first, then the PISA grid in its disjoint
-		// OffsetCheckpoint window.
-		sw.Cells = p.benchInstances() + nApp*(nApp-1)
+		sw.Cells = nApp * (nApp - 1)
 		sw.Result = func(ro runner.Options) (any, error) {
 			return AppSpecificRun(schedulers.AppSpecific(), AppSpecificOptions{
 				Workflow:           p.Workflow,

@@ -9,6 +9,7 @@ import (
 	"saga/internal/datasets"
 	"saga/internal/runner"
 	"saga/internal/scheduler"
+	"saga/internal/schedulers"
 	"saga/internal/serialize"
 )
 
@@ -25,7 +26,7 @@ func shardStores(t *testing.T, dir, fingerprint string, count int, run func(ro r
 		ck.SetFingerprint(fingerprint)
 		ro := runner.Options{
 			Workers:    2,
-			Shard:      runner.ShardSpec{Index: i, Count: count},
+			Include:    runner.ShardSpec{Index: i, Count: count}.Owns,
 			Checkpoint: ck,
 		}
 		if err := run(ro); err != nil {
@@ -171,10 +172,11 @@ func TestShardedFamilyMergeDeterminism(t *testing.T) {
 	}
 }
 
-// TestShardedAppSpecificMergeDeterminism exercises the hardest store
-// layout: two sweep phases multiplexed through OffsetCheckpoint windows,
-// with the benchmarking window duplicated (identically) across every
-// shard store and deduplicated by the merge.
+// TestShardedAppSpecificMergeDeterminism covers the one driver with an
+// unstored phase: every shard recomputes the benchmarking phase in
+// process, its stores hold only their own PISA cells (no cell is in two
+// shard stores), and the merge of n(n-1) cells resumes to the
+// sequential reference.
 func TestShardedAppSpecificMergeDeterminism(t *testing.T) {
 	scheds := []scheduler.Scheduler{
 		mustSched(t, "HEFT"), mustSched(t, "CPoP"), mustSched(t, "FastestNode"),
@@ -192,12 +194,25 @@ func TestShardedAppSpecificMergeDeterminism(t *testing.T) {
 	}
 
 	const fp = "test-appspecific-sharded"
-	total := opts.BenchmarkInstances + len(scheds)*(len(scheds)-1)
+	total := len(scheds) * (len(scheds) - 1)
 	dir := t.TempDir()
 	paths := shardStores(t, dir, fp, 3, func(ro runner.Options) error {
 		_, err := AppSpecificRun(scheds, opts, ro)
 		return err
 	})
+	stored := 0
+	for _, path := range paths {
+		ck := serialize.NewCheckpoint(path)
+		ck.SetFingerprint(fp)
+		cells, err := ck.Load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		stored += len(cells)
+	}
+	if stored != total {
+		t.Fatalf("shard stores hold %d cells in all, want the %d PISA cells once each", stored, total)
+	}
 	ro, calls := mergedResume(t, dir, fp, total, paths)
 	par, err := AppSpecificRun(scheds, opts, ro)
 	if err != nil {
@@ -218,6 +233,39 @@ func TestShardedAppSpecificMergeDeterminism(t *testing.T) {
 	}
 }
 
+// TestAppSpecificRefusesTwoPhaseStore pins the appspecific store's
+// identity: its cells are the n(n-1) PISA cells alone, and a store
+// stamped with the fingerprint of the layout that also stored the
+// benchmarking cells ahead of them — same parameters, "n=" for "bench=" —
+// is refused as a different sweep, never read at shifted indices.
+func TestAppSpecificRefusesTwoPhaseStore(t *testing.T) {
+	p := SweepParams{N: 4, Iters: 2, Restarts: 1, Seed: 1, Workflow: "blast", CCR: 1}
+	sw, err := NewSweep("appspecific", p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(schedulers.AppSpecificNames); sw.Cells != n*(n-1) {
+		t.Fatalf("appspecific cells %d, want the %d PISA cells", sw.Cells, n*(n-1))
+	}
+	old := "appspecific workflow=blast ccr=1 seed=1 n=4 iters=2 restarts=1 schedulers=" +
+		strings.Join(schedulers.AppSpecificNames, ",")
+	if !strings.HasPrefix(sw.Fingerprint, "appspecific ") || sw.Fingerprint == old {
+		t.Fatalf("fingerprint %q", sw.Fingerprint)
+	}
+	path := filepath.Join(t.TempDir(), "two-phase.ckpt")
+	ck := serialize.NewCheckpoint(path)
+	ck.SetFingerprint(old)
+	if err := ck.Store(0, []byte(`{"Ratios":[1]}`)); err != nil {
+		t.Fatal(err)
+	}
+	ck = serialize.NewCheckpoint(path)
+	ck.SetFingerprint(sw.Fingerprint)
+	err = sw.Run(runner.Options{Checkpoint: ck})
+	if err == nil || !strings.Contains(err.Error(), "was written by a different sweep") {
+		t.Fatalf("two-phase store: %v, want the different-sweep refusal", err)
+	}
+}
+
 // TestShardedRunReturnsPartialResult pins the documented contract of a
 // sharded driver's in-memory return value: owned cells populated,
 // foreign cells left at their zero/absent markers.
@@ -225,7 +273,7 @@ func TestShardedRunReturnsPartialResult(t *testing.T) {
 	scheds := []scheduler.Scheduler{mustSched(t, "HEFT"), mustSched(t, "CPoP")}
 	shard := runner.ShardSpec{Index: 0, Count: 2} // owns cell 0 of the 2 off-diagonal cells
 	res, err := PairwisePISARun(scheds, PairwiseOptions{Anneal: smallAnneal(60)},
-		runner.Options{Workers: 1, Shard: shard})
+		runner.Options{Workers: 1, Include: shard.Owns})
 	if err != nil {
 		t.Fatal(err)
 	}

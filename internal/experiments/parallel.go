@@ -29,15 +29,17 @@ import (
 // each driver at 1, 4 and GOMAXPROCS workers against a sequential
 // oracle that lives only in that test file.
 //
-// The Run variants also accept runner.Options.Shard, splitting a sweep
-// across processes: a sharded run computes only its own cells (the rest
-// of the returned result stays zero-valued/absent) and persists them to
-// its checkpoint store; serialize.MergeCheckpoints combines the shard
-// stores into one an unsharded run resumes to the full, bit-identical
-// result (distributed_test.go proves it). AppSpecificRun shards only its
-// PISA phase — every shard recomputes the cheap benchmarking phase in
-// full because the observed weight ranges it produces shape every PISA
-// cell's perturbation space.
+// The Run variants also accept runner.Options.Include, splitting a
+// sweep across processes (a static shard) or leases (internal/coord): a
+// restricted run computes only its own cells (the rest of the returned
+// result stays zero-valued/absent) and persists them to its checkpoint
+// store; serialize.MergeCheckpoints combines the shard stores into one
+// an unrestricted run resumes to the full, bit-identical result
+// (distributed_test.go proves it). Every sweep's store index is its cell
+// index. AppSpecificRun's cells are its PISA grid; its benchmarking phase
+// runs in process, unstored, on every run, shard and lease, because the
+// observed weight ranges it produces shape every PISA cell's
+// perturbation space.
 
 // freshSchedulers re-instantiates schedulers from the registry by name,
 // giving each worker its own copies (WBA carries a construction seed;
@@ -108,8 +110,8 @@ func BenchmarkingRun(datasetNames []string, scheds []scheduler.Scheduler, n int,
 }
 
 // pisaGrid runs PISA for every ordered off-diagonal pair of the named
-// schedulers under ro — the loop behind PairwisePISARun and
-// AppSpecificRun's PISA phase. Cell k is the pair runner.OffDiagonal(k)
+// schedulers under ro — the sweep behind PairwisePISARun and
+// AppSpecificRun. Cell k is the pair runner.OffDiagonal(k)
 // = (i, j): scheduler j is the target, scheduler i the base, and the
 // annealer starts from initial with perturb(target, base) and the seed
 // runner.CellSeed(anneal.Seed, k). The returned grids are indexed
@@ -347,11 +349,13 @@ type appBenchCell struct {
 // ranges) and removes the structural and link perturbations, so every
 // explored instance keeps the application's topology and CCR. Range
 // merging uses min/max only, so the assembled perturbation space — and
-// with it every PISA cell — is independent of the worker count. The
-// driver runs two sweeps — benchmarking, then PISA — against one
-// checkpoint store by giving the PISA sweep a disjoint index window
-// (runner.OffsetCheckpoint), so both phases of an interrupted block
-// resume.
+// with it every PISA cell — is independent of the worker count.
+//
+// The sweep's cells are the PISA grid alone; ro governs only it. The
+// benchmarking phase is an in-process step that every run, shard and
+// lease recomputes in full under ro's Workers and Context: it is never
+// stored, restricted or degraded, because each PISA cell needs every
+// range sample, and a missing one would silently reshape them all.
 func AppSpecificRun(scheds []scheduler.Scheduler, opts AppSpecificOptions, ro runner.Options) (*AppSpecificResult, error) {
 	n := len(scheds)
 	res := &AppSpecificResult{
@@ -364,25 +368,12 @@ func AppSpecificRun(scheds []scheduler.Scheduler, opts AppSpecificOptions, ro ru
 	}
 
 	// Benchmarking row + observed weight ranges, one cell per instance.
-	// This phase always runs unsharded and unleased: the merged min/max
-	// ranges below parameterize every PISA cell's perturbation space, so
-	// each shard (or coordinator worker) needs all of them to stay
-	// bit-identical to an unsharded run. The cells are deterministic, so
-	// the identical copies the shards store are deduplicated by
-	// serialize.MergeCheckpoints (and by the coordinator's commit
-	// dedup). A bench-cell failure is never routed through OnCellError
-	// either — a missing range sample would silently reshape every PISA
-	// cell, so it must abort this run instead.
-	benchRO := ro
-	benchRO.Shard = runner.ShardSpec{}
-	benchRO.Include = nil
-	benchRO.OnCellError = nil
 	nBench := opts.BenchmarkInstances
 	if nBench <= 0 {
 		nBench = 20
 	}
 	subs := splitStreams(opts.Anneal.Seed^0xA99, nBench)
-	benchCells, err := runner.Map(nBench, benchRO,
+	benchCells, err := runner.Map(nBench, runner.Options{Workers: ro.Workers, Context: ro.Context},
 		func(k int) (appBenchCell, error) {
 			local, err := freshSchedulers(res.Schedulers)
 			if err != nil {
@@ -433,22 +424,6 @@ func AppSpecificRun(scheds []scheduler.Scheduler, opts AppSpecificOptions, ro ru
 	}
 
 	// PISA grid with the application-specific PERTURB implementation.
-	// Its checkpoint window starts past the benchmarking sweep's cells so
-	// one store serves both phases.
-	pisaRO := ro
-	if pisaRO.Checkpoint != nil {
-		pisaRO.Checkpoint = runner.OffsetCheckpoint(ro.Checkpoint, nBench)
-	}
-	// Include and OnCellError address cells in *store* index space (the
-	// space leases and shard stores share), so the PISA phase — whose
-	// Map-local cell k lives at store index k+nBench — translates both,
-	// exactly mirroring the OffsetCheckpoint window above.
-	if ro.Include != nil {
-		pisaRO.Include = func(k int) bool { return ro.Include(k + nBench) }
-	}
-	if ro.OnCellError != nil {
-		pisaRO.OnCellError = func(k int, err error) { ro.OnCellError(k+nBench, err) }
-	}
 	perturb := core.PerturbOptions{
 		Step:              0.1,
 		TaskCost:          taskRange,
@@ -461,7 +436,7 @@ func AppSpecificRun(scheds []scheduler.Scheduler, opts AppSpecificOptions, ro ru
 	res.Ratios, res.Instances, err = pisaGrid(res.Schedulers, opts.Anneal,
 		func(r *rng.RNG) *graph.Instance { return appInstance(opts.Workflow, opts.CCR, r) },
 		func(_, _ scheduler.Scheduler) core.PerturbOptions { return perturb },
-		pisaRO)
+		ro)
 	if err != nil {
 		return nil, err
 	}

@@ -179,27 +179,3 @@ func (r *RNG) Perm(n int) []int {
 	r.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
 	return p
 }
-
-// Choice returns a uniformly random index weighted by the given
-// non-negative weights. It panics if weights is empty or sums to zero.
-func (r *RNG) Choice(weights []float64) int {
-	total := 0.0
-	for _, w := range weights {
-		if w < 0 {
-			panic("rng: negative weight")
-		}
-		total += w
-	}
-	if len(weights) == 0 || total == 0 {
-		panic("rng: Choice with empty or zero weights")
-	}
-	x := r.Float64() * total
-	acc := 0.0
-	for i, w := range weights {
-		acc += w
-		if x < acc {
-			return i
-		}
-	}
-	return len(weights) - 1
-}

@@ -192,30 +192,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestChoiceRespectsZeroWeights(t *testing.T) {
-	r := New(12)
-	w := []float64{0, 1, 0, 2}
-	counts := make([]int, 4)
-	for i := 0; i < 10000; i++ {
-		counts[r.Choice(w)]++
-	}
-	if counts[0] != 0 || counts[2] != 0 {
-		t.Fatalf("Choice selected zero-weight index: %v", counts)
-	}
-	if counts[3] < counts[1] {
-		t.Errorf("weight-2 index drawn less than weight-1 index: %v", counts)
-	}
-}
-
-func TestChoicePanicsOnAllZero(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Choice with zero total did not panic")
-		}
-	}()
-	New(1).Choice([]float64{0, 0})
-}
-
 func TestShuffleKeepsElements(t *testing.T) {
 	r := New(13)
 	xs := []int{1, 2, 3, 4, 5, 6, 7}

@@ -2,39 +2,10 @@ package runner
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"sync"
 	"testing"
 )
-
-// memStore is a minimal in-memory Checkpoint for the cancellation tests.
-type memStore struct {
-	mu    sync.Mutex
-	cells map[int]json.RawMessage
-}
-
-func (s *memStore) Load() (map[int]json.RawMessage, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[int]json.RawMessage, len(s.cells))
-	for k, v := range s.cells {
-		out[k] = v
-	}
-	return out, nil
-}
-
-func (s *memStore) Store(index int, cell json.RawMessage) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.cells == nil {
-		s.cells = map[int]json.RawMessage{}
-	}
-	s.cells[index] = cell
-	return nil
-}
-
-func (s *memStore) Flush() error { return nil }
 
 func TestMapPreCancelledContextRunsNothing(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
@@ -55,7 +26,7 @@ func TestMapPreCancelledContextRunsNothing(t *testing.T) {
 func TestMapCancellationStopsDispatchKeepsCompletedCells(t *testing.T) {
 	const n = 50
 	ctx, cancel := context.WithCancel(context.Background())
-	store := &memStore{}
+	store := newMemCheckpoint()
 	var mu sync.Mutex
 	ran := 0
 	_, err := Map(n, Options{Workers: 1, Context: ctx, Checkpoint: store}, func(k int) (int, error) {

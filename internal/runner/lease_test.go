@@ -11,8 +11,7 @@ import (
 
 // TestMapIncludeRunsOnlySelectedCells pins the dynamic-lease filter:
 // only included cells run (with their global position, so values match
-// the full run's), the rest stay zero, and Include composes with Shard
-// by intersection.
+// the full run's) and the rest stay zero.
 func TestMapIncludeRunsOnlySelectedCells(t *testing.T) {
 	const n = 12
 	lease := map[int]bool{2: true, 5: true, 9: true, 11: true}
@@ -40,26 +39,6 @@ func TestMapIncludeRunsOnlySelectedCells(t *testing.T) {
 			t.Fatalf("cell %d = %v, want %v", k, out[k], want)
 		}
 	}
-
-	// Shard ∩ Include: only cells both own run.
-	shard := ShardSpec{Index: 1, Count: 2} // odd cells
-	ran = map[int]bool{}
-	_, err = Map(n, Options{Shard: shard, Include: func(k int) bool { return lease[k] }},
-		func(k int) (float64, error) {
-			mu.Lock()
-			ran[k] = true
-			mu.Unlock()
-			return cellValue(k), nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := 0; k < n; k++ {
-		want := lease[k] && shard.Owns(k)
-		if ran[k] != want {
-			t.Fatalf("cell %d ran=%v, want %v (shard ∩ lease)", k, ran[k], want)
-		}
-	}
 }
 
 // TestOptionsOwns pins the helper drivers use to tell legitimately
@@ -67,7 +46,7 @@ func TestMapIncludeRunsOnlySelectedCells(t *testing.T) {
 func TestOptionsOwns(t *testing.T) {
 	all := Options{}
 	leased := Options{Include: func(k int) bool { return k == 1 }}
-	sharded := Options{Shard: ShardSpec{Index: 0, Count: 2}, Include: func(k int) bool { return k < 3 }}
+	sharded := Options{Include: ShardSpec{Index: 0, Count: 2}.Owns}
 	for k := 0; k < 4; k++ {
 		if !all.Owns(k) {
 			t.Fatalf("unrestricted options do not own cell %d", k)
@@ -75,7 +54,7 @@ func TestOptionsOwns(t *testing.T) {
 		if leased.Owns(k) != (k == 1) {
 			t.Fatalf("leased.Owns(%d) = %v", k, leased.Owns(k))
 		}
-		if sharded.Owns(k) != (k%2 == 0 && k < 3) {
+		if sharded.Owns(k) != (k%2 == 0) {
 			t.Fatalf("sharded.Owns(%d) = %v", k, sharded.Owns(k))
 		}
 	}
@@ -159,8 +138,8 @@ func (f *failingCheckpoint) Store(index int, cell json.RawMessage) error {
 }
 
 // TestLeaseProgressPinnedTotals is the dynamic-lease extension of the
-// PR 6 shard-totals treatment: a worker runs one Map per lease against
-// one shared store, and every printed line must report the pinned
+// shard-totals treatment: a worker runs one Map per lease against one
+// shared store, and every printed line must report the pinned
 // sweep-wide total with a cumulative count that never double-counts
 // cells reloaded from earlier leases.
 func TestLeaseProgressPinnedTotals(t *testing.T) {
@@ -185,9 +164,6 @@ func TestLeaseProgressPinnedTotals(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if lp.Done() != n {
-		t.Fatalf("counted %d cells across leases, want %d (double-counted reloads?)", lp.Done(), n)
-	}
 	for i, c := range calls {
 		if c[1] != n {
 			t.Fatalf("call %d reported total %d, want the pinned sweep total %d", i, c[1], n)
@@ -201,7 +177,7 @@ func TestLeaseProgressPinnedTotals(t *testing.T) {
 		}
 	}
 	if last := calls[len(calls)-1]; last != [2]int{n, n} {
-		t.Fatalf("final call %v, want [%d %d]", last, n, n)
+		t.Fatalf("final call %v, want [%d %d] (double-counted reloads?)", last, n, n)
 	}
 
 	// A re-leased cell the worker already computed (stolen, then handed

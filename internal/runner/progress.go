@@ -12,18 +12,15 @@ import (
 // coordinator worker (internal/coord) runs one small Map per lease, but
 // its operator wants one monotonic count against the sweep's full cell
 // total — not a fresh 0/leaseSize readout per lease, and no
-// double-counting when a lease resumes cells the worker already
-// computed (or when a multi-phase driver reloads a shared store).
+// double-counting of cells a lease loads from its store instead of
+// computing.
 //
 // Construct one per worker session with the sweep's total, then pass a
 // fresh Sweep() callback into every Map run (every lease). Each inner
 // sweep's first callback is its baseline — Map guarantees the first
 // call reports the load/restriction state before any cell computes —
 // and only cells completed past that baseline advance the pinned
-// counter. A mid-sweep regression of done re-baselines, mirroring
-// ProgressPrinter's multi-phase treatment, so drivers that multiplex
-// several Maps through one Options (AppSpecificRun) stay counted
-// correctly too.
+// counter.
 type LeaseProgress struct {
 	mu    sync.Mutex
 	total int
@@ -38,30 +35,16 @@ func NewLeaseProgress(total int, p func(done, total int)) *LeaseProgress {
 	return &LeaseProgress{total: total, p: p}
 }
 
-// Done returns the cumulative number of cells counted so far.
-func (lp *LeaseProgress) Done() int {
-	lp.mu.Lock()
-	defer lp.mu.Unlock()
-	return lp.done
-}
-
 // Sweep returns a Progress callback for one inner sweep (one lease).
 // Do not share one callback across sweeps: the baseline is per-sweep.
 func (lp *LeaseProgress) Sweep() func(done, total int) {
-	started := false
-	last := 0
+	last := -1 // no baseline yet
 	return func(done, _ int) {
 		lp.mu.Lock()
 		defer lp.mu.Unlock()
-		if !started || done < last {
-			// Baseline: the sweep's opening report (loaded cells, or 0),
-			// or a new phase of a multi-Map driver. Nothing new computed.
-			started = true
-			last = done
-			lp.p(lp.done, lp.total)
-			return
+		if last >= 0 {
+			lp.done += done - last
 		}
-		lp.done += done - last
 		last = done
 		lp.p(lp.done, lp.total)
 	}
@@ -78,8 +61,9 @@ func (lp *LeaseProgress) Sweep() func(done, total int) {
 // the cells loaded from the checkpoint store in one burst, so folding
 // it into the rate would wreck the ETA. Every later line therefore
 // reports the throughput of the cells this process actually computed.
-// cmd/figures and cmd/saga share this one implementation, so every CLI
-// reports progress identically.
+// One printer serves one sweep: a caller running several makes one
+// each. cmd/figures and cmd/saga share this one implementation, so
+// every CLI reports progress identically.
 func ProgressPrinter(w io.Writer, label string) func(done, total int) {
 	return progressPrinter(w, label, time.Now)
 }
@@ -99,30 +83,18 @@ func ProgressPrinter(w io.Writer, label string) func(done, total int) {
 // sweep completes thousands of cheap cells per second, and printing
 // each one turns the progress report into megabytes of scrollback (and
 // a measurable cost when the writer is a terminal or a log shipper).
-// Two kinds of line bypass the limiter — baselines, because they anchor
-// the phase a reader (and LeaseProgress) interprets everything else
-// against, and completion lines (done ≥ total), because the final state
-// of a sweep must always land.
+// Two kinds of line bypass the limiter — the baseline, because it
+// anchors everything a reader interprets after it, and completion lines
+// (done ≥ total), because the final state of a sweep must always land.
 func progressPrinter(w io.Writer, label string, now func() time.Time) func(done, total int) {
 	const minRateElapsed = 1e-6 // seconds; below this the clock hasn't meaningfully ticked
 	const maxLineInterval = 100 * time.Millisecond
-	base, baseTotal, lastDone := 0, 0, 0
+	base := 0
 	var baseT, lastPrint time.Time
 	baseSet := false
 	return func(done, total int) {
-		// Re-baseline when the sweep evidently changed under the same
-		// callback: done is strictly increasing within one sweep, so a
-		// regression — or a different total — means a new phase started
-		// (AppSpecificRun drives its benchmark and PISA sweeps through one
-		// Options, and consecutive phases can even share a total), and
-		// folding the previous phase's cells or elapsed time into the
-		// rate would corrupt every line of the new one.
-		if baseSet && (done < lastDone || total != baseTotal) {
-			baseSet = false
-		}
-		lastDone = done
 		if !baseSet {
-			base, baseTotal, baseT, baseSet = done, total, now(), true
+			base, baseT, baseSet = done, now(), true
 			lastPrint = baseT
 			fmt.Fprintf(w, "%s: %d/%d cells\n", label, done, total)
 			return

@@ -149,52 +149,6 @@ func TestProgressPrinterRateLimited(t *testing.T) {
 	}
 }
 
-// TestProgressPrinterRebaselinesAcrossPhases pins the multi-sweep fix:
-// AppSpecificRun drives two sequential sweeps (benchmarking, then the
-// PISA grid) through one Options and therefore one printer closure.
-// When done regresses or the total changes, the printer must start a
-// fresh baseline instead of folding the previous phase's cells and
-// elapsed time into the new phase's rate.
-func TestProgressPrinterRebaselinesAcrossPhases(t *testing.T) {
-	var out strings.Builder
-	clock := time.Unix(1000, 0)
-	now := func() time.Time { return clock }
-	cb := progressPrinter(&out, "app", now)
-
-	cb(1, 20) // benchmark phase baseline
-	clock = clock.Add(10 * time.Second)
-	cb(20, 20) // benchmark phase completes
-	clock = clock.Add(5 * time.Second)
-	cb(1, 36) // PISA phase begins: done regressed, total changed
-	clock = clock.Add(10 * time.Second)
-	cb(11, 36) // 10 cells in 10s — must not see the benchmark phase's clock or cells
-
-	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("got %d lines:\n%s", len(lines), out.String())
-	}
-	if want := "app: 1/36 cells"; lines[2] != want {
-		t.Fatalf("phase-2 baseline = %q, want %q", lines[2], want)
-	}
-	if want := "app: 11/36 cells (1.0 cells/s, ETA 25s)"; lines[3] != want {
-		t.Fatalf("phase-2 rate line = %q, want %q (previous phase leaked into the rate?)", lines[3], want)
-	}
-
-	// A third phase with the SAME total as the second must still
-	// re-baseline — detection is by done regressing, not total changing.
-	clock = clock.Add(5 * time.Second)
-	cb(1, 36)
-	clock = clock.Add(8 * time.Second)
-	cb(17, 36) // 16 cells in 8s = 2 cells/s, 19 left
-	lines = strings.Split(strings.TrimSpace(out.String()), "\n")
-	if want := "app: 1/36 cells"; lines[4] != want {
-		t.Fatalf("phase-3 baseline = %q, want %q", lines[4], want)
-	}
-	if want := "app: 17/36 cells (2.0 cells/s, ETA 10s)"; lines[5] != want {
-		t.Fatalf("phase-3 rate line = %q, want %q (same-total phase not re-baselined?)", lines[5], want)
-	}
-}
-
 // TestProgressPrinterCompletionWithoutRate pins the final line when the
 // whole sweep lands inside the clock's resolution: completion is still
 // reported, just without an invented throughput figure.

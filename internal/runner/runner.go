@@ -11,18 +11,19 @@
 //     stream a cell consumes does not depend on scheduling;
 //   - workers only contend for the next index, never for cell data.
 //
-// Consequently Map and Grid return bit-identical results for any worker
-// count, including 1, which the determinism suite in package experiments
+// Consequently Map returns bit-identical results for any worker count,
+// including 1, which the determinism suite in package experiments
 // asserts against hand-written sequential loops kept in its test file.
 //
 // Long sweeps can persist completed cells through the Checkpoint hook
 // (implemented by serialize.Checkpoint): each finished cell is stored as
 // JSON, and a resumed run skips every cell already on disk.
 //
-// Sweeps also scale past one process: Options.Shard restricts a run to
-// the cells with k % Count == Index while seeds stay derived from the
-// global cell position, so the union of the shards' checkpoint stores
-// (serialize.MergeCheckpoints) is bit-identical to a single-process run.
+// Sweeps also scale past one process: Options.Include restricts a run to
+// a subset of the cells — a static shard (ShardSpec.Owns) or a leased
+// cell set — while seeds stay derived from the global cell position, so
+// the union of the shards' checkpoint stores (serialize.MergeCheckpoints)
+// is bit-identical to a single-process run.
 package runner
 
 import (
@@ -36,7 +37,7 @@ import (
 	"sync"
 )
 
-// Options configures a Map or Grid sweep.
+// Options configures a Map sweep.
 type Options struct {
 	// Workers bounds the number of concurrent goroutines. 0 (or any
 	// non-positive value) means GOMAXPROCS; 1 runs the cells strictly in
@@ -50,14 +51,11 @@ type Options struct {
 	// resumed sweep: cells found in the store are decoded instead of
 	// recomputed. Cell results must round-trip through encoding/json.
 	Checkpoint Checkpoint
-	// Shard, when enabled, restricts the sweep to this process's slice of
-	// the cells (see ShardSpec). The zero value runs every cell.
-	Shard ShardSpec
-	// Include, when non-nil, further restricts the sweep to the cells for
-	// which it returns true — the dynamic counterpart of Shard, used by
-	// the coordinator protocol (internal/coord) to run exactly one leased
-	// cell set. Like sharding, it never changes what an included cell
-	// computes: indices and seeds stay global, so a leased cell is
+	// Include, when non-nil, restricts the sweep to the cells for which it
+	// returns true: a static shard's slice (ShardSpec.Owns, set by
+	// `-shard`) or the coordinator protocol's leased cell set
+	// (internal/coord). It never changes what an included cell computes:
+	// indices and seeds stay global, so a shard's or a lease's cell is
 	// bit-identical to the same cell of a full run. Excluded cells keep
 	// their zero values (unless the checkpoint store supplies them) and
 	// are not counted in Progress totals.
@@ -80,12 +78,11 @@ type Options struct {
 	OnCellError func(index int, err error)
 }
 
-// Owns reports whether this run computes cell k: the cell must belong
-// to the shard and pass the Include filter. Drivers use it to tell a
-// legitimately absent cell (another shard's, or outside the lease) from
-// a missing result.
+// Owns reports whether this run computes cell k: the cell passes the
+// Include filter. Drivers use it to tell a legitimately absent cell
+// (another shard's, or outside the lease) from a missing result.
 func (o Options) Owns(k int) bool {
-	return o.Shard.Owns(k) && (o.Include == nil || o.Include(k))
+	return o.Include == nil || o.Include(k)
 }
 
 // ShardSpec assigns one process its slice of a distributed sweep: a
@@ -96,11 +93,12 @@ func (o Options) Owns(k int) bool {
 // shards covers the sweep with no overlap. The zero value disables
 // sharding.
 //
-// A sharded Map returns a partial result: non-owned cells hold zero
-// values (unless the checkpoint store already supplied them). Shards are
-// combined through their checkpoint stores — run each shard with its own
-// store, merge with serialize.MergeCheckpoints, and resume any complete
-// run from the merged store.
+// A shard runs as Options{Include: spec.Owns}, and its Map returns a
+// partial result: non-owned cells hold zero values (unless the
+// checkpoint store already supplied them). Shards are combined through
+// their checkpoint stores — run each shard with its own store, merge
+// with serialize.MergeCheckpoints, and resume any complete run from the
+// merged store.
 type ShardSpec struct {
 	Index int
 	Count int
@@ -114,24 +112,13 @@ func (s ShardSpec) Enabled() bool { return s.Count > 0 }
 // owns every cell.
 func (s ShardSpec) Owns(k int) bool { return !s.Enabled() || k%s.Count == s.Index }
 
-// Validate rejects malformed specs (negative Count, Index outside
-// [0, Count) when enabled).
-func (s ShardSpec) Validate() error {
-	if s.Count < 0 {
-		return fmt.Errorf("runner: shard count %d is negative", s.Count)
-	}
-	if s.Enabled() && (s.Index < 0 || s.Index >= s.Count) {
-		return fmt.Errorf("runner: shard index %d outside [0, %d)", s.Index, s.Count)
-	}
-	return nil
-}
-
 // String renders the spec in the I/C form ParseShard accepts.
 func (s ShardSpec) String() string { return fmt.Sprintf("%d/%d", s.Index, s.Count) }
 
 // ParseShard parses the "index/count" form used by CLI -shard flags
-// (e.g. "2/8" is the third of eight shards) into a validated, enabled
-// spec.
+// (e.g. "2/8" is the third of eight shards) into an enabled spec. It is
+// the one place a spec is validated: the count must be at least 1 and
+// the index inside [0, count).
 func ParseShard(text string) (ShardSpec, error) {
 	idx, cnt, ok := strings.Cut(text, "/")
 	if !ok {
@@ -145,14 +132,13 @@ func ParseShard(text string) (ShardSpec, error) {
 	if err != nil {
 		return ShardSpec{}, fmt.Errorf("runner: shard count %q: %v", cnt, err)
 	}
-	s := ShardSpec{Index: i, Count: c}
-	if c == 0 {
+	if c < 1 {
 		return ShardSpec{}, fmt.Errorf("runner: shard count must be at least 1")
 	}
-	if err := s.Validate(); err != nil {
-		return ShardSpec{}, err
+	if i < 0 || i >= c {
+		return ShardSpec{}, fmt.Errorf("runner: shard index %d outside [0, %d)", i, c)
 	}
-	return s, nil
+	return ShardSpec{Index: i, Count: c}, nil
 }
 
 // Checkpoint is the persistence hook behind Options.Checkpoint.
@@ -161,45 +147,10 @@ type Checkpoint interface {
 	// Load returns the previously stored cells, keyed by cell index. A
 	// store that does not exist yet returns an empty (or nil) map.
 	Load() (map[int]json.RawMessage, error)
-	// Store records one completed cell. It may be called concurrently.
+	// Store records one completed cell; it is durable when Store returns.
+	// It may be called concurrently.
 	Store(index int, cell json.RawMessage) error
-	// Flush makes every stored cell durable.
-	Flush() error
 }
-
-// OffsetCheckpoint returns a view of parent whose cell k is stored at
-// parent index offset+k. It lets one physical store serve a driver that
-// runs several sweeps in sequence (AppSpecificRun's benchmarking and
-// PISA phases): give each sweep a disjoint index window and the cells
-// never collide. Load returns every parent cell shifted by -offset;
-// cells belonging to other windows land outside [0, n) and are skipped
-// by Map's stale-cell filter.
-func OffsetCheckpoint(parent Checkpoint, offset int) Checkpoint {
-	return &offsetCheckpoint{parent: parent, offset: offset}
-}
-
-type offsetCheckpoint struct {
-	parent Checkpoint
-	offset int
-}
-
-func (c *offsetCheckpoint) Load() (map[int]json.RawMessage, error) {
-	cells, err := c.parent.Load()
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[int]json.RawMessage, len(cells))
-	for k, raw := range cells {
-		out[k-c.offset] = raw
-	}
-	return out, nil
-}
-
-func (c *offsetCheckpoint) Store(index int, cell json.RawMessage) error {
-	return c.parent.Store(index+c.offset, cell)
-}
-
-func (c *offsetCheckpoint) Flush() error { return c.parent.Flush() }
 
 // CellError reports the failure of one cell of a sweep. With more than
 // one worker several cells may fail before the pool stops; Map returns
@@ -257,9 +208,6 @@ func Map[T any](n int, opts Options, fn func(index int) (T, error)) ([]T, error)
 // cells still receive position-derived seeds, so output remains
 // bit-identical for every worker count.
 func MapState[T, S any](n int, opts Options, newState func() S, fn func(index int, state S) (T, error)) ([]T, error) {
-	if err := opts.Shard.Validate(); err != nil {
-		return nil, err
-	}
 	out := make([]T, n)
 	if n == 0 {
 		return out, nil
@@ -272,7 +220,7 @@ func MapState[T, S any](n int, opts Options, newState func() S, fn func(index in
 	done := make([]bool, n)
 	completed := 0
 	total := n
-	if opts.Shard.Enabled() || opts.Include != nil {
+	if opts.Include != nil {
 		for k := 0; k < n; k++ {
 			if !opts.Owns(k) {
 				done[k] = true
@@ -382,11 +330,6 @@ func MapState[T, S any](n int, opts Options, newState func() S, fn func(index in
 	}
 	wg.Wait()
 
-	if opts.Checkpoint != nil {
-		if err := opts.Checkpoint.Flush(); err != nil && len(errs) == 0 {
-			return nil, fmt.Errorf("runner: checkpoint flush: %w", err)
-		}
-	}
 	if len(errs) > 0 {
 		first := errs[0]
 		for _, e := range errs[1:] {
@@ -414,21 +357,4 @@ func runCell[T, S any](k int, state S, fn func(int, S) (T, error)) (v T, err err
 		}
 	}()
 	return fn(k, state)
-}
-
-// Grid evaluates fn over every (row, col) cell of a rows×cols grid and
-// returns the results as a row-major matrix. The flat index k passed to
-// fn is the cell's sequential position, ready for CellSeed.
-func Grid[T any](rows, cols int, opts Options, fn func(row, col, k int) (T, error)) ([][]T, error) {
-	flat, err := Map(rows*cols, opts, func(k int) (T, error) {
-		return fn(k/cols, k%cols, k)
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]T, rows)
-	for i := range out {
-		out[i] = flat[i*cols : (i+1)*cols : (i+1)*cols]
-	}
-	return out, nil
 }

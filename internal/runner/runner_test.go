@@ -211,28 +211,6 @@ func TestMapProgressMonotonic(t *testing.T) {
 	}
 }
 
-func TestGridShapeAndSeeding(t *testing.T) {
-	grid, err := Grid(3, 5, Options{Workers: 4}, func(i, j, k int) ([3]int, error) {
-		return [3]int{i, j, k}, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(grid) != 3 {
-		t.Fatalf("rows = %d", len(grid))
-	}
-	for i := range grid {
-		if len(grid[i]) != 5 {
-			t.Fatalf("row %d has %d cols", i, len(grid[i]))
-		}
-		for j, c := range grid[i] {
-			if c != [3]int{i, j, i*5 + j} {
-				t.Fatalf("cell (%d,%d) = %v", i, j, c)
-			}
-		}
-	}
-}
-
 func TestOffDiagonalEnumeration(t *testing.T) {
 	// The k-th off-diagonal cell must match the row-major double loop
 	// that the sequential PISA drivers run.
@@ -336,9 +314,6 @@ func TestMapCheckpointIgnoresOutOfRangeCells(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := ck.Store(99, json.RawMessage(`1.5`)); err != nil {
-		t.Fatal(err)
-	}
-	if err := ck.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	out, err := Map(3, Options{Checkpoint: serialize.NewCheckpoint(path)}, func(k int) (float64, error) {

@@ -58,22 +58,13 @@ func TestShardSpecOwnership(t *testing.T) {
 	}
 }
 
-func TestMapRejectsInvalidShard(t *testing.T) {
-	for _, s := range []ShardSpec{{Index: -1, Count: 4}, {Index: 4, Count: 4}, {Index: 0, Count: -1}} {
-		_, err := Map(8, Options{Shard: s}, func(k int) (int, error) { return k, nil })
-		if err == nil {
-			t.Fatalf("shard %v accepted", s)
-		}
-	}
-}
-
 func TestMapShardedRunsOnlyOwnedCells(t *testing.T) {
 	const n, count = 17, 3
 	for index := 0; index < count; index++ {
 		shard := ShardSpec{Index: index, Count: count}
 		var mu sync.Mutex
 		ran := map[int]bool{}
-		out, err := Map(n, Options{Workers: 4, Shard: shard}, func(k int) (float64, error) {
+		out, err := Map(n, Options{Workers: 4, Include: shard.Owns}, func(k int) (float64, error) {
 			mu.Lock()
 			ran[k] = true
 			mu.Unlock()
@@ -103,7 +94,7 @@ func TestMapShardedProgressCountsOwnedCells(t *testing.T) {
 	const n = 10
 	shard := ShardSpec{Index: 1, Count: 4} // owns cells 1, 5, 9
 	var calls [][2]int
-	_, err := Map(n, Options{Workers: 1, Shard: shard, Progress: func(done, total int) {
+	_, err := Map(n, Options{Workers: 1, Include: shard.Owns, Progress: func(done, total int) {
 		calls = append(calls, [2]int{done, total})
 	}}, func(k int) (int, error) { return k, nil })
 	if err != nil {
@@ -132,7 +123,7 @@ func TestMapShardedProgressPrinterTotals(t *testing.T) {
 	var buf bytes.Buffer
 	_, err := Map(n, Options{
 		Workers:  2,
-		Shard:    shard,
+		Include:  shard.Owns,
 		Progress: ProgressPrinter(&buf, "worker test "+shard.String()),
 	}, func(k int) (int, error) { return k, nil })
 	if err != nil {
@@ -181,7 +172,7 @@ func TestMapShardUnionResumesComplete(t *testing.T) {
 	union := newMemCheckpoint()
 	for index := 0; index < count; index++ {
 		ck := newMemCheckpoint()
-		_, err := Map(n, Options{Workers: 3, Shard: ShardSpec{Index: index, Count: count}, Checkpoint: ck},
+		_, err := Map(n, Options{Workers: 3, Include: ShardSpec{Index: index, Count: count}.Owns, Checkpoint: ck},
 			func(k int) (float64, error) { return cellValue(k), nil })
 		if err != nil {
 			t.Fatal(err)
@@ -230,7 +221,7 @@ func TestMapShardedResumeFromMergedStore(t *testing.T) {
 		full.cells[k] = raw
 	}
 	ran := false
-	out, err := Map(n, Options{Shard: ShardSpec{Index: 0, Count: 3}, Checkpoint: full},
+	out, err := Map(n, Options{Include: ShardSpec{Index: 0, Count: 3}.Owns, Checkpoint: full},
 		func(k int) (float64, error) { ran = true; return 0, nil })
 	if err != nil {
 		t.Fatal(err)
@@ -247,7 +238,7 @@ func TestMapShardedResumeFromMergedStore(t *testing.T) {
 
 func TestMapShardOwningNothing(t *testing.T) {
 	// A shard past the cell count owns nothing and must return cleanly.
-	out, err := Map(3, Options{Shard: ShardSpec{Index: 7, Count: 8}}, func(k int) (int, error) {
+	out, err := Map(3, Options{Include: ShardSpec{Index: 7, Count: 8}.Owns}, func(k int) (int, error) {
 		t.Fatalf("cell %d ran", k)
 		return 0, nil
 	})

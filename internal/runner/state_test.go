@@ -2,7 +2,6 @@ package runner
 
 import (
 	"encoding/json"
-	"fmt"
 	"sync"
 	"testing"
 )
@@ -33,8 +32,6 @@ func (m *memCheckpoint) Store(index int, cell json.RawMessage) error {
 	m.cells[index] = cell
 	return nil
 }
-
-func (m *memCheckpoint) Flush() error { return nil }
 
 // TestMapStatePerWorkerState proves every worker goroutine receives its
 // own state value and that state reuse does not leak across cells of
@@ -80,56 +77,6 @@ func TestMapStatePerWorkerState(t *testing.T) {
 	for k, ok := range seen {
 		if !ok {
 			t.Fatalf("cell %d never served", k)
-		}
-	}
-}
-
-// TestOffsetCheckpointPartitionsOneStore drives two sweeps of different
-// sizes against one physical store through disjoint index windows — the
-// AppSpecificRun layout — and checks that neither sweep sees the other's
-// cells and both resume from their own.
-func TestOffsetCheckpointPartitionsOneStore(t *testing.T) {
-	store := newMemCheckpoint()
-	nA, nB := 5, 12
-	runs := 0
-	// First sweep (window [0, nA)) completes fully.
-	a1, err := Map(nA, Options{Workers: 1, Checkpoint: OffsetCheckpoint(store, 0)},
-		func(k int) (int, error) { runs++; return 100 + k, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if runs != nA {
-		t.Fatalf("sweep A ran %d cells, want %d", runs, nA)
-	}
-	// Second sweep (window [nA, nA+nB)) must not decode sweep A's cells.
-	runs = 0
-	b1, err := Map(nB, Options{Workers: 1, Checkpoint: OffsetCheckpoint(store, nA)},
-		func(k int) (int, error) { runs++; return 200 + k, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if runs != nB {
-		t.Fatalf("sweep B ran %d cells, want %d (A's cells leaked in)", runs, nB)
-	}
-	// Resume both sweeps: every cell must come from the store.
-	a2, err := Map(nA, Options{Workers: 1, Checkpoint: OffsetCheckpoint(store, 0)},
-		func(k int) (int, error) { return 0, fmt.Errorf("cell %d recomputed on resume", k) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2, err := Map(nB, Options{Workers: 1, Checkpoint: OffsetCheckpoint(store, nA)},
-		func(k int) (int, error) { return 0, fmt.Errorf("cell %d recomputed on resume", k) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := range a1 {
-		if a1[k] != a2[k] {
-			t.Fatalf("sweep A cell %d: %d resumed as %d", k, a1[k], a2[k])
-		}
-	}
-	for k := range b1 {
-		if b1[k] != b2[k] {
-			t.Fatalf("sweep B cell %d: %d resumed as %d", k, b1[k], b2[k])
 		}
 	}
 }

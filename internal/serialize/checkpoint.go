@@ -141,8 +141,8 @@ func PeekFingerprint(path string) (string, error) {
 	return fp, nil
 }
 
-// Flush implements runner.Checkpoint. Every Store is written through,
-// so there is never anything left to persist.
+// Flush is a no-op: every Store is written through, so there is never
+// anything left to persist.
 func (c *Checkpoint) Flush() error { return nil }
 
 // Seal rewrites the store in its canonical form — one gzip member, the

@@ -8,8 +8,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-
-	"saga/internal/runner"
 )
 
 // writeShard builds a shard store at dir/name holding the given cells
@@ -138,9 +136,9 @@ func TestMergeCheckpointsRejectsConflictingDuplicates(t *testing.T) {
 }
 
 func TestMergeCheckpointsAllowsIdenticalDuplicates(t *testing.T) {
-	// AppSpecificRun's benchmarking phase runs unsharded in every worker
-	// (the PISA perturbation ranges need all of it), so shard stores
-	// legitimately overlap there — with byte-identical cells.
+	// Stores of one deterministic sweep may legitimately overlap — a
+	// merged store listed alongside one of its shards, or a shard re-run
+	// into a second file — with byte-identical cells.
 	dir := t.TempDir()
 	const fp = "sweep"
 	a := writeShard(t, dir, "a.json", fp, map[int]string{0: `7`, 1: `8`})
@@ -196,58 +194,5 @@ func TestMergeCheckpointsAcceptsEmptyShardStore(t *testing.T) {
 	// refuses it.
 	if _, err := MergeCheckpoints(filepath.Join(dir, "m2.json"), "other sweep", 2, []string{empty}); err == nil {
 		t.Fatal("empty store accepted under a foreign fingerprint")
-	}
-}
-
-// TestOffsetCheckpointWindows pins the multiplexing contract of
-// runner.OffsetCheckpoint over one serialize.Checkpoint store: disjoint
-// windows round-trip independently, and overlapping windows collide
-// (last write wins) — which is why AppSpecificRun gives each phase a
-// disjoint index range.
-func TestOffsetCheckpointWindows(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "windows.json")
-	ck := NewCheckpoint(path)
-	if _, err := ck.Load(); err != nil {
-		t.Fatal(err)
-	}
-	w1 := runner.OffsetCheckpoint(ck, 0)
-	w2 := runner.OffsetCheckpoint(ck, 4)
-	for k := 0; k < 4; k++ {
-		if err := w1.Store(k, json.RawMessage(fmt.Sprintf("%d", 100+k))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for k := 0; k < 2; k++ {
-		if err := w2.Store(k, json.RawMessage(fmt.Sprintf("%d", 200+k))); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Each window sees its own cells at local indices; the other
-	// window's cells land outside [0, n) and are skipped by runner.Map's
-	// stale-cell filter.
-	cells, err := w2.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(cells[0]) != "200" || string(cells[1]) != "201" {
-		t.Fatalf("window 2 cells: %v", cells)
-	}
-	if string(cells[-4]) != "100" {
-		t.Fatalf("window 1 cell not visible at shifted index: %v", cells)
-	}
-
-	// An overlapping window writes into window 1's range: local cell 0
-	// at offset 2 is parent cell 2 — a collision, silently overwriting.
-	overlap := runner.OffsetCheckpoint(ck, 2)
-	if err := overlap.Store(0, json.RawMessage(`999`)); err != nil {
-		t.Fatal(err)
-	}
-	cells, err = w1.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(cells[2]) != "999" {
-		t.Fatalf("overlapping window did not collide: cell 2 = %s", cells[2])
 	}
 }
