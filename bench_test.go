@@ -51,7 +51,7 @@ func BenchmarkTable1SchedulerRoster(b *testing.B) {
 		s := mustSched(b, name)
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := s.Schedule(inst); err != nil {
+				if _, err := scheduler.Schedule(s, inst); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -99,10 +99,10 @@ func BenchmarkFig3NetworkModification(b *testing.B) {
 	orig, mod := datasets.Fig3Instance(false), datasets.Fig3Instance(true)
 	for i := 0; i < b.N; i++ {
 		for _, inst := range []*graph.Instance{orig, mod} {
-			if _, err := heft.Schedule(inst); err != nil {
+			if _, err := scheduler.Schedule(heft, inst); err != nil {
 				b.Fatal(err)
 			}
-			if _, err := cpop.Schedule(inst); err != nil {
+			if _, err := scheduler.Schedule(cpop, inst); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -154,10 +154,10 @@ func BenchmarkFig6CaseStudy(b *testing.B) {
 func benchCaseStudy(b *testing.B, inst *graph.Instance) {
 	heft, cpop := mustSched(b, "HEFT"), mustSched(b, "CPoP")
 	for i := 0; i < b.N; i++ {
-		if _, err := heft.Schedule(inst); err != nil {
+		if _, err := scheduler.Schedule(heft, inst); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := cpop.Schedule(inst); err != nil {
+		if _, err := scheduler.Schedule(cpop, inst); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -298,7 +298,7 @@ func BenchmarkSchedulersOnWorkflow(b *testing.B) {
 		b.Run(s.Name(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := s.Schedule(inst); err != nil {
+				if _, err := scheduler.Schedule(s, inst); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -320,7 +320,7 @@ func BenchmarkSchedulersOnEdgeFogCloud(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := s.Schedule(inst); err != nil {
+				if _, err := scheduler.Schedule(s, inst); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -349,8 +349,9 @@ func BenchmarkAblationInsertion(b *testing.B) {
 			var makespan float64
 			for i := 0; i < b.N; i++ {
 				bld := schedule.NewBuilder(inst)
-				rank := scheduler.UpwardRank(inst)
-				for _, t := range scheduler.TopoOrderByPriority(inst.Graph, rank) {
+				scr := scheduler.NewScratch()
+				rank := scr.UpwardRank(inst)
+				for _, t := range scr.TopoOrderByPriority(inst.Graph, rank) {
 					v, start := bld.BestEFTNode(t, insertion)
 					bld.Place(t, v, start)
 				}
@@ -435,7 +436,7 @@ func BenchmarkScheduleValidation(b *testing.B) {
 		b.Fatal(err)
 	}
 	inst := graph.NewInstance(g, graph.NewNetwork(5))
-	sch, err := mustSched(b, "HEFT").Schedule(inst)
+	sch, err := scheduler.Schedule(mustSched(b, "HEFT"), inst)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -456,7 +457,7 @@ func BenchmarkSimulatorExecute(b *testing.B) {
 		b.Fatal(err)
 	}
 	inst := graph.NewInstance(g, graph.NewNetwork(5))
-	sch, err := mustSched(b, "HEFT").Schedule(inst)
+	sch, err := scheduler.Schedule(mustSched(b, "HEFT"), inst)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -480,7 +481,7 @@ func BenchmarkSimulatorElasticContention(b *testing.B) {
 	net := graph.NewNetwork(5)
 	inst := graph.NewInstance(g, net)
 	datasets.SetHomogeneousCCR(inst, 1)
-	sch, err := mustSched(b, "HEFT").Schedule(inst)
+	sch, err := scheduler.Schedule(mustSched(b, "HEFT"), inst)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -494,8 +495,8 @@ func BenchmarkSimulatorElasticContention(b *testing.B) {
 
 // BenchmarkRunnerScaling tracks the parallel speedup of the runner
 // worker pool itself across worker counts on a fixed 32-cell sweep of
-// real scheduling work (HEFT on a montage workflow, re-instantiated per
-// cell exactly as the experiment drivers do).
+// real scheduling work (one shared HEFT value on a montage workflow, a
+// fresh scratch per cell).
 func BenchmarkRunnerScaling(b *testing.B) {
 	r := rng.New(51)
 	g, err := datasets.WorkflowRecipe("montage", r.Split())
@@ -515,13 +516,13 @@ func BenchmarkRunnerScaling(b *testing.B) {
 			name = "workers=gomaxprocs"
 		}
 		b.Run(name, func(b *testing.B) {
+			s, err := scheduler.New("HEFT")
+			if err != nil {
+				b.Fatal(err)
+			}
 			for i := 0; i < b.N; i++ {
 				out, err := runner.Map(32, runner.Options{Workers: workers}, func(k int) (float64, error) {
-					s, err := scheduler.New("HEFT")
-					if err != nil {
-						return 0, err
-					}
-					sch, err := s.Schedule(inst)
+					sch, err := scheduler.Schedule(s, inst)
 					if err != nil {
 						return 0, err
 					}

@@ -149,7 +149,7 @@ func mustSched(name string) scheduler.Scheduler {
 
 func (g *figures) fig1() error {
 	inst := datasets.Fig1Instance()
-	sch, err := mustSched("HEFT").Schedule(inst)
+	sch, err := scheduler.Schedule(mustSched("HEFT"), inst)
 	if err != nil {
 		return err
 	}
@@ -183,7 +183,7 @@ func fig3() error {
 			label = "modified"
 		}
 		for _, s := range []scheduler.Scheduler{heft, cpop} {
-			sch, err := s.Schedule(inst)
+			sch, err := scheduler.Schedule(s, inst)
 			if err != nil {
 				return err
 			}
@@ -221,11 +221,11 @@ func caseStudy(cmd string) error {
 		fmt.Println("== Fig 6: instance where CPoP performs ~2.83x worse than HEFT ==")
 	}
 	heft, cpop := mustSched("HEFT"), mustSched("CPoP")
-	sh, err := heft.Schedule(inst)
+	sh, err := scheduler.Schedule(heft, inst)
 	if err != nil {
 		return err
 	}
-	sc, err := cpop.Schedule(inst)
+	sc, err := scheduler.Schedule(cpop, inst)
 	if err != nil {
 		return err
 	}

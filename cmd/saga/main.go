@@ -294,11 +294,11 @@ func pisaCmd(args []string) error {
 	}
 	fmt.Printf("worst-case makespan ratio of %s against %s: %s (per-restart: %v)\n",
 		target.Name(), base.Name(), render.Cell(res.BestRatio), res.RestartRatios)
-	st, err := target.Schedule(res.Best)
+	st, err := scheduler.Schedule(target, res.Best)
 	if err != nil {
 		return err
 	}
-	sb, err := base.Schedule(res.Best)
+	sb, err := scheduler.Schedule(base, res.Best)
 	if err != nil {
 		return err
 	}

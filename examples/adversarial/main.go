@@ -47,11 +47,11 @@ func main() {
 		res.BestRatio, res.RestartRatios)
 
 	inst := res.Best
-	sh, err := heft.Schedule(inst)
+	sh, err := scheduler.Schedule(heft, inst)
 	if err != nil {
 		log.Fatal(err)
 	}
-	sc, err := cpop.Schedule(inst)
+	sc, err := scheduler.Schedule(cpop, inst)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -41,7 +41,7 @@ func main() {
 	}
 	var rows []row
 	for _, s := range schedulers.Experimental() {
-		sch, err := s.Schedule(inst)
+		sch, err := scheduler.Schedule(s, inst)
 		if err != nil {
 			log.Fatal(err)
 		}

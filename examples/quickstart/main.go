@@ -48,7 +48,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sch, err := heft.Schedule(inst)
+	sch, err := scheduler.Schedule(heft, inst)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := s.Schedule(inst)
+		res, err := scheduler.Schedule(s, inst)
 		if err != nil {
 			fmt.Printf("  %-12s (skipped: %v)\n", name, err)
 			continue

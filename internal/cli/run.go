@@ -167,7 +167,7 @@ func (f *Flags) Schedule(ctx context.Context) (string, *graph.Instance, *schedul
 	if err != nil {
 		return "", nil, nil, err
 	}
-	sch, err := s.Schedule(inst)
+	sch, err := scheduler.Schedule(s, inst)
 	return s.Name(), inst, sch, err
 }
 

@@ -492,10 +492,10 @@ func (e *evaluator) prepare(inst *graph.Instance) *graph.Tables {
 // already hold tables for inst (via prepare) that reflect its current
 // weights and structure.
 func (e *evaluator) ratioPrepared(inst *graph.Instance) (float64, error) {
-	if err := scheduler.ScheduleInto(e.target, inst, e.scr, &e.st); err != nil {
+	if err := e.target.ScheduleScratch(inst, e.scr, &e.st); err != nil {
 		return 0, fmt.Errorf("core: target %s failed: %w", e.target.Name(), err)
 	}
-	if err := scheduler.ScheduleInto(e.baseline, inst, e.scr, &e.sb); err != nil {
+	if err := e.baseline.ScheduleScratch(inst, e.scr, &e.sb); err != nil {
 		return 0, fmt.Errorf("core: baseline %s failed: %w", e.baseline.Name(), err)
 	}
 	mt, mb := e.st.Makespan(), e.sb.Makespan()

@@ -55,11 +55,11 @@ func TestRunBestRatioMatchesSchedulers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := target.Schedule(res.Best)
+	st, err := scheduler.Schedule(target, res.Best)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb, err := base.Schedule(res.Best)
+	sb, err := scheduler.Schedule(base, res.Best)
 	if err != nil {
 		t.Fatal(err)
 	}

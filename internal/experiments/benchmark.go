@@ -59,15 +59,15 @@ func (r *BenchmarkResult) MaxGrid() [][]float64 {
 
 // rosterMakespans runs every scheduler of the roster on inst and stores
 // their makespans in dst (len(scheds)), returning the smallest. The
-// instance's tables are prepared once on scr and every scheduler goes
-// through scheduler.ScheduleInto, so the roster shares one table build,
-// one avg-comm fill, the rank memo and the builder arenas; scratch state
-// never reaches a result, so the makespans are those of s.Schedule(inst).
+// instance's tables are prepared once on scr and every scheduler runs on
+// it, so the roster shares one table build, one avg-comm fill, the rank
+// memo and the builder arenas; scratch state never reaches a result, so
+// the makespans are those of the one-shot scheduler.Schedule(s, inst).
 func rosterMakespans(inst *graph.Instance, scheds []scheduler.Scheduler, scr *scheduler.Scratch, out *schedule.Schedule, dst []float64) (float64, error) {
 	scr.Prepare(inst)
 	best := math.Inf(1)
 	for i, s := range scheds {
-		if err := scheduler.ScheduleInto(s, inst, scr, out); err != nil {
+		if err := s.ScheduleScratch(inst, scr, out); err != nil {
 			return 0, fmt.Errorf("%s: %w", s.Name(), err)
 		}
 		dst[i] = out.Makespan()

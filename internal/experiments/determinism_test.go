@@ -13,6 +13,7 @@ import (
 	"saga/internal/runner"
 	"saga/internal/schedule"
 	"saga/internal/scheduler"
+	"saga/internal/schedulers"
 	"saga/internal/serialize"
 	"saga/internal/stats"
 )
@@ -30,9 +31,15 @@ func workerLabel(w int) string {
 	return string(rune('0' + w))
 }
 
+// configuredWBA is WBA away from its registry defaults (seed 0x57BA,
+// 10 rounds). The determinism rosters below run it so that a driver
+// which swapped in scheduler.New(s.Name()) for the value it was given
+// would disagree with its sequential oracle.
+func configuredWBA() scheduler.Scheduler { return schedulers.NewWBA(7, 3) }
+
 func TestBenchmarkingDeterminism(t *testing.T) {
 	scheds := []scheduler.Scheduler{
-		mustSched(t, "HEFT"), mustSched(t, "CPoP"), mustSched(t, "WBA"), mustSched(t, "FastestNode"),
+		mustSched(t, "HEFT"), mustSched(t, "CPoP"), configuredWBA(), mustSched(t, "FastestNode"),
 	}
 	names := []string{"chains", "in_trees", "out_trees", "etl", "cycles"}
 	seq, err := benchmarking(names, scheds, 4, 11)
@@ -107,14 +114,18 @@ func TestPairwisePISADeterminism(t *testing.T) {
 }
 
 func TestFamilyDeterminism(t *testing.T) {
-	scheds := []scheduler.Scheduler{mustSched(t, "CPoP"), mustSched(t, "HEFT"), mustSched(t, "WBA")}
-	seq, err := family(datasets.Fig7Instance, scheds, 40, 9)
+	// Ensemble is a pointer with a member slice: every worker shares the
+	// one value, which `make test-race` checks at 4 and GOMAXPROCS
+	// workers. Fig 8's family, not Fig 7's: on Fig 7's four-task
+	// homogeneous forks every WBA configuration finds the same schedule.
+	scheds := []scheduler.Scheduler{mustSched(t, "CPoP"), mustSched(t, "HEFT"), configuredWBA(), mustSched(t, "Ensemble")}
+	seq, err := family(datasets.Fig8Instance, scheds, 40, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range workerCounts {
 		t.Run("workers="+workerLabel(w), func(t *testing.T) {
-			par, err := FamilyRun(datasets.Fig7Instance, scheds, 40, 9, runner.Options{Workers: w})
+			par, err := FamilyRun(datasets.Fig8Instance, scheds, 40, 9, runner.Options{Workers: w})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -139,7 +150,7 @@ func TestFamilyDeterminism(t *testing.T) {
 
 func TestRobustnessDeterminism(t *testing.T) {
 	inst := datasets.Fig1Instance()
-	s := mustSched(t, "HEFT")
+	s := configuredWBA()
 	seq, err := robustness(inst, s, 0.2, 30, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -252,16 +263,6 @@ func TestSelectPortfolioParallelValidation(t *testing.T) {
 	}
 }
 
-func TestParallelDriversRequireRegistrySchedulers(t *testing.T) {
-	custom := scheduler.Func{SchedName: "not-registered", Fn: nil}
-	if _, err := FamilyRun(datasets.Fig7Instance, []scheduler.Scheduler{custom}, 2, 1, runner.Options{Workers: 2}); err == nil {
-		t.Fatal("unregistered scheduler accepted by FamilyRun")
-	}
-	if _, err := BenchmarkingRun([]string{"chains"}, []scheduler.Scheduler{custom}, 1, 1, runner.Options{Workers: 2}); err == nil {
-		t.Fatal("unregistered scheduler accepted by BenchmarkingRun")
-	}
-}
-
 // --- sequential oracles ------------------------------------------------
 //
 // Each loop below is the sequential driver its XRun replaced, kept
@@ -362,7 +363,8 @@ func pairwisePISA(scheds []scheduler.Scheduler, opts PairwiseOptions) (*Pairwise
 }
 
 // family is the sequential Figs 7/8 sampling loop, drawing each
-// instance's sub-stream lazily and scheduling through s.Schedule.
+// instance's sub-stream lazily and scheduling through the one-shot
+// scheduler.Schedule.
 func family(gen func(*rng.RNG) *graph.Instance, scheds []scheduler.Scheduler, n int, seed uint64) (*FamilyResult, error) {
 	res := &FamilyResult{
 		Makespans: map[string][]float64{},
@@ -375,7 +377,7 @@ func family(gen func(*rng.RNG) *graph.Instance, scheds []scheduler.Scheduler, n 
 	for i := 0; i < n; i++ {
 		inst := gen(r.Split())
 		for _, s := range scheds {
-			sch, err := s.Schedule(inst)
+			sch, err := scheduler.Schedule(s, inst)
 			if err != nil {
 				return nil, err
 			}
@@ -388,10 +390,10 @@ func family(gen func(*rng.RNG) *graph.Instance, scheds []scheduler.Scheduler, n 
 	return res, nil
 }
 
-// robustness is the sequential jitter loop, re-planning through
-// s.Schedule.
+// robustness is the sequential jitter loop, re-planning through the
+// one-shot scheduler.Schedule.
 func robustness(inst *graph.Instance, s scheduler.Scheduler, sigma float64, n int, seed uint64) (*RobustnessResult, error) {
-	nominal, err := s.Schedule(inst)
+	nominal, err := scheduler.Schedule(s, inst)
 	if err != nil {
 		return nil, err
 	}
@@ -405,7 +407,7 @@ func robustness(inst *graph.Instance, s scheduler.Scheduler, sigma float64, n in
 			return nil, err
 		}
 		static = append(static, m)
-		re, err := s.Schedule(j)
+		re, err := scheduler.Schedule(s, j)
 		if err != nil {
 			return nil, err
 		}

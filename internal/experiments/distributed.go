@@ -91,6 +91,21 @@ type Sweep struct {
 	Run         func(ro runner.Options) error
 }
 
+// freshSchedulers resolves scheduler names through the registry: the
+// rosters NewSweep builds from names. The drivers then share these
+// values across all their workers.
+func freshSchedulers(names []string) ([]scheduler.Scheduler, error) {
+	out := make([]scheduler.Scheduler, len(names))
+	for i, n := range names {
+		s, err := scheduler.New(n)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = s
+	}
+	return out, nil
+}
+
 // SweepNames lists the sweeps NewSweep accepts, in CLI help order.
 var SweepNames = []string{"fig4", "fig7", "fig8", "appspecific", "robustness", "pairwise"}
 

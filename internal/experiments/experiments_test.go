@@ -80,7 +80,7 @@ func TestBenchmarkingUnknownDataset(t *testing.T) {
 
 // benchmarkingPerCall is the benchmarking grid as it ran before the roster shared
 // a scratch: every scheduler builds its own tables, ranks and builder
-// through a plain s.Schedule(inst). It is the oracle for
+// through a one-shot scheduler.Schedule(s, inst). It is the oracle for
 // TestBenchmarkingSharedScratchMatchesPerCall.
 func benchmarkingPerCall(t *testing.T, datasetNames []string, scheds []scheduler.Scheduler, n int, seed uint64) map[string]map[string]BenchmarkCell {
 	t.Helper()
@@ -95,7 +95,7 @@ func benchmarkingPerCall(t *testing.T, datasetNames []string, scheds []scheduler
 			makespans := make([]float64, len(scheds))
 			best := math.Inf(1)
 			for i, s := range scheds {
-				sch, err := s.Schedule(inst)
+				sch, err := scheduler.Schedule(s, inst)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -123,8 +123,8 @@ func benchmarkingPerCall(t *testing.T, datasetNames []string, scheds []scheduler
 // TestBenchmarkingSharedScratchMatchesPerCall: one scratch prepared once
 // per instance and reused by the whole roster — shared tables, shared
 // rank memo, a builder and an output schedule every scheduler overwrites
-// — must leave every cell bit-identical to a fresh Schedule call per
-// scheduler, from one instance to the next and at the scale tier.
+// — must leave every cell bit-identical to a one-shot scheduler.Schedule
+// call per scheduler, from one instance to the next and at the scale tier.
 func TestBenchmarkingSharedScratchMatchesPerCall(t *testing.T) {
 	names := []string{"chains", "in_trees", "montage", "scale_chains_1k"}
 	const n, seed = 2, 5
@@ -152,7 +152,7 @@ func TestBenchmarkingSharedScratchMatchesPerCall(t *testing.T) {
 	makespans := map[string]float64{}
 	best := math.Inf(1)
 	for _, s := range schedulers.Experimental() {
-		sch, err := s.Schedule(inst[0])
+		sch, err := scheduler.Schedule(s, inst[0])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -283,10 +283,10 @@ func TestFig3NetworkModification(t *testing.T) {
 	heft, cpop := mustSched(t, "HEFT"), mustSched(t, "CPoP")
 	orig := datasets.Fig3Instance(false)
 	mod := datasets.Fig3Instance(true)
-	ho, _ := heft.Schedule(orig)
-	co, _ := cpop.Schedule(orig)
-	hm, _ := heft.Schedule(mod)
-	cm, _ := cpop.Schedule(mod)
+	ho, _ := scheduler.Schedule(heft, orig)
+	co, _ := scheduler.Schedule(cpop, orig)
+	hm, _ := scheduler.Schedule(heft, mod)
+	cm, _ := scheduler.Schedule(cpop, mod)
 	// Original network: HEFT at least as good as CPoP.
 	if ho.Makespan() > co.Makespan()+graph.Eps {
 		t.Fatalf("original: HEFT %v worse than CPoP %v", ho.Makespan(), co.Makespan())
@@ -305,8 +305,8 @@ func TestFig3NetworkModification(t *testing.T) {
 func TestFig5CaseStudy(t *testing.T) {
 	heft, cpop := mustSched(t, "HEFT"), mustSched(t, "CPoP")
 	inst := datasets.Fig5Instance()
-	h, _ := heft.Schedule(inst)
-	c, _ := cpop.Schedule(inst)
+	h, _ := scheduler.Schedule(heft, inst)
+	c, _ := scheduler.Schedule(cpop, inst)
 	ratio := h.Makespan() / c.Makespan()
 	// Paper: HEFT ≈ 1.55x worse than CPoP.
 	if math.Abs(ratio-1.55) > 0.02 {
@@ -317,8 +317,8 @@ func TestFig5CaseStudy(t *testing.T) {
 func TestFig6CaseStudy(t *testing.T) {
 	heft, cpop := mustSched(t, "HEFT"), mustSched(t, "CPoP")
 	inst := datasets.Fig6Instance()
-	h, _ := heft.Schedule(inst)
-	c, _ := cpop.Schedule(inst)
+	h, _ := scheduler.Schedule(heft, inst)
+	c, _ := scheduler.Schedule(cpop, inst)
 	ratio := c.Makespan() / h.Makespan()
 	// Paper: CPoP ≈ 2.83x worse than HEFT.
 	if math.Abs(ratio-2.83) > 0.02 {
@@ -332,7 +332,7 @@ func TestFig1Example(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range schedulers.Experimental() {
-		if _, err := s.Schedule(inst); err != nil {
+		if _, err := scheduler.Schedule(s, inst); err != nil {
 			t.Fatalf("%s failed on Fig 1: %v", s.Name(), err)
 		}
 	}

@@ -18,13 +18,15 @@ import (
 // Every experiment driver in this package is a grid or sampling loop of
 // independent cells with one entry point, XRun(runner.Options), built on
 // runner.Map: seeds derive from cell position (runner.CellSeed or
-// pre-split rng sub-streams), results land by cell index, and schedulers
-// are re-instantiated from the registry per cell so no state is shared
-// between workers. The per-worker scheduler.Scratch threaded through
-// runner.MapState carries everything PISA's incremental inner loop
-// reuses — the patched cost tables, the undo log, the reachability
-// buffers — so a worker's whole annealing chain runs allocation-free
-// after warm-up without sharing a byte with its siblings. Results are
+// pre-split rng sub-streams), and results land by cell index. Every
+// worker runs the scheduler values the caller passed: a scheduler is a
+// stateless value (package scheduler), so sharing one across workers is
+// what core.Run already does with its chains. All mutable state lives in
+// the per-worker scheduler.Scratch threaded through runner.MapState,
+// which carries everything PISA's incremental inner loop reuses — the
+// patched cost tables, the undo log, the reachability buffers — so a
+// worker's whole annealing chain runs allocation-free after warm-up
+// without sharing a mutable byte with its siblings. Results are
 // bit-identical for every worker count: determinism_test.go compares
 // each driver at 1, 4 and GOMAXPROCS workers against a sequential
 // oracle that lives only in that test file.
@@ -40,22 +42,6 @@ import (
 // runs in process, unstored, on every run, shard and lease, because the
 // observed weight ranges it produces shape every PISA cell's
 // perturbation space.
-
-// freshSchedulers re-instantiates schedulers from the registry by name,
-// giving each worker its own copies (WBA carries a construction seed;
-// sharing one value is safe today, but fresh copies keep the drivers
-// correct for any future stateful scheduler).
-func freshSchedulers(names []string) ([]scheduler.Scheduler, error) {
-	out := make([]scheduler.Scheduler, len(names))
-	for i, n := range names {
-		s, err := scheduler.New(n)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = s
-	}
-	return out, nil
-}
 
 // splitStreams pre-derives the n per-cell sub-streams a sequential loop
 // would draw lazily (one r.Split() per iteration), so every cell
@@ -94,11 +80,7 @@ func BenchmarkingRun(datasetNames []string, scheds []scheduler.Scheduler, n int,
 	}
 	cells, err := runner.Map(len(datasetNames), ro,
 		func(k int) (map[string]BenchmarkCell, error) {
-			local, err := freshSchedulers(res.Schedulers)
-			if err != nil {
-				return nil, err
-			}
-			return benchmarkDataset(datasetNames[k], local, n, seed)
+			return benchmarkDataset(datasetNames[k], scheds, n, seed)
 		})
 	if err != nil {
 		return nil, err
@@ -109,7 +91,7 @@ func BenchmarkingRun(datasetNames []string, scheds []scheduler.Scheduler, n int,
 	return res, nil
 }
 
-// pisaGrid runs PISA for every ordered off-diagonal pair of the named
+// pisaGrid runs PISA for every ordered off-diagonal pair of the
 // schedulers under ro — the sweep behind PairwisePISARun and
 // AppSpecificRun. Cell k is the pair runner.OffDiagonal(k)
 // = (i, j): scheduler j is the target, scheduler i the base, and the
@@ -119,9 +101,9 @@ func BenchmarkingRun(datasetNames []string, scheds []scheduler.Scheduler, n int,
 // shard's or lease's, or a failure routed through ro.OnCellError) stay
 // -1 with a nil instance. Each cell's instance round-trips through
 // package serialize, so infinite link strengths survive the checkpoint.
-func pisaGrid(names []string, anneal core.Options, initial func(*rng.RNG) *graph.Instance,
+func pisaGrid(scheds []scheduler.Scheduler, anneal core.Options, initial func(*rng.RNG) *graph.Instance,
 	perturb func(target, base scheduler.Scheduler) core.PerturbOptions, ro runner.Options) ([][]float64, [][]*graph.Instance, error) {
-	n := len(names)
+	n := len(scheds)
 	ratios := make([][]float64, n)
 	instances := make([][]*graph.Instance, n)
 	for i := range ratios {
@@ -137,14 +119,7 @@ func pisaGrid(names []string, anneal core.Options, initial func(*rng.RNG) *graph
 	cells, err := runner.MapState(n*(n-1), ro, scheduler.NewScratch,
 		func(k int, scr *scheduler.Scratch) (pisaCell, error) {
 			i, j := runner.OffDiagonal(k, n)
-			target, err := scheduler.New(names[j])
-			if err != nil {
-				return pisaCell{}, err
-			}
-			base, err := scheduler.New(names[i])
-			if err != nil {
-				return pisaCell{}, err
-			}
+			target, base := scheds[j], scheds[i]
 			ao := anneal
 			ao.Seed = runner.CellSeed(anneal.Seed, k)
 			ao.InitialInstance = initial
@@ -198,7 +173,7 @@ func PairwisePISARun(scheds []scheduler.Scheduler, opts PairwiseOptions, ro runn
 		res.Schedulers = append(res.Schedulers, s.Name())
 	}
 	var err error
-	res.Ratios, res.Instances, err = pisaGrid(res.Schedulers, opts.Anneal, datasets.InitialPISAInstance, pairPerturb, ro)
+	res.Ratios, res.Instances, err = pisaGrid(scheds, opts.Anneal, datasets.InitialPISAInstance, pairPerturb, ro)
 	if err != nil {
 		return nil, err
 	}
@@ -217,10 +192,10 @@ func PairwisePISARun(scheds []scheduler.Scheduler, opts PairwiseOptions, ro runn
 // FamilyRun reproduces the Section VI-B family studies (Figs 7 and 8)
 // under ro: sample n instances from the generator and record each
 // scheduler's makespan on every instance, one cell per sampled instance.
-// The schedulers must be registry-instantiable (every Table I algorithm
-// is), so each worker runs fresh copies. ro also carries progress
-// callbacks and a checkpoint store for resumable sampling sweeps (each
-// cell's per-scheduler makespan vector round-trips through JSON).
+// Every worker runs the given scheduler values, configuration included.
+// ro also carries progress callbacks and a checkpoint store for
+// resumable sampling sweeps (each cell's per-scheduler makespan vector
+// round-trips through JSON).
 func FamilyRun(gen func(*rng.RNG) *graph.Instance, scheds []scheduler.Scheduler, n int, seed uint64, ro runner.Options) (*FamilyResult, error) {
 	res := &FamilyResult{
 		Makespans: map[string][]float64{},
@@ -232,16 +207,12 @@ func FamilyRun(gen func(*rng.RNG) *graph.Instance, scheds []scheduler.Scheduler,
 	subs := splitStreams(seed, n)
 	cells, err := runner.MapState(n, ro, scheduler.NewScratch,
 		func(k int, scr *scheduler.Scratch) ([]float64, error) {
-			local, err := freshSchedulers(res.Schedulers)
-			if err != nil {
-				return nil, err
-			}
 			inst := gen(subs[k])
 			out := scr.AcquireSchedule()
 			defer scr.ReleaseSchedule(out)
-			ms := make([]float64, len(local))
-			for i, s := range local {
-				if err := scheduler.ScheduleInto(s, inst, scr, out); err != nil {
+			ms := make([]float64, len(scheds))
+			for i, s := range scheds {
+				if err := s.ScheduleScratch(inst, scr, out); err != nil {
 					return nil, err
 				}
 				ms[i] = out.Makespan()
@@ -274,12 +245,12 @@ type robustCell struct {
 // RobustnessRun samples n jittered variants of the instance under ro and
 // reports how the scheduler's committed schedule degrades (Static)
 // versus full re-planning (Adaptive), one cell per jitter sample. The
-// scheduler must be registry-instantiable so each worker re-plans with
-// its own copy. ro also carries progress callbacks and a checkpoint
-// store for resumable jitter sweeps (each cell is a (static, adaptive)
-// makespan pair).
+// nominal plan and every re-plan run the same scheduler value s,
+// configuration included. ro also carries progress callbacks and a
+// checkpoint store for resumable jitter sweeps (each cell is a (static,
+// adaptive) makespan pair).
 func RobustnessRun(inst *graph.Instance, s scheduler.Scheduler, sigma float64, n int, seed uint64, ro runner.Options) (*RobustnessResult, error) {
-	nominal, err := s.Schedule(inst)
+	nominal, err := scheduler.Schedule(s, inst)
 	if err != nil {
 		return nil, err
 	}
@@ -287,10 +258,6 @@ func RobustnessRun(inst *graph.Instance, s scheduler.Scheduler, sigma float64, n
 	subs := splitStreams(seed, n)
 	cells, err := runner.MapState(n, ro, scheduler.NewScratch,
 		func(k int, scr *scheduler.Scratch) (robustCell, error) {
-			local, err := scheduler.New(s.Name())
-			if err != nil {
-				return robustCell{}, err
-			}
 			j := Jitter(inst, sigma, subs[k])
 			m, err := Replay(j, nominal)
 			if err != nil {
@@ -298,7 +265,7 @@ func RobustnessRun(inst *graph.Instance, s scheduler.Scheduler, sigma float64, n
 			}
 			re := scr.AcquireSchedule()
 			defer scr.ReleaseSchedule(re)
-			if err := scheduler.ScheduleInto(local, j, scr, re); err != nil {
+			if err := s.ScheduleScratch(j, scr, re); err != nil {
 				return robustCell{}, err
 			}
 			return robustCell{Static: m, Adaptive: re.Makespan()}, nil
@@ -375,10 +342,6 @@ func AppSpecificRun(scheds []scheduler.Scheduler, opts AppSpecificOptions, ro ru
 	subs := splitStreams(opts.Anneal.Seed^0xA99, nBench)
 	benchCells, err := runner.Map(nBench, runner.Options{Workers: ro.Workers, Context: ro.Context},
 		func(k int) (appBenchCell, error) {
-			local, err := freshSchedulers(res.Schedulers)
-			if err != nil {
-				return appBenchCell{}, err
-			}
 			inst := appInstance(opts.Workflow, opts.CCR, subs[k])
 			c := appBenchCell{
 				TaskLo: math.Inf(1), TaskHi: math.Inf(-1),
@@ -396,12 +359,12 @@ func AppSpecificRun(scheds []scheduler.Scheduler, opts AppSpecificOptions, ro ru
 			for _, sp := range inst.Net.Speeds {
 				c.SpeedLo, c.SpeedHi = minmax(c.SpeedLo, c.SpeedHi, sp)
 			}
-			ratios, err := MakespanRatioAgainstBest(inst, local)
+			ratios, err := MakespanRatioAgainstBest(inst, scheds)
 			if err != nil {
 				return appBenchCell{}, err
 			}
-			c.Ratios = make([]float64, len(local))
-			for i, s := range local {
+			c.Ratios = make([]float64, len(scheds))
+			for i, s := range scheds {
 				c.Ratios[i] = ratios[s.Name()]
 			}
 			return c, nil
@@ -433,7 +396,7 @@ func AppSpecificRun(scheds []scheduler.Scheduler, opts AppSpecificOptions, ro ru
 		FixStructure:      true,
 		KeepPinnedWeights: true,
 	}
-	res.Ratios, res.Instances, err = pisaGrid(res.Schedulers, opts.Anneal,
+	res.Ratios, res.Instances, err = pisaGrid(scheds, opts.Anneal,
 		func(r *rng.RNG) *graph.Instance { return appInstance(opts.Workflow, opts.CCR, r) },
 		func(_, _ scheduler.Scheduler) core.PerturbOptions { return perturb },
 		ro)

@@ -8,6 +8,7 @@ import (
 	"saga/internal/rng"
 	"saga/internal/runner"
 	"saga/internal/schedule"
+	"saga/internal/scheduler"
 )
 
 func TestJitterPreservesStructureAndValidity(t *testing.T) {
@@ -58,7 +59,7 @@ func TestReplayReproducesNominalMakespan(t *testing.T) {
 	} {
 		for _, name := range []string{"HEFT", "CPoP", "MinMin", "OLB", "FastestNode"} {
 			s := mustSched(t, name)
-			nominal, err := s.Schedule(inst)
+			nominal, err := scheduler.Schedule(s, inst)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -78,7 +79,7 @@ func TestReplayScalesWithCosts(t *testing.T) {
 	// doubles the replayed makespan.
 	inst := datasets.Fig1Instance()
 	s := mustSched(t, "FastestNode")
-	nominal, err := s.Schedule(inst)
+	nominal, err := scheduler.Schedule(s, inst)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ func TestGanttContainsTaskNames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sch, err := s.Schedule(inst)
+	sch, err := scheduler.Schedule(s, inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestGanttContainsTaskNames(t *testing.T) {
 func TestGanttTinyWidthClamped(t *testing.T) {
 	inst := datasets.Fig1Instance()
 	s, _ := scheduler.New("HEFT")
-	sch, _ := s.Schedule(inst)
+	sch, _ := scheduler.Schedule(s, inst)
 	out := Gantt(inst, sch, 1) // must clamp, not panic
 	if len(out) == 0 {
 		t.Fatal("empty gantt")

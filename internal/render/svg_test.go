@@ -15,7 +15,7 @@ func TestGanttSVGWellFormed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sch, err := s.Schedule(inst)
+	sch, err := scheduler.Schedule(s, inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestGanttSVGWellFormed(t *testing.T) {
 func TestGanttSVGZeroMakespan(t *testing.T) {
 	inst := datasets.Fig1Instance()
 	s, _ := scheduler.New("HEFT")
-	sch, _ := s.Schedule(inst)
+	sch, _ := scheduler.Schedule(s, inst)
 	for i := range sch.ByTask {
 		sch.ByTask[i].Start, sch.ByTask[i].End = 0, 0
 	}

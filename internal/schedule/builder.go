@@ -422,13 +422,3 @@ func (b *Builder) ScheduleInto(out *Schedule) error {
 	out.ByTask = append(out.ByTask[:0], b.byTask...)
 	return nil
 }
-
-// Schedule finalizes the builder. It returns an error if any task remains
-// unplaced.
-func (b *Builder) Schedule() (*Schedule, error) {
-	out := &Schedule{}
-	if err := b.ScheduleInto(out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}

@@ -65,8 +65,8 @@ func TestQuickBuilderAlwaysValid(t *testing.T) {
 		for _, task := range order {
 			b.PlaceEFT(task, p.nodes[task], p.insertion[task])
 		}
-		s, err := b.Schedule()
-		if err != nil {
+		s := &Schedule{}
+		if err := b.ScheduleInto(s); err != nil {
 			return false
 		}
 		return Validate(p.inst, s) == nil

@@ -33,8 +33,8 @@ func TestBuilderPlaceAndMakespan(t *testing.T) {
 	if m := b.Makespan(); !graph.ApproxEq(m, 3) {
 		t.Fatalf("Makespan = %v, want 3", m)
 	}
-	s, err := b.Schedule()
-	if err != nil {
+	s := &Schedule{}
+	if err := b.ScheduleInto(s); err != nil {
 		t.Fatal(err)
 	}
 	if err := Validate(in, s); err != nil {
@@ -116,7 +116,7 @@ func TestScheduleIncomplete(t *testing.T) {
 	in := chainInstance()
 	b := NewBuilder(in)
 	b.Place(0, 0, 0)
-	if _, err := b.Schedule(); err == nil {
+	if err := b.ScheduleInto(&Schedule{}); err == nil {
 		t.Fatal("incomplete schedule finalized without error")
 	}
 }
@@ -178,7 +178,8 @@ func validSchedule(in *graph.Instance) *Schedule {
 	for _, t := range order {
 		b.PlaceEFT(t, 0, false)
 	}
-	s, _ := b.Schedule()
+	s := &Schedule{}
+	b.ScheduleInto(s)
 	return s
 }
 
@@ -223,8 +224,8 @@ func TestValidateRejectsPrecedenceViolation(t *testing.T) {
 	b.Place(0, 0, 0)   // ends 2 on node 0
 	b.Place(1, 1, 2.5) // needs ready 4 on node 1
 	b.Place(2, 1, b.Makespan()+10)
-	s, err := b.Schedule()
-	if err != nil {
+	s := &Schedule{}
+	if err := b.ScheduleInto(s); err != nil {
 		t.Fatal(err)
 	}
 	if err := Validate(in, s); err == nil {
@@ -307,8 +308,8 @@ func TestZeroDurationTaskKeepsNodeAvailable(t *testing.T) {
 			}
 		}
 		b.PlaceEFT(tail, 0, false)
-		s, err := b.Schedule()
-		if err != nil {
+		s := &Schedule{}
+		if err := b.ScheduleInto(s); err != nil {
 			t.Fatal(err)
 		}
 		if err := Validate(in, s); err != nil {

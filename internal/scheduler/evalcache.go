@@ -3,7 +3,7 @@ package scheduler
 import "saga/internal/graph"
 
 // EvalCache memoizes the shared priority vectors — upward rank, downward
-// rank, static level — across the Schedule calls one Scratch serves,
+// rank, static level — across the scheduler calls one Scratch serves,
 // keyed on (instance pointer, graph.Tables.Generation). The second
 // scheduler of a PISA target/baseline pair evaluates the identical
 // tables the first just ranked (nothing mutates between the two calls

@@ -57,7 +57,7 @@ func TestEvalCacheHitsWithinPair(t *testing.T) {
 	s := NewScratch()
 
 	first := s.UpwardRank(inst)
-	want := UpwardRank(inst) // fresh tables, no cache
+	want := NewScratch().UpwardRank(inst) // fresh tables, no cache
 	assertSameValues(t, "UpwardRank(miss)", first, want)
 	if c := s.EvalCache(); c.Misses != 1 || c.Hits != 0 {
 		t.Fatalf("after first read: hits=%d misses=%d, want 0/1", c.Hits, c.Misses)
@@ -70,9 +70,9 @@ func TestEvalCacheHitsWithinPair(t *testing.T) {
 	}
 
 	// Distinct vectors have distinct memo slots under the same key.
-	assertSameValues(t, "DownwardRank(miss)", s.DownwardRank(inst), DownwardRank(inst))
-	assertSameValues(t, "StaticLevel(miss)", s.StaticLevel(inst), StaticLevel(inst))
-	assertSameValues(t, "DownwardRank(hit)", s.DownwardRank(inst), DownwardRank(inst))
+	assertSameValues(t, "DownwardRank(miss)", s.DownwardRank(inst), NewScratch().DownwardRank(inst))
+	assertSameValues(t, "StaticLevel(miss)", s.StaticLevel(inst), NewScratch().StaticLevel(inst))
+	assertSameValues(t, "DownwardRank(hit)", s.DownwardRank(inst), NewScratch().DownwardRank(inst))
 	if c := s.EvalCache(); c.Hits != 2 || c.Misses != 3 {
 		t.Fatalf("hits=%d misses=%d, want 2/3", c.Hits, c.Misses)
 	}
@@ -92,9 +92,9 @@ func TestEvalCacheStaleReadsImpossible(t *testing.T) {
 
 	check := func(step int) {
 		t.Helper()
-		assertSameValues(t, "UpwardRank", s.UpwardRank(inst), UpwardRank(inst))
-		assertSameValues(t, "DownwardRank", s.DownwardRank(inst), DownwardRank(inst))
-		assertSameValues(t, "StaticLevel", s.StaticLevel(inst), StaticLevel(inst))
+		assertSameValues(t, "UpwardRank", s.UpwardRank(inst), NewScratch().UpwardRank(inst))
+		assertSameValues(t, "DownwardRank", s.DownwardRank(inst), NewScratch().DownwardRank(inst))
+		assertSameValues(t, "StaticLevel", s.StaticLevel(inst), NewScratch().StaticLevel(inst))
 	}
 
 	check(-1)
@@ -152,7 +152,7 @@ func TestEvalCacheDisabled(t *testing.T) {
 	if prev := s.SetEvalCache(false); !prev {
 		t.Fatal("cache should be enabled by default")
 	}
-	want := UpwardRank(inst)
+	want := NewScratch().UpwardRank(inst)
 	assertSameValues(t, "disabled#1", s.UpwardRank(inst), want)
 	assertSameValues(t, "disabled#2", s.UpwardRank(inst), want)
 	if c := s.EvalCache(); c.Hits != 0 || c.Misses != 2 {
@@ -175,7 +175,7 @@ func TestEvalCacheDisabled(t *testing.T) {
 func TestEvalCacheInstanceSwitch(t *testing.T) {
 	r := rng.New(0x2ca)
 	a, b := cacheTestInstance(r), cacheTestInstance(r)
-	wantA, wantB := UpwardRank(a), UpwardRank(b)
+	wantA, wantB := NewScratch().UpwardRank(a), NewScratch().UpwardRank(b)
 	s := NewScratch()
 	for i := 0; i < 4; i++ {
 		assertSameValues(t, "instance A", s.UpwardRank(a), wantA)
@@ -201,13 +201,13 @@ func assertSameOrder(t *testing.T, name string, got, want []int) {
 // TestTopoOrderMemoHitsPerRankKind pins the priority-order memo: sorting
 // by a scratch-owned rank vector is computed once per (instance,
 // generation) per rank kind, each kind in its own buffer, and always
-// equal to the unmemoized package function.
+// equal to a fresh scratch's unmemoized order.
 func TestTopoOrderMemoHitsPerRankKind(t *testing.T) {
 	inst := cacheTestInstance(rng.New(0x70b0))
 	s := NewScratch()
 
 	up := s.UpwardRank(inst)
-	wantUp := TopoOrderByPriority(inst.Graph, up)
+	wantUp := NewScratch().TopoOrderByPriority(inst.Graph, up)
 	assertSameOrder(t, "topo(up, miss)", s.TopoOrderByPriority(inst.Graph, up), wantUp)
 	c := s.EvalCache()
 	h, m := c.Hits, c.Misses
@@ -219,7 +219,7 @@ func TestTopoOrderMemoHitsPerRankKind(t *testing.T) {
 	// A different rank kind gets its own slot; revisiting the first kind
 	// afterwards still hits — the buffers are per kind, not shared.
 	down := s.DownwardRank(inst)
-	wantDown := TopoOrderByPriority(inst.Graph, down)
+	wantDown := NewScratch().TopoOrderByPriority(inst.Graph, down)
 	assertSameOrder(t, "topo(down, miss)", s.TopoOrderByPriority(inst.Graph, down), wantDown)
 	assertSameOrder(t, "topo(up, hit #2)", s.TopoOrderByPriority(inst.Graph, up), wantUp)
 
@@ -244,7 +244,7 @@ func TestTopoOrderMemoStaleReadsImpossible(t *testing.T) {
 		inst.Net.Speeds[v] = 0.2 + r.Float64()
 		tab.UpdateNodeSpeed(v)
 		up := s.UpwardRank(inst)
-		want := TopoOrderByPriority(inst.Graph, up)
+		want := NewScratch().TopoOrderByPriority(inst.Graph, up)
 		assertSameOrder(t, "topo after patch", s.TopoOrderByPriority(inst.Graph, up), want)
 		assertSameOrder(t, "topo after patch (hit)", s.TopoOrderByPriority(inst.Graph, up), want)
 	}
@@ -258,7 +258,7 @@ func TestTopoOrderMemoDisabled(t *testing.T) {
 	s := NewScratch()
 	s.SetEvalCache(false)
 	up := s.UpwardRank(inst)
-	want := TopoOrderByPriority(inst.Graph, up)
+	want := NewScratch().TopoOrderByPriority(inst.Graph, up)
 	assertSameOrder(t, "disabled#1", s.TopoOrderByPriority(inst.Graph, up), want)
 	assertSameOrder(t, "disabled#2", s.TopoOrderByPriority(inst.Graph, up), want)
 	if c := s.EvalCache(); c.Hits != 0 {

@@ -1,15 +1,17 @@
-// Package scheduler defines the common interface every scheduling
-// algorithm implements, a registry used by the CLI and the experiment
-// drivers, and the shared priority computations (upward rank, downward
-// rank, static level) that the list schedulers build on.
+// Package scheduler defines the one interface every scheduling
+// algorithm implements — Name plus ScheduleScratch(inst, scratch, out)
+// — a registry that resolves names for the CLI and the sweep table, and
+// the shared priority computations (upward rank, downward rank, static
+// level) that the list schedulers build on.
 //
 // It also owns Scratch, the per-worker bundle of reusable hot-path
 // buffers (precomputed graph.Tables, the schedule.Builder arena,
 // rank/order/ready-set slices, per-algorithm extension state) and its
 // EvalCache, which memoizes the rank vectors per (instance, table
 // generation) so consecutive schedulers evaluating identical tables —
-// a PISA target/baseline pair — share one rank computation. The two
-// Scratch invariants: one per goroutine, never shared — runner.MapState
+// a PISA target/baseline pair — share one rank computation. Scheduler
+// values are stateless and shared across workers; the Scratch is not.
+// Its two invariants: one per goroutine, never shared — runner.MapState
 // hands each worker its own — and scratch state must never influence
 // results, only who allocates; sweeps stay bit-identical with or
 // without one (and with the cache on or off).
@@ -24,12 +26,21 @@ import (
 )
 
 // Scheduler is the common interface for every algorithm (Table I of the
-// paper). Schedule must return a schedule that satisfies
-// schedule.Validate for any valid instance, or an error if the instance
-// is outside the algorithm's supported size (BruteForce, SMT).
+// paper). ScheduleScratch writes into out a schedule that satisfies
+// schedule.Validate for any valid instance, or returns an error if the
+// instance is outside the algorithm's supported size (BruteForce, SMT).
+// It runs against caller-owned reusable state — the precomputed tables,
+// builder and buffers of scr — so a warm (scr, out) pair makes the call
+// allocation-free, which is what the PISA inner loop needs; scr never
+// influences the result.
+//
+// A Scheduler value is stateless: its fields are configuration, and all
+// mutable state lives in the Scratch (Ext, rank buffers, builder). One
+// value is therefore shared by every worker of a sweep, each with its
+// own scratch.
 type Scheduler interface {
 	Name() string
-	Schedule(inst *graph.Instance) (*schedule.Schedule, error)
+	ScheduleScratch(inst *graph.Instance, scr *Scratch, out *schedule.Schedule) error
 }
 
 // Requirements describes the network homogeneity an algorithm was
@@ -55,56 +66,21 @@ func RequirementsOf(s Scheduler) Requirements {
 	return Requirements{}
 }
 
-// ScratchScheduler is implemented by algorithms whose Schedule can run
-// against caller-owned reusable state: the precomputed tables, builder
-// and buffers of a Scratch, writing the result into a caller-owned
-// Schedule. A warm (scratch, out) pair makes the whole call
-// allocation-free, which is what the PISA inner loop needs. The
-// schedules produced are bit-identical to the plain Schedule path.
-type ScratchScheduler interface {
-	Scheduler
-	ScheduleScratch(inst *graph.Instance, scr *Scratch, out *schedule.Schedule) error
-}
-
-// ScheduleInto runs s on inst, reusing scr and writing into out. It
-// takes the allocation-free path when s implements ScratchScheduler and
-// falls back to a plain Schedule call (copying the result into out)
-// otherwise, so callers can thread scratch through mixed rosters.
+// ScheduleInto runs s on inst, reusing scr and writing into out: the
+// function form of s.ScheduleScratch, for callers that take one.
 func ScheduleInto(s Scheduler, inst *graph.Instance, scr *Scratch, out *schedule.Schedule) error {
-	if ss, ok := s.(ScratchScheduler); ok {
-		return ss.ScheduleScratch(inst, scr, out)
-	}
-	sch, err := s.Schedule(inst)
-	if err != nil {
-		return err
-	}
-	out.CopyFrom(sch)
-	return nil
+	return s.ScheduleScratch(inst, scr, out)
 }
 
-// RunScratch is the plain-Schedule implementation shared by every
-// scratch-aware algorithm: a fresh scratch and schedule per call. The
-// single code path guarantees Schedule and ScheduleScratch cannot
-// diverge.
-func RunScratch(s ScratchScheduler, inst *graph.Instance) (*schedule.Schedule, error) {
+// Schedule runs s once on inst with a fresh scratch and returns a new
+// schedule: the one-shot form for callers outside a hot loop.
+func Schedule(s Scheduler, inst *graph.Instance) (*schedule.Schedule, error) {
 	out := &schedule.Schedule{}
 	if err := s.ScheduleScratch(inst, NewScratch(), out); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
-
-// Func adapts a plain function into a Scheduler.
-type Func struct {
-	SchedName string
-	Fn        func(*graph.Instance) (*schedule.Schedule, error)
-}
-
-// Name implements Scheduler.
-func (f Func) Name() string { return f.SchedName }
-
-// Schedule implements Scheduler.
-func (f Func) Schedule(inst *graph.Instance) (*schedule.Schedule, error) { return f.Fn(inst) }
 
 // registry maps scheduler names to factories.
 var registry = map[string]func() Scheduler{}
@@ -137,18 +113,12 @@ func Names() []string {
 	return out
 }
 
-// UpwardRank computes HEFT's rank_u for every task: the average execution
-// time of the task plus the maximum over successors of average
+// UpwardRankInto computes HEFT's rank_u for every task from the
+// precomputed tables, writing into dst (grown as needed): the average
+// execution time of the task plus the maximum over successors of average
 // communication time plus the successor's rank. Sink tasks have rank
-// equal to their average execution time.
-func UpwardRank(inst *graph.Instance) []float64 {
-	var tab graph.Tables
-	tab.Build(inst)
-	return UpwardRankInto(inst, &tab, nil)
-}
-
-// UpwardRankInto is UpwardRank reading the precomputed tables and
-// writing into dst (grown as needed) — the allocation-free hot path.
+// equal to their average execution time. Scratch.UpwardRank is the
+// memoized form every scheduler calls.
 func UpwardRankInto(inst *graph.Instance, tab *graph.Tables, dst []float64) []float64 {
 	g := inst.Graph
 	rank := growFloats(dst, g.NumTasks())
@@ -171,17 +141,10 @@ func UpwardRankInto(inst *graph.Instance, tab *graph.Tables, dst []float64) []fl
 	return rank
 }
 
-// DownwardRank computes CPoP's rank_d for every task: the length of the
-// longest average-time path from an entry task to (but not including)
-// the task itself. Entry tasks have rank 0.
-func DownwardRank(inst *graph.Instance) []float64 {
-	var tab graph.Tables
-	tab.Build(inst)
-	return DownwardRankInto(inst, &tab, nil)
-}
-
-// DownwardRankInto is DownwardRank reading the precomputed tables and
-// writing into dst.
+// DownwardRankInto computes CPoP's rank_d for every task from the
+// precomputed tables, writing into dst: the length of the longest
+// average-time path from an entry task to (but not including) the task
+// itself. Entry tasks have rank 0.
 func DownwardRankInto(inst *graph.Instance, tab *graph.Tables, dst []float64) []float64 {
 	g := inst.Graph
 	rank := growFloats(dst, g.NumTasks())
@@ -203,16 +166,9 @@ func DownwardRankInto(inst *graph.Instance, tab *graph.Tables, dst []float64) []
 	return rank
 }
 
-// StaticLevel computes the communication-free static level used by
-// GDL/DLS and FCP: SL(t) = avg exec(t) + max over successors SL(s).
-func StaticLevel(inst *graph.Instance) []float64 {
-	var tab graph.Tables
-	tab.Build(inst)
-	return StaticLevelInto(inst, &tab, nil)
-}
-
-// StaticLevelInto is StaticLevel reading the precomputed tables and
-// writing into dst.
+// StaticLevelInto computes the communication-free static level used by
+// GDL/DLS and FCP from the precomputed tables, writing into dst:
+// SL(t) = avg exec(t) + max over successors SL(s).
 func StaticLevelInto(inst *graph.Instance, tab *graph.Tables, dst []float64) []float64 {
 	g := inst.Graph
 	sl := growFloats(dst, g.NumTasks())
@@ -241,20 +197,15 @@ func growFloats(dst []float64, n int) []float64 {
 	return dst[:n]
 }
 
-// TopoOrderByPriority returns a topological order of g that always picks,
-// among the currently ready tasks, the one with the highest priority
-// (ties toward the lower task index). For priorities that strictly
-// decrease along edges — upward rank on graphs with positive task costs —
-// this coincides with a plain descending sort, but unlike a plain sort it
+// topoOrderByPriority appends to dst a topological order of g that
+// always picks, among the currently ready tasks, the one with the
+// highest priority (ties toward the lower task index), resetting the
+// caller's ready set for g and leaving it empty (the core of
+// Scratch.TopoOrderByPriority). For priorities that strictly decrease
+// along edges — upward rank on graphs with positive task costs — this
+// coincides with a plain descending sort, but unlike a plain sort it
 // remains a valid topological order when zero-cost tasks produce rank
 // ties (which PISA's weight perturbations readily create).
-func TopoOrderByPriority(g *graph.TaskGraph, priority []float64) []int {
-	return topoOrderByPriority(&ReadySet{}, g, priority, make([]int, 0, g.NumTasks()))
-}
-
-// topoOrderByPriority appends the priority topological order to dst,
-// resetting the caller's ready set for g and leaving it empty (the
-// buffer-reuse core shared with Scratch.TopoOrderByPriority).
 //
 // The frontier is a binary heap in the ready set's own storage, ordered
 // by (priority descending, task index ascending). On finite priorities

@@ -22,7 +22,7 @@ func heftPaperInstance() *graph.Instance {
 
 func TestUpwardRank(t *testing.T) {
 	in := heftPaperInstance()
-	rank := UpwardRank(in)
+	rank := NewScratch().UpwardRank(in)
 	// rank(c)=2, rank(b)=4+3+2=9, rank(a)=2+1+9=12.
 	want := []float64{12, 9, 2}
 	for i, w := range want {
@@ -34,7 +34,7 @@ func TestUpwardRank(t *testing.T) {
 
 func TestDownwardRank(t *testing.T) {
 	in := heftPaperInstance()
-	rank := DownwardRank(in)
+	rank := NewScratch().DownwardRank(in)
 	// rank_d(a)=0, rank_d(b)=2+1=3, rank_d(c)=3+4+3=10.
 	want := []float64{0, 3, 10}
 	for i, w := range want {
@@ -46,8 +46,8 @@ func TestDownwardRank(t *testing.T) {
 
 func TestUpDownRankConsistency(t *testing.T) {
 	in := heftPaperInstance()
-	up := UpwardRank(in)
-	down := DownwardRank(in)
+	up := NewScratch().UpwardRank(in)
+	down := NewScratch().DownwardRank(in)
 	// rank_u + rank_d is the through-path length: constant on a chain.
 	total := up[0] + down[0]
 	for i := range up {
@@ -59,7 +59,7 @@ func TestUpDownRankConsistency(t *testing.T) {
 
 func TestStaticLevel(t *testing.T) {
 	in := heftPaperInstance()
-	sl := StaticLevel(in)
+	sl := NewScratch().StaticLevel(in)
 	// Communication-free: sl(c)=2, sl(b)=6, sl(a)=8.
 	want := []float64{8, 6, 2}
 	for i, w := range want {
@@ -78,7 +78,7 @@ func TestTopoOrderByPriorityRespectsEdges(t *testing.T) {
 	g.MustAddDep(b, c, 0)
 	// Priorities that a plain sort would order c, a, b — invalid.
 	prio := []float64{1, 1, 2}
-	order := TopoOrderByPriority(g, prio)
+	order := NewScratch().TopoOrderByPriority(g, prio)
 	pos := make([]int, 3)
 	for i, task := range order {
 		pos[task] = i
@@ -88,12 +88,16 @@ func TestTopoOrderByPriorityRespectsEdges(t *testing.T) {
 	}
 }
 
+// named is a minimal test scheduler: a name and a ScheduleScratch that
+// places nothing.
+type named string
+
+func (n named) Name() string { return string(n) }
+
+func (named) ScheduleScratch(*graph.Instance, *Scratch, *schedule.Schedule) error { return nil }
+
 func TestRegistry(t *testing.T) {
-	Register("test-dummy", func() Scheduler {
-		return Func{SchedName: "test-dummy", Fn: func(in *graph.Instance) (*schedule.Schedule, error) {
-			return nil, nil
-		}}
-	})
+	Register("test-dummy", func() Scheduler { return named("test-dummy") })
 	s, err := New("test-dummy")
 	if err != nil {
 		t.Fatal(err)
@@ -116,17 +120,17 @@ func TestRegistry(t *testing.T) {
 }
 
 func TestRegisterDuplicatePanics(t *testing.T) {
-	Register("test-dup", func() Scheduler { return Func{SchedName: "test-dup"} })
+	Register("test-dup", func() Scheduler { return named("test-dup") })
 	defer func() {
 		if recover() == nil {
 			t.Fatal("duplicate registration did not panic")
 		}
 	}()
-	Register("test-dup", func() Scheduler { return Func{SchedName: "test-dup"} })
+	Register("test-dup", func() Scheduler { return named("test-dup") })
 }
 
 func TestRequirementsOfDefault(t *testing.T) {
-	s := Func{SchedName: "plain"}
+	s := named("plain")
 	if r := RequirementsOf(s); r.HomogeneousNodes || r.HomogeneousLinks {
 		t.Fatal("plain scheduler reported constraints")
 	}

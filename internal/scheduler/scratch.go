@@ -21,12 +21,12 @@ import (
 // invalidates a ready set borrowed from the other. Schedulers
 // therefore consume what they borrow within one ScheduleScratch call
 // and never retain scratch-owned memory in their results —
-// ScheduleInto copies assignments into the caller-owned Schedule.
+// Builder.ScheduleInto copies assignments into the caller-owned Schedule.
 type Scratch struct {
 	inst *graph.Instance // instance the tables are currently built for
 	tab  graph.Tables
 
-	// cache memoizes the rank vectors across the Schedule calls this
+	// cache memoizes the rank vectors across the scheduler calls this
 	// scratch serves, keyed on (instance pointer, tab.Generation) — see
 	// EvalCache. The second scheduler of a target/baseline pair reuses
 	// the first's ranks instead of recomputing them on identical tables.
@@ -64,8 +64,8 @@ func NewScratch() *Scratch { return &Scratch{} }
 // after mutating an instance in place, unless every mutation was
 // mirrored through the tables' incremental Update*/AddDep/RemoveDep
 // methods (the PISA annealer patches instead of rebuilding — see the
-// staleness contract in graph.Tables); ScheduleInto calls it
-// automatically when it sees a different instance pointer.
+// staleness contract in graph.Tables); Tables calls it automatically
+// when it sees a different instance pointer.
 func (s *Scratch) Prepare(inst *graph.Instance) {
 	s.tab.Build(inst)
 	s.inst = inst
@@ -96,7 +96,7 @@ func (s *Scratch) ReadySet(g *graph.TaskGraph) *ReadySet {
 	return &s.rs
 }
 
-// UpwardRank is the scratch-buffered UpwardRank: same values, reused
+// UpwardRank returns HEFT's upward rank (UpwardRankInto) in reused
 // storage, memoized per (instance, table generation) — when the tables
 // are unchanged since the last computation (the second scheduler of a
 // PISA pair, ensemble members sharing a priority) the stored vector is
@@ -111,8 +111,8 @@ func (s *Scratch) UpwardRank(inst *graph.Instance) []float64 {
 	return s.rankUp
 }
 
-// DownwardRank is the scratch-buffered DownwardRank, memoized like
-// UpwardRank.
+// DownwardRank returns CPoP's downward rank (DownwardRankInto),
+// memoized like UpwardRank.
 func (s *Scratch) DownwardRank(inst *graph.Instance) []float64 {
 	tab := s.Tables(inst)
 	if !s.cache.lookup(inst, tab.Generation, &s.cache.downOK) {
@@ -121,8 +121,8 @@ func (s *Scratch) DownwardRank(inst *graph.Instance) []float64 {
 	return s.rankDown
 }
 
-// StaticLevel is the scratch-buffered StaticLevel, memoized like
-// UpwardRank.
+// StaticLevel returns the static level (StaticLevelInto), memoized
+// like UpwardRank.
 func (s *Scratch) StaticLevel(inst *graph.Instance) []float64 {
 	tab := s.Tables(inst)
 	if !s.cache.lookup(inst, tab.Generation, &s.cache.levelOK) {
@@ -158,11 +158,12 @@ func (s *Scratch) Bools(n int) []bool {
 	return s.bools
 }
 
-// TopoOrderByPriority is the scratch-buffered TopoOrderByPriority: same
-// order, reused frontier and order storage. The slice is valid until the
-// next TopoOrderByPriority call on s with the same priority source; the
-// frontier is shared with ReadySet, so a recomputing call invalidates a
-// borrowed ready set.
+// TopoOrderByPriority returns the priority topological order of g
+// (highest priority first among ready tasks, ties toward the lower task
+// index; see topoOrderByPriority) in reused frontier and order storage.
+// The slice is valid until the next TopoOrderByPriority call on s with
+// the same priority source; the frontier is shared with ReadySet, so a
+// recomputing call invalidates a borrowed ready set.
 //
 // When the priority slice is one of the scratch's own memoized rank
 // vectors (the buffer identity, not just equal values), the derived

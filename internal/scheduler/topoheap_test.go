@@ -51,13 +51,13 @@ func topoTestDAG(r *rng.RNG, n int) *graph.TaskGraph {
 }
 
 // assertHeapMatchesScan compares the heap order with the scan oracle
-// through the package function and a scratch (a caller-owned priority,
-// so the generic order buffer), then checks that a ready set borrowed
-// from the same scratch afterwards still starts at g's sources.
+// through a fresh scratch and a reused one (a caller-owned priority, so
+// the generic order buffer), then checks that a ready set borrowed from
+// the reused scratch afterwards still starts at g's sources.
 func assertHeapMatchesScan(t *testing.T, name string, s *Scratch, g *graph.TaskGraph, priority []float64) {
 	t.Helper()
 	want := scanTopoOrderByPriority(NewReadySet(g), g, priority, nil)
-	assertSameOrder(t, name, TopoOrderByPriority(g, priority), want)
+	assertSameOrder(t, name, NewScratch().TopoOrderByPriority(g, priority), want)
 	assertSameOrder(t, name+" (scratch)", s.TopoOrderByPriority(g, priority), want)
 	rs := s.ReadySet(g)
 	assertSameOrder(t, name+" (ready set after)", rs.Ready(), NewReadySet(g).Ready())

@@ -92,12 +92,7 @@ func bilLevels(inst *graph.Instance, tab *graph.Tables, dst []float64) []float64
 	return bil
 }
 
-// Schedule implements scheduler.Scheduler.
-func (s BIL) Schedule(inst *graph.Instance) (*schedule.Schedule, error) {
-	return scheduler.RunScratch(s, inst)
-}
-
-// ScheduleScratch implements scheduler.ScratchScheduler.
+// ScheduleScratch implements scheduler.Scheduler.
 func (BIL) ScheduleScratch(inst *graph.Instance, scr *scheduler.Scratch, out *schedule.Schedule) error {
 	nNodes := inst.Net.NumNodes()
 	tab := scr.Tables(inst)

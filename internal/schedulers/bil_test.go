@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"saga/internal/graph"
+	"saga/internal/scheduler"
 )
 
 // bilChain builds a two-task chain a→b (costs 2 and 4, data 6) on two
@@ -59,11 +60,11 @@ func TestBILOptimalOnLinearGraphs(t *testing.T) {
 		}
 		chain := graph.NewInstance(g, inst.Net)
 		bilSched := BIL{}
-		got, err := bilSched.Schedule(chain)
+		got, err := scheduler.Schedule(bilSched, chain)
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt, err := (BruteForce{}).Schedule(chain)
+		opt, err := scheduler.Schedule(BruteForce{}, chain)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +85,7 @@ func TestBILLoadAdjustmentSpreadsReadyTasks(t *testing.T) {
 		g.AddTask("t", 1)
 	}
 	inst := graph.NewInstance(g, graph.NewNetwork(2))
-	sched, err := (BIL{}).Schedule(inst)
+	sched, err := scheduler.Schedule(BIL{}, inst)
 	if err != nil {
 		t.Fatal(err)
 	}

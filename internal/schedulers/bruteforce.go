@@ -30,16 +30,23 @@ type BruteForce struct {
 // Name implements scheduler.Scheduler.
 func (BruteForce) Name() string { return "BruteForce" }
 
-// Schedule implements scheduler.Scheduler.
-func (bf BruteForce) Schedule(inst *graph.Instance) (*schedule.Schedule, error) {
+// ScheduleScratch implements scheduler.Scheduler. The search is
+// package exact's and allocates its own state; the optimum is copied
+// into out.
+func (bf BruteForce) ScheduleScratch(inst *graph.Instance, _ *scheduler.Scratch, out *schedule.Schedule) error {
 	max := bf.MaxTasks
 	if max <= 0 {
 		max = 10
 	}
 	if n := inst.Graph.NumTasks(); n > max {
-		return nil, fmt.Errorf("schedulers: BruteForce accepts at most %d tasks, got %d", max, n)
+		return fmt.Errorf("schedulers: BruteForce accepts at most %d tasks, got %d", max, n)
 	}
-	return exact.Solve(inst, exact.Options{MaxNodes: bf.Budget})
+	sch, err := exact.Solve(inst, exact.Options{MaxNodes: bf.Budget})
+	if err != nil {
+		return err
+	}
+	out.CopyFrom(sch)
+	return nil
 }
 
 // SMT reproduces the paper's SMT-driven binary search scheduler: binary
@@ -62,8 +69,10 @@ type SMT struct {
 // Name implements scheduler.Scheduler.
 func (SMT) Name() string { return "SMT" }
 
-// Schedule implements scheduler.Scheduler.
-func (s SMT) Schedule(inst *graph.Instance) (*schedule.Schedule, error) {
+// ScheduleScratch implements scheduler.Scheduler. The HEFT upper bound
+// runs on scr; each feasible schedule package exact finds below it is
+// copied into out.
+func (s SMT) ScheduleScratch(inst *graph.Instance, scr *scheduler.Scratch, out *schedule.Schedule) error {
 	eps := s.Epsilon
 	if eps <= 0 {
 		eps = 0.01
@@ -73,28 +82,27 @@ func (s SMT) Schedule(inst *graph.Instance) (*schedule.Schedule, error) {
 		max = 10
 	}
 	if n := inst.Graph.NumTasks(); n > max {
-		return nil, fmt.Errorf("schedulers: SMT accepts at most %d tasks, got %d", max, n)
+		return fmt.Errorf("schedulers: SMT accepts at most %d tasks, got %d", max, n)
 	}
 
 	// Upper bound: any heuristic schedule. HEFT is cheap and good.
-	best, err := (HEFT{}).Schedule(inst)
-	if err != nil {
-		return nil, err
+	if err := (HEFT{}).ScheduleScratch(inst, scr, out); err != nil {
+		return err
 	}
-	lo, hi := exact.LowerBound(inst), best.Makespan()
+	lo, hi := exact.LowerBound(inst), out.Makespan()
 	opts := exact.Options{MaxNodes: s.Budget}
 	for hi-lo > eps*lo+graph.Eps {
 		mid := (lo + hi) / 2
 		sch, ok, err := exact.Feasible(inst, mid, opts)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if ok {
-			best = sch
+			out.CopyFrom(sch)
 			hi = sch.Makespan()
 		} else {
 			lo = mid
 		}
 	}
-	return best, nil
+	return nil
 }

@@ -27,12 +27,7 @@ type CPoP struct{}
 // Name implements scheduler.Scheduler.
 func (CPoP) Name() string { return "CPoP" }
 
-// Schedule implements scheduler.Scheduler.
-func (c CPoP) Schedule(inst *graph.Instance) (*schedule.Schedule, error) {
-	return scheduler.RunScratch(c, inst)
-}
-
-// ScheduleScratch implements scheduler.ScratchScheduler.
+// ScheduleScratch implements scheduler.Scheduler.
 func (CPoP) ScheduleScratch(inst *graph.Instance, scr *scheduler.Scratch, out *schedule.Schedule) error {
 	g := inst.Graph
 	up := scr.UpwardRank(inst)

@@ -9,15 +9,19 @@
 // available through Experimental; BruteForce and SMT (exponential time)
 // are registered but excluded, exactly as in the paper.
 //
-// Scratch-aware algorithms (scheduler.ScratchScheduler) read the
-// precomputed graph.Tables through the scratch and must treat them as
-// authoritative for the instance's current state: the PISA annealer
-// mutates instances in place and patches the tables incrementally (the
-// staleness contract in graph/tables.go) rather than rebuilding, so a
-// scheduler must never cache table-derived values across Schedule calls
-// or read the Instance where a table entry exists — the table IS the
-// coherent view. scratch_determinism_test.go pins every algorithm
-// bit-identical to its table-free reference implementation.
+// Every algorithm has one method besides Name, ScheduleScratch, and is a
+// stateless value: its fields are configuration (WBA's seed and rounds,
+// an Ensemble's members), and everything it mutates lives in the
+// scheduler.Scratch it is handed (Ext, rank buffers, builder), so the
+// experiment drivers share one value across all their workers.
+// Algorithms read the precomputed graph.Tables through the scratch and
+// must treat them as authoritative for the instance's current state: the
+// PISA annealer mutates instances in place and patches the tables
+// incrementally (the staleness contract in graph/tables.go) rather than
+// rebuilding, so a scheduler must never cache table-derived values
+// across calls or read the Instance where a table entry exists — the
+// table IS the coherent view. scratch_determinism_test.go pins every
+// algorithm bit-identical to its table-free reference implementation.
 //
 // Cross-call memoization is the scratch's job, not the scheduler's: the
 // rank accessors (Scratch.UpwardRank/DownwardRank/StaticLevel) are

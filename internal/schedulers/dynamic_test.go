@@ -30,7 +30,7 @@ func TestETFStartOrientedVsHEFTFinishOriented(t *testing.T) {
 	etf, _ := scheduler.New("ETF")
 	// ETF is pinned to homogeneous nodes by PISA but handles
 	// heterogeneous ones; this test uses heterogeneity deliberately.
-	es, err := etf.Schedule(inst)
+	es, err := scheduler.Schedule(etf, inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestETFStartOrientedVsHEFTFinishOriented(t *testing.T) {
 
 	inst2, blocker2, task2 := build()
 	heft, _ := scheduler.New("HEFT")
-	hs, err := heft.Schedule(inst2)
+	hs, err := scheduler.Schedule(heft, inst2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestGDLSpeedAdvantageTerm(t *testing.T) {
 	net.Speeds[1] = 4
 	inst := graph.NewInstance(g, net)
 	gdl, _ := scheduler.New("GDL")
-	gs, err := gdl.Schedule(inst)
+	gs, err := scheduler.Schedule(gdl, inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestGDLPrioritizesHighStaticLevel(t *testing.T) {
 	iso := g.AddTask("iso", 1)
 	inst := graph.NewInstance(g, graph.NewNetwork(1))
 	gdl, _ := scheduler.New("GDL")
-	gs, err := gdl.Schedule(inst)
+	gs, err := scheduler.Schedule(gdl, inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestFCPRestrictedProcessorChoice(t *testing.T) {
 	inst := graph.NewInstance(g, graph.NewNetwork(3))
 
 	fcp, _ := scheduler.New("FCP")
-	fs, err := fcp.Schedule(inst)
+	fs, err := scheduler.Schedule(fcp, inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestFLBPicksSmallestEFTReadyTask(t *testing.T) {
 	inst := graph.NewInstance(g, graph.NewNetwork(1))
 
 	flb, _ := scheduler.New("FLB")
-	ls, err := flb.Schedule(inst)
+	ls, err := scheduler.Schedule(flb, inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestFLBPicksSmallestEFTReadyTask(t *testing.T) {
 	}
 
 	fcp, _ := scheduler.New("FCP")
-	fs, err := fcp.Schedule(inst)
+	fs, err := scheduler.Schedule(fcp, inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestMinMinMaxMinSelectionOrder(t *testing.T) {
 	inst := graph.NewInstance(g, graph.NewNetwork(1))
 
 	mn, _ := scheduler.New("MinMin")
-	ms, err := mn.Schedule(inst)
+	ms, err := scheduler.Schedule(mn, inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestMinMinMaxMinSelectionOrder(t *testing.T) {
 	}
 
 	mx, _ := scheduler.New("MaxMin")
-	xs, err := mx.Schedule(inst)
+	xs, err := scheduler.Schedule(mx, inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestWBAZeroAlphaIsGreedy(t *testing.T) {
 	var first float64
 	for seed := uint64(1); seed <= 5; seed++ {
 		w := WBA{Seed: seed, Rounds: 1, Alpha: 0}
-		s, err := w.Schedule(inst)
+		s, err := scheduler.Schedule(w, inst)
 		if err != nil {
 			t.Fatal(err)
 		}

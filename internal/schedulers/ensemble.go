@@ -52,22 +52,18 @@ func (e *Ensemble) Members() []scheduler.Scheduler { return e.members }
 // Name implements scheduler.Scheduler.
 func (e *Ensemble) Name() string { return e.name }
 
-// Schedule implements scheduler.Scheduler: the best member schedule by
-// makespan (ties go to the earlier member).
-func (e *Ensemble) Schedule(inst *graph.Instance) (*schedule.Schedule, error) {
-	return scheduler.RunScratch(e, inst)
-}
-
-// ScheduleScratch implements scheduler.ScratchScheduler: every member
-// runs against the shared scratch (scratch-aware members allocation-free,
-// plain members through their Schedule fallback), and the incumbent best
-// is kept in out.
+// ScheduleScratch implements scheduler.Scheduler: the best member
+// schedule by makespan (ties go to the earlier member). Every member runs
+// against the caller's scratch, and the incumbent best is kept in out.
+// The member slice is fixed at construction and only read here, so one
+// Ensemble is shared by every worker of a sweep like any other
+// scheduler value.
 func (e *Ensemble) ScheduleScratch(inst *graph.Instance, scr *scheduler.Scratch, out *schedule.Schedule) error {
 	tmp := scr.AcquireSchedule()
 	defer scr.ReleaseSchedule(tmp)
 	first := true
 	for _, m := range e.members {
-		if err := scheduler.ScheduleInto(m, inst, scr, tmp); err != nil {
+		if err := m.ScheduleScratch(inst, scr, tmp); err != nil {
 			return fmt.Errorf("schedulers: ensemble member %s: %w", m.Name(), err)
 		}
 		if first || tmp.Makespan() < out.Makespan()-graph.Eps {

@@ -11,7 +11,7 @@ import (
 func TestEnsembleNoWorseThanMembers(t *testing.T) {
 	e := NewEnsemble("test-ens", "HEFT", "CPoP", "FastestNode")
 	for _, inst := range randomInstances(t, 20, 0xE5) {
-		es, err := e.Schedule(inst)
+		es, err := scheduler.Schedule(e, inst)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -19,7 +19,7 @@ func TestEnsembleNoWorseThanMembers(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, m := range e.Members() {
-			ms, err := m.Schedule(inst)
+			ms, err := scheduler.Schedule(m, inst)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -37,7 +37,7 @@ func TestEnsembleRegistered(t *testing.T) {
 		t.Fatal(err)
 	}
 	inst := randomInstances(t, 1, 0xE6)[0]
-	sch, err := s.Schedule(inst)
+	sch, err := scheduler.Schedule(s, inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,11 +79,11 @@ func TestEnsembleEqualsDuplexForMinMinMaxMin(t *testing.T) {
 	e := NewEnsemble("duplex-equiv", "MinMin", "MaxMin")
 	duplex, _ := scheduler.New("Duplex")
 	for _, inst := range randomInstances(t, 10, 0xE7) {
-		a, err := e.Schedule(inst)
+		a, err := scheduler.Schedule(e, inst)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := duplex.Schedule(inst)
+		b, err := scheduler.Schedule(duplex, inst)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -32,12 +32,7 @@ func (ETF) Requirements() scheduler.Requirements {
 	return scheduler.Requirements{HomogeneousNodes: true}
 }
 
-// Schedule implements scheduler.Scheduler.
-func (e ETF) Schedule(inst *graph.Instance) (*schedule.Schedule, error) {
-	return scheduler.RunScratch(e, inst)
-}
-
-// ScheduleScratch implements scheduler.ScratchScheduler.
+// ScheduleScratch implements scheduler.Scheduler.
 func (ETF) ScheduleScratch(inst *graph.Instance, scr *scheduler.Scratch, out *schedule.Schedule) error {
 	rank := scr.UpwardRank(inst)
 	b := scr.Builder(inst)

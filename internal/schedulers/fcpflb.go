@@ -74,12 +74,7 @@ func (FCP) Requirements() scheduler.Requirements {
 	return scheduler.Requirements{HomogeneousNodes: true, HomogeneousLinks: true}
 }
 
-// Schedule implements scheduler.Scheduler.
-func (f FCP) Schedule(inst *graph.Instance) (*schedule.Schedule, error) {
-	return scheduler.RunScratch(f, inst)
-}
-
-// ScheduleScratch implements scheduler.ScratchScheduler.
+// ScheduleScratch implements scheduler.Scheduler.
 func (FCP) ScheduleScratch(inst *graph.Instance, scr *scheduler.Scratch, out *schedule.Schedule) error {
 	rank := scr.UpwardRank(inst)
 	b := scr.Builder(inst)
@@ -124,12 +119,7 @@ func (FLB) Requirements() scheduler.Requirements {
 	return scheduler.Requirements{HomogeneousNodes: true, HomogeneousLinks: true}
 }
 
-// Schedule implements scheduler.Scheduler.
-func (f FLB) Schedule(inst *graph.Instance) (*schedule.Schedule, error) {
-	return scheduler.RunScratch(f, inst)
-}
-
-// ScheduleScratch implements scheduler.ScratchScheduler.
+// ScheduleScratch implements scheduler.Scheduler.
 func (FLB) ScheduleScratch(inst *graph.Instance, scr *scheduler.Scratch, out *schedule.Schedule) error {
 	b := scr.Builder(inst)
 	rs := scr.ReadySet(inst.Graph)

@@ -37,12 +37,7 @@ func (GDL) Requirements() scheduler.Requirements {
 	return scheduler.Requirements{HomogeneousLinks: true}
 }
 
-// Schedule implements scheduler.Scheduler.
-func (g GDL) Schedule(inst *graph.Instance) (*schedule.Schedule, error) {
-	return scheduler.RunScratch(g, inst)
-}
-
-// ScheduleScratch implements scheduler.ScratchScheduler.
+// ScheduleScratch implements scheduler.Scheduler.
 func (GDL) ScheduleScratch(inst *graph.Instance, scr *scheduler.Scratch, out *schedule.Schedule) error {
 	tab := scr.Tables(inst)
 	sl := scr.StaticLevel(inst)

@@ -22,12 +22,7 @@ type HEFT struct{}
 // Name implements scheduler.Scheduler.
 func (HEFT) Name() string { return "HEFT" }
 
-// Schedule implements scheduler.Scheduler.
-func (h HEFT) Schedule(inst *graph.Instance) (*schedule.Schedule, error) {
-	return scheduler.RunScratch(h, inst)
-}
-
-// ScheduleScratch implements scheduler.ScratchScheduler.
+// ScheduleScratch implements scheduler.Scheduler.
 func (HEFT) ScheduleScratch(inst *graph.Instance, scr *scheduler.Scratch, out *schedule.Schedule) error {
 	rank := scr.UpwardRank(inst)
 	b := scr.Builder(inst)

@@ -27,7 +27,7 @@ func TestHEFTInsertionImprovesOverAppend(t *testing.T) {
 	inst := graph.NewInstance(g, net)
 
 	heft, _ := scheduler.New("HEFT")
-	hs, err := heft.Schedule(inst)
+	hs, err := scheduler.Schedule(heft, inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestHEFTSchedulesByRankOrder(t *testing.T) {
 	net := graph.NewNetwork(1)
 	inst := graph.NewInstance(g, net)
 	heft, _ := scheduler.New("HEFT")
-	hs, err := heft.Schedule(inst)
+	hs, err := scheduler.Schedule(heft, inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestCPoPCriticalPathWithTies(t *testing.T) {
 	net.Speeds[1] = 2
 	inst := graph.NewInstance(g, net)
 	cpop, _ := scheduler.New("CPoP")
-	cs, err := cpop.Schedule(inst)
+	cs, err := scheduler.Schedule(cpop, inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestCPoPNonCriticalTasksMaySpread(t *testing.T) {
 	net.Speeds[0] = 2 // CP node
 	inst := graph.NewInstance(g, net)
 	cpop, _ := scheduler.New("CPoP")
-	cs, err := cpop.Schedule(inst)
+	cs, err := scheduler.Schedule(cpop, inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,11 +143,11 @@ func TestHEFTvsCPoPBothDirectionsExist(t *testing.T) {
 	heftLoses := graph.NewInstance(fork, net)
 
 	for _, c2 := range []tc{{inst: heftLoses, worse: heft, better: cpop, worseLabel: "HEFT"}} {
-		ws, err := c2.worse.Schedule(c2.inst)
+		ws, err := scheduler.Schedule(c2.worse, c2.inst)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bs, err := c2.better.Schedule(c2.inst)
+		bs, err := scheduler.Schedule(c2.better, c2.inst)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -42,12 +42,7 @@ type lmtScratch struct {
 	byLevel [][]int
 }
 
-// Schedule implements scheduler.Scheduler.
-func (l LMT) Schedule(inst *graph.Instance) (*schedule.Schedule, error) {
-	return scheduler.RunScratch(l, inst)
-}
-
-// ScheduleScratch implements scheduler.ScratchScheduler.
+// ScheduleScratch implements scheduler.Scheduler.
 func (LMT) ScheduleScratch(inst *graph.Instance, scr *scheduler.Scratch, out *schedule.Schedule) error {
 	g := inst.Graph
 	tab := scr.Tables(inst)
@@ -122,12 +117,7 @@ type ERT struct{}
 // Name implements scheduler.Scheduler.
 func (ERT) Name() string { return "ERT" }
 
-// Schedule implements scheduler.Scheduler.
-func (e ERT) Schedule(inst *graph.Instance) (*schedule.Schedule, error) {
-	return scheduler.RunScratch(e, inst)
-}
-
-// ScheduleScratch implements scheduler.ScratchScheduler.
+// ScheduleScratch implements scheduler.Scheduler.
 func (ERT) ScheduleScratch(inst *graph.Instance, scr *scheduler.Scratch, out *schedule.Schedule) error {
 	b := scr.Builder(inst)
 	rs := scr.ReadySet(inst.Graph)
@@ -166,12 +156,7 @@ type MH struct{}
 // Name implements scheduler.Scheduler.
 func (MH) Name() string { return "MH" }
 
-// Schedule implements scheduler.Scheduler.
-func (m MH) Schedule(inst *graph.Instance) (*schedule.Schedule, error) {
-	return scheduler.RunScratch(m, inst)
-}
-
-// ScheduleScratch implements scheduler.ScratchScheduler.
+// ScheduleScratch implements scheduler.Scheduler.
 func (MH) ScheduleScratch(inst *graph.Instance, scr *scheduler.Scratch, out *schedule.Schedule) error {
 	sl := scr.StaticLevel(inst)
 	b := scr.Builder(inst)

@@ -18,7 +18,7 @@ func TestHistoricalSchedulersValid(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, inst := range instances {
-			sch, err := s.Schedule(inst)
+			sch, err := scheduler.Schedule(s, inst)
 			if err != nil {
 				t.Fatalf("%s instance %d: %v", name, i, err)
 			}
@@ -61,7 +61,7 @@ func TestLMTLevelOrdering(t *testing.T) {
 	g.MustAddDep(small, d, 0)
 	inst := graph.NewInstance(g, graph.NewNetwork(2))
 	s, _ := scheduler.New("LMT")
-	sch, err := s.Schedule(inst)
+	sch, err := scheduler.Schedule(s, inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,11 +92,11 @@ func TestMHMatchesHEFTOrderWithoutInsertion(t *testing.T) {
 	inst := graph.NewInstance(g, net)
 	mh, _ := scheduler.New("MH")
 	heft, _ := scheduler.New("HEFT")
-	a, err := mh.Schedule(inst)
+	a, err := scheduler.Schedule(mh, inst)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := heft.Schedule(inst)
+	b, err := scheduler.Schedule(heft, inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestERTPrefersDataLocality(t *testing.T) {
 	net.SetLink(0, 1, 0.1)
 	inst := graph.NewInstance(g, net)
 	s, _ := scheduler.New("ERT")
-	sch, err := s.Schedule(inst)
+	sch, err := scheduler.Schedule(s, inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestHistoricalOnExtremes(t *testing.T) {
 	for _, inst := range extremeInstances() {
 		for _, name := range historicalNames {
 			s, _ := scheduler.New(name)
-			sch, err := s.Schedule(inst)
+			sch, err := scheduler.Schedule(s, inst)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}

@@ -69,12 +69,7 @@ type MinMin struct{}
 // Name implements scheduler.Scheduler.
 func (MinMin) Name() string { return "MinMin" }
 
-// Schedule implements scheduler.Scheduler.
-func (m MinMin) Schedule(inst *graph.Instance) (*schedule.Schedule, error) {
-	return scheduler.RunScratch(m, inst)
-}
-
-// ScheduleScratch implements scheduler.ScratchScheduler.
+// ScheduleScratch implements scheduler.Scheduler.
 func (MinMin) ScheduleScratch(inst *graph.Instance, scr *scheduler.Scratch, out *schedule.Schedule) error {
 	return minMinSchedule(inst, scr, false, out)
 }
@@ -87,12 +82,7 @@ type MaxMin struct{}
 // Name implements scheduler.Scheduler.
 func (MaxMin) Name() string { return "MaxMin" }
 
-// Schedule implements scheduler.Scheduler.
-func (m MaxMin) Schedule(inst *graph.Instance) (*schedule.Schedule, error) {
-	return scheduler.RunScratch(m, inst)
-}
-
-// ScheduleScratch implements scheduler.ScratchScheduler.
+// ScheduleScratch implements scheduler.Scheduler.
 func (MaxMin) ScheduleScratch(inst *graph.Instance, scr *scheduler.Scratch, out *schedule.Schedule) error {
 	return minMinSchedule(inst, scr, true, out)
 }
@@ -104,12 +94,7 @@ type Duplex struct{}
 // Name implements scheduler.Scheduler.
 func (Duplex) Name() string { return "Duplex" }
 
-// Schedule implements scheduler.Scheduler.
-func (d Duplex) Schedule(inst *graph.Instance) (*schedule.Schedule, error) {
-	return scheduler.RunScratch(d, inst)
-}
-
-// ScheduleScratch implements scheduler.ScratchScheduler. MinMin's
+// ScheduleScratch implements scheduler.Scheduler. MinMin's
 // schedule lands in out first; MaxMin replaces it only on a strict
 // improvement, matching the reference tie-break toward MinMin.
 func (Duplex) ScheduleScratch(inst *graph.Instance, scr *scheduler.Scratch, out *schedule.Schedule) error {

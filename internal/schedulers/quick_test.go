@@ -53,7 +53,7 @@ func TestQuickAllSchedulersValid(t *testing.T) {
 			return false
 		}
 		for _, s := range scheds {
-			sch, err := s.Schedule(qi.inst)
+			sch, err := scheduler.Schedule(s, qi.inst)
 			if err != nil {
 				return false
 			}
@@ -74,7 +74,7 @@ func TestQuickMakespanLowerBounds(t *testing.T) {
 	heft, _ := scheduler.New("HEFT")
 	property := func(qi quickInstance) bool {
 		inst := qi.inst
-		sch, err := heft.Schedule(inst)
+		sch, err := scheduler.Schedule(heft, inst)
 		if err != nil {
 			return false
 		}
@@ -109,11 +109,11 @@ func TestQuickScaleInvariance(t *testing.T) {
 			scaled.Graph.SetDepCost(d[0], d[1], c*k)
 		}
 		for _, s := range []scheduler.Scheduler{heft, cpop} {
-			a, err := s.Schedule(qi.inst)
+			a, err := scheduler.Schedule(s, qi.inst)
 			if err != nil {
 				return false
 			}
-			b, err := s.Schedule(scaled)
+			b, err := scheduler.Schedule(s, scaled)
 			if err != nil {
 				return false
 			}
@@ -145,11 +145,11 @@ func TestQuickSpeedScaling(t *testing.T) {
 		for v := range fast.Net.Speeds {
 			fast.Net.Speeds[v] *= k
 		}
-		a, err := heft.Schedule(base)
+		a, err := scheduler.Schedule(heft, base)
 		if err != nil {
 			return false
 		}
-		b, err := heft.Schedule(fast)
+		b, err := scheduler.Schedule(heft, fast)
 		if err != nil {
 			return false
 		}

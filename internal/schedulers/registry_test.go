@@ -9,10 +9,10 @@ import (
 )
 
 // table1 freezes the full Table I roster with each algorithm's Section
-// VI homogeneity requirements. The parallel experiment drivers
-// re-instantiate schedulers from the registry by name in every worker,
-// so a registration or requirements regression silently corrupts whole
-// sweeps — this test is the tripwire.
+// VI homogeneity requirements. The CLI, the daemon and the sweep table
+// resolve schedulers from the registry by name, and PISA restricts its
+// perturbations by the requirements, so a registration or requirements
+// regression silently corrupts whole sweeps — this test is the tripwire.
 var table1 = []struct {
 	name  string
 	nodes bool // designed for homogeneous node speeds
@@ -125,7 +125,7 @@ func TestRequirementsHonoredOnHomogeneousInstances(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sch, err := s.Schedule(homog)
+		sch, err := scheduler.Schedule(s, homog)
 		if err != nil {
 			t.Errorf("%s on its designed-for homogeneous instance: %v", row.name, err)
 			continue
@@ -137,9 +137,9 @@ func TestRequirementsHonoredOnHomogeneousInstances(t *testing.T) {
 }
 
 func TestRegistryReturnsFreshInstances(t *testing.T) {
-	// Parallel workers rely on scheduler.New handing out independent
-	// values: mutating one copy's configuration must not leak into
-	// another (WBA is the configurable one today).
+	// scheduler.New hands out independent values: mutating one copy's
+	// configuration must not leak into another (WBA is the configurable
+	// one today).
 	a, err := scheduler.New("WBA")
 	if err != nil {
 		t.Fatal(err)

@@ -36,7 +36,7 @@ func TestFig1FrozenMakespans(t *testing.T) {
 	}
 	inst := datasets.Fig1Instance()
 	for _, s := range Experimental() {
-		sch, err := s.Schedule(inst)
+		sch, err := scheduler.Schedule(s, inst)
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
@@ -52,7 +52,7 @@ func TestFig1FrozenMakespans(t *testing.T) {
 func TestFig1OptimumIsFastestNode(t *testing.T) {
 	inst := datasets.Fig1Instance()
 	bf, _ := scheduler.New("BruteForce")
-	opt, err := bf.Schedule(inst)
+	opt, err := scheduler.Schedule(bf, inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestSchedulersSurviveExtremeWeights(t *testing.T) {
 		}
 		for _, name := range allNames {
 			s, _ := scheduler.New(name)
-			sch, err := s.Schedule(inst)
+			sch, err := scheduler.Schedule(s, inst)
 			if err != nil {
 				t.Fatalf("%s on extreme instance: %v", name, err)
 			}
@@ -140,7 +140,7 @@ func TestSchedulersOnWideGraph(t *testing.T) {
 	net.Speeds[3] = 3
 	inst := graph.NewInstance(g, net)
 	for _, s := range Experimental() {
-		sch, err := s.Schedule(inst)
+		sch, err := scheduler.Schedule(s, inst)
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
@@ -166,7 +166,7 @@ func TestSchedulersOnDeepChain(t *testing.T) {
 	net.Speeds[2] = 2
 	inst := graph.NewInstance(g, net)
 	for _, s := range Experimental() {
-		sch, err := s.Schedule(inst)
+		sch, err := scheduler.Schedule(s, inst)
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}

@@ -54,7 +54,7 @@ func TestAllSchedulersProduceValidSchedules(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, inst := range instances {
-				sch, err := s.Schedule(inst)
+				sch, err := scheduler.Schedule(s, inst)
 				if err != nil {
 					t.Fatalf("instance %d: %v", i, err)
 				}
@@ -81,7 +81,7 @@ func TestSchedulersValidOnDatasets(t *testing.T) {
 		}
 		inst := instances[0]
 		for _, s := range Experimental() {
-			sch, err := s.Schedule(inst)
+			sch, err := scheduler.Schedule(s, inst)
 			if err != nil {
 				t.Fatalf("%s on %s: %v", s.Name(), ds, err)
 			}
@@ -98,11 +98,11 @@ func TestSchedulersDeterministic(t *testing.T) {
 		s1, _ := scheduler.New(name)
 		s2, _ := scheduler.New(name)
 		for i, inst := range instances {
-			a, err := s1.Schedule(inst)
+			a, err := scheduler.Schedule(s1, inst)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			b, err := s2.Schedule(inst)
+			b, err := scheduler.Schedule(s2, inst)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -117,7 +117,7 @@ func TestSchedulersDeterministic(t *testing.T) {
 func TestFastestNodeIsSerialOnFastestNode(t *testing.T) {
 	for _, inst := range randomInstances(t, 10, 0xFA) {
 		s, _ := scheduler.New("FastestNode")
-		sch, err := s.Schedule(inst)
+		sch, err := scheduler.Schedule(s, inst)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +142,7 @@ func TestMETPicksFastestUnderRelatedMachines(t *testing.T) {
 	// the fastest node, so MET's placements coincide with FastestNode's.
 	for _, inst := range randomInstances(t, 10, 0x3E) {
 		met, _ := scheduler.New("MET")
-		sch, err := met.Schedule(inst)
+		sch, err := scheduler.Schedule(met, inst)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,15 +160,15 @@ func TestDuplexNoWorseThanMinMinAndMaxMin(t *testing.T) {
 		duplex, _ := scheduler.New("Duplex")
 		minmin, _ := scheduler.New("MinMin")
 		maxmin, _ := scheduler.New("MaxMin")
-		d, err := duplex.Schedule(inst)
+		d, err := scheduler.Schedule(duplex, inst)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mn, err := minmin.Schedule(inst)
+		mn, err := scheduler.Schedule(minmin, inst)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mx, err := maxmin.Schedule(inst)
+		mx, err := scheduler.Schedule(maxmin, inst)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,12 +186,12 @@ func TestDuplexNoWorseThanMinMinAndMaxMin(t *testing.T) {
 func TestBruteForceOptimalAmongHeuristics(t *testing.T) {
 	bf, _ := scheduler.New("BruteForce")
 	for _, inst := range randomInstances(t, 8, 0xB0) {
-		opt, err := bf.Schedule(inst)
+		opt, err := scheduler.Schedule(bf, inst)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, s := range Experimental() {
-			sch, err := s.Schedule(inst)
+			sch, err := scheduler.Schedule(s, inst)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -209,11 +209,11 @@ func TestBruteForceRejectsLargeInstances(t *testing.T) {
 	}
 	inst := graph.NewInstance(g, graph.NewNetwork(2))
 	bf, _ := scheduler.New("BruteForce")
-	if _, err := bf.Schedule(inst); err == nil {
+	if _, err := scheduler.Schedule(bf, inst); err == nil {
 		t.Fatal("BruteForce accepted a 30-task instance")
 	}
 	smt, _ := scheduler.New("SMT")
-	if _, err := smt.Schedule(inst); err == nil {
+	if _, err := scheduler.Schedule(smt, inst); err == nil {
 		t.Fatal("SMT accepted a 30-task instance")
 	}
 }
@@ -222,11 +222,11 @@ func TestSMTWithinEpsilonOfBruteForce(t *testing.T) {
 	bf := BruteForce{}
 	smt := SMT{Epsilon: 0.01}
 	for _, inst := range randomInstances(t, 8, 0x57) {
-		opt, err := bf.Schedule(inst)
+		opt, err := scheduler.Schedule(bf, inst)
 		if err != nil {
 			t.Fatal(err)
 		}
-		near, err := smt.Schedule(inst)
+		near, err := scheduler.Schedule(smt, inst)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,7 +246,7 @@ func TestHEFTKnownInstance(t *testing.T) {
 	// finishes shortly after t4).
 	inst := datasets.Fig1Instance()
 	heft, _ := scheduler.New("HEFT")
-	sch, err := heft.Schedule(inst)
+	sch, err := scheduler.Schedule(heft, inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestCPoPPinsCriticalPathToOneNode(t *testing.T) {
 	net.Speeds[0], net.Speeds[1], net.Speeds[2] = 1, 3, 2
 	inst := graph.NewInstance(g, net)
 	cpop, _ := scheduler.New("CPoP")
-	sch, err := cpop.Schedule(inst)
+	sch, err := scheduler.Schedule(cpop, inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestETFIgnoresInsertionAndUsesEarliestStart(t *testing.T) {
 	g.AddTask("b", 1)
 	inst := graph.NewInstance(g, graph.NewNetwork(2))
 	etf, _ := scheduler.New("ETF")
-	sch, err := etf.Schedule(inst)
+	sch, err := scheduler.Schedule(etf, inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +314,7 @@ func TestOLBUsesEarliestAvailableNode(t *testing.T) {
 	net.Speeds[0], net.Speeds[1] = 1, 100
 	inst := graph.NewInstance(g, net)
 	olb, _ := scheduler.New("OLB")
-	sch, err := olb.Schedule(inst)
+	sch, err := scheduler.Schedule(olb, inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,11 +340,11 @@ func TestMCTBeatsOLBOnHeterogeneousSpeeds(t *testing.T) {
 	inst := graph.NewInstance(g, net)
 	mct, _ := scheduler.New("MCT")
 	olb, _ := scheduler.New("OLB")
-	a, err := mct.Schedule(inst)
+	a, err := scheduler.Schedule(mct, inst)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := olb.Schedule(inst)
+	b, err := scheduler.Schedule(olb, inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,11 +356,11 @@ func TestMCTBeatsOLBOnHeterogeneousSpeeds(t *testing.T) {
 
 func TestWBASeededReproducible(t *testing.T) {
 	inst := randomInstances(t, 1, 0x5EED)[0]
-	a, err := NewWBA(123, 10).Schedule(inst)
+	a, err := scheduler.Schedule(NewWBA(123, 10), inst)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewWBA(123, 10).Schedule(inst)
+	b, err := scheduler.Schedule(NewWBA(123, 10), inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,11 +374,11 @@ func TestWBAMoreRoundsNoWorse(t *testing.T) {
 	// streams are prefix-stable (Split order), so 20 rounds can only
 	// improve on the first 5.
 	inst := randomInstances(t, 1, 0x5EED)[0]
-	few, err := NewWBA(9, 5).Schedule(inst)
+	few, err := scheduler.Schedule(NewWBA(9, 5), inst)
 	if err != nil {
 		t.Fatal(err)
 	}
-	many, err := NewWBA(9, 20).Schedule(inst)
+	many, err := scheduler.Schedule(NewWBA(9, 20), inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,7 +432,7 @@ func TestSingleNodeNetwork(t *testing.T) {
 	inst := graph.NewInstance(g, graph.NewNetwork(1))
 	for _, name := range allNames {
 		s, _ := scheduler.New(name)
-		sch, err := s.Schedule(inst)
+		sch, err := scheduler.Schedule(s, inst)
 		if err != nil {
 			t.Fatalf("%s on single node: %v", name, err)
 		}
@@ -453,7 +453,7 @@ func TestSingleTaskGraph(t *testing.T) {
 	inst := graph.NewInstance(g, net)
 	for _, name := range allNames {
 		s, _ := scheduler.New(name)
-		sch, err := s.Schedule(inst)
+		sch, err := scheduler.Schedule(s, inst)
 		if err != nil {
 			t.Fatalf("%s on single task: %v", name, err)
 		}
@@ -477,7 +477,7 @@ func TestZeroCostTasksHandled(t *testing.T) {
 	inst := graph.NewInstance(g, net)
 	for _, name := range allNames {
 		s, _ := scheduler.New(name)
-		sch, err := s.Schedule(inst)
+		sch, err := scheduler.Schedule(s, inst)
 		if err != nil {
 			t.Fatalf("%s on zero-cost tasks: %v", name, err)
 		}
@@ -495,7 +495,7 @@ func TestDisconnectedGraphHandled(t *testing.T) {
 	inst := graph.NewInstance(g, graph.NewNetwork(2))
 	for _, name := range allNames {
 		s, _ := scheduler.New(name)
-		sch, err := s.Schedule(inst)
+		sch, err := scheduler.Schedule(s, inst)
 		if err != nil {
 			t.Fatalf("%s on independent tasks: %v", name, err)
 		}

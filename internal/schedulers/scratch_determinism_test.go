@@ -464,10 +464,10 @@ func assertSameAssignments(t *testing.T, label string, i int, want []schedule.As
 	}
 }
 
-// TestScratchBitIdenticalToReference proves the tentpole's contract: the
+// TestScratchBitIdenticalToReference proves the scratch contract: the
 // table-driven, scratch-reusing HEFT and CPoP produce bit-identical
-// schedules to the pre-optimization implementations over the corpus, on
-// both the plain Schedule path and a shared warm scratch.
+// schedules to the pre-optimization implementations over the corpus,
+// both one-shot (scheduler.Schedule) and on a shared warm scratch.
 func TestScratchBitIdenticalToReference(t *testing.T) {
 	scr := scheduler.NewScratch()
 	var out schedule.Schedule
@@ -475,7 +475,7 @@ func TestScratchBitIdenticalToReference(t *testing.T) {
 		wantHEFT := append([]schedule.Assignment(nil), refHEFT(inst)...)
 		wantCPoP := append([]schedule.Assignment(nil), refCPoP(inst)...)
 
-		sch, err := HEFT{}.Schedule(inst)
+		sch, err := scheduler.Schedule(HEFT{}, inst)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -485,7 +485,7 @@ func TestScratchBitIdenticalToReference(t *testing.T) {
 		}
 		assertSameAssignments(t, "HEFT/scratch", i, wantHEFT, &out)
 
-		sch, err = CPoP{}.Schedule(inst)
+		sch, err = scheduler.Schedule(CPoP{}, inst)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -498,30 +498,26 @@ func TestScratchBitIdenticalToReference(t *testing.T) {
 }
 
 // TestScratchMatchesPlainForAllSchedulers closes the loop for the rest
-// of the roster: a warm shared scratch must reproduce the plain Schedule
-// path bit-for-bit for every registered scratch-aware algorithm (the
-// plain path itself is pinned by TestFig1FrozenMakespans and the
-// reference comparison above).
+// of the roster: a warm shared scratch must reproduce the one-shot
+// scheduler.Schedule path (a fresh scratch per call) bit-for-bit for
+// every gated algorithm (gatedNames: the registry minus the two exact
+// schedulers). The one-shot path itself is pinned by
+// TestFig1FrozenMakespans and the reference comparison above.
 func TestScratchMatchesPlainForAllSchedulers(t *testing.T) {
-	names := append([]string{"Ensemble", "LMT", "ERT", "MH"}, ExperimentalNames...)
 	corpus := determinismCorpus(t)
-	for _, name := range names {
+	for _, name := range gatedNames() {
 		s, err := scheduler.New(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ss, ok := s.(scheduler.ScratchScheduler)
-		if !ok {
-			t.Fatalf("%s does not implement ScratchScheduler", name)
-		}
 		scr := scheduler.NewScratch()
 		var out schedule.Schedule
 		for i, inst := range corpus {
-			want, err := s.Schedule(inst)
+			want, err := scheduler.Schedule(s, inst)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			if err := ss.ScheduleScratch(inst, scr, &out); err != nil {
+			if err := s.ScheduleScratch(inst, scr, &out); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 			assertSameAssignments(t, fmt.Sprintf("%s/scratch-vs-plain", name), i, want.ByTask, &out)
@@ -596,7 +592,7 @@ func scaleTierInstance(tb testing.TB, name string) *graph.Instance {
 func TestRowSchedulersMatchPerNodeReference(t *testing.T) {
 	scr := scheduler.NewScratch()
 	var out schedule.Schedule
-	check := func(label string, i int, s scheduler.ScratchScheduler, want []schedule.Assignment, inst *graph.Instance) {
+	check := func(label string, i int, s scheduler.Scheduler, want []schedule.Assignment, inst *graph.Instance) {
 		t.Helper()
 		want = append([]schedule.Assignment(nil), want...)
 		if err := s.ScheduleScratch(inst, scr, &out); err != nil {
@@ -627,7 +623,7 @@ func TestFLBMatchesPerNodeReference10k(t *testing.T) {
 	}
 	inst := scaleTierInstance(t, "scale_layered_10k")
 	want := refFLB(inst)
-	sch, err := FLB{}.Schedule(inst)
+	sch, err := scheduler.Schedule(FLB{}, inst)
 	if err != nil {
 		t.Fatal(err)
 	}

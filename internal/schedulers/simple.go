@@ -25,12 +25,7 @@ type FastestNode struct{}
 // Name implements scheduler.Scheduler.
 func (FastestNode) Name() string { return "FastestNode" }
 
-// Schedule implements scheduler.Scheduler.
-func (f FastestNode) Schedule(inst *graph.Instance) (*schedule.Schedule, error) {
-	return scheduler.RunScratch(f, inst)
-}
-
-// ScheduleScratch implements scheduler.ScratchScheduler.
+// ScheduleScratch implements scheduler.Scheduler.
 func (FastestNode) ScheduleScratch(inst *graph.Instance, scr *scheduler.Scratch, out *schedule.Schedule) error {
 	tab := scr.Tables(inst)
 	if tab.TopoErr != nil {
@@ -55,12 +50,7 @@ type OLB struct{}
 // Name implements scheduler.Scheduler.
 func (OLB) Name() string { return "OLB" }
 
-// Schedule implements scheduler.Scheduler.
-func (o OLB) Schedule(inst *graph.Instance) (*schedule.Schedule, error) {
-	return scheduler.RunScratch(o, inst)
-}
-
-// ScheduleScratch implements scheduler.ScratchScheduler.
+// ScheduleScratch implements scheduler.Scheduler.
 func (OLB) ScheduleScratch(inst *graph.Instance, scr *scheduler.Scratch, out *schedule.Schedule) error {
 	tab := scr.Tables(inst)
 	if tab.TopoErr != nil {
@@ -83,12 +73,7 @@ type MCT struct{}
 // Name implements scheduler.Scheduler.
 func (MCT) Name() string { return "MCT" }
 
-// Schedule implements scheduler.Scheduler.
-func (m MCT) Schedule(inst *graph.Instance) (*schedule.Schedule, error) {
-	return scheduler.RunScratch(m, inst)
-}
-
-// ScheduleScratch implements scheduler.ScratchScheduler.
+// ScheduleScratch implements scheduler.Scheduler.
 func (MCT) ScheduleScratch(inst *graph.Instance, scr *scheduler.Scratch, out *schedule.Schedule) error {
 	tab := scr.Tables(inst)
 	if tab.TopoErr != nil {
@@ -112,12 +97,7 @@ type MET struct{}
 // Name implements scheduler.Scheduler.
 func (MET) Name() string { return "MET" }
 
-// Schedule implements scheduler.Scheduler.
-func (m MET) Schedule(inst *graph.Instance) (*schedule.Schedule, error) {
-	return scheduler.RunScratch(m, inst)
-}
-
-// ScheduleScratch implements scheduler.ScratchScheduler.
+// ScheduleScratch implements scheduler.Scheduler.
 func (MET) ScheduleScratch(inst *graph.Instance, scr *scheduler.Scratch, out *schedule.Schedule) error {
 	tab := scr.Tables(inst)
 	if tab.TopoErr != nil {

@@ -44,11 +44,6 @@ func NewWBA(seed uint64, rounds int) WBA {
 // Name implements scheduler.Scheduler.
 func (WBA) Name() string { return "WBA" }
 
-// Schedule implements scheduler.Scheduler.
-func (w WBA) Schedule(inst *graph.Instance) (*schedule.Schedule, error) {
-	return scheduler.RunScratch(w, inst)
-}
-
 // wbaScratch is WBA's per-worker extension state: the root and per-round
 // generators and the candidate-option buffer, reused across calls.
 type wbaScratch struct {
@@ -56,7 +51,7 @@ type wbaScratch struct {
 	options     []wbaOption
 }
 
-// ScheduleScratch implements scheduler.ScratchScheduler. Each
+// ScheduleScratch implements scheduler.Scheduler. Each
 // construction round builds into the scratch builder; the best round is
 // copied into out, so a warm call allocates nothing while drawing the
 // exact random streams of the reference implementation.

@@ -136,7 +136,7 @@ func TestScheduleRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sch, err := s.Schedule(inst)
+	sch, err := scheduler.Schedule(s, inst)
 	if err != nil {
 		t.Fatal(err)
 	}

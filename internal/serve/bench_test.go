@@ -87,7 +87,7 @@ func TestServeLoadGate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		direct, err := sched.Schedule(inst)
+		direct, err := scheduler.Schedule(sched, inst)
 		if err != nil {
 			t.Fatal(err)
 		}

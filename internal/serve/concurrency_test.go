@@ -53,7 +53,7 @@ func TestConcurrentScheduleNoStateBleed(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			direct, err := sched.Schedule(inst)
+			direct, err := scheduler.Schedule(sched, inst)
 			if err != nil {
 				t.Fatal(err)
 			}

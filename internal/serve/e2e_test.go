@@ -121,7 +121,7 @@ func TestServeSmokeE2E(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		direct, err := sched.Schedule(inst)
+		direct, err := scheduler.Schedule(sched, inst)
 		if err != nil {
 			t.Fatal(err)
 		}

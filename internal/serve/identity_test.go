@@ -51,7 +51,7 @@ func TestScheduleByteIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			direct, err := sched.Schedule(inst)
+			direct, err := scheduler.Schedule(sched, inst)
 			if err != nil {
 				t.Fatal(err)
 			}

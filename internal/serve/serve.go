@@ -317,7 +317,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	defer s.releaseScratch(entry, scr)
 	out := scr.AcquireSchedule()
 	defer scr.ReleaseSchedule(out)
-	if err := scheduler.ScheduleInto(sched, entry.inst, scr, out); err != nil {
+	if err := sched.ScheduleScratch(entry.inst, scr, out); err != nil {
 		http.Error(w, fmt.Sprintf("schedule: %v", err), http.StatusBadRequest)
 		return
 	}

@@ -7,6 +7,7 @@ import (
 	"saga/internal/graph"
 	"saga/internal/rng"
 	"saga/internal/schedule"
+	"saga/internal/scheduler"
 	"saga/internal/schedulers"
 )
 
@@ -18,7 +19,7 @@ func TestElasticNeverWorseThanPlanWithoutContention(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		inst := datasets.InitialPISAInstance(r.Split())
 		for _, s := range schedulers.Experimental() {
-			sch, err := s.Schedule(inst)
+			sch, err := scheduler.Schedule(s, inst)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -41,7 +42,7 @@ func TestElasticMatchesStrictForBuilderSchedules(t *testing.T) {
 	inst := datasets.Fig1Instance()
 	for _, name := range []string{"HEFT", "CPoP", "MCT", "FastestNode"} {
 		s := mustNew(t, name)
-		sch, err := s.Schedule(inst)
+		sch, err := scheduler.Schedule(s, inst)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,7 +135,7 @@ func TestElasticContentionNeverFaster(t *testing.T) {
 		inst := datasets.InitialPISAInstance(r.Split())
 		for _, name := range []string{"HEFT", "MinMin", "OLB"} {
 			s := mustNew(t, name)
-			sch, err := s.Schedule(inst)
+			sch, err := scheduler.Schedule(s, inst)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -161,10 +162,7 @@ func TestElasticShapeErrors(t *testing.T) {
 	}
 }
 
-func mustNew(t *testing.T, name string) interface {
-	Schedule(*graph.Instance) (*schedule.Schedule, error)
-	Name() string
-} {
+func mustNew(t *testing.T, name string) scheduler.Scheduler {
 	t.Helper()
 	for _, s := range schedulers.Experimental() {
 		if s.Name() == name {

@@ -36,7 +36,7 @@ func TestDifferentialAllSchedulers(t *testing.T) {
 
 	for _, s := range schedulers.Experimental() {
 		for i, inst := range instances {
-			sch, err := s.Schedule(inst)
+			sch, err := scheduler.Schedule(s, inst)
 			if err != nil {
 				t.Fatalf("%s on instance %d: %v", s.Name(), i, err)
 			}
@@ -65,7 +65,7 @@ func fig1Schedule(t *testing.T, name string) (*graph.Instance, *schedule.Schedul
 	if err != nil {
 		t.Fatal(err)
 	}
-	sch, err := s.Schedule(inst)
+	sch, err := scheduler.Schedule(s, inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestUtilization(t *testing.T) {
 	g.MustAddDep(a, b, 1)
 	inst := graph.NewInstance(g, graph.NewNetwork(1))
 	s, _ := scheduler.New("FastestNode")
-	sch, err := s.Schedule(inst)
+	sch, err := scheduler.Schedule(s, inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestSimulatedAnnealingInstancesExecutable(t *testing.T) {
 		inst := datasets.InitialPISAInstance(r.Split())
 		for _, name := range []string{"HEFT", "CPoP", "FastestNode"} {
 			s, _ := scheduler.New(name)
-			sch, err := s.Schedule(inst)
+			sch, err := scheduler.Schedule(s, inst)
 			if err != nil {
 				t.Fatal(err)
 			}

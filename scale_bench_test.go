@@ -38,7 +38,7 @@ func heftThroughput(tb testing.TB, inst *graph.Instance) (float64, *schedule.Sch
 	tb.Helper()
 	s := mustSchedT(tb, "HEFT")
 	start := time.Now()
-	sch, err := s.Schedule(inst)
+	sch, err := scheduler.Schedule(s, inst)
 	elapsed := time.Since(start).Seconds()
 	if err != nil {
 		tb.Fatal(err)
@@ -58,7 +58,7 @@ func BenchmarkScaleHEFT(b *testing.B) {
 			s := mustSched(b, "HEFT")
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := s.Schedule(inst); err != nil {
+				if _, err := scheduler.Schedule(s, inst); err != nil {
 					b.Fatal(err)
 				}
 			}
