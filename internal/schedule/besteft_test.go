@@ -136,3 +136,104 @@ func TestBestEFTNodeMatchesUnskipped(t *testing.T) {
 		})
 	}
 }
+
+// TestAppendRowMatchesEFTFrom holds the no-insertion row kernel to
+// per-node EFTFrom bit for bit, over seeded partial schedules built in a
+// random topological order, through a builder that divides (Reset) and
+// one bound to precomputed tables (ResetTables). Each task is scored on
+// its ready row, on each node's available time (ready equal to
+// availability) and on that time less Eps/2 (ready within Eps below it),
+// and a quarter of the tasks cost zero.
+func TestAppendRowMatchesEFTFrom(t *testing.T) {
+	for seed := int64(1); seed <= 60; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		nTasks, nNodes := 10+r.Intn(50), 1+r.Intn(6)
+		weight := func() float64 {
+			if r.Intn(4) == 0 {
+				return 0
+			}
+			if r.Intn(2) == 0 {
+				return float64(r.Intn(4))
+			}
+			return r.Float64() * 4
+		}
+		g := graph.NewTaskGraph()
+		for i := 0; i < nTasks; i++ {
+			g.AddTask("t", weight())
+		}
+		for j := 1; j < nTasks; j++ {
+			for k := r.Intn(4); k > 0; k-- {
+				if i := r.Intn(j); !g.HasDep(i, j) {
+					g.MustAddDep(i, j, weight())
+				}
+			}
+		}
+		net := graph.NewNetwork(nNodes)
+		for v := 0; v < nNodes; v++ {
+			net.Speeds[v] = float64(1+r.Intn(3)) / 2
+			for u := v + 1; u < nNodes; u++ {
+				net.SetLink(v, u, float64(1+r.Intn(2)))
+			}
+		}
+		inst := graph.NewInstance(g, net)
+		var tab graph.Tables
+		tab.Build(inst)
+		for _, tables := range []bool{false, true} {
+			var b Builder
+			if tables {
+				b.ResetTables(inst, &tab)
+			} else {
+				b.Reset(inst)
+			}
+			checkAppendRow(t, seed, tables, &b, r)
+		}
+	}
+}
+
+// checkAppendRow places every task of the builder's instance in a seeded
+// random topological order on a random node, at its no-insertion start
+// there, and before each placement compares AppendRow with EFTFrom on
+// the nodes' available times, on those less Eps/2, and on the task's
+// ready row (the last fill, whose starts the placement reads).
+func checkAppendRow(t *testing.T, seed int64, tables bool, b *Builder, r *rand.Rand) {
+	t.Helper()
+	g := b.Instance().Graph
+	nV := b.Instance().Net.NumNodes()
+	avail, below := make([]float64, nV), make([]float64, nV)
+	start, finish := make([]float64, nV), make([]float64, nV)
+	pending := make([]int, g.NumTasks())
+	var ready []int
+	for task := range pending {
+		if pending[task] = len(g.Pred[task]); pending[task] == 0 {
+			ready = append(ready, task)
+		}
+	}
+	for len(ready) > 0 {
+		i := r.Intn(len(ready))
+		task := ready[i]
+		ready[i] = ready[len(ready)-1]
+		ready = ready[:len(ready)-1]
+		row, _ := b.ReadyRow(task)
+		for v := range avail {
+			avail[v] = b.NodeAvailable(v)
+			below[v] = math.Max(avail[v]-graph.Eps/2, 0)
+		}
+		for _, at := range [][]float64{avail, below, row} {
+			b.AppendRow(task, at, start, finish)
+			for v, rv := range at {
+				s, f := b.EFTFrom(task, v, rv, false)
+				if math.Float64bits(s) != math.Float64bits(start[v]) || math.Float64bits(f) != math.Float64bits(finish[v]) {
+					t.Fatalf("seed %d tables=%v task %d node %d ready %v: AppendRow (%v, %v), EFTFrom (%v, %v)",
+						seed, tables, task, v, rv, start[v], finish[v], s, f)
+				}
+			}
+		}
+		v := r.Intn(nV)
+		b.Place(task, v, start[v])
+		for _, d := range g.Succ[task] {
+			if pending[d.To]--; pending[d.To] == 0 {
+				ready = append(ready, d.To)
+			}
+		}
+	}
+}

@@ -286,6 +286,43 @@ func (b *Builder) EFTFrom(t, v int, ready float64, insertion bool) (start, finis
 	return start, start + dur
 }
 
+// AppendRow is EFTFrom without insertion for every node at once: it sets
+// start[v], finish[v] = EFTFrom(t, v, ready[v], false) for each node v,
+// in one pass over t's execution-time row and the nodes' timelines. ready
+// is typically t's FillReadyRow row; all three slices must be NumNodes
+// long. The arithmetic is EFTFrom's, so the row is bit-identical to the
+// per-node calls: the start is the node's available time if that is
+// strictly later than ready, else ready, and the finish is start + dur.
+// The schedulers that re-score every ready task at every step (MinMin,
+// MaxMin, Duplex, ETF, GDL, BIL, WBA) score a task with one call.
+func (b *Builder) AppendRow(t int, ready, start, finish []float64) {
+	nv := len(b.speeds)
+	ready, start, finish = ready[:nv], start[:nv], finish[:nv]
+	tls := b.timelines[:nv]
+	var exec []float64
+	if b.exec != nil {
+		exec = b.exec[t*nv : (t+1)*nv]
+	}
+	cost := b.inst.Graph.Tasks[t].Cost
+	for v, r := range ready {
+		var dur float64
+		if exec != nil {
+			dur = exec[v]
+		} else {
+			dur = cost / b.speeds[v]
+		}
+		avail := 0.0 // NodeAvailable(v)
+		if tl := tls[v]; len(tl) > 0 {
+			avail = tl[len(tl)-1].End
+		}
+		s := r
+		if avail > r {
+			s = avail
+		}
+		start[v], finish[v] = s, s+dur
+	}
+}
+
 // Place records task t on node v at the given start time. It panics if t
 // is already placed; schedulers are expected to pass feasible starts
 // (validation happens once at the end via Validate).

@@ -224,8 +224,9 @@ func (s *Scratch) ReleaseSchedule(sch *schedule.Schedule) {
 
 // Ext returns the per-algorithm extension state stored under key,
 // creating it with mk on first use. Algorithms with state the generic
-// scratch cannot know about (WBA's option list and RNGs, LMT's level
-// buckets) keep it here so one Scratch serves every scheduler.
+// scratch cannot know about (WBA's RNGs, the ready-row cache of the
+// re-scoring schedulers, LMT's level buckets) keep it here so one
+// Scratch serves every scheduler.
 func (s *Scratch) Ext(key string, mk func() any) any {
 	if v, ok := s.ext[key]; ok {
 		return v

@@ -92,13 +92,19 @@ func bilLevels(inst *graph.Instance, tab *graph.Tables, dst []float64) []float64
 	return bil
 }
 
-// ScheduleScratch implements scheduler.Scheduler.
+// ScheduleScratch implements scheduler.Scheduler. Each ready task's
+// starts on every node are one AppendRow call on its cached ready row;
+// the selected task's row is kept (two output rows, swapped) for the
+// placement scan.
 func (BIL) ScheduleScratch(inst *graph.Instance, scr *scheduler.Scratch, out *schedule.Schedule) error {
 	nNodes := inst.Net.NumNodes()
 	tab := scr.Tables(inst)
 	bil := bilLevels(inst, tab, scr.Floats(inst.Graph.NumTasks()*nNodes))
 	b := scr.Builder(inst)
 	rs := scr.ReadySet(inst.Graph)
+	rows := readyRows(scr, inst)
+	start, finish := rows.out(2)
+	cur, best := start[:nNodes], start[nNodes:]
 	for !rs.Empty() {
 		ready := rs.Ready()
 		k := float64(len(ready))
@@ -107,27 +113,28 @@ func (BIL) ScheduleScratch(inst *graph.Instance, scr *scheduler.Scratch, out *sc
 		// best imaginary makespan over nodes.
 		bestTask, bestCrit := -1, math.Inf(-1)
 		for _, t := range ready {
+			at, _ := rows.row(b, t)
+			b.AppendRow(t, at, cur, finish)
 			crit := math.Inf(-1)
-			for v := 0; v < nNodes; v++ {
-				s, _, ok := b.EFT(t, v, false)
-				if !ok {
-					panic("schedulers: BIL ready task with unplaced predecessor")
-				}
-				if bim := s + bil[t*nNodes+v]; bim > crit {
+			level := bil[t*nNodes : (t+1)*nNodes]
+			for v, s := range cur {
+				if bim := s + level[v]; bim > crit {
 					crit = bim
 				}
 			}
 			if crit > bestCrit+graph.Eps {
 				bestTask, bestCrit = t, crit
+				cur, best = best, cur
 			}
 		}
 
 		// Place it on the node minimizing the revised imaginary makespan.
 		adjust := math.Max(k/float64(nNodes)-1, 0)
+		level := bil[bestTask*nNodes : (bestTask+1)*nNodes]
+		exec := tab.Exec[bestTask*nNodes : (bestTask+1)*nNodes]
 		bestNode, bestStart, bestBIM := -1, 0.0, math.Inf(1)
-		for v := 0; v < nNodes; v++ {
-			s, _, _ := b.EFT(bestTask, v, false)
-			bim := s + bil[bestTask*nNodes+v] + inst.ExecTime(bestTask, v)*adjust
+		for v, s := range best {
+			bim := s + level[v] + exec[v]*adjust
 			if bim < bestBIM-graph.Eps {
 				bestNode, bestStart, bestBIM = v, s, bim
 			}

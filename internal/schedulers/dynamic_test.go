@@ -1,9 +1,12 @@
 package schedulers
 
 import (
+	"math"
 	"testing"
 
+	"saga/internal/datasets"
 	"saga/internal/graph"
+	"saga/internal/schedule"
 	"saga/internal/scheduler"
 )
 
@@ -208,6 +211,28 @@ func TestWBAZeroAlphaIsGreedy(t *testing.T) {
 		}
 		if s.Makespan() != first {
 			t.Fatalf("greedy WBA varied across seeds: %v vs %v", s.Makespan(), first)
+		}
+	}
+}
+
+// TestWBARefusesAlphaOutsideUnitInterval pins the Alpha check: NaN or a
+// width outside [0, 1] could leave the candidate list empty (at -1 no
+// option passes the cut), so it is a clean error, never an Intn(0)
+// panic; both ends of the interval schedule.
+func TestWBARefusesAlphaOutsideUnitInterval(t *testing.T) {
+	inst := datasets.Fig1Instance()
+	for _, alpha := range []float64{-1, math.NaN(), 1.5, math.Inf(1), math.Inf(-1)} {
+		if _, err := scheduler.Schedule(WBA{Seed: 1, Rounds: 2, Alpha: alpha}, inst); err == nil {
+			t.Errorf("Alpha %v: no error", alpha)
+		}
+	}
+	for _, alpha := range []float64{0, 1} {
+		s, err := scheduler.Schedule(WBA{Seed: 1, Rounds: 2, Alpha: alpha}, inst)
+		if err != nil {
+			t.Fatalf("Alpha %v: %v", alpha, err)
+		}
+		if err := schedule.Validate(inst, s); err != nil {
+			t.Fatalf("Alpha %v: %v", alpha, err)
 		}
 	}
 }

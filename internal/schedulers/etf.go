@@ -37,15 +37,13 @@ func (ETF) ScheduleScratch(inst *graph.Instance, scr *scheduler.Scratch, out *sc
 	rank := scr.UpwardRank(inst)
 	b := scr.Builder(inst)
 	rs := scr.ReadySet(inst.Graph)
+	rows := readyRows(scr, inst)
 	for !rs.Empty() {
 		bestTask, bestNode := -1, -1
 		bestStart := 0.0
 		for _, t := range rs.Ready() {
-			for v := 0; v < inst.Net.NumNodes(); v++ {
-				s, _, ok := b.EFT(t, v, false)
-				if !ok {
-					panic("schedulers: ETF ready task with unplaced predecessor")
-				}
+			start, _ := rows.eft(b, t)
+			for v, s := range start {
 				better := bestTask == -1 || s < bestStart-graph.Eps
 				if !better && graph.ApproxEq(s, bestStart) {
 					// Tie-break: prefer the more critical task.

@@ -43,17 +43,17 @@ func (GDL) ScheduleScratch(inst *graph.Instance, scr *scheduler.Scratch, out *sc
 	sl := scr.StaticLevel(inst)
 	b := scr.Builder(inst)
 	rs := scr.ReadySet(inst.Graph)
+	rows := readyRows(scr, inst)
+	nv := inst.Net.NumNodes()
 	for !rs.Empty() {
 		bestTask, bestNode := -1, -1
 		bestStart, bestDL := 0.0, 0.0
 		for _, t := range rs.Ready() {
 			avg := tab.AvgExec[t]
-			for v := 0; v < inst.Net.NumNodes(); v++ {
-				s, _, ok := b.EFT(t, v, false)
-				if !ok {
-					panic("schedulers: GDL ready task with unplaced predecessor")
-				}
-				dl := sl[t] - s + (avg - inst.ExecTime(t, v))
+			exec := tab.Exec[t*nv : (t+1)*nv]
+			start, _ := rows.eft(b, t)
+			for v, s := range start {
+				dl := sl[t] - s + (avg - exec[v])
 				if bestTask == -1 || dl > bestDL+graph.Eps {
 					bestTask, bestNode, bestStart, bestDL = t, v, s, dl
 				}

@@ -14,35 +14,27 @@ func init() {
 	scheduler.Register("Duplex", func() scheduler.Scheduler { return Duplex{} })
 }
 
-// minCompletion returns, for ready task t, the node minimizing its
-// completion time given previous decisions, the corresponding start time,
-// and that minimum completion time.
-func minCompletion(b *schedule.Builder, t int) (node int, start, finish float64) {
-	node, start, finish = -1, 0, math.Inf(1)
-	for v := 0; v < b.Instance().Net.NumNodes(); v++ {
-		s, f, ok := b.EFT(t, v, false)
-		if !ok {
-			panic("schedulers: minCompletion on non-ready task")
-		}
-		if f < finish-graph.Eps {
-			node, start, finish = v, s, f
-		}
-	}
-	return node, start, finish
-}
-
 // minMinSchedule runs the MinMin/MaxMin iteration: repeatedly compute
 // each ready task's minimum completion time over all nodes, then commit
 // the task selected by pickMax (largest MCT for MaxMin, smallest for
-// MinMin) to its minimizing node.
+// MinMin) to its minimizing node. A task's completion times on every node
+// are one AppendRow call on its cached ready row; a later node replaces
+// the running best only if it finishes more than Eps earlier.
 func minMinSchedule(inst *graph.Instance, scr *scheduler.Scratch, pickMax bool, out *schedule.Schedule) error {
 	b := scr.Builder(inst)
 	rs := scr.ReadySet(inst.Graph)
+	rows := readyRows(scr, inst)
 	for !rs.Empty() {
 		bestTask, bestNode := -1, -1
 		bestStart, bestMCT := 0.0, 0.0
 		for _, t := range rs.Ready() {
-			v, s, f := minCompletion(b, t)
+			start, finish := rows.eft(b, t)
+			v, f := -1, math.Inf(1)
+			for u, fu := range finish {
+				if fu < f-graph.Eps {
+					v, f = u, fu
+				}
+			}
 			better := bestTask == -1
 			if !better {
 				if pickMax {
@@ -52,7 +44,7 @@ func minMinSchedule(inst *graph.Instance, scr *scheduler.Scratch, pickMax bool, 
 				}
 			}
 			if better {
-				bestTask, bestNode, bestStart, bestMCT = t, v, s, f
+				bestTask, bestNode, bestStart, bestMCT = t, v, start[v], f
 			}
 		}
 		b.Place(bestTask, bestNode, bestStart)

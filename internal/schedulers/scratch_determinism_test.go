@@ -353,6 +353,14 @@ func refFLB(inst *graph.Instance) []schedule.Assignment {
 	return b.byTask
 }
 
+// wbaOption is one (task, node) candidate of refWBA's restricted
+// candidate list.
+type wbaOption struct {
+	task, node int
+	start      float64
+	increase   float64
+}
+
 // refWBA is the pre-row WBA.ScheduleScratch: the same rounds and random
 // streams, with a per-node EFT and math.Max for every option.
 func refWBA(w WBA, inst *graph.Instance) []schedule.Assignment {
@@ -402,6 +410,165 @@ func refWBA(w WBA, inst *graph.Instance) []schedule.Assignment {
 		}
 	}
 	return best
+}
+
+// refMinCompletion is the per-node minCompletion MinMin, MaxMin and
+// Duplex used before AppendRow: one EFT, and so one predecessor walk, per
+// node.
+func refMinCompletion(b *schedule.Builder, t int) (node int, start, finish float64) {
+	node, start, finish = -1, 0, math.Inf(1)
+	for v := 0; v < b.Instance().Net.NumNodes(); v++ {
+		s, f, ok := b.EFT(t, v, false)
+		if !ok {
+			panic("schedulers: minCompletion on non-ready task")
+		}
+		if f < finish-graph.Eps {
+			node, start, finish = v, s, f
+		}
+	}
+	return node, start, finish
+}
+
+// refMinMinSchedule is the per-node minMinSchedule.
+func refMinMinSchedule(inst *graph.Instance, scr *scheduler.Scratch, pickMax bool, out *schedule.Schedule) error {
+	b := scr.Builder(inst)
+	rs := scr.ReadySet(inst.Graph)
+	for !rs.Empty() {
+		bestTask, bestNode := -1, -1
+		bestStart, bestMCT := 0.0, 0.0
+		for _, t := range rs.Ready() {
+			v, s, f := refMinCompletion(b, t)
+			better := bestTask == -1
+			if !better {
+				if pickMax {
+					better = f > bestMCT+graph.Eps
+				} else {
+					better = f < bestMCT-graph.Eps
+				}
+			}
+			if better {
+				bestTask, bestNode, bestStart, bestMCT = t, v, s, f
+			}
+		}
+		b.Place(bestTask, bestNode, bestStart)
+		rs.Complete(bestTask)
+	}
+	return b.ScheduleInto(out)
+}
+
+// refDuplex is the per-node Duplex.ScheduleScratch.
+func refDuplex(inst *graph.Instance, scr *scheduler.Scratch, out *schedule.Schedule) error {
+	if err := refMinMinSchedule(inst, scr, false, out); err != nil {
+		return err
+	}
+	tmp := scr.AcquireSchedule()
+	defer scr.ReleaseSchedule(tmp)
+	if err := refMinMinSchedule(inst, scr, true, tmp); err != nil {
+		return err
+	}
+	if tmp.Makespan() < out.Makespan() {
+		out.CopyFrom(tmp)
+	}
+	return nil
+}
+
+// refETF is the per-node ETF.ScheduleScratch.
+func refETF(inst *graph.Instance, scr *scheduler.Scratch, out *schedule.Schedule) error {
+	rank := scr.UpwardRank(inst)
+	b := scr.Builder(inst)
+	rs := scr.ReadySet(inst.Graph)
+	for !rs.Empty() {
+		bestTask, bestNode := -1, -1
+		bestStart := 0.0
+		for _, t := range rs.Ready() {
+			for v := 0; v < inst.Net.NumNodes(); v++ {
+				s, _, ok := b.EFT(t, v, false)
+				if !ok {
+					panic("schedulers: ETF ready task with unplaced predecessor")
+				}
+				better := bestTask == -1 || s < bestStart-graph.Eps
+				if !better && graph.ApproxEq(s, bestStart) {
+					// Tie-break: prefer the more critical task.
+					better = rank[t] > rank[bestTask]+graph.Eps
+				}
+				if better {
+					bestTask, bestNode, bestStart = t, v, s
+				}
+			}
+		}
+		b.Place(bestTask, bestNode, bestStart)
+		rs.Complete(bestTask)
+	}
+	return b.ScheduleInto(out)
+}
+
+// refGDL is the per-node GDL.ScheduleScratch.
+func refGDL(inst *graph.Instance, scr *scheduler.Scratch, out *schedule.Schedule) error {
+	tab := scr.Tables(inst)
+	sl := scr.StaticLevel(inst)
+	b := scr.Builder(inst)
+	rs := scr.ReadySet(inst.Graph)
+	for !rs.Empty() {
+		bestTask, bestNode := -1, -1
+		bestStart, bestDL := 0.0, 0.0
+		for _, t := range rs.Ready() {
+			avg := tab.AvgExec[t]
+			for v := 0; v < inst.Net.NumNodes(); v++ {
+				s, _, ok := b.EFT(t, v, false)
+				if !ok {
+					panic("schedulers: GDL ready task with unplaced predecessor")
+				}
+				dl := sl[t] - s + (avg - inst.ExecTime(t, v))
+				if bestTask == -1 || dl > bestDL+graph.Eps {
+					bestTask, bestNode, bestStart, bestDL = t, v, s, dl
+				}
+			}
+		}
+		b.Place(bestTask, bestNode, bestStart)
+		rs.Complete(bestTask)
+	}
+	return b.ScheduleInto(out)
+}
+
+// refBIL is the per-node BIL.ScheduleScratch.
+func refBIL(inst *graph.Instance, scr *scheduler.Scratch, out *schedule.Schedule) error {
+	nNodes := inst.Net.NumNodes()
+	tab := scr.Tables(inst)
+	bil := bilLevels(inst, tab, scr.Floats(inst.Graph.NumTasks()*nNodes))
+	b := scr.Builder(inst)
+	rs := scr.ReadySet(inst.Graph)
+	for !rs.Empty() {
+		ready := rs.Ready()
+		k := float64(len(ready))
+		bestTask, bestCrit := -1, math.Inf(-1)
+		for _, t := range ready {
+			crit := math.Inf(-1)
+			for v := 0; v < nNodes; v++ {
+				s, _, ok := b.EFT(t, v, false)
+				if !ok {
+					panic("schedulers: BIL ready task with unplaced predecessor")
+				}
+				if bim := s + bil[t*nNodes+v]; bim > crit {
+					crit = bim
+				}
+			}
+			if crit > bestCrit+graph.Eps {
+				bestTask, bestCrit = t, crit
+			}
+		}
+		adjust := math.Max(k/float64(nNodes)-1, 0)
+		bestNode, bestStart, bestBIM := -1, 0.0, math.Inf(1)
+		for v := 0; v < nNodes; v++ {
+			s, _, _ := b.EFT(bestTask, v, false)
+			bim := s + bil[bestTask*nNodes+v] + inst.ExecTime(bestTask, v)*adjust
+			if bim < bestBIM-graph.Eps {
+				bestNode, bestStart, bestBIM = v, s, bim
+			}
+		}
+		b.Place(bestTask, bestNode, bestStart)
+		rs.Complete(bestTask)
+	}
+	return b.ScheduleInto(out)
 }
 
 // determinismCorpus builds a varied instance set: the paper's worked
@@ -581,17 +748,20 @@ func scaleTierInstance(tb testing.TB, name string) *graph.Instance {
 	return insts[0]
 }
 
-// TestRowSchedulersMatchPerNodeReference holds FCP, FLB and WBA — the
-// schedulers that read ready rows and the hoisted earliest-idle node —
-// bit for bit to their pre-row versions above, which walk a task's
-// predecessors once per (task, node, step) and take math.Max. The corpus
-// is determinismCorpus plus enablingTieInstance, the 1k scale tier, and a
+// TestRowSchedulersMatchPerNodeReference holds the schedulers that read
+// ready rows — FCP, FLB and WBA, which also read the hoisted earliest-idle
+// node, and MinMin, MaxMin, Duplex, ETF, GDL and BIL, which score a ready
+// task with one AppendRow call — bit for bit to their per-node versions
+// above, which walk a task's predecessors once per (task, node, step)
+// through EFT (and, for FCP, FLB and WBA, take math.Max). The corpus is
+// determinismCorpus plus enablingTieInstance, the 1k scale tier, and a
 // zero-weight instance; WBA runs two rounds on the last three. One
 // scratch serves every call, so a row left over from a previous instance
-// or round would show up here.
+// or round would show up here; the per-node references run on a scratch
+// of their own.
 func TestRowSchedulersMatchPerNodeReference(t *testing.T) {
-	scr := scheduler.NewScratch()
-	var out schedule.Schedule
+	scr, refScr := scheduler.NewScratch(), scheduler.NewScratch()
+	var out, ref schedule.Schedule
 	check := func(label string, i int, s scheduler.Scheduler, want []schedule.Assignment, inst *graph.Instance) {
 		t.Helper()
 		want = append([]schedule.Assignment(nil), want...)
@@ -600,6 +770,18 @@ func TestRowSchedulersMatchPerNodeReference(t *testing.T) {
 		}
 		assertSameAssignments(t, label, i, want, &out)
 	}
+	refRun := func(run func(*graph.Instance, *scheduler.Scratch, *schedule.Schedule) error, inst *graph.Instance) []schedule.Assignment {
+		t.Helper()
+		if err := run(inst, refScr, &ref); err != nil {
+			t.Fatal(err)
+		}
+		return ref.ByTask
+	}
+	minMin := func(pickMax bool) func(*graph.Instance, *scheduler.Scratch, *schedule.Schedule) error {
+		return func(inst *graph.Instance, scr *scheduler.Scratch, out *schedule.Schedule) error {
+			return refMinMinSchedule(inst, scr, pickMax, out)
+		}
+	}
 	corpus := determinismCorpus(t)
 	corpus = append(corpus, enablingTieInstance())
 	big := []*graph.Instance{scaleTierInstance(t, "scale_layered_1k"), scaleTierInstance(t, "scale_chains_1k"), zeroWeightInstance(t)}
@@ -607,6 +789,12 @@ func TestRowSchedulersMatchPerNodeReference(t *testing.T) {
 	for i, inst := range append(corpus, big...) {
 		check("FCP", i, FCP{}, refFCP(inst), inst)
 		check("FLB", i, FLB{}, refFLB(inst), inst)
+		check("MinMin", i, MinMin{}, refRun(minMin(false), inst), inst)
+		check("MaxMin", i, MaxMin{}, refRun(minMin(true), inst), inst)
+		check("Duplex", i, Duplex{}, refRun(refDuplex, inst), inst)
+		check("ETF", i, ETF{}, refRun(refETF, inst), inst)
+		check("GDL", i, GDL{}, refRun(refGDL, inst), inst)
+		check("BIL", i, BIL{}, refRun(refBIL, inst), inst)
 		if i >= len(corpus) {
 			wba.Rounds = 2
 		}

@@ -1,6 +1,7 @@
 package schedulers
 
 import (
+	"fmt"
 	"math"
 
 	"saga/internal/graph"
@@ -45,32 +46,34 @@ func NewWBA(seed uint64, rounds int) WBA {
 func (WBA) Name() string { return "WBA" }
 
 // wbaScratch is WBA's per-worker extension state: the root and per-round
-// generators and the candidate-option buffer, reused across calls.
+// generators, reused across calls.
 type wbaScratch struct {
 	root, round rng.RNG
-	options     []wbaOption
 }
 
 // ScheduleScratch implements scheduler.Scheduler. Each
 // construction round builds into the scratch builder; the best round is
 // copied into out, so a warm call allocates nothing while drawing the
-// exact random streams of the reference implementation.
+// exact random streams of the reference implementation. An Alpha that is
+// NaN or outside [0, 1] is an error: in [0, 1] the cut is at least the
+// minimum increase plus Eps, so the candidate list is never empty.
 func (w WBA) ScheduleScratch(inst *graph.Instance, scr *scheduler.Scratch, out *schedule.Schedule) error {
+	if !(w.Alpha >= 0 && w.Alpha <= 1) {
+		return fmt.Errorf("schedulers: WBA Alpha %v outside [0, 1]", w.Alpha)
+	}
 	rounds := w.Rounds
 	if rounds <= 0 {
 		rounds = 10
 	}
 	ws := scr.Ext("WBA", func() any { return &wbaScratch{} }).(*wbaScratch)
 	ws.root.Reseed(w.Seed)
+	rows := readyRows(scr, inst)
 	bestSet := false
 	bestMakespan := 0.0
 	for i := 0; i < rounds; i++ {
 		ws.root.SplitInto(&ws.round)
-		b, err := w.construct(inst, &ws.round, scr, ws)
-		if err != nil {
-			return err
-		}
-		if m := b.Makespan(); !bestSet || m < bestMakespan {
+		b, m := w.construct(inst, &ws.round, scr, rows)
+		if !bestSet || m < bestMakespan {
 			if err := b.ScheduleInto(out); err != nil {
 				return err
 			}
@@ -80,53 +83,70 @@ func (w WBA) ScheduleScratch(inst *graph.Instance, scr *scheduler.Scratch, out *
 	return nil
 }
 
-type wbaOption struct {
-	task, node int
-	start      float64
-	increase   float64
-}
-
-func (w WBA) construct(inst *graph.Instance, r *rng.RNG, scr *scheduler.Scratch, ws *wbaScratch) (*schedule.Builder, error) {
+// construct runs one randomized construction round and returns the
+// builder and its makespan. Every step scores each (ready task, node)
+// option with one AppendRow call per ready task into a flat buffer, in
+// ready order × node order, then rewrites each finish in place as its
+// increase over the current makespan. The pick is the k-th option within
+// the cut in that order, k drawn by r.Intn over their count. The
+// makespan is the running maximum of the placed finishes.
+func (w WBA) construct(inst *graph.Instance, r *rng.RNG, scr *scheduler.Scratch, rows *rowCache) (*schedule.Builder, float64) {
 	b := scr.Builder(inst)
 	rs := scr.ReadySet(inst.Graph)
-	rows := readyRows(scr, inst)
-	options := ws.options[:0]
+	rows.reset(inst)
+	nv := inst.Net.NumNodes()
+	current := 0.0
 	for !rs.Empty() {
-		options = options[:0]
-		current := b.Makespan()
+		ready := rs.Ready()
+		start, inc := rows.out(len(ready))
 		minInc, maxInc := math.Inf(1), math.Inf(-1)
-		for _, t := range rs.Ready() {
-			ready, _ := rows.row(b, t)
-			for v, at := range ready {
-				s, f := b.EFTFrom(t, v, at, false)
+		for i, t := range ready {
+			at, _ := rows.row(b, t)
+			row := inc[i*nv : (i+1)*nv]
+			b.AppendRow(t, at, start[i*nv:(i+1)*nv], row)
+			for j, f := range row {
 				// max(f-current, 0) by comparison: f-current is never -0
 				// (f is not -0), so this matches math.Max bit for bit.
-				inc := f - current
-				if inc < 0 {
-					inc = 0
+				x := f - current
+				if x < 0 {
+					x = 0
 				}
-				options = append(options, wbaOption{task: t, node: v, start: s, increase: inc})
-				if inc < minInc {
-					minInc = inc
+				row[j] = x
+				if x < minInc {
+					minInc = x
 				}
-				if inc > maxInc {
-					maxInc = inc
+				if x > maxInc {
+					maxInc = x
 				}
 			}
 		}
 		// Restricted candidate list: options within Alpha of the span.
 		cut := minInc + w.Alpha*(maxInc-minInc) + graph.Eps
 		n := 0
-		for _, o := range options {
-			if o.increase <= cut {
-				options[n] = o
+		for _, x := range inc {
+			if x <= cut {
 				n++
 			}
 		}
-		pick := options[r.Intn(n)]
-		b.Place(pick.task, pick.node, pick.start)
-		rs.Complete(pick.task)
+		k := r.Intn(n)
+		t, v, s := -1, -1, 0.0
+	pick:
+		for i, u := range ready {
+			lo := i * nv
+			for j, x := range inc[lo : lo+nv] {
+				if x <= cut {
+					if k == 0 {
+						t, v, s = u, j, start[lo+j]
+						break pick
+					}
+					k--
+				}
+			}
+		}
+		if a := b.Place(t, v, s); a.End > current {
+			current = a.End
+		}
+		rs.Complete(t)
 	}
-	ws.options = options[:0]
-	return b, nil
+	return b, current
 }
