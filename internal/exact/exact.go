@@ -15,8 +15,8 @@
 //
 // Three devices keep the search usable beyond toy sizes:
 //
-//   - HEFT warm start: an inline HEFT pass (upward ranks over the shared
-//     cost tables, earliest-finish placement with insertion) seeds the
+//   - HEFT warm start: a HEFT pass (Scratch.UpwardRank,
+//     TopoOrderByPriority, Builder.BestEFTNode with insertion) seeds the
 //     incumbent before the first branch, so the lower-bound prune cuts
 //     against a realistic makespan from node one instead of +Inf.
 //     Feasibility queries whose deadline the warm schedule already meets
@@ -197,49 +197,22 @@ func (s *searcher) record(b *schedule.Builder) error {
 	return nil
 }
 
-// warmStart seeds the incumbent with an inline HEFT schedule: upward
-// ranks from the shared cost tables (average execution plus average
-// communication, the standard rank_u recursion evaluated iteratively in
-// reverse topological order), tasks taken highest-rank-first from the
-// ready frontier, each placed at its earliest finish with insertion.
-// The schedulers package cannot be imported here (it depends on exact),
-// so the pass is implemented against Builder directly. Skipped for
-// cyclic graphs; the search proper reports those through b.ScheduleInto.
+// warmStart seeds the incumbent with a HEFT schedule: tasks in
+// decreasing upward rank among the ready ones, each placed at its
+// earliest finish with insertion. It is HEFT's construction written out,
+// because the schedulers package depends on exact. Skipped for cyclic
+// graphs; the search proper reports those through b.ScheduleInto.
 func (s *searcher) warmStart() error {
-	g := s.inst.Graph
-	if _, err := g.TopoOrder(); err != nil {
+	scr := scheduler.NewScratch()
+	if scr.Tables(s.inst).TopoErr != nil {
 		return nil
 	}
-	var tab graph.Tables
-	tab.Build(s.inst)
-	tab.EnsureAvgComm()
-	n := g.NumTasks()
-	rank := make([]float64, n)
-	for i := n - 1; i >= 0; i-- {
-		t := tab.Topo[i]
-		tail := 0.0
-		for j, d := range g.Succ[t] {
-			if r := tab.AvgCommSucc(t, j) + rank[d.To]; r > tail {
-				tail = r
-			}
-		}
-		rank[t] = tab.AvgExec[t] + tail
-	}
-	b := schedule.NewBuilder(s.inst)
-	rs := scheduler.NewReadySet(g)
-	for !rs.Empty() {
-		// Highest upward rank among ready tasks; ties to the lower index
-		// (the frontier is sorted ascending).
-		ready := rs.Ready()
-		pick := ready[0]
-		for _, t := range ready[1:] {
-			if rank[t] > rank[pick] {
-				pick = t
-			}
-		}
-		v, start := b.BestEFTNode(pick, true)
-		b.Place(pick, v, start)
-		rs.Complete(pick)
+	rank := scr.UpwardRank(s.inst)
+	order := scr.TopoOrderByPriority(s.inst.Graph, rank)
+	b := scr.Builder(s.inst)
+	for _, t := range order {
+		v, start := b.BestEFTNode(t, true)
+		b.Place(t, v, start)
 	}
 	return s.record(b)
 }

@@ -56,7 +56,7 @@ func checkBestEFTAgainstUnskipped(t *testing.T, label string, b *Builder, r *ran
 				label, insertion, task, node, start, wantNode, wantStart)
 		}
 		if r.Intn(4) == 0 {
-			b.PlaceEFT(task, r.Intn(nV), insertion)
+			placeEFT(t, b, task, r.Intn(nV), insertion)
 		} else {
 			b.Place(task, node, start)
 		}

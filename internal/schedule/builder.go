@@ -294,7 +294,7 @@ func (b *Builder) EFTFrom(t, v int, ready float64, insertion bool) (start, finis
 // per-node calls: the start is the node's available time if that is
 // strictly later than ready, else ready, and the finish is start + dur.
 // The schedulers that re-score every ready task at every step (MinMin,
-// MaxMin, Duplex, ETF, GDL, BIL, WBA) score a task with one call.
+// MaxMin, Duplex, ETF, GDL, BIL, ERT, WBA) score a task with one call.
 func (b *Builder) AppendRow(t int, ready, start, finish []float64) {
 	nv := len(b.speeds)
 	ready, start, finish = ready[:nv], start[:nv], finish[:nv]
@@ -353,16 +353,6 @@ func (b *Builder) Place(t, v int, start float64) Assignment {
 	return a
 }
 
-// PlaceEFT schedules task t on node v at its earliest finish time and
-// returns the assignment. It panics if a predecessor is unplaced.
-func (b *Builder) PlaceEFT(t, v int, insertion bool) Assignment {
-	start, _, ok := b.EFT(t, v, insertion)
-	if !ok {
-		panic(fmt.Sprintf("schedule: task %d has unplaced predecessors", t))
-	}
-	return b.Place(t, v, start)
-}
-
 // BestEFTNode returns the node minimizing t's earliest finish time and
 // the corresponding start. Ties break toward the lower node index. It
 // reads t's ready times from ReadyRow, overwriting that buffer, and
@@ -413,27 +403,6 @@ func (b *Builder) Unplace(t int) {
 	}
 	b.placed[t] = false
 	b.nPlaced--
-}
-
-// Clone returns a deep copy of the builder sharing the (immutable)
-// instance. Backtracking searches use it to branch.
-func (b *Builder) Clone() *Builder {
-	c := &Builder{
-		inst:      b.inst,
-		speeds:    b.speeds,
-		links:     b.links,
-		exec:      b.exec,
-		byTask:    append([]Assignment(nil), b.byTask...),
-		placed:    append([]bool(nil), b.placed...),
-		timelines: make([][]Assignment, len(b.timelines)),
-		nPlaced:   b.nPlaced,
-		row:       make([]float64, len(b.row)),
-		rowEnab:   make([]int32, len(b.rowEnab)),
-	}
-	for i, tl := range b.timelines {
-		c.timelines[i] = append([]Assignment(nil), tl...)
-	}
-	return c
 }
 
 // Makespan returns the current partial makespan.

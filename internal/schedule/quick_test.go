@@ -50,8 +50,8 @@ func (placementPlan) Generate(r *rand.Rand, size int) reflect.Value {
 }
 
 // TestQuickBuilderAlwaysValid is the builder's core invariant: placing
-// every task via PlaceEFT — any node, any insertion policy, topological
-// order — always yields a schedule that passes the Section II validator.
+// every task at its earliest start (placeEFT) — any node, any insertion
+// policy, topological order — always yields a schedule that passes the Section II validator.
 func TestQuickBuilderAlwaysValid(t *testing.T) {
 	property := func(p placementPlan) bool {
 		if err := p.inst.Validate(); err != nil {
@@ -63,7 +63,7 @@ func TestQuickBuilderAlwaysValid(t *testing.T) {
 			return false
 		}
 		for _, task := range order {
-			b.PlaceEFT(task, p.nodes[task], p.insertion[task])
+			placeEFT(t, b, task, p.nodes[task], p.insertion[task])
 		}
 		s := &Schedule{}
 		if err := b.ScheduleInto(s); err != nil {
@@ -126,7 +126,7 @@ func TestQuickMakespanEqualsMaxEnd(t *testing.T) {
 		}
 		maxEnd := 0.0
 		for _, task := range order {
-			a := b.PlaceEFT(task, p.nodes[task], p.insertion[task])
+			a := placeEFT(t, b, task, p.nodes[task], p.insertion[task])
 			if a.End > maxEnd {
 				maxEnd = a.End
 			}
@@ -397,7 +397,7 @@ func TestEarliestStartPlainMaxIsMathMax(t *testing.T) {
 				}
 			}
 		}
-		a := b.PlaceEFT(task, i%2, false)
+		a := placeEFT(t, b, task, i%2, false)
 		if math.Signbit(a.Start) || math.Signbit(a.End) {
 			t.Fatalf("task %d placed at %v..%v: a builder time is -0", task, a.Start, a.End)
 		}

@@ -121,18 +121,15 @@ func TestScheduleIncomplete(t *testing.T) {
 	}
 }
 
-func TestBuilderClone(t *testing.T) {
-	in := chainInstance()
-	b := NewBuilder(in)
-	b.Place(0, 0, 0)
-	c := b.Clone()
-	c.Place(1, 0, 2)
-	if b.Placed(1) {
-		t.Fatal("clone placement leaked into original")
+// placeEFT places task t on node v at its earliest start there (EFT,
+// then Place). t's predecessors must all be placed.
+func placeEFT(tb testing.TB, b *Builder, t, v int, insertion bool) Assignment {
+	tb.Helper()
+	start, _, ok := b.EFT(t, v, insertion)
+	if !ok {
+		tb.Fatalf("task %d has unplaced predecessors", t)
 	}
-	if !c.Placed(1) || !c.Placed(0) {
-		t.Fatal("clone lost state")
-	}
+	return b.Place(t, v, start)
 }
 
 func TestEnablingPredecessor(t *testing.T) {
@@ -175,8 +172,9 @@ func TestEnablingPredecessor(t *testing.T) {
 func validSchedule(in *graph.Instance) *Schedule {
 	b := NewBuilder(in)
 	order, _ := in.Graph.TopoOrder()
-	for _, t := range order {
-		b.PlaceEFT(t, 0, false)
+	for _, task := range order {
+		start, _, _ := b.EFT(task, 0, false)
+		b.Place(task, 0, start)
 	}
 	s := &Schedule{}
 	b.ScheduleInto(s)
@@ -307,7 +305,7 @@ func TestZeroDurationTaskKeepsNodeAvailable(t *testing.T) {
 				t.Fatalf("placing %v, insertion=%v: EarliestStart = %v, want 8", order, insertion, s)
 			}
 		}
-		b.PlaceEFT(tail, 0, false)
+		placeEFT(t, b, tail, 0, false)
 		s := &Schedule{}
 		if err := b.ScheduleInto(s); err != nil {
 			t.Fatal(err)

@@ -225,7 +225,7 @@ func (s *Scratch) ReleaseSchedule(sch *schedule.Schedule) {
 // Ext returns the per-algorithm extension state stored under key,
 // creating it with mk on first use. Algorithms with state the generic
 // scratch cannot know about (WBA's RNGs, the ready-row cache of the
-// re-scoring schedulers, LMT's level buckets) keep it here so one
+// re-scoring schedulers, LMT's levels and order) keep it here so one
 // Scratch serves every scheduler.
 func (s *Scratch) Ext(key string, mk func() any) any {
 	if v, ok := s.ext[key]; ok {

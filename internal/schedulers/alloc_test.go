@@ -31,10 +31,10 @@ func gatedNames() []string {
 // scheduler (gatedNames) rides along so a regression in any shared
 // primitive (builder, ready set, rank buffers, tables) fails loudly with
 // the algorithm's name attached. HEFT, CPoP and the schedulers that keep
-// a row cache (FLB, MinMin, MaxMin, Duplex, ETF, GDL, BIL and WBA, at two
-// rounds) are also held to 0 warm on scale_layered_1k, where the ready
-// rows are 32 nodes wide, the row cache holds 1k rows and AppendRow's
-// output rows have grown to the widest step.
+// a row cache (FCP, FLB, MinMin, MaxMin, Duplex, ETF, GDL, BIL, ERT and
+// WBA, at two rounds) are also held to 0 warm on scale_layered_1k, where
+// the ready rows are 32 nodes wide, the row cache holds 1k rows and
+// AppendRow's output rows have grown to the widest step.
 func TestScheduleScratchZeroAlloc(t *testing.T) {
 	inst := datasets.Fig1Instance()
 	for _, name := range gatedNames() {
@@ -61,7 +61,7 @@ func TestScheduleScratchZeroAlloc(t *testing.T) {
 		}
 	}
 	big := scaleTierInstance(t, "scale_layered_1k")
-	for _, name := range []string{"HEFT", "CPoP", "FLB", "MinMin", "MaxMin", "Duplex", "ETF", "GDL", "BIL", "WBA"} {
+	for _, name := range []string{"HEFT", "CPoP", "FCP", "FLB", "MinMin", "MaxMin", "Duplex", "ETF", "GDL", "BIL", "ERT", "WBA"} {
 		s, err := scheduler.New(name)
 		if err != nil {
 			t.Fatal(err)

@@ -100,13 +100,9 @@ func (BIL) ScheduleScratch(inst *graph.Instance, scr *scheduler.Scratch, out *sc
 	nNodes := inst.Net.NumNodes()
 	tab := scr.Tables(inst)
 	bil := bilLevels(inst, tab, scr.Floats(inst.Graph.NumTasks()*nNodes))
-	b := scr.Builder(inst)
-	rs := scr.ReadySet(inst.Graph)
-	rows := readyRows(scr, inst)
-	start, finish := rows.out(2)
-	cur, best := start[:nNodes], start[nNodes:]
-	for !rs.Empty() {
-		ready := rs.Ready()
+	b, _ := placeReady(inst, scr, func(b *schedule.Builder, rows *rowCache, ready []int) (int, int, float64) {
+		start, finish := rows.out(2)
+		cur, best := start[:nNodes], start[nNodes:]
 		k := float64(len(ready))
 
 		// Select the ready task with the highest criticality: the largest
@@ -139,8 +135,7 @@ func (BIL) ScheduleScratch(inst *graph.Instance, scr *scheduler.Scratch, out *sc
 				bestNode, bestStart, bestBIM = v, s, bim
 			}
 		}
-		b.Place(bestTask, bestNode, bestStart)
-		rs.Complete(bestTask)
-	}
+		return bestTask, bestNode, bestStart
+	})
 	return b.ScheduleInto(out)
 }

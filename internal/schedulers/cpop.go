@@ -64,14 +64,10 @@ func (CPoP) ScheduleScratch(inst *graph.Instance, scr *scheduler.Scratch, out *s
 		}
 	}
 
-	b := scr.Builder(inst)
-	for _, t := range scr.TopoOrderByPriority(g, prio) {
+	return placeInOrder(inst, scr, scr.TopoOrderByPriority(g, prio), func(b *schedule.Builder, t int) (int, float64) {
 		if onCP[t] {
-			b.PlaceEFT(t, cpNode, true)
-			continue
+			return startOn(b, t, cpNode, true)
 		}
-		v, start := b.BestEFTNode(t, true)
-		b.Place(t, v, start)
-	}
-	return b.ScheduleInto(out)
+		return b.BestEFTNode(t, true)
+	}, out)
 }

@@ -23,6 +23,16 @@
 // table IS the coherent view. scratch_determinism_test.go pins every
 // algorithm bit-identical to its table-free reference implementation.
 //
+// Every list scheduler is a placement policy handed to one of two
+// construction drivers (construct.go), which own the builder, the ready
+// set, the ready-row cache and every placement. placeInOrder walks an
+// order fixed before the first placement and asks the policy for each
+// task's node and start (HEFT, CPoP, MH, LMT, MCT, MET, OLB,
+// FastestNode); placeReady asks it once per step for the next task,
+// node and start among the ready tasks (MinMin, MaxMin, Duplex, ETF,
+// GDL, BIL, ERT, FCP, FLB, WBA). A check every construction must make
+// belongs in those two loops.
+//
 // Cross-call memoization is the scratch's job, not the scheduler's: the
 // rank accessors (Scratch.UpwardRank/DownwardRank/StaticLevel) are
 // memoized per (instance, Tables.Generation), so the baseline scheduler

@@ -35,14 +35,11 @@ func (ETF) Requirements() scheduler.Requirements {
 // ScheduleScratch implements scheduler.Scheduler.
 func (ETF) ScheduleScratch(inst *graph.Instance, scr *scheduler.Scratch, out *schedule.Schedule) error {
 	rank := scr.UpwardRank(inst)
-	b := scr.Builder(inst)
-	rs := scr.ReadySet(inst.Graph)
-	rows := readyRows(scr, inst)
-	for !rs.Empty() {
+	b, _ := placeReady(inst, scr, func(b *schedule.Builder, rows *rowCache, ready []int) (int, int, float64) {
 		bestTask, bestNode := -1, -1
 		bestStart := 0.0
-		for _, t := range rs.Ready() {
-			start, _ := rows.eft(b, t)
+		for _, t := range ready {
+			_, start, _ := rows.eft(b, t)
 			for v, s := range start {
 				better := bestTask == -1 || s < bestStart-graph.Eps
 				if !better && graph.ApproxEq(s, bestStart) {
@@ -54,8 +51,7 @@ func (ETF) ScheduleScratch(inst *graph.Instance, scr *scheduler.Scratch, out *sc
 				}
 			}
 		}
-		b.Place(bestTask, bestNode, bestStart)
-		rs.Complete(bestTask)
-	}
+		return bestTask, bestNode, bestStart
+	})
 	return b.ScheduleInto(out)
 }

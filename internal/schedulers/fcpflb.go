@@ -77,22 +77,18 @@ func (FCP) Requirements() scheduler.Requirements {
 // ScheduleScratch implements scheduler.Scheduler.
 func (FCP) ScheduleScratch(inst *graph.Instance, scr *scheduler.Scratch, out *schedule.Schedule) error {
 	rank := scr.UpwardRank(inst)
-	b := scr.Builder(inst)
-	rs := scr.ReadySet(inst.Graph)
-	for !rs.Empty() {
+	b, _ := placeReady(inst, scr, func(b *schedule.Builder, rows *rowCache, ready []int) (int, int, float64) {
 		// Pop the highest-priority ready task.
-		ready := rs.Ready()
 		t := ready[0]
 		for _, x := range ready[1:] {
 			if rank[x] > rank[t]+graph.Eps {
 				t = x
 			}
 		}
-		row, enab := b.ReadyRow(t)
-		v, start, _ := bestCandidate(b, t, earliestIdle(b), row, enab)
-		b.Place(t, v, start)
-		rs.Complete(t)
-	}
+		at, enab := rows.row(b, t)
+		v, start, _ := bestCandidate(b, t, earliestIdle(b), at, enab)
+		return t, v, start
+	})
 	return b.ScheduleInto(out)
 }
 
@@ -121,22 +117,18 @@ func (FLB) Requirements() scheduler.Requirements {
 
 // ScheduleScratch implements scheduler.Scheduler.
 func (FLB) ScheduleScratch(inst *graph.Instance, scr *scheduler.Scratch, out *schedule.Schedule) error {
-	b := scr.Builder(inst)
-	rs := scr.ReadySet(inst.Graph)
-	rows := readyRows(scr, inst)
-	for !rs.Empty() {
+	b, _ := placeReady(inst, scr, func(b *schedule.Builder, rows *rowCache, ready []int) (int, int, float64) {
 		idle := earliestIdle(b)
 		bestTask, bestNode := -1, -1
 		bestStart, bestFinish := 0.0, math.Inf(1)
-		for _, t := range rs.Ready() {
-			ready, enab := rows.row(b, t)
-			v, s, f := bestCandidate(b, t, idle, ready, enab)
+		for _, t := range ready {
+			at, enab := rows.row(b, t)
+			v, s, f := bestCandidate(b, t, idle, at, enab)
 			if f < bestFinish-graph.Eps {
 				bestTask, bestNode, bestStart, bestFinish = t, v, s, f
 			}
 		}
-		b.Place(bestTask, bestNode, bestStart)
-		rs.Complete(bestTask)
-	}
+		return bestTask, bestNode, bestStart
+	})
 	return b.ScheduleInto(out)
 }

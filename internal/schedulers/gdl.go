@@ -41,17 +41,14 @@ func (GDL) Requirements() scheduler.Requirements {
 func (GDL) ScheduleScratch(inst *graph.Instance, scr *scheduler.Scratch, out *schedule.Schedule) error {
 	tab := scr.Tables(inst)
 	sl := scr.StaticLevel(inst)
-	b := scr.Builder(inst)
-	rs := scr.ReadySet(inst.Graph)
-	rows := readyRows(scr, inst)
 	nv := inst.Net.NumNodes()
-	for !rs.Empty() {
+	b, _ := placeReady(inst, scr, func(b *schedule.Builder, rows *rowCache, ready []int) (int, int, float64) {
 		bestTask, bestNode := -1, -1
 		bestStart, bestDL := 0.0, 0.0
-		for _, t := range rs.Ready() {
+		for _, t := range ready {
 			avg := tab.AvgExec[t]
 			exec := tab.Exec[t*nv : (t+1)*nv]
-			start, _ := rows.eft(b, t)
+			_, start, _ := rows.eft(b, t)
 			for v, s := range start {
 				dl := sl[t] - s + (avg - exec[v])
 				if bestTask == -1 || dl > bestDL+graph.Eps {
@@ -59,8 +56,7 @@ func (GDL) ScheduleScratch(inst *graph.Instance, scr *scheduler.Scratch, out *sc
 				}
 			}
 		}
-		b.Place(bestTask, bestNode, bestStart)
-		rs.Complete(bestTask)
-	}
+		return bestTask, bestNode, bestStart
+	})
 	return b.ScheduleInto(out)
 }

@@ -25,10 +25,5 @@ func (HEFT) Name() string { return "HEFT" }
 // ScheduleScratch implements scheduler.Scheduler.
 func (HEFT) ScheduleScratch(inst *graph.Instance, scr *scheduler.Scratch, out *schedule.Schedule) error {
 	rank := scr.UpwardRank(inst)
-	b := scr.Builder(inst)
-	for _, t := range scr.TopoOrderByPriority(inst.Graph, rank) {
-		v, start := b.BestEFTNode(t, true)
-		b.Place(t, v, start)
-	}
-	return b.ScheduleInto(out)
+	return placeInOrder(inst, scr, scr.TopoOrderByPriority(inst.Graph, rank), bestEFTInsert, out)
 }

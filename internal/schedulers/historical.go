@@ -35,11 +35,10 @@ type LMT struct{}
 // Name implements scheduler.Scheduler.
 func (LMT) Name() string { return "LMT" }
 
-// lmtScratch is LMT's per-worker extension state: the level index and
-// level buckets.
+// lmtScratch is LMT's per-worker extension state: each task's level and
+// the placement order.
 type lmtScratch struct {
-	level   []int
-	byLevel [][]int
+	level, order []int
 }
 
 // ScheduleScratch implements scheduler.Scheduler.
@@ -50,58 +49,37 @@ func (LMT) ScheduleScratch(inst *graph.Instance, scr *scheduler.Scratch, out *sc
 		return tab.TopoErr
 	}
 	ls := scr.Ext("LMT", func() any { return &lmtScratch{} }).(*lmtScratch)
-	if cap(ls.level) < g.NumTasks() {
-		ls.level = make([]int, g.NumTasks())
+	n := g.NumTasks()
+	if cap(ls.level) < n {
+		ls.level, ls.order = make([]int, n), make([]int, n)
 	}
-	ls.level = ls.level[:g.NumTasks()]
-	for t := range ls.level {
-		ls.level[t] = 0
-	}
-	maxLevel := 0
+	level, order := ls.level[:n], ls.order[:n]
 	for _, t := range tab.Topo {
+		level[t] = 0
 		for _, d := range g.Pred[t] {
-			if ls.level[d.To]+1 > ls.level[t] {
-				ls.level[t] = ls.level[d.To] + 1
-			}
-		}
-		if ls.level[t] > maxLevel {
-			maxLevel = ls.level[t]
+			level[t] = max(level[t], level[d.To]+1)
 		}
 	}
-	if cap(ls.byLevel) < maxLevel+1 {
-		grown := make([][]int, maxLevel+1)
-		copy(grown, ls.byLevel[:cap(ls.byLevel)])
-		ls.byLevel = grown
-	} else {
-		ls.byLevel = ls.byLevel[:maxLevel+1]
+	for t := range order {
+		order[t] = t
 	}
-	for l := range ls.byLevel {
-		ls.byLevel[l] = ls.byLevel[l][:0]
-	}
-	for t := 0; t < g.NumTasks(); t++ {
-		ls.byLevel[ls.level[t]] = append(ls.byLevel[ls.level[t]], t)
-	}
-
-	b := scr.Builder(inst)
-	for _, tasks := range ls.byLevel {
-		// (cost desc, index asc) is a total order over the distinct task
-		// indices, so the typed unstable sort is deterministic.
-		slices.SortFunc(tasks, func(x, y int) int {
-			cx, cy := g.Tasks[x].Cost, g.Tasks[y].Cost
-			switch {
-			case cx > cy:
-				return -1
-			case cx < cy:
-				return 1
-			}
-			return x - y
-		})
-		for _, t := range tasks {
-			v, start := b.BestEFTNode(t, false)
-			b.Place(t, v, start)
+	// (level asc, cost desc, index asc) is a total order over the
+	// distinct task indices, so the typed unstable sort is deterministic;
+	// every predecessor sits on a lower level, so the order is
+	// topological.
+	slices.SortFunc(order, func(x, y int) int {
+		cx, cy := g.Tasks[x].Cost, g.Tasks[y].Cost
+		switch {
+		case level[x] != level[y]:
+			return level[x] - level[y]
+		case cx > cy:
+			return -1
+		case cx < cy:
+			return 1
 		}
-	}
-	return b.ScheduleInto(out)
+		return x - y
+	})
+	return placeInOrder(inst, scr, order, bestEFT, out)
 }
 
 // ERT is the Earliest Ready Task heuristic of Lee, Hwang, Chow & Anger
@@ -119,30 +97,25 @@ func (ERT) Name() string { return "ERT" }
 
 // ScheduleScratch implements scheduler.Scheduler.
 func (ERT) ScheduleScratch(inst *graph.Instance, scr *scheduler.Scratch, out *schedule.Schedule) error {
-	b := scr.Builder(inst)
-	rs := scr.ReadySet(inst.Graph)
-	for !rs.Empty() {
+	b, _ := placeReady(inst, scr, func(b *schedule.Builder, rows *rowCache, ready []int) (int, int, float64) {
 		bestTask, bestNode := -1, -1
 		bestReady, bestStart := math.Inf(1), math.Inf(1)
-		for _, t := range rs.Ready() {
-			for v := 0; v < inst.Net.NumNodes(); v++ {
-				ready, ok := b.ReadyTime(t, v)
-				if !ok {
-					panic("schedulers: ERT ready task with unplaced predecessor")
-				}
-				start := b.EarliestStart(v, ready, inst.ExecTime(t, v), false)
-				better := bestTask == -1 || ready < bestReady-graph.Eps
-				if !better && graph.ApproxEq(ready, bestReady) {
-					better = start < bestStart-graph.Eps
+		for _, t := range ready {
+			// The ready row is the data-ready time on every node; the
+			// AppendRow starts are the actual ones.
+			at, start, _ := rows.eft(b, t)
+			for v, r := range at {
+				better := bestTask == -1 || r < bestReady-graph.Eps
+				if !better && graph.ApproxEq(r, bestReady) {
+					better = start[v] < bestStart-graph.Eps
 				}
 				if better {
-					bestTask, bestNode, bestReady, bestStart = t, v, ready, start
+					bestTask, bestNode, bestReady, bestStart = t, v, r, start[v]
 				}
 			}
 		}
-		b.Place(bestTask, bestNode, bestStart)
-		rs.Complete(bestTask)
-	}
+		return bestTask, bestNode, bestStart
+	})
 	return b.ScheduleInto(out)
 }
 
@@ -159,10 +132,5 @@ func (MH) Name() string { return "MH" }
 // ScheduleScratch implements scheduler.Scheduler.
 func (MH) ScheduleScratch(inst *graph.Instance, scr *scheduler.Scratch, out *schedule.Schedule) error {
 	sl := scr.StaticLevel(inst)
-	b := scr.Builder(inst)
-	for _, t := range scr.TopoOrderByPriority(inst.Graph, sl) {
-		v, start := b.BestEFTNode(t, false)
-		b.Place(t, v, start)
-	}
-	return b.ScheduleInto(out)
+	return placeInOrder(inst, scr, scr.TopoOrderByPriority(inst.Graph, sl), bestEFT, out)
 }

@@ -21,14 +21,11 @@ func init() {
 // are one AppendRow call on its cached ready row; a later node replaces
 // the running best only if it finishes more than Eps earlier.
 func minMinSchedule(inst *graph.Instance, scr *scheduler.Scratch, pickMax bool, out *schedule.Schedule) error {
-	b := scr.Builder(inst)
-	rs := scr.ReadySet(inst.Graph)
-	rows := readyRows(scr, inst)
-	for !rs.Empty() {
+	b, _ := placeReady(inst, scr, func(b *schedule.Builder, rows *rowCache, ready []int) (int, int, float64) {
 		bestTask, bestNode := -1, -1
 		bestStart, bestMCT := 0.0, 0.0
-		for _, t := range rs.Ready() {
-			start, finish := rows.eft(b, t)
+		for _, t := range ready {
+			_, start, finish := rows.eft(b, t)
 			v, f := -1, math.Inf(1)
 			for u, fu := range finish {
 				if fu < f-graph.Eps {
@@ -47,9 +44,8 @@ func minMinSchedule(inst *graph.Instance, scr *scheduler.Scratch, pickMax bool, 
 				bestTask, bestNode, bestStart, bestMCT = t, v, start[v], f
 			}
 		}
-		b.Place(bestTask, bestNode, bestStart)
-		rs.Complete(bestTask)
-	}
+		return bestTask, bestNode, bestStart
+	})
 	return b.ScheduleInto(out)
 }
 

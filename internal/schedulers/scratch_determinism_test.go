@@ -571,6 +571,36 @@ func refBIL(inst *graph.Instance, scr *scheduler.Scratch, out *schedule.Schedule
 	return b.ScheduleInto(out)
 }
 
+// refERT is the per-node ERT.ScheduleScratch: ReadyTime and
+// EarliestStart once per (ready task, node, step).
+func refERT(inst *graph.Instance, scr *scheduler.Scratch, out *schedule.Schedule) error {
+	b := scr.Builder(inst)
+	rs := scr.ReadySet(inst.Graph)
+	for !rs.Empty() {
+		bestTask, bestNode := -1, -1
+		bestReady, bestStart := math.Inf(1), math.Inf(1)
+		for _, t := range rs.Ready() {
+			for v := 0; v < inst.Net.NumNodes(); v++ {
+				ready, ok := b.ReadyTime(t, v)
+				if !ok {
+					panic("schedulers: ERT ready task with unplaced predecessor")
+				}
+				start := b.EarliestStart(v, ready, inst.ExecTime(t, v), false)
+				better := bestTask == -1 || ready < bestReady-graph.Eps
+				if !better && graph.ApproxEq(ready, bestReady) {
+					better = start < bestStart-graph.Eps
+				}
+				if better {
+					bestTask, bestNode, bestReady, bestStart = t, v, ready, start
+				}
+			}
+		}
+		b.Place(bestTask, bestNode, bestStart)
+		rs.Complete(bestTask)
+	}
+	return b.ScheduleInto(out)
+}
+
 // determinismCorpus builds a varied instance set: the paper's worked
 // examples, random trees/chains over heterogeneous networks, and
 // perturbation-style variants with zero-cost tasks and zero-size
@@ -750,10 +780,11 @@ func scaleTierInstance(tb testing.TB, name string) *graph.Instance {
 
 // TestRowSchedulersMatchPerNodeReference holds the schedulers that read
 // ready rows — FCP, FLB and WBA, which also read the hoisted earliest-idle
-// node, and MinMin, MaxMin, Duplex, ETF, GDL and BIL, which score a ready
-// task with one AppendRow call — bit for bit to their per-node versions
-// above, which walk a task's predecessors once per (task, node, step)
-// through EFT (and, for FCP, FLB and WBA, take math.Max). The corpus is
+// node, and MinMin, MaxMin, Duplex, ETF, GDL, BIL and ERT, which score a
+// ready task with one AppendRow call — bit for bit to their per-node
+// versions above, which walk a task's predecessors once per (task, node,
+// step) through EFT or ReadyTime (and, for FCP, FLB and WBA, take
+// math.Max). The corpus is
 // determinismCorpus plus enablingTieInstance, the 1k scale tier, and a
 // zero-weight instance; WBA runs two rounds on the last three. One
 // scratch serves every call, so a row left over from a previous instance
@@ -795,6 +826,7 @@ func TestRowSchedulersMatchPerNodeReference(t *testing.T) {
 		check("ETF", i, ETF{}, refRun(refETF, inst), inst)
 		check("GDL", i, GDL{}, refRun(refGDL, inst), inst)
 		check("BIL", i, BIL{}, refRun(refBIL, inst), inst)
+		check("ERT", i, ERT{}, refRun(refERT, inst), inst)
 		if i >= len(corpus) {
 			wba.Rounds = 2
 		}

@@ -31,12 +31,10 @@ func (FastestNode) ScheduleScratch(inst *graph.Instance, scr *scheduler.Scratch,
 	if tab.TopoErr != nil {
 		return tab.TopoErr
 	}
-	b := scr.Builder(inst)
 	v := inst.Net.FastestNode()
-	for _, t := range tab.Topo {
-		b.PlaceEFT(t, v, false)
-	}
-	return b.ScheduleInto(out)
+	return placeInOrder(inst, scr, tab.Topo, func(b *schedule.Builder, t int) (int, float64) {
+		return startOn(b, t, v, false)
+	}, out)
 }
 
 // OLB is Opportunistic Load Balancing (Armstrong, Hensgen & Kidd): tasks
@@ -56,11 +54,9 @@ func (OLB) ScheduleScratch(inst *graph.Instance, scr *scheduler.Scratch, out *sc
 	if tab.TopoErr != nil {
 		return tab.TopoErr
 	}
-	b := scr.Builder(inst)
-	for _, t := range tab.Topo {
-		b.PlaceEFT(t, earliestIdle(b), false)
-	}
-	return b.ScheduleInto(out)
+	return placeInOrder(inst, scr, tab.Topo, func(b *schedule.Builder, t int) (int, float64) {
+		return startOn(b, t, earliestIdle(b), false)
+	}, out)
 }
 
 // MCT is Minimum Completion Time (Armstrong, Hensgen & Kidd): tasks are
@@ -79,12 +75,7 @@ func (MCT) ScheduleScratch(inst *graph.Instance, scr *scheduler.Scratch, out *sc
 	if tab.TopoErr != nil {
 		return tab.TopoErr
 	}
-	b := scr.Builder(inst)
-	for _, t := range tab.Topo {
-		v, start := b.BestEFTNode(t, false)
-		b.Place(t, v, start)
-	}
-	return b.ScheduleInto(out)
+	return placeInOrder(inst, scr, tab.Topo, bestEFT, out)
 }
 
 // MET is Minimum Execution Time (Armstrong, Hensgen & Kidd): each task,
@@ -103,15 +94,13 @@ func (MET) ScheduleScratch(inst *graph.Instance, scr *scheduler.Scratch, out *sc
 	if tab.TopoErr != nil {
 		return tab.TopoErr
 	}
-	b := scr.Builder(inst)
-	for _, t := range tab.Topo {
+	return placeInOrder(inst, scr, tab.Topo, func(b *schedule.Builder, t int) (int, float64) {
 		best, bestExec := 0, math.Inf(1)
 		for v := 0; v < inst.Net.NumNodes(); v++ {
 			if e := inst.ExecTime(t, v); e < bestExec-graph.Eps {
 				best, bestExec = v, e
 			}
 		}
-		b.PlaceEFT(t, best, false)
-	}
-	return b.ScheduleInto(out)
+		return startOn(b, t, best, false)
+	}, out)
 }

@@ -67,12 +67,11 @@ func (w WBA) ScheduleScratch(inst *graph.Instance, scr *scheduler.Scratch, out *
 	}
 	ws := scr.Ext("WBA", func() any { return &wbaScratch{} }).(*wbaScratch)
 	ws.root.Reseed(w.Seed)
-	rows := readyRows(scr, inst)
 	bestSet := false
 	bestMakespan := 0.0
 	for i := 0; i < rounds; i++ {
 		ws.root.SplitInto(&ws.round)
-		b, m := w.construct(inst, &ws.round, scr, rows)
+		b, m := w.construct(inst, &ws.round, scr)
 		if !bestSet || m < bestMakespan {
 			if err := b.ScheduleInto(out); err != nil {
 				return err
@@ -88,16 +87,15 @@ func (w WBA) ScheduleScratch(inst *graph.Instance, scr *scheduler.Scratch, out *
 // option with one AppendRow call per ready task into a flat buffer, in
 // ready order × node order, then rewrites each finish in place as its
 // increase over the current makespan. The pick is the k-th option within
-// the cut in that order, k drawn by r.Intn over their count. The
-// makespan is the running maximum of the placed finishes.
-func (w WBA) construct(inst *graph.Instance, r *rng.RNG, scr *scheduler.Scratch, rows *rowCache) (*schedule.Builder, float64) {
-	b := scr.Builder(inst)
-	rs := scr.ReadySet(inst.Graph)
-	rows.reset(inst)
+// the cut in that order, k drawn by r.Intn over their count. The current
+// makespan is the running maximum of the picked finishes, each the
+// picked start plus the task's Exec entry: the same sum Place computes
+// for the assignment's end, on the same tables the builder is bound to.
+func (w WBA) construct(inst *graph.Instance, r *rng.RNG, scr *scheduler.Scratch) (*schedule.Builder, float64) {
+	exec := scr.Tables(inst).Exec
 	nv := inst.Net.NumNodes()
 	current := 0.0
-	for !rs.Empty() {
-		ready := rs.Ready()
+	return placeReady(inst, scr, func(b *schedule.Builder, rows *rowCache, ready []int) (int, int, float64) {
 		start, inc := rows.out(len(ready))
 		minInc, maxInc := math.Inf(1), math.Inf(-1)
 		for i, t := range ready {
@@ -143,10 +141,9 @@ func (w WBA) construct(inst *graph.Instance, r *rng.RNG, scr *scheduler.Scratch,
 				}
 			}
 		}
-		if a := b.Place(t, v, s); a.End > current {
-			current = a.End
+		if f := s + exec[t*nv+v]; f > current {
+			current = f
 		}
-		rs.Complete(t)
-	}
-	return b, current
+		return t, v, s
+	})
 }

@@ -20,11 +20,12 @@ type ElasticOptions struct {
 }
 
 // ExecuteElastic replays a schedule keeping only its decisions — node
-// assignments and per-node execution order — and recomputing all times
-// operationally: a task starts as soon as its node reaches it in order
-// and its inputs have arrived; a transfer starts when its producer
-// finishes (and, under LinkContention, when the link frees). Unlike
-// Execute it never fails on late inputs; lateness simply propagates.
+// assignments and per-node execution order, by planned (start, end,
+// topological position) — and recomputing all times operationally: a
+// task starts as soon as its node reaches it in order and its inputs
+// have arrived; a transfer starts when its producer finishes (and, under
+// LinkContention, when the link frees). Unlike Execute it never fails on
+// late inputs; lateness simply propagates.
 // The returned Result's Events log includes the transfer arrivals.
 func ExecuteElastic(inst *graph.Instance, s *schedule.Schedule, opts ElasticOptions) (*Result, error) {
 	g, net := inst.Graph, inst.Net
@@ -37,12 +38,14 @@ func ExecuteElastic(inst *graph.Instance, s *schedule.Schedule, opts ElasticOpti
 	}
 
 	// Per-node order from the planned start times.
+	tasks, err := startOrder(g, s)
+	if err != nil {
+		return nil, err
+	}
 	order := make([][]int, net.NumNodes())
-	for _, a := range s.Assignments() {
-		if a.Node < 0 || a.Node >= net.NumNodes() {
-			return nil, fmt.Errorf("sim: task %d assigned to invalid node %d", a.Task, a.Node)
-		}
-		order[a.Node] = append(order[a.Node], a.Task)
+	for _, t := range tasks {
+		v := s.ByTask[t].Node
+		order[v] = append(order[v], t)
 	}
 
 	res := &Result{

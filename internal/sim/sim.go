@@ -18,9 +18,11 @@
 package sim
 
 import (
+	"cmp"
 	"container/heap"
 	"fmt"
 	"math"
+	"slices"
 
 	"saga/internal/graph"
 	"saga/internal/schedule"
@@ -114,10 +116,42 @@ func (r *Result) Utilization() float64 {
 	return busy / (r.Makespan * float64(len(r.NodeBusy)))
 }
 
+// startOrder returns s's tasks ordered by (start, end, topological
+// position): the order in which both simulators fire starts that fall
+// at the same instant. A zero-duration task that starts with a longer
+// task on its node, or with its own successor, then starts, finishes and
+// delivers its local outputs before the other one starts, as the
+// schedule allows. It also checks every task's node.
+func startOrder(g *graph.TaskGraph, s *schedule.Schedule) ([]int, error) {
+	order, err := g.TopoOrder()
+	if err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
+	}
+	pos := make([]int, len(order))
+	for i, t := range order {
+		pos[t] = i
+		if v := s.ByTask[t].Node; v < 0 || v >= s.NumNodes {
+			return nil, fmt.Errorf("sim: task %d assigned to invalid node %d", t, v)
+		}
+	}
+	slices.SortFunc(order, func(x, y int) int {
+		ax, ay := s.ByTask[x], s.ByTask[y]
+		if c := cmp.Compare(ax.Start, ay.Start); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(ax.End, ay.End); c != 0 {
+			return c
+		}
+		return pos[x] - pos[y]
+	})
+	return order, nil
+}
+
 // Execute replays the schedule on the instance's platform. It returns an
 // error if the schedule is not operationally executable: a task's start
 // event fires while an input is undelivered or its node is still busy,
 // or the schedule is structurally inconsistent with the instance.
+// Same-time starts fire in startOrder.
 func Execute(inst *graph.Instance, s *schedule.Schedule) (*Result, error) {
 	g, net := inst.Graph, inst.Net
 	n := g.NumTasks()
@@ -146,6 +180,10 @@ func Execute(inst *graph.Instance, s *schedule.Schedule) (*Result, error) {
 		nodeIdle[v] = true
 	}
 
+	order, err := startOrder(g, s)
+	if err != nil {
+		return nil, err
+	}
 	var h eventHeap
 	seq := 0
 	push := func(e Event) {
@@ -153,10 +191,8 @@ func Execute(inst *graph.Instance, s *schedule.Schedule) (*Result, error) {
 		seq++
 		heap.Push(&h, e)
 	}
-	for t, a := range s.ByTask {
-		if a.Node < 0 || a.Node >= net.NumNodes() {
-			return nil, fmt.Errorf("sim: task %d assigned to invalid node %d", t, a.Node)
-		}
+	for _, t := range order {
+		a := s.ByTask[t]
 		push(Event{Time: a.Start, Kind: EventTaskStart, Task: t, Src: -1, Node: a.Node})
 	}
 

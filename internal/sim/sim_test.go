@@ -15,7 +15,11 @@ import (
 // TestDifferentialAllSchedulers is the cross-check this package exists
 // for: for every algorithm and a spread of random instances, the
 // discrete-event execution must succeed and reproduce the analytic
-// start/finish times exactly.
+// start/finish times exactly, and the elastic replay must finish every
+// task no later than planned. 35 instances have about half their task
+// costs set to 0, as PISA's weight perturbations produce: a
+// zero-duration task often starts at the same instant as a longer task
+// on its node, or as its own successor.
 func TestDifferentialAllSchedulers(t *testing.T) {
 	r := rng.New(0x51D)
 	var instances []*graph.Instance
@@ -33,6 +37,26 @@ func TestDifferentialAllSchedulers(t *testing.T) {
 		net.Speeds[1] = 2
 		instances = append(instances, graph.NewInstance(g, net))
 	}
+	var zeroed []*graph.Instance
+	for i := 0; i < 20; i++ {
+		zeroed = append(zeroed, datasets.InitialPISAInstance(r.Split()))
+	}
+	for _, name := range []string{"chains", "in_trees", "out_trees"} {
+		insts, err := datasets.Dataset(name, 5, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		zeroed = append(zeroed, insts...)
+	}
+	for _, inst := range zeroed {
+		zr := r.Split()
+		for tk := range inst.Graph.Tasks {
+			if zr.Intn(2) == 0 {
+				inst.Graph.Tasks[tk].Cost = 0
+			}
+		}
+	}
+	instances = append(instances, zeroed...)
 
 	for _, s := range schedulers.Experimental() {
 		for i, inst := range instances {
@@ -54,7 +78,85 @@ func TestDifferentialAllSchedulers(t *testing.T) {
 				t.Fatalf("%s instance %d: simulated makespan %v != analytic %v",
 					s.Name(), i, res.Makespan, sch.Makespan())
 			}
+			el, err := ExecuteElastic(inst, sch, ElasticOptions{})
+			if err != nil {
+				t.Fatalf("%s on instance %d: elastic replay: %v", s.Name(), i, err)
+			}
+			if el.Makespan > sch.Makespan()+graph.Eps {
+				t.Fatalf("%s instance %d: elastic makespan %v beyond planned %v",
+					s.Name(), i, el.Makespan, sch.Makespan())
+			}
 		}
+	}
+}
+
+// sameInstantSchedule builds a one-node, unit-speed instance with the
+// given task costs and zero-size dependencies, and the schedule that
+// starts task i at starts[i].
+func sameInstantSchedule(costs []float64, deps [][2]int, starts []float64) (*graph.Instance, *schedule.Schedule) {
+	g := graph.NewTaskGraph()
+	for _, c := range costs {
+		g.AddTask("t", c)
+	}
+	for _, d := range deps {
+		g.MustAddDep(d[0], d[1], 0)
+	}
+	sch := &schedule.Schedule{NumNodes: 1}
+	for tk, s := range starts {
+		sch.ByTask = append(sch.ByTask, schedule.Assignment{Task: tk, Node: 0, Start: s, End: s + costs[tk]})
+	}
+	return graph.NewInstance(g, graph.NewNetwork(1)), sch
+}
+
+// TestSameInstantStartsFireInScheduleOrder pins the start order both
+// simulators use at one instant: a zero-duration task starts and
+// finishes before a longer task that starts with it on its node, and
+// before its own successor, whatever the task indices.
+func TestSameInstantStartsFireInScheduleOrder(t *testing.T) {
+	cases := []struct {
+		name   string
+		costs  []float64
+		deps   [][2]int
+		starts []float64
+	}{
+		// t0 [0, 0.518] and t1 [0, 0], independent: t1 runs first.
+		{"zero beside block", []float64{0.518, 0}, nil, []float64{0, 0}},
+		// t1 [0, 0] feeds t0 [0, 1] locally at time 0.
+		{"zero feeds successor", []float64{1, 0}, [][2]int{{1, 0}}, []float64{0, 0}},
+		// The zero-cost chain a→b→c at t = 0, indexed c, b, a.
+		{"zero chain", []float64{0, 0, 0}, [][2]int{{2, 1}, {1, 0}}, []float64{0, 0, 0}},
+	}
+	for _, c := range cases {
+		inst, sch := sameInstantSchedule(c.costs, c.deps, c.starts)
+		if err := schedule.Validate(inst, sch); err != nil {
+			t.Fatalf("%s: the schedule itself is invalid: %v", c.name, err)
+		}
+		res, err := Execute(inst, sch)
+		if err != nil {
+			t.Fatalf("%s: Execute refused: %v", c.name, err)
+		}
+		for tk, a := range sch.ByTask {
+			if res.Start[tk] != a.Start || res.Finish[tk] != a.End {
+				t.Fatalf("%s task %d: simulated [%v,%v], planned [%v,%v]", c.name, tk, res.Start[tk], res.Finish[tk], a.Start, a.End)
+			}
+		}
+		el, err := ExecuteElastic(inst, sch, ElasticOptions{})
+		if err != nil {
+			t.Fatalf("%s: ExecuteElastic: %v", c.name, err)
+		}
+		if el.Makespan != sch.Makespan() {
+			t.Fatalf("%s: elastic makespan %v, planned %v", c.name, el.Makespan, sch.Makespan())
+		}
+	}
+}
+
+// TestSameInstantOverlapStillRefused: ordering same-time starts does not
+// excuse a real overlap. Two blocks of nonzero length starting together
+// on one node are refused whichever fires first.
+func TestSameInstantOverlapStillRefused(t *testing.T) {
+	inst, sch := sameInstantSchedule([]float64{1, 0.5}, nil, []float64{0, 0})
+	if _, err := Execute(inst, sch); err == nil || !strings.Contains(err.Error(), "busy") {
+		t.Fatalf("overlapping same-time starts: err = %v, want a busy refusal", err)
 	}
 }
 
