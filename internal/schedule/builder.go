@@ -335,6 +335,14 @@ func (b *Builder) Place(t, v int, start float64) Assignment {
 	b.placed[t] = true
 	b.nPlaced++
 	tl := b.timelines[v]
+	// A block strictly after the last entry in (Start, End) order goes
+	// where the search below would put it, at the end. Every no-insertion
+	// placement takes this path unless it repeats the last entry's pair
+	// (a zero-duration task at a zero-duration task's instant).
+	if n := len(tl); n == 0 || tl[n-1].Start < a.Start || (tl[n-1].Start == a.Start && tl[n-1].End < a.End) {
+		b.timelines[v] = append(tl, a)
+		return a
+	}
 	// Binary search for the (Start, End) insertion point (a hand-rolled
 	// sort.Search so the hot path carries no closure).
 	lo, hi := 0, len(tl)

@@ -7,14 +7,14 @@ import (
 
 // Scratch is the per-worker reusable state behind the allocation-free
 // scheduling hot path: one builder, the precomputed instance tables, the
-// rank/order/ready-set buffers every list scheduler needs, and a small
-// pool of spare schedules for algorithms that compare candidates
-// (Duplex, WBA, ensembles). A Scratch is NOT safe for concurrent use;
-// give each worker goroutine its own (runner.MapState does exactly
-// that).
+// rank/order/ready-set buffers every list scheduler needs, the ready-row
+// cache of the re-scoring schedulers, and a small pool of spare
+// schedules for algorithms that compare candidates (Duplex, WBA,
+// ensembles). A Scratch is NOT safe for concurrent use; give each worker
+// goroutine its own (runner.MapState does exactly that).
 //
 // Buffer ownership: a value returned by a Scratch accessor (ranks,
-// orders, the builder, the ready set) is valid until the next call to
+// orders, the builder, the ready set, the ready rows) is valid until the next call to
 // the same accessor — with one sharing caveat: ReadySet and
 // TopoOrderByPriority use the same underlying frontier (the latter keeps
 // its priority heap there and leaves it empty), so calling either
@@ -34,6 +34,7 @@ type Scratch struct {
 
 	builder schedule.Builder
 	rs      ReadySet
+	rows    ReadyRows
 
 	rankUp, rankDown, level []float64
 	floats                  []float64
@@ -94,6 +95,13 @@ func (s *Scratch) Builder(inst *graph.Instance) *schedule.Builder {
 func (s *Scratch) ReadySet(g *graph.TaskGraph) *ReadySet {
 	s.rs.Reset(g)
 	return &s.rs
+}
+
+// ReadyRows resets the scratch's ready-row cache for a new
+// construction over inst (every row unfilled) and returns it.
+func (s *Scratch) ReadyRows(inst *graph.Instance) *ReadyRows {
+	s.rows.reset(inst)
+	return &s.rows
 }
 
 // UpwardRank returns HEFT's upward rank (UpwardRankInto) in reused
@@ -224,9 +232,9 @@ func (s *Scratch) ReleaseSchedule(sch *schedule.Schedule) {
 
 // Ext returns the per-algorithm extension state stored under key,
 // creating it with mk on first use. Algorithms with state the generic
-// scratch cannot know about (WBA's RNGs, the ready-row cache of the
-// re-scoring schedulers, LMT's levels and order) keep it here so one
-// Scratch serves every scheduler.
+// scratch cannot know about (WBA's RNGs and decision tree, LMT's levels
+// and order, the PISA annealer's undo log) keep it here so one Scratch
+// serves every scheduler.
 func (s *Scratch) Ext(key string, mk func() any) any {
 	if v, ok := s.ext[key]; ok {
 		return v

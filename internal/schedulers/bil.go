@@ -100,8 +100,8 @@ func (BIL) ScheduleScratch(inst *graph.Instance, scr *scheduler.Scratch, out *sc
 	nNodes := inst.Net.NumNodes()
 	tab := scr.Tables(inst)
 	bil := bilLevels(inst, tab, scr.Floats(inst.Graph.NumTasks()*nNodes))
-	b, _ := placeReady(inst, scr, func(b *schedule.Builder, rows *rowCache, ready []int) (int, int, float64) {
-		start, finish := rows.out(2)
+	b, _ := placeReady(inst, scr, func(b *schedule.Builder, rows *scheduler.ReadyRows, ready []int) (int, int, float64) {
+		start, finish := rows.Out(2)
 		cur, best := start[:nNodes], start[nNodes:]
 		k := float64(len(ready))
 
@@ -109,7 +109,7 @@ func (BIL) ScheduleScratch(inst *graph.Instance, scr *scheduler.Scratch, out *sc
 		// best imaginary makespan over nodes.
 		bestTask, bestCrit := -1, math.Inf(-1)
 		for _, t := range ready {
-			at, _ := rows.row(b, t)
+			at, _ := rows.Row(b, t)
 			b.AppendRow(t, at, cur, finish)
 			crit := math.Inf(-1)
 			level := bil[t*nNodes : (t+1)*nNodes]

@@ -25,13 +25,15 @@
 //
 // Every list scheduler is a placement policy handed to one of two
 // construction drivers (construct.go), which own the builder, the ready
-// set, the ready-row cache and every placement. placeInOrder walks an
-// order fixed before the first placement and asks the policy for each
-// task's node and start (HEFT, CPoP, MH, LMT, MCT, MET, OLB,
-// FastestNode); placeReady asks it once per step for the next task,
-// node and start among the ready tasks (MinMin, MaxMin, Duplex, ETF,
-// GDL, BIL, ERT, FCP, FLB, WBA). A check every construction must make
-// belongs in those two loops.
+// set, the ready-row cache (scheduler.ReadyRows, a Scratch buffer) and
+// every placement. placeInOrder walks an order fixed before the first
+// placement and asks the policy for each task's node and start (HEFT,
+// CPoP, MH, LMT, MCT, MET, OLB, FastestNode); placeReady asks it once per
+// step for the next task, node and start among the ready tasks (MinMin,
+// MaxMin, Duplex, ETF, GDL, BIL, ERT, FCP, FLB, WBA), and stops early
+// when the policy returns no task, as WBA does for a round that can no
+// longer win. A check every construction must make belongs in those two
+// loops.
 //
 // Cross-call memoization is the scratch's job, not the scheduler's: the
 // rank accessors (Scratch.UpwardRank/DownwardRank/StaticLevel) are

@@ -35,11 +35,11 @@ func (ETF) Requirements() scheduler.Requirements {
 // ScheduleScratch implements scheduler.Scheduler.
 func (ETF) ScheduleScratch(inst *graph.Instance, scr *scheduler.Scratch, out *schedule.Schedule) error {
 	rank := scr.UpwardRank(inst)
-	b, _ := placeReady(inst, scr, func(b *schedule.Builder, rows *rowCache, ready []int) (int, int, float64) {
+	b, _ := placeReady(inst, scr, func(b *schedule.Builder, rows *scheduler.ReadyRows, ready []int) (int, int, float64) {
 		bestTask, bestNode := -1, -1
 		bestStart := 0.0
 		for _, t := range ready {
-			_, start, _ := rows.eft(b, t)
+			_, start, _ := rows.EFT(b, t)
 			for v, s := range start {
 				better := bestTask == -1 || s < bestStart-graph.Eps
 				if !better && graph.ApproxEq(s, bestStart) {

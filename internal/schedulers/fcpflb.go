@@ -77,7 +77,7 @@ func (FCP) Requirements() scheduler.Requirements {
 // ScheduleScratch implements scheduler.Scheduler.
 func (FCP) ScheduleScratch(inst *graph.Instance, scr *scheduler.Scratch, out *schedule.Schedule) error {
 	rank := scr.UpwardRank(inst)
-	b, _ := placeReady(inst, scr, func(b *schedule.Builder, rows *rowCache, ready []int) (int, int, float64) {
+	b, _ := placeReady(inst, scr, func(b *schedule.Builder, rows *scheduler.ReadyRows, ready []int) (int, int, float64) {
 		// Pop the highest-priority ready task.
 		t := ready[0]
 		for _, x := range ready[1:] {
@@ -85,7 +85,7 @@ func (FCP) ScheduleScratch(inst *graph.Instance, scr *scheduler.Scratch, out *sc
 				t = x
 			}
 		}
-		at, enab := rows.row(b, t)
+		at, enab := rows.Row(b, t)
 		v, start, _ := bestCandidate(b, t, earliestIdle(b), at, enab)
 		return t, v, start
 	})
@@ -100,7 +100,7 @@ func (FCP) ScheduleScratch(inst *graph.Instance, scr *scheduler.Scratch, out *sc
 // with priority queues; this implementation costs O(|V| + ready width)
 // per step plus one O(in-degree · |V|) ready row per task, filled the
 // first time the task is examined and kept for the rest of the
-// construction (rowCache).
+// construction (scheduler.ReadyRows).
 //
 // Like FCP it targets homogeneous processors and links, and PISA pins
 // both to 1 when analyzing it (Section VI).
@@ -117,12 +117,12 @@ func (FLB) Requirements() scheduler.Requirements {
 
 // ScheduleScratch implements scheduler.Scheduler.
 func (FLB) ScheduleScratch(inst *graph.Instance, scr *scheduler.Scratch, out *schedule.Schedule) error {
-	b, _ := placeReady(inst, scr, func(b *schedule.Builder, rows *rowCache, ready []int) (int, int, float64) {
+	b, _ := placeReady(inst, scr, func(b *schedule.Builder, rows *scheduler.ReadyRows, ready []int) (int, int, float64) {
 		idle := earliestIdle(b)
 		bestTask, bestNode := -1, -1
 		bestStart, bestFinish := 0.0, math.Inf(1)
 		for _, t := range ready {
-			at, enab := rows.row(b, t)
+			at, enab := rows.Row(b, t)
 			v, s, f := bestCandidate(b, t, idle, at, enab)
 			if f < bestFinish-graph.Eps {
 				bestTask, bestNode, bestStart, bestFinish = t, v, s, f

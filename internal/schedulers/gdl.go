@@ -42,13 +42,13 @@ func (GDL) ScheduleScratch(inst *graph.Instance, scr *scheduler.Scratch, out *sc
 	tab := scr.Tables(inst)
 	sl := scr.StaticLevel(inst)
 	nv := inst.Net.NumNodes()
-	b, _ := placeReady(inst, scr, func(b *schedule.Builder, rows *rowCache, ready []int) (int, int, float64) {
+	b, _ := placeReady(inst, scr, func(b *schedule.Builder, rows *scheduler.ReadyRows, ready []int) (int, int, float64) {
 		bestTask, bestNode := -1, -1
 		bestStart, bestDL := 0.0, 0.0
 		for _, t := range ready {
 			avg := tab.AvgExec[t]
 			exec := tab.Exec[t*nv : (t+1)*nv]
-			_, start, _ := rows.eft(b, t)
+			_, start, _ := rows.EFT(b, t)
 			for v, s := range start {
 				dl := sl[t] - s + (avg - exec[v])
 				if bestTask == -1 || dl > bestDL+graph.Eps {

@@ -157,3 +157,39 @@ func TestHEFTvsCPoPBothDirectionsExist(t *testing.T) {
 	}
 	_ = a
 }
+
+// TestCPoPCriticalPathFillsGap pins CPoP's insertion on the critical-path
+// node. a→c is the critical path (its dependency is free on one node);
+// node 0, twice as fast, is cpNode. z goes to node 1 and its successor x
+// to node 0, where z's data arrives at 5: node 0 idles over [1, 5). The
+// zero-cost y delays c in the priority order until x is placed, and c
+// then fills the gap at [1, 2]. Appending would start c at 15.
+func TestCPoPCriticalPathFillsGap(t *testing.T) {
+	g := graph.NewTaskGraph()
+	a := g.AddTask("a", 2)
+	c := g.AddTask("c", 2)
+	z := g.AddTask("z", 1)
+	x := g.AddTask("x", 20)
+	y := g.AddTask("y", 0)
+	g.MustAddDep(a, c, 100)
+	g.MustAddDep(y, c, 0)
+	g.MustAddDep(z, x, 4)
+	net := graph.NewNetwork(2)
+	net.Speeds[0] = 2
+	inst := graph.NewInstance(g, net)
+
+	sch, err := scheduler.Schedule(CPoP{}, inst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []struct {
+		task, node int
+		start, end float64
+	}{{a, 0, 0, 1}, {c, 0, 1, 2}, {z, 1, 0, 1}, {x, 0, 5, 15}, {y, 0, 0, 0}} {
+		tk, got := w.task, sch.ByTask[w.task]
+		if got.Node != w.node || got.Start != w.start || got.End != w.end {
+			t.Errorf("task %s: node %d [%v, %v], want node %d [%v, %v]",
+				g.Tasks[tk].Name, got.Node, got.Start, got.End, w.node, w.start, w.end)
+		}
+	}
+}

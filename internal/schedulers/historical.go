@@ -97,13 +97,13 @@ func (ERT) Name() string { return "ERT" }
 
 // ScheduleScratch implements scheduler.Scheduler.
 func (ERT) ScheduleScratch(inst *graph.Instance, scr *scheduler.Scratch, out *schedule.Schedule) error {
-	b, _ := placeReady(inst, scr, func(b *schedule.Builder, rows *rowCache, ready []int) (int, int, float64) {
+	b, _ := placeReady(inst, scr, func(b *schedule.Builder, rows *scheduler.ReadyRows, ready []int) (int, int, float64) {
 		bestTask, bestNode := -1, -1
 		bestReady, bestStart := math.Inf(1), math.Inf(1)
 		for _, t := range ready {
 			// The ready row is the data-ready time on every node; the
 			// AppendRow starts are the actual ones.
-			at, start, _ := rows.eft(b, t)
+			at, start, _ := rows.EFT(b, t)
 			for v, r := range at {
 				better := bestTask == -1 || r < bestReady-graph.Eps
 				if !better && graph.ApproxEq(r, bestReady) {

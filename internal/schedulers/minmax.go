@@ -21,11 +21,11 @@ func init() {
 // are one AppendRow call on its cached ready row; a later node replaces
 // the running best only if it finishes more than Eps earlier.
 func minMinSchedule(inst *graph.Instance, scr *scheduler.Scratch, pickMax bool, out *schedule.Schedule) error {
-	b, _ := placeReady(inst, scr, func(b *schedule.Builder, rows *rowCache, ready []int) (int, int, float64) {
+	b, _ := placeReady(inst, scr, func(b *schedule.Builder, rows *scheduler.ReadyRows, ready []int) (int, int, float64) {
 		bestTask, bestNode := -1, -1
 		bestStart, bestMCT := 0.0, 0.0
 		for _, t := range ready {
-			_, start, finish := rows.eft(b, t)
+			_, start, finish := rows.EFT(b, t)
 			v, f := -1, math.Inf(1)
 			for u, fu := range finish {
 				if fu < f-graph.Eps {
