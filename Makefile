@@ -5,6 +5,7 @@
 # `make docs-lint` keeps every internal package documented.
 
 GO ?= go
+GOFMT ?= gofmt
 
 .PHONY: all build vet test test-race verify bench-smoke bench bench-pisa bench-pisa-full bench-scale bench-scale-full docs-lint coord-smoke serve-smoke chaos-smoke bench-serve fuzz-short cover examples-smoke
 
@@ -15,10 +16,14 @@ build:
 
 # vet also covers the nested benchmark module (bench/go.mod): `go build
 # ./...` never compiles it, so an exported-API change that breaks
-# bench/ fails here instead of at benchmark time.
+# bench/ fails here instead of at benchmark time. Last, every Go file in
+# the tree, bench/ included, must be gofmt-clean: `gofmt -l .` lists
+# the ones that are not, and any listing fails the target.
 vet:
 	$(GO) vet ./...
 	$(GO) vet -C bench ./...
+	@unformatted=$$($(GOFMT) -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt: run gofmt -w on:"; echo "$$unformatted"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -104,9 +109,10 @@ bench-serve:
 # accept/reject, reflect.DeepEqual values. FuzzParse additionally drives
 # Parse → ToTaskGraph → ToNetwork → Validate → Marshal round trip (must
 # never panic), seeded from the fixtures in internal/wfc/testdata/.
-# FuzzIter feeds the checkpoint store reader legacy, sealed, live,
-# concatenated and torn stores: it never panics, and Checkpoint.Load
-# returns exactly what Iter yields.
+# FuzzIter feeds the checkpoint store reader sealed, live, concatenated
+# and torn stores, the one-object JSON layout of earlier releases (which
+# it refuses) and bytes that are none of these: it never panics, and
+# Checkpoint.Load returns exactly what Iter yields.
 fuzz-short:
 	$(GO) test -fuzz FuzzScanner -fuzztime 10s -run '^$$' ./internal/jsonscan/
 	$(GO) test -fuzz FuzzUnmarshalInstance -fuzztime 10s -run '^$$' ./internal/serialize/

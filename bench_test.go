@@ -71,7 +71,7 @@ func BenchmarkTable2DatasetGenerators(b *testing.B) {
 			r := rng.New(1)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				inst := g.Generate(r.Split())
+				inst := g(r.Split())
 				if inst.Graph.NumTasks() == 0 {
 					b.Fatal("empty instance")
 				}
@@ -348,8 +348,8 @@ func BenchmarkAblationInsertion(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var makespan float64
 			for i := 0; i < b.N; i++ {
-				bld := schedule.NewBuilder(inst)
 				scr := scheduler.NewScratch()
+				bld := scr.Builder(inst)
 				rank := scr.UpwardRank(inst)
 				for _, t := range scr.TopoOrderByPriority(inst.Graph, rank) {
 					v, start := bld.BestEFTNode(t, insertion)

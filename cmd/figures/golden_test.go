@@ -37,3 +37,20 @@ func TestGoldenTranscript(t *testing.T) {
 	}
 	tr.check("testdata/golden.txt")
 }
+
+// TestFig4PaperScaleGolden pins the paper-scale Fig 4 grid (1000
+// iterations, 5 restarts, one worker) for seeds 1-3 to the stdout an
+// earlier build printed, recorded in testdata/fig4_paper.txt. It is the
+// byte-identity net for changes to the schedulers, the placement kernel
+// and the PISA loop that the toy-size transcript is too small to
+// exercise.
+func TestFig4PaperScaleGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("paper-scale fig4 takes a few seconds")
+	}
+	tr := &transcript{t: t, mask: strings.NewReplacer()}
+	for _, seed := range []string{"1", "2", "3"} {
+		tr.run("figures", run, "-iters", "1000", "-restarts", "5", "-seed", seed, "-workers", "1", "fig4")
+	}
+	tr.check("testdata/fig4_paper.txt")
+}

@@ -148,7 +148,7 @@ func generate(args []string) error {
 	if err != nil {
 		return err
 	}
-	inst := g.Generate(rng.New(f.Seed))
+	inst := g(rng.New(f.Seed))
 	data, err := serialize.MarshalInstance(inst)
 	if err != nil {
 		return err

@@ -1,6 +1,7 @@
 package cli
 
 import (
+	"bytes"
 	"context"
 	"flag"
 	"net/http/httptest"
@@ -122,6 +123,28 @@ func TestRunStoreLifecycle(t *testing.T) {
 	own := filepath.Join(dir, "own.ckpt")
 	if got := run(own, ""); !reflect.DeepEqual(got, want) || exists(own) {
 		t.Fatalf("a run that computed its cells must remove its store (kept %v)", exists(own))
+	}
+}
+
+// TestRunRefusesOldJSONStore: a one-object JSON store written before the
+// stream format fails a resume or a shard run, naming the file, and is
+// left as it was.
+func TestRunRefusesOldJSONStore(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "old.ckpt")
+	old := []byte(`{"fingerprint":"fig7","cells":{"0":{"makespans":[3.25,2.5]}}}`)
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, shard := range []string{"", "0/1"} {
+		f := Defaults()
+		f.Checkpoint, f.Shard = path, shard
+		_, err := Run[*experiments.FamilyResult](f, "fig7", experiments.SweepParams{N: 2, Seed: 1})
+		if err == nil || !strings.Contains(err.Error(), "corrupt or truncated") || !strings.Contains(err.Error(), path) {
+			t.Fatalf("shard %q on an old JSON store: %v", shard, err)
+		}
+		if data, _ := os.ReadFile(path); !bytes.Equal(data, old) {
+			t.Fatalf("shard %q rewrote the refused store", shard)
+		}
 	}
 }
 

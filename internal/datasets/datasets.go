@@ -27,43 +27,24 @@ import (
 // generated (and perturbed) network weights are floored here instead.
 const minNetWeight = 0.01
 
-// Generator produces random problem instances of one dataset family.
-type Generator interface {
-	Name() string
-	// Generate draws one instance using the provided source of
-	// randomness.
-	Generate(r *rng.RNG) *graph.Instance
-}
+var registry = map[string]func(*rng.RNG) *graph.Instance{}
 
-// GeneratorFunc adapts a function to the Generator interface.
-type GeneratorFunc struct {
-	DatasetName string
-	Fn          func(r *rng.RNG) *graph.Instance
-}
-
-// Name implements Generator.
-func (g GeneratorFunc) Name() string { return g.DatasetName }
-
-// Generate implements Generator.
-func (g GeneratorFunc) Generate(r *rng.RNG) *graph.Instance { return g.Fn(r) }
-
-var registry = map[string]func() Generator{}
-
-// Register adds a dataset generator factory. It panics on duplicates.
-func Register(name string, factory func() Generator) {
+// Register adds a dataset: gen draws one instance from the source of
+// randomness it is given. It panics on duplicates.
+func Register(name string, gen func(*rng.RNG) *graph.Instance) {
 	if _, dup := registry[name]; dup {
 		panic(fmt.Sprintf("datasets: duplicate registration of %q", name))
 	}
-	registry[name] = factory
+	registry[name] = gen
 }
 
-// New instantiates a registered dataset generator by name.
-func New(name string) (Generator, error) {
-	f, ok := registry[name]
+// New returns the named dataset's instance generator.
+func New(name string) (func(*rng.RNG) *graph.Instance, error) {
+	gen, ok := registry[name]
 	if !ok {
 		return nil, fmt.Errorf("datasets: unknown dataset %q", name)
 	}
-	return f(), nil
+	return gen, nil
 }
 
 // Names returns all registered dataset names, sorted.
@@ -88,14 +69,17 @@ var TableII = []string{
 // Dataset draws n instances from the named generator, using independent
 // sub-streams so instance i is reproducible regardless of batch size.
 func Dataset(name string, n int, seed uint64) ([]*graph.Instance, error) {
-	g, err := New(name)
+	if n < 1 {
+		return nil, fmt.Errorf("datasets: n = %d instances, want at least 1", n)
+	}
+	gen, err := New(name)
 	if err != nil {
 		return nil, err
 	}
 	r := rng.New(seed)
 	out := make([]*graph.Instance, n)
 	for i := range out {
-		out[i] = g.Generate(r.Split())
+		out[i] = gen(r.Split())
 	}
 	return out, nil
 }

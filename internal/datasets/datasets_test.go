@@ -1,6 +1,7 @@
 package datasets
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -19,7 +20,7 @@ func TestAllGeneratorsProduceValidInstances(t *testing.T) {
 			}
 			r := rng.New(17)
 			for i := 0; i < 5; i++ {
-				inst := g.Generate(r.Split())
+				inst := g(r.Split())
 				if err := inst.Validate(); err != nil {
 					t.Fatalf("instance %d invalid: %v", i, err)
 				}
@@ -63,6 +64,11 @@ func TestDatasetReproducible(t *testing.T) {
 	}
 	if _, err := Dataset("no-such", 1, 1); err == nil {
 		t.Fatal("unknown dataset accepted")
+	}
+	for _, n := range []int{0, -2} {
+		if _, err := Dataset("chains", n, 1); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("n = %d", n)) {
+			t.Fatalf("Dataset with n = %d: %v", n, err)
+		}
 	}
 }
 

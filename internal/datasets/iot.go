@@ -13,15 +13,12 @@ var IoTNames = []string{"etl", "predict", "stats", "train"}
 
 func init() {
 	for _, name := range IoTNames {
-		name := name
-		Register(name, func() Generator {
-			return GeneratorFunc{DatasetName: name, Fn: func(r *rng.RNG) *graph.Instance {
-				g, err := IoTRecipe(name, r)
-				if err != nil {
-					panic(err)
-				}
-				return graph.NewInstance(g, EdgeFogCloudNetwork(r))
-			}}
+		Register(name, func(r *rng.RNG) *graph.Instance {
+			g, err := IoTRecipe(name, r)
+			if err != nil {
+				panic(err)
+			}
+			return graph.NewInstance(g, EdgeFogCloudNetwork(r))
 		})
 	}
 }

@@ -9,20 +9,14 @@ import (
 )
 
 func init() {
-	Register("in_trees", func() Generator {
-		return GeneratorFunc{DatasetName: "in_trees", Fn: func(r *rng.RNG) *graph.Instance {
-			return graph.NewInstance(randTree(r, true), RandomNetwork(r))
-		}}
+	Register("in_trees", func(r *rng.RNG) *graph.Instance {
+		return graph.NewInstance(randTree(r, true), RandomNetwork(r))
 	})
-	Register("out_trees", func() Generator {
-		return GeneratorFunc{DatasetName: "out_trees", Fn: func(r *rng.RNG) *graph.Instance {
-			return graph.NewInstance(randTree(r, false), RandomNetwork(r))
-		}}
+	Register("out_trees", func(r *rng.RNG) *graph.Instance {
+		return graph.NewInstance(randTree(r, false), RandomNetwork(r))
 	})
-	Register("chains", func() Generator {
-		return GeneratorFunc{DatasetName: "chains", Fn: func(r *rng.RNG) *graph.Instance {
-			return graph.NewInstance(parallelChains(r), RandomNetwork(r))
-		}}
+	Register("chains", func(r *rng.RNG) *graph.Instance {
+		return graph.NewInstance(parallelChains(r), RandomNetwork(r))
 	})
 }
 

@@ -118,18 +118,11 @@ func scaleChains(r *rng.RNG, n int) *graph.TaskGraph {
 
 func init() {
 	for suffix, n := range ScaleSizes {
-		n := n
-		layered := "scale_layered_" + suffix
-		Register(layered, func() Generator {
-			return GeneratorFunc{DatasetName: layered, Fn: func(r *rng.RNG) *graph.Instance {
-				return graph.NewInstance(scaleLayered(r, n), ScaleNetwork(r))
-			}}
+		Register("scale_layered_"+suffix, func(r *rng.RNG) *graph.Instance {
+			return graph.NewInstance(scaleLayered(r, n), ScaleNetwork(r))
 		})
-		chains := "scale_chains_" + suffix
-		Register(chains, func() Generator {
-			return GeneratorFunc{DatasetName: chains, Fn: func(r *rng.RNG) *graph.Instance {
-				return graph.NewInstance(scaleChains(r, n), ScaleNetwork(r))
-			}}
+		Register("scale_chains_"+suffix, func(r *rng.RNG) *graph.Instance {
+			return graph.NewInstance(scaleChains(r, n), ScaleNetwork(r))
 		})
 	}
 }

@@ -15,7 +15,7 @@ func TestScaleFamilyShapes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			inst := g.Generate(rng.New(3))
+			inst := g(rng.New(3))
 			if inst.Graph.NumTasks() != n {
 				t.Errorf("%s: %d tasks, want %d", name, inst.Graph.NumTasks(), n)
 			}
@@ -82,7 +82,7 @@ func TestWfcFamilyRegistered(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		inst := g.Generate(rng.New(5))
+		inst := g(rng.New(5))
 		if err := inst.Validate(); err != nil {
 			t.Fatalf("wfc_%s: %v", name, err)
 		}

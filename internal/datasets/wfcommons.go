@@ -84,12 +84,8 @@ func wfcInstance(name string, r *rng.RNG) *graph.Instance {
 
 func init() {
 	for _, name := range WorkflowNames {
-		name := name
-		full := "wfc_" + name
-		Register(full, func() Generator {
-			return GeneratorFunc{DatasetName: full, Fn: func(r *rng.RNG) *graph.Instance {
-				return wfcInstance(name, r)
-			}}
+		Register("wfc_"+name, func(r *rng.RNG) *graph.Instance {
+			return wfcInstance(name, r)
 		})
 	}
 }

@@ -43,15 +43,12 @@ func WorkflowRecipe(name string, r *rng.RNG) (*graph.TaskGraph, error) {
 
 func init() {
 	for _, name := range WorkflowNames {
-		name := name
-		Register(name, func() Generator {
-			return GeneratorFunc{DatasetName: name, Fn: func(r *rng.RNG) *graph.Instance {
-				g, err := WorkflowRecipe(name, r)
-				if err != nil {
-					panic(err)
-				}
-				return graph.NewInstance(g, ChameleonNetwork(r))
-			}}
+		Register(name, func(r *rng.RNG) *graph.Instance {
+			g, err := WorkflowRecipe(name, r)
+			if err != nil {
+				panic(err)
+			}
+			return graph.NewInstance(g, ChameleonNetwork(r))
 		})
 	}
 }

@@ -117,7 +117,8 @@ type domKey struct {
 
 type searcher struct {
 	inst     *graph.Instance
-	deadline float64 // prune finishes beyond this; +Inf for pure optimization
+	scr      *scheduler.Scratch // the warm start's, whose builder the search reuses
+	deadline float64            // prune finishes beyond this; +Inf for pure optimization
 	best     float64
 	bestSch  schedule.Schedule
 	haveBest bool
@@ -151,6 +152,7 @@ type frame struct {
 func newSearcher(inst *graph.Instance, deadline float64, opts Options) *searcher {
 	s := &searcher{
 		inst:     inst,
+		scr:      scheduler.NewScratch(),
 		deadline: deadline,
 		best:     math.Inf(1),
 		maxNodes: opts.maxNodes(),
@@ -203,13 +205,12 @@ func (s *searcher) record(b *schedule.Builder) error {
 // because the schedulers package depends on exact. Skipped for cyclic
 // graphs; the search proper reports those through b.ScheduleInto.
 func (s *searcher) warmStart() error {
-	scr := scheduler.NewScratch()
-	if scr.Tables(s.inst).TopoErr != nil {
+	if s.scr.Tables(s.inst).TopoErr != nil {
 		return nil
 	}
-	rank := scr.UpwardRank(s.inst)
-	order := scr.TopoOrderByPriority(s.inst.Graph, rank)
-	b := scr.Builder(s.inst)
+	rank := s.scr.UpwardRank(s.inst)
+	order := s.scr.TopoOrderByPriority(s.inst.Graph, rank)
+	b := s.scr.Builder(s.inst)
 	for _, t := range order {
 		v, start := b.BestEFTNode(t, true)
 		b.Place(t, v, start)
@@ -353,7 +354,7 @@ func Solve(inst *graph.Instance, opts Options) (*schedule.Schedule, error) {
 	if err := s.warmStart(); err != nil {
 		return nil, err
 	}
-	b := schedule.NewBuilder(inst)
+	b := s.scr.Builder(inst)
 	rs := scheduler.NewReadySet(inst.Graph)
 	if err := s.search(b, rs, false); err != nil {
 		return nil, err
@@ -375,7 +376,7 @@ func Feasible(inst *graph.Instance, deadline float64, opts Options) (*schedule.S
 	if s.haveBest && s.best <= deadline+graph.Eps {
 		return &s.bestSch, true, nil
 	}
-	b := schedule.NewBuilder(inst)
+	b := s.scr.Builder(inst)
 	rs := scheduler.NewReadySet(inst.Graph)
 	if err := s.search(b, rs, true); err != nil {
 		return nil, false, err

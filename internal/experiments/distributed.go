@@ -128,6 +128,9 @@ func NewSweep(name string, p SweepParams) (*Sweep, error) {
 			return PairwisePISARun(schedulers.Experimental(), PairwiseOptions{Anneal: p.Anneal()}, ro)
 		}
 	case "fig7", "fig8":
+		if p.N < 1 {
+			return nil, fmt.Errorf("experiments: %s sweep needs n >= 1 instances, got n = %d", name, p.N)
+		}
 		gen := datasets.Fig7Instance
 		if name == "fig8" {
 			gen = datasets.Fig8Instance
@@ -171,6 +174,9 @@ func NewSweep(name string, p SweepParams) (*Sweep, error) {
 		}
 		if len(p.InstanceRaw) == 0 {
 			return nil, fmt.Errorf("experiments: robustness sweep needs the instance bytes (-in)")
+		}
+		if p.N < 1 {
+			return nil, fmt.Errorf("experiments: robustness sweep needs n >= 1 perturbations, got n = %d", p.N)
 		}
 		inst, err := serialize.UnmarshalInstance(p.InstanceRaw)
 		if err != nil {

@@ -286,6 +286,30 @@ func TestShardedRunReturnsPartialResult(t *testing.T) {
 	}
 }
 
+// TestSweepsRefuseNBelowOne: a sweep sized by n refuses n < 1 with one
+// error naming n, before any cell runs, instead of panicking on a
+// negative slice length or rendering an empty result. The appspecific
+// sweep keeps its own default for n <= 0.
+func TestSweepsRefuseNBelowOne(t *testing.T) {
+	raw, err := serialize.MarshalInstance(datasets.Fig1Instance())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{0, -1} {
+		want := fmt.Sprintf("n = %d", n)
+		for _, name := range []string{"fig7", "fig8", "robustness"} {
+			p := SweepParams{N: n, Seed: 1, Scheduler: "HEFT", Sigma: 0.2, InstanceRaw: raw}
+			if _, err := NewSweep(name, p); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("NewSweep(%s) with n = %d: %v", name, n, err)
+			}
+		}
+		ro := runner.Options{Progress: func(int, int) { t.Fatal("a cell ran") }}
+		if _, err := BenchmarkingRun([]string{"chains"}, schedulers.Experimental(), n, 1, ro); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("BenchmarkingRun with n = %d: %v", n, err)
+		}
+	}
+}
+
 func TestNewSweepRegistry(t *testing.T) {
 	raw, err := serialize.MarshalInstance(datasets.Fig1Instance())
 	if err != nil {

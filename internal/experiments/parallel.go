@@ -71,6 +71,9 @@ type pisaCell struct {
 // instances from the same root seed, so a cell does not depend on which
 // other datasets the sweep names.
 func BenchmarkingRun(datasetNames []string, scheds []scheduler.Scheduler, n int, seed uint64, ro runner.Options) (*BenchmarkResult, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("experiments: benchmarking needs n >= 1 instances per dataset, got n = %d", n)
+	}
 	res := &BenchmarkResult{
 		Datasets: datasetNames,
 		Cells:    map[string]map[string]BenchmarkCell{},

@@ -113,7 +113,7 @@ func TestBestEFTNodeMatchesUnskipped(t *testing.T) {
 		}
 		inst := graph.NewInstance(g, net)
 		for _, insertion := range []bool{true, false} {
-			checkBestEFTAgainstUnskipped(t, "seeded", NewBuilder(inst), r, insertion)
+			checkBestEFTAgainstUnskipped(t, "seeded", newBuilder(inst), r, insertion)
 		}
 	}
 	for _, name := range []string{"scale_layered_1k", "scale_chains_1k", "scale_layered_10k", "scale_chains_10k"} {
@@ -125,13 +125,9 @@ func TestBestEFTNodeMatchesUnskipped(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var tab graph.Tables
-			tab.Build(insts[0])
 			r := rand.New(rand.NewSource(1))
 			for _, insertion := range []bool{true, false} {
-				var b Builder
-				b.ResetTables(insts[0], &tab)
-				checkBestEFTAgainstUnskipped(t, name, &b, r, insertion)
+				checkBestEFTAgainstUnskipped(t, name, newBuilder(insts[0]), r, insertion)
 			}
 		})
 	}
@@ -139,8 +135,7 @@ func TestBestEFTNodeMatchesUnskipped(t *testing.T) {
 
 // TestAppendRowMatchesEFTFrom holds the no-insertion row kernel to
 // per-node EFTFrom bit for bit, over seeded partial schedules built in a
-// random topological order, through a builder that divides (Reset) and
-// one bound to precomputed tables (ResetTables). Each task is scored on
+// random topological order. Each task is scored on
 // its ready row, on each node's available time (ready equal to
 // availability) and on that time less Eps/2 (ready within Eps below it),
 // and a quarter of the tasks cost zero.
@@ -175,18 +170,7 @@ func TestAppendRowMatchesEFTFrom(t *testing.T) {
 				net.SetLink(v, u, float64(1+r.Intn(2)))
 			}
 		}
-		inst := graph.NewInstance(g, net)
-		var tab graph.Tables
-		tab.Build(inst)
-		for _, tables := range []bool{false, true} {
-			var b Builder
-			if tables {
-				b.ResetTables(inst, &tab)
-			} else {
-				b.Reset(inst)
-			}
-			checkAppendRow(t, seed, tables, &b, r)
-		}
+		checkAppendRow(t, seed, newBuilder(graph.NewInstance(g, net)), r)
 	}
 }
 
@@ -195,7 +179,7 @@ func TestAppendRowMatchesEFTFrom(t *testing.T) {
 // there, and before each placement compares AppendRow with EFTFrom on
 // the nodes' available times, on those less Eps/2, and on the task's
 // ready row (the last fill, whose starts the placement reads).
-func checkAppendRow(t *testing.T, seed int64, tables bool, b *Builder, r *rand.Rand) {
+func checkAppendRow(t *testing.T, seed int64, b *Builder, r *rand.Rand) {
 	t.Helper()
 	g := b.Instance().Graph
 	nV := b.Instance().Net.NumNodes()
@@ -223,8 +207,8 @@ func checkAppendRow(t *testing.T, seed int64, tables bool, b *Builder, r *rand.R
 			for v, rv := range at {
 				s, f := b.EFTFrom(task, v, rv, false)
 				if math.Float64bits(s) != math.Float64bits(start[v]) || math.Float64bits(f) != math.Float64bits(finish[v]) {
-					t.Fatalf("seed %d tables=%v task %d node %d ready %v: AppendRow (%v, %v), EFTFrom (%v, %v)",
-						seed, tables, task, v, rv, start[v], finish[v], s, f)
+					t.Fatalf("seed %d task %d node %d ready %v: AppendRow (%v, %v), EFTFrom (%v, %v)",
+						seed, task, v, rv, start[v], finish[v], s, f)
 				}
 			}
 		}

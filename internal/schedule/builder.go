@@ -19,15 +19,16 @@ import (
 // NodeAvailable reads), and EarliestStart can binary-search past every
 // block that finishes by the ready time.
 //
-// A Builder is reusable: Reset rebinds it to an instance while keeping
-// every slice it has ever grown, so a warm builder runs a full
-// scheduling pass without allocating (the per-worker Scratch in package
-// scheduler owns one for exactly that purpose).
+// A Builder is reusable: Reset rebinds it to an instance and its
+// precomputed tables while keeping every slice it has ever grown, so a
+// warm builder runs a full scheduling pass without allocating (the
+// per-worker Scratch in package scheduler owns one for exactly that
+// purpose).
 type Builder struct {
 	inst      *graph.Instance
-	speeds    []float64   // inst.Net.Speeds, cached to skip pointer chains
+	nv        int         // inst.Net.NumNodes()
 	links     [][]float64 // inst.Net.Links
-	exec      []float64   // optional graph.Tables.Exec matrix (nil = divide)
+	exec      []float64   // graph.Tables.Exec, row-major by task
 	byTask    []Assignment
 	placed    []bool
 	timelines [][]Assignment // per node, sorted by (Start, End)
@@ -38,34 +39,18 @@ type Builder struct {
 	rowEnab []int32
 }
 
-// NewBuilder returns an empty builder for the instance.
-func NewBuilder(inst *graph.Instance) *Builder {
-	b := &Builder{}
-	b.Reset(inst)
-	return b
-}
-
 // Reset rebinds the builder to inst and clears all placements, reusing
-// the builder's existing storage. It leaves byTask contents stale —
+// the builder's existing storage. Execution times are read from
+// tab.Exec, which must have been built for inst (Scratch.Builder in
+// package scheduler pairs the two). It leaves byTask contents stale —
 // placed gates every read — so the reset cost is O(|T| + |V|).
-func (b *Builder) Reset(inst *graph.Instance) {
-	b.ResetTables(inst, nil)
-}
-
-// ResetTables is Reset with precomputed tables: execution times come
-// from the dense Exec matrix instead of a per-query division. Each
-// matrix entry is the identical division done once at table-build time,
-// so the two paths are bit-equal; tab must have been built for inst.
-func (b *Builder) ResetTables(inst *graph.Instance, tab *graph.Tables) {
+func (b *Builder) Reset(inst *graph.Instance, tab *graph.Tables) {
 	n := inst.Graph.NumTasks()
 	nv := inst.Net.NumNodes()
 	b.inst = inst
-	b.speeds = inst.Net.Speeds
+	b.nv = nv
 	b.links = inst.Net.Links
-	b.exec = nil
-	if tab != nil {
-		b.exec = tab.Exec
-	}
+	b.exec = tab.Exec
 	if cap(b.byTask) < n {
 		b.byTask = make([]Assignment, n)
 	} else {
@@ -259,12 +244,9 @@ func (b *Builder) EarliestStart(v int, ready, duration float64, insertion bool) 
 	return start
 }
 
-// execTime returns c(t)/s(v), from the dense table when one is bound.
+// execTime returns c(t)/s(v) from the bound tables.
 func (b *Builder) execTime(t, v int) float64 {
-	if b.exec != nil {
-		return b.exec[t*len(b.speeds)+v]
-	}
-	return b.inst.Graph.Tasks[t].Cost / b.speeds[v]
+	return b.exec[t*b.nv+v]
 }
 
 // EFT returns the earliest start and finish of task t on node v under the
@@ -296,21 +278,12 @@ func (b *Builder) EFTFrom(t, v int, ready float64, insertion bool) (start, finis
 // The schedulers that re-score every ready task at every step (MinMin,
 // MaxMin, Duplex, ETF, GDL, BIL, ERT, WBA) score a task with one call.
 func (b *Builder) AppendRow(t int, ready, start, finish []float64) {
-	nv := len(b.speeds)
+	nv := b.nv
 	ready, start, finish = ready[:nv], start[:nv], finish[:nv]
 	tls := b.timelines[:nv]
-	var exec []float64
-	if b.exec != nil {
-		exec = b.exec[t*nv : (t+1)*nv]
-	}
-	cost := b.inst.Graph.Tasks[t].Cost
+	exec := b.exec[t*nv : (t+1)*nv]
 	for v, r := range ready {
-		var dur float64
-		if exec != nil {
-			dur = exec[v]
-		} else {
-			dur = cost / b.speeds[v]
-		}
+		dur := exec[v]
 		avail := 0.0 // NodeAvailable(v)
 		if tl := tls[v]; len(tl) > 0 {
 			avail = tl[len(tl)-1].End
@@ -432,7 +405,7 @@ func (b *Builder) ScheduleInto(out *Schedule) error {
 			return fmt.Errorf("schedule: task %d never placed", t)
 		}
 	}
-	out.NumNodes = len(b.speeds)
+	out.NumNodes = b.nv
 	out.ByTask = append(out.ByTask[:0], b.byTask...)
 	return nil
 }

@@ -48,7 +48,7 @@ func TestPlaceAppendMatchesSearch(t *testing.T) {
 			}
 			g.AddTask(fmt.Sprintf("t%d", tk), cost)
 		}
-		b := NewBuilder(graph.NewInstance(g, graph.NewNetwork(nNodes)))
+		b := newBuilder(graph.NewInstance(g, graph.NewNetwork(nNodes)))
 		ref := make([][]Assignment, nNodes)
 		var stack []int // placed tasks, latest last
 		for op := 0; op < 300; op++ {

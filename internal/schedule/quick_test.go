@@ -57,7 +57,7 @@ func TestQuickBuilderAlwaysValid(t *testing.T) {
 		if err := p.inst.Validate(); err != nil {
 			return false
 		}
-		b := NewBuilder(p.inst)
+		b := newBuilder(p.inst)
 		order, err := p.inst.Graph.TopoOrder()
 		if err != nil {
 			return false
@@ -85,8 +85,8 @@ func TestQuickInsertionNeverLater(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		withIns := NewBuilder(p.inst)
-		without := NewBuilder(p.inst)
+		withIns := newBuilder(p.inst)
+		without := newBuilder(p.inst)
 		for _, task := range order {
 			// Same node choice in both builders; the partial schedules
 			// may diverge, so compare the locally-offered start given
@@ -119,7 +119,7 @@ func TestQuickInsertionNeverLater(t *testing.T) {
 // equals the maximum assignment end.
 func TestQuickMakespanEqualsMaxEnd(t *testing.T) {
 	property := func(p placementPlan) bool {
-		b := NewBuilder(p.inst)
+		b := newBuilder(p.inst)
 		order, err := p.inst.Graph.TopoOrder()
 		if err != nil {
 			return false
@@ -176,7 +176,7 @@ func TestEarliestStartMatchesLinearScan(t *testing.T) {
 			g.AddTask("t", cost)
 		}
 		in := graph.NewInstance(g, graph.NewNetwork(nNodes))
-		b := NewBuilder(in)
+		b := newBuilder(in)
 
 		probe := func(v int, ready, duration float64) float64 {
 			t.Helper()
@@ -304,7 +304,7 @@ func TestFillReadyRowMatchesPerNode(t *testing.T) {
 				net.SetLink(v, u, s)
 			}
 		}
-		b := NewBuilder(graph.NewInstance(g, net))
+		b := newBuilder(graph.NewInstance(g, net))
 		ready, enab := make([]float64, nNodes), make([]int32, nNodes)
 		check := func() {
 			t.Helper()
@@ -381,7 +381,7 @@ func TestEarliestStartPlainMaxIsMathMax(t *testing.T) {
 	g.MustAddDep(3, 5, 2)
 	net := graph.NewNetwork(2)
 	net.SetLink(0, 1, 1)
-	b := NewBuilder(graph.NewInstance(g, net))
+	b := newBuilder(graph.NewInstance(g, net))
 	order, err := g.TopoOrder()
 	if err != nil {
 		t.Fatal(err)

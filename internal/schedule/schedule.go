@@ -4,11 +4,12 @@
 // slot search with and without insertion.
 //
 // The key invariant is the Builder arena lifecycle: every slice a
-// Builder owns survives Reset/ResetTables, so a warm builder schedules
-// without heap allocation. Hot paths never construct builders — they
-// borrow the one owned by a scheduler.Scratch and finalize with
-// ScheduleInto, which reuses the caller's Schedule (see EXPERIMENTS.md,
-// "Hot-path memory discipline").
+// Builder owns survives Reset, so a warm builder schedules without heap
+// allocation. Reset binds the builder to an instance and its
+// graph.Tables, the one source of execution times. Nothing constructs
+// builders — callers borrow the one owned by a scheduler.Scratch and
+// finalize with ScheduleInto, which reuses the caller's Schedule (see
+// EXPERIMENTS.md, "Hot-path memory discipline").
 package schedule
 
 import (

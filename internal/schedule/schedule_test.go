@@ -8,6 +8,15 @@ import (
 
 // chainInstance builds a 3-task chain on a 2-node network: speeds (1, 2),
 // link strength 0.5.
+// newBuilder returns a builder for inst bound to freshly built tables.
+func newBuilder(inst *graph.Instance) *Builder {
+	var tab graph.Tables
+	tab.Build(inst)
+	b := &Builder{}
+	b.Reset(inst, &tab)
+	return b
+}
+
 func chainInstance() *graph.Instance {
 	g := graph.NewTaskGraph()
 	a := g.AddTask("a", 2)
@@ -23,7 +32,7 @@ func chainInstance() *graph.Instance {
 
 func TestBuilderPlaceAndMakespan(t *testing.T) {
 	in := chainInstance()
-	b := NewBuilder(in)
+	b := newBuilder(in)
 	b.Place(0, 1, 0) // exec 1
 	if got := b.NodeAvailable(1); !graph.ApproxEq(got, 1) {
 		t.Fatalf("NodeAvailable = %v, want 1", got)
@@ -44,7 +53,7 @@ func TestBuilderPlaceAndMakespan(t *testing.T) {
 
 func TestBuilderReadyTime(t *testing.T) {
 	in := chainInstance()
-	b := NewBuilder(in)
+	b := newBuilder(in)
 	if _, ok := b.ReadyTime(1, 0); ok {
 		t.Fatal("ReadyTime reported ok with unplaced predecessor")
 	}
@@ -61,7 +70,7 @@ func TestBuilderReadyTime(t *testing.T) {
 
 func TestBuilderEFTAndBestNode(t *testing.T) {
 	in := chainInstance()
-	b := NewBuilder(in)
+	b := newBuilder(in)
 	b.Place(0, 0, 0)
 	// Node 0: ready 2, exec 2 → finish 4. Node 1: ready 4, exec 1 → 5.
 	node, start := b.BestEFTNode(1, false)
@@ -72,7 +81,7 @@ func TestBuilderEFTAndBestNode(t *testing.T) {
 
 func TestInsertionFindsGap(t *testing.T) {
 	in := chainInstance()
-	b := NewBuilder(in)
+	b := newBuilder(in)
 	// Occupy [0,1) and [3,4) on node 1; a duration-1 block ready at 0
 	// should slot into the [1,3) gap with insertion, or go to 4 without.
 	b.Place(0, 1, 0)
@@ -87,7 +96,7 @@ func TestInsertionFindsGap(t *testing.T) {
 
 func TestInsertionRespectsReadyTime(t *testing.T) {
 	in := chainInstance()
-	b := NewBuilder(in)
+	b := newBuilder(in)
 	b.Place(0, 1, 0)
 	b.Place(2, 1, 5)
 	// Gap is [1,5); ready at 2 → start 2.
@@ -102,7 +111,7 @@ func TestInsertionRespectsReadyTime(t *testing.T) {
 
 func TestPlaceTwicePanics(t *testing.T) {
 	in := chainInstance()
-	b := NewBuilder(in)
+	b := newBuilder(in)
 	b.Place(0, 0, 0)
 	defer func() {
 		if recover() == nil {
@@ -114,7 +123,7 @@ func TestPlaceTwicePanics(t *testing.T) {
 
 func TestScheduleIncomplete(t *testing.T) {
 	in := chainInstance()
-	b := NewBuilder(in)
+	b := newBuilder(in)
 	b.Place(0, 0, 0)
 	if err := b.ScheduleInto(&Schedule{}); err == nil {
 		t.Fatal("incomplete schedule finalized without error")
@@ -142,7 +151,7 @@ func TestEnablingPredecessor(t *testing.T) {
 	n := graph.NewNetwork(2)
 	n.SetLink(0, 1, 1)
 	in := graph.NewInstance(g, n)
-	bld := NewBuilder(in)
+	bld := newBuilder(in)
 	bld.Place(0, 0, 0)
 	bld.Place(1, 1, 0)
 	// At node 1, a's data (end 1 + 10/1) arrives after b's local output.
@@ -170,7 +179,7 @@ func TestEnablingPredecessor(t *testing.T) {
 }
 
 func validSchedule(in *graph.Instance) *Schedule {
-	b := NewBuilder(in)
+	b := newBuilder(in)
 	order, _ := in.Graph.TopoOrder()
 	for _, task := range order {
 		start, _, _ := b.EFT(task, 0, false)
@@ -217,7 +226,7 @@ func TestValidateRejectsOverlap(t *testing.T) {
 
 func TestValidateRejectsPrecedenceViolation(t *testing.T) {
 	in := chainInstance()
-	b := NewBuilder(in)
+	b := newBuilder(in)
 	// Put task 1 on node 1 starting before task 0's output can arrive.
 	b.Place(0, 0, 0)   // ends 2 on node 0
 	b.Place(1, 1, 2.5) // needs ready 4 on node 1
@@ -289,7 +298,7 @@ func TestZeroDurationTaskKeepsNodeAvailable(t *testing.T) {
 	in := graph.NewInstance(g, graph.NewNetwork(1))
 	const head, zero, block, tail = 0, 1, 2, 3
 	for _, order := range [][2]int{{zero, block}, {block, zero}} {
-		b := NewBuilder(in)
+		b := newBuilder(in)
 		b.Place(head, 0, 0)
 		b.Place(order[0], 0, 5)
 		b.Place(order[1], 0, 5)

@@ -85,7 +85,7 @@ func (s *Scratch) Tables(inst *graph.Instance) *graph.Tables {
 // Builder resets the scratch's builder for inst and returns it, bound
 // to the precomputed tables so execution-time queries are table reads.
 func (s *Scratch) Builder(inst *graph.Instance) *schedule.Builder {
-	s.builder.ResetTables(inst, s.Tables(inst))
+	s.builder.Reset(inst, s.Tables(inst))
 	return &s.builder
 }
 

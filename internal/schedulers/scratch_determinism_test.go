@@ -621,7 +621,7 @@ func determinismCorpus(t *testing.T) []*graph.Instance {
 		}
 		r := rng.New(0xD37)
 		for i := 0; i < 8; i++ {
-			insts = append(insts, gen.Generate(r.Split()))
+			insts = append(insts, gen(r.Split()))
 		}
 	}
 	// Zero-weight variants: kill a task cost and an edge cost so rank
@@ -633,7 +633,7 @@ func determinismCorpus(t *testing.T) []*graph.Instance {
 			t.Fatal(err)
 		}
 		for i := 0; i < 4; i++ {
-			inst := gen.Generate(r.Split())
+			inst := gen(r.Split())
 			inst.Graph.Tasks[r.Intn(inst.Graph.NumTasks())].Cost = 0
 			if deps := inst.Graph.Deps(); len(deps) > 0 {
 				d := deps[r.Intn(len(deps))]

@@ -7,9 +7,10 @@ import (
 	"testing"
 )
 
-// iterFuzzSeeds is one store of every shape Iter meets: the legacy JSON
-// fixture, a sealed (one-member) store, a live (member-per-cell) one,
-// two stores concatenated, a torn one, and bytes that are neither.
+// iterFuzzSeeds is one store of every shape Iter meets: the one-object
+// JSON layout of earlier releases (refused), a sealed (one-member)
+// store, a live (member-per-cell) one, two stores concatenated, a torn
+// one, and bytes that are neither.
 func iterFuzzSeeds(t testing.TB) [][]byte {
 	t.Helper()
 	dir := t.TempDir()
@@ -34,7 +35,7 @@ func iterFuzzSeeds(t testing.TB) [][]byte {
 	}
 	sealed := read(path)
 	return [][]byte{
-		read(filepath.Join("testdata", "legacy.ckpt")),
+		[]byte(oldJSONStore),
 		sealed,
 		live,
 		append(append([]byte{}, sealed...), live...),

@@ -21,9 +21,8 @@ type mergeCell struct {
 // MergeCheckpoints combines the per-shard checkpoint stores of a
 // distributed sweep (runner.ShardSpec) into one complete store at
 // outPath, which any single-process run of the same sweep can then
-// resume from — loading every cell and recomputing nothing. Shards may
-// be stream stores or legacy JSON stores in any mix; the output is
-// always a stream store, whatever outPath is called.
+// resume from — loading every cell and recomputing nothing. Shards and
+// output are stream stores, whatever their files are called.
 //
 // Every shard store must carry the given fingerprint (the one the
 // unsharded sweep would use — shard identity lives in the file path, not

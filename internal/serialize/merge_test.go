@@ -3,9 +3,7 @@ package serialize
 import (
 	"encoding/json"
 	"fmt"
-	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -26,28 +24,6 @@ func writeShard(t *testing.T, dir, name, fingerprint string, cells map[int]strin
 		}
 	}
 	if err := ck.Seal(); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-// writeLegacyShard builds the one-object JSON store earlier releases
-// wrote — nothing outside the tests writes that layout any more.
-func writeLegacyShard(t *testing.T, dir, name, fingerprint string, cells map[int]string) string {
-	t.Helper()
-	legacy := struct {
-		Fingerprint string                     `json:"fingerprint,omitempty"`
-		Cells       map[string]json.RawMessage `json:"cells"`
-	}{fingerprint, map[string]json.RawMessage{}}
-	for k, v := range cells {
-		legacy.Cells[strconv.Itoa(k)] = json.RawMessage(v)
-	}
-	data, err := json.Marshal(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, name)
-	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return path

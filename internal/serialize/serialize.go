@@ -12,7 +12,9 @@
 // into one. The invariants: a store is bound to one sweep's exact
 // parameters by its fingerprint and refuses any other; there is one
 // on-disk format, a gzip stream written only by StoreWriter and read
-// only by Iter (stream.go), whatever the path is called; a cell is on
+// only by Iter (stream.go), whatever the path is called, and anything
+// else — the one-object JSON stores of earlier releases included — is
+// refused as corrupt, naming the file; a cell is on
 // disk when Store returns, a torn final member is refused by name rather
 // than read short, and whole-store writes go through a temp file and a
 // rename; a sealed store is canonical, so finished stores of one sweep

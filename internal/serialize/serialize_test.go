@@ -71,7 +71,7 @@ func TestInstanceRoundTripInfiniteLinks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst := g.Generate(rng.New(7))
+	inst := g(rng.New(7))
 	data, err := MarshalInstance(inst)
 	if err != nil {
 		t.Fatal(err)

@@ -1,15 +1,12 @@
 package serialize
 
 import (
-	"bufio"
 	"compress/gzip"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"slices"
-	"strconv"
 )
 
 // The checkpoint store format.
@@ -23,11 +20,10 @@ import (
 // and Iter the only decoder; Checkpoint, PeekFingerprint and
 // MergeCheckpoints are built on the two.
 //
-// Stores written by earlier releases are one JSON object
-// ({"fingerprint":…,"cells":{"<index>":…}}). Iter still reads them —
-// anything not starting with the gzip magic bytes 0x1f 0x8b takes its
-// legacy branch — and nothing writes them: the first Store of a resumed
-// sweep rewrites a legacy store as a stream.
+// Stores written by releases before the stream format — one JSON object
+// ({"fingerprint":…,"cells":{"<index>":…}}) — are refused like any
+// other file that is not a gzip stream, with the corrupt-store
+// diagnostic that names the file; a refused store is left as it was.
 
 // streamHeader is the first JSON value of a store.
 type streamHeader struct {
@@ -38,11 +34,6 @@ type streamHeader struct {
 type streamRecord struct {
 	Index int             `json:"i"`
 	Cell  json.RawMessage `json:"cell"`
-}
-
-// isGzip reports whether data begins with the gzip magic bytes.
-func isGzip(data []byte) bool {
-	return len(data) >= 2 && data[0] == 0x1f && data[1] == 0x8b
 }
 
 // StoreWriter appends cells to a checkpoint store without holding prior
@@ -66,10 +57,10 @@ type StoreWriter struct {
 // cells under the given fingerprint. An existing store is read through
 // once (nothing stays resident) before it is opened for appending: a
 // torn final member would make every cell appended after it unreadable,
-// so it is refused with the corrupt-store diagnostic, as are a store of
-// a different sweep and a legacy JSON store.
+// so it is refused with the corrupt-store diagnostic, as is a store of
+// a different sweep.
 func NewStoreWriter(path, fingerprint string) (*StoreWriter, error) {
-	got, stream, err := scan(path, func(int, json.RawMessage) error { return nil })
+	got, err := Iter(path, func(int, json.RawMessage) error { return nil })
 	if os.IsNotExist(err) {
 		f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 		if err != nil {
@@ -80,8 +71,6 @@ func NewStoreWriter(path, fingerprint string) (*StoreWriter, error) {
 	switch {
 	case err != nil:
 		return nil, err
-	case !stream:
-		return nil, fmt.Errorf("serialize: %s is a legacy JSON store — the streaming writer only appends to stream stores; resume onto it through a Checkpoint or merge it into a fresh path instead", path)
 	case got != fingerprint:
 		return nil, differentSweepErr(path, got, fingerprint)
 	}
@@ -173,87 +162,41 @@ func (w *StoreWriter) Close() error {
 }
 
 // Iter streams the checkpoint store at path, calling fn for every cell
-// in on-disk order (append order; ascending index for a sealed or legacy
-// JSON store) and returning the store's fingerprint. The store is
-// decoded record by record, so its full contents are never resident;
-// fn's cell slice is only valid during the call. Iteration stops at fn's
-// first error, which is returned verbatim. A truncated store (torn final
-// member) fails with the corrupt-store diagnostic that names the file.
+// in on-disk order (append order; ascending index for a sealed store)
+// and returning the store's fingerprint. The store is decoded record by
+// record, so its full contents are never resident; fn's cell slice is
+// only valid during the call. Iteration stops at fn's first error, which
+// is returned verbatim. A file that is not a gzip stream, or a truncated
+// store (torn final member), fails with the corrupt-store diagnostic
+// that names the file.
 func Iter(path string, fn func(index int, cell json.RawMessage) error) (string, error) {
-	fp, _, err := scan(path, fn)
-	return fp, err
-}
-
-// scan is Iter, also reporting whether the store is a stream (as opposed
-// to the legacy JSON object).
-func scan(path string, fn func(index int, cell json.RawMessage) error) (fingerprint string, stream bool, err error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return "", false, err
+		return "", err
 	}
 	defer f.Close()
-	br := bufio.NewReader(f)
-	if magic, _ := br.Peek(2); !isGzip(magic) {
-		fp, err := scanLegacy(path, br, fn)
-		return fp, false, err
-	}
-	zr, err := gzip.NewReader(br)
+	zr, err := gzip.NewReader(f)
 	if err != nil {
-		return "", true, corruptErr(path, fileSize(f), err)
+		return "", corruptErr(path, fileSize(f), err)
 	}
 	defer zr.Close()
 	dec := json.NewDecoder(zr)
 	var hdr streamHeader
 	if err := dec.Decode(&hdr); err != nil {
-		return "", true, corruptErr(path, fileSize(f), err)
+		return "", corruptErr(path, fileSize(f), err)
 	}
 	var rec streamRecord
 	for {
 		rec = streamRecord{Cell: rec.Cell[:0]}
 		if err := dec.Decode(&rec); err == io.EOF {
-			return hdr.Fingerprint, true, nil
+			return hdr.Fingerprint, nil
 		} else if err != nil {
-			return hdr.Fingerprint, true, corruptErr(path, fileSize(f), err)
+			return hdr.Fingerprint, corruptErr(path, fileSize(f), err)
 		}
 		if err := fn(rec.Index, rec.Cell); err != nil {
-			return hdr.Fingerprint, true, err
+			return hdr.Fingerprint, err
 		}
 	}
-}
-
-// scanLegacy reads a store written by an earlier release: one JSON
-// object, necessarily materialized, its cells visited ascending by
-// index. This is the only code that knows the legacy layout.
-func scanLegacy(path string, r io.Reader, fn func(index int, cell json.RawMessage) error) (string, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return "", err
-	}
-	type checkpointFile struct {
-		Fingerprint string                     `json:"fingerprint,omitempty"`
-		Cells       map[string]json.RawMessage `json:"cells"`
-	}
-	var cf checkpointFile
-	if err := json.Unmarshal(data, &cf); err != nil {
-		return "", corruptErr(path, int64(len(data)), err)
-	}
-	keys := make([]int, 0, len(cf.Cells))
-	for key := range cf.Cells {
-		// Only the spelling the old writer produced: "01" or "+1" would
-		// alias cell 1 and leave the winner to map iteration order.
-		k, err := strconv.Atoi(key)
-		if err != nil || strconv.Itoa(k) != key {
-			return "", fmt.Errorf("serialize: checkpoint %s: bad cell key %q", path, key)
-		}
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	for _, k := range keys {
-		if err := fn(k, cf.Cells[strconv.Itoa(k)]); err != nil {
-			return cf.Fingerprint, err
-		}
-	}
-	return cf.Fingerprint, nil
 }
 
 // corruptErr is the diagnostic for an unreadable store. Stores can

@@ -12,6 +12,15 @@ import (
 	"testing"
 )
 
+// oldJSONStore is a complete store in the one-object layout of the
+// releases before the stream format, which every reader now refuses.
+const oldJSONStore = `{"fingerprint":"fp old","cells":{"0":{"makespans":[3.25,2.5]},"1":{"makespans":[4,4.125]}}}`
+
+// isGzip reports whether data begins with the gzip magic bytes.
+func isGzip(data []byte) bool {
+	return len(data) >= 2 && data[0] == 0x1f && data[1] == 0x8b
+}
+
 func iterAll(t *testing.T, path string) (string, map[int]string, []int) {
 	t.Helper()
 	cells := map[int]string{}
@@ -101,14 +110,6 @@ func TestStoreWriterAppendsAcrossReopen(t *testing.T) {
 	}
 }
 
-func TestStoreWriterRefusesJSONStore(t *testing.T) {
-	dir := t.TempDir()
-	path := writeLegacyShard(t, dir, "legacy.json", "fp", map[int]string{0: `1`})
-	if _, err := NewStoreWriter(path, "fp"); err == nil || !strings.Contains(err.Error(), "legacy JSON store") {
-		t.Fatalf("want legacy-store refusal, got %v", err)
-	}
-}
-
 func TestStoreWriterFlushedPrefixSurvivesTornTail(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "store.gz")
@@ -182,80 +183,52 @@ func TestStoreWriterRefusesTornStoreOnReopen(t *testing.T) {
 	}
 }
 
-// TestLegacyFixture reads a store written by the release before the
-// stream format (testdata/legacy.ckpt, committed as that release wrote
-// it) through every reader, and resumes onto it: the old cells and the
-// new one end up in a stream store, and the JSON layout is gone.
-func TestLegacyFixture(t *testing.T) {
-	const fp = "fig7 n=4 seed=1 (legacy JSON store, written before the stream format)"
-	want := map[int]string{
-		0:  `{"makespans":[3.25,2.5]}`,
-		1:  `{"makespans":[4,4.125]}`,
-		2:  `{"makespans":[1.75,2]}`,
-		10: `{"makespans":[9.5,8.875]}`,
-	}
-	fixture, err := os.ReadFile(filepath.Join("testdata", "legacy.ckpt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if isGzip(fixture) {
-		t.Fatal("the fixture is not a legacy JSON store")
-	}
+// TestOldJSONStoreRefusedEverywhere: a one-object JSON store at a path
+// given to any reader or writer of stores fails with the corrupt-store
+// diagnostic that names the file, and the file is left byte-identical.
+func TestOldJSONStoreRefusedEverywhere(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "legacy.ckpt")
-	if err := os.WriteFile(path, fixture, 0o644); err != nil {
+	path := filepath.Join(dir, "old.ckpt")
+	if err := os.WriteFile(path, []byte(oldJSONStore), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	check := func(label string, cells map[int]string, want map[int]string) {
-		t.Helper()
-		if !maps.Equal(cells, want) {
-			t.Fatalf("%s: cells %v, want %v", label, cells, want)
+	shard := writeShard(t, dir, "s1.ckpt", "fp old", map[int]string{2: `2`})
+	open := map[string]func() error{
+		"Iter": func() error {
+			_, err := Iter(path, func(int, json.RawMessage) error { return nil })
+			return err
+		},
+		"PeekFingerprint": func() error {
+			_, err := PeekFingerprint(path)
+			return err
+		},
+		"Checkpoint.Load": func() error {
+			ck := NewCheckpoint(path)
+			ck.SetFingerprint("fp old")
+			_, err := ck.Load()
+			return err
+		},
+		"NewStoreWriter": func() error {
+			_, err := NewStoreWriter(path, "fp old")
+			return err
+		},
+		"MergeCheckpoints": func() error {
+			_, err := MergeCheckpoints(filepath.Join(dir, "merged.ckpt"), "fp old", 0, []string{shard, path})
+			return err
+		},
+	}
+	for _, name := range slices.Sorted(maps.Keys(open)) {
+		err := open[name]()
+		if err == nil || !strings.Contains(err.Error(), "corrupt or truncated") || !strings.Contains(err.Error(), path) {
+			t.Errorf("%s on an old JSON store: %v", name, err)
+		}
+		if data, _ := os.ReadFile(path); string(data) != oldJSONStore {
+			t.Fatalf("%s rewrote the refused store", name)
 		}
 	}
-
-	gotFP, cells, order := iterAll(t, path)
-	check("Iter", cells, want)
-	if gotFP != fp || !slices.Equal(order, []int{0, 1, 2, 10}) {
-		t.Fatalf("Iter: fingerprint %q, order %v", gotFP, order)
+	if _, err := os.Stat(filepath.Join(dir, "merged.ckpt")); !os.IsNotExist(err) {
+		t.Fatalf("a refused merge left an output behind: %v", err)
 	}
-	if got, err := PeekFingerprint(path); err != nil || got != fp {
-		t.Fatalf("PeekFingerprint = %q, %v", got, err)
-	}
-	merged := filepath.Join(dir, "merged.ckpt")
-	if n, err := MergeCheckpoints(merged, fp, 11, []string{path}); err == nil || n != 0 {
-		t.Fatalf("merge of 4 cells covered an 11-cell sweep: %d, %v", n, err)
-	}
-	if n, err := MergeCheckpoints(merged, fp, 0, []string{path}); err != nil || n != 4 {
-		t.Fatalf("MergeCheckpoints: %d, %v", n, err)
-	}
-	_, cells, _ = iterAll(t, merged)
-	check("merged", cells, want)
-
-	ck := NewCheckpoint(path)
-	ck.SetFingerprint(fp)
-	loaded, err := ck.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cells = map[int]string{}
-	for k, raw := range loaded {
-		cells[k] = string(raw)
-	}
-	check("Load", cells, want)
-	if data, _ := os.ReadFile(path); !bytes.Equal(data, fixture) {
-		t.Fatal("reading a legacy store rewrote it")
-	}
-
-	// Resume: one more cell. The first write migrates the store.
-	if err := ck.Store(3, json.RawMessage(`{"makespans":[6,6.5]}`)); err != nil {
-		t.Fatal(err)
-	}
-	if data, err := os.ReadFile(path); err != nil || !isGzip(data) {
-		t.Fatalf("resumed store is not a gzip stream: %v", err)
-	}
-	want[3] = `{"makespans":[6,6.5]}`
-	_, cells, _ = iterAll(t, path)
-	check("resumed", cells, want)
 }
 
 // BenchmarkCheckpointCommit is the coordinator's commit path: one Store
@@ -269,23 +242,6 @@ func BenchmarkCheckpointCommit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if err := ck.Store(i, cell); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-func TestIterReadsLegacyJSONStore(t *testing.T) {
-	dir := t.TempDir()
-	path := writeLegacyShard(t, dir, "legacy.json", "fp legacy", map[int]string{2: `20`, 0: `0`, 1: `10`})
-	fp, cells, order := iterAll(t, path)
-	if fp != "fp legacy" {
-		t.Fatalf("fingerprint %q", fp)
-	}
-	if len(cells) != 3 || cells[2] != `20` {
-		t.Fatalf("cells = %v", cells)
-	}
-	for i, k := range order {
-		if i != k {
-			t.Fatalf("legacy iteration order %v, want ascending", order)
 		}
 	}
 }
@@ -367,53 +323,6 @@ func TestCheckpointStreamWritesDeterministic(t *testing.T) {
 	b := write("b.gz")
 	if !bytes.Equal(a, b) {
 		t.Fatal("two identical sealed stores wrote different bytes")
-	}
-}
-
-func TestMergeCheckpointsMixedFormats(t *testing.T) {
-	dir := t.TempDir()
-	const fp = "sweep mixed"
-	// Shard 0 legacy JSON, shard 1 stream format.
-	jsonShard := writeLegacyShard(t, dir, "s0.json", fp, map[int]string{0: `10`, 2: `12`})
-	gzShard := filepath.Join(dir, "s1.gz")
-	w, err := NewStoreWriter(gzShard, fp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, kv := range [][2]int{{1, 11}, {3, 13}, {2, 12}} { // 2 duplicates s0, identical
-		if err := w.Append(kv[0], json.RawMessage(fmt.Sprintf(`%d`, kv[1]))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	for _, out := range []string{"merged.json", "merged.json.gz"} {
-		outPath := filepath.Join(dir, out)
-		n, err := MergeCheckpoints(outPath, fp, 4, []string{jsonShard, gzShard})
-		if err != nil || n != 4 {
-			t.Fatalf("merge to %s: %d, %v", out, n, err)
-		}
-		if data, err := os.ReadFile(outPath); err != nil || !isGzip(data) {
-			t.Fatalf("merge to %s did not write a gzip stream: %v", out, err)
-		}
-		_, cells, _ := iterAll(t, outPath)
-		if len(cells) != 4 {
-			t.Fatalf("%s cells = %v", out, cells)
-		}
-		for k := 0; k < 4; k++ {
-			if cells[k] != fmt.Sprintf("1%d", k) {
-				t.Fatalf("%s cell %d = %s", out, k, cells[k])
-			}
-		}
-	}
-
-	// A disagreeing duplicate across formats is still fatal.
-	badShard := writeLegacyShard(t, dir, "bad.json", fp, map[int]string{1: `999`})
-	if _, err := MergeCheckpoints(filepath.Join(dir, "m2.gz"), fp, 4, []string{jsonShard, gzShard, badShard}); err == nil ||
-		!strings.Contains(err.Error(), "differs between") {
-		t.Fatalf("disagreeing duplicate: %v", err)
 	}
 }
 

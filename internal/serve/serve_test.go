@@ -23,7 +23,7 @@ func testInstance(t *testing.T, seed uint64) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := serialize.MarshalInstance(g.Generate(rng.New(seed)))
+	raw, err := serialize.MarshalInstance(g(rng.New(seed)))
 	if err != nil {
 		t.Fatal(err)
 	}
