@@ -209,15 +209,17 @@ bench-pisa-full:
 # then TestScaleBenchGate enforcing HEFT throughput floors at the
 # 1k/5k/10k tiers and the O(|V|+|E|+|D|·|V|) table-memory bound with
 # edge-sparse link storage, TestScaleTierSchedulesValid at the 10k tier
-# (every registered scheduler through schedule.Validate), and FLB at 10k
-# held bit for bit to its per-node reference (ready rows vs one
-# predecessor walk per task, node and step). Part of `make verify`.
+# (every registered scheduler through schedule.Validate and a sim.Execute
+# replay), FLB at 10k held bit for bit to its per-node reference (ready
+# rows vs one predecessor walk per task, node and step), and the 10k
+# schedule digests of the eight scale_schedule schedulers
+# (TestScaleDigestGolden). Part of `make verify`.
 bench-scale:
 	SCALE_BENCH_GATE=1 $(GO) test -run 'TestSparseTables|TestTablesChain10000' -count 1 ./internal/graph/
 	SCALE_BENCH_GATE=1 $(GO) test -run 'TestBestEFTNodeMatchesUnskipped' -count 1 ./internal/schedule/
 	SCALE_BENCH_GATE=1 $(GO) test -run 'TestTopoOrderByPriorityMatchesScan' -count 1 ./internal/scheduler/
 	$(GO) test -run 'TestSolveDeepChain10000' -count 1 ./internal/exact/
-	SCALE_BENCH_GATE=1 $(GO) test -run 'TestFLBMatchesPerNodeReference10k' -count 1 ./internal/schedulers/
+	SCALE_BENCH_GATE=1 $(GO) test -run 'TestFLBMatchesPerNodeReference10k|TestScaleDigestGolden' -count 1 ./internal/schedulers/
 	SCALE_BENCH_GATE=1 $(GO) test -run 'TestScaleBenchGate|TestScaleTierSchedulesValid' -count 1 -v -timeout 300s .
 
 # bench-scale-full is the measurement protocol behind BENCH_scale.json:

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"flag"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"saga/internal/datasets"
@@ -206,5 +208,28 @@ func TestServerSwitch(t *testing.T) {
 	}
 	if _, _, _, err := Defaults().Schedule(ctx); err == nil {
 		t.Fatal("schedule without -in")
+	}
+}
+
+// TestRobustnessRefusesNoPerturbations: -n below 1 is refused with the
+// local run's message, and with -server before any request reaches the
+// daemon, which would read n = 0 as omitted and run its default.
+func TestRobustnessRefusesNoPerturbations(t *testing.T) {
+	var hits atomic.Int32
+	daemon := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { hits.Add(1) }))
+	defer daemon.Close()
+	in := writeInstance(t, t.TempDir())
+	for _, n := range []string{"0", "-1"} {
+		local, remote := Defaults(), Defaults()
+		parse(t, local, []string{"-in", in, "-n", n}, "in", "n")
+		parse(t, remote, []string{"-server", daemon.URL, "-in", in, "-n", n}, "server", "in", "n")
+		_, lerr := local.Robustness(context.Background())
+		_, rerr := remote.Robustness(context.Background())
+		if lerr == nil || rerr == nil || rerr.Error() != lerr.Error() {
+			t.Fatalf("-n %s: local %v, -server %v; want the same refusal", n, lerr, rerr)
+		}
+	}
+	if n := hits.Load(); n != 0 {
+		t.Fatalf("the daemon saw %d requests, want 0", n)
 	}
 }

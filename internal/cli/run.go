@@ -198,6 +198,11 @@ func (f *Flags) Robustness(ctx context.Context) (*serve.RobustnessResponse, erro
 		if f.Checkpoint != "" || f.Shard != "" {
 			return nil, errors.New("-server is incompatible with -checkpoint/-shard (the daemon owns the computation)")
 		}
+		// The daemon reads n = 0 as omitted and runs its default, so
+		// refuse here what a local run refuses.
+		if err := experiments.CheckPerturbations(p.N); err != nil {
+			return nil, err
+		}
 		return c.Robustness(ctx, serve.RobustnessRequest{
 			Scheduler: p.Scheduler, Instance: p.InstanceRaw, Sigma: p.Sigma, N: p.N, Seed: p.Seed,
 		})

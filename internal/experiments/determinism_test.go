@@ -37,9 +37,14 @@ func workerLabel(w int) string {
 // would disagree with its sequential oracle.
 func configuredWBA() scheduler.Scheduler { return schedulers.NewWBA(7, 3) }
 
+// TestBenchmarkingDeterminism shares each scheduler value across the
+// workers' scratches. FCP and FLB ride along because FLB keeps a
+// per-construction candidate memo in the worker's Scratch; under `make
+// test-race` a memo on the shared value would race here.
 func TestBenchmarkingDeterminism(t *testing.T) {
 	scheds := []scheduler.Scheduler{
 		mustSched(t, "HEFT"), mustSched(t, "CPoP"), configuredWBA(), mustSched(t, "FastestNode"),
+		mustSched(t, "FCP"), mustSched(t, "FLB"),
 	}
 	names := []string{"chains", "in_trees", "out_trees", "etl", "cycles"}
 	seq, err := benchmarking(names, scheds, 4, 11)

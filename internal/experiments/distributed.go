@@ -106,6 +106,16 @@ func freshSchedulers(names []string) ([]scheduler.Scheduler, error) {
 	return out, nil
 }
 
+// CheckPerturbations refuses a robustness sweep of fewer than one
+// perturbation. NewSweep applies it, and so does a client that sends the
+// sweep to a daemon, which reads n = 0 as "omitted".
+func CheckPerturbations(n int) error {
+	if n < 1 {
+		return fmt.Errorf("experiments: robustness sweep needs n >= 1 perturbations, got n = %d", n)
+	}
+	return nil
+}
+
 // SweepNames lists the sweeps NewSweep accepts, in CLI help order.
 var SweepNames = []string{"fig4", "fig7", "fig8", "appspecific", "robustness", "pairwise"}
 
@@ -175,8 +185,8 @@ func NewSweep(name string, p SweepParams) (*Sweep, error) {
 		if len(p.InstanceRaw) == 0 {
 			return nil, fmt.Errorf("experiments: robustness sweep needs the instance bytes (-in)")
 		}
-		if p.N < 1 {
-			return nil, fmt.Errorf("experiments: robustness sweep needs n >= 1 perturbations, got n = %d", p.N)
+		if err := CheckPerturbations(p.N); err != nil {
+			return nil, err
 		}
 		inst, err := serialize.UnmarshalInstance(p.InstanceRaw)
 		if err != nil {

@@ -16,8 +16,8 @@ import (
 // non-overlapping blocks, so End is non-decreasing along a timeline as
 // well: a zero-duration task sorts before the block that starts at the
 // same instant, the last entry carries the node's maximum End (what
-// NodeAvailable reads), and EarliestStart can binary-search past every
-// block that finishes by the ready time.
+// NodeAvailable reads), and EarliestStart can search past every block
+// that finishes by the ready time.
 //
 // A Builder is reusable: Reset rebinds it to an instance and its
 // precomputed tables while keeping every slice it has ever grown, so a
@@ -199,11 +199,15 @@ func (b *Builder) ReadyRow(t int) (ready []float64, enab []int32) {
 // gaps between already-placed tasks (the HEFT insertion policy);
 // otherwise it returns max(ready, node available time).
 //
-// The insertion scan starts at the first block with End > ready, found
-// by binary search over the End-ordered timeline: every earlier block
-// finishes by ready, so it neither delays the start nor bounds a gap the
-// scan could use. One probe costs O(log k + blocks after ready) on a
-// k-block timeline.
+// The insertion scan starts at the first block with End > ready: every
+// earlier block finishes by ready, so it neither delays the start nor
+// bounds a gap the scan could use. Ready times cluster near the end of a
+// timeline, so the search gallops back from the last block (1, 2, 4, …
+// blocks back) and bisects only inside the last bracket; End is
+// non-decreasing along a timeline, so it finds the same block a
+// bisection of the whole timeline would. One probe costs O(log d +
+// blocks after ready), where d is the number of blocks that end after
+// ready; a ready time at or after NodeAvailable(v) costs one comparison.
 //
 // Without insertion the start is max(ready, NodeAvailable(v)) by plain
 // comparison rather than math.Max (an assembly call on amd64). The two
@@ -218,7 +222,17 @@ func (b *Builder) EarliestStart(v int, ready, duration float64, insertion bool) 
 		}
 		return ready
 	}
+	// Every block at or after hi ends after ready; every block before lo
+	// ends by it.
 	lo, hi := 0, len(tl)
+	for step := 1; hi > lo; step <<= 1 {
+		j := max(hi-step, 0)
+		if tl[j].End <= ready {
+			lo = j + 1
+			break
+		}
+		hi = j
+	}
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		if tl[mid].End <= ready {

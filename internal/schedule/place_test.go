@@ -113,3 +113,102 @@ func TestPlaceAppendMatchesSearch(t *testing.T) {
 		}
 	}
 }
+
+// bisectEarliestStart is EarliestStart's insertion search before it
+// galloped back from the timeline's end, kept verbatim as the oracle for
+// TestEarliestStartMatchesBisection: a bisection of the whole timeline
+// for the first entry with End > ready, then the gap scan.
+func bisectEarliestStart(tl []Assignment, ready, duration float64) float64 {
+	lo, hi := 0, len(tl)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if tl[mid].End <= ready {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	start := ready
+	for _, a := range tl[lo:] {
+		if start+duration <= a.Start {
+			return start
+		}
+		if a.End > start {
+			start = a.End
+		}
+	}
+	return start
+}
+
+// TestEarliestStartMatchesBisection holds the galloping insertion search
+// to the whole-timeline bisection. Seeded sequences build non-overlapping
+// timelines out of blocks, a quarter of them zero-duration, placed at an
+// insertion or append start or at an entry's Start or End, so equal
+// (Start, End) pairs and zero-duration blocks at a block's edge occur;
+// one operation in five Unplaces a task. After every operation each
+// node is probed with ready times before its first entry, after its
+// last, on every entry's Start and End, and at random points, for
+// durations of 0, 1, a random value and one longer than any gap.
+func TestEarliestStartMatchesBisection(t *testing.T) {
+	const nTasks, nNodes = 48, 3
+	for seed := int64(1); seed <= 40; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		g := graph.NewTaskGraph()
+		for tk := 0; tk < nTasks; tk++ {
+			cost := float64(1 + r.Intn(4))
+			if r.Intn(4) == 0 {
+				cost = 0
+			}
+			g.AddTask(fmt.Sprintf("t%d", tk), cost)
+		}
+		b := newBuilder(graph.NewInstance(g, graph.NewNetwork(nNodes)))
+		var placed []int
+		for op := 0; op < 200; op++ {
+			if len(placed) > 0 && (len(placed) == nTasks || r.Intn(5) == 0) {
+				i := r.Intn(len(placed))
+				b.Unplace(placed[i])
+				placed = append(placed[:i], placed[i+1:]...)
+			} else {
+				tk := r.Intn(nTasks)
+				for b.Placed(tk) {
+					tk = (tk + 1) % nTasks
+				}
+				v := r.Intn(nNodes)
+				tl := b.timelines[v]
+				dur := g.Tasks[tk].Cost
+				start := b.EarliestStart(v, float64(r.Intn(12)), dur, r.Intn(2) == 0)
+				if n := len(tl); n > 0 && dur == 0 && r.Intn(2) == 0 {
+					e := tl[r.Intn(n)]
+					start = e.Start
+					if r.Intn(2) == 0 {
+						start = e.End
+					}
+				}
+				b.Place(tk, v, start)
+				placed = append(placed, tk)
+			}
+			for v := 0; v < nNodes; v++ {
+				tl := b.timelines[v]
+				probes := []float64{0, b.NodeAvailable(v) + 1, float64(r.Intn(20)), r.Float64() * 20}
+				for j, a := range tl {
+					if j > 0 && a.End < tl[j-1].End {
+						t.Fatalf("seed %d op %d node %d: End decreases at entry %d: %+v after %+v", seed, op, v, j, a, tl[j-1])
+					}
+					probes = append(probes, a.Start, a.End)
+				}
+				if len(tl) > 0 {
+					probes = append(probes, tl[0].Start/2)
+				}
+				for _, ready := range probes {
+					for _, dur := range []float64{0, 1, float64(r.Intn(4)), 100} {
+						got := b.EarliestStart(v, ready, dur, true)
+						if want := bisectEarliestStart(tl, ready, dur); got != want {
+							t.Fatalf("seed %d op %d node %d: EarliestStart(ready %v, duration %v) = %v, bisection %v; timeline %+v",
+								seed, op, v, ready, dur, got, want, tl)
+						}
+					}
+				}
+			}
+		}
+	}
+}

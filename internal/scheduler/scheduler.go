@@ -297,6 +297,9 @@ func (h *prioHeap) down(i int) {
 
 // ReadySet maintains the frontier of schedulable tasks (all prerequisites
 // placed) for schedulers that make dynamic choices among ready tasks.
+// The frontier is kept sorted by task index, so Complete and Uncomplete
+// find a task by bisection and pay O(log w) to find it plus the shift of
+// the entries after it, on a frontier of width w.
 type ReadySet struct {
 	g       *graph.TaskGraph
 	pending []int // remaining unplaced predecessor count per task
@@ -344,12 +347,7 @@ func (rs *ReadySet) Empty() bool { return len(rs.ready) == 0 }
 func (rs *ReadySet) Uncomplete(t int) {
 	for _, d := range rs.g.Succ[t] {
 		if rs.pending[d.To] == 0 {
-			for i, x := range rs.ready {
-				if x == d.To {
-					rs.ready = append(rs.ready[:i], rs.ready[i+1:]...)
-					break
-				}
-			}
+			rs.remove(d.To)
 		}
 		rs.pending[d.To]++
 	}
@@ -362,12 +360,7 @@ func (rs *ReadySet) Uncomplete(t int) {
 // Complete marks task t as placed, removing it from the frontier and
 // adding any newly ready successors.
 func (rs *ReadySet) Complete(t int) {
-	for i, x := range rs.ready {
-		if x == t {
-			rs.ready = append(rs.ready[:i], rs.ready[i+1:]...)
-			break
-		}
-	}
+	rs.remove(t)
 	for _, d := range rs.g.Succ[t] {
 		rs.pending[d.To]--
 		if rs.pending[d.To] == 0 {
@@ -377,5 +370,13 @@ func (rs *ReadySet) Complete(t int) {
 			copy(rs.ready[i+1:], rs.ready[i:])
 			rs.ready[i] = d.To
 		}
+	}
+}
+
+// remove deletes t from the frontier if it is there, finding it by
+// bisection: the frontier is sorted by task index.
+func (rs *ReadySet) remove(t int) {
+	if i := sort.SearchInts(rs.ready, t); i < len(rs.ready) && rs.ready[i] == t {
+		rs.ready = append(rs.ready[:i], rs.ready[i+1:]...)
 	}
 }

@@ -1,6 +1,10 @@
 package scheduler
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"saga/internal/graph"
@@ -186,5 +190,88 @@ func TestReadySetUncomplete(t *testing.T) {
 	rs.Complete(b)
 	if !rs.Empty() {
 		t.Fatal("frontier not empty after redo")
+	}
+}
+
+// linearComplete and linearUncomplete are ReadySet.Complete and
+// Uncomplete before they found a task by bisection, kept verbatim as the
+// oracle for TestReadySetBisectionMatchesLinear: a linear scan of the
+// frontier.
+func linearComplete(rs *ReadySet, t int) {
+	for i, x := range rs.ready {
+		if x == t {
+			rs.ready = append(rs.ready[:i], rs.ready[i+1:]...)
+			break
+		}
+	}
+	for _, d := range rs.g.Succ[t] {
+		rs.pending[d.To]--
+		if rs.pending[d.To] == 0 {
+			i := sort.SearchInts(rs.ready, d.To)
+			rs.ready = append(rs.ready, 0)
+			copy(rs.ready[i+1:], rs.ready[i:])
+			rs.ready[i] = d.To
+		}
+	}
+}
+
+func linearUncomplete(rs *ReadySet, t int) {
+	for _, d := range rs.g.Succ[t] {
+		if rs.pending[d.To] == 0 {
+			for i, x := range rs.ready {
+				if x == d.To {
+					rs.ready = append(rs.ready[:i], rs.ready[i+1:]...)
+					break
+				}
+			}
+		}
+		rs.pending[d.To]++
+	}
+	i := sort.SearchInts(rs.ready, t)
+	rs.ready = append(rs.ready, 0)
+	copy(rs.ready[i+1:], rs.ready[i:])
+	rs.ready[i] = t
+}
+
+// TestReadySetBisectionMatchesLinear holds Complete and Uncomplete to
+// their linear-scan versions on seeded random DAGs, wide and narrow:
+// each step completes a random ready task, or undoes the latest
+// completion (the LIFO discipline package exact keeps), and the two
+// sets' frontiers and pending counts must stay equal.
+func TestReadySetBisectionMatchesLinear(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		n := 5 + r.Intn(60)
+		density := r.Float64() * 0.3
+		g := graph.NewTaskGraph()
+		for i := 0; i < n; i++ {
+			g.AddTask(fmt.Sprintf("t%d", i), 1)
+		}
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				if r.Float64() < density {
+					g.MustAddDep(i, j, 1)
+				}
+			}
+		}
+		got, want := NewReadySet(g), NewReadySet(g)
+		var done []int
+		for step := 0; step < 4*n; step++ {
+			if len(done) > 0 && (got.Empty() || r.Intn(3) == 0) {
+				tk := done[len(done)-1]
+				done = done[:len(done)-1]
+				got.Uncomplete(tk)
+				linearUncomplete(want, tk)
+			} else if !got.Empty() {
+				tk := got.Ready()[r.Intn(len(got.Ready()))]
+				done = append(done, tk)
+				got.Complete(tk)
+				linearComplete(want, tk)
+			}
+			if !slices.Equal(got.ready, want.ready) || !slices.Equal(got.pending, want.pending) {
+				t.Fatalf("seed %d step %d: frontier %v pending %v, linear frontier %v pending %v",
+					seed, step, got.ready, got.pending, want.ready, want.pending)
+			}
+		}
 	}
 }

@@ -34,7 +34,9 @@ func gatedNames() []string {
 // a row cache (FCP, FLB, MinMin, MaxMin, Duplex, ETF, GDL, BIL, ERT and
 // WBA, at two rounds) are also held to 0 warm on scale_layered_1k, where
 // the ready rows are 32 nodes wide, the row cache holds 1k rows and
-// AppendRow's output rows have grown to the widest step.
+// AppendRow's output rows have grown to the widest step. FCP and FLB are
+// held to 0 on scale_chains_1k as well, where FLB's candidate memo hits
+// on most steps.
 func TestScheduleScratchZeroAlloc(t *testing.T) {
 	inst := datasets.Fig1Instance()
 	for _, name := range gatedNames() {
@@ -60,28 +62,37 @@ func TestScheduleScratchZeroAlloc(t *testing.T) {
 			t.Errorf("%s: %v allocs per warm Schedule, want 0", name, allocs)
 		}
 	}
-	big := scaleTierInstance(t, "scale_layered_1k")
-	for _, name := range []string{"HEFT", "CPoP", "FCP", "FLB", "MinMin", "MaxMin", "Duplex", "ETF", "GDL", "BIL", "ERT", "WBA"} {
-		s, err := scheduler.New(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if w, ok := s.(WBA); ok {
-			w.Rounds = 2
-			s = w
-		}
-		scr := scheduler.NewScratch()
-		var out schedule.Schedule
-		if err := s.ScheduleScratch(big, scr, &out); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		allocs := testing.AllocsPerRun(3, func() {
+	rows := []struct {
+		dataset string
+		names   []string
+	}{
+		{"scale_layered_1k", []string{"HEFT", "CPoP", "FCP", "FLB", "MinMin", "MaxMin", "Duplex", "ETF", "GDL", "BIL", "ERT", "WBA"}},
+		{"scale_chains_1k", []string{"FCP", "FLB"}},
+	}
+	for _, row := range rows {
+		big := scaleTierInstance(t, row.dataset)
+		for _, name := range row.names {
+			s, err := scheduler.New(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if w, ok := s.(WBA); ok {
+				w.Rounds = 2
+				s = w
+			}
+			scr := scheduler.NewScratch()
+			var out schedule.Schedule
 			if err := s.ScheduleScratch(big, scr, &out); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-		})
-		if allocs != 0 {
-			t.Errorf("%s on scale_layered_1k: %v allocs per warm Schedule, want 0", name, allocs)
+			allocs := testing.AllocsPerRun(3, func() {
+				if err := s.ScheduleScratch(big, scr, &out); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("%s on %s: %v allocs per warm Schedule, want 0", name, row.dataset, allocs)
+			}
 		}
 	}
 }

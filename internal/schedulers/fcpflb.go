@@ -52,7 +52,10 @@ func bestCandidate(b *schedule.Builder, t, idle int, ready []float64, enab []int
 // whichever candidate finishes it earlier. The paper keeps processors
 // and tasks in priority queues for O(|T| log |V| + |D|) schedule
 // generation; this implementation scans instead, for O(|V| + ready
-// width) per step plus one O(in-degree · |V|) ready row per task.
+// width) per step plus one O(in-degree · |V|) ready row per task. The
+// task scan keeps its threshold rank[t]+Eps in a local, recomputed only
+// when the pick changes, so a step costs one rank read and one
+// comparison per ready task.
 //
 // The task scan cannot become a priority queue without changing
 // schedules. It replaces its pick only when rank[x] > rank[t]+Eps, and
@@ -80,9 +83,10 @@ func (FCP) ScheduleScratch(inst *graph.Instance, scr *scheduler.Scratch, out *sc
 	b, _ := placeReady(inst, scr, func(b *schedule.Builder, rows *scheduler.ReadyRows, ready []int) (int, int, float64) {
 		// Pop the highest-priority ready task.
 		t := ready[0]
+		above := rank[t] + graph.Eps
 		for _, x := range ready[1:] {
-			if rank[x] > rank[t]+graph.Eps {
-				t = x
+			if rank[x] > above {
+				t, above = x, rank[x]+graph.Eps
 			}
 		}
 		at, enab := rows.Row(b, t)
@@ -100,7 +104,13 @@ func (FCP) ScheduleScratch(inst *graph.Instance, scr *scheduler.Scratch, out *sc
 // with priority queues; this implementation costs O(|V| + ready width)
 // per step plus one O(in-degree · |V|) ready row per task, filled the
 // first time the task is examined and kept for the rest of the
-// construction (scheduler.ReadyRows).
+// construction (scheduler.ReadyRows). A ready task's restricted
+// candidate depends on its fixed ready row, the earliest-idle node, the
+// enabling processor there and those two nodes' availabilities, so FLB
+// keeps each task's last candidate (flbCandidate) and re-scores it only
+// when one of those changed: a step reads one memo entry and at most one
+// availability per ready task, and calls bestCandidate only for the
+// tasks the last placement moved.
 //
 // Like FCP it targets homogeneous processors and links, and PISA pins
 // both to 1 when analyzing it (Section VI).
@@ -117,18 +127,54 @@ func (FLB) Requirements() scheduler.Requirements {
 
 // ScheduleScratch implements scheduler.Scheduler.
 func (FLB) ScheduleScratch(inst *graph.Instance, scr *scheduler.Scratch, out *schedule.Schedule) error {
+	memo := scr.Ext("FLB", func() any { return &flbMemo{} }).(*flbMemo).reset(inst.Graph.NumTasks())
 	b, _ := placeReady(inst, scr, func(b *schedule.Builder, rows *scheduler.ReadyRows, ready []int) (int, int, float64) {
 		idle := earliestIdle(b)
+		idleAt := b.NodeAvailable(idle)
 		bestTask, bestNode := -1, -1
 		bestStart, bestFinish := 0.0, math.Inf(1)
 		for _, t := range ready {
-			at, enab := rows.Row(b, t)
-			v, s, f := bestCandidate(b, t, idle, at, enab)
-			if f < bestFinish-graph.Eps {
-				bestTask, bestNode, bestStart, bestFinish = t, v, s, f
+			c := &memo[t]
+			if int(c.idle) != idle || c.idleAt != idleAt || (c.enab >= 0 && b.NodeAvailable(int(c.enab)) != c.enabAt) {
+				at, enab := rows.Row(b, t)
+				v, s, f := bestCandidate(b, t, idle, at, enab)
+				*c = flbCandidate{idle: int32(idle), enab: -1, node: int32(v), idleAt: idleAt, start: s, finish: f}
+				if ep := int(enab[idle]); ep >= 0 && ep != idle {
+					c.enab, c.enabAt = int32(ep), b.NodeAvailable(ep)
+				}
+			}
+			if c.finish < bestFinish-graph.Eps {
+				bestTask, bestNode, bestStart, bestFinish = t, int(c.node), c.start, c.finish
 			}
 		}
 		return bestTask, bestNode, bestStart
 	})
 	return b.ScheduleInto(out)
+}
+
+// flbCandidate is FLB's memo of bestCandidate for one ready task t: the
+// result (node, start, finish) and the inputs it read that a placement
+// can change — the earliest-idle node, t's enabling processor there (-1
+// when there is none or it is idle itself) and both nodes'
+// availabilities. t's ready row and exec row are fixed once t is ready,
+// so while those inputs are equal the result is too.
+type flbCandidate struct {
+	idle, enab, node              int32
+	idleAt, enabAt, start, finish float64
+}
+
+// flbMemo holds one flbCandidate per task. It lives in Scratch.Ext, so
+// FLB values stay stateless and each worker's scratch has its own.
+type flbMemo []flbCandidate
+
+// reset starts a construction over n tasks: every entry misses.
+func (m *flbMemo) reset(n int) flbMemo {
+	if cap(*m) < n {
+		*m = make(flbMemo, n)
+	}
+	*m = (*m)[:n]
+	for i := range *m {
+		(*m)[i].idle = -1
+	}
+	return *m
 }

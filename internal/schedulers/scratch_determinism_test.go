@@ -834,6 +834,79 @@ func TestRowSchedulersMatchPerNodeReference(t *testing.T) {
 	}
 }
 
+// refFLBRows is FLB.ScheduleScratch before its candidate memo, kept
+// verbatim as the oracle for TestFLBMemoMatchesRowScan: every step
+// re-scores every ready task's restricted candidate from its ready row.
+func refFLBRows(inst *graph.Instance, scr *scheduler.Scratch, out *schedule.Schedule) error {
+	b, _ := placeReady(inst, scr, func(b *schedule.Builder, rows *scheduler.ReadyRows, ready []int) (int, int, float64) {
+		idle := earliestIdle(b)
+		bestTask, bestNode := -1, -1
+		bestStart, bestFinish := 0.0, math.Inf(1)
+		for _, t := range ready {
+			at, enab := rows.Row(b, t)
+			v, s, f := bestCandidate(b, t, idle, at, enab)
+			if f < bestFinish-graph.Eps {
+				bestTask, bestNode, bestStart, bestFinish = t, v, s, f
+			}
+		}
+		return bestTask, bestNode, bestStart
+	})
+	return b.ScheduleInto(out)
+}
+
+// nearTieDAG is a random 40-task DAG on a homogeneous four-node
+// network whose task and dependency costs are 0, 1 or 2 plus a multiple
+// of Eps/3: many restricted finishes lie within Eps of each other, where
+// FLB's pick rests on its first-within-Eps scan order.
+func nearTieDAG(r *rng.RNG) *graph.Instance {
+	const n = 40
+	jitter := func() float64 { return float64(r.Intn(3)) + float64(r.Intn(4))*graph.Eps/3 }
+	g := graph.NewTaskGraph()
+	for i := 0; i < n; i++ {
+		g.AddTask(fmt.Sprintf("t%d", i), jitter())
+	}
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n && j < i+8; j++ {
+			if r.Intn(4) == 0 {
+				g.MustAddDep(i, j, jitter())
+			}
+		}
+	}
+	return graph.NewInstance(g, graph.NewNetwork(4))
+}
+
+// TestFLBMemoMatchesRowScan holds FLB, which keeps each ready task's
+// restricted candidate until the earliest-idle node, the enabling
+// processor there or either node's availability changes, bit for bit to
+// refFLBRows, which re-scores every ready task at every step. The corpus
+// is determinismCorpus, the zero-cost corpus, enablingTieInstance,
+// nearTieInstance, twelve near-tie DAGs, the zero-weight instance and
+// both 1k scale datasets, run twice in turn on one scratch, so a memo
+// entry left over from the previous construction (the two 1k instances
+// have the same task count) would show up here.
+func TestFLBMemoMatchesRowScan(t *testing.T) {
+	corpus := append(determinismCorpus(t), zeroCostCorpus(t)...)
+	corpus = append(corpus, enablingTieInstance(), nearTieInstance(), zeroWeightInstance(t))
+	r := rng.New(0xF1B)
+	for i := 0; i < 12; i++ {
+		corpus = append(corpus, nearTieDAG(r.Split()))
+	}
+	corpus = append(corpus, scaleTierInstance(t, "scale_layered_1k"), scaleTierInstance(t, "scale_chains_1k"))
+	scr, refScr := scheduler.NewScratch(), scheduler.NewScratch()
+	var out, ref schedule.Schedule
+	for pass := 0; pass < 2; pass++ {
+		for i, inst := range corpus {
+			if err := refFLBRows(inst, refScr, &ref); err != nil {
+				t.Fatal(err)
+			}
+			if err := (FLB{}).ScheduleScratch(inst, scr, &out); err != nil {
+				t.Fatal(err)
+			}
+			assertSameAssignments(t, fmt.Sprintf("FLB/pass %d", pass), i, ref.ByTask, &out)
+		}
+	}
+}
+
 // TestFLBMatchesPerNodeReference10k is the FLB reference comparison at
 // the 10k tier, where FLB's per-step candidate search used to dominate.
 // Opt in via SCALE_BENCH_GATE=1 (`make bench-scale`).

@@ -1,6 +1,7 @@
 package saga
 
 import (
+	"fmt"
 	"os"
 	"testing"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"saga/internal/graph"
 	"saga/internal/schedule"
 	"saga/internal/scheduler"
+	"saga/internal/sim"
 )
 
 // The scale-tier gate and benchmark: schedule throughput (task·node
@@ -134,12 +136,13 @@ func TestScaleBenchGate(t *testing.T) {
 }
 
 // TestScaleTierSchedulesValid runs every registered scheduler on the
-// layered and chain-bundle scale instances and checks each schedule with
-// schedule.Validate — the 1k tier on every `go test`, the 10k tier with
-// the gate. The scale generators draw zero-cost tasks, the input on
-// which a timeline ordered by Start alone let FCP, FLB, OLB, MCT and
-// FastestNode overlap tasks. BruteForce and SMT refuse instances this
-// large; any other error fails the test.
+// layered and chain-bundle scale instances, checks each schedule with
+// schedule.Validate and replays it through sim.Execute, which must
+// accept it and finish within Eps of its makespan — the 1k tier on
+// every `go test`, the 10k tier with the gate. The scale generators draw
+// zero-cost tasks, the input on which a timeline ordered by Start alone
+// let FCP, FLB, OLB, MCT and FastestNode overlap tasks. BruteForce and
+// SMT refuse instances this large; any other error fails the test.
 func TestScaleTierSchedulesValid(t *testing.T) {
 	tiers := []string{"1k"}
 	if os.Getenv("SCALE_BENCH_GATE") != "" {
@@ -157,6 +160,12 @@ func TestScaleTierSchedulesValid(t *testing.T) {
 				}
 				if err == nil {
 					err = schedule.Validate(inst, &out)
+				}
+				if err == nil {
+					var res *sim.Result
+					if res, err = sim.Execute(inst, &out); err == nil && !graph.ApproxEq(res.Makespan, out.Makespan()) {
+						err = fmt.Errorf("simulated makespan %v, schedule's %v", res.Makespan, out.Makespan())
+					}
 				}
 				if err != nil {
 					t.Errorf("%s on %s%s: %v", name, family, tier, err)
