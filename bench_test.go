@@ -220,8 +220,8 @@ func BenchmarkFig10AppSpecificPISA(b *testing.B) {
 // hotPathInstance builds the fixed random-graph instance behind
 // BenchmarkScheduleHotPath: a layered DAG of 64 tasks over a 6-node
 // heterogeneous network, all weights drawn from the Section IV-B clipped
-// gaussian. The seed is fixed so pre/post comparisons in
-// BENCH_hotpath.json measure the same workload.
+// gaussian. The seed is fixed so every measurement of it, before and
+// after a change, sees the same workload.
 func hotPathInstance() *graph.Instance {
 	r := rng.New(0x407)
 	g := graph.NewTaskGraph()
@@ -255,9 +255,9 @@ func hotPathInstance() *graph.Instance {
 // (64 tasks, 6 nodes) — the scheduling inner loop PISA drives thousands
 // of times per annealing chain, exercised exactly as core.Run drives it:
 // a warm per-worker scratch and a reused output schedule. Run with
-// -benchmem; steady state must report 0 allocs/op. The committed
-// pre/post numbers live in BENCH_hotpath.json (pre = the allocating
-// builder-per-call path this replaced).
+// -benchmem; steady state must report 0 allocs/op (`make bench-smoke`
+// gates it). The numbers measured when the allocating builder-per-call
+// path was replaced are in EXPERIMENTS.md ("The hot-path gate").
 func BenchmarkScheduleHotPath(b *testing.B) {
 	inst := hotPathInstance()
 	for _, name := range schedulers.ExperimentalNames {

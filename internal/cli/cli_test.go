@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"flag"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -211,25 +212,81 @@ func TestServerSwitch(t *testing.T) {
 	}
 }
 
-// TestRobustnessRefusesNoPerturbations: -n below 1 is refused with the
-// local run's message, and with -server before any request reaches the
-// daemon, which would read n = 0 as omitted and run its default.
-func TestRobustnessRefusesNoPerturbations(t *testing.T) {
+// TestRobustnessParamsAgree holds `saga robustness`, its -server form
+// and a worker's shard of the robustness sweep to one verdict on -n,
+// -sigma and -seed. What the local run refuses, the other two refuse
+// with the same message, -server before any request reaches the
+// daemon, and the daemon itself refuses a finite sigma out of range in
+// the same words. -server alone refuses -sigma 0 and -seed 0, which the
+// daemon would read as omitted and replace with its defaults.
+func TestRobustnessParamsAgree(t *testing.T) {
 	var hits atomic.Int32
-	daemon := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { hits.Add(1) }))
+	srv := serve.New(serve.Options{})
+	daemon := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		srv.ServeHTTP(w, r)
+	}))
 	defer daemon.Close()
-	in := writeInstance(t, t.TempDir())
-	for _, n := range []string{"0", "-1"} {
-		local, remote := Defaults(), Defaults()
-		parse(t, local, []string{"-in", in, "-n", n}, "in", "n")
-		parse(t, remote, []string{"-server", daemon.URL, "-in", in, "-n", n}, "server", "in", "n")
-		_, lerr := local.Robustness(context.Background())
-		_, rerr := remote.Robustness(context.Background())
-		if lerr == nil || rerr == nil || rerr.Error() != lerr.Error() {
-			t.Fatalf("-n %s: local %v, -server %v; want the same refusal", n, lerr, rerr)
+	ctx := context.Background()
+	dir := t.TempDir()
+	in := writeInstance(t, dir)
+	names := []string{"in", "n", "sigma", "seed"}
+	for i, tc := range []struct {
+		args     []string
+		refused  bool // by all three
+		onServer bool // by -server alone
+		direct   bool // JSON can carry the value: POST it to the daemon too
+	}{
+		{[]string{"-n", "0"}, true, false, false},
+		{[]string{"-n", "-1"}, true, false, false},
+		{[]string{"-sigma", "NaN"}, true, false, false},
+		{[]string{"-sigma", "Inf"}, true, false, false},
+		{[]string{"-sigma", "-1"}, true, false, true},
+		{[]string{"-sigma", "50"}, true, false, true},
+		{[]string{"-sigma", "0"}, false, true, false},
+		{[]string{"-seed", "0"}, false, true, false},
+		{[]string{"-sigma", "10"}, false, false, false},
+	} {
+		args := append([]string{"-in", in, "-n", "4"}, tc.args...)
+		local, remote, worker := Defaults(), Defaults(), Defaults()
+		parse(t, local, args, names...)
+		parse(t, remote, append([]string{"-server", daemon.URL}, args...), append(names, "server")...)
+		parse(t, worker, args, names...)
+		worker.Checkpoint, worker.Shard = filepath.Join(dir, fmt.Sprintf("w%d.ckpt", i)), "0/1"
+
+		lr, lerr := local.Robustness(ctx)
+		before := hits.Load()
+		rr, rerr := remote.Robustness(ctx)
+		p, err := worker.Params()
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if n := hits.Load(); n != 0 {
-		t.Fatalf("the daemon saw %d requests, want 0", n)
+		_, werr := Run[any](worker, "robustness", p)
+
+		switch {
+		case tc.refused:
+			if lerr == nil || rerr == nil || werr == nil || rerr.Error() != lerr.Error() || werr.Error() != lerr.Error() {
+				t.Fatalf("%v: local %v, -server %v, worker %v; want the same refusal", tc.args, lerr, rerr, werr)
+			}
+			if hits.Load() != before {
+				t.Fatalf("%v: the refused -server request reached the daemon", tc.args)
+			}
+			if tc.direct {
+				c := serve.Client{BaseURL: daemon.URL}
+				_, derr := c.Robustness(ctx, serve.RobustnessRequest{Scheduler: p.Scheduler, Instance: p.InstanceRaw, Sigma: p.Sigma, N: p.N, Seed: p.Seed})
+				if derr == nil || !strings.Contains(derr.Error(), lerr.Error()) {
+					t.Fatalf("%v: the daemon answered %v, want %q", tc.args, derr, lerr)
+				}
+			}
+		case tc.onServer:
+			if lerr != nil || werr != nil || rerr == nil || hits.Load() != before {
+				t.Fatalf("%v: local %v, worker %v, -server %v (daemon hit %v); want only -server refused, before dialing",
+					tc.args, lerr, werr, rerr, hits.Load() != before)
+			}
+		default:
+			if lerr != nil || werr != nil || rerr != nil || !reflect.DeepEqual(rr, lr) {
+				t.Fatalf("%v: local %v, -server %v, worker %v; -server %+v vs local %+v", tc.args, lerr, rerr, werr, rr, lr)
+			}
+		}
 	}
 }

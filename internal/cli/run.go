@@ -198,10 +198,16 @@ func (f *Flags) Robustness(ctx context.Context) (*serve.RobustnessResponse, erro
 		if f.Checkpoint != "" || f.Shard != "" {
 			return nil, errors.New("-server is incompatible with -checkpoint/-shard (the daemon owns the computation)")
 		}
-		// The daemon reads n = 0 as omitted and runs its default, so
-		// refuse here what a local run refuses.
+		// Refuse here what a local run refuses, and the zeros the daemon
+		// reads as omitted and replaces with its defaults.
 		if err := experiments.CheckPerturbations(p.N); err != nil {
 			return nil, err
+		}
+		if err := experiments.CheckSigma(p.Sigma); err != nil {
+			return nil, err
+		}
+		if p.Sigma == 0 || p.Seed == 0 {
+			return nil, fmt.Errorf("-server cannot send -sigma 0 or -seed 0 (got -sigma %g -seed %d): the daemon reads 0 as omitted and runs its default", p.Sigma, p.Seed)
 		}
 		return c.Robustness(ctx, serve.RobustnessRequest{
 			Scheduler: p.Scheduler, Instance: p.InstanceRaw, Sigma: p.Sigma, N: p.N, Seed: p.Seed,

@@ -16,8 +16,9 @@ import (
 // across the scheduler pair — must beat the copy-and-rebuild,
 // cache-disabled reference by at least minIterationSpeedup on the
 // network-heavy scales, and its steady state must stay allocation-free.
-// The measured margin is ~2× (BENCH_pisa.json), so 1.3× tolerates a
-// noisy shared-VM host without letting a real regression through.
+// The measured margin was ~2× when the floor was set (EXPERIMENTS.md,
+// "The PISA inner-loop gates"), so 1.3× tolerates a noisy shared-VM
+// host without letting a real regression through.
 //
 // Timing gates do not belong in plain `go test ./...`; `make
 // bench-pisa` (part of `make verify`) opts in via PISA_BENCH_GATE=1.

@@ -31,7 +31,7 @@ func benchSched(b *testing.B, name string) scheduler.Scheduler {
 // pairwise grid, the fog/cloud scales measure the repo's edge-fog-cloud
 // scenarios (datasets.EdgeFogCloudNetwork is ~100 nodes). wide64 is the
 // task-heavy counterpart — a 64-task layered DAG over 8 nodes, the
-// BENCH_hotpath workload shape — where the per-candidate rank and topo
+// BenchmarkScheduleHotPath workload shape — where the per-candidate rank and topo
 // computations (the work rank memoization and the incremental Kahn
 // repair deduplicate) carry a visible share of the iteration.
 func pisaBenchInstances() map[string]*graph.Instance {
@@ -166,8 +166,8 @@ func runReferenceIteration(b *testing.B, inst0 *graph.Instance) {
 // report 0 allocs/op once warm at every scale (`make bench-pisa` gates
 // it, and TestPISASteadyStateZeroAlloc asserts it exactly); the
 // incremental/reference ratio is gated at ≥1.3× by
-// TestPISAIterationMemoizationGate. Committed numbers live in
-// BENCH_pisa.json.
+// TestPISAIterationMemoizationGate. Measured ratios are in
+// EXPERIMENTS.md ("The PISA inner-loop gates").
 func BenchmarkPISAIteration(b *testing.B) {
 	for _, scale := range pisaBenchScales {
 		inst0 := pisaBenchInstances()[scale]
@@ -231,8 +231,8 @@ func BenchmarkPISACandidateGen(b *testing.B) {
 // Results (proven in incremental_test.go), so the ratio of their ns/op
 // is the pure speedup of the candidate-generation rewrite plus the
 // shared evaluation cache. Per-iteration numbers and the allocation
-// gate live in BenchmarkPISAIteration; the committed record is
-// BENCH_pisa.json (`make bench-pisa` protocol).
+// gate live in BenchmarkPISAIteration; `make bench-pisa` runs it once
+// so it cannot rot.
 func BenchmarkPISARun(b *testing.B) {
 	variants := []struct {
 		name string

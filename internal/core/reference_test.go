@@ -14,9 +14,9 @@ import (
 // perturbs the copy, and rebuilds the full cost tables before
 // evaluating. RunReference must consume the identical RNG stream and
 // produce byte-identical Results to Run — incremental_test.go asserts
-// it per perturbation mode and scheduler pair, and BenchmarkPISARun
-// (pisa_bench_test.go) measures the speedup against it
-// (BENCH_pisa.json). Do not "improve" this code; its value is that it
+// it per perturbation mode and scheduler pair, BenchmarkPISARun
+// (pisa_bench_test.go) measures the speedup against it, and
+// TestPISAIterationMemoizationGate enforces it. Do not "improve" this code; its value is that it
 // does not share the mutate-in-place machinery it checks. The exported
 // name keeps it usable from external test packages in this directory.
 

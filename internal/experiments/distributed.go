@@ -116,6 +116,17 @@ func CheckPerturbations(n int) error {
 	return nil
 }
 
+// CheckSigma refuses a robustness jitter outside [0, 10], NaN included
+// (a NaN sigma perturbs every cost into NaN). NewSweep applies it, and
+// so do the daemon's handler and a client that sends the sweep to a
+// daemon, so the range and the message are defined here once.
+func CheckSigma(sigma float64) error {
+	if !(sigma >= 0 && sigma <= 10) {
+		return fmt.Errorf("experiments: robustness sweep needs sigma in [0, 10], got sigma = %g", sigma)
+	}
+	return nil
+}
+
 // SweepNames lists the sweeps NewSweep accepts, in CLI help order.
 var SweepNames = []string{"fig4", "fig7", "fig8", "appspecific", "robustness", "pairwise"}
 
@@ -186,6 +197,9 @@ func NewSweep(name string, p SweepParams) (*Sweep, error) {
 			return nil, fmt.Errorf("experiments: robustness sweep needs the instance bytes (-in)")
 		}
 		if err := CheckPerturbations(p.N); err != nil {
+			return nil, err
+		}
+		if err := CheckSigma(p.Sigma); err != nil {
 			return nil, err
 		}
 		inst, err := serialize.UnmarshalInstance(p.InstanceRaw)

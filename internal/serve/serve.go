@@ -446,8 +446,8 @@ func (s *Server) handleRobustness(w http.ResponseWriter, r *http.Request) {
 	if req.Seed == 0 {
 		req.Seed = 1
 	}
-	if req.Sigma < 0 || req.Sigma > 10 {
-		http.Error(w, fmt.Sprintf("sigma %g outside [0, 10]", req.Sigma), http.StatusBadRequest)
+	if err := experiments.CheckSigma(req.Sigma); err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	if req.N < 1 || req.N > s.opts.MaxRobustnessN {
