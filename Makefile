@@ -184,9 +184,10 @@ bench-smoke:
 # the worker count — 1.2x on 2 cores, 1.6x from 4 — and self-skips on
 # single-core hosts where wall-clock scaling is physically impossible),
 # and one -benchtime=1x pass over the benchmarks so they cannot rot. The
-# suites these gates rest on run in the plain suite: the bit-identity
-# suites (incremental annealer and GA == their copy-and-rebuild
-# references, at every worker count), the apply→undo round trip, the
+# suites these gates rest on run in the plain suite: core's differential
+# table (internal/core/differential_test.go: annealer and GA == their
+# copy-and-rebuild references per mode, pair, width, scratch reuse and
+# GOMAXPROCS=1), the apply→undo round trip, the
 # cache-invalidation properties behind rank memoization, and the
 # 0 allocs/op gate for the steady-state accept/reject cycle.
 # Part of `make verify`.

@@ -55,6 +55,7 @@ func TestGoldenTranscript(t *testing.T) {
 // naming exactly those flags that were set, and to running when none
 // were: defaults never count, and the flags a mode does use (-workers,
 // -name, -persist, -token and -progress with -coordinator) never trip it.
+// A -watch interval that would poll the hub back to back is refused too.
 func TestRefusesIgnoredFlags(t *testing.T) {
 	// Refused cases point at a server that answers 404 to everything, so
 	// a refusal that regressed fails at once instead of leasing forever.
@@ -66,20 +67,22 @@ func TestRefusesIgnoredFlags(t *testing.T) {
 	for _, c := range []struct {
 		cmd     string
 		args    []string
-		refused string // the flags named, "" when the command must run
+		refused string // the start of the error, "" when the command must run
 	}{
 		{"worker", []string{"-coordinator", dead.URL, "-n", "5", "-seed", "2", "-iters", "9", "-restarts", "1", "-workflow", "blast",
 			"-ccr", "1", "-scheduler", "CPoP", "-sigma", "0.1", "-in", "x.json", "-chain-workers", "2"},
-			"-ccr, -chain-workers, -in, -iters, -n, -restarts, -scheduler, -seed, -sigma, -workflow"},
-		{"worker", []string{"-coordinator", dead.URL, "-driver", "fig7", "-shard", "0/2", "-checkpoint", "s.ckpt"}, "-checkpoint, -driver, -shard"},
-		{"worker", []string{"-coordinator", dead.URL, "-workers", "1", "-name", "w", "-persist", "-token", "T", "-progress", "-seed", "3"}, "-seed"},
+			"-ccr, -chain-workers, -in, -iters, -n, -restarts, -scheduler, -seed, -sigma, -workflow not used"},
+		{"worker", []string{"-coordinator", dead.URL, "-driver", "fig7", "-shard", "0/2", "-checkpoint", "s.ckpt"}, "-checkpoint, -driver, -shard not used"},
+		{"worker", []string{"-coordinator", dead.URL, "-workers", "1", "-name", "w", "-persist", "-token", "T", "-progress", "-seed", "3"}, "-seed not used"},
 		{"worker", []string{"-coordinator", hub.URL, "-workers", "1", "-name", "w", "-token", "", "-progress"}, ""},
-		{"coordinate", []string{"-watch", dead.URL, "-driver", "fig4", "-checkpoint", "c.ckpt", "-iters", "5"}, "-checkpoint, -driver, -iters"},
+		{"coordinate", []string{"-watch", dead.URL, "-driver", "fig4", "-checkpoint", "c.ckpt", "-iters", "5"}, "-checkpoint, -driver, -iters not used"},
 		{"coordinate", []string{"-watch", dead.URL, "-addr", ":0", "-lease", "2", "-lease-ttl", "1s", "-retries", "1",
 			"-retry-backoff", "1s", "-shuffle-seed", "4", "-verbose"},
-			"-addr, -lease, -lease-ttl, -retries, -retry-backoff, -shuffle-seed, -verbose"},
+			"-addr, -lease, -lease-ttl, -retries, -retry-backoff, -shuffle-seed, -verbose not used"},
 		{"coordinate", []string{"-watch", hub.URL, "-interval", "1ms", "-token", ""}, ""},
-		{"pisa", []string{"-method", "ga", "-restarts", "2", "-trace", trace}, "-restarts, -trace"},
+		{"coordinate", []string{"-watch", hub.URL, "-interval", "0s"}, "-interval 0s must be positive"},
+		{"coordinate", []string{"-watch", hub.URL, "-interval", "-1s"}, "-interval -1s must be positive"},
+		{"pisa", []string{"-method", "ga", "-restarts", "2", "-trace", trace}, "-restarts, -trace not used"},
 		{"pisa", []string{"-method", "ga", "-iters", "10", "-seed", "2", "-workers", "1"}, ""},
 		{"pisa", []string{"-iters", "10", "-restarts", "1", "-trace", trace}, ""},
 	} {
@@ -88,8 +91,8 @@ func TestRefusesIgnoredFlags(t *testing.T) {
 		switch {
 		case c.refused == "" && err != nil:
 			t.Errorf("%s: %v", line, err)
-		case c.refused != "" && (err == nil || !strings.HasPrefix(err.Error(), c.refused+" not used")):
-			t.Errorf("%s: got %v, want %s refused", line, err, c.refused)
+		case c.refused != "" && (err == nil || !strings.HasPrefix(err.Error(), c.refused)):
+			t.Errorf("%s: got %v, want %q…", line, err, c.refused)
 		}
 	}
 }

@@ -594,6 +594,9 @@ func coordinateCmd(args []string) error {
 				"retries", "retry-backoff", "shuffle-seed", "verbose"})...); err != nil {
 			return err
 		}
+		if *interval <= 0 { // a zero sleep would poll the hub back to back
+			return fmt.Errorf("-interval %v must be positive", *interval)
+		}
 		return watchStatus(strings.TrimRight(*watch, "/"), f.Token, *interval)
 	}
 	if *driver == "" || f.Checkpoint == "" {

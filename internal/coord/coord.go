@@ -75,10 +75,6 @@ type Options struct {
 	// order instead of index order. Results are identical either way —
 	// the fault-injection suite sweeps seeds to prove it.
 	ShuffleSeed uint64
-	// Now is the clock, injectable for tests (default time.Now).
-	Now func() time.Time
-	// Logf, when non-nil, receives one line per protocol event.
-	Logf func(format string, args ...any)
 }
 
 func (o Options) withDefaults() Options {
@@ -93,9 +89,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.RetryBackoff <= 0 {
 		o.RetryBackoff = time.Second
-	}
-	if o.Now == nil {
-		o.Now = time.Now
 	}
 	return o
 }
@@ -253,6 +246,8 @@ type Coordinator struct {
 	info  SweepInfo
 	store Store
 	opts  Options
+	now   func() time.Time                 // the hub's clock
+	logf  func(format string, args ...any) // the hub's logger, prefixed with the sweep's id
 
 	mu        sync.Mutex
 	cells     []cellInfo
@@ -267,12 +262,13 @@ type Coordinator struct {
 	closed    bool
 }
 
-// New builds the ledger of the named registered sweep. The store is
-// bound to the sweep's fingerprint and loaded immediately: cells
-// already present are committed up front, which is what makes a
-// coordinator crash resumable — restart it on the same store and only
-// the missing cells are leased out.
-func New(name string, params experiments.SweepParams, store Store, opts Options) (*Coordinator, error) {
+// newCoordinator builds the ledger of the named registered sweep on the
+// hub's clock and logger. The store is bound to the sweep's fingerprint
+// and loaded immediately: cells already present are committed up front,
+// which is what makes a coordinator crash resumable — restart it on the
+// same store and only the missing cells are leased out.
+func newCoordinator(name string, params experiments.SweepParams, store Store, opts Options,
+	now func() time.Time, logf func(format string, args ...any)) (*Coordinator, error) {
 	sw, err := experiments.NewSweep(name, params)
 	if err != nil {
 		return nil, err
@@ -293,6 +289,8 @@ func New(name string, params experiments.SweepParams, store Store, opts Options)
 		},
 		store:  store,
 		opts:   opts,
+		now:    now,
+		logf:   logf,
 		cells:  make([]cellInfo, sw.Cells),
 		leases: map[string]*leaseInfo{},
 		done:   make(chan struct{}),
@@ -345,12 +343,6 @@ func (c *Coordinator) Abort() {
 	c.checkDoneLocked()
 }
 
-func (c *Coordinator) logf(format string, args ...any) {
-	if c.opts.Logf != nil {
-		c.opts.Logf(format, args...)
-	}
-}
-
 // Wait blocks until the sweep finishes — every cell committed or
 // poisoned — or cancel is closed. It returns nil on a clean sweep, a
 // *PoisonedError when cells were poisoned (the store still holds every
@@ -384,7 +376,7 @@ func (c *Coordinator) Wait(cancel <-chan struct{}) error {
 func (c *Coordinator) Status() Status {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.reapLocked(c.opts.Now())
+	c.reapLocked(c.now())
 	s := Status{Name: c.info.Name, Cells: c.info.Cells, Committed: c.committed, Poisoned: c.poisoned}
 	for k := range c.cells {
 		switch c.cells[k].state {
@@ -434,15 +426,15 @@ func (c *Coordinator) checkDoneLocked() {
 
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
-	if !readJSON(w, r, &req) {
+	if !httpx.ReadJSON(w, r, &req) {
 		return
 	}
-	now := c.opts.Now()
+	now := c.now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.reapLocked(now)
 	if c.fatal != nil || c.committed+c.poisoned == c.info.Cells {
-		writeJSON(w, LeaseResponse{Done: true})
+		httpx.WriteJSON(w, LeaseResponse{Done: true})
 		return
 	}
 	var grant []int
@@ -460,7 +452,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	if len(grant) == 0 {
 		// Everything outstanding is leased out or backing off; the worker
 		// polls again. (Done was ruled out above.)
-		writeJSON(w, LeaseResponse{Wait: true})
+		httpx.WriteJSON(w, LeaseResponse{Wait: true})
 		return
 	}
 	c.nextLease++
@@ -472,15 +464,15 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		c.cells[k].lease = id
 	}
 	c.logf("coordinator: lease %s -> worker %s: %d cells %v", id, req.Worker, len(grant), grant)
-	writeJSON(w, LeaseResponse{Lease: id, Cells: grant})
+	httpx.WriteJSON(w, LeaseResponse{Lease: id, Cells: grant})
 }
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req HeartbeatRequest
-	if !readJSON(w, r, &req) {
+	if !httpx.ReadJSON(w, r, &req) {
 		return
 	}
-	now := c.opts.Now()
+	now := c.now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.reapLocked(now)
@@ -489,25 +481,25 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		// Expired and reclaimed (or never existed): tell the worker to
 		// stop renewing. Its late completion is still welcome — dedup
 		// makes redundant delivery harmless.
-		writeJSON(w, HeartbeatResponse{Cancel: true})
+		httpx.WriteJSON(w, HeartbeatResponse{Cancel: true})
 		return
 	}
 	l.expires = now.Add(c.opts.LeaseTTL)
-	writeJSON(w, HeartbeatResponse{OK: true})
+	httpx.WriteJSON(w, HeartbeatResponse{OK: true})
 }
 
 func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	var req CompleteRequest
-	if !readJSON(w, r, &req) {
+	if !httpx.ReadJSON(w, r, &req) {
 		return
 	}
-	now := c.opts.Now()
+	now := c.now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.aborted {
 		// The sweep was torn down under the worker: nothing to commit,
 		// nothing to retry. Done sends the worker back to its poll loop.
-		writeJSON(w, CompleteResponse{OK: false, Done: true})
+		httpx.WriteJSON(w, CompleteResponse{OK: false, Done: true})
 		return
 	}
 	c.reapLocked(now)
@@ -592,7 +584,7 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	c.logf("coordinator: worker %s completed lease %s: %d cells, %d failed (%d/%d committed)",
 		req.Worker, req.Lease, len(req.Cells), len(req.Failed), c.committed, c.info.Cells)
 	c.checkDoneLocked()
-	writeJSON(w, CompleteResponse{OK: true, Done: c.committed+c.poisoned == c.info.Cells})
+	httpx.WriteJSON(w, CompleteResponse{OK: true, Done: c.committed+c.poisoned == c.info.Cells})
 }
 
 // sortedKeys returns m's cell indices in ascending order, the order
@@ -604,13 +596,4 @@ func sortedKeys[V any](m map[int]V) []int {
 	}
 	sort.Ints(keys)
 	return keys
-}
-
-// writeJSON and readJSON are the shared JSON framing helpers; the
-// protocol dialect (200+JSON or non-200+plain text, bounded bodies)
-// lives in internal/httpx so the scheduling daemon speaks it too.
-func writeJSON(w http.ResponseWriter, v any) { httpx.WriteJSON(w, v) }
-
-func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	return httpx.ReadJSON(w, r, v)
 }

@@ -91,9 +91,9 @@ func mountCheckpoint(t *testing.T, n int, opts HubOptions) mounted {
 // testCoord is mountCheckpoint for tests that speak the ledger protocol
 // directly (nothing executes) on one clock: it returns the ledger, the
 // base URL of its endpoints, and the store's path.
-func testCoord(t *testing.T, n int, opts Options) (*Coordinator, string, string) {
+func testCoord(t *testing.T, n int, now func() time.Time, opts Options) (*Coordinator, string, string) {
 	t.Helper()
-	m := mountCheckpoint(t, n, HubOptions{Sweep: opts, Now: opts.Now})
+	m := mountCheckpoint(t, n, HubOptions{Sweep: opts, Now: now})
 	return m.c, m.base, m.store
 }
 
@@ -168,7 +168,7 @@ func TestSweepEndpointIdentifiesSweep(t *testing.T) {
 func TestLeaseLifecycleAndReclaim(t *testing.T) {
 	clock := newFakeClock()
 	ttl := 10 * time.Second
-	c, srv, _ := testCoord(t, 6, Options{LeaseSize: 2, LeaseTTL: ttl, Now: clock.Now})
+	c, srv, _ := testCoord(t, 6, clock.Now, Options{LeaseSize: 2, LeaseTTL: ttl})
 
 	l1 := post[LeaseResponse](t, srv, "/lease", LeaseRequest{Worker: "w1"})
 	if l1.Lease == "" || len(l1.Cells) != 2 {
@@ -219,7 +219,7 @@ func TestLeaseLifecycleAndReclaim(t *testing.T) {
 
 func TestCompleteCommitsIncrementallyAndFinishes(t *testing.T) {
 	clock := newFakeClock()
-	c, srv, storePath := testCoord(t, 4, Options{LeaseSize: 4, Now: clock.Now})
+	c, srv, storePath := testCoord(t, 4, clock.Now, Options{LeaseSize: 4})
 	l := post[LeaseResponse](t, srv, "/lease", LeaseRequest{Worker: "w1"})
 	if len(l.Cells) != 4 {
 		t.Fatalf("lease: %+v", l)
@@ -261,8 +261,8 @@ func TestCompleteCommitsIncrementallyAndFinishes(t *testing.T) {
 func TestRetryBackoffAndPoisoning(t *testing.T) {
 	clock := newFakeClock()
 	backoff := 4 * time.Second
-	c, srv, _ := testCoord(t, 2, Options{
-		LeaseSize: 2, MaxRetries: 3, RetryBackoff: backoff, Now: clock.Now,
+	c, srv, _ := testCoord(t, 2, clock.Now, Options{
+		LeaseSize: 2, MaxRetries: 3, RetryBackoff: backoff,
 	})
 	fail := func(msg string) {
 		l := post[LeaseResponse](t, srv, "/lease", LeaseRequest{Worker: "w1"})
@@ -326,7 +326,7 @@ func TestRetryBackoffAndPoisoning(t *testing.T) {
 
 func TestTransientFailureRecovers(t *testing.T) {
 	clock := newFakeClock()
-	c, srv, _ := testCoord(t, 1, Options{MaxRetries: 3, RetryBackoff: time.Second, Now: clock.Now})
+	c, srv, _ := testCoord(t, 1, clock.Now, Options{MaxRetries: 3, RetryBackoff: time.Second})
 	l := post[LeaseResponse](t, srv, "/lease", LeaseRequest{Worker: "w1"})
 	post[CompleteResponse](t, srv, "/complete", CompleteRequest{
 		Worker: "w1", Lease: l.Lease, Failed: map[int]string{0: "flaky disk"},
@@ -347,7 +347,7 @@ func TestTransientFailureRecovers(t *testing.T) {
 func TestLateCompletionOfReclaimedLease(t *testing.T) {
 	clock := newFakeClock()
 	ttl := 5 * time.Second
-	c, srv, _ := testCoord(t, 2, Options{LeaseSize: 2, LeaseTTL: ttl, Now: clock.Now})
+	c, srv, _ := testCoord(t, 2, clock.Now, Options{LeaseSize: 2, LeaseTTL: ttl})
 	l1 := post[LeaseResponse](t, srv, "/lease", LeaseRequest{Worker: "slow"})
 	clock.Advance(ttl + time.Second)
 	l2 := post[LeaseResponse](t, srv, "/lease", LeaseRequest{Worker: "fast"})
@@ -377,7 +377,7 @@ func TestLateCompletionOfReclaimedLease(t *testing.T) {
 func TestDisagreeingDuplicateIsFatal(t *testing.T) {
 	clock := newFakeClock()
 	ttl := 5 * time.Second
-	c, srv, _ := testCoord(t, 2, Options{LeaseSize: 2, LeaseTTL: ttl, Now: clock.Now})
+	c, srv, _ := testCoord(t, 2, clock.Now, Options{LeaseSize: 2, LeaseTTL: ttl})
 	l1 := post[LeaseResponse](t, srv, "/lease", LeaseRequest{Worker: "w1"})
 	post[CompleteResponse](t, srv, "/complete", CompleteRequest{
 		Worker: "w1", Lease: l1.Lease, Cells: map[int]json.RawMessage{0: cellJSON(0)},
@@ -455,7 +455,7 @@ func serializeLoad(path, fp string) (map[int]json.RawMessage, error) {
 
 func TestShuffledLeaseOrderCoversEveryCell(t *testing.T) {
 	for _, seed := range []uint64{1, 7} {
-		c, srv, _ := testCoord(t, 10, Options{LeaseSize: 3, ShuffleSeed: seed})
+		c, srv, _ := testCoord(t, 10, nil, Options{LeaseSize: 3, ShuffleSeed: seed})
 		granted := map[int]bool{}
 		order := []int{}
 		for {
@@ -489,5 +489,23 @@ func TestShuffledLeaseOrderCoversEveryCell(t *testing.T) {
 		if inOrder {
 			t.Fatalf("seed %d: shuffled lease order is sequential: %v", seed, order)
 		}
+	}
+}
+
+// TestWorkerRetryJitterPerName holds each worker to a backoff schedule
+// of its own: two names give different delays and one name the same
+// delays every time, so a fleet does not re-dial a restarting hub in
+// lockstep.
+func TestWorkerRetryJitterPerName(t *testing.T) {
+	a, b := workerRetry("host-1"), workerRetry("host-2")
+	differ := false
+	for i := 0; i < a.Attempts; i++ {
+		if again := workerRetry("host-1").Delay(i); a.Delay(i) != again {
+			t.Fatalf("delay %d: %v, then %v for the same name", i, a.Delay(i), again)
+		}
+		differ = differ || a.Delay(i) != b.Delay(i)
+	}
+	if !differ {
+		t.Fatalf("two names share the delays %v, %v, %v", a.Delay(0), a.Delay(1), a.Delay(2))
 	}
 }

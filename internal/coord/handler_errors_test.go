@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"saga/internal/experiments"
+	"saga/internal/httpx"
 	"saga/internal/serialize"
 )
 
@@ -174,7 +175,7 @@ func TestDisagreeingDuplicateCompletionIsFatal409(t *testing.T) {
 
 func TestHeartbeatStaleLeaseCancels(t *testing.T) {
 	clock := &fakeClock{now: time.Unix(1000, 0)}
-	opts := HubOptions{Sweep: Options{LeaseTTL: 10 * time.Second, Now: clock.Now}, Now: clock.Now}
+	opts := HubOptions{Sweep: Options{LeaseTTL: 10 * time.Second}, Now: clock.Now}
 	eachBacking(t, 4, opts, func(t *testing.T, m mounted) {
 		// Unknown lease id: cancel immediately.
 		hb := post[HeartbeatResponse](t, m.base, "/heartbeat", HeartbeatRequest{Worker: "w", Lease: "L999"})
@@ -264,7 +265,7 @@ func TestHubBearerAuth(t *testing.T) {
 func TestPreMountedSweepOutlivesReleaseAndTTL(t *testing.T) {
 	clock := newFakeClock()
 	store := filepath.Join(t.TempDir(), "coord.ckpt")
-	h, srv := testHub(t, HubOptions{Now: clock.Now, Sweep: Options{LeaseSize: 2, LeaseTTL: time.Hour, Now: clock.Now}})
+	h, srv := testHub(t, HubOptions{Now: clock.Now, Sweep: Options{LeaseSize: 2, LeaseTTL: time.Hour}})
 	c, err := h.Mount("fig7", experiments.SweepParams{N: 4, Seed: 1}, serialize.NewCheckpoint(store))
 	if err != nil {
 		t.Fatal(err)
@@ -341,7 +342,7 @@ func TestWorkerRefusesMismatchedSweep(t *testing.T) {
 	serveInfo := func(info SweepInfo) *httptest.Server {
 		mux := http.NewServeMux()
 		mux.HandleFunc("GET /sweep", func(w http.ResponseWriter, r *http.Request) {
-			writeJSON(w, info)
+			httpx.WriteJSON(w, info)
 		})
 		srv := httptest.NewServer(mux)
 		t.Cleanup(srv.Close)

@@ -40,7 +40,7 @@ import (
 // HubOptions tunes the hub. The zero value is usable.
 type HubOptions struct {
 	// Sweep is the per-sweep ledger policy (lease size, TTL, retries…).
-	// Its Logf is ignored — ledgers log through the hub's Logf, prefixed
+	// Ledgers run on the hub's Now and log through its Logf, prefixed
 	// per sweep.
 	Sweep Options
 	// Token, when non-empty, requires bearer auth on every endpoint.
@@ -238,13 +238,8 @@ func (h *Hub) Release(c *Coordinator) {
 // mountLocked builds the sweep's ledger over store and appends it to the
 // pick order.
 func (h *Hub) mountLocked(id, name string, params experiments.SweepParams, store Store) (*hubSweep, error) {
-	opts := h.opts.Sweep
-	opts.Logf = nil
-	if h.opts.Logf != nil {
-		logf := h.opts.Logf
-		opts.Logf = func(format string, args ...any) { logf("["+id+"] "+format, args...) }
-	}
-	c, err := New(name, params, store, opts)
+	c, err := newCoordinator(name, params, store, h.opts.Sweep, h.opts.Now,
+		func(format string, args ...any) { h.logf("["+id+"] "+format, args...) })
 	if err != nil {
 		return nil, err
 	}
@@ -272,7 +267,7 @@ func (h *Hub) handlePick(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		if st.Pending > 0 || st.RetryWait > 0 {
-			writeJSON(w, h.sweepInfo(hs))
+			httpx.WriteJSON(w, h.sweepInfo(hs))
 			return
 		}
 		if fallback == nil {
@@ -280,10 +275,10 @@ func (h *Hub) handlePick(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if fallback != nil {
-		writeJSON(w, h.sweepInfo(fallback))
+		httpx.WriteJSON(w, h.sweepInfo(fallback))
 		return
 	}
-	writeJSON(w, SweepInfo{Idle: true})
+	httpx.WriteJSON(w, SweepInfo{Idle: true})
 }
 
 func (h *Hub) sweepInfo(hs *hubSweep) SweepInfo {
@@ -348,7 +343,7 @@ func (h *Hub) handleStatus(w http.ResponseWriter, r *http.Request) {
 		agg.RetryWait += st.RetryWait
 		agg.Done = agg.Done && st.Done
 	}
-	writeJSON(w, agg)
+	httpx.WriteJSON(w, agg)
 }
 
 // MemStore is the in-memory Store behind the sweeps Acquire mounts: same

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"net/http"
 	"net/url"
@@ -40,7 +41,8 @@ var errSweepRotate = errors.New("rotate to another sweep")
 
 // WorkerOptions configures RunWorker.
 type WorkerOptions struct {
-	// Name identifies the worker in leases and coordinator logs.
+	// Name identifies the worker in leases and coordinator logs, and
+	// seeds its retry jitter.
 	Name string
 	// Client issues the HTTP requests (default http.DefaultClient). The
 	// fault-injection harness swaps in a misbehaving transport here.
@@ -111,7 +113,7 @@ func RunWorker(ctx context.Context, baseURL string, opts WorkerOptions) error {
 			return err
 		}
 		var info SweepInfo
-		if err := getJSON(ctx, opts.Client, baseURL+"/sweep"+workerQ, &info); err != nil {
+		if err := httpx.GetJSON(ctx, opts.Client, baseURL+"/sweep"+workerQ, &info); err != nil {
 			if httpx.IsConnErr(err) && ctx.Err() == nil {
 				if opts.Persist {
 					if err := sleepCtx(ctx, opts.PollInterval); err != nil {
@@ -161,6 +163,7 @@ func RunWorker(ctx context.Context, baseURL string, opts WorkerOptions) error {
 // worker back to the hub poll, or a terminal error.
 func runSweep(ctx context.Context, baseURL, workerQ string, info SweepInfo, opts WorkerOptions) error {
 	ep := func(op string) string { return baseURL + info.Path + "/" + op + workerQ }
+	retry := workerRetry(opts.Name)
 
 	sw, err := experiments.NewSweep(info.Name, info.Params)
 	if err != nil {
@@ -189,7 +192,7 @@ func runSweep(ctx context.Context, baseURL, workerQ string, info SweepInfo, opts
 			return err
 		}
 		var lease LeaseResponse
-		if err := postJSONRetry(ctx, opts.Client, ep("lease"), LeaseRequest{Worker: opts.Name}, &lease); err != nil {
+		if err := postJSONRetry(ctx, retry, opts.Client, ep("lease"), LeaseRequest{Worker: opts.Name}, &lease); err != nil {
 			if isStatus(err, http.StatusNotFound) {
 				return errSweepGone
 			}
@@ -202,7 +205,7 @@ func runSweep(ctx context.Context, baseURL, workerQ string, info SweepInfo, opts
 			// Nothing leasable here right now; ask the hub whether some
 			// other sweep needs us before going back to sleep.
 			var pick SweepInfo
-			if err := getJSON(ctx, opts.Client, baseURL+"/sweep"+workerQ, &pick); err == nil &&
+			if err := httpx.GetJSON(ctx, opts.Client, baseURL+"/sweep"+workerQ, &pick); err == nil &&
 				!pick.Idle && pick.ID != info.ID {
 				return errSweepRotate
 			}
@@ -238,7 +241,7 @@ func runSweep(ctx context.Context, baseURL, workerQ string, info SweepInfo, opts
 					return
 				case <-t.C:
 					var hb HeartbeatResponse
-					err := postJSON(hbCtx, opts.Client, ep("heartbeat"),
+					err := httpx.PostJSON(hbCtx, opts.Client, ep("heartbeat"),
 						HeartbeatRequest{Worker: opts.Name, Lease: lease.Lease}, &hb)
 					if isStatus(err, http.StatusNotFound) {
 						dropped.Store(true)
@@ -301,7 +304,7 @@ func runSweep(ctx context.Context, baseURL, workerQ string, info SweepInfo, opts
 			}
 		}
 		var ack CompleteResponse
-		err := postJSONRetry(ctx, opts.Client, ep("complete"),
+		err := postJSONRetry(ctx, retry, opts.Client, ep("complete"),
 			CompleteRequest{Worker: opts.Name, Lease: lease.Lease, Cells: fresh, Failed: failed}, &ack)
 		if err != nil {
 			if isStatus(err, http.StatusNotFound) {
@@ -367,29 +370,26 @@ type killedError struct{ err error }
 func (e *killedError) Error() string { return e.err.Error() }
 func (e *killedError) Unwrap() error { return e.err }
 
-func getJSON(ctx context.Context, client *http.Client, url string, out any) error {
-	return httpx.GetJSON(ctx, client, url, out)
+// workerRetry paces a worker's lease/complete calls: per-hop timeouts
+// and capped exponential backoff with jitter seeded from the worker's
+// name, so a fleet re-dialing a restarting hub spreads out instead of
+// stampeding.
+func workerRetry(name string) httpx.RetryPolicy {
+	h := fnv.New64a()
+	h.Write([]byte(name))
+	return httpx.RetryPolicy{Attempts: 3, Base: 150 * time.Millisecond, Cap: 2 * time.Second, PerTry: 10 * time.Second, Seed: h.Sum64()}
 }
 
-// workerRetry paces the worker's lease/complete calls: per-hop timeouts
-// and capped exponential backoff with jitter, so a fleet re-dialing a
-// restarting hub spreads out instead of stampeding.
-var workerRetry = httpx.RetryPolicy{Attempts: 3, Base: 150 * time.Millisecond, Cap: 2 * time.Second, PerTry: 10 * time.Second}
-
-// postJSONRetry is httpx.PostJSON under the worker retry policy,
+// postJSONRetry is httpx.PostJSON under the worker's retry policy,
 // wrapping persistent unreachability in ErrCoordinatorGone. HTTP-level
 // errors (a non-200 status) are answers, not outages, and return
 // immediately.
-func postJSONRetry(ctx context.Context, client *http.Client, url string, in, out any) error {
-	err := workerRetry.Do(ctx, func(ctx context.Context) error {
+func postJSONRetry(ctx context.Context, retry httpx.RetryPolicy, client *http.Client, url string, in, out any) error {
+	err := retry.Do(ctx, func(ctx context.Context) error {
 		return httpx.PostJSON(ctx, client, url, in, out)
 	})
 	if err != nil && httpx.IsConnErr(err) {
-		return fmt.Errorf("%w after %d attempts: %v", ErrCoordinatorGone, workerRetry.Attempts, err)
+		return fmt.Errorf("%w after %d attempts: %v", ErrCoordinatorGone, retry.Attempts, err)
 	}
 	return err
-}
-
-func postJSON(ctx context.Context, client *http.Client, url string, in, out any) error {
-	return httpx.PostJSON(ctx, client, url, in, out)
 }

@@ -112,7 +112,7 @@ type individual struct {
 // evaluation pair shares one rank computation through the scratch's
 // EvalCache. Results are bit-identical to the clone-and-full-Prepare
 // implementation it replaced, kept as the oracle RunGAReference in
-// genetic_reference_test.go; genetic_incremental_test.go proves it
+// genetic_reference_test.go; differential_test.go proves it
 // across perturbation modes and scheduler pairs.
 //
 // Each generation runs in two phases at every Workers value: every RNG

@@ -6,60 +6,8 @@ import (
 
 	"saga/internal/datasets"
 	"saga/internal/rng"
-	"saga/internal/scheduler"
 	_ "saga/internal/schedulers"
 )
-
-// TestRunGABitIdenticalToReference is the GA analogue of
-// TestRunBitIdenticalToReference: for a panel of scheduler pairs and
-// every perturbation mode, the incremental GA (recycled instance banks,
-// in-place crossover and mutation, memoized ranks) must
-// produce byte-identical Results — best-instance serialization, exact
-// ratios, evaluation counts — to the retained clone-and-full-Prepare
-// reference implementation running with rank memoization disabled.
-func TestRunGABitIdenticalToReference(t *testing.T) {
-	pairs := [][2]string{
-		{"HEFT", "CPoP"},
-		{"MinMin", "MaxMin"},
-		{"ETF", "HEFT"},
-		{"GDL", "BIL"},
-	}
-	for mode, p := range incrementalModes() {
-		for _, pair := range pairs {
-			t.Run(mode+"/"+pair[0]+"-vs-"+pair[1], func(t *testing.T) {
-				opts := gaTestOptions(uint64(len(mode)*17 + len(pair[0])*31))
-				opts.Perturb = p
-				inc, err := RunGA(mustSched(t, pair[0]), mustSched(t, pair[1]), opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ref, err := RunGAReference(mustSched(t, pair[0]), mustSched(t, pair[1]), opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertResultsIdentical(t, inc, ref)
-			})
-		}
-	}
-}
-
-// TestRunGABitIdenticalSharedScratch re-runs one pair with an explicit
-// per-caller scratch on both sides (the parallel drivers' calling
-// convention) — scratch reuse must not perturb GA results either.
-func TestRunGABitIdenticalSharedScratch(t *testing.T) {
-	opts := gaTestOptions(77)
-	opts.Scratch = scheduler.NewScratch()
-	inc, err := RunGA(mustSched(t, "HEFT"), mustSched(t, "CPoP"), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.Scratch = scheduler.NewScratch()
-	ref, err := RunGAReference(mustSched(t, "HEFT"), mustSched(t, "CPoP"), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertResultsIdentical(t, inc, ref)
-}
 
 // TestRunGAReferenceRejectsSameOptions pins that the two entry points
 // validate identically (same error text for the same bad input).

@@ -16,7 +16,7 @@ import (
 // evaluation rebuilds the full cost tables with rank memoization
 // disabled. RunGAReference must consume the identical RNG stream and
 // produce byte-identical Results to RunGA —
-// genetic_incremental_test.go asserts it per perturbation mode and
+// differential_test.go asserts it per perturbation mode and
 // scheduler pair, and BenchmarkGAAdversarial (pisa_bench_test.go)
 // measures the speedup against it. Do not "improve" this code; its
 // value is that it shares none of the buffer-recycling machinery it

@@ -36,20 +36,6 @@ func TestRunGAFindsAdversarialInstance(t *testing.T) {
 	}
 }
 
-func TestRunGADeterministic(t *testing.T) {
-	a, err := RunGA(mustSched(t, "MinMin"), mustSched(t, "MaxMin"), gaTestOptions(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunGA(mustSched(t, "MinMin"), mustSched(t, "MaxMin"), gaTestOptions(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.BestRatio != b.BestRatio {
-		t.Fatalf("same seed, different GA results: %v vs %v", a.BestRatio, b.BestRatio)
-	}
-}
-
 func TestRunGAReportedRatioMatches(t *testing.T) {
 	target, base := mustSched(t, "MCT"), mustSched(t, "HEFT")
 	res, err := RunGA(target, base, gaTestOptions(9))

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
@@ -43,88 +42,6 @@ func incrementalModes() map[string]PerturbOptions {
 		"fixSpeeds":   fixSpeeds,
 		"fixLinks":    fixLinks,
 		"appSpecific": appSpecific,
-	}
-}
-
-// TestRunBitIdenticalToReference is the acceptance gate of the
-// incremental inner loop: for a panel of scheduler pairs and every
-// perturbation mode, the mutate-in-place annealer (undo log + delta
-// Tables updates) must produce byte-identical Results — best-instance
-// serialization, exact ratios, trace, evaluation counts — to the
-// retained copy-and-rebuild reference implementation.
-func TestRunBitIdenticalToReference(t *testing.T) {
-	pairs := [][2]string{
-		{"HEFT", "CPoP"},
-		{"MinMin", "MaxMin"},
-		{"ETF", "HEFT"},
-		{"GDL", "BIL"},
-		{"HEFT", "FastestNode"},
-	}
-	for mode, p := range incrementalModes() {
-		for _, pair := range pairs {
-			t.Run(mode+"/"+pair[0]+"-vs-"+pair[1], func(t *testing.T) {
-				opts := testOptions(uint64(len(mode) + len(pair[0])*31))
-				opts.Perturb = p
-				opts.RecordTrace = true
-				inc, err := Run(mustSched(t, pair[0]), mustSched(t, pair[1]), opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ref, err := RunReference(mustSched(t, pair[0]), mustSched(t, pair[1]), opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertResultsIdentical(t, inc, ref)
-			})
-		}
-	}
-}
-
-// TestRunBitIdenticalSharedScratch re-runs one pair with an explicit
-// per-caller scratch on both sides (the parallel drivers' calling
-// convention) — scratch reuse must not perturb results either.
-func TestRunBitIdenticalSharedScratch(t *testing.T) {
-	opts := testOptions(41)
-	opts.RecordTrace = true
-	opts.Scratch = scheduler.NewScratch()
-	inc, err := Run(mustSched(t, "HEFT"), mustSched(t, "CPoP"), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.Scratch = scheduler.NewScratch()
-	ref, err := RunReference(mustSched(t, "HEFT"), mustSched(t, "CPoP"), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertResultsIdentical(t, inc, ref)
-}
-
-func assertResultsIdentical(t *testing.T, inc, ref *Result) {
-	t.Helper()
-	if inc.BestRatio != ref.BestRatio {
-		t.Fatalf("BestRatio diverged: incremental %v, reference %v", inc.BestRatio, ref.BestRatio)
-	}
-	if inc.Evaluations != ref.Evaluations {
-		t.Fatalf("Evaluations diverged: incremental %d, reference %d", inc.Evaluations, ref.Evaluations)
-	}
-	if len(inc.RestartRatios) != len(ref.RestartRatios) {
-		t.Fatalf("RestartRatios length diverged: %d vs %d", len(inc.RestartRatios), len(ref.RestartRatios))
-	}
-	for i := range inc.RestartRatios {
-		if inc.RestartRatios[i] != ref.RestartRatios[i] {
-			t.Fatalf("RestartRatios[%d] diverged: %v vs %v", i, inc.RestartRatios[i], ref.RestartRatios[i])
-		}
-	}
-	if !bytes.Equal(fingerprint(t, inc.Best), fingerprint(t, ref.Best)) {
-		t.Fatal("best-instance serialization diverged")
-	}
-	if len(inc.Trace) != len(ref.Trace) {
-		t.Fatalf("trace length diverged: %d vs %d", len(inc.Trace), len(ref.Trace))
-	}
-	for i := range inc.Trace {
-		if inc.Trace[i] != ref.Trace[i] {
-			t.Fatalf("trace point %d diverged:\nincremental %+v\nreference   %+v", i, inc.Trace[i], ref.Trace[i])
-		}
 	}
 }
 

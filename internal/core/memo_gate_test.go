@@ -82,7 +82,7 @@ func bestOfRounds(n int, f func(b *testing.B)) testing.BenchmarkResult {
 // On a single-core host the comparison is physically meaningless — the
 // chains time-slice one core and the parallel path can only add
 // overhead — so the gate skips with an explicit log; byte-identity at
-// every worker count is enforced unconditionally by parallel_test.go
+// every worker count is enforced unconditionally by differential_test.go
 // regardless of core count.
 func TestPISAParallelSpeedupGate(t *testing.T) {
 	if os.Getenv("PISA_BENCH_GATE") == "" {
@@ -90,7 +90,7 @@ func TestPISAParallelSpeedupGate(t *testing.T) {
 	}
 	workers := min(runtime.GOMAXPROCS(0), 4)
 	if workers < 2 {
-		t.Skipf("single-core host (GOMAXPROCS=%d): parallel wall-clock speedup is unmeasurable here; determinism is still gated by parallel_test.go", workers)
+		t.Skipf("single-core host (GOMAXPROCS=%d): parallel wall-clock speedup is unmeasurable here; determinism is still gated by differential_test.go", workers)
 	}
 	const (
 		parallelGatePairs = 7

@@ -16,7 +16,7 @@ import (
 // calling goroutine, so a width of 1 spawns nothing and runs exactly the
 // loop the wider widths run. Results are bit-identical for every
 // Workers value, proven against the test-only reference implementations
-// (reference_test.go, genetic_reference_test.go) by parallel_test.go.
+// (reference_test.go, genetic_reference_test.go) by differential_test.go.
 //
 // Ownership rule (the PR 2 scratch rule, extended): every worker owns
 // its scheduling state outright — worker 0 the caller's Scratch, the

@@ -274,7 +274,7 @@ func checkPerturb(p PerturbOptions) error {
 // rejection rolls the mutation back through the undo log. Results are
 // bit-identical to the copy-and-rebuild implementation it replaced,
 // kept as the oracle RunReference in reference_test.go;
-// incremental_test.go proves it across perturbation modes and scheduler
+// differential_test.go proves it across perturbation modes and scheduler
 // pairs. Once warm, the steady-state accept/reject
 // cycle performs zero heap allocations.
 //

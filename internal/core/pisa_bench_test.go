@@ -228,7 +228,7 @@ func BenchmarkPISACandidateGen(b *testing.B) {
 // updates, rank memoization across the scheduler pair) against the
 // copy-and-rebuild, cache-disabled reference (RunReference) on identical
 // options, seeds, and scheduler pair. The two produce byte-identical
-// Results (proven in incremental_test.go), so the ratio of their ns/op
+// Results (proven in differential_test.go), so the ratio of their ns/op
 // is the pure speedup of the candidate-generation rewrite plus the
 // shared evaluation cache. Per-iteration numbers and the allocation
 // gate live in BenchmarkPISAIteration; `make bench-pisa` runs it once
@@ -241,7 +241,7 @@ func BenchmarkPISARun(b *testing.B) {
 		{"incremental", Run},
 		{"reference", RunReference},
 		// parallel is Run with Workers=NumCPU — bit-identical results
-		// (parallel_test.go), so its ns/op against the incremental variant
+		// (differential_test.go), so its ns/op against the incremental variant
 		// is the pure intra-cell scaling. On a single-core host it measures
 		// the fan-out's overhead instead.
 		{"parallel", func(target, baseline scheduler.Scheduler, opts Options) (*Result, error) {
@@ -272,7 +272,7 @@ func BenchmarkPISARun(b *testing.B) {
 // (recycled instance banks, in-place crossover and mutation, memoized
 // ranks) against the clone-and-full-Prepare reference
 // (RunGAReference). The two produce byte-identical Results
-// (genetic_incremental_test.go), so the ns/op ratio is the pure cost of
+// (differential_test.go), so the ns/op ratio is the pure cost of
 // the machinery the rewrite removed.
 func BenchmarkGAAdversarial(b *testing.B) {
 	variants := []struct {

@@ -68,20 +68,6 @@ func TestRunBestRatioMatchesSchedulers(t *testing.T) {
 	}
 }
 
-func TestRunDeterministic(t *testing.T) {
-	a, err := Run(mustSched(t, "HEFT"), mustSched(t, "FastestNode"), testOptions(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(mustSched(t, "HEFT"), mustSched(t, "FastestNode"), testOptions(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.BestRatio != b.BestRatio {
-		t.Fatalf("same seed, different results: %v vs %v", a.BestRatio, b.BestRatio)
-	}
-}
-
 func TestRunRespectsSpeedConstraint(t *testing.T) {
 	opts := testOptions(9)
 	opts.Perturb = DefaultPerturb()

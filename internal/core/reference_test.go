@@ -13,7 +13,7 @@ import (
 // iteration copies the current instance into a candidate buffer,
 // perturbs the copy, and rebuilds the full cost tables before
 // evaluating. RunReference must consume the identical RNG stream and
-// produce byte-identical Results to Run — incremental_test.go asserts
+// produce byte-identical Results to Run — differential_test.go asserts
 // it per perturbation mode and scheduler pair, BenchmarkPISARun
 // (pisa_bench_test.go) measures the speedup against it, and
 // TestPISAIterationMemoizationGate enforces it. Do not "improve" this code; its value is that it

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -40,28 +41,44 @@ func configuredWBA() scheduler.Scheduler { return schedulers.NewWBA(7, 3) }
 // TestBenchmarkingDeterminism shares each scheduler value across the
 // workers' scratches. FCP and FLB ride along because FLB keeps a
 // per-construction candidate memo in the worker's Scratch; under `make
-// test-race` a memo on the shared value would race here.
+// test-race` a memo on the shared value would race here. The second
+// grid is four datasets at three instances under seed 7, and three
+// workers join the panel.
 func TestBenchmarkingDeterminism(t *testing.T) {
-	scheds := []scheduler.Scheduler{
-		mustSched(t, "HEFT"), mustSched(t, "CPoP"), configuredWBA(), mustSched(t, "FastestNode"),
-		mustSched(t, "FCP"), mustSched(t, "FLB"),
+	grids := []struct {
+		names  []string
+		scheds []scheduler.Scheduler
+		n      int
+		seed   uint64
+		seq    *BenchmarkResult
+	}{
+		{names: []string{"chains", "in_trees", "out_trees", "etl", "cycles"}, n: 4, seed: 11, scheds: []scheduler.Scheduler{
+			mustSched(t, "HEFT"), mustSched(t, "CPoP"), configuredWBA(), mustSched(t, "FastestNode"),
+			mustSched(t, "FCP"), mustSched(t, "FLB"),
+		}},
+		{names: []string{"chains", "in_trees", "out_trees", "etl"}, n: 3, seed: 7, scheds: []scheduler.Scheduler{
+			mustSched(t, "HEFT"), mustSched(t, "CPoP"), mustSched(t, "FastestNode"),
+		}},
 	}
-	names := []string{"chains", "in_trees", "out_trees", "etl", "cycles"}
-	seq, err := benchmarking(names, scheds, 4, 11)
-	if err != nil {
-		t.Fatal(err)
+	for g := range grids {
+		var err error
+		if grids[g].seq, err = benchmarking(grids[g].names, grids[g].scheds, grids[g].n, grids[g].seed); err != nil {
+			t.Fatal(err)
+		}
 	}
-	for _, w := range workerCounts {
+	for _, w := range append(workerCounts, 3) {
 		t.Run("workers="+workerLabel(w), func(t *testing.T) {
-			par, err := BenchmarkingRun(names, scheds, 4, 11, runner.Options{Workers: w})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, ds := range names {
-				for _, s := range seq.Schedulers {
-					a, b := seq.Cells[ds][s], par.Cells[ds][s]
-					if a != b {
-						t.Fatalf("%s/%s: sequential %+v, parallel %+v", ds, s, a, b)
+			for _, g := range grids {
+				par, err := BenchmarkingRun(g.names, g.scheds, g.n, g.seed, runner.Options{Workers: w})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, ds := range g.names {
+					for _, s := range g.seq.Schedulers {
+						a, b := g.seq.Cells[ds][s], par.Cells[ds][s]
+						if a != b {
+							t.Fatalf("seed %d %s/%s: sequential %+v, parallel %+v", g.seed, ds, s, a, b)
+						}
 					}
 				}
 			}
@@ -69,50 +86,34 @@ func TestBenchmarkingDeterminism(t *testing.T) {
 	}
 }
 
+// TestPairwisePISADeterminism holds the parallel grid to the sequential
+// one on every cell: ratio, adversarial instance and column worst. The
+// second roster is HEFT against FastestNode at 40 iterations.
 func TestPairwisePISADeterminism(t *testing.T) {
-	scheds := []scheduler.Scheduler{
-		mustSched(t, "HEFT"), mustSched(t, "CPoP"), mustSched(t, "MinMin"),
+	grids := []struct {
+		scheds []scheduler.Scheduler
+		opts   PairwiseOptions
+		seq    *PairwiseResult
+	}{
+		{scheds: []scheduler.Scheduler{mustSched(t, "HEFT"), mustSched(t, "CPoP"), mustSched(t, "MinMin")},
+			opts: PairwiseOptions{Anneal: smallAnneal(60)}},
+		{scheds: []scheduler.Scheduler{mustSched(t, "HEFT"), mustSched(t, "FastestNode")},
+			opts: PairwiseOptions{Anneal: smallAnneal(40)}},
 	}
-	opts := PairwiseOptions{Anneal: smallAnneal(60)}
-	seq, err := pairwisePISA(scheds, opts)
-	if err != nil {
-		t.Fatal(err)
+	for g := range grids {
+		var err error
+		if grids[g].seq, err = pairwisePISA(grids[g].scheds, grids[g].opts); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for _, w := range workerCounts {
 		t.Run("workers="+workerLabel(w), func(t *testing.T) {
-			par, err := PairwisePISARun(scheds, opts, runner.Options{Workers: w})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range seq.Ratios {
-				for j := range seq.Ratios[i] {
-					if seq.Ratios[i][j] != par.Ratios[i][j] {
-						t.Fatalf("cell (%d,%d): sequential %v, parallel %v",
-							i, j, seq.Ratios[i][j], par.Ratios[i][j])
-					}
-					if i == j {
-						continue
-					}
-					// The adversarial instances themselves must survive
-					// the parallel path (and its serialize round trip)
-					// bit-for-bit.
-					a, err := serialize.MarshalInstance(seq.Instances[i][j])
-					if err != nil {
-						t.Fatal(err)
-					}
-					b, err := serialize.MarshalInstance(par.Instances[i][j])
-					if err != nil {
-						t.Fatal(err)
-					}
-					if string(a) != string(b) {
-						t.Fatalf("cell (%d,%d): adversarial instances differ", i, j)
-					}
+			for _, g := range grids {
+				par, err := PairwisePISARun(g.scheds, g.opts, runner.Options{Workers: w})
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			for j := range seq.Worst {
-				if seq.Worst[j] != par.Worst[j] {
-					t.Fatalf("Worst[%d]: sequential %v, parallel %v", j, seq.Worst[j], par.Worst[j])
-				}
+				samePairwise(t, "parallel", g.seq, par)
 			}
 		})
 	}
@@ -134,21 +135,7 @@ func TestFamilyDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, name := range seq.Schedulers {
-				if len(par.Makespans[name]) != len(seq.Makespans[name]) {
-					t.Fatalf("%s: %d samples, want %d", name, len(par.Makespans[name]), len(seq.Makespans[name]))
-				}
-				for i := range seq.Makespans[name] {
-					if seq.Makespans[name][i] != par.Makespans[name][i] {
-						t.Fatalf("%s sample %d: sequential %v, parallel %v",
-							name, i, seq.Makespans[name][i], par.Makespans[name][i])
-					}
-				}
-				if seq.Summaries[name] != par.Summaries[name] {
-					t.Fatalf("%s summary: sequential %+v, parallel %+v",
-						name, seq.Summaries[name], par.Summaries[name])
-				}
-			}
+			sameFamily(t, "parallel", seq, par)
 		})
 	}
 }
@@ -194,20 +181,7 @@ func TestAppSpecificDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for j := range seq.Benchmark {
-				if seq.Benchmark[j] != par.Benchmark[j] {
-					t.Fatalf("Benchmark[%d]: sequential %v, parallel %v",
-						j, seq.Benchmark[j], par.Benchmark[j])
-				}
-			}
-			for i := range seq.Ratios {
-				for j := range seq.Ratios[i] {
-					if seq.Ratios[i][j] != par.Ratios[i][j] {
-						t.Fatalf("cell (%d,%d): sequential %v, parallel %v",
-							i, j, seq.Ratios[i][j], par.Ratios[i][j])
-					}
-				}
-			}
+			sameAppSpecific(t, "parallel", seq, par)
 		})
 	}
 }
@@ -245,13 +219,8 @@ func TestSelectPortfolioDeterminism(t *testing.T) {
 			if par.WorstRatio != seq.WorstRatio {
 				t.Fatalf("worst ratio: sequential %v, parallel %v", seq.WorstRatio, par.WorstRatio)
 			}
-			if len(par.Members) != len(seq.Members) {
+			if !slices.Equal(par.Members, seq.Members) {
 				t.Fatalf("members: sequential %v, parallel %v", seq.Members, par.Members)
-			}
-			for i := range seq.Members {
-				if par.Members[i] != seq.Members[i] {
-					t.Fatalf("members: sequential %v, parallel %v", seq.Members, par.Members)
-				}
 			}
 		})
 	}
@@ -265,6 +234,73 @@ func TestSelectPortfolioParallelValidation(t *testing.T) {
 	}
 	if _, err := selectPortfolioParallel([]string{"a", "b"}, [][]float64{{-1, 1}}, 1, 0); err == nil {
 		t.Fatal("ragged ratio grid accepted")
+	}
+}
+
+// samePairwise requires got to equal the sequential want on every cell:
+// ratio, adversarial instance (through its serialization) and column
+// worst.
+func samePairwise(t *testing.T, label string, want, got *PairwiseResult) {
+	t.Helper()
+	for i := range want.Ratios {
+		for j := range want.Ratios[i] {
+			if want.Ratios[i][j] != got.Ratios[i][j] {
+				t.Fatalf("cell (%d,%d): sequential %v, %s %v", i, j, want.Ratios[i][j], label, got.Ratios[i][j])
+			}
+			if i != j && string(marshal(t, want.Instances[i][j])) != string(marshal(t, got.Instances[i][j])) {
+				t.Fatalf("cell (%d,%d): adversarial instances differ", i, j)
+			}
+		}
+	}
+	for j := range want.Worst {
+		if want.Worst[j] != got.Worst[j] {
+			t.Fatalf("Worst[%d]: sequential %v, %s %v", j, want.Worst[j], label, got.Worst[j])
+		}
+	}
+}
+
+func marshal(t *testing.T, inst *graph.Instance) []byte {
+	t.Helper()
+	data, err := serialize.MarshalInstance(inst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// sameFamily requires every scheduler's samples and summary to match.
+func sameFamily(t *testing.T, label string, want, got *FamilyResult) {
+	t.Helper()
+	for _, name := range want.Schedulers {
+		if len(got.Makespans[name]) != len(want.Makespans[name]) {
+			t.Fatalf("%s: %d samples, want %d", name, len(got.Makespans[name]), len(want.Makespans[name]))
+		}
+		for i := range want.Makespans[name] {
+			if want.Makespans[name][i] != got.Makespans[name][i] {
+				t.Fatalf("%s sample %d: sequential %v, %s %v", name, i, want.Makespans[name][i], label, got.Makespans[name][i])
+			}
+		}
+		if want.Summaries[name] != got.Summaries[name] {
+			t.Fatalf("%s summary: sequential %+v, %s %+v", name, want.Summaries[name], label, got.Summaries[name])
+		}
+	}
+}
+
+// sameAppSpecific requires the benchmarking phase and every PISA cell to
+// match.
+func sameAppSpecific(t *testing.T, label string, want, got *AppSpecificResult) {
+	t.Helper()
+	for j := range want.Benchmark {
+		if want.Benchmark[j] != got.Benchmark[j] {
+			t.Fatalf("Benchmark[%d]: sequential %v, %s %v", j, want.Benchmark[j], label, got.Benchmark[j])
+		}
+	}
+	for i := range want.Ratios {
+		for j := range want.Ratios[i] {
+			if want.Ratios[i][j] != got.Ratios[i][j] {
+				t.Fatalf("cell (%d,%d): sequential %v, %s %v", i, j, want.Ratios[i][j], label, got.Ratios[i][j])
+			}
+		}
 	}
 }
 

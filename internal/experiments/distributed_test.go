@@ -103,32 +103,7 @@ func TestShardedPairwiseMergeDeterminism(t *testing.T) {
 				t.Fatal(err)
 			}
 			assertLoadedEverything(t, "pairwise", *calls)
-			for i := range seq.Ratios {
-				for j := range seq.Ratios[i] {
-					if seq.Ratios[i][j] != par.Ratios[i][j] {
-						t.Fatalf("cell (%d,%d): sequential %v, sharded %v", i, j, seq.Ratios[i][j], par.Ratios[i][j])
-					}
-					if i == j {
-						continue
-					}
-					a, err := serialize.MarshalInstance(seq.Instances[i][j])
-					if err != nil {
-						t.Fatal(err)
-					}
-					b, err := serialize.MarshalInstance(par.Instances[i][j])
-					if err != nil {
-						t.Fatal(err)
-					}
-					if string(a) != string(b) {
-						t.Fatalf("cell (%d,%d): adversarial instances differ", i, j)
-					}
-				}
-			}
-			for j := range seq.Worst {
-				if seq.Worst[j] != par.Worst[j] {
-					t.Fatalf("Worst[%d]: sequential %v, sharded %v", j, seq.Worst[j], par.Worst[j])
-				}
-			}
+			samePairwise(t, "sharded", seq, par)
 		})
 	}
 }
@@ -160,16 +135,8 @@ func TestShardedFamilyMergeDeterminism(t *testing.T) {
 		if len(par.Makespans[name]) != n {
 			t.Fatalf("%s: %d samples, want %d", name, len(par.Makespans[name]), n)
 		}
-		for i := range seq.Makespans[name] {
-			if seq.Makespans[name][i] != par.Makespans[name][i] {
-				t.Fatalf("%s sample %d: sequential %v, sharded %v",
-					name, i, seq.Makespans[name][i], par.Makespans[name][i])
-			}
-		}
-		if seq.Summaries[name] != par.Summaries[name] {
-			t.Fatalf("%s summary: sequential %+v, sharded %+v", name, seq.Summaries[name], par.Summaries[name])
-		}
 	}
+	sameFamily(t, "sharded", seq, par)
 }
 
 // TestShardedAppSpecificMergeDeterminism covers the one driver with an
@@ -219,18 +186,7 @@ func TestShardedAppSpecificMergeDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertLoadedEverything(t, "appspecific", *calls)
-	for j := range seq.Benchmark {
-		if seq.Benchmark[j] != par.Benchmark[j] {
-			t.Fatalf("Benchmark[%d]: sequential %v, sharded %v", j, seq.Benchmark[j], par.Benchmark[j])
-		}
-	}
-	for i := range seq.Ratios {
-		for j := range seq.Ratios[i] {
-			if seq.Ratios[i][j] != par.Ratios[i][j] {
-				t.Fatalf("cell (%d,%d): sequential %v, sharded %v", i, j, seq.Ratios[i][j], par.Ratios[i][j])
-			}
-		}
-	}
+	sameAppSpecific(t, "sharded", seq, par)
 }
 
 // TestAppSpecificRefusesTwoPhaseStore pins the appspecific store's
@@ -452,11 +408,5 @@ func TestSweepRunMatchesDriverFingerprint(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertLoadedEverything(t, "fig7 sweep", *calls)
-	for _, name := range seq.Schedulers {
-		for i := range seq.Makespans[name] {
-			if seq.Makespans[name][i] != par.Makespans[name][i] {
-				t.Fatalf("%s sample %d differs", name, i)
-			}
-		}
-	}
+	sameFamily(t, "sweep", seq, par)
 }

@@ -393,7 +393,7 @@ func predIndex(g *TaskGraph, v, u int) int {
 // reproduces Build's floating-point operations for the affected entries
 // in Build's exact order, so a patched Tables is bit-identical to a
 // freshly built one — the property the PISA annealer's incremental
-// inner loop (internal/core) relies on and incremental_test.go pins
+// inner loop (internal/core) relies on and differential_test.go pins
 // down. (Bit-identical here means every accessor returns identical
 // values; the Build-time default election is never re-run, so the
 // internal exception list may differ from a fresh Build's while every

@@ -9,10 +9,10 @@ import (
 // may be mid-restart: each attempt gets its own timeout, and failed
 // attempts back off exponentially with deterministic jitter so a fleet
 // of clients does not re-dial a recovering coordinator in lockstep.
-// Every daemon↔coordinator hop in the dispatch path runs under one of
-// these — a hung peer costs PerTry, never an unbounded wait, and the
-// parent context bounds the whole call (cancel the request, cancel the
-// retry loop).
+// A fleet worker's lease and complete calls run under one of these,
+// seeded per worker — a hung peer costs PerTry, never an unbounded
+// wait, and the parent context bounds the whole call (cancel the
+// request, cancel the retry loop).
 //
 // The zero value is usable: Do applies the documented defaults.
 type RetryPolicy struct {

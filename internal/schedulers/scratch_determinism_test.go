@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"testing"
 
@@ -661,67 +662,6 @@ func assertSameAssignments(t *testing.T, label string, i int, want []schedule.As
 	}
 }
 
-// TestScratchBitIdenticalToReference proves the scratch contract: the
-// table-driven, scratch-reusing HEFT and CPoP produce bit-identical
-// schedules to the pre-optimization implementations over the corpus,
-// both one-shot (scheduler.Schedule) and on a shared warm scratch.
-func TestScratchBitIdenticalToReference(t *testing.T) {
-	scr := scheduler.NewScratch()
-	var out schedule.Schedule
-	for i, inst := range determinismCorpus(t) {
-		wantHEFT := append([]schedule.Assignment(nil), refHEFT(inst)...)
-		wantCPoP := append([]schedule.Assignment(nil), refCPoP(inst)...)
-
-		sch, err := scheduler.Schedule(HEFT{}, inst)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSameAssignments(t, "HEFT/plain", i, wantHEFT, sch)
-		if err := (HEFT{}).ScheduleScratch(inst, scr, &out); err != nil {
-			t.Fatal(err)
-		}
-		assertSameAssignments(t, "HEFT/scratch", i, wantHEFT, &out)
-
-		sch, err = scheduler.Schedule(CPoP{}, inst)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSameAssignments(t, "CPoP/plain", i, wantCPoP, sch)
-		if err := (CPoP{}).ScheduleScratch(inst, scr, &out); err != nil {
-			t.Fatal(err)
-		}
-		assertSameAssignments(t, "CPoP/scratch", i, wantCPoP, &out)
-	}
-}
-
-// TestScratchMatchesPlainForAllSchedulers closes the loop for the rest
-// of the roster: a warm shared scratch must reproduce the one-shot
-// scheduler.Schedule path (a fresh scratch per call) bit-for-bit for
-// every gated algorithm (gatedNames: the registry minus the two exact
-// schedulers). The one-shot path itself is pinned by
-// TestFig1FrozenMakespans and the reference comparison above.
-func TestScratchMatchesPlainForAllSchedulers(t *testing.T) {
-	corpus := determinismCorpus(t)
-	for _, name := range gatedNames() {
-		s, err := scheduler.New(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		scr := scheduler.NewScratch()
-		var out schedule.Schedule
-		for i, inst := range corpus {
-			want, err := scheduler.Schedule(s, inst)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if err := s.ScheduleScratch(inst, scr, &out); err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			assertSameAssignments(t, fmt.Sprintf("%s/scratch-vs-plain", name), i, want.ByTask, &out)
-		}
-	}
-}
-
 // zeroWeightInstance is the first 200 tasks of scale_layered_1k with
 // every task cost zero and every dependency cost rounded to 0, 1 or 2, on
 // an 8-node network of unit speeds and link strengths 1 or 2: every task
@@ -778,82 +718,6 @@ func scaleTierInstance(tb testing.TB, name string) *graph.Instance {
 	return insts[0]
 }
 
-// TestRowSchedulersMatchPerNodeReference holds the schedulers that read
-// ready rows — FCP, FLB and WBA, which also read the hoisted earliest-idle
-// node, and MinMin, MaxMin, Duplex, ETF, GDL, BIL and ERT, which score a
-// ready task with one AppendRow call — bit for bit to their per-node
-// versions above, which walk a task's predecessors once per (task, node,
-// step) through EFT or ReadyTime (and, for FCP, FLB and WBA, take
-// math.Max). The corpus is
-// determinismCorpus plus enablingTieInstance, the 1k scale tier, and a
-// zero-weight instance; WBA runs two rounds on the last three. One
-// scratch serves every call, so a row left over from a previous instance
-// or round would show up here; the per-node references run on a scratch
-// of their own.
-func TestRowSchedulersMatchPerNodeReference(t *testing.T) {
-	scr, refScr := scheduler.NewScratch(), scheduler.NewScratch()
-	var out, ref schedule.Schedule
-	check := func(label string, i int, s scheduler.Scheduler, want []schedule.Assignment, inst *graph.Instance) {
-		t.Helper()
-		want = append([]schedule.Assignment(nil), want...)
-		if err := s.ScheduleScratch(inst, scr, &out); err != nil {
-			t.Fatal(err)
-		}
-		assertSameAssignments(t, label, i, want, &out)
-	}
-	refRun := func(run func(*graph.Instance, *scheduler.Scratch, *schedule.Schedule) error, inst *graph.Instance) []schedule.Assignment {
-		t.Helper()
-		if err := run(inst, refScr, &ref); err != nil {
-			t.Fatal(err)
-		}
-		return ref.ByTask
-	}
-	minMin := func(pickMax bool) func(*graph.Instance, *scheduler.Scratch, *schedule.Schedule) error {
-		return func(inst *graph.Instance, scr *scheduler.Scratch, out *schedule.Schedule) error {
-			return refMinMinSchedule(inst, scr, pickMax, out)
-		}
-	}
-	corpus := determinismCorpus(t)
-	corpus = append(corpus, enablingTieInstance())
-	big := []*graph.Instance{scaleTierInstance(t, "scale_layered_1k"), scaleTierInstance(t, "scale_chains_1k"), zeroWeightInstance(t)}
-	wba := NewWBA(0x57BA, 10)
-	for i, inst := range append(corpus, big...) {
-		check("FCP", i, FCP{}, refFCP(inst), inst)
-		check("FLB", i, FLB{}, refFLB(inst), inst)
-		check("MinMin", i, MinMin{}, refRun(minMin(false), inst), inst)
-		check("MaxMin", i, MaxMin{}, refRun(minMin(true), inst), inst)
-		check("Duplex", i, Duplex{}, refRun(refDuplex, inst), inst)
-		check("ETF", i, ETF{}, refRun(refETF, inst), inst)
-		check("GDL", i, GDL{}, refRun(refGDL, inst), inst)
-		check("BIL", i, BIL{}, refRun(refBIL, inst), inst)
-		check("ERT", i, ERT{}, refRun(refERT, inst), inst)
-		if i >= len(corpus) {
-			wba.Rounds = 2
-		}
-		check("WBA", i, wba, refWBA(wba, inst), inst)
-	}
-}
-
-// refFLBRows is FLB.ScheduleScratch before its candidate memo, kept
-// verbatim as the oracle for TestFLBMemoMatchesRowScan: every step
-// re-scores every ready task's restricted candidate from its ready row.
-func refFLBRows(inst *graph.Instance, scr *scheduler.Scratch, out *schedule.Schedule) error {
-	b, _ := placeReady(inst, scr, func(b *schedule.Builder, rows *scheduler.ReadyRows, ready []int) (int, int, float64) {
-		idle := earliestIdle(b)
-		bestTask, bestNode := -1, -1
-		bestStart, bestFinish := 0.0, math.Inf(1)
-		for _, t := range ready {
-			at, enab := rows.Row(b, t)
-			v, s, f := bestCandidate(b, t, idle, at, enab)
-			if f < bestFinish-graph.Eps {
-				bestTask, bestNode, bestStart, bestFinish = t, v, s, f
-			}
-		}
-		return bestTask, bestNode, bestStart
-	})
-	return b.ScheduleInto(out)
-}
-
 // nearTieDAG is a random 40-task DAG on a homogeneous four-node
 // network whose task and dependency costs are 0, 1 or 2 plus a multiple
 // of Eps/3: many restricted finishes lie within Eps of each other, where
@@ -875,37 +739,187 @@ func nearTieDAG(r *rng.RNG) *graph.Instance {
 	return graph.NewInstance(g, graph.NewNetwork(4))
 }
 
-// TestFLBMemoMatchesRowScan holds FLB, which keeps each ready task's
-// restricted candidate until the earliest-idle node, the enabling
-// processor there or either node's availability changes, bit for bit to
-// refFLBRows, which re-scores every ready task at every step. The corpus
-// is determinismCorpus, the zero-cost corpus, enablingTieInstance,
-// nearTieInstance, twelve near-tie DAGs, the zero-weight instance and
-// both 1k scale datasets, run twice in turn on one scratch, so a memo
-// entry left over from the previous construction (the two 1k instances
-// have the same task count) would show up here.
-func TestFLBMemoMatchesRowScan(t *testing.T) {
-	corpus := append(determinismCorpus(t), zeroCostCorpus(t)...)
-	corpus = append(corpus, enablingTieInstance(), nearTieInstance(), zeroWeightInstance(t))
+// differentialCorpus is the one corpus every oracle row runs over, 109
+// instances: determinismCorpus, zeroCostCorpus, 20 Fig 4-style DAGs,
+// enablingTieInstance, nearTieInstance, twelve near-tie DAGs,
+// zeroWeightInstance, and last the two 1k scale datasets (the two
+// have the same task count, so a memo or row left over from the
+// previous construction would be read as current). nearTie is
+// nearTieInstance's index.
+func differentialCorpus(t *testing.T) (corpus []*graph.Instance, nearTie int) {
+	t.Helper()
+	corpus = append(determinismCorpus(t), zeroCostCorpus(t)...)
+	corpus = append(corpus, fig4StyleInstances(20, 0x2E81)...)
+	corpus = append(corpus, enablingTieInstance(), nearTieInstance())
+	nearTie = len(corpus) - 1
 	r := rng.New(0xF1B)
 	for i := 0; i < 12; i++ {
 		corpus = append(corpus, nearTieDAG(r.Split()))
 	}
-	corpus = append(corpus, scaleTierInstance(t, "scale_layered_1k"), scaleTierInstance(t, "scale_chains_1k"))
-	scr, refScr := scheduler.NewScratch(), scheduler.NewScratch()
-	var out, ref schedule.Schedule
-	for pass := 0; pass < 2; pass++ {
+	return append(corpus, zeroWeightInstance(t), scaleTierInstance(t, "scale_layered_1k"), scaleTierInstance(t, "scale_chains_1k")), nearTie
+}
+
+// span is the part of differentialCorpus a row runs over.
+type span int
+
+const (
+	wholeCorpus span = iota
+	below1k          // every instance but the two 1k ones
+	only1k
+	onlyNearTie
+)
+
+// differentialRow pairs a scheduler value with the oracle its schedules
+// must equal bit for bit, under the test named test. A nil ref is the
+// one-shot scheduler.Schedule, a fresh scratch per call.
+type differentialRow struct {
+	test string
+	s    scheduler.Scheduler
+	ref  func(*graph.Instance, *scheduler.Scratch) []schedule.Assignment
+	span span
+}
+
+func (r differentialRow) name() string {
+	if w, ok := r.s.(WBA); ok {
+		return fmt.Sprintf("WBA rounds=%d alpha=%v seed=%#x", w.Rounds, w.Alpha, w.Seed)
+	}
+	return r.s.Name()
+}
+
+// differentialTable is every gated scheduler's rows. WBA runs Rounds ∈
+// {1, 2, 10, 25} × Alpha ∈ {0, 0.5, 1} below 1k, each also under eight
+// seeds on nearTieInstance (rounds whose makespans differ by less than
+// Eps), and two and three rounds on the 1k instances.
+func differentialTable(t *testing.T) []differentialRow {
+	const rowTest, wbaTest = "TestRowSchedulersMatchPerNodeReference", "TestWBAMatchesReference"
+	builder := func(test string, s scheduler.Scheduler, ref func(*graph.Instance) []schedule.Assignment) differentialRow {
+		return differentialRow{test: test, s: s,
+			ref: func(inst *graph.Instance, _ *scheduler.Scratch) []schedule.Assignment { return ref(inst) }}
+	}
+	perNode := func(s scheduler.Scheduler, ref func(*graph.Instance, *scheduler.Scratch, *schedule.Schedule) error) differentialRow {
+		return differentialRow{test: rowTest, s: s,
+			ref: func(inst *graph.Instance, scr *scheduler.Scratch) []schedule.Assignment {
+				var out schedule.Schedule
+				if err := ref(inst, scr, &out); err != nil {
+					t.Fatalf("%s reference: %v", s.Name(), err)
+				}
+				return out.ByTask
+			}}
+	}
+	wba := func(test string, w WBA, sp span) differentialRow {
+		return differentialRow{test: test, s: w, span: sp,
+			ref: func(inst *graph.Instance, _ *scheduler.Scratch) []schedule.Assignment { return refWBA(w, inst) }}
+	}
+	rows := []differentialRow{
+		builder("TestScratchBitIdenticalToReference", HEFT{}, refHEFT),
+		builder("TestScratchBitIdenticalToReference", CPoP{}, refCPoP),
+		builder(rowTest, FCP{}, refFCP), builder(rowTest, FLB{}, refFLB),
+		perNode(MinMin{}, func(inst *graph.Instance, scr *scheduler.Scratch, out *schedule.Schedule) error {
+			return refMinMinSchedule(inst, scr, false, out)
+		}),
+		perNode(MaxMin{}, func(inst *graph.Instance, scr *scheduler.Scratch, out *schedule.Schedule) error {
+			return refMinMinSchedule(inst, scr, true, out)
+		}),
+		perNode(Duplex{}, refDuplex), perNode(ETF{}, refETF), perNode(GDL{}, refGDL), perNode(BIL{}, refBIL), perNode(ERT{}, refERT),
+		wba(rowTest, NewWBA(0x57BA, 10), below1k), wba(rowTest, NewWBA(0x57BA, 2), only1k),
+		wba(wbaTest, NewWBA(0x57BA, 3), only1k),
+	}
+	for _, rounds := range []int{1, 2, 10, 25} {
+		for _, alpha := range []float64{0, 0.5, 1} {
+			rows = append(rows, wba(wbaTest, WBA{Seed: 0x57BA, Rounds: rounds, Alpha: alpha}, below1k))
+			for seed := uint64(1); seed <= 8; seed++ {
+				rows = append(rows, wba(wbaTest, WBA{Seed: seed, Rounds: rounds, Alpha: alpha}, onlyNearTie))
+			}
+		}
+	}
+	for _, name := range gatedNames() {
+		if !slices.ContainsFunc(rows, func(r differentialRow) bool { return r.s.Name() == name }) {
+			s, err := scheduler.New(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows = append(rows, differentialRow{test: "TestScratchMatchesPlainForAllSchedulers", s: s})
+		}
+	}
+	return rows
+}
+
+// runDifferential holds each row of the calling test to its oracle over
+// differentialCorpus: once one-shot (scheduler.Schedule), once on a
+// scratch of the row's own, then twice in turn on one scratch that every
+// row of the test shares, so state a call leaves behind — a memo, a
+// ready row, a decision tree, another scheduler's buffers — would show
+// up in the next. The oracles run on a scratch of their own. The tests
+// below split the table. HEFT and CPoP, and FCP and FLB among the ready
+// row schedulers, have refBuilder copies, which recompute averages
+// through the Instance, rescan successor lists and walk every node per
+// task (FLB's re-scores every ready task at every step where FLB keeps a
+// candidate memo). MinMin, MaxMin, Duplex, ETF, GDL, BIL and ERT score a
+// ready task with one AppendRow call; their copies walk a task's
+// predecessors once per (task, node, step). refWBA runs every round to
+// completion and scores every step where WBA shares one decision tree
+// and stops early. Every other gated scheduler (gatedNames: the registry
+// minus the two exact schedulers) is held to the one-shot path that
+// TestFig1FrozenMakespans and the digest goldens pin.
+func runDifferential(t *testing.T) {
+	corpus, nearTie := differentialCorpus(t)
+	covers := map[span]func(i int) bool{
+		wholeCorpus: func(int) bool { return true },
+		below1k:     func(i int) bool { return i < len(corpus)-2 },
+		only1k:      func(i int) bool { return i >= len(corpus)-2 },
+		onlyNearTie: func(i int) bool { return i == nearTie },
+	}
+	var rows []differentialRow
+	var want [][][]schedule.Assignment // by row, then instance; nil where the row does not run
+	var own []*scheduler.Scratch       // by row
+	refScr, shared := scheduler.NewScratch(), scheduler.NewScratch()
+	for _, row := range differentialTable(t) {
+		if row.test != t.Name() {
+			continue
+		}
+		w := make([][]schedule.Assignment, len(corpus))
 		for i, inst := range corpus {
-			if err := refFLBRows(inst, refScr, &ref); err != nil {
-				t.Fatal(err)
+			if !covers[row.span](i) {
+				continue
 			}
-			if err := (FLB{}).ScheduleScratch(inst, scr, &out); err != nil {
-				t.Fatal(err)
+			plain, err := scheduler.Schedule(row.s, inst)
+			if err != nil {
+				t.Fatalf("%s: %v", row.name(), err)
 			}
-			assertSameAssignments(t, fmt.Sprintf("FLB/pass %d", pass), i, ref.ByTask, &out)
+			if w[i] = plain.ByTask; row.ref != nil {
+				w[i] = row.ref(inst, refScr)
+				assertSameAssignments(t, row.name()+"/one-shot", i, w[i], plain)
+			}
+		}
+		rows, want, own = append(rows, row), append(want, w), append(own, scheduler.NewScratch())
+	}
+	if len(rows) == 0 {
+		t.Fatalf("no rows for %s", t.Name())
+	}
+	var out schedule.Schedule
+	for pass := 0; pass < 3; pass++ {
+		for i, inst := range corpus {
+			for r, row := range rows {
+				if want[r][i] == nil {
+					continue
+				}
+				scr := shared
+				if pass == 0 {
+					scr = own[r]
+				}
+				if err := row.s.ScheduleScratch(inst, scr, &out); err != nil {
+					t.Fatalf("%s: %v", row.name(), err)
+				}
+				assertSameAssignments(t, fmt.Sprintf("%s/pass %d", row.name(), pass), i, want[r][i], &out)
+			}
 		}
 	}
 }
+
+func TestScratchBitIdenticalToReference(t *testing.T)      { runDifferential(t) }
+func TestRowSchedulersMatchPerNodeReference(t *testing.T)  { runDifferential(t) }
+func TestWBAMatchesReference(t *testing.T)                 { runDifferential(t) }
+func TestScratchMatchesPlainForAllSchedulers(t *testing.T) { runDifferential(t) }
 
 // TestFLBMatchesPerNodeReference10k is the FLB reference comparison at
 // the 10k tier, where FLB's per-step candidate search used to dominate.

@@ -89,43 +89,6 @@ func nearTieInstance() *graph.Instance {
 	return graph.NewInstance(g, net)
 }
 
-// TestWBAMatchesReference holds WBA's shared decision tree and early
-// stop to refWBA, which runs every round to completion and scores every
-// step, over Rounds ∈ {1, 2, 10, 25} × Alpha ∈ {0, 0.5, 1} on the
-// determinism corpus, the zero-cost corpus, 20 Fig 4-style instances and
-// the near-tie instance under eight seeds, and on scale_layered_1k at
-// three rounds. One
-// scratch serves every call, so a tree left over from an earlier call
-// would show up.
-func TestWBAMatchesReference(t *testing.T) {
-	corpus := append(determinismCorpus(t), zeroCostCorpus(t)...)
-	corpus = append(corpus, fig4StyleInstances(20, 0x2E81)...)
-	scr := scheduler.NewScratch()
-	var out schedule.Schedule
-	check := func(w WBA, i int, inst *graph.Instance) {
-		t.Helper()
-		want := refWBA(w, inst)
-		if err := w.ScheduleScratch(inst, scr, &out); err != nil {
-			t.Fatal(err)
-		}
-		assertSameAssignments(t, fmt.Sprintf("WBA rounds=%d alpha=%v seed=%#x", w.Rounds, w.Alpha, w.Seed), i, want, &out)
-	}
-	for _, rounds := range []int{1, 2, 10, 25} {
-		for _, alpha := range []float64{0, 0.5, 1} {
-			w := WBA{Seed: 0x57BA, Rounds: rounds, Alpha: alpha}
-			for i, inst := range corpus {
-				check(w, i, inst)
-			}
-			tie := nearTieInstance()
-			for seed := uint64(1); seed <= 8; seed++ {
-				w.Seed = seed
-				check(w, len(corpus), tie)
-			}
-		}
-	}
-	check(WBA{Seed: 0x57BA, Rounds: 3, Alpha: 0.5}, 0, scaleTierInstance(t, "scale_layered_1k"))
-}
-
 // TestWBAScratchAcrossInPlaceMutation reuses one scratch on an instance
 // PISA-style mutated in place under the same pointer, with the tables
 // rebuilt (Prepare) but the WBA extension state untouched: every call
