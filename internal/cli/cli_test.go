@@ -212,14 +212,15 @@ func TestServerSwitch(t *testing.T) {
 	}
 }
 
-// TestRobustnessParamsAgree holds `saga robustness`, its -server form
-// and a worker's shard of the robustness sweep to one verdict on -n,
-// -sigma and -seed. What the local run refuses, the other two refuse
-// with the same message, -server before any request reaches the
-// daemon, and the daemon itself refuses a finite sigma out of range in
-// the same words. -server alone refuses -sigma 0 and -seed 0, which the
-// daemon would read as omitted and replace with its defaults.
-func TestRobustnessParamsAgree(t *testing.T) {
+// TestSweepParamsAgree holds `saga robustness` and `saga portfolio`,
+// their -server forms and a worker's shard of the same sweep to one
+// verdict on -n, -sigma, -iters, -restarts and -seed. What the local run
+// refuses, the other two refuse with the same message, -server before
+// any request reaches the daemon, and the daemon itself refuses a
+// finite sigma out of range in the same words. -server alone refuses
+// -sigma 0 and -seed 0, which the daemon would read as omitted and
+// replace with its defaults.
+func TestSweepParamsAgree(t *testing.T) {
 	var hits atomic.Int32
 	srv := serve.New(serve.Options{})
 	daemon := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -230,62 +231,80 @@ func TestRobustnessParamsAgree(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
 	in := writeInstance(t, dir)
-	names := []string{"in", "n", "sigma", "seed"}
+	commands := map[string]struct {
+		base  []string
+		names []string
+		sweep string // the sweep a worker's shard runs
+		run   func(f *Flags) (any, error)
+	}{
+		"robustness": {[]string{"-in", in, "-n", "4"}, []string{"in", "n", "sigma", "seed"}, "robustness",
+			func(f *Flags) (any, error) { return f.Robustness(ctx) }},
+		"portfolio": {[]string{"-schedulers", "HEFT,CPoP,MinMin", "-iters", "5", "-restarts", "1"},
+			[]string{"schedulers", "iters", "restarts", "seed"}, "pairwise",
+			func(f *Flags) (any, error) { return f.Portfolio(ctx, 1) }},
+	}
 	for i, tc := range []struct {
+		cmd      string
 		args     []string
 		refused  bool // by all three
 		onServer bool // by -server alone
 		direct   bool // JSON can carry the value: POST it to the daemon too
 	}{
-		{[]string{"-n", "0"}, true, false, false},
-		{[]string{"-n", "-1"}, true, false, false},
-		{[]string{"-sigma", "NaN"}, true, false, false},
-		{[]string{"-sigma", "Inf"}, true, false, false},
-		{[]string{"-sigma", "-1"}, true, false, true},
-		{[]string{"-sigma", "50"}, true, false, true},
-		{[]string{"-sigma", "0"}, false, true, false},
-		{[]string{"-seed", "0"}, false, true, false},
-		{[]string{"-sigma", "10"}, false, false, false},
+		{"robustness", []string{"-n", "0"}, true, false, false},
+		{"robustness", []string{"-n", "-1"}, true, false, false},
+		{"robustness", []string{"-sigma", "NaN"}, true, false, false},
+		{"robustness", []string{"-sigma", "Inf"}, true, false, false},
+		{"robustness", []string{"-sigma", "-1"}, true, false, true},
+		{"robustness", []string{"-sigma", "50"}, true, false, true},
+		{"robustness", []string{"-sigma", "0"}, false, true, false},
+		{"robustness", []string{"-seed", "0"}, false, true, false},
+		{"robustness", []string{"-sigma", "10"}, false, false, false},
+		{"portfolio", []string{"-iters", "0"}, true, false, false},
+		{"portfolio", []string{"-iters", "-1"}, true, false, false},
+		{"portfolio", []string{"-restarts", "0"}, true, false, false},
+		{"portfolio", []string{"-seed", "0"}, false, true, false},
+		{"portfolio", []string{"-seed", "3"}, false, false, false},
 	} {
-		args := append([]string{"-in", in, "-n", "4"}, tc.args...)
+		c := commands[tc.cmd]
+		args := append(append([]string(nil), c.base...), tc.args...)
 		local, remote, worker := Defaults(), Defaults(), Defaults()
-		parse(t, local, args, names...)
-		parse(t, remote, append([]string{"-server", daemon.URL}, args...), append(names, "server")...)
-		parse(t, worker, args, names...)
+		parse(t, local, args, c.names...)
+		parse(t, remote, append([]string{"-server", daemon.URL}, args...), append(c.names, "server")...)
+		parse(t, worker, args, c.names...)
 		worker.Checkpoint, worker.Shard = filepath.Join(dir, fmt.Sprintf("w%d.ckpt", i)), "0/1"
 
-		lr, lerr := local.Robustness(ctx)
+		lr, lerr := c.run(local)
 		before := hits.Load()
-		rr, rerr := remote.Robustness(ctx)
+		rr, rerr := c.run(remote)
 		p, err := worker.Params()
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, werr := Run[any](worker, "robustness", p)
+		_, werr := Run[any](worker, c.sweep, p)
 
 		switch {
 		case tc.refused:
 			if lerr == nil || rerr == nil || werr == nil || rerr.Error() != lerr.Error() || werr.Error() != lerr.Error() {
-				t.Fatalf("%v: local %v, -server %v, worker %v; want the same refusal", tc.args, lerr, rerr, werr)
+				t.Fatalf("%s %v: local %v, -server %v, worker %v; want the same refusal", tc.cmd, tc.args, lerr, rerr, werr)
 			}
 			if hits.Load() != before {
-				t.Fatalf("%v: the refused -server request reached the daemon", tc.args)
+				t.Fatalf("%s %v: the refused -server request reached the daemon", tc.cmd, tc.args)
 			}
 			if tc.direct {
 				c := serve.Client{BaseURL: daemon.URL}
 				_, derr := c.Robustness(ctx, serve.RobustnessRequest{Scheduler: p.Scheduler, Instance: p.InstanceRaw, Sigma: p.Sigma, N: p.N, Seed: p.Seed})
 				if derr == nil || !strings.Contains(derr.Error(), lerr.Error()) {
-					t.Fatalf("%v: the daemon answered %v, want %q", tc.args, derr, lerr)
+					t.Fatalf("%s %v: the daemon answered %v, want %q", tc.cmd, tc.args, derr, lerr)
 				}
 			}
 		case tc.onServer:
 			if lerr != nil || werr != nil || rerr == nil || hits.Load() != before {
-				t.Fatalf("%v: local %v, worker %v, -server %v (daemon hit %v); want only -server refused, before dialing",
-					tc.args, lerr, werr, rerr, hits.Load() != before)
+				t.Fatalf("%s %v: local %v, worker %v, -server %v (daemon hit %v); want only -server refused, before dialing",
+					tc.cmd, tc.args, lerr, werr, rerr, hits.Load() != before)
 			}
 		default:
 			if lerr != nil || werr != nil || rerr != nil || !reflect.DeepEqual(rr, lr) {
-				t.Fatalf("%v: local %v, -server %v, worker %v; -server %+v vs local %+v", tc.args, lerr, rerr, werr, rr, lr)
+				t.Fatalf("%s %v: local %v, -server %v, worker %v; -server %+v vs local %+v", tc.cmd, tc.args, lerr, rerr, werr, rr, lr)
 			}
 		}
 	}

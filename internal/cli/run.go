@@ -177,6 +177,14 @@ func (f *Flags) Schedule(ctx context.Context) (string, *graph.Instance, *schedul
 func (f *Flags) Portfolio(ctx context.Context, k int) (*serve.PortfolioResponse, error) {
 	req := serve.PortfolioRequest{Schedulers: f.Schedulers, K: k, Iters: f.Iters, Restarts: f.Restarts, Seed: f.Seed}
 	if c := f.client(); c != nil {
+		// Refuse here what a local run refuses, and the zero seed the
+		// daemon reads as omitted and replaces with its default.
+		if err := experiments.CheckAnneal(req.Iters, req.Restarts); err != nil {
+			return nil, err
+		}
+		if req.Seed == 0 {
+			return nil, errors.New("-server cannot send -seed 0: the daemon reads 0 as omitted and runs its default")
+		}
 		return c.Portfolio(ctx, req)
 	}
 	return serve.Portfolio(req, f.Options("portfolio"))

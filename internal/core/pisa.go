@@ -182,7 +182,7 @@ func (r *Result) TraceCSV() string {
 
 // pisaExtKey is the scheduler.Scratch.Ext key under which Run (and
 // RunGA, which shares the same perturbation machinery) keeps its
-// per-worker perturbState (undo log, enabled-op set, reachability
+// per-worker perturbState (undo record, enabled-op set, reachability
 // buffers), following the PR 2 ownership rule: per-worker state lives
 // in the worker's Scratch, never in shared or global storage.
 const pisaExtKey = "core.pisa"

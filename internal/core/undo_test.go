@@ -14,7 +14,6 @@ import (
 // forceOp drives one specific operator (with its fallback chain) the
 // way perturbInPlace would, bypassing the random operator pick.
 func forceOp(op perturbOp, inst *graph.Instance, r *rng.RNG, p PerturbOptions, ps *perturbState) {
-	ps.log = ps.log[:0]
 	switch op {
 	case opNodeWeight:
 		applyNodeWeight(inst, r, p, ps)
@@ -51,17 +50,26 @@ var opNames = map[perturbOp]string{
 // TestPerturbUndoRoundTrip is the per-operator apply→undo property:
 // for every operator — including the structural AddDep/RemoveDep — and
 // a panel of randomized instances, applying the perturbation and then
-// reverting the undo log restores the instance byte-identically
-// (serialization fingerprints equal) and leaves the incrementally
-// patched tables bit-identical to a fresh rebuild.
+// reverting it restores the instance byte-identically (serialization
+// fingerprints equal) and leaves the re-patched tables bit-identical to
+// a fresh rebuild. The panel is 50 Section VI instances (3–5 tasks and
+// nodes) plus the wide64 benchmark shape (64 tasks on 8 nodes), where
+// the average-table rebuild, the Kahn re-run and the exec-row re-sum
+// each span more than five tasks and nodes.
 func TestPerturbUndoRoundTrip(t *testing.T) {
 	p := DefaultPerturb().withDefaults()
+	const trials = 50
 	for op, name := range opNames {
 		op := op
 		t.Run(name, func(t *testing.T) {
 			r := rng.New(0xabc + uint64(op))
-			for trial := 0; trial < 50; trial++ {
-				inst := datasets.InitialPISAInstance(r.Split())
+			for trial := 0; trial <= trials; trial++ {
+				var inst *graph.Instance
+				if trial < trials {
+					inst = datasets.InitialPISAInstance(r.Split())
+				} else {
+					inst = pisaBenchInstances()["wide64"]
+				}
 				ps := &perturbState{ops: enabledOps(p)}
 				var tab graph.Tables
 				tab.Build(inst)

@@ -127,6 +127,17 @@ func CheckSigma(sigma float64) error {
 	return nil
 }
 
+// CheckAnneal refuses a PISA sweep of fewer than one annealing
+// iteration or restart per cell. NewSweep applies it to fig4,
+// appspecific and pairwise before any cell runs, and so does a client
+// that sends a portfolio to a daemon, which reads 0 as "omitted".
+func CheckAnneal(iters, restarts int) error {
+	if iters < 1 || restarts < 1 {
+		return fmt.Errorf("experiments: PISA sweep needs iters >= 1 and restarts >= 1, got iters = %d, restarts = %d", iters, restarts)
+	}
+	return nil
+}
+
 // SweepNames lists the sweeps NewSweep accepts, in CLI help order.
 var SweepNames = []string{"fig4", "fig7", "fig8", "appspecific", "robustness", "pairwise"}
 
@@ -139,6 +150,9 @@ func NewSweep(name string, p SweepParams) (*Sweep, error) {
 	sw := &Sweep{Name: name}
 	switch name {
 	case "fig4":
+		if err := CheckAnneal(p.Iters, p.Restarts); err != nil {
+			return nil, err
+		}
 		roster := schedulers.ExperimentalNames
 		// The fingerprint covers flags AND roster, since cell indices map
 		// to (target, base) pairs through the roster order.
@@ -171,6 +185,9 @@ func NewSweep(name string, p SweepParams) (*Sweep, error) {
 		}
 		if p.CCR <= 0 {
 			return nil, fmt.Errorf("experiments: appspecific sweep needs a single CCR level > 0 (one store per block)")
+		}
+		if err := CheckAnneal(p.Iters, p.Restarts); err != nil {
+			return nil, err
 		}
 		roster := schedulers.AppSpecificNames
 		nApp := len(roster)
@@ -231,6 +248,9 @@ func NewSweep(name string, p SweepParams) (*Sweep, error) {
 		}
 		scheds, err := freshSchedulers(p.Schedulers)
 		if err != nil {
+			return nil, err
+		}
+		if err := CheckAnneal(p.Iters, p.Restarts); err != nil {
 			return nil, err
 		}
 		sw.Fingerprint = fmt.Sprintf("pairwise seed=%d iters=%d restarts=%d schedulers=%s",

@@ -94,9 +94,8 @@ func TestAvgCommFourLaneMatchesDense(t *testing.T) {
 				g.SetDepCost(u, v, 0.5+4*r.Float64())
 				sp.UpdateDepWeight(u, v)
 				dn.UpdateDepWeight(u, v)
-				a, _ := sp.AvgCommOf(u, v)
-				b, _ := dn.AvgCommOf(u, v)
-				if !same(a, b) {
+				i := succIndex(g, u, v)
+				if a, b := sp.AvgCommSucc(u, i), dn.AvgCommSucc(u, i); !same(a, b) {
 					t.Fatalf("net %d, %d edges: UpdateDepWeight(%d,%d): four-lane %v, dense %v", ni, m, u, v, a, b)
 				}
 				assertSparseMatchesDense(t, &sp, &dn, g)

@@ -10,8 +10,8 @@ import "math"
 // floating-point operations in the same order as Instance.AvgExecTime /
 // Instance.AvgCommTime, which makes it the ground truth the sparse
 // implementation is proven against (sparse_test.go drives both through
-// Build, every incremental op, and the undo paths, comparing the whole
-// accessor surface bit for bit).
+// Build, every incremental op, and reverts through those ops, comparing
+// the whole accessor surface bit for bit).
 //
 // Production code uses Tables. DenseTables stays exported for the
 // external test package in this directory (scale_test.go), which
@@ -152,7 +152,10 @@ func (tb *DenseTables) Build(inst *Instance) {
 }
 
 // UpdateNodeSpeed patches the tables after Net.Speeds[v] changed in
-// place (see Tables.UpdateNodeSpeed for the prefix-resume argument).
+// place. Unlike Tables, which re-sums each row, it resumes the row sum
+// from the stored prefix left of column v: the columns there are
+// untouched, so the resumed additions are the ones Build performs, in
+// Build's order.
 func (tb *DenseTables) UpdateNodeSpeed(v int) {
 	tb.Generation++
 	g, net := tb.src.Graph, tb.src.Net
@@ -225,44 +228,10 @@ func (tb *DenseTables) UpdateDepWeight(u, v int) {
 	tb.avgComm[tb.predOff[v]+predIndex(g, v, u)] = a
 }
 
-// AvgCommOf returns edge (u, v)'s entry of the per-edge average table
-// and whether the table is currently built.
-func (tb *DenseTables) AvgCommOf(u, v int) (float64, bool) {
-	if !tb.avgCommBuilt {
-		return 0, false
-	}
-	g := tb.src.Graph
-	return tb.avgComm[tb.succOff[u]+succIndex(g, u, v)], true
-}
-
-// SetAvgComm writes a known average-communication value into both
-// aligned entries of edge (u, v).
-func (tb *DenseTables) SetAvgComm(u, v int, a float64) {
-	tb.Generation++
-	if !tb.avgCommBuilt {
-		return
-	}
-	g := tb.src.Graph
-	tb.avgComm[tb.succOff[u]+succIndex(g, u, v)] = a
-	tb.avgComm[tb.predOff[v]+predIndex(g, v, u)] = a
-}
-
-// SnapshotAvgComm copies the built per-edge average table into dst.
-func (tb *DenseTables) SnapshotAvgComm(dst []float64) ([]float64, bool) {
-	if !tb.avgCommBuilt {
-		return dst[:0], false
-	}
-	return append(dst[:0], tb.avgComm...), true
-}
-
-// RestoreAvgComm reinstates a SnapshotAvgComm snapshot.
-func (tb *DenseTables) RestoreAvgComm(snap []float64) {
-	tb.Generation++
-	tb.avgComm = append(tb.avgComm[:0], snap...)
-	tb.avgCommBuilt = true
-}
-
-// AddDep patches the tables after dependency (u, v) was added.
+// AddDep patches the tables after dependency (u, v) was added. Unlike
+// Tables, which re-runs Kahn, it keeps the order when u already precedes
+// v: Topo is the lexicographically smallest topological order, and an
+// added constraint the order satisfies cannot exclude it.
 func (tb *DenseTables) AddDep(u, v int) {
 	tb.Generation++
 	tb.avgCommBuilt = false
@@ -273,6 +242,10 @@ func (tb *DenseTables) AddDep(u, v int) {
 }
 
 // RemoveDep patches the tables after dependency (u, v) was removed.
+// Kahn's greedy replay can only diverge where v newly joins the
+// frontier, between its last remaining predecessor and its old
+// position; if every task popped there has a smaller index than v, the
+// order stands, otherwise Kahn re-runs.
 func (tb *DenseTables) RemoveDep(u, v int) {
 	tb.Generation++
 	tb.avgCommBuilt = false

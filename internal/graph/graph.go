@@ -257,7 +257,8 @@ func (g *TaskGraph) Deps() [][2]int {
 // u == v). A path needs an edge out of u and an edge into v, so when
 // either is missing the answer is false before the DFS allocates — the
 // case every AddDep of a forward-built graph (generators, decoders)
-// hits, since its new edge's target has no successors yet.
+// hits, since its new edge's target has no successors yet. Otherwise it
+// runs ReachScratch's DFS on fresh buffers.
 func (g *TaskGraph) Reaches(u, v int) bool {
 	if u == v {
 		return true
@@ -265,26 +266,11 @@ func (g *TaskGraph) Reaches(u, v int) bool {
 	if len(g.Succ[u]) == 0 || len(g.Pred[v]) == 0 {
 		return false
 	}
-	seen := make([]bool, len(g.Tasks))
-	stack := []int{u}
-	seen[u] = true
-	for len(stack) > 0 {
-		x := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, d := range g.Succ[x] {
-			if d.To == v {
-				return true
-			}
-			if !seen[d.To] {
-				seen[d.To] = true
-				stack = append(stack, d.To)
-			}
-		}
-	}
-	return false
+	var rs ReachScratch
+	return rs.Reaches(g, u, v)
 }
 
-// ReachScratch is the allocation-free counterpart of Reaches: the
+// ReachScratch is the allocation-free form of TaskGraph.Reaches: the
 // visited set and DFS stack are reused across calls. A scratch is not
 // safe for concurrent use; the PISA hot loop keeps one per worker
 // (inside scheduler.Scratch's extension state).
@@ -294,8 +280,7 @@ type ReachScratch struct {
 }
 
 // Reaches reports whether there is a directed path from u to v in g
-// (including u == v). It visits the same nodes in the same order as
-// TaskGraph.Reaches, only with reused buffers.
+// (including u == v), by an iterative DFS over reused buffers.
 func (rs *ReachScratch) Reaches(g *TaskGraph, u, v int) bool {
 	if u == v {
 		return true

@@ -8,10 +8,10 @@ import (
 )
 
 // This file proves the edge-sparse Tables against DenseTables, the dense
-// reference in densetables_test.go: Build, every incremental maintenance op,
-// and the undo paths must agree bit for bit through the whole accessor
-// surface, across randomized instances up to 1k tasks with link
-// patterns from fully homogeneous to fully heterogeneous.
+// reference in densetables_test.go: Build, every incremental maintenance
+// op, and reverts through the same ops must agree bit for bit through the
+// whole accessor surface, across randomized instances up to 1k tasks
+// with link patterns from fully homogeneous to fully heterogeneous.
 
 // sparseRandInstance builds a random DAG over a network whose link
 // pattern is chosen by mode:
@@ -87,7 +87,6 @@ func assertSparseMatchesDense(t *testing.T, sp *Tables, dn *DenseTables, g *Task
 	eq("InvSpeed", sp.InvSpeed, dn.InvSpeed)
 	eq("AvgExec", sp.AvgExec, dn.AvgExec)
 	eq("Exec", sp.Exec, dn.Exec)
-	eq("execPrefix", sp.execPrefix, dn.execPrefix)
 	for u := 0; u < sp.NNodes; u++ {
 		for v := 0; v < sp.NNodes; v++ {
 			if sp.Link(u, v) != dn.Link(u, v) {
@@ -158,10 +157,11 @@ func TestSparseTablesNoSquareStorage(t *testing.T) {
 
 // TestSparseTablesIncrementalMatchesDense is the randomized property
 // suite: both implementations track the same instance through long
-// random sequences of every incremental op — including the O(1) undo
-// paths (AvgCommOf/SetAvgComm, SnapshotAvgComm/RestoreAvgComm) and
-// full perturb-then-revert cycles — and must agree bit for bit at
-// every checkpoint.
+// random sequences of every incremental op — including
+// perturb-then-revert cycles, whose revert calls the same patch again —
+// and must agree bit for bit at every checkpoint. DenseTables keeps
+// its own prefix-sum resume and topological-order repair, so the two
+// reach each state by different algorithms.
 func TestSparseTablesIncrementalMatchesDense(t *testing.T) {
 	r := rng.New(0xfeedface)
 	sizes := []struct{ nT, nV, ops int }{
@@ -179,7 +179,6 @@ func TestSparseTablesIncrementalMatchesDense(t *testing.T) {
 			var dn DenseTables
 			sp.Build(inst)
 			dn.Build(inst)
-			var spSnap, dnSnap []float64
 			for i := 0; i < sz.ops; i++ {
 				switch op := rr.Intn(8); op {
 				case 0: // node speed
@@ -193,18 +192,10 @@ func TestSparseTablesIncrementalMatchesDense(t *testing.T) {
 						sp.UpdateNodeSpeed(v)
 						dn.UpdateNodeSpeed(v)
 					}
-				case 1: // link speed, snapshot/restore undo half the time
+				case 1: // link speed, reverted half the time
 					u, v := rr.Intn(sz.nV), rr.Intn(sz.nV)
 					old := net.Links[u][v]
 					undo := rr.Intn(2) == 0
-					var spOK, dnOK bool
-					if undo {
-						spSnap, spOK = sp.SnapshotAvgComm(spSnap)
-						dnSnap, dnOK = dn.SnapshotAvgComm(dnSnap)
-						if spOK != dnOK {
-							t.Fatalf("snapshot availability diverged: %v vs %v", spOK, dnOK)
-						}
-					}
 					w := 0.1 + rr.Float64()
 					if rr.Intn(5) == 0 {
 						w = math.Inf(1)
@@ -216,34 +207,25 @@ func TestSparseTablesIncrementalMatchesDense(t *testing.T) {
 						net.SetLink(u, v, old)
 						sp.UpdateLinkSpeed(u, v)
 						dn.UpdateLinkSpeed(u, v)
-						if spOK {
-							sp.RestoreAvgComm(spSnap)
-							dn.RestoreAvgComm(dnSnap)
-						}
 					}
 				case 2: // task weight
 					tk := rr.Intn(sz.nT)
 					g.Tasks[tk].Cost = 0.5 + 4*rr.Float64()
 					sp.UpdateTaskWeight(tk)
 					dn.UpdateTaskWeight(tk)
-				case 3: // dep weight, O(1) undo half the time
+				case 3: // dep weight, reverted half the time
 					if g.NumDeps() == 0 {
 						continue
 					}
 					u, v := g.DepAt(rr.Intn(g.NumDeps()))
-					spOld, spOK := sp.AvgCommOf(u, v)
-					dnOld, dnOK := dn.AvgCommOf(u, v)
-					if spOK != dnOK || (spOK && spOld != dnOld) {
-						t.Fatalf("AvgCommOf(%d,%d) diverged: (%v,%v) vs (%v,%v)", u, v, spOld, spOK, dnOld, dnOK)
-					}
 					old, _ := g.DepCost(u, v)
 					g.SetDepCost(u, v, rr.Float64()*8)
 					sp.UpdateDepWeight(u, v)
 					dn.UpdateDepWeight(u, v)
-					if spOK && rr.Intn(2) == 0 {
+					if rr.Intn(2) == 0 {
 						g.SetDepCost(u, v, old)
-						sp.SetAvgComm(u, v, spOld)
-						dn.SetAvgComm(u, v, dnOld)
+						sp.UpdateDepWeight(u, v)
+						dn.UpdateDepWeight(u, v)
 					}
 				case 4: // add dep (forward edge keeps it acyclic)
 					u, v := rr.Intn(sz.nT), rr.Intn(sz.nT)
@@ -325,8 +307,8 @@ func TestTablesChain10000(t *testing.T) {
 			t.Fatalf("Topo[%d] = %d on a chain", i, tk)
 		}
 	}
-	// A mid-chain removal and re-add exercises the incremental topo
-	// repair at depth.
+	// A mid-chain removal and re-add exercises the structural patches
+	// (and DenseTables' topological-order repair) at depth.
 	mid := n / 2
 	g.RemoveDep(mid-1, mid)
 	sp.RemoveDep(mid-1, mid)

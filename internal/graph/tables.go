@@ -28,17 +28,17 @@ import "math"
 //
 // Tables is a snapshot: it does not observe later mutations of the
 // instance. Callers that perturb weights or structure must either call
-// Build again before the next use, or patch the affected entries
-// through the incremental maintenance methods below (the PISA annealer
-// does the latter once per in-place perturbation — see the staleness
-// contract at UpdateNodeSpeed).
+// Build again before the next use, or call the one incremental patch
+// the staleness contract (at UpdateNodeSpeed) names for each mutation,
+// forward or back — the PISA annealer patches once per in-place
+// perturbation and once more when it rolls a rejected one back.
 type Tables struct {
 	// NTasks and NNodes record the shape the tables were built for.
 	NTasks, NNodes int
 
 	// Generation is the monotonically increasing stamp of the tables'
 	// logical state: Build and every mutating maintenance method
-	// (Update*/AddDep/RemoveDep/SetAvgComm/RestoreAvgComm) increment it,
+	// (Update*/AddDep/RemoveDep) increment it,
 	// and it is never reset — not even when Build points the tables at a
 	// different instance. Anything derived from the tables (the rank
 	// vectors scheduler.EvalCache memoizes) is therefore safe to reuse
@@ -58,14 +58,6 @@ type Tables struct {
 	// Exec[t*NNodes+v] = c(t)/s(v), each entry the one division
 	// Instance.ExecTime performs, so reads are bit-identical.
 	Exec []float64
-	// execPrefix mirrors Exec with left-to-right partial row sums:
-	// execPrefix[t*NNodes+v] is the sum of Exec[t*NNodes : t*NNodes+v+1]
-	// accumulated in Build's exact order, so execPrefix[t*NNodes+NNodes-1]
-	// is the numerator of AvgExec[t] bit for bit. UpdateNodeSpeed resumes
-	// the running sum at the patched column instead of re-summing the
-	// whole row — identical floating-point operation sequence, half the
-	// work on average.
-	execPrefix []float64
 	// Topo is the deterministic topological order of the task graph
 	// (equal to TaskGraph.TopoOrder); TopoErr records the cycle error if
 	// the graph has one, in which case Topo is invalid.
@@ -110,12 +102,6 @@ type Tables struct {
 	predOff      []int
 	avgCommBuilt bool
 	src          *Instance // instance of the last Build, for EnsureAvgComm
-
-	// topoPos is the inverse permutation of Topo (topoPos[Topo[i]] == i),
-	// maintained so the structural patches can decide in O(1) (AddDep) or
-	// O(affected window) (RemoveDep) whether the cached canonical order
-	// survives an edge change without re-running Kahn.
-	topoPos []int
 
 	indeg    []int // Kahn scratch
 	frontier []int
@@ -218,9 +204,9 @@ func (tb *Tables) LinkExceptions() int { return len(tb.linkCol) }
 // |V|² term reappears.
 func (tb *Tables) MemoryBytes() int {
 	const w = 8 // float64 and int are both 8 bytes on 64-bit hosts
-	f := len(tb.InvSpeed) + len(tb.AvgExec) + len(tb.Exec) + len(tb.execPrefix) +
+	f := len(tb.InvSpeed) + len(tb.AvgExec) + len(tb.Exec) +
 		len(tb.avgComm) + len(tb.linkVal) + len(tb.linkInv)
-	i := len(tb.Topo) + len(tb.topoPos) + len(tb.indeg) + cap(tb.frontier) +
+	i := len(tb.Topo) + len(tb.indeg) + cap(tb.frontier) +
 		len(tb.succOff) + len(tb.predOff) + len(tb.linkOff) + len(tb.linkCol)
 	return w * (f + i)
 }
@@ -280,7 +266,6 @@ func (tb *Tables) Build(inst *Instance) {
 	// exact summation order.
 	tb.AvgExec = growF64(tb.AvgExec, nT)
 	tb.Exec = growF64(tb.Exec, nT*nV)
-	tb.execPrefix = growF64(tb.execPrefix, nT*nV)
 	for t := 0; t < nT; t++ {
 		cost := g.Tasks[t].Cost
 		sum := 0.0
@@ -288,7 +273,6 @@ func (tb *Tables) Build(inst *Instance) {
 			e := cost / net.Speeds[v]
 			tb.Exec[t*nV+v] = e
 			sum += e
-			tb.execPrefix[t*nV+v] = sum
 		}
 		tb.AvgExec[t] = sum / float64(nV)
 	}
@@ -399,7 +383,8 @@ func predIndex(g *TaskGraph, v, u int) int {
 // internal exception list may differ from a fresh Build's while every
 // read agrees — sparse_test.go checks through the accessors.)
 //
-// Staleness contract — after mutating the built instance, call:
+// Staleness contract — every mutation of the built instance, forward or
+// back, calls its one patch:
 //
 //	Net.Speeds[v] changed        → UpdateNodeSpeed(v)
 //	Net.SetLink(u, v, w)         → UpdateLinkSpeed(u, v)
@@ -407,6 +392,11 @@ func predIndex(g *TaskGraph, v, u int) int {
 //	Graph.SetDepCost(u, v, w)    → UpdateDepWeight(u, v)
 //	dependency (u, v) added      → AddDep(u, v)
 //	dependency (u, v) removed    → RemoveDep(u, v)
+//
+// Undoing a mutation is itself a mutation: restoring an old weight calls
+// the same patch, and removing an added edge (or restoring a removed
+// one) calls the inverse structural patch. No patch saves state for a
+// later undo.
 //
 // Any other mutation — adding or removing tasks or nodes, bulk
 // rewrites, pointing at a different instance — still requires a full
@@ -421,32 +411,21 @@ func predIndex(g *TaskGraph, v, u int) int {
 
 // UpdateNodeSpeed patches the tables after Net.Speeds[v] changed in
 // place: the inverse speed, node v's column of the dense exec-time
-// matrix, and every per-task average. The average is NOT re-summed from
-// column zero: columns left of v are untouched by the mutation, so
-// their stored prefix sum execPrefix[t*nV+v-1] is exactly the running
-// total a full left-to-right pass would carry into column v. Resuming
-// there and re-accumulating columns v..|V|-1 performs the identical
-// floating-point additions in the identical order — bit-identical to a
-// rebuild, at half the additions on average. Link and communication
-// tables are untouched — speeds never enter them. O(|T|·(|V|−v)).
+// matrix, and every per-task average, each row re-summed left to right
+// in Build's order so the average is bit-identical to a rebuild. Link
+// and communication tables are untouched — speeds never enter them.
+// O(|T|·|V|).
 func (tb *Tables) UpdateNodeSpeed(v int) {
 	tb.Generation++
 	g, net := tb.src.Graph, tb.src.Net
 	nV := tb.NNodes
 	tb.InvSpeed[v] = 1 / net.Speeds[v]
 	for t := 0; t < tb.NTasks; t++ {
-		row := t * nV
+		row := tb.Exec[t*nV : t*nV+nV]
+		row[v] = g.Tasks[t].Cost / net.Speeds[v]
 		sum := 0.0
-		if v > 0 {
-			sum = tb.execPrefix[row+v-1]
-		}
-		e := g.Tasks[t].Cost / net.Speeds[v]
-		tb.Exec[row+v] = e
-		sum += e
-		tb.execPrefix[row+v] = sum
-		for u := v + 1; u < nV; u++ {
-			sum += tb.Exec[row+u]
-			tb.execPrefix[row+u] = sum
+		for _, e := range row {
+			sum += e
 		}
 		tb.AvgExec[t] = sum / float64(nV)
 	}
@@ -523,7 +502,6 @@ func (tb *Tables) UpdateTaskWeight(t int) {
 		e := cost / net.Speeds[v]
 		tb.Exec[t*nV+v] = e
 		sum += e
-		tb.execPrefix[t*nV+v] = sum
 	}
 	tb.AvgExec[t] = sum / float64(nV)
 }
@@ -546,113 +524,21 @@ func (tb *Tables) UpdateDepWeight(u, v int) {
 	tb.avgComm[tb.predOff[v]+predIndex(g, v, u)] = a
 }
 
-// AvgCommOf returns edge (u, v)'s entry of the per-edge average table
-// and whether the table is currently built. The annealer reads it
-// before an UpdateDepWeight patch so a rejected dep-weight candidate
-// can restore the old value in O(1) (SetAvgComm) instead of re-running
-// the O(|V|²) pair loop.
-func (tb *Tables) AvgCommOf(u, v int) (float64, bool) {
-	if !tb.avgCommBuilt {
-		return 0, false
-	}
-	g := tb.src.Graph
-	return tb.avgComm[tb.succOff[u]+succIndex(g, u, v)], true
-}
-
-// SetAvgComm writes a known average-communication value into both
-// aligned entries of edge (u, v) — the O(1) undo of an UpdateDepWeight
-// patch. The value must be one AvgCommOf returned for the identical
-// link state; anything else desynchronizes the table.
-func (tb *Tables) SetAvgComm(u, v int, a float64) {
-	tb.Generation++
-	if !tb.avgCommBuilt {
-		return
-	}
-	g := tb.src.Graph
-	tb.avgComm[tb.succOff[u]+succIndex(g, u, v)] = a
-	tb.avgComm[tb.predOff[v]+predIndex(g, v, u)] = a
-}
-
-// SnapshotAvgComm copies the built per-edge average table into dst
-// (reusing its capacity) and reports whether a snapshot was taken —
-// false when the table is not currently built, in which case there is
-// nothing to preserve. Taken before an UpdateLinkSpeed invalidation, it
-// lets a rejected link-weight candidate restore the table in O(|D|)
-// (RestoreAvgComm) instead of re-running the O(|D|·|V|²) rebuild.
-func (tb *Tables) SnapshotAvgComm(dst []float64) ([]float64, bool) {
-	if !tb.avgCommBuilt {
-		return dst[:0], false
-	}
-	return append(dst[:0], tb.avgComm...), true
-}
-
-// RestoreAvgComm reinstates a SnapshotAvgComm snapshot and marks the
-// table built. Only valid when the instance's links and adjacency are
-// back in the exact state the snapshot was taken under (the offsets are
-// not saved, so no structural change may intervene).
-func (tb *Tables) RestoreAvgComm(snap []float64) {
-	tb.Generation++
-	tb.avgComm = append(tb.avgComm[:0], snap...)
-	tb.avgCommBuilt = true
-}
-
 // AddDep patches the tables after dependency (u, v) was added to the
 // source graph: the per-edge average table is invalidated (its offsets
 // are aligned with the adjacency lists that just shifted) and the
-// cached topological order incrementally repaired. Weight tables are
-// untouched; edges never enter them.
-//
-// The repair exploits that Topo is the lexicographically smallest
-// topological order (Kahn, lowest index first): adding a constraint the
-// current order already satisfies — u placed before v — shrinks the
-// feasible set without excluding the incumbent, and the minimum of a
-// subset containing the old minimum is the old minimum. So when
-// topoPos[u] < topoPos[v] the order is provably unchanged and the patch
-// is O(1); only an order-violating edge re-runs Kahn (with reused
-// buffers). Note the keep path also certifies acyclicity for free: a
-// path v→u would force v before u in every topological order.
+// topological order re-run. Weight tables are untouched; edges never
+// enter them. O(|T|+|D|) plus Kahn's frontier scans.
 func (tb *Tables) AddDep(u, v int) {
 	tb.Generation++
 	tb.avgCommBuilt = false
-	if tb.TopoErr == nil && tb.topoPos[u] < tb.topoPos[v] {
-		return
-	}
 	tb.buildTopo(tb.src.Graph)
 }
 
 // RemoveDep patches the tables after dependency (u, v) was removed from
-// the source graph: the per-edge average table is invalidated and the
-// cached topological order incrementally repaired.
-//
-// Removing (u, v) only relaxes when v may be scheduled, so a greedy
-// Kahn replay diverges from the cached order at most where v newly
-// joins the frontier: from the step after v's last remaining
-// predecessor was popped up to v's old position. If every task the old
-// order popped in that window has a smaller index than v, the greedy
-// choice never changes and the order stands (the usual annealer case —
-// O(window) with no Kahn re-run); the first larger index means v would
-// now win that pick, so Kahn re-runs.
+// the source graph, exactly as AddDep does after one was added.
 func (tb *Tables) RemoveDep(u, v int) {
-	tb.Generation++
-	tb.avgCommBuilt = false
-	if tb.TopoErr != nil {
-		// The removal may have broken the cycle; recompute from scratch.
-		tb.buildTopo(tb.src.Graph)
-		return
-	}
-	g := tb.src.Graph
-	ready := 0
-	for _, d := range g.Pred[v] {
-		if p := tb.topoPos[d.To] + 1; p > ready {
-			ready = p
-		}
-	}
-	for i := ready; i < tb.topoPos[v]; i++ {
-		if v < tb.Topo[i] {
-			tb.buildTopo(g)
-			return
-		}
-	}
+	tb.AddDep(u, v)
 }
 
 // avgCommTime4 is Instance.AvgCommTime for four known edge costs at once
@@ -761,10 +647,5 @@ func (tb *Tables) buildTopo(g *TaskGraph) {
 	}
 	if len(tb.Topo) != n {
 		tb.TopoErr = cycleError(len(tb.Topo), n)
-		return
-	}
-	tb.topoPos = growInt(tb.topoPos, n)
-	for i, t := range tb.Topo {
-		tb.topoPos[t] = i
 	}
 }

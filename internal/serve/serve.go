@@ -74,10 +74,6 @@ type Options struct {
 	// robustness request (default 1: concurrent requests are the
 	// parallelism axis; results are identical at any value).
 	Workers int
-	// MaxRobustnessN caps RobustnessRequest.N (default 100000).
-	MaxRobustnessN int
-	// MaxPISAIters caps PortfolioRequest.Iters (default 100000).
-	MaxPISAIters int
 	// DegradeWindow is the dispatch path's one silence budget (default
 	// 3s): portfolio and robustness requests are dispatched to the fleet
 	// attached under /hub/ iff a worker called in within it, a dispatched
@@ -93,6 +89,13 @@ type Options struct {
 	Logf func(format string, args ...any)
 }
 
+// maxRobustnessN caps RobustnessRequest.N and maxPISAIters caps
+// PortfolioRequest.Iters: one request cannot buy unbounded compute.
+const (
+	maxRobustnessN = 100000
+	maxPISAIters   = 100000
+)
+
 func (o Options) withDefaults() Options {
 	if o.MaxConcurrent <= 0 {
 		o.MaxConcurrent = runtime.GOMAXPROCS(0)
@@ -105,12 +108,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Workers <= 0 {
 		o.Workers = 1
-	}
-	if o.MaxRobustnessN <= 0 {
-		o.MaxRobustnessN = 100000
-	}
-	if o.MaxPISAIters <= 0 {
-		o.MaxPISAIters = 100000
 	}
 	if o.DegradeWindow <= 0 {
 		o.DegradeWindow = 3 * time.Second
@@ -355,9 +352,9 @@ func (s *Server) handlePortfolio(w http.ResponseWriter, r *http.Request) {
 	if req.Seed == 0 {
 		req.Seed = 1
 	}
-	if req.Iters < 0 || req.Iters > s.opts.MaxPISAIters || req.Restarts < 0 || req.Restarts > 100 {
+	if req.Iters < 0 || req.Iters > maxPISAIters || req.Restarts < 0 || req.Restarts > 100 {
 		http.Error(w, fmt.Sprintf("iters %d / restarts %d outside the server's budget (iters ≤ %d, restarts ≤ 100)",
-			req.Iters, req.Restarts, s.opts.MaxPISAIters), http.StatusBadRequest)
+			req.Iters, req.Restarts, maxPISAIters), http.StatusBadRequest)
 		return
 	}
 	// An unknown scheduler is the client's mistake; NewSweep names it.
@@ -450,8 +447,8 @@ func (s *Server) handleRobustness(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if req.N < 1 || req.N > s.opts.MaxRobustnessN {
-		http.Error(w, fmt.Sprintf("n %d outside [1, %d]", req.N, s.opts.MaxRobustnessN), http.StatusBadRequest)
+	if req.N < 1 || req.N > maxRobustnessN {
+		http.Error(w, fmt.Sprintf("n %d outside [1, %d]", req.N, maxRobustnessN), http.StatusBadRequest)
 		return
 	}
 	entry, scr, _, ok := s.instanceFor(w, &req, key)

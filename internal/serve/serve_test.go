@@ -144,7 +144,7 @@ func TestWfCommonsSubmission(t *testing.T) {
 // client-attributable defect answers 400 (or the method/path statuses
 // the mux owns), never a 500 and never a hang.
 func TestRequestErrorPaths(t *testing.T) {
-	s := New(Options{MaxRobustnessN: 1000, MaxPISAIters: 1000})
+	s := New(Options{})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 	inst := testInstance(t, 1)
@@ -164,11 +164,11 @@ func TestRequestErrorPaths(t *testing.T) {
 		{"portfolio too few schedulers", "/v1/portfolio", `{"schedulers": ["HEFT"], "k": 1}`, http.StatusBadRequest},
 		{"portfolio k out of range", "/v1/portfolio", `{"schedulers": ["HEFT", "CPoP"], "k": 3}`, http.StatusBadRequest},
 		{"portfolio unknown member", "/v1/portfolio", `{"schedulers": ["HEFT", "NOPE"], "k": 1}`, http.StatusBadRequest},
-		{"portfolio over iters budget", "/v1/portfolio", `{"schedulers": ["HEFT", "CPoP"], "k": 1, "iters": 100000}`, http.StatusBadRequest},
+		{"portfolio over iters budget", "/v1/portfolio", `{"schedulers": ["HEFT", "CPoP"], "k": 1, "iters": 100001}`, http.StatusBadRequest},
 		{"robustness malformed", "/v1/robustness", `]`, http.StatusBadRequest},
 		{"robustness unknown scheduler", "/v1/robustness", fmt.Sprintf(`{"scheduler": "NOPE", "instance": %s}`, inst), http.StatusBadRequest},
 		{"robustness sigma out of range", "/v1/robustness", fmt.Sprintf(`{"scheduler": "HEFT", "instance": %s, "sigma": 99}`, inst), http.StatusBadRequest},
-		{"robustness n over budget", "/v1/robustness", fmt.Sprintf(`{"scheduler": "HEFT", "instance": %s, "n": 99999}`, inst), http.StatusBadRequest},
+		{"robustness n over budget", "/v1/robustness", fmt.Sprintf(`{"scheduler": "HEFT", "instance": %s, "n": 100001}`, inst), http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -21,7 +21,6 @@ import (
 	"cmp"
 	"container/heap"
 	"fmt"
-	"math"
 	"slices"
 
 	"saga/internal/graph"
@@ -94,7 +93,9 @@ type Result struct {
 	Makespan float64
 	// Events is the full event log in processing order.
 	Events []Event
-	// Messages counts remote transfers (local deliveries excluded).
+	// Messages counts remote transfers that take time: local deliveries,
+	// zero-cost dependencies and infinitely strong links are excluded,
+	// as in ExecuteElastic.
 	Messages int
 	// NodeBusy[v] is the total execution time on node v; LinkBusy[u][v]
 	// the total transfer time on the directed link u→v. Together they
@@ -235,7 +236,7 @@ func Execute(inst *graph.Instance, s *schedule.Schedule) (*Result, error) {
 			for _, d := range g.Succ[t] {
 				dst := s.ByTask[d.To].Node
 				delay := inst.CommTime(t, d.To, e.Node, dst)
-				if dst != e.Node && !math.IsInf(net.Links[e.Node][dst], 1) {
+				if dst != e.Node && delay > 0 {
 					res.Messages++
 					res.LinkBusy[e.Node][dst] += delay
 				}

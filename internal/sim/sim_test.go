@@ -264,6 +264,26 @@ func TestMessageCounting(t *testing.T) {
 	if res2.Messages != 0 {
 		t.Fatalf("local Messages = %d, want 0", res2.Messages)
 	}
+
+	// A zero-cost dependency across nodes moves no data: zero messages,
+	// the count ExecuteElastic reports for the same schedule.
+	g.SetDepCost(a, b, 0)
+	free := &schedule.Schedule{NumNodes: 2, ByTask: []schedule.Assignment{
+		{Task: 0, Node: 0, Start: 0, End: 1},
+		{Task: 1, Node: 1, Start: 1, End: 2},
+	}}
+	res3, err := Execute(inst, free)
+	if err != nil {
+		t.Fatal(err)
+	}
+	el, err := ExecuteElastic(inst, free, ElasticOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res3.Messages != 0 || el.Messages != 0 {
+		t.Fatalf("zero-cost remote dependency: Execute Messages = %d, ExecuteElastic Messages = %d, want 0 and 0",
+			res3.Messages, el.Messages)
+	}
 }
 
 func TestUtilization(t *testing.T) {

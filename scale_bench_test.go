@@ -102,8 +102,8 @@ func TestScaleBenchGate(t *testing.T) {
 		if got := tab.LinkExceptions(); got > 4*nD {
 			t.Fatalf("link exceptions %d > 4·|D|=%d — link storage is not edge-sparse", got, 4*nD)
 		}
-		// The layout is O(|V| + |E| + |D|·|V|): exec tables dominate with
-		// 2·|V|·|D| floats (Exec + its prefix sums); everything else is a
+		// The layout is O(|V| + |E| + |D|·|V|): the exec table dominates
+		// with |V|·|D| floats; everything else is a
 		// handful of |V|- or |E|-length vectors. 3× headroom on that
 		// closed form — a node-squared term at these sizes would blow
 		// through it immediately.
