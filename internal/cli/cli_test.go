@@ -3,8 +3,10 @@ package cli
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -214,12 +216,13 @@ func TestServerSwitch(t *testing.T) {
 
 // TestSweepParamsAgree holds `saga robustness` and `saga portfolio`,
 // their -server forms and a worker's shard of the same sweep to one
-// verdict on -n, -sigma, -iters, -restarts and -seed. What the local run
-// refuses, the other two refuse with the same message, -server before
-// any request reaches the daemon, and the daemon itself refuses a
-// finite sigma out of range in the same words. -server alone refuses
-// -sigma 0 and -seed 0, which the daemon would read as omitted and
-// replace with its defaults.
+// verdict on -n, -sigma, -iters, -restarts, -seed and the roster: what
+// the local run refuses, the other two refuse with the same message,
+// -server before any request reaches the daemon, and what it accepts
+// they answer value for value, zeros included. A direct POST of the
+// same request, with explicit JSON zeros, gets the same verdict from the
+// daemon in the same words, or the local answer byte for byte; omit
+// names keys the POST leaves out, which take the daemon's defaults.
 func TestSweepParamsAgree(t *testing.T) {
 	var hits atomic.Int32
 	srv := serve.New(serve.Options{})
@@ -232,38 +235,49 @@ func TestSweepParamsAgree(t *testing.T) {
 	dir := t.TempDir()
 	in := writeInstance(t, dir)
 	commands := map[string]struct {
-		base  []string
-		names []string
-		sweep string // the sweep a worker's shard runs
-		run   func(f *Flags) (any, error)
+		base    []string
+		names   []string
+		sweep   string // the sweep a worker's shard runs
+		run     func(f *Flags) (any, error)
+		path    string
+		request func(p experiments.SweepParams) any
 	}{
 		"robustness": {[]string{"-in", in, "-n", "4"}, []string{"in", "n", "sigma", "seed"}, "robustness",
-			func(f *Flags) (any, error) { return f.Robustness(ctx) }},
+			func(f *Flags) (any, error) { return f.Robustness(ctx) }, "/v1/robustness",
+			func(p experiments.SweepParams) any {
+				return serve.RobustnessRequest{Scheduler: p.Scheduler, Instance: p.InstanceRaw, Sigma: p.Sigma, N: p.N, Seed: p.Seed}
+			}},
 		"portfolio": {[]string{"-schedulers", "HEFT,CPoP,MinMin", "-iters", "5", "-restarts", "1"},
 			[]string{"schedulers", "iters", "restarts", "seed"}, "pairwise",
-			func(f *Flags) (any, error) { return f.Portfolio(ctx, 1) }},
+			func(f *Flags) (any, error) { return f.Portfolio(ctx, 1) }, "/v1/portfolio",
+			func(p experiments.SweepParams) any {
+				return serve.PortfolioRequest{Schedulers: p.Schedulers, K: 1, Iters: p.Iters, Restarts: p.Restarts, Seed: p.Seed}
+			}},
 	}
 	for i, tc := range []struct {
-		cmd      string
-		args     []string
-		refused  bool // by all three
-		onServer bool // by -server alone
-		direct   bool // JSON can carry the value: POST it to the daemon too
+		cmd     string
+		args    []string
+		refused bool     // by all three
+		direct  bool     // JSON can carry the value: POST it to the daemon too
+		omit    []string // keys the direct POST leaves out
 	}{
-		{"robustness", []string{"-n", "0"}, true, false, false},
-		{"robustness", []string{"-n", "-1"}, true, false, false},
-		{"robustness", []string{"-sigma", "NaN"}, true, false, false},
-		{"robustness", []string{"-sigma", "Inf"}, true, false, false},
-		{"robustness", []string{"-sigma", "-1"}, true, false, true},
-		{"robustness", []string{"-sigma", "50"}, true, false, true},
-		{"robustness", []string{"-sigma", "0"}, false, true, false},
-		{"robustness", []string{"-seed", "0"}, false, true, false},
-		{"robustness", []string{"-sigma", "10"}, false, false, false},
-		{"portfolio", []string{"-iters", "0"}, true, false, false},
-		{"portfolio", []string{"-iters", "-1"}, true, false, false},
-		{"portfolio", []string{"-restarts", "0"}, true, false, false},
-		{"portfolio", []string{"-seed", "0"}, false, true, false},
-		{"portfolio", []string{"-seed", "3"}, false, false, false},
+		{"robustness", []string{"-n", "0"}, true, true, nil},
+		{"robustness", []string{"-n", "-1"}, true, true, nil},
+		{"robustness", []string{"-sigma", "NaN"}, true, false, nil},
+		{"robustness", []string{"-sigma", "Inf"}, true, false, nil},
+		{"robustness", []string{"-sigma", "-1"}, true, true, nil},
+		{"robustness", []string{"-sigma", "50"}, true, true, nil},
+		{"robustness", []string{"-sigma", "0"}, false, true, nil},
+		{"robustness", []string{"-seed", "0"}, false, true, nil},
+		{"robustness", []string{"-sigma", "10"}, false, true, nil},
+		{"robustness", []string{"-n", "100", "-sigma", "0.2", "-seed", "1"}, false, true, []string{"sigma", "n", "seed"}},
+		{"portfolio", []string{"-iters", "0"}, true, true, nil},
+		{"portfolio", []string{"-iters", "-1"}, true, true, nil},
+		{"portfolio", []string{"-restarts", "0"}, true, true, nil},
+		{"portfolio", []string{"-schedulers", "HEFT,HEFT,CPoP"}, true, true, nil},
+		{"portfolio", []string{"-seed", "0"}, false, true, nil},
+		{"portfolio", []string{"-seed", "3"}, false, true, nil},
+		{"portfolio", []string{"-iters", "250", "-restarts", "2", "-seed", "1"}, false, true, []string{"iters", "restarts", "seed"}},
 	} {
 		c := commands[tc.cmd]
 		args := append(append([]string(nil), c.base...), tc.args...)
@@ -282,30 +296,50 @@ func TestSweepParamsAgree(t *testing.T) {
 		}
 		_, werr := Run[any](worker, c.sweep, p)
 
-		switch {
-		case tc.refused:
+		if tc.refused {
 			if lerr == nil || rerr == nil || werr == nil || rerr.Error() != lerr.Error() || werr.Error() != lerr.Error() {
 				t.Fatalf("%s %v: local %v, -server %v, worker %v; want the same refusal", tc.cmd, tc.args, lerr, rerr, werr)
 			}
 			if hits.Load() != before {
 				t.Fatalf("%s %v: the refused -server request reached the daemon", tc.cmd, tc.args)
 			}
-			if tc.direct {
-				c := serve.Client{BaseURL: daemon.URL}
-				_, derr := c.Robustness(ctx, serve.RobustnessRequest{Scheduler: p.Scheduler, Instance: p.InstanceRaw, Sigma: p.Sigma, N: p.N, Seed: p.Seed})
-				if derr == nil || !strings.Contains(derr.Error(), lerr.Error()) {
-					t.Fatalf("%s %v: the daemon answered %v, want %q", tc.cmd, tc.args, derr, lerr)
-				}
+		} else if lerr != nil || werr != nil || rerr != nil || !reflect.DeepEqual(rr, lr) {
+			t.Fatalf("%s %v: local %v, -server %v, worker %v; -server %+v vs local %+v", tc.cmd, tc.args, lerr, rerr, werr, rr, lr)
+		}
+		if !tc.direct {
+			continue
+		}
+		var body map[string]json.RawMessage
+		if err := json.Unmarshal(mustJSON(t, c.request(p)), &body); err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range tc.omit {
+			delete(body, k)
+		}
+		resp, err := http.Post(daemon.URL+c.path, "application/json", bytes.NewReader(mustJSON(t, body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.refused {
+			if resp.StatusCode != http.StatusBadRequest || strings.TrimSpace(string(got)) != lerr.Error() {
+				t.Fatalf("%s %v: the daemon answered %d %q, want 400 %q", tc.cmd, tc.args, resp.StatusCode, got, lerr)
 			}
-		case tc.onServer:
-			if lerr != nil || werr != nil || rerr == nil || hits.Load() != before {
-				t.Fatalf("%s %v: local %v, worker %v, -server %v (daemon hit %v); want only -server refused, before dialing",
-					tc.cmd, tc.args, lerr, werr, rerr, hits.Load() != before)
-			}
-		default:
-			if lerr != nil || werr != nil || rerr != nil || !reflect.DeepEqual(rr, lr) {
-				t.Fatalf("%s %v: local %v, -server %v, worker %v; -server %+v vs local %+v", tc.cmd, tc.args, lerr, rerr, werr, rr, lr)
-			}
+		} else if want := append(mustJSON(t, lr), '\n'); resp.StatusCode != http.StatusOK || !bytes.Equal(got, want) {
+			t.Fatalf("%s %v: the daemon answered %d %s, want the local %s", tc.cmd, tc.args, resp.StatusCode, got, want)
 		}
 	}
+}
+
+func mustJSON(t *testing.T, v any) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }

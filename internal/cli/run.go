@@ -177,13 +177,13 @@ func (f *Flags) Schedule(ctx context.Context) (string, *graph.Instance, *schedul
 func (f *Flags) Portfolio(ctx context.Context, k int) (*serve.PortfolioResponse, error) {
 	req := serve.PortfolioRequest{Schedulers: f.Schedulers, K: k, Iters: f.Iters, Restarts: f.Restarts, Seed: f.Seed}
 	if c := f.client(); c != nil {
-		// Refuse here what a local run refuses, and the zero seed the
-		// daemon reads as omitted and replaces with its default.
-		if err := experiments.CheckAnneal(req.Iters, req.Restarts); err != nil {
-			return nil, err
-		}
-		if req.Seed == 0 {
-			return nil, errors.New("-server cannot send -seed 0: the daemon reads 0 as omitted and runs its default")
+		// Build the sweep the daemon would build, to refuse before
+		// dialing in NewSweep's words. A k the selector refuses, the
+		// daemon refuses before building it, and answers itself.
+		if experiments.CheckPortfolioSize(len(req.Schedulers), k) == nil {
+			if _, err := experiments.NewSweep("pairwise", f.SweepParams); err != nil {
+				return nil, err
+			}
 		}
 		return c.Portfolio(ctx, req)
 	}
@@ -206,16 +206,9 @@ func (f *Flags) Robustness(ctx context.Context) (*serve.RobustnessResponse, erro
 		if f.Checkpoint != "" || f.Shard != "" {
 			return nil, errors.New("-server is incompatible with -checkpoint/-shard (the daemon owns the computation)")
 		}
-		// Refuse here what a local run refuses, and the zeros the daemon
-		// reads as omitted and replaces with its defaults.
-		if err := experiments.CheckPerturbations(p.N); err != nil {
+		// Refuse before dialing what a local run refuses.
+		if _, err := experiments.NewSweep("robustness", p); err != nil {
 			return nil, err
-		}
-		if err := experiments.CheckSigma(p.Sigma); err != nil {
-			return nil, err
-		}
-		if p.Sigma == 0 || p.Seed == 0 {
-			return nil, fmt.Errorf("-server cannot send -sigma 0 or -seed 0 (got -sigma %g -seed %d): the daemon reads 0 as omitted and runs its default", p.Sigma, p.Seed)
 		}
 		return c.Robustness(ctx, serve.RobustnessRequest{
 			Scheduler: p.Scheduler, Instance: p.InstanceRaw, Sigma: p.Sigma, N: p.N, Seed: p.Seed,

@@ -204,7 +204,7 @@ func (h *Hub) Acquire(name string, params experiments.SweepParams) (*Coordinator
 	defer h.mu.Unlock()
 	hs, joined := h.sweeps[id]
 	if !joined {
-		mem := NewMemStore()
+		mem := newMemStore()
 		if hs, err = h.mountLocked(id, name, params, mem); err != nil {
 			return nil, nil, err
 		}
@@ -356,8 +356,8 @@ type MemStore struct {
 	cells map[int]json.RawMessage
 }
 
-// NewMemStore returns an empty store.
-func NewMemStore() *MemStore {
+// newMemStore returns an empty store.
+func newMemStore() *MemStore {
 	return &MemStore{cells: map[int]json.RawMessage{}}
 }
 

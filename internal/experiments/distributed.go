@@ -3,6 +3,7 @@ package experiments
 import (
 	"crypto/sha256"
 	"fmt"
+	"slices"
 	"strings"
 
 	"saga/internal/core"
@@ -106,32 +107,27 @@ func freshSchedulers(names []string) ([]scheduler.Scheduler, error) {
 	return out, nil
 }
 
-// CheckPerturbations refuses a robustness sweep of fewer than one
-// perturbation. NewSweep applies it, and so does a client that sends the
-// sweep to a daemon, which reads n = 0 as "omitted".
-func CheckPerturbations(n int) error {
+// checkPerturbations refuses a robustness sweep of fewer than one
+// perturbation.
+func checkPerturbations(n int) error {
 	if n < 1 {
 		return fmt.Errorf("experiments: robustness sweep needs n >= 1 perturbations, got n = %d", n)
 	}
 	return nil
 }
 
-// CheckSigma refuses a robustness jitter outside [0, 10], NaN included
-// (a NaN sigma perturbs every cost into NaN). NewSweep applies it, and
-// so do the daemon's handler and a client that sends the sweep to a
-// daemon, so the range and the message are defined here once.
-func CheckSigma(sigma float64) error {
+// checkSigma refuses a robustness jitter outside [0, 10], NaN included
+// (a NaN sigma perturbs every cost into NaN).
+func checkSigma(sigma float64) error {
 	if !(sigma >= 0 && sigma <= 10) {
 		return fmt.Errorf("experiments: robustness sweep needs sigma in [0, 10], got sigma = %g", sigma)
 	}
 	return nil
 }
 
-// CheckAnneal refuses a PISA sweep of fewer than one annealing
-// iteration or restart per cell. NewSweep applies it to fig4,
-// appspecific and pairwise before any cell runs, and so does a client
-// that sends a portfolio to a daemon, which reads 0 as "omitted".
-func CheckAnneal(iters, restarts int) error {
+// checkAnneal refuses a PISA sweep of fewer than one annealing
+// iteration or restart per cell, before any cell runs.
+func checkAnneal(iters, restarts int) error {
 	if iters < 1 || restarts < 1 {
 		return fmt.Errorf("experiments: PISA sweep needs iters >= 1 and restarts >= 1, got iters = %d, restarts = %d", iters, restarts)
 	}
@@ -145,12 +141,14 @@ var SweepNames = []string{"fig4", "fig7", "fig8", "appspecific", "robustness", "
 // and its parameters into the fingerprint, cell count, and runnable
 // closures shared by `figures`, `saga robustness`, `saga worker`, `saga
 // merge`, the coordinator hub and the daemon. Each sweep's roster,
-// annealing options and seeds are wired here and nowhere else.
+// annealing options and seeds are wired here and nowhere else, and so
+// is what a sweep parameter may be: every caller, a daemon request
+// included, is refused here in the same words.
 func NewSweep(name string, p SweepParams) (*Sweep, error) {
 	sw := &Sweep{Name: name}
 	switch name {
 	case "fig4":
-		if err := CheckAnneal(p.Iters, p.Restarts); err != nil {
+		if err := checkAnneal(p.Iters, p.Restarts); err != nil {
 			return nil, err
 		}
 		roster := schedulers.ExperimentalNames
@@ -186,7 +184,7 @@ func NewSweep(name string, p SweepParams) (*Sweep, error) {
 		if p.CCR <= 0 {
 			return nil, fmt.Errorf("experiments: appspecific sweep needs a single CCR level > 0 (one store per block)")
 		}
-		if err := CheckAnneal(p.Iters, p.Restarts); err != nil {
+		if err := checkAnneal(p.Iters, p.Restarts); err != nil {
 			return nil, err
 		}
 		roster := schedulers.AppSpecificNames
@@ -213,10 +211,10 @@ func NewSweep(name string, p SweepParams) (*Sweep, error) {
 		if len(p.InstanceRaw) == 0 {
 			return nil, fmt.Errorf("experiments: robustness sweep needs the instance bytes (-in)")
 		}
-		if err := CheckPerturbations(p.N); err != nil {
+		if err := checkPerturbations(p.N); err != nil {
 			return nil, err
 		}
-		if err := CheckSigma(p.Sigma); err != nil {
+		if err := checkSigma(p.Sigma); err != nil {
 			return nil, err
 		}
 		inst, err := serialize.UnmarshalInstance(p.InstanceRaw)
@@ -246,11 +244,16 @@ func NewSweep(name string, p SweepParams) (*Sweep, error) {
 		if len(p.Schedulers) < 2 {
 			return nil, fmt.Errorf("experiments: pairwise sweep needs at least 2 schedulers")
 		}
+		for i, n := range p.Schedulers {
+			if slices.Contains(p.Schedulers[:i], n) {
+				return nil, fmt.Errorf("experiments: pairwise sweep names scheduler %q twice", n)
+			}
+		}
 		scheds, err := freshSchedulers(p.Schedulers)
 		if err != nil {
 			return nil, err
 		}
-		if err := CheckAnneal(p.Iters, p.Restarts); err != nil {
+		if err := checkAnneal(p.Iters, p.Restarts); err != nil {
 			return nil, err
 		}
 		sw.Fingerprint = fmt.Sprintf("pairwise seed=%d iters=%d restarts=%d schedulers=%s",

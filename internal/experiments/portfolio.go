@@ -28,9 +28,9 @@ const maxPortfolioSubsets = 1 << 20
 
 // CheckPortfolioSize reports whether a size-k portfolio over n
 // schedulers is selectable: k in [1, n] and at most maxPortfolioSubsets
-// candidate subsets. SelectPortfolio enforces it, and callers that run a
-// PISA sweep before selecting (serve.Portfolio, the /v1/portfolio
-// handler) check it first so an unselectable request costs no cell.
+// candidate subsets. SelectPortfolio enforces it, and serve.Portfolio
+// and the /v1/portfolio handler, which run a PISA sweep before
+// selecting, check it first so an unselectable request costs no cell.
 func CheckPortfolioSize(n, k int) error {
 	if k <= 0 || k > n {
 		return fmt.Errorf("experiments: portfolio size %d outside [1, %d]", k, n)

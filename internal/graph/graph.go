@@ -126,24 +126,8 @@ func (g *TaskGraph) MustAddDep(u, v int, cost float64) {
 // RemoveDep deletes the dependency (u, v). It reports whether the edge
 // existed.
 func (g *TaskGraph) RemoveDep(u, v int) bool {
-	found := false
-	for i, d := range g.Succ[u] {
-		if d.To == v {
-			g.Succ[u] = append(g.Succ[u][:i], g.Succ[u][i+1:]...)
-			found = true
-			break
-		}
-	}
-	if !found {
-		return false
-	}
-	for i, d := range g.Pred[v] {
-		if d.To == u {
-			g.Pred[v] = append(g.Pred[v][:i], g.Pred[v][i+1:]...)
-			break
-		}
-	}
-	return true
+	_, _, _, ok := g.TakeDep(u, v)
+	return ok
 }
 
 // SetDepCost updates the data size of dependency (u, v). It reports

@@ -87,7 +87,7 @@ func GetJSON(ctx context.Context, client *http.Client, url string, out any) erro
 	if err != nil {
 		return err
 	}
-	return DoJSON(client, req, out)
+	return doJSON(client, req, out)
 }
 
 // PostJSON issues a POST with in as the JSON body and decodes the JSON
@@ -102,13 +102,13 @@ func PostJSON(ctx context.Context, client *http.Client, url string, in, out any)
 		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	return DoJSON(client, req, out)
+	return doJSON(client, req, out)
 }
 
-// DoJSON executes req and decodes the JSON response into out. A non-200
+// doJSON executes req and decodes the JSON response into out. A non-200
 // status is an answer, not an outage: it becomes an error carrying the
 // status and the server's plain-text body.
-func DoJSON(client *http.Client, req *http.Request, out any) error {
+func doJSON(client *http.Client, req *http.Request, out any) error {
 	resp, err := client.Do(req)
 	if err != nil {
 		return err

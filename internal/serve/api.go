@@ -38,14 +38,23 @@ type ScheduleResponse struct {
 // schedulers and the best k-subset portfolio drawn from it. Iters,
 // Restarts and Seed parameterize the per-pair annealing exactly as
 // `saga portfolio` does; results are independent of how many workers
-// the daemon runs the grid with (ARCHITECTURE invariant 6).
+// the daemon runs the grid with (ARCHITECTURE invariant 6). A key the
+// body leaves out (or sends as null) gets portfolioDefaults' value; an
+// explicit 0 is a value, judged by experiments.NewSweep like any other.
 type PortfolioRequest struct {
 	Schedulers []string `json:"schedulers"`
 	K          int      `json:"k"`
-	Iters      int      `json:"iters,omitempty"`
-	Restarts   int      `json:"restarts,omitempty"`
-	Seed       uint64   `json:"seed,omitempty"`
+	Iters      int      `json:"iters"`
+	Restarts   int      `json:"restarts"`
+	Seed       uint64   `json:"seed"`
 }
+
+// portfolioDefaults and robustnessDefaults are what the daemon decodes
+// a request into, so they fill exactly the keys a body leaves out.
+var (
+	portfolioDefaults  = PortfolioRequest{Iters: 250, Restarts: 2, Seed: 1}
+	robustnessDefaults = RobustnessRequest{Sigma: 0.2, N: 100, Seed: 1}
+)
 
 // PortfolioResponse is the grid plus the selected portfolio. Ratios is
 // row-major with base schedulers as rows and analyzed schedulers as
@@ -61,7 +70,9 @@ type PortfolioResponse struct {
 // RobustnessRequest asks for a PISA robustness report: n jittered
 // replays of the scheduler's committed schedule versus clairvoyant
 // re-planning, with relative cost jitter sigma. The instance arrives
-// like ScheduleRequest's.
+// like ScheduleRequest's. Sigma, N and Seed left out (or null) get
+// robustnessDefaults' values; an explicit 0 is a value, judged by
+// experiments.NewSweep like any other.
 type RobustnessRequest struct {
 	Scheduler string          `json:"scheduler"`
 	Instance  json.RawMessage `json:"instance,omitempty"`
@@ -69,9 +80,9 @@ type RobustnessRequest struct {
 	Link      float64         `json:"link,omitempty"`
 	CCR       float64         `json:"ccr,omitempty"`
 	Nodes     int             `json:"nodes,omitempty"`
-	Sigma     float64         `json:"sigma,omitempty"`
-	N         int             `json:"n,omitempty"`
-	Seed      uint64          `json:"seed,omitempty"`
+	Sigma     float64         `json:"sigma"`
+	N         int             `json:"n"`
+	Seed      uint64          `json:"seed"`
 }
 
 // RobustnessResponse mirrors experiments.RobustnessResult.

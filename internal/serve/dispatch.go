@@ -5,9 +5,9 @@ package serve
 // -coordinator <daemon>/hub -persist` fleet is attached, portfolio and
 // robustness requests are mounted on it as sweeps and computed by the
 // fleet, instead of pinning a local admission slot for the whole run.
-// The daemon then replays the finished store through the NORMAL local
-// code path (the sweep drivers load every cell from it and compute
-// nothing), so a dispatched response is byte-for-byte the local
+// The daemon then replays the finished store through the request's own
+// Sweep.Result (runSweep; the driver loads every cell from it and
+// computes nothing), so a dispatched response is byte-for-byte the local
 // response — the dispatch layer can only ever change where cells are
 // computed, never what the client reads.
 //

@@ -15,8 +15,8 @@
 //     written. Cross-request bleed is impossible by construction: every
 //     memoized value in a Scratch is keyed on (instance pointer, table
 //     generation).
-//   - Content-hash instance caching. Submissions are keyed by the
-//     SHA-256 of their whitespace-stripped payload bytes, computed
+//   - Content-hash instance caching. Schedule submissions are keyed by
+//     the SHA-256 of their whitespace-stripped payload bytes, computed
 //     inside the one scan that reads the request envelope (wire.go); a
 //     hit shares the parsed instance pointer (read-only from then on)
 //     and skips parse, validation, and table builds.
@@ -44,6 +44,7 @@ import (
 	"fmt"
 	"hash"
 	"net/http"
+	"path"
 	"runtime"
 	"sync/atomic"
 	"time"
@@ -231,7 +232,7 @@ func (s *Server) acquire(w http.ResponseWriter, r *http.Request) (release func()
 // returned scratch is non-nil only on a cache hit that also had a
 // parked scratch (tables prebuilt); the caller still owns releasing
 // whatever scratch it ends up using.
-func (s *Server) instanceFor(w http.ResponseWriter, env *envelope, key cacheKey) (entry *cacheEntry, scr *scheduler.Scratch, decode time.Duration, ok bool) {
+func (s *Server) instanceFor(w http.ResponseWriter, env *RobustnessRequest, key cacheKey) (entry *cacheEntry, scr *scheduler.Scratch, decode time.Duration, ok bool) {
 	if entry, scr := s.cache.lookup(key); entry != nil {
 		return entry, scr, 0, true
 	}
@@ -264,7 +265,7 @@ func (s *Server) releaseScratch(entry *cacheEntry, scr *scheduler.Scratch) {
 // readEnvelope reads, scans and keys the body of a schedule or
 // robustness request, answering 400 (413 for an oversized body) when it
 // cannot. arrived is when the body had been read.
-func readEnvelope(w http.ResponseWriter, r *http.Request, robustness bool, h hash.Hash) (env envelope, key cacheKey, arrived time.Time, ok bool) {
+func readEnvelope(w http.ResponseWriter, r *http.Request, robustness bool, h hash.Hash) (env RobustnessRequest, key cacheKey, arrived time.Time, ok bool) {
 	body, ok := httpx.ReadBody(w, r)
 	if !ok {
 		return env, key, arrived, false
@@ -331,7 +332,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handlePortfolio(w http.ResponseWriter, r *http.Request) {
-	var req PortfolioRequest
+	req := portfolioDefaults
 	if !httpx.ReadJSON(w, r, &req) {
 		return
 	}
@@ -339,33 +340,40 @@ func (s *Server) handlePortfolio(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("portfolio needs 2..32 schedulers, got %d", len(req.Schedulers)), http.StatusBadRequest)
 		return
 	}
-	if err := experiments.CheckPortfolioSize(len(req.Schedulers), req.K); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if req.Iters == 0 {
-		req.Iters = 250
-	}
-	if req.Restarts == 0 {
-		req.Restarts = 2
-	}
-	if req.Seed == 0 {
-		req.Seed = 1
-	}
-	if req.Iters < 0 || req.Iters > maxPISAIters || req.Restarts < 0 || req.Restarts > 100 {
+	if req.Iters > maxPISAIters || req.Restarts > 100 {
 		http.Error(w, fmt.Sprintf("iters %d / restarts %d outside the server's budget (iters ≤ %d, restarts ≤ 100)",
 			req.Iters, req.Restarts, maxPISAIters), http.StatusBadRequest)
 		return
 	}
-	// An unknown scheduler is the client's mistake; NewSweep names it.
-	if _, err := experiments.NewSweep("pairwise", req.sweepParams()); err != nil {
+	sw, err := req.sweep()
+	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	store, cerr := s.dispatch(r, "portfolio", "pairwise", req.sweepParams())
-	if cerr != nil {
-		http.Error(w, "client canceled", http.StatusServiceUnavailable)
+	res, ok := s.runSweep(w, r, sw, req.sweepParams(), http.StatusInternalServerError)
+	if !ok {
 		return
+	}
+	resp, err := req.response(res)
+	if err != nil {
+		http.Error(w, fmt.Sprintf("portfolio: %v", err), http.StatusInternalServerError)
+		return
+	}
+	httpx.WriteJSON(w, resp)
+}
+
+// runSweep computes sw for a request and returns its result: from the
+// store the attached fleet filled, when it finishes the sweep, else in
+// process under an admission slot. Either way the answer is sw.Result's.
+// p is what sw was built from, for the hub to build it again. When it
+// returns false it has answered the request: 503 when the client is
+// gone or the daemon saturated, failStatus when the sweep failed.
+func (s *Server) runSweep(w http.ResponseWriter, r *http.Request, sw *experiments.Sweep, p experiments.SweepParams, failStatus int) (any, bool) {
+	endpoint := path.Base(r.URL.Path)
+	store, err := s.dispatch(r, endpoint, sw.Name, p)
+	if err != nil {
+		http.Error(w, "client canceled", http.StatusServiceUnavailable)
+		return nil, false
 	}
 	ro := runner.Options{Workers: s.opts.Workers, Context: r.Context(), Checkpoint: store}
 	if store == nil {
@@ -373,20 +381,20 @@ func (s *Server) handlePortfolio(w http.ResponseWriter, r *http.Request) {
 		// cells (store != nil) computes nothing and does not.
 		release, ok := s.acquire(w, r)
 		if !ok {
-			return
+			return nil, false
 		}
 		defer release()
 	}
-	resp, err := Portfolio(req, ro)
+	res, err := sw.Result(ro)
 	if err != nil {
 		if r.Context().Err() != nil {
 			http.Error(w, "client canceled", http.StatusServiceUnavailable)
-			return
+		} else {
+			http.Error(w, fmt.Sprintf("%s: %v", endpoint, err), failStatus)
 		}
-		http.Error(w, fmt.Sprintf("portfolio: %v", err), http.StatusInternalServerError)
-		return
+		return nil, false
 	}
-	httpx.WriteJSON(w, resp)
+	return res, true
 }
 
 // sweepParams is the identity of the "pairwise" sweep behind a
@@ -395,25 +403,17 @@ func (req PortfolioRequest) sweepParams() experiments.SweepParams {
 	return experiments.SweepParams{Iters: req.Iters, Restarts: req.Restarts, Seed: req.Seed, Schedulers: req.Schedulers}
 }
 
-// Portfolio computes a portfolio response in process: the "pairwise"
-// sweep over req's schedulers under ro (a store the fleet filled
-// replays instead of computing), then the best req.K-subset. A K the
-// selector would refuse is refused before any cell runs. It is what
-// /v1/portfolio answers and what `saga portfolio` prints without
-// -server, so the two cannot differ. req is taken as given; the daemon
-// fills its defaults before calling.
-func Portfolio(req PortfolioRequest, ro runner.Options) (*PortfolioResponse, error) {
+// sweep is the "pairwise" sweep a portfolio request runs. A K the
+// selector would refuse is refused first, so it costs no cell.
+func (req PortfolioRequest) sweep() (*experiments.Sweep, error) {
 	if err := experiments.CheckPortfolioSize(len(req.Schedulers), req.K); err != nil {
 		return nil, err
 	}
-	sw, err := experiments.NewSweep("pairwise", req.sweepParams())
-	if err != nil {
-		return nil, err
-	}
-	res, err := sw.Result(ro)
-	if err != nil {
-		return nil, err
-	}
+	return experiments.NewSweep("pairwise", req.sweepParams())
+}
+
+// response selects the best req.K-subset of the grid the sweep returned.
+func (req PortfolioRequest) response(res any) (*PortfolioResponse, error) {
 	grid := res.(*experiments.PairwiseResult)
 	p, err := experiments.SelectPortfolio(grid.Schedulers, grid.Ratios, req.K)
 	if err != nil {
@@ -422,88 +422,65 @@ func Portfolio(req PortfolioRequest, ro runner.Options) (*PortfolioResponse, err
 	return &PortfolioResponse{Schedulers: grid.Schedulers, Ratios: grid.Ratios, Members: p.Members, WorstRatio: p.WorstRatio}, nil
 }
 
+// Portfolio computes a portfolio response in process: the "pairwise"
+// sweep over req's schedulers under ro, then the best req.K-subset. It
+// is what /v1/portfolio answers and what `saga portfolio` prints without
+// -server, so the two cannot differ. req is taken as given: no field is
+// defaulted.
+func Portfolio(req PortfolioRequest, ro runner.Options) (*PortfolioResponse, error) {
+	sw, err := req.sweep()
+	if err != nil {
+		return nil, err
+	}
+	res, err := sw.Result(ro)
+	if err != nil {
+		return nil, err
+	}
+	return req.response(res)
+}
+
 func (s *Server) handleRobustness(w http.ResponseWriter, r *http.Request) {
 	ws := wirePool.Get().(*wireState)
-	req, key, _, ok := readEnvelope(w, r, true, ws.h)
+	req, _, _, ok := readEnvelope(w, r, true, ws.h)
 	wirePool.Put(ws)
 	if !ok {
 		return
 	}
-	sched, err := scheduler.New(req.Scheduler)
+	if req.N > maxRobustnessN {
+		http.Error(w, fmt.Sprintf("n %d outside the server's budget (n ≤ %d)", req.N, maxRobustnessN), http.StatusBadRequest)
+		return
+	}
+	// The sweep is identified by exact instance bytes: a raw submission
+	// by the client's, a wfformat import by the marshaled instance it
+	// imports to (float64 JSON round-trips exactly, so the sweep's parse
+	// is bit-equal to the import).
+	raw := []byte(req.Instance)
+	if len(raw) == 0 {
+		inst, err := datasets.InstanceFromWfC(req.WfC, req.Link, req.CCR, req.Nodes)
+		if err == nil {
+			raw, err = serialize.MarshalInstance(inst)
+		}
+		if err != nil {
+			http.Error(w, fmt.Sprintf("bad instance: %v", err), http.StatusBadRequest)
+			return
+		}
+	}
+	p := experiments.SweepParams{N: req.N, Seed: req.Seed, Scheduler: req.Scheduler, Sigma: req.Sigma, InstanceRaw: raw}
+	sw, err := experiments.NewSweep("robustness", p)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if req.Sigma == 0 {
-		req.Sigma = 0.2
-	}
-	if req.N == 0 {
-		req.N = 100
-	}
-	if req.Seed == 0 {
-		req.Seed = 1
-	}
-	if err := experiments.CheckSigma(req.Sigma); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if req.N < 1 || req.N > maxRobustnessN {
-		http.Error(w, fmt.Sprintf("n %d outside [1, %d]", req.N, maxRobustnessN), http.StatusBadRequest)
-		return
-	}
-	entry, scr, _, ok := s.instanceFor(w, &req, key)
+	res, ok := s.runSweep(w, r, sw, p, http.StatusBadRequest)
 	if !ok {
 		return
 	}
-	if scr != nil {
-		// The robustness driver owns per-worker scratches internally; a
-		// parked scratch stays parked for the schedule path.
-		s.releaseScratch(entry, scr)
-	}
-	// A dispatched robustness sweep is identified by the exact instance
-	// bytes. Raw submissions use the client's bytes verbatim; WfC
-	// imports re-marshal the parsed instance (float64 JSON round-trips
-	// exactly, so the worker's parse is bit-equal to entry.inst).
-	instRaw := req.Instance
-	if len(instRaw) == 0 && s.hub.ActiveWorkers() > 0 {
-		var merr error
-		if instRaw, merr = serialize.MarshalInstance(entry.inst); merr != nil {
-			instRaw = nil // dispatch impossible; compute locally
-		}
-	}
-	var store runner.Checkpoint
-	if len(instRaw) > 0 {
-		var cerr error
-		store, cerr = s.dispatch(r, "robustness", "robustness", experiments.SweepParams{
-			N: req.N, Seed: req.Seed, Scheduler: req.Scheduler, Sigma: req.Sigma, InstanceRaw: instRaw,
-		})
-		if cerr != nil {
-			http.Error(w, "client canceled", http.StatusServiceUnavailable)
-			return
-		}
-	}
-	ro := runner.Options{Workers: s.opts.Workers, Context: r.Context(), Checkpoint: store}
-	if store == nil {
-		release, ok := s.acquire(w, r)
-		if !ok {
-			return
-		}
-		defer release()
-	}
-	res, err := experiments.RobustnessRun(entry.inst, sched, req.Sigma, req.N, req.Seed, ro)
-	if err != nil {
-		if r.Context().Err() != nil {
-			http.Error(w, "client canceled", http.StatusServiceUnavailable)
-			return
-		}
-		http.Error(w, fmt.Sprintf("robustness: %v", err), http.StatusBadRequest)
-		return
-	}
+	rr := res.(*experiments.RobustnessResult)
 	httpx.WriteJSON(w, RobustnessResponse{
-		Scheduler: res.Scheduler,
-		Nominal:   res.Nominal,
-		Static:    res.Static,
-		Adaptive:  res.Adaptive,
+		Scheduler: rr.Scheduler,
+		Nominal:   rr.Nominal,
+		Static:    rr.Static,
+		Adaptive:  rr.Adaptive,
 	})
 }
 

@@ -18,8 +18,10 @@ import (
 // read in place, the instance or wfformat payload comes back as a
 // sub-slice of the body, and its bytes stream into the SHA-256 behind
 // the cache key — so a cache hit never decodes the payload and never
-// copies it. The /v1/schedule response is appended into a pooled buffer
-// and written once.
+// copies it. Only /v1/schedule looks the key up: a robustness sweep is
+// built from its instance bytes (experiments.NewSweep parses them). The
+// /v1/schedule response is appended into a pooled buffer and written
+// once.
 
 // cacheKey identifies a submitted instance: the SHA-256 of its payload
 // with the whitespace between tokens stripped (so it survives
@@ -36,21 +38,6 @@ type wireState struct {
 
 var wirePool = sync.Pool{New: func() any { return &wireState{h: sha256.New()} }}
 
-// envelope is the decoded body of a schedule or robustness request.
-// Instance and WfC alias the body.
-type envelope struct {
-	Scheduler string
-	Instance  []byte
-	WfC       []byte
-	Link      float64
-	CCR       float64
-	Nodes     int
-	// Robustness requests only.
-	Sigma float64
-	N     int
-	Seed  uint64
-}
-
 // The envelope's keys, in the order scanEnvelope's switch numbers them;
 // a schedule request knows only the first scheduleFields of them.
 var envelopeFields = []string{"scheduler", "instance", "wfc", "link", "ccr", "nodes", "sigma", "n", "seed"}
@@ -58,12 +45,16 @@ var envelopeFields = []string{"scheduler", "instance", "wfc", "link", "ccr", "no
 const scheduleFields = 6
 
 // scanEnvelope decodes a request body with the field semantics of
-// encoding/json over ScheduleRequest or, when robustness is set,
-// RobustnessRequest — except that a repeated key is refused — and
-// streams the payload's bytes, whitespace stripped, into h.
-func scanEnvelope(body []byte, robustness bool, h hash.Hash) (env envelope, err error) {
+// encoding/json over ScheduleRequest or, when robustness is set, over
+// robustnessDefaults — except that a repeated key is refused — and
+// streams the payload's bytes, whitespace stripped, into h. A schedule
+// request's envelope is a RobustnessRequest whose sweep keys stay zero.
+// Instance and WfC alias the body.
+func scanEnvelope(body []byte, robustness bool, h hash.Hash) (env RobustnessRequest, err error) {
 	fields := envelopeFields
-	if !robustness {
+	if robustness {
+		env = robustnessDefaults
+	} else {
 		fields = fields[:scheduleFields]
 	}
 	h.Reset()
@@ -111,7 +102,7 @@ func scanEnvelope(body []byte, robustness bool, h hash.Hash) (env envelope, err 
 // nodes ≤ 0 means 4, ccr ≤ 0 means no override — and only then closes
 // the cache key in h over them, so that two spellings of one import
 // share one cache entry.
-func (env *envelope) finish(h hash.Hash) (key cacheKey, err error) {
+func (env *RobustnessRequest) finish(h hash.Hash) (key cacheKey, err error) {
 	switch {
 	case len(env.Instance) > 0 && len(env.WfC) > 0:
 		return key, errors.New("instance and wfc are mutually exclusive")

@@ -39,16 +39,17 @@ func checkEnvelopeAgainstOracle(t *testing.T, body []byte, robustness bool) {
 	if errors.Is(err, jsonscan.ErrDuplicateKey) {
 		return
 	}
-	var want envelope
+	var want RobustnessRequest
 	var wantErr error
 	if robustness {
-		var req RobustnessRequest
-		wantErr = json.Unmarshal(body, &req)
-		want = envelope{req.Scheduler, req.Instance, req.WfC, req.Link, req.CCR, req.Nodes, req.Sigma, req.N, req.Seed}
+		// The request the daemon decodes into: a key the body leaves out
+		// or sends as null keeps its default, an explicit 0 is a value.
+		want = robustnessDefaults
+		wantErr = json.Unmarshal(body, &want)
 	} else {
 		var req ScheduleRequest
 		wantErr = json.Unmarshal(body, &req)
-		want = envelope{Scheduler: req.Scheduler, Instance: req.Instance, WfC: req.WfC, Link: req.Link, CCR: req.CCR, Nodes: req.Nodes}
+		want = RobustnessRequest{Scheduler: req.Scheduler, Instance: req.Instance, WfC: req.WfC, Link: req.Link, CCR: req.CCR, Nodes: req.Nodes}
 	}
 	if (err == nil) != (wantErr == nil) {
 		t.Fatalf("%.200q (robustness %v):\nscanner error: %v\noracle error:  %v", body, robustness, err, wantErr)
@@ -82,6 +83,8 @@ var envelopeSeeds = []string{
 	`{"scheduler":"HEFT","instance":{"a":1},"sigma":0.3,"n":25,"seed":7}`,
 	`{"SCHEDULER":"x","Instance":[1, 2],"WFC":"w","LINK":1,"Ccr":2,"nodeS":3,"ſigma":1,"N":2,"ſeed":3}`, // U+017F folds to s
 	`{"scheduler":null,"instance":null,"wfc":null,"link":null,"ccr":null,"nodes":null,"sigma":null,"n":null,"seed":null}`,
+	`{"scheduler":"HEFT","instance":{"a":1},"sigma":0,"n":0,"seed":0}`, `{"sigma":0}`, `{"n":0}`, `{"seed":0}`,
+	`{"sigma":null,"n":0}`, `{"n":null,"seed":0}`, `{"seed":null,"sigma":0}`, `{"sigma":-0}`,
 	`{"scheduler":"é😀\ud800","instance":"\ud800"}`,
 	"{\"scheduler\":\"\xff\",\"instance\":\"\xff \xc3\"}",
 	`{"instance": {"k" : [ 1 , "a  b" , { } ] } , "link" : 1.0}`,
