@@ -8,19 +8,44 @@ import (
 )
 
 // cacheEntry is one cached instance plus the scratches whose tables are
-// currently built for it. The instance is shared by every request that
-// hits the entry and is strictly read-only from then on — scheduling
-// never mutates an instance, and the robustness driver jitters copies —
-// so concurrent requests may hold the same pointer. The scratch list is
-// the part that makes a cache hit skip graph.Tables builds: a scratch
-// parked here was released by a request that scheduled this exact
-// instance pointer, so Scratch.Tables recognizes it and serves the
-// prebuilt tables (and with them every memoized rank vector).
+// currently built for it and the /v1/schedule answers already given for
+// it. The instance is shared by every request that hits the entry and is
+// strictly read-only from then on — scheduling never mutates an
+// instance, and the robustness driver jitters copies — so concurrent
+// requests may hold the same pointer. The scratch list is the part that
+// makes a cache hit skip graph.Tables builds: a scratch parked here was
+// released by a request that scheduled this exact instance pointer, so
+// Scratch.Tables recognizes it and serves the prebuilt tables (and with
+// them every memoized rank vector). The responses make a repeat hit skip
+// the scheduler and the encoder too: each holds the complete response
+// body one scheduler's request produced on this instance, and is exactly
+// what a fresh call would write, since every registered scheduler is a
+// deterministic function of the instance and results do not depend on
+// the scratch (ARCHITECTURE invariants 3 and 6). There is at most one
+// per registered scheduler name, each O(|T|) bytes, and they go with the
+// entry when it is evicted.
 type cacheEntry struct {
 	key       cacheKey
 	inst      *graph.Instance
 	scratches []*scheduler.Scratch
+	responses []storedResponse
 	lastUsed  uint64
+}
+
+// storedResponse is one scheduler's /v1/schedule response body for the
+// entry's instance; body is never written after it is stored.
+type storedResponse struct {
+	scheduler string
+	body      []byte
+}
+
+func (e *cacheEntry) response(name string) []byte {
+	for _, r := range e.responses {
+		if r.scheduler == name {
+			return r.body
+		}
+	}
+	return nil
 }
 
 // instanceCache maps the content hash of a submitted instance to its
@@ -37,7 +62,7 @@ type instanceCache struct {
 	clock   uint64
 	entries map[cacheKey]*cacheEntry
 
-	hits, misses, evictions, tableReuses uint64
+	hits, misses, evictions, tableReuses, responseHits uint64
 }
 
 func newInstanceCache(capEntries, maxPark int) *instanceCache {
@@ -50,26 +75,32 @@ func newInstanceCache(capEntries, maxPark int) *instanceCache {
 	return &instanceCache{cap: capEntries, maxPark: maxPark, entries: map[cacheKey]*cacheEntry{}}
 }
 
-// lookup returns the cached entry for key, or nil. On a hit it also
-// leases a parked scratch when one is available; scr is non-nil only on
-// a hit, and its tables are already built for entry.inst.
-func (c *instanceCache) lookup(key cacheKey) (entry *cacheEntry, scr *scheduler.Scratch) {
+// lookup returns the cached entry for key, or nil. On a hit it returns
+// the response stored for the named scheduler when there is one, and
+// otherwise leases a parked scratch when one is available; scr is
+// non-nil only on a hit, and its tables are already built for
+// entry.inst.
+func (c *instanceCache) lookup(key cacheKey, name string) (entry *cacheEntry, stored []byte, scr *scheduler.Scratch) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[key]
 	if !ok {
 		c.misses++
-		return nil, nil
+		return nil, nil, nil
 	}
 	c.hits++
 	c.clock++
 	e.lastUsed = c.clock
+	if stored = e.response(name); stored != nil {
+		c.responseHits++
+		return e, stored, nil
+	}
 	if n := len(e.scratches); n > 0 {
 		scr = e.scratches[n-1]
 		e.scratches = e.scratches[:n-1]
 		c.tableReuses++
 	}
-	return e, scr
+	return e, nil, scr
 }
 
 // insert adds inst under key, evicting the least-recently-used entry
@@ -93,9 +124,10 @@ func (c *instanceCache) insert(key cacheKey, inst *graph.Instance) *cacheEntry {
 		}
 		delete(c.entries, victim.key)
 		c.evictions++
-		// The victim's parked scratches are simply dropped from the entry;
-		// they were only a table-reuse fast path, and any still-leased
-		// scratch returns through release, which tolerates a gone entry.
+		// The victim's parked scratches and stored responses are simply
+		// dropped with the entry; they were only fast paths, and any
+		// still-leased scratch returns through release, which tolerates a
+		// gone entry.
 	}
 	c.clock++
 	e := &cacheEntry{key: key, inst: inst, lastUsed: c.clock}
@@ -117,14 +149,29 @@ func (c *instanceCache) release(entry *cacheEntry, scr *scheduler.Scratch) (ok b
 	return true
 }
 
+// store keeps a copy of body as the named scheduler's response for
+// entry.inst, so the next hit for the pair writes it without
+// scheduling. An entry that was evicted meanwhile, or that already holds
+// the pair's response (a concurrent request stored the same bytes
+// first), is left as it is.
+func (c *instanceCache) store(entry *cacheEntry, name string, body []byte) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.entries[entry.key] != entry || entry.response(name) != nil {
+		return
+	}
+	entry.responses = append(entry.responses, storedResponse{scheduler: name, body: append([]byte(nil), body...)})
+}
+
 func (c *instanceCache) stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return CacheStats{
-		Entries:     len(c.entries),
-		Hits:        c.hits,
-		Misses:      c.misses,
-		Evictions:   c.evictions,
-		TableReuses: c.tableReuses,
+		Entries:      len(c.entries),
+		Hits:         c.hits,
+		Misses:       c.misses,
+		Evictions:    c.evictions,
+		TableReuses:  c.tableReuses,
+		ResponseHits: c.responseHits,
 	}
 }

@@ -172,7 +172,9 @@ type EndpointStats struct {
 // scanning the envelope and hashing the payload into the cache key,
 // decoding and validating the instance (cache misses only — divide by
 // cache.misses, not Count), scheduling (cache lookup and scratch lease
-// included), and encoding plus writing the response. What a request
+// included), and encoding plus writing the response. A hit answered with
+// a stored response spends its schedule phase on the lookup alone and
+// its encode phase on the write. What a request
 // spends outside these — admission wait, net/http — is the difference
 // to the endpoint's mean_ms.
 type PhaseStats struct {
@@ -184,13 +186,17 @@ type PhaseStats struct {
 	EncodeNS   uint64 `json:"encode_ns"`
 }
 
-// CacheStats is the instance cache's snapshot.
+// CacheStats is the instance cache's snapshot. ResponseHits counts the
+// hits answered with a stored response, which lease no scratch: every
+// /v1/schedule request that gets past the cache lookup is either one of
+// them or one of the pool's Leases.
 type CacheStats struct {
-	Entries     int    `json:"entries"`
-	Hits        uint64 `json:"hits"`
-	Misses      uint64 `json:"misses"`
-	Evictions   uint64 `json:"evictions"`
-	TableReuses uint64 `json:"table_reuses"`
+	Entries      int    `json:"entries"`
+	Hits         uint64 `json:"hits"`
+	Misses       uint64 `json:"misses"`
+	Evictions    uint64 `json:"evictions"`
+	TableReuses  uint64 `json:"table_reuses"`
+	ResponseHits uint64 `json:"response_hits"`
 }
 
 // PoolStats is the scratch pool's snapshot.

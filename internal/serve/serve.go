@@ -8,18 +8,26 @@
 // The request path leans on the repo's established ownership rules
 // (ARCHITECTURE invariant 8):
 //
-//   - Per-request Scratch leasing. Every schedule request leases one
-//     scheduler.Scratch — from the instance cache when the instance was
-//     seen before (tables prebuilt, zero graph.Tables work), else from a
-//     sync.Pool — and owns it exclusively until the response is
-//     written. Cross-request bleed is impossible by construction: every
-//     memoized value in a Scratch is keyed on (instance pointer, table
-//     generation).
+//   - Per-request Scratch leasing. Every /v1/schedule request that
+//     runs a scheduler leases one scheduler.Scratch — from the instance
+//     cache when the instance was seen before (tables prebuilt, zero
+//     graph.Tables work), else from a sync.Pool — and owns it
+//     exclusively until the response is written. Cross-request bleed is
+//     impossible by construction: every memoized value in a Scratch is
+//     keyed on (instance pointer, table generation).
 //   - Content-hash instance caching. Schedule submissions are keyed by
 //     the SHA-256 of their whitespace-stripped payload bytes, computed
 //     inside the one scan that reads the request envelope (wire.go); a
 //     hit shares the parsed instance pointer (read-only from then on)
 //     and skips parse, validation, and table builds.
+//   - Stored answers. A cache hit that schedules keeps a copy of its
+//     response with the cache entry, one per scheduler name; the next
+//     hit for the same scheduler writes those bytes and leases no
+//     scratch, runs no scheduler and encodes nothing. The copy is what
+//     a fresh call would write — registered schedulers are
+//     deterministic and results do not depend on the scratch
+//     (ARCHITECTURE invariants 3 and 6). A miss stores nothing, so
+//     traffic that never repeats an instance pays for no copy.
 //   - Bounded admission. At most MaxConcurrent requests compute at
 //     once; excess requests wait up to QueueTimeout, then are refused
 //     with 503 — load sheds at the door instead of thrashing the
@@ -198,14 +206,16 @@ func (s *Server) track(name string, h http.HandlerFunc) http.HandlerFunc {
 		h(rec, r)
 		d := time.Since(start)
 		s.metrics.record(name, d, rec.status != http.StatusOK)
-		s.logf("serve: %s %d %s", name, rec.status, d)
+		if s.opts.Logf != nil { // unguarded, the arguments box on every request
+			s.logf("serve: %s %d %s", name, rec.status, d)
+		}
 	}
 }
 
 // acquire takes one of the MaxConcurrent admission slots, waiting at
 // most QueueTimeout, refusing with 503 when the daemon is saturated.
-// On ok the caller must invoke release exactly once.
-func (s *Server) acquire(w http.ResponseWriter, r *http.Request) (release func(), ok bool) {
+// When it returns true the caller must invoke release exactly once.
+func (s *Server) acquire(w http.ResponseWriter, r *http.Request) bool {
 	select {
 	case s.sem <- struct{}{}:
 	default:
@@ -217,26 +227,22 @@ func (s *Server) acquire(w http.ResponseWriter, r *http.Request) (release func()
 			s.metrics.reject()
 			http.Error(w, fmt.Sprintf("server saturated: %d requests in flight, none finished within %s",
 				s.opts.MaxConcurrent, s.opts.QueueTimeout), http.StatusServiceUnavailable)
-			return nil, false
+			return false
 		case <-r.Context().Done():
 			s.metrics.reject()
 			http.Error(w, "client gave up while queued", http.StatusServiceUnavailable)
-			return nil, false
+			return false
 		}
 	}
-	return func() { <-s.sem }, true
+	return true
 }
 
-// instanceFor resolves a request's instance: cache hit, or decode +
-// validate + insert, in which case decode is how long that took. The
-// returned scratch is non-nil only on a cache hit that also had a
-// parked scratch (tables prebuilt); the caller still owns releasing
-// whatever scratch it ends up using.
-func (s *Server) instanceFor(w http.ResponseWriter, env *RobustnessRequest, key cacheKey) (entry *cacheEntry, scr *scheduler.Scratch, decode time.Duration, ok bool) {
-	if entry, scr := s.cache.lookup(key); entry != nil {
-		return entry, scr, 0, true
-	}
-	start := time.Now()
+// release gives back the admission slot acquire took.
+func (s *Server) release() { <-s.sem }
+
+// decodeInstance parses and validates a request's instance, answering
+// 400 when it cannot.
+func decodeInstance(w http.ResponseWriter, env *RobustnessRequest) (*graph.Instance, bool) {
 	var inst *graph.Instance
 	var err error
 	if len(env.Instance) > 0 {
@@ -247,9 +253,9 @@ func (s *Server) instanceFor(w http.ResponseWriter, env *RobustnessRequest, key 
 	}
 	if err != nil {
 		http.Error(w, fmt.Sprintf("bad instance: %v", err), http.StatusBadRequest)
-		return nil, nil, 0, false
+		return nil, false
 	}
-	return s.cache.insert(key, inst), nil, time.Since(start), true
+	return inst, true
 }
 
 // releaseScratch parks the request's scratch with its instance's cache
@@ -262,39 +268,43 @@ func (s *Server) releaseScratch(entry *cacheEntry, scr *scheduler.Scratch) {
 	s.pool.Put(scr)
 }
 
-// readEnvelope reads, scans and keys the body of a schedule or
-// robustness request, answering 400 (413 for an oversized body) when it
-// cannot. arrived is when the body had been read.
-func readEnvelope(w http.ResponseWriter, r *http.Request, robustness bool, h hash.Hash) (env RobustnessRequest, key cacheKey, arrived time.Time, ok bool) {
+// readEnvelope reads and scans the body of a schedule or robustness
+// request and, when ws is not nil, keys it into ws.key, answering 400
+// (413 for an oversized body) when it cannot. arrived is when the body
+// had been read.
+func readEnvelope(w http.ResponseWriter, r *http.Request, robustness bool, ws *wireState) (env RobustnessRequest, arrived time.Time, ok bool) {
 	body, ok := httpx.ReadBody(w, r)
 	if !ok {
-		return env, key, arrived, false
+		return env, arrived, false
 	}
 	arrived = time.Now()
+	var h hash.Hash
+	if ws != nil {
+		h = ws.h
+	}
 	env, err := scanEnvelope(body, robustness, h)
 	if err == nil {
-		key, err = env.finish(h)
+		err = env.finish(ws)
 	}
 	if err != nil {
 		http.Error(w, fmt.Sprintf("bad request body: %v", err), http.StatusBadRequest)
-		return env, key, arrived, false
+		return env, arrived, false
 	}
-	return env, key, arrived, true
+	return env, arrived, true
 }
 
 func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
-	release, ok := s.acquire(w, r)
-	if !ok {
+	if !s.acquire(w, r) {
 		return
 	}
-	defer release()
+	defer s.release()
 	ws := wirePool.Get().(*wireState)
 	defer wirePool.Put(ws)
 
 	// Five clock readings split the request into the phases /metrics
 	// reports; a miss takes two more around its decode.
 	t0 := time.Now()
-	env, key, t1, ok := readEnvelope(w, r, false, ws.h)
+	env, t1, ok := readEnvelope(w, r, false, ws)
 	if !ok {
 		return
 	}
@@ -303,10 +313,27 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
+	// A hit is answered with the response the entry stored for this
+	// scheduler, or else scheduled on the entry's parked scratch, if
+	// any; a miss decodes the instance and caches it.
 	t2 := time.Now()
-	entry, scr, decode, ok := s.instanceFor(w, &env, key)
-	if !ok {
+	entry, stored, scr := s.cache.lookup(ws.key, env.Scheduler)
+	if stored != nil {
+		t3 := time.Now()
+		writeScheduleResponse(w, stored)
+		s.metrics.recordPhases(t1.Sub(t0), t2.Sub(t1), 0, t3.Sub(t2), time.Since(t3))
 		return
+	}
+	hit := entry != nil
+	var decode time.Duration
+	if !hit {
+		start := time.Now()
+		inst, ok := decodeInstance(w, &env)
+		if !ok {
+			return
+		}
+		entry = s.cache.insert(ws.key, inst)
+		decode = time.Since(start)
 	}
 	s.leases.Add(1)
 	if scr == nil {
@@ -325,10 +352,19 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("encode schedule: %v", err), http.StatusInternalServerError)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(ws.out)
+	// An instance's first sighting stores nothing, so traffic that never
+	// repeats an instance pays for no copy.
+	if hit {
+		s.cache.store(entry, env.Scheduler, ws.out)
+	}
+	writeScheduleResponse(w, ws.out)
 	t4 := time.Now()
 	s.metrics.recordPhases(t1.Sub(t0), t2.Sub(t1), decode, t3.Sub(t2)-decode, t4.Sub(t3))
+}
+
+func writeScheduleResponse(w http.ResponseWriter, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(body)
 }
 
 func (s *Server) handlePortfolio(w http.ResponseWriter, r *http.Request) {
@@ -379,11 +415,10 @@ func (s *Server) runSweep(w http.ResponseWriter, r *http.Request, sw *experiment
 	if store == nil {
 		// Local compute holds an admission slot; replaying dispatched
 		// cells (store != nil) computes nothing and does not.
-		release, ok := s.acquire(w, r)
-		if !ok {
+		if !s.acquire(w, r) {
 			return nil, false
 		}
-		defer release()
+		defer s.release()
 	}
 	res, err := sw.Result(ro)
 	if err != nil {
@@ -440,9 +475,7 @@ func Portfolio(req PortfolioRequest, ro runner.Options) (*PortfolioResponse, err
 }
 
 func (s *Server) handleRobustness(w http.ResponseWriter, r *http.Request) {
-	ws := wirePool.Get().(*wireState)
-	req, _, _, ok := readEnvelope(w, r, true, ws.h)
-	wirePool.Put(ws)
+	req, _, ok := readEnvelope(w, r, true, nil)
 	if !ok {
 		return
 	}

@@ -18,10 +18,12 @@ import (
 // read in place, the instance or wfformat payload comes back as a
 // sub-slice of the body, and its bytes stream into the SHA-256 behind
 // the cache key — so a cache hit never decodes the payload and never
-// copies it. Only /v1/schedule looks the key up: a robustness sweep is
-// built from its instance bytes (experiments.NewSweep parses them). The
-// /v1/schedule response is appended into a pooled buffer and written
-// once.
+// copies it. Only /v1/schedule keys its envelope: a robustness sweep is
+// built from its instance bytes (experiments.NewSweep parses them), so
+// its scan is given no hasher. The /v1/schedule response is appended
+// into a pooled buffer and written once; on a cache hit a copy of it
+// stays with the cache entry, and the next hit for the same scheduler
+// writes that copy instead (cache.go).
 
 // cacheKey identifies a submitted instance: the SHA-256 of its payload
 // with the whitespace between tokens stripped (so it survives
@@ -30,9 +32,11 @@ import (
 type cacheKey [sha256.Size]byte
 
 // wireState is what one request needs besides its body: the hasher the
-// envelope scan feeds and the buffer the response is appended to.
+// envelope scan feeds, the key it closes into, and the buffer the
+// response is appended to.
 type wireState struct {
 	h   hash.Hash
+	key cacheKey
 	out []byte
 }
 
@@ -47,9 +51,9 @@ const scheduleFields = 6
 // scanEnvelope decodes a request body with the field semantics of
 // encoding/json over ScheduleRequest or, when robustness is set, over
 // robustnessDefaults — except that a repeated key is refused — and
-// streams the payload's bytes, whitespace stripped, into h. A schedule
-// request's envelope is a RobustnessRequest whose sweep keys stay zero.
-// Instance and WfC alias the body.
+// streams the payload's bytes, whitespace stripped, into h unless h is
+// nil. A schedule request's envelope is a RobustnessRequest whose sweep
+// keys stay zero. Instance and WfC alias the body.
 func scanEnvelope(body []byte, robustness bool, h hash.Hash) (env RobustnessRequest, err error) {
 	fields := envelopeFields
 	if robustness {
@@ -57,7 +61,9 @@ func scanEnvelope(body []byte, robustness bool, h hash.Hash) (env RobustnessRequ
 	} else {
 		fields = fields[:scheduleFields]
 	}
-	h.Reset()
+	if h != nil {
+		h.Reset()
+	}
 	s := jsonscan.New(body)
 	if s.Object() {
 		var seen uint32
@@ -99,15 +105,15 @@ func scanEnvelope(body []byte, robustness bool, h hash.Hash) (env RobustnessRequ
 // finish completes what scanEnvelope began: it refuses an envelope
 // without exactly one payload, replaces the import knobs of a wfformat
 // payload by what datasets.InstanceFromWfC will use — link ≤ 0 means 1,
-// nodes ≤ 0 means 4, ccr ≤ 0 means no override — and only then closes
-// the cache key in h over them, so that two spellings of one import
-// share one cache entry.
-func (env *RobustnessRequest) finish(h hash.Hash) (key cacheKey, err error) {
+// nodes ≤ 0 means 4, ccr ≤ 0 means no override — and only then, unless
+// ws is nil, closes the cache key in ws.h over them into ws.key, so that
+// two spellings of one import share one cache entry.
+func (env *RobustnessRequest) finish(ws *wireState) error {
 	switch {
 	case len(env.Instance) > 0 && len(env.WfC) > 0:
-		return key, errors.New("instance and wfc are mutually exclusive")
+		return errors.New("instance and wfc are mutually exclusive")
 	case len(env.Instance) == 0 && len(env.WfC) == 0:
-		return key, errors.New("one of instance or wfc is required")
+		return errors.New("one of instance or wfc is required")
 	case len(env.WfC) > 0:
 		if env.Link <= 0 {
 			env.Link = 1
@@ -118,16 +124,21 @@ func (env *RobustnessRequest) finish(h hash.Hash) (key cacheKey, err error) {
 		if env.CCR <= 0 {
 			env.CCR = 0
 		}
+	}
+	if ws == nil {
+		return nil
+	}
+	if len(env.WfC) > 0 {
 		// A NUL cannot occur in the payload, so it parts payload from
 		// knobs and a wfformat key from every instance key.
 		var knobs [25]byte
 		binary.LittleEndian.PutUint64(knobs[1:], math.Float64bits(env.Link))
 		binary.LittleEndian.PutUint64(knobs[9:], math.Float64bits(env.CCR))
 		binary.LittleEndian.PutUint64(knobs[17:], uint64(env.Nodes))
-		h.Write(knobs[:])
+		ws.h.Write(knobs[:])
 	}
-	h.Sum(key[:0])
-	return key, nil
+	ws.h.Sum(ws.key[:0])
+	return nil
 }
 
 // appendScheduleResponse appends the /v1/schedule response body: the

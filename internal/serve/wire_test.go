@@ -31,11 +31,18 @@ import (
 // into the request struct gives: the same verdict, the same scalars, the
 // same raw payload bytes — and a key that a re-indented copy of the body
 // reproduces. A repeated key, which the stdlib merges and the scanner
-// refuses, is recognised by asking the scanner first.
+// refuses, is recognised by asking the scanner first. The scan without a
+// hasher, which robustness requests use, must decode and refuse exactly
+// what the keyed scan does.
 func checkEnvelopeAgainstOracle(t *testing.T, body []byte, robustness bool) {
 	t.Helper()
-	h := sha256.New()
-	got, err := scanEnvelope(body, robustness, h)
+	ws := &wireState{h: sha256.New()}
+	got, err := scanEnvelope(body, robustness, ws.h)
+	bare, bareErr := scanEnvelope(body, robustness, nil)
+	if fmt.Sprint(err) != fmt.Sprint(bareErr) || !reflect.DeepEqual(got, bare) {
+		t.Fatalf("%.200q (robustness %v): without a hasher the scan gave %+v (%v), with one %+v (%v)",
+			body, robustness, bare, bareErr, got, err)
+	}
 	if errors.Is(err, jsonscan.ErrDuplicateKey) {
 		return
 	}
@@ -60,19 +67,24 @@ func checkEnvelopeAgainstOracle(t *testing.T, body []byte, robustness bool) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("%.200q (robustness %v):\nscanner decoded %+v\noracle decoded  %+v", body, robustness, got, want)
 	}
-	key, keyErr := got.finish(h)
+	keyErr := got.finish(ws)
+	key := ws.key
+	if bareErr := bare.finish(nil); fmt.Sprint(bareErr) != fmt.Sprint(keyErr) || !reflect.DeepEqual(got, bare) {
+		t.Fatalf("%.200q (robustness %v): finish without a key gave %+v (%v), with one %+v (%v)",
+			body, robustness, bare, bareErr, got, keyErr)
+	}
 	var indented bytes.Buffer
 	// No indent string: a newline per token and a space after each colon,
 	// without the quadratic output deep nesting would otherwise cost.
 	if err := json.Indent(&indented, body, "", ""); err != nil {
 		t.Fatal(err)
 	}
-	again, err := scanEnvelope(indented.Bytes(), robustness, h)
+	again, err := scanEnvelope(indented.Bytes(), robustness, ws.h)
 	if err != nil {
 		t.Fatalf("%.200q: re-indented copy refused: %v", body, err)
 	}
-	if againKey, againErr := again.finish(h); againKey != key || (againErr == nil) != (keyErr == nil) {
-		t.Fatalf("%.200q: key %x (%v) became %x (%v) on re-indentation", body, key, keyErr, againKey, againErr)
+	if againErr := again.finish(ws); ws.key != key || (againErr == nil) != (keyErr == nil) {
+		t.Fatalf("%.200q: key %x (%v) became %x (%v) on re-indentation", body, key, keyErr, ws.key, againErr)
 	}
 }
 
@@ -220,29 +232,47 @@ func TestOverflowingInstanceIs400(t *testing.T) {
 const scheduleHitAllocBudget = 29 + 2
 
 // TestScheduleHitAllocs is the allocation gate of the wire path (`make
-// bench-serve`): a cache hit reads the body, scans and keys it, leases
-// the parked scratch, schedules and appends the response; none of that
-// may start allocating per request again.
+// bench-serve`): a cache hit that schedules reads the body, scans and
+// keys it, leases the parked scratch, schedules, appends the response
+// and stores a copy of it; a hit answered with that stored copy only
+// reads, scans, keys and writes. Neither may start allocating per
+// request again.
 func TestScheduleHitAllocs(t *testing.T) {
 	if os.Getenv("SERVE_BENCH_GATE") != "1" {
 		t.Skip("set SERVE_BENCH_GATE=1 to run the cache-hit allocation gate")
 	}
-	s := New(Options{})
-	body := mustMarshal(t, ScheduleRequest{Scheduler: "HEFT", Instance: testInstance(t, 7)})
-	post := func() *httptest.ResponseRecorder {
+	// A scheduling hit happens once per cached instance and scheduler, so
+	// each measured call of the first kind gets an instance of its own,
+	// submitted once beforehand.
+	const runs = 100
+	s := New(Options{CacheEntries: runs + 1})
+	var bodies [][]byte
+	for seed := uint64(1); seed <= runs+1; seed++ {
+		bodies = append(bodies, mustMarshal(t, ScheduleRequest{Scheduler: "HEFT", Instance: testInstance(t, seed)}))
+	}
+	post := func(body []byte) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()
 		s.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/schedule", bytes.NewReader(body)))
 		return rec
 	}
-	if rec := post(); rec.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", rec.Code, rec.Body)
+	for _, body := range bodies {
+		if rec := post(body); rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
 	}
-	allocs := testing.AllocsPerRun(200, func() { post() })
-	t.Logf("cache-hit POST /v1/schedule: %.0f allocs/op (budget %d)", allocs, scheduleHitAllocBudget)
-	if allocs > scheduleHitAllocBudget {
-		t.Fatalf("cache-hit POST /v1/schedule allocates %.0f times, budget %d", allocs, scheduleHitAllocBudget)
+	next := 0
+	scheduling := testing.AllocsPerRun(runs, func() {
+		post(bodies[next])
+		next++
+	})
+	stored := testing.AllocsPerRun(200, func() { post(bodies[0]) })
+	t.Logf("cache-hit POST /v1/schedule: %.0f allocs/op scheduling, %.0f answered with the stored response (budget %d)",
+		scheduling, stored, scheduleHitAllocBudget)
+	if scheduling > scheduleHitAllocBudget || stored > scheduleHitAllocBudget {
+		t.Fatalf("cache-hit POST /v1/schedule allocates %.0f times scheduling and %.0f answered with the stored response, budget %d",
+			scheduling, stored, scheduleHitAllocBudget)
 	}
-	if st := s.cache.stats(); st.Misses != 1 {
-		t.Fatalf("the measured requests were not cache hits: %+v", st)
+	if st := s.cache.stats(); st.Misses != runs+1 || st.TableReuses != runs+1 || st.ResponseHits != 201 {
+		t.Fatalf("the measured requests were not the hits they should be: %+v", st)
 	}
 }
