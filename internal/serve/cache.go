@@ -2,6 +2,7 @@ package serve
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"saga/internal/graph"
 	"saga/internal/scheduler"
@@ -23,7 +24,7 @@ import (
 // deterministic function of the instance and results do not depend on
 // the scratch (ARCHITECTURE invariants 3 and 6). There is at most one
 // per registered scheduler name, each O(|T|) bytes, and they go with the
-// entry when it is evicted.
+// entry when it is evicted, their body keys with them.
 type cacheEntry struct {
 	key       cacheKey
 	inst      *graph.Instance
@@ -33,10 +34,20 @@ type cacheEntry struct {
 }
 
 // storedResponse is one scheduler's /v1/schedule response body for the
-// entry's instance; body is never written after it is stored.
+// entry's instance; body is never written after it is stored. raw is
+// the SHA-256 of the exact request body whose scheduling hit stored it,
+// the response's key in instanceCache.bodies.
 type storedResponse struct {
 	scheduler string
+	raw       bodyKey
 	body      []byte
+}
+
+// indexedResponse is what instanceCache.bodies maps a request body's
+// key to: the entry that stored the response, and the response.
+type indexedResponse struct {
+	entry *cacheEntry
+	body  []byte
 }
 
 func (e *cacheEntry) response(name string) []byte {
@@ -55,14 +66,23 @@ func (e *cacheEntry) response(name string) []byte {
 // resubmitting the same workflow" case the daemon exists for — parse
 // and build tables once.
 // Eviction is least-recently-used over a fixed entry budget.
+//
+// bodies indexes every stored response by the SHA-256 of the request
+// body that stored it, so a byte-identical request is answered without
+// scanning its envelope: the same bytes are the same envelope, which was
+// accepted once. It holds exactly one key per stored response in a live
+// entry; nBodies mirrors its length for the lock-free check that spares
+// a request the hash while nothing is stored.
 type instanceCache struct {
 	mu      sync.Mutex
 	cap     int
 	maxPark int // scratches parked per entry
 	clock   uint64
 	entries map[cacheKey]*cacheEntry
+	bodies  map[bodyKey]indexedResponse
+	nBodies atomic.Int64
 
-	hits, misses, evictions, tableReuses, responseHits uint64
+	hits, misses, evictions, tableReuses, responseHits, bodyHits uint64
 }
 
 func newInstanceCache(capEntries, maxPark int) *instanceCache {
@@ -72,7 +92,29 @@ func newInstanceCache(capEntries, maxPark int) *instanceCache {
 	if maxPark < 1 {
 		maxPark = 1
 	}
-	return &instanceCache{cap: capEntries, maxPark: maxPark, entries: map[cacheKey]*cacheEntry{}}
+	return &instanceCache{cap: capEntries, maxPark: maxPark, entries: map[cacheKey]*cacheEntry{}, bodies: map[bodyKey]indexedResponse{}}
+}
+
+// indexed reports whether any response is stored, that is, whether a
+// request body is worth hashing for answer.
+func (c *instanceCache) indexed() bool { return c.nBodies.Load() > 0 }
+
+// answer returns the response stored under raw, the SHA-256 of a
+// request body, or nil. A match counts as a hit answered with a stored
+// response, like one lookup finds.
+func (c *instanceCache) answer(raw bodyKey) []byte {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	r, ok := c.bodies[raw]
+	if !ok {
+		return nil
+	}
+	c.hits++
+	c.responseHits++
+	c.bodyHits++
+	c.clock++
+	r.entry.lastUsed = c.clock
+	return r.body
 }
 
 // lookup returns the cached entry for key, or nil. On a hit it returns
@@ -123,6 +165,10 @@ func (c *instanceCache) insert(key cacheKey, inst *graph.Instance) *cacheEntry {
 			}
 		}
 		delete(c.entries, victim.key)
+		for _, r := range victim.responses {
+			delete(c.bodies, r.raw)
+		}
+		c.nBodies.Store(int64(len(c.bodies)))
 		c.evictions++
 		// The victim's parked scratches and stored responses are simply
 		// dropped with the entry; they were only fast paths, and any
@@ -151,16 +197,20 @@ func (c *instanceCache) release(entry *cacheEntry, scr *scheduler.Scratch) (ok b
 
 // store keeps a copy of body as the named scheduler's response for
 // entry.inst, so the next hit for the pair writes it without
-// scheduling. An entry that was evicted meanwhile, or that already holds
-// the pair's response (a concurrent request stored the same bytes
+// scheduling, and indexes it under raw, the SHA-256 of the request body
+// that produced it. An entry that was evicted meanwhile, or that already
+// holds the pair's response (a concurrent request stored the same bytes
 // first), is left as it is.
-func (c *instanceCache) store(entry *cacheEntry, name string, body []byte) {
+func (c *instanceCache) store(entry *cacheEntry, name string, raw bodyKey, body []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.entries[entry.key] != entry || entry.response(name) != nil {
 		return
 	}
-	entry.responses = append(entry.responses, storedResponse{scheduler: name, body: append([]byte(nil), body...)})
+	body = append([]byte(nil), body...)
+	entry.responses = append(entry.responses, storedResponse{scheduler: name, raw: raw, body: body})
+	c.bodies[raw] = indexedResponse{entry: entry, body: body}
+	c.nBodies.Store(int64(len(c.bodies)))
 }
 
 func (c *instanceCache) stats() CacheStats {
@@ -173,5 +223,6 @@ func (c *instanceCache) stats() CacheStats {
 		Evictions:    c.evictions,
 		TableReuses:  c.tableReuses,
 		ResponseHits: c.responseHits,
+		BodyHits:     c.bodyHits,
 	}
 }

@@ -215,11 +215,48 @@ func postExpect(t *testing.T, s *Server, url string, body, want []byte, misses, 
 	}
 }
 
-// TestStoredResponseIdentity holds every registered scheduler's three
+// postStored posts body, which must be answered with a stored response
+// equal to want: found by the hash of its exact bytes when indexed is
+// set, else through the envelope scan.
+func postStored(t *testing.T, s *Server, url string, body, want []byte, indexed bool, label string) {
+	t.Helper()
+	before := s.cache.stats().BodyHits
+	postExpect(t, s, url, body, want, 0, 1, 1, label)
+	if found := s.cache.stats().BodyHits > before; found != indexed {
+		t.Fatalf("%s: found by the body's hash %v, want %v", label, found, indexed)
+	}
+}
+
+// checkBodyIndex fails unless the body index holds exactly one key per
+// stored response in a live entry, each leading to that entry and
+// response, and returns how many it holds.
+func checkBodyIndex(t *testing.T, s *Server) int {
+	t.Helper()
+	c := s.cache
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 0
+	for _, e := range c.entries {
+		for _, r := range e.responses {
+			if ir, ok := c.bodies[r.raw]; !ok || ir.entry != e || !bytes.Equal(ir.body, r.body) {
+				t.Fatalf("%s's stored response is not indexed under the body that stored it", r.scheduler)
+			}
+			n++
+		}
+	}
+	if len(c.bodies) != n || c.nBodies.Load() != int64(n) {
+		t.Fatalf("body index holds %d keys (counted %d) for %d stored responses", len(c.bodies), c.nBodies.Load(), n)
+	}
+	return n
+}
+
+// TestStoredResponseIdentity holds every registered scheduler's four
 // daemon paths to the library: the miss (parse, cold tables), the hit
-// that schedules on parked tables and stores its response, and the hit
-// answered with the stored bytes. The instances are the paper's PISA
-// starting chains, small enough for the exact schedulers.
+// that schedules on parked tables and stores its response, a respelled
+// body (keys reordered) that reaches the stored bytes through the
+// envelope scan, and the storing body again, answered by the hash of its
+// bytes. The instances are the paper's PISA starting chains, small
+// enough for the exact schedulers.
 func TestStoredResponseIdentity(t *testing.T) {
 	s := New(Options{})
 	ts := httptest.NewServer(s)
@@ -232,9 +269,68 @@ func TestStoredResponseIdentity(t *testing.T) {
 		}
 		want := libraryAnswer(t, name, inst)
 		body := mustMarshal(t, ScheduleRequest{Scheduler: name, Instance: instRaw})
+		respelled := []byte(`{"instance":` + string(instRaw) + `,"scheduler":"` + name + `"}`)
 		postExpect(t, s, ts.URL, body, want, 1, 0, 0, name+" miss")
 		postExpect(t, s, ts.URL, body, want, 0, 1, 0, name+" scheduling hit")
-		postExpect(t, s, ts.URL, body, want, 0, 1, 1, name+" stored answer")
+		postStored(t, s, ts.URL, respelled, want, false, name+" stored answer, scanned")
+		postStored(t, s, ts.URL, body, want, true, name+" stored answer, indexed")
+	}
+	if n := checkBodyIndex(t, s); n != len(scheduler.Names()) {
+		t.Fatalf("%d bodies indexed, want one per scheduler", n)
+	}
+}
+
+// TestStoredResponseIndexNegatives: bodies that differ from an indexed
+// one never get its answer by hash. A trailing space reaches the same
+// stored bytes through the scan; another scheduler gets its own answer;
+// a truncated body and a repeated envelope key are refused alike every
+// time; and none of the refusals changes the index.
+func TestStoredResponseIndexNegatives(t *testing.T) {
+	s := New(Options{})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	instRaw := testInstance(t, 4)
+	inst, err := serialize.UnmarshalInstance(instRaw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := libraryAnswer(t, "HEFT", inst)
+	body := mustMarshal(t, ScheduleRequest{Scheduler: "HEFT", Instance: instRaw})
+	postExpect(t, s, ts.URL, body, want, 1, 0, 0, "miss")
+	postExpect(t, s, ts.URL, body, want, 0, 1, 0, "scheduling hit")
+	postStored(t, s, ts.URL, body, want, true, "identical body")
+
+	postStored(t, s, ts.URL, append(append([]byte(nil), body...), ' '), want, false, "trailing space")
+	other := mustMarshal(t, ScheduleRequest{Scheduler: "CPoP", Instance: instRaw})
+	postExpect(t, s, ts.URL, other, libraryAnswer(t, "CPoP", inst), 0, 1, 0, "another scheduler")
+	if n := checkBodyIndex(t, s); n != 2 {
+		t.Fatalf("%d bodies indexed, want HEFT's and CPoP's", n)
+	}
+
+	refused := map[string][]byte{
+		"truncated body": body[:len(body)-1],
+		"repeated key":   []byte(`{"scheduler":"HEFT",` + string(body[1:])),
+	}
+	for label, bad := range refused {
+		before := s.cache.stats()
+		var first []byte
+		for i := 0; i < 3; i++ {
+			resp, got := postRaw(t, ts.URL, "/v1/schedule", bad)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("%s, post %d: status %d: %s", label, i, resp.StatusCode, got)
+			}
+			if i == 0 {
+				first = got
+			} else if !bytes.Equal(first, got) {
+				t.Fatalf("%s, post %d: refused with %q, first with %q", label, i, got, first)
+			}
+		}
+		if after := s.cache.stats(); after != before {
+			t.Fatalf("%s: cache went from %+v to %+v", label, before, after)
+		}
+		if n := checkBodyIndex(t, s); n != 2 {
+			t.Fatalf("%s: %d bodies indexed, want the same 2", label, n)
+		}
 	}
 }
 
@@ -301,8 +397,14 @@ func TestStoredResponseAcrossEviction(t *testing.T) {
 		i := run % 2
 		label := fmt.Sprintf("run %d (instance %d)", run, i)
 		postExpect(t, s, ts.URL, bodies[i], wants[i], 1, 0, 0, label+" miss")
+		if n := checkBodyIndex(t, s); n != 0 {
+			t.Fatalf("%s: %d bodies still indexed after the eviction", label, n)
+		}
 		postExpect(t, s, ts.URL, bodies[i], wants[i], 0, 1, 0, label+" scheduling hit")
-		postExpect(t, s, ts.URL, bodies[i], wants[i], 0, 1, 1, label+" stored answer")
+		postStored(t, s, ts.URL, bodies[i], wants[i], true, label+" stored answer")
+		if n := checkBodyIndex(t, s); n != 1 {
+			t.Fatalf("%s: %d bodies indexed, want the run's one", label, n)
+		}
 	}
 	if st := s.cache.stats(); st.Entries != 1 || st.Evictions != 3 {
 		t.Fatalf("cache after four runs: %+v, want 1 entry and 3 evictions", st)
@@ -310,8 +412,10 @@ func TestStoredResponseAcrossEviction(t *testing.T) {
 }
 
 // TestStoredResponseRace sends identical requests for a cached instance
-// at once: several may schedule and race to store, one store wins, and
-// every answer is the library's (`make test-race` runs this package).
+// at once, twice: in the first round several may schedule and race to
+// store, and one store wins; in the second every request is answered by
+// the hash of the body. Every answer is the library's (`make test-race`
+// runs this package).
 func TestStoredResponseRace(t *testing.T) {
 	s := New(Options{MaxConcurrent: 4})
 	ts := httptest.NewServer(s)
@@ -326,29 +430,41 @@ func TestStoredResponseRace(t *testing.T) {
 	postExpect(t, s, ts.URL, body, want, 1, 0, 0, "miss")
 
 	const clients, iters = 8, 5
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				resp, err := http.Post(ts.URL+"/v1/schedule", "application/json", bytes.NewReader(body))
-				if err != nil {
-					t.Error(err)
-					return
+	round := func() {
+		var wg sync.WaitGroup
+		for c := 0; c < clients; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < iters; i++ {
+					resp, err := http.Post(ts.URL+"/v1/schedule", "application/json", bytes.NewReader(body))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					got, err := io.ReadAll(resp.Body)
+					resp.Body.Close()
+					if err != nil || resp.StatusCode != 200 || !bytes.Equal(want, got) {
+						t.Errorf("status %d (%v), answer diverged from the library's\nwant: %s\ngot:  %s", resp.StatusCode, err, want, got)
+						return
+					}
 				}
-				got, err := io.ReadAll(resp.Body)
-				resp.Body.Close()
-				if err != nil || resp.StatusCode != 200 || !bytes.Equal(want, got) {
-					t.Errorf("status %d (%v), answer diverged from the library's\nwant: %s\ngot:  %s", resp.StatusCode, err, want, got)
-					return
-				}
-			}
-		}()
+			}()
+		}
+		wg.Wait()
 	}
-	wg.Wait()
+	round()
 	snap := metricsSnapshot(t, ts.URL)
 	if total := uint64(1 + clients*iters); snap.Pool.Leases+snap.Cache.ResponseHits != total || snap.Cache.ResponseHits == 0 {
 		t.Fatalf("%d leases + %d stored answers for %d requests", snap.Pool.Leases, snap.Cache.ResponseHits, total)
+	}
+	if n := checkBodyIndex(t, s); n != 1 {
+		t.Fatalf("%d bodies indexed after the race to store, want 1", n)
+	}
+	round()
+	after := metricsSnapshot(t, ts.URL)
+	if after.Pool.Leases != snap.Pool.Leases || after.Cache.BodyHits-snap.Cache.BodyHits != clients*iters {
+		t.Fatalf("second round: %d leases and %d answers by the body's hash, want 0 and %d",
+			after.Pool.Leases-snap.Pool.Leases, after.Cache.BodyHits-snap.Cache.BodyHits, clients*iters)
 	}
 }

@@ -174,7 +174,10 @@ type EndpointStats struct {
 // cache.misses, not Count), scheduling (cache lookup and scratch lease
 // included), and encoding plus writing the response. A hit answered with
 // a stored response spends its schedule phase on the lookup alone and
-// its encode phase on the write. What a request
+// its encode phase on the write; when it is found by the hash of its
+// body (CacheStats.BodyHits), scan_key is that hash alone. Any other
+// request's scan_key includes the hash too while any response is
+// stored. What a request
 // spends outside these — admission wait, net/http — is the difference
 // to the endpoint's mean_ms.
 type PhaseStats struct {
@@ -189,7 +192,9 @@ type PhaseStats struct {
 // CacheStats is the instance cache's snapshot. ResponseHits counts the
 // hits answered with a stored response, which lease no scratch: every
 // /v1/schedule request that gets past the cache lookup is either one of
-// them or one of the pool's Leases.
+// them or one of the pool's Leases. BodyHits counts those of them found
+// by the SHA-256 of the request's exact body, before any envelope scan:
+// repeats of the body whose scheduling hit stored the response.
 type CacheStats struct {
 	Entries      int    `json:"entries"`
 	Hits         uint64 `json:"hits"`
@@ -197,6 +202,7 @@ type CacheStats struct {
 	Evictions    uint64 `json:"evictions"`
 	TableReuses  uint64 `json:"table_reuses"`
 	ResponseHits uint64 `json:"response_hits"`
+	BodyHits     uint64 `json:"body_hits"`
 }
 
 // PoolStats is the scratch pool's snapshot.

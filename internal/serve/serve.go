@@ -27,7 +27,11 @@
 //     a fresh call would write — registered schedulers are
 //     deterministic and results do not depend on the scratch
 //     (ARCHITECTURE invariants 3 and 6). A miss stores nothing, so
-//     traffic that never repeats an instance pays for no copy.
+//     traffic that never repeats an instance pays for no copy. Each
+//     copy is also indexed by the SHA-256 of the exact request body
+//     that stored it; while any is stored, a body is hashed before it
+//     is scanned, and a byte-identical repeat is answered with no
+//     envelope scan at all.
 //   - Bounded admission. At most MaxConcurrent requests compute at
 //     once; excess requests wait up to QueueTimeout, then are refused
 //     with 503 — load sheds at the door instead of thrashing the
@@ -49,6 +53,7 @@
 package serve
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"hash"
 	"net/http"
@@ -268,16 +273,10 @@ func (s *Server) releaseScratch(entry *cacheEntry, scr *scheduler.Scratch) {
 	s.pool.Put(scr)
 }
 
-// readEnvelope reads and scans the body of a schedule or robustness
-// request and, when ws is not nil, keys it into ws.key, answering 400
-// (413 for an oversized body) when it cannot. arrived is when the body
-// had been read.
-func readEnvelope(w http.ResponseWriter, r *http.Request, robustness bool, ws *wireState) (env RobustnessRequest, arrived time.Time, ok bool) {
-	body, ok := httpx.ReadBody(w, r)
-	if !ok {
-		return env, arrived, false
-	}
-	arrived = time.Now()
+// readEnvelope scans the body of a schedule or robustness request and,
+// when ws is not nil, keys it into ws.key, answering 400 when it
+// cannot.
+func readEnvelope(w http.ResponseWriter, body []byte, robustness bool, ws *wireState) (env RobustnessRequest, ok bool) {
 	var h hash.Hash
 	if ws != nil {
 		h = ws.h
@@ -288,9 +287,9 @@ func readEnvelope(w http.ResponseWriter, r *http.Request, robustness bool, ws *w
 	}
 	if err != nil {
 		http.Error(w, fmt.Sprintf("bad request body: %v", err), http.StatusBadRequest)
-		return env, arrived, false
+		return env, false
 	}
-	return env, arrived, true
+	return env, true
 }
 
 func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
@@ -298,13 +297,34 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.release()
-	ws := wirePool.Get().(*wireState)
-	defer wirePool.Put(ws)
 
 	// Five clock readings split the request into the phases /metrics
-	// reports; a miss takes two more around its decode.
+	// reports; a miss takes two more around its decode, and hashing the
+	// body one more.
 	t0 := time.Now()
-	env, t1, ok := readEnvelope(w, r, false, ws)
+	body, ok := httpx.ReadBody(w, r)
+	if !ok {
+		return
+	}
+	t1 := time.Now()
+	// While any response is stored, the body's own hash may find one: the
+	// body that stored it, repeated byte for byte, needs no scan. Traffic
+	// that never repeats stores nothing and hashes nothing here.
+	var raw bodyKey
+	hashed := s.cache.indexed()
+	if hashed {
+		raw = sha256.Sum256(body)
+		t2 := time.Now()
+		if stored := s.cache.answer(raw); stored != nil {
+			t3 := time.Now()
+			writeScheduleResponse(w, stored)
+			s.metrics.recordPhases(t1.Sub(t0), t2.Sub(t1), 0, t3.Sub(t2), time.Since(t3))
+			return
+		}
+	}
+	ws := wirePool.Get().(*wireState)
+	defer wirePool.Put(ws)
+	env, ok := readEnvelope(w, body, false, ws)
 	if !ok {
 		return
 	}
@@ -353,9 +373,12 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// An instance's first sighting stores nothing, so traffic that never
-	// repeats an instance pays for no copy.
+	// repeats an instance pays for no copy and no hash.
 	if hit {
-		s.cache.store(entry, env.Scheduler, ws.out)
+		if !hashed {
+			raw = sha256.Sum256(body)
+		}
+		s.cache.store(entry, env.Scheduler, raw, ws.out)
 	}
 	writeScheduleResponse(w, ws.out)
 	t4 := time.Now()
@@ -475,7 +498,11 @@ func Portfolio(req PortfolioRequest, ro runner.Options) (*PortfolioResponse, err
 }
 
 func (s *Server) handleRobustness(w http.ResponseWriter, r *http.Request) {
-	req, _, ok := readEnvelope(w, r, true, nil)
+	body, ok := httpx.ReadBody(w, r)
+	if !ok {
+		return
+	}
+	req, ok := readEnvelope(w, body, true, nil)
 	if !ok {
 		return
 	}

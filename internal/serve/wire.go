@@ -14,22 +14,29 @@ import (
 )
 
 // The wire path of /v1/schedule and /v1/robustness: the request body is
-// scanned once (scanEnvelope), and on that one pass scalar fields are
-// read in place, the instance or wfformat payload comes back as a
-// sub-slice of the body, and its bytes stream into the SHA-256 behind
-// the cache key — so a cache hit never decodes the payload and never
-// copies it. Only /v1/schedule keys its envelope: a robustness sweep is
-// built from its instance bytes (experiments.NewSweep parses them), so
-// its scan is given no hasher. The /v1/schedule response is appended
-// into a pooled buffer and written once; on a cache hit a copy of it
-// stays with the cache entry, and the next hit for the same scheduler
-// writes that copy instead (cache.go).
+// scanned at most once (scanEnvelope), and on that one pass scalar
+// fields are read in place, the instance or wfformat payload comes back
+// as a sub-slice of the body, and its bytes stream into the SHA-256
+// behind the cache key — so a cache hit never decodes the payload and
+// never copies it. Only /v1/schedule keys its envelope: a robustness
+// sweep is built from its instance bytes (experiments.NewSweep parses
+// them), so its scan is given no hasher. The /v1/schedule response is
+// appended into a pooled buffer and written once; on a cache hit a copy
+// of it stays with the cache entry, and the next hit for the same
+// scheduler writes that copy instead (cache.go). The copy is also keyed
+// by the SHA-256 of the whole request body that stored it (bodyKey), and
+// while any copy is stored every /v1/schedule body is hashed so first: a
+// byte-identical repeat is answered with no scan at all.
 
 // cacheKey identifies a submitted instance: the SHA-256 of its payload
 // with the whitespace between tokens stripped (so it survives
 // re-indentation), followed for a wfformat payload by the import knobs
 // after their defaults are applied.
 type cacheKey [sha256.Size]byte
+
+// bodyKey identifies a /v1/schedule request by the SHA-256 of its exact
+// body bytes; equal keys are the same envelope, spelling included.
+type bodyKey [sha256.Size]byte
 
 // wireState is what one request needs besides its body: the hasher the
 // envelope scan feeds, the key it closes into, and the buffer the
