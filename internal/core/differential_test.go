@@ -2,10 +2,14 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"runtime"
 	"slices"
 	"testing"
 
+	"saga/internal/datasets"
+	"saga/internal/graph"
+	"saga/internal/rng"
 	"saga/internal/scheduler"
 	_ "saga/internal/schedulers"
 )
@@ -16,7 +20,10 @@ import (
 // compared, nil the default; reuse runs each width that many times
 // through one caller scratch (0 passes none); singleProc holds the
 // whole row, reference included, at GOMAXPROCS=1; check, when set, runs
-// on the reference.
+// on the reference. initial and perturb, when set, replace testOptions'
+// initial instances and the mode's perturbation (annealer only). The
+// optimized runs must settle some candidates without their baseline when
+// settles > 0 and none when settles < 0; traced and GA runs never settle.
 type searchRow struct {
 	test, name string // the test the row runs under; its subtest, "" for none
 	ga         bool
@@ -29,6 +36,9 @@ type searchRow struct {
 	reuse      int
 	singleProc bool
 	check      func(t *testing.T, ref *Result)
+	initial    func(r *rng.RNG) *graph.Instance
+	perturb    *PerturbOptions
+	settles    int
 }
 
 // workerCounts is the width panel: 0 and −1 (both clamp to one worker),
@@ -43,9 +53,11 @@ func workerCounts() []int {
 // count, caller-scratch reuse and GOMAXPROCS on which Run and RunGA are
 // held to their test-only references (RunReference, copy-and-rebuild;
 // RunGAReference, clone-and-full-Prepare). The mode × pair panels run
-// one-shot (TestRunBitIdenticalToReference,
+// one-shot (TestRunBitIdenticalToReference, traced and untraced, since
+// only an untraced run settles candidates without their baseline;
 // TestRunGABitIdenticalToReference) and at two workers
-// (TestRunParallelModesAndPairs); the other rows pin one axis each: a
+// (TestRunParallelModesAndPairs); TestRunLazyBaselineBitIdentical holds
+// the lazy baseline's edge cases; the other rows pin one axis each: a
 // caller scratch, every width, scratch reuse, GOMAXPROCS=1 and the tie
 // rule of the restart merge; two runs at the default width stand for
 // same-seed determinism. Each row computes its reference once and
@@ -55,7 +67,9 @@ func searchRows() []searchRow {
 	for _, mode := range []string{"general", "fixSpeeds", "fixLinks", "appSpecific"} {
 		for _, pair := range [][2]string{{"HEFT", "CPoP"}, {"MinMin", "MaxMin"}, {"ETF", "HEFT"}, {"GDL", "BIL"}, {"HEFT", "FastestNode"}} {
 			rows = append(rows, searchRow{test: "TestRunBitIdenticalToReference", name: mode + "/" + pair[0] + "-vs-" + pair[1],
-				pair: pair, mode: mode, seed: uint64(len(mode) + len(pair[0])*31), trace: true})
+				pair: pair, mode: mode, seed: uint64(len(mode) + len(pair[0])*31), trace: true},
+				searchRow{test: "TestRunBitIdenticalToReference", name: mode + "/" + pair[0] + "-vs-" + pair[1] + "/untraced",
+					pair: pair, mode: mode, seed: uint64(len(mode) + len(pair[0])*31)})
 		}
 		for _, pair := range [][2]string{{"ETF", "HEFT"}, {"GDL", "BIL"}, {"HEFT", "FastestNode"}} {
 			rows = append(rows, searchRow{test: "TestRunParallelModesAndPairs", name: mode + "/" + pair[0] + "-vs-" + pair[1],
@@ -70,7 +84,18 @@ func searchRows() []searchRow {
 		rows = append(rows, searchRow{test: "TestRunParallelByteIdentical", name: pair[0] + "-vs-" + pair[1],
 			pair: pair, seed: uint64(41 + len(pair[0])), restarts: 4, trace: true, workers: workerCounts()})
 	}
+	// Task costs pinned to [0, the smallest denormal] from all-zero
+	// initial instances: the lower bound never exceeds the slack, so no
+	// candidate may be settled.
+	zeroCosts := DefaultPerturb()
+	zeroCosts.TaskCost = [2]float64{0, math.SmallestNonzeroFloat64}
 	return append(rows,
+		searchRow{test: "TestRunLazyBaselineBitIdentical", name: "zero-task-costs", pair: [2]string{"HEFT", "CPoP"},
+			seed: 3, initial: zeroCostInstance, perturb: &zeroCosts, workers: []int{0, 2}, settles: -1},
+		searchRow{test: "TestRunLazyBaselineBitIdentical", name: "zero-baseline-makespan", pair: [2]string{"WBA", "HEFT"},
+			seed: 7, initial: zeroCostInstance, workers: []int{0, 2}, settles: 1, check: infiniteRestartRatio},
+		searchRow{test: "TestRunLazyBaselineBitIdentical", name: "section-vi", pair: [2]string{"HEFT", "CPoP"},
+			mode: "general", seed: 1, workers: []int{0, 2}, settles: 1},
 		searchRow{test: "TestRunDeterministic", pair: [2]string{"HEFT", "FastestNode"}, seed: 7, workers: []int{0, 0}},
 		searchRow{test: "TestRunGADeterministic", ga: true, pair: [2]string{"MinMin", "MaxMin"}, seed: 5, workers: []int{0, 0}},
 		searchRow{test: "TestRunBitIdenticalSharedScratch", pair: [2]string{"HEFT", "CPoP"}, seed: 41, trace: true, reuse: 1},
@@ -116,6 +141,27 @@ func tiesAtOneKeepRestartZero(t *testing.T, ref *Result) {
 	}
 }
 
+// zeroCostInstance is a Section VI initial instance with every task
+// cost 0. WBA may spread such a chain over nodes and pay for the
+// transfers, while HEFT keeps it on one node at makespan 0.
+func zeroCostInstance(r *rng.RNG) *graph.Instance {
+	inst := datasets.InitialPISAInstance(r)
+	for t := range inst.Graph.Tasks {
+		inst.Graph.Tasks[t].Cost = 0
+	}
+	return inst
+}
+
+// infiniteRestartRatio is the zero-baseline-makespan row's check: some
+// restart's best ratio is +Inf, so its chain compared every candidate
+// against an infinite best.
+func infiniteRestartRatio(t *testing.T, ref *Result) {
+	t.Helper()
+	if !slices.Contains(ref.RestartRatios, math.Inf(1)) {
+		t.Fatalf("restart ratios %v: no baseline reached makespan 0", ref.RestartRatios)
+	}
+}
+
 // runSearchRows runs the rows of the calling test, each in a subtest
 // of its name.
 func runSearchRows(t *testing.T) {
@@ -158,6 +204,12 @@ func (row searchRow) run(t *testing.T) {
 		} else {
 			opts := testOptions(row.seed)
 			opts.Perturb = incrementalModes()[row.mode]
+			if row.perturb != nil {
+				opts.Perturb = *row.perturb
+			}
+			if row.initial != nil {
+				opts.InitialInstance = row.initial
+			}
 			if row.restarts > 0 {
 				opts.Restarts = row.restarts
 			}
@@ -188,7 +240,12 @@ func (row searchRow) run(t *testing.T) {
 			scr, runs = scheduler.NewScratch(), row.reuse
 		}
 		for i := 0; i < runs; i++ {
-			assertResultsIdentical(t, search(false, w, scr), ref)
+			got := search(false, w, scr)
+			assertResultsIdentical(t, got, ref)
+			if settled := got.BaselineSkipped > 0; settled && (row.trace || row.ga || row.settles < 0) ||
+				!settled && row.settles > 0 {
+				t.Fatalf("workers=%d: %d candidates settled without their baseline", w, got.BaselineSkipped)
+			}
 		}
 	}
 }
@@ -220,6 +277,7 @@ func assertResultsIdentical(t *testing.T, inc, ref *Result) {
 func TestRunDeterministic(t *testing.T)                    { runSearchRows(t) }
 func TestRunGADeterministic(t *testing.T)                  { runSearchRows(t) }
 func TestRunBitIdenticalToReference(t *testing.T)          { runSearchRows(t) }
+func TestRunLazyBaselineBitIdentical(t *testing.T)         { runSearchRows(t) }
 func TestRunBitIdenticalSharedScratch(t *testing.T)        { runSearchRows(t) }
 func TestRunParallelByteIdentical(t *testing.T)            { runSearchRows(t) }
 func TestRunParallelSharedScratchReuse(t *testing.T)       { runSearchRows(t) }

@@ -67,7 +67,8 @@ func TestRunTracePreallocated(t *testing.T) {
 
 // TestPISASteadyStateZeroAlloc gates the steady-state accept/reject
 // cycle at zero heap allocations: perturb in place, patch tables,
-// evaluate both schedulers, record a trace point into a preallocated
+// schedule the target, bound its ratio by the instance's lower bound,
+// schedule the baseline, record a trace point into a preallocated
 // buffer, and roll back (reject) or keep and copy into the incumbent
 // (accept). A long mixed-operator warm-up first drives every buffer to
 // its high-water mark, exactly as a real annealing chain does.
@@ -85,12 +86,17 @@ func TestPISASteadyStateZeroAlloc(t *testing.T) {
 	cycle := func(accept bool) {
 		perturbInPlace(cur, r, p, ps)
 		applyTables(tab, ps)
-		ratio, err := ev.ratioPrepared(cur)
+		mt, err := ev.targetMakespan(cur)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.IsNaN(ratio) {
-			t.Fatal("NaN ratio")
+		bound, bounded := ev.ratioBound(cur, mt)
+		ratio, err := ev.ratioOver(cur, mt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.IsNaN(ratio) || bounded && ratio > bound {
+			t.Fatalf("ratio %v, bound %v", ratio, bound)
 		}
 		if accept {
 			best.CopyFrom(cur)

@@ -20,6 +20,7 @@ import (
 	"math"
 	"strings"
 
+	"saga/internal/exact"
 	"saga/internal/graph"
 	"saga/internal/rng"
 	"saga/internal/schedule"
@@ -162,8 +163,16 @@ type Result struct {
 	BestRatio float64
 	// RestartRatios records the best ratio achieved by each restart.
 	RestartRatios []float64
-	// Evaluations counts scheduler invocations (two per candidate).
+	// Evaluations counts evaluated instances: each restart's initial
+	// instance plus every candidate the search decided on (the GA: every
+	// individual whose fitness it computed).
 	Evaluations int
+	// BaselineSkipped counts the annealer's candidates settled without
+	// scheduling the baseline: the target's makespan over the instance's
+	// lower bound already proved the candidate no improvement, and the
+	// acceptance draw accepted it at that bound (see runChain). A traced
+	// run records every ratio, so it skips none; the GA skips none.
+	BaselineSkipped int
 	// Trace holds per-candidate annealing steps when
 	// Options.RecordTrace is set.
 	Trace []TracePoint
@@ -312,7 +321,7 @@ func Run(target, baseline scheduler.Scheduler, opts Options) (*Result, error) {
 			// trigger growth (each would copy the whole trace so far).
 			out.trace = make([]TracePoint, 0, traceCap)
 		}
-		out.ratio, out.evals, out.trace, out.err = cs.runChain(opts, p, k, streams[k], out.trace)
+		out.ratio, out.evals, out.skipped, out.trace, out.err = cs.runChain(opts, p, k, streams[k], out.trace)
 		// A worker sees its chains in increasing k, so folding with strict
 		// improvement leaves it the lowest-indexed maximum it ran. The
 		// best buffer is swapped, not copied.
@@ -335,6 +344,7 @@ func Run(target, baseline scheduler.Scheduler, opts Options) (*Result, error) {
 	for k := range outcomes {
 		out := &outcomes[k]
 		res.Evaluations += out.evals
+		res.BaselineSkipped += out.skipped
 		if out.err != nil {
 			return nil, out.err
 		}
@@ -357,10 +367,11 @@ func Run(target, baseline scheduler.Scheduler, opts Options) (*Result, error) {
 // chainOutcome is one restart's result slot, written only by the worker
 // that ran the chain and read only after the join.
 type chainOutcome struct {
-	ratio float64
-	evals int
-	trace []TracePoint
-	err   error
+	ratio   float64
+	evals   int
+	skipped int
+	trace   []TracePoint
+	err     error
 }
 
 // chainState is the per-worker annealing machinery one goroutine owns:
@@ -388,18 +399,29 @@ func newChainState(ev *evaluator, p PerturbOptions) *chainState {
 // chain: generate the initial instance from the chain's own sub-stream,
 // then the in-place perturb/patch/evaluate/accept-or-revert loop. The
 // chain's best lands in cs.best; the returned trace is the input slice
-// with this chain's points appended. The returned count covers
-// successful evaluations only (a failed candidate is not counted).
+// with this chain's points appended. The returned counts are the
+// successful evaluations (a failed candidate is not counted) and, of
+// those, the candidates settled without the baseline.
+//
+// The baseline is scheduled lazily. A candidate's ratio M_A/M_B is at
+// most U = M_A/L, L being the instance's deflated lower bound
+// (evaluator.ratioBound). When U ≤ best the candidate cannot improve, so
+// Algorithm 1 draws its acceptance u exactly as it would for the exact
+// ratio c ≤ U; and exp(−(c/best)/T) ≥ exp(−(U/best)/T), so u below the
+// latter accepts it whatever c is, and the baseline is never run. Any
+// other draw schedules the baseline and decides on c with that same u.
+// The RNG stream and every decision are therefore those of the eager
+// loop. A traced run records every ratio, so it always schedules both.
 func (cs *chainState) runChain(opts Options, p PerturbOptions, restart int, r *rng.RNG,
-	trace []TracePoint) (float64, int, []TracePoint, error) {
+	trace []TracePoint) (float64, int, int, []TracePoint, error) {
 	ev, ps := cs.ev, cs.ps
 	cur := prepare(opts.InitialInstance(r), p)
 	tab := ev.prepare(cur)
 	initRatio, err := ev.ratioPrepared(cur)
 	if err != nil {
-		return 0, 0, trace, err
+		return 0, 0, 0, trace, err
 	}
-	evals := 1
+	evals, skipped := 1, 0
 
 	// One incumbent-best buffer serves every chain this state runs; only
 	// the merged Result.Best is ever cloned out of it. There is no
@@ -415,24 +437,39 @@ func (cs *chainState) runChain(opts Options, p PerturbOptions, restart int, r *r
 	for iter := 0; temp > opts.TMin && iter < opts.MaxIters; iter++ {
 		perturbInPlace(cur, r, p, ps)
 		applyTables(tab, ps)
-		candRatio, err := ev.ratioPrepared(cur)
+		mt, err := ev.targetMakespan(cur)
 		if err != nil {
-			return 0, evals, trace, err
+			return 0, evals, skipped, trace, err
 		}
-		evals++
 
 		accepted := false
-		if candRatio > bestRatio {
+		u := -1.0 // the acceptance draw, once taken
+		if !opts.RecordTrace {
+			if bound, ok := ev.ratioBound(cur, mt); ok && bound <= bestRatio {
+				u = r.Float64()
+				accepted = u < math.Exp(-(bound/bestRatio)/temp)
+			}
+		}
+		var candRatio float64
+		if accepted {
+			skipped++
+		} else if candRatio, err = ev.ratioOver(cur, mt); err != nil {
+			return 0, evals, skipped, trace, err
+		} else if candRatio > bestRatio {
 			cs.best.CopyFrom(cur)
 			bestRatio = candRatio
 			accepted = true
-		} else if r.Float64() < math.Exp(-(candRatio/bestRatio)/temp) {
+		} else {
+			if u < 0 {
+				u = r.Float64()
+			}
 			// Algorithm 1 line 9: accept a non-improving candidate
 			// with probability exp(−(M'/M_best)/T).
-			accepted = true
-		} else {
-			revert(cur, tab, ps)
+			if accepted = u < math.Exp(-(candRatio/bestRatio)/temp); !accepted {
+				revert(cur, tab, ps)
+			}
 		}
+		evals++
 		if opts.RecordTrace {
 			trace = append(trace, TracePoint{
 				Restart:     restart,
@@ -445,7 +482,7 @@ func (cs *chainState) runChain(opts Options, p PerturbOptions, restart int, r *r
 		}
 		temp *= opts.Alpha
 	}
-	return bestRatio, evals, trace, nil
+	return bestRatio, evals, skipped, trace, nil
 }
 
 // evaluator computes makespan ratios through the allocation-free
@@ -492,13 +529,42 @@ func (e *evaluator) prepare(inst *graph.Instance) *graph.Tables {
 // already hold tables for inst (via prepare) that reflect its current
 // weights and structure.
 func (e *evaluator) ratioPrepared(inst *graph.Instance) (float64, error) {
+	mt, err := e.targetMakespan(inst)
+	if err != nil {
+		return 0, err
+	}
+	return e.ratioOver(inst, mt)
+}
+
+// targetMakespan schedules the target on the prepared tables and
+// returns its makespan.
+func (e *evaluator) targetMakespan(inst *graph.Instance) (float64, error) {
 	if err := e.target.ScheduleScratch(inst, e.scr, &e.st); err != nil {
 		return 0, fmt.Errorf("core: target %s failed: %w", e.target.Name(), err)
 	}
+	return e.st.Makespan(), nil
+}
+
+// ratioBound returns M_A/L, an upper bound on the candidate's ratio for
+// the target makespan mt: L is exact.LowerBound deflated by the slack
+// schedule.Validate allows, 2·|T|·Eps, so no baseline schedule is
+// shorter. ok is false when L is not positive and finite (all-zero costs,
+// a cyclic graph), where no bound holds.
+func (e *evaluator) ratioBound(inst *graph.Instance, mt float64) (bound float64, ok bool) {
+	l := exact.LowerBound(inst, e.scr) - 2*float64(inst.Graph.NumTasks())*graph.Eps
+	if !(l > 0) || math.IsInf(l, 1) {
+		return 0, false
+	}
+	return mt / l, true
+}
+
+// ratioOver schedules the baseline on the prepared tables and returns
+// the target makespan mt over the baseline's.
+func (e *evaluator) ratioOver(inst *graph.Instance, mt float64) (float64, error) {
 	if err := e.baseline.ScheduleScratch(inst, e.scr, &e.sb); err != nil {
 		return 0, fmt.Errorf("core: baseline %s failed: %w", e.baseline.Name(), err)
 	}
-	mt, mb := e.st.Makespan(), e.sb.Makespan()
+	mb := e.sb.Makespan()
 	if mb == 0 {
 		if mt == 0 {
 			return 1, nil

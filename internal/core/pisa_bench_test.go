@@ -229,10 +229,13 @@ func BenchmarkPISACandidateGen(b *testing.B) {
 // copy-and-rebuild, cache-disabled reference (RunReference) on identical
 // options, seeds, and scheduler pair. The two produce byte-identical
 // Results (proven in differential_test.go), so the ratio of their ns/op
-// is the pure speedup of the candidate-generation rewrite plus the
-// shared evaluation cache. Per-iteration numbers and the allocation
-// gate live in BenchmarkPISAIteration; `make bench-pisa` runs it once
-// so it cannot rot.
+// is the pure speedup of the candidate-generation rewrite, the shared
+// evaluation cache and the lazy baseline. baseline_skipped/candidate is
+// the share of candidates settled without scheduling the baseline (0
+// for the reference, which schedules both); it is reported, not gated.
+// Per-iteration numbers and the allocation gate live in
+// BenchmarkPISAIteration; `make bench-pisa` runs it once so it cannot
+// rot.
 func BenchmarkPISARun(b *testing.B) {
 	variants := []struct {
 		name string
@@ -253,16 +256,21 @@ func BenchmarkPISARun(b *testing.B) {
 		b.Run(v.name, func(b *testing.B) {
 			heft, cpop := benchSched(b, "HEFT"), benchSched(b, "CPoP")
 			b.ReportAllocs()
+			skipped, candidates := 0, 0
 			for i := 0; i < b.N; i++ {
 				opts := DefaultOptions()
 				opts.MaxIters = 500
 				opts.Restarts = 2
 				opts.Seed = uint64(i + 1)
 				opts.InitialInstance = datasets.InitialPISAInstance
-				if _, err := v.run(heft, cpop, opts); err != nil {
+				res, err := v.run(heft, cpop, opts)
+				if err != nil {
 					b.Fatal(err)
 				}
+				skipped += res.BaselineSkipped
+				candidates += res.Evaluations - opts.Restarts
 			}
+			b.ReportMetric(float64(skipped)/float64(candidates), "baseline_skipped/candidate")
 		})
 	}
 }

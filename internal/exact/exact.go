@@ -73,8 +73,19 @@ const maxDomEntries = 1 << 20
 
 // LowerBound returns a makespan lower bound for the instance: the larger
 // of the communication-free critical path under best-case speeds and the
-// total-work bound (sum of costs over summed speeds).
-func LowerBound(inst *graph.Instance) float64 {
+// total-work bound (sum of costs over summed speeds). It reads the
+// topological order from scr's tables for inst and keeps the per-task
+// finish times in scr's Floats buffer, so once the scratch is warm it
+// allocates nothing; like any scheduler, it trusts those tables to be
+// current. A cyclic graph has no bound and returns 0.
+//
+// No schedule schedule.Validate accepts has a makespan below
+// LowerBound − 2·|T|·graph.Eps: along the critical path every task may
+// lose Eps of its duration and Eps of its start, and the work bound loses
+// no more. SMT's binary search starts from this bound, and the PISA
+// annealer uses it to settle candidates without their baseline; there is
+// no second bound.
+func LowerBound(inst *graph.Instance, scr *scheduler.Scratch) float64 {
 	g, net := inst.Graph, inst.Net
 	maxSpeed := 0.0
 	sumSpeed := 0.0
@@ -85,13 +96,13 @@ func LowerBound(inst *graph.Instance) float64 {
 		sumSpeed += s
 	}
 	// Critical path with every task at its fastest and no communication.
-	order, err := g.TopoOrder()
-	if err != nil {
+	tab := scr.Tables(inst)
+	if tab.TopoErr != nil {
 		return 0
 	}
-	finish := make([]float64, g.NumTasks())
+	finish := scr.Floats(g.NumTasks())
 	cp := 0.0
-	for _, t := range order {
+	for _, t := range tab.Topo {
 		ready := 0.0
 		for _, d := range g.Pred[t] {
 			if finish[d.To] > ready {

@@ -8,6 +8,7 @@ import (
 	"saga/internal/graph"
 	"saga/internal/rng"
 	"saga/internal/schedule"
+	"saga/internal/scheduler"
 )
 
 func smallInstance(seed uint64) *graph.Instance {
@@ -34,7 +35,7 @@ func TestSolveAtLeastLowerBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if lb := LowerBound(inst); sch.Makespan() < lb-graph.Eps {
+		if lb := LowerBound(inst, scheduler.NewScratch()); sch.Makespan() < lb-graph.Eps {
 			t.Fatalf("seed %d: optimal %v below lower bound %v", seed, sch.Makespan(), lb)
 		}
 	}
@@ -178,7 +179,7 @@ func TestLowerBoundComponents(t *testing.T) {
 		g.AddTask("t", 1)
 	}
 	inst := graph.NewInstance(g, graph.NewNetwork(2))
-	if lb := LowerBound(inst); !graph.ApproxEq(lb, 2) {
+	if lb := LowerBound(inst, scheduler.NewScratch()); !graph.ApproxEq(lb, 2) {
 		t.Fatalf("work lower bound = %v, want 2", lb)
 	}
 	// Critical-path bound dominates: chain of 3 unit tasks, 3 nodes.
@@ -189,7 +190,7 @@ func TestLowerBoundComponents(t *testing.T) {
 	g2.MustAddDep(a, b, 0)
 	g2.MustAddDep(b, c, 0)
 	inst2 := graph.NewInstance(g2, graph.NewNetwork(3))
-	if lb := LowerBound(inst2); !graph.ApproxEq(lb, 3) {
+	if lb := LowerBound(inst2, scheduler.NewScratch()); !graph.ApproxEq(lb, 3) {
 		t.Fatalf("critical-path lower bound = %v, want 3", lb)
 	}
 }
@@ -201,7 +202,7 @@ func TestLowerBoundNeverExceedsOptimal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if lb := LowerBound(inst); lb > opt.Makespan()+graph.Eps {
+		if lb := LowerBound(inst, scheduler.NewScratch()); lb > opt.Makespan()+graph.Eps {
 			t.Fatalf("seed %d: LB %v > OPT %v", seed, lb, opt.Makespan())
 		}
 	}

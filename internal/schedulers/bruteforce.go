@@ -89,7 +89,7 @@ func (s SMT) ScheduleScratch(inst *graph.Instance, scr *scheduler.Scratch, out *
 	if err := (HEFT{}).ScheduleScratch(inst, scr, out); err != nil {
 		return err
 	}
-	lo, hi := exact.LowerBound(inst), out.Makespan()
+	lo, hi := exact.LowerBound(inst, scr), out.Makespan()
 	opts := exact.Options{MaxNodes: s.Budget}
 	for hi-lo > eps*lo+graph.Eps {
 		mid := (lo + hi) / 2

@@ -59,6 +59,7 @@ import (
 	"net/http"
 	"path"
 	"runtime"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -385,8 +386,13 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	s.metrics.recordPhases(t1.Sub(t0), t2.Sub(t1), decode, t3.Sub(t2)-decode, t4.Sub(t3))
 }
 
+// writeScheduleResponse writes a stored or freshly encoded schedule
+// answer with its length: without Content-Length, net/http sends any
+// body over its 2 KiB buffer chunked.
 func writeScheduleResponse(w http.ResponseWriter, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.Write(body)
 }
 

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"saga/internal/datasets"
+	"saga/internal/graph"
 	"saga/internal/rng"
 	_ "saga/internal/schedulers" // register the scheduler names requests use
 	"saga/internal/serialize"
@@ -102,6 +103,48 @@ func TestScheduleEndpointAndCache(t *testing.T) {
 	}
 	if st.Hits < 2 || st.TableReuses < 1 {
 		t.Fatalf("cache hits/table reuses not counted: %+v", st)
+	}
+}
+
+// TestScheduleResponseContentLength: every /v1/schedule answer carries
+// its length, so one over net/http's 2 KiB buffer is not sent chunked.
+// The four posts of a body over that size are a miss, a hit that
+// schedules and stores its answer, a repeat answered by the body's hash
+// and a respelled repeat answered through the scan: the first two write
+// freshly encoded bytes, the last two stored ones.
+func TestScheduleResponseContentLength(t *testing.T) {
+	s := New(Options{})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	g := graph.NewTaskGraph()
+	for i := 0; i < 60; i++ {
+		g.AddTask(fmt.Sprintf("t%d", i), 1+float64(i%7))
+		if i > 0 {
+			g.MustAddDep(i-1, i, 0.5)
+		}
+	}
+	raw, err := serialize.MarshalInstance(graph.NewInstance(g, graph.NewNetwork(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := mustMarshal(t, ScheduleRequest{Scheduler: "HEFT", Instance: raw})
+	respelled := append(append([]byte(nil), body...), ' ')
+	for i, b := range [][]byte{body, body, body, respelled} {
+		resp, got := postRaw(t, ts.URL, "/v1/schedule", b)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("post %d: status %d: %s", i, resp.StatusCode, got)
+		}
+		if len(got) <= 2048 {
+			t.Fatalf("post %d: a %d-byte answer does not exceed net/http's buffer", i, len(got))
+		}
+		if resp.ContentLength != int64(len(got)) || len(resp.TransferEncoding) != 0 {
+			t.Fatalf("post %d: Content-Length %d, Transfer-Encoding %v for a %d-byte body",
+				i, resp.ContentLength, resp.TransferEncoding, len(got))
+		}
+	}
+	if st := s.cache.stats(); st.Misses != 1 || st.ResponseHits != 2 || st.BodyHits != 1 {
+		t.Fatalf("the posts were not a miss, a scheduling hit and two stored answers: %+v", st)
 	}
 }
 
