@@ -105,12 +105,13 @@ chaos-smoke:
 
 # bench-serve is the daemon load gate: 8 concurrent clients against a
 # live server, every response byte-verified, client-observed p50/p99
-# reported and sanity-bounded; plus the wire path's allocation gate
-# (TestScheduleHitAllocs: testing.AllocsPerRun of a cache-hit POST
-# /v1/schedule, bounded at the measured value + 2). The measured values
-# are in EXPERIMENTS.md, "The scheduling daemon load test".
+# reported and sanity-bounded; plus the wire path's allocation gates
+# (TestScheduleHitAllocs and TestScheduleMissAllocs: testing.AllocsPerRun
+# of cache-hit and cache-miss POST /v1/schedule, each path bounded at
+# its measured value + 2). The measured values are in EXPERIMENTS.md,
+# "The scheduling daemon load test" and "Cold decode (serve_cold)".
 bench-serve:
-	SERVE_BENCH_GATE=1 $(GO) test -run 'TestServeLoadGate|TestScheduleHitAllocs' -count 1 -v -timeout 300s ./internal/serve/
+	SERVE_BENCH_GATE=1 $(GO) test -run 'TestServeLoadGate|TestScheduleHitAllocs|TestScheduleMissAllocs' -count 1 -v -timeout 300s ./internal/serve/
 
 # fuzz-short runs the daemon's ingestion fuzzers for a bounded slice of
 # CI time, 10 s each. FuzzScanner holds internal/jsonscan to json.Valid,

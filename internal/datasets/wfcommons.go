@@ -27,7 +27,8 @@ import (
 // the one import `saga convert -from-wfc`, the daemon's wfc submissions
 // and the wfc_* datasets share: links of uniform strength link, machines
 // from the trace or, when it lists none, a unit network of nodes nodes,
-// links rescaled to an average CCR of ccr when ccr > 0, validated.
+// links rescaled to an average CCR of ccr when ccr > 0, validated. The
+// task graph is validated once, by ToTaskGraph.
 func InstanceFromWfC(raw []byte, link, ccr float64, nodes int) (*graph.Instance, error) {
 	doc, err := wfc.Parse(raw)
 	if err != nil {
@@ -50,7 +51,7 @@ func InstanceFromWfC(raw []byte, link, ccr float64, nodes int) (*graph.Instance,
 	if ccr > 0 {
 		SetHomogeneousCCR(inst, ccr)
 	}
-	if err := inst.Validate(); err != nil {
+	if err := inst.ValidateNetwork(); err != nil {
 		return nil, err
 	}
 	return inst, nil

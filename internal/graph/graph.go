@@ -164,6 +164,35 @@ func (g *TaskGraph) AddDepUnchecked(u, v int, cost float64) {
 	g.Pred[v] = append(g.Pred[v], Dep{To: u, Cost: cost})
 }
 
+// ReserveDeps gives each task t of g, whose tasks are all added and
+// which has no dependency yet, adjacency rows with room for exactly
+// out[t] successors and in[t] predecessors, carved from one allocation,
+// so that a decoder's AddDepUnchecked calls fill them without growing.
+// A row with no room stays nil, as AddTask leaves it. Each row's
+// capacity ends where the next row begins, so a later append to one row
+// reallocates it instead of writing into another.
+func (g *TaskGraph) ReserveDeps(out, in []int) {
+	n := len(g.Tasks)
+	if n == 0 {
+		return
+	}
+	rows := make([][]Dep, 2*n)
+	g.Succ, g.Pred = rows[:n:n], rows[n:]
+	total := 0
+	for t := 0; t < n; t++ {
+		total += out[t] + in[t]
+	}
+	deps := make([]Dep, total)
+	for t := 0; t < n; t++ {
+		if out[t] > 0 {
+			g.Succ[t], deps = deps[:0:out[t]], deps[out[t]:]
+		}
+		if in[t] > 0 {
+			g.Pred[t], deps = deps[:0:in[t]], deps[in[t]:]
+		}
+	}
+}
+
 // TakeDep removes dependency (u, v) like RemoveDep but also returns its
 // cost and its positions in the two adjacency lists so RestoreDep can
 // reinsert it exactly where it was. Adjacency order is part of an
@@ -363,24 +392,32 @@ func cycleError(ordered, n int) error {
 	return fmt.Errorf("graph: cycle detected (%d of %d tasks ordered)", ordered, n)
 }
 
-// Validate checks structural invariants: positive costs, mirrored
-// adjacency, no self-loops, acyclicity.
+// Validate checks structural invariants: non-negative finite task
+// costs, mirrored adjacency, no self-loops, no duplicate dependencies,
+// acyclicity. It is the one check a decoded graph gets: decoders range
+// check each edge and add it with AddDepUnchecked, and leave the rest to
+// Validate.
 func (g *TaskGraph) Validate() error {
 	for t, task := range g.Tasks {
 		if task.Cost < 0 || math.IsNaN(task.Cost) || math.IsInf(task.Cost, 0) {
 			return fmt.Errorf("graph: task %d has invalid cost %v", t, task.Cost)
 		}
 	}
+	n := len(g.Tasks)
+	// One buffer serves both passes: stamp[v] == u+1 marks v as already a
+	// successor of u, then the first n ints count in-degrees for the cycle
+	// check and the rest are its stack.
+	work := make([]int, 2*n)
+	stamp := work[:n]
 	for u, succ := range g.Succ {
-		seen := map[int]bool{}
 		for _, d := range succ {
 			if d.To == u {
 				return fmt.Errorf("graph: self-dependency on task %d", u)
 			}
-			if seen[d.To] {
+			if stamp[d.To] == u+1 {
 				return fmt.Errorf("graph: duplicate dependency (%d, %d)", u, d.To)
 			}
-			seen[d.To] = true
+			stamp[d.To] = u + 1
 			if d.Cost < 0 || math.IsNaN(d.Cost) {
 				return fmt.Errorf("graph: dependency (%d, %d) has invalid cost %v", u, d.To, d.Cost)
 			}
@@ -397,8 +434,28 @@ func (g *TaskGraph) Validate() error {
 			}
 		}
 	}
-	if _, err := g.TopoOrder(); err != nil {
-		return err
+	// Kahn's algorithm in any order orders the same tasks as TopoOrder:
+	// exactly those no cycle reaches.
+	indeg, stack := work[:n], work[n:n]
+	for t := range indeg {
+		indeg[t] = len(g.Pred[t])
+		if indeg[t] == 0 {
+			stack = append(stack, t)
+		}
+	}
+	ordered := 0
+	for len(stack) > 0 {
+		t := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		ordered++
+		for _, d := range g.Succ[t] {
+			if indeg[d.To]--; indeg[d.To] == 0 {
+				stack = append(stack, d.To)
+			}
+		}
+	}
+	if ordered != n {
+		return cycleError(ordered, n)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -222,6 +223,60 @@ func TestValidateCatchesNegativeCost(t *testing.T) {
 	g.Tasks[0].Cost = -1
 	if err := g.Validate(); err == nil {
 		t.Fatal("Validate missed a negative task cost")
+	}
+}
+
+// TestValidateCatchesUncheckedFaults adds, with AddDepUnchecked as the
+// decoders do, each fault AddDep would have refused, and checks that
+// Validate refuses it — a cycle with the count TopoOrder reports.
+func TestValidateCatchesUncheckedFaults(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		u, v int
+		want string
+	}{
+		{"self-loop", 1, 1, "graph: self-dependency on task 1"},
+		{"duplicate", 0, 1, "graph: duplicate dependency (0, 1)"},
+		{"cycle", 3, 0, "graph: cycle detected (0 of 4 tasks ordered)"},
+	} {
+		g := diamond()
+		if err := g.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		g.AddDepUnchecked(tc.u, tc.v, 1)
+		if err := g.Validate(); err == nil || err.Error() != tc.want {
+			t.Fatalf("%s: Validate = %v, want %q", tc.name, err, tc.want)
+		}
+		if tc.name == "cycle" {
+			if _, err := g.TopoOrder(); err == nil || err.Error() != tc.want {
+				t.Fatalf("TopoOrder = %v, want %q", err, tc.want)
+			}
+		}
+	}
+}
+
+// TestReserveDepsRows fills reserved rows and checks that they equal
+// AddDep's, that a row with no room stays nil, and that growing one row
+// past its room leaves the next row as it was.
+func TestReserveDepsRows(t *testing.T) {
+	want := diamond()
+	want.AddTask("lone", 1)
+	g := &TaskGraph{Tasks: append([]Task(nil), want.Tasks...)}
+	g.ReserveDeps([]int{2, 1, 1, 0, 0}, []int{0, 1, 1, 2, 0})
+	for u, succ := range want.Succ {
+		for _, d := range succ {
+			g.AddDepUnchecked(u, d.To, d.Cost)
+		}
+	}
+	if !reflect.DeepEqual(g, want) {
+		t.Fatalf("reserved graph %+v, want %+v", g, want)
+	}
+	if g.Succ[3] != nil || g.Pred[0] != nil || g.Succ[4] != nil || g.Pred[4] != nil {
+		t.Fatal("a row without room is not nil")
+	}
+	g.AddDepUnchecked(0, 4, 9)
+	if len(g.Succ[1]) != 1 || g.Succ[1][0] != (Dep{To: 3, Cost: 3}) || len(g.Pred[1]) != 1 || g.Pred[1][0] != (Dep{To: 0, Cost: 1}) {
+		t.Fatalf("growing row 0 changed its neighbours: %+v, %+v", g.Succ[1], g.Pred[1])
 	}
 }
 

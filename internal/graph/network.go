@@ -15,15 +15,18 @@ type Network struct {
 }
 
 // NewNetwork returns a network of n nodes with all speeds 1 and all link
-// strengths 1 (self-links infinite).
+// strengths 1 (self-links infinite). The rows of the link matrix are cut
+// from one allocation, each capped so that appending to it cannot write
+// into the next.
 func NewNetwork(n int) *Network {
 	net := &Network{
 		Speeds: make([]float64, n),
 		Links:  make([][]float64, n),
 	}
+	cells := make([]float64, n*n)
 	for v := 0; v < n; v++ {
 		net.Speeds[v] = 1
-		net.Links[v] = make([]float64, n)
+		net.Links[v] = cells[v*n : (v+1)*n : (v+1)*n]
 		for u := 0; u < n; u++ {
 			if u == v {
 				net.Links[v][u] = math.Inf(1)
@@ -170,6 +173,17 @@ func (in *Instance) Validate() error {
 	}
 	if err := in.Graph.Validate(); err != nil {
 		return err
+	}
+	return in.ValidateNetwork()
+}
+
+// ValidateNetwork is the part of Validate beyond TaskGraph.Validate:
+// the network's own checks and the serial bound. It is for a caller
+// whose task graph has just been validated, so that the graph is walked
+// once.
+func (in *Instance) ValidateNetwork() error {
+	if in.Graph == nil || in.Net == nil {
+		return fmt.Errorf("graph: instance missing graph or network")
 	}
 	if err := in.Net.Validate(); err != nil {
 		return err

@@ -46,6 +46,13 @@ func WriteJSON(w http.ResponseWriter, v any) {
 // maxPrealloc up front: a header is a claim, and a lying one must not
 // make the daemon allocate what it has not received.
 func ReadBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	return ReadBodyInto(nil, w, r)
+}
+
+// ReadBodyInto is ReadBody reading into buf's storage, grown as needed,
+// so that a handler can recycle one buffer across requests. The caller
+// must not recycle it while anything still refers to the body.
+func ReadBodyInto(buf []byte, w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	if r.ContentLength > MaxBodyBytes {
 		http.Error(w, fmt.Sprintf("request body of %d bytes exceeds the %d-byte limit", r.ContentLength, MaxBodyBytes),
 			http.StatusRequestEntityTooLarge)
@@ -53,13 +60,13 @@ func ReadBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	}
 	// bytes.MinRead of spare room lets the read that finds EOF fit
 	// without growing.
-	var buf bytes.Buffer
-	buf.Grow(int(min(max(r.ContentLength, 0), maxPrealloc)) + bytes.MinRead)
-	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, MaxBodyBytes)); err != nil {
+	b := bytes.NewBuffer(buf[:0])
+	b.Grow(int(min(max(r.ContentLength, 0), maxPrealloc)) + bytes.MinRead)
+	if _, err := b.ReadFrom(http.MaxBytesReader(w, r.Body, MaxBodyBytes)); err != nil {
 		http.Error(w, fmt.Sprintf("bad request body: %v", err), http.StatusBadRequest)
 		return nil, false
 	}
-	return buf.Bytes(), true
+	return b.Bytes(), true
 }
 
 // maxPrealloc bounds what ReadBody allocates on the word of a

@@ -53,6 +53,7 @@ import (
 	"io"
 	"math"
 	"strconv"
+	"strings"
 	"unicode"
 	"unicode/utf16"
 	"unicode/utf8"
@@ -307,6 +308,39 @@ func (s *Scanner) String() []byte {
 		return s.data[start:end]
 	}
 	return unquote(s.data[start:end])
+}
+
+// Strings is a decoder's string store: Keep copies a decoded string
+// into a shared block instead of allocating it on its own, so a
+// document's many short strings cost a few allocations. A kept string
+// is never written again, and a block lives as long as any string kept
+// in it. The zero value is ready to use; a Strings must not be copied
+// once used.
+type Strings struct {
+	b strings.Builder
+}
+
+// Block sizes of a Strings: each new block doubles the last, from
+// minBlock up to maxBlock, and is at least as long as the string that
+// opened it.
+const (
+	minBlock = 256
+	maxBlock = 8 << 10
+)
+
+// Keep returns p as a string held in the store.
+func (st *Strings) Keep(p []byte) string {
+	if len(p) == 0 {
+		return ""
+	}
+	if st.b.Cap()-st.b.Len() < len(p) {
+		size := max(min(2*st.b.Cap(), maxBlock), minBlock, len(p))
+		st.b = strings.Builder{}
+		st.b.Grow(size)
+	}
+	start := st.b.Len()
+	st.b.Write(p)
+	return st.b.String()[start:]
 }
 
 // stringEnd validates the string whose first content byte is at i and

@@ -228,3 +228,31 @@ func TestAppendStringMatchesStdlib(t *testing.T) {
 		}
 	}
 }
+
+// TestStringsKeepsWhatItWasGiven keeps strings of every length up past a
+// block, each from a buffer overwritten right after, and checks that
+// every kept string still reads as given once the store has moved on
+// through several blocks.
+func TestStringsKeepsWhatItWasGiven(t *testing.T) {
+	var st Strings
+	if got := st.Keep(nil); got != "" {
+		t.Fatalf("Keep(nil) = %q", got)
+	}
+	var want, got []string
+	buf := make([]byte, 0, 3*maxBlock)
+	for i := 0; i < 400; i++ {
+		n := i * i % (2 * maxBlock)
+		buf = buf[:0]
+		for k := 0; k < n; k++ {
+			buf = append(buf, byte('a'+(i+k)%26))
+		}
+		want = append(want, string(buf))
+		got = append(got, st.Keep(buf))
+		clear(buf)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("string %d of %d bytes changed after it was kept", i, len(want[i]))
+		}
+	}
+}

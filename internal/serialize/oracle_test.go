@@ -100,6 +100,9 @@ var instanceSeeds = []string{
 	`{"tasks":[{"name":"a","cost":1}],"speeds":[1],"links":[{"u":0,"v":0,"strength":null}]}`,
 	`{"tasks":[{"name":"a","cost":1},{"name":"b","cost":1}],"deps":[{"from":0,"to":1,"cost":1},{"from":1,"to":0,"cost":1}],"speeds":[1]}`,
 	`{"tasks":[{"name":"a","cost":1}],"deps":[{"from":0,"to":0,"cost":1}],"speeds":[1]}`,
+	`{"tasks":[{"name":"a","cost":1},{"name":"b","cost":1}],"deps":[{"from":0,"to":1,"cost":1},{"from":0,"to":1,"cost":2}],"speeds":[1]}`,
+	`{"tasks":[{"name":"a","cost":1},{"name":"b","cost":1},{"name":"c","cost":1},{"name":"d","cost":1}],"deps":[{"from":0,"to":1,"cost":1},{"from":1,"to":2,"cost":1},{"from":2,"to":3,"cost":1},{"from":3,"to":1,"cost":1}],"speeds":[1]}`,
+	`{"deps":[{"from":2,"to":0,"cost":1},{"from":0,"to":1,"cost":1},{"from":2,"to":1,"cost":0}],"tasks":[{"name":"a","cost":1},{"name":"b","cost":1},{"name":"c","cost":1}],"speeds":[1]}`,
 	`{"tasks":[{"name":"a","cost":1}],"deps":[{"from":0,"to":7,"cost":1}],"speeds":[1]}`,
 	`{"tasks":[{"name":"a","cost":1}],"speeds":[1,1],"links":[{"u":0,"v":9,"strength":1}]}`,
 	`{"tasks":[{"name":"a","cost":1}],"speeds":[1]} trailing`,

@@ -104,7 +104,9 @@ var (
 // reads the document in one pass (internal/jsonscan) with the field
 // semantics of encoding/json — keys matched exactly, then case-folded;
 // null leaves a field at its zero value; unknown keys skipped — except
-// that a key repeated inside one object is refused.
+// that a key repeated inside one object is refused. Dependencies are
+// range-checked here and every other graph invariant is left to the one
+// Validate.
 func UnmarshalInstance(data []byte) (*graph.Instance, error) {
 	g := graph.NewTaskGraph()
 	s := jsonscan.New(data)
@@ -112,10 +114,18 @@ func UnmarshalInstance(data []byte) (*graph.Instance, error) {
 	if err := s.End(); err != nil {
 		return nil, fmt.Errorf("serialize: %w", err)
 	}
+	n := len(g.Tasks)
+	degree := make([]int, 2*n)
 	for _, d := range deps {
-		if err := g.AddDep(d.From, d.To, d.Cost); err != nil {
-			return nil, fmt.Errorf("serialize: %w", err)
+		if d.From < 0 || d.From >= n || d.To < 0 || d.To >= n {
+			return nil, fmt.Errorf("serialize: graph: dependency (%d, %d) out of range", d.From, d.To)
 		}
+		degree[d.From]++
+		degree[n+d.To]++
+	}
+	g.ReserveDeps(degree[:n], degree[n:])
+	for _, d := range deps {
+		g.AddDepUnchecked(d.From, d.To, d.Cost)
 	}
 	net := graph.NewNetwork(len(speeds))
 	copy(net.Speeds, speeds)
@@ -132,14 +142,16 @@ func UnmarshalInstance(data []byte) (*graph.Instance, error) {
 	return inst, nil
 }
 
-// scanInstance reads the document root. Tasks go straight into g;
-// dependencies and links are returned, because they are checked against
-// the task and node counts and "tasks" or "speeds" may stand behind
-// them in the document.
+// scanInstance reads the document root. Tasks go straight into g.Tasks,
+// their names into one string store, and g's adjacency is left for the
+// caller to size; dependencies and links are returned, because they are
+// checked against the task and node counts and "tasks" or "speeds" may
+// stand behind them in the document.
 func scanInstance(s *jsonscan.Scanner, g *graph.TaskGraph) (deps []jsonDep, speeds []float64, links []jsonLink) {
 	if !s.Object() {
 		return
 	}
+	var names jsonscan.Strings
 	var seen uint32
 	for {
 		field, ok := s.Field(instanceFields, &seen)
@@ -155,8 +167,7 @@ func scanInstance(s *jsonscan.Scanner, g *graph.TaskGraph) (deps []jsonDep, spee
 		for s.More() {
 			switch field {
 			case 0:
-				t := scanTask(s)
-				g.AddTask(t.Name, t.Cost)
+				g.Tasks = append(g.Tasks, scanTask(s, &names))
 			case 1:
 				deps = append(deps, scanDep(s))
 			case 2:
@@ -168,7 +179,7 @@ func scanInstance(s *jsonscan.Scanner, g *graph.TaskGraph) (deps []jsonDep, spee
 	}
 }
 
-func scanTask(s *jsonscan.Scanner) (t jsonTask) {
+func scanTask(s *jsonscan.Scanner, names *jsonscan.Strings) (t graph.Task) {
 	if !s.Object() {
 		return t
 	}
@@ -182,7 +193,7 @@ func scanTask(s *jsonscan.Scanner) (t jsonTask) {
 			s.Skip()
 		case s.Null(): // consumed; the field keeps its zero value
 		case field == 0:
-			t.Name = string(s.String())
+			t.Name = names.Keep(s.String())
 		case field == 1:
 			t.Cost = s.Float()
 		}

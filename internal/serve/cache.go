@@ -65,7 +65,12 @@ func (e *cacheEntry) response(name string) []byte {
 // repeated submissions of the same payload — the "millions of users
 // resubmitting the same workflow" case the daemon exists for — parse
 // and build tables once.
-// Eviction is least-recently-used over a fixed entry budget.
+// Eviction is least-recently-used over a fixed entry budget, and hands
+// the victim's parked scratches back to the pool: on traffic that never
+// repeats an instance, every entry is evicted with the scratch its miss
+// parked, and the next miss leases that scratch instead of growing a
+// new one. Reuse is safe because a scratch's memo state is keyed by
+// instance pointer and table generation (scheduler.ScratchPool).
 //
 // bodies indexes every stored response by the SHA-256 of the request
 // body that stored it, so a byte-identical request is answered without
@@ -77,6 +82,7 @@ type instanceCache struct {
 	mu      sync.Mutex
 	cap     int
 	maxPark int // scratches parked per entry
+	pool    *scheduler.ScratchPool
 	clock   uint64
 	entries map[cacheKey]*cacheEntry
 	bodies  map[bodyKey]indexedResponse
@@ -85,14 +91,14 @@ type instanceCache struct {
 	hits, misses, evictions, tableReuses, responseHits, bodyHits uint64
 }
 
-func newInstanceCache(capEntries, maxPark int) *instanceCache {
+func newInstanceCache(capEntries, maxPark int, pool *scheduler.ScratchPool) *instanceCache {
 	if capEntries < 1 {
 		capEntries = 1
 	}
 	if maxPark < 1 {
 		maxPark = 1
 	}
-	return &instanceCache{cap: capEntries, maxPark: maxPark, entries: map[cacheKey]*cacheEntry{}, bodies: map[bodyKey]indexedResponse{}}
+	return &instanceCache{cap: capEntries, maxPark: maxPark, pool: pool, entries: map[cacheKey]*cacheEntry{}, bodies: map[bodyKey]indexedResponse{}}
 }
 
 // indexed reports whether any response is stored, that is, whether a
@@ -146,9 +152,10 @@ func (c *instanceCache) lookup(key cacheKey, name string) (entry *cacheEntry, st
 }
 
 // insert adds inst under key, evicting the least-recently-used entry
-// when the cache is full. If another request raced the parse and
-// inserted first, the winner's entry is returned so both requests share
-// one instance pointer.
+// when the cache is full and returning its parked scratches to the
+// pool. If another request raced the parse and inserted first, the
+// winner's entry is returned so both requests share one instance
+// pointer.
 func (c *instanceCache) insert(key cacheKey, inst *graph.Instance) *cacheEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -170,10 +177,12 @@ func (c *instanceCache) insert(key cacheKey, inst *graph.Instance) *cacheEntry {
 		}
 		c.nBodies.Store(int64(len(c.bodies)))
 		c.evictions++
-		// The victim's parked scratches and stored responses are simply
-		// dropped with the entry; they were only fast paths, and any
-		// still-leased scratch returns through release, which tolerates a
-		// gone entry.
+		// The victim's stored responses go with it; its parked scratches
+		// go back to the pool, and any still-leased scratch returns
+		// through release, which tolerates a gone entry.
+		for _, scr := range victim.scratches {
+			c.pool.Put(scr)
+		}
 	}
 	c.clock++
 	e := &cacheEntry{key: key, inst: inst, lastUsed: c.clock}

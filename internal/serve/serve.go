@@ -11,8 +11,9 @@
 //   - Per-request Scratch leasing. Every /v1/schedule request that
 //     runs a scheduler leases one scheduler.Scratch — from the instance
 //     cache when the instance was seen before (tables prebuilt, zero
-//     graph.Tables work), else from a sync.Pool — and owns it
-//     exclusively until the response is written. Cross-request bleed is
+//     graph.Tables work), else from a sync.Pool, which an evicted
+//     entry's parked scratches go back to — and owns it exclusively
+//     until the response is written. Cross-request bleed is
 //     impossible by construction: every memoized value in a Scratch is
 //     keyed on (instance pointer, table generation).
 //   - Content-hash instance caching. Schedule submissions are keyed by
@@ -148,11 +149,11 @@ func New(opts Options) *Server {
 	opts = opts.withDefaults()
 	s := &Server{
 		opts:    opts,
-		cache:   newInstanceCache(opts.CacheEntries, opts.MaxConcurrent),
 		metrics: newMetrics(),
 		sem:     make(chan struct{}, opts.MaxConcurrent),
 		mux:     http.NewServeMux(),
 	}
+	s.cache = newInstanceCache(opts.CacheEntries, opts.MaxConcurrent, &s.pool)
 	s.hub = coord.NewHub(coord.HubOptions{
 		Sweep:     coord.Options{LeaseTTL: opts.DegradeWindow},
 		WorkerTTL: opts.DegradeWindow,
@@ -303,10 +304,13 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	// reports; a miss takes two more around its decode, and hashing the
 	// body one more.
 	t0 := time.Now()
-	body, ok := httpx.ReadBody(w, r)
+	ws := wirePool.Get().(*wireState)
+	defer wirePool.Put(ws)
+	body, ok := httpx.ReadBodyInto(ws.in, w, r)
 	if !ok {
 		return
 	}
+	ws.in = body
 	t1 := time.Now()
 	// While any response is stored, the body's own hash may find one: the
 	// body that stored it, repeated byte for byte, needs no scan. Traffic
@@ -323,8 +327,6 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	ws := wirePool.Get().(*wireState)
-	defer wirePool.Put(ws)
 	env, ok := readEnvelope(w, body, false, ws)
 	if !ok {
 		return

@@ -38,10 +38,14 @@ type cacheKey [sha256.Size]byte
 // body bytes; equal keys are the same envelope, spelling included.
 type bodyKey [sha256.Size]byte
 
-// wireState is what one request needs besides its body: the hasher the
-// envelope scan feeds, the key it closes into, and the buffer the
-// response is appended to.
+// wireState is what one /v1/schedule request needs: the buffer its body
+// is read into, the hasher the envelope scan feeds, the key it closes
+// into, and the buffer the response is appended to. The body buffer is
+// reused by the next request, so nothing a request leaves behind may
+// alias it: the decoders copy every string they keep, and the cache
+// stores copies of responses and hashes of bodies.
 type wireState struct {
+	in  []byte
 	h   hash.Hash
 	key cacheKey
 	out []byte

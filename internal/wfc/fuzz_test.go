@@ -12,7 +12,9 @@ package wfc
 //
 // The fuzzer is also differential: parseReflective is Parse as it stood
 // on encoding/json, and every input must get the same verdict and a
-// reflect.DeepEqual document from both. The one licensed divergence —
+// reflect.DeepEqual document from both; toTaskGraphReference is
+// ToTaskGraph with AddDep's per-edge checks, and every parsed document
+// must get the same verdict and a reflect.DeepEqual graph from both. The one licensed divergence —
 // a key repeated inside one object, which the stdlib merges and the
 // scanner refuses — is recognised by asking the new decoder first.
 
@@ -44,6 +46,86 @@ func parseReflective(data []byte) (*Instance, error) {
 		return nil, fmt.Errorf("wfc: workflow %q has no tasks", inst.Name)
 	}
 	return &inst, nil
+}
+
+// toTaskGraphReference is ToTaskGraph as it stood before the import was
+// made to validate the graph once: AddDep's checks on every edge, then
+// Validate. It is the oracle the import graph is held to.
+func toTaskGraphReference(in *Instance) (*graph.TaskGraph, error) {
+	g := graph.NewTaskGraph()
+	index := make(map[string]int, len(in.Workflow.Tasks))
+	for _, t := range in.Workflow.Tasks {
+		id := t.ID
+		if id == "" {
+			id = t.Name
+		}
+		if id == "" {
+			return nil, fmt.Errorf("wfc: task with neither id nor name")
+		}
+		if _, dup := index[id]; dup {
+			return nil, fmt.Errorf("wfc: duplicate task id %q", id)
+		}
+		if t.RuntimeInSeconds < 0 {
+			return nil, fmt.Errorf("wfc: task %q has negative runtime", id)
+		}
+		name := t.Name
+		if name == "" {
+			name = id
+		}
+		index[id] = g.AddTask(name, t.RuntimeInSeconds)
+	}
+
+	// File production index: file name → producing task.
+	producer := map[string]int{}
+	outSize := map[string]float64{}
+	for _, t := range in.Workflow.Tasks {
+		id := t.ID
+		if id == "" {
+			id = t.Name
+		}
+		for _, f := range t.Files {
+			if f.Link == "output" {
+				producer[f.Name] = index[id]
+				outSize[f.Name] = f.SizeInBytes
+			}
+		}
+	}
+
+	for _, t := range in.Workflow.Tasks {
+		id := t.ID
+		if id == "" {
+			id = t.Name
+		}
+		child := index[id]
+		// Data volume per parent: files this task inputs that the parent
+		// outputs.
+		volume := map[int]float64{}
+		for _, f := range t.Files {
+			if f.Link != "input" {
+				continue
+			}
+			if p, ok := producer[f.Name]; ok && p != child {
+				size := f.SizeInBytes
+				if size == 0 {
+					size = outSize[f.Name]
+				}
+				volume[p] += size
+			}
+		}
+		for _, pid := range t.Parents {
+			p, ok := index[pid]
+			if !ok {
+				return nil, fmt.Errorf("wfc: task %q references unknown parent %q", id, pid)
+			}
+			if err := g.AddDep(p, child, volume[p]); err != nil {
+				return nil, err
+			}
+		}
+	}
+	if err := g.Validate(); err != nil {
+		return nil, err
+	}
+	return g, nil
 }
 
 // parseChecked is Parse held to the oracle.
@@ -92,6 +174,21 @@ func FuzzParse(f *testing.F) {
 		`{"workflow": {"tasks": [{"name": "a", "parents": ["a"]}]}}`,                                  // self-dependency
 		`{"workflow": {"tasks": [{"name": "a", "parents": ["b"]}, {"name": "b", "parents": ["a"]}]}}`, // cycle
 		`{"workflow": {"tasks": [{"name": "a", "parents": ["b", "b"]}, {"name": "b"}]}}`,              // duplicate parent
+		// A parent cycle; a cycle with a repeated parent; a task that is its
+		// own parent and consumes what it produces.
+		`{"workflow": {"tasks": [{"name": "a", "parents": ["c"]}, {"name": "b", "parents": ["a"]}, {"name": "c", "parents": ["b"]}]}}`,
+		`{"workflow": {"tasks": [{"name": "a", "parents": ["b"]}, {"name": "b", "parents": ["a", "a"]}]}}`,
+		`{"workflow": {"tasks": [{"name": "a", "parents": ["a"], "files": [{"name": "f", "link": "output", "sizeInBytes": 2}, {"name": "f", "link": "input"}]}]}}`,
+		// Two outputs share a file name: the last producer gives the size.
+		`{"workflow": {"tasks": [{"name": "a", "files": [{"name": "f", "link": "output", "sizeInBytes": 1}]}, {"name": "b", "files": [{"name": "f", "link": "output", "sizeInBytes": 2}]},
+			{"name": "c", "parents": ["a", "b"], "files": [{"name": "f", "link": "input"}, {"name": "f", "link": "input", "sizeInBytes": 0.1}]}]}}`,
+		// An input without a size takes the producer's; sizes add in file order.
+		`{"workflow": {"tasks": [{"name": "a", "files": [{"name": "f", "link": "output", "sizeInBytes": 0.1}, {"name": "g", "link": "output", "sizeInBytes": 0.2}]},
+			{"name": "b", "parents": ["a"], "files": [{"name": "f", "link": "input"}, {"name": "g", "link": "input", "sizeInBytes": 0.3}, {"name": "f", "link": "input", "sizeInBytes": 1e-17}]}]}}`,
+		// A task both produces and consumes f, and a non-parent produces g.
+		`{"workflow": {"tasks": [{"name": "a", "files": [{"name": "g", "link": "output", "sizeInBytes": 5}]}, {"name": "p", "files": [{"name": "f", "link": "output", "sizeInBytes": 3}]},
+			{"name": "b", "parents": ["p"], "files": [{"name": "f", "link": "output", "sizeInBytes": 4}, {"name": "f", "link": "input"}, {"name": "g", "link": "input"}]},
+			{"name": "c", "parents": ["a", "b"], "files": [{"name": "f", "link": "input"}, {"name": "g", "link": "input"}]}]}}`,
 		`{"workflow": {"tasks": [{"name": "a", "runtimeInSeconds": 1e308}], "machines": [{"speed": -3}]}}`,
 		`{"workflow": {"tasks": [{"name": "a", "files": [{"name": "f", "link": "input", "sizeInBytes": -5}]}]}}`,
 		"\x1f\x8b",             // bare gzip magic — sniffed, then rejected
@@ -129,6 +226,13 @@ func FuzzParse(f *testing.F) {
 			return // rejected cleanly
 		}
 		g, err := doc.ToTaskGraph()
+		want, wantErr := toTaskGraphReference(doc)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("%.200q:\nToTaskGraph error: %v\noracle error:      %v", data, err, wantErr)
+		}
+		if err == nil && !reflect.DeepEqual(g, want) {
+			t.Fatalf("%.200q:\nToTaskGraph built %+v\noracle built      %+v", data, g, want)
+		}
 		net := doc.ToNetwork(1)
 		if err != nil {
 			return

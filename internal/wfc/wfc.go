@@ -18,6 +18,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 
 	"saga/internal/graph"
 	"saga/internal/jsonscan"
@@ -73,9 +74,9 @@ func Parse(data []byte) (*Instance, error) {
 		return nil, err
 	}
 	var inst Instance
-	s := jsonscan.New(data)
-	scanInstance(&s, &inst)
-	if err := s.End(); err != nil {
+	d := decoder{s: jsonscan.New(data)}
+	d.instance(&inst)
+	if err := d.s.End(); err != nil {
 		return nil, fmt.Errorf("wfc: %w", err)
 	}
 	if len(inst.Workflow.Tasks) == 0 {
@@ -118,7 +119,71 @@ var (
 	machineFields  = []string{"nodeName", "speed"}
 )
 
-func scanInstance(s *jsonscan.Scanner, in *Instance) {
+// decoder is one Parse: the scanner; the string stores the document's
+// strings are kept in, task names apart from the rest so that a task
+// graph built from the document keeps only its names alive; and the
+// pools every task's parents and files are cut from, so that a task's
+// lists cost no allocation of their own.
+type decoder struct {
+	s           jsonscan.Scanner
+	names, strs jsonscan.Strings
+	parents     pool[string]
+	files       pool[File]
+}
+
+// pool hands out runs of consecutive elements from shared chunks. A run
+// that outgrows its chunk moves to a fresh one, which copies that run
+// alone; a filled chunk stays where it is, serving the runs already cut
+// from it.
+type pool[T any] struct {
+	chunk []T
+	start int // where the current run begins in chunk
+}
+
+// poolChunk is a pool's chunk length, unless a run needs more.
+const poolChunk = 128
+
+// begin starts a run.
+func (p *pool[T]) begin() { p.start = len(p.chunk) }
+
+// add appends x to the current run.
+func (p *pool[T]) add(x T) {
+	if len(p.chunk) == cap(p.chunk) {
+		run := p.chunk[p.start:]
+		next := make([]T, len(run), max(poolChunk, 2*len(run)))
+		copy(next, run)
+		p.chunk, p.start = next, 0
+	}
+	p.chunk = append(p.chunk, x)
+}
+
+// cut returns the current run as a list of its own: capped, so that
+// appending to it cannot write into the pool, and empty but not nil
+// when it has no element, as encoding/json decodes [].
+func (p *pool[T]) cut() []T {
+	if p.start == len(p.chunk) {
+		return []T{}
+	}
+	return p.chunk[p.start:len(p.chunk):len(p.chunk)]
+}
+
+// str reads a string into the store for everything but task names.
+func (d *decoder) str() string { return d.strs.Keep(d.s.String()) }
+
+// link reads a file's link, sharing the two words of the vocabulary.
+func (d *decoder) link() string {
+	switch p := d.s.String(); string(p) {
+	case "input":
+		return "input"
+	case "output":
+		return "output"
+	default:
+		return d.strs.Keep(p)
+	}
+}
+
+func (d *decoder) instance(in *Instance) {
+	s := &d.s
 	if !s.Object() {
 		return
 	}
@@ -131,17 +196,18 @@ func scanInstance(s *jsonscan.Scanner, in *Instance) {
 		case field < 0:
 			s.Skip()
 		case field == 2:
-			scanWorkflow(s, &in.Workflow)
+			d.workflow(&in.Workflow)
 		case s.Null(): // consumed; the field keeps its zero value
 		case field == 0:
-			in.Name = string(s.String())
+			in.Name = d.str()
 		case field == 1:
-			in.SchemaVersion = string(s.String())
+			in.SchemaVersion = d.str()
 		}
 	}
 }
 
-func scanWorkflow(s *jsonscan.Scanner, wf *Workflow) {
+func (d *decoder) workflow(wf *Workflow) {
+	s := &d.s
 	if !s.Object() {
 		return
 	}
@@ -157,21 +223,22 @@ func scanWorkflow(s *jsonscan.Scanner, wf *Workflow) {
 			if s.Array() {
 				wf.Tasks = []Task{}
 				for s.More() {
-					wf.Tasks = append(wf.Tasks, scanTask(s))
+					wf.Tasks = append(wf.Tasks, d.task())
 				}
 			}
 		case field == 1:
 			if s.Array() {
 				wf.Machines = []Machine{}
 				for s.More() {
-					wf.Machines = append(wf.Machines, scanMachine(s))
+					wf.Machines = append(wf.Machines, d.machine())
 				}
 			}
 		}
 	}
 }
 
-func scanTask(s *jsonscan.Scanner) (t Task) {
+func (d *decoder) task() (t Task) {
+	s := &d.s
 	if !s.Object() {
 		return t
 	}
@@ -185,34 +252,37 @@ func scanTask(s *jsonscan.Scanner) (t Task) {
 			s.Skip()
 		case field == 3:
 			if s.Array() {
-				t.Parents = []string{}
+				d.parents.begin()
 				for s.More() {
 					var parent string
 					if !s.Null() {
-						parent = string(s.String())
+						parent = d.str()
 					}
-					t.Parents = append(t.Parents, parent)
+					d.parents.add(parent)
 				}
+				t.Parents = d.parents.cut()
 			}
 		case field == 4:
 			if s.Array() {
-				t.Files = []File{}
+				d.files.begin()
 				for s.More() {
-					t.Files = append(t.Files, scanFile(s))
+					d.files.add(d.file())
 				}
+				t.Files = d.files.cut()
 			}
 		case s.Null():
 		case field == 0:
-			t.Name = string(s.String())
+			t.Name = d.names.Keep(s.String())
 		case field == 1:
-			t.ID = string(s.String())
+			t.ID = d.str()
 		case field == 2:
 			t.RuntimeInSeconds = s.Float()
 		}
 	}
 }
 
-func scanFile(s *jsonscan.Scanner) (f File) {
+func (d *decoder) file() (f File) {
+	s := &d.s
 	if !s.Object() {
 		return f
 	}
@@ -226,16 +296,17 @@ func scanFile(s *jsonscan.Scanner) (f File) {
 			s.Skip()
 		case s.Null():
 		case field == 0:
-			f.Name = string(s.String())
+			f.Name = d.str()
 		case field == 1:
-			f.Link = string(s.String())
+			f.Link = d.link()
 		case field == 2:
 			f.SizeInBytes = s.Float()
 		}
 	}
 }
 
-func scanMachine(s *jsonscan.Scanner) (m Machine) {
+func (d *decoder) machine() (m Machine) {
+	s := &d.s
 	if !s.Object() {
 		return m
 	}
@@ -249,7 +320,7 @@ func scanMachine(s *jsonscan.Scanner) (m Machine) {
 			s.Skip()
 		case s.Null():
 		case field == 0:
-			m.NodeName = string(s.String())
+			m.NodeName = d.str()
 		case field == 1:
 			m.Speed = s.Float()
 		}
@@ -260,15 +331,17 @@ func scanMachine(s *jsonscan.Scanner) (m Machine) {
 // graph. Task compute cost is the runtime in seconds (cost on a speed-1
 // node). The data size of dependency (u, v) is the total size of files
 // that u outputs and v inputs; dependencies whose tasks share no files
-// get data size 0 (pure control dependencies).
+// get data size 0 (pure control dependencies). Parents are resolved
+// before any edge is added, so the adjacency is sized from the degrees,
+// and the graph is validated once, by TaskGraph.Validate.
 func (in *Instance) ToTaskGraph() (*graph.TaskGraph, error) {
-	g := graph.NewTaskGraph()
-	index := make(map[string]int, len(in.Workflow.Tasks))
-	for _, t := range in.Workflow.Tasks {
-		id := t.ID
-		if id == "" {
-			id = t.Name
-		}
+	tasks := in.Workflow.Tasks
+	n := len(tasks)
+	g := &graph.TaskGraph{Tasks: slices.Grow([]graph.Task(nil), n)}
+	index := make(map[string]int, n)
+	nParents, nOutputs := 0, 0
+	for _, t := range tasks {
+		id := t.key()
 		if id == "" {
 			return nil, fmt.Errorf("wfc: task with neither id nor name")
 		}
@@ -282,60 +355,93 @@ func (in *Instance) ToTaskGraph() (*graph.TaskGraph, error) {
 		if name == "" {
 			name = id
 		}
-		index[id] = g.AddTask(name, t.RuntimeInSeconds)
-	}
-
-	// File production index: file name → producing task.
-	producer := map[string]int{}
-	outSize := map[string]float64{}
-	for _, t := range in.Workflow.Tasks {
-		id := t.ID
-		if id == "" {
-			id = t.Name
-		}
+		index[id] = len(g.Tasks)
+		g.Tasks = append(g.Tasks, graph.Task{Name: name, Cost: t.RuntimeInSeconds})
+		nParents += len(t.Parents)
 		for _, f := range t.Files {
 			if f.Link == "output" {
-				producer[f.Name] = index[id]
-				outSize[f.Name] = f.SizeInBytes
+				nOutputs++
 			}
 		}
 	}
 
-	for _, t := range in.Workflow.Tasks {
-		id := t.ID
-		if id == "" {
-			id = t.Name
+	// parents holds every task's resolved parents, task after task;
+	// degree their out-degrees, then the tasks' in-degrees.
+	parents := make([]int, 0, nParents)
+	degree := make([]int, 2*n)
+	for child, t := range tasks {
+		for _, pid := range t.Parents {
+			p, ok := index[pid]
+			if !ok {
+				return nil, fmt.Errorf("wfc: task %q references unknown parent %q", t.key(), pid)
+			}
+			parents = append(parents, p)
+			degree[p]++
 		}
-		child := index[id]
-		// Data volume per parent: files this task inputs that the parent
-		// outputs.
-		volume := map[int]float64{}
+		degree[n+child] = len(t.Parents)
+	}
+	g.ReserveDeps(degree[:n], degree[n:])
+
+	// File production index: file name → the last task that outputs it,
+	// and the size it gives.
+	type output struct {
+		task int
+		size float64
+	}
+	produced := make(map[string]output, nOutputs)
+	for i, t := range tasks {
+		for _, f := range t.Files {
+			if f.Link == "output" {
+				produced[f.Name] = output{i, f.SizeInBytes}
+			}
+		}
+	}
+
+	// volume[p] accumulates the data the current task inputs from its
+	// parent p, over its files in document order, and is zeroed again
+	// after the task; mark[p] == child+1 says p is a parent of child, and
+	// reuses the out-degrees, which ReserveDeps no longer needs.
+	volume := make([]float64, n)
+	mark := degree[:n]
+	clear(mark)
+	for child, t := range tasks {
+		ps := parents[:len(t.Parents)]
+		parents = parents[len(t.Parents):]
+		for _, p := range ps {
+			mark[p] = child + 1
+		}
 		for _, f := range t.Files {
 			if f.Link != "input" {
 				continue
 			}
-			if p, ok := producer[f.Name]; ok && p != child {
+			if out, ok := produced[f.Name]; ok && mark[out.task] == child+1 {
 				size := f.SizeInBytes
 				if size == 0 {
-					size = outSize[f.Name]
+					size = out.size
 				}
-				volume[p] += size
+				volume[out.task] += size
 			}
 		}
-		for _, pid := range t.Parents {
-			p, ok := index[pid]
-			if !ok {
-				return nil, fmt.Errorf("wfc: task %q references unknown parent %q", id, pid)
-			}
-			if err := g.AddDep(p, child, volume[p]); err != nil {
-				return nil, err
-			}
+		for _, p := range ps {
+			g.AddDepUnchecked(p, child, volume[p])
+		}
+		for _, p := range ps {
+			volume[p] = 0
 		}
 	}
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
 	return g, nil
+}
+
+// key is the task's identity in parent lists: its id, or its name when
+// it has no id.
+func (t *Task) key() string {
+	if t.ID != "" {
+		return t.ID
+	}
+	return t.Name
 }
 
 // ToNetwork builds a complete network from the instance's machines with
