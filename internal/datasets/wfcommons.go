@@ -34,6 +34,12 @@ func InstanceFromWfC(raw []byte, link, ccr float64, nodes int) (*graph.Instance,
 	if err != nil {
 		return nil, err
 	}
+	return ImportWfC(doc, link, ccr, nodes)
+}
+
+// ImportWfC is InstanceFromWfC on a parsed document. The instance shares
+// no memory with doc.
+func ImportWfC(doc *wfc.Instance, link, ccr float64, nodes int) (*graph.Instance, error) {
 	g, err := doc.ToTaskGraph()
 	if err != nil {
 		return nil, err

@@ -13,6 +13,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"strings"
 )
 
 // Eps is the tolerance used for floating-point schedule comparisons
@@ -524,4 +525,24 @@ func (g *TaskGraph) MeanDepCost() float64 {
 		return 0
 	}
 	return sum / float64(n)
+}
+
+// CopyNames gives the tasks' names storage of their own: one new string
+// holding them all, each name a substring of it. A decoder that read the
+// names into memory it reuses calls it on the tasks it hands out.
+func CopyNames(tasks []Task) {
+	var b strings.Builder
+	size := 0
+	for _, t := range tasks {
+		size += len(t.Name)
+	}
+	b.Grow(size)
+	for _, t := range tasks {
+		b.WriteString(t.Name)
+	}
+	all := b.String()
+	for i := range tasks {
+		n := len(tasks[i].Name)
+		tasks[i].Name, all = all[:n], all[n:]
+	}
 }

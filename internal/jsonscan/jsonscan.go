@@ -22,9 +22,10 @@
 // decodes them: a string without escapes and with valid UTF-8 is
 // returned as a sub-slice of the input, anything else is copied with
 // escapes resolved, surrogate pairs joined, and lone surrogates and
-// invalid UTF-8 replaced by U+FFFD. Numbers go through strconv, so an
-// integer field refuses "1.0" and "1e2", and a float field refuses
-// "1e999".
+// invalid UTF-8 replaced by U+FFFD. Numbers go through strconv — an
+// integer of at most 18 digits is parsed in place, to the value strconv
+// gives — so an integer field refuses "1.0" and "1e2", and a float field
+// refuses "1e999".
 //
 // Nesting cap. Objects and arrays may nest 10 000 deep, the stdlib's
 // limit; level 10 001 is an error wherever it occurs, including inside
@@ -43,7 +44,13 @@
 // Errors are sticky: after the first one every method is a no-op that
 // reports "nothing more", so a decoder runs to its end without
 // checking each call and asks Err once. Every error carries the byte
-// offset it was found at.
+// offset it was found at. A Scanner is a plain value: a copy taken
+// before a value is a point to rewind to, error and all.
+//
+// Teeing. Between Tee and EndTee every byte the scanner consumes, by
+// whichever methods, is also written to a writer, without the
+// whitespace between tokens: a decoder reading a value can feed a hash
+// of its compacted bytes in the same pass (SkipTo is Tee around Skip).
 package jsonscan
 
 import (
@@ -53,10 +60,10 @@ import (
 	"io"
 	"math"
 	"strconv"
-	"strings"
 	"unicode"
 	"unicode/utf16"
 	"unicode/utf8"
+	"unsafe"
 )
 
 // MaxDepth is how deep objects and arrays may nest (encoding/json's
@@ -77,10 +84,11 @@ type Scanner struct {
 	// Field and More know whether a comma is due.
 	first bool
 	err   error
-	// sink and seg serve SkipTo: where the skipped value is copied to,
-	// and where the run of bytes not yet written begins.
+	// sink, seg and mark serve Tee: where the value is copied to, where
+	// the run of its bytes not yet written begins, and where it began.
 	sink io.Writer
 	seg  int
+	mark int
 }
 
 // New returns a scanner positioned at the start of data.
@@ -117,19 +125,26 @@ func isSpace(c byte) bool { return c == ' ' || c == '\n' || c == '\t' || c == '\
 
 // Peek skips whitespace and returns the first byte of the next token
 // without consuming it — enough to tell a string from a number — or 0
-// at the end of the input or after an error.
+// at the end of the input or after an error. While teeing, it hands the
+// run of bytes in front of the whitespace to the sink first.
 func (s *Scanner) Peek() byte {
 	if s.err != nil {
 		return 0
 	}
-	data := s.data
-	for i := s.pos; i < len(data); i++ {
+	data, i := s.data, s.pos
+	if i < len(data) && data[i] > ' ' {
+		return data[i]
+	}
+	if s.sink != nil {
+		s.flush()
+	}
+	for ; i < len(data); i++ {
 		if c := data[i]; c > ' ' || !isSpace(c) {
-			s.pos = i
+			s.pos, s.seg = i, i
 			return c
 		}
 	}
-	s.pos = len(data)
+	s.pos, s.seg = len(data), len(data)
 	return 0
 }
 
@@ -208,52 +223,49 @@ func (s *Scanner) More() bool {
 	return s.err == nil
 }
 
-// key returns the next key of an object, decoded, and consumes the
-// colon after it. It reports false at the closing "}" (consumed).
-func (s *Scanner) key() ([]byte, bool) {
+// Field reads the next key of an object and resolves it against the
+// caller's field names (at most 32, each spelled in JSON as itself: no
+// quote, backslash, control byte or invalid UTF-8): it returns the index
+// in names of the field the key selects — the name equal to the key,
+// else the first one equal under Unicode case folding — or -1 for a key
+// that selects none (the caller skips the value). seen holds one bit per
+// field of the object being read; a key selecting a field whose bit is
+// set is an ErrDuplicateKey error. ok is false at the closing "}"
+// (consumed).
+func (s *Scanner) Field(names []string, seen *uint32) (index int, ok bool) {
 	if !s.comma('}') {
-		return nil, false
+		return -1, false
 	}
 	if s.Peek() != '"' {
 		s.unexpected("object key")
-		return nil, false
-	}
-	key := s.String()
-	if s.Peek() != ':' {
-		s.unexpected("':'")
-		return nil, false
-	}
-	s.pos++
-	return key, true
-}
-
-// Field reads the next key of an object and resolves it against the
-// caller's field names (at most 32): it returns the index in names of
-// the field the key selects — the name equal to the key, else the first
-// one equal under Unicode case folding — or -1 for a key that selects
-// none (the caller skips the value). seen holds one bit per field of
-// the object being read; a key selecting a field whose bit is set is an
-// ErrDuplicateKey error. ok is false at the closing "}" (consumed).
-func (s *Scanner) Field(names []string, seen *uint32) (index int, ok bool) {
-	key, ok := s.key()
-	if !ok {
 		return -1, false
 	}
-	index = -1
-	for i, name := range names {
-		if string(key) == name {
-			index = i
-			break
-		}
-	}
+	// The common key is a name as it stands, quotes and all: compared in
+	// place, it needs no decoding. Only a key matching no name that way
+	// is decoded, and may still equal one once its escapes are resolved.
+	index = s.plainField(names)
 	if index < 0 {
+		key := s.String()
 		for i, name := range names {
-			if bytes.EqualFold(key, []byte(name)) {
+			if string(key) == name {
 				index = i
 				break
 			}
 		}
+		if index < 0 {
+			for i, name := range names {
+				if bytes.EqualFold(key, []byte(name)) {
+					index = i
+					break
+				}
+			}
+		}
 	}
+	if s.Peek() != ':' {
+		s.unexpected("':'")
+		return -1, false
+	}
+	s.pos++
 	if index >= 0 {
 		bit := uint32(1) << uint(index)
 		if *seen&bit != 0 {
@@ -263,6 +275,20 @@ func (s *Scanner) Field(names []string, seen *uint32) (index int, ok bool) {
 		*seen |= bit
 	}
 	return index, true
+}
+
+// plainField consumes the quoted key at the current offset and returns
+// its index in names when it is one of them byte for byte; it returns -1
+// and consumes nothing otherwise.
+func (s *Scanner) plainField(names []string) int {
+	data, start := s.data, s.pos+1
+	for i, name := range names {
+		if end := start + len(name); end < len(data) && data[end] == '"' && string(data[start:end]) == name {
+			s.pos = end + 1
+			return i
+		}
+	}
+	return -1
 }
 
 // literal consumes the given word.
@@ -313,11 +339,13 @@ func (s *Scanner) String() []byte {
 // Strings is a decoder's string store: Keep copies a decoded string
 // into a shared block instead of allocating it on its own, so a
 // document's many short strings cost a few allocations. A kept string
-// is never written again, and a block lives as long as any string kept
-// in it. The zero value is ready to use; a Strings must not be copied
-// once used.
+// is never written again until Reset, and a block lives as long as any
+// string kept in it. The zero value is ready to use; a Strings must not
+// be copied once used.
 type Strings struct {
-	b strings.Builder
+	block []byte
+	// kept counts the bytes kept since the last Reset.
+	kept int
 }
 
 // Block sizes of a Strings: each new block doubles the last, from
@@ -333,15 +361,31 @@ func (st *Strings) Keep(p []byte) string {
 	if len(p) == 0 {
 		return ""
 	}
-	if st.b.Cap()-st.b.Len() < len(p) {
-		size := max(min(2*st.b.Cap(), maxBlock), minBlock, len(p))
-		st.b = strings.Builder{}
-		st.b.Grow(size)
+	st.kept += len(p)
+	if cap(st.block)-len(st.block) < len(p) {
+		size := max(min(2*cap(st.block), maxBlock), minBlock, len(p))
+		st.block = make([]byte, 0, size)
 	}
-	start := st.b.Len()
-	st.b.Write(p)
-	return st.b.String()[start:]
+	start := len(st.block)
+	st.block = append(st.block, p...)
+	return unsafe.String(&st.block[start], len(p))
 }
+
+// Reset lets the store write its memory again, for a decoder that reads
+// one document after another and whose kept strings are dead by then:
+// every string kept before Reset may change afterwards. It keeps one
+// block large enough for everything kept since the last Reset, so
+// documents of a size the store has already seen fill it without
+// allocating.
+func (st *Strings) Reset() {
+	if st.kept > cap(st.block) {
+		st.block = make([]byte, 0, st.kept)
+	}
+	st.block, st.kept = st.block[:0], 0
+}
+
+// Cap reports the bytes of the block Reset would keep.
+func (st *Strings) Cap() int { return max(cap(st.block), st.kept) }
 
 // stringEnd validates the string whose first content byte is at i and
 // returns the offset of its closing quote. plain is true when the
@@ -530,12 +574,37 @@ func (s *Scanner) Float() float64 {
 	return f
 }
 
+// smallDigits is the most digits an integer can have and still fit an
+// int whatever its digits: 18 for a 64-bit int, 9 for a 32-bit one.
+const smallDigits = strconv.IntSize/64*9 + 9
+
 // Int reads a number as an int, refusing fractions, exponents and
 // overflow.
 func (s *Scanner) Int() int {
 	tok := s.number()
 	if s.err != nil {
 		return 0
+	}
+	digits := tok
+	if tok[0] == '-' {
+		digits = tok[1:]
+	}
+	if len(digits) <= smallDigits {
+		n := 0
+		for _, c := range digits {
+			if c < '0' || c > '9' {
+				n = -1
+				break
+			}
+			n = n*10 + int(c-'0')
+		}
+		switch {
+		case n < 0: // a fraction or an exponent: strconv says why not
+		case tok[0] == '-':
+			return -n
+		default:
+			return n
+		}
 	}
 	n, err := strconv.ParseInt(string(tok), 10, strconv.IntSize)
 	if err != nil {
@@ -563,28 +632,21 @@ func (s *Scanner) Uint64() uint64 {
 }
 
 // Skip validates the next value of any kind and returns its bytes, a
-// sub-slice of the input without the whitespace around it.
-func (s *Scanner) Skip() []byte { return s.SkipTo(nil) }
-
-// SkipTo is Skip that also writes the value to w without the
-// whitespace between its tokens (whitespace inside strings is content
-// and stays): w receives what json.Compact would produce, so feeding a
-// hash gives a key that survives re-indentation of the document. A
-// write error is recorded like any other.
-func (s *Scanner) SkipTo(w io.Writer) []byte {
+// sub-slice of the input without the whitespace around it. While
+// teeing, the value goes to the sink like any other.
+func (s *Scanner) Skip() []byte {
 	if s.Peek() == 0 {
 		s.unexpected("value")
 		return nil
 	}
 	start := s.pos
-	s.sink, s.seg = w, start
 	// kinds holds the open brackets of the value being skipped; the
 	// scanner's own depth counts the ones the caller opened around it.
 	var small [32]byte
 	kinds := small[:0]
 	for s.err == nil {
 		// A value is due.
-		switch c := s.gap(); {
+		switch c := s.Peek(); {
 		case c == '{' || c == '[':
 			if s.depth+len(kinds) >= MaxDepth {
 				s.Errorf("exceeded max depth %d", MaxDepth)
@@ -592,7 +654,7 @@ func (s *Scanner) SkipTo(w io.Writer) []byte {
 			}
 			kinds = append(kinds, c)
 			s.pos++
-			if c = s.gap(); c != kinds[len(kinds)-1]+2 { // not empty
+			if c = s.Peek(); c != kinds[len(kinds)-1]+2 { // not empty
 				if kinds[len(kinds)-1] == '{' {
 					s.skipKey()
 				}
@@ -616,7 +678,7 @@ func (s *Scanner) SkipTo(w io.Writer) []byte {
 		// A value has ended: close brackets until a comma asks for more.
 		for s.err == nil && len(kinds) > 0 {
 			open := kinds[len(kinds)-1]
-			c := s.gap()
+			c := s.Peek()
 			if c == ',' {
 				s.pos++
 				if open == '{' {
@@ -632,26 +694,44 @@ func (s *Scanner) SkipTo(w io.Writer) []byte {
 			kinds = kinds[:len(kinds)-1]
 		}
 		if s.err == nil && len(kinds) == 0 {
-			s.flush()
 			return s.data[start:s.pos]
 		}
 	}
 	return nil
 }
 
-// gap is Peek for SkipTo: before it steps over whitespace it hands the
-// run of bytes in front of it to the sink.
-func (s *Scanner) gap() byte {
-	if s.pos < len(s.data) && !isSpace(s.data[s.pos]) {
-		return s.data[s.pos]
-	}
-	s.flush()
-	c := s.Peek()
-	s.seg = s.pos
-	return c
+// SkipTo is Skip that also writes the value to w without the
+// whitespace between its tokens (whitespace inside strings is content
+// and stays): w receives what json.Compact would produce, so feeding a
+// hash gives a key that survives re-indentation of the document. A
+// write error is recorded like any other.
+func (s *Scanner) SkipTo(w io.Writer) []byte {
+	s.Tee(w)
+	s.Skip()
+	return s.EndTee()
 }
 
-// flush writes the bytes skipped since the last whitespace to the sink.
+// Tee starts writing to w what SkipTo would write of the next value,
+// however the caller reads it, until EndTee. Tees do not nest.
+func (s *Scanner) Tee(w io.Writer) {
+	s.Peek()
+	s.sink, s.seg, s.mark = w, s.pos, s.pos
+}
+
+// EndTee writes the rest of what Tee began and stops. It returns the
+// bytes read since Tee, a sub-slice of the input without the whitespace
+// around them, or nil after an error.
+func (s *Scanner) EndTee() []byte {
+	s.flush()
+	s.sink = nil
+	if s.err != nil {
+		return nil
+	}
+	return s.data[s.mark:s.pos]
+}
+
+// flush writes the bytes consumed since the last whitespace to the
+// sink.
 func (s *Scanner) flush() {
 	if s.sink == nil || s.err != nil || s.pos == s.seg {
 		return
@@ -659,6 +739,7 @@ func (s *Scanner) flush() {
 	if _, err := s.sink.Write(s.data[s.seg:s.pos]); err != nil {
 		s.Errorf("%v", err)
 	}
+	s.seg = s.pos
 }
 
 // skipString validates the string at the current offset.
@@ -670,12 +751,12 @@ func (s *Scanner) skipString() {
 
 // skipKey validates an object key and the colon after it.
 func (s *Scanner) skipKey() {
-	if s.gap() != '"' {
+	if s.Peek() != '"' {
 		s.unexpected("object key")
 		return
 	}
 	s.skipString()
-	if s.gap() != ':' {
+	if s.Peek() != ':' {
 		s.unexpected("':'")
 		return
 	}

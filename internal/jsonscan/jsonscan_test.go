@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -24,9 +25,45 @@ var hostile = []string{
 	strings.Repeat(`{"a":`, MaxDepth+1) + "1" + strings.Repeat("}", MaxDepth+1),
 }
 
+// walk reads one value of any kind with the typed methods a decoder
+// uses — Object and Field, Array and More, String, Float, Null — and
+// Skip only for what has no typed reader (true, false, and numbers past
+// a float64), so that a tee around it sees every path a decoder takes.
+func walk(s *Scanner) {
+	switch s.Peek() {
+	case '{':
+		s.Object()
+		var seen uint32
+		for {
+			if _, ok := s.Field(nil, &seen); !ok {
+				return
+			}
+			walk(s)
+		}
+	case '[':
+		s.Array()
+		for s.More() {
+			walk(s)
+		}
+	case '"':
+		s.String()
+	case 'n':
+		s.Null()
+	case '-', '0', '1', '2', '3', '4', '5', '6', '7', '8', '9':
+		rewind := *s
+		if s.Float(); s.Err() != nil {
+			*s = rewind
+			s.Skip()
+		}
+	default:
+		s.Skip()
+	}
+}
+
 // checkAgainstStdlib holds Skip, SkipTo and String to encoding/json on
 // one document: accepted iff json.Valid, compacted as json.Compact,
-// strings decoded as json.Unmarshal decodes them.
+// strings decoded as json.Unmarshal decodes them. A tee around the
+// typed walk must write what SkipTo writes.
 func checkAgainstStdlib(t *testing.T, doc []byte) {
 	t.Helper()
 	var sink bytes.Buffer
@@ -48,6 +85,14 @@ func checkAgainstStdlib(t *testing.T, doc []byte) {
 	}
 	if !bytes.Equal(sink.Bytes(), compact.Bytes()) {
 		t.Fatalf("%q: SkipTo wrote %q, json.Compact %q", doc, sink.Bytes(), compact.Bytes())
+	}
+	var teed bytes.Buffer
+	s = New(doc)
+	s.Tee(&teed)
+	walk(&s)
+	if got := s.EndTee(); s.End() != nil || !bytes.Equal(got, raw) || !bytes.Equal(teed.Bytes(), compact.Bytes()) {
+		t.Fatalf("%q: the tee around a typed walk wrote %q and returned %q (%v), want %q and %q",
+			doc, teed.Bytes(), got, s.Err(), compact.Bytes(), raw)
 	}
 	if raw[0] == '"' {
 		var want string
@@ -172,6 +217,96 @@ func TestTypedWalkMatchesStdlib(t *testing.T) {
 		if err == nil && !reflect.DeepEqual(got, point(want)) {
 			t.Fatalf("%.80q: decoded %+v, json.Unmarshal %+v", doc, got, want)
 		}
+	}
+}
+
+// TestFieldMatchesInPlaceAndDecoded pins the key resolution order on
+// keys the in-place match takes and keys it leaves to the decoder:
+// exact before case-folded, escapes resolved, duplicates refused either
+// way.
+func TestFieldMatchesInPlaceAndDecoded(t *testing.T) {
+	names := []string{"name", "Name", "x"}
+	for _, c := range []struct {
+		doc  string
+		want []int // the index of each key, -1 for none
+		dup  bool
+	}{
+		{doc: `{"name":1}`, want: []int{0}},
+		{doc: `{"Name":1}`, want: []int{1}},
+		{doc: `{"NAME":1}`, want: []int{0}},
+		{doc: `{"nam":1,"names":2,"":3}`, want: []int{-1, -1, -1}},
+		{doc: `{"n\u0061me":1}`, want: []int{0}},
+		{doc: `{"\u004eame":1}`, want: []int{1}},
+		{doc: `{"X" : 1 , "x":2}`, dup: true},
+		{doc: `{"name":1,"name":2}`, dup: true},
+		{doc: `{"name":1,"n\u0061me":2}`, dup: true},
+		{doc: `{"x":1,"name":2,"Name":3}`, want: []int{2, 0, 1}},
+	} {
+		s := New([]byte(c.doc))
+		s.Object()
+		var seen uint32
+		var got []int
+		for {
+			i, ok := s.Field(names, &seen)
+			if !ok {
+				break
+			}
+			got = append(got, i)
+			s.Skip()
+		}
+		err := s.End()
+		if c.dup {
+			if !errors.Is(err, ErrDuplicateKey) {
+				t.Fatalf("%s: error %v, want ErrDuplicateKey", c.doc, err)
+			}
+			continue
+		}
+		if err != nil || !reflect.DeepEqual(got, c.want) {
+			t.Fatalf("%s: fields %v (%v), want %v", c.doc, got, err, c.want)
+		}
+	}
+}
+
+// TestIntAgreesWithStrconv holds Int's direct parse of short tokens and
+// its strconv fallback to strconv.ParseInt on the edges of both.
+func TestIntAgreesWithStrconv(t *testing.T) {
+	for _, tok := range []string{
+		"0", "-0", "7", "-7", "42", "123456789", "-123456789", "999999999999999999", "-999999999999999999",
+		"1000000000000000000", "9223372036854775807", "-9223372036854775808", "9223372036854775808",
+		"-9223372036854775809", "99999999999999999999", "1.0", "1e2", "-1.5", "0.0", "1E0",
+	} {
+		want, wantErr := strconv.ParseInt(tok, 10, strconv.IntSize)
+		s := New([]byte(tok))
+		got := s.Int()
+		if err := s.End(); (err == nil) != (wantErr == nil) || err == nil && int64(got) != want {
+			t.Fatalf("Int(%s) = %d (%v), strconv.ParseInt %d (%v)", tok, got, err, want, wantErr)
+		}
+	}
+}
+
+// TestStringsResetReusesItsBlock: after a Reset, a store that has seen a
+// document's strings keeps them all in one block, allocating nothing for
+// a document no larger, and reads each string as given.
+func TestStringsResetReusesItsBlock(t *testing.T) {
+	var st Strings
+	words := make([][]byte, 300)
+	for i := range words {
+		words[i] = bytes.Repeat([]byte{byte('a' + i%26)}, 1+i%40)
+	}
+	keepAll := func() {
+		for i, w := range words {
+			if got := st.Keep(w); got != string(w) {
+				t.Fatalf("word %d kept as %q", i, got)
+			}
+		}
+	}
+	keepAll()
+	st.Reset()
+	if allocs := testing.AllocsPerRun(10, func() { keepAll(); st.Reset() }); allocs != 0 {
+		t.Fatalf("a reset store allocated %.0f times for a document it has seen", allocs)
+	}
+	if st.Cap() < 300 {
+		t.Fatalf("the store keeps %d bytes", st.Cap())
 	}
 }
 

@@ -68,13 +68,33 @@ func unmarshalInstanceReflective(data []byte) (*graph.Instance, error) {
 	return inst, nil
 }
 
+// usedInstance fills every part of an InstanceDecoder's reused storage:
+// it is read before the document under test, which must decode as on a
+// fresh one.
+const usedInstance = `{"tasks":[{"name":"used1","cost":3},{"name":"used2","cost":4},{"name":"used3","cost":5}],` +
+	`"deps":[{"from":0,"to":1,"cost":2},{"from":1,"to":2,"cost":1}],"speeds":[1,2,3],` +
+	`"links":[{"u":0,"v":1,"strength":2},{"u":1,"v":2,"strength":"inf"}]}`
+
 // checkInstanceAgainstOracle demands the same verdict and the same
-// instance from both decoders. The one licensed divergence — a repeated
+// instance from both decoders, and from an InstanceDecoder that read
+// another document first. The one licensed divergence — a repeated
 // key, which the stdlib merges and the scanner refuses — is recognised
 // by asking the new decoder first.
 func checkInstanceAgainstOracle(t *testing.T, data []byte) {
 	t.Helper()
 	got, err := UnmarshalInstance(data)
+	var d InstanceDecoder
+	s := jsonscan.New([]byte(usedInstance))
+	d.Scan(&s)
+	s = jsonscan.New(data)
+	d.Scan(&s)
+	reused, reusedErr := d.Instance()
+	if endErr := s.End(); endErr != nil {
+		reusedErr = endErr
+	}
+	if (reusedErr == nil) != (err == nil) || err == nil && !reflect.DeepEqual(reused, got) {
+		t.Fatalf("%.200q:\nUnmarshalInstance decoded %+v (%v)\na reused InstanceDecoder %+v (%v)", data, got, err, reused, reusedErr)
+	}
 	if errors.Is(err, jsonscan.ErrDuplicateKey) {
 		return
 	}

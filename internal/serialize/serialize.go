@@ -27,7 +27,9 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"strconv"
+	"unsafe"
 
 	"saga/internal/graph"
 	"saga/internal/jsonscan"
@@ -108,28 +110,71 @@ var (
 // range-checked here and every other graph invariant is left to the one
 // Validate.
 func UnmarshalInstance(data []byte) (*graph.Instance, error) {
-	g := graph.NewTaskGraph()
+	var d InstanceDecoder
 	s := jsonscan.New(data)
-	deps, speeds, links := scanInstance(&s, g)
+	d.Scan(&s)
 	if err := s.End(); err != nil {
 		return nil, fmt.Errorf("serialize: %w", err)
 	}
+	return d.Instance()
+}
+
+// InstanceDecoder is UnmarshalInstance in two steps, for a caller that
+// reads the document as part of a larger one and keeps the decoder from
+// one document to the next: Scan reads it into storage the decoder
+// reuses, and Instance builds the instance from that, sharing no memory
+// with the decoder. The zero value is ready to use.
+type InstanceDecoder struct {
+	tasks  []graph.Task
+	names  jsonscan.Strings
+	deps   []jsonDep
+	speeds []float64
+	links  []jsonLink
+	err    error
+}
+
+// Scan reads an instance document from s, replacing what d held. A
+// refusal is recorded in s, as every scanner error is, and kept by d
+// for Instance to report.
+func (d *InstanceDecoder) Scan(s *jsonscan.Scanner) {
+	d.tasks, d.deps, d.speeds, d.links = d.tasks[:0], d.deps[:0], d.speeds[:0], d.links[:0]
+	d.names.Reset()
+	d.scan(s)
+	d.err = s.Err()
+}
+
+// Footprint reports the bytes of storage d keeps for the next Scan.
+func (d *InstanceDecoder) Footprint() int {
+	return cap(d.tasks)*int(unsafe.Sizeof(graph.Task{})) + d.names.Cap() + cap(d.deps)*int(unsafe.Sizeof(jsonDep{})) +
+		cap(d.speeds)*8 + cap(d.links)*int(unsafe.Sizeof(jsonLink{}))
+}
+
+// Instance builds and validates the instance the last Scan read.
+func (d *InstanceDecoder) Instance() (*graph.Instance, error) {
+	if d.err != nil {
+		return nil, fmt.Errorf("serialize: %w", d.err)
+	}
+	g := graph.NewTaskGraph()
+	if len(d.tasks) > 0 {
+		g.Tasks = slices.Clone(d.tasks)
+		graph.CopyNames(g.Tasks)
+	}
 	n := len(g.Tasks)
 	degree := make([]int, 2*n)
-	for _, d := range deps {
-		if d.From < 0 || d.From >= n || d.To < 0 || d.To >= n {
-			return nil, fmt.Errorf("serialize: graph: dependency (%d, %d) out of range", d.From, d.To)
+	for _, dep := range d.deps {
+		if dep.From < 0 || dep.From >= n || dep.To < 0 || dep.To >= n {
+			return nil, fmt.Errorf("serialize: graph: dependency (%d, %d) out of range", dep.From, dep.To)
 		}
-		degree[d.From]++
-		degree[n+d.To]++
+		degree[dep.From]++
+		degree[n+dep.To]++
 	}
 	g.ReserveDeps(degree[:n], degree[n:])
-	for _, d := range deps {
-		g.AddDepUnchecked(d.From, d.To, d.Cost)
+	for _, dep := range d.deps {
+		g.AddDepUnchecked(dep.From, dep.To, dep.Cost)
 	}
-	net := graph.NewNetwork(len(speeds))
-	copy(net.Speeds, speeds)
-	for _, l := range links {
+	net := graph.NewNetwork(len(d.speeds))
+	copy(net.Speeds, d.speeds)
+	for _, l := range d.links {
 		if l.U < 0 || l.U >= net.NumNodes() || l.V < 0 || l.V >= net.NumNodes() {
 			return nil, fmt.Errorf("serialize: link (%d, %d) out of range", l.U, l.V)
 		}
@@ -142,16 +187,14 @@ func UnmarshalInstance(data []byte) (*graph.Instance, error) {
 	return inst, nil
 }
 
-// scanInstance reads the document root. Tasks go straight into g.Tasks,
-// their names into one string store, and g's adjacency is left for the
-// caller to size; dependencies and links are returned, because they are
-// checked against the task and node counts and "tasks" or "speeds" may
-// stand behind them in the document.
-func scanInstance(s *jsonscan.Scanner, g *graph.TaskGraph) (deps []jsonDep, speeds []float64, links []jsonLink) {
+// scan reads the document root: tasks, dependencies, speeds and links
+// as they stand, because dependencies and links are checked against the
+// task and node counts and "tasks" or "speeds" may stand behind them in
+// the document.
+func (d *InstanceDecoder) scan(s *jsonscan.Scanner) {
 	if !s.Object() {
 		return
 	}
-	var names jsonscan.Strings
 	var seen uint32
 	for {
 		field, ok := s.Field(instanceFields, &seen)
@@ -167,13 +210,13 @@ func scanInstance(s *jsonscan.Scanner, g *graph.TaskGraph) (deps []jsonDep, spee
 		for s.More() {
 			switch field {
 			case 0:
-				g.Tasks = append(g.Tasks, scanTask(s, &names))
+				d.tasks = append(d.tasks, scanTask(s, &d.names))
 			case 1:
-				deps = append(deps, scanDep(s))
+				d.deps = append(d.deps, scanDep(s))
 			case 2:
-				speeds = append(speeds, scanWeight(s))
+				d.speeds = append(d.speeds, scanWeight(s))
 			case 3:
-				links = append(links, scanLink(s))
+				d.links = append(d.links, scanLink(s))
 			}
 		}
 	}

@@ -169,10 +169,11 @@ type EndpointStats struct {
 
 // PhaseStats says where the time of the Count answered /v1/schedule
 // requests went, in cumulative nanoseconds per step: reading the body,
-// scanning the envelope and hashing the payload into the cache key,
-// decoding and validating the instance (cache misses only — divide by
-// cache.misses, not Count), scheduling (cache lookup and scratch lease
-// included), and encoding plus writing the response. A hit answered with
+// scanning the envelope, which parses the payload and hashes it into the
+// cache key on the same pass, building and validating the instance from
+// what the scan parsed (cache misses only — divide by cache.misses, not
+// Count), scheduling (cache lookup and scratch lease included), and
+// encoding plus writing the response. A hit answered with
 // a stored response spends its schedule phase on the lookup alone and
 // its encode phase on the write; when it is found by the hash of its
 // body (CacheStats.BodyHits), scan_key is that hash alone. Any other

@@ -18,9 +18,12 @@
 //     keyed on (instance pointer, table generation).
 //   - Content-hash instance caching. Schedule submissions are keyed by
 //     the SHA-256 of their whitespace-stripped payload bytes, computed
-//     inside the one scan that reads the request envelope (wire.go); a
-//     hit shares the parsed instance pointer (read-only from then on)
-//     and skips parse, validation, and table builds.
+//     inside the one scan that reads the request envelope and parses the
+//     payload into storage the next request reuses (wire.go). A hit
+//     shares the cached instance pointer (read-only from then on) and
+//     copies nothing, builds nothing, and skips validation and table
+//     builds; a miss builds the instance it caches from what the scan
+//     parsed, copying out what the cache keeps.
 //   - Stored answers. A cache hit that schedules keeps a copy of its
 //     response with the cache entry, one per scheduler name; the next
 //     hit for the same scheduler writes those bytes and leases no
@@ -40,7 +43,8 @@
 //   - Observability. GET /metrics reports request counts, latency
 //     quantiles, cache hit rates, scratch-pool stats, and admission
 //     counters as JSON, and for /v1/schedule where the time went:
-//     body read, envelope scan + key, decode, schedule, encode.
+//     body read, envelope scan with the payload's parse and key, the
+//     miss's build, schedule, encode.
 //   - The daemon is its fleet's hub. A coord.Hub is served under /hub/
 //     (behind the same bearer check, outside admission and the
 //     per-endpoint records): `saga worker -coordinator <daemon>/hub
@@ -56,7 +60,6 @@ package serve
 import (
 	"crypto/sha256"
 	"fmt"
-	"hash"
 	"net/http"
 	"path"
 	"runtime"
@@ -67,7 +70,6 @@ import (
 	"saga/internal/coord"
 	"saga/internal/datasets"
 	"saga/internal/experiments"
-	"saga/internal/graph"
 	"saga/internal/httpx"
 	"saga/internal/runner"
 	"saga/internal/scheduler"
@@ -247,24 +249,6 @@ func (s *Server) acquire(w http.ResponseWriter, r *http.Request) bool {
 // release gives back the admission slot acquire took.
 func (s *Server) release() { <-s.sem }
 
-// decodeInstance parses and validates a request's instance, answering
-// 400 when it cannot.
-func decodeInstance(w http.ResponseWriter, env *RobustnessRequest) (*graph.Instance, bool) {
-	var inst *graph.Instance
-	var err error
-	if len(env.Instance) > 0 {
-		inst, err = serialize.UnmarshalInstance(env.Instance)
-	} else {
-		// The knobs arrive with their defaults applied (envelope.finish).
-		inst, err = datasets.InstanceFromWfC(env.WfC, env.Link, env.CCR, env.Nodes)
-	}
-	if err != nil {
-		http.Error(w, fmt.Sprintf("bad instance: %v", err), http.StatusBadRequest)
-		return nil, false
-	}
-	return inst, true
-}
-
 // releaseScratch parks the request's scratch with its instance's cache
 // entry (so the next hit schedules with prebuilt tables) or, when the
 // entry is gone or full, returns it to the global pool.
@@ -276,14 +260,10 @@ func (s *Server) releaseScratch(entry *cacheEntry, scr *scheduler.Scratch) {
 }
 
 // readEnvelope scans the body of a schedule or robustness request and,
-// when ws is not nil, keys it into ws.key, answering 400 when it
-// cannot.
+// when ws is not nil, decodes its payload into ws and keys it into
+// ws.key, answering 400 when it cannot.
 func readEnvelope(w http.ResponseWriter, body []byte, robustness bool, ws *wireState) (env RobustnessRequest, ok bool) {
-	var h hash.Hash
-	if ws != nil {
-		h = ws.h
-	}
-	env, err := scanEnvelope(body, robustness, h)
+	env, err := scanEnvelope(body, robustness, ws)
 	if err == nil {
 		err = env.finish(ws)
 	}
@@ -301,11 +281,11 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	defer s.release()
 
 	// Five clock readings split the request into the phases /metrics
-	// reports; a miss takes two more around its decode, and hashing the
+	// reports; a miss takes two more around its build, and hashing the
 	// body one more.
 	t0 := time.Now()
 	ws := wirePool.Get().(*wireState)
-	defer wirePool.Put(ws)
+	defer putWire(ws)
 	body, ok := httpx.ReadBodyInto(ws.in, w, r)
 	if !ok {
 		return
@@ -338,7 +318,8 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	}
 	// A hit is answered with the response the entry stored for this
 	// scheduler, or else scheduled on the entry's parked scratch, if
-	// any; a miss decodes the instance and caches it.
+	// any; a miss builds the instance from the payload the scan decoded
+	// and caches it.
 	t2 := time.Now()
 	entry, stored, scr := s.cache.lookup(ws.key, env.Scheduler)
 	if stored != nil {
@@ -351,8 +332,9 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	var decode time.Duration
 	if !hit {
 		start := time.Now()
-		inst, ok := decodeInstance(w, &env)
-		if !ok {
+		inst, err := ws.instance(&env)
+		if err != nil {
+			http.Error(w, fmt.Sprintf("bad instance: %v", err), http.StatusBadRequest)
 			return
 		}
 		entry = s.cache.insert(ws.key, inst)

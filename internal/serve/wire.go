@@ -8,19 +8,26 @@ import (
 	"math"
 	"sync"
 
+	"saga/internal/datasets"
+	"saga/internal/graph"
 	"saga/internal/jsonscan"
 	"saga/internal/schedule"
 	"saga/internal/serialize"
+	"saga/internal/wfc"
 )
 
 // The wire path of /v1/schedule and /v1/robustness: the request body is
-// scanned at most once (scanEnvelope), and on that one pass scalar
-// fields are read in place, the instance or wfformat payload comes back
-// as a sub-slice of the body, and its bytes stream into the SHA-256
-// behind the cache key — so a cache hit never decodes the payload and
-// never copies it. Only /v1/schedule keys its envelope: a robustness
-// sweep is built from its instance bytes (experiments.NewSweep parses
-// them), so its scan is given no hasher. The /v1/schedule response is
+// scanned at most once (scanEnvelope). On that one pass scalar fields
+// are read in place, the instance or wfformat payload comes back as a
+// sub-slice of the body, and for /v1/schedule the payload is also
+// decoded into storage the pooled wireState reuses while its bytes
+// stream into the SHA-256 behind the cache key. A hit therefore parses
+// its payload into reused storage and copies nothing; a miss builds the
+// instance it caches from what the scan decoded (wireState.instance),
+// copying out everything the cache keeps. Only /v1/schedule keys and
+// decodes its envelope: a robustness sweep is built from its instance
+// bytes (experiments.NewSweep parses them), so its scan gets no
+// wireState and skips the payload. The /v1/schedule response is
 // appended into a pooled buffer and written once; on a cache hit a copy
 // of it stays with the cache entry, and the next hit for the same
 // scheduler writes that copy instead (cache.go). The copy is also keyed
@@ -40,18 +47,44 @@ type bodyKey [sha256.Size]byte
 
 // wireState is what one /v1/schedule request needs: the buffer its body
 // is read into, the hasher the envelope scan feeds, the key it closes
-// into, and the buffer the response is appended to. The body buffer is
-// reused by the next request, so nothing a request leaves behind may
-// alias it: the decoders copy every string they keep, and the cache
-// stores copies of responses and hashes of bodies.
+// into, the decoders the payload is read into, and the buffer the
+// response is appended to. All of it is reused by the next request, so
+// nothing a request leaves behind may alias it: the decoders' builds
+// copy every byte the cached instance keeps, and the cache stores copies
+// of responses and hashes of bodies.
 type wireState struct {
-	in  []byte
-	h   hash.Hash
-	key cacheKey
-	out []byte
+	in   []byte
+	h    hash.Hash
+	key  cacheKey
+	inst serialize.InstanceDecoder
+	wfc  wfc.Decoder
+	out  []byte
 }
 
 var wirePool = sync.Pool{New: func() any { return &wireState{h: sha256.New()} }}
+
+// maxPooledWire is the most storage a wireState may hold and still go
+// back to wirePool: a request with a body near the 64 MiB limit, or a
+// payload of tens of thousands of tasks, leaves its buffers to the
+// collector instead of pinning them in the pool. A state that has
+// served serve_cold's whole 2 048-body mix holds about 70 KB.
+const maxPooledWire = 4 << 20
+
+// footprint reports the bytes of the storage ws keeps for the next
+// request.
+func (ws *wireState) footprint() int {
+	return cap(ws.in) + cap(ws.out) + ws.inst.Footprint() + ws.wfc.Footprint()
+}
+
+// putWire returns ws to wirePool unless its storage has grown past
+// maxPooledWire, and reports whether it did.
+func putWire(ws *wireState) bool {
+	if ws.footprint() > maxPooledWire {
+		return false
+	}
+	wirePool.Put(ws)
+	return true
+}
 
 // The envelope's keys, in the order scanEnvelope's switch numbers them;
 // a schedule request knows only the first scheduleFields of them.
@@ -61,19 +94,22 @@ const scheduleFields = 6
 
 // scanEnvelope decodes a request body with the field semantics of
 // encoding/json over ScheduleRequest or, when robustness is set, over
-// robustnessDefaults — except that a repeated key is refused — and
-// streams the payload's bytes, whitespace stripped, into h unless h is
-// nil. A schedule request's envelope is a RobustnessRequest whose sweep
-// keys stay zero. Instance and WfC alias the body.
-func scanEnvelope(body []byte, robustness bool, h hash.Hash) (env RobustnessRequest, err error) {
+// robustnessDefaults — except that a repeated key is refused. A schedule
+// request's envelope is a RobustnessRequest whose sweep keys stay zero.
+// Instance and WfC alias the body. Unless ws is nil, the payload is
+// also decoded into ws's decoder for its kind, and its bytes,
+// whitespace stripped, stream into ws.h on the same pass; a payload
+// that is valid JSON but not a document of its kind is no error of the
+// envelope, and its decoder keeps the refusal for the miss to report.
+func scanEnvelope(body []byte, robustness bool, ws *wireState) (env RobustnessRequest, err error) {
 	fields := envelopeFields
 	if robustness {
 		env = robustnessDefaults
 	} else {
 		fields = fields[:scheduleFields]
 	}
-	if h != nil {
-		h.Reset()
+	if ws != nil {
+		ws.h.Reset()
 	}
 	s := jsonscan.New(body)
 	if s.Object() {
@@ -87,11 +123,9 @@ func scanEnvelope(body []byte, robustness bool, h hash.Hash) (env RobustnessRequ
 			case field < 0:
 				s.Skip()
 			case field == 1:
-				// With both payloads present the request is refused, so
-				// it does not matter that they share the hasher.
-				env.Instance = s.SkipTo(h)
+				env.Instance = ws.payload(&s, false)
 			case field == 2:
-				env.WfC = s.SkipTo(h)
+				env.WfC = ws.payload(&s, true)
 			case s.Null():
 			case field == 0:
 				env.Scheduler = string(s.String())
@@ -111,6 +145,36 @@ func scanEnvelope(body []byte, robustness bool, h hash.Hash) (env RobustnessRequ
 		}
 	}
 	return env, s.End()
+}
+
+// payload reads the payload at s's offset and returns its bytes. With
+// a nil ws it only skips it. Otherwise it decodes it into the decoder of
+// its kind, teeing its compacted bytes into ws.h; when the decoder
+// refuses it, the scanner rewinds to the payload's start and skips it
+// instead, so that only a fault of the JSON itself is an error of the
+// envelope, and the decoder keeps its refusal. The rewind restarts ws.h:
+// whatever else it held is another payload, and a request with two is
+// refused anyway.
+func (ws *wireState) payload(s *jsonscan.Scanner, wfformat bool) []byte {
+	if ws == nil {
+		return s.Skip()
+	}
+	start := *s
+	s.Tee(ws.h)
+	// Called directly, not through a func value, so that s stays on its
+	// caller's stack.
+	if wfformat {
+		ws.wfc.Scan(s)
+	} else {
+		ws.inst.Scan(s)
+	}
+	raw := s.EndTee()
+	if s.Err() != nil {
+		*s = start
+		ws.h.Reset()
+		raw = s.SkipTo(ws.h)
+	}
+	return raw
 }
 
 // finish completes what scanEnvelope began: it refuses an envelope
@@ -150,6 +214,21 @@ func (env *RobustnessRequest) finish(ws *wireState) error {
 	}
 	ws.h.Sum(ws.key[:0])
 	return nil
+}
+
+// instance builds the instance of a miss from the payload the envelope
+// scan decoded into ws: the decoder's refusal if it kept one, else a
+// validated instance that shares no memory with ws. env is the finished
+// envelope, so a wfformat import's knobs carry their defaults.
+func (ws *wireState) instance(env *RobustnessRequest) (*graph.Instance, error) {
+	if len(env.Instance) > 0 {
+		return ws.inst.Instance()
+	}
+	doc, err := ws.wfc.Document()
+	if err != nil {
+		return nil, err
+	}
+	return datasets.ImportWfC(doc, env.Link, env.CCR, env.Nodes)
 }
 
 // appendScheduleResponse appends the /v1/schedule response body: the

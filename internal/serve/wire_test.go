@@ -35,12 +35,16 @@ import (
 // same raw payload bytes — and a key that a re-indented copy of the body
 // reproduces. A repeated key, which the stdlib merges and the scanner
 // refuses, is recognised by asking the scanner first. The scan without a
-// hasher, which robustness requests use, must decode and refuse exactly
-// what the keyed scan does.
+// wireState, which robustness requests use, must decode and refuse
+// exactly what the keyed and decoding scan does. A schedule body is also
+// held to the two-pass path the one pass replaced (checkAgainstTwoPass).
 func checkEnvelopeAgainstOracle(t *testing.T, body []byte, robustness bool) {
 	t.Helper()
+	if !robustness {
+		checkAgainstTwoPass(t, body)
+	}
 	ws := &wireState{h: sha256.New()}
-	got, err := scanEnvelope(body, robustness, ws.h)
+	got, err := scanEnvelope(body, robustness, ws)
 	bare, bareErr := scanEnvelope(body, robustness, nil)
 	if fmt.Sprint(err) != fmt.Sprint(bareErr) || !reflect.DeepEqual(got, bare) {
 		t.Fatalf("%.200q (robustness %v): without a hasher the scan gave %+v (%v), with one %+v (%v)",
@@ -82,7 +86,7 @@ func checkEnvelopeAgainstOracle(t *testing.T, body []byte, robustness bool) {
 	if err := json.Indent(&indented, body, "", ""); err != nil {
 		t.Fatal(err)
 	}
-	again, err := scanEnvelope(indented.Bytes(), robustness, ws.h)
+	again, err := scanEnvelope(indented.Bytes(), robustness, ws)
 	if err != nil {
 		t.Fatalf("%.200q: re-indented copy refused: %v", body, err)
 	}
@@ -108,6 +112,15 @@ var envelopeSeeds = []string{
 	`{"seed":-1}`, `{"seed":18446744073709551615}`, `{"seed":18446744073709551616}`, `{"seed":1.0}`, `{"n":1.5}`, `{"sigma":"x"}`,
 	`{"scheduler":1}`, `{"scheduler":"a"} x`, `{"scheduler":"a",}`, `{"instance":{"a":}}`, `{"instance":[1,]}`, `{"wfc":tru}`,
 	`{"scheduler":"a","scheduler":"b"}`, `{"instance":1,"Instance":2}`,
+	// Payloads the envelope accepts and a miss refuses: ill-typed, null,
+	// refused with an envelope fault behind them, and paired.
+	`{"scheduler":"HEFT","instance":{"tasks":"x","speeds":[1]}}`, `{"scheduler":"HEFT","wfc":{"workflow":{"tasks":[{"name":1}]}}}`,
+	`{"scheduler":"HEFT","instance":{"tasks":[{"name":"a","cost":"1"}],"speeds":[1]},"link":}`,
+	`{"scheduler":"HEFT","wfc":[1,2],"nodes":2,}`,
+	`{"scheduler":"HEFT","instance":null}`, `{"scheduler":"HEFT","wfc":null,"nodes":3}`,
+	`{"scheduler":"HEFT","instance":{"tasks":[{"name":"a","cost":1}],"speeds":[1]},"wfc":{"workflow":{"tasks":[{"name":"a","runtimeInSeconds":1}]}}}`,
+	`{"scheduler":"HEFT","instance":{"tasks":[]},"wfc":{"workflow":{"tasks":[{"name":"a","runtimeInSeconds":1}]}}}`,
+	"{\n\t\"scheduler\" : \"HEFT\",\n\t\"wfc\" : {\n\t\t\"name\" : \"a b\",\n\t\t\"workflow\" : {\n\t\t\t\"tasks\" : [\n\t\t\t\t{ \"name\" : \"t 1\" , \"runtimeInSeconds\" : 1 ,\r\n \"files\" : [ { \"name\" : \"f\" , \"link\" : \"output\" , \"sizeInBytes\" : 2 } ] } ,\n\t\t\t\t{ \"name\" : \"t2\" , \"parents\" : [ \"t 1\" ] , \"runtimeInSeconds\" : 2 , \"files\" : [ { \"name\" : \"f\" , \"link\" : \"input\" } ] }\n\t\t\t]\n\t\t}\n\t} ,\n\t\"nodes\" : 2\n}\n",
 	`{"other":` + strings.Repeat("[", jsonscan.MaxDepth-1) + strings.Repeat("]", jsonscan.MaxDepth-1) + `}`,
 	`{"other":` + strings.Repeat("[", jsonscan.MaxDepth) + strings.Repeat("]", jsonscan.MaxDepth) + `}`,
 	`{"instance":` + strings.Repeat("[", jsonscan.MaxDepth) + strings.Repeat("]", jsonscan.MaxDepth) + `}`,
@@ -230,20 +243,22 @@ func TestOverflowingInstanceIs400(t *testing.T) {
 }
 
 // The allocation budgets of one POST /v1/schedule through ServeHTTP on
-// an httptest recorder, each the count measured on its path plus 2 (a
-// miss with an instance body reads 61 or 62 from run to run). A cache
-// hit that schedules, one answered with a stored response through the
-// scan, and one answered by its body's hash measured 28, 26 and 25 while
-// every request body got a fresh buffer. A miss measured 253
-// allocations with an instance body and 625 with a wfformat body while
-// each validated its graph twice and grew a fresh scratch.
+// an httptest recorder, each the count measured on its path plus 2. A
+// cache hit that schedules, one answered with a stored response through
+// the scan, and one answered by its body's hash measured 28, 26 and 25
+// while every request body got a fresh buffer; a hit through the scan
+// decodes its payload into the pooled wireState and allocates no more
+// for it. A miss measured 253 allocations with an instance body and 625
+// with a wfformat body while each validated its graph twice and grew a
+// fresh scratch, then 61–62 and 62 while it decoded its payload on a
+// second pass into fresh storage.
 const (
 	schedulingHitAllocBudget = 27 + 2
 	scannedHitAllocBudget    = 25 + 2
 	indexedHitAllocBudget    = 24 + 2
 
-	scheduleMissInstanceAllocBudget = 62 + 2
-	scheduleMissWfCAllocBudget      = 62 + 2
+	scheduleMissInstanceAllocBudget = 39 + 2
+	scheduleMissWfCAllocBudget      = 48 + 2
 )
 
 // TestScheduleHitAllocs is the allocation gate of the wire path (`make
@@ -324,9 +339,9 @@ func missBodies(t *testing.T, n int, wfformat bool) [][]byte {
 
 // TestScheduleMissAllocs is the allocation gate of a cold POST
 // /v1/schedule (`make bench-serve`): every measured request carries an
-// instance the cache has not seen, so it reads, scans and keys the body,
-// decodes and validates the payload, inserts it (evicting an entry),
-// builds tables, schedules and encodes. One run sends raw instance
+// instance the cache has not seen, so it reads the body, decodes and
+// keys the payload in one scan, builds and validates the instance,
+// inserts it (evicting an entry), builds tables, schedules and encodes. One run sends raw instance
 // documents, the other wfformat documents.
 func TestScheduleMissAllocs(t *testing.T) {
 	if os.Getenv("SERVE_BENCH_GATE") != "1" {

@@ -128,10 +128,32 @@ func toTaskGraphReference(in *Instance) (*graph.TaskGraph, error) {
 	return g, nil
 }
 
-// parseChecked is Parse held to the oracle.
+// usedDoc fills every part of a Decoder's reused storage: it is read
+// before the document under test, which must decode as on a fresh one.
+const usedDoc = `{"name": "used", "schemaVersion": "1.4", "workflow": {"tasks": [
+	{"name": "u1", "id": "i1", "runtimeInSeconds": 3, "parents": [], "files": [{"name": "f1", "link": "output", "sizeInBytes": 7}, {"name": "f2", "link": "other"}]},
+	{"name": "u2", "id": "i2", "runtimeInSeconds": 4, "parents": ["i1", "i9"], "files": [{"name": "f1", "link": "input", "sizeInBytes": 1}]}],
+	"machines": [{"nodeName": "m1", "speed": 2}, {"nodeName": "m2", "speed": 3}]}}`
+
+// parseChecked is Parse held to the oracle, and a reused Decoder to
+// Parse.
 func parseChecked(t *testing.T, data []byte) (*Instance, error) {
 	t.Helper()
 	doc, err := Parse(data)
+	if plain, gzErr := gunzip(data); gzErr == nil {
+		var d Decoder
+		s := jsonscan.New([]byte(usedDoc))
+		d.Scan(&s)
+		s = jsonscan.New(plain)
+		d.Scan(&s)
+		reused, reusedErr := d.Document()
+		if endErr := s.End(); endErr != nil {
+			reusedErr = endErr
+		}
+		if (reusedErr == nil) != (err == nil) || err == nil && !reflect.DeepEqual(reused, doc) {
+			t.Fatalf("%.200q:\nParse decoded %+v (%v)\na reused Decoder %+v (%v)", data, doc, err, reused, reusedErr)
+		}
+	}
 	if errors.Is(err, jsonscan.ErrDuplicateKey) {
 		return nil, err
 	}

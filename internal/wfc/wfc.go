@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"unsafe"
 
 	"saga/internal/graph"
 	"saga/internal/jsonscan"
@@ -73,16 +74,13 @@ func Parse(data []byte) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	var inst Instance
-	d := decoder{s: jsonscan.New(data)}
-	d.instance(&inst)
-	if err := d.s.End(); err != nil {
+	d := new(Decoder)
+	s := jsonscan.New(data)
+	d.Scan(&s)
+	if err := s.End(); err != nil {
 		return nil, fmt.Errorf("wfc: %w", err)
 	}
-	if len(inst.Workflow.Tasks) == 0 {
-		return nil, fmt.Errorf("wfc: workflow %q has no tasks", inst.Name)
-	}
-	return &inst, nil
+	return d.Document()
 }
 
 // gunzip returns data decompressed when it starts with the gzip magic
@@ -119,16 +117,53 @@ var (
 	machineFields  = []string{"nodeName", "speed"}
 )
 
-// decoder is one Parse: the scanner; the string stores the document's
-// strings are kept in, task names apart from the rest so that a task
-// graph built from the document keeps only its names alive; and the
-// pools every task's parents and files are cut from, so that a task's
-// lists cost no allocation of their own.
-type decoder struct {
-	s           jsonscan.Scanner
-	names, strs jsonscan.Strings
-	parents     pool[string]
-	files       pool[File]
+// Decoder is Parse in two steps, for a caller that reads the document
+// as part of a larger one and keeps the decoder from one document to the
+// next: Scan reads it, and Document returns it. The document lives in
+// storage the next Scan reuses: the task and machine slices, one string
+// store, and the pools every task's parents and files are cut from, so
+// that a task's lists cost no allocation of their own. ToTaskGraph and
+// ToNetwork copy what they keep, so what they build outlives the next
+// Scan. The zero value is ready to use.
+type Decoder struct {
+	doc      Instance
+	tasks    []Task
+	machines []Machine
+	strs     jsonscan.Strings
+	parents  pool[string]
+	files    pool[File]
+	err      error
+}
+
+// Scan reads a wfformat document from s, replacing what d held. A
+// refusal is recorded in s, as every scanner error is, and kept by d
+// for Document to report.
+func (d *Decoder) Scan(s *jsonscan.Scanner) {
+	d.doc = Instance{}
+	d.tasks, d.machines = d.tasks[:0], d.machines[:0]
+	d.strs.Reset()
+	d.parents.reset()
+	d.files.reset()
+	d.instance(s, &d.doc)
+	d.err = s.Err()
+}
+
+// Document returns the document the last Scan read, refusing one with
+// no tasks. It is d's: the next Scan overwrites it.
+func (d *Decoder) Document() (*Instance, error) {
+	if d.err != nil {
+		return nil, fmt.Errorf("wfc: %w", d.err)
+	}
+	if len(d.doc.Workflow.Tasks) == 0 {
+		return nil, fmt.Errorf("wfc: workflow %q has no tasks", d.doc.Name)
+	}
+	return &d.doc, nil
+}
+
+// Footprint reports the bytes of storage d keeps for the next Scan.
+func (d *Decoder) Footprint() int {
+	return cap(d.tasks)*int(unsafe.Sizeof(Task{})) + cap(d.machines)*int(unsafe.Sizeof(Machine{})) + d.strs.Cap() +
+		d.parents.footprint() + d.files.footprint()
 }
 
 // pool hands out runs of consecutive elements from shared chunks. A run
@@ -138,10 +173,27 @@ type decoder struct {
 type pool[T any] struct {
 	chunk []T
 	start int // where the current run begins in chunk
+	added int // elements added since the last reset
 }
 
 // poolChunk is a pool's chunk length, unless a run needs more.
 const poolChunk = 128
+
+// reset lets the pool hand out its memory again, every run cut so far
+// included. It keeps one chunk large enough for everything added since
+// the last reset.
+func (p *pool[T]) reset() {
+	if p.added > cap(p.chunk) {
+		p.chunk = make([]T, 0, p.added)
+	}
+	p.chunk, p.start, p.added = p.chunk[:0], 0, 0
+}
+
+// footprint reports the bytes of the chunk reset would keep.
+func (p *pool[T]) footprint() int {
+	var x T
+	return max(cap(p.chunk), p.added) * int(unsafe.Sizeof(x))
+}
 
 // begin starts a run.
 func (p *pool[T]) begin() { p.start = len(p.chunk) }
@@ -155,6 +207,7 @@ func (p *pool[T]) add(x T) {
 		p.chunk, p.start = next, 0
 	}
 	p.chunk = append(p.chunk, x)
+	p.added++
 }
 
 // cut returns the current run as a list of its own: capped, so that
@@ -167,12 +220,12 @@ func (p *pool[T]) cut() []T {
 	return p.chunk[p.start:len(p.chunk):len(p.chunk)]
 }
 
-// str reads a string into the store for everything but task names.
-func (d *decoder) str() string { return d.strs.Keep(d.s.String()) }
+// str reads a string into the store.
+func (d *Decoder) str(s *jsonscan.Scanner) string { return d.strs.Keep(s.String()) }
 
 // link reads a file's link, sharing the two words of the vocabulary.
-func (d *decoder) link() string {
-	switch p := d.s.String(); string(p) {
+func (d *Decoder) link(s *jsonscan.Scanner) string {
+	switch p := s.String(); string(p) {
 	case "input":
 		return "input"
 	case "output":
@@ -182,8 +235,7 @@ func (d *decoder) link() string {
 	}
 }
 
-func (d *decoder) instance(in *Instance) {
-	s := &d.s
+func (d *Decoder) instance(s *jsonscan.Scanner, in *Instance) {
 	if !s.Object() {
 		return
 	}
@@ -196,18 +248,17 @@ func (d *decoder) instance(in *Instance) {
 		case field < 0:
 			s.Skip()
 		case field == 2:
-			d.workflow(&in.Workflow)
+			d.workflow(s, &in.Workflow)
 		case s.Null(): // consumed; the field keeps its zero value
 		case field == 0:
-			in.Name = d.str()
+			in.Name = d.str(s)
 		case field == 1:
-			in.SchemaVersion = d.str()
+			in.SchemaVersion = d.str(s)
 		}
 	}
 }
 
-func (d *decoder) workflow(wf *Workflow) {
-	s := &d.s
+func (d *Decoder) workflow(s *jsonscan.Scanner, wf *Workflow) {
 	if !s.Object() {
 		return
 	}
@@ -221,24 +272,32 @@ func (d *decoder) workflow(wf *Workflow) {
 			s.Skip()
 		case field == 0:
 			if s.Array() {
-				wf.Tasks = []Task{}
-				for s.More() {
-					wf.Tasks = append(wf.Tasks, d.task())
+				// A slice the last document left grown is filled in place.
+				tasks := d.tasks[:0]
+				if tasks == nil {
+					tasks = []Task{}
 				}
+				for s.More() {
+					tasks = append(tasks, d.task(s))
+				}
+				wf.Tasks, d.tasks = tasks, tasks
 			}
 		case field == 1:
 			if s.Array() {
-				wf.Machines = []Machine{}
-				for s.More() {
-					wf.Machines = append(wf.Machines, d.machine())
+				machines := d.machines[:0]
+				if machines == nil {
+					machines = []Machine{}
 				}
+				for s.More() {
+					machines = append(machines, d.machine(s))
+				}
+				wf.Machines, d.machines = machines, machines
 			}
 		}
 	}
 }
 
-func (d *decoder) task() (t Task) {
-	s := &d.s
+func (d *Decoder) task(s *jsonscan.Scanner) (t Task) {
 	if !s.Object() {
 		return t
 	}
@@ -256,7 +315,7 @@ func (d *decoder) task() (t Task) {
 				for s.More() {
 					var parent string
 					if !s.Null() {
-						parent = d.str()
+						parent = d.str(s)
 					}
 					d.parents.add(parent)
 				}
@@ -266,23 +325,22 @@ func (d *decoder) task() (t Task) {
 			if s.Array() {
 				d.files.begin()
 				for s.More() {
-					d.files.add(d.file())
+					d.files.add(d.file(s))
 				}
 				t.Files = d.files.cut()
 			}
 		case s.Null():
 		case field == 0:
-			t.Name = d.names.Keep(s.String())
+			t.Name = d.str(s)
 		case field == 1:
-			t.ID = d.str()
+			t.ID = d.str(s)
 		case field == 2:
 			t.RuntimeInSeconds = s.Float()
 		}
 	}
 }
 
-func (d *decoder) file() (f File) {
-	s := &d.s
+func (d *Decoder) file(s *jsonscan.Scanner) (f File) {
 	if !s.Object() {
 		return f
 	}
@@ -296,17 +354,16 @@ func (d *decoder) file() (f File) {
 			s.Skip()
 		case s.Null():
 		case field == 0:
-			f.Name = d.str()
+			f.Name = d.str(s)
 		case field == 1:
-			f.Link = d.link()
+			f.Link = d.link(s)
 		case field == 2:
 			f.SizeInBytes = s.Float()
 		}
 	}
 }
 
-func (d *decoder) machine() (m Machine) {
-	s := &d.s
+func (d *Decoder) machine(s *jsonscan.Scanner) (m Machine) {
 	if !s.Object() {
 		return m
 	}
@@ -320,7 +377,7 @@ func (d *decoder) machine() (m Machine) {
 			s.Skip()
 		case s.Null():
 		case field == 0:
-			m.NodeName = d.str()
+			m.NodeName = d.str(s)
 		case field == 1:
 			m.Speed = s.Float()
 		}
@@ -333,7 +390,8 @@ func (d *decoder) machine() (m Machine) {
 // that u outputs and v inputs; dependencies whose tasks share no files
 // get data size 0 (pure control dependencies). Parents are resolved
 // before any edge is added, so the adjacency is sized from the degrees,
-// and the graph is validated once, by TaskGraph.Validate.
+// and the graph is validated once, by TaskGraph.Validate. The graph
+// shares no memory with the document: task names are copied.
 func (in *Instance) ToTaskGraph() (*graph.TaskGraph, error) {
 	tasks := in.Workflow.Tasks
 	n := len(tasks)
@@ -364,6 +422,7 @@ func (in *Instance) ToTaskGraph() (*graph.TaskGraph, error) {
 			}
 		}
 	}
+	graph.CopyNames(g.Tasks)
 
 	// parents holds every task's resolved parents, task after task;
 	// degree their out-degrees, then the tasks' in-degrees.
