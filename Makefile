@@ -204,9 +204,10 @@ bench-pisa:
 # placement-kernel oracles (the bound-skipping EFT scan vs probing every
 # node, the heap priority order vs the frontier scan, on
 # scale_layered_10k and scale_chains_10k), FLB at 10k held bit for bit
-# to its per-node reference (ready rows vs one predecessor walk per
-# task, node and step), the 10k schedule digests of the eight
-# scale_schedule schedulers (TestScaleDigestGolden), then
+# to its per-node reference (two-node ready times vs one predecessor
+# walk per task, node and step), the 10k schedule digests of the eight
+# scale_schedule schedulers (TestScaleDigestGolden), the SHA-256 of the
+# 10k scale instances' bytes (TestScaleDatasetGolden), then
 # TestScaleBenchGate enforcing HEFT throughput floors at the 1k/5k/10k
 # tiers and the O(|V|+|E|+|D|·|V|) table-memory bound with edge-sparse
 # link storage, and TestScaleTierSchedulesValid at the 10k tier (every
@@ -217,4 +218,5 @@ bench-scale:
 	SCALE_BENCH_GATE=1 $(GO) test -run 'TestBestEFTNodeMatchesUnskipped' -count 1 ./internal/schedule/
 	SCALE_BENCH_GATE=1 $(GO) test -run 'TestTopoOrderByPriorityMatchesScan' -count 1 ./internal/scheduler/
 	SCALE_BENCH_GATE=1 $(GO) test -run 'TestFLBMatchesPerNodeReference10k|TestScaleDigestGolden' -count 1 ./internal/schedulers/
+	SCALE_BENCH_GATE=1 $(GO) test -run 'TestScaleDatasetGolden' -count 1 ./internal/serialize/
 	SCALE_BENCH_GATE=1 $(GO) test -run 'TestScaleBenchGate|TestScaleTierSchedulesValid' -count 1 -v -timeout 300s .

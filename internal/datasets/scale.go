@@ -1,7 +1,8 @@
 package datasets
 
 import (
-	"fmt"
+	"slices"
+	"strconv"
 
 	"saga/internal/graph"
 	"saga/internal/rng"
@@ -56,11 +57,23 @@ func ScaleNetwork(r *rng.RNG) *graph.Network {
 	return net
 }
 
+// newScaleGraph returns an empty task graph with room for n tasks.
+func newScaleGraph(n int) *graph.TaskGraph {
+	return &graph.TaskGraph{
+		Tasks: make([]graph.Task, 0, n),
+		Succ:  make([][]graph.Dep, 0, n),
+		Pred:  make([][]graph.Dep, 0, n),
+	}
+}
+
+// scaleTaskName is the name of the id-th task of a scale graph.
+func scaleTaskName(id int) string { return "t" + strconv.Itoa(id) }
+
 // scaleLayered builds a layered DAG with n tasks: tasks fill layers of
 // 16-64 tasks, and every task past the first layer depends on 2-4
 // distinct tasks of the previous layer, giving |D| ≈ 3|V|.
 func scaleLayered(r *rng.RNG, n int) *graph.TaskGraph {
-	g := graph.NewTaskGraph()
+	g := newScaleGraph(n)
 	var prev []int
 	id := 0
 	for id < n {
@@ -70,7 +83,7 @@ func scaleLayered(r *rng.RNG, n int) *graph.TaskGraph {
 		}
 		layer := make([]int, width)
 		for i := range layer {
-			t := g.AddTask(fmt.Sprintf("t%d", id), gauss2(r))
+			t := g.AddTask(scaleTaskName(id), gauss2(r))
 			id++
 			layer[i] = t
 			if len(prev) == 0 {
@@ -82,11 +95,12 @@ func scaleLayered(r *rng.RNG, n int) *graph.TaskGraph {
 			}
 			// Draw k distinct predecessors; with layers ≥16 wide and k ≤ 4,
 			// rejection terminates almost immediately.
-			chosen := make(map[int]bool, k)
-			for len(chosen) < k {
+			var chosen [4]int
+			for m := 0; m < k; {
 				p := prev[r.Intn(len(prev))]
-				if !chosen[p] {
-					chosen[p] = true
+				if !slices.Contains(chosen[:m], p) {
+					chosen[m] = p
+					m++
 					g.MustAddDep(p, t, gauss2(r))
 				}
 			}
@@ -100,12 +114,12 @@ func scaleLayered(r *rng.RNG, n int) *graph.TaskGraph {
 // — the deep, narrow counterpart to scaleLayered.
 func scaleChains(r *rng.RNG, n int) *graph.TaskGraph {
 	const depth = 100
-	g := graph.NewTaskGraph()
+	g := newScaleGraph(n)
 	id := 0
 	for c := 0; c < n/depth; c++ {
 		prev := -1
 		for i := 0; i < depth; i++ {
-			t := g.AddTask(fmt.Sprintf("t%d", id), gauss2(r))
+			t := g.AddTask(scaleTaskName(id), gauss2(r))
 			id++
 			if prev >= 0 {
 				g.MustAddDep(prev, t, gauss2(r))

@@ -15,9 +15,11 @@ import (
 // Each node's timeline is kept ordered by (Start, End). Schedulers place
 // non-overlapping blocks, so End is non-decreasing along a timeline as
 // well: a zero-duration task sorts before the block that starts at the
-// same instant, the last entry carries the node's maximum End (what
-// NodeAvailable reads), and EarliestStart can search past every block
-// that finishes by the ready time.
+// same instant, the last entry carries the node's maximum End, and
+// EarliestStart can search past every block that finishes by the ready
+// time. Place and Unplace copy each timeline's last End (0 when empty)
+// into one contiguous per-node vector, which NodeAvailable and every
+// no-insertion start read.
 //
 // A Builder is reusable: Reset rebinds it to an instance and its
 // precomputed tables while keeping every slice it has ever grown, so a
@@ -32,6 +34,7 @@ type Builder struct {
 	byTask    []Assignment
 	placed    []bool
 	timelines [][]Assignment // per node, sorted by (Start, End)
+	avail     []float64      // per node, the timeline's last End (0 if empty)
 	nPlaced   int
 
 	// row/rowEnab is the one ready row ReadyRow fills (BestEFTNode's).
@@ -74,6 +77,11 @@ func (b *Builder) Reset(inst *graph.Instance, tab *graph.Tables) {
 	for v := range b.timelines {
 		b.timelines[v] = b.timelines[v][:0]
 	}
+	if cap(b.avail) < nv {
+		b.avail = make([]float64, nv)
+	}
+	b.avail = b.avail[:nv]
+	clear(b.avail)
 	if cap(b.row) < nv {
 		b.row = make([]float64, nv)
 		b.rowEnab = make([]int32, nv)
@@ -101,14 +109,8 @@ func (b *Builder) Assignment(t int) Assignment {
 }
 
 // NodeAvailable returns the finish time of the last task on node v (0 if
-// idle): the timeline's last entry, which holds the maximum End.
-func (b *Builder) NodeAvailable(v int) float64 {
-	tl := b.timelines[v]
-	if len(tl) == 0 {
-		return 0
-	}
-	return tl[len(tl)-1].End
-}
+// idle): the End of the timeline's last entry, which is the maximum End.
+func (b *Builder) NodeAvailable(v int) float64 { return b.avail[v] }
 
 // commTime is the builder-local fast path of Instance.CommTime for an
 // edge whose data size is already at hand (adjacency lists carry the
@@ -144,9 +146,10 @@ func (b *Builder) ReadyTime(t, v int) (ready float64, ok bool) {
 // FillReadyRow is ReadyTime for every node at once: one pass over t's
 // predecessors sets ready[v] = ReadyTime(t, v) and enab[v] to the node of
 // t's enabling predecessor at v — the placed predecessor whose data
-// arrives last at v (FCP/FLB terminology), the first such on ties — or -1
-// for an entry task. Both slices must be NumNodes long. ok is false, the
-// row unspecified, if some predecessor of t is not yet placed.
+// arrives last at v, the first such on ties — or -1 for an entry task.
+// Both slices must be NumNodes long. ok is false, the row unspecified, if
+// some predecessor of t is not yet placed. It costs O(in-degree · |V|);
+// a caller that reads one or two nodes of the row uses ReadyAt.
 //
 // The row is bit-identical to the per-node walk: every arrival is the
 // same End + comm sum, and a later predecessor replaces the running
@@ -184,6 +187,32 @@ func (b *Builder) FillReadyRow(t int, ready []float64, enab []int32) (ok bool) {
 	return true
 }
 
+// ReadyAt is entry v of t's FillReadyRow row, in O(in-degree): t's ready
+// time on v and the node of its enabling predecessor there, or (0, -1)
+// for an entry task. The arithmetic is FillReadyRow's restricted to v —
+// the same End + comm sums, and a later predecessor replaces the running
+// maximum only when it arrives strictly later — so both bits agree. It
+// panics if a predecessor of t is unplaced. FCP and FLB score a task on
+// two nodes with it.
+func (b *Builder) ReadyAt(t, v int) (ready float64, enab int32) {
+	enab = -1
+	for i, d := range b.inst.Graph.Pred[t] {
+		u := d.To
+		if !b.placed[u] {
+			panic(fmt.Sprintf("schedule: task %d has unplaced predecessors", t))
+		}
+		au := b.byTask[u]
+		arrive := au.End
+		if v != au.Node && d.Cost != 0 {
+			arrive += d.Cost / b.links[au.Node][v]
+		}
+		if i == 0 || arrive > ready {
+			ready, enab = arrive, int32(au.Node)
+		}
+	}
+	return ready, enab
+}
+
 // ReadyRow fills the builder's own row buffer with FillReadyRow(t) and
 // returns it; the slices are valid until the next ReadyRow or BestEFTNode
 // call. It panics if a predecessor of t is unplaced.
@@ -215,13 +244,13 @@ func (b *Builder) ReadyRow(t int) (ready []float64, enab []int32) {
 // finite times, and no builder time is ever -0 (every start is +0 or a
 // sum of non-negative terms), so the result is bit-identical.
 func (b *Builder) EarliestStart(v int, ready, duration float64, insertion bool) float64 {
-	tl := b.timelines[v]
 	if !insertion {
-		if avail := b.NodeAvailable(v); avail > ready {
+		if avail := b.avail[v]; avail > ready {
 			return avail
 		}
 		return ready
 	}
+	tl := b.timelines[v]
 	// Every block at or after hi ends after ready; every block before lo
 	// ends by it.
 	lo, hi := 0, len(tl)
@@ -294,19 +323,14 @@ func (b *Builder) EFTFrom(t, v int, ready float64, insertion bool) (start, finis
 func (b *Builder) AppendRow(t int, ready, start, finish []float64) {
 	nv := b.nv
 	ready, start, finish = ready[:nv], start[:nv], finish[:nv]
-	tls := b.timelines[:nv]
+	avail := b.avail[:nv]
 	exec := b.exec[t*nv : (t+1)*nv]
 	for v, r := range ready {
-		dur := exec[v]
-		avail := 0.0 // NodeAvailable(v)
-		if tl := tls[v]; len(tl) > 0 {
-			avail = tl[len(tl)-1].End
-		}
 		s := r
-		if avail > r {
-			s = avail
+		if avail[v] > r {
+			s = avail[v]
 		}
-		start[v], finish[v] = s, s+dur
+		start[v], finish[v] = s, s+exec[v]
 	}
 }
 
@@ -328,10 +352,12 @@ func (b *Builder) Place(t, v int, start float64) Assignment {
 	// (a zero-duration task at a zero-duration task's instant).
 	if n := len(tl); n == 0 || tl[n-1].Start < a.Start || (tl[n-1].Start == a.Start && tl[n-1].End < a.End) {
 		b.timelines[v] = append(tl, a)
+		b.avail[v] = a.End
 		return a
 	}
 	// Binary search for the (Start, End) insertion point (a hand-rolled
-	// sort.Search so the hot path carries no closure).
+	// sort.Search so the hot path carries no closure). The last entry
+	// does not sort below a, so a lands before it and avail[v] stands.
 	lo, hi := 0, len(tl)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -392,9 +418,14 @@ func (b *Builder) Unplace(t int) {
 	for i := len(tl) - 1; i >= 0; i-- {
 		if tl[i].Task == t {
 			copy(tl[i:], tl[i+1:])
-			b.timelines[a.Node] = tl[:len(tl)-1]
+			tl = tl[:len(tl)-1]
+			b.timelines[a.Node] = tl
 			break
 		}
+	}
+	b.avail[a.Node] = 0
+	if n := len(tl); n > 0 {
+		b.avail[a.Node] = tl[n-1].End
 	}
 	b.placed[t] = false
 	b.nPlaced--
@@ -403,8 +434,8 @@ func (b *Builder) Unplace(t int) {
 // Makespan returns the current partial makespan.
 func (b *Builder) Makespan() float64 {
 	m := 0.0
-	for v := range b.timelines {
-		if a := b.NodeAvailable(v); a > m {
+	for _, a := range b.avail {
+		if a > m {
 			m = a
 		}
 	}

@@ -2,6 +2,7 @@ package schedule
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -209,6 +210,61 @@ func TestEarliestStartMatchesBisection(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestNodeAvailableTracksTimelines holds the per-node availability
+// vector that Place and Unplace maintain to its definition: after every
+// operation NodeAvailable(v) is bit for bit the End of v's last timeline
+// entry, or 0 for an empty timeline. Seeded runs follow package exact's
+// pattern: tasks go in topological order to a random node at their
+// earliest start, with insertion or without, and a backtrack Unplaces
+// the latest placements in LIFO order; a quarter of the tasks cost zero.
+func TestNodeAvailableTracksTimelines(t *testing.T) {
+	for seed := int64(1); seed <= 60; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		nTasks, nNodes := 10+r.Intn(40), 1+r.Intn(4)
+		g := graph.NewTaskGraph()
+		for tk := 0; tk < nTasks; tk++ {
+			cost := float64(r.Intn(4))
+			if r.Intn(4) == 0 {
+				cost = 0
+			}
+			g.AddTask("t", cost)
+		}
+		for j := 1; j < nTasks; j++ {
+			if i := r.Intn(j); r.Intn(2) == 0 {
+				g.MustAddDep(i, j, float64(r.Intn(3)))
+			}
+		}
+		b := newBuilder(graph.NewInstance(g, graph.NewNetwork(nNodes)))
+		check := func(op string) {
+			t.Helper()
+			for v := 0; v < nNodes; v++ {
+				want := 0.0
+				if tl := b.timelines[v]; len(tl) > 0 {
+					want = tl[len(tl)-1].End
+				}
+				if got := b.NodeAvailable(v); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("seed %d after %s: NodeAvailable(%d) = %v, timeline says %v", seed, op, v, got, want)
+				}
+			}
+		}
+		var stack []int // placed tasks, latest last; index order is topological
+		for len(stack) < nTasks {
+			if len(stack) > 0 && r.Intn(4) == 0 {
+				for k := 1 + r.Intn(min(len(stack), 3)); k > 0; k-- {
+					b.Unplace(stack[len(stack)-1])
+					stack = stack[:len(stack)-1]
+					check("Unplace")
+				}
+				continue
+			}
+			tk := len(stack)
+			placeEFT(t, b, tk, r.Intn(nNodes), r.Intn(2) == 0)
+			stack = append(stack, tk)
+			check("Place")
 		}
 	}
 }

@@ -8,20 +8,23 @@ import (
 )
 
 // ReadyRows keeps one ready row (schedule.Builder.FillReadyRow) per task
-// for the length of one re-scoring construction, for every scheduler
-// that re-scores its ready tasks at every step. A task's row depends only
-// on its predecessors' assignments, which are fixed from the moment it
-// becomes ready; no construction ever Unplaces, so a row filled on first
+// for the length of one re-scoring construction, for the schedulers that
+// score every ready task on every node at every step (MinMin, MaxMin,
+// Duplex, ETF, GDL, BIL, ERT, WBA). A task's row depends only on its
+// predecessors' assignments, which are fixed from the moment it becomes
+// ready; no construction ever Unplaces, so a row filled on first
 // examination stays exact until the construction ends. It also holds the
-// output rows of Builder.AppendRow (Out), which every re-scoring
-// scheduler but FCP and FLB scores a ready task with.
+// output rows of Builder.AppendRow (Out).
 //
 // The storage is |T|·|V| ready times and enabling nodes, 12 bytes per
 // pair, plus the output rows, owned by the Scratch (Scratch.ReadyRows).
 // It grows to the largest instance and the widest step seen and is
-// reused.
+// reused. A construction that never reads a row (FCP and FLB score two
+// nodes with Builder.ReadyAt) neither grows nor clears it: the first Row
+// of a construction does both.
 type ReadyRows struct {
-	nv            int
+	nv, nt        int
+	stale         bool // set by reset: the next Row sizes the rows for nt tasks and marks each unfilled
 	ready         []float64
 	enab          []int32 // enab[t*nv] == rowUnfilled marks a row not yet filled
 	start, finish []float64
@@ -30,16 +33,23 @@ type ReadyRows struct {
 // rowUnfilled marks an unfilled row; FillReadyRow writes only -1 or a node.
 const rowUnfilled = -2
 
-// reset starts a new construction over inst: every row unfilled.
+// reset starts a new construction over inst: every row unfilled. The
+// rows themselves are sized and marked by the construction's first Row.
 func (c *ReadyRows) reset(inst *graph.Instance) {
-	nt, nv := inst.Graph.NumTasks(), inst.Net.NumNodes()
-	if n := nt * nv; cap(c.ready) < n {
+	c.nv, c.nt, c.stale = inst.Net.NumNodes(), inst.Graph.NumTasks(), true
+}
+
+// prepare sizes the rows for the construction reset started and marks
+// each unfilled.
+func (c *ReadyRows) prepare() {
+	nv := c.nv
+	c.stale = false
+	if n := c.nt * nv; cap(c.ready) < n {
 		c.ready = make([]float64, n)
 		c.enab = make([]int32, n)
 	} else {
 		c.ready, c.enab = c.ready[:n], c.enab[:n]
 	}
-	c.nv = nv
 	for i := 0; i < len(c.enab); i += nv {
 		c.enab[i] = rowUnfilled
 	}
@@ -48,6 +58,9 @@ func (c *ReadyRows) reset(inst *graph.Instance) {
 // Row returns t's ready row, filling it on first use. t's predecessors
 // must all be placed.
 func (c *ReadyRows) Row(b *schedule.Builder, t int) (ready []float64, enab []int32) {
+	if c.stale {
+		c.prepare()
+	}
 	lo, hi := t*c.nv, (t+1)*c.nv
 	ready, enab = c.ready[lo:hi:hi], c.enab[lo:hi:hi]
 	if enab[0] == rowUnfilled && !b.FillReadyRow(t, ready, enab) {

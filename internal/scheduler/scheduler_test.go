@@ -140,6 +140,32 @@ func TestRequirementsOfDefault(t *testing.T) {
 	}
 }
 
+// TestReadyRowsGrowOnFirstRow pins the row cache's laziness: a
+// construction that reads no row (Out included) leaves the |T|·|V|
+// storage unallocated, the first Row sizes it, and each new
+// construction's first Row marks every row unfilled again, so a row
+// filled under the previous construction's placements is refilled.
+func TestReadyRowsGrowOnFirstRow(t *testing.T) {
+	inst := heftPaperInstance() // a→b→c on 2 nodes
+	scr := NewScratch()
+	b := scr.Builder(inst)
+	rows := scr.ReadyRows(inst)
+	rows.Out(2)
+	if cap(rows.ready) != 0 || cap(rows.enab) != 0 {
+		t.Fatalf("rows allocated before any Row: cap %d, %d", cap(rows.ready), cap(rows.enab))
+	}
+	b.Place(0, 0, 0)
+	if ready, _ := rows.Row(b, 1); len(rows.ready) != 6 || ready[1] != 3 {
+		t.Fatalf("first Row: %d entries, row %v; want 6 entries, b ready on node 1 at 3", len(rows.ready), ready)
+	}
+	b = scr.Builder(inst)
+	rows = scr.ReadyRows(inst)
+	b.Place(0, 1, 0)
+	if ready, _ := rows.Row(b, 1); ready[1] != 2 {
+		t.Fatalf("next construction: row %v, want b ready on node 1 at 2", ready)
+	}
+}
+
 func TestReadySetFrontier(t *testing.T) {
 	g := graph.NewTaskGraph()
 	a := g.AddTask("a", 1)

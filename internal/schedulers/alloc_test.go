@@ -30,8 +30,8 @@ func gatedNames() []string {
 // headline pair and the acceptance bar; every other registered list
 // scheduler (gatedNames) rides along so a regression in any shared
 // primitive (builder, ready set, rank buffers, tables) fails loudly with
-// the algorithm's name attached. HEFT, CPoP and the schedulers that keep
-// a row cache (FCP, FLB, MinMin, MaxMin, Duplex, ETF, GDL, BIL, ERT and
+// the algorithm's name attached. HEFT, CPoP, FCP, FLB and the schedulers
+// that keep a row cache (MinMin, MaxMin, Duplex, ETF, GDL, BIL, ERT and
 // WBA, at two rounds) are also held to 0 warm on scale_layered_1k, where
 // the ready rows are 32 nodes wide, the row cache holds 1k rows and
 // AppendRow's output rows have grown to the widest step. FCP and FLB are
@@ -92,6 +92,26 @@ func TestScheduleScratchZeroAlloc(t *testing.T) {
 			})
 			if allocs != 0 {
 				t.Errorf("%s on %s: %v allocs per warm Schedule, want 0", name, row.dataset, allocs)
+			}
+		}
+	}
+}
+
+// BenchmarkFCPFLBColdScratch10k schedules scale_layered_10k with FCP and
+// then FLB on a new Scratch per op, so B/op is everything the pair
+// allocates from cold: tables, builder, ranks, ready set and FLB's memo.
+// Neither reads a ready row, so the scratch's row cache (|T|·|V|·12 =
+// 3.84 MB here) is never allocated; EXPERIMENTS.md ("Two-node scoring
+// and lazy rows") records B/op with and without it.
+func BenchmarkFCPFLBColdScratch10k(b *testing.B) {
+	inst := scaleTierInstance(b, "scale_layered_10k")
+	var out schedule.Schedule
+	b.ReportAllocs()
+	for b.Loop() {
+		scr := scheduler.NewScratch()
+		for _, s := range []scheduler.Scheduler{FCP{}, FLB{}} {
+			if err := s.ScheduleScratch(inst, scr, &out); err != nil {
+				b.Fatal(err)
 			}
 		}
 	}

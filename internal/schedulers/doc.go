@@ -25,8 +25,8 @@
 //
 // Every list scheduler is a placement policy handed to one of two
 // construction drivers (construct.go), which own the builder, the ready
-// set, the ready-row cache (scheduler.ReadyRows, a Scratch buffer) and
-// every placement. placeInOrder walks an order fixed before the first
+// set, the ready-row cache (scheduler.ReadyRows, a Scratch buffer that
+// grows and clears only when a policy reads a row) and every placement. placeInOrder walks an order fixed before the first
 // placement and asks the policy for each task's node and start (HEFT,
 // CPoP, MH, LMT, MCT, MET, OLB, FastestNode); placeReady asks it once per
 // step for the next task, node and start among the ready tasks (MinMin,

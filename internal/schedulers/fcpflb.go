@@ -26,22 +26,53 @@ func earliestIdle(b *schedule.Builder) int {
 	return idle
 }
 
-// bestCandidate returns, of the FCP/FLB restricted processor set for
-// ready task t, the node that finishes t earliest with t's start and
-// finish there. The set is the earliest-idle node idle and the enabling
-// processor enab[idle] — the node of the predecessor whose message would
-// arrive last at idle, where placing t makes that transfer free; an entry
-// task has only idle. ready and enab are t's ready row (FillReadyRow);
-// ties keep idle.
-func bestCandidate(b *schedule.Builder, t, idle int, ready []float64, enab []int32) (node int, start, finish float64) {
-	node = idle
-	start, finish = b.EFTFrom(t, idle, ready[idle], false)
-	if ep := int(enab[idle]); ep >= 0 && ep != idle {
-		if s, f := b.EFTFrom(t, ep, ready[ep], false); f < finish-graph.Eps {
-			node, start, finish = ep, s, f
-		}
+// candidate is the FCP/FLB restricted processor choice for one ready
+// task t: of the earliest-idle node idle and the enabling processor enab
+// — the node of the predecessor whose message would arrive last at idle,
+// where placing t makes that transfer free — the node that finishes t
+// earliest, with t's start and finish there. enab is -1 when the set is
+// idle alone (an entry task, or idle is itself the enabling processor);
+// ties keep idle. It also records what a placement can change: both
+// nodes' availabilities, idleAt and enabAt.
+//
+// enabReady is t's ready time on enab. t's ready times are fixed once t
+// is ready, so FLB, which keeps one candidate per task across steps,
+// reads it again whenever a re-score finds the same enabling processor
+// at a new idle node (most re-scores do).
+type candidate struct {
+	idle, enab, node                         int32
+	idleAt, enabAt, enabReady, start, finish float64
+}
+
+// noCandidate is a candidate that has never been scored.
+var noCandidate = candidate{idle: -1, enab: -1}
+
+// score sets c to ready task t's restricted choice with idle the
+// earliest-idle node. t's ready times come from Builder.ReadyAt: one
+// walk over t's predecessors for idle, and one for enab unless c already
+// holds t's ready time there. It reads no ready row.
+func (c *candidate) score(b *schedule.Builder, t, idle int) {
+	ready, enab := b.ReadyAt(t, idle)
+	c.idle, c.node, c.idleAt = int32(idle), int32(idle), b.NodeAvailable(idle)
+	c.start, c.finish = b.EFTFrom(t, idle, ready, false)
+	if enab < 0 || int(enab) == idle {
+		c.enab = -1
+		return
 	}
-	return node, start, finish
+	if enab != c.enab {
+		c.enab = enab
+		c.enabReady, _ = b.ReadyAt(t, int(enab))
+	}
+	c.enabAt = b.NodeAvailable(int(enab))
+	if s, f := b.EFTFrom(t, int(enab), c.enabReady, false); f < c.finish-graph.Eps {
+		c.node, c.start, c.finish = enab, s, f
+	}
+}
+
+// stale reports whether c may differ from a fresh score with idle the
+// earliest-idle node: the idle node or either node's availability moved.
+func (c *candidate) stale(b *schedule.Builder, idle int, idleAt float64) bool {
+	return int(c.idle) != idle || c.idleAt != idleAt || (c.enab >= 0 && b.NodeAvailable(int(c.enab)) != c.enabAt)
 }
 
 // FCP is Fast Critical Path (Radulescu & van Gemund). It keeps the ready
@@ -52,7 +83,8 @@ func bestCandidate(b *schedule.Builder, t, idle int, ready []float64, enab []int
 // whichever candidate finishes it earlier. The paper keeps processors
 // and tasks in priority queues for O(|T| log |V| + |D|) schedule
 // generation; this implementation scans instead, for O(|V| + ready
-// width) per step plus one O(in-degree · |V|) ready row per task. The
+// width + in-degree) per step: the two candidates' ready times are two
+// walks over the task's predecessors (candidate.score). The
 // task scan keeps its threshold rank[t]+Eps in a local, recomputed only
 // when the pick changes, so a step costs one rank read and one
 // comparison per ready task.
@@ -80,7 +112,7 @@ func (FCP) Requirements() scheduler.Requirements {
 // ScheduleScratch implements scheduler.Scheduler.
 func (FCP) ScheduleScratch(inst *graph.Instance, scr *scheduler.Scratch, out *schedule.Schedule) error {
 	rank := scr.UpwardRank(inst)
-	b, _ := placeReady(inst, scr, func(b *schedule.Builder, rows *scheduler.ReadyRows, ready []int) (int, int, float64) {
+	b, _ := placeReady(inst, scr, func(b *schedule.Builder, _ *scheduler.ReadyRows, ready []int) (int, int, float64) {
 		// Pop the highest-priority ready task.
 		t := ready[0]
 		above := rank[t] + graph.Eps
@@ -89,9 +121,9 @@ func (FCP) ScheduleScratch(inst *graph.Instance, scr *scheduler.Scratch, out *sc
 				t, above = x, rank[x]+graph.Eps
 			}
 		}
-		at, enab := rows.Row(b, t)
-		v, start, _ := bestCandidate(b, t, earliestIdle(b), at, enab)
-		return t, v, start
+		c := noCandidate
+		c.score(b, t, earliestIdle(b))
+		return t, int(c.node), c.start
 	})
 	return b.ScheduleInto(out)
 }
@@ -101,16 +133,13 @@ func (FCP) ScheduleScratch(inst *graph.Instance, scr *scheduler.Scratch, out *sc
 // restriction but selects, at each step, the ready task whose restricted
 // earliest finish time is smallest — balancing load instead of following
 // the critical path. The paper's bound is likewise O(|T| log |V| + |D|)
-// with priority queues; this implementation costs O(|V| + ready width)
-// per step plus one O(in-degree · |V|) ready row per task, filled the
-// first time the task is examined and kept for the rest of the
-// construction (scheduler.ReadyRows). A ready task's restricted
-// candidate depends on its fixed ready row, the earliest-idle node, the
+// with priority queues. A ready task's restricted candidate depends on
+// its predecessors' fixed assignments, the earliest-idle node, the
 // enabling processor there and those two nodes' availabilities, so FLB
-// keeps each task's last candidate (flbCandidate) and re-scores it only
-// when one of those changed: a step reads one memo entry and at most one
-// availability per ready task, and calls bestCandidate only for the
-// tasks the last placement moved.
+// keeps each task's last candidate and re-scores it only when one of
+// those changed: a step costs O(|V| + ready width), one memo entry and at
+// most one availability per ready task, plus an O(in-degree)
+// candidate.score for each task the last placement moved.
 //
 // Like FCP it targets homogeneous processors and links, and PISA pins
 // both to 1 when analyzing it (Section VI).
@@ -128,20 +157,15 @@ func (FLB) Requirements() scheduler.Requirements {
 // ScheduleScratch implements scheduler.Scheduler.
 func (FLB) ScheduleScratch(inst *graph.Instance, scr *scheduler.Scratch, out *schedule.Schedule) error {
 	memo := scr.Ext("FLB", func() any { return &flbMemo{} }).(*flbMemo).reset(inst.Graph.NumTasks())
-	b, _ := placeReady(inst, scr, func(b *schedule.Builder, rows *scheduler.ReadyRows, ready []int) (int, int, float64) {
+	b, _ := placeReady(inst, scr, func(b *schedule.Builder, _ *scheduler.ReadyRows, ready []int) (int, int, float64) {
 		idle := earliestIdle(b)
 		idleAt := b.NodeAvailable(idle)
 		bestTask, bestNode := -1, -1
 		bestStart, bestFinish := 0.0, math.Inf(1)
 		for _, t := range ready {
 			c := &memo[t]
-			if int(c.idle) != idle || c.idleAt != idleAt || (c.enab >= 0 && b.NodeAvailable(int(c.enab)) != c.enabAt) {
-				at, enab := rows.Row(b, t)
-				v, s, f := bestCandidate(b, t, idle, at, enab)
-				*c = flbCandidate{idle: int32(idle), enab: -1, node: int32(v), idleAt: idleAt, start: s, finish: f}
-				if ep := int(enab[idle]); ep >= 0 && ep != idle {
-					c.enab, c.enabAt = int32(ep), b.NodeAvailable(ep)
-				}
+			if c.stale(b, idle, idleAt) {
+				c.score(b, t, idle)
 			}
 			if c.finish < bestFinish-graph.Eps {
 				bestTask, bestNode, bestStart, bestFinish = t, int(c.node), c.start, c.finish
@@ -152,20 +176,9 @@ func (FLB) ScheduleScratch(inst *graph.Instance, scr *scheduler.Scratch, out *sc
 	return b.ScheduleInto(out)
 }
 
-// flbCandidate is FLB's memo of bestCandidate for one ready task t: the
-// result (node, start, finish) and the inputs it read that a placement
-// can change — the earliest-idle node, t's enabling processor there (-1
-// when there is none or it is idle itself) and both nodes'
-// availabilities. t's ready row and exec row are fixed once t is ready,
-// so while those inputs are equal the result is too.
-type flbCandidate struct {
-	idle, enab, node              int32
-	idleAt, enabAt, start, finish float64
-}
-
-// flbMemo holds one flbCandidate per task. It lives in Scratch.Ext, so
-// FLB values stay stateless and each worker's scratch has its own.
-type flbMemo []flbCandidate
+// flbMemo holds FLB's last candidate per task. It lives in Scratch.Ext,
+// so FLB values stay stateless and each worker's scratch has its own.
+type flbMemo []candidate
 
 // reset starts a construction over n tasks: every entry misses.
 func (m *flbMemo) reset(n int) flbMemo {
@@ -174,7 +187,7 @@ func (m *flbMemo) reset(n int) flbMemo {
 	}
 	*m = (*m)[:n]
 	for i := range *m {
-		(*m)[i].idle = -1
+		(*m)[i] = noCandidate
 	}
 	return *m
 }

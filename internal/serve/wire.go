@@ -59,6 +59,11 @@ type wireState struct {
 	inst serialize.InstanceDecoder
 	wfc  wfc.Decoder
 	out  []byte
+
+	// knobs is finish's NUL byte and wfformat import knobs, kept here
+	// because a local array written through ws.h would escape to the
+	// heap on every wfformat request. Byte 0 is never written.
+	knobs [25]byte
 }
 
 var wirePool = sync.Pool{New: func() any { return &wireState{h: sha256.New()} }}
@@ -206,11 +211,11 @@ func (env *RobustnessRequest) finish(ws *wireState) error {
 	if len(env.WfC) > 0 {
 		// A NUL cannot occur in the payload, so it parts payload from
 		// knobs and a wfformat key from every instance key.
-		var knobs [25]byte
+		knobs := ws.knobs[:]
 		binary.LittleEndian.PutUint64(knobs[1:], math.Float64bits(env.Link))
 		binary.LittleEndian.PutUint64(knobs[9:], math.Float64bits(env.CCR))
 		binary.LittleEndian.PutUint64(knobs[17:], uint64(env.Nodes))
-		ws.h.Write(knobs[:])
+		ws.h.Write(knobs)
 	}
 	ws.h.Sum(ws.key[:0])
 	return nil

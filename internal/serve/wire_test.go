@@ -251,14 +251,15 @@ func TestOverflowingInstanceIs400(t *testing.T) {
 // for it. A miss measured 253 allocations with an instance body and 625
 // with a wfformat body while each validated its graph twice and grew a
 // fresh scratch, then 61–62 and 62 while it decoded its payload on a
-// second pass into fresh storage.
+// second pass into fresh storage, and 48 with a wfformat body while the
+// key's import knobs were a local array that escaped to the heap.
 const (
 	schedulingHitAllocBudget = 27 + 2
 	scannedHitAllocBudget    = 25 + 2
 	indexedHitAllocBudget    = 24 + 2
 
 	scheduleMissInstanceAllocBudget = 39 + 2
-	scheduleMissWfCAllocBudget      = 48 + 2
+	scheduleMissWfCAllocBudget      = 47 + 2
 )
 
 // TestScheduleHitAllocs is the allocation gate of the wire path (`make

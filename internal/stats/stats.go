@@ -60,27 +60,23 @@ func Max(xs []float64) float64 {
 	return m
 }
 
-// Min returns the minimum of xs, or +Inf for an empty slice.
-func Min(xs []float64) float64 {
-	m := math.Inf(1)
-	for _, x := range xs {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Summary is a five-number summary plus mean, the data behind a box plot.
 type Summary struct {
 	Min, Q1, Median, Q3, Max, Mean float64
 	N                              int
 }
 
-// Summarize computes a Summary of xs.
+// Summarize computes a Summary of xs. An empty xs has Min +Inf and Max
+// -Inf.
 func Summarize(xs []float64) Summary {
+	lo := math.Inf(1)
+	for _, x := range xs {
+		if x < lo {
+			lo = x
+		}
+	}
 	return Summary{
-		Min:    Min(xs),
+		Min:    lo,
 		Q1:     Percentile(xs, 25),
 		Median: Percentile(xs, 50),
 		Q3:     Percentile(xs, 75),

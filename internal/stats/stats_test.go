@@ -45,10 +45,10 @@ func TestPercentileDoesNotMutate(t *testing.T) {
 
 func TestMinMax(t *testing.T) {
 	xs := []float64{3, -2, 8}
-	if Min(xs) != -2 || Max(xs) != 8 {
+	if s := Summarize(xs); s.Min != -2 || s.Max != 8 || Max(xs) != 8 {
 		t.Fatal("Min/Max wrong")
 	}
-	if !math.IsInf(Min(nil), 1) || !math.IsInf(Max(nil), -1) {
+	if s := Summarize(nil); !math.IsInf(s.Min, 1) || !math.IsInf(s.Max, -1) || !math.IsInf(Max(nil), -1) {
 		t.Fatal("empty Min/Max sentinels wrong")
 	}
 }
