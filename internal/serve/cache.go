@@ -5,30 +5,20 @@ import (
 	"sync/atomic"
 
 	"saga/internal/graph"
-	"saga/internal/scheduler"
 )
 
-// cacheEntry is one cached instance plus the scratches whose tables are
-// currently built for it and the /v1/schedule answers already given for
-// it. The instance is shared by every request that hits the entry and is
-// strictly read-only from then on — scheduling never mutates an
-// instance, and the robustness driver jitters copies — so concurrent
-// requests may hold the same pointer. The scratch list is the part that
-// makes a cache hit skip graph.Tables builds: a scratch parked here was
-// released by a request that scheduled this exact instance pointer, so
-// Scratch.Tables recognizes it and serves the prebuilt tables (and with
-// them every memoized rank vector). The responses make a repeat hit skip
-// the scheduler and the encoder too: each holds the complete response
-// body one scheduler's request produced on this instance, and is exactly
-// what a fresh call would write, since every registered scheduler is a
-// deterministic function of the instance and results do not depend on
-// the scratch (ARCHITECTURE invariants 3 and 6). There is at most one
-// per registered scheduler name, each O(|T|) bytes, and they go with the
-// entry when it is evicted, their body keys with them.
+// cacheEntry is one cached instance plus the /v1/schedule answers
+// already given for it. The instance is shared by every request that
+// hits the entry and is strictly read-only from then on — scheduling
+// never mutates an instance — so concurrent requests may hold the same
+// pointer. Each response is the complete body one scheduler's request
+// produced on this instance, exactly what a fresh call would write
+// (ARCHITECTURE invariant 8); there is at most one per registered
+// scheduler name, and they go with the entry when it is evicted, their
+// body keys with them.
 type cacheEntry struct {
 	key       cacheKey
 	inst      *graph.Instance
-	scratches []*scheduler.Scratch
 	responses []storedResponse
 	lastUsed  uint64
 }
@@ -62,15 +52,8 @@ func (e *cacheEntry) response(name string) []byte {
 // instanceCache maps the content hash of a submitted instance to its
 // parsed, validated form. Keys hash the whitespace-stripped payload
 // (plus the import knobs for WfCommons submissions; see cacheKey), so
-// repeated submissions of the same payload — the "millions of users
-// resubmitting the same workflow" case the daemon exists for — parse
-// and build tables once.
-// Eviction is least-recently-used over a fixed entry budget, and hands
-// the victim's parked scratches back to the pool: on traffic that never
-// repeats an instance, every entry is evicted with the scratch its miss
-// parked, and the next miss leases that scratch instead of growing a
-// new one. Reuse is safe because a scratch's memo state is keyed by
-// instance pointer and table generation (scheduler.ScratchPool).
+// repeated submissions of the same payload parse and validate once.
+// Eviction is least-recently-used over a fixed entry budget.
 //
 // bodies indexes every stored response by the SHA-256 of the request
 // body that stored it, so a byte-identical request is answered without
@@ -81,24 +64,19 @@ func (e *cacheEntry) response(name string) []byte {
 type instanceCache struct {
 	mu      sync.Mutex
 	cap     int
-	maxPark int // scratches parked per entry
-	pool    *scheduler.ScratchPool
 	clock   uint64
 	entries map[cacheKey]*cacheEntry
 	bodies  map[bodyKey]indexedResponse
 	nBodies atomic.Int64
 
-	hits, misses, evictions, tableReuses, responseHits, bodyHits uint64
+	hits, misses, evictions, responseHits, bodyHits uint64
 }
 
-func newInstanceCache(capEntries, maxPark int, pool *scheduler.ScratchPool) *instanceCache {
+func newInstanceCache(capEntries int) *instanceCache {
 	if capEntries < 1 {
 		capEntries = 1
 	}
-	if maxPark < 1 {
-		maxPark = 1
-	}
-	return &instanceCache{cap: capEntries, maxPark: maxPark, pool: pool, entries: map[cacheKey]*cacheEntry{}, bodies: map[bodyKey]indexedResponse{}}
+	return &instanceCache{cap: capEntries, entries: map[cacheKey]*cacheEntry{}, bodies: map[bodyKey]indexedResponse{}}
 }
 
 // indexed reports whether any response is stored, that is, whether a
@@ -123,39 +101,29 @@ func (c *instanceCache) answer(raw bodyKey) []byte {
 	return r.body
 }
 
-// lookup returns the cached entry for key, or nil. On a hit it returns
-// the response stored for the named scheduler when there is one, and
-// otherwise leases a parked scratch when one is available; scr is
-// non-nil only on a hit, and its tables are already built for
-// entry.inst.
-func (c *instanceCache) lookup(key cacheKey, name string) (entry *cacheEntry, stored []byte, scr *scheduler.Scratch) {
+// lookup returns the cached entry for key, or nil, and on a hit the
+// response stored for the named scheduler, if there is one.
+func (c *instanceCache) lookup(key cacheKey, name string) (entry *cacheEntry, stored []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[key]
 	if !ok {
 		c.misses++
-		return nil, nil, nil
+		return nil, nil
 	}
 	c.hits++
 	c.clock++
 	e.lastUsed = c.clock
 	if stored = e.response(name); stored != nil {
 		c.responseHits++
-		return e, stored, nil
 	}
-	if n := len(e.scratches); n > 0 {
-		scr = e.scratches[n-1]
-		e.scratches = e.scratches[:n-1]
-		c.tableReuses++
-	}
-	return e, nil, scr
+	return e, stored
 }
 
 // insert adds inst under key, evicting the least-recently-used entry
-// when the cache is full and returning its parked scratches to the
-// pool. If another request raced the parse and inserted first, the
-// winner's entry is returned so both requests share one instance
-// pointer.
+// when the cache is full. If another request raced the parse and
+// inserted first, the winner's entry is returned so both requests share
+// one instance pointer.
 func (c *instanceCache) insert(key cacheKey, inst *graph.Instance) *cacheEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -177,31 +145,11 @@ func (c *instanceCache) insert(key cacheKey, inst *graph.Instance) *cacheEntry {
 		}
 		c.nBodies.Store(int64(len(c.bodies)))
 		c.evictions++
-		// The victim's stored responses go with it; its parked scratches
-		// go back to the pool, and any still-leased scratch returns
-		// through release, which tolerates a gone entry.
-		for _, scr := range victim.scratches {
-			c.pool.Put(scr)
-		}
 	}
 	c.clock++
 	e := &cacheEntry{key: key, inst: inst, lastUsed: c.clock}
 	c.entries[key] = e
 	return e
-}
-
-// release parks a scratch whose tables are built for entry.inst, so the
-// next hit on the entry schedules without a table rebuild. When the
-// entry was evicted while the request ran, or the park budget is full,
-// ok is false and the caller sends the scratch back to the global pool.
-func (c *instanceCache) release(entry *cacheEntry, scr *scheduler.Scratch) (ok bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.entries[entry.key] != entry || len(entry.scratches) >= c.maxPark {
-		return false
-	}
-	entry.scratches = append(entry.scratches, scr)
-	return true
 }
 
 // store keeps a copy of body as the named scheduler's response for
@@ -230,7 +178,6 @@ func (c *instanceCache) stats() CacheStats {
 		Hits:         c.hits,
 		Misses:       c.misses,
 		Evictions:    c.evictions,
-		TableReuses:  c.tableReuses,
 		ResponseHits: c.responseHits,
 		BodyHits:     c.bodyHits,
 	}

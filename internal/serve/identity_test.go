@@ -27,6 +27,7 @@ import (
 	"saga/internal/runner"
 	"saga/internal/scheduler"
 	"saga/internal/serialize"
+	"saga/internal/wfc"
 )
 
 // encodeLikeDaemon mirrors httpx.WriteJSON: json.Marshal plus the
@@ -73,7 +74,7 @@ func TestScheduleByteIdentity(t *testing.T) {
 			})
 
 			// Daemon path, twice: cold (parse + table build) and warm
-			// (cache hit, parked scratch) must both match.
+			// (cache hit on a pooled scratch) must both match.
 			body := mustMarshal(t, ScheduleRequest{Scheduler: name, Instance: instRaw})
 			for pass, label := range []string{"cold", "warm"} {
 				resp, got := postRaw(t, ts.URL, "/v1/schedule", body)
@@ -143,38 +144,52 @@ func TestRobustnessByteIdentity(t *testing.T) {
 	defer ts.Close()
 
 	instRaw := testInstance(t, 9)
-	req := RobustnessRequest{Scheduler: "HEFT", Instance: instRaw, Sigma: 0.3, N: 25, Seed: 7}
-
 	inst, err := serialize.UnmarshalInstance(instRaw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched, err := scheduler.New(req.Scheduler)
+	doc, err := wfc.FromTaskGraph("robustness", inst.Graph).Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := experiments.RobustnessRun(inst, sched, req.Sigma, req.N, req.Seed,
-		runner.Options{Workers: 2})
+	wfcInst, err := datasets.InstanceFromWfC(doc, 2, 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := encodeLikeDaemon(t, RobustnessResponse{
-		Scheduler: res.Scheduler,
-		Nominal:   res.Nominal,
-		Static:    res.Static,
-		Adaptive:  res.Adaptive,
-	})
-
-	// Cold and warm: the robustness path shares the instance cache with
-	// the schedule path, so the second submission replays off the cached
-	// instance pointer and must still match exactly.
-	for _, label := range []string{"cold", "warm"} {
-		resp, got := postRaw(t, ts.URL, "/v1/robustness", mustMarshal(t, req))
-		if resp.StatusCode != 200 {
-			t.Fatalf("%s: status %d: %s", label, resp.StatusCode, got)
+	for _, tc := range []struct {
+		name string
+		req  RobustnessRequest
+		inst *graph.Instance
+	}{
+		{"instance", RobustnessRequest{Scheduler: "HEFT", Instance: instRaw, Sigma: 0.3, N: 25, Seed: 7}, inst},
+		{"wfformat", RobustnessRequest{Scheduler: "HEFT", WfC: doc, Link: 2, Nodes: 3, Sigma: 0.3, N: 25, Seed: 7}, wfcInst},
+	} {
+		sched, err := scheduler.New(tc.req.Scheduler)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !bytes.Equal(want, got) {
-			t.Fatalf("%s: robustness response diverged from direct call\nwant: %s\ngot:  %s", label, want, got)
+		res, err := experiments.RobustnessRun(tc.inst, sched, tc.req.Sigma, tc.req.N, tc.req.Seed,
+			runner.Options{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := encodeLikeDaemon(t, RobustnessResponse{
+			Scheduler: res.Scheduler,
+			Nominal:   res.Nominal,
+			Static:    res.Static,
+			Adaptive:  res.Adaptive,
+		})
+
+		// Cold and warm: the second submission may decode into the pooled
+		// wire state the first left behind, and must still match exactly.
+		for _, label := range []string{"cold", "warm"} {
+			resp, got := postRaw(t, ts.URL, "/v1/robustness", mustMarshal(t, tc.req))
+			if resp.StatusCode != 200 {
+				t.Fatalf("%s %s: status %d: %s", tc.name, label, resp.StatusCode, got)
+			}
+			if !bytes.Equal(want, got) {
+				t.Fatalf("%s %s: robustness response diverged from direct call\nwant: %s\ngot:  %s", tc.name, label, want, got)
+			}
 		}
 	}
 }
@@ -252,7 +267,7 @@ func checkBodyIndex(t *testing.T, s *Server) int {
 
 // TestStoredResponseIdentity holds every registered scheduler's four
 // daemon paths to the library: the miss (parse, cold tables), the hit
-// that schedules on parked tables and stores its response, a respelled
+// that schedules on a pooled scratch and stores its response, a respelled
 // body (keys reordered) that reaches the stored bytes through the
 // envelope scan, and the storing body again, answered by the hash of its
 // bytes. The instances are the paper's PISA starting chains, small

@@ -201,7 +201,6 @@ type CacheStats struct {
 	Hits         uint64 `json:"hits"`
 	Misses       uint64 `json:"misses"`
 	Evictions    uint64 `json:"evictions"`
-	TableReuses  uint64 `json:"table_reuses"`
 	ResponseHits uint64 `json:"response_hits"`
 	BodyHits     uint64 `json:"body_hits"`
 }

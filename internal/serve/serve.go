@@ -5,46 +5,18 @@
 // intact as the library path; `saga schedule/portfolio/robustness
 // -server URL` become thin clients of this daemon.
 //
-// The request path leans on the repo's established ownership rules
-// (ARCHITECTURE invariant 8):
+// How a request owns its scratch, how instances and answers are cached
+// by content and by body, and what the pooled wire state may alias is
+// ARCHITECTURE invariant 8. Beyond it:
 //
-//   - Per-request Scratch leasing. Every /v1/schedule request that
-//     runs a scheduler leases one scheduler.Scratch — from the instance
-//     cache when the instance was seen before (tables prebuilt, zero
-//     graph.Tables work), else from a sync.Pool, which an evicted
-//     entry's parked scratches go back to — and owns it exclusively
-//     until the response is written. Cross-request bleed is
-//     impossible by construction: every memoized value in a Scratch is
-//     keyed on (instance pointer, table generation).
-//   - Content-hash instance caching. Schedule submissions are keyed by
-//     the SHA-256 of their whitespace-stripped payload bytes, computed
-//     inside the one scan that reads the request envelope and parses the
-//     payload into storage the next request reuses (wire.go). A hit
-//     shares the cached instance pointer (read-only from then on) and
-//     copies nothing, builds nothing, and skips validation and table
-//     builds; a miss builds the instance it caches from what the scan
-//     parsed, copying out what the cache keeps.
-//   - Stored answers. A cache hit that schedules keeps a copy of its
-//     response with the cache entry, one per scheduler name; the next
-//     hit for the same scheduler writes those bytes and leases no
-//     scratch, runs no scheduler and encodes nothing. The copy is what
-//     a fresh call would write — registered schedulers are
-//     deterministic and results do not depend on the scratch
-//     (ARCHITECTURE invariants 3 and 6). A miss stores nothing, so
-//     traffic that never repeats an instance pays for no copy. Each
-//     copy is also indexed by the SHA-256 of the exact request body
-//     that stored it; while any is stored, a body is hashed before it
-//     is scanned, and a byte-identical repeat is answered with no
-//     envelope scan at all.
 //   - Bounded admission. At most MaxConcurrent requests compute at
 //     once; excess requests wait up to QueueTimeout, then are refused
 //     with 503 — load sheds at the door instead of thrashing the
 //     scheduler.
 //   - Observability. GET /metrics reports request counts, latency
 //     quantiles, cache hit rates, scratch-pool stats, and admission
-//     counters as JSON, and for /v1/schedule where the time went:
-//     body read, envelope scan with the payload's parse and key, the
-//     miss's build, schedule, encode.
+//     counters as JSON, and for /v1/schedule where the time went
+//     (PhaseStats).
 //   - The daemon is its fleet's hub. A coord.Hub is served under /hub/
 //     (behind the same bearer check, outside admission and the
 //     per-endpoint records): `saga worker -coordinator <daemon>/hub
@@ -68,7 +40,6 @@ import (
 	"time"
 
 	"saga/internal/coord"
-	"saga/internal/datasets"
 	"saga/internal/experiments"
 	"saga/internal/httpx"
 	"saga/internal/runner"
@@ -155,7 +126,7 @@ func New(opts Options) *Server {
 		sem:     make(chan struct{}, opts.MaxConcurrent),
 		mux:     http.NewServeMux(),
 	}
-	s.cache = newInstanceCache(opts.CacheEntries, opts.MaxConcurrent, &s.pool)
+	s.cache = newInstanceCache(opts.CacheEntries)
 	s.hub = coord.NewHub(coord.HubOptions{
 		Sweep:     coord.Options{LeaseTTL: opts.DegradeWindow},
 		WorkerTTL: opts.DegradeWindow,
@@ -249,21 +220,11 @@ func (s *Server) acquire(w http.ResponseWriter, r *http.Request) bool {
 // release gives back the admission slot acquire took.
 func (s *Server) release() { <-s.sem }
 
-// releaseScratch parks the request's scratch with its instance's cache
-// entry (so the next hit schedules with prebuilt tables) or, when the
-// entry is gone or full, returns it to the global pool.
-func (s *Server) releaseScratch(entry *cacheEntry, scr *scheduler.Scratch) {
-	if entry != nil && s.cache.release(entry, scr) {
-		return
-	}
-	s.pool.Put(scr)
-}
-
-// readEnvelope scans the body of a schedule or robustness request and,
-// when ws is not nil, decodes its payload into ws and keys it into
-// ws.key, answering 400 when it cannot.
-func readEnvelope(w http.ResponseWriter, body []byte, robustness bool, ws *wireState) (env RobustnessRequest, ok bool) {
-	env, err := scanEnvelope(body, robustness, ws)
+// readEnvelope scans the body of a request with the endpoint's
+// envelope e, decoding its payload into ws and keying it into ws.key,
+// and answers 400 when it cannot.
+func readEnvelope(w http.ResponseWriter, body []byte, e *envelope, ws *wireState) (env RobustnessRequest, ok bool) {
+	env, err := scanEnvelope(body, e, ws)
 	if err == nil {
 		err = env.finish(ws)
 	}
@@ -280,9 +241,10 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.release()
 
-	// Five clock readings split the request into the phases /metrics
-	// reports; a miss takes two more around its build, and hashing the
-	// body one more.
+	// The clock readings split an answered request into the phases
+	// /metrics reports: t0–t1 reads the body, t1–t2 hashes or scans it,
+	// t2–t3 finds or computes the answer (a miss's build is decode within
+	// it), and t3 to the end encodes and writes it.
 	t0 := time.Now()
 	ws := wirePool.Get().(*wireState)
 	defer putWire(ws)
@@ -292,82 +254,82 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	}
 	ws.in = body
 	t1 := time.Now()
+	var (
+		answer []byte
+		raw    bodyKey
+		t2, t3 time.Time
+		decode time.Duration
+	)
 	// While any response is stored, the body's own hash may find one: the
 	// body that stored it, repeated byte for byte, needs no scan. Traffic
 	// that never repeats stores nothing and hashes nothing here.
-	var raw bodyKey
 	hashed := s.cache.indexed()
 	if hashed {
 		raw = sha256.Sum256(body)
-		t2 := time.Now()
-		if stored := s.cache.answer(raw); stored != nil {
-			t3 := time.Now()
-			writeScheduleResponse(w, stored)
-			s.metrics.recordPhases(t1.Sub(t0), t2.Sub(t1), 0, t3.Sub(t2), time.Since(t3))
+		t2 = time.Now()
+		answer = s.cache.answer(raw)
+		t3 = time.Now()
+	}
+	// Otherwise the scan keys the instance: a hit is answered with the
+	// response its entry stored for this scheduler, if any.
+	var (
+		env   RobustnessRequest
+		sched scheduler.Scheduler
+		entry *cacheEntry
+		err   error
+	)
+	if answer == nil {
+		if env, ok = readEnvelope(w, body, scheduleEnvelope, ws); !ok {
 			return
 		}
-	}
-	env, ok := readEnvelope(w, body, false, ws)
-	if !ok {
-		return
-	}
-	sched, err := scheduler.New(env.Scheduler)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	// A hit is answered with the response the entry stored for this
-	// scheduler, or else scheduled on the entry's parked scratch, if
-	// any; a miss builds the instance from the payload the scan decoded
-	// and caches it.
-	t2 := time.Now()
-	entry, stored, scr := s.cache.lookup(ws.key, env.Scheduler)
-	if stored != nil {
-		t3 := time.Now()
-		writeScheduleResponse(w, stored)
-		s.metrics.recordPhases(t1.Sub(t0), t2.Sub(t1), 0, t3.Sub(t2), time.Since(t3))
-		return
-	}
-	hit := entry != nil
-	var decode time.Duration
-	if !hit {
-		start := time.Now()
-		inst, err := ws.instance(&env)
-		if err != nil {
-			http.Error(w, fmt.Sprintf("bad instance: %v", err), http.StatusBadRequest)
+		if sched, err = scheduler.New(env.Scheduler); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		entry = s.cache.insert(ws.key, inst)
-		decode = time.Since(start)
+		t2 = time.Now()
+		entry, answer = s.cache.lookup(ws.key, env.Scheduler)
+		t3 = time.Now()
 	}
-	s.leases.Add(1)
-	if scr == nil {
-		scr = s.pool.Get()
-	}
-	defer s.releaseScratch(entry, scr)
-	out := scr.AcquireSchedule()
-	defer scr.ReleaseSchedule(out)
-	if err := sched.ScheduleScratch(entry.inst, scr, out); err != nil {
-		http.Error(w, fmt.Sprintf("schedule: %v", err), http.StatusBadRequest)
-		return
-	}
-	t3 := time.Now()
-	ws.out, err = appendScheduleResponse(ws.out[:0], sched.Name(), out)
-	if err != nil {
-		http.Error(w, fmt.Sprintf("encode schedule: %v", err), http.StatusInternalServerError)
-		return
-	}
-	// An instance's first sighting stores nothing, so traffic that never
-	// repeats an instance pays for no copy and no hash.
-	if hit {
-		if !hashed {
-			raw = sha256.Sum256(body)
+	// Else the request schedules on a pooled scratch, which it holds until
+	// its response is written: a hit on its entry's instance, a miss on
+	// the instance it builds from the payload the scan decoded and caches.
+	if answer == nil {
+		hit := entry != nil
+		if !hit {
+			inst, err := ws.instance(&env)
+			if err != nil {
+				http.Error(w, fmt.Sprintf("bad instance: %v", err), http.StatusBadRequest)
+				return
+			}
+			entry = s.cache.insert(ws.key, inst)
+			decode = time.Since(t3)
 		}
-		s.cache.store(entry, env.Scheduler, raw, ws.out)
+		s.leases.Add(1)
+		scr := s.pool.Get()
+		defer s.pool.Put(scr)
+		out := scr.AcquireSchedule()
+		defer scr.ReleaseSchedule(out)
+		if err := sched.ScheduleScratch(entry.inst, scr, out); err != nil {
+			http.Error(w, fmt.Sprintf("schedule: %v", err), http.StatusBadRequest)
+			return
+		}
+		t3 = time.Now()
+		if ws.out, err = appendScheduleResponse(ws.out[:0], sched.Name(), out); err != nil {
+			http.Error(w, fmt.Sprintf("encode schedule: %v", err), http.StatusInternalServerError)
+			return
+		}
+		// An instance's first sighting stores nothing, so traffic that
+		// never repeats an instance pays for no copy and no hash.
+		if hit {
+			if !hashed {
+				raw = sha256.Sum256(body)
+			}
+			s.cache.store(entry, env.Scheduler, raw, ws.out)
+		}
+		answer = ws.out
 	}
-	writeScheduleResponse(w, ws.out)
-	t4 := time.Now()
-	s.metrics.recordPhases(t1.Sub(t0), t2.Sub(t1), decode, t3.Sub(t2)-decode, t4.Sub(t3))
+	writeScheduleResponse(w, answer)
+	s.metrics.recordPhases(t1.Sub(t0), t2.Sub(t1), decode, t3.Sub(t2)-decode, time.Since(t3))
 }
 
 // writeScheduleResponse writes a stored or freshly encoded schedule
@@ -488,11 +450,16 @@ func Portfolio(req PortfolioRequest, ro runner.Options) (*PortfolioResponse, err
 }
 
 func (s *Server) handleRobustness(w http.ResponseWriter, r *http.Request) {
+	// The body is not read into ws.in: the sweep's InstanceRaw aliases
+	// it, and the hub keeps a sweep's params, serving them to workers,
+	// while any request holds the sweep.
 	body, ok := httpx.ReadBody(w, r)
 	if !ok {
 		return
 	}
-	req, ok := readEnvelope(w, body, true, nil)
+	ws := wirePool.Get().(*wireState)
+	defer putWire(ws)
+	req, ok := readEnvelope(w, body, robustnessEnvelope, ws)
 	if !ok {
 		return
 	}
@@ -506,7 +473,7 @@ func (s *Server) handleRobustness(w http.ResponseWriter, r *http.Request) {
 	// is bit-equal to the import).
 	raw := []byte(req.Instance)
 	if len(raw) == 0 {
-		inst, err := datasets.InstanceFromWfC(req.WfC, req.Link, req.CCR, req.Nodes)
+		inst, err := ws.instance(&req)
 		if err == nil {
 			raw, err = serialize.MarshalInstance(inst)
 		}

@@ -117,7 +117,7 @@ var aliasProbe = []byte(`{"scheduler":"HEFT","instance":{"tasks":[{"name":"zzzzz
 func checkAgainstTwoPass(t *testing.T, body []byte) {
 	t.Helper()
 	ws := &wireState{h: sha256.New()}
-	got, err := scanEnvelope(body, false, ws)
+	got, err := scanEnvelope(body, scheduleEnvelope, ws)
 	if err == nil {
 		err = got.finish(ws)
 	}
@@ -146,7 +146,7 @@ func checkAgainstTwoPass(t *testing.T, body []byte) {
 	if !reflect.DeepEqual(inst, wantInst) {
 		t.Fatalf("%.200q:\none pass built %+v / %+v\ntwo pass built %+v / %+v", body, inst.Graph, inst.Net, wantInst.Graph, wantInst.Net)
 	}
-	if _, err := scanEnvelope(aliasProbe, false, ws); err != nil {
+	if _, err := scanEnvelope(aliasProbe, scheduleEnvelope, ws); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(inst, wantInst) {
@@ -176,7 +176,7 @@ func TestOnePassMatchesTwoPass(t *testing.T) {
 	// carry one request into the next.
 	ws := &wireState{h: sha256.New()}
 	for i, body := range bodies {
-		env, err := scanEnvelope(body, false, ws)
+		env, err := scanEnvelope(body, scheduleEnvelope, ws)
 		if err == nil {
 			err = env.finish(ws)
 		}
@@ -197,7 +197,7 @@ func TestOnePassMatchesTwoPass(t *testing.T) {
 func TestPutWireDropsOversizedState(t *testing.T) {
 	ws := &wireState{h: sha256.New()}
 	for _, body := range append(missBodies(t, 2, false), missBodies(t, 2, true)...) {
-		if _, err := scanEnvelope(body, false, ws); err != nil {
+		if _, err := scanEnvelope(body, scheduleEnvelope, ws); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -223,7 +223,7 @@ func TestPutWireDropsOversizedState(t *testing.T) {
 	}
 	doc.WriteString(`]}}`)
 	wide := &wireState{h: sha256.New()}
-	if _, err := scanEnvelope(doc.Bytes(), false, wide); err != nil {
+	if _, err := scanEnvelope(doc.Bytes(), scheduleEnvelope, wide); err != nil {
 		t.Fatal(err)
 	}
 	if n := wide.footprint(); n < tasks*16 {

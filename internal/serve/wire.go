@@ -16,24 +16,11 @@ import (
 	"saga/internal/wfc"
 )
 
-// The wire path of /v1/schedule and /v1/robustness: the request body is
-// scanned at most once (scanEnvelope). On that one pass scalar fields
-// are read in place, the instance or wfformat payload comes back as a
-// sub-slice of the body, and for /v1/schedule the payload is also
-// decoded into storage the pooled wireState reuses while its bytes
-// stream into the SHA-256 behind the cache key. A hit therefore parses
-// its payload into reused storage and copies nothing; a miss builds the
-// instance it caches from what the scan decoded (wireState.instance),
-// copying out everything the cache keeps. Only /v1/schedule keys and
-// decodes its envelope: a robustness sweep is built from its instance
-// bytes (experiments.NewSweep parses them), so its scan gets no
-// wireState and skips the payload. The /v1/schedule response is
-// appended into a pooled buffer and written once; on a cache hit a copy
-// of it stays with the cache entry, and the next hit for the same
-// scheduler writes that copy instead (cache.go). The copy is also keyed
-// by the SHA-256 of the whole request body that stored it (bodyKey), and
-// while any copy is stored every /v1/schedule body is hashed so first: a
-// byte-identical repeat is answered with no scan at all.
+// The wire path of /v1/schedule and /v1/robustness: one scan of the
+// request envelope that decodes the payload and keys it, the miss's
+// build from what it decoded, and the /v1/schedule response writer.
+// Which storage is reused and what may alias it is ARCHITECTURE
+// invariant 8.
 
 // cacheKey identifies a submitted instance: the SHA-256 of its payload
 // with the whitespace between tokens stripped (so it survives
@@ -45,7 +32,7 @@ type cacheKey [sha256.Size]byte
 // body bytes; equal keys are the same envelope, spelling included.
 type bodyKey [sha256.Size]byte
 
-// wireState is what one /v1/schedule request needs: the buffer its body
+// wireState is what one request needs: the buffer a /v1/schedule body
 // is read into, the hasher the envelope scan feeds, the key it closes
 // into, the decoders the payload is read into, and the buffer the
 // response is appended to. All of it is reused by the next request, so
@@ -97,30 +84,36 @@ var envelopeFields = []string{"scheduler", "instance", "wfc", "link", "ccr", "no
 
 const scheduleFields = 6
 
+// envelope is what one endpoint's scan is given: the keys the endpoint
+// knows, and the request a key the body leaves out (or sends as null)
+// leaves as it is.
+type envelope struct {
+	fields   []string
+	defaults RobustnessRequest
+}
+
+var (
+	scheduleEnvelope   = &envelope{fields: envelopeFields[:scheduleFields]}
+	robustnessEnvelope = &envelope{fields: envelopeFields, defaults: robustnessDefaults}
+)
+
 // scanEnvelope decodes a request body with the field semantics of
-// encoding/json over ScheduleRequest or, when robustness is set, over
-// robustnessDefaults — except that a repeated key is refused. A schedule
-// request's envelope is a RobustnessRequest whose sweep keys stay zero.
-// Instance and WfC alias the body. Unless ws is nil, the payload is
-// also decoded into ws's decoder for its kind, and its bytes,
-// whitespace stripped, stream into ws.h on the same pass; a payload
-// that is valid JSON but not a document of its kind is no error of the
-// envelope, and its decoder keeps the refusal for the miss to report.
-func scanEnvelope(body []byte, robustness bool, ws *wireState) (env RobustnessRequest, err error) {
-	fields := envelopeFields
-	if robustness {
-		env = robustnessDefaults
-	} else {
-		fields = fields[:scheduleFields]
-	}
-	if ws != nil {
-		ws.h.Reset()
-	}
+// encoding/json over e.defaults, knowing only e.fields — except that a
+// repeated key is refused. A schedule request's envelope is a
+// RobustnessRequest whose sweep keys stay zero. Instance and WfC alias
+// the body. The payload is also decoded into ws's decoder for its kind,
+// and its bytes, whitespace stripped, stream into ws.h on the same pass;
+// a payload that is valid JSON but not a document of its kind is no
+// error of the envelope, and its decoder keeps the refusal for the
+// build to report.
+func scanEnvelope(body []byte, e *envelope, ws *wireState) (env RobustnessRequest, err error) {
+	env = e.defaults
+	ws.h.Reset()
 	s := jsonscan.New(body)
 	if s.Object() {
 		var seen uint32
 		for {
-			field, ok := s.Field(fields, &seen)
+			field, ok := s.Field(e.fields, &seen)
 			if !ok {
 				break
 			}
@@ -152,18 +145,14 @@ func scanEnvelope(body []byte, robustness bool, ws *wireState) (env RobustnessRe
 	return env, s.End()
 }
 
-// payload reads the payload at s's offset and returns its bytes. With
-// a nil ws it only skips it. Otherwise it decodes it into the decoder of
-// its kind, teeing its compacted bytes into ws.h; when the decoder
-// refuses it, the scanner rewinds to the payload's start and skips it
-// instead, so that only a fault of the JSON itself is an error of the
-// envelope, and the decoder keeps its refusal. The rewind restarts ws.h:
-// whatever else it held is another payload, and a request with two is
-// refused anyway.
+// payload reads the payload at s's offset into the decoder of its
+// kind, teeing its compacted bytes into ws.h, and returns its bytes.
+// When the decoder refuses it, the scanner rewinds to the payload's
+// start and skips it instead, so that only a fault of the JSON itself
+// is an error of the envelope, and the decoder keeps its refusal. The
+// rewind restarts ws.h: whatever else it held is another payload, and a
+// request with two is refused anyway.
 func (ws *wireState) payload(s *jsonscan.Scanner, wfformat bool) []byte {
-	if ws == nil {
-		return s.Skip()
-	}
 	start := *s
 	s.Tee(ws.h)
 	// Called directly, not through a func value, so that s stays on its
@@ -185,9 +174,9 @@ func (ws *wireState) payload(s *jsonscan.Scanner, wfformat bool) []byte {
 // finish completes what scanEnvelope began: it refuses an envelope
 // without exactly one payload, replaces the import knobs of a wfformat
 // payload by what datasets.InstanceFromWfC will use — link ≤ 0 means 1,
-// nodes ≤ 0 means 4, ccr ≤ 0 means no override — and only then, unless
-// ws is nil, closes the cache key in ws.h over them into ws.key, so that
-// two spellings of one import share one cache entry.
+// nodes ≤ 0 means 4, ccr ≤ 0 means no override — and only then closes
+// the cache key in ws.h over them into ws.key, so that two spellings of
+// one import share one cache entry.
 func (env *RobustnessRequest) finish(ws *wireState) error {
 	switch {
 	case len(env.Instance) > 0 && len(env.WfC) > 0:
@@ -205,9 +194,6 @@ func (env *RobustnessRequest) finish(ws *wireState) error {
 			env.CCR = 0
 		}
 	}
-	if ws == nil {
-		return nil
-	}
 	if len(env.WfC) > 0 {
 		// A NUL cannot occur in the payload, so it parts payload from
 		// knobs and a wfformat key from every instance key.
@@ -221,8 +207,9 @@ func (env *RobustnessRequest) finish(ws *wireState) error {
 	return nil
 }
 
-// instance builds the instance of a miss from the payload the envelope
-// scan decoded into ws: the decoder's refusal if it kept one, else a
+// instance builds the instance of a /v1/schedule miss or a wfformat
+// /v1/robustness request from the payload the envelope scan decoded
+// into ws: the decoder's refusal if it kept one, else a
 // validated instance that shares no memory with ws. env is the finished
 // envelope, so a wfformat import's knobs carry their defaults.
 func (ws *wireState) instance(env *RobustnessRequest) (*graph.Instance, error) {

@@ -34,22 +34,19 @@ import (
 // into the request struct gives: the same verdict, the same scalars, the
 // same raw payload bytes — and a key that a re-indented copy of the body
 // reproduces. A repeated key, which the stdlib merges and the scanner
-// refuses, is recognised by asking the scanner first. The scan without a
-// wireState, which robustness requests use, must decode and refuse
-// exactly what the keyed and decoding scan does. A schedule body is also
-// held to the two-pass path the one pass replaced (checkAgainstTwoPass).
+// refuses, is recognised by asking the scanner first. A schedule body is
+// also held to the two-pass path the one pass replaced
+// (checkAgainstTwoPass).
 func checkEnvelopeAgainstOracle(t *testing.T, body []byte, robustness bool) {
 	t.Helper()
-	if !robustness {
+	e := scheduleEnvelope
+	if robustness {
+		e = robustnessEnvelope
+	} else {
 		checkAgainstTwoPass(t, body)
 	}
 	ws := &wireState{h: sha256.New()}
-	got, err := scanEnvelope(body, robustness, ws)
-	bare, bareErr := scanEnvelope(body, robustness, nil)
-	if fmt.Sprint(err) != fmt.Sprint(bareErr) || !reflect.DeepEqual(got, bare) {
-		t.Fatalf("%.200q (robustness %v): without a hasher the scan gave %+v (%v), with one %+v (%v)",
-			body, robustness, bare, bareErr, got, err)
-	}
+	got, err := scanEnvelope(body, e, ws)
 	if errors.Is(err, jsonscan.ErrDuplicateKey) {
 		return
 	}
@@ -76,17 +73,13 @@ func checkEnvelopeAgainstOracle(t *testing.T, body []byte, robustness bool) {
 	}
 	keyErr := got.finish(ws)
 	key := ws.key
-	if bareErr := bare.finish(nil); fmt.Sprint(bareErr) != fmt.Sprint(keyErr) || !reflect.DeepEqual(got, bare) {
-		t.Fatalf("%.200q (robustness %v): finish without a key gave %+v (%v), with one %+v (%v)",
-			body, robustness, bare, bareErr, got, keyErr)
-	}
 	var indented bytes.Buffer
 	// No indent string: a newline per token and a space after each colon,
 	// without the quadratic output deep nesting would otherwise cost.
 	if err := json.Indent(&indented, body, "", ""); err != nil {
 		t.Fatal(err)
 	}
-	again, err := scanEnvelope(indented.Bytes(), robustness, ws)
+	again, err := scanEnvelope(indented.Bytes(), e, ws)
 	if err != nil {
 		t.Fatalf("%.200q: re-indented copy refused: %v", body, err)
 	}
@@ -251,24 +244,26 @@ func TestOverflowingInstanceIs400(t *testing.T) {
 // for it. A miss measured 253 allocations with an instance body and 625
 // with a wfformat body while each validated its graph twice and grew a
 // fresh scratch, then 61–62 and 62 while it decoded its payload on a
-// second pass into fresh storage, and 48 with a wfformat body while the
-// key's import knobs were a local array that escaped to the heap.
+// second pass into fresh storage, 48 with a wfformat body while the
+// key's import knobs were a local array that escaped to the heap, and 39
+// and 47 while every miss parked its scratch with its cache entry; it
+// now reads 38 (39 in about half the runs) and 46.
 const (
 	schedulingHitAllocBudget = 27 + 2
 	scannedHitAllocBudget    = 25 + 2
 	indexedHitAllocBudget    = 24 + 2
 
-	scheduleMissInstanceAllocBudget = 39 + 2
-	scheduleMissWfCAllocBudget      = 47 + 2
+	scheduleMissInstanceAllocBudget = 38 + 2
+	scheduleMissWfCAllocBudget      = 46 + 2
 )
 
 // TestScheduleHitAllocs is the allocation gate of the wire path (`make
 // bench-serve`): a cache hit that schedules reads the body, scans and
-// keys it, leases the parked scratch, schedules, appends the response
-// and stores a copy of it; a hit answered with that stored copy through
-// the scan only reads, scans, keys and writes; and a repeat of the
-// storing body only reads, hashes and writes. None may start allocating
-// per request again.
+// keys it, leases a pooled scratch and builds its tables, schedules,
+// appends the response and stores a copy of it; a hit answered with
+// that stored copy through the scan only reads, scans, keys and writes;
+// and a repeat of the storing body only reads, hashes and writes. None
+// may start allocating per request again.
 func TestScheduleHitAllocs(t *testing.T) {
 	if os.Getenv("SERVE_BENCH_GATE") != "1" {
 		t.Skip("set SERVE_BENCH_GATE=1 to run the cache-hit allocation gate")
@@ -308,7 +303,7 @@ func TestScheduleHitAllocs(t *testing.T) {
 		t.Fatalf("cache-hit POST /v1/schedule allocates %.0f times scheduling (budget %d), %.0f answered through the scan (budget %d) and %.0f by the body's hash (budget %d)",
 			scheduling, schedulingHitAllocBudget, scanned, scannedHitAllocBudget, indexed, indexedHitAllocBudget)
 	}
-	if st := s.cache.stats(); st.Misses != runs+1 || st.TableReuses != runs+1 || st.ResponseHits != 402 || st.BodyHits != 201 {
+	if st := s.cache.stats(); st.Misses != runs+1 || st.ResponseHits != 402 || st.BodyHits != 201 {
 		t.Fatalf("the measured requests were not the hits they should be: %+v", st)
 	}
 }
