@@ -113,16 +113,11 @@ func BenchmarkFig3NetworkModification(b *testing.B) {
 // 4-scheduler subset at reduced annealing scale per iteration. The full
 // 15x15 paper grid is cmd/figures fig4.
 func BenchmarkFig4PISAPairwise(b *testing.B) {
-	scheds := []scheduler.Scheduler{
-		mustSched(b, "HEFT"), mustSched(b, "CPoP"),
-		mustSched(b, "MinMin"), mustSched(b, "FastestNode"),
-	}
 	for i := 0; i < b.N; i++ {
-		opts := experiments.PairwiseOptions{Anneal: smallAnneal(50, 1)}
-		opts.Anneal.Seed = uint64(i + 1)
-		if _, err := experiments.PairwisePISARun(scheds, opts, runner.Options{}); err != nil {
-			b.Fatal(err)
-		}
+		runSweep(b, "pairwise", experiments.SweepParams{
+			Schedulers: []string{"HEFT", "CPoP", "MinMin", "FastestNode"},
+			Iters:      50, Restarts: 1, Seed: uint64(i + 1),
+		}, runner.Options{})
 	}
 }
 
@@ -167,20 +162,17 @@ func benchCaseStudy(b *testing.B, inst *graph.Instance) {
 // instances per iteration, vs the paper's 1000) and schedules both
 // algorithms.
 func BenchmarkFig7ForkJoinFamily(b *testing.B) {
-	benchFamily(b, datasets.Fig7Instance)
+	benchFamily(b, "fig7")
 }
 
 // BenchmarkFig8WideForkFamily samples the CPoP-loses family.
 func BenchmarkFig8WideForkFamily(b *testing.B) {
-	benchFamily(b, datasets.Fig8Instance)
+	benchFamily(b, "fig8")
 }
 
-func benchFamily(b *testing.B, gen func(*rng.RNG) *graph.Instance) {
-	scheds := []scheduler.Scheduler{mustSched(b, "CPoP"), mustSched(b, "HEFT")}
+func benchFamily(b *testing.B, sweep string) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.FamilyRun(gen, scheds, 100, uint64(i+1), runner.Options{}); err != nil {
-			b.Fatal(err)
-		}
+		runSweep(b, sweep, experiments.SweepParams{N: 100, Seed: uint64(i + 1)}, runner.Options{})
 	}
 }
 
@@ -198,22 +190,16 @@ func BenchmarkFig9WorkflowStructures(b *testing.B) {
 }
 
 // BenchmarkFig10AppSpecificPISA runs one application-specific block
-// (srasearch at CCR 0.2, the paper's Fig 10 top-left) with a reduced
-// scheduler pair set and annealing scale.
+// (srasearch at CCR 0.2, the paper's Fig 10 top-left) at reduced
+// annealing scale: the whole benchmarking phase, then the block's first
+// two PISA cells.
 func BenchmarkFig10AppSpecificPISA(b *testing.B) {
-	scheds := []scheduler.Scheduler{mustSched(b, "HEFT"), mustSched(b, "CPoP")}
+	firstTwo := func(k int) bool { return k < 2 }
 	for i := 0; i < b.N; i++ {
-		ao := smallAnneal(30, 1)
-		ao.Seed = uint64(i + 1)
-		_, err := experiments.AppSpecificRun(scheds, experiments.AppSpecificOptions{
-			Workflow:           "srasearch",
-			CCR:                0.2,
-			BenchmarkInstances: 2,
-			Anneal:             ao,
-		}, runner.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
+		runSweep(b, "appspecific", experiments.SweepParams{
+			Workflow: "srasearch", CCR: 0.2, N: 2,
+			Iters: 30, Restarts: 1, Seed: uint64(i + 1),
+		}, runner.Options{Include: firstTwo})
 	}
 }
 
@@ -542,11 +528,7 @@ func BenchmarkRunnerScaling(b *testing.B) {
 // BenchmarkPairwiseParallelSpeedup compares sequential and parallel grid
 // computation wall-clock (the b.N loop reports each variant's time).
 func BenchmarkPairwiseParallelSpeedup(b *testing.B) {
-	scheds := []scheduler.Scheduler{
-		mustSched(b, "HEFT"), mustSched(b, "CPoP"),
-		mustSched(b, "MinMin"), mustSched(b, "MaxMin"),
-		mustSched(b, "FastestNode"), mustSched(b, "MCT"),
-	}
+	roster := []string{"HEFT", "CPoP", "MinMin", "MaxMin", "FastestNode", "MCT"}
 	for _, workers := range []int{1, 0} {
 		workers := workers
 		name := "sequential"
@@ -555,11 +537,9 @@ func BenchmarkPairwiseParallelSpeedup(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				opts := experiments.PairwiseOptions{Anneal: smallAnneal(80, 1)}
-				opts.Anneal.Seed = uint64(i + 1)
-				if _, err := experiments.PairwisePISARun(scheds, opts, runner.Options{Workers: workers}); err != nil {
-					b.Fatal(err)
-				}
+				runSweep(b, "pairwise", experiments.SweepParams{
+					Schedulers: roster, Iters: 80, Restarts: 1, Seed: uint64(i + 1),
+				}, runner.Options{Workers: workers})
 			}
 		})
 	}
@@ -618,11 +598,25 @@ func BenchmarkPortfolioSelection(b *testing.B) {
 
 // BenchmarkRobustnessReplay measures the jitter-replay loop.
 func BenchmarkRobustnessReplay(b *testing.B) {
-	inst := datasets.Fig1Instance()
-	heft := mustSched(b, "HEFT")
+	raw, err := serialize.MarshalInstance(datasets.Fig1Instance())
+	if err != nil {
+		b.Fatal(err)
+	}
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RobustnessRun(inst, heft, 0.2, 20, uint64(i+1), runner.Options{}); err != nil {
-			b.Fatal(err)
-		}
+		runSweep(b, "robustness", experiments.SweepParams{
+			Scheduler: "HEFT", InstanceRaw: raw, Sigma: 0.2, N: 20, Seed: uint64(i + 1),
+		}, runner.Options{})
+	}
+}
+
+// runSweep builds the named sweep and runs it under ro.
+func runSweep(b *testing.B, name string, p experiments.SweepParams, ro runner.Options) {
+	b.Helper()
+	sw, err := experiments.NewSweep(name, p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := sw.Run(ro); err != nil {
+		b.Fatal(err)
 	}
 }

@@ -10,7 +10,10 @@
 //
 // Defaults are scaled down to finish in seconds; raise -n, -iters and
 // -restarts to the paper's scale (-n 1000 -iters 1000 -restarts 5) for a
-// full reproduction.
+// full reproduction. Fig 2, Fig 4, Figs 7 and 8 and the
+// application-specific grids are sweeps (experiments.NewSweep): they
+// take -checkpoint and -shard, and `saga worker`, `saga coordinate` and
+// `saga merge` run the same sweeps with -driver.
 package main
 
 import (
@@ -27,7 +30,6 @@ import (
 	"saga/internal/render"
 	"saga/internal/rng"
 	"saga/internal/scheduler"
-	"saga/internal/schedulers"
 )
 
 // figures is one invocation: the sweep and run flags shared with `saga`
@@ -102,6 +104,8 @@ var appendixWorkflows = map[string]string{
 // computations that take neither.
 func (g *figures) figure(cmd string) error {
 	switch cmd {
+	case "fig2":
+		return g.fig2()
 	case "fig4":
 		return g.fig4()
 	case "fig7":
@@ -121,14 +125,12 @@ func (g *figures) figure(cmd string) error {
 	if wf, ok := appendixWorkflows[cmd]; ok {
 		return g.appSpecific(wf)
 	}
-	if err := cli.Refuse(g.fs, "by "+cmd+": only the sweeps fig4, fig7, fig8 and appspecific shard", "shard"); err != nil {
+	if err := cli.Refuse(g.fs, "by "+cmd+": only the sweeps fig2, fig4, fig7, fig8 and appspecific shard", "shard"); err != nil {
 		return err
 	}
 	switch cmd {
 	case "fig1":
 		return g.fig1()
-	case "fig2":
-		return g.fig2()
 	case "fig3":
 		return fig3()
 	case "fig5", "fig6":
@@ -161,8 +163,8 @@ func (g *figures) fig1() error {
 
 func (g *figures) fig2() error {
 	fmt.Println("== Fig 2: makespan ratios of 15 algorithms on 16 datasets ==")
-	res, err := experiments.BenchmarkingRun(datasets.TableII, schedulers.Experimental(), g.N, g.Seed, g.Options("fig2"))
-	if err != nil {
+	res, err := cli.Run[*experiments.BenchmarkResult](g.Flags, "fig2", g.SweepParams)
+	if res == nil {
 		return err
 	}
 	fmt.Print(render.Grid(

@@ -96,8 +96,8 @@ commands:
   simulate   -scheduler <name> -in file.json [-contention]
   benchmark  [-datasets a,b] [-schedulers x,y] [-n N] [-seed N]
   describe   -dataset <name> [-n N] [-seed N]
-  worker     -driver fig4|fig7|fig8|appspecific|robustness -shard I/C -checkpoint file [-n N] [-seed N]
-             [-iters N] [-restarts N] [-workflow w] [-ccr F] [-scheduler s] [-sigma F] [-in file.json]
+  worker     -driver fig2|fig4|fig7|fig8|appspecific|robustness|pairwise -shard I/C -checkpoint file [-n N] [-seed N]
+             [-iters N] [-restarts N] [-workflow w] [-ccr F] [-scheduler s] [-sigma F] [-in file.json] [-schedulers a,b]
              [-workers N] [-chain-workers N] [-progress]
              or: -coordinator http://host:port [-name id] [-workers N] [-persist] [-token T] [-progress]
   coordinate -driver <name> -checkpoint store.ckpt [-addr host:port] [-lease N] [-lease-ttl D]

@@ -9,40 +9,34 @@ import (
 	"fmt"
 	"log"
 
-	"saga/internal/core"
 	"saga/internal/experiments"
 	"saga/internal/render"
 	"saga/internal/runner"
-	"saga/internal/scheduler"
 	"saga/internal/schedulers"
 )
 
 func main() {
-	// Candidates: the six Section VII schedulers.
-	var scheds []scheduler.Scheduler
-	for _, name := range schedulers.AppSpecificNames {
-		s, err := scheduler.New(name)
-		if err != nil {
-			log.Fatal(err)
-		}
-		scheds = append(scheds, s)
-	}
-
-	// Pairwise adversarial grid (parallel across scheduler pairs).
-	opts := core.DefaultOptions()
-	opts.MaxIters = 300
-	opts.Restarts = 2
-	fmt.Println("running pairwise PISA over", len(scheds), "schedulers...")
-	grid, err := experiments.PairwisePISARun(scheds, experiments.PairwiseOptions{Anneal: opts}, runner.Options{})
+	// Candidates: the six Section VII schedulers. The "pairwise" sweep
+	// runs PISA for every ordered pair of them, in parallel across pairs.
+	candidates := schedulers.AppSpecificNames
+	sweep, err := experiments.NewSweep("pairwise", experiments.SweepParams{
+		Schedulers: candidates, Iters: 300, Restarts: 2, Seed: 1,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	fmt.Println("running pairwise PISA over", len(candidates), "schedulers...")
+	res, err := sweep.Result(runner.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	grid := res.(*experiments.PairwiseResult)
 	fmt.Print(render.Grid("worst-case ratio of column scheduler vs row baseline:",
 		grid.Schedulers, grid.Schedulers, grid.Ratios))
 
 	// Portfolios of every size: how much does each extra algorithm buy?
 	fmt.Println("\nportfolio size vs combined worst-case ratio:")
-	for k := 1; k <= len(scheds); k++ {
+	for k := 1; k <= len(candidates); k++ {
 		p, err := experiments.SelectPortfolio(grid.Schedulers, grid.Ratios, k)
 		if err != nil {
 			log.Fatal(err)

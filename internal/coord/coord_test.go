@@ -48,7 +48,7 @@ func testHub(t *testing.T, opts HubOptions) (*Hub, *httptest.Server) {
 // mountURL is where a mounted ledger's lease/heartbeat/complete
 // endpoints live under the hub at root.
 func mountURL(root string, c *Coordinator) string {
-	return root + "/sweeps/" + SweepID(c.info.Fingerprint)
+	return root + "/sweeps/" + sweepID(c.info.Fingerprint)
 }
 
 // mounted is one sweep on a test hub, over one of the two stores.
@@ -157,7 +157,7 @@ func TestSweepEndpointIdentifiesSweep(t *testing.T) {
 	if sw.Fingerprint != info.Fingerprint || sw.Cells != info.Cells || info.Cells != 6 {
 		t.Fatalf("sweep info does not rebuild the coordinator's sweep: %+v", info)
 	}
-	if m.root+info.Path != m.base || info.ID != SweepID(sw.Fingerprint) {
+	if m.root+info.Path != m.base || info.ID != sweepID(sw.Fingerprint) {
 		t.Fatalf("sweep info does not point at the mount %s: %+v", m.base, info)
 	}
 	if info.LeaseTTLMillis <= 0 {

@@ -117,9 +117,9 @@ func (h *Hub) logf(format string, args ...any) {
 	}
 }
 
-// SweepID derives the hub's sweep id from a fingerprint: a short content
+// sweepID derives the hub's sweep id from a fingerprint: a short content
 // hash, so identical requests always land on the same id.
-func SweepID(fingerprint string) string {
+func sweepID(fingerprint string) string {
 	sum := sha256.Sum256([]byte(fingerprint))
 	return fmt.Sprintf("s%x", sum[:8])
 }
@@ -176,7 +176,7 @@ func (h *Hub) Mount(name string, params experiments.SweepParams, store Store) (*
 	if err != nil {
 		return nil, err
 	}
-	id := SweepID(sw.Fingerprint)
+	id := sweepID(sw.Fingerprint)
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if _, ok := h.sweeps[id]; ok {
@@ -199,7 +199,7 @@ func (h *Hub) Acquire(name string, params experiments.SweepParams) (*Coordinator
 	if err != nil {
 		return nil, nil, err
 	}
-	id := SweepID(sw.Fingerprint)
+	id := sweepID(sw.Fingerprint)
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	hs, joined := h.sweeps[id]
@@ -226,7 +226,7 @@ func (h *Hub) Acquire(name string, params experiments.SweepParams) (*Coordinator
 func (h *Hub) Release(c *Coordinator) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	hs, ok := h.sweeps[SweepID(c.info.Fingerprint)]
+	hs, ok := h.sweeps[sweepID(c.info.Fingerprint)]
 	if !ok || hs.mem == nil {
 		return
 	}

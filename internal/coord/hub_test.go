@@ -65,8 +65,8 @@ func TestHubRegisterIsIdempotentByContentHash(t *testing.T) {
 		t.Fatal(err)
 	}
 	info := get[SweepInfo](t, srv.URL, "/sweep")
-	if info.ID != SweepID(c1.info.Fingerprint) || info.Cells != 6 {
-		t.Fatalf("mounted sweep %+v is not under its fingerprint's content hash %q", info, SweepID(c1.info.Fingerprint))
+	if info.ID != sweepID(c1.info.Fingerprint) || info.Cells != 6 {
+		t.Fatalf("mounted sweep %+v is not under its fingerprint's content hash %q", info, sweepID(c1.info.Fingerprint))
 	}
 	// The identical request — a concurrent twin client — joins the same
 	// sweep: one ledger, one store.
@@ -242,7 +242,7 @@ func TestHubRestartSameIDAbsorbsReplayedCompletion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id := SweepID(c1.info.Fingerprint)
+	id := sweepID(c1.info.Fingerprint)
 	if mountURL(srv2.URL, c2) != srv2.URL+"/sweeps/"+id {
 		t.Fatalf("restarted hub minted a different sweep id than %s", id)
 	}

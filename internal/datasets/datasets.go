@@ -29,9 +29,9 @@ const minNetWeight = 0.01
 
 var registry = map[string]func(*rng.RNG) *graph.Instance{}
 
-// Register adds a dataset: gen draws one instance from the source of
+// register adds a dataset: gen draws one instance from the source of
 // randomness it is given. It panics on duplicates.
-func Register(name string, gen func(*rng.RNG) *graph.Instance) {
+func register(name string, gen func(*rng.RNG) *graph.Instance) {
 	if _, dup := registry[name]; dup {
 		panic(fmt.Sprintf("datasets: duplicate registration of %q", name))
 	}

@@ -87,7 +87,7 @@ func TestDatasetPrefixStable(t *testing.T) {
 func TestRandomNetworkShape(t *testing.T) {
 	r := rng.New(5)
 	for i := 0; i < 50; i++ {
-		net := RandomNetwork(r.Split())
+		net := randomNetwork(r.Split())
 		if n := net.NumNodes(); n < 3 || n > 5 {
 			t.Fatalf("network size %d outside [3,5]", n)
 		}
@@ -149,7 +149,7 @@ func TestParallelChainsShape(t *testing.T) {
 
 func TestChameleonNetworkInfiniteLinks(t *testing.T) {
 	r := rng.New(13)
-	net := ChameleonNetwork(r)
+	net := chameleonNetwork(r)
 	for u := 0; u < net.NumNodes(); u++ {
 		for v := 0; v < net.NumNodes(); v++ {
 			if u != v && !math.IsInf(net.Links[u][v], 1) {

@@ -13,7 +13,7 @@ var IoTNames = []string{"etl", "predict", "stats", "train"}
 
 func init() {
 	for _, name := range IoTNames {
-		Register(name, func(r *rng.RNG) *graph.Instance {
+		register(name, func(r *rng.RNG) *graph.Instance {
 			g, err := IoTRecipe(name, r)
 			if err != nil {
 				panic(err)

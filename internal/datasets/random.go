@@ -9,14 +9,14 @@ import (
 )
 
 func init() {
-	Register("in_trees", func(r *rng.RNG) *graph.Instance {
-		return graph.NewInstance(randTree(r, true), RandomNetwork(r))
+	register("in_trees", func(r *rng.RNG) *graph.Instance {
+		return graph.NewInstance(randTree(r, true), randomNetwork(r))
 	})
-	Register("out_trees", func(r *rng.RNG) *graph.Instance {
-		return graph.NewInstance(randTree(r, false), RandomNetwork(r))
+	register("out_trees", func(r *rng.RNG) *graph.Instance {
+		return graph.NewInstance(randTree(r, false), randomNetwork(r))
 	})
-	Register("chains", func(r *rng.RNG) *graph.Instance {
-		return graph.NewInstance(parallelChains(r), RandomNetwork(r))
+	register("chains", func(r *rng.RNG) *graph.Instance {
+		return graph.NewInstance(parallelChains(r), randomNetwork(r))
 	})
 }
 
@@ -24,11 +24,11 @@ func init() {
 // with mean 1, standard deviation 1/3, clipped to [0, 2].
 func gauss2(r *rng.RNG) float64 { return r.ClippedGaussian(1, 1.0/3, 0, 2) }
 
-// RandomNetwork builds the paper's "randomly weighted" network: a
+// randomNetwork builds the paper's "randomly weighted" network: a
 // complete graph with 3-5 nodes whose speeds and link strengths are drawn
 // from the clipped gaussian(1, 1/3, [0, 2]) distribution (floored at
 // minNetWeight — see the package comment). Self-links are infinite.
-func RandomNetwork(r *rng.RNG) *graph.Network {
+func randomNetwork(r *rng.RNG) *graph.Network {
 	n := r.IntBetween(3, 5)
 	net := graph.NewNetwork(n)
 	for v := 0; v < n; v++ {
@@ -93,13 +93,13 @@ func parallelChains(r *rng.RNG) *graph.TaskGraph {
 	return g
 }
 
-// ChameleonNetwork builds the Chameleon-cloud-inspired network used by
+// chameleonNetwork builds the Chameleon-cloud-inspired network used by
 // the scientific-workflow datasets: 4-10 machines whose speeds are drawn
 // from a clipped gaussian fitted in role to the WfCommons trace data
 // (mean 1, sd 1/3, clipped to [0.2, 2]), with *infinite* link strengths —
 // Chameleon uses a shared filesystem, so the paper absorbs communication
 // into computation and treats links as infinitely strong.
-func ChameleonNetwork(r *rng.RNG) *graph.Network {
+func chameleonNetwork(r *rng.RNG) *graph.Network {
 	n := r.IntBetween(4, 10)
 	net := graph.NewNetwork(n)
 	for v := 0; v < n; v++ {

@@ -18,7 +18,7 @@ import (
 // Two structures cover the regime's extremes: layered DAGs (wide, short
 // — heavy ready-set pressure, ~3 dependencies per task) and parallel
 // chains (narrow, deep — 100-task chains stress iterative traversal and
-// insertion). Both pair with ScaleNetwork, a clustered machine model
+// insertion). Both pair with scaleNetwork, a clustered machine model
 // whose link matrix is one shared default strength plus O(|V|) stronger
 // intra-cluster exceptions — the shape the sparse Tables layout stores
 // in O(exceptions) instead of O(nodes²).
@@ -34,13 +34,13 @@ const (
 	scaleClusterSize = 4
 )
 
-// ScaleNetwork builds the scale-tier network: scaleNetNodes machines
+// scaleNetwork builds the scale-tier network: scaleNetNodes machines
 // with clipped-gaussian speeds, every cross-cluster link at a single
 // shared base strength, and intra-cluster links boosted 2-4× above it.
 // The exception count is clusters · C(scaleClusterSize, 2) pairs —
 // linear in the node count — so edge-sparse Tables store the whole link
 // structure in O(|V|) entries.
-func ScaleNetwork(r *rng.RNG) *graph.Network {
+func scaleNetwork(r *rng.RNG) *graph.Network {
 	n := scaleNetNodes
 	base := clampNet(gauss2(r))
 	net := graph.NewNetwork(n)
@@ -57,86 +57,93 @@ func ScaleNetwork(r *rng.RNG) *graph.Network {
 	return net
 }
 
-// newScaleGraph returns an empty task graph with room for n tasks.
-func newScaleGraph(n int) *graph.TaskGraph {
-	return &graph.TaskGraph{
-		Tasks: make([]graph.Task, 0, n),
-		Succ:  make([][]graph.Dep, 0, n),
-		Pred:  make([][]graph.Dep, 0, n),
-	}
-}
-
 // scaleTaskName is the name of the id-th task of a scale graph.
 func scaleTaskName(id int) string { return "t" + strconv.Itoa(id) }
+
+// scaleEdge is one dependency of a scale graph, in draw order.
+type scaleEdge struct {
+	u, v int
+	cost float64
+}
+
+// scaleGraph assembles a scale graph from its tasks and its edges in
+// the order they were drawn. Every edge runs from an earlier task to a
+// later one and none repeats, so each goes in unchecked, into adjacency
+// rows ReserveDeps cuts from one allocation.
+func scaleGraph(tasks []graph.Task, edges []scaleEdge) *graph.TaskGraph {
+	n := len(tasks)
+	g := &graph.TaskGraph{Tasks: tasks}
+	deg := make([]int, 2*n)
+	out, in := deg[:n], deg[n:]
+	for _, e := range edges {
+		out[e.u]++
+		in[e.v]++
+	}
+	g.ReserveDeps(out, in)
+	for _, e := range edges {
+		g.AddDepUnchecked(e.u, e.v, e.cost)
+	}
+	return g
+}
 
 // scaleLayered builds a layered DAG with n tasks: tasks fill layers of
 // 16-64 tasks, and every task past the first layer depends on 2-4
 // distinct tasks of the previous layer, giving |D| ≈ 3|V|.
 func scaleLayered(r *rng.RNG, n int) *graph.TaskGraph {
-	g := newScaleGraph(n)
-	var prev []int
-	id := 0
-	for id < n {
-		width := r.IntBetween(16, 64)
-		if id+width > n {
-			width = n - id
-		}
-		layer := make([]int, width)
-		for i := range layer {
-			t := g.AddTask(scaleTaskName(id), gauss2(r))
-			id++
-			layer[i] = t
-			if len(prev) == 0 {
+	tasks := make([]graph.Task, 0, n)
+	edges := make([]scaleEdge, 0, 3*n)
+	prev, start := 0, 0 // the previous layer is tasks [prev, start)
+	for len(tasks) < n {
+		width := min(r.IntBetween(16, 64), n-len(tasks))
+		for range width {
+			t := len(tasks)
+			tasks = append(tasks, graph.Task{Name: scaleTaskName(t), Cost: gauss2(r)})
+			if start == 0 {
 				continue
 			}
-			k := r.IntBetween(2, 4)
-			if k > len(prev) {
-				k = len(prev)
-			}
+			k := min(r.IntBetween(2, 4), start-prev)
 			// Draw k distinct predecessors; with layers ≥16 wide and k ≤ 4,
 			// rejection terminates almost immediately.
 			var chosen [4]int
 			for m := 0; m < k; {
-				p := prev[r.Intn(len(prev))]
+				p := prev + r.Intn(start-prev)
 				if !slices.Contains(chosen[:m], p) {
 					chosen[m] = p
 					m++
-					g.MustAddDep(p, t, gauss2(r))
+					edges = append(edges, scaleEdge{p, t, gauss2(r)})
 				}
 			}
 		}
-		prev = layer
+		prev, start = start, len(tasks)
 	}
-	return g
+	return scaleGraph(tasks, edges)
 }
 
 // scaleChains builds n/100 independent chains of exactly 100 tasks each
 // — the deep, narrow counterpart to scaleLayered.
 func scaleChains(r *rng.RNG, n int) *graph.TaskGraph {
 	const depth = 100
-	g := newScaleGraph(n)
-	id := 0
-	for c := 0; c < n/depth; c++ {
-		prev := -1
-		for i := 0; i < depth; i++ {
-			t := g.AddTask(scaleTaskName(id), gauss2(r))
-			id++
-			if prev >= 0 {
-				g.MustAddDep(prev, t, gauss2(r))
+	tasks := make([]graph.Task, 0, n)
+	edges := make([]scaleEdge, 0, n)
+	for range n / depth {
+		for i := range depth {
+			t := len(tasks)
+			tasks = append(tasks, graph.Task{Name: scaleTaskName(t), Cost: gauss2(r)})
+			if i > 0 {
+				edges = append(edges, scaleEdge{t - 1, t, gauss2(r)})
 			}
-			prev = t
 		}
 	}
-	return g
+	return scaleGraph(tasks, edges)
 }
 
 func init() {
 	for suffix, n := range ScaleSizes {
-		Register("scale_layered_"+suffix, func(r *rng.RNG) *graph.Instance {
-			return graph.NewInstance(scaleLayered(r, n), ScaleNetwork(r))
+		register("scale_layered_"+suffix, func(r *rng.RNG) *graph.Instance {
+			return graph.NewInstance(scaleLayered(r, n), scaleNetwork(r))
 		})
-		Register("scale_chains_"+suffix, func(r *rng.RNG) *graph.Instance {
-			return graph.NewInstance(scaleChains(r, n), ScaleNetwork(r))
+		register("scale_chains_"+suffix, func(r *rng.RNG) *graph.Instance {
+			return graph.NewInstance(scaleChains(r, n), scaleNetwork(r))
 		})
 	}
 }

@@ -44,7 +44,7 @@ func TestScaleNetworkStaysSparse(t *testing.T) {
 	// C(size, 2)·clusters exception pairs, stored symmetrically.
 	r := rng.New(11)
 	for i := 0; i < 5; i++ {
-		net := ScaleNetwork(r.Split())
+		net := scaleNetwork(r.Split())
 		g := graph.NewTaskGraph()
 		a := g.AddTask("a", 1)
 		b := g.AddTask("b", 1)
@@ -53,7 +53,7 @@ func TestScaleNetworkStaysSparse(t *testing.T) {
 		tb.Build(graph.NewInstance(g, net))
 		pairs := scaleNetNodes / scaleClusterSize * scaleClusterSize * (scaleClusterSize - 1) / 2
 		if got := tb.LinkExceptions(); got > 2*pairs {
-			t.Fatalf("ScaleNetwork stores %d link exceptions, want ≤ %d (2·intra-cluster pairs)", got, 2*pairs)
+			t.Fatalf("scaleNetwork stores %d link exceptions, want ≤ %d (2·intra-cluster pairs)", got, 2*pairs)
 		}
 	}
 }

@@ -91,7 +91,7 @@ func wfcInstance(name string, r *rng.RNG) *graph.Instance {
 
 func init() {
 	for _, name := range WorkflowNames {
-		Register("wfc_"+name, func(r *rng.RNG) *graph.Instance {
+		register("wfc_"+name, func(r *rng.RNG) *graph.Instance {
 			return wfcInstance(name, r)
 		})
 	}

@@ -43,12 +43,12 @@ func WorkflowRecipe(name string, r *rng.RNG) (*graph.TaskGraph, error) {
 
 func init() {
 	for _, name := range WorkflowNames {
-		Register(name, func(r *rng.RNG) *graph.Instance {
+		register(name, func(r *rng.RNG) *graph.Instance {
 			g, err := WorkflowRecipe(name, r)
 			if err != nil {
 				panic(err)
 			}
-			return graph.NewInstance(g, ChameleonNetwork(r))
+			return graph.NewInstance(g, chameleonNetwork(r))
 		})
 	}
 }

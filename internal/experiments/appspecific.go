@@ -7,9 +7,9 @@ import (
 	"saga/internal/rng"
 )
 
-// AppSpecificOptions configures a Section VII experiment for one
+// appSpecificOptions configures a Section VII experiment for one
 // scientific workflow at one CCR.
-type AppSpecificOptions struct {
+type appSpecificOptions struct {
 	// Workflow is one of datasets.WorkflowNames.
 	Workflow string
 	// CCR is the target average communication-to-computation ratio; the
@@ -22,9 +22,9 @@ type AppSpecificOptions struct {
 	Anneal core.Options
 }
 
-// AppSpecificResult mirrors one block of Figs 10-19, as AppSpecificRun
-// computes it: a benchmarking row (max makespan ratio against the best
-// scheduler per instance) and a PISA grid (worst-case ratio of each
+// AppSpecificResult mirrors one block of Figs 10-19, as the appspecific
+// sweep computes it: a benchmarking row (max makespan ratio against the
+// best scheduler per instance) and a PISA grid (worst-case ratio of each
 // column scheduler against each row base scheduler).
 type AppSpecificResult struct {
 	Workflow   string

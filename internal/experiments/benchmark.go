@@ -5,13 +5,14 @@
 // returns plain data plus labels; package render turns them into the
 // text figures.
 //
-// Each driver has one entry point, XRun(…, runner.Options), built on
-// runner.Map (see parallel.go): its results are bit-identical for any
-// worker count, which determinism_test.go proves against sequential
-// oracles kept only in that test file. The checkpointable sweeps are
-// registered as distributed, shardable jobs in NewSweep (see
-// distributed.go) — the shared identity behind `figures -shard`, `saga
-// worker`, and `saga merge`.
+// Every figure's sweep has one way in, NewSweep (distributed.go): the
+// fingerprint, cell count and runnable closures shared by `figures`,
+// `saga worker`, `saga merge`, the coordinator hub and the daemon. The
+// drivers behind it are unexported and built on runner.Map (see
+// parallel.go): their results are bit-identical for any worker count,
+// which determinism_test.go proves against sequential oracles kept only
+// in that test file. BenchmarkingRun stays exported for `saga
+// benchmark`, whose datasets and roster are free-form.
 package experiments
 
 import (
@@ -37,7 +38,8 @@ type BenchmarkCell struct {
 	Max, Mean, P75 float64
 }
 
-// BenchmarkResult is the Fig 2 grid BenchmarkingRun computes.
+// BenchmarkResult is the Fig 2 grid BenchmarkingRun and the fig2 sweep
+// compute.
 type BenchmarkResult struct {
 	Datasets   []string
 	Schedulers []string

@@ -36,7 +36,7 @@ func workerLabel(w int) string {
 // 10 rounds). The determinism rosters below run it so that a driver
 // which swapped in scheduler.New(s.Name()) for the value it was given
 // would disagree with its sequential oracle.
-func configuredWBA() scheduler.Scheduler { return schedulers.NewWBA(7, 3) }
+func configuredWBA() scheduler.Scheduler { return schedulers.WBA{Seed: 7, Rounds: 3, Alpha: 0.5} }
 
 // TestBenchmarkingDeterminism shares each scheduler value across the
 // workers' scratches. FCP and FLB ride along because FLB keeps a
@@ -92,24 +92,24 @@ func TestBenchmarkingDeterminism(t *testing.T) {
 func TestPairwisePISADeterminism(t *testing.T) {
 	grids := []struct {
 		scheds []scheduler.Scheduler
-		opts   PairwiseOptions
+		anneal core.Options
 		seq    *PairwiseResult
 	}{
 		{scheds: []scheduler.Scheduler{mustSched(t, "HEFT"), mustSched(t, "CPoP"), mustSched(t, "MinMin")},
-			opts: PairwiseOptions{Anneal: smallAnneal(60)}},
+			anneal: smallAnneal(60)},
 		{scheds: []scheduler.Scheduler{mustSched(t, "HEFT"), mustSched(t, "FastestNode")},
-			opts: PairwiseOptions{Anneal: smallAnneal(40)}},
+			anneal: smallAnneal(40)},
 	}
 	for g := range grids {
 		var err error
-		if grids[g].seq, err = pairwisePISA(grids[g].scheds, grids[g].opts); err != nil {
+		if grids[g].seq, err = pairwisePISA(grids[g].scheds, grids[g].anneal); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, w := range workerCounts {
 		t.Run("workers="+workerLabel(w), func(t *testing.T) {
 			for _, g := range grids {
-				par, err := PairwisePISARun(g.scheds, g.opts, runner.Options{Workers: w})
+				par, err := pairwisePISARun(g.scheds, g.anneal, runner.Options{Workers: w})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -131,7 +131,7 @@ func TestFamilyDeterminism(t *testing.T) {
 	}
 	for _, w := range workerCounts {
 		t.Run("workers="+workerLabel(w), func(t *testing.T) {
-			par, err := FamilyRun(datasets.Fig8Instance, scheds, 40, 9, runner.Options{Workers: w})
+			par, err := familyRun(datasets.Fig8Instance, scheds, 40, 9, runner.Options{Workers: w})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -149,7 +149,7 @@ func TestRobustnessDeterminism(t *testing.T) {
 	}
 	for _, w := range workerCounts {
 		t.Run("workers="+workerLabel(w), func(t *testing.T) {
-			par, err := RobustnessRun(inst, s, 0.2, 30, 5, runner.Options{Workers: w})
+			par, err := robustnessRun(inst, s, 0.2, 30, 5, runner.Options{Workers: w})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -164,7 +164,7 @@ func TestAppSpecificDeterminism(t *testing.T) {
 	scheds := []scheduler.Scheduler{
 		mustSched(t, "HEFT"), mustSched(t, "CPoP"), mustSched(t, "FastestNode"),
 	}
-	opts := AppSpecificOptions{
+	opts := appSpecificOptions{
 		Workflow:           "blast",
 		CCR:                1.0,
 		BenchmarkInstances: 4,
@@ -177,7 +177,7 @@ func TestAppSpecificDeterminism(t *testing.T) {
 	}
 	for _, w := range workerCounts {
 		t.Run("workers="+workerLabel(w), func(t *testing.T) {
-			par, err := AppSpecificRun(scheds, opts, runner.Options{Workers: w})
+			par, err := appSpecificRun(scheds, opts, runner.Options{Workers: w})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -358,9 +358,9 @@ func benchmarking(datasetNames []string, scheds []scheduler.Scheduler, n int, se
 }
 
 // pairwisePISA is the sequential Fig 4 loop: seeds count up from
-// Anneal.Seed in row-major off-diagonal order, the sequence
+// anneal.Seed in row-major off-diagonal order, the sequence
 // runner.CellSeed reproduces per cell.
-func pairwisePISA(scheds []scheduler.Scheduler, opts PairwiseOptions) (*PairwiseResult, error) {
+func pairwisePISA(scheds []scheduler.Scheduler, anneal core.Options) (*PairwiseResult, error) {
 	n := len(scheds)
 	res := &PairwiseResult{
 		Ratios:    make([][]float64, n),
@@ -378,14 +378,14 @@ func pairwisePISA(scheds []scheduler.Scheduler, opts PairwiseOptions) (*Pairwise
 		}
 	}
 
-	pairSeed := opts.Anneal.Seed
+	pairSeed := anneal.Seed
 	for i, base := range scheds { // row: base scheduler
 		for j, target := range scheds { // column: analyzed scheduler
 			if i == j {
 				continue
 			}
 			pairSeed++
-			ao := opts.Anneal
+			ao := anneal
 			ao.Seed = pairSeed
 			ao.InitialInstance = datasets.InitialPISAInstance
 			ao.Perturb = pairPerturb(target, base)
@@ -442,8 +442,8 @@ func robustness(inst *graph.Instance, s scheduler.Scheduler, sigma float64, n in
 	r := rng.New(seed)
 	var static, adaptive []float64
 	for i := 0; i < n; i++ {
-		j := Jitter(inst, sigma, r.Split())
-		m, err := Replay(j, nominal)
+		j := jitter(inst, sigma, r.Split())
+		m, err := replay(j, nominal)
 		if err != nil {
 			return nil, err
 		}
@@ -461,7 +461,7 @@ func robustness(inst *graph.Instance, s scheduler.Scheduler, sigma float64, n in
 
 // appSpecific is the sequential Section VII block: benchmarking row and
 // observed weight ranges first, then the structure-preserving PISA grid.
-func appSpecific(scheds []scheduler.Scheduler, opts AppSpecificOptions) (*AppSpecificResult, error) {
+func appSpecific(scheds []scheduler.Scheduler, opts appSpecificOptions) (*AppSpecificResult, error) {
 	n := len(scheds)
 	res := &AppSpecificResult{
 		Workflow:  opts.Workflow,

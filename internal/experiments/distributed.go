@@ -77,13 +77,13 @@ func (p SweepParams) Anneal() core.Options {
 // checkpoint cells a complete store holds, the coverage bound for the
 // merge; a cell's store index is its cell index. Result runs the sweep
 // under the given runner options and returns the driver's result
-// (*PairwiseResult for fig4 and pairwise, *FamilyResult for fig7/fig8,
-// *AppSpecificResult, *RobustnessResult), partial under a shard or
-// lease, whose output is the checkpoint store; Run discards it. Both
-// honor ro.Include and ro.OnCellError over those cell indices, which is
-// what lets a static shard and the internal/coord lease protocol
-// restrict a run to their cells and report per-cell failures without
-// any driver cooperation.
+// (*BenchmarkResult for fig2, *PairwiseResult for fig4 and pairwise,
+// *FamilyResult for fig7/fig8, *AppSpecificResult, *RobustnessResult),
+// partial under a shard or lease, whose output is the checkpoint store;
+// Run discards it. Both honor ro.Include and ro.OnCellError over those
+// cell indices, which is what lets a static shard and the internal/coord
+// lease protocol restrict a run to their cells and report per-cell
+// failures without any driver cooperation.
 type Sweep struct {
 	Name        string
 	Fingerprint string
@@ -107,24 +107,6 @@ func freshSchedulers(names []string) ([]scheduler.Scheduler, error) {
 	return out, nil
 }
 
-// checkPerturbations refuses a robustness sweep of fewer than one
-// perturbation.
-func checkPerturbations(n int) error {
-	if n < 1 {
-		return fmt.Errorf("experiments: robustness sweep needs n >= 1 perturbations, got n = %d", n)
-	}
-	return nil
-}
-
-// checkSigma refuses a robustness jitter outside [0, 10], NaN included
-// (a NaN sigma perturbs every cost into NaN).
-func checkSigma(sigma float64) error {
-	if !(sigma >= 0 && sigma <= 10) {
-		return fmt.Errorf("experiments: robustness sweep needs sigma in [0, 10], got sigma = %g", sigma)
-	}
-	return nil
-}
-
 // checkAnneal refuses a PISA sweep of fewer than one annealing
 // iteration or restart per cell, before any cell runs.
 func checkAnneal(iters, restarts int) error {
@@ -135,7 +117,7 @@ func checkAnneal(iters, restarts int) error {
 }
 
 // SweepNames lists the sweeps NewSweep accepts, in CLI help order.
-var SweepNames = []string{"fig4", "fig7", "fig8", "appspecific", "robustness", "pairwise"}
+var SweepNames = []string{"fig2", "fig4", "fig7", "fig8", "appspecific", "robustness", "pairwise"}
 
 // NewSweep resolves a sweep name (a checkpointable cmd/figures driver)
 // and its parameters into the fingerprint, cell count, and runnable
@@ -147,6 +129,18 @@ var SweepNames = []string{"fig4", "fig7", "fig8", "appspecific", "robustness", "
 func NewSweep(name string, p SweepParams) (*Sweep, error) {
 	sw := &Sweep{Name: name}
 	switch name {
+	case "fig2":
+		if p.N < 1 {
+			return nil, fmt.Errorf("experiments: fig2 sweep needs n >= 1 instances per dataset, got n = %d", p.N)
+		}
+		// Cell k is dataset k of Table II, so the fingerprint covers the
+		// dataset order as well as the roster.
+		sw.Fingerprint = fmt.Sprintf("fig2 seed=%d n=%d datasets=%s schedulers=%s",
+			p.Seed, p.N, strings.Join(datasets.TableII, ","), strings.Join(schedulers.ExperimentalNames, ","))
+		sw.Cells = len(datasets.TableII)
+		sw.Result = func(ro runner.Options) (any, error) {
+			return BenchmarkingRun(datasets.TableII, schedulers.Experimental(), p.N, p.Seed, ro)
+		}
 	case "fig4":
 		if err := checkAnneal(p.Iters, p.Restarts); err != nil {
 			return nil, err
@@ -158,7 +152,7 @@ func NewSweep(name string, p SweepParams) (*Sweep, error) {
 			p.Seed, p.Iters, p.Restarts, strings.Join(roster, ","))
 		sw.Cells = len(roster) * (len(roster) - 1)
 		sw.Result = func(ro runner.Options) (any, error) {
-			return PairwisePISARun(schedulers.Experimental(), PairwiseOptions{Anneal: p.Anneal()}, ro)
+			return pairwisePISARun(schedulers.Experimental(), p.Anneal(), ro)
 		}
 	case "fig7", "fig8":
 		if p.N < 1 {
@@ -175,7 +169,7 @@ func NewSweep(name string, p SweepParams) (*Sweep, error) {
 		sw.Fingerprint = fmt.Sprintf("%s seed=%d n=%d schedulers=CPoP,HEFT", name, p.Seed, p.N)
 		sw.Cells = p.N
 		sw.Result = func(ro runner.Options) (any, error) {
-			return FamilyRun(gen, scheds, p.N, p.Seed, ro)
+			return familyRun(gen, scheds, p.N, p.Seed, ro)
 		}
 	case "appspecific":
 		if p.Workflow == "" {
@@ -197,7 +191,7 @@ func NewSweep(name string, p SweepParams) (*Sweep, error) {
 			p.Workflow, p.CCR, p.Seed, p.N, p.Iters, p.Restarts, strings.Join(roster, ","))
 		sw.Cells = nApp * (nApp - 1)
 		sw.Result = func(ro runner.Options) (any, error) {
-			return AppSpecificRun(schedulers.AppSpecific(), AppSpecificOptions{
+			return appSpecificRun(schedulers.AppSpecific(), appSpecificOptions{
 				Workflow:           p.Workflow,
 				CCR:                p.CCR,
 				BenchmarkInstances: p.N,
@@ -211,11 +205,13 @@ func NewSweep(name string, p SweepParams) (*Sweep, error) {
 		if len(p.InstanceRaw) == 0 {
 			return nil, fmt.Errorf("experiments: robustness sweep needs the instance bytes (-in)")
 		}
-		if err := checkPerturbations(p.N); err != nil {
-			return nil, err
+		if p.N < 1 {
+			return nil, fmt.Errorf("experiments: robustness sweep needs n >= 1 perturbations, got n = %d", p.N)
 		}
-		if err := checkSigma(p.Sigma); err != nil {
-			return nil, err
+		// Refused outside [0, 10], NaN included: a NaN sigma perturbs
+		// every cost into NaN.
+		if !(p.Sigma >= 0 && p.Sigma <= 10) {
+			return nil, fmt.Errorf("experiments: robustness sweep needs sigma in [0, 10], got sigma = %g", p.Sigma)
 		}
 		inst, err := serialize.UnmarshalInstance(p.InstanceRaw)
 		if err != nil {
@@ -233,7 +229,7 @@ func NewSweep(name string, p SweepParams) (*Sweep, error) {
 			p.Scheduler, sha256.Sum256(p.InstanceRaw), p.Sigma, p.N, p.Seed)
 		sw.Cells = p.N
 		sw.Result = func(ro runner.Options) (any, error) {
-			return RobustnessRun(inst, s, p.Sigma, p.N, p.Seed, ro)
+			return robustnessRun(inst, s, p.Sigma, p.N, p.Seed, ro)
 		}
 	case "pairwise":
 		// fig4 with a caller-chosen roster: the sweep behind /v1/portfolio
@@ -260,7 +256,7 @@ func NewSweep(name string, p SweepParams) (*Sweep, error) {
 			p.Seed, p.Iters, p.Restarts, strings.Join(p.Schedulers, ","))
 		sw.Cells = len(scheds) * (len(scheds) - 1)
 		sw.Result = func(ro runner.Options) (any, error) {
-			return PairwisePISARun(scheds, PairwiseOptions{Anneal: p.Anneal()}, ro)
+			return pairwisePISARun(scheds, p.Anneal(), ro)
 		}
 	default:
 		return nil, fmt.Errorf("experiments: unknown sweep %q (want one of %s)", name, strings.Join(SweepNames, ", "))

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -82,8 +83,8 @@ func TestShardedPairwiseMergeDeterminism(t *testing.T) {
 	scheds := []scheduler.Scheduler{
 		mustSched(t, "HEFT"), mustSched(t, "CPoP"), mustSched(t, "MinMin"),
 	}
-	opts := PairwiseOptions{Anneal: smallAnneal(60)}
-	seq, err := PairwisePISARun(scheds, opts, runner.Options{Workers: 1})
+	opts := smallAnneal(60)
+	seq, err := pairwisePISARun(scheds, opts, runner.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,11 +95,11 @@ func TestShardedPairwiseMergeDeterminism(t *testing.T) {
 		t.Run(fmt.Sprintf("shards=%d", count), func(t *testing.T) {
 			dir := t.TempDir()
 			paths := shardStores(t, dir, fp, count, func(ro runner.Options) error {
-				_, err := PairwisePISARun(scheds, opts, ro)
+				_, err := pairwisePISARun(scheds, opts, ro)
 				return err
 			})
 			ro, calls := mergedResume(t, dir, fp, totalCells, paths)
-			par, err := PairwisePISARun(scheds, opts, ro)
+			par, err := pairwisePISARun(scheds, opts, ro)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -114,7 +115,7 @@ func TestShardedPairwiseMergeDeterminism(t *testing.T) {
 func TestShardedFamilyMergeDeterminism(t *testing.T) {
 	scheds := []scheduler.Scheduler{mustSched(t, "CPoP"), mustSched(t, "HEFT")}
 	const n, seed = 40, 9
-	seq, err := FamilyRun(datasets.Fig7Instance, scheds, n, seed, runner.Options{Workers: 1})
+	seq, err := familyRun(datasets.Fig7Instance, scheds, n, seed, runner.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,11 +123,11 @@ func TestShardedFamilyMergeDeterminism(t *testing.T) {
 	const fp = "test-family-sharded"
 	dir := t.TempDir()
 	paths := shardStores(t, dir, fp, 4, func(ro runner.Options) error {
-		_, err := FamilyRun(datasets.Fig7Instance, scheds, n, seed, ro)
+		_, err := familyRun(datasets.Fig7Instance, scheds, n, seed, ro)
 		return err
 	})
 	ro, calls := mergedResume(t, dir, fp, n, paths)
-	par, err := FamilyRun(datasets.Fig7Instance, scheds, n, seed, ro)
+	par, err := familyRun(datasets.Fig7Instance, scheds, n, seed, ro)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,6 +140,46 @@ func TestShardedFamilyMergeDeterminism(t *testing.T) {
 	sameFamily(t, "sharded", seq, par)
 }
 
+// TestShardedBenchmarkMergeDeterminism covers the Fig 2 sweep: one cell
+// per dataset, each a map of per-scheduler summaries that round-trips
+// through JSON. Three shards of five datasets merge back to the
+// sequential reference bit for bit, through the registered sweep (the
+// `figures -shard` and `saga worker -driver fig2` path) at a toy n.
+func TestShardedBenchmarkMergeDeterminism(t *testing.T) {
+	p := SweepParams{N: 2, Seed: 5}
+	sw, err := NewSweep("fig2", p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sw.Cells != len(datasets.TableII) {
+		t.Fatalf("fig2 cells %d, want one per Table II dataset (%d)", sw.Cells, len(datasets.TableII))
+	}
+	seq, err := benchmarking(datasets.TableII, schedulers.Experimental(), p.N, p.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	paths := shardStores(t, dir, sw.Fingerprint, 3, sw.Run)
+	ro, calls := mergedResume(t, dir, sw.Fingerprint, sw.Cells, paths)
+	res, err := sw.Result(ro)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertLoadedEverything(t, "fig2", *calls)
+	par := res.(*BenchmarkResult)
+	if !slices.Equal(par.Datasets, seq.Datasets) || !slices.Equal(par.Schedulers, seq.Schedulers) {
+		t.Fatalf("sharded labels %v × %v, want %v × %v", par.Datasets, par.Schedulers, seq.Datasets, seq.Schedulers)
+	}
+	for _, ds := range seq.Datasets {
+		for _, s := range seq.Schedulers {
+			if a, b := seq.Cells[ds][s], par.Cells[ds][s]; a != b {
+				t.Fatalf("%s/%s: sequential %+v, sharded %+v", ds, s, a, b)
+			}
+		}
+	}
+}
+
 // TestShardedAppSpecificMergeDeterminism covers the one driver with an
 // unstored phase: every shard recomputes the benchmarking phase in
 // process, its stores hold only their own PISA cells (no cell is in two
@@ -148,14 +189,14 @@ func TestShardedAppSpecificMergeDeterminism(t *testing.T) {
 	scheds := []scheduler.Scheduler{
 		mustSched(t, "HEFT"), mustSched(t, "CPoP"), mustSched(t, "FastestNode"),
 	}
-	opts := AppSpecificOptions{
+	opts := appSpecificOptions{
 		Workflow:           "blast",
 		CCR:                1.0,
 		BenchmarkInstances: 4,
 		Anneal:             smallAnneal(3),
 	}
 	opts.Anneal.MaxIters = 40
-	seq, err := AppSpecificRun(scheds, opts, runner.Options{Workers: 1})
+	seq, err := appSpecificRun(scheds, opts, runner.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +205,7 @@ func TestShardedAppSpecificMergeDeterminism(t *testing.T) {
 	total := len(scheds) * (len(scheds) - 1)
 	dir := t.TempDir()
 	paths := shardStores(t, dir, fp, 3, func(ro runner.Options) error {
-		_, err := AppSpecificRun(scheds, opts, ro)
+		_, err := appSpecificRun(scheds, opts, ro)
 		return err
 	})
 	stored := 0
@@ -181,7 +222,7 @@ func TestShardedAppSpecificMergeDeterminism(t *testing.T) {
 		t.Fatalf("shard stores hold %d cells in all, want the %d PISA cells once each", stored, total)
 	}
 	ro, calls := mergedResume(t, dir, fp, total, paths)
-	par, err := AppSpecificRun(scheds, opts, ro)
+	par, err := appSpecificRun(scheds, opts, ro)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +269,7 @@ func TestAppSpecificRefusesTwoPhaseStore(t *testing.T) {
 func TestShardedRunReturnsPartialResult(t *testing.T) {
 	scheds := []scheduler.Scheduler{mustSched(t, "HEFT"), mustSched(t, "CPoP")}
 	shard := runner.ShardSpec{Index: 0, Count: 2} // owns cell 0 of the 2 off-diagonal cells
-	res, err := PairwisePISARun(scheds, PairwiseOptions{Anneal: smallAnneal(60)},
+	res, err := pairwisePISARun(scheds, smallAnneal(60),
 		runner.Options{Workers: 1, Include: shard.Owns})
 	if err != nil {
 		t.Fatal(err)
@@ -253,7 +294,7 @@ func TestSweepsRefuseNBelowOne(t *testing.T) {
 	}
 	for _, n := range []int{0, -1} {
 		want := fmt.Sprintf("n = %d", n)
-		for _, name := range []string{"fig7", "fig8", "robustness"} {
+		for _, name := range []string{"fig2", "fig7", "fig8", "robustness"} {
 			p := SweepParams{N: n, Seed: 1, Scheduler: "HEFT", Sigma: 0.2, InstanceRaw: raw}
 			if _, err := NewSweep(name, p); err == nil || !strings.Contains(err.Error(), want) {
 				t.Errorf("NewSweep(%s) with n = %d: %v", name, n, err)
@@ -295,6 +336,25 @@ func TestNewSweepRegistry(t *testing.T) {
 	b, _ := NewSweep("fig4", p2)
 	if a.Fingerprint == b.Fingerprint {
 		t.Fatal("fig4 fingerprint ignores iters")
+	}
+	// Fig 2's cells are Table II's datasets, and its fingerprint pins
+	// n and the seed.
+	f2, err := NewSweep("fig2", p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f2.Cells != len(datasets.TableII) {
+		t.Fatalf("fig2 cells %d, want %d", f2.Cells, len(datasets.TableII))
+	}
+	for _, change := range []func(*SweepParams){
+		func(q *SweepParams) { q.N++ },
+		func(q *SweepParams) { q.Seed++ },
+	} {
+		q := p
+		change(&q)
+		if g, err := NewSweep("fig2", q); err != nil || g.Fingerprint == f2.Fingerprint {
+			t.Fatalf("fig2 fingerprint %q ignores a parameter change (%v)", f2.Fingerprint, err)
+		}
 	}
 	if _, err := NewSweep("fig99", p); err == nil {
 		t.Fatal("unknown sweep accepted")
@@ -347,7 +407,7 @@ func TestNewSweepRegistry(t *testing.T) {
 // TestShardedRobustnessMergeDeterminism is satellite coverage for the
 // robustness sweep joining the distributed protocol: shards run through
 // the Sweep closure (the `saga worker` path), the merged store resumes
-// through the direct RobustnessRun call (the `saga robustness` path),
+// through the direct robustnessRun call (the `saga robustness` path),
 // and the summaries match the sequential reference bit for bit.
 func TestShardedRobustnessMergeDeterminism(t *testing.T) {
 	inst := datasets.Fig1Instance()
@@ -363,7 +423,7 @@ func TestShardedRobustnessMergeDeterminism(t *testing.T) {
 	if sw.Cells != p.N {
 		t.Fatalf("robustness cells %d, want %d", sw.Cells, p.N)
 	}
-	seq, err := RobustnessRun(inst, mustSched(t, "HEFT"), p.Sigma, p.N, p.Seed, runner.Options{Workers: 1})
+	seq, err := robustnessRun(inst, mustSched(t, "HEFT"), p.Sigma, p.N, p.Seed, runner.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +431,7 @@ func TestShardedRobustnessMergeDeterminism(t *testing.T) {
 	dir := t.TempDir()
 	paths := shardStores(t, dir, sw.Fingerprint, 3, sw.Run)
 	ro, calls := mergedResume(t, dir, sw.Fingerprint, sw.Cells, paths)
-	par, err := RobustnessRun(inst, mustSched(t, "HEFT"), p.Sigma, p.N, p.Seed, ro)
+	par, err := robustnessRun(inst, mustSched(t, "HEFT"), p.Sigma, p.N, p.Seed, ro)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,11 +459,11 @@ func TestSweepRunMatchesDriverFingerprint(t *testing.T) {
 	ro, calls := mergedResume(t, dir, sw.Fingerprint, sw.Cells, paths)
 
 	scheds := []scheduler.Scheduler{mustSched(t, "CPoP"), mustSched(t, "HEFT")}
-	seq, err := FamilyRun(datasets.Fig7Instance, scheds, p.N, p.Seed, runner.Options{Workers: 1})
+	seq, err := familyRun(datasets.Fig7Instance, scheds, p.N, p.Seed, runner.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := FamilyRun(datasets.Fig7Instance, scheds, p.N, p.Seed, ro)
+	par, err := familyRun(datasets.Fig7Instance, scheds, p.N, p.Seed, ro)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -168,7 +168,7 @@ func TestBenchmarkingSharedScratchMatchesPerCall(t *testing.T) {
 
 func TestPairwisePISAShape(t *testing.T) {
 	scheds := []scheduler.Scheduler{mustSched(t, "HEFT"), mustSched(t, "CPoP"), mustSched(t, "FastestNode")}
-	res, err := PairwisePISARun(scheds, PairwiseOptions{Anneal: smallAnneal(1)}, runner.Options{})
+	res, err := pairwisePISARun(scheds, smallAnneal(1), runner.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestPairwisePISAShape(t *testing.T) {
 func TestPairwisePISARespectsConstraints(t *testing.T) {
 	// Any pair involving FCP pins both speeds and links.
 	scheds := []scheduler.Scheduler{mustSched(t, "FCP"), mustSched(t, "HEFT")}
-	res, err := PairwisePISARun(scheds, PairwiseOptions{Anneal: smallAnneal(5)}, runner.Options{})
+	res, err := pairwisePISARun(scheds, smallAnneal(5), runner.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestSinglePISADefaults(t *testing.T) {
 
 func TestFamilyFig7Direction(t *testing.T) {
 	scheds := []scheduler.Scheduler{mustSched(t, "CPoP"), mustSched(t, "HEFT")}
-	res, err := FamilyRun(datasets.Fig7Instance, scheds, 200, 1, runner.Options{})
+	res, err := familyRun(datasets.Fig7Instance, scheds, 200, 1, runner.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestFamilyFig7Direction(t *testing.T) {
 
 func TestFamilyFig8Direction(t *testing.T) {
 	scheds := []scheduler.Scheduler{mustSched(t, "CPoP"), mustSched(t, "HEFT")}
-	res, err := FamilyRun(datasets.Fig8Instance, scheds, 200, 1, runner.Options{})
+	res, err := familyRun(datasets.Fig8Instance, scheds, 200, 1, runner.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestFamilyFig8Direction(t *testing.T) {
 
 func TestFamilySummaries(t *testing.T) {
 	scheds := []scheduler.Scheduler{mustSched(t, "HEFT")}
-	res, err := FamilyRun(datasets.Fig7Instance, scheds, 50, 3, runner.Options{})
+	res, err := familyRun(datasets.Fig7Instance, scheds, 50, 3, runner.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +342,7 @@ func TestAppSpecificSmall(t *testing.T) {
 	scheds := []scheduler.Scheduler{mustSched(t, "HEFT"), mustSched(t, "CPoP"), mustSched(t, "FastestNode")}
 	ao := smallAnneal(3)
 	ao.MaxIters = 40
-	res, err := AppSpecificRun(scheds, AppSpecificOptions{
+	res, err := appSpecificRun(scheds, appSpecificOptions{
 		Workflow:           "blast",
 		CCR:                1.0,
 		BenchmarkInstances: 3,
@@ -399,8 +399,8 @@ func TestAppSpecificSmall(t *testing.T) {
 func TestAppSpecificUnknownWorkflow(t *testing.T) {
 	// appInstance panics on bad recipes; the runner reports the panic as
 	// the cell's error.
-	_, err := AppSpecificRun([]scheduler.Scheduler{mustSched(t, "HEFT"), mustSched(t, "CPoP")},
-		AppSpecificOptions{Workflow: "bogus", CCR: 1, BenchmarkInstances: 1, Anneal: smallAnneal(1)}, runner.Options{})
+	_, err := appSpecificRun([]scheduler.Scheduler{mustSched(t, "HEFT"), mustSched(t, "CPoP")},
+		appSpecificOptions{Workflow: "bogus", CCR: 1, BenchmarkInstances: 1, Anneal: smallAnneal(1)}, runner.Options{})
 	if err == nil {
 		t.Fatal("unknown workflow accepted")
 	}

@@ -7,26 +7,18 @@ import (
 	"saga/internal/scheduler"
 )
 
-// PairwiseResult is the Fig 4 heatmap PairwisePISARun computes:
-// Ratios[i][j] is the makespan ratio, on the worst-case instance PISA
-// found, of scheduler j (column, the analyzed scheduler) against
-// scheduler i (row, the base scheduler). The diagonal is -1 (rendered
-// blank). Worst[j] is the maximum of column j over all base schedulers —
-// the paper's extra "Worst" row.
+// PairwiseResult is the Fig 4 heatmap the fig4 and pairwise sweeps
+// compute: Ratios[i][j] is the makespan ratio, on the worst-case
+// instance PISA found, of scheduler j (column, the analyzed scheduler)
+// against scheduler i (row, the base scheduler). The diagonal is -1
+// (rendered blank). Worst[j] is the maximum of column j over all base
+// schedulers — the paper's extra "Worst" row.
 type PairwiseResult struct {
 	Schedulers []string
 	Ratios     [][]float64
 	Worst      []float64
 	// Instances[i][j] is the adversarial instance behind Ratios[i][j].
 	Instances [][]*graph.Instance
-}
-
-// PairwiseOptions configures the Fig 4 experiment.
-type PairwiseOptions struct {
-	// Anneal carries the annealing parameters (restarts, iterations,
-	// cooling, seed). Its InitialInstance and Perturb fields are managed
-	// per pair by the driver and may be left zero.
-	Anneal core.Options
 }
 
 // pairPerturb builds the Section VI perturbation configuration for a

@@ -16,7 +16,7 @@ import (
 )
 
 // Every experiment driver in this package is a grid or sampling loop of
-// independent cells with one entry point, XRun(runner.Options), built on
+// independent cells, one xRun(…, runner.Options) per sweep, built on
 // runner.Map: seeds derive from cell position (runner.CellSeed or
 // pre-split rng sub-streams), and results land by cell index. Every
 // worker runs the scheduler values the caller passed: a scheduler is a
@@ -31,14 +31,14 @@ import (
 // each driver at 1, 4 and GOMAXPROCS workers against a sequential
 // oracle that lives only in that test file.
 //
-// The Run variants also accept runner.Options.Include, splitting a
+// The drivers also accept runner.Options.Include, splitting a
 // sweep across processes (a static shard) or leases (internal/coord): a
 // restricted run computes only its own cells (the rest of the returned
 // result stays zero-valued/absent) and persists them to its checkpoint
 // store; serialize.MergeCheckpoints combines the shard stores into one
 // an unrestricted run resumes to the full, bit-identical result
 // (distributed_test.go proves it). Every sweep's store index is its cell
-// index. AppSpecificRun's cells are its PISA grid; its benchmarking phase
+// index. appSpecificRun's cells are its PISA grid; its benchmarking phase
 // runs in process, unstored, on every run, shard and lease, because the
 // observed weight ranges it produces shape every PISA cell's
 // perturbation space.
@@ -95,8 +95,8 @@ func BenchmarkingRun(datasetNames []string, scheds []scheduler.Scheduler, n int,
 }
 
 // pisaGrid runs PISA for every ordered off-diagonal pair of the
-// schedulers under ro — the sweep behind PairwisePISARun and
-// AppSpecificRun. Cell k is the pair runner.OffDiagonal(k)
+// schedulers under ro — the sweep behind pairwisePISARun and
+// appSpecificRun. Cell k is the pair runner.OffDiagonal(k)
 // = (i, j): scheduler j is the target, scheduler i the base, and the
 // annealer starts from initial with perturb(target, base) and the seed
 // runner.CellSeed(anneal.Seed, k). The returned grids are indexed
@@ -161,7 +161,7 @@ func pisaGrid(scheds []scheduler.Scheduler, anneal core.Options, initial func(*r
 	return ratios, instances, nil
 }
 
-// PairwisePISARun reproduces Fig 4 under ro: for every ordered pair
+// pairwisePISARun reproduces Fig 4 under ro: for every ordered pair
 // (target A, base B) of schedulers, run PISA to find an instance
 // maximizing M_A/M_B (pisaGrid). Per Section VI, each run restarts from
 // random chain instances, and the perturbation space is restricted to
@@ -169,14 +169,15 @@ func pisaGrid(scheds []scheduler.Scheduler, anneal core.Options, initial func(*r
 // designed for homogeneous node speeds (or links), those weights are
 // pinned to 1. Because each cell of the full 15×15 grid is an expensive
 // annealing run, ro also carries progress callbacks and a checkpoint
-// store for resumable sweeps (pass serialize.NewCheckpoint).
-func PairwisePISARun(scheds []scheduler.Scheduler, opts PairwiseOptions, ro runner.Options) (*PairwiseResult, error) {
+// store for resumable sweeps (pass serialize.NewCheckpoint). The driver
+// sets anneal.InitialInstance and anneal.Perturb per pair.
+func pairwisePISARun(scheds []scheduler.Scheduler, anneal core.Options, ro runner.Options) (*PairwiseResult, error) {
 	res := &PairwiseResult{Worst: make([]float64, len(scheds))}
 	for _, s := range scheds {
 		res.Schedulers = append(res.Schedulers, s.Name())
 	}
 	var err error
-	res.Ratios, res.Instances, err = pisaGrid(scheds, opts.Anneal, datasets.InitialPISAInstance, pairPerturb, ro)
+	res.Ratios, res.Instances, err = pisaGrid(scheds, anneal, datasets.InitialPISAInstance, pairPerturb, ro)
 	if err != nil {
 		return nil, err
 	}
@@ -192,14 +193,14 @@ func PairwisePISARun(scheds []scheduler.Scheduler, opts PairwiseOptions, ro runn
 	return res, nil
 }
 
-// FamilyRun reproduces the Section VI-B family studies (Figs 7 and 8)
+// familyRun reproduces the Section VI-B family studies (Figs 7 and 8)
 // under ro: sample n instances from the generator and record each
 // scheduler's makespan on every instance, one cell per sampled instance.
 // Every worker runs the given scheduler values, configuration included.
 // ro also carries progress callbacks and a checkpoint store for
 // resumable sampling sweeps (each cell's per-scheduler makespan vector
 // round-trips through JSON).
-func FamilyRun(gen func(*rng.RNG) *graph.Instance, scheds []scheduler.Scheduler, n int, seed uint64, ro runner.Options) (*FamilyResult, error) {
+func familyRun(gen func(*rng.RNG) *graph.Instance, scheds []scheduler.Scheduler, n int, seed uint64, ro runner.Options) (*FamilyResult, error) {
 	res := &FamilyResult{
 		Makespans: map[string][]float64{},
 		Summaries: map[string]stats.Summary{},
@@ -245,14 +246,14 @@ type robustCell struct {
 	Adaptive float64 `json:"adaptive"`
 }
 
-// RobustnessRun samples n jittered variants of the instance under ro and
+// robustnessRun samples n jittered variants of the instance under ro and
 // reports how the scheduler's committed schedule degrades (Static)
 // versus full re-planning (Adaptive), one cell per jitter sample. The
 // nominal plan and every re-plan run the same scheduler value s,
 // configuration included. ro also carries progress callbacks and a
 // checkpoint store for resumable jitter sweeps (each cell is a (static,
 // adaptive) makespan pair).
-func RobustnessRun(inst *graph.Instance, s scheduler.Scheduler, sigma float64, n int, seed uint64, ro runner.Options) (*RobustnessResult, error) {
+func robustnessRun(inst *graph.Instance, s scheduler.Scheduler, sigma float64, n int, seed uint64, ro runner.Options) (*RobustnessResult, error) {
 	nominal, err := scheduler.Schedule(s, inst)
 	if err != nil {
 		return nil, err
@@ -261,8 +262,8 @@ func RobustnessRun(inst *graph.Instance, s scheduler.Scheduler, sigma float64, n
 	subs := splitStreams(seed, n)
 	cells, err := runner.MapState(n, ro, scheduler.NewScratch,
 		func(k int, scr *scheduler.Scratch) (robustCell, error) {
-			j := Jitter(inst, sigma, subs[k])
-			m, err := Replay(j, nominal)
+			j := jitter(inst, sigma, subs[k])
+			m, err := replay(j, nominal)
 			if err != nil {
 				return robustCell{}, err
 			}
@@ -311,7 +312,7 @@ type appBenchCell struct {
 	SpeedLo, SpeedHi             float64
 }
 
-// AppSpecificRun reproduces one Section VII block under ro: benchmark
+// appSpecificRun reproduces one Section VII block under ro: benchmark
 // the schedulers on BenchmarkInstances in-family instances, then run the
 // structure-preserving PISA variant for every scheduler pair (pisaGrid).
 // The perturbation space scales weights to the ranges observed in the
@@ -326,7 +327,7 @@ type appBenchCell struct {
 // lease recomputes in full under ro's Workers and Context: it is never
 // stored, restricted or degraded, because each PISA cell needs every
 // range sample, and a missing one would silently reshape them all.
-func AppSpecificRun(scheds []scheduler.Scheduler, opts AppSpecificOptions, ro runner.Options) (*AppSpecificResult, error) {
+func appSpecificRun(scheds []scheduler.Scheduler, opts appSpecificOptions, ro runner.Options) (*AppSpecificResult, error) {
 	n := len(scheds)
 	res := &AppSpecificResult{
 		Workflow:  opts.Workflow,

@@ -21,7 +21,7 @@ func TestPairwisePISAParallelRace(t *testing.T) {
 		mustSched(t, "HEFT"), mustSched(t, "CPoP"),
 		mustSched(t, "MaxMin"), mustSched(t, "OLB"),
 	}
-	res, err := PairwisePISARun(scheds, PairwiseOptions{Anneal: smallAnneal(25)}, runner.Options{Workers: 8})
+	res, err := pairwisePISARun(scheds, smallAnneal(25), runner.Options{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

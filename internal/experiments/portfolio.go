@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"saga/internal/scheduler"
 )
 
 // PortfolioResult is the outcome of the Section VII portfolio-selection
@@ -20,29 +22,20 @@ type PortfolioResult struct {
 	WorstRatio float64
 }
 
-// maxPortfolioSubsets bounds the exhaustive enumeration SelectPortfolio
-// performs: C(n, k) candidate subsets, each scored over n rows. The
-// paper's C(15, 3) = 455 is far below it; C(32, 16) = 601 080 390 would
-// pin a core for minutes.
-const maxPortfolioSubsets = 1 << 20
-
 // CheckPortfolioSize reports whether a size-k portfolio over n
-// schedulers is selectable: k in [1, n] and at most maxPortfolioSubsets
-// candidate subsets. SelectPortfolio enforces it, and serve.Portfolio
+// schedulers is selectable: k in [1, n], and n at most the number of
+// registered schedulers, since a roster that names more repeats one. So
+// SelectPortfolio enumerates at most C(r, r/2) subsets for r registered
+// schedulers, C(21, 10) = 352 716 today, and the largest valid roster
+// reaches that bound. SelectPortfolio enforces it, and serve.Portfolio
 // and the /v1/portfolio handler, which run a PISA sweep before
 // selecting, check it first so an unselectable request costs no cell.
 func CheckPortfolioSize(n, k int) error {
 	if k <= 0 || k > n {
 		return fmt.Errorf("experiments: portfolio size %d outside [1, %d]", k, n)
 	}
-	// C(n, i+1) = C(n, i)·(n-i)/(i+1) is exact at every step; stopping
-	// at the bound keeps the product far from overflow.
-	subsets := 1
-	for i := 0; i < min(k, n-k); i++ {
-		subsets = subsets * (n - i) / (i + 1)
-		if subsets > maxPortfolioSubsets {
-			return fmt.Errorf("experiments: choosing %d of %d schedulers enumerates more than %d subsets", k, n, maxPortfolioSubsets)
-		}
+	if r := len(scheduler.Names()); n > r {
+		return fmt.Errorf("experiments: a portfolio over %d schedulers repeats one: %d are registered", n, r)
 	}
 	return nil
 }
@@ -56,7 +49,7 @@ func CheckPortfolioSize(n, k int) error {
 //
 // The scheduler count is small (15 in the paper), so exhaustive subset
 // enumeration is exact and cheap: C(15,3) = 455 candidates.
-// CheckPortfolioSize bounds it.
+// CheckPortfolioSize bounds it by the registry.
 func SelectPortfolio(schedulers []string, ratios [][]float64, k int) (*PortfolioResult, error) {
 	n := len(schedulers)
 	if err := CheckPortfolioSize(n, k); err != nil {

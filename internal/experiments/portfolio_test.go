@@ -52,7 +52,7 @@ func TestSelectPortfolioMonotonicInK(t *testing.T) {
 		mustSched(t, "HEFT"), mustSched(t, "CPoP"),
 		mustSched(t, "MinMin"), mustSched(t, "FastestNode"),
 	}
-	res, err := PairwisePISARun(scheds, PairwiseOptions{Anneal: smallAnneal(60)}, runner.Options{})
+	res, err := pairwisePISARun(scheds, smallAnneal(60), runner.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,25 +94,23 @@ func TestSelectPortfolioErrors(t *testing.T) {
 	}
 }
 
-// TestCheckPortfolioSizeBound pins the subset bound at its edges:
-// C(n, k) ≤ 1<<20 = 1 048 576 passes, one step past it does not, and the
-// count is symmetric in k and n-k.
+// TestCheckPortfolioSizeBound pins the roster bound at its edges: every
+// size-k portfolio over at most the registered schedulers passes, the
+// largest enumeration among them included, and one scheduler more does
+// not.
 func TestCheckPortfolioSizeBound(t *testing.T) {
+	r := len(scheduler.Names())
 	for _, c := range []struct {
 		n, k int
 		ok   bool
 	}{
-		{15, 3, true},      // the paper's 455
-		{22, 11, true},     // 705 432
-		{23, 9, true},      // 817 190
-		{23, 14, true},     // C(23, 9)
-		{23, 10, false},    // 1 144 066
-		{23, 13, false},    // C(23, 10)
-		{32, 16, false},    // 601 080 390
-		{32, 32, true},     // one subset
-		{100000, 1, true},  // n subsets
-		{100000, 2, false}, // ~5·10⁹, and no overflow on the way
-		{100000, 99999, true},
+		{15, 3, true},     // the paper's 455
+		{r, r / 2, true},  // the largest enumeration a valid roster asks for
+		{r, r, true},      // one subset
+		{r, 1, true},      // r subsets
+		{r + 1, 1, false}, // a roster past the registry repeats a name
+		{32, 16, false},
+		{100000, 2, false},
 		{3, 0, false},
 		{3, 4, false},
 	} {

@@ -10,13 +10,13 @@ import (
 	"saga/internal/stats"
 )
 
-// Jitter returns a copy of the instance whose task costs and dependency
+// jitter returns a copy of the instance whose task costs and dependency
 // data sizes are multiplied by independent clipped-gaussian factors
 // ~N(1, sigma) clipped to [0.1, 1.9]. Network weights are left alone:
 // this models run-time cost uncertainty for a fixed platform, the
 // simplest form of the stochastic problem instances the paper's
 // conclusion proposes.
-func Jitter(inst *graph.Instance, sigma float64, r *rng.RNG) *graph.Instance {
+func jitter(inst *graph.Instance, sigma float64, r *rng.RNG) *graph.Instance {
 	out := inst.Clone()
 	for t := range out.Graph.Tasks {
 		out.Graph.Tasks[t].Cost *= r.ClippedGaussian(1, sigma, 0.1, 1.9)
@@ -28,13 +28,13 @@ func Jitter(inst *graph.Instance, sigma float64, r *rng.RNG) *graph.Instance {
 	return out
 }
 
-// Replay evaluates a committed schedule under different costs: it keeps
+// replay evaluates a committed schedule under different costs: it keeps
 // the nominal schedule's node assignments and per-node execution order
 // and recomputes start times on the jittered instance (every task starts
 // as soon as its inputs arrive and its node is free). This is how a
 // static (compile-time) schedule actually behaves when run-time costs
 // deviate from estimates. It returns the resulting makespan.
-func Replay(jittered *graph.Instance, nominal *schedule.Schedule) (float64, error) {
+func replay(jittered *graph.Instance, nominal *schedule.Schedule) (float64, error) {
 	g := jittered.Graph
 	if len(nominal.ByTask) != g.NumTasks() {
 		return 0, fmt.Errorf("experiments: schedule covers %d tasks, instance has %d",
@@ -118,7 +118,7 @@ func Replay(jittered *graph.Instance, nominal *schedule.Schedule) (float64, erro
 }
 
 // RobustnessResult summarizes a scheduler's behaviour under cost jitter,
-// as RobustnessRun samples it.
+// as the robustness sweep samples it.
 type RobustnessResult struct {
 	Scheduler string
 	// Nominal is the makespan on the unjittered instance.

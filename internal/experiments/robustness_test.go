@@ -14,7 +14,7 @@ import (
 func TestJitterPreservesStructureAndValidity(t *testing.T) {
 	r := rng.New(301)
 	inst := datasets.InitialPISAInstance(r.Split())
-	j := Jitter(inst, 0.2, r.Split())
+	j := jitter(inst, 0.2, r.Split())
 	if err := j.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestJitterPreservesStructureAndValidity(t *testing.T) {
 func TestJitterZeroSigmaIsNearIdentity(t *testing.T) {
 	r := rng.New(303)
 	inst := datasets.Fig1Instance()
-	j := Jitter(inst, 0, r)
+	j := jitter(inst, 0, r)
 	for tk := range inst.Graph.Tasks {
 		if !graph.ApproxEq(j.Graph.Tasks[tk].Cost, inst.Graph.Tasks[tk].Cost) {
 			t.Fatal("sigma=0 jitter moved a task cost")
@@ -63,7 +63,7 @@ func TestReplayReproducesNominalMakespan(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m, err := Replay(inst, nominal)
+			m, err := replay(inst, nominal)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -87,7 +87,7 @@ func TestReplayScalesWithCosts(t *testing.T) {
 	for tk := range doubled.Graph.Tasks {
 		doubled.Graph.Tasks[tk].Cost *= 2
 	}
-	m, err := Replay(doubled, nominal)
+	m, err := replay(doubled, nominal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,14 +99,14 @@ func TestReplayScalesWithCosts(t *testing.T) {
 func TestReplayRejectsMismatchedSchedule(t *testing.T) {
 	inst := datasets.Fig1Instance()
 	bad := &schedule.Schedule{NumNodes: 3}
-	if _, err := Replay(inst, bad); err == nil {
+	if _, err := replay(inst, bad); err == nil {
 		t.Fatal("mismatched schedule accepted")
 	}
 }
 
 func TestRobustnessSummary(t *testing.T) {
 	inst := datasets.Fig1Instance()
-	res, err := RobustnessRun(inst, mustSched(t, "HEFT"), 0.2, 40, 5, runner.Options{})
+	res, err := robustnessRun(inst, mustSched(t, "HEFT"), 0.2, 40, 5, runner.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,8 +47,7 @@ type DenseTables struct {
 
 	topoPos []int
 
-	indeg    []int
-	frontier []int
+	kahn kahn
 }
 
 // AvgCommSucc returns the average communication time of the i-th
@@ -294,38 +293,10 @@ func (tb *DenseTables) avgCommTimeFlat(cost float64) float64 {
 	return sum / float64(count)
 }
 
-// buildTopo mirrors TaskGraph.TopoOrder with reused buffers.
+// buildTopo sorts with the package's Kahn loop, as Tables does.
 func (tb *DenseTables) buildTopo(g *TaskGraph) {
 	n := g.NumTasks()
-	tb.Topo = growInt(tb.Topo, n)[:0]
-	tb.indeg = growInt(tb.indeg, n)
-	tb.frontier = tb.frontier[:0]
-	tb.TopoErr = nil
-	for t := 0; t < n; t++ {
-		tb.indeg[t] = len(g.Pred[t])
-		if tb.indeg[t] == 0 {
-			tb.frontier = append(tb.frontier, t)
-		}
-	}
-	for len(tb.frontier) > 0 {
-		best := 0
-		for i := 1; i < len(tb.frontier); i++ {
-			if tb.frontier[i] < tb.frontier[best] {
-				best = i
-			}
-		}
-		t := tb.frontier[best]
-		tb.frontier = append(tb.frontier[:best], tb.frontier[best+1:]...)
-		tb.Topo = append(tb.Topo, t)
-		for _, d := range g.Succ[t] {
-			tb.indeg[d.To]--
-			if tb.indeg[d.To] == 0 {
-				tb.frontier = append(tb.frontier, d.To)
-			}
-		}
-	}
-	if len(tb.Topo) != n {
-		tb.TopoErr = cycleError(len(tb.Topo), n)
+	if tb.Topo, tb.TopoErr = tb.kahn.order(g, growInt(tb.Topo, n)); tb.TopoErr != nil {
 		return
 	}
 	tb.topoPos = growInt(tb.topoPos, n)

@@ -350,19 +350,35 @@ func (g *TaskGraph) Sinks() []int {
 // TopoOrder returns a deterministic topological order (Kahn's algorithm,
 // lowest index first). It returns an error if the graph contains a cycle.
 func (g *TaskGraph) TopoOrder() ([]int, error) {
+	var k kahn
+	order, err := k.order(g, make([]int, 0, len(g.Tasks)))
+	if err != nil {
+		return nil, err
+	}
+	return order, nil
+}
+
+// kahn is the package's one topological sort: Kahn's algorithm, taking
+// the smallest ready index first so the order is deterministic. Its
+// buffers persist from run to run, so Tables re-sorts after every
+// structural patch without allocating; TopoOrder runs a zero kahn.
+type kahn struct {
+	indeg    []int
+	frontier []int
+}
+
+// order writes g's topological order over dst[:0] and returns it. On a
+// cycle it returns the tasks it could order and cycleError.
+func (k *kahn) order(g *TaskGraph, dst []int) ([]int, error) {
 	n := len(g.Tasks)
-	indeg := make([]int, n)
+	dst = dst[:0]
+	indeg, frontier := growInt(k.indeg, n), k.frontier[:0]
 	for t := 0; t < n; t++ {
 		indeg[t] = len(g.Pred[t])
-	}
-	// A simple ordered frontier keeps the result deterministic.
-	var frontier []int
-	for t := 0; t < n; t++ {
 		if indeg[t] == 0 {
 			frontier = append(frontier, t)
 		}
 	}
-	order := make([]int, 0, n)
 	for len(frontier) > 0 {
 		// Pop the smallest index.
 		best := 0
@@ -373,7 +389,7 @@ func (g *TaskGraph) TopoOrder() ([]int, error) {
 		}
 		t := frontier[best]
 		frontier = append(frontier[:best], frontier[best+1:]...)
-		order = append(order, t)
+		dst = append(dst, t)
 		for _, d := range g.Succ[t] {
 			indeg[d.To]--
 			if indeg[d.To] == 0 {
@@ -381,14 +397,14 @@ func (g *TaskGraph) TopoOrder() ([]int, error) {
 			}
 		}
 	}
-	if len(order) != n {
-		return nil, cycleError(len(order), n)
+	k.indeg, k.frontier = indeg, frontier
+	if len(dst) != n {
+		return dst, cycleError(len(dst), n)
 	}
-	return order, nil
+	return dst, nil
 }
 
-// cycleError is the shared cycle diagnostic of TopoOrder and
-// Tables.Build.
+// cycleError is kahn's cycle diagnostic, which Validate shares.
 func cycleError(ordered, n int) error {
 	return fmt.Errorf("graph: cycle detected (%d of %d tasks ordered)", ordered, n)
 }

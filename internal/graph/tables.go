@@ -103,8 +103,7 @@ type Tables struct {
 	avgCommBuilt bool
 	src          *Instance // instance of the last Build, for EnsureAvgComm
 
-	indeg    []int // Kahn scratch
-	frontier []int
+	kahn kahn // buildTopo's buffers
 }
 
 // AvgCommSucc returns the average communication time of the i-th
@@ -206,7 +205,7 @@ func (tb *Tables) MemoryBytes() int {
 	const w = 8 // float64 and int are both 8 bytes on 64-bit hosts
 	f := len(tb.InvSpeed) + len(tb.AvgExec) + len(tb.Exec) +
 		len(tb.avgComm) + len(tb.linkVal) + len(tb.linkInv)
-	i := len(tb.Topo) + len(tb.indeg) + cap(tb.frontier) +
+	i := len(tb.Topo) + len(tb.kahn.indeg) + cap(tb.kahn.frontier) +
 		len(tb.succOff) + len(tb.predOff) + len(tb.linkOff) + len(tb.linkCol)
 	return w * (f + i)
 }
@@ -614,38 +613,8 @@ func (tb *Tables) avgCommTime4(c [4]float64) (out [4]float64) {
 	return out
 }
 
-// buildTopo mirrors TaskGraph.TopoOrder (Kahn, lowest index first) with
-// reused buffers.
+// buildTopo re-sorts the graph into tb.Topo with the reused buffers of
+// tb.kahn, so it allocates nothing once they have grown.
 func (tb *Tables) buildTopo(g *TaskGraph) {
-	n := g.NumTasks()
-	tb.Topo = growInt(tb.Topo, n)[:0]
-	tb.indeg = growInt(tb.indeg, n)
-	tb.frontier = tb.frontier[:0]
-	tb.TopoErr = nil
-	for t := 0; t < n; t++ {
-		tb.indeg[t] = len(g.Pred[t])
-		if tb.indeg[t] == 0 {
-			tb.frontier = append(tb.frontier, t)
-		}
-	}
-	for len(tb.frontier) > 0 {
-		best := 0
-		for i := 1; i < len(tb.frontier); i++ {
-			if tb.frontier[i] < tb.frontier[best] {
-				best = i
-			}
-		}
-		t := tb.frontier[best]
-		tb.frontier = append(tb.frontier[:best], tb.frontier[best+1:]...)
-		tb.Topo = append(tb.Topo, t)
-		for _, d := range g.Succ[t] {
-			tb.indeg[d.To]--
-			if tb.indeg[d.To] == 0 {
-				tb.frontier = append(tb.frontier, d.To)
-			}
-		}
-	}
-	if len(tb.Topo) != n {
-		tb.TopoErr = cycleError(len(tb.Topo), n)
-	}
+	tb.Topo, tb.TopoErr = tb.kahn.order(g, growInt(tb.Topo, g.NumTasks()))
 }

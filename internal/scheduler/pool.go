@@ -20,14 +20,26 @@ import (
 // Build bumps the generation that guards every cached rank. The
 // concurrency suite in internal/serve hammers exactly this property
 // under the race detector.
+//
+// Idle scratches wait in a free list, not a sync.Pool: a sync.Pool drops
+// them at every garbage collection, and each one dropped is a scratch
+// whose tables the next owner grows again from nothing. The list never
+// holds more scratches than were leased at once, so the daemon, which
+// leases only under one of its admission slots, allocates at most
+// MaxConcurrent scratches in all.
 type ScratchPool struct {
-	pool  sync.Pool
+	mu    sync.Mutex
+	idle  []*Scratch
 	fresh atomic.Uint64
 }
 
-// Get leases a scratch, allocating a fresh one when the pool is empty.
+// Get leases a scratch, allocating a fresh one when none is idle.
 func (p *ScratchPool) Get() *Scratch {
-	if s, ok := p.pool.Get().(*Scratch); ok {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if n := len(p.idle); n > 0 {
+		s := p.idle[n-1]
+		p.idle = p.idle[:n-1]
 		return s
 	}
 	p.fresh.Add(1)
@@ -37,13 +49,14 @@ func (p *ScratchPool) Get() *Scratch {
 // Put returns a leased scratch for reuse. The caller must own s and
 // must not use it afterwards.
 func (p *ScratchPool) Put(s *Scratch) {
-	if s == nil {
-		return
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if s != nil {
+		p.idle = append(p.idle, s)
 	}
-	p.pool.Put(s)
 }
 
-// Fresh reports how many scratches Get allocated because the pool was
-// empty — the daemon's /metrics surfaces it so a steady-state serving
-// process can prove its request path stopped allocating scratch state.
+// Fresh reports how many scratches Get allocated because none was idle
+// — the daemon's /metrics surfaces it so a steady-state serving process
+// can prove its request path stopped allocating scratch state.
 func (p *ScratchPool) Fresh() uint64 { return p.fresh.Load() }

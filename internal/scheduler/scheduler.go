@@ -113,13 +113,13 @@ func Names() []string {
 	return out
 }
 
-// UpwardRankInto computes HEFT's rank_u for every task from the
+// upwardRankInto computes HEFT's rank_u for every task from the
 // precomputed tables, writing into dst (grown as needed): the average
 // execution time of the task plus the maximum over successors of average
 // communication time plus the successor's rank. Sink tasks have rank
 // equal to their average execution time. Scratch.UpwardRank is the
 // memoized form every scheduler calls.
-func UpwardRankInto(inst *graph.Instance, tab *graph.Tables, dst []float64) []float64 {
+func upwardRankInto(inst *graph.Instance, tab *graph.Tables, dst []float64) []float64 {
 	g := inst.Graph
 	rank := growFloats(dst, g.NumTasks())
 	if tab.TopoErr != nil {
@@ -141,11 +141,11 @@ func UpwardRankInto(inst *graph.Instance, tab *graph.Tables, dst []float64) []fl
 	return rank
 }
 
-// DownwardRankInto computes CPoP's rank_d for every task from the
+// downwardRankInto computes CPoP's rank_d for every task from the
 // precomputed tables, writing into dst: the length of the longest
 // average-time path from an entry task to (but not including) the task
 // itself. Entry tasks have rank 0.
-func DownwardRankInto(inst *graph.Instance, tab *graph.Tables, dst []float64) []float64 {
+func downwardRankInto(inst *graph.Instance, tab *graph.Tables, dst []float64) []float64 {
 	g := inst.Graph
 	rank := growFloats(dst, g.NumTasks())
 	if tab.TopoErr != nil {
@@ -166,10 +166,10 @@ func DownwardRankInto(inst *graph.Instance, tab *graph.Tables, dst []float64) []
 	return rank
 }
 
-// StaticLevelInto computes the communication-free static level used by
+// staticLevelInto computes the communication-free static level used by
 // GDL/DLS and FCP from the precomputed tables, writing into dst:
 // SL(t) = avg exec(t) + max over successors SL(s).
-func StaticLevelInto(inst *graph.Instance, tab *graph.Tables, dst []float64) []float64 {
+func staticLevelInto(inst *graph.Instance, tab *graph.Tables, dst []float64) []float64 {
 	g := inst.Graph
 	sl := growFloats(dst, g.NumTasks())
 	if tab.TopoErr != nil {

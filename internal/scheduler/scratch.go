@@ -104,7 +104,7 @@ func (s *Scratch) ReadyRows(inst *graph.Instance) *ReadyRows {
 	return &s.rows
 }
 
-// UpwardRank returns HEFT's upward rank (UpwardRankInto) in reused
+// UpwardRank returns HEFT's upward rank (upwardRankInto) in reused
 // storage, memoized per (instance, table generation) — when the tables
 // are unchanged since the last computation (the second scheduler of a
 // PISA pair, ensemble members sharing a priority) the stored vector is
@@ -114,27 +114,27 @@ func (s *Scratch) ReadyRows(inst *graph.Instance) *ReadyRows {
 func (s *Scratch) UpwardRank(inst *graph.Instance) []float64 {
 	tab := s.Tables(inst)
 	if !s.cache.lookup(inst, tab.Generation, &s.cache.upOK) {
-		s.rankUp = UpwardRankInto(inst, tab, s.rankUp)
+		s.rankUp = upwardRankInto(inst, tab, s.rankUp)
 	}
 	return s.rankUp
 }
 
-// DownwardRank returns CPoP's downward rank (DownwardRankInto),
+// DownwardRank returns CPoP's downward rank (downwardRankInto),
 // memoized like UpwardRank.
 func (s *Scratch) DownwardRank(inst *graph.Instance) []float64 {
 	tab := s.Tables(inst)
 	if !s.cache.lookup(inst, tab.Generation, &s.cache.downOK) {
-		s.rankDown = DownwardRankInto(inst, tab, s.rankDown)
+		s.rankDown = downwardRankInto(inst, tab, s.rankDown)
 	}
 	return s.rankDown
 }
 
-// StaticLevel returns the static level (StaticLevelInto), memoized
+// StaticLevel returns the static level (staticLevelInto), memoized
 // like UpwardRank.
 func (s *Scratch) StaticLevel(inst *graph.Instance) []float64 {
 	tab := s.Tables(inst)
 	if !s.cache.lookup(inst, tab.Generation, &s.cache.levelOK) {
-		s.level = StaticLevelInto(inst, tab, s.level)
+		s.level = staticLevelInto(inst, tab, s.level)
 	}
 	return s.level
 }

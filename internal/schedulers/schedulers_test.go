@@ -356,11 +356,11 @@ func TestMCTBeatsOLBOnHeterogeneousSpeeds(t *testing.T) {
 
 func TestWBASeededReproducible(t *testing.T) {
 	inst := randomInstances(t, 1, 0x5EED)[0]
-	a, err := scheduler.Schedule(NewWBA(123, 10), inst)
+	a, err := scheduler.Schedule(newWBA(123, 10), inst)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := scheduler.Schedule(NewWBA(123, 10), inst)
+	b, err := scheduler.Schedule(newWBA(123, 10), inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,11 +374,11 @@ func TestWBAMoreRoundsNoWorse(t *testing.T) {
 	// streams are prefix-stable (Split order), so 20 rounds can only
 	// improve on the first 5.
 	inst := randomInstances(t, 1, 0x5EED)[0]
-	few, err := scheduler.Schedule(NewWBA(9, 5), inst)
+	few, err := scheduler.Schedule(newWBA(9, 5), inst)
 	if err != nil {
 		t.Fatal(err)
 	}
-	many, err := scheduler.Schedule(NewWBA(9, 20), inst)
+	many, err := scheduler.Schedule(newWBA(9, 20), inst)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -821,8 +821,8 @@ func differentialTable(t *testing.T) []differentialRow {
 			return refMinMinSchedule(inst, scr, true, out)
 		}),
 		perNode(Duplex{}, refDuplex), perNode(ETF{}, refETF), perNode(GDL{}, refGDL), perNode(BIL{}, refBIL), perNode(ERT{}, refERT),
-		wba(rowTest, NewWBA(0x57BA, 10), below1k), wba(rowTest, NewWBA(0x57BA, 2), only1k),
-		wba(wbaTest, NewWBA(0x57BA, 3), only1k),
+		wba(rowTest, newWBA(0x57BA, 10), below1k), wba(rowTest, newWBA(0x57BA, 2), only1k),
+		wba(wbaTest, newWBA(0x57BA, 3), only1k),
 	}
 	for _, rounds := range []int{1, 2, 10, 25} {
 		for _, alpha := range []float64{0, 0.5, 1} {

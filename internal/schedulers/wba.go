@@ -11,7 +11,7 @@ import (
 )
 
 func init() {
-	scheduler.Register("WBA", func() scheduler.Scheduler { return NewWBA(0x57BA, 10) })
+	scheduler.Register("WBA", func() scheduler.Scheduler { return newWBA(0x57BA, 10) })
 }
 
 // WBA is the Workflow-Based Application scheduler of Blythe et al.,
@@ -42,9 +42,9 @@ type WBA struct {
 	Alpha float64
 }
 
-// NewWBA returns a WBA scheduler with the given seed and construction
+// newWBA returns a WBA scheduler with the given seed and construction
 // rounds and the conventional GRASP width of 0.5.
-func NewWBA(seed uint64, rounds int) WBA {
+func newWBA(seed uint64, rounds int) WBA {
 	return WBA{Seed: seed, Rounds: rounds, Alpha: 0.5}
 }
 

@@ -94,7 +94,7 @@ func nearTieInstance() *graph.Instance {
 // rebuilt (Prepare) but the WBA extension state untouched: every call
 // must match a fresh scratch and the reference.
 func TestWBAScratchAcrossInPlaceMutation(t *testing.T) {
-	w := NewWBA(0x57BA, 10)
+	w := newWBA(0x57BA, 10)
 	scr := scheduler.NewScratch()
 	var out schedule.Schedule
 	r := rng.New(0x2E82)
@@ -189,7 +189,7 @@ func wbaTreeShape(t *testing.T, ws *wbaScratch, inst *graph.Instance) (maxReady 
 // call allocates nothing.
 func TestWBATreeBounded(t *testing.T) {
 	const rounds = 10
-	w := NewWBA(0x57BA, rounds)
+	w := newWBA(0x57BA, rounds)
 	insts := append(fig4StyleInstances(40, 0x2E84), scaleTierInstance(t, "scale_layered_1k"))
 	for i, inst := range insts {
 		scr := scheduler.NewScratch()

@@ -11,7 +11,7 @@ import (
 	"sync"
 )
 
-// errStopIter halts an Iter pass that only needed the header.
+// errStopIter halts an iterate pass that only needed the header.
 var errStopIter = errors.New("serialize: stop iteration")
 
 // Checkpoint is a file-backed store of per-cell sweep results — the
@@ -66,7 +66,7 @@ func (c *Checkpoint) Load() (map[int]json.RawMessage, error) {
 
 func (c *Checkpoint) loadLocked() error {
 	cells := map[int]json.RawMessage{}
-	fp, err := Iter(c.path, func(index int, cell json.RawMessage) error {
+	fp, err := iterate(c.path, func(index int, cell json.RawMessage) error {
 		cells[index] = bytes.Clone(cell)
 		return nil
 	})
@@ -128,13 +128,13 @@ func (c *Checkpoint) StoreDedup(index int, cell json.RawMessage) (stored bool, e
 	return true, c.storeLocked(index, cell)
 }
 
-// PeekFingerprint reads only the fingerprint of the store at path,
+// peekFingerprint reads only the fingerprint of the store at path,
 // without binding a Checkpoint to it or validating its cells. Merge
 // uses it to diagnose mixed-sweep shards with both fingerprints in
 // hand; an unreadable or corrupt store fails with the same per-file
 // diagnostics Load gives.
-func PeekFingerprint(path string) (string, error) {
-	fp, err := Iter(path, func(int, json.RawMessage) error { return errStopIter })
+func peekFingerprint(path string) (string, error) {
+	fp, err := iterate(path, func(int, json.RawMessage) error { return errStopIter })
 	if err != nil && err != errStopIter {
 		return "", err
 	}

@@ -193,7 +193,7 @@ func TestFinishPolicy(t *testing.T) {
 	if kept, err := ck.Finish(true); err != nil || !kept || !exists(shard) {
 		t.Fatalf("zero-cell shard: kept=%v, %v", kept, err)
 	}
-	if fp, err := PeekFingerprint(shard); err != nil || fp != "fp" {
+	if fp, err := peekFingerprint(shard); err != nil || fp != "fp" {
 		t.Fatalf("zero-cell shard store: %q, %v", fp, err)
 	}
 

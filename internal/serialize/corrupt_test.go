@@ -106,7 +106,7 @@ func TestCheckpointLoadTruncationTorture(t *testing.T) {
 func TestPeekFingerprint(t *testing.T) {
 	dir := t.TempDir()
 	good := writeShard(t, dir, "good.json", "robustness seed=7", map[int]string{0: `1`})
-	fp, err := PeekFingerprint(good)
+	fp, err := peekFingerprint(good)
 	if err != nil || fp != "robustness seed=7" {
 		t.Fatalf("peek: %q, %v", fp, err)
 	}
@@ -114,11 +114,11 @@ func TestPeekFingerprint(t *testing.T) {
 	if err := os.WriteFile(bad, []byte(`{"cells":`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err = PeekFingerprint(bad)
+	_, err = peekFingerprint(bad)
 	if err == nil || !strings.Contains(err.Error(), bad) || !strings.Contains(err.Error(), "corrupt or truncated") {
 		t.Fatalf("peek of corrupt store: %v", err)
 	}
-	if _, err := PeekFingerprint(filepath.Join(dir, "absent.json")); err == nil {
+	if _, err := peekFingerprint(filepath.Join(dir, "absent.json")); err == nil {
 		t.Fatal("peek of absent store succeeded")
 	}
 }

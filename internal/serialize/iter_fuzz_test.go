@@ -55,13 +55,13 @@ func checkIterAgainstLoad(t *testing.T, path string, data []byte) {
 		t.Fatal(err)
 	}
 	yielded := map[int]string{}
-	fp, iterErr := Iter(path, func(k int, raw json.RawMessage) error {
+	fp, iterErr := iterate(path, func(k int, raw json.RawMessage) error {
 		yielded[k] = string(raw)
 		return nil
 	})
-	peeked, peekErr := PeekFingerprint(path)
+	peeked, peekErr := peekFingerprint(path)
 	if iterErr == nil && (peekErr != nil || peeked != fp) {
-		t.Fatalf("Iter read fingerprint %q, PeekFingerprint %q, %v", fp, peeked, peekErr)
+		t.Fatalf("Iter read fingerprint %q, peekFingerprint %q, %v", fp, peeked, peekErr)
 	}
 	ck := NewCheckpoint(path)
 	ck.SetFingerprint(fp)

@@ -51,7 +51,7 @@ func MergeCheckpoints(outPath, fingerprint string, total int, shardPaths []strin
 	matched := "" // first store whose fingerprint matched, for diagnostics
 	for _, path := range shardPaths {
 		if _, err := os.Stat(path); err != nil {
-			// Iter treats an absent file as an open error already, but the
+			// iterate treats an absent file as an open error already, but the
 			// stat keeps the mistyped-path diagnostic first and explicit.
 			return 0, fmt.Errorf("serialize: merge: shard store %s: %w", path, err)
 		}
@@ -60,7 +60,7 @@ func MergeCheckpoints(outPath, fingerprint string, total int, shardPaths []strin
 		// this store wrong" but "which shard came from the wrong sweep",
 		// and answering it needs the offending path, the expected
 		// fingerprint's provenance, and both fingerprint strings in full.
-		got, err := PeekFingerprint(path)
+		got, err := peekFingerprint(path)
 		if err != nil {
 			return 0, fmt.Errorf("serialize: merge: %w", err)
 		}
@@ -73,7 +73,7 @@ func MergeCheckpoints(outPath, fingerprint string, total int, shardPaths []strin
 				path, got, source, fingerprint)
 		}
 		matched = path
-		_, err = Iter(path, func(k int, raw json.RawMessage) error {
+		_, err = iterate(path, func(k int, raw json.RawMessage) error {
 			if total > 0 && (k < 0 || k >= total) {
 				return fmt.Errorf("serialize: merge: %s holds cell %d outside the sweep's %d cells — wrong sweep parameters?",
 					path, k, total)
@@ -115,7 +115,7 @@ func MergeCheckpoints(outPath, fingerprint string, total int, shardPaths []strin
 
 	w, err := replaceStore(outPath, fingerprint, func(w *StoreWriter) error {
 		for _, path := range shardPaths {
-			_, err := Iter(path, func(k int, raw json.RawMessage) error {
+			_, err := iterate(path, func(k int, raw json.RawMessage) error {
 				if seen[k].owner != path {
 					return nil // a later duplicate; the owner already wrote it
 				}

@@ -12,7 +12,7 @@
 // into one. The invariants: a store is bound to one sweep's exact
 // parameters by its fingerprint and refuses any other; there is one
 // on-disk format, a gzip stream written only by StoreWriter and read
-// only by Iter (stream.go), whatever the path is called, and anything
+// only by iterate (stream.go), whatever the path is called, and anything
 // else — the one-object JSON stores of earlier releases included — is
 // refused as corrupt, naming the file; a cell is on
 // disk when Store returns, a torn final member is refused by name rather

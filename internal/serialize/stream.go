@@ -17,7 +17,7 @@ import (
 // earlier bytes, each Flush closes a gzip member so everything before it
 // is durable and self-delimiting, and readers decode record by record
 // without ever holding the whole store. StoreWriter is the only encoder
-// and Iter the only decoder; Checkpoint, PeekFingerprint and
+// and iterate the only decoder; Checkpoint, peekFingerprint and
 // MergeCheckpoints are built on the two.
 //
 // Stores written by releases before the stream format — one JSON object
@@ -60,7 +60,7 @@ type StoreWriter struct {
 // so it is refused with the corrupt-store diagnostic, as is a store of
 // a different sweep.
 func NewStoreWriter(path, fingerprint string) (*StoreWriter, error) {
-	got, err := Iter(path, func(int, json.RawMessage) error { return nil })
+	got, err := iterate(path, func(int, json.RawMessage) error { return nil })
 	if os.IsNotExist(err) {
 		f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 		if err != nil {
@@ -161,7 +161,7 @@ func (w *StoreWriter) Close() error {
 	return err
 }
 
-// Iter streams the checkpoint store at path, calling fn for every cell
+// iterate streams the checkpoint store at path, calling fn for every cell
 // in on-disk order (append order; ascending index for a sealed store)
 // and returning the store's fingerprint. The store is decoded record by
 // record, so its full contents are never resident; fn's cell slice is
@@ -169,7 +169,7 @@ func (w *StoreWriter) Close() error {
 // is returned verbatim. A file that is not a gzip stream, or a truncated
 // store (torn final member), fails with the corrupt-store diagnostic
 // that names the file.
-func Iter(path string, fn func(index int, cell json.RawMessage) error) (string, error) {
+func iterate(path string, fn func(index int, cell json.RawMessage) error) (string, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return "", err

@@ -25,7 +25,7 @@ func iterAll(t *testing.T, path string) (string, map[int]string, []int) {
 	t.Helper()
 	cells := map[int]string{}
 	var order []int
-	fp, err := Iter(path, func(k int, raw json.RawMessage) error {
+	fp, err := iterate(path, func(k int, raw json.RawMessage) error {
 		cells[k] = string(raw)
 		order = append(order, k)
 		return nil
@@ -139,7 +139,7 @@ func TestStoreWriterFlushedPrefixSurvivesTornTail(t *testing.T) {
 	if err := os.WriteFile(path, whole[:len(whole)-7], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err = Iter(path, func(int, json.RawMessage) error { return nil })
+	_, err = iterate(path, func(int, json.RawMessage) error { return nil })
 	if err == nil || !strings.Contains(err.Error(), "corrupt or truncated") {
 		t.Fatalf("torn tail error = %v", err)
 	}
@@ -195,11 +195,11 @@ func TestOldJSONStoreRefusedEverywhere(t *testing.T) {
 	shard := writeShard(t, dir, "s1.ckpt", "fp old", map[int]string{2: `2`})
 	open := map[string]func() error{
 		"Iter": func() error {
-			_, err := Iter(path, func(int, json.RawMessage) error { return nil })
+			_, err := iterate(path, func(int, json.RawMessage) error { return nil })
 			return err
 		},
-		"PeekFingerprint": func() error {
-			_, err := PeekFingerprint(path)
+		"peekFingerprint": func() error {
+			_, err := peekFingerprint(path)
 			return err
 		},
 		"Checkpoint.Load": func() error {
@@ -276,8 +276,8 @@ func checkpointStreamRoundTrip(t *testing.T, name string) {
 	if !isGzip(data) {
 		t.Fatal("checkpoint wrote a non-gzip store")
 	}
-	if got, err := PeekFingerprint(path); err != nil || got != fp {
-		t.Fatalf("PeekFingerprint = %q, %v", got, err)
+	if got, err := peekFingerprint(path); err != nil || got != fp {
+		t.Fatalf("peekFingerprint = %q, %v", got, err)
 	}
 	// Fresh Checkpoint loads it back.
 	ck2 := NewCheckpoint(path)

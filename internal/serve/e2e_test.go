@@ -25,7 +25,6 @@ import (
 	"testing"
 	"time"
 
-	"saga/internal/core"
 	"saga/internal/experiments"
 	"saga/internal/runner"
 	"saga/internal/scheduler"
@@ -145,23 +144,16 @@ func TestServeSmokeE2E(t *testing.T) {
 	// One portfolio request.
 	{
 		names := []string{"HEFT", "CPoP", "MinMin"}
-		var scheds []scheduler.Scheduler
-		for _, n := range names {
-			sc, err := scheduler.New(n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			scheds = append(scheds, sc)
-		}
-		opts := core.DefaultOptions()
-		opts.MaxIters = 15
-		opts.Restarts = 1
-		opts.Seed = 5
-		res, err := experiments.PairwisePISARun(scheds, experiments.PairwiseOptions{Anneal: opts},
-			runner.Options{Workers: 1})
+		sw, err := experiments.NewSweep("pairwise", experiments.SweepParams{
+			Schedulers: names, Iters: 15, Restarts: 1, Seed: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
+		grid, err := sw.Result(runner.Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := grid.(*experiments.PairwiseResult)
 		p, err := experiments.SelectPortfolio(res.Schedulers, res.Ratios, 2)
 		if err != nil {
 			t.Fatal(err)
@@ -183,18 +175,16 @@ func TestServeSmokeE2E(t *testing.T) {
 	// One robustness request.
 	{
 		instRaw := testInstance(t, 4)
-		inst, err := serialize.UnmarshalInstance(instRaw)
+		sw, err := experiments.NewSweep("robustness", experiments.SweepParams{
+			Scheduler: "CPoP", InstanceRaw: instRaw, Sigma: 0.2, N: 30, Seed: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sched, err := scheduler.New("CPoP")
+		sum, err := sw.Result(runner.Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := experiments.RobustnessRun(inst, sched, 0.2, 30, 3, runner.Options{Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := sum.(*experiments.RobustnessResult)
 		calls = append(calls, call{
 			name:       "robustness",
 			path:       "/v1/robustness",

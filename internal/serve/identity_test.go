@@ -19,7 +19,6 @@ import (
 	"sync"
 	"testing"
 
-	"saga/internal/core"
 	"saga/internal/datasets"
 	"saga/internal/experiments"
 	"saga/internal/graph"
@@ -101,23 +100,16 @@ func TestPortfolioByteIdentity(t *testing.T) {
 	// Direct library path, deliberately run with a different worker
 	// count than the daemon's: invariant 6 makes the grid identical, so
 	// identity here also re-proves worker-count independence.
-	var scheds []scheduler.Scheduler
-	for _, n := range names {
-		sc, err := scheduler.New(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		scheds = append(scheds, sc)
-	}
-	opts := core.DefaultOptions()
-	opts.MaxIters = req.Iters
-	opts.Restarts = req.Restarts
-	opts.Seed = req.Seed
-	res, err := experiments.PairwisePISARun(scheds, experiments.PairwiseOptions{Anneal: opts},
-		runner.Options{Workers: 2})
+	sw, err := experiments.NewSweep("pairwise", experiments.SweepParams{
+		Schedulers: names, Iters: req.Iters, Restarts: req.Restarts, Seed: req.Seed})
 	if err != nil {
 		t.Fatal(err)
 	}
+	grid, err := sw.Result(runner.Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := grid.(*experiments.PairwiseResult)
 	p, err := experiments.SelectPortfolio(res.Schedulers, res.Ratios, req.K)
 	if err != nil {
 		t.Fatal(err)
@@ -164,15 +156,20 @@ func TestRobustnessByteIdentity(t *testing.T) {
 		{"instance", RobustnessRequest{Scheduler: "HEFT", Instance: instRaw, Sigma: 0.3, N: 25, Seed: 7}, inst},
 		{"wfformat", RobustnessRequest{Scheduler: "HEFT", WfC: doc, Link: 2, Nodes: 3, Sigma: 0.3, N: 25, Seed: 7}, wfcInst},
 	} {
-		sched, err := scheduler.New(tc.req.Scheduler)
+		raw, err := serialize.MarshalInstance(tc.inst)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := experiments.RobustnessRun(tc.inst, sched, tc.req.Sigma, tc.req.N, tc.req.Seed,
-			runner.Options{Workers: 2})
+		sw, err := experiments.NewSweep("robustness", experiments.SweepParams{
+			Scheduler: tc.req.Scheduler, InstanceRaw: raw, Sigma: tc.req.Sigma, N: tc.req.N, Seed: tc.req.Seed})
 		if err != nil {
 			t.Fatal(err)
 		}
+		sum, err := sw.Result(runner.Options{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := sum.(*experiments.RobustnessResult)
 		want := encodeLikeDaemon(t, RobustnessResponse{
 			Scheduler: res.Scheduler,
 			Nominal:   res.Nominal,

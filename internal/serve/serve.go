@@ -347,10 +347,6 @@ func (s *Server) handlePortfolio(w http.ResponseWriter, r *http.Request) {
 	if !httpx.ReadJSON(w, r, &req) {
 		return
 	}
-	if len(req.Schedulers) < 2 || len(req.Schedulers) > 32 {
-		http.Error(w, fmt.Sprintf("portfolio needs 2..32 schedulers, got %d", len(req.Schedulers)), http.StatusBadRequest)
-		return
-	}
 	if req.Iters > maxPISAIters || req.Restarts > 100 {
 		http.Error(w, fmt.Sprintf("iters %d / restarts %d outside the server's budget (iters ≤ %d, restarts ≤ 100)",
 			req.Iters, req.Restarts, maxPISAIters), http.StatusBadRequest)

@@ -246,8 +246,9 @@ func TestOverflowingInstanceIs400(t *testing.T) {
 // fresh scratch, then 61–62 and 62 while it decoded its payload on a
 // second pass into fresh storage, 48 with a wfformat body while the
 // key's import knobs were a local array that escaped to the heap, and 39
-// and 47 while every miss parked its scratch with its cache entry; it
-// now reads 38 (39 in about half the runs) and 46.
+// and 47 while every miss parked its scratch with its cache entry. It
+// read 38 or 39 while the scratch pool was a sync.Pool, which drops its
+// scratches at GC; with a free list it read 38 and 46 in ten of ten runs.
 const (
 	schedulingHitAllocBudget = 27 + 2
 	scannedHitAllocBudget    = 25 + 2
