@@ -1,6 +1,7 @@
 package main
 
 import (
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -60,4 +61,33 @@ func TestFig4PaperScaleGolden(t *testing.T) {
 		tr.run("figures", run, "-iters", "1000", "-restarts", "5", "-seed", seed, "-workers", "1", "fig4")
 	}
 	tr.check("testdata/fig4_paper.txt")
+}
+
+// TestOneStoreOneFigure: a store holds one sweep, and `all` runs four,
+// so -checkpoint (or -shard) with `all` or with two figures is refused
+// before any figure prints a line or a store is created.
+func TestOneStoreOneFigure(t *testing.T) {
+	dir := t.TempDir()
+	store := filepath.Join(dir, "one.ckpt")
+	for _, figs := range [][]string{{"all"}, {"fig1", "all"}, {"fig7", "fig8"}} {
+		out, err := os.CreateTemp(dir, "stdout")
+		if err != nil {
+			t.Fatal(err)
+		}
+		stdout := os.Stdout
+		os.Stdout = out
+		err = run(append([]string{"-n", "3", "-iters", "5", "-restarts", "1", "-checkpoint", store}, figs...))
+		os.Stdout = stdout
+		st, serr := out.Stat()
+		out.Close()
+		if err == nil || !strings.Contains(err.Error(), "a store holds one sweep") {
+			t.Fatalf("figures -checkpoint %v: %v", figs, err)
+		}
+		if serr != nil || st.Size() != 0 {
+			t.Fatalf("figures -checkpoint %v printed before refusing (%v)", figs, serr)
+		}
+		if _, err := os.Stat(store); !os.IsNotExist(err) {
+			t.Fatalf("figures -checkpoint %v created the store: %v", figs, err)
+		}
+	}
 }

@@ -13,7 +13,8 @@
 // full reproduction. Fig 2, Fig 4, Figs 7 and 8 and the
 // application-specific grids are sweeps (experiments.NewSweep): they
 // take -checkpoint and -shard, and `saga worker`, `saga coordinate` and
-// `saga merge` run the same sweeps with -driver.
+// `saga merge` run the same sweeps with -driver. A store holds one
+// sweep, so both flags take one named figure, never `all`.
 package main
 
 import (
@@ -64,6 +65,11 @@ func run(args []string) error {
 	}
 	if g.fs.NArg() < 1 {
 		return errUsage
+	}
+	if g.fs.NArg() > 1 || g.fs.Arg(0) == "all" {
+		if err := cli.Refuse(g.fs, "with more than one figure: a store holds one sweep, so name one (fig2, fig4, fig7, fig8 or appspecific)", "checkpoint", "shard"); err != nil {
+			return err
+		}
 	}
 	for _, cmd := range g.fs.Args() {
 		if err := g.figure(cmd); err != nil {

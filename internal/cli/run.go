@@ -214,9 +214,5 @@ func (f *Flags) Robustness(ctx context.Context) (*serve.RobustnessResponse, erro
 			Scheduler: p.Scheduler, Instance: p.InstanceRaw, Sigma: p.Sigma, N: p.N, Seed: p.Seed,
 		})
 	}
-	res, err := Run[*experiments.RobustnessResult](f, "robustness", p)
-	if res == nil {
-		return nil, err
-	}
-	return &serve.RobustnessResponse{Scheduler: res.Scheduler, Nominal: res.Nominal, Static: res.Static, Adaptive: res.Adaptive}, nil
+	return Run[*serve.RobustnessResponse](f, "robustness", p)
 }

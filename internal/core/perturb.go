@@ -62,7 +62,7 @@ type perturbState struct {
 // perturbInPlace applies one randomly chosen perturbation to the
 // instance in place, per Section VI: weight changes move a uniformly
 // chosen weight by a uniform amount in ±Step (clamped to the configured
-// range; network weights additionally floored at MinNetWeight), Add
+// range; network weights additionally floored at minNetWeight), Add
 // Dependency inserts a random acyclic edge, Remove Dependency deletes a
 // random edge. Operators that cannot apply (no edges to remove, graph
 // already transitively closed) fall through to a weight perturbation so
@@ -179,7 +179,7 @@ func step(p PerturbOptions, rng [2]float64, r *rng.RNG) float64 {
 func applyNodeWeight(inst *graph.Instance, r *rng.RNG, p PerturbOptions, ps *perturbState) {
 	v := r.Intn(inst.Net.NumNodes())
 	old := inst.Net.Speeds[v]
-	inst.Net.Speeds[v] = clampRange(old+step(p, p.Speed, r), p.Speed, p.MinNetWeight)
+	inst.Net.Speeds[v] = clampRange(old+step(p, p.Speed, r), p.Speed, minNetWeight)
 	ps.last = undoRec{op: opNodeWeight, a: v, old: old}
 }
 
@@ -194,7 +194,7 @@ func applyLinkWeight(inst *graph.Instance, r *rng.RNG, p PerturbOptions, ps *per
 		v++
 	}
 	old := inst.Net.Links[u][v]
-	inst.Net.SetLink(u, v, clampRange(old+step(p, p.Link, r), p.Link, p.MinNetWeight))
+	inst.Net.SetLink(u, v, clampRange(old+step(p, p.Link, r), p.Link, minNetWeight))
 	ps.last = undoRec{op: opLinkWeight, a: u, b: v, old: old}
 	return true
 }

@@ -48,14 +48,14 @@ func TestPerturbKeepsWeightsInRange(t *testing.T) {
 		}
 	}
 	for _, s := range inst.Net.Speeds {
-		if s < p.MinNetWeight || s > 1 {
-			t.Fatalf("speed %v outside [%v,1]", s, p.MinNetWeight)
+		if s < minNetWeight || s > 1 {
+			t.Fatalf("speed %v outside [%v,1]", s, minNetWeight)
 		}
 	}
 	for u := 0; u < inst.Net.NumNodes(); u++ {
 		for v := u + 1; v < inst.Net.NumNodes(); v++ {
-			if l := inst.Net.Links[u][v]; l < p.MinNetWeight || l > 1 {
-				t.Fatalf("link %v outside [%v,1]", l, p.MinNetWeight)
+			if l := inst.Net.Links[u][v]; l < minNetWeight || l > 1 {
+				t.Fatalf("link %v outside [%v,1]", l, minNetWeight)
 			}
 		}
 	}
@@ -153,7 +153,7 @@ func TestPerturbAddRemoveChangesTopologyEventually(t *testing.T) {
 
 func TestWithDefaultsFillsZeroValues(t *testing.T) {
 	p := PerturbOptions{}.withDefaults()
-	if p.Step != 0.1 || p.TaskCost != [2]float64{0, 1} || p.MinNetWeight != 0.01 {
+	if p.Step != 0.1 || p.TaskCost != [2]float64{0, 1} {
 		t.Fatalf("withDefaults = %+v", p)
 	}
 	// Explicit values survive.

@@ -115,10 +115,11 @@ type PerturbOptions struct {
 	// application-specific mode sets this so the CCR-derived link
 	// strengths survive.
 	KeepPinnedWeights bool
-	// MinNetWeight floors network weights so speeds and strengths stay
-	// positive; defaults to 0.01.
-	MinNetWeight float64
 }
+
+// minNetWeight floors perturbed network weights so speeds and link
+// strengths stay positive.
+const minNetWeight = 0.01
 
 // DefaultPerturb returns the Section VI perturbation configuration:
 // step 0.1, all weights in [0, 1], full structural freedom.
@@ -148,9 +149,6 @@ func (p PerturbOptions) withDefaults() PerturbOptions {
 	}
 	if p.Link == zero {
 		p.Link = [2]float64{0, 1}
-	}
-	if p.MinNetWeight == 0 {
-		p.MinNetWeight = 0.01
 	}
 	return p
 }
@@ -247,7 +245,7 @@ func checkOptions(opts Options) error {
 }
 
 // checkPerturb validates perturbation bounds (shared with the GA):
-// non-finite or negative steps, inverted weight ranges, and NaN floors
+// non-finite or negative steps and inverted or non-finite weight ranges
 // previously produced silently degenerate searches — weights stuck at a
 // clamp boundary, or NaN ratios poisoning every comparison.
 func checkPerturb(p PerturbOptions) error {
@@ -266,9 +264,6 @@ func checkPerturb(p PerturbOptions) error {
 			math.IsInf(x.r[0], 0) || math.IsInf(x.r[1], 0) || x.r[0] > x.r[1] {
 			return fmt.Errorf("core: invalid %s range [%v, %v]", x.name, x.r[0], x.r[1])
 		}
-	}
-	if p.MinNetWeight < 0 || math.IsNaN(p.MinNetWeight) || math.IsInf(p.MinNetWeight, 0) {
-		return fmt.Errorf("core: invalid MinNetWeight %v", p.MinNetWeight)
 	}
 	return nil
 }

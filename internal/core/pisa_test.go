@@ -141,8 +141,6 @@ func TestRunRejectsBadOptions(t *testing.T) {
 		func(o *Options) { o.Perturb.Link = [2]float64{1, 0.2} }, // inverted range
 		func(o *Options) { o.Perturb.TaskCost = [2]float64{nan, 1} },
 		func(o *Options) { o.Perturb.DepCost = [2]float64{0, math.Inf(1)} }, // infinite bound
-		func(o *Options) { o.Perturb.MinNetWeight = -5 },
-		func(o *Options) { o.Perturb.MinNetWeight = math.Inf(1) },
 	}
 	for i, mutate := range cases {
 		o := good

@@ -141,7 +141,7 @@ func refPerturb(inst *graph.Instance, r *rng.RNG, p PerturbOptions) {
 
 func refPerturbNodeWeight(inst *graph.Instance, r *rng.RNG, p PerturbOptions) {
 	v := r.Intn(inst.Net.NumNodes())
-	inst.Net.Speeds[v] = clampRange(inst.Net.Speeds[v]+step(p, p.Speed, r), p.Speed, p.MinNetWeight)
+	inst.Net.Speeds[v] = clampRange(inst.Net.Speeds[v]+step(p, p.Speed, r), p.Speed, minNetWeight)
 }
 
 func refPerturbLinkWeight(inst *graph.Instance, r *rng.RNG, p PerturbOptions) bool {
@@ -155,7 +155,7 @@ func refPerturbLinkWeight(inst *graph.Instance, r *rng.RNG, p PerturbOptions) bo
 		v++
 	}
 	cur := inst.Net.Links[u][v]
-	inst.Net.SetLink(u, v, clampRange(cur+step(p, p.Link, r), p.Link, p.MinNetWeight))
+	inst.Net.SetLink(u, v, clampRange(cur+step(p, p.Link, r), p.Link, minNetWeight))
 	return true
 }
 

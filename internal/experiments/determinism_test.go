@@ -16,6 +16,7 @@ import (
 	"saga/internal/scheduler"
 	"saga/internal/schedulers"
 	"saga/internal/serialize"
+	"saga/internal/sim"
 	"saga/internal/stats"
 )
 
@@ -443,11 +444,11 @@ func robustness(inst *graph.Instance, s scheduler.Scheduler, sigma float64, n in
 	var static, adaptive []float64
 	for i := 0; i < n; i++ {
 		j := jitter(inst, sigma, r.Split())
-		m, err := replay(j, nominal)
+		replayed, err := sim.ExecuteElastic(j, nominal, sim.ElasticOptions{})
 		if err != nil {
 			return nil, err
 		}
-		static = append(static, m)
+		static = append(static, replayed.Makespan)
 		re, err := scheduler.Schedule(s, j)
 		if err != nil {
 			return nil, err
@@ -486,11 +487,7 @@ func appSpecific(scheds []scheduler.Scheduler, opts appSpecificOptions) (*AppSpe
 	depRange := [2]float64{math.Inf(1), math.Inf(-1)}
 	speedRange := [2]float64{math.Inf(1), math.Inf(-1)}
 	r := rng.New(opts.Anneal.Seed ^ 0xA99)
-	nBench := opts.BenchmarkInstances
-	if nBench <= 0 {
-		nBench = 20
-	}
-	for i := 0; i < nBench; i++ {
+	for i := 0; i < opts.BenchmarkInstances; i++ {
 		inst := appInstance(opts.Workflow, opts.CCR, r.Split())
 		for _, t := range inst.Graph.Tasks {
 			taskRange[0] = math.Min(taskRange[0], t.Cost)

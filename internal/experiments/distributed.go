@@ -178,6 +178,9 @@ func NewSweep(name string, p SweepParams) (*Sweep, error) {
 		if p.CCR <= 0 {
 			return nil, fmt.Errorf("experiments: appspecific sweep needs a single CCR level > 0 (one store per block)")
 		}
+		if p.N < 1 {
+			return nil, fmt.Errorf("experiments: appspecific sweep needs n >= 1 benchmarking instances, got n = %d", p.N)
+		}
 		if err := checkAnneal(p.Iters, p.Restarts); err != nil {
 			return nil, err
 		}

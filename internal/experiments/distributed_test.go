@@ -285,8 +285,7 @@ func TestShardedRunReturnsPartialResult(t *testing.T) {
 
 // TestSweepsRefuseNBelowOne: a sweep sized by n refuses n < 1 with one
 // error naming n, before any cell runs, instead of panicking on a
-// negative slice length or rendering an empty result. The appspecific
-// sweep keeps its own default for n <= 0.
+// negative slice length or rendering an empty result.
 func TestSweepsRefuseNBelowOne(t *testing.T) {
 	raw, err := serialize.MarshalInstance(datasets.Fig1Instance())
 	if err != nil {
@@ -294,8 +293,9 @@ func TestSweepsRefuseNBelowOne(t *testing.T) {
 	}
 	for _, n := range []int{0, -1} {
 		want := fmt.Sprintf("n = %d", n)
-		for _, name := range []string{"fig2", "fig7", "fig8", "robustness"} {
-			p := SweepParams{N: n, Seed: 1, Scheduler: "HEFT", Sigma: 0.2, InstanceRaw: raw}
+		for _, name := range []string{"fig2", "fig7", "fig8", "appspecific", "robustness"} {
+			p := SweepParams{N: n, Seed: 1, Scheduler: "HEFT", Sigma: 0.2, InstanceRaw: raw,
+				Workflow: "blast", CCR: 1, Iters: 2, Restarts: 1}
 			if _, err := NewSweep(name, p); err == nil || !strings.Contains(err.Error(), want) {
 				t.Errorf("NewSweep(%s) with n = %d: %v", name, n, err)
 			}

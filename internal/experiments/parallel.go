@@ -12,6 +12,7 @@ import (
 	"saga/internal/runner"
 	"saga/internal/scheduler"
 	"saga/internal/serialize"
+	"saga/internal/sim"
 	"saga/internal/stats"
 )
 
@@ -247,8 +248,9 @@ type robustCell struct {
 }
 
 // robustnessRun samples n jittered variants of the instance under ro and
-// reports how the scheduler's committed schedule degrades (Static)
-// versus full re-planning (Adaptive), one cell per jitter sample. The
+// reports how the scheduler's committed schedule degrades (Static, the
+// nominal schedule replayed by sim.ExecuteElastic) versus full
+// re-planning (Adaptive), one cell per jitter sample. The
 // nominal plan and every re-plan run the same scheduler value s,
 // configuration included. ro also carries progress callbacks and a
 // checkpoint store for resumable jitter sweeps (each cell is a (static,
@@ -263,7 +265,7 @@ func robustnessRun(inst *graph.Instance, s scheduler.Scheduler, sigma float64, n
 	cells, err := runner.MapState(n, ro, scheduler.NewScratch,
 		func(k int, scr *scheduler.Scratch) (robustCell, error) {
 			j := jitter(inst, sigma, subs[k])
-			m, err := replay(j, nominal)
+			replayed, err := sim.ExecuteElastic(j, nominal, sim.ElasticOptions{})
 			if err != nil {
 				return robustCell{}, err
 			}
@@ -272,7 +274,7 @@ func robustnessRun(inst *graph.Instance, s scheduler.Scheduler, sigma float64, n
 			if err := s.ScheduleScratch(j, scr, re); err != nil {
 				return robustCell{}, err
 			}
-			return robustCell{Static: m, Adaptive: re.Makespan()}, nil
+			return robustCell{Static: replayed.Makespan, Adaptive: re.Makespan()}, nil
 		})
 	if err != nil {
 		return nil, err
@@ -339,12 +341,8 @@ func appSpecificRun(scheds []scheduler.Scheduler, opts appSpecificOptions, ro ru
 	}
 
 	// Benchmarking row + observed weight ranges, one cell per instance.
-	nBench := opts.BenchmarkInstances
-	if nBench <= 0 {
-		nBench = 20
-	}
-	subs := splitStreams(opts.Anneal.Seed^0xA99, nBench)
-	benchCells, err := runner.Map(nBench, runner.Options{Workers: ro.Workers, Context: ro.Context},
+	subs := splitStreams(opts.Anneal.Seed^0xA99, opts.BenchmarkInstances)
+	benchCells, err := runner.Map(opts.BenchmarkInstances, runner.Options{Workers: ro.Workers, Context: ro.Context},
 		func(k int) (appBenchCell, error) {
 			inst := appInstance(opts.Workflow, opts.CCR, subs[k])
 			c := appBenchCell{

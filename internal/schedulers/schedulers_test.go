@@ -220,7 +220,7 @@ func TestBruteForceRejectsLargeInstances(t *testing.T) {
 
 func TestSMTWithinEpsilonOfBruteForce(t *testing.T) {
 	bf := BruteForce{}
-	smt := SMT{Epsilon: 0.01}
+	smt := SMT{}
 	for _, inst := range randomInstances(t, 8, 0x57) {
 		opt, err := scheduler.Schedule(bf, inst)
 		if err != nil {
@@ -230,7 +230,7 @@ func TestSMTWithinEpsilonOfBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if near.Makespan() > opt.Makespan()*1.01+graph.Eps {
+		if near.Makespan() > opt.Makespan()*(1+smtEpsilon)+graph.Eps {
 			t.Fatalf("SMT makespan %v exceeds (1+eps) x optimal %v",
 				near.Makespan(), opt.Makespan())
 		}

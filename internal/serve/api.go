@@ -5,8 +5,8 @@ import (
 	"encoding/json"
 	"net/http"
 
+	"saga/internal/experiments"
 	"saga/internal/httpx"
-	"saga/internal/stats"
 )
 
 // ScheduleRequest asks the daemon to schedule one instance. The
@@ -85,13 +85,9 @@ type RobustnessRequest struct {
 	Seed      uint64          `json:"seed"`
 }
 
-// RobustnessResponse mirrors experiments.RobustnessResult.
-type RobustnessResponse struct {
-	Scheduler string        `json:"scheduler"`
-	Nominal   float64       `json:"nominal"`
-	Static    stats.Summary `json:"static"`
-	Adaptive  stats.Summary `json:"adaptive"`
-}
+// RobustnessResponse is the robustness sweep's result, whose JSON tags
+// are the wire format.
+type RobustnessResponse = experiments.RobustnessResult
 
 // Client is the thin client the CLI subcommands (and the e2e/load
 // harnesses) speak to a running daemon with. The zero HTTPClient means

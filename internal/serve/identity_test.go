@@ -148,6 +148,17 @@ func TestRobustnessByteIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Two zero-cost tasks on one node, b → a, start and end at one
+	// instant; the static replay must run b first.
+	g := graph.NewTaskGraph()
+	a := g.AddTask("a", 0)
+	b := g.AddTask("b", 0)
+	g.MustAddDep(b, a, 1)
+	zeroInst := graph.NewInstance(g, graph.NewNetwork(1))
+	zeroRaw, err := serialize.MarshalInstance(zeroInst)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name string
 		req  RobustnessRequest
@@ -155,6 +166,7 @@ func TestRobustnessByteIdentity(t *testing.T) {
 	}{
 		{"instance", RobustnessRequest{Scheduler: "HEFT", Instance: instRaw, Sigma: 0.3, N: 25, Seed: 7}, inst},
 		{"wfformat", RobustnessRequest{Scheduler: "HEFT", WfC: doc, Link: 2, Nodes: 3, Sigma: 0.3, N: 25, Seed: 7}, wfcInst},
+		{"zero-cost tie", RobustnessRequest{Scheduler: "HEFT", Instance: zeroRaw, Sigma: 0.2, N: 3, Seed: 1}, zeroInst},
 	} {
 		raw, err := serialize.MarshalInstance(tc.inst)
 		if err != nil {

@@ -488,13 +488,7 @@ func (s *Server) handleRobustness(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	rr := res.(*experiments.RobustnessResult)
-	httpx.WriteJSON(w, RobustnessResponse{
-		Scheduler: rr.Scheduler,
-		Nominal:   rr.Nominal,
-		Static:    rr.Static,
-		Adaptive:  rr.Adaptive,
-	})
+	httpx.WriteJSON(w, res) // a *RobustnessResponse
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

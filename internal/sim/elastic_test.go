@@ -13,11 +13,19 @@ import (
 
 // TestElasticNeverWorseThanPlanWithoutContention: with contention off,
 // keeping a schedule's assignments and per-node order but starting
-// everything as early as possible can only tighten the makespan.
+// everything as early as possible can only tighten the makespan, on the
+// worked examples and on PISA initial instances.
 func TestElasticNeverWorseThanPlanWithoutContention(t *testing.T) {
+	instances := []*graph.Instance{
+		datasets.Fig1Instance(),
+		datasets.Fig3Instance(true),
+		datasets.InitialPISAInstance(rng.New(7)),
+	}
 	r := rng.New(0xE1A)
 	for i := 0; i < 10; i++ {
-		inst := datasets.InitialPISAInstance(r.Split())
+		instances = append(instances, datasets.InitialPISAInstance(r.Split()))
+	}
+	for _, inst := range instances {
 		for _, s := range schedulers.Experimental() {
 			sch, err := scheduler.Schedule(s, inst)
 			if err != nil {
@@ -53,6 +61,27 @@ func TestElasticMatchesStrictForBuilderSchedules(t *testing.T) {
 		if !graph.ApproxEq(res.Makespan, sch.Makespan()) {
 			t.Fatalf("%s: elastic %v != planned %v", name, res.Makespan, sch.Makespan())
 		}
+	}
+}
+
+// TestElasticScalesWithCosts: doubling every task cost under a serial,
+// communication-free schedule doubles the replayed makespan.
+func TestElasticScalesWithCosts(t *testing.T) {
+	inst := datasets.Fig1Instance()
+	sch, err := scheduler.Schedule(mustNew(t, "FastestNode"), inst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doubled := inst.Clone()
+	for tk := range doubled.Graph.Tasks {
+		doubled.Graph.Tasks[tk].Cost *= 2
+	}
+	res, err := ExecuteElastic(doubled, sch, ElasticOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !graph.ApproxEq(res.Makespan, 2*sch.Makespan()) {
+		t.Fatalf("elastic = %v, want %v", res.Makespan, 2*sch.Makespan())
 	}
 }
 
