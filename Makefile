@@ -211,8 +211,8 @@ bench-pisa:
 # TestScaleBenchGate enforcing HEFT throughput floors at the 1k/5k/10k
 # tiers and the O(|V|+|E|+|D|·|V|) table-memory bound with edge-sparse
 # link storage, and TestScaleTierSchedulesValid at the 10k tier (every
-# registered scheduler through schedule.Validate and a sim.Execute
-# replay). Part of `make verify`.
+# registered scheduler through schedule.Validate and a Strict-mode
+# sim.Execute replay). Part of `make verify`.
 bench-scale:
 	SCALE_BENCH_GATE=1 $(GO) test -run 'TestSparseTablesMatchDense10k' -count 1 ./internal/graph/
 	SCALE_BENCH_GATE=1 $(GO) test -run 'TestBestEFTNodeMatchesUnskipped' -count 1 ./internal/schedule/

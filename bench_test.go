@@ -450,7 +450,7 @@ func BenchmarkSimulatorExecute(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.Execute(inst, sch); err != nil {
+		if _, err := sim.Execute(inst, sch, sim.Strict); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -471,9 +471,10 @@ func BenchmarkSimulatorElasticContention(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.ExecuteElastic(inst, sch, sim.ElasticOptions{LinkContention: true}); err != nil {
+		if _, err := sim.Execute(inst, sch, sim.Contended); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -18,6 +18,8 @@ import (
 // twice, locally and with -server against a daemon: the thin client must
 // print byte-for-byte what the local run prints. robustness also runs
 // as two shards, `saga merge`, and a summary of the merged store.
+// simulate replays a chains schedule, and an out_trees one whose
+// makespan link contention stretches.
 func TestGoldenTranscript(t *testing.T) {
 	dir := t.TempDir()
 	daemon := httptest.NewServer(serve.New(serve.Options{}))
@@ -48,6 +50,10 @@ func TestGoldenTranscript(t *testing.T) {
 	merged := filepath.Join(dir, "r.ckpt")
 	saga("merge", append(append([]string{"-driver", "robustness"}, rob...), "-out", merged, shards[0], shards[1])...)
 	saga("robustness", append(rob, "-checkpoint", merged)...)
+	saga("simulate", "-in", in)
+	trees := filepath.Join(dir, "o.json")
+	saga("generate", "-dataset", "out_trees", "-seed", "2", "-out", trees)
+	saga("simulate", "-in", trees, "-scheduler", "CPoP", "-contention")
 	tr.check("testdata/golden.txt")
 }
 

@@ -428,7 +428,7 @@ func simulateCmd(args []string) error {
 	if err != nil {
 		return err
 	}
-	strict, err := sim.Execute(inst, sch)
+	strict, err := sim.Execute(inst, sch, sim.Strict)
 	if err != nil {
 		return fmt.Errorf("schedule not executable: %w", err)
 	}
@@ -436,7 +436,7 @@ func simulateCmd(args []string) error {
 	fmt.Printf("simulated makespan:     %.6f (%d remote transfers, utilization %.1f%%)\n",
 		strict.Makespan, strict.Messages, 100*strict.Utilization())
 	if *contention {
-		cont, err := sim.ExecuteElastic(inst, sch, sim.ElasticOptions{LinkContention: true})
+		cont, err := sim.Execute(inst, sch, sim.Contended)
 		if err != nil {
 			return err
 		}

@@ -3,6 +3,7 @@ package datasets
 import (
 	"slices"
 	"strconv"
+	"strings"
 
 	"saga/internal/graph"
 	"saga/internal/rng"
@@ -57,9 +58,6 @@ func scaleNetwork(r *rng.RNG) *graph.Network {
 	return net
 }
 
-// scaleTaskName is the name of the id-th task of a scale graph.
-func scaleTaskName(id int) string { return "t" + strconv.Itoa(id) }
-
 // scaleEdge is one dependency of a scale graph, in draw order.
 type scaleEdge struct {
 	u, v int
@@ -67,11 +65,21 @@ type scaleEdge struct {
 }
 
 // scaleGraph assembles a scale graph from its tasks and its edges in
-// the order they were drawn. Every edge runs from an earlier task to a
-// later one and none repeats, so each goes in unchecked, into adjacency
-// rows ReserveDeps cuts from one allocation.
+// the order they were drawn. Task i is named "t<i>", every name a slice
+// of one string. Every edge runs from an earlier task to a later one and
+// none repeats, so each goes in unchecked, into adjacency rows
+// ReserveDeps cuts from one allocation.
 func scaleGraph(tasks []graph.Task, edges []scaleEdge) *graph.TaskGraph {
 	n := len(tasks)
+	var names strings.Builder
+	names.Grow(n * (1 + len(strconv.Itoa(n)))) // never regrows, so no name moves
+	var digits [20]byte
+	for i := range tasks {
+		at := names.Len()
+		names.WriteByte('t')
+		names.Write(strconv.AppendInt(digits[:0], int64(i), 10))
+		tasks[i].Name = names.String()[at:]
+	}
 	g := &graph.TaskGraph{Tasks: tasks}
 	deg := make([]int, 2*n)
 	out, in := deg[:n], deg[n:]
@@ -97,7 +105,7 @@ func scaleLayered(r *rng.RNG, n int) *graph.TaskGraph {
 		width := min(r.IntBetween(16, 64), n-len(tasks))
 		for range width {
 			t := len(tasks)
-			tasks = append(tasks, graph.Task{Name: scaleTaskName(t), Cost: gauss2(r)})
+			tasks = append(tasks, graph.Task{Cost: gauss2(r)})
 			if start == 0 {
 				continue
 			}
@@ -128,7 +136,7 @@ func scaleChains(r *rng.RNG, n int) *graph.TaskGraph {
 	for range n / depth {
 		for i := range depth {
 			t := len(tasks)
-			tasks = append(tasks, graph.Task{Name: scaleTaskName(t), Cost: gauss2(r)})
+			tasks = append(tasks, graph.Task{Cost: gauss2(r)})
 			if i > 0 {
 				edges = append(edges, scaleEdge{t - 1, t, gauss2(r)})
 			}

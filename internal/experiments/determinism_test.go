@@ -444,7 +444,7 @@ func robustness(inst *graph.Instance, s scheduler.Scheduler, sigma float64, n in
 	var static, adaptive []float64
 	for i := 0; i < n; i++ {
 		j := jitter(inst, sigma, r.Split())
-		replayed, err := sim.ExecuteElastic(j, nominal, sim.ElasticOptions{})
+		replayed, err := sim.Execute(j, nominal, sim.Elastic)
 		if err != nil {
 			return nil, err
 		}

@@ -249,9 +249,9 @@ type robustCell struct {
 
 // robustnessRun samples n jittered variants of the instance under ro and
 // reports how the scheduler's committed schedule degrades (Static, the
-// nominal schedule replayed by sim.ExecuteElastic) versus full
-// re-planning (Adaptive), one cell per jitter sample. The
-// nominal plan and every re-plan run the same scheduler value s,
+// nominal schedule replayed by sim.Execute in Elastic mode) versus
+// full re-planning (Adaptive), one cell per jitter sample. The nominal
+// plan and every re-plan run the same scheduler value s,
 // configuration included. ro also carries progress callbacks and a
 // checkpoint store for resumable jitter sweeps (each cell is a (static,
 // adaptive) makespan pair).
@@ -265,7 +265,7 @@ func robustnessRun(inst *graph.Instance, s scheduler.Scheduler, sigma float64, n
 	cells, err := runner.MapState(n, ro, scheduler.NewScratch,
 		func(k int, scr *scheduler.Scratch) (robustCell, error) {
 			j := jitter(inst, sigma, subs[k])
-			replayed, err := sim.ExecuteElastic(j, nominal, sim.ElasticOptions{})
+			replayed, err := sim.Execute(j, nominal, sim.Elastic)
 			if err != nil {
 				return robustCell{}, err
 			}

@@ -32,8 +32,8 @@ type RobustnessResult struct {
 	// Nominal is the makespan on the unjittered instance.
 	Nominal float64 `json:"nominal"`
 	// Static summarizes makespans of the nominal schedule replayed on
-	// jittered instances by sim.ExecuteElastic (the schedule's node
-	// assignments and per-node order are committed, costs move).
+	// jittered instances by sim.Execute in Elastic mode (the schedule's
+	// node assignments and per-node order are committed, costs move).
 	Static stats.Summary `json:"static"`
 	// Adaptive summarizes makespans when the scheduler re-plans on each
 	// jittered instance (a clairvoyant re-scheduling upper baseline).

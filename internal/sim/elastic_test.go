@@ -31,7 +31,7 @@ func TestElasticNeverWorseThanPlanWithoutContention(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := ExecuteElastic(inst, sch, ElasticOptions{})
+			res, err := Execute(inst, sch, Elastic)
 			if err != nil {
 				t.Fatalf("%s: %v", s.Name(), err)
 			}
@@ -54,7 +54,7 @@ func TestElasticMatchesStrictForBuilderSchedules(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := ExecuteElastic(inst, sch, ElasticOptions{})
+		res, err := Execute(inst, sch, Elastic)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +76,7 @@ func TestElasticScalesWithCosts(t *testing.T) {
 	for tk := range doubled.Graph.Tasks {
 		doubled.Graph.Tasks[tk].Cost *= 2
 	}
-	res, err := ExecuteElastic(doubled, sch, ElasticOptions{})
+	res, err := Execute(doubled, sch, Elastic)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,11 +113,11 @@ func TestElasticContentionSerializesTransfers(t *testing.T) {
 		{Task: c1, Node: 1, Start: 2, End: 3},
 		{Task: c2, Node: 1, Start: 3, End: 4},
 	}}
-	free, err := ExecuteElastic(inst, plan, ElasticOptions{})
+	free, err := Execute(inst, plan, Elastic)
 	if err != nil {
 		t.Fatal(err)
 	}
-	contended, err := ExecuteElastic(inst, plan, ElasticOptions{LinkContention: true})
+	contended, err := Execute(inst, plan, Contended)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,11 +136,11 @@ func TestElasticContentionSerializesTransfers(t *testing.T) {
 		{Task: c1, Node: 1, Start: 2, End: 3},
 		{Task: c2, Node: 1, Start: 3, End: 4},
 	}}
-	free2, err := ExecuteElastic(inst, plan2, ElasticOptions{})
+	free2, err := Execute(inst, plan2, Elastic)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cont2, err := ExecuteElastic(inst, plan2, ElasticOptions{LinkContention: true})
+	cont2, err := Execute(inst, plan2, Contended)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,11 +168,11 @@ func TestElasticContentionNeverFaster(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			free, err := ExecuteElastic(inst, sch, ElasticOptions{})
+			free, err := Execute(inst, sch, Elastic)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cont, err := ExecuteElastic(inst, sch, ElasticOptions{LinkContention: true})
+			cont, err := Execute(inst, sch, Contended)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -186,7 +186,7 @@ func TestElasticContentionNeverFaster(t *testing.T) {
 
 func TestElasticShapeErrors(t *testing.T) {
 	inst := datasets.Fig1Instance()
-	if _, err := ExecuteElastic(inst, &schedule.Schedule{NumNodes: 3}, ElasticOptions{}); err == nil {
+	if _, err := Execute(inst, &schedule.Schedule{NumNodes: 3}, Elastic); err == nil {
 		t.Fatal("task-count mismatch accepted")
 	}
 }

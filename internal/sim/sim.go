@@ -1,7 +1,7 @@
 // Package sim is a discrete-event executor for schedules: it replays a
 // schedule on a simulated platform — compute nodes processing one task
 // at a time, point-to-point links carrying task outputs — and reports
-// when every task and message actually started and finished.
+// when every task actually started and finished.
 //
 // The analytic model of package schedule computes the same quantities in
 // closed form; this simulator derives them operationally from an event
@@ -13,95 +13,53 @@
 //
 // The simulator follows the paper's platform assumptions: a node
 // executes one task at a time at fixed speed; every ordered node pair
-// has a dedicated link (no contention); a transfer of c(t, t') over link
-// (v, v') takes c(t, t')/s(v, v'); local transfers are instantaneous.
+// has a dedicated link (no contention, unless Contended asks for it); a
+// transfer of c(t, t') over link (v, v') takes c(t, t')/s(v, v'); local
+// transfers are instantaneous.
 package sim
 
 import (
 	"cmp"
-	"container/heap"
 	"fmt"
+	"math"
 	"slices"
 
 	"saga/internal/graph"
 	"saga/internal/schedule"
 )
 
-// EventKind enumerates simulation events.
-type EventKind int
+// Mode selects how Execute times the schedule it replays. Every mode
+// keeps the schedule's node assignments and per-node order.
+type Mode int
 
-// Event kinds. The numeric order is the tie-break order at equal
-// timestamps: deliveries and completions release resources before new
-// work begins.
 const (
-	// EventMessageArrive delivers one task output to one node.
-	EventMessageArrive EventKind = iota
-	// EventTaskFinish completes a task and emits its output messages.
-	EventTaskFinish
-	// EventTaskStart begins a task's execution on its node.
-	EventTaskStart
+	// Strict starts every task at its planned time, and refuses the
+	// schedule if an input arrives later or the node is still busy.
+	Strict Mode = iota
+	// Elastic recomputes all times operationally: a task starts as soon
+	// as its node reaches it in order and its inputs have arrived, and a
+	// transfer starts when its producer finishes. It never fails on late
+	// inputs; lateness simply propagates.
+	Elastic
+	// Contended is Elastic with every directed link carrying one
+	// transfer at a time, FIFO in request order. The paper's model — and
+	// every scheduler here — assumes contention-free links; this shows
+	// how a schedule degrades on a platform with single-channel links.
+	Contended
 )
-
-// String implements fmt.Stringer.
-func (k EventKind) String() string {
-	switch k {
-	case EventMessageArrive:
-		return "message-arrive"
-	case EventTaskFinish:
-		return "task-finish"
-	case EventTaskStart:
-		return "task-start"
-	}
-	return fmt.Sprintf("EventKind(%d)", int(k))
-}
-
-// Event is one timestamped simulation event. For message events, Src is
-// the producing task and Task the consuming one; otherwise Src is -1.
-// Node is where the event takes place (the destination node for
-// messages).
-type Event struct {
-	Time float64
-	Kind EventKind
-	Task int
-	Src  int
-	Node int
-	seq  int // insertion order, the final tie-break
-}
-
-type eventHeap []Event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].Time != h[j].Time {
-		return h[i].Time < h[j].Time
-	}
-	if h[i].Kind != h[j].Kind {
-		return h[i].Kind < h[j].Kind
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(Event)) }
-func (h *eventHeap) Pop() any     { old := *h; x := old[len(old)-1]; *h = old[:len(old)-1]; return x }
 
 // Result is the outcome of executing a schedule.
 type Result struct {
-	// Start and Finish are the simulated per-task times; for a feasible
-	// schedule they equal the schedule's own Start/End fields.
+	// Start and Finish are the simulated per-task times; in Strict mode
+	// they equal the schedule's own Start/End fields.
 	Start, Finish []float64
 	// Makespan is the simulated completion time of the last task.
 	Makespan float64
-	// Events is the full event log in processing order.
-	Events []Event
 	// Messages counts remote transfers that take time: local deliveries,
-	// zero-cost dependencies and infinitely strong links are excluded,
-	// as in ExecuteElastic.
+	// zero-cost dependencies and infinitely strong links are excluded.
 	Messages int
-	// NodeBusy[v] is the total execution time on node v; LinkBusy[u][v]
-	// the total transfer time on the directed link u→v. Together they
-	// give platform utilization.
+	// NodeBusy[v] is the total execution time on node v.
 	NodeBusy []float64
-	LinkBusy [][]float64
 }
 
 // Utilization returns the fraction of node-time spent executing over the
@@ -117,12 +75,12 @@ func (r *Result) Utilization() float64 {
 	return busy / (r.Makespan * float64(len(r.NodeBusy)))
 }
 
-// startOrder returns s's tasks ordered by (start, end, topological
-// position): the order in which both simulators fire starts that fall
-// at the same instant. A zero-duration task that starts with a longer
-// task on its node, or with its own successor, then starts, finishes and
-// delivers its local outputs before the other one starts, as the
-// schedule allows. It also checks every task's node.
+// startOrder returns s's tasks grouped by node, each node's ordered by
+// (start, end, topological position): the order in which the node runs
+// them. A zero-duration task that starts with a longer task on its node,
+// or with its own successor, then starts, finishes and delivers its
+// local outputs before the other one starts, as the schedule allows. It
+// also checks every task's node.
 func startOrder(g *graph.TaskGraph, s *schedule.Schedule) ([]int, error) {
 	order, err := g.TopoOrder()
 	if err != nil {
@@ -137,6 +95,9 @@ func startOrder(g *graph.TaskGraph, s *schedule.Schedule) ([]int, error) {
 	}
 	slices.SortFunc(order, func(x, y int) int {
 		ax, ay := s.ByTask[x], s.ByTask[y]
+		if ax.Node != ay.Node {
+			return ax.Node - ay.Node
+		}
 		if c := cmp.Compare(ax.Start, ay.Start); c != 0 {
 			return c
 		}
@@ -148,107 +109,172 @@ func startOrder(g *graph.TaskGraph, s *schedule.Schedule) ([]int, error) {
 	return order, nil
 }
 
-// Execute replays the schedule on the instance's platform. It returns an
-// error if the schedule is not operationally executable: a task's start
-// event fires while an input is undelivered or its node is still busy,
-// or the schedule is structurally inconsistent with the instance.
-// Same-time starts fire in startOrder.
-func Execute(inst *graph.Instance, s *schedule.Schedule) (*Result, error) {
+// Event kinds. At equal times a delivery is processed before a
+// completion; starts are not events but decided when a node is offered
+// its next task.
+const (
+	arrive = iota // one input of task reaches its node
+	finish        // task completes and emits its outputs
+)
+
+type event struct {
+	time       float64
+	kind, task int
+	seq        int // push order, the final tie-break
+}
+
+// events is a binary min-heap keyed by (time, kind, seq).
+type events []event
+
+func (h events) less(i, j int) bool {
+	if h[i].time != h[j].time {
+		return h[i].time < h[j].time
+	}
+	if h[i].kind != h[j].kind {
+		return h[i].kind < h[j].kind
+	}
+	return h[i].seq < h[j].seq
+}
+
+func (h *events) push(e event) {
+	q := append(*h, e)
+	for i := len(q) - 1; i > 0 && q.less(i, (i-1)/2); i = (i - 1) / 2 {
+		q[i], q[(i-1)/2] = q[(i-1)/2], q[i]
+	}
+	*h = q
+}
+
+func (h *events) pop() event {
+	q := *h
+	top, last := q[0], len(q)-1
+	q[0] = q[last]
+	q = q[:last]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c+1 < last && q.less(c+1, c) {
+			c++
+		}
+		if c >= last || !q.less(c, i) {
+			break
+		}
+		q[i], q[c] = q[c], q[i]
+		i = c
+	}
+	*h = q
+	return top
+}
+
+// Execute replays the schedule on the instance's platform in the given
+// mode. Each node runs its tasks in startOrder; a task is offered to its
+// node once the task before it there has started. It returns an error if
+// the schedule is structurally inconsistent with the instance, if its
+// per-node order deadlocks against precedence, or, in Strict mode, if a
+// task's planned start comes before an input arrives or more than Eps
+// before its node frees.
+func Execute(inst *graph.Instance, s *schedule.Schedule, mode Mode) (*Result, error) {
 	g, net := inst.Graph, inst.Net
-	n := g.NumTasks()
+	n, m := g.NumTasks(), net.NumNodes()
 	if len(s.ByTask) != n {
 		return nil, fmt.Errorf("sim: schedule covers %d tasks, instance has %d", len(s.ByTask), n)
 	}
-	if s.NumNodes != net.NumNodes() {
-		return nil, fmt.Errorf("sim: schedule targets %d nodes, network has %d", s.NumNodes, net.NumNodes())
+	if s.NumNodes != m {
+		return nil, fmt.Errorf("sim: schedule targets %d nodes, network has %d", s.NumNodes, m)
 	}
-
-	res := &Result{
-		Start:    make([]float64, n),
-		Finish:   make([]float64, n),
-		NodeBusy: make([]float64, net.NumNodes()),
-		LinkBusy: make([][]float64, net.NumNodes()),
-	}
-	for v := range res.LinkBusy {
-		res.LinkBusy[v] = make([]float64, net.NumNodes())
-	}
-
-	delivered := make([]int, n) // inputs available at the task's node
-	running := make([]bool, n)  // task currently executing
-	nodeFree := make([]float64, net.NumNodes())
-	nodeIdle := make([]bool, net.NumNodes())
-	for v := range nodeIdle {
-		nodeIdle[v] = true
-	}
-
-	order, err := startOrder(g, s)
+	tasks, err := startOrder(g, s)
 	if err != nil {
 		return nil, err
 	}
-	var h eventHeap
+
+	f := make([]float64, 3*n+2*m)
+	res := &Result{Start: f[:n:n], Finish: f[n : 2*n : 2*n], NodeBusy: f[2*n : 2*n+m : 2*n+m]}
+	arrivedAt, nodeFree := f[2*n+m:3*n+m], f[3*n+m:] // latest input; end of the node's last start
+	for i := 2*n + m; i < len(f); i++ {
+		f[i] = math.Inf(-1) // nothing has arrived or run, even before time 0
+	}
+	var linkFree []float64 // [u*m+v]: when link u→v finishes its queued transfers
+	if mode == Contended {
+		linkFree = make([]float64, m*m)
+	}
+
+	// tasks[next[v]:end[v]] is node v's tasks still to start.
+	ints := make([]int, n+2*m)
+	delivered, next, end := ints[:n], ints[n:n+m], ints[n+m:]
+	for _, t := range tasks {
+		end[s.ByTask[t].Node]++
+	}
+	for v, at := 0, 0; v < m; v++ {
+		next[v], at = at, at+end[v]
+		end[v] = at
+	}
+
+	h := make(events, 0, n+g.NumDeps())
 	seq := 0
-	push := func(e Event) {
-		e.seq = seq
+	push := func(time float64, kind, task int) {
+		h.push(event{time: time, kind: kind, task: task, seq: seq})
 		seq++
-		heap.Push(&h, e)
 	}
-	for _, t := range order {
-		a := s.ByTask[t]
-		push(Event{Time: a.Start, Kind: EventTaskStart, Task: t, Src: -1, Node: a.Node})
-	}
-
-	completed := 0
-	for h.Len() > 0 {
-		e := heap.Pop(&h).(Event)
-		res.Events = append(res.Events, e)
-		switch e.Kind {
-		case EventTaskStart:
-			t := e.Task
+	// tryStart starts node v's next tasks while their inputs are in.
+	tryStart := func(v int, now float64) error {
+		for ; next[v] < end[v]; next[v]++ {
+			t := tasks[next[v]]
 			if delivered[t] != len(g.Pred[t]) {
-				return nil, fmt.Errorf("sim: task %d starts at %v with %d of %d inputs delivered",
-					t, e.Time, delivered[t], len(g.Pred[t]))
+				return nil
 			}
-			if !nodeIdle[e.Node] && nodeFree[e.Node] > e.Time+graph.Eps {
-				return nil, fmt.Errorf("sim: task %d starts at %v on node %d, busy until %v",
-					t, e.Time, e.Node, nodeFree[e.Node])
+			start := s.ByTask[t].Start
+			switch {
+			case mode != Strict:
+				start = math.Max(now, math.Max(nodeFree[v], arrivedAt[t]))
+			case arrivedAt[t] > start:
+				return fmt.Errorf("sim: task %d starts at %v, with its inputs delivered at %v", t, start, arrivedAt[t])
+			case nodeFree[v] > start+graph.Eps:
+				return fmt.Errorf("sim: task %d starts at %v on node %d, busy until %v", t, start, v, nodeFree[v])
 			}
-			exec := inst.ExecTime(t, e.Node)
-			running[t] = true
-			nodeIdle[e.Node] = false
-			nodeFree[e.Node] = e.Time + exec
-			res.Start[t] = e.Time
-			res.NodeBusy[e.Node] += exec
-			push(Event{Time: e.Time + exec, Kind: EventTaskFinish, Task: t, Src: -1, Node: e.Node})
+			exec := inst.ExecTime(t, v)
+			nodeFree[v] = start + exec
+			res.Start[t] = start
+			res.NodeBusy[v] += exec
+			push(start+exec, finish, t)
+		}
+		return nil
+	}
 
-		case EventTaskFinish:
-			t := e.Task
-			if !running[t] {
-				return nil, fmt.Errorf("sim: finish event for non-running task %d", t)
-			}
-			running[t] = false
-			nodeIdle[e.Node] = true
-			res.Finish[t] = e.Time
-			if e.Time > res.Makespan {
-				res.Makespan = e.Time
-			}
+	for v := range m {
+		if err := tryStart(v, 0); err != nil {
+			return nil, err
+		}
+	}
+	completed := 0
+	for len(h) > 0 {
+		e := h.pop()
+		t := e.task
+		v := s.ByTask[t].Node
+		if e.kind == arrive {
+			delivered[t]++
+			arrivedAt[t] = math.Max(arrivedAt[t], e.time)
+		} else {
+			res.Finish[t] = e.time
+			res.Makespan = math.Max(res.Makespan, e.time)
 			completed++
-			// Emit output messages toward every successor's node.
 			for _, d := range g.Succ[t] {
 				dst := s.ByTask[d.To].Node
-				delay := inst.CommTime(t, d.To, e.Node, dst)
-				if dst != e.Node && delay > 0 {
+				delay := inst.CommTime(t, d.To, v, dst)
+				at := e.time + delay
+				if dst != v && delay > 0 {
+					if linkFree != nil {
+						at = math.Max(e.time, linkFree[v*m+dst]) + delay
+						linkFree[v*m+dst] = at
+					}
 					res.Messages++
-					res.LinkBusy[e.Node][dst] += delay
 				}
-				push(Event{Time: e.Time + delay, Kind: EventMessageArrive, Task: d.To, Src: t, Node: dst})
+				push(at, arrive, d.To)
 			}
-
-		case EventMessageArrive:
-			delivered[e.Task]++
+		}
+		if err := tryStart(v, e.time); err != nil {
+			return nil, err
 		}
 	}
 	if completed != n {
-		return nil, fmt.Errorf("sim: only %d of %d tasks completed", completed, n)
+		return nil, fmt.Errorf("sim: only %d of %d tasks completed (order/precedence deadlock)", completed, n)
 	}
 	return res, nil
 }

@@ -64,7 +64,7 @@ func TestDifferentialAllSchedulers(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s on instance %d: %v", s.Name(), i, err)
 			}
-			res, err := Execute(inst, sch)
+			res, err := Execute(inst, sch, Strict)
 			if err != nil {
 				t.Fatalf("%s on instance %d: simulation rejected schedule: %v", s.Name(), i, err)
 			}
@@ -78,7 +78,7 @@ func TestDifferentialAllSchedulers(t *testing.T) {
 				t.Fatalf("%s instance %d: simulated makespan %v != analytic %v",
 					s.Name(), i, res.Makespan, sch.Makespan())
 			}
-			el, err := ExecuteElastic(inst, sch, ElasticOptions{})
+			el, err := Execute(inst, sch, Elastic)
 			if err != nil {
 				t.Fatalf("%s on instance %d: elastic replay: %v", s.Name(), i, err)
 			}
@@ -108,10 +108,10 @@ func sameInstantSchedule(costs []float64, deps [][2]int, starts []float64) (*gra
 	return graph.NewInstance(g, graph.NewNetwork(1)), sch
 }
 
-// TestSameInstantStartsFireInScheduleOrder pins the start order both
-// simulators use at one instant: a zero-duration task starts and
-// finishes before a longer task that starts with it on its node, and
-// before its own successor, whatever the task indices.
+// TestSameInstantStartsFireInScheduleOrder pins the start order every
+// mode uses at one instant: a zero-duration task starts and finishes
+// before a longer task that starts with it on its node, and before its
+// own successor, whatever the task indices.
 func TestSameInstantStartsFireInScheduleOrder(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -131,18 +131,18 @@ func TestSameInstantStartsFireInScheduleOrder(t *testing.T) {
 		if err := schedule.Validate(inst, sch); err != nil {
 			t.Fatalf("%s: the schedule itself is invalid: %v", c.name, err)
 		}
-		res, err := Execute(inst, sch)
+		res, err := Execute(inst, sch, Strict)
 		if err != nil {
-			t.Fatalf("%s: Execute refused: %v", c.name, err)
+			t.Fatalf("%s: Strict refused: %v", c.name, err)
 		}
 		for tk, a := range sch.ByTask {
 			if res.Start[tk] != a.Start || res.Finish[tk] != a.End {
 				t.Fatalf("%s task %d: simulated [%v,%v], planned [%v,%v]", c.name, tk, res.Start[tk], res.Finish[tk], a.Start, a.End)
 			}
 		}
-		el, err := ExecuteElastic(inst, sch, ElasticOptions{})
+		el, err := Execute(inst, sch, Elastic)
 		if err != nil {
-			t.Fatalf("%s: ExecuteElastic: %v", c.name, err)
+			t.Fatalf("%s: Elastic: %v", c.name, err)
 		}
 		if el.Makespan != sch.Makespan() {
 			t.Fatalf("%s: elastic makespan %v, planned %v", c.name, el.Makespan, sch.Makespan())
@@ -155,8 +155,22 @@ func TestSameInstantStartsFireInScheduleOrder(t *testing.T) {
 // on one node are refused whichever fires first.
 func TestSameInstantOverlapStillRefused(t *testing.T) {
 	inst, sch := sameInstantSchedule([]float64{1, 0.5}, nil, []float64{0, 0})
-	if _, err := Execute(inst, sch); err == nil || !strings.Contains(err.Error(), "busy") {
+	if _, err := Execute(inst, sch, Strict); err == nil || !strings.Contains(err.Error(), "busy") {
 		t.Fatalf("overlapping same-time starts: err = %v, want a busy refusal", err)
+	}
+}
+
+// TestConsumerBeforeProducerDeadlocks: a node order that puts a consumer
+// before its producer on the same node can never run. The consumer waits
+// for an input that only the task behind it would send, so both modes
+// refuse it as a deadlock.
+func TestConsumerBeforeProducerDeadlocks(t *testing.T) {
+	// t1 feeds t0, but t0 is planned first on the one node.
+	inst, sch := sameInstantSchedule([]float64{1, 1}, [][2]int{{1, 0}}, []float64{0, 1})
+	for _, mode := range []Mode{Strict, Elastic} {
+		if _, err := Execute(inst, sch, mode); err == nil || !strings.Contains(err.Error(), "deadlock") {
+			t.Fatalf("mode %d: err = %v, want a deadlock refusal", mode, err)
+		}
 	}
 }
 
@@ -185,7 +199,7 @@ func TestExecuteRejectsEarlyStart(t *testing.T) {
 			break
 		}
 	}
-	if _, err := Execute(inst, sch); err == nil {
+	if _, err := Execute(inst, sch, Strict); err == nil {
 		t.Fatal("early start accepted")
 	} else if !strings.Contains(err.Error(), "inputs delivered") && !strings.Contains(err.Error(), "busy") {
 		t.Fatalf("unexpected error: %v", err)
@@ -205,7 +219,7 @@ func TestExecuteRejectsNodeOverlap(t *testing.T) {
 			{Task: 1, Node: 0, Start: 1, End: 3},
 		},
 	}
-	if _, err := Execute(inst, sch); err == nil {
+	if _, err := Execute(inst, sch, Strict); err == nil {
 		t.Fatal("overlapping execution accepted")
 	}
 }
@@ -213,16 +227,16 @@ func TestExecuteRejectsNodeOverlap(t *testing.T) {
 func TestExecuteRejectsShapeMismatches(t *testing.T) {
 	inst, sch := fig1Schedule(t, "HEFT")
 	bad := &schedule.Schedule{NumNodes: sch.NumNodes}
-	if _, err := Execute(inst, bad); err == nil {
+	if _, err := Execute(inst, bad, Strict); err == nil {
 		t.Fatal("task-count mismatch accepted")
 	}
 	sch2 := &schedule.Schedule{NumNodes: 99, ByTask: sch.ByTask}
-	if _, err := Execute(inst, sch2); err == nil {
+	if _, err := Execute(inst, sch2, Strict); err == nil {
 		t.Fatal("node-count mismatch accepted")
 	}
 	sch3 := &schedule.Schedule{NumNodes: sch.NumNodes, ByTask: append([]schedule.Assignment(nil), sch.ByTask...)}
 	sch3.ByTask[0].Node = -1
-	if _, err := Execute(inst, sch3); err == nil {
+	if _, err := Execute(inst, sch3, Strict); err == nil {
 		t.Fatal("invalid node accepted")
 	}
 }
@@ -242,22 +256,19 @@ func TestMessageCounting(t *testing.T) {
 		{Task: 0, Node: 0, Start: 0, End: 1},
 		{Task: 1, Node: 1, Start: 3, End: 4}, // 1 + 2/1 = 3 arrival
 	}}
-	res, err := Execute(inst, remote)
+	res, err := Execute(inst, remote, Strict)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Messages != 1 {
 		t.Fatalf("Messages = %d, want 1", res.Messages)
 	}
-	if res.LinkBusy[0][1] != 2 {
-		t.Fatalf("LinkBusy = %v, want 2", res.LinkBusy[0][1])
-	}
 
 	local := &schedule.Schedule{NumNodes: 2, ByTask: []schedule.Assignment{
 		{Task: 0, Node: 0, Start: 0, End: 1},
 		{Task: 1, Node: 0, Start: 1, End: 2},
 	}}
-	res2, err := Execute(inst, local)
+	res2, err := Execute(inst, local, Strict)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,22 +277,22 @@ func TestMessageCounting(t *testing.T) {
 	}
 
 	// A zero-cost dependency across nodes moves no data: zero messages,
-	// the count ExecuteElastic reports for the same schedule.
+	// the count Elastic mode reports for the same schedule.
 	g.SetDepCost(a, b, 0)
 	free := &schedule.Schedule{NumNodes: 2, ByTask: []schedule.Assignment{
 		{Task: 0, Node: 0, Start: 0, End: 1},
 		{Task: 1, Node: 1, Start: 1, End: 2},
 	}}
-	res3, err := Execute(inst, free)
+	res3, err := Execute(inst, free, Strict)
 	if err != nil {
 		t.Fatal(err)
 	}
-	el, err := ExecuteElastic(inst, free, ElasticOptions{})
+	el, err := Execute(inst, free, Elastic)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res3.Messages != 0 || el.Messages != 0 {
-		t.Fatalf("zero-cost remote dependency: Execute Messages = %d, ExecuteElastic Messages = %d, want 0 and 0",
+		t.Fatalf("zero-cost remote dependency: Strict Messages = %d, Elastic Messages = %d, want 0 and 0",
 			res3.Messages, el.Messages)
 	}
 }
@@ -298,50 +309,12 @@ func TestUtilization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Execute(inst, sch)
+	res, err := Execute(inst, sch, Strict)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !graph.ApproxEq(res.Utilization(), 1) {
 		t.Fatalf("utilization = %v, want 1", res.Utilization())
-	}
-}
-
-func TestEventLogOrdering(t *testing.T) {
-	inst, sch := fig1Schedule(t, "CPoP")
-	res, err := Execute(inst, sch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < len(res.Events); i++ {
-		if res.Events[i].Time < res.Events[i-1].Time-graph.Eps {
-			t.Fatalf("event log out of order at %d: %v after %v",
-				i, res.Events[i].Time, res.Events[i-1].Time)
-		}
-	}
-	// Every task contributes exactly one start and one finish.
-	starts, finishes := 0, 0
-	for _, e := range res.Events {
-		switch e.Kind {
-		case EventTaskStart:
-			starts++
-		case EventTaskFinish:
-			finishes++
-		}
-	}
-	if starts != inst.Graph.NumTasks() || finishes != inst.Graph.NumTasks() {
-		t.Fatalf("starts=%d finishes=%d, want %d each", starts, finishes, inst.Graph.NumTasks())
-	}
-}
-
-func TestEventKindString(t *testing.T) {
-	if EventTaskStart.String() != "task-start" ||
-		EventTaskFinish.String() != "task-finish" ||
-		EventMessageArrive.String() != "message-arrive" {
-		t.Fatal("EventKind.String broken")
-	}
-	if EventKind(42).String() == "" {
-		t.Fatal("unknown kind should still format")
 	}
 }
 
@@ -358,7 +331,7 @@ func TestSimulatedAnnealingInstancesExecutable(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := Execute(inst, sch)
+			res, err := Execute(inst, sch, Strict)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}

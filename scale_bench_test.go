@@ -117,11 +117,11 @@ func TestScaleBenchGate(t *testing.T) {
 
 // TestScaleTierSchedulesValid runs every registered scheduler on the
 // layered and chain-bundle scale instances, checks each schedule with
-// schedule.Validate and replays it through sim.Execute, which must
-// accept it and finish within Eps of its makespan — the 1k tier on
-// every `go test`, the 10k tier with the gate. The scale generators draw
-// zero-cost tasks, the input on which a timeline ordered by Start alone
-// let FCP, FLB, OLB, MCT and FastestNode overlap tasks. BruteForce and
+// schedule.Validate and replays it through sim.Execute in Strict mode,
+// which must accept it and finish within Eps of its makespan — the 1k
+// tier on every `go test`, the 10k tier with the gate. The scale
+// generators draw zero-cost tasks, the input on which a timeline ordered
+// by Start alone let FCP, FLB, OLB, MCT and FastestNode overlap tasks. BruteForce and
 // SMT refuse instances this large; any other error fails the test.
 func TestScaleTierSchedulesValid(t *testing.T) {
 	tiers := []string{"1k"}
@@ -143,7 +143,7 @@ func TestScaleTierSchedulesValid(t *testing.T) {
 				}
 				if err == nil {
 					var res *sim.Result
-					if res, err = sim.Execute(inst, &out); err == nil && !graph.ApproxEq(res.Makespan, out.Makespan()) {
+					if res, err = sim.Execute(inst, &out, sim.Strict); err == nil && !graph.ApproxEq(res.Makespan, out.Makespan()) {
 						err = fmt.Errorf("simulated makespan %v, schedule's %v", res.Makespan, out.Makespan())
 					}
 				}
