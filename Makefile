@@ -8,7 +8,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build vet test test-race verify bench-smoke bench-pisa bench-scale docs-lint coord-smoke serve-smoke chaos-smoke bench-serve fuzz-short cover examples-smoke
+.PHONY: all build vet test test-race verify certify bench-smoke bench-pisa bench-scale docs-lint coord-smoke serve-smoke chaos-smoke bench-serve fuzz-short cover examples-smoke
 
 all: verify
 
@@ -44,8 +44,9 @@ test-race:
 
 # verify is the tier-1 check: everything builds and passes go vet,
 # the concurrent packages pass under the race detector, every package
-# stays documented, every example program runs to a zero exit, the hot
-# path still schedules without allocating, the PISA inner loop keeps its
+# stays documented, every example program runs to a zero exit, every
+# cell of the paper-scale Fig 4 grid on seeds 1-6 is certified
+# (certify), the hot path still schedules without allocating, the PISA inner loop keeps its
 # speedup and parallel-run gates, the scale-tier data plane keeps its
 # throughput, memory, and bit-identity floors (bench-scale), the
 # process-level coordinator smoke test survives a worker SIGKILL
@@ -60,7 +61,7 @@ test-race:
 # printed either way.
 verify:
 	@start=$$(date +%s%N); summary=; \
-	for step in build vet test-race docs-lint examples-smoke bench-smoke bench-pisa bench-scale \
+	for step in build vet test-race docs-lint examples-smoke certify bench-smoke bench-pisa bench-scale \
 		coord-smoke serve-smoke chaos-smoke bench-serve fuzz-short cover; do \
 		t0=$$(date +%s%N); $(MAKE) --no-print-directory $$step; status=$$?; \
 		summary="$$summary$$(awk -v s=$$step -v ns=$$(($$(date +%s%N) - t0)) 'BEGIN { printf "verify: %-15s %6.1f s", s, ns / 1e9 }')\n"; \
@@ -68,6 +69,16 @@ verify:
 	done; \
 	printf "$$summary"; \
 	awk -v ns=$$(($$(date +%s%N) - start)) 'BEGIN { printf "verify: %-15s %6.1f s\n", "total", ns / 1e9 }'
+
+# certify re-checks every off-diagonal cell of the paper-scale Fig 4
+# grid (1000 iterations x 5 restarts) on seeds 1-6, opted in via
+# CERTIFY_GATE=1 (the plain suite certifies seeds 1-2): both schedules
+# re-derived afresh, valid, replayed by sim.Execute at their planned
+# makespans, no shorter than exact.LowerBound less its slack or
+# exact.Solve's optimum, and the stored ratio re-derived bit for bit.
+# About 2 s on 2 cores.
+certify:
+	CERTIFY_GATE=1 $(GO) test -run 'TestFig4Certified' -count 1 -v ./internal/experiments/
 
 # coord-smoke is the process-level fault drill for the sweep
 # coordinator: it builds the saga binary, starts `saga coordinate` plus

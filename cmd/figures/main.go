@@ -11,7 +11,7 @@
 // Defaults are scaled down to finish in seconds; raise -n, -iters and
 // -restarts to the paper's scale (-n 1000 -iters 1000 -restarts 5) for a
 // full reproduction. Fig 2, Fig 4, Figs 7 and 8 and the
-// application-specific grids are sweeps (experiments.NewSweep): they
+// application-specific grids are sweeps (experiments.Fig2 and kin): they
 // take -checkpoint and -shard, and `saga worker`, `saga coordinate` and
 // `saga merge` run the same sweeps with -driver. A store holds one
 // sweep, so both flags take one named figure, never `all`.
@@ -115,9 +115,9 @@ func (g *figures) figure(cmd string) error {
 	case "fig4":
 		return g.fig4()
 	case "fig7":
-		return g.family("fig7", "fig7 (fork-join family: HEFT loses to CPoP)")
+		return g.family(experiments.Fig7, "fig7 (fork-join family: HEFT loses to CPoP)")
 	case "fig8":
-		return g.family("fig8", "fig8 (wide-fork family: CPoP loses to HEFT)")
+		return g.family(experiments.Fig8, "fig8 (wide-fork family: CPoP loses to HEFT)")
 	case "appspecific":
 		return g.appSpecific(g.Workflow)
 	case "all":
@@ -169,7 +169,7 @@ func (g *figures) fig1() error {
 
 func (g *figures) fig2() error {
 	fmt.Println("== Fig 2: makespan ratios of 15 algorithms on 16 datasets ==")
-	res, err := cli.Run[*experiments.BenchmarkResult](g.Flags, "fig2", g.SweepParams)
+	res, err := cli.Run(g.Flags, experiments.Fig2, g.SweepParams)
 	if res == nil {
 		return err
 	}
@@ -204,7 +204,7 @@ func fig3() error {
 
 func (g *figures) fig4() error {
 	fmt.Println("== Fig 4: pairwise PISA heatmap (15 x 15) ==")
-	res, err := cli.Run[*experiments.PairwiseResult](g.Flags, "fig4", g.SweepParams)
+	res, err := cli.Run(g.Flags, experiments.Fig4, g.SweepParams)
 	if res == nil {
 		return err
 	}
@@ -243,10 +243,10 @@ func caseStudy(cmd string) error {
 	return nil
 }
 
-// family renders the Fig 7/8 makespan histograms of the named sweep.
-func (g *figures) family(name, title string) error {
+// family renders the Fig 7/8 makespan histograms of sweep d.
+func (g *figures) family(d experiments.SweepDef[*experiments.FamilyResult], title string) error {
 	fmt.Println("== " + title + " ==")
-	res, err := cli.Run[*experiments.FamilyResult](g.Flags, name, g.SweepParams)
+	res, err := cli.Run(g.Flags, d, g.SweepParams)
 	if res == nil {
 		return err
 	}
@@ -304,7 +304,7 @@ func (g *figures) appSpecific(workflow string) error {
 		// next CCR level starts fresh at the same path.
 		p := g.SweepParams
 		p.Workflow, p.CCR = workflow, ccr
-		res, err := cli.Run[*experiments.AppSpecificResult](g.Flags, "appspecific", p)
+		res, err := cli.Run(g.Flags, experiments.AppSpecific, p)
 		if err != nil {
 			return err
 		}

@@ -556,8 +556,11 @@ func workerCmd(args []string) error {
 	// A shard's output is its sealed store — written even when the shard
 	// owns zero cells (more shards than cells), so the merge sees every
 	// shard it expects.
-	_, err = cli.Run[any](f, *driver, p)
-	return err
+	sw, err := experiments.NewSweep(*driver, p)
+	if err != nil {
+		return err
+	}
+	return f.RunSweep(sw)
 }
 
 // coordinateCmd serves a coordinator hub (internal/coord) with one sweep

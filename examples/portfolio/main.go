@@ -19,18 +19,17 @@ func main() {
 	// Candidates: the six Section VII schedulers. The "pairwise" sweep
 	// runs PISA for every ordered pair of them, in parallel across pairs.
 	candidates := schedulers.AppSpecificNames
-	sweep, err := experiments.NewSweep("pairwise", experiments.SweepParams{
+	_, pairwise, err := experiments.Pairwise.Bind(experiments.SweepParams{
 		Schedulers: candidates, Iters: 300, Restarts: 2, Seed: 1,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("running pairwise PISA over", len(candidates), "schedulers...")
-	res, err := sweep.Result(runner.Options{})
+	grid, err := pairwise(runner.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	grid := res.(*experiments.PairwiseResult)
 	fmt.Print(render.Grid("worst-case ratio of column scheduler vs row baseline:",
 		grid.Schedulers, grid.Schedulers, grid.Ratios))
 

@@ -97,7 +97,7 @@ func TestRunStoreLifecycle(t *testing.T) {
 		t.Helper()
 		f := Defaults()
 		f.Checkpoint, f.Shard = ckpt, shard
-		res, err := Run[*experiments.FamilyResult](f, "fig7", p)
+		res, err := Run(f, experiments.Fig7, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +107,7 @@ func TestRunStoreLifecycle(t *testing.T) {
 
 	f := Defaults()
 	f.Shard = "0/2"
-	if _, err := Run[*experiments.FamilyResult](f, "fig7", p); err == nil || !strings.Contains(err.Error(), "-shard requires -checkpoint") {
+	if _, err := Run(f, experiments.Fig7, p); err == nil || !strings.Contains(err.Error(), "-shard requires -checkpoint") {
 		t.Fatalf("a shard without a store: %v", err)
 	}
 	shards := []string{filepath.Join(dir, "s0.ckpt"), filepath.Join(dir, "s1.ckpt")}
@@ -143,7 +143,7 @@ func TestRunRefusesOldJSONStore(t *testing.T) {
 	for _, shard := range []string{"", "0/1"} {
 		f := Defaults()
 		f.Checkpoint, f.Shard = path, shard
-		_, err := Run[*experiments.FamilyResult](f, "fig7", experiments.SweepParams{N: 2, Seed: 1})
+		_, err := Run(f, experiments.Fig7, experiments.SweepParams{N: 2, Seed: 1})
 		if err == nil || !strings.Contains(err.Error(), "corrupt or truncated") || !strings.Contains(err.Error(), path) {
 			t.Fatalf("shard %q on an old JSON store: %v", shard, err)
 		}
@@ -294,7 +294,10 @@ func TestSweepParamsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, werr := Run[any](worker, c.sweep, p)
+		sw, werr := experiments.NewSweep(c.sweep, p)
+		if werr == nil {
+			werr = worker.RunSweep(sw)
+		}
 
 		if tc.refused {
 			if lerr == nil || rerr == nil || werr == nil || rerr.Error() != lerr.Error() || werr.Error() != lerr.Error() {

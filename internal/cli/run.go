@@ -17,31 +17,42 @@ import (
 	"saga/internal/serve"
 )
 
-// Run runs the named sweep with parameters p under -workers, -progress,
-// -shard and -checkpoint, and returns the sweep's in-memory result
-// (experiments.Sweep.Result says which type each sweep returns).
-//
-// This is the one store lifecycle. With -checkpoint the store is bound
-// to the sweep's fingerprint, so resuming a different sweep fails
-// loudly, and finished by serialize.Checkpoint.Finish: a shard seals
-// its store, a complete run removes it, and a store that already held
-// every cell is kept. A shard's result covers its own cells only and
-// its output is the sealed store, so a sharded Run prints where the
-// cells went and returns the zero T.
-func Run[T any](f *Flags, name string, p experiments.SweepParams) (T, error) {
-	var zero T
-	sw, err := experiments.NewSweep(name, p)
+// Run runs sweep d with parameters p under -workers, -progress, -shard
+// and -checkpoint, and returns the driver's result. A shard's result
+// covers its own cells only and its output is the sealed store, so a
+// sharded Run prints where the cells went and returns the zero T.
+func Run[T any](f *Flags, d experiments.SweepDef[T], p experiments.SweepParams) (T, error) {
+	var res, zero T
+	sw, compute, err := d.Bind(p)
 	if err != nil {
 		return zero, err
 	}
+	sw.Run = func(ro runner.Options) (err error) {
+		res, err = compute(ro)
+		return err
+	}
+	if err := f.RunSweep(sw); err != nil || f.Shard != "" {
+		return zero, err
+	}
+	return res, nil
+}
+
+// RunSweep runs sw under the same flags as Run, for a sweep named at
+// run time (`saga worker -shard`). This is the one store lifecycle. With
+// -checkpoint the store is bound to the sweep's fingerprint, so resuming
+// a different sweep fails loudly, and finished by
+// serialize.Checkpoint.Finish: a shard seals its store, a complete run
+// removes it, and a store that already held every cell is kept.
+func (f *Flags) RunSweep(sw *experiments.Sweep) error {
 	label := sw.Name
 	var shard runner.ShardSpec
 	if f.Shard != "" {
 		if f.Checkpoint == "" {
-			return zero, errors.New("-shard requires -checkpoint: the store is the shard's output")
+			return errors.New("-shard requires -checkpoint: the store is the shard's output")
 		}
+		var err error
 		if shard, err = runner.ParseShard(f.Shard); err != nil {
-			return zero, err
+			return err
 		}
 		label += " " + shard.String()
 	}
@@ -55,26 +66,23 @@ func Run[T any](f *Flags, name string, p experiments.SweepParams) (T, error) {
 		ckpt.SetFingerprint(sw.Fingerprint)
 		ro.Checkpoint = ckpt
 	}
-	res, err := sw.Result(ro)
-	if err != nil {
-		return zero, err
+	if err := sw.Run(ro); err != nil || ckpt == nil {
+		return err
 	}
-	if ckpt != nil {
-		switch kept, err := ckpt.Finish(shard.Enabled()); {
-		case shard.Enabled():
-			if err == nil {
-				fmt.Printf("%s: shard %s complete; cells stored in %s (combine with `saga merge -driver %s`)\n",
-					sw.Name, shard, f.Checkpoint, sw.Name)
-			}
-			return zero, err
-		case err != nil:
-			// The result is computed and must still be printed.
-			fmt.Fprintf(os.Stderr, "%s: checkpoint cleanup: %v\n", sw.Name, err)
-		case kept:
-			fmt.Fprintf(os.Stderr, "%s: store %s already held every cell; keeping it\n", sw.Name, f.Checkpoint)
+	switch kept, err := ckpt.Finish(shard.Enabled()); {
+	case shard.Enabled():
+		if err == nil {
+			fmt.Printf("%s: shard %s complete; cells stored in %s (combine with `saga merge -driver %s`)\n",
+				sw.Name, shard, f.Checkpoint, sw.Name)
 		}
+		return err
+	case err != nil:
+		// The result is computed and must still be printed.
+		fmt.Fprintf(os.Stderr, "%s: checkpoint cleanup: %v\n", sw.Name, err)
+	case kept:
+		fmt.Fprintf(os.Stderr, "%s: store %s already held every cell; keeping it\n", sw.Name, f.Checkpoint)
 	}
-	return res.(T), nil
+	return nil
 }
 
 // Merge is `saga merge`: it combines per-shard stores into one complete
@@ -177,11 +185,11 @@ func (f *Flags) Schedule(ctx context.Context) (string, *graph.Instance, *schedul
 func (f *Flags) Portfolio(ctx context.Context, k int) (*serve.PortfolioResponse, error) {
 	req := serve.PortfolioRequest{Schedulers: f.Schedulers, K: k, Iters: f.Iters, Restarts: f.Restarts, Seed: f.Seed}
 	if c := f.client(); c != nil {
-		// Build the sweep the daemon would build, to refuse before
-		// dialing in NewSweep's words. A k the selector refuses, the
+		// Bind the sweep the daemon would bind, to refuse before
+		// dialing in the same words. A k the selector refuses, the
 		// daemon refuses before building it, and answers itself.
 		if experiments.CheckPortfolioSize(len(req.Schedulers), k) == nil {
-			if _, err := experiments.NewSweep("pairwise", f.SweepParams); err != nil {
+			if _, _, err := experiments.Pairwise.Bind(f.SweepParams); err != nil {
 				return nil, err
 			}
 		}
@@ -207,12 +215,12 @@ func (f *Flags) Robustness(ctx context.Context) (*serve.RobustnessResponse, erro
 			return nil, errors.New("-server is incompatible with -checkpoint/-shard (the daemon owns the computation)")
 		}
 		// Refuse before dialing what a local run refuses.
-		if _, err := experiments.NewSweep("robustness", p); err != nil {
+		if _, _, err := experiments.Robustness.Bind(p); err != nil {
 			return nil, err
 		}
 		return c.Robustness(ctx, serve.RobustnessRequest{
 			Scheduler: p.Scheduler, Instance: p.InstanceRaw, Sigma: p.Sigma, N: p.N, Seed: p.Seed,
 		})
 	}
-	return Run[*serve.RobustnessResponse](f, "robustness", p)
+	return Run(f, experiments.Robustness, p)
 }

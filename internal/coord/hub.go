@@ -194,7 +194,7 @@ func (h *Hub) Mount(name string, params experiments.SweepParams, store Store) (*
 // Waits on the ledger, reads the finished cells from the store, and
 // calls Release exactly once.
 func (h *Hub) Acquire(name string, params experiments.SweepParams) (*Coordinator, *MemStore, error) {
-	// Resolve outside the lock: NewSweep validates and fingerprints.
+	// Resolve outside the lock: binding validates and fingerprints.
 	sw, err := experiments.NewSweep(name, params)
 	if err != nil {
 		return nil, nil, err

@@ -1,26 +1,10 @@
 package experiments
 
 import (
-	"saga/internal/core"
 	"saga/internal/datasets"
 	"saga/internal/graph"
 	"saga/internal/rng"
 )
-
-// appSpecificOptions configures a Section VII experiment for one
-// scientific workflow at one CCR.
-type appSpecificOptions struct {
-	// Workflow is one of datasets.WorkflowNames.
-	Workflow string
-	// CCR is the target average communication-to-computation ratio; the
-	// paper runs {0.2, 0.5, 1, 2, 5}.
-	CCR float64
-	// BenchmarkInstances is the benchmarking dataset size (paper: 100).
-	BenchmarkInstances int
-	// Anneal carries the annealing parameters; InitialInstance and
-	// Perturb are managed by the driver.
-	Anneal core.Options
-}
 
 // AppSpecificResult mirrors one block of Figs 10-19, as the appspecific
 // sweep computes it: a benchmarking row (max makespan ratio against the

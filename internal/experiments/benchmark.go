@@ -5,14 +5,14 @@
 // returns plain data plus labels; package render turns them into the
 // text figures.
 //
-// Every figure's sweep has one way in, NewSweep (distributed.go): the
-// fingerprint, cell count and runnable closures shared by `figures`,
+// Every sweep has one typed definition (distributed.go): its checks,
+// fingerprint, cell count and compute function, shared by `figures`,
 // `saga worker`, `saga merge`, the coordinator hub and the daemon. The
-// drivers behind it are unexported and built on runner.Map (see
+// drivers behind them are unexported and built on runner.Map (see
 // parallel.go): their results are bit-identical for any worker count,
 // which determinism_test.go proves against sequential oracles kept only
 // in that test file. BenchmarkingRun stays exported for `saga
-// benchmark`, whose datasets and roster are free-form.
+// benchmark`, whose datasets and roster are free-form, and for bench/.
 package experiments
 
 import (

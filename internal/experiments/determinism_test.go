@@ -165,20 +165,14 @@ func TestAppSpecificDeterminism(t *testing.T) {
 	scheds := []scheduler.Scheduler{
 		mustSched(t, "HEFT"), mustSched(t, "CPoP"), mustSched(t, "FastestNode"),
 	}
-	opts := appSpecificOptions{
-		Workflow:           "blast",
-		CCR:                1.0,
-		BenchmarkInstances: 4,
-		Anneal:             smallAnneal(3),
-	}
-	opts.Anneal.MaxIters = 40
-	seq, err := appSpecific(scheds, opts)
+	p := SweepParams{Workflow: "blast", CCR: 1.0, N: 4, Iters: 40, Restarts: 1, Seed: 3}
+	seq, err := appSpecific(scheds, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range workerCounts {
 		t.Run("workers="+workerLabel(w), func(t *testing.T) {
-			par, err := appSpecificRun(scheds, opts, runner.Options{Workers: w})
+			par, err := appSpecificRun(scheds, p, runner.Options{Workers: w})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -462,11 +456,11 @@ func robustness(inst *graph.Instance, s scheduler.Scheduler, sigma float64, n in
 
 // appSpecific is the sequential Section VII block: benchmarking row and
 // observed weight ranges first, then the structure-preserving PISA grid.
-func appSpecific(scheds []scheduler.Scheduler, opts appSpecificOptions) (*AppSpecificResult, error) {
+func appSpecific(scheds []scheduler.Scheduler, p SweepParams) (*AppSpecificResult, error) {
 	n := len(scheds)
 	res := &AppSpecificResult{
-		Workflow:  opts.Workflow,
-		CCR:       opts.CCR,
+		Workflow:  p.Workflow,
+		CCR:       p.CCR,
 		Benchmark: make([]float64, n),
 		Ratios:    make([][]float64, n),
 		Instances: make([][]*graph.Instance, n),
@@ -486,9 +480,9 @@ func appSpecific(scheds []scheduler.Scheduler, opts appSpecificOptions) (*AppSpe
 	taskRange := [2]float64{math.Inf(1), math.Inf(-1)}
 	depRange := [2]float64{math.Inf(1), math.Inf(-1)}
 	speedRange := [2]float64{math.Inf(1), math.Inf(-1)}
-	r := rng.New(opts.Anneal.Seed ^ 0xA99)
-	for i := 0; i < opts.BenchmarkInstances; i++ {
-		inst := appInstance(opts.Workflow, opts.CCR, r.Split())
+	r := rng.New(p.Seed ^ 0xA99)
+	for i := 0; i < p.N; i++ {
+		inst := appInstance(p.Workflow, p.CCR, r.Split())
 		for _, t := range inst.Graph.Tasks {
 			taskRange[0] = math.Min(taskRange[0], t.Cost)
 			taskRange[1] = math.Max(taskRange[1], t.Cost)
@@ -515,17 +509,17 @@ func appSpecific(scheds []scheduler.Scheduler, opts appSpecificOptions) (*AppSpe
 	}
 
 	// PISA grid with the application-specific PERTURB implementation.
-	pairSeed := opts.Anneal.Seed
+	pairSeed := p.Seed
 	for i, base := range scheds {
 		for j, target := range scheds {
 			if i == j {
 				continue
 			}
 			pairSeed++
-			ao := opts.Anneal
+			ao := p.Anneal()
 			ao.Seed = pairSeed
 			ao.InitialInstance = func(rr *rng.RNG) *graph.Instance {
-				return appInstance(opts.Workflow, opts.CCR, rr)
+				return appInstance(p.Workflow, p.CCR, rr)
 			}
 			ao.Perturb = core.PerturbOptions{
 				Step:              0.1,

@@ -8,6 +8,8 @@ import (
 
 	"saga/internal/core"
 	"saga/internal/datasets"
+	"saga/internal/graph"
+	"saga/internal/rng"
 	"saga/internal/runner"
 	"saga/internal/scheduler"
 	"saga/internal/schedulers"
@@ -69,32 +71,96 @@ func (p SweepParams) Anneal() core.Options {
 	return o
 }
 
-// Sweep is one named checkpointable sweep. Fingerprint identifies the
-// sweep's exact parameters (it deliberately excludes shard identity —
-// every shard of one sweep shares it, which is what lets
-// serialize.MergeCheckpoints verify the stores belong together and the
-// merged store resume an unsharded run). Cells is the total number of
-// checkpoint cells a complete store holds, the coverage bound for the
-// merge; a cell's store index is its cell index. Result runs the sweep
-// under the given runner options and returns the driver's result
-// (*BenchmarkResult for fig2, *PairwiseResult for fig4 and pairwise,
-// *FamilyResult for fig7/fig8, *AppSpecificResult, *RobustnessResult),
-// partial under a shard or lease, whose output is the checkpoint store;
-// Run discards it. Both honor ro.Include and ro.OnCellError over those
-// cell indices, which is what lets a static shard and the internal/coord
-// lease protocol restrict a run to their cells and report per-cell
-// failures without any driver cooperation.
+// Sweep is one sweep bound to its parameters, its result type erased.
+// Fingerprint identifies the parameters but not a shard, so that
+// serialize.MergeCheckpoints can verify shard stores belong together.
+// Cells is the number of cells a complete store holds, a cell's store
+// index its cell index. Run runs the sweep, honoring ro.Include and
+// ro.OnCellError over those indices: that is how a static shard and an
+// internal/coord lease restrict a run to their cells and report
+// per-cell failures.
 type Sweep struct {
 	Name        string
 	Fingerprint string
 	Cells       int
-	Result      func(ro runner.Options) (any, error)
 	Run         func(ro runner.Options) error
 }
 
-// freshSchedulers resolves scheduler names through the registry: the
-// rosters NewSweep builds from names. The drivers then share these
-// values across all their workers.
+// SweepDef defines one named sweep whose driver returns a T. bind checks
+// the parameters and returns the fingerprint, the cell count and the
+// compute function over them.
+type SweepDef[T any] struct {
+	name string
+	bind func(p SweepParams) (fingerprint string, cells int, compute func(runner.Options) (T, error), err error)
+}
+
+// Bind checks p, refusing it in the same words for every caller, and
+// returns the bound Sweep with compute, which returns the driver's
+// result: partial under a shard or lease, whose output is the store.
+func (d SweepDef[T]) Bind(p SweepParams) (*Sweep, func(runner.Options) (T, error), error) {
+	fp, cells, compute, err := d.bind(p)
+	if err != nil {
+		return nil, nil, err
+	}
+	return &Sweep{Name: d.name, Fingerprint: fp, Cells: cells, Run: func(ro runner.Options) error {
+		_, err := compute(ro)
+		return err
+	}}, compute, nil
+}
+
+// The sweeps, one definition each. A sweep's parameter checks, roster,
+// annealing options and seeds are wired in its bind function below and
+// nowhere else.
+var (
+	// Fig2 is the Fig 2 benchmarking grid over Table II.
+	Fig2 = SweepDef[*BenchmarkResult]{"fig2", bindFig2}
+	// Fig4 is the Fig 4 heatmap over the experimental roster.
+	Fig4 = SweepDef[*PairwiseResult]{"fig4", bindGrid("fig4", func(SweepParams) []string { return schedulers.ExperimentalNames })}
+	// Fig7 and Fig8 are the fork-join and wide-fork family studies.
+	Fig7 = SweepDef[*FamilyResult]{"fig7", bindFamily("fig7", datasets.Fig7Instance)}
+	Fig8 = SweepDef[*FamilyResult]{"fig8", bindFamily("fig8", datasets.Fig8Instance)}
+	// AppSpecific is one (workflow, CCR) block of Figs 10-19.
+	AppSpecific = SweepDef[*AppSpecificResult]{"appspecific", bindAppSpecific}
+	// Robustness is one scheduler's jitter sweep on one instance.
+	Robustness = SweepDef[*RobustnessResult]{"robustness", bindRobustness}
+	// Pairwise is Fig 4 over a client's roster, behind /v1/portfolio.
+	Pairwise = SweepDef[*PairwiseResult]{"pairwise", bindGrid("pairwise", func(p SweepParams) []string { return p.Schedulers })}
+)
+
+// sweepTable holds every definition, in CLI help order: NewSweep looks
+// names up in it and SweepNames lists it.
+var sweepTable = []interface {
+	named() string
+	sweep(SweepParams) (*Sweep, error)
+}{Fig2, Fig4, Fig7, Fig8, AppSpecific, Robustness, Pairwise}
+
+func (d SweepDef[T]) named() string { return d.name }
+func (d SweepDef[T]) sweep(p SweepParams) (*Sweep, error) {
+	sw, _, err := d.Bind(p)
+	return sw, err
+}
+
+// SweepNames lists the sweeps NewSweep accepts, in CLI help order.
+var SweepNames = func() (names []string) {
+	for _, d := range sweepTable {
+		names = append(names, d.named())
+	}
+	return names
+}()
+
+// NewSweep binds the sweep named name to p, for the callers that hold a
+// name: `saga worker`, `saga merge` and the coordinator hub.
+func NewSweep(name string, p SweepParams) (*Sweep, error) {
+	for _, d := range sweepTable {
+		if d.named() == name {
+			return d.sweep(p)
+		}
+	}
+	return nil, fmt.Errorf("experiments: unknown sweep %q (want one of %s)", name, strings.Join(SweepNames, ", "))
+}
+
+// freshSchedulers resolves a roster through the registry; the drivers
+// share the values across all their workers.
 func freshSchedulers(names []string) ([]scheduler.Scheduler, error) {
 	out := make([]scheduler.Scheduler, len(names))
 	for i, n := range names {
@@ -116,157 +182,104 @@ func checkAnneal(iters, restarts int) error {
 	return nil
 }
 
-// SweepNames lists the sweeps NewSweep accepts, in CLI help order.
-var SweepNames = []string{"fig2", "fig4", "fig7", "fig8", "appspecific", "robustness", "pairwise"}
-
-// NewSweep resolves a sweep name (a checkpointable cmd/figures driver)
-// and its parameters into the fingerprint, cell count, and runnable
-// closures shared by `figures`, `saga robustness`, `saga worker`, `saga
-// merge`, the coordinator hub and the daemon. Each sweep's roster,
-// annealing options and seeds are wired here and nowhere else, and so
-// is what a sweep parameter may be: every caller, a daemon request
-// included, is refused here in the same words.
-func NewSweep(name string, p SweepParams) (*Sweep, error) {
-	sw := &Sweep{Name: name}
-	switch name {
-	case "fig2":
-		if p.N < 1 {
-			return nil, fmt.Errorf("experiments: fig2 sweep needs n >= 1 instances per dataset, got n = %d", p.N)
-		}
-		// Cell k is dataset k of Table II, so the fingerprint covers the
-		// dataset order as well as the roster.
-		sw.Fingerprint = fmt.Sprintf("fig2 seed=%d n=%d datasets=%s schedulers=%s",
-			p.Seed, p.N, strings.Join(datasets.TableII, ","), strings.Join(schedulers.ExperimentalNames, ","))
-		sw.Cells = len(datasets.TableII)
-		sw.Result = func(ro runner.Options) (any, error) {
+func bindFig2(p SweepParams) (string, int, func(runner.Options) (*BenchmarkResult, error), error) {
+	if p.N < 1 {
+		return "", 0, nil, fmt.Errorf("experiments: fig2 sweep needs n >= 1 instances per dataset, got n = %d", p.N)
+	}
+	// Cell k is dataset k of Table II, so the fingerprint covers the
+	// dataset order as well as the roster.
+	return fmt.Sprintf("fig2 seed=%d n=%d datasets=%s schedulers=%s",
+			p.Seed, p.N, strings.Join(datasets.TableII, ","), strings.Join(schedulers.ExperimentalNames, ",")),
+		len(datasets.TableII), func(ro runner.Options) (*BenchmarkResult, error) {
 			return BenchmarkingRun(datasets.TableII, schedulers.Experimental(), p.N, p.Seed, ro)
-		}
-	case "fig4":
-		if err := checkAnneal(p.Iters, p.Restarts); err != nil {
-			return nil, err
-		}
-		roster := schedulers.ExperimentalNames
-		// The fingerprint covers flags AND roster, since cell indices map
-		// to (target, base) pairs through the roster order.
-		sw.Fingerprint = fmt.Sprintf("fig4 seed=%d iters=%d restarts=%d schedulers=%s",
-			p.Seed, p.Iters, p.Restarts, strings.Join(roster, ","))
-		sw.Cells = len(roster) * (len(roster) - 1)
-		sw.Result = func(ro runner.Options) (any, error) {
-			return pairwisePISARun(schedulers.Experimental(), p.Anneal(), ro)
-		}
-	case "fig7", "fig8":
+		}, nil
+}
+
+// bindFamily binds a family study: CPoP and HEFT on p.N sampled
+// instances of gen's family.
+func bindFamily(name string, gen func(*rng.RNG) *graph.Instance) func(SweepParams) (string, int, func(runner.Options) (*FamilyResult, error), error) {
+	return func(p SweepParams) (string, int, func(runner.Options) (*FamilyResult, error), error) {
 		if p.N < 1 {
-			return nil, fmt.Errorf("experiments: %s sweep needs n >= 1 instances, got n = %d", name, p.N)
-		}
-		gen := datasets.Fig7Instance
-		if name == "fig8" {
-			gen = datasets.Fig8Instance
+			return "", 0, nil, fmt.Errorf("experiments: %s sweep needs n >= 1 instances, got n = %d", name, p.N)
 		}
 		scheds, err := freshSchedulers([]string{"CPoP", "HEFT"})
-		if err != nil {
-			return nil, err
-		}
-		sw.Fingerprint = fmt.Sprintf("%s seed=%d n=%d schedulers=CPoP,HEFT", name, p.Seed, p.N)
-		sw.Cells = p.N
-		sw.Result = func(ro runner.Options) (any, error) {
-			return familyRun(gen, scheds, p.N, p.Seed, ro)
-		}
-	case "appspecific":
-		if p.Workflow == "" {
-			return nil, fmt.Errorf("experiments: appspecific sweep needs a workflow")
-		}
-		if p.CCR <= 0 {
-			return nil, fmt.Errorf("experiments: appspecific sweep needs a single CCR level > 0 (one store per block)")
-		}
-		if p.N < 1 {
-			return nil, fmt.Errorf("experiments: appspecific sweep needs n >= 1 benchmarking instances, got n = %d", p.N)
-		}
-		if err := checkAnneal(p.Iters, p.Restarts); err != nil {
-			return nil, err
-		}
-		roster := schedulers.AppSpecificNames
-		nApp := len(roster)
-		// The store holds the PISA grid only; -n sizes the benchmarking
-		// phase, which every run recomputes. "bench=" rather than the
-		// "n=" of stores that also held the benchmarking cells, so such a
-		// store is refused as a different sweep instead of misread.
-		sw.Fingerprint = fmt.Sprintf("appspecific workflow=%s ccr=%g seed=%d bench=%d iters=%d restarts=%d schedulers=%s",
-			p.Workflow, p.CCR, p.Seed, p.N, p.Iters, p.Restarts, strings.Join(roster, ","))
-		sw.Cells = nApp * (nApp - 1)
-		sw.Result = func(ro runner.Options) (any, error) {
-			return appSpecificRun(schedulers.AppSpecific(), appSpecificOptions{
-				Workflow:           p.Workflow,
-				CCR:                p.CCR,
-				BenchmarkInstances: p.N,
-				Anneal:             p.Anneal(),
-			}, ro)
-		}
-	case "robustness":
-		if p.Scheduler == "" {
-			return nil, fmt.Errorf("experiments: robustness sweep needs a scheduler")
-		}
-		if len(p.InstanceRaw) == 0 {
-			return nil, fmt.Errorf("experiments: robustness sweep needs the instance bytes (-in)")
-		}
-		if p.N < 1 {
-			return nil, fmt.Errorf("experiments: robustness sweep needs n >= 1 perturbations, got n = %d", p.N)
-		}
-		// Refused outside [0, 10], NaN included: a NaN sigma perturbs
-		// every cost into NaN.
-		if !(p.Sigma >= 0 && p.Sigma <= 10) {
-			return nil, fmt.Errorf("experiments: robustness sweep needs sigma in [0, 10], got sigma = %g", p.Sigma)
-		}
-		inst, err := serialize.UnmarshalInstance(p.InstanceRaw)
-		if err != nil {
-			return nil, err
-		}
-		s, err := scheduler.New(p.Scheduler)
-		if err != nil {
-			return nil, err
-		}
-		// The exact format `saga robustness -checkpoint` has always
-		// written: a sharded worker's store is resumable by the
-		// single-process command and vice versa. The hash covers the
-		// instance bytes, not the file path (see SweepParams).
-		sw.Fingerprint = fmt.Sprintf("robustness scheduler=%s in=%x sigma=%g n=%d seed=%d",
-			p.Scheduler, sha256.Sum256(p.InstanceRaw), p.Sigma, p.N, p.Seed)
-		sw.Cells = p.N
-		sw.Result = func(ro runner.Options) (any, error) {
+		return fmt.Sprintf("%s seed=%d n=%d schedulers=CPoP,HEFT", name, p.Seed, p.N), p.N,
+			func(ro runner.Options) (*FamilyResult, error) { return familyRun(gen, scheds, p.N, p.Seed, ro) }, err
+	}
+}
+
+func bindAppSpecific(p SweepParams) (string, int, func(runner.Options) (*AppSpecificResult, error), error) {
+	switch {
+	case p.Workflow == "":
+		return "", 0, nil, fmt.Errorf("experiments: appspecific sweep needs a workflow")
+	case p.CCR <= 0:
+		return "", 0, nil, fmt.Errorf("experiments: appspecific sweep needs a single CCR level > 0 (one store per block)")
+	case p.N < 1:
+		return "", 0, nil, fmt.Errorf("experiments: appspecific sweep needs n >= 1 benchmarking instances, got n = %d", p.N)
+	}
+	roster := schedulers.AppSpecificNames
+	// The store holds the PISA grid only; -n sizes the benchmarking
+	// phase, which every run recomputes. "bench=" rather than the
+	// "n=" of stores that also held the benchmarking cells, so such a
+	// store is refused as a different sweep instead of misread.
+	return fmt.Sprintf("appspecific workflow=%s ccr=%g seed=%d bench=%d iters=%d restarts=%d schedulers=%s",
+			p.Workflow, p.CCR, p.Seed, p.N, p.Iters, p.Restarts, strings.Join(roster, ",")),
+		len(roster) * (len(roster) - 1), func(ro runner.Options) (*AppSpecificResult, error) {
+			return appSpecificRun(schedulers.AppSpecific(), p, ro)
+		}, checkAnneal(p.Iters, p.Restarts)
+}
+
+func bindRobustness(p SweepParams) (string, int, func(runner.Options) (*RobustnessResult, error), error) {
+	switch {
+	case p.Scheduler == "":
+		return "", 0, nil, fmt.Errorf("experiments: robustness sweep needs a scheduler")
+	case len(p.InstanceRaw) == 0:
+		return "", 0, nil, fmt.Errorf("experiments: robustness sweep needs the instance bytes (-in)")
+	case p.N < 1:
+		return "", 0, nil, fmt.Errorf("experiments: robustness sweep needs n >= 1 perturbations, got n = %d", p.N)
+	case !(p.Sigma >= 0 && p.Sigma <= 10):
+		// NaN included: a NaN sigma perturbs every cost into NaN.
+		return "", 0, nil, fmt.Errorf("experiments: robustness sweep needs sigma in [0, 10], got sigma = %g", p.Sigma)
+	}
+	inst, err := serialize.UnmarshalInstance(p.InstanceRaw)
+	if err != nil {
+		return "", 0, nil, err
+	}
+	s, err := scheduler.New(p.Scheduler)
+	// The exact format `saga robustness -checkpoint` has always
+	// written: a sharded worker's store is resumable by the
+	// single-process command and vice versa. The hash covers the
+	// instance bytes, not the file path (see SweepParams).
+	return fmt.Sprintf("robustness scheduler=%s in=%x sigma=%g n=%d seed=%d",
+			p.Scheduler, sha256.Sum256(p.InstanceRaw), p.Sigma, p.N, p.Seed),
+		p.N, func(ro runner.Options) (*RobustnessResult, error) {
 			return robustnessRun(inst, s, p.Sigma, p.N, p.Seed, ro)
+		}, err
+}
+
+// bindGrid binds PISA over every ordered pair of roster(p). The
+// fingerprint covers flags AND roster, in order, since cell indices map
+// to (target, base) pairs through it: two portfolio requests share a
+// sweep exactly when they would compute the same grid.
+func bindGrid(name string, roster func(SweepParams) []string) func(SweepParams) (string, int, func(runner.Options) (*PairwiseResult, error), error) {
+	return func(p SweepParams) (string, int, func(runner.Options) (*PairwiseResult, error), error) {
+		names := roster(p)
+		if len(names) < 2 {
+			return "", 0, nil, fmt.Errorf("experiments: %s sweep needs at least 2 schedulers", name)
 		}
-	case "pairwise":
-		// fig4 with a caller-chosen roster: the sweep behind /v1/portfolio
-		// and `saga portfolio` (internal/serve.Portfolio), where the client
-		// names the schedulers. The fingerprint covers the roster verbatim,
-		// so two requests share a sweep exactly when they would compute the
-		// same grid.
-		if len(p.Schedulers) < 2 {
-			return nil, fmt.Errorf("experiments: pairwise sweep needs at least 2 schedulers")
-		}
-		for i, n := range p.Schedulers {
-			if slices.Contains(p.Schedulers[:i], n) {
-				return nil, fmt.Errorf("experiments: pairwise sweep names scheduler %q twice", n)
+		for i, n := range names {
+			if slices.Contains(names[:i], n) {
+				return "", 0, nil, fmt.Errorf("experiments: %s sweep names scheduler %q twice", name, n)
 			}
 		}
-		scheds, err := freshSchedulers(p.Schedulers)
-		if err != nil {
-			return nil, err
+		scheds, err := freshSchedulers(names)
+		if err == nil {
+			err = checkAnneal(p.Iters, p.Restarts)
 		}
-		if err := checkAnneal(p.Iters, p.Restarts); err != nil {
-			return nil, err
-		}
-		sw.Fingerprint = fmt.Sprintf("pairwise seed=%d iters=%d restarts=%d schedulers=%s",
-			p.Seed, p.Iters, p.Restarts, strings.Join(p.Schedulers, ","))
-		sw.Cells = len(scheds) * (len(scheds) - 1)
-		sw.Result = func(ro runner.Options) (any, error) {
-			return pairwisePISARun(scheds, p.Anneal(), ro)
-		}
-	default:
-		return nil, fmt.Errorf("experiments: unknown sweep %q (want one of %s)", name, strings.Join(SweepNames, ", "))
+		return fmt.Sprintf("%s seed=%d iters=%d restarts=%d schedulers=%s",
+				name, p.Seed, p.Iters, p.Restarts, strings.Join(names, ",")),
+			len(names) * (len(names) - 1), func(ro runner.Options) (*PairwiseResult, error) {
+				return pairwisePISARun(scheds, p.Anneal(), ro)
+			}, err
 	}
-	sw.Run = func(ro runner.Options) error {
-		_, err := sw.Result(ro)
-		return err
-	}
-	return sw, nil
 }

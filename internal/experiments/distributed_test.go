@@ -147,7 +147,7 @@ func TestShardedFamilyMergeDeterminism(t *testing.T) {
 // `figures -shard` and `saga worker -driver fig2` path) at a toy n.
 func TestShardedBenchmarkMergeDeterminism(t *testing.T) {
 	p := SweepParams{N: 2, Seed: 5}
-	sw, err := NewSweep("fig2", p)
+	sw, compute, err := Fig2.Bind(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,12 +162,11 @@ func TestShardedBenchmarkMergeDeterminism(t *testing.T) {
 	dir := t.TempDir()
 	paths := shardStores(t, dir, sw.Fingerprint, 3, sw.Run)
 	ro, calls := mergedResume(t, dir, sw.Fingerprint, sw.Cells, paths)
-	res, err := sw.Result(ro)
+	par, err := compute(ro)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertLoadedEverything(t, "fig2", *calls)
-	par := res.(*BenchmarkResult)
 	if !slices.Equal(par.Datasets, seq.Datasets) || !slices.Equal(par.Schedulers, seq.Schedulers) {
 		t.Fatalf("sharded labels %v × %v, want %v × %v", par.Datasets, par.Schedulers, seq.Datasets, seq.Schedulers)
 	}
@@ -189,14 +188,8 @@ func TestShardedAppSpecificMergeDeterminism(t *testing.T) {
 	scheds := []scheduler.Scheduler{
 		mustSched(t, "HEFT"), mustSched(t, "CPoP"), mustSched(t, "FastestNode"),
 	}
-	opts := appSpecificOptions{
-		Workflow:           "blast",
-		CCR:                1.0,
-		BenchmarkInstances: 4,
-		Anneal:             smallAnneal(3),
-	}
-	opts.Anneal.MaxIters = 40
-	seq, err := appSpecificRun(scheds, opts, runner.Options{Workers: 1})
+	p := SweepParams{Workflow: "blast", CCR: 1.0, N: 4, Iters: 40, Restarts: 1, Seed: 3}
+	seq, err := appSpecificRun(scheds, p, runner.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +198,7 @@ func TestShardedAppSpecificMergeDeterminism(t *testing.T) {
 	total := len(scheds) * (len(scheds) - 1)
 	dir := t.TempDir()
 	paths := shardStores(t, dir, fp, 3, func(ro runner.Options) error {
-		_, err := appSpecificRun(scheds, opts, ro)
+		_, err := appSpecificRun(scheds, p, ro)
 		return err
 	})
 	stored := 0
@@ -222,7 +215,7 @@ func TestShardedAppSpecificMergeDeterminism(t *testing.T) {
 		t.Fatalf("shard stores hold %d cells in all, want the %d PISA cells once each", stored, total)
 	}
 	ro, calls := mergedResume(t, dir, fp, total, paths)
-	par, err := appSpecificRun(scheds, opts, ro)
+	par, err := appSpecificRun(scheds, p, ro)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -340,14 +340,7 @@ func TestFig1Example(t *testing.T) {
 
 func TestAppSpecificSmall(t *testing.T) {
 	scheds := []scheduler.Scheduler{mustSched(t, "HEFT"), mustSched(t, "CPoP"), mustSched(t, "FastestNode")}
-	ao := smallAnneal(3)
-	ao.MaxIters = 40
-	res, err := appSpecificRun(scheds, appSpecificOptions{
-		Workflow:           "blast",
-		CCR:                1.0,
-		BenchmarkInstances: 3,
-		Anneal:             ao,
-	}, runner.Options{})
+	res, err := appSpecificRun(scheds, SweepParams{Workflow: "blast", CCR: 1.0, N: 3, Iters: 40, Restarts: 1, Seed: 3}, runner.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +393,7 @@ func TestAppSpecificUnknownWorkflow(t *testing.T) {
 	// appInstance panics on bad recipes; the runner reports the panic as
 	// the cell's error.
 	_, err := appSpecificRun([]scheduler.Scheduler{mustSched(t, "HEFT"), mustSched(t, "CPoP")},
-		appSpecificOptions{Workflow: "bogus", CCR: 1, BenchmarkInstances: 1, Anneal: smallAnneal(1)}, runner.Options{})
+		SweepParams{Workflow: "bogus", CCR: 1, N: 1, Iters: 80, Restarts: 1, Seed: 1}, runner.Options{})
 	if err == nil {
 		t.Fatal("unknown workflow accepted")
 	}

@@ -314,8 +314,8 @@ type appBenchCell struct {
 	SpeedLo, SpeedHi             float64
 }
 
-// appSpecificRun reproduces one Section VII block under ro: benchmark
-// the schedulers on BenchmarkInstances in-family instances, then run the
+// appSpecificRun reproduces the Section VII block p.Workflow, p.CCR under
+// ro: benchmark the schedulers on p.N in-family instances, then run the
 // structure-preserving PISA variant for every scheduler pair (pisaGrid).
 // The perturbation space scales weights to the ranges observed in the
 // benchmarking dataset (standing in for the paper's execution-trace
@@ -329,11 +329,11 @@ type appBenchCell struct {
 // lease recomputes in full under ro's Workers and Context: it is never
 // stored, restricted or degraded, because each PISA cell needs every
 // range sample, and a missing one would silently reshape them all.
-func appSpecificRun(scheds []scheduler.Scheduler, opts appSpecificOptions, ro runner.Options) (*AppSpecificResult, error) {
+func appSpecificRun(scheds []scheduler.Scheduler, p SweepParams, ro runner.Options) (*AppSpecificResult, error) {
 	n := len(scheds)
 	res := &AppSpecificResult{
-		Workflow:  opts.Workflow,
-		CCR:       opts.CCR,
+		Workflow:  p.Workflow,
+		CCR:       p.CCR,
 		Benchmark: make([]float64, n),
 	}
 	for _, s := range scheds {
@@ -341,10 +341,10 @@ func appSpecificRun(scheds []scheduler.Scheduler, opts appSpecificOptions, ro ru
 	}
 
 	// Benchmarking row + observed weight ranges, one cell per instance.
-	subs := splitStreams(opts.Anneal.Seed^0xA99, opts.BenchmarkInstances)
-	benchCells, err := runner.Map(opts.BenchmarkInstances, runner.Options{Workers: ro.Workers, Context: ro.Context},
+	subs := splitStreams(p.Seed^0xA99, p.N)
+	benchCells, err := runner.Map(p.N, runner.Options{Workers: ro.Workers, Context: ro.Context},
 		func(k int) (appBenchCell, error) {
-			inst := appInstance(opts.Workflow, opts.CCR, subs[k])
+			inst := appInstance(p.Workflow, p.CCR, subs[k])
 			c := appBenchCell{
 				TaskLo: math.Inf(1), TaskHi: math.Inf(-1),
 				DepLo: math.Inf(1), DepHi: math.Inf(-1),
@@ -398,8 +398,8 @@ func appSpecificRun(scheds []scheduler.Scheduler, opts appSpecificOptions, ro ru
 		FixStructure:      true,
 		KeepPinnedWeights: true,
 	}
-	res.Ratios, res.Instances, err = pisaGrid(scheds, opts.Anneal,
-		func(r *rng.RNG) *graph.Instance { return appInstance(opts.Workflow, opts.CCR, r) },
+	res.Ratios, res.Instances, err = pisaGrid(scheds, p.Anneal(),
+		func(r *rng.RNG) *graph.Instance { return appInstance(p.Workflow, p.CCR, r) },
 		func(_, _ scheduler.Scheduler) core.PerturbOptions { return perturb },
 		ro)
 	if err != nil {

@@ -11,17 +11,18 @@ import (
 // ~N(1, sigma) clipped to [0.1, 1.9]. Network weights are left alone:
 // this models run-time cost uncertainty for a fixed platform, the
 // simplest form of the stochastic problem instances the paper's
-// conclusion proposes.
+// conclusion proposes. The copy shares inst.Net, which nothing writes.
 func jitter(inst *graph.Instance, sigma float64, r *rng.RNG) *graph.Instance {
-	out := inst.Clone()
-	for t := range out.Graph.Tasks {
-		out.Graph.Tasks[t].Cost *= r.ClippedGaussian(1, sigma, 0.1, 1.9)
+	g := inst.Graph.Clone()
+	for t := range g.Tasks {
+		g.Tasks[t].Cost *= r.ClippedGaussian(1, sigma, 0.1, 1.9)
 	}
-	for _, d := range out.Graph.Deps() {
-		c, _ := out.Graph.DepCost(d[0], d[1])
-		out.Graph.SetDepCost(d[0], d[1], c*r.ClippedGaussian(1, sigma, 0.1, 1.9))
+	for u, succ := range g.Succ {
+		for _, d := range succ {
+			g.SetDepCost(u, d.To, d.Cost*r.ClippedGaussian(1, sigma, 0.1, 1.9))
+		}
 	}
-	return out
+	return graph.NewInstance(g, inst.Net)
 }
 
 // RobustnessResult summarizes a scheduler's behaviour under cost jitter,

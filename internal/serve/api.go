@@ -40,7 +40,7 @@ type ScheduleResponse struct {
 // `saga portfolio` does; results are independent of how many workers
 // the daemon runs the grid with (ARCHITECTURE invariant 6). A key the
 // body leaves out (or sends as null) gets portfolioDefaults' value; an
-// explicit 0 is a value, judged by experiments.NewSweep like any other.
+// explicit 0 is a value, judged by experiments.Pairwise like any other.
 type PortfolioRequest struct {
 	Schedulers []string `json:"schedulers"`
 	K          int      `json:"k"`
@@ -72,7 +72,7 @@ type PortfolioResponse struct {
 // re-planning, with relative cost jitter sigma. The instance arrives
 // like ScheduleRequest's. Sigma, N and Seed left out (or null) get
 // robustnessDefaults' values; an explicit 0 is a value, judged by
-// experiments.NewSweep like any other.
+// experiments.Robustness like any other.
 type RobustnessRequest struct {
 	Scheduler string          `json:"scheduler"`
 	Instance  json.RawMessage `json:"instance,omitempty"`

@@ -6,7 +6,7 @@ package serve
 // robustness requests are mounted on it as sweeps and computed by the
 // fleet, instead of pinning a local admission slot for the whole run.
 // The daemon then replays the finished store through the request's own
-// Sweep.Result (runSweep; the driver loads every cell from it and
+// compute function (runSweep; the driver loads every cell from it and
 // computes nothing), so a dispatched response is byte-for-byte the local
 // response — the dispatch layer can only ever change where cells are
 // computed, never what the client reads.

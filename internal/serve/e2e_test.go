@@ -144,16 +144,15 @@ func TestServeSmokeE2E(t *testing.T) {
 	// One portfolio request.
 	{
 		names := []string{"HEFT", "CPoP", "MinMin"}
-		sw, err := experiments.NewSweep("pairwise", experiments.SweepParams{
+		_, compute, err := experiments.Pairwise.Bind(experiments.SweepParams{
 			Schedulers: names, Iters: 15, Restarts: 1, Seed: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
-		grid, err := sw.Result(runner.Options{Workers: 1})
+		res, err := compute(runner.Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := grid.(*experiments.PairwiseResult)
 		p, err := experiments.SelectPortfolio(res.Schedulers, res.Ratios, 2)
 		if err != nil {
 			t.Fatal(err)
@@ -175,16 +174,15 @@ func TestServeSmokeE2E(t *testing.T) {
 	// One robustness request.
 	{
 		instRaw := testInstance(t, 4)
-		sw, err := experiments.NewSweep("robustness", experiments.SweepParams{
+		_, compute, err := experiments.Robustness.Bind(experiments.SweepParams{
 			Scheduler: "CPoP", InstanceRaw: instRaw, Sigma: 0.2, N: 30, Seed: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sum, err := sw.Result(runner.Options{Workers: 1})
+		res, err := compute(runner.Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := sum.(*experiments.RobustnessResult)
 		calls = append(calls, call{
 			name:       "robustness",
 			path:       "/v1/robustness",

@@ -100,16 +100,15 @@ func TestPortfolioByteIdentity(t *testing.T) {
 	// Direct library path, deliberately run with a different worker
 	// count than the daemon's: invariant 6 makes the grid identical, so
 	// identity here also re-proves worker-count independence.
-	sw, err := experiments.NewSweep("pairwise", experiments.SweepParams{
+	_, compute, err := experiments.Pairwise.Bind(experiments.SweepParams{
 		Schedulers: names, Iters: req.Iters, Restarts: req.Restarts, Seed: req.Seed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	grid, err := sw.Result(runner.Options{Workers: 2})
+	res, err := compute(runner.Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := grid.(*experiments.PairwiseResult)
 	p, err := experiments.SelectPortfolio(res.Schedulers, res.Ratios, req.K)
 	if err != nil {
 		t.Fatal(err)
@@ -172,16 +171,15 @@ func TestRobustnessByteIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sw, err := experiments.NewSweep("robustness", experiments.SweepParams{
+		_, compute, err := experiments.Robustness.Bind(experiments.SweepParams{
 			Scheduler: tc.req.Scheduler, InstanceRaw: raw, Sigma: tc.req.Sigma, N: tc.req.N, Seed: tc.req.Seed})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sum, err := sw.Result(runner.Options{Workers: 2})
+		res, err := compute(runner.Options{Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := sum.(*experiments.RobustnessResult)
 		want := encodeLikeDaemon(t, RobustnessResponse{
 			Scheduler: res.Scheduler,
 			Nominal:   res.Nominal,

@@ -352,16 +352,16 @@ func (s *Server) handlePortfolio(w http.ResponseWriter, r *http.Request) {
 			req.Iters, req.Restarts, maxPISAIters), http.StatusBadRequest)
 		return
 	}
-	sw, err := req.sweep()
-	if err != nil {
+	// A K the selector would refuse is refused first, so it costs no cell.
+	if err := experiments.CheckPortfolioSize(len(req.Schedulers), req.K); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	res, ok := s.runSweep(w, r, sw, req.sweepParams(), http.StatusInternalServerError)
+	grid, ok := runSweep(s, w, r, experiments.Pairwise, req.sweepParams(), http.StatusInternalServerError)
 	if !ok {
 		return
 	}
-	resp, err := req.response(res)
+	resp, err := req.response(grid)
 	if err != nil {
 		http.Error(w, fmt.Sprintf("portfolio: %v", err), http.StatusInternalServerError)
 		return
@@ -369,36 +369,41 @@ func (s *Server) handlePortfolio(w http.ResponseWriter, r *http.Request) {
 	httpx.WriteJSON(w, resp)
 }
 
-// runSweep computes sw for a request and returns its result: from the
-// store the attached fleet filled, when it finishes the sweep, else in
-// process under an admission slot. Either way the answer is sw.Result's.
-// p is what sw was built from, for the hub to build it again. When it
-// returns false it has answered the request: 503 when the client is
+// runSweep computes sweep d at p for a request and returns its result:
+// from the store the attached fleet filled, when it finishes the sweep,
+// else in process under an admission slot. When it returns false it has
+// answered the request: 400 when d refuses p, 503 when the client is
 // gone or the daemon saturated, failStatus when the sweep failed.
-func (s *Server) runSweep(w http.ResponseWriter, r *http.Request, sw *experiments.Sweep, p experiments.SweepParams, failStatus int) (any, bool) {
+func runSweep[T any](s *Server, w http.ResponseWriter, r *http.Request, d experiments.SweepDef[T], p experiments.SweepParams, failStatus int) (T, bool) {
+	var zero T
+	sw, compute, err := d.Bind(p)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return zero, false
+	}
 	endpoint := path.Base(r.URL.Path)
 	store, err := s.dispatch(r, endpoint, sw.Name, p)
 	if err != nil {
 		http.Error(w, "client canceled", http.StatusServiceUnavailable)
-		return nil, false
+		return zero, false
 	}
 	ro := runner.Options{Workers: s.opts.Workers, Context: r.Context(), Checkpoint: store}
 	if store == nil {
 		// Local compute holds an admission slot; replaying dispatched
 		// cells (store != nil) computes nothing and does not.
 		if !s.acquire(w, r) {
-			return nil, false
+			return zero, false
 		}
 		defer s.release()
 	}
-	res, err := sw.Result(ro)
+	res, err := compute(ro)
 	if err != nil {
 		if r.Context().Err() != nil {
 			http.Error(w, "client canceled", http.StatusServiceUnavailable)
 		} else {
 			http.Error(w, fmt.Sprintf("%s: %v", endpoint, err), failStatus)
 		}
-		return nil, false
+		return zero, false
 	}
 	return res, true
 }
@@ -409,18 +414,8 @@ func (req PortfolioRequest) sweepParams() experiments.SweepParams {
 	return experiments.SweepParams{Iters: req.Iters, Restarts: req.Restarts, Seed: req.Seed, Schedulers: req.Schedulers}
 }
 
-// sweep is the "pairwise" sweep a portfolio request runs. A K the
-// selector would refuse is refused first, so it costs no cell.
-func (req PortfolioRequest) sweep() (*experiments.Sweep, error) {
-	if err := experiments.CheckPortfolioSize(len(req.Schedulers), req.K); err != nil {
-		return nil, err
-	}
-	return experiments.NewSweep("pairwise", req.sweepParams())
-}
-
 // response selects the best req.K-subset of the grid the sweep returned.
-func (req PortfolioRequest) response(res any) (*PortfolioResponse, error) {
-	grid := res.(*experiments.PairwiseResult)
+func (req PortfolioRequest) response(grid *experiments.PairwiseResult) (*PortfolioResponse, error) {
 	p, err := experiments.SelectPortfolio(grid.Schedulers, grid.Ratios, req.K)
 	if err != nil {
 		return nil, err
@@ -434,15 +429,18 @@ func (req PortfolioRequest) response(res any) (*PortfolioResponse, error) {
 // -server, so the two cannot differ. req is taken as given: no field is
 // defaulted.
 func Portfolio(req PortfolioRequest, ro runner.Options) (*PortfolioResponse, error) {
-	sw, err := req.sweep()
+	if err := experiments.CheckPortfolioSize(len(req.Schedulers), req.K); err != nil {
+		return nil, err
+	}
+	_, compute, err := experiments.Pairwise.Bind(req.sweepParams())
 	if err != nil {
 		return nil, err
 	}
-	res, err := sw.Result(ro)
+	grid, err := compute(ro)
 	if err != nil {
 		return nil, err
 	}
-	return req.response(res)
+	return req.response(grid)
 }
 
 func (s *Server) handleRobustness(w http.ResponseWriter, r *http.Request) {
@@ -479,16 +477,9 @@ func (s *Server) handleRobustness(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	p := experiments.SweepParams{N: req.N, Seed: req.Seed, Scheduler: req.Scheduler, Sigma: req.Sigma, InstanceRaw: raw}
-	sw, err := experiments.NewSweep("robustness", p)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
+	if res, ok := runSweep(s, w, r, experiments.Robustness, p, http.StatusBadRequest); ok {
+		httpx.WriteJSON(w, res)
 	}
-	res, ok := s.runSweep(w, r, sw, p, http.StatusBadRequest)
-	if !ok {
-		return
-	}
-	httpx.WriteJSON(w, res) // a *RobustnessResponse
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
