@@ -57,8 +57,8 @@ func main() {
 // run parses the flags and renders every named figure in order.
 func run(args []string) error {
 	g := &figures{Flags: cli.Defaults(), fs: flag.NewFlagSet("figures", flag.ExitOnError)}
-	g.Register(g.fs, "n", "seed", "iters", "restarts", "workflow", "ccr", "chain-workers",
-		"workers", "progress", "checkpoint", "shard")
+	g.Register(g.fs, "n", "seed", "iters", "restarts", "workflow", "ccr", "workers",
+		"progress", "checkpoint", "shard")
 	g.fs.StringVar(&g.svgDir, "svgdir", "", "also write SVG renderings of grids and Gantt charts here")
 	if err := g.fs.Parse(args); err != nil {
 		return err

@@ -61,7 +61,9 @@ func TestGoldenTranscript(t *testing.T) {
 // naming exactly those flags that were set, and to running when none
 // were: defaults never count, and the flags a mode does use (-workers,
 // -name, -persist, -token and -progress with -coordinator) never trip it.
-// A -watch interval that would poll the hub back to back is refused too.
+// A -watch interval that would poll the hub back to back is refused too,
+// as is every coordinate and serve value the library would quietly
+// replace with its default.
 func TestRefusesIgnoredFlags(t *testing.T) {
 	// Refused cases point at a server that answers 404 to everything, so
 	// a refusal that regressed fails at once instead of leasing forever.
@@ -76,8 +78,8 @@ func TestRefusesIgnoredFlags(t *testing.T) {
 		refused string // the start of the error, "" when the command must run
 	}{
 		{"worker", []string{"-coordinator", dead.URL, "-n", "5", "-seed", "2", "-iters", "9", "-restarts", "1", "-workflow", "blast",
-			"-ccr", "1", "-scheduler", "CPoP", "-sigma", "0.1", "-in", "x.json", "-chain-workers", "2"},
-			"-ccr, -chain-workers, -in, -iters, -n, -restarts, -scheduler, -seed, -sigma, -workflow not used"},
+			"-ccr", "1", "-scheduler", "CPoP", "-sigma", "0.1", "-in", "x.json"},
+			"-ccr, -in, -iters, -n, -restarts, -scheduler, -seed, -sigma, -workflow not used"},
 		{"worker", []string{"-coordinator", dead.URL, "-driver", "fig7", "-shard", "0/2", "-checkpoint", "s.ckpt"}, "-checkpoint, -driver, -shard not used"},
 		{"worker", []string{"-coordinator", dead.URL, "-workers", "1", "-name", "w", "-persist", "-token", "T", "-progress", "-seed", "3"}, "-seed not used"},
 		{"worker", []string{"-coordinator", hub.URL, "-workers", "1", "-name", "w", "-token", "", "-progress"}, ""},
@@ -88,8 +90,17 @@ func TestRefusesIgnoredFlags(t *testing.T) {
 		{"coordinate", []string{"-watch", hub.URL, "-interval", "1ms", "-token", ""}, ""},
 		{"coordinate", []string{"-watch", hub.URL, "-interval", "0s"}, "-interval 0s must be positive"},
 		{"coordinate", []string{"-watch", hub.URL, "-interval", "-1s"}, "-interval -1s must be positive"},
+		{"coordinate", []string{"-driver", "fig4", "-checkpoint", "c.ckpt", "-lease", "0"}, "-lease 0 must be positive"},
+		{"coordinate", []string{"-driver", "fig4", "-checkpoint", "c.ckpt", "-lease-ttl", "-1s"}, "-lease-ttl -1s must be positive"},
+		{"coordinate", []string{"-driver", "fig4", "-checkpoint", "c.ckpt", "-retries", "0"}, "-retries 0 must be positive"},
+		{"coordinate", []string{"-driver", "fig4", "-checkpoint", "c.ckpt", "-retry-backoff", "0s"}, "-retry-backoff 0s must be positive"},
+		{"serve", []string{"-cache", "0"}, "-cache 0 must be positive"},
+		{"serve", []string{"-queue-timeout", "0s"}, "-queue-timeout 0s must be positive"},
+		{"serve", []string{"-drain-timeout", "-1s"}, "-drain-timeout -1s must be positive"},
+		{"serve", []string{"-degrade-window", "0s"}, "-degrade-window 0s must be positive"},
+		{"serve", []string{"-max-concurrent", "-1"}, "-max-concurrent -1 must be positive"},
 		{"pisa", []string{"-method", "ga", "-restarts", "2", "-trace", trace}, "-restarts, -trace not used"},
-		{"pisa", []string{"-method", "ga", "-iters", "10", "-seed", "2", "-workers", "1"}, ""},
+		{"pisa", []string{"-method", "ga", "-iters", "10", "-seed", "2"}, ""},
 		{"pisa", []string{"-iters", "10", "-restarts", "1", "-trace", trace}, ""},
 	} {
 		line := c.cmd + " " + strings.Join(c.args, " ")

@@ -27,6 +27,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
 	"slices"
 	"strings"
 	"syscall"
@@ -86,9 +87,9 @@ commands:
   datasets   list the available dataset generators (Table II)
   generate   -dataset <name> [-seed N] [-out file.json]
   schedule   -scheduler <name> -in file.json [-gantt] [-server URL]
-  serve      [-addr host:port] [-max-concurrent N] [-queue-timeout D] [-cache N] [-workers N] [-drain-timeout D]
+  serve      [-addr host:port] [-max-concurrent N] [-queue-timeout D] [-cache N] [-drain-timeout D]
              [-degrade-window D] [-token T] [-verbose]   (fleet: saga worker -coordinator http://host:port/hub -persist)
-  pisa       -target <name> -base <name> [-method sa|ga] [-iters N] [-restarts N] [-seed N] [-workers N] [-out file.json]
+  pisa       -target <name> -base <name> [-method sa|ga] [-iters N] [-restarts N] [-seed N] [-out file.json]
   portfolio  -k N [-schedulers a,b,c] [-iters N] [-restarts N] [-seed N] [-workers N] [-server URL]
   robustness -scheduler <name> -in file.json [-sigma F] [-n N] [-seed N] [-workers N] [-checkpoint file] [-shard I/C] [-server URL]
   convert    -from-wfc wf.json [-link F] [-ccr F] -out inst.json   (wfformat -> instance)
@@ -98,12 +99,15 @@ commands:
   describe   -dataset <name> [-n N] [-seed N]
   worker     -driver fig2|fig4|fig7|fig8|appspecific|robustness|pairwise -shard I/C -checkpoint file [-n N] [-seed N]
              [-iters N] [-restarts N] [-workflow w] [-ccr F] [-scheduler s] [-sigma F] [-in file.json] [-schedulers a,b]
-             [-workers N] [-chain-workers N] [-progress]
+             [-workers N] [-progress]
              or: -coordinator http://host:port [-name id] [-workers N] [-persist] [-token T] [-progress]
   coordinate -driver <name> -checkpoint store.ckpt [-addr host:port] [-lease N] [-lease-ttl D]
              [-retries N] [-retry-backoff D] [-shuffle-seed N] [-token T] [-verbose] [sweep flags as for worker]
              or: -watch http://host:port [-interval D] [-token T]   (live progress line; a daemon's hub is http://host:port/hub)
-  merge      -driver <name> -out merged.ckpt [sweep flags as for worker] shard1.ckpt shard2.ckpt ...`)
+  merge      -driver <name> -out merged.ckpt [sweep flags as for worker] shard1.ckpt shard2.ckpt ...
+
+-workers N is a sweep's pool (0 = GOMAXPROCS), shared among the cells a run owns; pisa
+searches on every core. Results are identical at any width.`)
 }
 
 func list([]string) error {
@@ -192,10 +196,9 @@ func scheduleCmd(args []string) error {
 func serveCmd(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:8080", "address to serve on (port 0 picks a free port, printed at startup)")
-	maxConc := fs.Int("max-concurrent", 0, "requests computed concurrently (0 = GOMAXPROCS)")
+	maxConc := fs.Int("max-concurrent", 0, "requests computed concurrently (0 = GOMAXPROCS); each portfolio/robustness sweep gets GOMAXPROCS/max-concurrent runner workers, at least 1")
 	queueTimeout := fs.Duration("queue-timeout", 2*time.Second, "how long a request may wait for a slot before 503")
 	cacheEntries := fs.Int("cache", 64, "instance cache entries (content-hash keyed, LRU)")
-	workers := fs.Int("workers", 1, "runner workers inside one portfolio/robustness request (results identical at any count)")
 	drain := fs.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget for in-flight requests")
 	degradeWindow := fs.Duration("degrade-window", 3*time.Second, "how long the fleet under /hub may stay silent before portfolio/robustness sweeps run locally (also its lease lifetime)")
 	verbose := fs.Bool("verbose", false, "log every request on stderr")
@@ -204,11 +207,17 @@ func serveCmd(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// The library would quietly replace these with its defaults.
+	if err := cli.Positive(fs, "queue-timeout", "cache", "drain-timeout", "degrade-window"); err != nil {
+		return err
+	}
+	if *maxConc < 0 {
+		return fmt.Errorf("-max-concurrent %d must be positive, or 0 for GOMAXPROCS", *maxConc)
+	}
 	opts := serve.Options{
 		MaxConcurrent: *maxConc,
 		QueueTimeout:  *queueTimeout,
 		CacheEntries:  *cacheEntries,
-		Workers:       *workers,
 		DegradeWindow: *degradeWindow,
 		Token:         f.Token,
 	}
@@ -251,8 +260,6 @@ func pisaCmd(args []string) error {
 	targetName := fs.String("target", "HEFT", "scheduler to find bad instances for")
 	baseName := fs.String("base", "CPoP", "baseline scheduler")
 	method := fs.String("method", "sa", "search meta-heuristic: sa (simulated annealing) or ga (genetic)")
-	// Parallelism inside one search, not a sweep's runner pool.
-	workers := fs.Int("workers", 0, "parallel workers inside the search (restart chains / offspring evaluation; 0 or 1 = sequential, results identical at any count)")
 	out := fs.String("out", "", "write the worst-case instance JSON here")
 	trace := fs.String("trace", "", "write the annealing trace CSV here (sa only)")
 	f := cli.Defaults()
@@ -273,7 +280,7 @@ func pisaCmd(args []string) error {
 	switch *method {
 	case "sa":
 		opts := f.Anneal()
-		opts.Workers = *workers
+		opts.Workers = runtime.GOMAXPROCS(0) // one search owns the process
 		opts.RecordTrace = *trace != ""
 		res, err = experiments.SinglePISA(target, base, opts)
 	case "ga":
@@ -283,7 +290,7 @@ func pisaCmd(args []string) error {
 		opts := core.DefaultGAOptions()
 		opts.Generations = max(f.Iters/10, 1)
 		opts.Seed = f.Seed
-		opts.Workers = *workers
+		opts.Workers = runtime.GOMAXPROCS(0)
 		opts.InitialInstance = datasets.InitialPISAInstance
 		res, err = core.RunGA(target, base, opts)
 	default:
@@ -597,13 +604,18 @@ func coordinateCmd(args []string) error {
 				"retries", "retry-backoff", "shuffle-seed", "verbose"})...); err != nil {
 			return err
 		}
-		if *interval <= 0 { // a zero sleep would poll the hub back to back
-			return fmt.Errorf("-interval %v must be positive", *interval)
+		// A zero sleep would poll the hub back to back.
+		if err := cli.Positive(fs, "interval"); err != nil {
+			return err
 		}
 		return watchStatus(strings.TrimRight(*watch, "/"), f.Token, *interval)
 	}
 	if *driver == "" || f.Checkpoint == "" {
 		return errors.New("-driver and -checkpoint are required (or -watch)")
+	}
+	// The hub would quietly replace these with its defaults.
+	if err := cli.Positive(fs, "lease", "lease-ttl", "retries", "retry-backoff"); err != nil {
+		return err
 	}
 	hopts := coord.HubOptions{
 		Token: f.Token,

@@ -14,6 +14,7 @@ import (
 	"os"
 	"slices"
 	"strings"
+	"time"
 
 	"saga/internal/experiments"
 	"saga/internal/runner"
@@ -26,8 +27,8 @@ import (
 // does not use.
 type Flags struct {
 	// SweepParams holds -n -seed -iters -restarts -workflow -ccr
-	// -scheduler -sigma -chain-workers -schedulers. InstanceRaw stays
-	// empty until Params reads -in.
+	// -scheduler -sigma -schedulers. InstanceRaw stays empty until
+	// Params reads -in.
 	experiments.SweepParams
 
 	In         string // -in: instance JSON file
@@ -40,8 +41,10 @@ type Flags struct {
 }
 
 // SweepFlags names the flags that make up a sweep's identity, as `saga
-// worker`, `saga coordinate` and `saga merge` take them.
-var SweepFlags = []string{"n", "seed", "iters", "restarts", "workflow", "ccr", "scheduler", "sigma", "in", "chain-workers", "schedulers"}
+// worker`, `saga coordinate` and `saga merge` take them. How wide a cell
+// runs is no part of it: that follows the runner pool
+// (runner.Options.CellWorkers).
+var SweepFlags = []string{"n", "seed", "iters", "restarts", "workflow", "ccr", "scheduler", "sigma", "in", "schedulers"}
 
 // Defaults returns the flag defaults every command starts from. A
 // command that needs another default (robustness draws 100 jitter
@@ -80,8 +83,6 @@ func (f *Flags) Register(fs *flag.FlagSet, names ...string) {
 			fs.Float64Var(&f.Sigma, name, f.Sigma, "relative cost jitter of the robustness sweep (clipped gaussian sd)")
 		case "in":
 			fs.StringVar(&f.In, name, f.In, "instance JSON file")
-		case "chain-workers":
-			fs.IntVar(&f.ChainWorkers, name, f.ChainWorkers, "parallel workers inside each annealing cell (0 or 1 = sequential; results identical at any count)")
 		case "schedulers":
 			f.Schedulers = slices.Clone(schedulers.AppSpecificNames)
 			fs.Var(listFlag{&f.Schedulers}, name, "comma-separated scheduler names")
@@ -161,4 +162,23 @@ func Refuse(fs *flag.FlagSet, mode string, names ...string) error {
 		return nil
 	}
 	return fmt.Errorf("%s not used %s", strings.Join(set, ", "), mode)
+}
+
+// Positive fails when any of names, an int or a duration flag, holds a
+// value that is not positive, set or defaulted alike.
+func Positive(fs *flag.FlagSet, names ...string) error {
+	for _, name := range names {
+		fl := fs.Lookup(name)
+		var ok bool
+		switch v := fl.Value.(flag.Getter).Get().(type) {
+		case int:
+			ok = v > 0
+		case time.Duration:
+			ok = v > 0
+		}
+		if !ok {
+			return fmt.Errorf("-%s %s must be positive", name, fl.Value)
+		}
+	}
+	return nil
 }

@@ -13,8 +13,8 @@
 // single-process run would, so the ledger is free to reassign cells at
 // will — when a worker dies, hangs, or merely misses its heartbeats —
 // without ever changing a result. Duplicate completions (a reclaimed
-// lease finishing late, a retried delivery) are committed through
-// Store.StoreDedup, which accepts byte-identical duplicates and refuses
+// lease finishing late, a retried delivery) are committed through the
+// ledger's Store, which accepts byte-identical duplicates and refuses
 // disagreeing ones: the store can only ever hold the one answer the
 // sequential reference would produce.
 //
@@ -38,19 +38,19 @@ import (
 	"saga/internal/experiments"
 	"saga/internal/httpx"
 	"saga/internal/rng"
+	"saga/internal/runner"
 )
 
 // Store is a ledger's commit target. serialize.Checkpoint is the
 // durable file-backed implementation behind `saga coordinate -driver`;
 // MemStore backs the sweeps a daemon dispatches, whose results never
-// touch disk. Whatever the backing, StoreDedup
-// carries the protocol's core guarantee: identical duplicates are
-// no-ops, disagreeing ones are refused; a committed cell is durable
-// when StoreDedup returns, and Load returns every cell committed so far.
+// touch disk. Whatever the backing, Store carries the protocol's core
+// guarantee: identical duplicates are no-ops, disagreeing ones are
+// refused; a committed cell is durable when Store returns, and Load
+// returns every cell committed so far.
 type Store interface {
+	runner.Checkpoint
 	SetFingerprint(fp string)
-	Load() (map[int]json.RawMessage, error)
-	StoreDedup(index int, cell json.RawMessage) (stored bool, err error)
 }
 
 // ErrAborted is the Wait result of a sweep torn down by Abort — its
@@ -522,7 +522,7 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	// bytes), and even for cells some other lease currently holds (the
 	// holder's redundant completion will dedup).
 	for _, k := range keys {
-		if _, err := c.store.StoreDedup(k, req.Cells[k]); err != nil {
+		if err := c.store.Store(k, req.Cells[k]); err != nil {
 			// A disagreeing duplicate is a determinism violation — the one
 			// fault no retry can mend. Park the sweep instead of racing to
 			// overwrite the committed value.

@@ -34,18 +34,18 @@ func TestCoordSmokeE2E(t *testing.T) {
 		t.Fatalf("build saga: %v\n%s", err, out)
 	}
 
-	// The sweep: the full Fig 4 pairwise grid (210 cells) with an
-	// annealing budget big enough that killing a worker mid-sweep leaves
-	// real leased work for the survivors to reclaim, yet small enough to
-	// finish in well under a minute.
-	params := experiments.SweepParams{Iters: 150, Restarts: 1, Seed: 4}
+	// The sweep: the full Fig 4 pairwise grid (210 cells) at the paper's
+	// 1000 iterations and one restart, which one worker on one core
+	// takes about 250 ms over on a 2-core host: long enough for polls
+	// every 10 ms to land mid-sweep, short enough for a quick drill.
+	params := experiments.SweepParams{Iters: 1000, Restarts: 1, Seed: 4}
 	ref := sequentialReference(t, dir, "fig4", params)
 
 	storePath := filepath.Join(dir, "store.ckpt")
 	coordProc := exec.Command(bin, "coordinate",
 		"-driver", "fig4", "-checkpoint", storePath, "-addr", "127.0.0.1:0",
 		"-lease", "4", "-lease-ttl", "1s", "-retry-backoff", "100ms",
-		"-iters", "150", "-restarts", "1", "-seed", "4")
+		"-iters", "1000", "-restarts", "1", "-seed", "4")
 	stdout, err := coordProc.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -70,46 +70,61 @@ func TestCoordSmokeE2E(t *testing.T) {
 	if baseURL == "" {
 		t.Fatalf("coordinator never printed its address (scan error: %v)", sc.Err())
 	}
+	// The coordinator's stdout reaches EOF when the process exits.
+	exited := make(chan struct{})
 	go func() { // drain the rest so the coordinator never blocks on stdout
 		for sc.Scan() {
 		}
+		close(exited)
 	}()
 
 	workers := make([]*exec.Cmd, 3)
-	for i := range workers {
-		workers[i] = exec.Command(bin, "worker",
-			"-coordinator", baseURL, "-name", fmt.Sprintf("smoke-w%d", i))
+	startWorker := func(i int, args ...string) {
+		workers[i] = exec.Command(bin, append([]string{"worker",
+			"-coordinator", baseURL, "-name", fmt.Sprintf("smoke-w%d", i)}, args...)...)
 		workers[i].Stdout = os.Stderr
 		workers[i].Stderr = os.Stderr
 		if err := workers[i].Start(); err != nil {
 			t.Fatal(err)
 		}
-		defer workers[i].Process.Kill()
+		t.Cleanup(func() { workers[i].Process.Kill() })
 	}
 
-	// Let the sweep get underway, then kill one worker outright —
-	// SIGKILL, no goodbye — while cells it leased are still outstanding.
-	status := func() Status {
+	// The victim starts alone, on one runner worker, so the sweep runs
+	// at one core's pace until the kill window opens; the survivors join
+	// just before the kill. Then the victim dies outright — SIGKILL, no
+	// goodbye — while cells it leased are still outstanding.
+	startWorker(0, "-workers", "1")
+	status := func() (Status, error) {
 		var st Status
 		resp, err := http.Get(baseURL + "/status")
 		if err != nil {
-			return st
+			return st, err
 		}
 		defer resp.Body.Close()
-		json.NewDecoder(resp.Body).Decode(&st)
-		return st
+		if resp.StatusCode != http.StatusOK {
+			return st, fmt.Errorf("GET /status: %s", resp.Status)
+		}
+		return st, json.NewDecoder(resp.Body).Decode(&st)
 	}
 	deadline := time.Now().Add(2 * time.Minute)
 	for {
-		st := status()
-		if st.Committed >= 4 && st.Cells-st.Committed > 20 {
+		st, err := status()
+		if err == nil && st.Committed >= 4 && st.Cells-st.Committed > 20 {
 			break
 		}
-		if st.Done || time.Now().After(deadline) {
-			t.Fatalf("no mid-sweep window to kill a worker in (status %+v)", st)
+		select {
+		case <-exited:
+			t.Fatalf("coordinator exited before a kill window (last status %+v, %v)", st, err)
+		default:
 		}
-		time.Sleep(50 * time.Millisecond)
+		if st.Done || time.Now().After(deadline) {
+			t.Fatalf("no mid-sweep window to kill a worker in (status %+v, %v)", st, err)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
+	startWorker(1)
+	startWorker(2)
 	if err := workers[0].Process.Kill(); err != nil {
 		t.Fatalf("kill worker: %v", err)
 	}

@@ -36,7 +36,7 @@ type Plan struct {
 	// believes its lease is safe while the coordinator watches it die.
 	DropHeartbeats bool
 	// DuplicateCompletions delivers every POST /complete twice, back to
-	// back — the retried-delivery case StoreDedup exists for.
+	// back — the retried-delivery case Store's dedup exists for.
 	DuplicateCompletions bool
 	// MaxDelay, when positive, sleeps a seed-derived random duration in
 	// [0, MaxDelay) before forwarding each request, reordering deliveries

@@ -347,10 +347,10 @@ func (h *Hub) handleStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 // MemStore is the in-memory Store behind the sweeps Acquire mounts: same
-// dedup semantics as serialize.Checkpoint, no file. Like it, a MemStore
-// is also a runner.Checkpoint, which is how the daemon reads a finished
-// sweep: it replays the local driver over the store, every cell loads
-// and nothing is computed.
+// dedup semantics as serialize.Checkpoint, no file. Like every Store, a
+// MemStore is a runner.Checkpoint, which is how the daemon reads a
+// finished sweep: it replays the local driver over the store, every cell
+// loads and nothing is computed.
 type MemStore struct {
 	mu    sync.Mutex
 	cells map[int]json.RawMessage
@@ -376,23 +376,17 @@ func (m *MemStore) Load() (map[int]json.RawMessage, error) {
 	return out, nil
 }
 
-// Store implements runner.Checkpoint over StoreDedup.
+// Store implements runner.Checkpoint with serialize.Checkpoint's
+// contract: identical duplicates are no-ops, disagreeing ones errors.
 func (m *MemStore) Store(index int, cell json.RawMessage) error {
-	_, err := m.StoreDedup(index, cell)
-	return err
-}
-
-// StoreDedup implements Store with serialize.Checkpoint's contract: an
-// identical duplicate is a no-op, a disagreeing one an error.
-func (m *MemStore) StoreDedup(index int, cell json.RawMessage) (bool, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if prior, ok := m.cells[index]; ok {
 		if string(prior) == string(cell) {
-			return false, nil
+			return nil
 		}
-		return false, fmt.Errorf("coord: cell %d delivered twice with different bytes (determinism violation)", index)
+		return fmt.Errorf("coord: cell %d delivered twice with different bytes (determinism violation)", index)
 	}
 	m.cells[index] = append(json.RawMessage(nil), cell...)
-	return true, nil
+	return nil
 }

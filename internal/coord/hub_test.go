@@ -255,7 +255,7 @@ func TestHubRestartSameIDAbsorbsReplayedCompletion(t *testing.T) {
 	for _, k := range lease.Cells {
 		cells[k] = ref[k]
 	}
-	for i := 0; i < 2; i++ { // delivered twice: StoreDedup absorbs the replay
+	for i := 0; i < 2; i++ { // delivered twice: Store absorbs the replay
 		ack := post[CompleteResponse](t, mountURL(srv2.URL, c2), "/complete",
 			CompleteRequest{Worker: "w", Lease: lease.Lease, Cells: cells})
 		if !ack.OK {

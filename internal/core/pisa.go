@@ -64,9 +64,9 @@ type Options struct {
 	RecordTrace bool
 	// Workers bounds how many restart chains anneal concurrently; it is
 	// clamped to [1, Restarts]. The calling goroutine is worker 0, so 0
-	// or 1 spawns no goroutine — the right choice inside an
-	// already-parallel sweep (runner.Map gives each cell one goroutine;
-	// nesting more would oversubscribe). Results are bit-identical for
+	// or 1 spawns no goroutine. A sweep sets it to its share of the
+	// runner pool (runner.Options.CellWorkers), so cells and chains
+	// together never oversubscribe the pool. Results are bit-identical for
 	// every value: chain k consumes the root stream's k-th Split, owns
 	// private scheduling state, and the chains merge canonically in
 	// restart order (argmax ratio, ties to the lowest restart index).

@@ -48,15 +48,6 @@ type SweepParams struct {
 	// indices map to pairs through it — so it is part of the
 	// fingerprint verbatim.
 	Schedulers []string
-
-	// ChainWorkers bounds intra-cell parallelism (core.Options.Workers /
-	// GAOptions.Workers) inside every annealing cell. It is deliberately
-	// excluded from all fingerprints: results are bit-identical for every
-	// value (the parallel chains merge canonically — see internal/core),
-	// so stores written at different ChainWorkers are interchangeable.
-	// Leave it 0 in sharded workers unless cells outnumber cores locally:
-	// runner.Map already uses one goroutine per cell.
-	ChainWorkers int
 }
 
 // Anneal assembles the annealing options of every PISA sweep, so a
@@ -67,7 +58,6 @@ func (p SweepParams) Anneal() core.Options {
 	o.MaxIters = p.Iters
 	o.Restarts = p.Restarts
 	o.Seed = p.Seed
-	o.Workers = p.ChainWorkers
 	return o
 }
 

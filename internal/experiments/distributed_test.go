@@ -377,24 +377,6 @@ func TestNewSweepRegistry(t *testing.T) {
 	if _, err := NewSweep("pairwise", bad); err == nil {
 		t.Fatal("pairwise sweep accepted an unknown scheduler")
 	}
-	// ChainWorkers must NOT enter any fingerprint: results are
-	// bit-identical at every worker count, so stores written at different
-	// intra-cell parallelism are interchangeable.
-	for _, name := range SweepNames {
-		p2 := p
-		p2.ChainWorkers = 7
-		a, err := NewSweep(name, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := NewSweep(name, p2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.Fingerprint != b.Fingerprint {
-			t.Fatalf("%s: fingerprint depends on ChainWorkers", name)
-		}
-	}
 }
 
 // TestShardedRobustnessMergeDeterminism is satellite coverage for the

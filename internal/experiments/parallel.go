@@ -120,6 +120,7 @@ func pisaGrid(scheds []scheduler.Scheduler, anneal core.Options, initial func(*r
 	if n < 2 {
 		return ratios, instances, nil
 	}
+	anneal.Workers = ro.CellWorkers(n * (n - 1))
 	cells, err := runner.MapState(n*(n-1), ro, scheduler.NewScratch,
 		func(k int, scr *scheduler.Scratch) (pisaCell, error) {
 			i, j := runner.OffDiagonal(k, n)

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -236,5 +237,28 @@ func TestLeaseProgressWithPrinter(t *testing.T) {
 	}
 	if !strings.Contains(lines[len(lines)-1], fmt.Sprintf("%d/%d cells", n, n)) {
 		t.Fatalf("final line %q does not report sweep completion", lines[len(lines)-1])
+	}
+}
+
+// TestCellWorkers pins the one width rule: the resolved pool shared
+// evenly among the cells the run owns, at least 1.
+func TestCellWorkers(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	one := func(k int) bool { return k == 1 }
+	for _, c := range []struct {
+		pool, n int
+		include func(int) bool
+		want    int
+	}{
+		{0, 0, nil, procs}, {0, 1, nil, procs}, {0, 2, nil, max(1, procs/2)}, {0, 210, nil, max(1, procs/210)},
+		{1, 0, nil, 1}, {1, 1, nil, 1}, {1, 2, nil, 1}, {1, 210, nil, 1},
+		{4, 0, nil, 4}, {4, 1, nil, 4}, {4, 2, nil, 2}, {4, 210, nil, 1},
+		{0, 210, one, procs}, {1, 210, one, 1}, {4, 210, one, 4},
+		{4, 1, one, 4}, // the one cell lies outside [0, n): nothing is owned
+	} {
+		o := Options{Workers: c.pool, Include: c.include}
+		if got := o.CellWorkers(c.n); got != c.want {
+			t.Errorf("pool %d, n %d, one-cell include %v: CellWorkers = %d, want %d", c.pool, c.n, c.include != nil, got, c.want)
+		}
 	}
 }

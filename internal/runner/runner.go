@@ -85,6 +85,29 @@ func (o Options) Owns(k int) bool {
 	return o.Include == nil || o.Include(k)
 }
 
+// pool is the pool size Workers resolves to: non-positive means
+// GOMAXPROCS.
+func (o Options) pool() int {
+	if o.Workers <= 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return o.Workers
+}
+
+// CellWorkers is the parallel width inside each cell of [0, n) this run
+// owns: the pool shared evenly among them, at least 1, so a run owning
+// fewer cells than workers (a small roster, a shard, a lease) gives the
+// idle ones to its cells.
+func (o Options) CellWorkers(n int) int {
+	owned := 0
+	for k := 0; k < n; k++ {
+		if o.Owns(k) {
+			owned++
+		}
+	}
+	return max(1, o.pool()/max(1, owned))
+}
+
 // ShardSpec assigns one process its slice of a distributed sweep: a
 // shard runs only the cells whose index k satisfies k % Count == Index.
 // Cell indices — and with them CellSeed and the checkpoint keys — stay
@@ -257,13 +280,7 @@ func MapState[T, S any](n int, opts Options, newState func() S, fn func(index in
 		opts.Progress(completed, total)
 	}
 
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > total {
-		workers = total
-	}
+	workers := min(opts.pool(), total)
 
 	var (
 		mu   sync.Mutex

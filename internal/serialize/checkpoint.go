@@ -84,13 +84,26 @@ func (c *Checkpoint) loadLocked() error {
 // Store implements runner.Checkpoint: it records one completed cell,
 // which is on disk when Store returns. Store without a prior Load
 // replaces whatever the file held.
+//
+// Duplicate completions are tolerated: a cell already present with
+// byte-identical content is a no-op, not counted as stored, while one
+// present with different bytes is an error. The sweep is deterministic,
+// so a disagreeing duplicate came from a different sweep (or a corrupted
+// worker) and must never silently overwrite the committed value. The
+// coordinator protocol (internal/coord) commits through Store, where
+// reclaimed leases and duplicated deliveries make redundant completions
+// routine and concurrent, so the check and the commit are one critical
+// section.
 func (c *Checkpoint) Store(index int, cell json.RawMessage) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.storeLocked(index, cell)
-}
-
-func (c *Checkpoint) storeLocked(index int, cell json.RawMessage) error {
+	if prev, ok := c.cells[index]; ok {
+		if !bytes.Equal(prev, cell) {
+			return fmt.Errorf("serialize: checkpoint %s: duplicate completion of cell %d disagrees with the committed value (%d vs %d bytes) — results from a different sweep?",
+				c.path, index, len(cell), len(prev))
+		}
+		return nil
+	}
 	if c.cells == nil {
 		c.cells = map[int]json.RawMessage{}
 	}
@@ -103,29 +116,6 @@ func (c *Checkpoint) storeLocked(index int, cell json.RawMessage) error {
 		return err
 	}
 	return c.w.Flush()
-}
-
-// StoreDedup records one completed cell, tolerating duplicate
-// completions: a cell already present with byte-identical content is a
-// no-op (stored = false), while a cell present with *different* bytes
-// is an error — the sweep is deterministic, so a disagreeing duplicate
-// means the result came from a different sweep (or a corrupted worker)
-// and must never silently overwrite the committed value. This is the
-// commit primitive of the coordinator protocol (internal/coord), where
-// reclaimed leases and duplicated deliveries make redundant completions
-// routine — and concurrent, so the check and the commit are one
-// critical section.
-func (c *Checkpoint) StoreDedup(index int, cell json.RawMessage) (stored bool, err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if prev, ok := c.cells[index]; ok {
-		if !bytes.Equal(prev, cell) {
-			return false, fmt.Errorf("serialize: checkpoint %s: duplicate completion of cell %d disagrees with the committed value (%d vs %d bytes) — results from a different sweep?",
-				c.path, index, len(cell), len(prev))
-		}
-		return false, nil
-	}
-	return true, c.storeLocked(index, cell)
 }
 
 // peekFingerprint reads only the fingerprint of the store at path,

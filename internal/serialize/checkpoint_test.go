@@ -75,9 +75,9 @@ func TestCheckpointCellReadableWhenStoreReturns(t *testing.T) {
 	}
 }
 
-// TestStoreDedupConcurrentDisagreement races N completions of one cell
-// with N different payloads: exactly one commits, every other caller is
-// told its bytes disagree, and the committed value is the winner's.
+// TestStoreDedupConcurrentDisagreement races N Stores of one cell with
+// N different payloads: exactly one commits, every other caller is told
+// its bytes disagree, and the committed value is the winner's.
 func TestStoreDedupConcurrentDisagreement(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "race.ckpt")
 	ck := NewCheckpoint(path)
@@ -86,7 +86,6 @@ func TestStoreDedupConcurrentDisagreement(t *testing.T) {
 	}
 	const n = 16
 	var wg sync.WaitGroup
-	stored := make([]bool, n)
 	errs := make([]error, n)
 	start := make(chan struct{})
 	for g := 0; g < n; g++ {
@@ -94,7 +93,7 @@ func TestStoreDedupConcurrentDisagreement(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			<-start
-			stored[g], errs[g] = ck.StoreDedup(7, json.RawMessage(fmt.Sprintf(`{"from":%d}`, g)))
+			errs[g] = ck.Store(7, json.RawMessage(fmt.Sprintf(`{"from":%d}`, g)))
 		}(g)
 	}
 	close(start)
@@ -102,12 +101,12 @@ func TestStoreDedupConcurrentDisagreement(t *testing.T) {
 	winner := -1
 	for g := 0; g < n; g++ {
 		switch {
-		case stored[g] && errs[g] == nil && winner < 0:
+		case errs[g] == nil && winner < 0:
 			winner = g
-		case stored[g]:
+		case errs[g] == nil:
 			t.Fatalf("completions %d and %d both committed cell 7", winner, g)
-		case errs[g] == nil || !strings.Contains(errs[g].Error(), "disagrees with the committed value"):
-			t.Fatalf("losing completion %d: stored=%v, %v", g, stored[g], errs[g])
+		case !strings.Contains(errs[g].Error(), "disagrees with the committed value"):
+			t.Fatalf("losing completion %d: %v", g, errs[g])
 		}
 	}
 	if winner < 0 {
@@ -214,8 +213,15 @@ func TestFinishPolicy(t *testing.T) {
 	if _, err := ck.Load(); err != nil {
 		t.Fatal(err)
 	}
-	if stored, err := ck.StoreDedup(0, json.RawMessage(`1`)); err != nil || stored {
-		t.Fatalf("identical duplicate: stored=%v, %v", stored, err)
+	before, err := os.ReadFile(merged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ck.Store(0, json.RawMessage(`1`)); err != nil {
+		t.Fatalf("identical duplicate: %v", err)
+	}
+	if after, err := os.ReadFile(merged); err != nil || !bytes.Equal(before, after) {
+		t.Fatalf("identical duplicate rewrote the store: %v", err)
 	}
 	if kept, err := ck.Finish(false); err != nil || !kept || !exists(merged) {
 		t.Fatalf("read-only run: kept=%v, %v", kept, err)

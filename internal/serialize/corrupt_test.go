@@ -1,6 +1,7 @@
 package serialize
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -169,35 +170,47 @@ func TestMergeCheckpointsFingerprintMismatchNamesBothSweeps(t *testing.T) {
 	}
 }
 
-// TestStoreDedup pins the coordinator's commit primitive: identical
-// duplicate completions are no-ops, disagreeing ones are refused with
-// the committed value left untouched.
+// TestStoreDedup pins the coordinator's commit primitive, Store:
+// identical duplicate completions are no-ops that leave the file
+// untouched, disagreeing ones are refused with the committed value left
+// untouched.
 func TestStoreDedup(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "dedup.ckpt")
 	ck := NewCheckpoint(path)
 	if _, err := ck.Load(); err != nil {
 		t.Fatal(err)
 	}
-	stored, err := ck.StoreDedup(4, json.RawMessage(`{"v":1}`))
-	if err != nil || !stored {
-		t.Fatalf("first completion: stored=%v, %v", stored, err)
+	if err := ck.Store(4, json.RawMessage(`{"v":1}`)); err != nil {
+		t.Fatalf("first completion: %v", err)
 	}
+	committed, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unchanged := func(what string) {
+		t.Helper()
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, committed) {
+			t.Fatalf("%s rewrote the store (%d vs %d bytes, %v)", what, len(got), len(committed), err)
+		}
+		cells, err := NewCheckpoint(path).Load()
+		if err != nil || len(cells) != 1 || string(cells[4]) != `{"v":1}` {
+			t.Fatalf("%s disturbed the committed value: %v, %v", what, cells, err)
+		}
+	}
+	unchanged("first completion") // the committed cell is on disk
 	// A reclaimed lease re-delivering the same bytes must be silent.
-	stored, err = ck.StoreDedup(4, json.RawMessage(`{"v":1}`))
-	if err != nil || stored {
-		t.Fatalf("identical duplicate: stored=%v, %v", stored, err)
+	if err := ck.Store(4, json.RawMessage(`{"v":1}`)); err != nil {
+		t.Fatalf("identical duplicate: %v", err)
 	}
+	unchanged("identical duplicate")
 	// A disagreeing duplicate is a determinism violation, never an
 	// overwrite.
-	stored, err = ck.StoreDedup(4, json.RawMessage(`{"v":2}`))
-	if err == nil || stored {
-		t.Fatalf("conflicting duplicate accepted: stored=%v, %v", stored, err)
+	err = ck.Store(4, json.RawMessage(`{"v":2}`))
+	if err == nil {
+		t.Fatal("conflicting duplicate accepted")
 	}
 	if !strings.Contains(err.Error(), "cell 4") || !strings.Contains(err.Error(), path) {
 		t.Fatalf("conflict error lacks cell/path: %v", err)
 	}
-	cells, err := NewCheckpoint(path).Load()
-	if err != nil || string(cells[4]) != `{"v":1}` {
-		t.Fatalf("committed value disturbed: %v, %v", cells, err)
-	}
+	unchanged("conflicting duplicate")
 }

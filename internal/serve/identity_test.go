@@ -90,7 +90,7 @@ func TestScheduleByteIdentity(t *testing.T) {
 }
 
 func TestPortfolioByteIdentity(t *testing.T) {
-	s := New(Options{Workers: 1})
+	s := New(Options{})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
@@ -130,7 +130,7 @@ func TestPortfolioByteIdentity(t *testing.T) {
 }
 
 func TestRobustnessByteIdentity(t *testing.T) {
-	s := New(Options{Workers: 1})
+	s := New(Options{})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 

@@ -52,17 +52,15 @@ import (
 type Options struct {
 	// MaxConcurrent bounds how many requests compute at once (default
 	// GOMAXPROCS). Admission is the daemon's only queue; each admitted
-	// request runs its experiment with Workers sequential workers.
+	// portfolio or robustness request runs its sweep on an even share of
+	// the cores, GOMAXPROCS/MaxConcurrent runner workers and at least
+	// one (results are identical at any count).
 	MaxConcurrent int
 	// QueueTimeout is how long an over-admission request waits for a
 	// slot before being refused with 503 (default 2s).
 	QueueTimeout time.Duration
 	// CacheEntries bounds the instance cache (default 64 entries, LRU).
 	CacheEntries int
-	// Workers is the runner worker count inside one portfolio or
-	// robustness request (default 1: concurrent requests are the
-	// parallelism axis; results are identical at any value).
-	Workers int
 	// DegradeWindow is the dispatch path's one silence budget (default
 	// 3s): portfolio and robustness requests are dispatched to the fleet
 	// attached under /hub/ iff a worker called in within it, a dispatched
@@ -94,9 +92,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.CacheEntries <= 0 {
 		o.CacheEntries = 64
-	}
-	if o.Workers <= 0 {
-		o.Workers = 1
 	}
 	if o.DegradeWindow <= 0 {
 		o.DegradeWindow = 3 * time.Second
@@ -387,7 +382,7 @@ func runSweep[T any](s *Server, w http.ResponseWriter, r *http.Request, d experi
 		http.Error(w, "client canceled", http.StatusServiceUnavailable)
 		return zero, false
 	}
-	ro := runner.Options{Workers: s.opts.Workers, Context: r.Context(), Checkpoint: store}
+	ro := runner.Options{Workers: max(1, runtime.GOMAXPROCS(0)/s.opts.MaxConcurrent), Context: r.Context(), Checkpoint: store}
 	if store == nil {
 		// Local compute holds an admission slot; replaying dispatched
 		// cells (store != nil) computes nothing and does not.
